@@ -114,7 +114,10 @@ def bench_sweep_scaling(rounds: int = 3, scale: str = "small",
 
     def run_once(workers):
         started = time.perf_counter()
-        sweep("bench", config, "budget", values, workers=workers)
+        # engine="fast": BENCH_engine.json's ratios time the per-run
+        # engine's executor, not the harness default (columnar blocks).
+        sweep("bench", config, "budget", values, workers=workers,
+              engine="fast")
         return time.perf_counter() - started
 
     serial_s = statistics.median(run_once(None) for _ in range(rounds))

@@ -144,7 +144,9 @@ def bench_cache(scale: str, rounds: int = 3) -> dict:
         with tempfile.TemporaryDirectory() as tmp:
             cold_cache = configure_instances(cache_dir=tmp, fast=True)
             started = time.perf_counter()
-            cold = sweep("bench", config, "budget", values)
+            # engine="fast" (cold and warm): BENCH_instances.json's
+            # ratio was recorded over the per-run engine's sweep.
+            cold = sweep("bench", config, "budget", values, engine="fast")
             cold_s = time.perf_counter() - started
             cold_stats = cold_cache.stats()
             warm_times = []
@@ -152,7 +154,8 @@ def bench_cache(scale: str, rounds: int = 3) -> dict:
             for _ in range(rounds):
                 warm_cache = configure_instances(cache_dir=tmp, fast=True)
                 started = time.perf_counter()
-                warm = sweep("bench", config, "budget", values)
+                warm = sweep("bench", config, "budget", values,
+                             engine="fast")
                 warm_times.append(time.perf_counter() - started)
             warm_s = statistics.median(warm_times)
             warm_stats = warm_cache.stats()

@@ -33,6 +33,7 @@ from repro.experiments import (
     offline_comparison,
     table1,
 )
+from repro.experiments.harness import DEFAULT_ENGINE
 from repro.experiments.reporting import render_table, sweep_csv, sweep_table
 
 __all__ = ["main"]
@@ -52,18 +53,27 @@ _EXPERIMENTS: dict[str, Callable[[str], object]] = {
 }
 
 
+def _served_by(result: RunOutcome | SweepResult) -> str:
+    return f"# engine={result.engine} fell_back={result.fell_back}"
+
+
 def _print_run_outcome(name: str, outcome: RunOutcome, as_csv: bool) -> None:
+    # A shared block has one wall time; its even per-lane share is not a
+    # per-policy runtime, so the column stays empty.
     rows = [
         [label, policy_outcome.mean_gc, policy_outcome.stdev_gc,
-         policy_outcome.mean_runtime]
+         "" if outcome.shared_block else policy_outcome.mean_runtime]
         for label, policy_outcome in outcome.outcomes.items()
     ]
     if as_csv:
         print(f"# {name}")
+        print(_served_by(outcome))
         print("policy,mean_gc,stdev_gc,mean_runtime_s")
         for label, gc, stdev, runtime in rows:
-            print(f"{label},{gc:.6f},{stdev:.6f},{runtime:.6f}")
+            timing = runtime if runtime == "" else f"{runtime:.6f}"
+            print(f"{label},{gc:.6f},{stdev:.6f},{timing}")
         return
+    print(_served_by(outcome))
     print(render_table(
         ["policy", "mean GC", "stdev", "runtime (s)"], rows, title=name))
     print()
@@ -77,8 +87,10 @@ def _print_sweep(result: SweepResult, as_csv: bool,
     for metric in metrics:
         if as_csv:
             print(f"# {result.name} ({metric})")
+            print(_served_by(result))
             print(sweep_csv(result, metric=metric), end="")
         else:
+            print(_served_by(result))
             print(sweep_table(result, metric=metric))
             print()
 
@@ -221,8 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
              "'reference' is the executable specification, 'rebuild' "
              "(churn only) reruns the incremental churn plan with "
              "from-scratch structure rebuilds after every event; by "
-             "default each experiment keeps its own engine default "
-             "('fast' for the figures, 'batch' for the fault sweeps)",
+             f"default the GC sweeps run on '{DEFAULT_ENGINE}' and the "
+             "runtime-reporting experiments (table1, fig3, fig5, "
+             "offline) time each policy in its own 'fast' run",
     )
     parser.add_argument(
         "--output", metavar="DIR", default=None,

@@ -15,13 +15,14 @@ Two knobs beyond the failure rate matter and are exposed:
   what keeps a permanent outage from bleeding the whole budget.
 
 The sweep reuses the harness's :class:`RunOutcome`/:class:`SweepResult`
-containers, so the standard reporting/export pipeline renders it. Since
-the fault layer lowers into the columnar batch engine (see
-``docs/ALGORITHMS.md`` §14), degradation sweeps default to
-``engine="batch"``: every (rate, repetition, policy) combination becomes
-a lane of one columnar mega block — the fault seed depends only on the
-repetition, so all rates share the block's generated instances — and
-produces probe-for-probe the fast engine's results. ``engine="fast"``
+containers, so the standard reporting/export pipeline renders it. The
+fault layer lowers into the columnar batch engine (see
+``docs/ALGORITHMS.md`` §14), so degradation sweeps run on the harness's
+``DEFAULT_ENGINE`` like every other GC sweep: every (rate, repetition,
+policy) combination becomes a lane of one columnar mega block — the
+fault seed depends only on the repetition, so all rates share the
+block's generated instances — and produces probe-for-probe the fast
+engine's results. ``engine="fast"``
 runs the combinations one at a time; lanes the batch engine cannot take
 fall back to the fast engine per (cell, policy) and are counted in
 ``RunOutcome.fell_back`` / ``SweepResult.fell_back``.
@@ -33,12 +34,11 @@ from typing import Sequence
 
 from repro.experiments.config import ExperimentConfig, baseline
 from repro.experiments.harness import (
+    DEFAULT_ENGINE,
     FaultCell,
     RunOutcome,
     SweepResult,
-    _merge_cells,
-    _run_cells_parallel,
-    _run_cells_serial,
+    _run_settings,
     make_instance,
 )
 from repro.faults.breaker import CircuitBreaker, RetryConfig
@@ -98,24 +98,11 @@ def _run_fault_cells(config: ExperimentConfig, rates: Sequence[float],
     the repetition, so every rate faces the same generated world — and
     the whole sweep advances as columnar mega blocks.
     """
-    flat = [
-        (config, repetition, tuple(policies), False, source, engine,
-         "fast",
-         _fault_cell(config, repetition, rate, retry, use_breaker))
-        for rate in rates
-        for repetition in range(config.repetitions)
-    ]
-    if workers is not None and workers > 1 and len(flat) > 1:
-        cells = _run_cells_parallel(flat, workers)
-    else:
-        cells = _run_cells_serial(flat)
-    runs = []
-    cursor = 0
-    for _rate in rates:
-        span = cells[cursor:cursor + config.repetitions]
-        cursor += config.repetitions
-        runs.append(_merge_cells(config, span, policies, False))
-    return runs
+    return _run_settings(
+        [config] * len(rates), policies, False, source, engine, "fast",
+        workers,
+        fault_cell=lambda at, repetition: _fault_cell(
+            config, repetition, rates[at], retry, use_breaker))
 
 
 def run_fault_setting(config: ExperimentConfig, failure_rate: float,
@@ -123,16 +110,17 @@ def run_fault_setting(config: ExperimentConfig, failure_rate: float,
                       retry: RetryConfig | None = RetryConfig(1),
                       use_breaker: bool = True,
                       source: str = "poisson",
-                      engine: str = "batch",
+                      engine: str = DEFAULT_ENGINE,
                       workers: int | None = None) -> RunOutcome:
     """All policies on shared instances, each probe failing with
     ``failure_rate``.
 
     Every (policy, repetition) run gets a fresh breaker — breaker state
     is per-run — but the fault *seed* is shared per repetition, so all
-    policies face the same unreliable world. ``engine="batch"``
-    (default) runs every (repetition, policy) combination as one lane of
-    a columnar mega block; results are identical to ``engine="fast"``.
+    policies face the same unreliable world. ``engine="batch"`` (the
+    harness default) runs every (repetition, policy) combination as one
+    lane of a columnar mega block; results are identical to
+    ``engine="fast"``.
     """
     return _run_fault_cells(config, (failure_rate,), policies, retry,
                             use_breaker, source, engine, workers)[0]
@@ -143,15 +131,15 @@ def fault_sweep(scale: str = "default",
                 policies: Sequence[str] = FAULT_POLICY_VARIANTS,
                 retry: RetryConfig | None = RetryConfig(1),
                 use_breaker: bool = True,
-                engine: str = "batch",
+                engine: str = DEFAULT_ENGINE,
                 workers: int | None = None,
                 config: ExperimentConfig | None = None) -> SweepResult:
     """The graceful-degradation curve: GC vs. per-probe failure rate.
 
     ``engine`` picks the simulation engine for every (rate, repetition,
-    policy) combination — ``"batch"`` (default) advances them as lanes
-    of shared columnar mega blocks, ``"fast"`` runs them one at a time;
-    both produce identical series. ``workers=N`` farms cells out to a
+    policy) combination — ``"batch"`` (the harness default) advances
+    them as lanes of shared columnar mega blocks, ``"fast"`` runs them
+    one at a time; both produce identical series. ``workers=N`` farms cells out to a
     process pool. ``config`` overrides the baseline config of ``scale``
     (benchmarks sweep custom sizes).
     """

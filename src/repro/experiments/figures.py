@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from repro.experiments.config import ExperimentConfig, Scale, baseline
 from repro.experiments.harness import (
+    DEFAULT_ENGINE,
     OFFLINE_LABEL,
     RunOutcome,
     SweepResult,
@@ -60,6 +61,7 @@ def _values(scale: Scale, paper_values: list, default_values: list,
 
 def table1(scale: Scale = "default", *,
            workers: int | None = None,
+           # the table's runtime column needs one timed run per policy
            engine: str = "fast") -> RunOutcome:
     """Table 1 companion: all main policies at the baseline setting."""
     config = baseline(scale)
@@ -69,6 +71,7 @@ def table1(scale: Scale = "default", *,
 
 def figure3(scale: Scale = "default", *,
            workers: int | None = None,
+           # the table's runtime column needs one timed run per policy
            engine: str = "fast") -> RunOutcome:
     """Figure 3: real-world(-like) auction trace, P vs NP comparison.
 
@@ -93,7 +96,7 @@ def figure3(scale: Scale = "default", *,
 
 def figure4(scale: Scale = "default", *,
            workers: int | None = None,
-           engine: str = "fast") -> SweepResult:
+           engine: str = DEFAULT_ENGINE) -> SweepResult:
     """Figure 4: online policies vs offline approximation over rank(P).
 
     Paper setting: W = 0 and C = 1, producing ``P^[1]`` profiles — the
@@ -114,6 +117,7 @@ def figure4(scale: Scale = "default", *,
 
 def figure5(scale: Scale = "default", *,
            workers: int | None = None,
+           # the runtime series needs one timed run per policy
            engine: str = "fast") -> FigurePair:
     """Figure 5: runtime scalability.
 
@@ -150,7 +154,7 @@ def figure5(scale: Scale = "default", *,
 
 def figure6(scale: Scale = "default", *,
            workers: int | None = None,
-           engine: str = "fast") -> FigurePair:
+           engine: str = DEFAULT_ENGINE) -> FigurePair:
     """Figure 6: workload analysis.
 
     Panel 1 sweeps the average update intensity lambda; panel 2 sweeps the
@@ -176,7 +180,7 @@ def figure6(scale: Scale = "default", *,
 
 def figure7(scale: Scale = "default", *,
            workers: int | None = None,
-           engine: str = "fast") -> FigurePair:
+           engine: str = DEFAULT_ENGINE) -> FigurePair:
     """Figure 7: impact of user preferences.
 
     Panel 1 sweeps alpha (inter-user preference — popularity skew of the
@@ -204,7 +208,7 @@ def figure7(scale: Scale = "default", *,
 
 def figure8(scale: Scale = "default", *,
            workers: int | None = None,
-           engine: str = "fast") -> SweepResult:
+           engine: str = DEFAULT_ENGINE) -> SweepResult:
     """Figure 8: effect of budgetary limitations.
 
     Sweeps the per-chronon budget C. Expected shape: GC increases markedly

@@ -19,7 +19,7 @@ import statistics
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.core.profile import ProfileSet
 from repro.experiments.config import ExperimentConfig
@@ -46,6 +46,7 @@ from repro.simulation.result import SimulationResult
 from repro.traces.events import UpdateTrace
 
 __all__ = [
+    "DEFAULT_ENGINE",
     "FaultCell",
     "PolicyOutcome",
     "RunOutcome",
@@ -57,6 +58,14 @@ __all__ = [
 ]
 
 OFFLINE_LABEL = "offline-approx"
+
+#: The engine every experiment entry point resolves to unless told
+#: otherwise: the columnar block kernel (:func:`run_block`), which
+#: advances all policy runs sharing a generated instance as lanes of one
+#: pass. Entry points that *report per-policy runtimes* name the per-run
+#: ``"fast"`` engine instead — a block has one wall time, not one per
+#: lane.
+DEFAULT_ENGINE = "batch"
 
 #: The policy line-up the paper's figures use most often.
 DEFAULT_POLICIES: tuple[str, ...] = (
@@ -139,19 +148,31 @@ class RunOutcome:
     ``fell_back`` counts the (repetition, policy) runs that the batch
     engine handed to the fast engine (policies without a columnar kind,
     or blocks the columnar form cannot encode); it is 0 for other
-    engines.
+    engines. ``engine`` names the engine that served the cells (empty
+    for outcomes assembled by hand).
     """
 
     config: ExperimentConfig
     outcomes: dict[str, PolicyOutcome]
     fell_back: int = 0
+    engine: str = ""
+
+    @property
+    def shared_block(self) -> bool:
+        """True when policy runs shared columnar blocks, so runtimes are
+        even shares of a block's wall time, not per-policy timings."""
+        return self.engine == "batch"
 
     def mean_gc(self, label: str) -> float:
         """Mean gained completeness of one policy."""
         return self.outcomes[label].mean_gc
 
     def mean_runtime(self, label: str) -> float:
-        """Mean decision runtime (seconds) of one policy."""
+        """Mean decision runtime (seconds) of one policy.
+
+        Under a :attr:`shared_block` this is the block's wall time split
+        evenly across its lanes — never a per-policy measurement.
+        """
         return self.outcomes[label].mean_runtime
 
     def labels(self) -> list[str]:
@@ -184,6 +205,11 @@ class SweepResult:
     def fell_back(self) -> int:
         """Total fast-engine fallbacks across the sweep's runs."""
         return sum(run.fell_back for run in self.runs)
+
+    @property
+    def engine(self) -> str:
+        """The engine that served the sweep (its runs all share one)."""
+        return self.runs[0].engine if self.runs else ""
 
 
 def make_instance(config: ExperimentConfig, repetition: int,
@@ -312,7 +338,7 @@ def _run_one_block(cell_args: Sequence[tuple], indices: Sequence[int],
     for at in indices:
         config, repetition, policies, _offline, source = \
             cell_args[at][:5]
-        fault_cfg = cell_args[at][7] if len(cell_args[at]) > 7 else None
+        fault_cfg = cell_args[at][7]
         gkey = generation_key(config, repetition, source)
         inst = inst_index.get(gkey)
         if inst is None:
@@ -362,9 +388,7 @@ def _run_one_block(cell_args: Sequence[tuple], indices: Sequence[int],
                 cells[at][label] = (result.gc, result.runtime_seconds)
 
     for at, label in fallback:
-        args = cell_args[at]
-        config = args[0]
-        fault_cfg = args[7] if len(args) > 7 else None
+        config, fault_cfg = cell_args[at][0], cell_args[at][7]
         kwargs = fault_cfg.run_kwargs() if fault_cfg is not None else {}
         policy, preemptive = parse_policy_spec(label)
         result = run_online(profile_sets[cell_insts[at]], epoch,
@@ -451,7 +475,7 @@ def _run_cells_parallel(cell_args: Sequence[tuple],
 def _merge_cells(config: ExperimentConfig,
                  cells: Sequence[dict[str, tuple[float, float]]],
                  policies: Sequence[str],
-                 include_offline: bool) -> RunOutcome:
+                 include_offline: bool, engine: str) -> RunOutcome:
     """Fold per-repetition cells into a RunOutcome, in repetition order."""
     labels = list(policies) + ([OFFLINE_LABEL] if include_offline else [])
     gc_acc: dict[str, list[float]] = {label: [] for label in labels}
@@ -469,14 +493,50 @@ def _merge_cells(config: ExperimentConfig,
         for label in labels
     }
     return RunOutcome(config=config, outcomes=outcomes,
-                      fell_back=fell_back)
+                      fell_back=fell_back, engine=engine)
+
+
+def _run_settings(configs: Sequence[ExperimentConfig],
+                  policies: Sequence[str], include_offline: bool,
+                  source: str, engine: str, offline_engine: str,
+                  workers: int | None,
+                  fault_cell: Callable[[int, int], FaultCell] | None = None
+                  ) -> list[RunOutcome]:
+    """One :class:`RunOutcome` per config, from one flat cell list.
+
+    All (setting, repetition) cells go to the executor together: the
+    batch engine groups cells that share generated instances (e.g. a
+    budget sweep's settings) into columnar mega blocks spanning config
+    boundaries, and ``workers=N`` (N > 1) spreads the list over one
+    process pool. ``fault_cell(setting_index, repetition)`` supplies a
+    cell's :class:`FaultCell`. Cells merge in serial iteration order.
+    """
+    flat = [
+        (config, repetition, tuple(policies), include_offline, source,
+         engine, offline_engine,
+         fault_cell(at, repetition) if fault_cell is not None else None)
+        for at, config in enumerate(configs)
+        for repetition in range(config.repetitions)
+    ]
+    if workers is not None and workers > 1 and len(flat) > 1:
+        cells = _run_cells_parallel(flat, workers)
+    else:
+        cells = _run_cells_serial(flat)
+    runs = []
+    cursor = 0
+    for config in configs:
+        span = cells[cursor:cursor + config.repetitions]
+        cursor += config.repetitions
+        runs.append(_merge_cells(config, span, policies, include_offline,
+                                 engine))
+    return runs
 
 
 def run_setting(config: ExperimentConfig,
                 policies: Sequence[str] = DEFAULT_POLICIES,
                 include_offline: bool = False,
                 source: str = "poisson",
-                engine: str = "fast",
+                engine: str = DEFAULT_ENGINE,
                 offline_engine: str = "fast",
                 workers: int | None = None) -> RunOutcome:
     """Run every policy on ``repetitions`` shared instances and aggregate.
@@ -486,60 +546,24 @@ def run_setting(config: ExperimentConfig,
     ``offline_engine`` picks the Local-Ratio implementation (both produce
     identical schedules; "reference" exists for ablations).
     """
-    cell_args = [
-        (config, repetition, tuple(policies), include_offline,
-         source, engine, offline_engine)
-        for repetition in range(config.repetitions)
-    ]
-    if workers is not None and workers > 1 and config.repetitions > 1:
-        cells = _run_cells_parallel(cell_args, workers)
-    else:
-        cells = _run_cells_serial(cell_args)
-    return _merge_cells(config, cells, policies, include_offline)
+    return _run_settings([config], policies, include_offline, source,
+                         engine, offline_engine, workers)[0]
 
 
 def sweep(name: str, base: ExperimentConfig, parameter: str,
           values: Sequence, policies: Sequence[str] = DEFAULT_POLICIES,
           include_offline: bool = False,
           source: str = "poisson",
-          engine: str = "fast",
+          engine: str = DEFAULT_ENGINE,
           offline_engine: str = "fast",
           workers: int | None = None) -> SweepResult:
     """Sweep one config field over ``values``, rerunning all policies.
 
-    ``workers=N`` (N > 1) farms every (setting, repetition) cell across
-    the whole sweep out to one shared process pool and merges results in
-    the serial iteration order, so the returned gained-completeness
-    numbers are identical to a serial sweep.
+    The gained-completeness numbers are identical for every engine and
+    worker count (see :func:`_run_settings`).
     """
     configs = [base.with_(**{parameter: value}) for value in values]
-    if (workers is not None and workers > 1) or engine == "batch":
-        # One flat cell list for the whole sweep: the pool spreads it
-        # over workers, and the batch engine groups cells that share
-        # generated instances (e.g. a budget sweep's settings) into
-        # columnar mega blocks spanning config boundaries.
-        flat = [
-            (config, repetition, tuple(policies), include_offline,
-             source, engine, offline_engine)
-            for config in configs
-            for repetition in range(config.repetitions)
-        ]
-        if workers is not None and workers > 1:
-            cells = _run_cells_parallel(flat, workers)
-        else:
-            cells = _run_cells_serial(flat)
-        runs = []
-        cursor = 0
-        for config in configs:
-            span = cells[cursor:cursor + config.repetitions]
-            cursor += config.repetitions
-            runs.append(_merge_cells(config, span, policies,
-                                     include_offline))
-    else:
-        runs = [run_setting(config, policies,
-                            include_offline=include_offline,
-                            source=source, engine=engine,
-                            offline_engine=offline_engine)
-                for config in configs]
+    runs = _run_settings(configs, policies, include_offline, source,
+                         engine, offline_engine, workers)
     return SweepResult(name=name, parameter=parameter,
                        x_values=tuple(values), runs=tuple(runs))

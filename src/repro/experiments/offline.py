@@ -109,7 +109,8 @@ def offline_comparison(scale: str = "default", *,
                                    for cell in cells_of[setting])
             outcomes[label] = PolicyOutcome(label, gc_values,
                                             runtime_values)
-        runs.append(RunOutcome(config=config, outcomes=outcomes))
+        runs.append(RunOutcome(config=config, outcomes=outcomes,
+                               engine=engine))
     return SweepResult(name=f"offline-comparison-{scale}",
                        parameter="num_profiles",
                        x_values=tuple(values), runs=tuple(runs))

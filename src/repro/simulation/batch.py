@@ -29,9 +29,10 @@ Faulty lanes ride the same pass (see :class:`FaultLane`): the
 deterministic fault layer is lowered into lane-major columns too.
 Because every :class:`~repro.faults.model.FaultInjector` draw is keyed
 on ``(seed, channel, resource, chronon, attempt)`` — independent of
-probe order — the attempt-0 draws of a whole block are precomputable
-per-group columns (:meth:`ColumnarInstance.fault_draw_column`), shared
-by every lane with the same spec seed. Outage windows and rate limits
+probe order — a block's draws live in one keyed per-group table on the
+lowering (:class:`~repro.simulation.columnar.FaultDraws`), filled only
+for the probes actually sent and shared by every lane with the same
+spec seed. Outage windows and rate limits
 are boolean/positional column ops, circuit-breaker state is a
 ``(lanes, resources)`` matrix applied as an ``INF_KEY`` mask before
 selection, and the sparse residue vectorization would reorder — retry
@@ -52,7 +53,6 @@ to the fast engine.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -256,8 +256,9 @@ def run_block(
     produce — schedule, report, fault stats, breaker end state, and for
     recording injectors the :class:`~repro.faults.model.FaultTrace`,
     probe for probe. ``runtime_seconds`` is the block wall time split
-    evenly across lanes (per-lane attribution is meaningless inside a
-    shared pass).
+    evenly across lanes — an accounting share (per-lane attribution is
+    meaningless inside a shared pass), never to be reported as a
+    per-policy runtime.
 
     Raises :class:`BatchUnsupported` for policies without a columnar
     kind, instances whose packed keys overflow, or fault layers the
@@ -286,9 +287,10 @@ def run_block(
 class _FaultPlane:
     """Lane-major lowering of the fault layer for one block.
 
-    Attempt-0 decisions vectorize completely: the keyed draws are
-    precomputed per-group columns (one row per distinct spec seed,
-    row 0 a ``2.0`` sentinel no probability can beat), outages are a
+    Attempt-0 decisions vectorize completely: the keyed draws are rows
+    of the lowering's on-demand draw table (one per distinct spec seed
+    and channel, row 0 a ``2.0`` sentinel no probability can beat;
+    each chronon fills the entries its picks read), outages are a
     boolean column, and the rate limit is positional — the fast engine's
     per-chronon request counter equals ``decision position + 1`` because
     :meth:`FaultInjector.decide` counts *every* call, outage-covered or
@@ -301,8 +303,9 @@ class _FaultPlane:
     Retries are the sparse residue vectorization would reorder — their
     draws, budget debits and breaker trips happen in probe order — so
     they replay per lane over that lane's failed decisions in decision
-    order, exactly :func:`repro.faults.engine.execute_probes`, with a
-    memo de-duplicating draws across lanes sharing a spec seed.
+    order, exactly :func:`repro.faults.engine.execute_probes`, drawing
+    from the same table (attempt >= 1 rows), so lanes sharing a spec
+    seed never redraw.
     """
 
     def __init__(self, col: ColumnarInstance,
@@ -310,9 +313,8 @@ class _FaultPlane:
         self.lanes = lane_objs
         L = self.L = len(lane_objs)
         self.rid_stride = stride = col.rid_stride
-        grp_T, grp_rid_local, _grp_inst = col.fault_layout()
+        _grp_T, grp_rid_local = col.fault_layout()
         self.grp_rid_local = grp_rid_local
-        n_groups = grp_T.size
 
         self.rate_mat = np.zeros((L, stride))
         self.t_prob = np.zeros(L)
@@ -335,44 +337,30 @@ class _FaultPlane:
             if spec.max_probes_per_chronon is not None:
                 self.maxp[i] = spec.max_probes_per_chronon
 
-        # Draw columns must cover every instance any lane of the seed
-        # touches; lanes of other instances read the 2.0 sentinel, but
-        # their picks never land outside their own instance anyway.
-        insts_by_seed: dict[int, set[int]] = {}
-        for ln in lane_objs:
-            if ln.spec is not None:
-                insts_by_seed.setdefault(ln.spec.seed, set()).add(ln.inst)
+        # Each lane's row in the lowering's on-demand draw table, per
+        # channel; row 0 (the 2.0 sentinel) where the lane never
+        # consults the channel.
+        draws = self.draws = col.fault_draws()
 
-        def build(channel: str, need) -> tuple[np.ndarray, np.ndarray]:
-            rows = [np.full(n_groups, 2.0)]
-            row_of = np.zeros(L, dtype=np.int64)
-            by_seed: dict[int, int] = {}
+        def rows_of(channel: str, need) -> np.ndarray:
+            rows = np.zeros(L, dtype=np.int64)
             for i, ln in enumerate(lane_objs):
-                spec = ln.spec
-                if spec is None or not need(spec, i):
-                    continue
-                row = by_seed.get(spec.seed)
-                if row is None:
-                    row = len(rows)
-                    insts = frozenset(insts_by_seed[spec.seed])
-                    rows.append(col.fault_draw_column(
-                        spec.seed, channel, insts))
-                    by_seed[spec.seed] = row
-                row_of[i] = row
-            return np.vstack(rows), row_of
+                if ln.spec is not None and need(ln.spec, i):
+                    rows[i] = draws.row(ln.spec.seed, channel)
+            return rows
 
-        self.DROP, self.drop_rows = build(
+        self.drop_rows = rows_of(
             "drop", lambda s, i: bool(self.rate_mat[i].any()))
-        self.TMO, self.tmo_rows = build(
+        self.tmo_rows = rows_of(
             "timeout", lambda s, i: s.timeout_probability > 0.0)
         # Stale flips no outcome, only the trace flag — recording lanes
         # are the only consumers of the stale column.
-        self.STL, self.stl_rows = build(
+        self.stl_rows = rows_of(
             "stale", lambda s, i: (s.stale_probability > 0.0
                                    and self.injectors[i] is not None))
 
         out_rows = np.zeros(L, dtype=np.int64)
-        rows = [np.zeros(n_groups, dtype=bool)]
+        rows = [np.zeros(grp_rid_local.size, dtype=bool)]
         by_cfg: dict[tuple, int] = {}
         for i, ln in enumerate(lane_objs):
             spec = ln.spec
@@ -403,7 +391,6 @@ class _FaultPlane:
 
         self.failures = np.zeros(L, dtype=np.int64)
         self.retries = np.zeros(L, dtype=np.int64)
-        self._memo: dict[tuple, float] = {}
 
     def blocked(self, grids: np.ndarray, T: int) -> np.ndarray | None:
         """(lanes, groups) quarantine mask for this chronon, or None."""
@@ -411,15 +398,11 @@ class _FaultPlane:
             return None
         return self.open_until[:, grids] >= T
 
-    def _draw(self, seed: int, channel: str, rid: int, T: int,
-              attempt: int) -> float:
-        key = (seed, channel, rid, T, attempt)
-        val = self._memo.get(key)
-        if val is None:
-            val = random.Random(
-                f"{seed}:{channel}:{rid}:{T}:{attempt}").random()
-            self._memo[key] = val
-        return val
+    def _below(self, rows: np.ndarray, gg: np.ndarray,
+               prob: np.ndarray) -> np.ndarray:
+        """Attempt-0 draws of the picks, drawn on first use, < ``prob``."""
+        self.draws.fill(rows, gg)
+        return self.draws.read(rows, gg) < prob
 
     def _trip(self, ls: np.ndarray, rs: np.ndarray, T: int) -> None:
         self.blocking = True
@@ -448,12 +431,12 @@ class _FaultPlane:
         thr = ~out & (pos_pk + 1 > self.maxp[lanes_pk])
         fail = out | thr
         live = ~fail
-        drop = live & (self.DROP[self.drop_rows[lanes_pk], gg]
-                       < self.rate_mat[lanes_pk, rid_loc])
+        drop = live & self._below(self.drop_rows[lanes_pk], gg,
+                                  self.rate_mat[lanes_pk, rid_loc])
         fail |= drop
         live &= ~drop
-        tmo = live & (self.TMO[self.tmo_rows[lanes_pk], gg]
-                      < self.t_prob[lanes_pk])
+        tmo = live & self._below(self.tmo_rows[lanes_pk], gg,
+                                 self.t_prob[lanes_pk])
         fail |= tmo
         ok = ~fail
 
@@ -476,8 +459,8 @@ class _FaultPlane:
                     self._trip(lf[trip], rf[trip], T)
 
         if self.any_rec:
-            stl = ok & (self.STL[self.stl_rows[lanes_pk], gg]
-                        < self.s_prob[lanes_pk])
+            stl = ok & self._below(self.stl_rows[lanes_pk], gg,
+                                   self.s_prob[lanes_pk])
             for i, inj in enumerate(self.injectors):
                 if inj is None:
                     continue
@@ -508,7 +491,7 @@ class _FaultPlane:
                 if mr == 0:
                     continue
                 rec = self._retry_lane(
-                    i, T, lanes_pk, fail, rid_glob, rid_loc, out,
+                    i, T, lanes_pk, fail, rid_glob, rid_loc, gg, out,
                     int(k_arr[i]) - int(n_dec[i]), int(n_dec[i]), mr)
                 for j in rec:
                     extra_l.append(i)
@@ -525,16 +508,22 @@ class _FaultPlane:
         return cap_l, cap_g, fail
 
     def _retry_lane(self, i: int, T: int, lanes_pk, fail, rid_glob,
-                    rid_loc, out, budget_left: int, counter: int,
+                    rid_loc, gg, out, budget_left: int, counter: int,
                     mr: int) -> list[int]:
         """Replay lane i's retries in decision order; -> recovered picks."""
         spec = self.specs[i]
         brk = self.lanes[i].breaker
         inj = self.injectors[i]
+        draws = self.draws
+
+        def draw(channel: str, g: int, a: int) -> float:
+            return draws.draw(draws.row(spec.seed, channel, a), g)
+
         recovered: list[int] = []
         for j in np.nonzero((lanes_pk == i) & fail)[0].tolist():
             rg = int(rid_glob[j])
             rl = int(rid_loc[j])
+            g = int(gg[j])
             down = bool(out[j])
             for a in range(1, mr + 1):
                 if budget_left <= 0:
@@ -552,15 +541,14 @@ class _FaultPlane:
                     st, flt = PROBE_THROTTLED, "rate-limit"
                 else:
                     rate = spec.failure_rate_for(rl)
-                    if rate > 0.0 and self._draw(
-                            spec.seed, "drop", rl, T, a) < rate:
+                    if rate > 0.0 and draw("drop", g, a) < rate:
                         st, flt = PROBE_FAILED, "drop"
                     elif (spec.timeout_probability > 0.0
-                            and self._draw(spec.seed, "timeout", rl, T, a)
+                            and draw("timeout", g, a)
                             < spec.timeout_probability):
                         st, flt = PROBE_FAILED, "timeout"
                     elif (spec.stale_probability > 0.0
-                            and self._draw(spec.seed, "stale", rl, T, a)
+                            and draw("stale", g, a)
                             < spec.stale_probability):
                         flt, sl = "stale", True
                 if inj is not None:

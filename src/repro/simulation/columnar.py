@@ -45,7 +45,7 @@ import numpy as np
 from repro.core.profile import ProfileSet
 from repro.core.timeline import Epoch
 
-__all__ = ["BatchUnsupported", "ColumnarInstance", "INF_KEY"]
+__all__ = ["BatchUnsupported", "ColumnarInstance", "FaultDraws", "INF_KEY"]
 
 #: Sentinel ranking key for "no candidate" — larger than any packed key.
 INF_KEY = np.iinfo(np.int64).max
@@ -67,6 +67,74 @@ class BatchUnsupported(Exception):
 def _bits(max_value: int) -> int:
     """Bits needed to store integers in ``[0, max_value]``."""
     return max(1, int(max_value).bit_length())
+
+
+class FaultDraws:
+    """Keyed fault draws of one lowering, computed on demand.
+
+    ``values`` has one row per ``(seed, channel, attempt)`` key
+    (``keys[row]``; handed out by :meth:`row`) and one column per
+    per-chronon per-resource group — the granularity the fault model
+    draws at. Entry ``[row, g]`` reproduces
+    :meth:`repro.faults.model.FaultInjector._draw` bit for bit,
+    ``random.Random(f"{seed}:{channel}:{rid}:{T}:{attempt}").random()``
+    for the group's (local) resource and chronon, or is NaN while no
+    probe has asked for it. A draw depends on its key alone — not on
+    probe order, nor on whether the fast engine would have consumed it
+    (a skipped channel consumes nothing) — so filling entries lazily and
+    in any order is stream-exact, and the table is a pure cache shared by
+    every block and shard run on the lowering. Row 0 is the sentinel
+    2.0, which no probability in [0, 1] ever exceeds: lanes that never
+    consult a channel read it.
+    """
+
+    def __init__(self, grp_T: np.ndarray, grp_rid_local: np.ndarray) -> None:
+        self._grp_T = grp_T
+        self._grp_rid = grp_rid_local
+        self.keys: list[tuple[int, str, int] | None] = [None]
+        self._rows: dict[tuple[int, str, int], int] = {}
+        self.values = np.full((1, grp_T.size), 2.0)
+
+    def row(self, seed: int, channel: str, attempt: int = 0) -> int:
+        """The row of one draw key (added, all unfilled, when new)."""
+        key = (seed, channel, attempt)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = len(self.keys)
+            self.keys.append(key)
+            self.values = np.vstack(
+                (self.values, np.full((1, self._grp_T.size), np.nan)))
+        return row
+
+    def _draw(self, row: int, group: int) -> float:
+        seed, channel, attempt = self.keys[row]
+        return random.Random(
+            f"{seed}:{channel}:{self._grp_rid[group]}:"
+            f"{self._grp_T[group]}:{attempt}").random()
+
+    def fill(self, rows: np.ndarray, groups: np.ndarray) -> None:
+        """Draw the still-unfilled ``(row, group)`` entries, each once."""
+        miss = np.isnan(self.values[rows, groups])
+        if miss.any():
+            width = self.values.shape[1]
+            todo = np.unique(rows[miss] * width + groups[miss])
+            for row, group in zip((todo // width).tolist(),
+                                  (todo % width).tolist()):
+                self.values[row, group] = self._draw(row, group)
+
+    def read(self, rows: np.ndarray, groups: np.ndarray) -> np.ndarray:
+        """The draws at ``(rows, groups)``; raises on an unfilled entry."""
+        values = self.values[rows, groups]
+        if np.isnan(values).any():
+            raise LookupError("fault draw read before it was filled")
+        return values
+
+    def draw(self, row: int, group: int) -> float:
+        """One draw, filled on first use (the sequential retry path)."""
+        value = self.values[row, group]
+        if value != value:
+            value = self.values[row, group] = self._draw(row, group)
+        return value
 
 
 class ColumnarInstance:
@@ -161,10 +229,11 @@ class ColumnarInstance:
         self._build_activity(last)
         self._build_events(last)
         self._build_keys(last)
-        # Lazily-built fault-plane columns (see fault_draw_column /
+        # Lazily-built fault-plane columns (see fault_draws /
         # outage_column): pure caches keyed on spec parameters, safe to
         # share across every block run on this lowering.
         self._fault_cols: dict[tuple, np.ndarray] = {}
+        self._fault_draws: FaultDraws | None = None
         self._fault_layout: tuple[np.ndarray, ...] | None = None
         self._commit_tie: np.ndarray | None = None
 
@@ -377,8 +446,8 @@ class ColumnarInstance:
     # Fault-plane columns (lazy, cached per fault-spec parameter)
     # ------------------------------------------------------------------
 
-    def fault_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-group ``(chronon, local resource id, instance)`` columns.
+    def fault_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-group ``(chronon, local resource id)`` columns.
 
         One entry per per-chronon per-resource group — the granularity at
         which the fault model draws: a :class:`~repro.faults.model`
@@ -388,42 +457,14 @@ class ColumnarInstance:
         if self._fault_layout is None:
             grp_T = np.repeat(self.act_chronons,
                               np.diff(self.grp_indptr))
-            grp_rid_local = self.grp_rid % self.rid_stride
-            grp_inst = self.grp_rid // self.rid_stride
-            self._fault_layout = (grp_T, grp_rid_local, grp_inst)
+            self._fault_layout = (grp_T, self.grp_rid % self.rid_stride)
         return self._fault_layout
 
-    def fault_draw_column(self, seed: int, channel: str,
-                          insts: frozenset[int]) -> np.ndarray:
-        """Attempt-0 fault draws of one ``(seed, channel)``, per group.
-
-        Reproduces :meth:`repro.faults.model.FaultInjector._draw`
-        bit-for-bit: entry ``g`` holds
-        ``random.Random(f"{seed}:{channel}:{rid}:{T}:0").random()`` for
-        the group's (local) resource and chronon. Groups of instances
-        outside ``insts`` (no lane with this seed runs on them) keep the
-        sentinel 2.0, which no probability in [0, 1] ever exceeds.
-
-        Draw keys are independent of whether the fast engine would have
-        consumed the draw (a skipped channel consumes nothing), so
-        precomputing every group unconditionally is stream-exact.
-        """
-        key = (seed, channel, insts)
-        column = self._fault_cols.get(key)
-        if column is None:
-            grp_T, grp_rid_local, grp_inst = self.fault_layout()
-            column = np.full(grp_T.size, 2.0)
-            mask = np.isin(grp_inst, np.fromiter(insts, dtype=np.int64,
-                                                 count=len(insts)))
-            idx = np.nonzero(mask)[0]
-            rng = random.Random
-            prefix = f"{seed}:{channel}:"
-            column[idx] = [
-                rng(f"{prefix}{rid}:{T}:0").random()
-                for rid, T in zip(grp_rid_local[idx].tolist(),
-                                  grp_T[idx].tolist())]
-            self._fault_cols[key] = column
-        return column
+    def fault_draws(self) -> FaultDraws:
+        """This lowering's on-demand draw table (see :class:`FaultDraws`)."""
+        if self._fault_draws is None:
+            self._fault_draws = FaultDraws(*self.fault_layout())
+        return self._fault_draws
 
     def commit_tie(self) -> np.ndarray:
         """Per-EI rank in the fast engine's candidate tie-break order.
@@ -458,7 +499,7 @@ class ColumnarInstance:
         key = ("outage", outages)
         column = self._fault_cols.get(key)
         if column is None:
-            grp_T, grp_rid_local, _grp_inst = self.fault_layout()
+            grp_T, grp_rid_local = self.fault_layout()
             column = np.zeros(grp_T.size, dtype=bool)
             for outage in outages:
                 mask = grp_rid_local == outage.resource_id

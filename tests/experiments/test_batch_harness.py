@@ -2,15 +2,25 @@
 invariance.
 
 The harness groups sweep cells sharing a generation key into columnar
-mega blocks; this file pins down that the blocked path (serial and on a
-process pool of any size) reproduces exactly the fast engine's numbers,
-that unsupported policies fall back per (cell, policy), and that
+mega blocks — by default, for every GC sweep; this file pins down that
+the blocked path (serial and on a process pool of any size) reproduces
+exactly the fast engine's numbers, that unsupported policies fall back
+per (cell, policy), that only the runtime-reporting experiments still
+time each policy in a run of its own, and that
 :func:`~repro.experiments.instances.generation_key` captures precisely
 the generative config fields.
 """
 
-from repro.experiments import ExperimentConfig
-from repro.experiments.harness import run_setting, sweep
+import pytest
+
+from repro.experiments import ExperimentConfig, figure5, table1
+from repro.experiments.harness import (
+    DEFAULT_ENGINE,
+    DEFAULT_POLICIES,
+    run_setting,
+    sweep,
+)
+from repro.simulation.engine import FastProxySimulator
 from repro.experiments.instances import (
     InstanceCache,
     generation_key,
@@ -32,12 +42,13 @@ def _gc_map(outcome):
 
 class TestBatchHarness:
     def test_run_setting_batch_matches_fast(self):
-        fast = run_setting(_CONFIG, _POLICIES)
+        fast = run_setting(_CONFIG, _POLICIES, engine="fast")
         batch = run_setting(_CONFIG, _POLICIES, engine="batch")
         assert _gc_map(batch) == _gc_map(fast)
 
     def test_sweep_batch_matches_fast(self):
-        fast = sweep("s", _CONFIG, "budget", [1, 2, 3], _POLICIES)
+        fast = sweep("s", _CONFIG, "budget", [1, 2, 3], _POLICIES,
+                     engine="fast")
         batch = sweep("s", _CONFIG, "budget", [1, 2, 3], _POLICIES,
                       engine="batch")
         assert batch.x_values == fast.x_values
@@ -46,7 +57,7 @@ class TestBatchHarness:
 
     def test_sweep_batch_includes_offline(self):
         fast = sweep("s", _CONFIG, "budget", [1], _POLICIES,
-                     include_offline=True)
+                     include_offline=True, engine="fast")
         batch = sweep("s", _CONFIG, "budget", [1], _POLICIES,
                       include_offline=True, engine="batch")
         for fast_run, batch_run in zip(fast.runs, batch.runs):
@@ -67,11 +78,95 @@ class TestBatchHarness:
     def test_sweep_non_budget_axis_blocks_per_value(self):
         """Sweeping a generative field gives each value its own block —
         still identical to the fast engine."""
-        fast = sweep("s", _CONFIG, "window", [3, 4], _POLICIES)
+        fast = sweep("s", _CONFIG, "window", [3, 4], _POLICIES,
+                     engine="fast")
         batch = sweep("s", _CONFIG, "window", [3, 4], _POLICIES,
                       engine="batch")
         for fast_run, batch_run in zip(fast.runs, batch.runs):
             assert _gc_map(batch_run) == _gc_map(fast_run)
+
+
+@pytest.fixture
+def fast_runs(monkeypatch):
+    """Counts the per-run engine objects constructed in this process."""
+    built = []
+    original = FastProxySimulator.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FastProxySimulator, "__init__", counting)
+    return built
+
+
+class TestDefaultEngine:
+    """No ``engine=`` argument means the columnar block kernel."""
+
+    def _sweep(self, policies=DEFAULT_POLICIES, **kwargs):
+        return sweep("s", _CONFIG, "budget", [1, 2, 3], policies, **kwargs)
+
+    def _assert_same_gc(self, result, **kwargs):
+        for engine in ("fast", "reference"):
+            other = self._sweep(engine=engine, **kwargs)
+            for run, other_run in zip(result.runs, other.runs):
+                assert _gc_map(run) == _gc_map(other_run)
+
+    def test_sweep_is_served_by_blocks_alone(self, fast_runs):
+        result = self._sweep()
+        assert fast_runs == []
+        assert result.engine == DEFAULT_ENGINE == "batch"
+        assert all(run.shared_block for run in result.runs)
+        assert result.fell_back == 0
+        self._assert_same_gc(result)
+
+    def test_run_setting_default_is_blocked_too(self, fast_runs):
+        outcome = run_setting(_CONFIG)
+        assert fast_runs == []
+        assert (outcome.engine, outcome.fell_back) == ("batch", 0)
+
+    def test_offline_rides_along(self, fast_runs):
+        result = self._sweep(include_offline=True)
+        assert fast_runs == []
+        assert result.fell_back == 0
+        self._assert_same_gc(result, include_offline=True)
+
+    def test_worker_pool(self):
+        result = self._sweep(workers=2)
+        assert (result.engine, result.fell_back) == ("batch", 0)
+        self._assert_same_gc(result, workers=2)
+
+    def test_random_falls_back_per_run(self, fast_runs):
+        policies = DEFAULT_POLICIES + ("RANDOM(P)",)
+        result = self._sweep(policies)
+        random_runs = 3 * _CONFIG.repetitions
+        assert len(fast_runs) == result.fell_back == random_runs
+        fast = self._sweep(policies, engine="fast")
+        assert fast.engine == "fast" and fast.fell_back == 0
+        for run, fast_run in zip(result.runs, fast.runs):
+            assert _gc_map(run) == _gc_map(fast_run)
+
+    def test_runtime_reports_time_each_policy_alone(self, fast_runs):
+        outcome = table1("smoke")
+        assert outcome.engine == "fast" and not outcome.shared_block
+        assert len(fast_runs) == (len(outcome.outcomes)
+                                  * outcome.config.repetitions)
+        assert len({policy.runtime_values
+                    for policy in outcome.outcomes.values()}) > 1
+        del fast_runs[:]
+        pair = figure5("smoke")
+        for panel in (pair.left, pair.right):
+            assert panel.engine == "fast"
+            runtimes = {panel.runs[0].mean_runtime(label)
+                        for label in DEFAULT_POLICIES}
+            assert len(runtimes) == len(DEFAULT_POLICIES)
+        assert fast_runs
+
+    def test_block_shares_are_even_not_per_policy(self):
+        outcome = run_setting(_CONFIG.with_(repetitions=1))
+        shares = {policy.runtime_values
+                  for policy in outcome.outcomes.values()}
+        assert len(shares) == 1
 
 
 class TestGenerationKey:

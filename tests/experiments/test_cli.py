@@ -45,6 +45,26 @@ class TestMain:
         assert output.startswith("# Figure 8")
         assert "budget,S-EDF(NP)" in output
 
+    def test_panel_header_names_the_engine(self, capsys):
+        assert main(["fig8", "--scale", "smoke", "--csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["# Figure 8 (gc)",
+                             "# engine=batch fell_back=0"]
+        assert main(["table1", "--scale", "smoke"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "# engine=fast fell_back=0\n")
+
+    def test_shared_block_blanks_the_runtime_column(self, capsys):
+        assert main(["table1", "--scale", "smoke", "--csv"]) == 0
+        timed = capsys.readouterr().out.splitlines()
+        assert main(["table1", "--scale", "smoke", "--csv",
+                     "--engine", "batch"]) == 0
+        blocked = capsys.readouterr().out.splitlines()
+        assert blocked[1] == "# engine=batch fell_back=0"
+        for timed_row, blocked_row in zip(timed[3:9], blocked[3:9]):
+            assert float(timed_row.rsplit(",", 1)[1]) > 0.0
+            assert blocked_row == timed_row.rsplit(",", 1)[0] + ","
+
     def test_fig7_two_panels(self, capsys):
         assert main(["fig7", "--scale", "smoke"]) == 0
         output = capsys.readouterr().out

@@ -104,14 +104,16 @@ class TestFaultsCli:
 
     def test_engine_flag_is_honoured(self, capsys):
         # Both engines run the sweep and emit the same (deterministic)
-        # table — the flag must reach fault_sweep instead of being
-        # silently dropped.
+        # table under a header naming the engine that served it — the
+        # flag must reach fault_sweep instead of being silently dropped.
         assert main(["faults", "--scale", "smoke",
                      "--engine", "batch"]) == 0
-        batch_out = capsys.readouterr().out
+        batch_head, batch_out = capsys.readouterr().out.split("\n", 1)
         assert main(["faults", "--scale", "smoke",
                      "--engine", "fast"]) == 0
-        fast_out = capsys.readouterr().out
+        fast_head, fast_out = capsys.readouterr().out.split("\n", 1)
+        assert batch_head == "# engine=batch fell_back=0"
+        assert fast_head == "# engine=fast fell_back=0"
         assert "failure_rate" in batch_out
         assert batch_out == fast_out
 
