@@ -114,7 +114,10 @@ def _print_federation(result: FederationSweep, as_csv: bool) -> None:
         for label, gc, deg, runtime, speedup, stolen, moves in rows:
             print(f"{label},{gc:.6f},{deg:.6f},{runtime:.6f},"
                   f"{speedup:.3f},{stolen},{moves}")
+        print(f"lowering,,,{result.mean_lower:.6f},,,")
         return
+    # The shared columnar build, which no runtime above includes.
+    rows.append(["lowering", "", "", result.mean_lower, "", "", ""])
     print(render_table(
         ["setting", "mean GC", "GC degradation", "runtime (s)",
          "speedup", "stolen budget", "transfers"], rows,

@@ -71,6 +71,13 @@ class FederationSweep:
     policy: str
     monolith: PolicyOutcome
     outcomes: tuple[ShardCountOutcome, ...]
+    #: Per-repetition cost of the shared columnar lowering, which no
+    #: runtime column includes (every run gets the prebuilt form).
+    lower_values: tuple[float, ...]
+
+    @property
+    def mean_lower(self) -> float:
+        return sum(self.lower_values) / len(self.lower_values)
 
     @property
     def shard_counts(self) -> tuple[int, ...]:
@@ -129,6 +136,7 @@ def federation_sweep(scale: str = "smoke",
         config = baseline(scale)
     mono_gc: list[float] = []
     mono_runtime: list[float] = []
+    lower_values: list[float] = []
     gc_values: dict[int, list[float]] = {k: [] for k in shard_counts}
     runtimes: dict[int, list[float]] = {k: [] for k in shard_counts}
     load_totals: dict[int, dict[int, ShardLoad]] = \
@@ -147,6 +155,7 @@ def federation_sweep(scale: str = "smoke",
         mono_gc.append(result.gc)
         mono_runtime.append(result.runtime_seconds)
         col = ColumnarInstance.build(profiles, config.epoch)
+        lower_values.append(col.lower_seconds)
         for shards in shard_counts:
             policy_obj, preemptive = parse_policy_spec(policy)
             fed = federated_run(
@@ -171,4 +180,5 @@ def federation_sweep(scale: str = "smoke",
             steal_transfers=transfers[shards])
         for shards in shard_counts)
     return FederationSweep(config=config, policy=policy,
-                           monolith=monolith, outcomes=outcomes)
+                           monolith=monolith, outcomes=outcomes,
+                           lower_values=tuple(lower_values))

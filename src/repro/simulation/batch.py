@@ -965,17 +965,16 @@ def _finalize(col: ColumnarInstance, lane: _Lane,
 
     profile_totals = col.profile_totals[lane.inst]
     max_pid = max(profile_totals, default=-1)
-    p_hits = np.bincount(col.st_profile[complete], minlength=max_pid + 1) \
-        if col.S else np.zeros(max_pid + 1, dtype=np.int64)
-    per_profile = {pid: (int(p_hits[pid]) if pid < p_hits.size else 0,
-                         tot)
+    p_hits = np.bincount(col.st_profile[complete],
+                         minlength=max_pid + 1).tolist()
+    per_profile = {pid: (p_hits[pid], tot)
                    for pid, tot in profile_totals.items()}
 
     rank_totals = col.rank_totals[lane.inst]
     max_size = max(rank_totals, default=0)
-    r_hits = np.bincount(col.st_size[complete], minlength=max_size + 1) \
-        if col.S else np.zeros(max_size + 1, dtype=np.int64)
-    per_rank = {size: (int(r_hits[size]), tot)
+    r_hits = np.bincount(col.st_size[complete],
+                         minlength=max_size + 1).tolist()
+    per_rank = {size: (r_hits[size], tot)
                 for size, tot in rank_totals.items()}
 
     report = CompletenessReport(

@@ -38,6 +38,9 @@ event-indexed fast engine.
 from __future__ import annotations
 
 import random
+import time
+from itertools import chain
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -137,6 +140,43 @@ class FaultDraws:
         return value
 
 
+class _StaticKeys(dict):
+    """``hi_static``: the static key column of a policy kind, built on
+    its first read and kept (an M-EDF run reads none of the five).
+
+    ``self[kind]`` is ``(score << fs_bits) | finstart`` per activity
+    entry, the score being the kind's static one; an unknown kind is a
+    ``KeyError`` as on any dict. Holds the columns it reads rather than
+    the lowering, so the two form no reference cycle.
+    """
+
+    def __init__(self, fs_bits: int, start_mask: int, finstart: np.ndarray,
+                 fin: np.ndarray, st_rank: np.ndarray, ps_act: np.ndarray,
+                 rank_max: int) -> None:
+        super().__init__()
+        self._parts = (fs_bits, start_mask, finstart, fin, st_rank, ps_act,
+                       rank_max)
+
+    def __missing__(self, kind: str) -> np.ndarray:
+        fs_bits, start_mask, finstart, fin, st_rank, ps_act, rank_max = \
+            self._parts
+        if kind == "sedf":
+            score = fin
+        elif kind == "fcfs":
+            score = finstart & start_mask
+        elif kind == "lff":
+            score = fin + 1
+        elif kind == "srank":
+            score = st_rank[ps_act]
+        elif kind == "anti":
+            # anti-MRSF's offset form: (rank_max - (rank - captured)).
+            score = rank_max - st_rank[ps_act]
+        else:
+            raise KeyError(kind)
+        column = self[kind] = (score << fs_bits) | finstart
+        return column
+
+
 class ColumnarInstance:
     """Flat-array form of one or more (profiles, epoch) instances.
 
@@ -159,72 +199,71 @@ class ColumnarInstance:
 
     def __init__(self, profile_sets: Sequence[ProfileSet],
                  epoch: Epoch) -> None:
+        began = time.perf_counter()
         self.profile_sets = list(profile_sets)
         self.n_inst = len(self.profile_sets)
         self.epoch = epoch
         last = epoch.last
 
         # ------------------------------------------------------------------
-        # States in (clamped arrival, creation order) — the seq order.
+        # The one walk over the objects: profiles -> t-intervals -> EIs,
+        # flattened in creation order, one fromiter per attribute column.
+        # Everything below is array arithmetic on these columns.
         # ------------------------------------------------------------------
-        st_arrival: list[int] = []
-        st_rank: list[int] = []
-        st_profile: list[int] = []
-        st_size: list[int] = []
-        st_inst: list[int] = []
-        st_tid: list[int] = []
-        etas = []
-        rid_max = 0
-        for inst, profiles in enumerate(self.profile_sets):
-            for profile in profiles:
-                rank = profile.rank
-                for eta in profile:
-                    st_arrival.append(min(eta.earliest_start, last))
-                    st_rank.append(rank)
-                    st_profile.append(eta.profile_id)
-                    st_size.append(len(eta))
-                    st_inst.append(inst)
-                    st_tid.append(eta.tinterval_id)
-                    etas.append(eta)
-                    for ei in eta:
-                        if ei.resource_id > rid_max:
-                            rid_max = ei.resource_id
+        profiles = list(chain.from_iterable(self.profile_sets))
+        etas = list(chain.from_iterable(profiles))
+        members = list(map(attrgetter("eis"), etas))
+        eis = list(chain.from_iterable(members))
+        self.S, self.E = S, E = len(etas), len(eis)
+
+        def column(attr: str, objects: list) -> np.ndarray:
+            return np.fromiter(map(attrgetter(attr), objects), np.int64,
+                               len(objects))
+
+        size = np.fromiter(map(len, members), np.int64, S)
+        start = column("start", eis)
+        res = column("resource_id", eis)
         #: Resource-id namespace width per instance.
-        self.rid_stride = rid_max + 1
-        order = sorted(range(len(etas)), key=lambda i: st_arrival[i])
-        self.S = len(etas)
-        self.st_arrival = np.array([st_arrival[i] for i in order],
-                                   dtype=np.int64)
-        self.st_rank = np.array([st_rank[i] for i in order], dtype=np.int64)
-        self.st_profile = np.array([st_profile[i] for i in order],
-                                   dtype=np.int64)
-        self.st_size = np.array([st_size[i] for i in order], dtype=np.int64)
-        self.st_inst = np.array([st_inst[i] for i in order], dtype=np.int64)
-        self.st_tid = np.array([st_tid[i] for i in order], dtype=np.int64)
+        self.rid_stride = int(res.max()) + 1 if E else 1
+        # A profile's rank is its largest t-interval; empty profiles own
+        # no state (and reduceat takes no empty segment).
+        p_len = np.fromiter(map(len, profiles), np.int64, len(profiles))
+        full = p_len > 0
+        rank = np.repeat(
+            np.maximum.reduceat(size, (np.cumsum(p_len) - p_len)[full]),
+            p_len[full])
+        inst = np.repeat(
+            np.repeat(np.arange(self.n_inst, dtype=np.int64),
+                      [len(ps) for ps in self.profile_sets]), p_len)
 
         # ------------------------------------------------------------------
-        # EIs state-major, within a state in ei_id order.
+        # States in (clamped arrival, creation order) — the seq order.
         # ------------------------------------------------------------------
-        ei_res: list[int] = []
-        ei_start: list[int] = []
-        ei_finish: list[int] = []
-        ei_state: list[int] = []
-        for seq, i in enumerate(order):
-            off = st_inst[i] * self.rid_stride
-            for ei in etas[i]:
-                ei_res.append(ei.resource_id + off)
-                ei_start.append(ei.start)
-                ei_finish.append(ei.finish)
-                ei_state.append(seq)
-        self.E = len(ei_res)
-        self.ei_res = np.array(ei_res, dtype=np.int64)
-        self.ei_start = np.array(ei_start, dtype=np.int64)
-        self.ei_finish = np.array(ei_finish, dtype=np.int64)
-        self.ei_state = np.array(ei_state, dtype=np.int64)
+        ptr = np.cumsum(size) - size
+        arrival = np.minimum(np.minimum.reduceat(start, ptr), last)
+        order = np.argsort(arrival, kind="stable")
+        self.st_arrival = arrival[order]
+        self.st_rank = rank[order]
+        self.st_profile = column("profile_id", etas)[order]
+        self.st_size = size[order]
+        self.st_inst = inst[order]
+        self.st_tid = column("tinterval_id", etas)[order]
+
+        # ------------------------------------------------------------------
+        # EIs state-major, within a state in ei_id order: a gather of the
+        # creation-order columns (each state's EIs are one contiguous run).
+        # ------------------------------------------------------------------
+        self._ei_ptr = np.cumsum(self.st_size) - self.st_size
+        self.ei_state = np.repeat(np.arange(S, dtype=np.int64),
+                                  self.st_size)
+        gather = np.arange(E, dtype=np.int64) + np.repeat(
+            ptr[order] - self._ei_ptr, self.st_size)
         self.ei_inst = self.st_inst[self.ei_state]
+        self.ei_res = res[gather] + self.ei_inst * self.rid_stride
+        self.ei_start = start[gather]
+        self.ei_finish = column("finish", eis)[gather]
         # M-EDF's initial deadline sum counts every EI, active or not.
-        self.init_sum = np.zeros(self.S, dtype=np.int64)
-        np.add.at(self.init_sum, self.ei_state, self.ei_finish)
+        self.init_sum = np.add.reduceat(self.ei_finish, self._ei_ptr)
 
         self._build_activity(last)
         self._build_events(last)
@@ -236,6 +275,8 @@ class ColumnarInstance:
         self._fault_draws: FaultDraws | None = None
         self._fault_layout: tuple[np.ndarray, ...] | None = None
         self._commit_tie: np.ndarray | None = None
+        #: Wall time this constructor took (the build callers wait for).
+        self.lower_seconds = time.perf_counter() - began
 
     @classmethod
     def build(cls, profiles: ProfileSet, epoch: Epoch) -> "ColumnarInstance":
@@ -260,17 +301,41 @@ class ColumnarInstance:
         width = np.where(self.ei_start <= last,
                          fin_cl - self.ei_start + 1, 0)
         total = int(width.sum())
-        act_e = np.repeat(np.arange(self.E, dtype=np.int64), width)
-        cum = np.concatenate(([0], np.cumsum(width)))
-        offset = np.arange(total, dtype=np.int64) - np.repeat(cum[:-1], width)
-        act_T = np.repeat(self.ei_start, width) + offset
-        act_res = self.ei_res[act_e]
-        # Chronon-major, then resource, then EI index (the tie-break).
-        order = np.lexsort((act_e, act_res, act_T))
-        self.act_e = act_e[order]
-        act_T = act_T[order]
-        act_res = act_res[order]
+        # Entries EI-major first: EI e contributes chronons start..fin_cl.
+        ent_e = np.repeat(np.arange(self.E, dtype=np.int64), width)
+        ent_T = np.arange(total, dtype=np.int64) - np.repeat(
+            np.cumsum(width) - width - self.ei_start, width)
+        ent_res = np.repeat(self.ei_res, width)
+
+        # started[j]: how many EIs of entry j's state have opened
+        # (start <= chronon) by entry j's chronon — M-EDF's "started"
+        # aggregate before subtracting a lane's captures. Lane-independent
+        # and static per entry (a state's arrival is the min of its EI
+        # starts clamped to the epoch, so every windowed EI opens exactly
+        # at its own start). One compare per sibling slot: slot k holds
+        # the start of each state's k-th EI, or a never-reached chronon
+        # where the state is smaller.
+        started = np.zeros(total, dtype=np.int64)
+        for slot in range(int(self.st_size.max()) if total else 0):
+            has = self.st_size > slot
+            opens = np.full(self.S, last + 1, dtype=np.int64)
+            opens[has] = self.ei_start[self._ei_ptr[has] + slot]
+            started += np.repeat(opens[self.ei_state], width) <= ent_T
+
+        # Chronon-major, then resource, then EI index (the tie-break):
+        # the entries are already EI-ascending, so one stable sort on the
+        # fused (chronon, resource) key orders all three — a radix sort
+        # whenever the key fits 16 bits.
+        n_res = self.n_inst * self.rid_stride
+        fused = ent_T * n_res + ent_res
+        if (last + 1) * n_res <= 1 << 16:
+            fused = fused.astype(np.uint16)
+        order = np.argsort(fused, kind="stable")
+        self.act_e = ent_e[order]
+        act_T = ent_T[order]
+        act_res = ent_res[order]
         self.ps_act = self.ei_state[self.act_e]
+        self.started_act = started[order]
 
         new_t = np.empty(total, dtype=bool)
         new_g = np.empty(total, dtype=bool)
@@ -298,27 +363,6 @@ class ColumnarInstance:
         else:
             self.grp_of = np.zeros(0, dtype=np.int64)
             self.n_max = 1
-
-        # started_act[j]: how many EIs of entry j's state have opened
-        # (start <= chronon) by entry j's chronon — M-EDF's "started"
-        # aggregate before subtracting a lane's captures. Lane-independent
-        # and static per entry (a state's arrival is the min of its EI
-        # starts clamped to the epoch, so every windowed EI opens exactly
-        # at its own start). The EI layout is state-major, so a fused
-        # (state, start) key turns the per-state prefix count into one
-        # searchsorted over the whole instance.
-        if self.E:
-            stride = int(max(self.ei_start.max(), act_T.max() if total
-                             else 0)) + 2
-            fused = np.sort(self.ei_state * stride + self.ei_start)
-            state_ei_ptr = np.searchsorted(
-                self.ei_state, np.arange(self.S, dtype=np.int64))
-            self.started_act = (
-                np.searchsorted(fused, self.ps_act * stride + act_T,
-                                side="right")
-                - state_ei_ptr[self.ps_act]).astype(np.int64)
-        else:
-            self.started_act = np.zeros(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Event CSRs (window openings and expiries)
@@ -393,35 +437,34 @@ class ColumnarInstance:
                 f"pools <= {self.n_max}, resources <= {rid_max}")
         self.start_mask = (1 << self.start_bits) - 1
 
-        # Static per-activity-entry columns, aligned with act_e.
+        # Static per-activity-entry columns, aligned with act_e. The
+        # per-kind key columns are built when a lane first reads them.
         fin = self.ei_finish[self.act_e]
         start = self.ei_start[self.act_e]
         self.finstart_act = (fin << self.start_bits) | start
-        rank = self.st_rank[self.ps_act]
-        self.hi_static = {
-            "sedf": (fin << self.fs_bits) | self.finstart_act,
-            "fcfs": (start << self.fs_bits) | self.finstart_act,
-            "lff": ((fin + 1) << self.fs_bits) | self.finstart_act,
-            "srank": (rank << self.fs_bits) | self.finstart_act,
-            # anti-MRSF's offset form: (rank_max - (rank - captured)).
-            "anti": ((rank_max - rank) << self.fs_bits) | self.finstart_act,
-        }
         self.rank_max = rank_max
+        self.hi_static = _StaticKeys(
+            self.fs_bits, self.start_mask, self.finstart_act, fin,
+            self.st_rank, self.ps_act, rank_max)
         self.init_sum_act = self.init_sum[self.ps_act]
         self.fin_act = fin
 
         # Report scaffolding shared by every lane of an instance: totals
-        # never depend on the run, only on the instance.
+        # never depend on the run, only on the instance. rank_totals
+        # keeps each size at its first appearance in seq order.
         self.profile_totals = [
             {profile.profile_id: len(profile) for profile in profiles}
             for profiles in self.profile_sets]
         self.rank_totals: list[dict[int, int]] = [
             {} for _ in range(self.n_inst)]
-        self.inst_sizes = [0] * self.n_inst
-        for size, inst in zip(self.st_size.tolist(), self.st_inst.tolist()):
-            totals = self.rank_totals[inst]
-            totals[size] = totals.get(size, 0) + 1
-            self.inst_sizes[inst] += 1
+        pair, seen, count = np.unique(
+            self.st_inst * (size_max + 1) + self.st_size,
+            return_index=True, return_counts=True)
+        for i in np.argsort(seen).tolist():
+            inst, size = divmod(int(pair[i]), size_max + 1)
+            self.rank_totals[inst][size] = int(count[i])
+        self.inst_sizes = np.bincount(
+            self.st_inst, minlength=self.n_inst).tolist()
 
     # ------------------------------------------------------------------
 
@@ -478,8 +521,8 @@ class ColumnarInstance:
         candidate among key-equal ones.
         """
         if self._commit_tie is None:
-            first = np.searchsorted(self.ei_state, self.ei_state)
-            ei_id = np.arange(self.E, dtype=np.int64) - first
+            ei_id = (np.arange(self.E, dtype=np.int64)
+                     - self._ei_ptr[self.ei_state])
             seqs = self.ei_state
             order = np.lexsort((ei_id, seqs, self.st_tid[seqs],
                                 self.st_profile[seqs]))

@@ -84,6 +84,9 @@ class FederatedResult:
     produces for the same arguments. ``loads`` carries each shard's
     owned-resource count, routed probes and budget ledger;
     ``stolen_budget`` totals the units moved by work-stealing.
+    ``lower_seconds`` is the part of ``result.runtime_seconds`` spent
+    building the columnar form — 0.0 when the caller passed a prebuilt
+    ``columnar=`` (whose own ``lower_seconds`` says what it cost).
     """
 
     result: SimulationResult
@@ -92,6 +95,7 @@ class FederatedResult:
     loads: tuple[ShardLoad, ...]
     stolen_budget: int
     steal_transfers: int
+    lower_seconds: float
 
     @property
     def gc(self) -> float:
@@ -555,7 +559,8 @@ def federated_run(profiles: ProfileSet, epoch: Epoch,
     return FederatedResult(
         result=result, shards=K, workers=workers if pool else 0,
         loads=loads, stolen_budget=coord.ledger.transferred_units,
-        steal_transfers=coord.ledger.transfers)
+        steal_transfers=coord.ledger.transfers,
+        lower_seconds=0.0 if columnar is not None else col.lower_seconds)
 
 
 def _entries_of(col: ColumnarInstance, grp_next: np.ndarray,

@@ -1,0 +1,353 @@
+"""The array-native columnar lowering against its per-object oracle.
+
+:class:`~repro.simulation.columnar.ColumnarInstance` builds every column
+with NumPy from one flattening walk over the profile objects. The
+straightforward construction it replaced — Python loops over every
+t-interval and EI, a three-key ``lexsort`` for the activity order, a
+fused ``searchsorted`` for ``started_act``, all five static key columns
+up front — lives on here as :func:`oracle`, and every public attribute
+of the lowering must equal it in value *and* dtype.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import (
+    BudgetVector,
+    Epoch,
+    ExecutionInterval,
+    Profile,
+    ProfileSet,
+    TInterval,
+)
+from repro.online.registry import parse_policy_spec
+from repro.simulation.columnar import (
+    _MAX_KEY_BITS,
+    BatchUnsupported,
+    ColumnarInstance,
+    _bits,
+)
+from repro.simulation.shard import federated_run
+
+from tests.properties.strategies import epoch, profile_sets
+
+_KINDS = ("sedf", "fcfs", "lff", "srank", "anti")
+
+
+def oracle(profile_sets, epoch) -> SimpleNamespace:
+    """The per-object lowering: one Python step per t-interval and EI."""
+    o = SimpleNamespace()
+    profile_sets = list(profile_sets)
+    o.n_inst = len(profile_sets)
+    last = epoch.last
+
+    # States in (clamped arrival, creation order) — the seq order.
+    st_arrival, st_rank, st_profile = [], [], []
+    st_size, st_inst, st_tid, etas = [], [], [], []
+    rid_max = 0
+    for inst, profiles in enumerate(profile_sets):
+        for profile in profiles:
+            rank = profile.rank
+            for eta in profile:
+                st_arrival.append(min(eta.earliest_start, last))
+                st_rank.append(rank)
+                st_profile.append(eta.profile_id)
+                st_size.append(len(eta))
+                st_inst.append(inst)
+                st_tid.append(eta.tinterval_id)
+                etas.append(eta)
+                for ei in eta:
+                    rid_max = max(rid_max, ei.resource_id)
+    o.rid_stride = rid_max + 1
+    order = sorted(range(len(etas)), key=lambda i: st_arrival[i])
+    o.S = len(etas)
+
+    def seq_column(values):
+        return np.array([values[i] for i in order], dtype=np.int64)
+
+    o.st_arrival = seq_column(st_arrival)
+    o.st_rank = seq_column(st_rank)
+    o.st_profile = seq_column(st_profile)
+    o.st_size = seq_column(st_size)
+    o.st_inst = seq_column(st_inst)
+    o.st_tid = seq_column(st_tid)
+
+    # EIs state-major, within a state in ei_id order.
+    ei_res, ei_start, ei_finish, ei_state = [], [], [], []
+    for seq, i in enumerate(order):
+        for ei in etas[i]:
+            ei_res.append(ei.resource_id + st_inst[i] * o.rid_stride)
+            ei_start.append(ei.start)
+            ei_finish.append(ei.finish)
+            ei_state.append(seq)
+    o.E = len(ei_res)
+    o.ei_res = np.array(ei_res, dtype=np.int64)
+    o.ei_start = np.array(ei_start, dtype=np.int64)
+    o.ei_finish = np.array(ei_finish, dtype=np.int64)
+    o.ei_state = np.array(ei_state, dtype=np.int64)
+    o.ei_inst = o.st_inst[o.ei_state]
+    o.init_sum = np.zeros(o.S, dtype=np.int64)
+    np.add.at(o.init_sum, o.ei_state, o.ei_finish)
+
+    # Activity CSR: chronon-major, then resource, then EI index.
+    fin_cl = np.minimum(o.ei_finish, last)
+    width = np.where(o.ei_start <= last, fin_cl - o.ei_start + 1, 0)
+    total = int(width.sum())
+    act_e = np.repeat(np.arange(o.E, dtype=np.int64), width)
+    cum = np.concatenate(([0], np.cumsum(width)))
+    offset = np.arange(total, dtype=np.int64) - np.repeat(cum[:-1], width)
+    act_T = np.repeat(o.ei_start, width) + offset
+    act_res = o.ei_res[act_e]
+    by_key = np.lexsort((act_e, act_res, act_T))
+    o.act_e = act_e[by_key]
+    act_T = act_T[by_key]
+    act_res = act_res[by_key]
+    o.ps_act = o.ei_state[o.act_e]
+
+    new_t = np.empty(total, dtype=bool)
+    new_g = np.empty(total, dtype=bool)
+    if total:
+        new_t[0] = True
+        new_t[1:] = act_T[1:] != act_T[:-1]
+        new_g[0] = True
+        new_g[1:] = new_t[1:] | (act_res[1:] != act_res[:-1])
+    t_starts = np.nonzero(new_t)[0]
+    o.act_chronons = act_T[t_starts]
+    o.act_indptr = np.concatenate((t_starts, [total])).astype(np.int64)
+    o.grp_starts = np.nonzero(new_g)[0].astype(np.int64)
+    o.grp_rid = act_res[o.grp_starts]
+    o.grp_indptr = np.searchsorted(
+        o.grp_starts, o.act_indptr).astype(np.int64)
+    if total:
+        g_global = np.cumsum(new_g) - 1
+        spans = np.diff(o.act_indptr)
+        o.grp_of = (g_global - np.repeat(o.grp_indptr[:-1], spans)
+                    ).astype(np.int64)
+        grp_sizes = np.diff(np.concatenate((o.grp_starts, [total])))
+        o.n_max = int(grp_sizes.max())
+    else:
+        o.grp_of = np.zeros(0, dtype=np.int64)
+        o.n_max = 1
+    # started_act: per-state prefix count via one fused searchsorted.
+    if o.E:
+        stride = int(max(o.ei_start.max(),
+                         act_T.max() if total else 0)) + 2
+        fused = np.sort(o.ei_state * stride + o.ei_start)
+        state_ei_ptr = np.searchsorted(
+            o.ei_state, np.arange(o.S, dtype=np.int64))
+        o.started_act = (
+            np.searchsorted(fused, o.ps_act * stride + act_T, side="right")
+            - state_ei_ptr[o.ps_act]).astype(np.int64)
+    else:
+        o.started_act = np.zeros(0, dtype=np.int64)
+
+    # Expiry events.
+    xe = np.nonzero(o.ei_finish < last)[0]
+    xe_T = o.ei_finish[xe] + 1
+    by_T = np.argsort(xe_T, kind="stable")
+    xe = xe[by_T]
+    xe_T = xe_T[by_T]
+    bounds = np.nonzero(np.concatenate(
+        ([True], xe_T[1:] != xe_T[:-1])))[0] if xe.size else \
+        np.zeros(0, dtype=np.int64)
+    o.xe_chronons = xe_T[bounds]
+    o.xe_indptr = np.concatenate((bounds, [xe.size])).astype(np.int64)
+    o.xe_e = xe
+    xe_state = o.ei_state[xe]
+    if xe.size:
+        seg = np.concatenate(
+            ([True], (xe_T[1:] != xe_T[:-1])
+             | (xe_state[1:] != xe_state[:-1])))
+        o.xg_starts = np.nonzero(seg)[0].astype(np.int64)
+        o.xg_state = xe_state[o.xg_starts]
+    else:
+        o.xg_starts = np.zeros(0, dtype=np.int64)
+        o.xg_state = np.zeros(0, dtype=np.int64)
+    o.xg_indptr = np.searchsorted(
+        o.xg_starts, o.xe_indptr).astype(np.int64)
+
+    # Packed-key layout and the static key columns, all five eagerly.
+    start_max = int(o.ei_start.max()) if o.E else 1
+    finish_max = int(o.ei_finish.max()) if o.E else 1
+    rank_max = int(o.st_rank.max()) if o.S else 1
+    size_max = int(o.st_size.max()) if o.S else 1
+    res_max = int(o.ei_res.max()) if o.E else 0
+    o.medf_off = last * size_max
+    score_max = max(finish_max + 1, start_max, rank_max, o.n_max,
+                    2 * o.medf_off)
+    o.start_bits = _bits(start_max)
+    o.finish_bits = _bits(finish_max)
+    o.score_bits = _bits(score_max)
+    o.n_bits = _bits(o.n_max)
+    o.rid_bits = _bits(res_max)
+    o.fs_bits = o.finish_bits + o.start_bits
+    if (o.score_bits + o.fs_bits + o.n_bits + o.rid_bits
+            > _MAX_KEY_BITS):
+        raise BatchUnsupported("oracle: packed key too wide")
+    o.start_mask = (1 << o.start_bits) - 1
+    fin = o.ei_finish[o.act_e]
+    start = o.ei_start[o.act_e]
+    o.finstart_act = (fin << o.start_bits) | start
+    rank = o.st_rank[o.ps_act]
+    o.hi_static = {
+        "sedf": (fin << o.fs_bits) | o.finstart_act,
+        "fcfs": (start << o.fs_bits) | o.finstart_act,
+        "lff": ((fin + 1) << o.fs_bits) | o.finstart_act,
+        "srank": (rank << o.fs_bits) | o.finstart_act,
+        "anti": ((rank_max - rank) << o.fs_bits) | o.finstart_act,
+    }
+    o.rank_max = rank_max
+    o.init_sum_act = o.init_sum[o.ps_act]
+    o.fin_act = fin
+
+    o.profile_totals = [
+        {profile.profile_id: len(profile) for profile in profiles}
+        for profiles in profile_sets]
+    o.rank_totals = [{} for _ in range(o.n_inst)]
+    o.inst_sizes = [0] * o.n_inst
+    for size, inst in zip(o.st_size.tolist(), o.st_inst.tolist()):
+        totals = o.rank_totals[inst]
+        totals[size] = totals.get(size, 0) + 1
+        o.inst_sizes[inst] += 1
+    return o
+
+
+def assert_same_lowering(profile_sets, epoch) -> ColumnarInstance:
+    want = oracle(profile_sets, epoch)
+    got = ColumnarInstance.build_many(profile_sets, epoch)
+    public = {name for name in vars(got) if not name.startswith("_")}
+    assert public == set(vars(want)) | {
+        "profile_sets", "epoch", "lower_seconds"}
+    for name, expected in vars(want).items():
+        actual = getattr(got, name)
+        if name == "hi_static":
+            continue
+        if isinstance(expected, np.ndarray):
+            assert actual.dtype == expected.dtype, name
+            assert np.array_equal(actual, expected), name
+        else:
+            assert type(actual) is type(expected), name
+            assert actual == expected, name
+    # Same sizes in the same first-seen order (reports iterate it).
+    assert [list(totals.items()) for totals in got.rank_totals] == \
+        [list(totals.items()) for totals in want.rank_totals]
+    assert len(got.hi_static) == 0
+    for built, kind in enumerate(_KINDS, start=1):
+        column = got.hi_static[kind]
+        assert column.dtype == want.hi_static[kind].dtype, kind
+        assert np.array_equal(column, want.hi_static[kind]), kind
+        assert got.hi_static[kind] is column
+        assert len(got.hi_static) == built
+    with pytest.raises(KeyError):
+        got.hi_static["medf"]
+    assert got.lower_seconds > 0.0
+    return got
+
+
+def _eta(*eis) -> TInterval:
+    return TInterval(ExecutionInterval(*ei) for ei in eis)
+
+
+class TestEdgeCases:
+    def test_empty_profile_set(self):
+        col = assert_same_lowering([ProfileSet()], Epoch(8))
+        assert (col.S, col.E, col.n_max, col.rid_stride) == (0, 0, 1, 1)
+
+    def test_no_instances(self):
+        assert_same_lowering([], Epoch(8))
+
+    def test_profile_without_tintervals(self):
+        profiles = ProfileSet([
+            Profile([]),
+            Profile([_eta((0, 2, 4), (1, 3, 3)), _eta((1, 1, 2))]),
+            Profile([]),
+            Profile([_eta((2, 2, 6))]),
+        ])
+        col = assert_same_lowering([profiles], Epoch(8))
+        assert col.profile_totals == [{0: 0, 1: 2, 2: 0, 3: 1}]
+        assert col.st_rank.tolist() == [2, 2, 1]
+
+    def test_ei_opening_past_the_epoch(self):
+        profiles = ProfileSet([
+            Profile([_eta((0, 12, 15))]),
+            Profile([_eta((1, 2, 3), (0, 11, 11)), _eta((1, 9, 14))]),
+        ])
+        col = assert_same_lowering([profiles], Epoch(10))
+        # The late-only t-interval arrives clamped to the last chronon
+        # and contributes no activity entry.
+        late = int(np.nonzero(col.st_profile == 0)[0][0])
+        assert col.st_arrival[late] == 10
+        assert not np.any(col.ps_act == late)
+        assert col.act_chronons.tolist() == [2, 3, 9, 10]
+
+    def test_rank_one_only(self):
+        profiles = ProfileSet([
+            Profile([_eta((r, s, s + r)) for s in (4, 1, 4)])
+            for r in range(3)])
+        col = assert_same_lowering([profiles], Epoch(6))
+        assert col.rank_totals == [{1: 9}]
+        assert col.started_act.tolist() == [1] * col.act_e.size
+
+    def test_mega_block_with_different_resource_maxima(self):
+        small = ProfileSet([Profile([_eta((1, 1, 3), (0, 2, 2))])])
+        wide = ProfileSet([
+            Profile([_eta((7, 2, 5))]),
+            Profile([_eta((3, 1, 1), (7, 1, 4), (0, 3, 6))]),
+        ])
+        col = assert_same_lowering([small, wide, ProfileSet(), small],
+                                   Epoch(6))
+        assert col.rid_stride == 8
+        assert col.inst_sizes == [1, 2, 0, 1]
+        assert sorted(set(col.grp_rid.tolist())) == [0, 1, 8, 11, 15,
+                                                     24, 25]
+
+    def test_fused_activity_key_beyond_16_bits(self):
+        # (last + 1) * resources > 2**16: the activity sort keeps its
+        # order on the wide key too.
+        profiles = ProfileSet([
+            Profile([_eta((900, 3, 40), (5, 1, 70)), _eta((5, 2, 2))]),
+            Profile([_eta((900, 1, 64))]),
+        ])
+        assert_same_lowering([profiles], Epoch(80))
+
+    def test_wide_key_raises_batch_unsupported(self):
+        profiles = ProfileSet([Profile([_eta((0, 1, 1 << 40))])])
+        with pytest.raises(BatchUnsupported):
+            oracle([profiles], Epoch(4))
+        with pytest.raises(BatchUnsupported):
+            ColumnarInstance.build(profiles, Epoch(4))
+
+
+class TestAgainstOracle:
+    @given(profiles=profile_sets(max_profiles=4))
+    @settings(max_examples=60, deadline=None)
+    def test_single_instance(self, profiles):
+        assert_same_lowering([profiles], epoch())
+
+    @given(sets=st.lists(profile_sets(max_profiles=3), min_size=2,
+                         max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_mega_block(self, sets):
+        assert_same_lowering(sets, epoch())
+
+
+def test_medf_federated_run_builds_no_static_key_column():
+    profiles = ProfileSet([
+        Profile([_eta((0, 1, 3), (1, 2, 4)), _eta((2, 2, 2))]),
+        Profile([_eta((1, 1, 5)), _eta((0, 3, 6), (2, 4, 6))]),
+    ])
+    policy, preemptive = parse_policy_spec("M-EDF(P)")
+    columnar = ColumnarInstance.build(profiles, Epoch(6))
+    fed = federated_run(profiles, Epoch(6), BudgetVector(1), policy,
+                        preemptive=preemptive, shards=2,
+                        columnar=columnar)
+    assert fed.result.probes_used > 0
+    assert len(columnar.hi_static) == 0
+    assert fed.lower_seconds == 0.0
+    built = federated_run(profiles, Epoch(6), BudgetVector(1), policy,
+                          preemptive=preemptive, shards=2)
+    assert 0.0 < built.lower_seconds <= built.result.runtime_seconds
