@@ -147,23 +147,25 @@ def _print_churn(result: ChurnSweep, as_csv: bool) -> None:
          + (f" leave={row.leave_probability:.1f}"
             if row.leave_probability else ""),
          row.completeness, row.mean_client_completeness, row.fairness,
-         row.completed, row.expired, row.dropped, row.probes_used,
-         row.runtime_seconds]
+         row.completed, row.expired, row.doomed_at_birth, row.dropped,
+         row.probes_used, row.runtime_seconds]
         for row in result.rows
     ]
     if as_csv:
         print(f"# churn ({result.policy}, engine={result.engine})")
         print("scenario,completeness,mean_client_completeness,fairness,"
-              "completed,expired,dropped,probes_used,runtime_s")
-        for (label, gc, mean_gc, fairness, completed, expired, dropped,
-             probes, runtime) in rows:
+              "completed,expired,doomed_at_birth,dropped,probes_used,"
+              "runtime_s")
+        for (label, gc, mean_gc, fairness, completed, expired, doomed,
+             dropped, probes, runtime) in rows:
             print(f"{label},{gc:.6f},{mean_gc:.6f},{fairness:.6f},"
-                  f"{completed},{expired},{dropped},{probes},"
+                  f"{completed},{expired},{doomed},{dropped},{probes},"
                   f"{runtime:.6f}")
         return
     print(render_table(
         ["scenario", "completeness", "client mean", "fairness",
-         "completed", "expired", "dropped", "probes", "runtime (s)"],
+         "completed", "expired", "doomed at birth", "dropped", "probes",
+         "runtime (s)"],
         rows, title=f"churn — {result.policy} "
                     f"(engine={result.engine})"))
 

@@ -220,12 +220,13 @@ class TInterval:
         """Return a copy carrying identities assigned by the owner profile.
 
         Returns ``self`` when both identities already match (the copy
-        would compare equal anyway).
+        would compare equal anyway). The copy shares ``self.eis``: every
+        constructor leaves ``eis[i].ei_id == i``, so re-stamping them
+        could not change anything.
         """
         if self.tinterval_id == tinterval_id and self.profile_id == profile_id:
             return self
-        return TInterval(self.eis, tinterval_id=tinterval_id,
-                         profile_id=profile_id)
+        return TInterval.from_stamped(self.eis, tinterval_id, profile_id)
 
     @classmethod
     def from_stamped(cls, eis: tuple["ExecutionInterval", ...],

@@ -74,7 +74,7 @@ class Profile:
         """``rank(p) = max_eta |eta|`` — 0 for an empty profile."""
         if not self.tintervals:
             return 0
-        return max(eta.size for eta in self.tintervals)
+        return max(len(eta.eis) for eta in self.tintervals)
 
     @property
     def resource_ids(self) -> frozenset[int]:
@@ -119,8 +119,11 @@ class Profile:
         """
         if self.profile_id == profile_id:
             return self
-        return Profile(self.tintervals, profile_id=profile_id,
-                       name=self.name)
+        stamp = TInterval.from_stamped
+        return Profile.from_stamped(
+            tuple([stamp(eta.eis, index, profile_id)
+                   for index, eta in enumerate(self.tintervals)]),
+            profile_id, self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Profile(id={self.profile_id}, name={self.name!r}, "

@@ -158,6 +158,9 @@ class ChurnResult:
     dropped: int
     probes_used: int
     engine: str = "fast"
+    #: t-intervals that arrived with a deadline already missed — lost to
+    #: late registration, not to the policy or the budget.
+    doomed_at_birth: int = 0
 
     @property
     def overall_completeness(self) -> float:
@@ -340,6 +343,7 @@ def _run_churn_engine(config: ChurnConfig, epoch: Epoch, trace,
         dropped=int(result.extras.get("dropped", 0.0)),
         probes_used=result.probes_used,
         engine=config.engine,
+        doomed_at_birth=int(result.extras.get("doomed_at_birth", 0.0)),
     )
 
 
@@ -356,11 +360,20 @@ def _run_churn_proxy(config: ChurnConfig, epoch: Epoch, trace,
 
     clients = [proxy.register_client(name) for name in names]
     registrations: list[list[int]] = [[] for _ in names]
+    doomed_at_birth = 0
 
     def register(index: int) -> None:
+        nonlocal doomed_at_birth
+        # The proxy books a t-interval registered after one of its
+        # deadlines as expired on arrival without saying why; count
+        # them here, by the engine's definition.
+        first_chronon = min(proxy.clock + 1, epoch.last)
         for profile in profiles_by_client[index]:
             registrations[index].append(
                 proxy.register_profile(clients[index], profile))
+            doomed_at_birth += sum(
+                1 for eta in profile
+                if min(ei.finish for ei in eta) < first_chronon)
 
     # Join at chronon 0 means "before the run starts".
     pending = list(range(config.num_clients))
@@ -401,6 +414,7 @@ def _run_churn_proxy(config: ChurnConfig, epoch: Epoch, trace,
         dropped=stats.dropped,
         probes_used=stats.probes_used,
         engine="proxy",
+        doomed_at_birth=doomed_at_birth,
     )
 
 
@@ -437,6 +451,7 @@ class ChurnSweepRow:
     dropped: int
     probes_used: int
     runtime_seconds: float
+    doomed_at_birth: int = 0
 
 
 @dataclass(frozen=True)
@@ -503,6 +518,7 @@ def churn_sweep(scale: str = "default",
             dropped=result.dropped,
             probes_used=result.probes_used,
             runtime_seconds=seconds,
+            doomed_at_birth=result.doomed_at_birth,
         )
         for config, (result, seconds) in zip(configs, outcomes)
     )

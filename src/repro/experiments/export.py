@@ -27,13 +27,14 @@ def export_churn(result: ChurnSweep, directory: str | Path,
     directory.mkdir(parents=True, exist_ok=True)
     lines = ["join_spread,leave_probability,completeness,"
              "mean_client_completeness,fairness,completed,expired,"
-             "dropped,probes_used,runtime_s"]
+             "doomed_at_birth,dropped,probes_used,runtime_s"]
     for row in result.rows:
         lines.append(
             f"{row.join_spread:.2f},{row.leave_probability:.2f},"
             f"{row.completeness:.6f},"
             f"{row.mean_client_completeness:.6f},{row.fairness:.6f},"
-            f"{row.completed},{row.expired},{row.dropped},"
+            f"{row.completed},{row.expired},{row.doomed_at_birth},"
+            f"{row.dropped},"
             f"{row.probes_used},{row.runtime_seconds:.6f}")
     csv_path = directory / f"{stem}.csv"
     csv_path.write_text("\n".join(lines) + "\n")

@@ -67,7 +67,7 @@ class TIntervalState:
     def __init__(self, eta: TInterval, profile_rank: int) -> None:
         self.eta = eta
         self.profile_rank = profile_rank
-        self.captured = [False] * len(eta)
+        self.captured = [False] * len(eta.eis)
         self.committed = False
         self._captured_count = 0
         # EIs ordered by deadline; the cursor skips captured ones lazily.
@@ -99,13 +99,16 @@ class TIntervalState:
     @property
     def earliest_uncaptured_deadline(self) -> Chronon | None:
         """Smallest ``finish`` over uncaptured EIs; None when complete."""
+        captured = self.captured
+        if len(captured) == 1:
+            # A single EI needs no deadline order (rank-1 t-intervals).
+            return None if captured[0] else self.eta.eis[0].finish
         order = self._deadline_order
         if order is None:
-            eta = self.eta
+            finishes = [ei.finish for ei in self.eta.eis]
             order = self._deadline_order = sorted(
-                range(len(eta)), key=lambda i: eta[i].finish)
+                range(len(finishes)), key=finishes.__getitem__)
         pos = self._deadline_pos
-        captured = self.captured
         while pos < len(order) and captured[order[pos]]:
             pos += 1
         self._deadline_pos = pos

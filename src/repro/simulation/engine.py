@@ -50,9 +50,12 @@ uncaptured EI's deadline passes.
 **Live churn.** :meth:`FastProxySimulator.add_profile` and
 :meth:`~FastProxySimulator.remove_profile` register and cancel whole
 profiles *mid-epoch*: an insert splices each new EI's start/expiry events
-into the per-chronon event queues and (if already open) patches the
-per-resource candidate index through the existing dirty-set rescoring —
-O(log n + touched entries) per churn event, no rebuild. A remove retires
+into the per-chronon event queues by the same rule that built them
+(:meth:`~FastProxySimulator._queue_events`, shared with :meth:`begin`
+and :meth:`~FastProxySimulator.rebuild_structures`) — O(log n + touched
+entries) per churn event, no rebuild. A t-interval registered after one
+of its deadlines is *doomed at birth*; a policy that sees doom will
+never probe it, so it queues nothing. A remove retires
 the state's live index entries and freezes it out of future events.
 Arrival and accounting semantics mirror
 :class:`~repro.runtime.proxy.MonitoringProxy`: a profile registered at
@@ -504,14 +507,11 @@ class FastProxySimulator:
                 arrival = min(eta.earliest_start, last)
                 buckets.setdefault(arrival, []).append(state)
 
-        # Start events cover both cases of an EI becoming probeable: its
-        # window was already open when the state arrived (event at the
-        # arrival chronon), or it opens later (event at ei.start). The
-        # single handler keeps their semantics identical.
-        start_events: dict[Chronon, list[tuple[_FastState, object]]] = \
-            defaultdict(list)
-        expiry_events: dict[Chronon, list[tuple[_FastState, object]]] = \
-            defaultdict(list)
+        self._start_events: dict[Chronon, list[tuple[_FastState, object]]] \
+            = defaultdict(list)
+        self._expiry_events: dict[Chronon, list[tuple[_FastState, object]]] \
+            = defaultdict(list)
+        self._clock: Chronon = 0
         all_states: list[_FastState] = []
         states_by_profile: dict[int, list[_FastState]] = defaultdict(list)
         seq = 0
@@ -521,31 +521,57 @@ class FastProxySimulator:
                 seq += 1
                 all_states.append(fs)
                 self._fs_by_key[state.key] = fs
-                states_by_profile[state.eta.profile_id].append(fs)
-                for ei in state.eta:
+                states_by_profile[fs.pid].append(fs)
+                eis = state.eta.eis
+                for ei in eis:
                     fs.medf_sum += ei.finish
-                    start = ei.start
-                    if start <= arrival:
-                        start_events[arrival].append((fs, ei))
-                    elif start <= last:
-                        start_events[start].append((fs, ei))
-                    if ei.finish < last:
-                        expiry_events[ei.finish + 1].append((fs, ei))
+                self._queue_events(fs, eis, arrival)
 
-        self._start_events = start_events
-        self._expiry_events = expiry_events
         self._all_states = all_states
         self._states_by_profile = states_by_profile
         self._seq = seq
-        self._clock: Chronon = 0
         self._next_profile_id = len(self.profiles)
         self._extra_profiles: list[Profile] = []
         self._churned = False
+        self._doomed_at_birth = 0
         self._schedule = Schedule()
         self._probes_failed = 0
         self._retries = 0
-        self._select = self._select_fast if self._fast_mode \
-            else self._select_generic
+
+    def _queue_events(self, fs: _FastState, eis, arrival: Chronon) -> None:
+        """The start/expiry scheduling rule, for ``eis`` of one state.
+
+        ``eis`` are uncaptured EIs of a state that can still become a
+        candidate. An EI whose window closed before the state's arrival
+        schedules nothing — it was never probeable, its expiry was
+        implicitly "processed" before the state existed. Otherwise its
+        start event fires when it becomes probeable, at
+        ``max(start, arrival)`` (one handler serves "window already
+        open on arrival" and "opens later" alike), and its expiry event
+        right after its deadline. Only the future is queued: an event
+        the clock has already passed (possible only when
+        :meth:`rebuild_structures` replays old states) is applied
+        instead — the EI enters the index if its window is still open.
+        """
+        clock = self._clock
+        last = self.epoch.last
+        start_events = self._start_events
+        expiry_events = self._expiry_events
+        for ei in eis:
+            finish = ei.finish
+            if finish < arrival:
+                continue
+            fire = ei.start
+            if fire < arrival:
+                fire = arrival
+            event = (fs, ei)
+            if fire > clock:
+                if fire <= last:
+                    start_events[fire].append(event)
+            elif finish >= clock:
+                self._add_entry(fs, ei)
+            if clock <= finish < last:
+                expiry_events[finish + 1].append(event)
 
     def advance(self, chronon: Chronon) -> None:
         """Process one chronon: events, selection, probes, captures."""
@@ -585,7 +611,12 @@ class FastProxySimulator:
         budget_now = self.budget.at(chronon)
         if budget_now <= 0 or not self._index:
             return
-        decisions = self._select(chronon, budget_now)
+        # Looked up per chronon, not stored: a bound method kept on the
+        # instance is a reference cycle, and the engine's states and
+        # event queues would outlive the run until a full GC pass.
+        select = self._select_fast if self._fast_mode \
+            else self._select_generic
+        decisions = select(chronon, budget_now)
         if not decisions:
             return
 
@@ -624,48 +655,40 @@ class FastProxySimulator:
         ``fs.removed`` (expired if already doomed at cancel time,
         dropped otherwise), mirroring the proxy's unregister accounting.
         """
+        profile_sizes: dict[int, int] = {}
+        rank_totals: dict[int, int] = {}
+        for profiles in (self.profiles, self._extra_profiles):
+            for profile in profiles:
+                profile_sizes[profile.profile_id] = len(profile.tintervals)
+                for eta in profile.tintervals:
+                    size = len(eta.eis)
+                    rank_totals[size] = rank_totals.get(size, 0) + 1
+        profile_hits = dict.fromkeys(profile_sizes, 0)
+        rank_hits = dict.fromkeys(rank_totals, 0)
         captured_total = 0
         expired_total = 0
         dropped_total = 0
-        per_profile: dict[int, tuple[int, int]] = {
-            profile.profile_id: (0, len(profile))
-            for profile in self.profiles
-        }
-        per_rank: dict[int, tuple[int, int]] = {}
-        total_tintervals = self.profiles.total_tintervals
-        for eta in self.profiles.tintervals():
-            captured, total = per_rank.get(eta.size, (0, 0))
-            per_rank[eta.size] = (captured, total + 1)
-        for profile in self._extra_profiles:
-            per_profile[profile.profile_id] = (0, len(profile))
-            total_tintervals += len(profile)
-            for eta in profile:
-                captured, total = per_rank.get(eta.size, (0, 0))
-                per_rank[eta.size] = (captured, total + 1)
         for fs in self._all_states:
-            state = fs.state
             if fs.removed:
-                hit = False
                 if fs.removed == _REMOVED_EXPIRED:
                     expired_total += 1
                 else:
                     dropped_total += 1
+            elif fs.state.is_complete:
+                captured_total += 1
+                profile_hits[fs.pid] += 1
+                rank_hits[len(fs.state.eta.eis)] += 1
             else:
-                hit = state.is_complete
-                if hit:
-                    captured_total += 1
-                else:
-                    expired_total += 1
-            profile_id = state.eta.profile_id
-            hits, total = per_profile.get(profile_id, (0, 0))
-            per_profile[profile_id] = (hits + int(hit), total)
-            rank_hits, rank_total = per_rank[state.eta.size]
-            per_rank[state.eta.size] = (rank_hits + int(hit), rank_total)
+                expired_total += 1
+        per_profile = {profile_id: (profile_hits[profile_id], total)
+                       for profile_id, total in profile_sizes.items()}
+        per_rank = {size: (rank_hits[size], total)
+                    for size, total in rank_totals.items()}
 
         runtime = time.perf_counter() - self._started_at
         report = CompletenessReport(
             captured=captured_total,
-            total=total_tintervals,
+            total=sum(profile_sizes.values()),
             per_profile=per_profile,
             per_rank=per_rank,
         )
@@ -674,6 +697,7 @@ class FastProxySimulator:
             extras = {
                 "dropped": float(dropped_total),
                 "added_profiles": float(len(self._extra_profiles)),
+                "doomed_at_birth": float(self._doomed_at_birth),
             }
         return SimulationResult(
             label=self.policy.label(self.preemptive),
@@ -741,49 +765,70 @@ class FastProxySimulator:
         initial profiles, then +1 per add), so callers can predict them.
         Each t-interval arrives at ``max(earliest_start, clock + 1)``
         (clamped to the epoch) — the proxy's registration clamp — and
-        its EI events are spliced into the per-chronon queues; an EI
-        whose window already closed before arrival schedules nothing.
+        its EI events are spliced into the per-chronon queues by
+        :meth:`_queue_events`. One pass over a t-interval's EIs yields
+        its arrival, its M-EDF sum and whether some window closed before
+        arrival; only then can it be doomed at birth (the state contract
+        in the module docstring), so only then is ``is_expired`` asked.
+        Under a doom-seeing policy a t-interval doomed at birth queues
+        nothing at all: it can never become a candidate, so ``advance``
+        would discard every one of its events.
         O(log n + EIs) per profile: only touched resources are dirtied.
+
+        Raises
+        ------
+        ModelError
+            Before :meth:`begin`, or for an empty profile (as
+            :meth:`MonitoringProxy.register_profile
+            <repro.runtime.proxy.MonitoringProxy.register_profile>`).
         """
         if not self._begun:
             raise ModelError("add_profile() requires begin()/run()")
+        if len(profile) == 0:
+            raise ModelError("cannot register an empty profile")
         profile_id = self._next_profile_id
         self._next_profile_id += 1
         attached = profile.attached(profile_id)
         self._extra_profiles.append(attached)
         self._churned = True
-        clock = self._clock
         last = self.epoch.last
+        floor = self._clock + 1
         rank = attached.rank
-        start_events = self._start_events
-        expiry_events = self._expiry_events
+        factory = self.state_factory
+        sees_doom = self._sees_doom
+        all_states = self._all_states
+        fs_by_key = self._fs_by_key
         states = self._states_by_profile[profile_id]
-        for eta in attached:
-            state = self.state_factory(eta, rank)
-            arrival = min(max(eta.earliest_start, clock + 1), last)
+        for eta in attached.tintervals:
+            state = factory(eta, rank)
+            eis = eta.eis
+            earliest = eis[0].start
+            soonest = eis[0].finish
+            medf_sum = 0
+            for ei in eis:
+                finish = ei.finish
+                medf_sum += finish
+                if finish < soonest:
+                    soonest = finish
+                if ei.start < earliest:
+                    earliest = ei.start
+            arrival = earliest if earliest > floor else floor
+            if arrival > last:
+                arrival = last
             fs = _FastState(state, self._seq, arrival)
             self._seq += 1
-            self._all_states.append(fs)
-            self._fs_by_key[state.key] = fs
+            fs.medf_sum = medf_sum
+            all_states.append(fs)
+            fs_by_key[state.key] = fs
             states.append(fs)
-            for ei in state.eta:
-                fs.medf_sum += ei.finish
-                if ei.finish < arrival:
-                    # Window wholly in the past at registration time:
-                    # never probeable, so no events — the expiry was
-                    # implicitly "processed" before the state existed.
-                    continue
-                start = ei.start
-                if start <= arrival:
-                    start_events[arrival].append((fs, ei))
-                elif start <= last:
-                    start_events[start].append((fs, ei))
-                if ei.finish < last:
-                    expiry_events[ei.finish + 1].append((fs, ei))
-            # Doomed at birth: a deadline already passed before the
-            # state's arrival (possible only for mid-run adds).
-            if state.is_expired(arrival):
+            if soonest < arrival and state.is_expired(arrival):
+                # Doomed at birth: a deadline passed before the state's
+                # arrival (possible only for mid-run adds).
                 fs.doomed = True
+                self._doomed_at_birth += 1
+                if sees_doom:
+                    continue
+            self._queue_events(fs, eis, arrival)
         return profile_id
 
     def remove_profile(self, profile_id: int) -> None:
@@ -825,45 +870,25 @@ class FastProxySimulator:
         fresh ``begin()`` at this clock would. Property tests assert the
         incremental structures match this after every churn event.
         """
-        clock = self._clock
-        last = self.epoch.last
         sees_doom = self._sees_doom
         self._index.clear()
         self._cache.clear()
         self._cache2.clear()
         self._dirty.clear()
-        start_events: dict[Chronon, list[tuple[_FastState, object]]] = \
-            defaultdict(list)
-        expiry_events: dict[Chronon, list[tuple[_FastState, object]]] = \
-            defaultdict(list)
+        self._start_events = defaultdict(list)
+        self._expiry_events = defaultdict(list)
         for fs in self._all_states:
-            if fs.removed:
-                continue
             state = fs.state
-            arrival = fs.arrival
-            captured = state.captured
-            complete = state.is_complete
+            # Removed, complete and (to a doom-seeing policy) doomed
+            # states can never be candidates again: every event of
+            # theirs would be discarded by ``advance``.
             doomed_out = sees_doom and fs.doomed
-            for ei in state.eta:
-                if captured[ei.ei_id] or ei.finish < arrival:
-                    continue
-                start = ei.start
-                if start <= arrival:
-                    fire = arrival
-                elif start <= last:
-                    fire = start
-                else:
-                    fire = None
-                if fire is not None:
-                    if fire > clock:
-                        start_events[fire].append((fs, ei))
-                    elif (ei.finish >= clock and not complete
-                            and not doomed_out):
-                        self._add_entry(fs, ei)
-                if ei.finish < last and ei.finish + 1 > clock:
-                    expiry_events[ei.finish + 1].append((fs, ei))
-        self._start_events = start_events
-        self._expiry_events = expiry_events
+            if fs.removed or state.is_complete or doomed_out:
+                continue
+            captured = state.captured
+            self._queue_events(
+                fs, [ei for ei in state.eta.eis if not captured[ei.ei_id]],
+                fs.arrival)
         self._dirty.update(self._index)
 
     def _prober(self, chronon: Chronon):

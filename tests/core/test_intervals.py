@@ -98,6 +98,31 @@ class TestTIntervalConstruction:
         assert attached.tinterval_id == 4
         assert attached.profile_id == 2
 
+    def test_attached_equals_validating_constructor(self):
+        # attached() restamps through from_stamped; the validating
+        # constructor is the oracle for bare, attached and re-attached
+        # inputs alike.
+        eis = [ExecutionInterval(0, 1, 2), ExecutionInterval(3, 2, 6),
+               ExecutionInterval(1, 4, 4)]
+        bare = TInterval(eis)
+        once = bare.attached(tinterval_id=4, profile_id=2)
+        twice = once.attached(tinterval_id=0, profile_id=9)
+        for got, (tinterval_id, profile_id) in (
+                (once, (4, 2)), (twice, (0, 9)),
+                (twice.attached(4, 2), (4, 2))):
+            expected = TInterval(eis, tinterval_id=tinterval_id,
+                                 profile_id=profile_id)
+            assert got == expected
+            assert hash(got) == hash(expected)
+            assert [ei.ei_id for ei in got] == [0, 1, 2]
+        assert bare.tinterval_id == -1 and bare.profile_id == -1
+
+    def test_attached_with_matching_ids_returns_self(self):
+        eta = TInterval([ExecutionInterval(0, 1, 2)], tinterval_id=4,
+                        profile_id=2)
+        assert eta.attached(4, 2) is eta
+        assert eta.attached(4, 3) is not eta
+
 
 class TestTIntervalProperties:
     def test_earliest_start_latest_finish(self):

@@ -31,6 +31,40 @@ class TestProfile:
         assert [eta.tinterval_id for eta in profile] == [0, 1]
         assert all(eta.profile_id == 7 for eta in profile)
 
+    def test_attached_equals_validating_constructor(self):
+        # attached() restamps through the from_stamped constructors; the
+        # validating constructor is the oracle for bare, attached and
+        # re-attached inputs alike.
+        etas = [_eta((0, 1, 2), (3, 1, 2)), _eta((5, 4, 6))]
+        bare = Profile(etas, name="watch")
+        once = bare.attached(7)
+        twice = once.attached(3)
+        for got, profile_id in ((once, 7), (twice, 3),
+                                (twice.attached(7), 7)):
+            expected = Profile(etas, profile_id=profile_id, name="watch")
+            assert got.tintervals == expected.tintervals
+            assert hash(got.tintervals) == hash(expected.tintervals)
+            assert got.profile_id == profile_id
+            assert got.name == "watch"
+            assert got.rank == expected.rank == 2
+            assert [[ei.ei_id for ei in eta] for eta in got] == \
+                [[0, 1], [0]]
+        assert bare.profile_id == -1
+        assert all(eta.profile_id == -1 for eta in bare)
+
+    def test_attached_with_matching_id_returns_self(self):
+        profile = Profile([_eta((0, 1, 2))], profile_id=5)
+        assert profile.attached(5) is profile
+        # ... which is what lets a ProfileSet adopt attached profiles.
+        first = Profile([_eta((0, 1, 2))], profile_id=0)
+        assert ProfileSet([first])[0] is first
+
+    def test_attached_empty_profile(self):
+        attached = Profile([], name="nothing").attached(4)
+        assert len(attached) == 0
+        assert attached.profile_id == 4
+        assert attached.rank == 0
+
     def test_resource_ids_union(self):
         profile = Profile([_eta((0, 1, 2), (3, 1, 2)), _eta((5, 4, 6))])
         assert profile.resource_ids == frozenset({0, 3, 5})

@@ -138,6 +138,19 @@ class TestChurnEngines:
         assert [c.notified for c in fast.clients] == \
             [c.notified for c in proxy.clients]
 
+    def test_doomed_at_birth_agrees_across_engines(self):
+        # Late joiners register t-intervals whose deadline already
+        # passed; every engine reports the same count, and a static
+        # join (everything registered before chronon 1) reports none.
+        counts = {
+            engine: run_churn(_config(
+                join_spread=0.6, leave_probability=0.5,
+                engine=engine)).doomed_at_birth
+            for engine in CHURN_ENGINES}
+        assert len(set(counts.values())) == 1
+        assert counts["fast"] > 0
+        assert run_churn(_config(join_spread=0.0)).doomed_at_birth == 0
+
     def test_workload_builder_is_deterministic(self):
         config = _config(join_spread=0.5, leave_probability=0.5)
         first = build_churn_workload(config)

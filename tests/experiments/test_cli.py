@@ -81,3 +81,19 @@ class TestMain:
         output = capsys.readouterr().out
         assert "instance statistics" in output
         assert "rank(P)" in output
+
+    def test_churn_reports_doomed_at_birth(self, capsys):
+        # Late joiners lose t-intervals whose deadline preceded their
+        # registration; the panel says how many, next to "expired".
+        assert main(["churn", "--scale", "smoke", "--csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines[1].split(",")
+        assert header[4:8] == ["completed", "expired", "doomed_at_birth",
+                               "dropped"]
+        rows = [dict(zip(header, line.split(",")))
+                for line in lines[2:] if line]
+        assert rows[0]["doomed_at_birth"] == "0"      # everyone at T=0
+        assert any(int(row["doomed_at_birth"]) > 0 for row in rows[1:])
+        assert all(int(row["doomed_at_birth"]) <= int(row["expired"])
+                   + int(row["dropped"]) for row in rows)
+

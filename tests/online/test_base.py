@@ -45,6 +45,31 @@ class TestTIntervalState:
         state.mark_captured(0)
         assert not state.is_expired(6)
 
+    def test_single_ei_deadline_needs_no_order(self):
+        # Rank-1 t-intervals answer from their one EI, before and after
+        # its capture, without ever building a deadline order.
+        state = _state((0, 2, 5))
+        assert state.earliest_uncaptured_deadline == 5
+        assert not state.is_expired(5)
+        assert state.is_expired(6)
+        state.mark_captured(0)
+        assert state.earliest_uncaptured_deadline is None
+        assert not state.is_expired(6)
+        assert state._deadline_order is None
+
+    def test_earliest_uncaptured_deadline_follows_captures(self):
+        # Equal deadlines keep declaration order; captures move the
+        # cursor to the next deadline.
+        state = _state((0, 1, 7), (1, 2, 4), (2, 3, 7))
+        assert state.earliest_uncaptured_deadline == 4
+        assert state._deadline_order == [1, 0, 2]
+        state.mark_captured(1)
+        assert state.earliest_uncaptured_deadline == 7
+        state.mark_captured(2)
+        assert state.earliest_uncaptured_deadline == 7
+        state.mark_captured(0)
+        assert state.earliest_uncaptured_deadline is None
+
     def test_probeable_eis_active_and_uncaptured(self):
         state = _state((0, 1, 5), (1, 3, 8))
         assert [ei.resource_id for ei in state.probeable_eis(2)] == [0]

@@ -12,6 +12,7 @@ from repro.core import (
     BudgetVector,
     Epoch,
     ExecutionInterval,
+    ModelError,
     Profile,
     ProfileSet,
     TInterval,
@@ -25,7 +26,16 @@ from repro.online import (
     MRSFPolicy,
     SEDFPolicy,
 )
-from repro.simulation import FastProxySimulator, ProxySimulator, run_online
+from repro.runtime import MonitoringProxy, OriginServer
+from repro.simulation import (
+    ChurnEvent,
+    ChurnPlan,
+    FastProxySimulator,
+    ProxySimulator,
+    run_churned,
+    run_online,
+)
+from repro.traces import UpdateTrace
 
 
 def _profiles(*etas: list[tuple[int, int, int]]) -> ProfileSet:
@@ -151,3 +161,213 @@ class TestFastEngineBehaviour:
         assert fast.retries == reference.retries
         assert list(fast.schedule.probes()) == \
             list(reference.schedule.probes())
+
+
+# ----------------------------------------------------------------------
+# Live registration: add_profile's one pass over a t-interval's EIs
+# ----------------------------------------------------------------------
+
+def _profile(*etas: list[tuple[int, int, int]]) -> Profile:
+    return Profile([
+        TInterval([ExecutionInterval(r, s, f) for r, s, f in spec])
+        for spec in etas
+    ])
+
+
+def _engine_at(clock: int, policy, initial: ProfileSet | None = None,
+               **kwargs) -> FastProxySimulator:
+    """An engine over ``Epoch(12)`` advanced to ``clock``."""
+    sim = FastProxySimulator(initial or ProfileSet(), Epoch(12),
+                             BudgetVector(1), policy, **kwargs)
+    sim.begin()
+    for chronon in range(1, clock + 1):
+        sim.advance(chronon)
+    return sim
+
+
+def _queued(events: dict) -> int:
+    return sum(len(bucket) for bucket in events.values())
+
+
+def _live_structures(sim: FastProxySimulator):
+    """Index keys plus the future events that can still matter.
+
+    The incremental queues may keep events of states that have since
+    completed, been doomed (under a doom-seeing policy) or been
+    removed — ``advance`` skips them — while ``rebuild_structures``
+    never queues them; everything else must agree.
+    """
+    def live(events):
+        future = {
+            chronon: sorted((fs.seq, ei.ei_id) for fs, ei in bucket
+                            if not (fs.removed or fs.state.is_complete
+                                    or (sim._sees_doom and fs.doomed)
+                                    or fs.state.captured[ei.ei_id]))
+            for chronon, bucket in events.items() if chronon > sim.clock
+        }
+        return {chronon: keys for chronon, keys in future.items() if keys}
+    index = {rid: sorted(entries) for rid, entries in sim._index.items()}
+    return index, live(sim._start_events), live(sim._expiry_events)
+
+
+def _proxy_outcome(initial: ProfileSet, adds: list[tuple[int, Profile]],
+                   policy) -> tuple[list, int, int]:
+    """The same registrations through the live MonitoringProxy."""
+    epoch = Epoch(12)
+    proxy = MonitoringProxy(OriginServer(UpdateTrace([], epoch)), epoch,
+                            BudgetVector(1), policy)
+    client = proxy.register_client()
+    for profile in initial:
+        proxy.register_profile(client, profile)
+    while proxy.clock < epoch.last:
+        for clock, profile in adds:
+            if clock == proxy.clock:
+                proxy.register_profile(client, profile)
+        proxy.step()
+    stats = proxy.run()
+    return list(proxy.schedule.probes()), stats.completed, stats.expired
+
+
+# First window [1, 3] closes before a registration at clock 5; the
+# sibling window [7, 9] is still ahead.
+_LATE = _profile([(0, 1, 3), (1, 7, 9)])
+_INITIAL = ProfileSet([_profile([(2, 2, 8)], [(1, 6, 9), (3, 10, 11)])])
+
+
+class TestLiveRegistration:
+    def test_empty_profile_rejected_like_the_proxies(self):
+        sim = _engine_at(2, MRSFPolicy())
+        with pytest.raises(ModelError,
+                           match="cannot register an empty profile"):
+            sim.add_profile(Profile([]))
+        epoch = Epoch(12)
+        proxy = MonitoringProxy(OriginServer(UpdateTrace([], epoch)),
+                                epoch, BudgetVector(1), MRSFPolicy())
+        with pytest.raises(ModelError,
+                           match="cannot register an empty profile"):
+            proxy.register_profile(proxy.register_client(), Profile([]))
+        # The rejected profile consumed no id.
+        assert sim.add_profile(_profile([(0, 5, 6)])) == 0
+
+    @pytest.mark.parametrize("policy_cls", [MRSFPolicy, MEDFPolicy])
+    def test_doomed_at_birth_queues_nothing_when_doom_is_seen(
+            self, policy_cls):
+        sim = _engine_at(5, policy_cls(), _INITIAL)
+        before = (_queued(sim._start_events), _queued(sim._expiry_events))
+        profile_id = sim.add_profile(_LATE)
+        (fs,) = sim._states_by_profile[profile_id]
+        assert fs.doomed and fs.arrival == 6
+        assert fs.medf_sum == 3 + 9
+        assert (_queued(sim._start_events),
+                _queued(sim._expiry_events)) == before
+        for chronon in range(6, 13):
+            sim.advance(chronon)
+        result = sim.finish()
+        assert result.extras["doomed_at_birth"] == 1.0
+        assert result.report.per_profile[profile_id] == (0, 1)
+        assert result.expired >= 1
+
+    def test_doomed_at_birth_still_queues_for_ei_level_policy(self):
+        # S-EDF does not look at siblings: the open window of a doomed
+        # t-interval is probed like any other, so its events are needed
+        # — but never the closed window's.
+        sim = _engine_at(5, SEDFPolicy(), _INITIAL)
+        profile_id = sim.add_profile(_LATE)
+        (fs,) = sim._states_by_profile[profile_id]
+        assert fs.doomed
+        assert [(c, ei.ei_id) for c, bucket in sim._start_events.items()
+                for state, ei in bucket if state is fs] == [(7, 1)]
+        assert [(c, ei.ei_id) for c, bucket in sim._expiry_events.items()
+                for state, ei in bucket if state is fs] == [(10, 1)]
+
+    def test_open_window_on_arrival_fires_at_arrival(self):
+        sim = _engine_at(5, MRSFPolicy())
+        profile_id = sim.add_profile(_profile([(0, 2, 8), (1, 9, 30)]))
+        (fs,) = sim._states_by_profile[profile_id]
+        assert not fs.doomed and fs.arrival == 6
+        # [2, 8] is open on arrival -> chronon 6; [9, 30] opens at 9
+        # and outlives the epoch -> no expiry event.
+        assert sorted((c, ei.ei_id)
+                      for c, bucket in sim._start_events.items()
+                      for state, ei in bucket if state is fs) \
+            == [(6, 0), (9, 1)]
+        assert [(c, ei.ei_id) for c, bucket in sim._expiry_events.items()
+                for state, ei in bucket if state is fs] == [(9, 0)]
+
+    @pytest.mark.parametrize("policy_cls",
+                             [MRSFPolicy, MEDFPolicy, SEDFPolicy])
+    def test_spliced_structures_match_rebuild(self, policy_cls):
+        sim = _engine_at(5, policy_cls(), _INITIAL)
+        sim.add_profile(_LATE)
+        sim.add_profile(_profile([(2, 4, 7), (3, 8, 8)], [(0, 6, 6)]))
+        sim.remove_profile(0)
+        spliced = _live_structures(sim)
+        sim.rebuild_structures()
+        assert _live_structures(sim) == spliced
+        # A doomed state contributes nothing to a doom-seeing rebuild.
+        doomed = [fs for fs in sim._all_states if fs.doomed]
+        assert doomed
+        queued = [fs for events in (sim._start_events, sim._expiry_events)
+                  for bucket in events.values() for fs, _ei in bucket]
+        if sim._sees_doom:
+            assert not any(fs.doomed for fs in queued)
+        else:
+            assert any(fs.doomed for fs in queued)
+
+    @pytest.mark.parametrize("policy_cls",
+                             [MRSFPolicy, MEDFPolicy, SEDFPolicy])
+    def test_late_registration_matches_rebuild_and_proxy(self,
+                                                         policy_cls):
+        adds = [(5, _LATE),
+                (5, _profile([(2, 4, 7), (3, 8, 8)], [(0, 6, 6)])),
+                (8, _profile([(0, 2, 4)], [(3, 9, 12)]))]
+        plan = ChurnPlan([ChurnEvent.add(clock, profile)
+                          for clock, profile in adds])
+        incremental, rebuild = (
+            run_churned(_INITIAL, Epoch(12), BudgetVector(1),
+                        policy_cls(), plan=plan, mode=mode)
+            for mode in ("incremental", "rebuild"))
+        assert list(incremental.schedule.probes()) == \
+            list(rebuild.schedule.probes())
+        assert incremental.report == rebuild.report
+        assert incremental.extras == rebuild.extras
+        assert incremental.extras["doomed_at_birth"] == 2.0
+        probes, completed, expired = _proxy_outcome(
+            _INITIAL, adds, policy_cls())
+        assert list(incremental.schedule.probes()) == probes
+        assert incremental.report.captured == completed
+        assert incremental.expired == expired
+
+    def test_quota_states_decide_doom_for_closed_windows(self):
+        # One window of each t-interval closed before registration.
+        # With quota 1 the t-interval is still reachable (not doomed,
+        # its open windows are queued and one capture completes it);
+        # with every EI required it is doomed at birth.
+        late = _profile([(0, 1, 3), (1, 7, 9), (2, 8, 10)],
+                        [(0, 2, 4), (3, 7, 8)])
+        quotas = QuotaMap({(0, 0): 1})
+
+        def factory(eta, profile_rank):
+            return QuotaTIntervalState(eta, profile_rank,
+                                       quotas.quota_for(eta))
+
+        sim = _engine_at(5, QuotaMRSFPolicy(), state_factory=factory)
+        profile_id = sim.add_profile(late)
+        reachable, doomed = sim._states_by_profile[profile_id]
+        assert not reachable.doomed and doomed.doomed
+        assert sorted((c, ei.ei_id)
+                      for c, bucket in sim._start_events.items()
+                      for fs, ei in bucket) == [(7, 1), (8, 2)]
+
+        plan = ChurnPlan([ChurnEvent.add(5, late)])
+        incremental, rebuild = (
+            run_churned(ProfileSet(), Epoch(12), BudgetVector(1),
+                        QuotaMRSFPolicy(), plan=plan, mode=mode,
+                        state_factory=factory)
+            for mode in ("incremental", "rebuild"))
+        assert list(incremental.schedule.probes()) == \
+            list(rebuild.schedule.probes()) == [(1, 7)]
+        assert incremental.report == rebuild.report
+        assert incremental.report.per_profile[0] == (1, 2)
+        assert incremental.extras == rebuild.extras
+        assert incremental.extras["doomed_at_birth"] == 1.0
