@@ -3,16 +3,20 @@
 Measures the wall time of a figure-shaped budget sweep — every policy of
 the paper's headline line-up x every budget value x every repetition,
 all sharing generated instances — through the harness twice: once with
-the per-combination fast engine, once with the columnar mega-batch
-engine (``engine="batch"``), and writes the numbers to
+the per-combination fast engine, once with the columnar batch engine
+(``engine="batch"``), and writes the numbers to
 ``BENCH_batch.json``::
 
     PYTHONPATH=src python benchmarks/bench_batch.py \
         --output BENCH_batch.json
 
 The ``target`` scale (epoch 200, 50 resources, 60 profiles) matches
-``bench_engine``; there the whole sweep collapses into one columnar
-block of repetitions x policies x budgets lanes. Both paths produce
+``bench_engine``; there the sweep is one columnar block of policies x
+budgets (20) lanes per repetition — three blocks over three lowerings.
+It takes about 0.2 s, which is the side of the size range where one
+block over all repetitions was cheaper (EXPERIMENTS.md, "Repetitions:
+where the time went"): the tracked ratio reads ~2.3x where the packed
+block read 3.1-3.25x. Both paths produce
 identical gained-completeness series (asserted on every round). The
 instance cache is warmed before timing so the numbers isolate
 simulation, not generation.
@@ -40,8 +44,8 @@ except ImportError:  # run as a top-level script (python benchmarks/...)
 
 __all__ = ["bench_figure_sweep", "main"]
 
-#: Scales mirror bench_engine's; repetitions make the mega blocks
-#: multi-instance (the acceptance scale is ``target``).
+#: Scales mirror bench_engine's; every repetition is a block of its own
+#: (the acceptance scale is ``target``).
 SCALES: dict[str, ExperimentConfig] = {
     "tiny": ExperimentConfig(
         epoch_length=40, num_resources=10, num_profiles=12, intensity=5.0,

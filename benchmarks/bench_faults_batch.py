@@ -4,7 +4,7 @@ Measures the wall time of the graceful-degradation sweep — every fault
 policy variant x every failure rate x every repetition, with the
 standard retry allowance and circuit breaker — through
 :func:`repro.experiments.faults.fault_sweep` twice: once per-combination
-on the fast engine, once as columnar mega blocks with the lowered fault
+on the fast engine, once as columnar blocks with the lowered fault
 plane (``engine="batch"``, ALGORITHMS.md §14), and writes the numbers to
 ``BENCH_faults.json``::
 
@@ -14,7 +14,8 @@ plane (``engine="batch"``, ALGORITHMS.md §14), and writes the numbers to
 The ``target`` scale (epoch 200, 50 resources, 60 profiles, 3
 repetitions) matches ``bench_batch``; there the whole sweep — 8 policy
 variants x 6 failure rates x 3 repetitions = 144 faulty lanes — runs as
-one columnar block per lane chunk. Both engines produce identical
+three columnar blocks of 48 lanes, one per repetition. Both engines
+produce identical
 gained-completeness series (asserted on every round; the fault plane is
 RNG-stream exact, not statistically similar). The instance cache is
 warmed before timing so the numbers isolate simulation, not generation.

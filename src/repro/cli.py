@@ -54,7 +54,8 @@ _EXPERIMENTS: dict[str, Callable[[str], object]] = {
 
 
 def _served_by(result: RunOutcome | SweepResult) -> str:
-    return f"# engine={result.engine} fell_back={result.fell_back}"
+    return (f"# engine={result.engine} fell_back={result.fell_back} "
+            f"blocks={result.blocks}")
 
 
 def _print_run_outcome(name: str, outcome: RunOutcome, as_csv: bool) -> None:
@@ -233,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=["fast", "batch", "reference", "rebuild"],
         default=None,
         help="simulation engine: 'fast' runs one combination at a "
-             "time, 'batch' groups cells sharing generated instances "
-             "into columnar mega blocks (identical results), "
+             "time, 'batch' runs the cells sharing a generated "
+             "instance as one columnar block (identical results), "
              "'reference' is the executable specification, 'rebuild' "
              "(churn only) reruns the incremental churn plan with "
              "from-scratch structure rebuilds after every event; by "

@@ -18,11 +18,11 @@ The sweep reuses the harness's :class:`RunOutcome`/:class:`SweepResult`
 containers, so the standard reporting/export pipeline renders it. The
 fault layer lowers into the columnar batch engine (see
 ``docs/ALGORITHMS.md`` §14), so degradation sweeps run on the harness's
-``DEFAULT_ENGINE`` like every other GC sweep: every (rate, repetition,
-policy) combination becomes a lane of one columnar mega block — the
-fault seed depends only on the repetition, so all rates share the
-block's generated instances — and produces probe-for-probe the fast
-engine's results. ``engine="fast"``
+``DEFAULT_ENGINE`` like every other GC sweep: every (rate, policy)
+combination of one repetition becomes a lane of that repetition's
+columnar block — the fault seed depends only on the repetition, so all
+rates share the block's generated instance — and produces
+probe-for-probe the fast engine's results. ``engine="fast"``
 runs the combinations one at a time; lanes the batch engine cannot take
 fall back to the fast engine per (cell, policy) and are counted in
 ``RunOutcome.fell_back`` / ``SweepResult.fell_back``.
@@ -94,9 +94,10 @@ def _run_fault_cells(config: ExperimentConfig, rates: Sequence[float],
     """One RunOutcome per rate, all cells through the harness executors.
 
     The flat cell list spans every (rate, repetition); under the batch
-    engine all cells share one block key — the fault seed folds in only
-    the repetition, so every rate faces the same generated world — and
-    the whole sweep advances as columnar mega blocks.
+    engine the cells of one repetition share a generated instance — the
+    fault seed folds in only the repetition, so every rate faces the
+    same generated world — and advance as the lanes of one columnar
+    block, so the whole sweep is ``repetitions`` blocks.
     """
     return _run_settings(
         [config] * len(rates), policies, False, source, engine, "fast",
@@ -118,9 +119,8 @@ def run_fault_setting(config: ExperimentConfig, failure_rate: float,
     Every (policy, repetition) run gets a fresh breaker — breaker state
     is per-run — but the fault *seed* is shared per repetition, so all
     policies face the same unreliable world. ``engine="batch"`` (the
-    harness default) runs every (repetition, policy) combination as one
-    lane of a columnar mega block; results are identical to
-    ``engine="fast"``.
+    harness default) runs a repetition's policies as the lanes of one
+    columnar block; results are identical to ``engine="fast"``.
     """
     return _run_fault_cells(config, (failure_rate,), policies, retry,
                             use_breaker, source, engine, workers)[0]
@@ -138,9 +138,9 @@ def fault_sweep(scale: str = "default",
 
     ``engine`` picks the simulation engine for every (rate, repetition,
     policy) combination — ``"batch"`` (the harness default) advances
-    them as lanes of shared columnar mega blocks, ``"fast"`` runs them
-    one at a time; both produce identical series. ``workers=N`` farms cells out to a
-    process pool. ``config`` overrides the baseline config of ``scale``
+    them as lanes of one columnar block per repetition, ``"fast"`` runs
+    them one at a time; both produce identical series. ``workers=N``
+    farms cells out to a process pool. ``config`` overrides the baseline config of ``scale``
     (benchmarks sweep custom sizes).
     """
     if config is None:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.core.profile import ProfileSet
+from repro.core.timeline import Epoch
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.instances import (
     InstanceCache,
@@ -149,13 +150,22 @@ class RunOutcome:
     engine handed to the fast engine (policies without a columnar kind,
     or blocks the columnar form cannot encode); it is 0 for other
     engines. ``engine`` names the engine that served the cells (empty
-    for outcomes assembled by hand).
+    for outcomes assembled by hand). ``block_ids`` identifies the
+    columnar passes that served them — shared with the other settings of
+    a sweep whose cells rode the same passes — and ``blocks`` counts
+    them.
     """
 
     config: ExperimentConfig
     outcomes: dict[str, PolicyOutcome]
     fell_back: int = 0
     engine: str = ""
+    block_ids: frozenset = frozenset()
+
+    @property
+    def blocks(self) -> int:
+        """Columnar passes (``run_block`` calls) that served this setting."""
+        return len(self.block_ids)
 
     @property
     def shared_block(self) -> bool:
@@ -205,6 +215,12 @@ class SweepResult:
     def fell_back(self) -> int:
         """Total fast-engine fallbacks across the sweep's runs."""
         return sum(run.fell_back for run in self.runs)
+
+    @property
+    def blocks(self) -> int:
+        """Columnar passes made for the sweep (a pass shared by several
+        settings counts once)."""
+        return len(frozenset().union(*(run.block_ids for run in self.runs)))
 
     @property
     def engine(self) -> str:
@@ -275,78 +291,88 @@ def _run_cell(config: ExperimentConfig, repetition: int,
     return cell
 
 
-#: Cell-dict key under which the blocked path counts its fast-engine
-#: fallbacks; :func:`_merge_cells` pops it before reading policy labels.
+#: Cell-dict keys under which the blocked path reports its fast-engine
+#: fallbacks (a count) and the columnar passes that served the cell (a
+#: set of pass ids); :func:`_merge_cells` pops both before reading
+#: policy labels.
 _FELL_BACK = "__fell_back__"
+_BLOCKS = "__blocks__"
 
 #: Lane cap per columnar pass: bounds the (lanes x states) working-set
-#: of one mega block; oversized blocks run as chunks over one shared
-#: column space.
+#: of one block; oversized blocks run as chunks over one lowering.
 _MAX_BLOCK_LANES = 512
 
-#: A columnar lowering is a pure function of the generated instances and
-#: the epoch, and sweeps re-run the same block once per swept value —
-#: keep the last few lowerings so repeated blocks skip the build.
-#: ``run_block`` never mutates the shared lowering (all mutable state is
-#: per-run lane arrays), so cached blocks are safe to reuse.
-_COLUMNAR_CACHE: OrderedDict[tuple, ColumnarInstance] = OrderedDict()
-_COLUMNAR_CACHE_SIZE = 8
+#: A columnar lowering is a pure function of the generated instance (its
+#: generation key pins the epoch too), and ``run_block`` never mutates
+#: it — all mutable state is per-run lane arrays — so a later call that
+#: sweeps the same instance (a fault sweep after a budget sweep, a
+#: figure's next panel, a benchmark's next round) reuses the build and
+#: the fault draws made on it. The bound covers the repetitions of one
+#: setting under the paper's protocol (10, §5.1): a smaller one cycles
+#: through them and never hits.
+_COLUMNAR_CACHE: OrderedDict[str, ColumnarInstance] = OrderedDict()
+_COLUMNAR_CACHE_SIZE = 10
 
 
-def _block_key(config: ExperimentConfig, source: str) -> str:
-    """Grouping key for cells that can share one columnar mega block.
+def _group_by_instance(cell_args: Sequence[tuple]) -> dict[str, list[int]]:
+    """Cell positions grouped by the generated instance they run on.
 
-    Cells agree on everything that feeds instance generation — budget,
-    repetition count and index are free to differ, because repetitions
-    become *instances* inside the block and the budget is a per-lane
-    property.
+    The key is the cell's :func:`generation_key`: budget, policies and
+    fault layer are free to differ — they become lanes — while another
+    repetition is another instance, hence another block. Serial blocks
+    and worker chunks both split along these groups.
     """
-    return generation_key(config, 0, source)
+    groups: dict[str, list[int]] = {}
+    for at, args in enumerate(cell_args):
+        config, repetition, _policies, _offline, source = args[:5]
+        groups.setdefault(generation_key(config, repetition, source),
+                          []).append(at)
+    return groups
+
+
+def _lowering(gkey: str, profiles: ProfileSet,
+              epoch: Epoch) -> ColumnarInstance:
+    """The instance's columnar form, from the LRU when it is there."""
+    columnar = _COLUMNAR_CACHE.get(gkey)
+    if columnar is None:
+        columnar = _COLUMNAR_CACHE[gkey] = ColumnarInstance.build(
+            profiles, epoch)
+        while len(_COLUMNAR_CACHE) > _COLUMNAR_CACHE_SIZE:
+            _COLUMNAR_CACHE.popitem(last=False)
+    else:
+        _COLUMNAR_CACHE.move_to_end(gkey)
+    return columnar
 
 
 def _run_cells_blocked(cell_args: Sequence[tuple]
                        ) -> list[dict[str, tuple[float, float]]]:
-    """Serial batch-engine path: group cells into columnar mega blocks.
+    """Serial batch-engine path: one columnar block per generated instance.
 
-    Cells sharing a :func:`_block_key` (same generated world up to
-    budget/repetition) are lowered into one shared column space and
-    advanced together — every policy of every cell is a lane. Policies
-    without a columnar kind, and blocks the columnar form cannot encode,
-    fall back to the fast engine per (cell, policy). Results land in the
-    original cell order.
+    Cells sharing a generated instance (see :func:`_group_by_instance`)
+    run over one lowering — every policy of every such cell is a lane.
+    Policies without a columnar kind, and instances the columnar form
+    cannot encode, fall back to the fast engine per (cell, policy).
+    Results land in the original cell order.
     """
     cells: list[dict[str, tuple[float, float]]] = [None] * len(cell_args)
-    blocks: dict[str, list[int]] = {}
-    for at, args in enumerate(cell_args):
-        config, _repetition, _policies, _offline, source = args[:5]
-        blocks.setdefault(_block_key(config, source), []).append(at)
-    for indices in blocks.values():
-        _run_one_block(cell_args, indices, cells)
+    for gkey, indices in _group_by_instance(cell_args).items():
+        _run_one_block(cell_args, gkey, indices, cells)
     return cells
 
 
-def _run_one_block(cell_args: Sequence[tuple], indices: Sequence[int],
-                   cells: list) -> None:
-    """Run one mega block's cells, writing results into ``cells``."""
-    epoch = cell_args[indices[0]][0].epoch
-    inst_index: dict[str, int] = {}
-    profile_sets: list[ProfileSet] = []
-    cell_insts: dict[int, int] = {}
+def _run_one_block(cell_args: Sequence[tuple], gkey: str,
+                   indices: Sequence[int], cells: list) -> None:
+    """Run the cells of one generated instance, writing into ``cells``."""
+    config, repetition, _policies, _offline, source = \
+        cell_args[indices[0]][:5]
+    epoch = config.epoch
+    _trace, profiles = make_instance(config, repetition, source=source)
     lane_specs: list[tuple] = []
     lane_home: list[tuple[int, str]] = []
     fallback: list[tuple[int, str]] = []
     for at in indices:
-        config, repetition, policies, _offline, source = \
-            cell_args[at][:5]
-        fault_cfg = cell_args[at][7]
-        gkey = generation_key(config, repetition, source)
-        inst = inst_index.get(gkey)
-        if inst is None:
-            _trace, profiles = make_instance(config, repetition,
-                                             source=source)
-            inst = inst_index[gkey] = len(profile_sets)
-            profile_sets.append(profiles)
-        cell_insts[at] = inst
+        config, policies, fault_cfg = \
+            cell_args[at][0], cell_args[at][2], cell_args[at][7]
         cells[at] = {}
         for label in policies:
             policy, preemptive = parse_policy_spec(label)
@@ -357,42 +383,33 @@ def _run_one_block(cell_args: Sequence[tuple], indices: Sequence[int],
             # state is per-run, and the plane rejects shared breakers.
             fault = fault_cfg.lane() if fault_cfg is not None else None
             lane_specs.append((policy, preemptive, config.budget_vector,
-                               inst, fault))
+                               0, fault))
             lane_home.append((at, label))
 
     if lane_specs:
-        # Generation keys pin down the instances *and* the epoch, so the
-        # ordered key tuple identifies the lowering exactly.
-        cache_key = tuple(inst_index)
         try:
-            columnar = _COLUMNAR_CACHE.get(cache_key)
-            if columnar is None:
-                columnar = ColumnarInstance.build_many(profile_sets, epoch)
-                _COLUMNAR_CACHE[cache_key] = columnar
-                while len(_COLUMNAR_CACHE) > _COLUMNAR_CACHE_SIZE:
-                    _COLUMNAR_CACHE.popitem(last=False)
-            else:
-                _COLUMNAR_CACHE.move_to_end(cache_key)
+            columnar = _lowering(gkey, profiles, epoch)
             results: list | None = []
             for lo in range(0, len(lane_specs), _MAX_BLOCK_LANES):
                 results.extend(run_block(
-                    profile_sets, epoch,
-                    lane_specs[lo:lo + _MAX_BLOCK_LANES],
+                    profiles, epoch, lane_specs[lo:lo + _MAX_BLOCK_LANES],
                     columnar=columnar))
         except BatchUnsupported:
             results = None
         if results is None:
             fallback = list(lane_home) + fallback
         else:
-            for (at, label), result in zip(lane_home, results):
+            for lane, ((at, label), result) in enumerate(
+                    zip(lane_home, results)):
                 cells[at][label] = (result.gc, result.runtime_seconds)
+                cells[at].setdefault(_BLOCKS, set()).add(
+                    (gkey, lane // _MAX_BLOCK_LANES))
 
     for at, label in fallback:
         config, fault_cfg = cell_args[at][0], cell_args[at][7]
         kwargs = fault_cfg.run_kwargs() if fault_cfg is not None else {}
         policy, preemptive = parse_policy_spec(label)
-        result = run_online(profile_sets[cell_insts[at]], epoch,
-                            config.budget_vector, policy,
+        result = run_online(profiles, epoch, config.budget_vector, policy,
                             preemptive=preemptive, engine="fast",
                             **kwargs)
         cells[at][label] = (result.gc, result.runtime_seconds)
@@ -403,7 +420,7 @@ def _run_one_block(cell_args: Sequence[tuple], indices: Sequence[int],
             _engine, offline_engine = cell_args[at][:7]
         if include_offline:
             result = LocalRatioApproximation(engine=offline_engine).solve(
-                profile_sets[cell_insts[at]], epoch, config.budget_vector)
+                profiles, epoch, config.budget_vector)
             cells[at][OFFLINE_LABEL] = (result.gc, result.runtime_seconds)
 
 
@@ -415,18 +432,6 @@ def _run_cells_serial(cell_args: Sequence[tuple]
     return [_run_cell(*args) for args in cell_args]
 
 
-def _run_cell_batch(cell_args: Sequence[tuple]
-                    ) -> list[dict[str, tuple[float, float]]]:
-    """Run a chunk of cells inside one worker task.
-
-    Chunked submission amortizes pickling and lets the worker-local
-    instance cache (seeded by the pool initializer) serve repeated
-    (setting, repetition) instances without regenerating them. Batch
-    chunks group into mega blocks exactly like the serial path.
-    """
-    return _run_cells_serial(cell_args)
-
-
 def _run_cells_parallel(cell_args: Sequence[tuple],
                         workers: int
                         ) -> list[dict[str, tuple[float, float]]]:
@@ -435,21 +440,22 @@ def _run_cells_parallel(cell_args: Sequence[tuple],
     Workers are initialized with the parent's cache configuration
     (cache directory and fast/reference choice), so a shared
     ``--cache-dir`` lets them reuse stored instances. Cells that share
-    an instance (same :func:`_block_key`) are grouped into the same
-    chunk — one worker then serves them from one cache entry (and, for
-    the batch engine, one columnar block) instead of regenerating or
-    re-reading the instance N times. Chunks are packed to a few per
-    worker to balance load, and results are scattered back into
-    submission order — identical to the serial path's ordering for any
-    worker count.
+    an instance (see :func:`_group_by_instance`) are grouped into the
+    same chunk — one worker then serves them from one cache entry (and,
+    for the batch engine, one columnar block) instead of regenerating or
+    re-reading the instance N times; the repetitions of a setting are
+    different instances, so even a one-parameter budget sweep spreads
+    over up to ``repetitions`` chunks. Chunks are packed to a few per
+    worker to balance load (chunked submission also amortizes
+    pickling); a worker runs its chunk through :func:`_run_cells_serial`,
+    so batch chunks split into per-instance blocks exactly like the
+    serial path, and results are scattered back into submission order —
+    identical to the serial path's ordering for any worker count.
     """
     chunk_size = max(1, -(-len(cell_args) // (workers * 4)))
-    groups: dict[str, list[int]] = {}
-    for at, args in enumerate(cell_args):
-        groups.setdefault(_block_key(args[0], args[4]), []).append(at)
     chunks: list[list[int]] = []
     current: list[int] = []
-    for group in groups.values():
+    for group in _group_by_instance(cell_args).values():
         current.extend(group)
         if len(current) >= chunk_size:
             chunks.append(current)
@@ -462,7 +468,7 @@ def _run_cells_parallel(cell_args: Sequence[tuple],
             max_workers=workers, initializer=_pool_worker_init,
             initargs=(cache_dir, fast_default())) as pool:
         futures = [
-            pool.submit(_run_cell_batch, [cell_args[at] for at in chunk])
+            pool.submit(_run_cells_serial, [cell_args[at] for at in chunk])
             for chunk in chunks
         ]
         cells: list[dict[str, tuple[float, float]]] = [None] * len(cell_args)
@@ -481,8 +487,10 @@ def _merge_cells(config: ExperimentConfig,
     gc_acc: dict[str, list[float]] = {label: [] for label in labels}
     rt_acc: dict[str, list[float]] = {label: [] for label in labels}
     fell_back = 0
+    block_ids: set = set()
     for cell in cells:
         fell_back += cell.pop(_FELL_BACK, 0)
+        block_ids |= cell.pop(_BLOCKS, set())
         for label in labels:
             gc, runtime = cell[label]
             gc_acc[label].append(gc)
@@ -493,7 +501,8 @@ def _merge_cells(config: ExperimentConfig,
         for label in labels
     }
     return RunOutcome(config=config, outcomes=outcomes,
-                      fell_back=fell_back, engine=engine)
+                      fell_back=fell_back, engine=engine,
+                      block_ids=frozenset(block_ids))
 
 
 def _run_settings(configs: Sequence[ExperimentConfig],
@@ -505,11 +514,12 @@ def _run_settings(configs: Sequence[ExperimentConfig],
     """One :class:`RunOutcome` per config, from one flat cell list.
 
     All (setting, repetition) cells go to the executor together: the
-    batch engine groups cells that share generated instances (e.g. a
-    budget sweep's settings) into columnar mega blocks spanning config
-    boundaries, and ``workers=N`` (N > 1) spreads the list over one
-    process pool. ``fault_cell(setting_index, repetition)`` supplies a
-    cell's :class:`FaultCell`. Cells merge in serial iteration order.
+    batch engine groups cells that share a generated instance (e.g. one
+    repetition of every setting of a budget sweep) into one columnar
+    block spanning config boundaries, and ``workers=N`` (N > 1) spreads
+    the list over one process pool. ``fault_cell(setting_index,
+    repetition)`` supplies a cell's :class:`FaultCell`. Cells merge in
+    serial iteration order.
     """
     flat = [
         (config, repetition, tuple(policies), include_offline, source,

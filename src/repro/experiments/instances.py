@@ -91,8 +91,8 @@ def generation_key(config: ExperimentConfig, repetition: int,
     not feed generation (budget, repetitions): two sweep cells that
     differ only in budget map to the same generation key and therefore
     the same (trace, profiles) object. This is the batching key — the
-    harness groups cells sharing it into one columnar mega block, and
-    the in-memory LRU dedupes on it.
+    harness runs the cells sharing it as the lanes of one columnar
+    block, and the in-memory LRU dedupes on it.
     """
     fields = asdict(config)
     for name in _NON_GENERATIVE_FIELDS:

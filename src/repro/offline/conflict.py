@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import networkx as nx
-
 from repro.core.budget import BudgetVector
 from repro.core.intervals import ExecutionInterval, TInterval
 from repro.core.profile import ProfileSet
@@ -150,6 +148,10 @@ def unit_conflict_graph(profiles: ProfileSet,
     """
     if not profiles.is_unit_width:
         raise ValueError("unit_conflict_graph requires a P^[1] profile set")
+    # Only the two reference builders need networkx; ``import repro``
+    # does not load it.
+    import networkx as nx
+
     graph = nx.Graph()
     demands: dict[TKey, dict[int, frozenset[int]]] = {}
     for eta in profiles.tintervals():
@@ -184,6 +186,8 @@ def overlap_graph(profiles: ProfileSet) -> nx.Graph:
     true conflict relation; used only to drive the Local-Ratio weight
     decomposition for non-unit instances.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     spans: list[tuple[TKey, int, int]] = []
     for eta in profiles.tintervals():

@@ -186,6 +186,10 @@ class IncrementalLocalRatio:
         assigner is then *diffed* to the new acceptance — only departed
         and newly-accepted t-intervals touch the matching structures.
         """
+        if self._use_lp:
+            # As in LocalRatioApproximation.solve: scipy loads before
+            # the clock starts.
+            import scipy.optimize  # noqa: F401
         started = time.perf_counter()
         keys: list[TKey] = sorted(self._adjacency)
         guidance = fractional_guidance(

@@ -21,8 +21,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.core.budget import BudgetVector
 from repro.core.completeness import evaluate_schedule
@@ -87,6 +85,11 @@ class MILPSolver:
         SolverError
             When HiGHS reports an infeasible/failed solve.
         """
+        # Loaded on first use — no online path needs scipy, so ``import
+        # repro`` does not pay for it — and before the clock starts.
+        from scipy import sparse
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
         started = time.perf_counter()
 
         # ---- enumerate variables -------------------------------------

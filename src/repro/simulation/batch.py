@@ -1,9 +1,11 @@
-"""Columnar mega-batch simulation engine.
+"""Columnar batch simulation engine.
 
-:func:`run_block` advances *many* fault-free online runs over one shared
-instance — a whole policy lineup × every budget variant × every
-repetition that maps to the same generated profiles — in a single
-chronon-major vectorized loop. Each independent run is a **lane**: a
+:func:`run_block` advances *many* online runs over one shared instance
+— a whole policy lineup × every budget variant × every fault rate swept
+over the same generated profiles — in a single chronon-major vectorized
+loop. A block holds exactly one instance: another repetition of a
+setting is another block, so a lane never scans EIs it cannot probe.
+Each independent run is a **lane**: a
 ``(policy, preemptive, budget)`` triple with its own row in the
 ``(lanes, ...)`` state matrices (captured flags, per-state capture
 counts, commitment and doom flags, M-EDF aggregates). One pass over the
@@ -133,7 +135,6 @@ class _Lane:
     policy: Policy
     preemptive: bool
     budget: BudgetVector
-    inst: int
     kind: str
     sees_doom: bool
     spec: FaultSpec | None = None
@@ -209,49 +210,44 @@ def _lower_fault(fault: object | None, seen: set[int]):
     return spec, injector, max_retries, breaker
 
 
-def _make_lanes(lanes: Sequence[tuple], n_inst: int) -> list[_Lane]:
+def _make_lanes(lanes: Sequence[tuple]) -> list[_Lane]:
     out: list[_Lane] = []
     seen: set[int] = set()
-    for spec in lanes:
-        fault = None
-        if len(spec) == 5:
-            policy, preemptive, budget, inst, fault = spec
-        elif len(spec) == 4:
-            policy, preemptive, budget, inst = spec
-        else:
-            policy, preemptive, budget = spec
-            inst = 0
+    for policy, preemptive, budget, *rest in lanes:
+        inst = rest[0] if rest else 0
+        fault = rest[1] if len(rest) > 1 else None
         kind = batch_kind(policy)
         if kind is None:
             raise BatchUnsupported(
                 f"policy {policy.name!r} ({type(policy).__name__}) has no "
                 "columnar scoring kind")
-        if not 0 <= inst < n_inst:
-            raise BatchUnsupported(
-                f"lane instance {inst} out of range for {n_inst} instances")
+        if inst != 0:
+            raise ValueError(
+                f"lane names instance {inst}, but a block holds one "
+                "instance (index 0); run every other instance as its own "
+                "block")
         fspec, injector, max_retries, breaker = _lower_fault(fault, seen)
-        out.append(_Lane(policy, preemptive, budget, inst, kind,
+        out.append(_Lane(policy, preemptive, budget, kind,
                          policy.level != EI_LEVEL, fspec, injector,
                          max_retries, breaker))
     return out
 
 
 def run_block(
-    profiles: ProfileSet | Sequence[ProfileSet],
+    profiles: ProfileSet,
     epoch: Epoch,
     lanes: Sequence[tuple],
     *,
     columnar: ColumnarInstance | None = None,
 ) -> list[SimulationResult]:
-    """Run every lane over the shared column space in one vectorized pass.
+    """Run every lane over the instance's columns in one vectorized pass.
 
-    ``profiles`` is one :class:`ProfileSet` or a sequence of them (a mega
-    block over several same-epoch instances, e.g. a sweep cell's
-    repetitions). Each lane is ``(policy, preemptive, budget)`` — with an
-    optional fourth element naming the lane's instance index and an
+    Each lane is ``(policy, preemptive, budget)`` — with an optional
+    fourth element, the instance index, which must be 0 (a block holds
+    one instance; anything else is a :class:`ValueError`), and an
     optional fifth carrying a :class:`FaultLane` (or None) — and gets
     one :class:`SimulationResult`, in lane order, identical to what
-    ``FastProxySimulator(profiles[inst], epoch, budget, policy,
+    ``FastProxySimulator(profiles, epoch, budget, policy,
     preemptive).run()`` (with the lane's faults/retry/breaker) would
     produce — schedule, report, fault stats, breaker end state, and for
     recording injectors the :class:`~repro.faults.model.FaultTrace`,
@@ -265,13 +261,9 @@ def run_block(
     plane cannot lower (see :class:`FaultLane`).
     """
     started = time.perf_counter()
-    if columnar is not None:
-        col = columnar
-    elif isinstance(profiles, ProfileSet):
-        col = ColumnarInstance.build(profiles, epoch)
-    else:
-        col = ColumnarInstance.build_many(profiles, epoch)
-    lane_objs = _make_lanes(lanes, col.n_inst)
+    col = columnar if columnar is not None else \
+        ColumnarInstance.build(profiles, epoch)
+    lane_objs = _make_lanes(lanes)
     L = len(lane_objs)
     probes = _advance(col, lane_objs) if L else []
     elapsed = time.perf_counter() - started
@@ -312,11 +304,9 @@ class _FaultPlane:
                  lane_objs: list[_Lane]) -> None:
         self.lanes = lane_objs
         L = self.L = len(lane_objs)
-        self.rid_stride = stride = col.rid_stride
-        _grp_T, grp_rid_local = col.fault_layout()
-        self.grp_rid_local = grp_rid_local
+        rid_space = col.rid_space
 
-        self.rate_mat = np.zeros((L, stride))
+        self.rate_mat = np.zeros((L, rid_space))
         self.t_prob = np.zeros(L)
         self.s_prob = np.zeros(L)
         self.maxp = np.full(L, np.iinfo(np.int64).max, dtype=np.int64)
@@ -330,7 +320,7 @@ class _FaultPlane:
                 continue
             self.rate_mat[i, :] = spec.failure_probability
             for rid, rate in spec.per_resource.items():
-                if 0 <= rid < stride:
+                if 0 <= rid < rid_space:
                     self.rate_mat[i, rid] = rate
             self.t_prob[i] = spec.timeout_probability
             self.s_prob[i] = spec.stale_probability
@@ -360,7 +350,7 @@ class _FaultPlane:
                                    and self.injectors[i] is not None))
 
         out_rows = np.zeros(L, dtype=np.int64)
-        rows = [np.zeros(grp_rid_local.size, dtype=bool)]
+        rows = [np.zeros(col.grp_rid.size, dtype=bool)]
         by_cfg: dict[tuple, int] = {}
         for i, ln in enumerate(lane_objs):
             spec = ln.spec
@@ -375,7 +365,6 @@ class _FaultPlane:
         self.OUT = np.vstack(rows)
         self.out_rows = out_rows
 
-        rid_space = stride * col.n_inst
         self.has_brk = np.array([ln.breaker is not None
                                  for ln in lane_objs])
         self.any_brk = bool(self.has_brk.any())
@@ -425,14 +414,13 @@ class _FaultPlane:
         (recovered or not) for the caller's commitment hook.
         """
         gg = glo + g_pk
-        rid_glob = grids[g_pk]
-        rid_loc = self.grp_rid_local[gg]
+        rid = grids[g_pk]
         out = self.OUT[self.out_rows[lanes_pk], gg]
         thr = ~out & (pos_pk + 1 > self.maxp[lanes_pk])
         fail = out | thr
         live = ~fail
         drop = live & self._below(self.drop_rows[lanes_pk], gg,
-                                  self.rate_mat[lanes_pk, rid_loc])
+                                  self.rate_mat[lanes_pk, rid])
         fail |= drop
         live &= ~drop
         tmo = live & self._below(self.tmo_rows[lanes_pk], gg,
@@ -444,14 +432,14 @@ class _FaultPlane:
             hb = self.has_brk[lanes_pk]
             s_sel = ok & hb
             if s_sel.any():
-                ls, rs = lanes_pk[s_sel], rid_glob[s_sel]
+                ls, rs = lanes_pk[s_sel], rid[s_sel]
                 # record_success pops the whole resource state.
                 self.consec[ls, rs] = 0
                 self.trips[ls, rs] = 0
                 self.open_until[ls, rs] = -1
             f_sel = fail & hb
             if f_sel.any():
-                lf, rf = lanes_pk[f_sel], rid_glob[f_sel]
+                lf, rf = lanes_pk[f_sel], rid[f_sel]
                 newc = self.consec[lf, rf] + 1
                 self.consec[lf, rf] = newc
                 trip = newc >= self.thresh[lf]
@@ -478,7 +466,7 @@ class _FaultPlane:
                     else:
                         st, flt, sl = PROBE_OK, None, False
                     inj.trace.append(FaultRecord(
-                        chronon=T, resource_id=int(rid_loc[j]),
+                        chronon=T, resource_id=int(rid[j]),
                         attempt=0, status=st, fault=flt, stale=sl))
 
         self.failures += np.bincount(lanes_pk[fail], minlength=self.L)
@@ -491,7 +479,7 @@ class _FaultPlane:
                 if mr == 0:
                     continue
                 rec = self._retry_lane(
-                    i, T, lanes_pk, fail, rid_glob, rid_loc, gg, out,
+                    i, T, lanes_pk, fail, rid, gg, out,
                     int(k_arr[i]) - int(n_dec[i]), int(n_dec[i]), mr)
                 for j in rec:
                     extra_l.append(i)
@@ -507,9 +495,8 @@ class _FaultPlane:
                 (cap_g, np.asarray(extra_g, dtype=np.int64)))
         return cap_l, cap_g, fail
 
-    def _retry_lane(self, i: int, T: int, lanes_pk, fail, rid_glob,
-                    rid_loc, gg, out, budget_left: int, counter: int,
-                    mr: int) -> list[int]:
+    def _retry_lane(self, i: int, T: int, lanes_pk, fail, rid, gg, out,
+                    budget_left: int, counter: int, mr: int) -> list[int]:
         """Replay lane i's retries in decision order; -> recovered picks."""
         spec = self.specs[i]
         brk = self.lanes[i].breaker
@@ -521,14 +508,13 @@ class _FaultPlane:
 
         recovered: list[int] = []
         for j in np.nonzero((lanes_pk == i) & fail)[0].tolist():
-            rg = int(rid_glob[j])
-            rl = int(rid_loc[j])
+            r = int(rid[j])
             g = int(gg[j])
             down = bool(out[j])
             for a in range(1, mr + 1):
                 if budget_left <= 0:
                     break
-                if brk is not None and self.open_until[i, rg] >= T:
+                if brk is not None and self.open_until[i, r] >= T:
                     break
                 budget_left -= 1
                 counter += 1
@@ -540,7 +526,7 @@ class _FaultPlane:
                         and counter > spec.max_probes_per_chronon):
                     st, flt = PROBE_THROTTLED, "rate-limit"
                 else:
-                    rate = spec.failure_rate_for(rl)
+                    rate = spec.failure_rate_for(r)
                     if rate > 0.0 and draw("drop", g, a) < rate:
                         st, flt = PROBE_FAILED, "drop"
                     elif (spec.timeout_probability > 0.0
@@ -553,24 +539,24 @@ class _FaultPlane:
                         flt, sl = "stale", True
                 if inj is not None:
                     inj.trace.append(FaultRecord(
-                        chronon=T, resource_id=rl, attempt=a,
+                        chronon=T, resource_id=r, attempt=a,
                         status=st, fault=flt, stale=sl))
                 if st == PROBE_OK:
                     if brk is not None:
-                        self.consec[i, rg] = 0
-                        self.trips[i, rg] = 0
-                        self.open_until[i, rg] = -1
+                        self.consec[i, r] = 0
+                        self.trips[i, r] = 0
+                        self.open_until[i, r] = -1
                     recovered.append(j)
                     break
                 self.failures[i] += 1
                 if brk is not None:
-                    c = int(self.consec[i, rg]) + 1
-                    self.consec[i, rg] = c
+                    c = int(self.consec[i, r]) + 1
+                    self.consec[i, r] = c
                     if c >= brk.failure_threshold:
-                        self.open_until[i, rg] = T + brk._cooldown_for(
-                            int(self.trips[i, rg]))
-                        self.trips[i, rg] += 1
-                        self.ever[i, rg] = True
+                        self.open_until[i, r] = T + brk._cooldown_for(
+                            int(self.trips[i, r]))
+                        self.trips[i, r] += 1
+                        self.ever[i, r] = True
                         self.blocking = True
         return recovered
 
@@ -580,9 +566,8 @@ class _FaultPlane:
             brk = ln.breaker
             if brk is None:
                 continue
-            off = ln.inst * self.rid_stride
-            for r in np.nonzero(self.ever[i])[0].tolist():
-                brk.ever_quarantined.add(r - off)
+            brk.ever_quarantined.update(
+                np.nonzero(self.ever[i])[0].tolist())
             # A resource keeps a _ResourceState exactly while its last
             # event was a failure (success pops it).
             for r in np.nonzero(self.consec[i] > 0)[0].tolist():
@@ -590,7 +575,7 @@ class _FaultPlane:
                 state.consecutive_failures = int(self.consec[i, r])
                 state.open_until = int(self.open_until[i, r])
                 state.trips = int(self.trips[i, r])
-                brk._states[r - off] = state
+                brk._states[r] = state
 
     def lane_stats(self) -> list[tuple[int, int, int]]:
         return [(int(self.failures[i]), int(self.retries[i]),
@@ -604,13 +589,9 @@ class _FaultPlane:
 def _advance(col: ColumnarInstance, lane_objs: list[_Lane]):
     L = len(lane_objs)
     S, E = col.S, col.E
-    lane_inst = np.array([ln.inst for ln in lane_objs], dtype=np.int64)
     # Capture state is kept *inverted* (alive = still uncaptured) so the
-    # hot per-chronon gathers need no element-wise NOT. Foreign EIs
-    # (other instances in a mega block) start dead: they can never
-    # become candidates, never doom, never count — the whole
-    # cross-instance separation in one init.
-    alive = col.ei_inst[None, :] == lane_inst[:, None]
+    # hot per-chronon gathers need no element-wise NOT.
+    alive = np.ones((L, E), dtype=bool)
     cap_count = np.zeros((L, S), dtype=np.int64)
     # A state is committed exactly when it has ever yielded a capture
     # (the fault-free path never reaches the explicit commit hook), so
@@ -923,8 +904,6 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane]):
         rids_all = np.concatenate([g for _, _, g in probe_log])
         ts_all = np.concatenate(
             [np.full(r.size, t, dtype=np.int64) for t, r, _ in probe_log])
-        # Undo the per-instance resource-id offset before reporting.
-        rids_all = rids_all - lane_inst[rows_all] * col.rid_stride
         order = np.lexsort((rids_all, rows_all))
         rows_all = rows_all[order]
         rids_all = rids_all[order]
@@ -958,19 +937,17 @@ def _finalize(col: ColumnarInstance, lane: _Lane,
               runtime: float,
               stats: tuple[int, int, int] = (0, 0, 0)) -> SimulationResult:
     complete = cap_count == col.st_size
-    if col.n_inst > 1:
-        complete = complete & (col.st_inst == lane.inst)
     captured_total = int(np.count_nonzero(complete))
-    total = col.inst_sizes[lane.inst]
+    total = col.S
 
-    profile_totals = col.profile_totals[lane.inst]
+    profile_totals = col.profile_totals
     max_pid = max(profile_totals, default=-1)
     p_hits = np.bincount(col.st_profile[complete],
                          minlength=max_pid + 1).tolist()
     per_profile = {pid: (p_hits[pid], tot)
                    for pid, tot in profile_totals.items()}
 
-    rank_totals = col.rank_totals[lane.inst]
+    rank_totals = col.rank_totals
     max_size = max(rank_totals, default=0)
     r_hits = np.bincount(col.st_size[complete],
                          minlength=max_size + 1).tolist()

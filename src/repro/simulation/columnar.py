@@ -41,7 +41,6 @@ import random
 import time
 from itertools import chain
 from operator import attrgetter
-from typing import Sequence
 
 import numpy as np
 
@@ -81,7 +80,7 @@ class FaultDraws:
     draws at. Entry ``[row, g]`` reproduces
     :meth:`repro.faults.model.FaultInjector._draw` bit for bit,
     ``random.Random(f"{seed}:{channel}:{rid}:{T}:{attempt}").random()``
-    for the group's (local) resource and chronon, or is NaN while no
+    for the group's resource and chronon, or is NaN while no
     probe has asked for it. A draw depends on its key alone — not on
     probe order, nor on whether the fast engine would have consumed it
     (a skipped channel consumes nothing) — so filling entries lazily and
@@ -91,9 +90,9 @@ class FaultDraws:
     consult a channel read it.
     """
 
-    def __init__(self, grp_T: np.ndarray, grp_rid_local: np.ndarray) -> None:
+    def __init__(self, grp_T: np.ndarray, grp_rid: np.ndarray) -> None:
         self._grp_T = grp_T
-        self._grp_rid = grp_rid_local
+        self._grp_rid = grp_rid
         self.keys: list[tuple[int, str, int] | None] = [None]
         self._rows: dict[tuple[int, str, int], int] = {}
         self.values = np.full((1, grp_T.size), 2.0)
@@ -178,30 +177,24 @@ class _StaticKeys(dict):
 
 
 class ColumnarInstance:
-    """Flat-array form of one or more (profiles, epoch) instances.
+    """Flat-array form of one (profiles, epoch) instance.
 
-    Build once with :meth:`build` (single instance) or :meth:`build_many`
-    (a *mega block*: several instances — typically the repetitions of a
-    sweep cell — concatenated into one column space). The result is
-    immutable and shared by every lane of every block run on it (all
-    per-run state lives in the engine, not here).
-
-    Multi-instance concatenation keeps instances disjoint by
-    construction: resource ids are offset per instance
-    (``rid' = rid + instance * rid_stride``) so per-resource groups never
-    mix instances, and states keep their within-instance (arrival,
-    creation) order under the global stable arrival sort, so the global
-    state/EI indices order each instance's tie-breaks exactly as its
-    standalone layout would. The engine confines a lane to its instance
-    by pre-marking every foreign EI as already captured — cross-instance
-    isolation costs nothing per chronon.
+    Build once with :meth:`build`. The result is immutable and shared by
+    every lane of every block run on it — all the budgets, policies and
+    fault rates swept over one generated instance — since all per-run
+    state lives in the engine, not here. A different instance (another
+    repetition of a setting) is a different lowering and a different
+    block: a lane's cost is then proportional to the EIs it can ever
+    probe, never to what else was packed beside them.
     """
 
-    def __init__(self, profile_sets: Sequence[ProfileSet],
-                 epoch: Epoch) -> None:
+    def __init__(self, profiles: ProfileSet, epoch: Epoch) -> None:
         began = time.perf_counter()
-        self.profile_sets = list(profile_sets)
-        self.n_inst = len(self.profile_sets)
+        if not isinstance(profiles, ProfileSet):
+            raise TypeError(
+                f"a lowering holds one ProfileSet, got "
+                f"{type(profiles).__name__}; lower each instance on its "
+                "own")
         self.epoch = epoch
         last = epoch.last
 
@@ -210,7 +203,7 @@ class ColumnarInstance:
         # flattened in creation order, one fromiter per attribute column.
         # Everything below is array arithmetic on these columns.
         # ------------------------------------------------------------------
-        profiles = list(chain.from_iterable(self.profile_sets))
+        profiles = list(profiles)
         etas = list(chain.from_iterable(profiles))
         members = list(map(attrgetter("eis"), etas))
         eis = list(chain.from_iterable(members))
@@ -223,18 +216,17 @@ class ColumnarInstance:
         size = np.fromiter(map(len, members), np.int64, S)
         start = column("start", eis)
         res = column("resource_id", eis)
-        #: Resource-id namespace width per instance.
-        self.rid_stride = int(res.max()) + 1 if E else 1
+        #: Resource ids live in ``[0, rid_space)``.
+        self.rid_space = int(res.max()) + 1 if E else 1
         # A profile's rank is its largest t-interval; empty profiles own
         # no state (and reduceat takes no empty segment).
         p_len = np.fromiter(map(len, profiles), np.int64, len(profiles))
+        self.profile_totals = dict(zip(
+            map(attrgetter("profile_id"), profiles), p_len.tolist()))
         full = p_len > 0
         rank = np.repeat(
             np.maximum.reduceat(size, (np.cumsum(p_len) - p_len)[full]),
             p_len[full])
-        inst = np.repeat(
-            np.repeat(np.arange(self.n_inst, dtype=np.int64),
-                      [len(ps) for ps in self.profile_sets]), p_len)
 
         # ------------------------------------------------------------------
         # States in (clamped arrival, creation order) — the seq order.
@@ -246,7 +238,6 @@ class ColumnarInstance:
         self.st_rank = rank[order]
         self.st_profile = column("profile_id", etas)[order]
         self.st_size = size[order]
-        self.st_inst = inst[order]
         self.st_tid = column("tinterval_id", etas)[order]
 
         # ------------------------------------------------------------------
@@ -258,8 +249,7 @@ class ColumnarInstance:
                                   self.st_size)
         gather = np.arange(E, dtype=np.int64) + np.repeat(
             ptr[order] - self._ei_ptr, self.st_size)
-        self.ei_inst = self.st_inst[self.ei_state]
-        self.ei_res = res[gather] + self.ei_inst * self.rid_stride
+        self.ei_res = res[gather]
         self.ei_start = start[gather]
         self.ei_finish = column("finish", eis)[gather]
         # M-EDF's initial deadline sum counts every EI, active or not.
@@ -281,13 +271,7 @@ class ColumnarInstance:
     @classmethod
     def build(cls, profiles: ProfileSet, epoch: Epoch) -> "ColumnarInstance":
         """Columnar form of one instance (raises :class:`BatchUnsupported`)."""
-        return cls([profiles], epoch)
-
-    @classmethod
-    def build_many(cls, profile_sets: Sequence[ProfileSet],
-                   epoch: Epoch) -> "ColumnarInstance":
-        """Columnar form of several same-epoch instances (a mega block)."""
-        return cls(profile_sets, epoch)
+        return cls(profiles, epoch)
 
     # ------------------------------------------------------------------
     # Per-chronon activity CSR + per-resource groups
@@ -326,9 +310,8 @@ class ColumnarInstance:
         # the entries are already EI-ascending, so one stable sort on the
         # fused (chronon, resource) key orders all three — a radix sort
         # whenever the key fits 16 bits.
-        n_res = self.n_inst * self.rid_stride
-        fused = ent_T * n_res + ent_res
-        if (last + 1) * n_res <= 1 << 16:
+        fused = ent_T * self.rid_space + ent_res
+        if (last + 1) * self.rid_space <= 1 << 16:
             fused = fused.astype(np.uint16)
         order = np.argsort(fused, kind="stable")
         self.act_e = ent_e[order]
@@ -449,22 +432,14 @@ class ColumnarInstance:
         self.init_sum_act = self.init_sum[self.ps_act]
         self.fin_act = fin
 
-        # Report scaffolding shared by every lane of an instance: totals
-        # never depend on the run, only on the instance. rank_totals
-        # keeps each size at its first appearance in seq order.
-        self.profile_totals = [
-            {profile.profile_id: len(profile) for profile in profiles}
-            for profiles in self.profile_sets]
-        self.rank_totals: list[dict[int, int]] = [
-            {} for _ in range(self.n_inst)]
-        pair, seen, count = np.unique(
-            self.st_inst * (size_max + 1) + self.st_size,
-            return_index=True, return_counts=True)
-        for i in np.argsort(seen).tolist():
-            inst, size = divmod(int(pair[i]), size_max + 1)
-            self.rank_totals[inst][size] = int(count[i])
-        self.inst_sizes = np.bincount(
-            self.st_inst, minlength=self.n_inst).tolist()
+        # Report scaffolding shared by every lane (with profile_totals):
+        # totals never depend on the run, only on the instance.
+        # rank_totals keeps each size at its first appearance in seq order.
+        sizes, seen, count = np.unique(
+            self.st_size, return_index=True, return_counts=True)
+        first = np.argsort(seen)
+        self.rank_totals: dict[int, int] = dict(
+            zip(sizes[first].tolist(), count[first].tolist()))
 
     # ------------------------------------------------------------------
 
@@ -490,7 +465,7 @@ class ColumnarInstance:
     # ------------------------------------------------------------------
 
     def fault_layout(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-group ``(chronon, local resource id)`` columns.
+        """Per-group ``(chronon, resource id)`` columns.
 
         One entry per per-chronon per-resource group — the granularity at
         which the fault model draws: a :class:`~repro.faults.model`
@@ -500,7 +475,7 @@ class ColumnarInstance:
         if self._fault_layout is None:
             grp_T = np.repeat(self.act_chronons,
                               np.diff(self.grp_indptr))
-            self._fault_layout = (grp_T, self.grp_rid % self.rid_stride)
+            self._fault_layout = (grp_T, self.grp_rid)
         return self._fault_layout
 
     def fault_draws(self) -> FaultDraws:
@@ -535,17 +510,15 @@ class ColumnarInstance:
         """Boolean per-group column: the group's resource is down then.
 
         ``outages`` is a :class:`~repro.faults.model.FaultSpec.outages`
-        tuple; windows name *local* resource ids, so the mask marks the
-        matching resource of every instance (a lane only ever consults
-        its own instance's groups).
+        tuple.
         """
         key = ("outage", outages)
         column = self._fault_cols.get(key)
         if column is None:
-            grp_T, grp_rid_local = self.fault_layout()
+            grp_T, grp_rid = self.fault_layout()
             column = np.zeros(grp_T.size, dtype=bool)
             for outage in outages:
-                mask = grp_rid_local == outage.resource_id
+                mask = grp_rid == outage.resource_id
                 mask &= grp_T >= outage.start
                 if outage.last is not None:
                     mask &= grp_T <= outage.last

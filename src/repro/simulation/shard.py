@@ -424,13 +424,10 @@ def federated_run(profiles: ProfileSet, epoch: Epoch,
     started = time.perf_counter()
     col = columnar if columnar is not None else \
         ColumnarInstance.build(profiles, epoch)
-    if col.n_inst != 1:
-        raise ValueError("federated_run schedules one instance; build "
-                         "the columnar form with a single ProfileSet")
     fault = None
     if faults is not None or retry is not None or breaker is not None:
         fault = FaultLane(faults, retry, breaker)
-    lane_objs = _make_lanes([(policy, preemptive, budget, 0, fault)], 1)
+    lane_objs = _make_lanes([(policy, preemptive, budget, 0, fault)])
     lane = lane_objs[0]
     plane = _FaultPlane(col, lane_objs) if lane.fault_active else None
     if plane is not None and workers:
@@ -442,7 +439,7 @@ def federated_run(profiles: ProfileSet, epoch: Epoch,
     coord = coordinator if coordinator is not None else \
         ShardCoordinator(shards)
     K = coord.shards
-    owner = coord.assign(col.rid_stride)
+    owner = coord.assign(col.rid_space)
     ownerg = owner[col.grp_rid]
 
     total_act = col.act_e.size

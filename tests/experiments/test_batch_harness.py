@@ -1,25 +1,37 @@
-"""Batch-engine harness path: mega blocks, fall-backs and worker
+"""Batch-engine harness path: per-instance blocks, fall-backs and worker
 invariance.
 
-The harness groups sweep cells sharing a generation key into columnar
-mega blocks — by default, for every GC sweep; this file pins down that
-the blocked path (serial and on a process pool of any size) reproduces
-exactly the fast engine's numbers, that unsupported policies fall back
-per (cell, policy), that only the runtime-reporting experiments still
-time each policy in a run of its own, and that
+The harness runs the sweep cells sharing a generation key as the lanes
+of one columnar block — one block per generated instance, by default,
+for every GC sweep; this file pins down that the blocked path (serial
+and on a process pool of any size) reproduces exactly the fast engine's
+numbers, that a repetition is a block of its own (and a worker chunk of
+its own), that unsupported policies fall back per (cell, policy), that
+only the runtime-reporting experiments still time each policy in a run
+of its own, and that
 :func:`~repro.experiments.instances.generation_key` captures precisely
 the generative config fields.
 """
 
+from concurrent.futures import Future
+
 import pytest
 
-from repro.experiments import ExperimentConfig, figure5, table1
+from repro.core import ProfileSet
+from repro.experiments import ExperimentConfig, figure5, harness, table1
+from repro.experiments.faults import (
+    FAULT_POLICY_VARIANTS,
+    _default_breaker,
+    fault_sweep,
+)
 from repro.experiments.harness import (
     DEFAULT_ENGINE,
     DEFAULT_POLICIES,
+    make_instance,
     run_setting,
     sweep,
 )
+from repro.simulation import run_online
 from repro.simulation.engine import FastProxySimulator
 from repro.experiments.instances import (
     InstanceCache,
@@ -64,8 +76,8 @@ class TestBatchHarness:
             assert _gc_map(batch_run) == _gc_map(fast_run)
 
     def test_sweep_batch_worker_count_invariant(self):
-        """Chunking groups cells by block key; any worker count must
-        reproduce the serial blocked results bit for bit."""
+        """Chunking groups cells by generated instance; any worker count
+        must reproduce the serial blocked results bit for bit."""
         serial = sweep("s", _CONFIG, "budget", [1, 2, 3], _POLICIES,
                        engine="batch")
         for workers in (2, 3):
@@ -167,6 +179,123 @@ class TestDefaultEngine:
         shares = {policy.runtime_values
                   for policy in outcome.outcomes.values()}
         assert len(shares) == 1
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """Every ``(profiles, lanes, results)`` of the harness's run_block."""
+    calls = []
+    original = harness.run_block
+
+    def spy(profiles, epoch, lanes, **kwargs):
+        results = original(profiles, epoch, lanes, **kwargs)
+        calls.append((profiles, list(lanes), results))
+        return results
+
+    monkeypatch.setattr(harness, "run_block", spy)
+    return calls
+
+
+class TestOneBlockPerInstance:
+    """A repetition is a block; budgets, policies and rates are lanes."""
+
+    def _assert_one_block_per_repetition(self, calls, config, lanes):
+        assert len(calls) == config.repetitions
+        for repetition, (profiles, lane_specs, _results) in \
+                enumerate(calls):
+            assert isinstance(profiles, ProfileSet)
+            assert profiles is make_instance(config, repetition)[1]
+            assert len(lane_specs) == lanes
+            assert {spec[3] for spec in lane_specs} == {0}
+
+    def test_budget_sweep(self, block_calls):
+        budgets = [1, 2, 3, 4, 5]
+        result = sweep("s", _CONFIG, "budget", budgets)
+        self._assert_one_block_per_repetition(
+            block_calls, _CONFIG, len(DEFAULT_POLICIES) * len(budgets))
+        assert result.blocks == _CONFIG.repetitions == 3
+        # Every setting rode the same three passes.
+        assert [run.blocks for run in result.runs] == [3] * len(budgets)
+        fast = sweep("s", _CONFIG, "budget", budgets, engine="fast")
+        assert (fast.blocks, fast.fell_back) == (0, result.fell_back)
+        for run, fast_run in zip(result.runs, fast.runs):
+            assert _gc_map(run) == _gc_map(fast_run)
+
+    def test_fault_sweep(self, block_calls):
+        config = _CONFIG.with_(budget=2)
+        rates = (0.0, 0.2, 0.4)
+        result = fault_sweep(config=config, rates=rates)
+        self._assert_one_block_per_repetition(
+            block_calls, config, len(FAULT_POLICY_VARIANTS) * len(rates))
+        assert result.blocks == 3
+        fast = fault_sweep(config=config, rates=rates, engine="fast")
+        assert (fast.blocks, fast.fell_back) == (0, result.fell_back)
+        for run, fast_run in zip(result.runs, fast.runs):
+            assert _gc_map(run) == _gc_map(fast_run)
+        # Fault statistics lane by lane, against a fast run of its own.
+        failed = 0
+        for profiles, lane_specs, results in block_calls:
+            for (policy, preemptive, budget, _inst, fault), lane in \
+                    zip(lane_specs, results):
+                alone = run_online(
+                    profiles, config.epoch, budget, policy,
+                    preemptive=preemptive, faults=fault.faults,
+                    retry=fault.retry, breaker=_default_breaker(),
+                    engine="fast")
+                assert (lane.gc, lane.probes_failed, lane.retries,
+                        lane.resources_quarantined) == (
+                    alone.gc, alone.probes_failed, alone.retries,
+                    alone.resources_quarantined)
+                failed += lane.probes_failed
+        assert failed > 0
+
+    def test_a_later_sweep_reuses_the_lowering(self, monkeypatch):
+        built = []
+        original = harness.ColumnarInstance.build
+
+        def counting(profiles, epoch):
+            built.append(profiles)
+            return original(profiles, epoch)
+
+        monkeypatch.setattr(harness.ColumnarInstance, "build", counting)
+        harness._COLUMNAR_CACHE.clear()
+        sweep("s", _CONFIG, "budget", [1, 2])
+        assert len(built) == _CONFIG.repetitions
+        fault_sweep(config=_CONFIG.with_(budget=2), rates=(0.1,))
+        assert len(built) == _CONFIG.repetitions
+
+    def test_worker_chunks_split_by_repetition(self, monkeypatch):
+        """A one-parameter budget sweep is ``repetitions`` groups, so a
+        pool has more than one chunk to hand out."""
+        chunks = []
+
+        class InlinePool:
+            def __init__(self, **_kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *_exc):
+                return False
+
+            def submit(self, fn, cell_args):
+                chunks.append(cell_args)
+                future = Future()
+                future.set_result(fn(cell_args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        pooled = sweep("s", _CONFIG, "budget", [1, 2, 3, 4, 5], workers=4)
+        assert len(chunks) == _CONFIG.repetitions
+        for chunk in chunks:
+            assert len({args[1] for args in chunk}) == 1
+            assert sorted(args[0].budget for args in chunk) == \
+                [1, 2, 3, 4, 5]
+        serial = sweep("s", _CONFIG, "budget", [1, 2, 3, 4, 5])
+        assert pooled.blocks == serial.blocks == 3
+        for run, serial_run in zip(pooled.runs, serial.runs):
+            assert _gc_map(run) == _gc_map(serial_run)
 
 
 class TestGenerationKey:

@@ -49,10 +49,10 @@ class TestMain:
         assert main(["fig8", "--scale", "smoke", "--csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[:2] == ["# Figure 8 (gc)",
-                             "# engine=batch fell_back=0"]
+                             "# engine=batch fell_back=0 blocks=2"]
         assert main(["table1", "--scale", "smoke"]) == 0
         assert capsys.readouterr().out.startswith(
-            "# engine=fast fell_back=0\n")
+            "# engine=fast fell_back=0 blocks=0\n")
 
     def test_shared_block_blanks_the_runtime_column(self, capsys):
         assert main(["table1", "--scale", "smoke", "--csv"]) == 0
@@ -60,7 +60,7 @@ class TestMain:
         assert main(["table1", "--scale", "smoke", "--csv",
                      "--engine", "batch"]) == 0
         blocked = capsys.readouterr().out.splitlines()
-        assert blocked[1] == "# engine=batch fell_back=0"
+        assert blocked[1] == "# engine=batch fell_back=0 blocks=2"
         for timed_row, blocked_row in zip(timed[3:9], blocked[3:9]):
             assert float(timed_row.rsplit(",", 1)[1]) > 0.0
             assert blocked_row == timed_row.rsplit(",", 1)[0] + ","

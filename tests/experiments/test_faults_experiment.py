@@ -112,8 +112,8 @@ class TestFaultsCli:
         assert main(["faults", "--scale", "smoke",
                      "--engine", "fast"]) == 0
         fast_head, fast_out = capsys.readouterr().out.split("\n", 1)
-        assert batch_head == "# engine=batch fell_back=0"
-        assert fast_head == "# engine=fast fell_back=0"
+        assert batch_head == "# engine=batch fell_back=0 blocks=2"
+        assert fast_head == "# engine=fast fell_back=0 blocks=0"
         assert "failure_rate" in batch_out
         assert batch_out == fast_out
 

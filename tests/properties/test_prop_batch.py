@@ -93,22 +93,6 @@ class TestBatchEquivalence:
         for budget, batch in zip(budgets, results):
             _assert_same_run(_fast(profiles, spec, budget), batch)
 
-    @given(insts=st.lists(profile_sets(max_profiles=3),
-                          min_size=2, max_size=3),
-           spec_index=st.integers(0, len(BATCH_SPECS) - 1),
-           budget=budget_vectors())
-    @settings(max_examples=40, deadline=None)
-    def test_multi_instance_mega_block(self, insts, spec_index, budget):
-        """Several instances share one column space; lanes only ever see
-        their own instance's states."""
-        spec = BATCH_SPECS[spec_index]
-        policy, preemptive = parse_policy_spec(spec)
-        lanes = [(policy, preemptive, budget, at)
-                 for at in range(len(insts))]
-        results = run_block(insts, epoch(), lanes)
-        for profiles, batch in zip(insts, results):
-            _assert_same_run(_fast(profiles, spec, budget), batch)
-
     @given(profiles=profile_sets(max_profiles=4),
            spec_index=st.integers(0, len(BATCH_SPECS) - 1),
            budget=budget_vectors())

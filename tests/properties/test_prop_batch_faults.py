@@ -116,36 +116,33 @@ class TestBatchFaultEquivalence:
                                 (fast_injector, fast_breaker),
                                 (batch_injector, batch_breaker))
 
-    @given(insts=st.lists(profile_sets(max_profiles=3),
-                          min_size=1, max_size=2),
+    @given(profiles=profile_sets(max_profiles=4),
            specs=st.lists(fault_specs(), min_size=2, max_size=3),
            retry=retry_configs(), breaker=breaker_params())
     @settings(max_examples=30, deadline=None)
-    def test_mixed_mega_block(self, insts, specs, retry, breaker):
+    def test_mixed_mega_block(self, profiles, specs, retry, breaker):
         """Faulty and reliable lanes share one block; every lane still
         matches its own standalone fast run."""
         cases = []
         lanes = []
         for at, label in enumerate(FAULT_POLICIES):
             spec = specs[at % len(specs)] if at % 3 else None
-            inst = at % len(insts)
             budget = BudgetVector(1 + at % 3)
             policy, preemptive = parse_policy_spec(label)
             injector = FaultInjector(spec) if spec is not None else None
             lane_breaker = _make_breaker(breaker)
             fault = FaultLane(injector, retry, lane_breaker) \
                 if (injector or retry or lane_breaker) else None
-            lanes.append((policy, preemptive, budget, inst, fault))
-            cases.append((label, inst, budget, spec, injector,
-                          lane_breaker))
-        results = run_block(insts, epoch(), lanes)
-        for batch, (label, inst, budget, spec, batch_injector,
+            lanes.append((policy, preemptive, budget, 0, fault))
+            cases.append((label, budget, spec, injector, lane_breaker))
+        results = run_block(profiles, epoch(), lanes)
+        for batch, (label, budget, spec, batch_injector,
                     batch_breaker) in zip(results, cases):
             policy, preemptive = parse_policy_spec(label)
             fast_injector = FaultInjector(spec) \
                 if spec is not None else None
             fast_breaker = _make_breaker(breaker)
-            fast = run_online(insts[inst], epoch(), budget, policy,
+            fast = run_online(profiles, epoch(), budget, policy,
                               preemptive=preemptive,
                               faults=fast_injector, retry=retry,
                               breaker=fast_breaker, engine="fast")

@@ -14,7 +14,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import (
     BudgetVector,
@@ -25,6 +24,7 @@ from repro.core import (
     TInterval,
 )
 from repro.online.registry import parse_policy_spec
+from repro.simulation.batch import run_block
 from repro.simulation.columnar import (
     _MAX_KEY_BITS,
     BatchUnsupported,
@@ -38,31 +38,27 @@ from tests.properties.strategies import epoch, profile_sets
 _KINDS = ("sedf", "fcfs", "lff", "srank", "anti")
 
 
-def oracle(profile_sets, epoch) -> SimpleNamespace:
+def oracle(profiles, epoch) -> SimpleNamespace:
     """The per-object lowering: one Python step per t-interval and EI."""
     o = SimpleNamespace()
-    profile_sets = list(profile_sets)
-    o.n_inst = len(profile_sets)
     last = epoch.last
 
     # States in (clamped arrival, creation order) — the seq order.
     st_arrival, st_rank, st_profile = [], [], []
-    st_size, st_inst, st_tid, etas = [], [], [], []
+    st_size, st_tid, etas = [], [], []
     rid_max = 0
-    for inst, profiles in enumerate(profile_sets):
-        for profile in profiles:
-            rank = profile.rank
-            for eta in profile:
-                st_arrival.append(min(eta.earliest_start, last))
-                st_rank.append(rank)
-                st_profile.append(eta.profile_id)
-                st_size.append(len(eta))
-                st_inst.append(inst)
-                st_tid.append(eta.tinterval_id)
-                etas.append(eta)
-                for ei in eta:
-                    rid_max = max(rid_max, ei.resource_id)
-    o.rid_stride = rid_max + 1
+    for profile in profiles:
+        rank = profile.rank
+        for eta in profile:
+            st_arrival.append(min(eta.earliest_start, last))
+            st_rank.append(rank)
+            st_profile.append(eta.profile_id)
+            st_size.append(len(eta))
+            st_tid.append(eta.tinterval_id)
+            etas.append(eta)
+            for ei in eta:
+                rid_max = max(rid_max, ei.resource_id)
+    o.rid_space = rid_max + 1
     order = sorted(range(len(etas)), key=lambda i: st_arrival[i])
     o.S = len(etas)
 
@@ -73,14 +69,13 @@ def oracle(profile_sets, epoch) -> SimpleNamespace:
     o.st_rank = seq_column(st_rank)
     o.st_profile = seq_column(st_profile)
     o.st_size = seq_column(st_size)
-    o.st_inst = seq_column(st_inst)
     o.st_tid = seq_column(st_tid)
 
     # EIs state-major, within a state in ei_id order.
     ei_res, ei_start, ei_finish, ei_state = [], [], [], []
     for seq, i in enumerate(order):
         for ei in etas[i]:
-            ei_res.append(ei.resource_id + st_inst[i] * o.rid_stride)
+            ei_res.append(ei.resource_id)
             ei_start.append(ei.start)
             ei_finish.append(ei.finish)
             ei_state.append(seq)
@@ -89,7 +84,6 @@ def oracle(profile_sets, epoch) -> SimpleNamespace:
     o.ei_start = np.array(ei_start, dtype=np.int64)
     o.ei_finish = np.array(ei_finish, dtype=np.int64)
     o.ei_state = np.array(ei_state, dtype=np.int64)
-    o.ei_inst = o.st_inst[o.ei_state]
     o.init_sum = np.zeros(o.S, dtype=np.int64)
     np.add.at(o.init_sum, o.ei_state, o.ei_finish)
 
@@ -204,24 +198,19 @@ def oracle(profile_sets, epoch) -> SimpleNamespace:
     o.init_sum_act = o.init_sum[o.ps_act]
     o.fin_act = fin
 
-    o.profile_totals = [
-        {profile.profile_id: len(profile) for profile in profiles}
-        for profiles in profile_sets]
-    o.rank_totals = [{} for _ in range(o.n_inst)]
-    o.inst_sizes = [0] * o.n_inst
-    for size, inst in zip(o.st_size.tolist(), o.st_inst.tolist()):
-        totals = o.rank_totals[inst]
-        totals[size] = totals.get(size, 0) + 1
-        o.inst_sizes[inst] += 1
+    o.profile_totals = {profile.profile_id: len(profile)
+                        for profile in profiles}
+    o.rank_totals = {}
+    for size in o.st_size.tolist():
+        o.rank_totals[size] = o.rank_totals.get(size, 0) + 1
     return o
 
 
-def assert_same_lowering(profile_sets, epoch) -> ColumnarInstance:
-    want = oracle(profile_sets, epoch)
-    got = ColumnarInstance.build_many(profile_sets, epoch)
+def assert_same_lowering(profiles, epoch) -> ColumnarInstance:
+    want = oracle(profiles, epoch)
+    got = ColumnarInstance.build(profiles, epoch)
     public = {name for name in vars(got) if not name.startswith("_")}
-    assert public == set(vars(want)) | {
-        "profile_sets", "epoch", "lower_seconds"}
+    assert public == set(vars(want)) | {"epoch", "lower_seconds"}
     for name, expected in vars(want).items():
         actual = getattr(got, name)
         if name == "hi_static":
@@ -233,8 +222,7 @@ def assert_same_lowering(profile_sets, epoch) -> ColumnarInstance:
             assert type(actual) is type(expected), name
             assert actual == expected, name
     # Same sizes in the same first-seen order (reports iterate it).
-    assert [list(totals.items()) for totals in got.rank_totals] == \
-        [list(totals.items()) for totals in want.rank_totals]
+    assert list(got.rank_totals.items()) == list(want.rank_totals.items())
     assert len(got.hi_static) == 0
     for built, kind in enumerate(_KINDS, start=1):
         column = got.hi_static[kind]
@@ -254,11 +242,13 @@ def _eta(*eis) -> TInterval:
 
 class TestEdgeCases:
     def test_empty_profile_set(self):
-        col = assert_same_lowering([ProfileSet()], Epoch(8))
-        assert (col.S, col.E, col.n_max, col.rid_stride) == (0, 0, 1, 1)
+        col = assert_same_lowering(ProfileSet(), Epoch(8))
+        assert (col.S, col.E, col.n_max, col.rid_space) == (0, 0, 1, 1)
 
-    def test_no_instances(self):
-        assert_same_lowering([], Epoch(8))
+    def test_a_lowering_holds_one_profile_set(self):
+        profiles = ProfileSet([Profile([_eta((0, 1, 3))])])
+        with pytest.raises(TypeError, match="one ProfileSet, got list"):
+            ColumnarInstance.build([profiles, profiles], Epoch(8))
 
     def test_profile_without_tintervals(self):
         profiles = ProfileSet([
@@ -267,8 +257,8 @@ class TestEdgeCases:
             Profile([]),
             Profile([_eta((2, 2, 6))]),
         ])
-        col = assert_same_lowering([profiles], Epoch(8))
-        assert col.profile_totals == [{0: 0, 1: 2, 2: 0, 3: 1}]
+        col = assert_same_lowering(profiles, Epoch(8))
+        assert col.profile_totals == {0: 0, 1: 2, 2: 0, 3: 1}
         assert col.st_rank.tolist() == [2, 2, 1]
 
     def test_ei_opening_past_the_epoch(self):
@@ -276,7 +266,7 @@ class TestEdgeCases:
             Profile([_eta((0, 12, 15))]),
             Profile([_eta((1, 2, 3), (0, 11, 11)), _eta((1, 9, 14))]),
         ])
-        col = assert_same_lowering([profiles], Epoch(10))
+        col = assert_same_lowering(profiles, Epoch(10))
         # The late-only t-interval arrives clamped to the last chronon
         # and contributes no activity entry.
         late = int(np.nonzero(col.st_profile == 0)[0][0])
@@ -288,22 +278,9 @@ class TestEdgeCases:
         profiles = ProfileSet([
             Profile([_eta((r, s, s + r)) for s in (4, 1, 4)])
             for r in range(3)])
-        col = assert_same_lowering([profiles], Epoch(6))
-        assert col.rank_totals == [{1: 9}]
+        col = assert_same_lowering(profiles, Epoch(6))
+        assert col.rank_totals == {1: 9}
         assert col.started_act.tolist() == [1] * col.act_e.size
-
-    def test_mega_block_with_different_resource_maxima(self):
-        small = ProfileSet([Profile([_eta((1, 1, 3), (0, 2, 2))])])
-        wide = ProfileSet([
-            Profile([_eta((7, 2, 5))]),
-            Profile([_eta((3, 1, 1), (7, 1, 4), (0, 3, 6))]),
-        ])
-        col = assert_same_lowering([small, wide, ProfileSet(), small],
-                                   Epoch(6))
-        assert col.rid_stride == 8
-        assert col.inst_sizes == [1, 2, 0, 1]
-        assert sorted(set(col.grp_rid.tolist())) == [0, 1, 8, 11, 15,
-                                                     24, 25]
 
     def test_fused_activity_key_beyond_16_bits(self):
         # (last + 1) * resources > 2**16: the activity sort keeps its
@@ -312,12 +289,12 @@ class TestEdgeCases:
             Profile([_eta((900, 3, 40), (5, 1, 70)), _eta((5, 2, 2))]),
             Profile([_eta((900, 1, 64))]),
         ])
-        assert_same_lowering([profiles], Epoch(80))
+        assert_same_lowering(profiles, Epoch(80))
 
     def test_wide_key_raises_batch_unsupported(self):
         profiles = ProfileSet([Profile([_eta((0, 1, 1 << 40))])])
         with pytest.raises(BatchUnsupported):
-            oracle([profiles], Epoch(4))
+            oracle(profiles, Epoch(4))
         with pytest.raises(BatchUnsupported):
             ColumnarInstance.build(profiles, Epoch(4))
 
@@ -326,13 +303,22 @@ class TestAgainstOracle:
     @given(profiles=profile_sets(max_profiles=4))
     @settings(max_examples=60, deadline=None)
     def test_single_instance(self, profiles):
-        assert_same_lowering([profiles], epoch())
+        assert_same_lowering(profiles, epoch())
 
-    @given(sets=st.lists(profile_sets(max_profiles=3), min_size=2,
-                         max_size=3))
-    @settings(max_examples=40, deadline=None)
-    def test_mega_block(self, sets):
-        assert_same_lowering(sets, epoch())
+
+def test_a_block_holds_one_instance():
+    """Lane instance index 0 (or none) is the block's instance; any
+    other index has nothing to name."""
+    profiles = ProfileSet([Profile([_eta((0, 1, 3), (1, 2, 4))])])
+    policy, preemptive = parse_policy_spec("S-EDF(P)")
+    lane = (policy, preemptive, BudgetVector(1))
+    bare, indexed, with_fault = run_block(
+        profiles, Epoch(6), [lane, lane + (0,), lane + (0, None)])
+    assert bare.gc == indexed.gc == with_fault.gc == 1.0
+    for inst in (1, -1):
+        with pytest.raises(ValueError, match=f"names instance {inst}, but "
+                                             "a block holds one instance"):
+            run_block(profiles, Epoch(6), [lane, lane + (inst,)])
 
 
 def test_medf_federated_run_builds_no_static_key_column():

@@ -20,7 +20,6 @@ from repro.simulation import (
     federated_run,
     run_online,
 )
-from repro.simulation.columnar import ColumnarInstance
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.federation import federation_sweep
 from repro.experiments.harness import make_instance
@@ -197,14 +196,6 @@ class TestRejections:
         with pytest.raises(BatchUnsupported, match="columnar"):
             federated_run(instance, CONFIG.epoch, CONFIG.budget_vector,
                           parse_policy_spec("RANDOM(P)")[0], shards=2)
-
-    def test_multi_instance_columnar_rejected(self, instance):
-        col = ColumnarInstance.build_many([instance, instance],
-                                          CONFIG.epoch)
-        with pytest.raises(ValueError, match="one instance"):
-            federated_run(instance, CONFIG.epoch, CONFIG.budget_vector,
-                          parse_policy_spec("S-EDF(P)")[0], shards=2,
-                          columnar=col)
 
 
 class TestFederationSweep:
