@@ -3,13 +3,20 @@
 Measures median wall-times of :func:`repro.experiments.instances.\
 generate_instance` on the reference and vectorized paths (which produce
 identical instances seed-for-seed — see
-``tests/properties/test_prop_instances.py``), plus the end-to-end effect
-of the content-addressed instance cache on ``run_setting``/``sweep``
-(cold disk store vs. warm reload), and writes the numbers to
-``BENCH_instances.json``::
+``tests/properties/test_prop_instances.py``), plus what one
+:class:`~repro.experiments.instances.InstanceCache` lookup costs cold
+(generate), warm from the disk store and warm from memory — each with
+the columnar lowering a batch run then needs — and writes the numbers
+to ``BENCH_instances.json``::
 
     PYTHONPATH=src python benchmarks/bench_instances.py \
         --output BENCH_instances.json
+
+``--cache-scales tiny,catalog`` picks the configs of the cache section
+(``catalog`` is the e2e benchmark's contract-scale catalog instance);
+``--cache-before OLD.json`` copies the cache section of a report made
+with the same script against another checkout's ``src`` in as
+``before``, so one file holds both sides.
 
 The ``target`` scale (epoch 200, 50 resources, 60 profiles) matches the
 tracked engine/offline benches; the PR-5 acceptance bar is a >= 4x
@@ -36,12 +43,13 @@ import time
 from dataclasses import asdict
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import run_setting, sweep
+from repro.experiments.harness import run_setting
 from repro.experiments.instances import (
+    InstanceCache,
     configure_instances,
-    fast_default,
     generate_instance,
 )
+from repro.simulation.columnar import ColumnarInstance
 
 try:
     from benchmarks._provenance import provenance_header
@@ -62,6 +70,10 @@ SCALES: dict[str, ExperimentConfig] = {
     "target": ExperimentConfig(
         epoch_length=200, num_resources=50, num_profiles=60, intensity=10.0,
         window=10, repetitions=1, grouping="overlap", seed=1234),
+    # benchmarks/e2e's ``catalog`` workload at the contract scale.
+    "catalog": ExperimentConfig(
+        epoch_length=100, num_resources=500, num_profiles=5000,
+        intensity=20.0, budget=16, window=5, seed=1234),
 }
 
 
@@ -128,52 +140,56 @@ def _outcome_table(run) -> dict[str, list[float]]:
             for label, outcome in run.outcomes.items()}
 
 
-def bench_cache(scale: str, rounds: int = 3) -> dict:
-    """Cold vs. warm end-to-end wall-times through the instance cache.
+def _timed(call):
+    started = time.perf_counter()
+    result = call()
+    return time.perf_counter() - started, result
 
-    Runs the same budget sweep twice against one disk store: the first
-    pass generates and stores every instance, the second reloads them
-    (a fresh cache object stands in for a new process, so the hits are
-    disk hits, not in-memory ones). Results must match exactly; the
-    timing delta is the cache's end-to-end win.
+
+def bench_cache(scale: str, rounds: int = 5) -> dict:
+    """What one cache lookup costs: cold, warm from disk, warm from memory.
+
+    Per round, over a fresh temporary store: a cold lookup that
+    generates and writes the entry, a second cache object (standing in
+    for a new process) that reads it back, and the same lookup again
+    from that object's memory. A generation without any store gives the
+    cold cost a user without ``--cache-dir`` pays. Each instance is
+    then lowered, since that is what a batch run does with it next.
+    Medians over the rounds.
     """
-    config = SCALES[scale].with_(repetitions=2)
-    values = [1, 2]
-    previous_fast = fast_default()
-    try:
+    config = SCALES[scale]
+    times: dict[str, list[float]] = {}
+
+    def note(name: str, seconds: float) -> None:
+        times.setdefault(name, []).append(seconds)
+
+    for _ in range(rounds):
+        seconds, (_trace, profiles) = _timed(
+            lambda: InstanceCache().get_or_generate(config, 0))
+        note("cold_generate_s", seconds)
+        note("cold_lower_s", _timed(
+            lambda: ColumnarInstance.build(profiles, config.epoch))[0])
         with tempfile.TemporaryDirectory() as tmp:
-            cold_cache = configure_instances(cache_dir=tmp, fast=True)
-            started = time.perf_counter()
-            # engine="fast" (cold and warm): BENCH_instances.json's
-            # ratio was recorded over the per-run engine's sweep.
-            cold = sweep("bench", config, "budget", values, engine="fast")
-            cold_s = time.perf_counter() - started
-            cold_stats = cold_cache.stats()
-            warm_times = []
-            warm = None
-            for _ in range(rounds):
-                warm_cache = configure_instances(cache_dir=tmp, fast=True)
-                started = time.perf_counter()
-                warm = sweep("bench", config, "budget", values,
-                             engine="fast")
-                warm_times.append(time.perf_counter() - started)
-            warm_s = statistics.median(warm_times)
-            warm_stats = warm_cache.stats()
-        identical = all(
-            _outcome_table(run_cold) == _outcome_table(run_warm)
-            for run_cold, run_warm in zip(cold.runs, warm.runs))
-    finally:
-        configure_instances(cache_dir=None, fast=previous_fast)
-    return {
-        "config": asdict(config),
-        "swept_values": values,
-        "cold_s": cold_s,
-        "warm_s": warm_s,
-        "speedup": cold_s / warm_s,
-        "cold_stats": cold_stats,
-        "warm_stats": warm_stats,
-        "results_identical": identical,
-    }
+            writer = InstanceCache(cache_dir=tmp)
+            note("cold_generate_and_store_s", _timed(
+                lambda: writer.get_or_generate(config, 0))[0])
+            reader = InstanceCache(cache_dir=tmp)
+            seconds, (_trace, profiles) = _timed(
+                lambda: reader.get_or_generate(config, 0))
+            note("disk_hit_s", seconds)
+            note("disk_hit_lower_s", _timed(
+                lambda: ColumnarInstance.build(profiles, config.epoch))[0])
+            note("memory_hit_s", _timed(
+                lambda: reader.get_or_generate(config, 0))[0])
+            assert writer.stats()["stores"] == 1, writer.stats()
+            assert reader.stats() == {
+                "memory_hits": 1, "disk_hits": 1, "misses": 0,
+                "stores": 0, "disk_errors": 0}, reader.stats()
+    report = {name: statistics.median(values)
+              for name, values in times.items()}
+    report["disk_hit_speedup"] = (report["cold_generate_s"]
+                                  / report["disk_hit_s"])
+    return {"config": asdict(config), "rounds": rounds, **report}
 
 
 def cache_check(scale: str = "tiny") -> int:
@@ -223,8 +239,13 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=20,
                         help="interleaved reference/fast timing rounds "
                              "per source (best-of wins)")
-    parser.add_argument("--cache-rounds", type=int, default=3,
-                        help="warm-pass timing rounds for the cache bench")
+    parser.add_argument("--cache-rounds", type=int, default=5,
+                        help="timing rounds for the cache bench")
+    parser.add_argument("--cache-scales", default="tiny,catalog",
+                        help="comma-separated scales of the cache bench")
+    parser.add_argument("--cache-before", default=None,
+                        help="an earlier report whose cache section is "
+                             "copied in as each scale's 'before'")
     parser.add_argument("--skip-cache", action="store_true",
                         help="skip the cold/warm cache measurement")
     parser.add_argument("--cache-check", action="store_true",
@@ -256,14 +277,26 @@ def main(argv=None) -> int:
                   f"fast {numbers['fast_s']*1e3:.1f}ms)",
                   file=sys.stderr)
     if not args.skip_cache:
-        print("[bench_instances] measuring cache cold/warm ...",
-              file=sys.stderr)
-        report["cache"] = bench_cache(scales[0],
-                                      rounds=args.cache_rounds)
-        print(f"[bench_instances]   warm sweep {report['cache']['speedup']:.2f}x "
-              f"(cold {report['cache']['cold_s']*1e3:.0f}ms, "
-              f"warm {report['cache']['warm_s']*1e3:.0f}ms)",
-              file=sys.stderr)
+        before = {}
+        if args.cache_before:
+            with open(args.cache_before, encoding="utf-8") as handle:
+                old = json.load(handle)
+            before = {scale: {"git_rev": old.get("git_rev", "unknown"),
+                              **numbers["after"]}
+                      for scale, numbers in old["cache"].items()}
+        report["cache"] = {}
+        for scale in args.cache_scales.split(","):
+            print(f"[bench_instances] measuring cache at {scale!r} ...",
+                  file=sys.stderr)
+            after = bench_cache(scale, rounds=args.cache_rounds)
+            report["cache"][scale] = {"after": after}
+            if scale in before:
+                report["cache"][scale]["before"] = before[scale]
+            print(f"[bench_instances]   cold "
+                  f"{after['cold_generate_s']*1e3:.1f}ms, disk hit "
+                  f"{after['disk_hit_s']*1e3:.1f}ms "
+                  f"({after['disk_hit_speedup']:.1f}x), memory hit "
+                  f"{after['memory_hit_s']*1e6:.0f}us", file=sys.stderr)
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=False)
         handle.write("\n")

@@ -23,7 +23,7 @@ from repro.core.errors import (
     WorkloadError,
 )
 from repro.core.intervals import ExecutionInterval, TInterval
-from repro.core.profile import Profile, ProfileSet
+from repro.core.profile import Profile, ProfileColumns, ProfileSet
 from repro.core.resource import Resource, ResourceCatalog
 from repro.core.schedule import Probe, Schedule
 from repro.core.timeline import Chronon, Epoch
@@ -45,6 +45,7 @@ __all__ = [
     "ModelError",
     "Probe",
     "Profile",
+    "ProfileColumns",
     "ProfileSet",
     "ProbeFailure",
     "ReproError",

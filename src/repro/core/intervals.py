@@ -98,23 +98,6 @@ class ExecutionInterval:
         return ExecutionInterval(self.resource_id, self.start, self.finish,
                                  ei_id=ei_id)
 
-    def restamped(self, ei_id: int) -> "ExecutionInterval":
-        """Like :meth:`with_id`, skipping re-validation of the bounds.
-
-        ``self`` already passed ``__post_init__`` and only the identity
-        changes, so the checks cannot fail; bulk attach paths (the fast
-        template build stamps one copy per t-interval slot) use this to
-        avoid paying them again.
-        """
-        if self.ei_id == ei_id:
-            return self
-        copy = object.__new__(ExecutionInterval)
-        object.__setattr__(copy, "resource_id", self.resource_id)
-        object.__setattr__(copy, "start", self.start)
-        object.__setattr__(copy, "finish", self.finish)
-        object.__setattr__(copy, "ei_id", ei_id)
-        return copy
-
     def shifted(self, delta: int) -> "ExecutionInterval":
         """Return a copy shifted by ``delta`` chronons (id preserved)."""
         return ExecutionInterval(self.resource_id, self.start + delta,
@@ -234,8 +217,8 @@ class TInterval:
         """Construct from EIs whose ``ei_id`` already equals their position.
 
         Skips the per-EI re-stamping pass of ``__init__`` — the caller
-        guarantees ``eis[i].ei_id == i`` and non-emptiness (the fast
-        template build stamps members as it assembles them).
+        guarantees ``eis[i].ei_id == i`` and non-emptiness (the
+        columns→objects build stamps members as it assembles them).
         """
         interval = cls.__new__(cls)
         interval.eis = eis

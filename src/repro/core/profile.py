@@ -9,12 +9,16 @@ measure that the MRSF policy and the approximation bounds are stated in.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from repro.core.intervals import ExecutionInterval, TInterval
 from repro.core.timeline import Chronon
 
-__all__ = ["Profile", "ProfileSet"]
+__all__ = ["Profile", "ProfileColumns", "ProfileSet"]
 
 
 class Profile:
@@ -49,7 +53,7 @@ class Profile:
 
         Skips the attach pass of ``__init__`` — the caller guarantees
         ``tintervals[i].tinterval_id == i`` and
-        ``tintervals[i].profile_id == profile_id`` (the fast template
+        ``tintervals[i].profile_id == profile_id`` (the columns→objects
         build stamps them during assembly).
         """
         profile = cls.__new__(cls)
@@ -130,24 +134,119 @@ class Profile:
                 f"|p|={len(self)}, rank={self.rank})")
 
 
+class ProfileColumns(NamedTuple):
+    """A profile set as parallel ``int64`` columns, one row per EI.
+
+    Rows are in (profile, t-interval, slot) order: a t-interval is one
+    contiguous run of rows and an EI's ``ei_id`` is its position in the
+    run. ``names`` has one entry per profile; a profile without
+    t-intervals owns no row and is visible only there.
+    """
+
+    names: tuple[str, ...]
+    ei_profile: np.ndarray
+    ei_tinterval: np.ndarray
+    ei_resource: np.ndarray
+    ei_start: np.ndarray
+    ei_finish: np.ndarray
+
+    def tinterval_heads(self) -> np.ndarray:
+        """Row of each t-interval's first EI, ascending."""
+        head = np.ones(self.ei_profile.size, dtype=bool)
+        np.not_equal(self.ei_profile[1:], self.ei_profile[:-1],
+                     out=head[1:])
+        head[1:] |= self.ei_tinterval[1:] != self.ei_tinterval[:-1]
+        return np.flatnonzero(head)
+
+    def checked(self) -> "ProfileColumns":
+        """These columns as ``int64`` vectors, or :class:`ValueError`.
+
+        The array form of what the object constructors enforce: EI
+        bounds and resource ids (:class:`ExecutionInterval`), non-empty
+        contiguous t-intervals numbered ``0..n-1`` inside each profile
+        (:class:`Profile`), profile ids that are positions in ``names``
+        (:class:`ProfileSet`). Columns read from outside the process
+        pass through here before anything is served from them.
+        """
+        arrays = [np.asarray(column) for column in self[1:]]
+        if any(array.ndim != 1 or array.dtype.kind not in "iu"
+               or array.size != arrays[0].size for array in arrays):
+            raise ValueError("EI columns must be integer vectors of one "
+                             "length")
+        profile, tinterval, resource, start, finish = (
+            array.astype(np.int64, copy=False) for array in arrays)
+        names = tuple(self.names)
+        if profile.size:
+            same = profile[1:] == profile[:-1]
+            step = np.diff(tinterval)
+            if (profile[0] < 0 or profile[-1] >= len(names)
+                    or (profile[1:] < profile[:-1]).any()):
+                raise ValueError("ei_profile must ascend inside "
+                                 f"[0, {len(names)})")
+            if (tinterval[0] != 0 or tinterval[1:][~same].any()
+                    or ((step < 0) | (step > 1))[same].any()):
+                raise ValueError("t-interval ids must run 0..n-1 in "
+                                 "contiguous rows inside each profile")
+            if ((start < 1).any() or (finish < start).any()
+                    or (resource < 0).any()):
+                raise ValueError("every EI needs 1 <= start <= finish "
+                                 "and a resource id >= 0")
+        return ProfileColumns(names, profile, tinterval, resource, start,
+                              finish)
+
+
 class ProfileSet:
     """The proxy's registered profiles ``P = {p_1, ..., p_m}``.
 
     The profile set is the main input of both the offline solvers and the
     online simulator. It owns identity assignment: profiles get dense ids
     ``0..m-1`` and t-intervals keep ``(profile_id, tinterval_id)`` keys.
+
+    A set is built from :class:`Profile` objects or, by
+    :meth:`from_columns`, from :class:`ProfileColumns`. A column-born set
+    answers ``len`` and :meth:`columns` from the arrays and builds its
+    objects on the first access that reads one (``profiles``, ``iter``,
+    indexing, every derived property), so a caller that only lowers it
+    (:class:`~repro.simulation.columnar.ColumnarInstance`) never pays
+    for them.
     """
 
-    __slots__ = ("profiles",)
+    __slots__ = ("_profiles", "_columns")
 
     def __init__(self, profiles: Iterable[Profile] = ()) -> None:
-        self.profiles: tuple[Profile, ...] = tuple(
+        self._profiles: tuple[Profile, ...] | None = tuple(
             profile.attached(profile_id=index)
             for index, profile in enumerate(profiles)
         )
+        self._columns: ProfileColumns | None = None
+
+    @classmethod
+    def from_columns(cls, columns: ProfileColumns) -> "ProfileSet":
+        """The set these columns describe (``ValueError`` if they do
+        not pass :meth:`ProfileColumns.checked`)."""
+        born = cls.__new__(cls)
+        born._profiles = None
+        born._columns = columns.checked()
+        return born
+
+    @property
+    def profiles(self) -> tuple[Profile, ...]:
+        """The profiles, in id order."""
+        if self._profiles is None:
+            self._profiles = _profiles_from_columns(self._columns)
+        return self._profiles
+
+    def columns(self) -> ProfileColumns:
+        """The set as EI-row columns: the ones a column-born set holds,
+        else one walk over the objects."""
+        if self._columns is None:
+            return _columns_from_profiles(self._profiles)
+        return self._columns
 
     def __len__(self) -> int:
-        return len(self.profiles)
+        if self._profiles is None:
+            return len(self._columns.names)
+        return len(self._profiles)
 
     def __iter__(self) -> Iterator[Profile]:
         return iter(self.profiles)
@@ -216,6 +315,53 @@ class ProfileSet:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ProfileSet(m={len(self)}, rank={self.rank}, "
                 f"tintervals={self.total_tintervals})")
+
+
+def _profiles_from_columns(columns: ProfileColumns) -> tuple[Profile, ...]:
+    """The objects of checked columns, ids stamped during assembly.
+
+    Row positions ARE the ids (an EI's id is its offset in its
+    t-interval's run of rows), so nothing is re-attached afterwards.
+    """
+    heads = columns.tinterval_heads()
+    stops = np.append(heads[1:], columns.ei_profile.size)
+    slots = (np.arange(columns.ei_profile.size)
+             - np.repeat(heads, stops - heads))
+    eis = list(map(ExecutionInterval, columns.ei_resource.tolist(),
+                   columns.ei_start.tolist(), columns.ei_finish.tolist(),
+                   slots.tolist()))
+    owner = columns.ei_profile[heads]
+    stamp = TInterval.from_stamped
+    etas = [stamp(tuple(eis[lo:hi]), tinterval_id, profile_id)
+            for lo, hi, tinterval_id, profile_id
+            in zip(heads.tolist(), stops.tolist(),
+                   columns.ei_tinterval[heads].tolist(), owner.tolist())]
+    ends = np.searchsorted(owner, np.arange(len(columns.names)),
+                           side="right").tolist()
+    return tuple(
+        Profile.from_stamped(tuple(etas[lo:hi]), profile_id, name)
+        for profile_id, (lo, hi, name)
+        in enumerate(zip([0] + ends, ends, columns.names)))
+
+
+def _columns_from_profiles(profiles: tuple[Profile, ...]) -> ProfileColumns:
+    """The one walk over a set's objects: profiles -> t-intervals -> EIs,
+    flattened in creation order, one ``fromiter`` per attribute."""
+    etas = list(chain.from_iterable(profiles))
+    members = list(map(attrgetter("eis"), etas))
+    eis = list(chain.from_iterable(members))
+
+    def column(attr: str, objects: list) -> np.ndarray:
+        return np.fromiter(map(attrgetter(attr), objects), np.int64,
+                           len(objects))
+
+    size = np.fromiter(map(len, members), np.int64, len(etas))
+    return ProfileColumns(
+        tuple(map(attrgetter("name"), profiles)),
+        np.repeat(column("profile_id", etas), size),
+        np.repeat(column("tinterval_id", etas), size),
+        column("resource_id", eis), column("start", eis),
+        column("finish", eis))
 
 
 def _any_overlap(by_resource: dict[int, list[ExecutionInterval]]) -> bool:

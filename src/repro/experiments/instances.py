@@ -35,8 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.intervals import ExecutionInterval, TInterval
-from repro.core.profile import Profile, ProfileSet
+from repro.core.profile import ProfileColumns, ProfileSet
 from repro.experiments.config import ExperimentConfig
 from repro.traces.auctions import AuctionTraceSynthesizer
 from repro.traces.events import UpdateTrace
@@ -251,14 +250,14 @@ class InstanceCache:
             resource_ids, chronons = trace.as_arrays()
             payloads = [event.payload for event in trace] \
                 if _has_payloads(trace) else None
-            ei_rows = _profile_columns(profiles)
+            columns = profiles.columns()
             manifest = {
                 "version": FORMAT_VERSION,
                 "key": key,
                 "source": source,
                 "repetition": repetition,
                 "config": asdict(config),
-                "profile_names": [profile.name for profile in profiles],
+                "profile_names": list(columns.names),
                 "payloads": payloads,
             }
             with tempfile.NamedTemporaryFile(
@@ -267,7 +266,7 @@ class InstanceCache:
                 np.savez(handle,
                          trace_resource_ids=resource_ids,
                          trace_chronons=chronons,
-                         **ei_rows)
+                         **dict(zip(_EI_COLUMNS, columns[1:])))
                 tmp_columns = handle.name
             os.replace(tmp_columns, columns_path)
             with tempfile.NamedTemporaryFile(
@@ -288,8 +287,10 @@ class InstanceCache:
 
         Every failure mode — missing columns file, truncated npz,
         malformed JSON, version skew, key mismatch, out-of-range
-        chronons (``UpdateTrace.from_columns`` re-validates) — is
-        treated as a miss so the instance is regenerated and rewritten.
+        chronons (``UpdateTrace.from_columns`` re-validates), EI columns
+        no profile set could have produced (``ProfileSet.from_columns``
+        checks them) — is treated as a miss so the instance is
+        regenerated and rewritten.
         """
         columns_path, manifest_path = self._paths(key)
         if not manifest_path.exists():
@@ -306,8 +307,9 @@ class InstanceCache:
                     columns["trace_resource_ids"],
                     config.epoch,
                     payloads=manifest.get("payloads"))
-                profiles = _profiles_from_columns(
-                    columns, manifest["profile_names"])
+                profiles = ProfileSet.from_columns(ProfileColumns(
+                    manifest["profile_names"],
+                    *(columns[name] for name in _EI_COLUMNS)))
             return trace, profiles
         except Exception:
             self.disk_errors += 1
@@ -319,73 +321,9 @@ def _has_payloads(trace: UpdateTrace) -> bool:
     return any(event.payload is not None for event in trace)
 
 
-def _profile_columns(profiles: ProfileSet) -> dict[str, np.ndarray]:
-    """Flatten a profile set into parallel EI columns.
-
-    One row per EI: ``(profile, tinterval, resource, start, finish)``.
-    Row order is (profile, tinterval, slot) — exactly the order the
-    stamped reconstruction in :func:`_profiles_from_columns` walks.
-    """
-    rows: list[tuple[int, int, int, int, int]] = []
-    for profile in profiles:
-        for eta in profile:
-            for ei in eta:
-                rows.append((profile.profile_id, eta.tinterval_id,
-                             ei.resource_id, ei.start, ei.finish))
-    table = np.asarray(rows, dtype=np.int64).reshape(len(rows), 5)
-    return {
-        "ei_profile": table[:, 0],
-        "ei_tinterval": table[:, 1],
-        "ei_resource": table[:, 2],
-        "ei_start": table[:, 3],
-        "ei_finish": table[:, 4],
-    }
-
-
-def _profiles_from_columns(columns, names: list[str]) -> ProfileSet:
-    """Rebuild a ProfileSet from the EI columns of a cache entry.
-
-    Rows are stored in (profile, tinterval, slot) order, so one linear
-    pass regroups them; ids are stamped during assembly (positions in
-    the columns ARE the ids), making the ``ProfileSet`` attach a no-op.
-    """
-    ei_profile = columns["ei_profile"].tolist()
-    ei_tinterval = columns["ei_tinterval"].tolist()
-    ei_resource = columns["ei_resource"].tolist()
-    ei_start = columns["ei_start"].tolist()
-    ei_finish = columns["ei_finish"].tolist()
-    profiles: list[Profile] = []
-    tintervals: list[TInterval] = []
-    members: list[ExecutionInterval] = []
-    for row, profile_id in enumerate(ei_profile):
-        while len(profiles) < profile_id:
-            _flush_tinterval(tintervals, members, len(profiles))
-            profiles.append(Profile.from_stamped(
-                tuple(tintervals), len(profiles), names[len(profiles)]))
-            tintervals = []
-        if ei_tinterval[row] != len(tintervals):
-            _flush_tinterval(tintervals, members, profile_id)
-        members.append(ExecutionInterval(
-            ei_resource[row], ei_start[row], ei_finish[row],
-            ei_id=len(members)))
-    while len(profiles) < len(names):
-        _flush_tinterval(tintervals, members, len(profiles))
-        profiles.append(Profile.from_stamped(
-            tuple(tintervals), len(profiles), names[len(profiles)]))
-        tintervals = []
-        members = []
-    return ProfileSet(profiles)
-
-
-def _flush_tinterval(tintervals: list[TInterval],
-                     members: list[ExecutionInterval],
-                     profile_id: int) -> None:
-    """Close the t-interval under assembly, if any, stamping its ids."""
-    if members:
-        tintervals.append(TInterval.from_stamped(
-            tuple(members), tinterval_id=len(tintervals),
-            profile_id=profile_id))
-        members.clear()
+#: npz names of the EI-row columns (``ProfileColumns`` minus ``names``,
+#: which travel in the manifest).
+_EI_COLUMNS = ProfileColumns._fields[1:]
 
 
 # ----------------------------------------------------------------------

@@ -39,8 +39,6 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
@@ -199,30 +197,22 @@ class ColumnarInstance:
         last = epoch.last
 
         # ------------------------------------------------------------------
-        # The one walk over the objects: profiles -> t-intervals -> EIs,
-        # flattened in creation order, one fromiter per attribute column.
-        # Everything below is array arithmetic on these columns.
+        # Input is the set's EI-row columns in creation order (a
+        # hand-built set walks its objects once to produce them);
+        # everything below is array arithmetic on those.
         # ------------------------------------------------------------------
-        profiles = list(profiles)
-        etas = list(chain.from_iterable(profiles))
-        members = list(map(attrgetter("eis"), etas))
-        eis = list(chain.from_iterable(members))
-        self.S, self.E = S, E = len(etas), len(eis)
-
-        def column(attr: str, objects: list) -> np.ndarray:
-            return np.fromiter(map(attrgetter(attr), objects), np.int64,
-                               len(objects))
-
-        size = np.fromiter(map(len, members), np.int64, S)
-        start = column("start", eis)
-        res = column("resource_id", eis)
+        columns = profiles.columns()
+        start, res = columns.ei_start, columns.ei_resource
+        ptr = columns.tinterval_heads()
+        self.S, self.E = S, E = ptr.size, start.size
+        size = np.diff(np.append(ptr, E))
         #: Resource ids live in ``[0, rid_space)``.
         self.rid_space = int(res.max()) + 1 if E else 1
         # A profile's rank is its largest t-interval; empty profiles own
         # no state (and reduceat takes no empty segment).
-        p_len = np.fromiter(map(len, profiles), np.int64, len(profiles))
-        self.profile_totals = dict(zip(
-            map(attrgetter("profile_id"), profiles), p_len.tolist()))
+        eta_profile = columns.ei_profile[ptr]
+        p_len = np.bincount(eta_profile, minlength=len(columns.names))
+        self.profile_totals = dict(enumerate(p_len.tolist()))
         full = p_len > 0
         rank = np.repeat(
             np.maximum.reduceat(size, (np.cumsum(p_len) - p_len)[full]),
@@ -231,14 +221,13 @@ class ColumnarInstance:
         # ------------------------------------------------------------------
         # States in (clamped arrival, creation order) — the seq order.
         # ------------------------------------------------------------------
-        ptr = np.cumsum(size) - size
         arrival = np.minimum(np.minimum.reduceat(start, ptr), last)
         order = np.argsort(arrival, kind="stable")
         self.st_arrival = arrival[order]
         self.st_rank = rank[order]
-        self.st_profile = column("profile_id", etas)[order]
+        self.st_profile = eta_profile[order]
         self.st_size = size[order]
-        self.st_tid = column("tinterval_id", etas)[order]
+        self.st_tid = columns.ei_tinterval[ptr][order]
 
         # ------------------------------------------------------------------
         # EIs state-major, within a state in ei_id order: a gather of the
@@ -251,7 +240,7 @@ class ColumnarInstance:
             ptr[order] - self._ei_ptr, self.st_size)
         self.ei_res = res[gather]
         self.ei_start = start[gather]
-        self.ei_finish = column("finish", eis)[gather]
+        self.ei_finish = columns.ei_finish[gather]
         # M-EDF's initial deadline sum counts every EI, active or not.
         self.init_sum = np.add.reduceat(self.ei_finish, self._ei_ptr)
 

@@ -59,7 +59,8 @@ class UpdateTrace:
     """
 
     __slots__ = ("_events", "_by_resource", "epoch", "_arrays",
-                 "_payloads", "_unique_chronons", "__weakref__")
+                 "_payloads", "_unique_chronons", "_sorted_updates",
+                 "__weakref__")
 
     def __init__(self, events: Iterable[UpdateEvent], epoch: Epoch) -> None:
         self.epoch = epoch
@@ -68,6 +69,7 @@ class UpdateTrace:
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._payloads: list[str] | None = None
         self._unique_chronons: dict[int, np.ndarray] = {}
+        self._sorted_updates: tuple[np.ndarray, ...] | None = None
         for event in self._events:
             if event.chronon not in epoch:
                 raise TraceFormatError(
@@ -128,6 +130,7 @@ class UpdateTrace:
         trace._arrays = (resource_ids[order], chronons[order])
         trace._payloads = sorted_payloads
         trace._unique_chronons = {}
+        trace._sorted_updates = None
         return trace
 
     def _materialize(self) -> tuple[UpdateEvent, ...]:
@@ -199,6 +202,27 @@ class UpdateTrace:
                 cached = mine
             self._unique_chronons[resource_id] = cached
         return cached
+
+    def sorted_updates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cached ``(resource_ids, chronons, heads)`` of the distinct updates.
+
+        The (resource, chronon) pairs of the trace, deduplicated and
+        sorted by resource then chronon — every resource's
+        :meth:`unique_chronons` laid end to end — with ``heads`` the row
+        at which each resource's run begins. One lexsort per trace,
+        shared by every generator built on it.
+        """
+        if self._sorted_updates is None:
+            resource_ids, chronons = self.as_arrays()
+            order = np.lexsort((chronons, resource_ids))
+            rids, chronons = resource_ids[order], chronons[order]
+            head = np.ones(rids.size, dtype=bool)
+            np.not_equal(rids[1:], rids[:-1], out=head[1:])
+            keep = head.copy()
+            keep[1:] |= chronons[1:] != chronons[:-1]
+            self._sorted_updates = (rids[keep], chronons[keep],
+                                    np.flatnonzero(head[keep]))
+        return self._sorted_updates
 
     def __len__(self) -> int:
         if self._events is None:

@@ -17,7 +17,6 @@ in three stages:
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -152,25 +151,27 @@ class ProfileGenerator:
         Optional template override; defaults to AuctionWatch with the
         config's restriction and grouping.
     fast:
-        Selects the buffered-uniform sampling path and (for the default
-        AuctionWatch template) the vectorized profile build. The fast
-        path draws its uniforms from the same stream in the same order
-        as the reference path — rank draws through the Zipf CDF,
-        resource draws through an exact replay of numpy's
-        without-replacement ``choice`` — so the generated profile sets
-        are identical for any seed.
+        Selects the buffered-uniform sampling path and the all-profiles-
+        at-once columnar build, which returns a column-born
+        :class:`ProfileSet` (AuctionWatch over a built-in restriction;
+        any other template takes the reference path). The fast path
+        draws its uniforms from the same stream in the same order as
+        the reference path — rank draws through the Zipf CDF, resource
+        draws through an exact replay of numpy's without-replacement
+        ``choice`` — so the generated profile sets are identical for
+        any seed.
     """
 
     def __init__(self, config: GeneratorConfig,
                  template: ProfileTemplate | None = None,
                  fast: bool = True) -> None:
         self.config = config
-        self._fast = fast
         if template is None:
             template = AuctionWatchTemplate(
-                config.restriction(), grouping=config.grouping,  # type: ignore[arg-type]
-                fast=fast)
+                config.restriction(), grouping=config.grouping)  # type: ignore[arg-type]
         self._template = template
+        self._columnar = (fast and isinstance(template, AuctionWatchTemplate)
+                          and template.columnar)
 
     def generate(self, trace: UpdateTrace, epoch: Epoch,
                  resource_ids: Sequence[int] | None = None) -> ProfileSet:
@@ -202,45 +203,31 @@ class ProfileGenerator:
                                 rng=rng)
         resource_dist = BoundedZipf(self.config.alpha, len(resource_ids),
                                     rng=rng)
-        # Only the fast path pre-stamps profile ids; the reference path
-        # keeps the original build-then-attach flow as the behavioral
-        # (and benchmark) baseline.
-        builds_attached = self._fast and _accepts_profile_id(self._template)
-        uniforms = _UniformBuffer(rng) if self._fast else None
-        profiles: list[Profile] = []
-        for index in range(self.config.num_profiles):
-            if uniforms is not None:
-                # Same uniform stream as the reference draws below; the
-                # rng itself is only touched through the buffer.
-                rank = min(rank_dist.sample_from(uniforms.take_one()),
-                           len(resource_ids))
-                positions = resource_dist.sample_distinct_from(
-                    rank, uniforms.take)
-            else:
+        if not self._columnar:
+            profiles: list[Profile] = []
+            for index in range(self.config.num_profiles):
                 rank = min(rank_dist.sample(), len(resource_ids))
-                positions = resource_dist.sample_distinct(rank)
-            chosen = [resource_ids[position - 1] for position in positions]
-            name = f"AuctionWatch({rank})#{index}"
-            if builds_attached:
-                # Pre-stamping the profile id makes the ProfileSet
-                # attachment below a no-op instead of a deep copy.
-                profile = self._template.build_profile(
-                    chosen, trace, epoch, name=name, profile_id=index)
-            else:
-                profile = self._template.build_profile(
-                    chosen, trace, epoch, name=name)
-            profiles.append(profile)
-        return ProfileSet(profiles)
-
-
-def _accepts_profile_id(template: object) -> bool:
-    """True when the template's ``build_profile`` takes ``profile_id``.
-
-    The bundled templates all do; duck-typed user templates predating
-    the parameter keep working through the unattached call.
-    """
-    try:
-        parameters = inspect.signature(template.build_profile).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
-    return "profile_id" in parameters
+                chosen = [resource_ids[position - 1] for position
+                          in resource_dist.sample_distinct(rank)]
+                profiles.append(self._template.build_profile(
+                    chosen, trace, epoch,
+                    name=f"AuctionWatch({rank})#{index}"))
+            return ProfileSet(profiles)
+        # Same uniform stream as the reference draws above; the rng
+        # itself is only touched through the buffer.
+        uniforms = _UniformBuffer(rng)
+        ranks: list[int] = []
+        positions: list[int] = []
+        for _ in range(self.config.num_profiles):
+            rank = min(rank_dist.sample_from(uniforms.take_one()),
+                       len(resource_ids))
+            ranks.append(rank)
+            positions.extend(resource_dist.sample_distinct_from(
+                rank, uniforms.take))
+        universe = np.asarray(resource_ids, dtype=np.int64)
+        return ProfileSet.from_columns(self._template.build_columns(
+            np.asarray(ranks, dtype=np.int64),
+            universe[np.asarray(positions, dtype=np.int64) - 1],
+            [f"AuctionWatch({rank})#{index}"
+             for index, rank in enumerate(ranks)],
+            trace, epoch))

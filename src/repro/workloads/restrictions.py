@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Protocol, Sequence
 
-import numpy as np
-
 from repro.core.intervals import ExecutionInterval
 from repro.core.timeline import Chronon, Epoch
 
@@ -65,22 +63,6 @@ class OverwriteRestriction:
                                                max(start, finish)))
         return intervals
 
-    def interval_bounds(self, update_chronons: np.ndarray,
-                        epoch: Epoch) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized ``(starts, finishes)`` from deduplicated chronons.
-
-        ``update_chronons`` must be sorted and duplicate-free (the
-        cached :meth:`UpdateTrace.unique_chronons` form); the result
-        matches :meth:`execution_intervals` element-for-element.
-        """
-        starts = np.asarray(update_chronons, dtype=np.int64)
-        if not starts.size:
-            return starts, starts
-        finishes = np.empty_like(starts)
-        finishes[:-1] = starts[1:] - 1
-        finishes[-1] = epoch.last
-        return starts, np.maximum(starts, finishes)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "OverwriteRestriction()"
 
@@ -107,16 +89,6 @@ class WindowRestriction:
                               min(start + self.window, epoch.last))
             for start in chronons
         ]
-
-    def interval_bounds(self, update_chronons: np.ndarray,
-                        epoch: Epoch) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized ``(starts, finishes)`` from deduplicated chronons.
-
-        ``update_chronons`` must be sorted and duplicate-free; the
-        result matches :meth:`execution_intervals` element-for-element.
-        """
-        starts = np.asarray(update_chronons, dtype=np.int64)
-        return starts, np.minimum(starts + self.window, epoch.last)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"WindowRestriction(W={self.window})"

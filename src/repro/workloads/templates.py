@@ -24,15 +24,13 @@ subscription).
 
 from __future__ import annotations
 
-import weakref
-from bisect import bisect_left
 from typing import Literal, Sequence
 
 import numpy as np
 
 from repro.core.errors import WorkloadError
 from repro.core.intervals import ExecutionInterval, TInterval
-from repro.core.profile import Profile
+from repro.core.profile import Profile, ProfileColumns
 from repro.core.timeline import Epoch
 from repro.traces.events import UpdateTrace
 from repro.workloads.restrictions import (
@@ -55,36 +53,31 @@ Grouping = Literal["indexed", "overlap"]
 class AuctionWatchTemplate:
     """AuctionWatch(k): capture every bid round across k parallel auctions.
 
+    :meth:`build_profile` instantiates one profile as objects and is the
+    reference; :meth:`build_columns` instantiates many at once as
+    :class:`~repro.core.profile.ProfileColumns` — the same t-intervals,
+    row for row — for the two built-in restrictions (``columnar``).
+
     Parameters
     ----------
     restriction:
         Delivery restriction converting update chronons into EIs.
     grouping:
         ``"indexed"`` or ``"overlap"`` (see module docstring).
-    fast:
-        Selects the vectorized build path: per-resource EI streams are
-        derived once per trace through the restriction's
-        ``interval_bounds`` (cached, so profiles sharing a resource share
-        its stream) and overlap grouping matches anchors with
-        ``np.searchsorted`` instead of a per-anchor linear scan. The
-        profiles produced are equal to the reference path's; restrictions
-        without ``interval_bounds`` (or yielding non-monotone streams)
-        transparently fall back to the reference derivation.
     """
 
     def __init__(self, restriction: DeliveryRestriction,
-                 grouping: Grouping = "indexed", fast: bool = True) -> None:
+                 grouping: Grouping = "indexed") -> None:
         if grouping not in ("indexed", "overlap"):
             raise WorkloadError(f"unknown grouping {grouping!r}")
         self._restriction = restriction
         self._grouping = grouping
-        self._fast = fast
-        self._stream_cache: tuple[
-            weakref.ref,
-            dict[int, _EIStream],
-            dict[int, tuple[np.ndarray, np.ndarray]] | None,
-            dict[tuple[int, ...], list[TInterval]],
-        ] | None = None
+
+    @property
+    def columnar(self) -> bool:
+        """True when :meth:`build_columns` knows the restriction."""
+        return isinstance(self._restriction,
+                          (WindowRestriction, OverwriteRestriction))
 
     def build_profile(self, resource_ids: Sequence[int], trace: UpdateTrace,
                       epoch: Epoch, name: str = "",
@@ -93,9 +86,7 @@ class AuctionWatchTemplate:
 
         Resources without any update contribute no rounds; a profile over
         resources that never all update together ends up empty (and does
-        not count toward GC). ``profile_id`` pre-stamps identities so the
-        owning :class:`~repro.core.profile.ProfileSet` can attach the
-        profile without copying it.
+        not count toward GC).
         """
         if not resource_ids:
             raise WorkloadError("AuctionWatch needs at least one resource")
@@ -103,78 +94,88 @@ class AuctionWatchTemplate:
             raise WorkloadError(
                 f"duplicate resources in AuctionWatch: {resource_ids}"
             )
-        if self._fast:
-            cache = self._ensure_cache(trace, epoch)
-            label = name or f"AuctionWatch({len(resource_ids)})"
-            key = tuple(resource_ids)
-            built = cache[3].get(key)
-            if built is not None:
-                # Another profile already watches exactly these
-                # resources: its t-intervals differ only in the stamped
-                # profile id, and EIs carry no profile identity, so the
-                # member tuples are shared as-is.
-                return Profile.from_stamped(
-                    tuple(TInterval.from_stamped(eta.eis,
-                                                 eta.tinterval_id,
-                                                 profile_id)
-                          for eta in built),
-                    profile_id, label)
-            streams = [self._stream_for(resource_id, trace, epoch, cache)
-                       for resource_id in resource_ids]
-            if self._grouping == "indexed":
-                tintervals = _group_indexed_fast(streams, profile_id)
-            else:
-                tintervals = _group_overlap_fast(streams, profile_id)
-            cache[3][key] = tintervals
-            return Profile.from_stamped(tuple(tintervals), profile_id,
-                                        label)
-        reference = [
+        streams = [
             self._restriction.execution_intervals(
                 resource_id, trace.update_chronons(resource_id), epoch)
             for resource_id in resource_ids
         ]
         if self._grouping == "indexed":
-            tintervals = _group_indexed(reference, profile_id)
+            tintervals = _group_indexed(streams, profile_id)
         else:
-            tintervals = _group_overlap(reference, profile_id)
+            tintervals = _group_overlap(streams, profile_id)
         label = name or f"AuctionWatch({len(resource_ids)})"
         return Profile(tintervals, profile_id=profile_id, name=label)
 
-    def _ensure_cache(self, trace: UpdateTrace, epoch: Epoch) -> tuple:
-        """The per-trace cache: streams, bulk bounds, profile memo.
+    def build_columns(self, ranks: np.ndarray, resource_ids: np.ndarray,
+                      names: Sequence[str], trace: UpdateTrace,
+                      epoch: Epoch) -> ProfileColumns:
+        """Every profile of a set at once, as EI-row columns.
 
-        Keyed on the trace (weakly, so a template never pins a dead
-        trace) and shared by every profile built from it. On the first
-        miss for a trace the interval bounds of *all* its resources are
-        derived in one vectorized pass (built-in restrictions only).
+        Profile ``p`` watches the next ``ranks[p]`` (>= 1, distinct)
+        entries of the flat ``resource_ids``. Its rows equal what
+        :meth:`build_profile` builds for those resources — the grouping
+        runs over all profiles together, one array pass per slot.
         """
-        cache = self._stream_cache
-        if cache is None or cache[0]() is not trace:
-            cache = (weakref.ref(trace),
-                     {},
-                     _bulk_bounds(self._restriction, trace, epoch),
-                     {})
-            self._stream_cache = cache
-        return cache
-
-    def _stream_for(self, resource_id: int, trace: UpdateTrace,
-                    epoch: Epoch, cache: tuple | None = None) -> "_EIStream":
-        """One resource's cached EI stream with columnar bounds."""
-        if cache is None:
-            cache = self._ensure_cache(trace, epoch)
-        per_resource = cache[1]
-        stream = per_resource.get(resource_id)
-        if stream is None:
-            bulk = cache[2]
-            if bulk is not None:
-                starts, finishes = bulk.get(resource_id, _EMPTY_BOUNDS)
-                stream = _EIStream(resource_id, starts, finishes,
-                                   monotone=True)
+        rids, starts, finishes, heads = _bulk_bounds(self._restriction,
+                                                     trace, epoch)
+        if not ranks.size:
+            none = np.empty(0, dtype=np.int64)
+            return ProfileColumns(tuple(names), none, none, none, none, none)
+        # Stream j (the EIs of resource_ids[j]) is rows lo[j]:hi[j].
+        lo = np.searchsorted(rids, resource_ids, side="left")
+        hi = np.searchsorted(rids, resource_ids, side="right")
+        first = np.cumsum(ranks) - ranks
+        width = int(ranks.max())
+        if self._grouping == "overlap":
+            # Slot 0 is the anchor — the first of the sparsest streams —
+            # and the other streams follow in their given order.
+            slot = np.arange(lo.size) - np.repeat(first, ranks)
+            anchor = np.repeat(np.minimum.reduceat(
+                (hi - lo) * width + slot, first) % width, ranks)
+            stream = np.repeat(first, ranks) + np.where(
+                slot == 0, anchor, slot - (slot <= anchor))
+            lo, hi = lo[stream], hi[stream]
+        # One candidate t-interval per EI of slot 0's stream (overlap) or
+        # per round every stream reaches (indexed); member[c, t] is the
+        # bounds row of candidate c's slot-t EI.
+        count = np.minimum.reduceat(hi - lo, first)
+        owner = np.repeat(np.arange(ranks.size), count)
+        at = np.arange(owner.size) - np.repeat(np.cumsum(count) - count,
+                                               count)
+        member = np.empty((owner.size, width), dtype=np.int64)
+        member[:, 0] = lo[first[owner]] + at
+        valid = np.ones(owner.size, dtype=bool)
+        if self._grouping == "overlap":
+            # The bounds are sorted by (resource, start) and a stream's
+            # finishes never decrease, so (stream's first row) * span +
+            # finish ascends over all rows: the earliest EI of a stream
+            # not finished before the anchor opens is one searchsorted
+            # away, and it overlaps the anchor iff it starts by the
+            # anchor's end.
+            span = epoch.last + 1
+            fused = np.repeat(heads, np.diff(np.append(heads, rids.size))) \
+                * span + finishes
+            opens, closes = starts[member[:, 0]], finishes[member[:, 0]]
+        for slot in range(1, width):
+            has = np.flatnonzero(ranks[owner] > slot)
+            stream = first[owner[has]] + slot
+            if self._grouping == "indexed":
+                found = lo[stream] + at[has]
             else:
-                stream = _derive_stream(self._restriction, resource_id,
-                                        trace, epoch)
-            per_resource[resource_id] = stream
-        return stream
+                found = np.searchsorted(fused,
+                                        lo[stream] * span + opens[has])
+                valid[has] &= (found < hi[stream]) & (
+                    starts[np.minimum(found, fused.size - 1)] <= closes[has])
+            member[has, slot] = found
+        member, owner = member[valid], owner[valid]
+        kept = np.bincount(owner, minlength=ranks.size)
+        tinterval = np.arange(owner.size) - np.repeat(
+            np.cumsum(kept) - kept, kept)
+        rows = member[np.arange(width) < ranks[owner][:, None]]
+        return ProfileColumns(
+            tuple(names), np.repeat(owner, ranks[owner]),
+            np.repeat(tinterval, ranks[owner]),
+            rids[rows], starts[rows], finishes[rows])
 
 
 class SingleResourceTemplate:
@@ -268,134 +269,27 @@ ProfileTemplate = (AuctionWatchTemplate | SingleResourceTemplate
                    | PeriodicWatchTemplate)
 
 
-class _EIStream:
-    """One resource's EI stream in columnar ``(starts, finishes)`` form.
+def _bulk_bounds(restriction: DeliveryRestriction, trace: UpdateTrace,
+                 epoch: Epoch) -> tuple[np.ndarray, ...]:
+    """``(resource, start, finish)`` of every EI of a trace, as columns,
+    plus the row at which each resource's EIs begin.
 
-    Streams derived from the bulk-bounds pass are *object-free*
-    (``eis is None``): the grouping paths build each member EI exactly
-    once, directly with its final slot id, skipping both the stream-EI
-    allocation and the per-slot re-stamping copy. Fallback streams
-    (custom restrictions) keep their EI objects — those may be
-    subclasses whose type must survive into the built profiles — and
-    the grouping paths re-stamp them as before; their EIs carry
-    ``ei_id = 0`` so slot 0 reuses them without a copy.
-
-    ``monotone`` records whether starts are strictly ascending and
-    finishes nondecreasing — the precondition for the binary-search
-    overlap match (both built-in restrictions satisfy it by
-    construction and pass ``monotone=True``; custom ones are checked).
+    Sorted by (resource, start): a resource's rows are what
+    ``restriction.execution_intervals`` derives from its update
+    chronons, in order — the built-in formulas applied to the trace's
+    (cached) sorted update columns at once, since they only couple
+    consecutive chronons of one resource. Built-in restrictions only.
     """
-
-    __slots__ = ("resource_id", "eis", "starts", "finishes", "monotone",
-                 "starts_list", "finishes_list", "size", "ei_cache")
-
-    def __init__(self, resource_id: int, starts: np.ndarray,
-                 finishes: np.ndarray,
-                 eis: list[ExecutionInterval] | None = None,
-                 monotone: bool | None = None) -> None:
-        self.resource_id = resource_id
-        self.eis = eis
-        self.starts = starts
-        self.finishes = finishes
-        self.starts_list = starts.tolist()
-        self.finishes_list = finishes.tolist()
-        self.size = len(self.starts_list)
-        if monotone is None:
-            monotone = bool(
-                np.all(np.diff(starts) > 0)
-                and np.all(np.diff(finishes) >= 0)
-            )
-        self.monotone = monotone
-        # Object-free grouping memoizes the EIs it builds from this
-        # stream, keyed ``slot * size + index`` — a resource recurring
-        # across profiles (zipf skew makes that common) constructs each
-        # (slot, event) member once per trace. EIs are frozen and
-        # compared by value, so sharing them is invisible to callers.
-        self.ei_cache: dict[int, ExecutionInterval] = {}
-
-
-def _derive_stream(restriction: DeliveryRestriction, resource_id: int,
-                   trace: UpdateTrace, epoch: Epoch) -> _EIStream:
-    """Build one resource's EI stream for a non-built-in restriction.
-
-    Restrictions exposing ``interval_bounds`` get the columnar path fed
-    from the trace's cached unique-chronon arrays; others run their
-    reference ``execution_intervals`` and only the bounds are
-    extracted. Both keep EI objects on the stream (custom restrictions
-    may return EI subclasses), so the grouping paths re-stamp rather
-    than re-create them.
-    """
-    bounds = getattr(restriction, "interval_bounds", None)
-    if bounds is not None:
-        chronons = trace.unique_chronons(resource_id)
-        starts, finishes = bounds(chronons, epoch)
-        eis = [ExecutionInterval(resource_id, start, finish, 0)
-               for start, finish in zip(starts.tolist(), finishes.tolist())]
-        return _EIStream(resource_id, starts, finishes, eis=eis)
-    eis = [ei.with_id(0) for ei in restriction.execution_intervals(
-        resource_id, trace.update_chronons(resource_id), epoch)]
-    count = len(eis)
-    starts = np.fromiter((ei.start for ei in eis), dtype=np.int64,
-                         count=count)
-    finishes = np.fromiter((ei.finish for ei in eis), dtype=np.int64,
-                           count=count)
-    return _EIStream(resource_id, starts, finishes, eis=eis)
-
-
-_EMPTY_BOUNDS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-
-
-def _bulk_bounds(
-    restriction: DeliveryRestriction, trace: UpdateTrace, epoch: Epoch,
-) -> dict[int, tuple[np.ndarray, np.ndarray]] | None:
-    """Interval bounds of *every* resource of a trace in one pass.
-
-    One lexsort of the trace columns replaces the per-resource
-    mask/dedup/``interval_bounds`` sequence: the (resource, chronon)
-    pairs are deduplicated globally, the built-in restrictions' bound
-    formulas are applied to the whole array, and the result is sliced
-    at resource boundaries. Per resource this produces exactly what
-    ``restriction.interval_bounds(trace.unique_chronons(rid), epoch)``
-    would — the formulas only couple chronons of the same resource.
-
-    Returns ``None`` for restrictions other than the two built-ins
-    (their ``interval_bounds``, if any, runs per resource instead).
-    """
-    is_window = isinstance(restriction, WindowRestriction)
-    if not is_window and not isinstance(restriction, OverwriteRestriction):
-        return None
-    resource_ids, chronons = trace.as_arrays()
-    if not resource_ids.size:
-        return {}
-    order = np.lexsort((chronons, resource_ids))
-    rids = resource_ids[order]
-    starts = chronons[order]
-    keep = np.empty(rids.size, dtype=bool)
-    keep[0] = True
-    np.logical_or(rids[1:] != rids[:-1], starts[1:] != starts[:-1],
-                  out=keep[1:])
-    rids = rids[keep]
-    starts = starts[keep]
-    heads = np.empty(rids.size, dtype=bool)
-    heads[0] = True
-    np.not_equal(rids[1:], rids[:-1], out=heads[1:])
-    head_positions = heads.nonzero()[0]
-    if is_window:
-        finishes = np.minimum(starts + restriction.window, epoch.last)
-    else:
-        # Overwrite: each EI ends where the resource's next update
-        # starts; the last EI of every resource runs to the epoch end.
-        finishes = np.empty_like(starts)
-        finishes[:-1] = starts[1:] - 1
-        finishes[head_positions[1:] - 1] = epoch.last
-        finishes[-1] = epoch.last
-        np.maximum(starts, finishes, out=finishes)
-    bounds: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    stops = np.append(head_positions[1:], rids.size).tolist()
-    for rid, lo, hi in zip(rids[head_positions].tolist(),
-                           head_positions.tolist(), stops):
-        bounds[rid] = (starts[lo:hi], finishes[lo:hi])
-    return bounds
+    rids, starts, heads = trace.sorted_updates()
+    if isinstance(restriction, WindowRestriction):
+        return (rids, starts,
+                np.minimum(starts + restriction.window, epoch.last), heads)
+    # Overwrite: each EI ends where the resource's next update starts;
+    # the last EI of every resource runs to the epoch end.
+    finishes = np.full_like(starts, epoch.last)
+    finishes[:-1] = starts[1:] - 1
+    finishes[heads[1:] - 1] = epoch.last
+    return rids, starts, np.maximum(starts, finishes), heads
 
 
 def _group_indexed(streams: list[list[ExecutionInterval]],
@@ -407,49 +301,6 @@ def _group_indexed(streams: list[list[ExecutionInterval]],
     return [TInterval([stream[i] for stream in streams],
                       tinterval_id=i, profile_id=profile_id)
             for i in range(rounds)]
-
-
-def _group_indexed_fast(streams: list[_EIStream],
-                        profile_id: int = -1) -> list[TInterval]:
-    """Indexed grouping over columnar streams, no re-validation.
-
-    Object-free streams (the bulk-bounds path) have each member EI
-    built here exactly once, directly with its final slot id — the
-    bounds already satisfy the EI invariants, so ``__post_init__`` is
-    skipped. Fallback streams re-stamp their existing EI objects (slot
-    0 is pre-stamped and shared as-is). Output is identical to
-    :func:`_group_indexed` over the same EIs.
-    """
-    if any(not stream.size for stream in streams):
-        return []
-    rounds = min(stream.size for stream in streams)
-    if streams[0].eis is None:
-        new = ExecutionInterval.__new__
-        setfield = object.__setattr__
-        tintervals = []
-        for i in range(rounds):
-            members = []
-            for slot, stream in enumerate(streams):
-                key = slot * stream.size + i
-                ei = stream.ei_cache.get(key)
-                if ei is None:
-                    ei = new(ExecutionInterval)
-                    setfield(ei, "resource_id", stream.resource_id)
-                    setfield(ei, "start", stream.starts_list[i])
-                    setfield(ei, "finish", stream.finishes_list[i])
-                    setfield(ei, "ei_id", slot)
-                    stream.ei_cache[key] = ei
-                members.append(ei)
-            tintervals.append(TInterval.from_stamped(
-                tuple(members), tinterval_id=i, profile_id=profile_id))
-        return tintervals
-    return [
-        TInterval.from_stamped(
-            tuple(stream.eis[i].restamped(slot)
-                  for slot, stream in enumerate(streams)),
-            tinterval_id=i, profile_id=profile_id)
-        for i in range(rounds)
-    ]
 
 
 def _group_overlap(streams: list[list[ExecutionInterval]],
@@ -480,137 +331,4 @@ def _group_overlap(streams: list[list[ExecutionInterval]],
         if complete:
             tintervals.append(TInterval(members, tinterval_id=len(tintervals),
                                         profile_id=profile_id))
-    return tintervals
-
-
-def _group_overlap_fast(streams: list[_EIStream],
-                        profile_id: int = -1) -> list[TInterval]:
-    """Binary-search overlap grouping over columnar EI streams.
-
-    When a stream's starts ascend strictly and finishes never decrease
-    (true for overwrite and window streams), the earliest EI overlapping
-    anchor ``[s, f]`` is the one at ``bisect_left(finishes, s)`` —
-    everything before it has already finished, and if that EI starts
-    after ``f`` every later one does too. The bisection runs over the
-    cached Python bound lists: at typical per-resource EI counts (tens)
-    C ``bisect`` beats numpy's per-call dispatch overhead, and anchors
-    already known to be unmatched are skipped entirely. Non-monotone
-    custom streams keep the linear scan. Output is identical to
-    :func:`_group_overlap`.
-    """
-    if any(not stream.size for stream in streams):
-        return []
-    anchor_index = 0
-    for index in range(1, len(streams)):
-        if streams[index].size < streams[anchor_index].size:
-            anchor_index = index
-    anchor = streams[anchor_index]
-    object_free = anchor.eis is None
-    new = ExecutionInterval.__new__
-    setfield = object.__setattr__
-    if len(streams) == 1:
-        # Rank-1 profile: every anchor EI is its own t-interval.
-        if object_free:
-            tintervals = []
-            ei_cache = anchor.ei_cache
-            for position in range(anchor.size):
-                ei = ei_cache.get(position)
-                if ei is None:
-                    ei = new(ExecutionInterval)
-                    setfield(ei, "resource_id", anchor.resource_id)
-                    setfield(ei, "start", anchor.starts_list[position])
-                    setfield(ei, "finish", anchor.finishes_list[position])
-                    setfield(ei, "ei_id", 0)
-                    ei_cache[position] = ei
-                tintervals.append(TInterval.from_stamped(
-                    (ei,), tinterval_id=position, profile_id=profile_id))
-            return tintervals
-        return [TInterval.from_stamped((ei,), tinterval_id=position,
-                                       profile_id=profile_id)
-                for position, ei in enumerate(anchor.eis)]
-    count = anchor.size
-    anchor_starts = anchor.starts_list
-    anchor_finishes = anchor.finishes_list
-    valid = [True] * count
-    matched: list[tuple[_EIStream, list[int]]] = []
-    for index, stream in enumerate(streams):
-        if index == anchor_index:
-            continue
-        matches = [0] * count
-        if stream.monotone:
-            finishes = stream.finishes_list
-            starts = stream.starts_list
-            size = stream.size
-            for position in range(count):
-                if not valid[position]:
-                    continue
-                at = bisect_left(finishes, anchor_starts[position])
-                if at < size and starts[at] <= anchor_finishes[position]:
-                    matches[position] = at
-                else:
-                    valid[position] = False
-        else:
-            # Non-monotone streams only occur on the fallback (EI
-            # object) path — bulk streams are monotone by construction.
-            for position, anchor_ei in enumerate(anchor.eis):
-                if not valid[position]:
-                    continue
-                at = next((k for k, ei in enumerate(stream.eis)
-                           if ei.overlaps(anchor_ei)), -1)
-                if at >= 0:
-                    matches[position] = at
-                else:
-                    valid[position] = False
-        matched.append((stream, matches))
-    tintervals: list[TInterval] = []
-    append = tintervals.append
-    if object_free:
-        # Each member EI is built exactly once with its final slot id
-        # (bounds already satisfy the EI invariants — no re-validation,
-        # no re-stamping copies).
-        anchor_rid = anchor.resource_id
-        anchor_cache = anchor.ei_cache
-        for position in range(count):
-            if not valid[position]:
-                continue
-            first = anchor_cache.get(position)
-            if first is None:
-                first = new(ExecutionInterval)
-                setfield(first, "resource_id", anchor_rid)
-                setfield(first, "start", anchor_starts[position])
-                setfield(first, "finish", anchor_finishes[position])
-                setfield(first, "ei_id", 0)
-                anchor_cache[position] = first
-            members = [first]
-            slot = 1
-            for stream, matches in matched:
-                at = matches[position]
-                key = slot * stream.size + at
-                ei = stream.ei_cache.get(key)
-                if ei is None:
-                    ei = new(ExecutionInterval)
-                    setfield(ei, "resource_id", stream.resource_id)
-                    setfield(ei, "start", stream.starts_list[at])
-                    setfield(ei, "finish", stream.finishes_list[at])
-                    setfield(ei, "ei_id", slot)
-                    stream.ei_cache[key] = ei
-                members.append(ei)
-                slot += 1
-            append(TInterval.from_stamped(
-                tuple(members), tinterval_id=len(tintervals),
-                profile_id=profile_id))
-        return tintervals
-    for position in range(count):
-        if not valid[position]:
-            continue
-        # Anchor EIs are pre-stamped with slot 0's id; the other slots
-        # take one restamped copy each.
-        members = [anchor.eis[position]]
-        slot = 1
-        for stream, matches in matched:
-            members.append(stream.eis[matches[position]].restamped(slot))
-            slot += 1
-        append(TInterval.from_stamped(
-            tuple(members), tinterval_id=len(tintervals),
-            profile_id=profile_id))
     return tintervals

@@ -177,6 +177,51 @@ class TestDiskStore:
         np.savez(columns_path, **data)
         self._assert_regenerated(tmp_path)
 
+    @pytest.mark.parametrize("damage", [
+        lambda data: data.update(ei_finish=data["ei_finish"][:-1]),
+        lambda data: data.update(
+            ei_start=data["ei_start"].astype(float)),
+        lambda data: data.update(
+            ei_resource=data["ei_resource"].reshape(1, -1)),
+        lambda data: data["ei_profile"].__setitem__(0, 1),
+        lambda data: data["ei_profile"].__setitem__(-1, BASE.num_profiles),
+        lambda data: data["ei_profile"].__setitem__(
+            slice(None), data["ei_profile"] - 1),
+        lambda data: data["ei_tinterval"].__setitem__(0, 1),
+        lambda data: data["ei_tinterval"].__setitem__(
+            slice(None), data["ei_tinterval"] * 2),
+        lambda data: data["ei_tinterval"].__setitem__(
+            slice(None), data["ei_tinterval"][::-1].copy()),
+        lambda data: data["ei_start"].__setitem__(3, 0),
+        lambda data: data["ei_finish"].__setitem__(
+            3, data["ei_start"][3] - 1),
+        lambda data: data["ei_resource"].__setitem__(3, -1),
+    ], ids=["short-column", "float-column", "2d-column",
+            "profile-descends", "profile-past-names", "profile-negative",
+            "tinterval-starts-at-1", "tinterval-gaps",
+            "tinterval-descends", "start-below-1", "finish-before-start",
+            "negative-resource"])
+    def test_impossible_ei_columns_regenerated(self, tmp_path, damage):
+        """EI columns no profile set could have produced are a miss."""
+        import numpy as np
+        _trace, profiles = InstanceCache(
+            cache_dir=tmp_path).get_or_generate(BASE, 0)
+        assert max(len(profile) for profile in profiles) > 1
+        columns_path, _ = self._entry_paths(tmp_path)
+        with np.load(columns_path) as columns:
+            data = {name: columns[name] for name in columns.files}
+        damage(data)
+        np.savez(columns_path, **data)
+        self._assert_regenerated(tmp_path)
+
+    def test_missing_profile_names_regenerated(self, tmp_path):
+        InstanceCache(cache_dir=tmp_path).get_or_generate(BASE, 0)
+        _, manifest_path = self._entry_paths(tmp_path)
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["profile_names"] = manifest["profile_names"][:1]
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        self._assert_regenerated(tmp_path)
+
 
 class TestProcessWideConfiguration:
     def test_make_instance_uses_configured_cache(self, tmp_path):
