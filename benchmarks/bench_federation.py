@@ -15,12 +15,9 @@ merge. Every round asserts the federated schedule is probe-for-probe
 identical to the monolith's — for *every* K, which is why the reported
 ``gc_degradation`` column is exactly 0.0 per shard count.
 
-``--workers N`` advances shards on a forked process pool; with the
-default ``auto``, the pool is only engaged when the machine has spare
-cores (on a single-CPU host the in-process path wins — the speedup is
-algorithmic, from the shards' vectorized columnar slices — and the
-chosen mode is recorded in the report). ``--smoke`` restricts the run
-to the tiny scale with fewer rounds for CI.
+The shards advance in-process — the speedup is algorithmic, from the
+shards' vectorized columnar slices. ``--smoke`` restricts the run to
+the tiny scale with fewer rounds for CI.
 """
 
 from __future__ import annotations
@@ -65,18 +62,8 @@ SHARD_COUNTS: tuple[int, ...] = (1, 2, 4, 8, 16)
 _POLICY = "M-EDF(P)"
 
 
-def _pick_workers(workers: str | int) -> int:
-    if workers != "auto":
-        return int(workers)
-    cores = os.cpu_count() or 1
-    # A forked pool only pays off with real spare cores; on small hosts
-    # the IPC tax eats the win and the in-process path is faster.
-    return min(8, cores - 2) if cores >= 4 else 0
-
-
 def bench_federation(scale: str, rounds: int = 3,
-                     shard_counts=SHARD_COUNTS,
-                     workers: int = 0) -> dict:
+                     shard_counts=SHARD_COUNTS) -> dict:
     """Median monolith vs. federated wall time at one scale."""
     config = SCALES[scale]
     _trace, profiles = make_instance(config, 0)
@@ -94,7 +81,7 @@ def bench_federation(scale: str, rounds: int = 3,
         started = time.perf_counter()
         fed = federated_run(profiles, config.epoch, config.budget_vector,
                             policy, preemptive=preemptive, shards=shards,
-                            workers=workers, columnar=col)
+                            columnar=col)
         return time.perf_counter() - started, fed
 
     # Warm caches (instance cache is already warm; this warms numpy and
@@ -143,8 +130,6 @@ def bench_federation(scale: str, rounds: int = 3,
     return {
         "config": asdict(config),
         "policy": _POLICY,
-        "workers": workers,
-        "mode": "process-pool" if workers else "in-process",
         "monolith_s": mono_s,
         "monolith_gc": reference.gc,
         "probes_used": probes,
@@ -162,10 +147,6 @@ def main(argv=None) -> int:
                              f"(available: {','.join(SCALES)})")
     parser.add_argument("--rounds", type=int, default=3,
                         help="timing rounds per measurement (median wins)")
-    parser.add_argument("--workers", default="auto",
-                        help="shard worker processes per federated run "
-                             "(default: auto — a pool only when the host "
-                             "has spare cores; 0 forces in-process)")
     parser.add_argument("--smoke", action="store_true",
                         help="CI smoke mode: tiny scale only, 5 rounds "
                              "(tiny runs are ~20ms, so extra rounds are "
@@ -181,7 +162,6 @@ def main(argv=None) -> int:
         scales = [scale.strip() for scale in args.scales.split(",")
                   if scale.strip()]
         rounds = args.rounds
-    workers = _pick_workers(args.workers)
     report = {
         **provenance_header("bench_federation.py"),
         "policy": _POLICY,
@@ -192,7 +172,7 @@ def main(argv=None) -> int:
     for scale in scales:
         print(f"[bench_federation] measuring scale {scale!r} ...",
               file=sys.stderr)
-        summary = bench_federation(scale, rounds=rounds, workers=workers)
+        summary = bench_federation(scale, rounds=rounds)
         report["scales"][scale] = summary
         for name, row in summary["shards"].items():
             print(f"[bench_federation]   {name}: {row['speedup']:.2f}x "

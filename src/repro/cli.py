@@ -117,7 +117,8 @@ def _print_federation(result: FederationSweep, as_csv: bool) -> None:
                   f"{speedup:.3f},{stolen},{moves}")
         print(f"lowering,,,{result.mean_lower:.6f},,,")
         return
-    # The shared columnar build, which no runtime above includes.
+    # The shared columnar build, which no runtime above includes (each
+    # run's own activity windows are inside its runtime).
     rows.append(["lowering", "", "", result.mean_lower, "", "", ""])
     print(render_table(
         ["setting", "mean GC", "GC degradation", "runtime (s)",

@@ -71,8 +71,9 @@ class FederationSweep:
     policy: str
     monolith: PolicyOutcome
     outcomes: tuple[ShardCountOutcome, ...]
-    #: Per-repetition cost of the shared columnar lowering, which no
-    #: runtime column includes (every run gets the prebuilt form).
+    #: Per-repetition cost of constructing the shared columnar lowering,
+    #: which no runtime column includes (every run gets the prebuilt
+    #: form and builds only its activity windows).
     lower_values: tuple[float, ...]
 
     @property
@@ -119,7 +120,6 @@ def _merge_loads(totals: dict[int, ShardLoad],
 def federation_sweep(scale: str = "smoke",
                      shard_counts: Sequence[int] = DEFAULT_SHARD_COUNTS,
                      policy: str = "M-EDF(P)",
-                     workers: int | None = None,
                      source: str = "poisson",
                      config: ExperimentConfig | None = None,
                      ) -> FederationSweep:
@@ -127,10 +127,8 @@ def federation_sweep(scale: str = "smoke",
 
     All shard counts (and the monolith) share each repetition's
     generated instance and its columnar lowering, so the comparison
-    isolates the federation overhead. ``workers=N`` advances shards on
-    a forked process pool; results are identical to in-process runs.
-    ``config`` overrides the baseline config of ``scale`` (benchmarks
-    sweep custom sizes).
+    isolates the federation overhead. ``config`` overrides the baseline
+    config of ``scale`` (benchmarks sweep custom sizes).
     """
     if config is None:
         config = baseline(scale)
@@ -161,7 +159,7 @@ def federation_sweep(scale: str = "smoke",
             fed = federated_run(
                 profiles, config.epoch, config.budget_vector,
                 policy_obj, preemptive=preemptive, shards=shards,
-                workers=workers or 0, columnar=col)
+                columnar=col)
             gc_values[shards].append(fed.result.gc)
             runtimes[shards].append(fed.result.runtime_seconds)
             _merge_loads(load_totals[shards], fed.loads)

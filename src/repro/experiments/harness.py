@@ -307,9 +307,11 @@ _MAX_BLOCK_LANES = 512
 #: it — all mutable state is per-run lane arrays — so a later call that
 #: sweeps the same instance (a fault sweep after a budget sweep, a
 #: figure's next panel, a benchmark's next round) reuses the build and
-#: the fault draws made on it. The bound covers the repetitions of one
-#: setting under the paper's protocol (10, §5.1): a smaller one cycles
-#: through them and never hits.
+#: the fault draws made on it. What an entry holds is O(EIs + states):
+#: the activity index stays with it only when it fits one window (every
+#: figure-sized instance), otherwise each run streams it. The bound
+#: covers the repetitions of one setting under the paper's protocol
+#: (10, §5.1): a smaller one cycles through them and never hits.
 _COLUMNAR_CACHE: OrderedDict[str, ColumnarInstance] = OrderedDict()
 _COLUMNAR_CACHE_SIZE = 10
 

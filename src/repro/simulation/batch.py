@@ -254,7 +254,8 @@ def run_block(
     probe for probe. ``runtime_seconds`` is the block wall time split
     evenly across lanes — an accounting share (per-lane attribution is
     meaningless inside a shared pass), never to be reported as a
-    per-policy runtime.
+    per-policy runtime; ``extras["lowering_windows"]`` says how many
+    activity windows that time includes building.
 
     Raises :class:`BatchUnsupported` for policies without a columnar
     kind, instances whose packed keys overflow, or fault layers the
@@ -265,10 +266,12 @@ def run_block(
         ColumnarInstance.build(profiles, epoch)
     lane_objs = _make_lanes(lanes)
     L = len(lane_objs)
+    built = col.windows_built
     probes = _advance(col, lane_objs) if L else []
     elapsed = time.perf_counter() - started
     per_lane = elapsed / L if L else 0.0
-    return [_finalize(col, lane, lane_sched, lane_caps, per_lane, stats)
+    return [_finalize(col, lane, lane_sched, lane_caps, per_lane, stats,
+                      col.windows_built - built)
             for lane, lane_sched, lane_caps, stats in probes]
 
 
@@ -348,6 +351,9 @@ class _FaultPlane:
         self.stl_rows = rows_of(
             "stale", lambda s, i: (s.stale_probability > 0.0
                                    and self.injectors[i] is not None))
+        self.any_drop = bool(self.drop_rows.any())
+        self.any_tmo = bool(self.tmo_rows.any())
+        self.any_stl = bool(self.stl_rows.any())
 
         out_rows = np.zeros(L, dtype=np.int64)
         rows = [np.zeros(col.grp_rid.size, dtype=bool)]
@@ -409,7 +415,9 @@ class _FaultPlane:
 
         ``lanes_pk``/``g_pk``/``pos_pk`` are the chronon's selections as
         (lane, local group, decision position) columns — per lane in
-        decision order. The returned capture columns are the ok picks
+        decision order; ``glo`` is the chronon's first group in the
+        lowering's global numbering, which draws and outage columns are
+        indexed by. The returned capture columns are the ok picks
         plus retry recoveries; ``fail`` flags the attempt-0 failures
         (recovered or not) for the caller's commitment hook.
         """
@@ -419,13 +427,18 @@ class _FaultPlane:
         thr = ~out & (pos_pk + 1 > self.maxp[lanes_pk])
         fail = out | thr
         live = ~fail
-        drop = live & self._below(self.drop_rows[lanes_pk], gg,
-                                  self.rate_mat[lanes_pk, rid])
-        fail |= drop
-        live &= ~drop
-        tmo = live & self._below(self.tmo_rows[lanes_pk], gg,
-                                 self.t_prob[lanes_pk])
-        fail |= tmo
+        # A channel no lane consults (every row the sentinel) can hit
+        # nothing: it is not read at all.
+        drop = tmo = stl = np.zeros(gg.size, dtype=bool)
+        if self.any_drop:
+            drop = live & self._below(self.drop_rows[lanes_pk], gg,
+                                      self.rate_mat[lanes_pk, rid])
+            fail |= drop
+            live &= ~drop
+        if self.any_tmo:
+            tmo = live & self._below(self.tmo_rows[lanes_pk], gg,
+                                     self.t_prob[lanes_pk])
+            fail |= tmo
         ok = ~fail
 
         if self.any_brk:
@@ -447,8 +460,9 @@ class _FaultPlane:
                     self._trip(lf[trip], rf[trip], T)
 
         if self.any_rec:
-            stl = ok & self._below(self.stl_rows[lanes_pk], gg,
-                                   self.s_prob[lanes_pk])
+            if self.any_stl:
+                stl = ok & self._below(self.stl_rows[lanes_pk], gg,
+                                       self.s_prob[lanes_pk])
             for i, inj in enumerate(self.injectors):
                 if inj is None:
                     continue
@@ -476,11 +490,14 @@ class _FaultPlane:
             n_dec = np.bincount(lanes_pk, minlength=self.L)
             for i in np.unique(lanes_pk[fail]).tolist():
                 mr = self.max_retries[i]
-                if mr == 0:
+                # A retry spends what the lane's decisions left of its
+                # budget: with none left there is nothing to replay.
+                budget_left = int(k_arr[i]) - int(n_dec[i])
+                if mr == 0 or budget_left <= 0:
                     continue
                 rec = self._retry_lane(
                     i, T, lanes_pk, fail, rid, gg, out,
-                    int(k_arr[i]) - int(n_dec[i]), int(n_dec[i]), mr)
+                    budget_left, int(n_dec[i]), mr)
                 for j in rec:
                     extra_l.append(i)
                     extra_g.append(int(g_pk[j]))
@@ -641,24 +658,10 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane]):
     medf_off = col.medf_off
     hi2d = np.empty((L, 0), dtype=np.int64)
     lane_col = np.arange(L)[:, None]
-    g_max = int(np.diff(col.grp_indptr).max()) if n_act else 0
-    col_idx = np.arange(max(g_max, 1), dtype=np.int64)
+    col_idx = np.arange(max(col.g_max, 1), dtype=np.int64)
     # Scalar per-chronon reads go through plain Python lists — ndarray
     # scalar indexing costs several times more in the hot loop.
     kmax_per_t = budgets.max(axis=0).tolist()
-    act_chronons = col.act_chronons.tolist()
-    act_indptr = col.act_indptr.tolist()
-    act_e = col.act_e
-    ps_act = col.ps_act
-    grp_indptr = col.grp_indptr.tolist()
-    grp_starts = col.grp_starts
-    grp_rid = col.grp_rid
-    grp_of_flat = col.grp_of
-    finstart_flat = col.finstart_act
-    hi_static = col.hi_static
-    started_flat = col.started_act
-    init_flat = col.init_sum_act
-    fin_flat = col.fin_act
     resource_key = col.resource_key
 
     # (chronon, lane rows, resource ids) per chronon with probes; grouped
@@ -671,229 +674,247 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane]):
     xg_indptr = col.xg_indptr.tolist()
     doom_col = doom_rows[:, None]
 
-    for ti in range(n_act):
-        T = act_chronons[ti]
+    # All run state above is global; only the activity index arrives a
+    # window at a time (offsets window-local, see ActivityWindow).
+    for win in col.windows():
+        at0 = win.first_chronon
+        g0 = win.first_group
+        act_chronons = win.act_chronons.tolist()
+        act_indptr = win.act_indptr.tolist()
+        act_e = win.act_e
+        ps_act = win.ps_act
+        grp_indptr = win.grp_indptr.tolist()
+        grp_starts = win.grp_starts
+        grp_rid = win.grp_rid
+        grp_of_flat = win.grp_of
+        finstart_flat = win.finstart_act
+        hi_static = win.hi_static
+        started_flat = win.started_act
+        init_flat = win.init_sum_act
+        fin_flat = win.fin_act
+        for ti in range(win.n_act):
+            T = act_chronons[ti]
 
-        # Expiry events: flush everything due by T. Captured status is
-        # frozen once an EI's window closes, so deferring an expiry from
-        # a quiet chronon to the next active one is exact. (With no
-        # doom-sensitive lane n_xe is 0 and the flush never runs.)
-        while xe_ti < n_xe and xe_chronons[xe_ti] <= T:
-            lo = xe_indptr[xe_ti]
-            hi = xe_indptr[xe_ti + 1]
-            glo2 = xg_indptr[xe_ti]
-            ghi2 = xg_indptr[xe_ti + 1]
-            xe_ti += 1
-            xe = col.xe_e[lo:hi]
-            misses = alive[doom_col, xe[None, :]]
-            # OR-reduce to one column per state before the fancy &=:
-            # duplicate targets in a buffered assign would be lossy.
-            seg = col.xg_starts[glo2:ghi2] - lo
-            if seg.size != xe.size:
-                misses = np.logical_or.reduceat(misses, seg, axis=1)
-            undoomed[doom_col, col.xg_state[glo2:ghi2][None, :]] &= ~misses
+            # Expiry events: flush everything due by T. Captured status is
+            # frozen once an EI's window closes, so deferring an expiry from
+            # a quiet chronon to the next active one is exact. (With no
+            # doom-sensitive lane n_xe is 0 and the flush never runs.)
+            while xe_ti < n_xe and xe_chronons[xe_ti] <= T:
+                lo = xe_indptr[xe_ti]
+                hi = xe_indptr[xe_ti + 1]
+                glo2 = xg_indptr[xe_ti]
+                ghi2 = xg_indptr[xe_ti + 1]
+                xe_ti += 1
+                xe = col.xe_e[lo:hi]
+                misses = alive[doom_col, xe[None, :]]
+                # OR-reduce to one column per state before the fancy &=:
+                # duplicate targets in a buffered assign would be lossy.
+                seg = col.xg_starts[glo2:ghi2] - lo
+                if seg.size != xe.size:
+                    misses = np.logical_or.reduceat(misses, seg, axis=1)
+                undoomed[doom_col, col.xg_state[glo2:ghi2][None, :]] &= ~misses
 
-        kmax = kmax_per_t[ti]
-        if kmax <= 0:
-            continue
-        k_arr = budgets[:, ti]
+            kmax = kmax_per_t[at0 + ti]
+            if kmax <= 0:
+                continue
+            k_arr = budgets[:, at0 + ti]
 
-        alo = act_indptr[ti]
-        ahi = act_indptr[ti + 1]
-        A = ahi - alo
-        ae = act_e[alo:ahi]
-        ps = ps_act[alo:ahi]
-        glo = grp_indptr[ti]
-        ghi = grp_indptr[ti + 1]
-        G = ghi - glo
-        gs_local = grp_starts[glo:ghi] - alo
-        grids = grp_rid[glo:ghi]
-        grp_of = grp_of_flat[alo:ahi]
-        finstart = finstart_flat[alo:ahi]
+            alo = act_indptr[ti]
+            ahi = act_indptr[ti + 1]
+            A = ahi - alo
+            ae = act_e[alo:ahi]
+            ps = ps_act[alo:ahi]
+            glo = grp_indptr[ti]
+            ghi = grp_indptr[ti + 1]
+            G = ghi - glo
+            gs_local = grp_starts[glo:ghi] - alo
+            grids = grp_rid[glo:ghi]
+            grp_of = grp_of_flat[alo:ahi]
+            finstart = finstart_flat[alo:ahi]
 
-        cand = alive[:, ae]
-        if doom_rows.size:
-            cand &= undoomed[:, ps]
-        if not cand.any():
-            continue
+            cand = alive[:, ae]
+            if doom_rows.size:
+                cand &= undoomed[:, ps]
+            if not cand.any():
+                continue
 
-        # Per-lane candidate keys (score, finish, start) packed int64.
-        if hi2d.shape[1] < A:
-            hi2d = np.empty((L, A), dtype=np.int64)
-        hi = hi2d[:, :A]
-        for kind, rows in kind_rows.items():
-            if kind not in _DYNAMIC_KINDS:
-                hi[rows] = hi_static[kind][alo:ahi]
-            elif kind == "mrsf":
-                capg = cap_count[rows[:, None], ps[None, :]]
-                hi[rows] = (hi_static["srank"][alo:ahi]
-                            - (capg << fs_bits))
-            elif kind == "anti":
-                capg = cap_count[rows[:, None], ps[None, :]]
-                hi[rows] = (hi_static["anti"][alo:ahi]
-                            + (capg << fs_bits))
-            elif kind == "coverage":
-                # Coverage scores -len(pool) over the *full* candidate
-                # index (both NP pools), offset to n_max - len(pool).
-                n_tot = np.add.reduceat(
-                    cand[rows], gs_local, axis=1).astype(np.int64)
-                hi[rows] = (((n_max - n_tot[:, grp_of]) << fs_bits)
-                            + finstart)
-            elif kind == "medf":
-                rc = rows[:, None]
-                pc = ps[None, :]
-                # Lane-independent part first (A-sized, not lanes x A).
-                base = (init_flat[alo:ahi] + medf_off
-                        - T * started_flat[alo:ahi])
-                score = (base - capsum[rc, pc]) + T * cap_count[rc, pc]
-                hi[rows] = (score << fs_bits) + finstart
-            else:  # pragma: no cover - _make_lanes already screened kinds
-                raise BatchUnsupported(f"unknown kind {kind!r}")
+            # Per-lane candidate keys (score, finish, start) packed int64.
+            if hi2d.shape[1] < A:
+                hi2d = np.empty((L, A), dtype=np.int64)
+            hi = hi2d[:, :A]
+            for kind, rows in kind_rows.items():
+                if kind not in _DYNAMIC_KINDS:
+                    hi[rows] = hi_static[kind][alo:ahi]
+                elif kind == "mrsf":
+                    capg = cap_count[rows[:, None], ps[None, :]]
+                    hi[rows] = (hi_static["srank"][alo:ahi]
+                                - (capg << fs_bits))
+                elif kind == "anti":
+                    capg = cap_count[rows[:, None], ps[None, :]]
+                    hi[rows] = (hi_static["anti"][alo:ahi]
+                                + (capg << fs_bits))
+                elif kind == "coverage":
+                    # Coverage scores -len(pool) over the *full* candidate
+                    # index (both NP pools), offset to n_max - len(pool).
+                    n_tot = np.add.reduceat(
+                        cand[rows], gs_local, axis=1).astype(np.int64)
+                    hi[rows] = (((n_max - n_tot[:, grp_of]) << fs_bits)
+                                + finstart)
+                elif kind == "medf":
+                    rc = rows[:, None]
+                    pc = ps[None, :]
+                    # Lane-independent part first (A-sized, not lanes x A).
+                    base = (init_flat[alo:ahi] + medf_off
+                            - T * started_flat[alo:ahi])
+                    score = (base - capsum[rc, pc]) + T * cap_count[rc, pc]
+                    hi[rows] = (score << fs_bits) + finstart
+                else:  # pragma: no cover - _make_lanes already screened kinds
+                    raise BatchUnsupported(f"unknown kind {kind!r}")
 
-        # Phase 1 pools: preemptive lanes see every candidate;
-        # non-preemptive lanes only candidates of committed states.
-        if np_rows.size:
-            if committed is None:
-                comm_np = cap_count[np_rows[:, None], ps[None, :]] > 0
+            # Phase 1 pools: preemptive lanes see every candidate;
+            # non-preemptive lanes only candidates of committed states.
+            if np_rows.size:
+                if committed is None:
+                    comm_np = cap_count[np_rows[:, None], ps[None, :]] > 0
+                else:
+                    comm_np = committed[np_rows[:, None], ps[None, :]]
+                pool = cand.copy()
+                pool[np_rows] &= comm_np
             else:
-                comm_np = committed[np_rows[:, None], ps[None, :]]
-            pool = cand.copy()
-            pool[np_rows] &= comm_np
-        else:
-            pool = cand
+                pool = cand
 
-        masked = np.where(pool, hi, INF_KEY)
-        best = np.minimum.reduceat(masked, gs_local, axis=1)
-        pool_n = np.add.reduceat(pool, gs_local, axis=1).astype(np.int64)
-        res_key = resource_key(best, pool_n, grids)
-        # Quarantined resources drop out of selection *after* pool sizes
-        # are packed — the fast engine filters its cached pool the same
-        # way, leaving the -len(pool) key component untouched.
-        blocked = plane.blocked(grids, T) if plane is not None else None
-        if blocked is not None:
-            res_key[blocked] = INF_KEY
-
-        # Each lane takes its k_l smallest rank keys; INF_KEY (empty
-        # pool) sorts last, so the first k_l valid slots of the sorted
-        # order are exactly the fast engine's nsmallest picks. A full
-        # argsort beats the argpartition + small-sort chain until G is
-        # well into the hundreds (measured crossover ~200).
-        take = min(kmax, G)
-        if G <= 192:
-            order = np.argsort(res_key, axis=1)[:, :take]
-        else:
-            part = np.argpartition(res_key, take - 1, axis=1)[:, :take]
-            order = part[lane_col, np.argsort(res_key[lane_col, part],
-                                              axis=1)]
-        ranked = res_key[lane_col, order]
-        sel = (ranked != INF_KEY) & (col_idx[:take][None, :]
-                                     < k_arr[:, None])
-        picks = np.zeros((L, G), dtype=bool)
-        rr, cc = np.nonzero(sel)
-        gids = order[rr, cc]
-        picks[rr, gids] = True
-        pr_rows, pr_gs = rr, gids
-        # Valid picks are a contiguous prefix of each lane's sorted
-        # order, so cc IS the lane's decision position — which the fault
-        # plane needs for the positional rate limit.
-        pr_pos = cc
-        n1 = rr.size
-
-        # Phase 2: non-preemptive lanes spend leftover budget on fresh
-        # (uncommitted) states, excluding already-probed resources.
-        if np_rows.size:
-            d1 = sel.sum(axis=1)
-            left = ((k_arr[np_rows] > d1[np_rows])
-                    & (k_arr[np_rows] > 0))
-            rows2 = np_rows[left]
-        else:
-            rows2 = np_rows
-        if rows2.size:
-            pool2 = cand[rows2] & ~comm_np[left]
-            masked2 = np.where(pool2, hi[rows2], INF_KEY)
-            best2 = np.minimum.reduceat(masked2, gs_local, axis=1)
-            n2 = np.add.reduceat(pool2, gs_local, axis=1).astype(np.int64)
-            key2 = resource_key(best2, n2, grids)
+            masked = np.where(pool, hi, INF_KEY)
+            best = np.minimum.reduceat(masked, gs_local, axis=1)
+            pool_n = np.add.reduceat(pool, gs_local, axis=1).astype(np.int64)
+            res_key = resource_key(best, pool_n, grids)
+            # Quarantined resources drop out of selection *after* pool sizes
+            # are packed — the fast engine filters its cached pool the same
+            # way, leaving the -len(pool) key component untouched.
+            blocked = plane.blocked(grids, T) if plane is not None else None
             if blocked is not None:
-                key2[blocked[rows2]] = INF_KEY
-            key2[picks[rows2]] = INF_KEY
-            need = k_arr[rows2] - d1[rows2]
-            nmax2 = int(need.max())
-            take2 = min(nmax2, G)
-            row2_col = np.arange(rows2.size)[:, None]
+                res_key[blocked] = INF_KEY
+
+            # Each lane takes its k_l smallest rank keys; INF_KEY (empty
+            # pool) sorts last, so the first k_l valid slots of the sorted
+            # order are exactly the fast engine's nsmallest picks. A full
+            # argsort beats the argpartition + small-sort chain until G is
+            # well into the hundreds (measured crossover ~200).
+            take = min(kmax, G)
             if G <= 192:
-                order2 = np.argsort(key2, axis=1)[:, :take2]
+                order = np.argsort(res_key, axis=1)[:, :take]
             else:
-                part2 = np.argpartition(key2, take2 - 1,
-                                        axis=1)[:, :take2]
-                order2 = part2[row2_col,
-                               np.argsort(key2[row2_col, part2], axis=1)]
-            ranked2 = key2[row2_col, order2]
-            sel2 = (ranked2 != INF_KEY) & (col_idx[:take2][None, :]
-                                           < need[:, None])
-            rr2, cc2 = np.nonzero(sel2)
-            gids2 = order2[rr2, cc2]
-            picks[rows2[rr2], gids2] = True
-            pr_rows = np.concatenate((pr_rows, rows2[rr2]))
-            pr_gs = np.concatenate((pr_gs, gids2))
-            # Phase-2 decision positions continue after phase 1's.
-            pr_pos = np.concatenate((pr_pos, d1[rows2[rr2]] + cc2))
+                part = np.argpartition(res_key, take - 1, axis=1)[:, :take]
+                order = part[lane_col, np.argsort(res_key[lane_col, part],
+                                                  axis=1)]
+            ranked = res_key[lane_col, order]
+            sel = (ranked != INF_KEY) & (col_idx[:take][None, :]
+                                         < k_arr[:, None])
+            picks = np.zeros((L, G), dtype=bool)
+            rr, cc = np.nonzero(sel)
+            gids = order[rr, cc]
+            picks[rr, gids] = True
+            pr_rows, pr_gs = rr, gids
+            # Valid picks are a contiguous prefix of each lane's sorted
+            # order, so cc IS the lane's decision position — which the fault
+            # plane needs for the positional rate limit.
+            pr_pos = cc
+            n1 = rr.size
 
-        # Captures: a probed resource yields *every* candidate on it.
-        if pr_rows.size == 0:
-            continue
-        if plane is None:
-            probe_log.append((T, pr_rows, grids[pr_gs]))
-            er, ec = np.nonzero(cand & picks[:, grp_of])
-            alive[er, ae[ec]] = False
-            flat = er * S + ps[ec]
-            np.add.at(cap_flat, flat, 1)
-            if need_medf:
-                m = is_medf[er]
-                np.add.at(capsum_flat, flat[m], fin_flat[alo:ahi][ec[m]])
-            continue
+            # Phase 2: non-preemptive lanes spend leftover budget on fresh
+            # (uncommitted) states, excluding already-probed resources.
+            if np_rows.size:
+                d1 = sel.sum(axis=1)
+                left = ((k_arr[np_rows] > d1[np_rows])
+                        & (k_arr[np_rows] > 0))
+                rows2 = np_rows[left]
+            else:
+                rows2 = np_rows
+            if rows2.size:
+                pool2 = cand[rows2] & ~comm_np[left]
+                masked2 = np.where(pool2, hi[rows2], INF_KEY)
+                best2 = np.minimum.reduceat(masked2, gs_local, axis=1)
+                n2 = np.add.reduceat(pool2, gs_local, axis=1).astype(np.int64)
+                key2 = resource_key(best2, n2, grids)
+                if blocked is not None:
+                    key2[blocked[rows2]] = INF_KEY
+                key2[picks[rows2]] = INF_KEY
+                need = k_arr[rows2] - d1[rows2]
+                nmax2 = int(need.max())
+                take2 = min(nmax2, G)
+                row2_col = np.arange(rows2.size)[:, None]
+                if G <= 192:
+                    order2 = np.argsort(key2, axis=1)[:, :take2]
+                else:
+                    part2 = np.argpartition(key2, take2 - 1,
+                                            axis=1)[:, :take2]
+                    order2 = part2[row2_col,
+                                   np.argsort(key2[row2_col, part2], axis=1)]
+                ranked2 = key2[row2_col, order2]
+                sel2 = (ranked2 != INF_KEY) & (col_idx[:take2][None, :]
+                                               < need[:, None])
+                rr2, cc2 = np.nonzero(sel2)
+                gids2 = order2[rr2, cc2]
+                picks[rows2[rr2], gids2] = True
+                pr_rows = np.concatenate((pr_rows, rows2[rr2]))
+                pr_gs = np.concatenate((pr_gs, gids2))
+                # Phase-2 decision positions continue after phase 1's.
+                pr_pos = np.concatenate((pr_pos, d1[rows2[rr2]] + cc2))
 
-        cap_l, cap_g, fl = plane.execute(T, glo, grids, pr_rows, pr_gs,
-                                         pr_pos, k_arr)
-        if committed is not None and n1 < pr_rows.size:
-            # A failed probe still commits its *selected* t-interval
-            # (budget was spent on it). Only fresh-pool (phase-2) picks
-            # can flip commitment — phase-1 NP picks come from the
-            # committed pool and preemptive lanes never read the flag.
-            # The selected candidate is pool 2's segment argmin: first
-            # index with the min key, the reduceat winner.
-            fail2 = np.nonzero(fl[n1:])[0]
-            if fail2.size:
-                tie = col.commit_tie()[ae]
-                row2_of = np.zeros(L, dtype=np.int64)
-                row2_of[rows2] = np.arange(rows2.size)
-                for j in fail2.tolist():
-                    jj = n1 + j
-                    i = int(pr_rows[jj])
-                    g = int(pr_gs[jj])
-                    lo2 = int(gs_local[g])
-                    hi2 = int(gs_local[g + 1]) if g + 1 < G else A
-                    keys = masked2[int(row2_of[i]), lo2:hi2]
-                    # The selected candidate is the segment's key min —
-                    # key-equal ties resolved by the fast engine's
-                    # (pid, tid, seq, ei_id) candidate order, which the
-                    # packed key does not encode.
-                    w = np.nonzero(keys == keys.min())[0]
-                    jbest = int(w[np.argmin(tie[lo2:hi2][w])])
-                    committed[i, ps[lo2 + jbest]] = True
-        if cap_l.size:
-            probe_log.append((T, cap_l, grids[cap_g]))
-            picks_ok = np.zeros((L, G), dtype=bool)
-            picks_ok[cap_l, cap_g] = True
-            er, ec = np.nonzero(cand & picks_ok[:, grp_of])
-            alive[er, ae[ec]] = False
-            if committed is not None:
-                committed[er, ps[ec]] = True
-            flat = er * S + ps[ec]
-            np.add.at(cap_flat, flat, 1)
-            if need_medf:
-                m = is_medf[er]
-                np.add.at(capsum_flat, flat[m], fin_flat[alo:ahi][ec[m]])
+            # Captures: a probed resource yields *every* candidate on it.
+            if pr_rows.size == 0:
+                continue
+            if plane is None:
+                probe_log.append((T, pr_rows, grids[pr_gs]))
+                er, ec = np.nonzero(cand & picks[:, grp_of])
+                alive[er, ae[ec]] = False
+                flat = er * S + ps[ec]
+                np.add.at(cap_flat, flat, 1)
+                if need_medf:
+                    m = is_medf[er]
+                    np.add.at(capsum_flat, flat[m], fin_flat[alo:ahi][ec[m]])
+                continue
+
+            cap_l, cap_g, fl = plane.execute(T, g0 + glo, grids, pr_rows,
+                                             pr_gs, pr_pos, k_arr)
+            if committed is not None and n1 < pr_rows.size:
+                # A failed probe still commits its *selected* t-interval
+                # (budget was spent on it). Only fresh-pool (phase-2) picks
+                # can flip commitment — phase-1 NP picks come from the
+                # committed pool and preemptive lanes never read the flag.
+                # The selected candidate is pool 2's segment argmin: first
+                # index with the min key, the reduceat winner.
+                fail2 = np.nonzero(fl[n1:])[0]
+                if fail2.size:
+                    tie = col.commit_tie()[ae]
+                    row2_of = np.zeros(L, dtype=np.int64)
+                    row2_of[rows2] = np.arange(rows2.size)
+                    for j in fail2.tolist():
+                        jj = n1 + j
+                        i = int(pr_rows[jj])
+                        g = int(pr_gs[jj])
+                        lo2 = int(gs_local[g])
+                        hi2 = int(gs_local[g + 1]) if g + 1 < G else A
+                        keys = masked2[int(row2_of[i]), lo2:hi2]
+                        # The selected candidate is the segment's key min —
+                        # key-equal ties resolved by the fast engine's
+                        # (pid, tid, seq, ei_id) candidate order, which the
+                        # packed key does not encode.
+                        w = np.nonzero(keys == keys.min())[0]
+                        jbest = int(w[np.argmin(tie[lo2:hi2][w])])
+                        committed[i, ps[lo2 + jbest]] = True
+            if cap_l.size:
+                probe_log.append((T, cap_l, grids[cap_g]))
+                picks_ok = np.zeros((L, G), dtype=bool)
+                picks_ok[cap_l, cap_g] = True
+                er, ec = np.nonzero(cand & picks_ok[:, grp_of])
+                alive[er, ae[ec]] = False
+                if committed is not None:
+                    committed[er, ps[ec]] = True
+                flat = er * S + ps[ec]
+                np.add.at(cap_flat, flat, 1)
+                if need_medf:
+                    m = is_medf[er]
+                    np.add.at(capsum_flat, flat[m], fin_flat[alo:ahi][ec[m]])
 
     # Group the probe log into per-lane, per-resource chronon sets — the
     # exact shape Schedule stores. Insertion order is irrelevant:
@@ -934,8 +955,11 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane]):
 
 def _finalize(col: ColumnarInstance, lane: _Lane,
               sched: dict[int, set[int]], cap_count: np.ndarray,
-              runtime: float,
-              stats: tuple[int, int, int] = (0, 0, 0)) -> SimulationResult:
+              runtime: float, stats: tuple[int, int, int],
+              windows: int) -> SimulationResult:
+    """One lane's result. ``windows`` is how many activity windows the
+    run built (0 when it read a kept one): that much of the lowering
+    was paid inside the run, not by the constructor."""
     complete = cap_count == col.st_size
     captured_total = int(np.count_nonzero(complete))
     total = col.S
@@ -972,4 +996,5 @@ def _finalize(col: ColumnarInstance, lane: _Lane,
         probes_failed=probes_failed,
         retries=retries,
         resources_quarantined=quarantined,
+        extras={"lowering_windows": float(windows)},
     )

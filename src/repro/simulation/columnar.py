@@ -18,9 +18,13 @@ fast engine's tie-break order *positionally*:
   (resource, EI index). Consecutive runs of one resource form the
   *groups* — the per-resource candidate pools — described by a second
   CSR (``grp_*``), so per-resource aggregation is a ``reduceat``.
-* **Events** are two more CSRs: EIs bucketed by window opening (``se_*``,
-  drives the M-EDF started-count aggregate) and by expiry — the chronon
-  after their deadline (``xe_*``, drives doom tracking).
+  Deciding chronon ``T`` reads only the entries of ``T``, so the index
+  is never held whole: the lowering keeps its *shape* (read off one
+  occupancy grid) and :meth:`ColumnarInstance.windows` builds the
+  entries one :class:`ActivityWindow` at a time — memory follows the
+  window, not the epoch.
+* **Expiry events** are one more CSR: EIs bucketed by the chronon after
+  their deadline (``xe_*``, drives doom tracking).
 
 Selection keys are packed into single int64 words so that lexicographic
 candidate comparison becomes integer comparison. A candidate's key is
@@ -45,7 +49,8 @@ import numpy as np
 from repro.core.profile import ProfileSet
 from repro.core.timeline import Epoch
 
-__all__ = ["BatchUnsupported", "ColumnarInstance", "FaultDraws", "INF_KEY"]
+__all__ = ["ActivityWindow", "BatchUnsupported", "ColumnarInstance",
+           "FaultDraws", "INF_KEY"]
 
 #: Sentinel ranking key for "no candidate" — larger than any packed key.
 INF_KEY = np.iinfo(np.int64).max
@@ -53,6 +58,20 @@ INF_KEY = np.iinfo(np.int64).max
 #: Maximum bits a packed key may use (int64, sign bit spared, and one
 #: headroom bit so arithmetic on valid keys can never wrap).
 _MAX_KEY_BITS = 62
+
+#: Most activity entries one window holds (a single chronon above it is
+#: a window of its own). A constant, never an argument: on the 139k-EI
+#: catalog 16 k / 64 k / 256 k entries measured 71 / 79 / 123 MB peak
+#: RSS and 0.09-0.13 / 0.08-0.09 / 0.10-0.11 s of window building —
+#: smaller windows pay per-window fixed costs, larger ones fall out of
+#: cache and hold more.
+_WINDOW_ENTRIES = 1 << 16
+
+#: Largest occupancy grid (chronons x resource ids) the lowering will
+#: allocate: 1 GiB of int64 cells. Ids sparser than that have no dense
+#: per-resource form (the fault plane's and the federation's
+#: ``rid_space``-wide arrays assume one too).
+_MAX_GRID_CELLS = 1 << 27
 
 
 class BatchUnsupported(Exception):
@@ -174,16 +193,110 @@ class _StaticKeys(dict):
         return column
 
 
+class ActivityWindow:
+    """The activity index over one run of consecutive active chronons.
+
+    Holds the per-entry columns the chronon loops read — the window's
+    entries sorted by (chronon, resource, EI index) — with window-local
+    offsets: ``act_indptr`` / ``grp_starts`` (+ ``grp_sizes``) index this
+    window's entries, ``grp_indptr`` / ``grp_of`` its groups. ``first_chronon``
+    and ``first_group`` place the window in the lowering's numbering of
+    active chronons and groups, which per-run budget columns and the
+    fault plane (draws, outage columns) are indexed by. Groups never
+    span windows (a group is one chronon's pool); EIs do — an EI whose
+    window crosses a cut has entries on both sides.
+    """
+
+    def __init__(self, col: "ColumnarInstance", eis: np.ndarray,
+                 lo: int, hi: int) -> None:
+        self.first_chronon = lo
+        self.n_act = hi - lo
+        self.act_chronons = col.act_chronons[lo:hi]
+        self.first_group = g0 = int(col.grp_indptr[lo])
+        g1 = int(col.grp_indptr[hi])
+        # The layout comes from the lowering's grid: which groups the
+        # window holds and how many entries each has.
+        self.grp_sizes = sizes = col._grp_size[g0:g1]
+        self.grp_rid = col.grp_rid[g0:g1]
+        self.grp_indptr = col.grp_indptr[lo:hi + 1] - g0
+        self.grp_starts = np.cumsum(sizes) - sizes
+        total = int(sizes.sum())
+        self.act_indptr = np.append(self.grp_starts,
+                                    total)[self.grp_indptr]
+        # Local (within-chronon) group index of each activity entry.
+        self.grp_of = np.repeat(
+            np.arange(g1 - g0, dtype=np.int64)
+            - np.repeat(self.grp_indptr[:-1], np.diff(self.grp_indptr)),
+            sizes)
+
+        # Entries EI-major first: EI e contributes the chronons of its
+        # [start, min(finish, K)] window that fall inside this window's.
+        # Per-EI columns are gathered once, window-sized; everything per
+        # entry indexes those, not the lowering's E-sized arrays.
+        t0, t1 = int(self.act_chronons[0]), int(self.act_chronons[-1])
+        start, fin = col.ei_start[eis], col.ei_finish[eis]
+        state = col.ei_state[eis]
+        first = np.maximum(start, t0)
+        width = np.minimum(fin, t1) - first + 1
+        ent_T = np.arange(total, dtype=np.int64) - np.repeat(
+            np.cumsum(width) - width - first, width)
+
+        # started[j]: how many EIs of entry j's state have opened
+        # (start <= chronon) by entry j's chronon — M-EDF's "started"
+        # aggregate before subtracting a lane's captures. Lane-independent
+        # and static per entry (a state's arrival is the min of its EI
+        # starts clamped to the epoch, so every windowed EI opens exactly
+        # at its own start). One compare per sibling slot: slot k holds
+        # the start of each state's k-th EI, or a never-reached chronon
+        # where the state is smaller.
+        size = col.st_size[state]
+        head = col._ei_ptr[state]
+        started = np.zeros(total, dtype=np.int64)
+        for slot in range(int(size.max())):
+            has = size > slot
+            opens = np.full(eis.size, t1 + 1, dtype=np.int64)
+            opens[has] = col.ei_start[head[has] + slot]
+            started += np.repeat(opens, width) <= ent_T
+
+        # Chronon-major, then resource, then EI index (the tie-break):
+        # ``eis`` is ascending, so the entries are EI-ascending and one
+        # stable sort on the fused (chronon, resource) key orders all
+        # three — a radix sort whenever the window's key fits 16 bits.
+        fused = (ent_T - t0) * col.rid_space + np.repeat(col.ei_res[eis],
+                                                        width)
+        if (t1 - t0 + 1) * col.rid_space <= 1 << 16:
+            fused = fused.astype(np.uint16)
+        order = np.argsort(fused, kind="stable")
+        # Position in ``eis`` of each entry's EI, in activity order.
+        at = np.repeat(np.arange(eis.size, dtype=np.int64), width)[order]
+        self.act_e = eis[at]
+        self.ps_act = state[at]
+        self.started_act = started[order]
+
+        # Static key columns, aligned with act_e. The per-kind ones are
+        # built when a lane first reads them.
+        self.fin_act = fin[at]
+        self.finstart_act = (self.fin_act << col.start_bits) | start[at]
+        self.hi_static = _StaticKeys(
+            col.fs_bits, col.start_mask, self.finstart_act, self.fin_act,
+            col.st_rank, self.ps_act, col.rank_max)
+        self.init_sum_act = col.init_sum[state][at]
+
+
 class ColumnarInstance:
     """Flat-array form of one (profiles, epoch) instance.
 
-    Build once with :meth:`build`. The result is immutable and shared by
-    every lane of every block run on it — all the budgets, policies and
-    fault rates swept over one generated instance — since all per-run
-    state lives in the engine, not here. A different instance (another
+    Build once with :meth:`build`. The result is shared by every lane
+    of every block run on it — all the budgets, policies and fault
+    rates swept over one generated instance — since all per-run state
+    lives in the engine, not here. A different instance (another
     repetition of a setting) is a different lowering and a different
     block: a lane's cost is then proportional to the EIs it can ever
     probe, never to what else was packed beside them.
+
+    What it holds is O(EIs + states + groups): the state and EI
+    columns, the expiry CSR, the packed-key layout and the *shape* of
+    the activity index, whose entries :meth:`windows` hands out.
     """
 
     def __init__(self, profiles: ProfileSet, epoch: Epoch) -> None:
@@ -244,7 +357,7 @@ class ColumnarInstance:
         # M-EDF's initial deadline sum counts every EI, active or not.
         self.init_sum = np.add.reduceat(self.ei_finish, self._ei_ptr)
 
-        self._build_activity(last)
+        self._build_grid(last)
         self._build_events(last)
         self._build_keys(last)
         # Lazily-built fault-plane columns (see fault_draws /
@@ -252,10 +365,15 @@ class ColumnarInstance:
         # share across every block run on this lowering.
         self._fault_cols: dict[tuple, np.ndarray] = {}
         self._fault_draws: FaultDraws | None = None
-        self._fault_layout: tuple[np.ndarray, ...] | None = None
         self._commit_tie: np.ndarray | None = None
-        #: Wall time this constructor took (the build callers wait for).
+        #: Wall time this constructor took (the build callers wait for
+        #: before the first chronon; window building is booked below).
         self.lower_seconds = time.perf_counter() - began
+        #: Activity windows built so far, over every run on this
+        #: lowering, and the wall time that took — spent inside the
+        #: runs, not the constructor.
+        self.windows_built = 0
+        self.window_seconds = 0.0
 
     @classmethod
     def build(cls, profiles: ProfileSet, epoch: Epoch) -> "ColumnarInstance":
@@ -263,78 +381,97 @@ class ColumnarInstance:
         return cls(profiles, epoch)
 
     # ------------------------------------------------------------------
-    # Per-chronon activity CSR + per-resource groups
+    # The activity index's shape, from the occupancy grid
     # ------------------------------------------------------------------
 
-    def _build_activity(self, last: int) -> None:
-        # An EI is probeable over [start, min(finish, last)]; EIs opening
-        # past the epoch never become candidates (their start event never
-        # fires in the fast engine).
-        fin_cl = np.minimum(self.ei_finish, last)
-        width = np.where(self.ei_start <= last,
-                         fin_cl - self.ei_start + 1, 0)
-        total = int(width.sum())
-        # Entries EI-major first: EI e contributes chronons start..fin_cl.
-        ent_e = np.repeat(np.arange(self.E, dtype=np.int64), width)
-        ent_T = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(width) - width - self.ei_start, width)
-        ent_res = np.repeat(self.ei_res, width)
+    def _build_grid(self, last: int) -> None:
+        """Read the activity index's shape off one occupancy grid.
 
-        # started[j]: how many EIs of entry j's state have opened
-        # (start <= chronon) by entry j's chronon — M-EDF's "started"
-        # aggregate before subtracting a lane's captures. Lane-independent
-        # and static per entry (a state's arrival is the min of its EI
-        # starts clamped to the epoch, so every windowed EI opens exactly
-        # at its own start). One compare per sibling slot: slot k holds
-        # the start of each state's k-th EI, or a never-reached chronon
-        # where the state is smaller.
-        started = np.zeros(total, dtype=np.int64)
-        for slot in range(int(self.st_size.max()) if total else 0):
-            has = self.st_size > slot
-            opens = np.full(self.S, last + 1, dtype=np.int64)
-            opens[has] = self.ei_start[self._ei_ptr[has] + slot]
-            started += np.repeat(opens[self.ei_state], width) <= ent_T
+        An EI is probeable over ``[start, min(finish, last)]``; EIs
+        opening past the epoch never become candidates (their start
+        event never fires in the fast engine). ``occ[T, rid]`` — how
+        many windows on ``rid`` contain ``T`` — is a difference array
+        (+1 where a window opens, -1 the chronon after it closes) summed
+        down the chronons, and is the size of group ``(T, rid)``: the
+        groups, in (chronon, resource) order, are its non-zero cells.
+        """
+        R = self.rid_space
+        if (last + 2) * R > _MAX_GRID_CELLS:
+            raise BatchUnsupported(
+                f"resource ids up to {R - 1} over {last} chronons are "
+                "too sparse for a dense per-resource index")
+        # Start-sorted EIs that ever open: what windows() walks.
+        by_start = np.argsort(self.ei_start, kind="stable")
+        starts = self.ei_start[by_start]
+        opening = int(np.searchsorted(starts, last, side="right"))
+        self._by_start, starts = by_start[:opening], starts[:opening]
+        res = self.ei_res[self._by_start]
+        cells = (last + 2) * R
+        occ = np.bincount(starts * R + res, minlength=cells)
+        occ -= np.bincount(
+            (np.minimum(self.ei_finish[self._by_start], last) + 1) * R
+            + res, minlength=cells)
+        occ = occ.reshape(last + 2, R).cumsum(axis=0)
 
-        # Chronon-major, then resource, then EI index (the tie-break):
-        # the entries are already EI-ascending, so one stable sort on the
-        # fused (chronon, resource) key orders all three — a radix sort
-        # whenever the key fits 16 bits.
-        fused = ent_T * self.rid_space + ent_res
-        if (last + 1) * self.rid_space <= 1 << 16:
-            fused = fused.astype(np.uint16)
-        order = np.argsort(fused, kind="stable")
-        self.act_e = ent_e[order]
-        act_T = ent_T[order]
-        act_res = ent_res[order]
-        self.ps_act = self.ei_state[self.act_e]
-        self.started_act = started[order]
+        grp_T, self.grp_rid = np.nonzero(occ)
+        self._grp_T = grp_T
+        self._grp_size = occ[grp_T, self.grp_rid]
+        self.n_max = int(self._grp_size.max()) if grp_T.size else 1
+        entries = occ.sum(axis=1)
+        self.act_chronons = np.nonzero(entries)[0]
+        groups = np.count_nonzero(occ, axis=1)[self.act_chronons]
+        #: Most groups (probeable resources) any one chronon has.
+        self.g_max = int(groups.max()) if groups.size else 0
+        self.grp_indptr = np.concatenate(([0], np.cumsum(groups)))
 
-        new_t = np.empty(total, dtype=bool)
-        new_g = np.empty(total, dtype=bool)
-        if total:
-            new_t[0] = True
-            new_t[1:] = act_T[1:] != act_T[:-1]
-            new_g[0] = True
-            new_g[1:] = new_t[1:] | (act_res[1:] != act_res[:-1])
-        t_starts = np.nonzero(new_t)[0]
-        self.act_chronons = act_T[t_starts]
-        self.act_indptr = np.concatenate((t_starts, [total])).astype(np.int64)
-        self.grp_starts = np.nonzero(new_g)[0].astype(np.int64)
-        self.grp_rid = act_res[self.grp_starts]
-        self.grp_indptr = np.searchsorted(
-            self.grp_starts, self.act_indptr).astype(np.int64)
-        # Local (within-chronon) group index of each activity entry.
-        if total:
-            g_global = np.cumsum(new_g) - 1
-            spans = np.diff(self.act_indptr)
-            self.grp_of = (g_global
-                           - np.repeat(self.grp_indptr[:-1], spans)
-                           ).astype(np.int64)
-            grp_sizes = np.diff(np.concatenate((self.grp_starts, [total])))
-            self.n_max = int(grp_sizes.max())
-        else:
-            self.grp_of = np.zeros(0, dtype=np.int64)
-            self.n_max = 1
+        # Window cuts: consecutive active chronons while their entries
+        # fit the cap; a chronon above the cap is a window of its own.
+        # Each cut is (first, past-last active chronon index, how far
+        # down the start-sorted order its EIs reach).
+        ends = np.cumsum(entries[self.act_chronons])
+        bounds = [0]
+        while bounds[-1] < ends.size:
+            lo = bounds[-1]
+            base = int(ends[lo - 1]) if lo else 0
+            bounds.append(max(lo + 1, int(np.searchsorted(
+                ends, base + _WINDOW_ENTRIES, side="right"))))
+        reach = np.searchsorted(
+            starts, self.act_chronons[np.array(bounds[1:], dtype=np.int64)
+                                      - 1], side="right")
+        self._cuts = list(zip(bounds, bounds[1:], reach.tolist()))
+        self._window: ActivityWindow | None = None
+
+    def windows(self):
+        """Yield the activity index, one :class:`ActivityWindow` at a time.
+
+        A window's EIs are those still open from the previous window
+        plus the next run of the start-sorted order — never a scan of
+        all EIs per window. An index that fits one window keeps it, so
+        every run on a small lowering reads the same arrays; a larger
+        one builds each window when its chronons are due and keeps no
+        reference, so a run holds the window it is reading (and, while
+        the generator advances, the next one being built) — never the
+        epoch.
+        """
+        if self._window is not None:
+            yield self._window
+            return
+        eis = np.zeros(0, dtype=np.int64)
+        at = 0
+        for lo, hi, upto in self._cuts:
+            began = time.perf_counter()
+            # No chronon between two windows is active, so an EI that
+            # outlives the previous window reaches into this one.
+            eis = np.sort(np.concatenate((
+                eis[self.ei_finish[eis] >= self.act_chronons[lo]],
+                self._by_start[at:upto])))
+            at = upto
+            window = ActivityWindow(self, eis, lo, hi)
+            self.windows_built += 1
+            self.window_seconds += time.perf_counter() - began
+            if len(self._cuts) == 1:
+                self._window = window
+            yield window
 
     # ------------------------------------------------------------------
     # Event CSRs (window openings and expiries)
@@ -374,9 +511,8 @@ class ColumnarInstance:
         self.xg_indptr = np.searchsorted(
             self.xg_starts, self.xe_indptr).astype(np.int64)
 
-
     # ------------------------------------------------------------------
-    # Packed-key layout + static key columns
+    # Packed-key layout
     # ------------------------------------------------------------------
 
     def _build_keys(self, last: int) -> None:
@@ -408,18 +544,7 @@ class ColumnarInstance:
                 f"{_MAX_KEY_BITS}): horizon {K}, scores <= {score_max}, "
                 f"pools <= {self.n_max}, resources <= {rid_max}")
         self.start_mask = (1 << self.start_bits) - 1
-
-        # Static per-activity-entry columns, aligned with act_e. The
-        # per-kind key columns are built when a lane first reads them.
-        fin = self.ei_finish[self.act_e]
-        start = self.ei_start[self.act_e]
-        self.finstart_act = (fin << self.start_bits) | start
         self.rank_max = rank_max
-        self.hi_static = _StaticKeys(
-            self.fs_bits, self.start_mask, self.finstart_act, fin,
-            self.st_rank, self.ps_act, rank_max)
-        self.init_sum_act = self.init_sum[self.ps_act]
-        self.fin_act = fin
 
         # Report scaffolding shared by every lane (with profile_totals):
         # totals never depend on the run, only on the instance.
@@ -461,11 +586,7 @@ class ColumnarInstance:
         decision for attempt 0 depends only on the probed resource and
         the chronon, both constant within a group.
         """
-        if self._fault_layout is None:
-            grp_T = np.repeat(self.act_chronons,
-                              np.diff(self.grp_indptr))
-            self._fault_layout = (grp_T, self.grp_rid)
-        return self._fault_layout
+        return self._grp_T, self.grp_rid
 
     def fault_draws(self) -> FaultDraws:
         """This lowering's on-demand draw table (see :class:`FaultDraws`)."""

@@ -6,7 +6,10 @@ hash ring assigns every resource to a shard; each shard owns the slice
 of the columnar per-resource candidate index (see
 :mod:`repro.simulation.columnar`) covering its resources — contiguous
 copies of the static key columns, so per-chronon key computation touches
-only shard-local memory. T-intervals whose EIs span shards (allowed by
+only shard-local memory. The index arrives one
+:class:`~repro.simulation.columnar.ActivityWindow` at a time and the
+slices are cut per window, so the federation never holds more of it than
+a monolith would. T-intervals whose EIs span shards (allowed by
 the paper's model) are handled by *state replication*: capture, doom
 and M-EDF satisfiability aggregates live in a :class:`_Replica` that
 every shard reads and the coordinator's per-chronon capture broadcast
@@ -39,10 +42,10 @@ ledgers record the work-stealing that realized the monolith schedule.
 
 Fault layers (drops, outages, rate limits, retries, breaker) execute
 coordinator-side through the columnar fault plane, RNG-stream exact
-with the fast engine. ``workers=N`` advances the shards on a forked
-process pool — each worker holds its shards' index slices plus a full
-state replica fed by the capture broadcast — and is restricted to
-fault-free runs (fault draws are a coordinator concern).
+with the fast engine. The shards advance in-process: a forked worker
+pool was measured on the catalog (2 vCPUs, K=4) at 2.2x *slower* than
+the in-process loop — the per-chronon broadcast costs more than the
+proposals it parallelises — and removed.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from repro.simulation.batch import (
     _make_lanes,
 )
 from repro.simulation.columnar import (
-    BatchUnsupported,
+    ActivityWindow,
     ColumnarInstance,
     INF_KEY,
 )
@@ -85,13 +88,13 @@ class FederatedResult:
     owned-resource count, routed probes and budget ledger;
     ``stolen_budget`` totals the units moved by work-stealing.
     ``lower_seconds`` is the part of ``result.runtime_seconds`` spent
-    building the columnar form — 0.0 when the caller passed a prebuilt
-    ``columnar=`` (whose own ``lower_seconds`` says what it cost).
+    lowering: every activity window the run built, plus the constructor
+    unless the caller passed a prebuilt ``columnar=`` (whose own
+    ``lower_seconds`` says what that cost).
     """
 
     result: SimulationResult
     shards: int
-    workers: int
     loads: tuple[ShardLoad, ...]
     stolen_budget: int
     steal_transfers: int
@@ -103,8 +106,8 @@ class FederatedResult:
 
 
 class _Replica:
-    """Full capture/doom/M-EDF state; coordinator and every shard
-    worker hold one, kept identical by the capture broadcast."""
+    """Full capture/doom/M-EDF state: what every shard reads and the
+    capture broadcast updates."""
 
     __slots__ = ("col", "alive", "cap_count", "capsum", "sees_doom",
                  "undoomed", "need_medf", "_xe_at", "_n_xe",
@@ -146,89 +149,80 @@ class _Replica:
             # no duplicate targets.
             self.undoomed[col.xg_state[glo:ghi]] &= ~misses
 
-    def absorb(self, entries: np.ndarray) -> np.ndarray:
+    def absorb(self, win: ActivityWindow, entries: np.ndarray) -> np.ndarray:
         """Apply broadcast capture effects (candidate activity entries
         of the probed pools); returns the captured states."""
-        col = self.col
-        self.alive[col.act_e[entries]] = False
-        states = col.ps_act[entries]
+        self.alive[win.act_e[entries]] = False
+        states = win.ps_act[entries]
         np.add.at(self.cap_count, states, 1)
         if self.need_medf:
-            np.add.at(self.capsum, states, col.fin_act[entries])
+            np.add.at(self.capsum, states, win.fin_act[entries])
         return states
 
 
-def _entry_keys(col: ColumnarInstance, rep: _Replica, kind: str,
-                entries: np.ndarray, states: np.ndarray, T: int,
+def _entry_keys(col: ColumnarInstance, win: ActivityWindow, rep: _Replica,
+                kind: str, entries: np.ndarray, states: np.ndarray, T: int,
                 cand: np.ndarray, gs_rel: np.ndarray,
                 gof: np.ndarray) -> np.ndarray:
     """Candidate keys for arbitrary activity entries (the slow, generic
     path — used only for the rare commit-tie recompute under faults;
     shard slices precompute their static columns instead)."""
     if kind not in _DYNAMIC:
-        return col.hi_static[kind][entries]
+        return win.hi_static[kind][entries]
     if kind == "mrsf":
-        return (col.hi_static["srank"][entries]
+        return (win.hi_static["srank"][entries]
                 - (rep.cap_count[states] << col.fs_bits))
     if kind == "anti":
-        return (col.hi_static["anti"][entries]
+        return (win.hi_static["anti"][entries]
                 + (rep.cap_count[states] << col.fs_bits))
     if kind == "coverage":
         n_tot = np.add.reduceat(cand, gs_rel).astype(np.int64)
         return (((col.n_max - n_tot[gof]) << col.fs_bits)
-                + col.finstart_act[entries])
+                + win.finstart_act[entries])
     # medf
-    base = (col.init_sum_act[entries] + col.medf_off
-            - T * col.started_act[entries])
+    base = (win.init_sum_act[entries] + col.medf_off
+            - T * win.started_act[entries])
     score = base - rep.capsum[states] + T * rep.cap_count[states]
-    return (score << col.fs_bits) + col.finstart_act[entries]
+    return (score << col.fs_bits) + win.finstart_act[entries]
 
 
 class _ShardSlice:
-    """One shard's slice of the columnar candidate index.
+    """One shard's slice of one window of the columnar candidate index.
 
     Owns contiguous copies of the static key columns for the activity
     entries of its resources' pools, plus the per-chronon group layout,
     so a proposal touches only shard-local memory plus the replicated
-    per-state aggregates.
+    per-state aggregates. Pool ids (``gids``) are window-local.
     """
 
-    def __init__(self, col: ColumnarInstance, gids: np.ndarray,
-                 kind: str, grp_next: np.ndarray,
-                 grp_ti: np.ndarray) -> None:
+    def __init__(self, col: ColumnarInstance, win: ActivityWindow,
+                 gids: np.ndarray, kind: str) -> None:
         self.kind = kind
         self.n_max = col.n_max
         self.fs_bits = col.fs_bits
-        self.medf_off = col.medf_off
         self.gids = gids
-        self.grids = col.grp_rid[gids]
-        starts = col.grp_starts[gids]
-        sizes = (grp_next[gids] - starts).astype(np.int64)
-        total = int(sizes.sum())
-        cum = np.concatenate(([0], np.cumsum(sizes)))
-        ramp = np.arange(total, dtype=np.int64) - np.repeat(cum[:-1],
-                                                            sizes)
-        entries = np.repeat(starts, sizes) + ramp
-        self.gs = cum  # group starts within the slice (+ total sentinel)
+        self.grids = win.grp_rid[gids]
+        sizes = win.grp_sizes[gids]
+        entries = _entries_of(win, gids)
+        # Group starts within the slice (+ total sentinel).
+        self.gs = np.concatenate(([0], np.cumsum(sizes)))
         self.gof = np.repeat(np.arange(gids.size, dtype=np.int64), sizes)
         # Per-chronon pointers into the (chronon-ordered) group list.
-        n_act = col.act_chronons.size
-        self.gptr = np.searchsorted(
-            grp_ti[gids], np.arange(n_act + 1, dtype=np.int64))
+        self.gptr = np.searchsorted(gids, win.grp_indptr)
         # Shard-local copies of the columns keys are computed from.
-        self.ae = col.act_e[entries]
-        self.ps = col.ps_act[entries]
+        self.ae = win.act_e[entries]
+        self.ps = win.ps_act[entries]
         if kind in ("mrsf", "anti"):
             base_kind = "srank" if kind == "mrsf" else "anti"
-            self.hi0 = col.hi_static[base_kind][entries]
+            self.hi0 = win.hi_static[base_kind][entries]
         elif kind == "coverage":
-            self.hi0 = col.finstart_act[entries]
+            self.hi0 = win.finstart_act[entries]
         elif kind == "medf":
-            self.hi0 = col.finstart_act[entries]
-            self.base0 = col.init_sum_act[entries] + col.medf_off
-            self.started = col.started_act[entries]
+            self.hi0 = win.finstart_act[entries]
+            self.base0 = win.init_sum_act[entries] + col.medf_off
+            self.started = win.started_act[entries]
         else:
-            self.hi0 = col.hi_static[kind][entries]
+            self.hi0 = win.hi_static[kind][entries]
         self.resource_key = col.resource_key
 
     def propose(self, rep: _Replica, committed: np.ndarray | None,
@@ -307,94 +301,6 @@ class _ShardSlice:
 
 
 # ----------------------------------------------------------------------
-# Forked shard workers
-# ----------------------------------------------------------------------
-
-def _worker_loop(conn, rep: _Replica, slices: list[_ShardSlice],
-                 shard_ids: list[int], preemptive: bool,
-                 act_chronons: list[int], budgets: list[int]) -> None:
-    """One worker process: absorb the capture broadcast, advance its
-    shards, answer with their proposals."""
-    try:
-        while True:
-            message = conn.recv()
-            if message is None:
-                break
-            ti, effects = message
-            if effects is not None and effects.size:
-                rep.absorb(effects)
-            T = act_chronons[ti]
-            rep.flush_expiry(T)
-            budget = budgets[ti]
-            conn.send([
-                slices[shard].propose(rep, None, preemptive, ti, T,
-                                      budget, None)
-                for shard in shard_ids])
-    except (EOFError, KeyboardInterrupt):  # pragma: no cover
-        pass
-    finally:
-        conn.close()
-
-
-class _ShardWorkerPool:
-    """Forked processes advancing shard slices in parallel.
-
-    Fork (not spawn) so every worker inherits the built columnar
-    substrate and its slices copy-on-write; the per-chronon traffic is
-    just the capture broadcast down and the proposals back.
-    """
-
-    def __init__(self, workers: int, rep: _Replica,
-                 slices: list[_ShardSlice], preemptive: bool,
-                 act_chronons: list[int], budgets: list[int]) -> None:
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-        shards = len(slices)
-        count = min(workers, shards)
-        self._assignment = [list(range(w, shards, count))
-                            for w in range(count)]
-        self._conns = []
-        self._procs = []
-        for shard_ids in self._assignment:
-            parent, child = context.Pipe()
-            proc = context.Process(
-                target=_worker_loop,
-                args=(child, rep, slices, shard_ids, preemptive,
-                      act_chronons, budgets),
-                daemon=True)
-            proc.start()
-            child.close()
-            self._conns.append(parent)
-            self._procs.append(proc)
-        self.shards = shards
-
-    def step(self, ti: int, effects: np.ndarray | None) -> list:
-        """Broadcast one chronon; returns proposals in shard order."""
-        for conn in self._conns:
-            conn.send((ti, effects))
-        by_shard: list = [None] * self.shards
-        for shard_ids, conn in zip(self._assignment, self._conns):
-            answers = conn.recv()
-            for shard, answer in zip(shard_ids, answers):
-                by_shard[shard] = answer
-        return by_shard
-
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(None)
-                conn.close()
-            except (BrokenPipeError, OSError):  # pragma: no cover
-                pass
-        for proc in self._procs:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-                proc.join(timeout=5)
-
-
-# ----------------------------------------------------------------------
 # The federated chronon loop
 # ----------------------------------------------------------------------
 
@@ -403,7 +309,6 @@ def federated_run(profiles: ProfileSet, epoch: Epoch,
                   preemptive: bool = True, shards: int = 4,
                   coordinator: ShardCoordinator | None = None,
                   faults=None, retry=None, breaker=None,
-                  workers: int = 0,
                   columnar: ColumnarInstance | None = None,
                   ) -> FederatedResult:
     """Run one online simulation as a K-shard proxy federation.
@@ -412,9 +317,7 @@ def federated_run(profiles: ProfileSet, epoch: Epoch,
     probe-for-probe identical to
     ``run_online(..., engine="fast")`` for the same arguments — for any
     shard count — plus the federation's per-shard loads and
-    work-stealing ledger. ``workers=N`` advances the shards on N forked
-    worker processes (fault-free runs only); ``workers=0`` advances
-    them in-process, with identical results.
+    work-stealing ledger.
 
     Raises :class:`~repro.simulation.columnar.BatchUnsupported` for
     policies without a columnar scoring kind (e.g. RANDOM) and
@@ -430,66 +333,46 @@ def federated_run(profiles: ProfileSet, epoch: Epoch,
     lane_objs = _make_lanes([(policy, preemptive, budget, 0, fault)])
     lane = lane_objs[0]
     plane = _FaultPlane(col, lane_objs) if lane.fault_active else None
-    if plane is not None and workers:
-        raise ValueError(
-            "workers>0 advances shards in parallel, which only "
-            "fault-free runs support — fault draws, retries and "
-            "breaker state execute coordinator-side")
 
     coord = coordinator if coordinator is not None else \
         ShardCoordinator(shards)
     K = coord.shards
     owner = coord.assign(col.rid_space)
-    ownerg = owner[col.grp_rid]
-
-    total_act = col.act_e.size
-    grp_next = np.append(col.grp_starts[1:], total_act).astype(np.int64)
-    grp_ti = np.repeat(
-        np.arange(col.act_chronons.size, dtype=np.int64),
-        np.diff(col.grp_indptr))
-    slices = [
-        _ShardSlice(col, np.nonzero(ownerg == shard)[0], lane.kind,
-                    grp_next, grp_ti)
-        for shard in range(K)]
 
     rep = _Replica(col, lane.sees_doom, lane.kind == "medf")
     committed = np.zeros(col.S, dtype=bool) \
         if plane is not None and not preemptive else None
 
-    act_chronons = col.act_chronons.tolist()
-    n_act = len(act_chronons)
     if lane.budget.is_constant():
-        budgets = [lane.budget.default] * n_act
+        budgets = [lane.budget.default] * col.act_chronons.size
     else:
-        budgets = [lane.budget.at(T) for T in act_chronons]
-    grp_indptr = col.grp_indptr.tolist()
+        budgets = [lane.budget.at(T) for T in col.act_chronons.tolist()]
 
-    pool = None
-    if workers and K > 1:
-        pool = _ShardWorkerPool(workers, rep, slices, preemptive,
-                                act_chronons, budgets)
     schedule: dict[int, set[int]] = {}
-    pending: np.ndarray | None = None
+    built, window_seconds = col.windows_built, col.window_seconds
 
-    try:
-        for ti in range(n_act):
+    for win in col.windows():
+        ownerg = owner[win.grp_rid]
+        slices = [
+            _ShardSlice(col, win, np.nonzero(ownerg == shard)[0], lane.kind)
+            for shard in range(K)]
+        act_chronons = win.act_chronons.tolist()
+        grp_indptr = win.grp_indptr.tolist()
+
+        for ti in range(win.n_act):
             T = act_chronons[ti]
             rep.flush_expiry(T)
-            C = budgets[ti]
+            C = budgets[win.first_chronon + ti]
             if C <= 0:
                 continue
             open_until = None
             if plane is not None and plane.blocking:
                 open_until = plane.open_until[0]
 
-            if pool is not None:
-                per_shard = pool.step(ti, pending)
-                pending = None
-            else:
-                per_shard = [
-                    piece.propose(rep, committed, preemptive, ti, T, C,
-                                  open_until)
-                    for piece in slices]
+            per_shard = [
+                piece.propose(rep, committed, preemptive, ti, T, C,
+                              open_until)
+                for piece in slices]
 
             winners = ShardCoordinator.merge_proposals(
                 [(keys1, pools1) for keys1, pools1, _k2, _p2 in per_shard
@@ -512,35 +395,29 @@ def federated_run(profiles: ProfileSet, epoch: Epoch,
             if plane is None:
                 captured = decisions
             else:
-                grids_T = col.grp_rid[glo:grp_indptr[ti + 1]]
+                grids_T = win.grp_rid[glo:grp_indptr[ti + 1]]
                 positions = np.arange(decisions.size, dtype=np.int64)
                 cap_l, cap_g, failed = plane.execute(
-                    T, glo, grids_T, np.zeros_like(decisions),
-                    decisions - glo, positions,
+                    T, win.first_group + glo, grids_T,
+                    np.zeros_like(decisions), decisions - glo, positions,
                     np.array([C], dtype=np.int64))
                 if committed is not None \
                         and winners.size < decisions.size:
-                    _commit_failed(col, rep, lane.kind, committed,
-                                   decisions, winners.size, failed,
-                                   grp_next, T)
+                    _commit_failed(col, win, rep, lane.kind, committed,
+                                   decisions, winners.size, failed, T)
                 captured = glo + cap_g
 
             if captured.size:
-                entries = _entries_of(col, grp_next, captured)
-                mask = rep.alive[col.act_e[entries]]
+                entries = _entries_of(win, captured)
+                mask = rep.alive[win.act_e[entries]]
                 if rep.sees_doom:
-                    mask &= rep.undoomed[col.ps_act[entries]]
+                    mask &= rep.undoomed[win.ps_act[entries]]
                 entries = entries[mask]
-                for rid in col.grp_rid[captured].tolist():
+                for rid in win.grp_rid[captured].tolist():
                     schedule.setdefault(rid, set()).add(T)
-                states = rep.absorb(entries)
+                states = rep.absorb(win, entries)
                 if committed is not None and states.size:
                     committed[states] = True
-                if pool is not None:
-                    pending = entries
-    finally:
-        if pool is not None:
-            pool.close()
 
     if plane is not None:
         plane.finish()
@@ -549,32 +426,30 @@ def federated_run(profiles: ProfileSet, epoch: Epoch,
         stats = (0, 0, 0)
     elapsed = time.perf_counter() - started
     result = _finalize(col, lane, schedule, rep.cap_count, elapsed,
-                       stats)
+                       stats, col.windows_built - built)
     owned = np.bincount(owner[np.unique(col.grp_rid)],
                         minlength=K).tolist()
     loads = tuple(coord.loads(resources=owned))
     return FederatedResult(
-        result=result, shards=K, workers=workers if pool else 0,
-        loads=loads, stolen_budget=coord.ledger.transferred_units,
+        result=result, shards=K, loads=loads,
+        stolen_budget=coord.ledger.transferred_units,
         steal_transfers=coord.ledger.transfers,
-        lower_seconds=0.0 if columnar is not None else col.lower_seconds)
+        lower_seconds=col.window_seconds - window_seconds
+        + (0.0 if columnar is not None else col.lower_seconds))
 
 
-def _entries_of(col: ColumnarInstance, grp_next: np.ndarray,
-                gids: np.ndarray) -> np.ndarray:
-    """Activity-entry indices of the given pools (flat group ids)."""
-    starts = col.grp_starts[gids]
-    sizes = (grp_next[gids] - starts).astype(np.int64)
-    total = int(sizes.sum())
-    cum = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    ramp = np.arange(total, dtype=np.int64) - np.repeat(cum, sizes)
-    return np.repeat(starts, sizes) + ramp
+def _entries_of(win: ActivityWindow, gids: np.ndarray) -> np.ndarray:
+    """Activity-entry indices of the given pools (window-local ids)."""
+    sizes = win.grp_sizes[gids]
+    ramp = np.arange(int(sizes.sum()), dtype=np.int64) - np.repeat(
+        np.cumsum(sizes) - sizes, sizes)
+    return np.repeat(win.grp_starts[gids], sizes) + ramp
 
 
-def _commit_failed(col: ColumnarInstance, rep: _Replica, kind: str,
-                   committed: np.ndarray, decisions: np.ndarray,
-                   n_phase1: int, failed: np.ndarray,
-                   grp_next: np.ndarray, T: int) -> None:
+def _commit_failed(col: ColumnarInstance, win: ActivityWindow,
+                   rep: _Replica, kind: str, committed: np.ndarray,
+                   decisions: np.ndarray, n_phase1: int,
+                   failed: np.ndarray, T: int) -> None:
     """A failed fresh-pool probe still commits its selected t-interval.
 
     Mirrors the batch engine's commitment hook: the selected candidate
@@ -587,19 +462,19 @@ def _commit_failed(col: ColumnarInstance, rep: _Replica, kind: str,
     tie = col.commit_tie()
     for j in fail2.tolist():
         gid = int(decisions[n_phase1 + j])
-        entries = np.arange(col.grp_starts[gid], grp_next[gid],
-                            dtype=np.int64)
-        states = col.ps_act[entries]
-        cand = rep.alive[col.act_e[entries]]
+        entries = win.grp_starts[gid] + np.arange(win.grp_sizes[gid],
+                                                  dtype=np.int64)
+        states = win.ps_act[entries]
+        cand = rep.alive[win.act_e[entries]]
         if rep.sees_doom:
             cand &= rep.undoomed[states]
         pool2 = cand & ~committed[states]
         keys = np.where(
             pool2,
-            _entry_keys(col, rep, kind, entries, states, T, cand,
+            _entry_keys(col, win, rep, kind, entries, states, T, cand,
                         np.zeros(1, dtype=np.int64),
                         np.zeros(entries.size, dtype=np.int64)),
             INF_KEY)
         winners = np.nonzero(keys == keys.min())[0]
-        best = int(winners[np.argmin(tie[col.act_e[entries]][winners])])
+        best = int(winners[np.argmin(tie[win.act_e[entries]][winners])])
         committed[states[best]] = True

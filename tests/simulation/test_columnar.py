@@ -1,15 +1,20 @@
 """The array-native columnar lowering against its per-object oracle.
 
 :class:`~repro.simulation.columnar.ColumnarInstance` builds every column
-with NumPy from one flattening walk over the profile objects. The
-straightforward construction it replaced — Python loops over every
-t-interval and EI, a three-key ``lexsort`` for the activity order, a
-fused ``searchsorted`` for ``started_act``, all five static key columns
-up front — lives on here as :func:`oracle`, and every public attribute
-of the lowering must equal it in value *and* dtype.
+with NumPy from one flattening walk over the profile objects, and the
+activity index one window at a time. The straightforward construction
+it replaced — Python loops over every t-interval and EI, the whole
+epoch's activity entries at once, a three-key ``lexsort`` for their
+order, a fused ``searchsorted`` for ``started_act``, all five static
+key columns up front — lives on here as :func:`oracle`. Every public
+attribute of the lowering must equal it in value *and* dtype, and so
+must the *concatenation* of ``windows()`` (offsets applied) wherever
+the cuts fall, and what the occupancy grid says about the index
+without building it.
 """
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from repro.core import (
     TInterval,
 )
 from repro.online.registry import parse_policy_spec
+from repro.simulation import columnar as columnar_module
 from repro.simulation.batch import run_block
 from repro.simulation.columnar import (
     _MAX_KEY_BITS,
@@ -206,15 +212,75 @@ def oracle(profiles, epoch) -> SimpleNamespace:
     return o
 
 
+#: Per-entry columns: the lowering has them one window at a time.
+_PER_ENTRY = ("act_indptr", "act_e", "ps_act", "started_act", "grp_starts",
+              "grp_of", "finstart_act", "init_sum_act", "fin_act")
+
+#: Window caps the comparison runs at: a cut at every chronon, cuts
+#: through EIs and t-intervals, and the real one (a single window here).
+_CAPS = (1, 7, 1 << 16)
+
+
+def stitched(col: ColumnarInstance) -> SimpleNamespace:
+    """``col.windows()`` concatenated into whole-epoch columns."""
+    wins = list(col.windows())
+    w = SimpleNamespace()
+    entries = groups = chronons = 0
+    parts = {name: [] for name in _PER_ENTRY + (
+        "act_chronons", "grp_indptr", "grp_rid", "grp_sizes")}
+    parts.update({kind: [] for kind in _KINDS})
+    for win in wins:
+        assert win.first_chronon == chronons
+        assert win.first_group == groups
+        assert win.n_act == win.act_chronons.size > 0
+        assert len(win.hi_static) == 0 or len(wins) == 1
+        with pytest.raises(KeyError):
+            win.hi_static["medf"]
+        for name in parts:
+            if name in _KINDS:
+                column = win.hi_static[name]
+                assert win.hi_static[name] is column
+            else:
+                column = getattr(win, name)
+            if name in ("act_indptr", "grp_indptr"):
+                column = column[:-1]
+            if name in ("act_indptr", "grp_starts"):
+                column = column + entries
+            elif name == "grp_indptr":
+                column = column + groups
+            parts[name].append(column)
+        assert len(win.hi_static) == len(_KINDS)
+        entries += win.act_e.size
+        groups += win.grp_rid.size
+        chronons += win.n_act
+    parts["act_indptr"].append(np.array([entries]))
+    parts["grp_indptr"].append(np.array([groups]))
+    for name, columns in parts.items():
+        setattr(w, name, np.concatenate(
+            [np.zeros(0, dtype=np.int64)] + columns))
+    w.windows = len(wins)
+    return w
+
+
 def assert_same_lowering(profiles, epoch) -> ColumnarInstance:
     want = oracle(profiles, epoch)
-    got = ColumnarInstance.build(profiles, epoch)
+    for cap in _CAPS:
+        with mock.patch.object(columnar_module, "_WINDOW_ENTRIES", cap):
+            got = ColumnarInstance.build(profiles, epoch)
+        _assert_equals_oracle(got, want, cap)
+    return got
+
+
+def _assert_equals_oracle(got: ColumnarInstance, want: SimpleNamespace,
+                          cap: int) -> None:
     public = {name for name in vars(got) if not name.startswith("_")}
-    assert public == set(vars(want)) | {"epoch", "lower_seconds"}
+    assert public == (set(vars(want)) - set(_PER_ENTRY) - {"hi_static"}) | {
+        "epoch", "lower_seconds", "g_max", "windows_built",
+        "window_seconds"}
     for name, expected in vars(want).items():
-        actual = getattr(got, name)
-        if name == "hi_static":
+        if name in _PER_ENTRY or name == "hi_static":
             continue
+        actual = getattr(got, name)
         if isinstance(expected, np.ndarray):
             assert actual.dtype == expected.dtype, name
             assert np.array_equal(actual, expected), name
@@ -223,17 +289,45 @@ def assert_same_lowering(profiles, epoch) -> ColumnarInstance:
             assert actual == expected, name
     # Same sizes in the same first-seen order (reports iterate it).
     assert list(got.rank_totals.items()) == list(want.rank_totals.items())
-    assert len(got.hi_static) == 0
-    for built, kind in enumerate(_KINDS, start=1):
-        column = got.hi_static[kind]
-        assert column.dtype == want.hi_static[kind].dtype, kind
-        assert np.array_equal(column, want.hi_static[kind]), kind
-        assert got.hi_static[kind] is column
-        assert len(got.hi_static) == built
-    with pytest.raises(KeyError):
-        got.hi_static["medf"]
+
+    # What the grid knows before any entry exists.
+    total = want.act_e.size
+    per_chronon = np.diff(want.grp_indptr)
+    assert got.g_max == (int(per_chronon.max()) if per_chronon.size else 0)
+    grp_T, grp_rid = got.fault_layout()
+    assert np.array_equal(grp_T, np.repeat(want.act_chronons, per_chronon))
+    assert grp_rid is got.grp_rid
+    group_sizes = np.diff(np.append(want.grp_starts, total))
+    assert np.array_equal(got._grp_size, group_sizes)
+    assert (got.windows_built, got.window_seconds) == (0, 0.0)
+
+    # The windows, wherever they were cut.
+    whole = stitched(got)
+    assert np.array_equal(whole.grp_sizes, group_sizes)
+    for name in _PER_ENTRY + ("act_chronons", "grp_indptr", "grp_rid"):
+        actual, expected = getattr(whole, name), getattr(want, name)
+        assert actual.dtype == expected.dtype, (name, cap)
+        assert np.array_equal(actual, expected), (name, cap)
+    for kind in _KINDS:
+        assert whole.__dict__[kind].dtype == want.hi_static[kind].dtype
+        assert np.array_equal(whole.__dict__[kind], want.hi_static[kind]), \
+            (kind, cap)
+    spans = np.diff(want.act_indptr)
+    if cap == 1:
+        assert whole.windows == spans.size
+    elif total <= cap:
+        assert whole.windows == min(1, spans.size)
+    assert got.windows_built == whole.windows
     assert got.lower_seconds > 0.0
-    return got
+    if whole.windows:
+        assert got.window_seconds > 0.0
+    # One window is kept and handed out again; several are rebuilt.
+    again = list(got.windows())
+    assert len(again) == whole.windows
+    assert got.windows_built == whole.windows * (1 if len(again) == 1
+                                                 else 2)
+    for win in again:
+        assert win.act_e.size <= max(cap, int(spans.max()))
 
 
 def _eta(*eis) -> TInterval:
@@ -271,7 +365,7 @@ class TestEdgeCases:
         # and contributes no activity entry.
         late = int(np.nonzero(col.st_profile == 0)[0][0])
         assert col.st_arrival[late] == 10
-        assert not np.any(col.ps_act == late)
+        assert not np.any(stitched(col).ps_act == late)
         assert col.act_chronons.tolist() == [2, 3, 9, 10]
 
     def test_rank_one_only(self):
@@ -280,11 +374,12 @@ class TestEdgeCases:
             for r in range(3)])
         col = assert_same_lowering(profiles, Epoch(6))
         assert col.rank_totals == {1: 9}
-        assert col.started_act.tolist() == [1] * col.act_e.size
+        whole = stitched(col)
+        assert whole.started_act.tolist() == [1] * whole.act_e.size
 
     def test_fused_activity_key_beyond_16_bits(self):
-        # (last + 1) * resources > 2**16: the activity sort keeps its
-        # order on the wide key too.
+        # (window chronons) * resources > 2**16: the activity sort keeps
+        # its order on the wide key too.
         profiles = ProfileSet([
             Profile([_eta((900, 3, 40), (5, 1, 70)), _eta((5, 2, 2))]),
             Profile([_eta((900, 1, 64))]),
@@ -296,6 +391,13 @@ class TestEdgeCases:
         with pytest.raises(BatchUnsupported):
             oracle(profiles, Epoch(4))
         with pytest.raises(BatchUnsupported):
+            ColumnarInstance.build(profiles, Epoch(4))
+
+    def test_sparse_resource_ids_raise_batch_unsupported(self):
+        # No dense (chronon x resource id) grid for ids this sparse; the
+        # caller falls back to the fast engine instead of allocating it.
+        profiles = ProfileSet([Profile([_eta((1 << 26, 1, 2))])])
+        with pytest.raises(BatchUnsupported, match="too sparse"):
             ColumnarInstance.build(profiles, Epoch(4))
 
 
@@ -332,8 +434,17 @@ def test_medf_federated_run_builds_no_static_key_column():
                         preemptive=preemptive, shards=2,
                         columnar=columnar)
     assert fed.result.probes_used > 0
-    assert len(columnar.hi_static) == 0
-    assert fed.lower_seconds == 0.0
+    (window,) = columnar.windows()
+    assert len(window.hi_static) == 0
+    # A prebuilt lowering costs a run its windows, not its constructor —
+    # and nothing once the (single, kept) window exists.
+    assert fed.lower_seconds == columnar.window_seconds > 0.0
+    assert fed.result.extras["lowering_windows"] == 1.0
+    again = federated_run(profiles, Epoch(6), BudgetVector(1), policy,
+                          preemptive=preemptive, shards=2,
+                          columnar=columnar)
+    assert again.lower_seconds == 0.0
+    assert again.result.extras["lowering_windows"] == 0.0
     built = federated_run(profiles, Epoch(6), BudgetVector(1), policy,
                           preemptive=preemptive, shards=2)
     assert 0.0 < built.lower_seconds <= built.result.runtime_seconds

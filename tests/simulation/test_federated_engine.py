@@ -5,9 +5,6 @@ monolith engines at every shard count — K=1 especially, the ISSUE's
 explicit criterion — with the coordinator ledgers conserving budget.
 """
 
-import multiprocessing
-
-import numpy as np
 import pytest
 
 from repro.core import BudgetVector, Epoch
@@ -27,8 +24,6 @@ from repro.experiments.harness import make_instance
 CONFIG = ExperimentConfig(
     epoch_length=60, num_resources=12, num_profiles=18, max_rank=3,
     intensity=8.0, budget=2, window=6, repetitions=1, seed=123)
-
-_HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 @pytest.fixture(scope="module")
@@ -116,36 +111,6 @@ class TestFaultIdentity:
         assert result.retries == reference.retries
         assert result.resources_quarantined == \
             reference.resources_quarantined
-
-    def test_workers_with_faults_rejected(self, instance):
-        with pytest.raises(ValueError, match="fault"):
-            federated_run(instance, CONFIG.epoch, CONFIG.budget_vector,
-                          parse_policy_spec("S-EDF(P)")[0], shards=2,
-                          workers=2, faults=FaultSpec(
-                              failure_probability=0.5, seed=1))
-
-
-class TestWorkerPool:
-    @pytest.mark.skipif(not _HAS_FORK,
-                        reason="fork start method unavailable")
-    @pytest.mark.parametrize("spec", ["S-EDF(P)", "M-EDF(NP)"])
-    def test_worker_pool_matches_in_process(self, instance, spec):
-        policy, preemptive = parse_policy_spec(spec)
-        serial = federated_run(instance, CONFIG.epoch,
-                               CONFIG.budget_vector, policy,
-                               preemptive=preemptive, shards=4)
-        policy, preemptive = parse_policy_spec(spec)
-        pooled = federated_run(instance, CONFIG.epoch,
-                               CONFIG.budget_vector, policy,
-                               preemptive=preemptive, shards=4,
-                               workers=2)
-        assert list(pooled.result.schedule.probes()) == \
-            list(serial.result.schedule.probes())
-        assert pooled.result.report == serial.result.report
-        assert pooled.workers == 2
-        assert serial.workers == 0
-        assert [load.probes_routed for load in pooled.loads] == \
-            [load.probes_routed for load in serial.loads]
 
 
 class TestAccounting:

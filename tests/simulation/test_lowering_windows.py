@@ -1,0 +1,312 @@
+"""The streamed lowering gives the same run wherever its windows are cut.
+
+:meth:`ColumnarInstance.windows` hands the activity index to the chronon
+loops a window at a time; the cap (``columnar._WINDOW_ENTRIES``) is a
+constant nobody sets, so these tests move it: 1 cuts at every chronon, 7
+and 64 cut through EIs and t-intervals (and leave chronons above the
+cap as windows of their own), ``10**9`` is the single kept window.
+Every cut must reproduce the reference simulator probe for probe —
+schedule, report, fault counters, breaker end state, recorded
+:class:`~repro.faults.model.FaultTrace` — for block lanes and for the
+K-shard federation, whose slices are cut per window too. This is the
+only suite that drives fault lanes across window cuts.
+
+The second half pins what the streaming is for: memory that follows
+the window, not the epoch.
+"""
+
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from repro.core import (
+    BudgetVector,
+    Epoch,
+    ExecutionInterval,
+    Profile,
+    ProfileSet,
+    TInterval,
+)
+from repro.experiments import ExperimentConfig, make_instance
+from repro.faults import (
+    CircuitBreaker,
+    FaultInjector,
+    FaultSpec,
+    Outage,
+    RetryConfig,
+)
+from repro.online.registry import parse_policy_spec
+from repro.simulation import columnar as columnar_module
+from repro.simulation import run_online
+from repro.simulation.batch import FaultLane, run_block
+from repro.simulation.columnar import ColumnarInstance
+from repro.simulation.shard import federated_run
+
+from tests.properties.test_prop_batch_faults import _assert_same_faulty_run
+
+CAPS = (1, 7, 64, 10 ** 9)
+
+#: All eight columnar kinds, preemptive and not.
+POLICIES = tuple(
+    f"{name}({mode})"
+    for name in ("S-EDF", "FCFS", "LFF", "STATICRANK", "MRSF",
+                 "ANTI-MRSF", "COVERAGE", "M-EDF")
+    for mode in ("P", "NP"))
+
+CONFIG = ExperimentConfig(
+    epoch_length=40, num_resources=8, num_profiles=12, max_rank=3,
+    intensity=5.0, budget=2, window=6, repetitions=1, grouping="overlap",
+    seed=17)
+
+
+def _drops():
+    return (FaultSpec(failure_probability=0.3, timeout_probability=0.1,
+                      seed=7),
+            RetryConfig(max_retries=2),
+            CircuitBreaker(failure_threshold=2, cooldown=3))
+
+
+def _outage():
+    return (FaultSpec(outages=(Outage(2, 5, 14), Outage(5, 20, None)),
+                      max_probes_per_chronon=1, seed=3), None, None)
+
+
+def _recording():
+    return (FaultInjector(FaultSpec(failure_probability=0.25,
+                                    stale_probability=0.3, seed=5)),
+            RetryConfig(max_retries=1), None)
+
+
+#: Fault layers as factories: breakers and recording injectors are
+#: per-run state, so every run gets its own.
+FAULTS = {"none": lambda: (None, None, None), "drops": _drops,
+          "outage": _outage, "recording": _recording}
+
+
+def lowered(profiles, epoch, cap) -> ColumnarInstance:
+    with mock.patch.object(columnar_module, "_WINDOW_ENTRIES", cap):
+        return ColumnarInstance.build(profiles, epoch)
+
+
+@pytest.fixture(scope="module")
+def instance():
+    _trace, profiles = make_instance(CONFIG, 0)
+    return profiles
+
+
+@pytest.fixture(scope="module")
+def reference(instance):
+    """Reference-simulator runs, one per (fault layer, policy), lazily."""
+    runs = {}
+
+    def run(fault: str, label: str, case: str = "generated",
+            budget=CONFIG.budget_vector, profiles=instance,
+            epoch=CONFIG.epoch):
+        key = (fault, label, case)
+        if key not in runs:
+            policy, preemptive = parse_policy_spec(label)
+            faults, retry, breaker = FAULTS[fault]()
+            result = run_online(profiles, epoch, budget, policy,
+                                preemptive=preemptive, faults=faults,
+                                retry=retry, breaker=breaker,
+                                engine="reference")
+            runs[key] = (result, (_injector(faults), breaker))
+        return runs[key]
+
+    return run
+
+
+def _injector(faults):
+    return faults if isinstance(faults, FaultInjector) else None
+
+
+def _block(profiles, epoch, col, fault, budget):
+    """All sixteen policies as the lanes of one block over ``col``."""
+    lanes, sides = [], []
+    for label in POLICIES:
+        policy, preemptive = parse_policy_spec(label)
+        faults, retry, breaker = FAULTS[fault]()
+        layer = FaultLane(faults, retry, breaker) \
+            if fault != "none" else None
+        lanes.append((policy, preemptive, budget, 0, layer))
+        sides.append((_injector(faults), breaker))
+    return run_block(profiles, epoch, lanes, columnar=col), sides
+
+
+class TestWindowsCutAnywhere:
+    def test_the_caps_cut_where_they_claim(self, instance):
+        shapes = {}
+        for cap in CAPS:
+            wins = list(lowered(instance, CONFIG.epoch, cap).windows())
+            shapes[cap] = [(win.act_e.size, win.n_act) for win in wins]
+            # Within the cap unless a single chronon, and greedy: the
+            # next window's first chronon would not have fitted.
+            for win, after in zip(wins, wins[1:] + [None]):
+                assert win.act_e.size <= cap or win.n_act == 1
+                if after is not None:
+                    assert win.act_e.size + after.act_indptr[1] > cap
+        (total, chronons), = shapes[10 ** 9]
+        assert total > 10 * 64
+        assert all(sum(size for size, _n in shape) == total
+                   and sum(n for _size, n in shape) == chronons
+                   for shape in shapes.values())
+        assert len(shapes[1]) == chronons
+        # Cap 7 meets both: chronons above the cap, each a window of its
+        # own, and windows spanning several quiet chronons.
+        assert any(size > 7 for size, _n in shapes[7])
+        assert any(n > 1 for _size, n in shapes[7])
+        assert 1 < len(shapes[64]) < len(shapes[7])
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_block_equals_reference(self, instance, reference, cap, fault):
+        col = lowered(instance, CONFIG.epoch, cap)
+        results, sides = _block(instance, CONFIG.epoch, col, fault,
+                                CONFIG.budget_vector)
+        for label, result, side in zip(POLICIES, results, sides):
+            expected, expected_side = reference(fault, label)
+            _assert_same_faulty_run(expected, result, expected_side, side)
+        # A second block over the same lowering walks the windows again.
+        again, sides = _block(instance, CONFIG.epoch, col, fault,
+                              CONFIG.budget_vector)
+        for label, result, side in zip(POLICIES, again, sides):
+            expected, expected_side = reference(fault, label)
+            _assert_same_faulty_run(expected, result, expected_side, side)
+
+    @pytest.mark.parametrize("fault", ["none", "drops", "recording"])
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_federation_equals_reference(self, instance, reference, cap,
+                                         shards, fault):
+        col = lowered(instance, CONFIG.epoch, cap)
+        for label in ("M-EDF(P)", "M-EDF(NP)", "S-EDF(NP)", "MRSF(NP)",
+                      "COVERAGE(P)", "ANTI-MRSF(NP)"):
+            policy, preemptive = parse_policy_spec(label)
+            faults, retry, breaker = FAULTS[fault]()
+            federated = federated_run(
+                instance, CONFIG.epoch, CONFIG.budget_vector, policy,
+                preemptive=preemptive, shards=shards, faults=faults,
+                retry=retry, breaker=breaker, columnar=col)
+            expected, expected_side = reference(fault, label)
+            _assert_same_faulty_run(expected, federated.result,
+                                    expected_side,
+                                    (_injector(faults), breaker))
+            if fault == "none":
+                assert sum(load.probes_routed
+                           for load in federated.loads) \
+                    == expected.probes_used
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_non_constant_budget(self, instance, reference, cap):
+        budget = BudgetVector(1, overrides={
+            T: T % 4 for T in range(3, CONFIG.epoch_length, 3)})
+        col = lowered(instance, CONFIG.epoch, cap)
+        results, sides = _block(instance, CONFIG.epoch, col, "drops",
+                                budget)
+        for label, result, side in zip(POLICIES, results, sides):
+            expected, expected_side = reference("drops", label, "bursty",
+                                                budget)
+            _assert_same_faulty_run(expected, result, expected_side, side)
+        policy, preemptive = parse_policy_spec("M-EDF(NP)")
+        federated = federated_run(instance, CONFIG.epoch, budget, policy,
+                                  preemptive=preemptive, shards=3,
+                                  columnar=col)
+        expected, _side = reference("none", "M-EDF(NP)", "bursty", budget)
+        assert list(federated.result.schedule.probes()) == \
+            list(expected.schedule.probes())
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_hand_built_edges(self, reference, cap):
+        """No activity at all; EIs opening past the epoch; a quiet gap
+        between windows that an EI does not span."""
+        def eta(*eis):
+            return TInterval(ExecutionInterval(*ei) for ei in eis)
+
+        epoch = Epoch(12)
+        cases = {
+            "no activity": ProfileSet([Profile([eta((0, 13, 15))]),
+                                       Profile([])]),
+            "opens late": ProfileSet([
+                Profile([eta((0, 14, 15))]),
+                Profile([eta((1, 2, 3), (0, 13, 13)), eta((1, 9, 14))]),
+                Profile([eta((0, 1, 12), (1, 3, 3)), eta((2, 11, 12))]),
+            ]),
+        }
+        for name, profiles in cases.items():
+            col = lowered(profiles, epoch, cap)
+            if name == "no activity":
+                assert list(col.windows()) == []
+            budget = BudgetVector(1)
+            results, _sides = _block(profiles, epoch, col, "none", budget)
+            for label, result in zip(POLICIES, results):
+                expected, _side = reference("none", label, name, budget,
+                                            profiles, epoch)
+                _assert_same_faulty_run(expected, result, (None, None),
+                                        (None, None))
+            policy, preemptive = parse_policy_spec("MRSF(P)")
+            federated = federated_run(profiles, epoch, budget, policy,
+                                      preemptive=preemptive, shards=2,
+                                      columnar=col)
+            expected, _side = reference("none", "MRSF(P)", name, budget,
+                                        profiles, epoch)
+            assert federated.result.report == expected.report
+            assert list(federated.result.schedule.probes()) == \
+                list(expected.schedule.probes())
+
+
+# ----------------------------------------------------------------------
+# Memory follows the window
+# ----------------------------------------------------------------------
+
+def _array_bytes(obj) -> int:
+    return sum(value.nbytes for value in vars(obj).values()
+               if isinstance(value, np.ndarray))
+
+
+def _traced_peak(config) -> tuple[int, ColumnarInstance]:
+    """Peak traced bytes (NumPy reports its buffers) of lowering and
+    running ``config``'s instance on four shards."""
+    _trace, profiles = make_instance(config, 0)
+    profiles.columns()
+    policy, preemptive = parse_policy_spec("M-EDF(P)")
+    tracemalloc.start()
+    try:
+        col = ColumnarInstance.build(profiles, config.epoch)
+        federated_run(profiles, config.epoch, config.budget_vector,
+                      policy, preemptive=preemptive, shards=4,
+                      columnar=col)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, col
+
+
+class TestMemoryFollowsTheWindow:
+    #: Equal in every parameter but the EI width: nine times the
+    #: activity entries over 1.4 times the EIs (wider windows overlap
+    #: into more t-intervals).
+    NARROW = ExperimentConfig(
+        epoch_length=120, num_resources=40, num_profiles=2500,
+        intensity=12.0, budget=4, window=5, repetitions=1, seed=29)
+    WIDE = NARROW.with_(window=40)
+
+    def test_peak_does_not_follow_the_epoch(self):
+        narrow_peak, narrow = _traced_peak(self.NARROW)
+        wide_peak, wide = _traced_peak(self.WIDE)
+        assert narrow.E < wide.E < 1.5 * narrow.E
+        narrow_entries = int(narrow._grp_size.sum())
+        wide_entries = int(wide._grp_size.sum())
+        assert narrow_entries > columnar_module._WINDOW_ENTRIES
+        assert wide_entries > 6 * narrow_entries
+        assert wide_peak < 1.3 * narrow_peak
+
+    def test_no_entry_array_outlives_the_run(self):
+        _peak, col = _traced_peak(self.WIDE)
+        assert col.windows_built > 1 and col._window is None
+        # Ten int64 columns' worth per EI, state and group — and nothing
+        # per entry: one entry-sized int64 column alone would be more.
+        held = _array_bytes(col)
+        assert held <= 80 * (col.E + col.S + col.grp_rid.size)
+        assert held < 8 * int(col._grp_size.sum())
