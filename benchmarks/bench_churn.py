@@ -1,11 +1,17 @@
-"""Live-churn bench: incremental insert/delete vs. full rebuilds.
+"""Live-churn bench: the plan as columns vs. event splicing vs. rebuilds.
 
-Times the same churn-heavy scenario twice through the fast engine —
-once on the incremental path (O(log n + touched) event splicing into
-the live event queues / candidate index) and once with a from-scratch
+Times the same churn-heavy scenario three ways — ``run_churned`` (the
+plan lowered to lifetimes, one lane of the block kernel), the event
+engine splicing every event into its live queues / candidate index
+(``FastProxySimulator.run(churn=plan)``: O(log n + touched) per event,
+what ``run_churned`` falls back to), and that engine with a from-scratch
 :meth:`~repro.simulation.engine.FastProxySimulator.rebuild_structures`
-pass after every churn event — and asserts the two produce
-probe-for-probe identical results every round. The offline section
+pass after every churn event (the referee) — and asserts the three
+produce probe-for-probe identical results every round. The kernel pays
+some fifty NumPy calls per chronon whatever the instance, so the columns
+lose at ``tiny``, draw at ``target`` and win from there
+(``columns_vs_event``); ``contract`` is the end-to-end benchmark's
+``live-churn`` workload. The offline section
 does the same for the conflict-adjacency / Local-Ratio pipeline:
 :class:`~repro.offline.incremental.IncrementalLocalRatio` maintaining
 the adjacency and the live Hall-precheck assigner across events vs.
@@ -17,7 +23,8 @@ rebuild per event. Results land in ``BENCH_churn.json``::
 
 The ``target`` scale is the acceptance scale: a churn-heavy epoch
 (hundreds of registrations and cancellations over hundreds of live
-profiles) where the gated ``speedup`` keys must stay >= 3x. ``--smoke``
+profiles) where the gated event-vs-rebuild and offline ``speedup`` keys
+must stay >= 3x. ``--smoke``
 restricts to the tiny scale for CI; the bench-report gate compares
 every regenerated scale against the committed baseline.
 
@@ -52,6 +59,7 @@ from repro.offline.incremental import IncrementalLocalRatio
 from repro.offline.local_ratio import LocalRatioApproximation
 from repro.online.registry import parse_policy_spec
 from repro.simulation.churn import run_churned
+from repro.simulation.engine import FastProxySimulator
 
 try:
     from benchmarks._provenance import provenance_header
@@ -64,7 +72,9 @@ __all__ = ["ENGINE_SCALES", "OFFLINE_SCALES", "bench_engine_churn",
 #: Engine scales. ``target`` is churn-heavy — every client joins
 #: mid-epoch and half churn out again, so the per-event O(n) rebuild
 #: referee pays hundreds of full event-queue/index reconstructions
-#: over hundreds of live profiles. ``tiny`` is the CI smoke scale.
+#: over hundreds of live profiles. ``tiny`` is the CI smoke scale;
+#: ``contract`` is ``benchmarks/e2e``'s ``live-churn`` workload at its
+#: contract scale and default seed (engine section only).
 ENGINE_SCALES: dict[str, ChurnConfig] = {
     "tiny": ChurnConfig(epoch_length=80, num_resources=16,
                         intensity=8.0, num_clients=6,
@@ -76,6 +86,11 @@ ENGINE_SCALES: dict[str, ChurnConfig] = {
                           profiles_per_client=12, window=10,
                           budget=2, join_spread=0.9,
                           leave_probability=0.5, seed=20080407),
+    "contract": ChurnConfig(epoch_length=300, num_resources=120,
+                            intensity=6.0, num_clients=300,
+                            profiles_per_client=12, window=20,
+                            budget=2, join_spread=0.9,
+                            leave_probability=0.5, seed=20080407),
 }
 
 #: Offline scales (unit-width instances for the P^[1] pipeline).
@@ -100,33 +115,42 @@ def _identical(left, right) -> bool:
 
 
 def bench_engine_churn(scale: str, rounds: int = 3) -> dict:
-    """Median incremental vs. per-event-rebuild engine wall time."""
+    """Median wall time of one churned run: columns, event splicing,
+    per-event rebuild — one workload, identical results."""
     config = ENGINE_SCALES[scale]
     initial, plan, epoch = build_churn_workload(config)
     budget = BudgetVector(config.budget)
 
-    def run_mode(mode: str) -> tuple[float, object]:
+    def timed(run) -> tuple[float, object]:
         policy, preemptive = parse_policy_spec(config.policy)
         started = time.perf_counter()
-        result = run_churned(initial, epoch, budget, policy, plan=plan,
-                             preemptive=preemptive, mode=mode)
+        result = run(policy, preemptive)
         return time.perf_counter() - started, result
 
-    _, reference = run_mode("incremental")  # warm-up, outside timing
-    inc_times: list[float] = []
-    reb_times: list[float] = []
+    def churned(mode: str):
+        return lambda policy, preemptive: run_churned(
+            initial, epoch, budget, policy, plan=plan,
+            preemptive=preemptive, mode=mode)
+
+    paths = {
+        "columns": churned("incremental"),
+        "event": lambda policy, preemptive: FastProxySimulator(
+            initial, epoch, budget, policy,
+            preemptive=preemptive).run(churn=plan),
+        "rebuild": churned("rebuild"),
+    }
+    _, reference = timed(paths["columns"])  # warm-up, outside timing
+    times: dict[str, list[float]] = {name: [] for name in paths}
     for _ in range(rounds):
-        seconds, inc = run_mode("incremental")
-        inc_times.append(seconds)
-        if not _identical(inc, reference):
-            raise AssertionError("incremental run diverged across rounds")
-        seconds, reb = run_mode("rebuild")
-        reb_times.append(seconds)
-        if not _identical(inc, reb):
-            raise AssertionError(
-                "rebuild mode diverged from the incremental engine")
-    inc_s = statistics.median(inc_times)
-    reb_s = statistics.median(reb_times)
+        for name, run in paths.items():
+            seconds, result = timed(run)
+            times[name].append(seconds)
+            if not _identical(result, reference):
+                raise AssertionError(
+                    f"the {name} run diverged from the columns' "
+                    "warm-up run")
+    columns_s, event_s, rebuild_s = (
+        statistics.median(times[name]) for name in paths)
     return {
         "config": asdict(config),
         "events": len(plan),
@@ -135,9 +159,12 @@ def bench_engine_churn(scale: str, rounds: int = 3) -> dict:
         "gc": reference.report.gc,
         "probes_used": reference.probes_used,
         "dropped": reference.extras.get("dropped", 0.0),
-        "incremental_s": inc_s,
-        "rebuild_s": reb_s,
-        "speedup": reb_s / inc_s,
+        "columns_s": columns_s,
+        "event_s": event_s,
+        "rebuild_s": rebuild_s,
+        # Gated as before: event splicing against its rebuild referee.
+        "speedup": rebuild_s / event_s,
+        "columns_vs_event": {"speedup": event_s / columns_s},
     }
 
 
@@ -215,7 +242,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Benchmark incremental live churn against per-event "
                     "from-scratch rebuilds, writing BENCH_churn.json")
-    parser.add_argument("--scales", default="tiny,target",
+    parser.add_argument("--scales", default="tiny,target,contract",
                         help="comma-separated scales to measure "
                              f"(available: {','.join(ENGINE_SCALES)})")
     parser.add_argument("--rounds", type=int, default=3,
@@ -242,12 +269,18 @@ def main(argv=None) -> int:
         print(f"[bench_churn] measuring scale {scale!r} ...",
               file=sys.stderr)
         engine = bench_engine_churn(scale, rounds=rounds)
+        report["scales"][scale] = {"engine": engine}
+        print(f"[bench_churn]   engine: columns "
+              f"{engine['columns_s'] * 1e3:.1f}ms, event splicing "
+              f"{engine['event_s'] * 1e3:.1f}ms "
+              f"({engine['columns_vs_event']['speedup']:.2f}x), rebuild "
+              f"{engine['rebuild_s'] * 1e3:.1f}ms "
+              f"({engine['speedup']:.2f}x over event), "
+              f"{engine['events']} events", file=sys.stderr)
+        if scale not in OFFLINE_SCALES:
+            continue
         offline = bench_offline_churn(scale, rounds=rounds)
-        report["scales"][scale] = {"engine": engine, "offline": offline}
-        print(f"[bench_churn]   engine: {engine['speedup']:.2f}x over "
-              f"rebuild ({engine['incremental_s'] * 1e3:.1f}ms vs "
-              f"{engine['rebuild_s'] * 1e3:.1f}ms, "
-              f"{engine['events']} events)", file=sys.stderr)
+        report["scales"][scale]["offline"] = offline
         print(f"[bench_churn]   offline: {offline['speedup']:.2f}x over "
               f"rebuild ({offline['incremental_s'] * 1e3:.1f}ms vs "
               f"{offline['rebuild_s'] * 1e3:.1f}ms, "

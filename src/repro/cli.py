@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
              "'stats' prints baseline instance statistics; 'faults' "
              "sweeps origin-server failure rates for the "
              "graceful-degradation curves; 'churn' sweeps client "
-             "arrival spread and churn-out on the live-churn engine; "
+             "arrival spread and churn-out over a churn plan; "
              "'federation' sweeps proxy "
              "shard counts against the monolith engine; 'offline' "
              "compares the offline solvers in the P^[1] regime; "
@@ -237,9 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulation engine: 'fast' runs one combination at a "
              "time, 'batch' runs the cells sharing a generated "
              "instance as one columnar block (identical results), "
-             "'reference' is the executable specification, 'rebuild' "
-             "(churn only) reruns the incremental churn plan with "
-             "from-scratch structure rebuilds after every event; by "
+             "'reference' is the executable specification; for "
+             "'churn', 'fast' and 'batch' both name the default path "
+             "(the plan lowered to columns and run on the block "
+             "kernel, the event engine where the columns cannot serve "
+             "a run) and the referees are 'rebuild' (the event engine "
+             "rebuilding its structures from scratch after every "
+             "event) and 'reference' (the live proxy); by "
              f"default the GC sweeps run on '{DEFAULT_ENGINE}' and the "
              "runtime-reporting experiments (table1, fig3, fig5, "
              "offline) time each policy in its own 'fast' run",

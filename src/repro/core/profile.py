@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -150,6 +150,32 @@ class ProfileColumns(NamedTuple):
     ei_start: np.ndarray
     ei_finish: np.ndarray
 
+    @classmethod
+    def of(cls, profiles: Sequence[Profile]) -> "ProfileColumns":
+        """The columns of profile objects — one walk, profiles ->
+        t-intervals -> EIs, flattened in creation order, one ``fromiter``
+        per attribute. A profile's id is its position in ``profiles``
+        (what :class:`ProfileSet` stamps on its members), so unattached
+        profiles lower without being copied first."""
+        etas = list(chain.from_iterable(profiles))
+        members = list(map(attrgetter("eis"), etas))
+        eis = list(chain.from_iterable(members))
+
+        def column(attr: str, objects: list) -> np.ndarray:
+            return np.fromiter(map(attrgetter(attr), objects), np.int64,
+                               len(objects))
+
+        size = np.fromiter(map(len, members), np.int64, len(etas))
+        owner = np.repeat(
+            np.arange(len(profiles), dtype=np.int64),
+            np.fromiter(map(len, profiles), np.int64, len(profiles)))
+        return cls(
+            tuple(map(attrgetter("name"), profiles)),
+            np.repeat(owner, size),
+            np.repeat(column("tinterval_id", etas), size),
+            column("resource_id", eis), column("start", eis),
+            column("finish", eis))
+
     def tinterval_heads(self) -> np.ndarray:
         """Row of each t-interval's first EI, ascending."""
         head = np.ones(self.ei_profile.size, dtype=bool)
@@ -240,7 +266,7 @@ class ProfileSet:
         """The set as EI-row columns: the ones a column-born set holds,
         else one walk over the objects."""
         if self._columns is None:
-            return _columns_from_profiles(self._profiles)
+            return ProfileColumns.of(self._profiles)
         return self._columns
 
     def __len__(self) -> int:
@@ -342,26 +368,6 @@ def _profiles_from_columns(columns: ProfileColumns) -> tuple[Profile, ...]:
         Profile.from_stamped(tuple(etas[lo:hi]), profile_id, name)
         for profile_id, (lo, hi, name)
         in enumerate(zip([0] + ends, ends, columns.names)))
-
-
-def _columns_from_profiles(profiles: tuple[Profile, ...]) -> ProfileColumns:
-    """The one walk over a set's objects: profiles -> t-intervals -> EIs,
-    flattened in creation order, one ``fromiter`` per attribute."""
-    etas = list(chain.from_iterable(profiles))
-    members = list(map(attrgetter("eis"), etas))
-    eis = list(chain.from_iterable(members))
-
-    def column(attr: str, objects: list) -> np.ndarray:
-        return np.fromiter(map(attrgetter(attr), objects), np.int64,
-                           len(objects))
-
-    size = np.fromiter(map(len, members), np.int64, len(etas))
-    return ProfileColumns(
-        tuple(map(attrgetter("name"), profiles)),
-        np.repeat(column("profile_id", etas), size),
-        np.repeat(column("tinterval_id", etas), size),
-        column("resource_id", eis), column("start", eis),
-        column("finish", eis))
 
 
 def _any_overlap(by_resource: dict[int, list[ExecutionInterval]]) -> bool:

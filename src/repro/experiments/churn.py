@@ -1,4 +1,4 @@
-"""Client-churn experiments on the live-churn fast engine.
+"""Client-churn experiments over a churn plan.
 
 The paper's evaluation registers all profiles up front; real proxies see
 clients come and go. This experiment plays a churn scenario — clients
@@ -8,16 +8,19 @@ and cross-client fairness.
 
 Three engines drive the same workload (``ChurnConfig.engine``):
 
-* ``"fast"`` (default) — the event-indexed
-  :class:`~repro.simulation.engine.FastProxySimulator` with the client
-  plan lowered to a :class:`~repro.simulation.churn.ChurnPlan`;
-  registrations and cancellations splice into the live structures in
-  O(log n + touched) per event.
-* ``"rebuild"`` — the same plan, but every churn event is followed by a
-  from-scratch
+* ``"fast"`` (default) — the client plan as a
+  :class:`~repro.simulation.churn.ChurnPlan` through
+  :func:`~repro.simulation.churn.run_churned`: the plan is lowered to
+  per-t-interval lifetimes and run as one lane of the columnar block
+  kernel (the event-indexed
+  :class:`~repro.simulation.engine.FastProxySimulator`, splicing each
+  event into its live structures, serves what the columns cannot —
+  and the ``repro.simulation.churn`` logger says when).
+* ``"rebuild"`` — the same plan on the event engine, every churn event
+  followed by a from-scratch
   :meth:`~repro.simulation.engine.FastProxySimulator.rebuild_structures`
-  (identical results by construction; ``benchmarks/bench_churn.py``
-  tracks the speedup between the two).
+  (the referee: identical results; ``benchmarks/bench_churn.py`` times
+  columns, event splicing and rebuild side by side).
 * ``"proxy"`` — the original reference path through the live
   :class:`~repro.runtime.proxy.MonitoringProxy`, kept as the executable
   specification of the client-facing semantics.
@@ -96,7 +99,7 @@ class ChurnConfig:
     budget, max_rank, window, seed:
         As in the main experiments.
     engine:
-        ``"fast"`` (incremental engine, default), ``"rebuild"``
+        ``"fast"`` (the plan as columns, default), ``"rebuild"``
         (from-scratch referee) or ``"proxy"`` (live reference proxy).
     """
 
@@ -314,7 +317,7 @@ def _run_churn_engine(config: ChurnConfig, epoch: Epoch, trace,
                       leavers: list[bool], names: list[str],
                       profiles_by_client: list[list[Profile]],
                       counts: list[int]) -> ChurnResult:
-    """Fast-engine path: the client plan lowered to a ChurnPlan."""
+    """``run_churned`` path: the client plan lowered to a ChurnPlan."""
     policy, preemptive = parse_policy_spec(config.policy)
     initial, events, ids_by_client, left_marks = _engine_plan(
         config, epoch, joins, leave_at, leavers, profiles_by_client)
@@ -473,9 +476,10 @@ def _timed_churn(config: ChurnConfig) -> tuple[ChurnResult, float]:
 def _map_engine(engine: str | None) -> str:
     """CLI engine names -> churn engines.
 
-    ``batch`` has no churn lowering (the columnar engine is epoch-
-    static), so it rides the fast incremental path; ``reference`` maps
-    to the live proxy.
+    ``fast`` and ``batch`` both name the default path — the plan
+    lowered to columns and run on the block kernel, the event engine
+    where the columns cannot serve a run; ``rebuild`` and ``reference``
+    (the live proxy) are the referees.
     """
     if engine is None:
         return "fast"

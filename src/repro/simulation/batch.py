@@ -255,7 +255,11 @@ def run_block(
     evenly across lanes — an accounting share (per-lane attribution is
     meaningless inside a shared pass), never to be reported as a
     per-policy runtime; ``extras["lowering_windows"]`` says how many
-    activity windows that time includes building.
+    activity windows that time includes building. Over a lowering with
+    lifetimes (a churned run, see :mod:`repro.simulation.churn`)
+    ``extras["dropped"]`` counts the t-intervals cancelled with no
+    missed deadline yet — neither captured nor ``expired``; it is 0
+    when nobody leaves.
 
     Raises :class:`BatchUnsupported` for policies without a columnar
     kind, instances whose packed keys overflow, or fault layers the
@@ -270,9 +274,9 @@ def run_block(
     probes = _advance(col, lane_objs) if L else []
     elapsed = time.perf_counter() - started
     per_lane = elapsed / L if L else 0.0
-    return [_finalize(col, lane, lane_sched, lane_caps, per_lane, stats,
-                      col.windows_built - built)
-            for lane, lane_sched, lane_caps, stats in probes]
+    return [_finalize(col, lane, lane_sched, lane_caps, lane_alive,
+                      per_lane, stats, col.windows_built - built)
+            for lane, lane_sched, lane_caps, lane_alive, stats in probes]
 
 
 # ----------------------------------------------------------------------
@@ -916,6 +920,13 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane]):
                     m = is_medf[er]
                     np.add.at(capsum_flat, flat[m], fin_flat[alo:ahi][ec[m]])
 
+        # One window in flight: the generator builds the next window
+        # when the loop asks for it, so let go of this one first — its
+        # columns and the last chronon's views into them.
+        del (win, act_e, ps_act, grp_starts, grp_rid, grp_of_flat,
+             finstart_flat, hi_static, started_flat, init_flat, fin_flat)
+        ae = ps = pc = grids = grp_of = finstart = None
+
     # Group the probe log into per-lane, per-resource chronon sets — the
     # exact shape Schedule stores. Insertion order is irrelevant:
     # Schedule.probes() sorts by (chronon, resource).
@@ -944,7 +955,7 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane]):
         stats = plane.lane_stats()
     else:
         stats = None
-    return [(lane_objs[i], lane_scheds[i], cap_count[i],
+    return [(lane_objs[i], lane_scheds[i], cap_count[i], alive[i],
              stats[i] if stats is not None else (0, 0, 0))
             for i in range(L)]
 
@@ -955,14 +966,30 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane]):
 
 def _finalize(col: ColumnarInstance, lane: _Lane,
               sched: dict[int, set[int]], cap_count: np.ndarray,
-              runtime: float, stats: tuple[int, int, int],
+              alive: np.ndarray, runtime: float,
+              stats: tuple[int, int, int],
               windows: int) -> SimulationResult:
-    """One lane's result. ``windows`` is how many activity windows the
-    run built (0 when it read a kept one): that much of the lowering
-    was paid inside the run, not by the constructor."""
+    """One lane's result, from its final capture state. ``windows`` is
+    how many activity windows the run built (0 when it read a kept
+    one): that much of the lowering was paid inside the run, not by the
+    constructor.
+
+    A complete t-interval is captured, whatever happened to it later. A
+    cancelled incomplete one is *expired* if a missed deadline was
+    already observable at its cancel clock ``gone`` — it had arrived and
+    some EI it never captured had closed (captures are frozen once a
+    window closes, so the final ``alive`` row says which) — and
+    *dropped* otherwise; every other incomplete one expired.
+    """
     complete = cap_count == col.st_size
     captured_total = int(np.count_nonzero(complete))
     total = col.S
+    gone = col.st_gone
+    missed = alive & (col.ei_finish < gone[col.ei_state])
+    dropped = int(np.count_nonzero(
+        ~complete & (gone <= col.epoch.last)
+        & ~((col.st_arrival <= gone)
+            & (np.bincount(col.ei_state[missed], minlength=total) > 0))))
 
     profile_totals = col.profile_totals
     max_pid = max(profile_totals, default=-1)
@@ -991,10 +1018,11 @@ def _finalize(col: ColumnarInstance, lane: _Lane,
         schedule=schedule,
         report=report,
         probes_used=len(schedule),
-        expired=total - captured_total,
+        expired=total - captured_total - dropped,
         runtime_seconds=runtime,
         probes_failed=probes_failed,
         retries=retries,
         resources_quarantined=quarantined,
-        extras={"lowering_windows": float(windows)},
+        extras={"lowering_windows": float(windows),
+                "dropped": float(dropped)},
     )

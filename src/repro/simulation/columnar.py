@@ -8,16 +8,25 @@ fast engine's tie-break order *positionally*:
 
 * **States** (t-intervals) are sorted by (clamped arrival chronon,
   creation order) — exactly the reference's active-list order — so the
-  state's array index IS the fast engine's ``seq``.
+  state's array index IS the fast engine's ``seq``. States registered
+  mid-run follow all of those in registration order, as the engine
+  numbers them.
 * **EIs** are laid out state-major, within a state in ``ei_id`` order, so
   the global EI index orders identically to the ``(seq, ei_id)``
   tie-break the engines resolve full score ties with.
+* **Lifetimes.** A state may carry ``visible_from`` (registered while
+  the clock read ``visible_from - 1``) and ``gone_from`` (cancelled at
+  that clock); absent, everyone is there from the start and nobody
+  leaves. An EI can be a candidate over its *visibility window*
+  ``[max(start, visible_from), min(finish, K, gone_from)]`` only
+  (:meth:`ColumnarInstance.visibility`) — that is all churn changes:
+  keys, scores and expiry keep reading the true ``start``/``finish``.
 * **Per-chronon activity** is a CSR over chronons: for every chronon with
-  at least one live window, the indices of the EIs whose
-  ``[start, min(finish, K)]`` window contains it, sorted by
-  (resource, EI index). Consecutive runs of one resource form the
-  *groups* — the per-resource candidate pools — described by a second
-  CSR (``grp_*``), so per-resource aggregation is a ``reduceat``.
+  at least one live window, the indices of the EIs whose visibility
+  window contains it, sorted by (resource, EI index). Consecutive runs
+  of one resource form the *groups* — the per-resource candidate pools
+  — described by a second CSR (``grp_*``), so per-resource aggregation
+  is a ``reduceat``.
   Deciding chronon ``T`` reads only the entries of ``T``, so the index
   is never held whole: the lowering keeps its *shape* (read off one
   occupancy grid) and :meth:`ColumnarInstance.windows` builds the
@@ -60,12 +69,21 @@ INF_KEY = np.iinfo(np.int64).max
 _MAX_KEY_BITS = 62
 
 #: Most activity entries one window holds (a single chronon above it is
-#: a window of its own). A constant, never an argument: on the 139k-EI
-#: catalog 16 k / 64 k / 256 k entries measured 71 / 79 / 123 MB peak
-#: RSS and 0.09-0.13 / 0.08-0.09 / 0.10-0.11 s of window building —
-#: smaller windows pay per-window fixed costs, larger ones fall out of
-#: cache and hold more.
-_WINDOW_ENTRIES = 1 << 16
+#: a window of its own). A constant, never an argument. A run holds one
+#: window and builds one (57 B per entry held, 96-105 B while built), so
+#: the cap is what a streamed run costs above its O(EIs) columns.
+#: Measured end to end (benchmarks/e2e, contract scale) at 2**16 ->
+#: 2**15 -> 2**14 with one window in flight: live-churn (186 k entries)
+#: peak RSS 50.6-50.7 -> 47.2-47.3 -> 45.3 MB against 47.7 on the event
+#: engine, the bar this value was chosen to clear; catalog (821 k entries,
+#: 14 -> 32 windows) 67.0 -> 67.0 MB and wall 0.288-0.300 -> 0.297-0.323 s,
+#: 0.318-0.382 s at 2**14, which is why not lower; figures (48 k entries:
+#: one kept window -> two rebuilt per block) 49.8 -> 44.7 MB, wall inside
+#: its +-8 % run-to-run spread. On the catalog alone PR 17 measured 16 k /
+#: 64 k / 256 k entries at 71 / 79 / 123 MB and 0.09-0.13 / 0.08-0.09 /
+#: 0.10-0.11 s of window building: smaller windows pay per-window fixed
+#: costs, larger ones fall out of cache and hold more.
+_WINDOW_ENTRIES = 1 << 15
 
 #: Largest occupancy grid (chronons x resource ids) the lowering will
 #: allocate: 1 GiB of int64 cells. Ids sparser than that have no dense
@@ -208,6 +226,7 @@ class ActivityWindow:
     """
 
     def __init__(self, col: "ColumnarInstance", eis: np.ndarray,
+                 first: np.ndarray, until: np.ndarray,
                  lo: int, hi: int) -> None:
         self.first_chronon = lo
         self.n_act = hi - lo
@@ -230,25 +249,27 @@ class ActivityWindow:
             sizes)
 
         # Entries EI-major first: EI e contributes the chronons of its
-        # [start, min(finish, K)] window that fall inside this window's.
-        # Per-EI columns are gathered once, window-sized; everything per
-        # entry indexes those, not the lowering's E-sized arrays.
+        # visibility window ``[first, until]`` that fall inside this
+        # window's. Per-EI columns are gathered once, window-sized;
+        # everything per entry indexes those, not the lowering's E-sized
+        # arrays.
         t0, t1 = int(self.act_chronons[0]), int(self.act_chronons[-1])
         start, fin = col.ei_start[eis], col.ei_finish[eis]
         state = col.ei_state[eis]
-        first = np.maximum(start, t0)
-        width = np.minimum(fin, t1) - first + 1
+        first = np.maximum(first, t0)
+        width = np.minimum(until, t1) - first + 1
         ent_T = np.arange(total, dtype=np.int64) - np.repeat(
             np.cumsum(width) - width - first, width)
 
         # started[j]: how many EIs of entry j's state have opened
         # (start <= chronon) by entry j's chronon — M-EDF's "started"
         # aggregate before subtracting a lane's captures. Lane-independent
-        # and static per entry (a state's arrival is the min of its EI
-        # starts clamped to the epoch, so every windowed EI opens exactly
-        # at its own start). One compare per sibling slot: slot k holds
-        # the start of each state's k-th EI, or a never-reached chronon
-        # where the state is smaller.
+        # and static per entry: the true starts count even for a state
+        # registered after some of them (it arrives with those windows
+        # open; one that arrives with a window already *closed* is doomed
+        # and M-EDF never scores it). One compare per sibling slot: slot
+        # k holds the start of each state's k-th EI, or a never-reached
+        # chronon where the state is smaller.
         size = col.st_size[state]
         head = col._ei_ptr[state]
         started = np.zeros(total, dtype=np.int64)
@@ -297,9 +318,18 @@ class ColumnarInstance:
     What it holds is O(EIs + states + groups): the state and EI
     columns, the expiry CSR, the packed-key layout and the *shape* of
     the activity index, whose entries :meth:`windows` hands out.
+
+    ``visible_from`` / ``gone_from`` give each t-interval (one entry
+    each, in the set's creation order) a lifetime: it was registered
+    while the clock read ``visible_from - 1`` (0: part of the initial
+    set) and cancelled when it read ``gone_from`` (past the epoch:
+    never). A churned run is this and nothing else — see
+    :func:`repro.simulation.churn.lower_plan`.
     """
 
-    def __init__(self, profiles: ProfileSet, epoch: Epoch) -> None:
+    def __init__(self, profiles: ProfileSet, epoch: Epoch,
+                 visible_from: np.ndarray | None = None,
+                 gone_from: np.ndarray | None = None) -> None:
         began = time.perf_counter()
         if not isinstance(profiles, ProfileSet):
             raise TypeError(
@@ -332,11 +362,21 @@ class ColumnarInstance:
             p_len[full])
 
         # ------------------------------------------------------------------
-        # States in (clamped arrival, creation order) — the seq order.
+        # States in seq order: the initial set by (clamped arrival,
+        # creation order), then whoever registered mid-run in
+        # registration (= creation) order, whatever their arrival.
         # ------------------------------------------------------------------
-        arrival = np.minimum(np.minimum.reduceat(start, ptr), last)
-        order = np.argsort(arrival, kind="stable")
+        if visible_from is None:
+            visible_from = np.zeros(S, dtype=np.int64)
+        if gone_from is None:
+            gone_from = np.full(S, last + 1, dtype=np.int64)
+        arrival = np.minimum(
+            np.maximum(np.minimum.reduceat(start, ptr), visible_from), last)
+        order = np.argsort(np.where(visible_from > 0, last + 1, arrival),
+                           kind="stable")
         self.st_arrival = arrival[order]
+        self.st_visible = visible_from[order]
+        self.st_gone = gone_from[order]
         self.st_rank = rank[order]
         self.st_profile = eta_profile[order]
         self.st_size = size[order]
@@ -376,9 +416,27 @@ class ColumnarInstance:
         self.window_seconds = 0.0
 
     @classmethod
-    def build(cls, profiles: ProfileSet, epoch: Epoch) -> "ColumnarInstance":
+    def build(cls, profiles: ProfileSet, epoch: Epoch,
+              visible_from: np.ndarray | None = None,
+              gone_from: np.ndarray | None = None) -> "ColumnarInstance":
         """Columnar form of one instance (raises :class:`BatchUnsupported`)."""
-        return cls(profiles, epoch)
+        return cls(profiles, epoch, visible_from, gone_from)
+
+    def visibility(self, eis=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """``(first, until)``: the chronons over which each of ``eis``
+        (default: all) can be a candidate; ``first > until`` is never.
+
+        A t-interval registered at clock ``T`` takes part from ``T + 1``
+        on and one cancelled at clock ``C`` up to ``C``, so an EI's
+        window ``[start, min(finish, K)]`` is cut to its state's
+        lifetime. With no lifetimes given this is the window itself (an
+        EI opening past the epoch has ``first > until``).
+        """
+        state = self.ei_state[eis]
+        first = np.maximum(self.ei_start[eis], self.st_visible[state])
+        until = np.minimum(np.minimum(self.ei_finish[eis], self.epoch.last),
+                           self.st_gone[state])
+        return first, until
 
     # ------------------------------------------------------------------
     # The activity index's shape, from the occupancy grid
@@ -387,10 +445,12 @@ class ColumnarInstance:
     def _build_grid(self, last: int) -> None:
         """Read the activity index's shape off one occupancy grid.
 
-        An EI is probeable over ``[start, min(finish, last)]``; EIs
-        opening past the epoch never become candidates (their start
-        event never fires in the fast engine). ``occ[T, rid]`` — how
-        many windows on ``rid`` contain ``T`` — is a difference array
+        An EI is probeable over its visibility window; one whose
+        window is empty — it opens past the epoch, closes before its
+        state registers, or its state is cancelled first — never
+        becomes a candidate (its start event never fires in the fast
+        engine). ``occ[T, rid]`` — how many windows on ``rid`` contain
+        ``T`` — is a difference array
         (+1 where a window opens, -1 the chronon after it closes) summed
         down the chronons, and is the size of group ``(T, rid)``: the
         groups, in (chronon, resource) order, are its non-zero cells.
@@ -400,17 +460,17 @@ class ColumnarInstance:
             raise BatchUnsupported(
                 f"resource ids up to {R - 1} over {last} chronons are "
                 "too sparse for a dense per-resource index")
-        # Start-sorted EIs that ever open: what windows() walks.
-        by_start = np.argsort(self.ei_start, kind="stable")
-        starts = self.ei_start[by_start]
-        opening = int(np.searchsorted(starts, last, side="right"))
-        self._by_start, starts = by_start[:opening], starts[:opening]
+        # The EIs that are ever visible, by first visible chronon: what
+        # windows() walks.
+        first, until = self.visibility()
+        ever = np.flatnonzero(first <= until)
+        self._by_start = ever[np.argsort(first[ever], kind="stable")]
+        starts = first[self._by_start]
         res = self.ei_res[self._by_start]
         cells = (last + 2) * R
         occ = np.bincount(starts * R + res, minlength=cells)
-        occ -= np.bincount(
-            (np.minimum(self.ei_finish[self._by_start], last) + 1) * R
-            + res, minlength=cells)
+        occ -= np.bincount((until[self._by_start] + 1) * R + res,
+                           minlength=cells)
         occ = occ.reshape(last + 2, R).cumsum(axis=0)
 
         grp_T, self.grp_rid = np.nonzero(occ)
@@ -444,34 +504,39 @@ class ColumnarInstance:
     def windows(self):
         """Yield the activity index, one :class:`ActivityWindow` at a time.
 
-        A window's EIs are those still open from the previous window
-        plus the next run of the start-sorted order — never a scan of
-        all EIs per window. An index that fits one window keeps it, so
-        every run on a small lowering reads the same arrays; a larger
-        one builds each window when its chronons are due and keeps no
-        reference, so a run holds the window it is reading (and, while
-        the generator advances, the next one being built) — never the
+        A window's EIs are those still visible from the previous
+        window plus the next run of the start-sorted order — never a
+        scan of all EIs per window. An index that fits one window keeps
+        it, so every run on a small lowering reads the same arrays; a
+        larger one builds each window when its chronons are due and
+        keeps no reference. A consumer that drops its own references
+        before asking for the next window (as the chronon loops do)
+        therefore holds one window at a time — never two, never the
         epoch.
         """
         if self._window is not None:
             yield self._window
             return
-        eis = np.zeros(0, dtype=np.int64)
+        eis = until = np.zeros(0, dtype=np.int64)
         at = 0
         for lo, hi, upto in self._cuts:
             began = time.perf_counter()
-            # No chronon between two windows is active, so an EI that
-            # outlives the previous window reaches into this one.
+            # No chronon between two windows is active, so an EI still
+            # visible after the previous window reaches into this one.
             eis = np.sort(np.concatenate((
-                eis[self.ei_finish[eis] >= self.act_chronons[lo]],
+                eis[until >= self.act_chronons[lo]],
                 self._by_start[at:upto])))
             at = upto
-            window = ActivityWindow(self, eis, lo, hi)
+            first, until = self.visibility(eis)
+            window = ActivityWindow(self, eis, first, until, lo, hi)
             self.windows_built += 1
             self.window_seconds += time.perf_counter() - began
             if len(self._cuts) == 1:
                 self._window = window
             yield window
+            # One window in flight: the consumer has let go of this one
+            # by now, so must the generator before it builds the next.
+            del window
 
     # ------------------------------------------------------------------
     # Event CSRs (window openings and expiries)

@@ -419,14 +419,19 @@ def federated_run(profiles: ProfileSet, epoch: Epoch,
                 if committed is not None and states.size:
                     committed[states] = True
 
+        # One window in flight (see ``batch._advance``): drop this
+        # window and its slices before the generator builds the next.
+        del win, slices, ownerg
+        grids_T = None
+
     if plane is not None:
         plane.finish()
         stats = plane.lane_stats()[0]
     else:
         stats = (0, 0, 0)
     elapsed = time.perf_counter() - started
-    result = _finalize(col, lane, schedule, rep.cap_count, elapsed,
-                       stats, col.windows_built - built)
+    result = _finalize(col, lane, schedule, rep.cap_count, rep.alive,
+                       elapsed, stats, col.windows_built - built)
     owned = np.bincount(owner[np.unique(col.grp_rid)],
                         minlength=K).tolist()
     loads = tuple(coord.loads(resources=owned))

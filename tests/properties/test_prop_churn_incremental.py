@@ -1,12 +1,16 @@
 """Churn equivalence: incremental insert/delete IS the full rebuild.
 
-The O(log n + touched) churn paths exist purely as optimizations — for
+The fast churn paths exist purely as optimizations — for
 every interleaving of mid-epoch registrations and cancellations they
 must be observationally identical to tearing the derived structures
 down and rebuilding them from scratch:
 
-* the fast engine with ``mode="incremental"`` (event splicing into the
-  live per-chronon queues + dirty-set index patching) must produce the
+* ``run_churned(mode="incremental")`` (the plan lowered to lifetimes
+  and run as one lane of the block kernel; RANDOM falls back to the
+  event engine) and ``FastProxySimulator.run(churn=plan)`` (event
+  splicing into the live per-chronon queues + dirty-set index patching:
+  what that fallback runs, so it stays property-tested for as long as
+  it exists) must both produce the
   same run as ``mode="rebuild"`` (a full
   :meth:`~repro.simulation.engine.FastProxySimulator.rebuild_structures`
   pass after every event) — probe for probe, counter for counter;
@@ -32,7 +36,12 @@ from repro.offline import (
     unit_conflict_adjacency,
 )
 from repro.online.registry import parse_policy_spec
-from repro.simulation import ChurnEvent, ChurnPlan, run_churned
+from repro.simulation import (
+    ChurnEvent,
+    ChurnPlan,
+    FastProxySimulator,
+    run_churned,
+)
 
 from tests.properties.strategies import (
     HORIZON,
@@ -88,6 +97,14 @@ def _run_both(initial, plan, spec, budget, faults=None, retry=None):
     return results
 
 
+def _run_spliced(initial, plan, spec, budget, faults=None, retry=None):
+    policy, preemptive = parse_policy_spec(spec)
+    return FastProxySimulator(
+        initial, epoch(), BudgetVector(budget), policy,
+        preemptive=preemptive, faults=faults,
+        retry=retry).run(churn=plan)
+
+
 def _assert_same_run(incremental, rebuild):
     assert list(incremental.schedule.probes()) == \
         list(rebuild.schedule.probes())
@@ -112,6 +129,8 @@ class TestEngineChurnEquivalence:
         incremental, rebuild = _run_both(
             initial, plan, POLICY_SPECS[spec_index], budget)
         _assert_same_run(incremental, rebuild)
+        _assert_same_run(_run_spliced(
+            initial, plan, POLICY_SPECS[spec_index], budget), rebuild)
 
     @given(scenario=churn_scenarios(max_initial=2, max_adds=2),
            spec_index=st.integers(0, len(POLICY_SPECS) - 1),
@@ -125,6 +144,9 @@ class TestEngineChurnEquivalence:
             initial, plan, POLICY_SPECS[spec_index], budget,
             faults=faults, retry=RetryConfig(1) if use_retry else None)
         _assert_same_run(incremental, rebuild)
+        _assert_same_run(_run_spliced(
+            initial, plan, POLICY_SPECS[spec_index], budget, faults=faults,
+            retry=RetryConfig(1) if use_retry else None), rebuild)
 
     @given(scenario=churn_scenarios(max_initial=2, max_adds=3),
            budget=st.integers(1, 2))

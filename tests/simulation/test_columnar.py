@@ -10,7 +10,10 @@ key columns up front — lives on here as :func:`oracle`. Every public
 attribute of the lowering must equal it in value *and* dtype, and so
 must the *concatenation* of ``windows()`` (offsets applied) wherever
 the cuts fall, and what the occupancy grid says about the index
-without building it.
+without building it. The oracle takes the same optional lifetimes the
+lowering does (``tests/simulation/test_churn_columns.py`` feeds it
+churn plans); without them every t-interval is there from the start
+and nobody leaves.
 """
 
 from types import SimpleNamespace
@@ -44,19 +47,30 @@ from tests.properties.strategies import epoch, profile_sets
 _KINDS = ("sedf", "fcfs", "lff", "srank", "anti")
 
 
-def oracle(profiles, epoch) -> SimpleNamespace:
-    """The per-object lowering: one Python step per t-interval and EI."""
+def oracle(profiles, epoch, visible_from=None,
+           gone_from=None) -> SimpleNamespace:
+    """The per-object lowering: one Python step per t-interval and EI.
+
+    ``visible_from`` / ``gone_from`` hold one chronon per t-interval in
+    creation order, as for the lowering."""
     o = SimpleNamespace()
     last = epoch.last
+    total_etas = sum(len(profile) for profile in profiles)
+    visible = [0] * total_etas if visible_from is None \
+        else [int(chronon) for chronon in visible_from]
+    gone = [last + 1] * total_etas if gone_from is None \
+        else [int(chronon) for chronon in gone_from]
 
-    # States in (clamped arrival, creation order) — the seq order.
+    # States in seq order: the initial set by (clamped arrival, creation
+    # order), then the mid-run registrations in creation order.
     st_arrival, st_rank, st_profile = [], [], []
     st_size, st_tid, etas = [], [], []
     rid_max = 0
     for profile in profiles:
         rank = profile.rank
         for eta in profile:
-            st_arrival.append(min(eta.earliest_start, last))
+            st_arrival.append(min(
+                max(eta.earliest_start, visible[len(etas)]), last))
             st_rank.append(rank)
             st_profile.append(eta.profile_id)
             st_size.append(len(eta))
@@ -65,26 +79,40 @@ def oracle(profiles, epoch) -> SimpleNamespace:
             for ei in eta:
                 rid_max = max(rid_max, ei.resource_id)
     o.rid_space = rid_max + 1
-    order = sorted(range(len(etas)), key=lambda i: st_arrival[i])
+    order = sorted(range(len(etas)),
+                   key=lambda i: (visible[i] > 0,
+                                  0 if visible[i] else st_arrival[i]))
     o.S = len(etas)
 
     def seq_column(values):
         return np.array([values[i] for i in order], dtype=np.int64)
 
     o.st_arrival = seq_column(st_arrival)
+    o.st_visible = seq_column(visible)
+    o.st_gone = seq_column(gone)
     o.st_rank = seq_column(st_rank)
     o.st_profile = seq_column(st_profile)
     o.st_size = seq_column(st_size)
     o.st_tid = seq_column(st_tid)
 
-    # EIs state-major, within a state in ei_id order.
+    # EIs state-major, within a state in ei_id order. An EI can be a
+    # candidate from the chronon after its t-interval registered (the
+    # fast engine's ``_queue_events``: visible from ``max(start,
+    # arrival)``, nothing at all if it closed before) up to the clock
+    # its t-interval was cancelled at.
     ei_res, ei_start, ei_finish, ei_state = [], [], [], []
+    first, until = [], []
     for seq, i in enumerate(order):
         for ei in etas[i]:
             ei_res.append(ei.resource_id)
             ei_start.append(ei.start)
             ei_finish.append(ei.finish)
             ei_state.append(seq)
+            first.append(max(ei.start, visible[i]))
+            until.append(min(ei.finish, last, gone[i]))
+    first = np.array(first, dtype=np.int64)
+    until = np.array(until, dtype=np.int64)
+    o.visibility = (first, until)
     o.E = len(ei_res)
     o.ei_res = np.array(ei_res, dtype=np.int64)
     o.ei_start = np.array(ei_start, dtype=np.int64)
@@ -94,13 +122,12 @@ def oracle(profiles, epoch) -> SimpleNamespace:
     np.add.at(o.init_sum, o.ei_state, o.ei_finish)
 
     # Activity CSR: chronon-major, then resource, then EI index.
-    fin_cl = np.minimum(o.ei_finish, last)
-    width = np.where(o.ei_start <= last, fin_cl - o.ei_start + 1, 0)
+    width = np.maximum(until - first + 1, 0)
     total = int(width.sum())
     act_e = np.repeat(np.arange(o.E, dtype=np.int64), width)
     cum = np.concatenate(([0], np.cumsum(width)))
     offset = np.arange(total, dtype=np.int64) - np.repeat(cum[:-1], width)
-    act_T = np.repeat(o.ei_start, width) + offset
+    act_T = np.repeat(first, width) + offset
     act_res = o.ei_res[act_e]
     by_key = np.lexsort((act_e, act_res, act_T))
     o.act_e = act_e[by_key]
@@ -218,7 +245,7 @@ _PER_ENTRY = ("act_indptr", "act_e", "ps_act", "started_act", "grp_starts",
 
 #: Window caps the comparison runs at: a cut at every chronon, cuts
 #: through EIs and t-intervals, and the real one (a single window here).
-_CAPS = (1, 7, 1 << 16)
+_CAPS = (1, 7, columnar_module._WINDOW_ENTRIES)
 
 
 def stitched(col: ColumnarInstance) -> SimpleNamespace:
@@ -262,11 +289,13 @@ def stitched(col: ColumnarInstance) -> SimpleNamespace:
     return w
 
 
-def assert_same_lowering(profiles, epoch) -> ColumnarInstance:
-    want = oracle(profiles, epoch)
+def assert_same_lowering(profiles, epoch, visible_from=None,
+                         gone_from=None) -> ColumnarInstance:
+    want = oracle(profiles, epoch, visible_from, gone_from)
     for cap in _CAPS:
         with mock.patch.object(columnar_module, "_WINDOW_ENTRIES", cap):
-            got = ColumnarInstance.build(profiles, epoch)
+            got = ColumnarInstance.build(profiles, epoch, visible_from,
+                                         gone_from)
         _assert_equals_oracle(got, want, cap)
     return got
 
@@ -274,11 +303,18 @@ def assert_same_lowering(profiles, epoch) -> ColumnarInstance:
 def _assert_equals_oracle(got: ColumnarInstance, want: SimpleNamespace,
                           cap: int) -> None:
     public = {name for name in vars(got) if not name.startswith("_")}
-    assert public == (set(vars(want)) - set(_PER_ENTRY) - {"hi_static"}) | {
+    assert public == (set(vars(want)) - set(_PER_ENTRY)
+                      - {"hi_static", "visibility"}) | {
         "epoch", "lower_seconds", "g_max", "windows_built",
         "window_seconds"}
+    for actual, expected in zip(got.visibility(), want.visibility):
+        assert actual.dtype == expected.dtype
+        assert np.array_equal(actual, expected)
+    some = np.arange(0, got.E, 2)
+    for actual, expected in zip(got.visibility(some), want.visibility):
+        assert np.array_equal(actual, expected[some])
     for name, expected in vars(want).items():
-        if name in _PER_ENTRY or name == "hi_static":
+        if name in _PER_ENTRY or name in ("hi_static", "visibility"):
             continue
         actual = getattr(got, name)
         if isinstance(expected, np.ndarray):
