@@ -176,6 +176,32 @@ class ProfileColumns(NamedTuple):
             column("resource_id", eis), column("start", eis),
             column("finish", eis))
 
+    @classmethod
+    def concat(cls, blocks: Sequence["ProfileColumns"]) -> "ProfileColumns":
+        """``blocks`` one after another (none: no profile): each
+        block's profiles are numbered on from those before it."""
+        sizes = [len(block.names) for block in blocks]
+        shift = np.cumsum(sizes) - sizes
+        none = [np.zeros(0, dtype=np.int64)]
+        return cls(
+            tuple(chain.from_iterable(block.names for block in blocks)),
+            np.concatenate(none + [block.ei_profile + by for block, by
+                                   in zip(blocks, shift.tolist())]),
+            *(np.concatenate(none + [block[at] for block in blocks])
+              for at in range(2, len(cls._fields))))
+
+    def take(self, profiles: np.ndarray) -> "ProfileColumns":
+        """The given profiles in the given order, renumbered by position."""
+        lo = np.searchsorted(self.ei_profile, profiles, side="left")
+        count = np.searchsorted(self.ei_profile, profiles,
+                                side="right") - lo
+        rows = (np.repeat(lo - (np.cumsum(count) - count), count)
+                + np.arange(int(count.sum()), dtype=np.int64))
+        return ProfileColumns(
+            tuple(self.names[index] for index in profiles.tolist()),
+            np.repeat(np.arange(profiles.size, dtype=np.int64), count),
+            *(column[rows] for column in self[2:]))
+
     def tinterval_heads(self) -> np.ndarray:
         """Row of each t-interval's first EI, ascending."""
         head = np.ones(self.ei_profile.size, dtype=bool)
@@ -264,9 +290,9 @@ class ProfileSet:
 
     def columns(self) -> ProfileColumns:
         """The set as EI-row columns: the ones a column-born set holds,
-        else one walk over the objects."""
+        else one walk over the objects, kept (the set never changes)."""
         if self._columns is None:
-            return ProfileColumns.of(self._profiles)
+            self._columns = ProfileColumns.of(self._profiles)
         return self._columns
 
     def __len__(self) -> int:

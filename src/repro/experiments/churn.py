@@ -27,7 +27,10 @@ Three engines drive the same workload (``ChurnConfig.engine``):
 
 All client profiles are generated up front through the vectorized
 fast-gen path (one seeded generator per client, independent of join
-timing), so the engines consume byte-identical workloads.
+timing), so the engines consume byte-identical workloads. The scenario
+stays the generators' columns all the way — a column-born initial
+:class:`~repro.core.profile.ProfileSet` and a column-born plan; only the
+live proxy, which registers objects, has them built.
 """
 
 from __future__ import annotations
@@ -41,14 +44,13 @@ import numpy as np
 
 from repro.core.budget import BudgetVector
 from repro.core.errors import WorkloadError
-from repro.core.intervals import TInterval
-from repro.core.profile import Profile, ProfileSet
+from repro.core.profile import ProfileColumns, ProfileSet
 from repro.core.timeline import Epoch
 from repro.offline.conflict import clear_demand_cache
 from repro.online.registry import parse_policy_spec
 from repro.runtime.proxy import MonitoringProxy
 from repro.runtime.server import OriginServer
-from repro.simulation.churn import ChurnEvent, ChurnPlan, run_churned
+from repro.simulation.churn import ChurnPlan, PlanColumns, run_churned
 from repro.traces.models import PoissonUpdateModel
 from repro.workloads.generator import GeneratorConfig, ProfileGenerator
 
@@ -184,9 +186,9 @@ class ChurnResult:
                                 for client in self.clients)
 
 
-def _client_profiles(config: ChurnConfig, trace, epoch: Epoch,
-                     index: int, client_name: str) -> list[Profile]:
-    """One client's (bare, unattached) profiles, timing-independent.
+def _client_block(config: ChurnConfig, trace, epoch: Epoch,
+                  index: int, client_name: str) -> ProfileColumns:
+    """One client's profiles as columns, timing-independent.
 
     Each client gets its own seeded generator on the vectorized
     fast-gen path, so the workload is a pure function of the config —
@@ -200,16 +202,14 @@ def _client_profiles(config: ChurnConfig, trace, epoch: Epoch,
         grouping="overlap",
         seed=config.seed + 101 * (index + 1),
     ), fast=True)
-    profiles = generator.generate(
-        trace, epoch, resource_ids=list(range(config.num_resources)))
-    bare = []
-    for profile in profiles:
-        candidate = Profile([TInterval(eta.eis) for eta in profile],
-                            name=f"{client_name}/{profile.name}")
-        if len(candidate) == 0:
-            continue  # the generator can produce empty profiles
-        bare.append(candidate)
-    return bare
+    columns = generator.generate(
+        trace, epoch,
+        resource_ids=list(range(config.num_resources))).columns()
+    # The generator can produce empty profiles; nobody registers those.
+    block = columns.take(np.flatnonzero(np.bincount(
+        columns.ei_profile, minlength=len(columns.names))))
+    return block._replace(names=tuple(
+        f"{client_name}/{name}" for name in block.names))
 
 
 def _workload(config: ChurnConfig):
@@ -230,26 +230,21 @@ def _workload(config: ChurnConfig):
                for _ in range(config.num_clients)]
 
     names = [f"client-{index}" for index in range(config.num_clients)]
-    profiles_by_client = [
-        _client_profiles(config, trace, epoch, index, names[index])
-        for index in range(config.num_clients)
-    ]
-    counts = [sum(len(profile) for profile in client_profiles)
-              for client_profiles in profiles_by_client]
-    return (epoch, trace, joins, leave_at, leavers, names,
-            profiles_by_client, counts)
+    blocks = [_client_block(config, trace, epoch, index, names[index])
+              for index in range(config.num_clients)]
+    counts = [block.tinterval_heads().size for block in blocks]
+    return (epoch, trace, joins, leave_at, leavers, names, blocks, counts)
 
 
 def run_churn(config: ChurnConfig) -> ChurnResult:
     """Execute one churn scenario end to end."""
     (epoch, trace, joins, leave_at, leavers, names,
-     profiles_by_client, counts) = _workload(config)
+     blocks, counts) = _workload(config)
     if config.engine == "proxy":
         return _run_churn_proxy(config, epoch, trace, joins, leave_at,
-                                leavers, names, profiles_by_client,
-                                counts)
+                                leavers, names, blocks, counts)
     return _run_churn_engine(config, epoch, trace, joins, leave_at,
-                             leavers, names, profiles_by_client, counts)
+                             leavers, names, blocks, counts)
 
 
 def build_churn_workload(config: ChurnConfig) \
@@ -257,74 +252,74 @@ def build_churn_workload(config: ChurnConfig) \
     """The engine-path workload of ``config``: initial set + plan.
 
     Benchmarks use this to generate the (expensive, engine-independent)
-    instance once and time only the engine runs.
+    instance once and time only the engine runs. Both are column-born:
+    nothing builds a profile or an event until something reads one.
     """
     (epoch, _trace, joins, leave_at, leavers, _names,
-     profiles_by_client, _counts) = _workload(config)
-    initial, events, _ids, _marks = _engine_plan(
-        config, epoch, joins, leave_at, leavers, profiles_by_client)
-    return ProfileSet(initial), ChurnPlan(tuple(events)), epoch
+     blocks, _counts) = _workload(config)
+    initial, plan, _ids, _marks = _engine_plan(
+        config, epoch, joins, leave_at, leavers, blocks)
+    return initial, plan, epoch
 
 
 def _engine_plan(config: ChurnConfig, epoch: Epoch, joins: list[int],
                  leave_at: int, leavers: list[bool],
-                 profiles_by_client: list[list[Profile]]):
-    """Lower the client scenario to (initial set, churn events).
+                 blocks: list[ProfileColumns]):
+    """Lower the client scenario to (initial set, churn plan).
 
     Profile ids are predicted: the initial set takes 0..n-1 in
     registration order, churn adds continue sequentially in plan
     (= application) order — exactly the engine's assignment rule.
+    ``joins`` is sorted, so the clients there from the start come first
+    and client order is id order throughout.
     """
-    ids_by_client: list[list[int]] = [[] for _ in profiles_by_client]
-    initial: list[Profile] = []
-    next_id = 0
-    for index, client_profiles in enumerate(profiles_by_client):
-        if joins[index] == 0:
-            for profile in client_profiles:
-                initial.append(profile)
-                ids_by_client[index].append(next_id)
-                next_id += 1
-
-    events: list[ChurnEvent] = []
-    # joins is sorted, so appending adds in client order puts the plan
-    # in ascending-chronon (= id assignment) order automatically.
-    for index, client_profiles in enumerate(profiles_by_client):
-        if joins[index] > 0:
-            for profile in client_profiles:
-                events.append(ChurnEvent.add(joins[index], profile))
-                ids_by_client[index].append(next_id)
-                next_id += 1
-    # Cancellations append after the adds: at the leave chronon the
+    sizes = np.array([len(block.names) for block in blocks])
+    ends = np.cumsum(sizes)
+    ids_by_client = [range(end - size, end)
+                     for size, end in zip(sizes.tolist(), ends.tolist())]
+    early = joins.count(0)
+    # Adds in client order are in ascending-chronon (= id assignment)
+    # order automatically.
+    added = ProfileColumns.concat(blocks[early:])
+    # Cancellations come after the adds: at the leave chronon the
     # proxy registers joiners first, then processes leavers — same-
     # chronon plan order reproduces that. A leaver that joins *after*
     # leave_at keeps its mark but nothing to unregister (the reference
     # proxy's behaviour, preserved verbatim).
     left_marks: list[int | None] = [None] * config.num_clients
+    removed: list[int] = []
     if leave_at >= epoch.first:
         for index, leaving in enumerate(leavers):
             if not leaving:
                 continue
             left_marks[index] = leave_at
             if joins[index] <= leave_at:
-                for profile_id in ids_by_client[index]:
-                    events.append(
-                        ChurnEvent.remove(leave_at, profile_id))
-    return initial, events, ids_by_client, left_marks
+                removed.extend(ids_by_client[index])
+    plan = PlanColumns(
+        added,
+        np.repeat([True, False], [len(added.names), len(removed)]),
+        np.concatenate((np.repeat(np.array(joins[early:], dtype=np.int64),
+                                  sizes[early:]),
+                        np.full(len(removed), leave_at))),
+        np.concatenate((np.arange(len(added.names)),
+                        np.array(removed, dtype=np.int64))))
+    return (ProfileSet.from_columns(ProfileColumns.concat(blocks[:early])),
+            ChurnPlan.from_columns(plan), ids_by_client, left_marks)
 
 
 def _run_churn_engine(config: ChurnConfig, epoch: Epoch, trace,
                       joins: list[int], leave_at: int,
                       leavers: list[bool], names: list[str],
-                      profiles_by_client: list[list[Profile]],
+                      blocks: list[ProfileColumns],
                       counts: list[int]) -> ChurnResult:
     """``run_churned`` path: the client plan lowered to a ChurnPlan."""
     policy, preemptive = parse_policy_spec(config.policy)
-    initial, events, ids_by_client, left_marks = _engine_plan(
-        config, epoch, joins, leave_at, leavers, profiles_by_client)
+    initial, plan, ids_by_client, left_marks = _engine_plan(
+        config, epoch, joins, leave_at, leavers, blocks)
 
     result = run_churned(
-        ProfileSet(initial), epoch, BudgetVector(config.budget), policy,
-        plan=ChurnPlan(tuple(events)), preemptive=preemptive,
+        initial, epoch, BudgetVector(config.budget), policy,
+        plan=plan, preemptive=preemptive,
         mode="rebuild" if config.engine == "rebuild" else "incremental")
 
     per_profile = result.report.per_profile
@@ -353,10 +348,13 @@ def _run_churn_engine(config: ChurnConfig, epoch: Epoch, trace,
 def _run_churn_proxy(config: ChurnConfig, epoch: Epoch, trace,
                      joins: list[int], leave_at: int,
                      leavers: list[bool], names: list[str],
-                     profiles_by_client: list[list[Profile]],
+                     blocks: list[ProfileColumns],
                      counts: list[int]) -> ChurnResult:
-    """Reference path through the live MonitoringProxy."""
+    """Reference path through the live MonitoringProxy — the one reader
+    of profile objects, built here from the same columns."""
     policy, preemptive = parse_policy_spec(config.policy)
+    profiles_by_client = [ProfileSet.from_columns(block).profiles
+                          for block in blocks]
     proxy = MonitoringProxy(OriginServer(trace), epoch,
                             BudgetVector(config.budget), policy,
                             preemptive=preemptive)

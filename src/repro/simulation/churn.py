@@ -6,6 +6,10 @@ follow :class:`~repro.runtime.proxy.MonitoringProxy`: an event at
 ``chronon == T`` lands while the proxy clock reads ``T`` (``T = 0``
 means before the first chronon), so an added profile's t-intervals
 participate from chronon ``T + 1`` on and a cancelled one's up to ``T``.
+A plan is its :class:`PlanColumns` as much as its events: one born from
+columns (:meth:`ChurnPlan.from_columns`, what the churn experiment's
+generator hands over) builds event and profile objects only for a
+reader of ``events`` — the event engine and the referees.
 
 A plan is known before the run starts, so it changes only *which
 chronons each t-interval is there for*: :func:`lower_plan` turns
@@ -13,7 +17,9 @@ chronons each t-interval is there for*: :func:`lower_plan` turns
 vectors, ``visible_from`` and ``gone_from``, and
 :func:`run_churned` runs that as one lane of the columnar block kernel
 (:mod:`repro.simulation.batch`) — the kernel the static experiments
-use, reading a lowering whose EIs are cut to their lifetimes. Where the
+use, reading a lowering whose EIs are cut to their lifetimes. The plan
+keeps that lowering, so the next policy run over the same (initial set,
+epoch) builds nothing before its first chronon. Where the
 columns cannot serve a run (a policy without a columnar kind such as
 RANDOM, a replayed fault trace, a custom ``state_factory``, keys beyond
 62 bits) it is handed, before any chronon runs, to the event engine —
@@ -31,15 +37,19 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
-from operator import attrgetter
-from typing import NamedTuple
+from dataclasses import dataclass, replace
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.budget import BudgetVector
 from repro.core.errors import ModelError
-from repro.core.profile import Profile, ProfileColumns, ProfileSet
+from repro.core.profile import (
+    Profile,
+    ProfileColumns,
+    ProfileSet,
+    _profiles_from_columns,
+)
 from repro.core.timeline import Chronon, Epoch
 from repro.faults.breaker import CircuitBreaker, RetryConfig
 from repro.faults.model import FaultInjector, FaultSpec
@@ -49,8 +59,8 @@ from repro.simulation.columnar import BatchUnsupported, ColumnarInstance
 from repro.simulation.engine import FastProxySimulator
 from repro.simulation.result import SimulationResult
 
-__all__ = ["ChurnEvent", "ChurnPlan", "LoweredPlan", "lower_plan",
-           "run_churned"]
+__all__ = ["ChurnEvent", "ChurnPlan", "LoweredPlan", "PlanColumns",
+           "lower_plan", "run_churned"]
 
 _MODES = ("incremental", "rebuild")
 
@@ -91,28 +101,162 @@ class ChurnEvent:
                    profile_id=profile_id)
 
 
-@dataclass(frozen=True, slots=True)
+class PlanColumns(NamedTuple):
+    """A churn plan as arrays.
+
+    ``added`` holds every ``add``'s profile, position = add index. The
+    three vectors have one entry per event, in plan order: ``is_add``,
+    ``chronon``, and ``ref`` — the add index of an ``add`` (0, 1, ... in
+    plan order), the profile id a ``remove`` names.
+    """
+
+    added: ProfileColumns
+    is_add: np.ndarray
+    chronon: np.ndarray
+    ref: np.ndarray
+
+    @classmethod
+    def of(cls, events: Sequence[ChurnEvent]) -> "PlanColumns":
+        """The columns of event objects: one walk.
+
+        Columns hold adds and removes, so an event that is neither (a
+        :class:`ChurnEvent` cannot be; a look-alike can) is refused
+        here, wherever it sits in the plan and whether or not it would
+        ever fire."""
+        actions = [event.action for event in events]
+        unknown = set(actions) - {"add", "remove"}
+        if unknown:
+            raise ModelError(f"unknown churn action {min(unknown)!r}")
+        is_add = np.array([action == "add" for action in actions],
+                          dtype=bool)
+        ref = _saturated([0 if event.action == "add" else event.profile_id
+                          for event in events])
+        ref[is_add] = np.arange(np.count_nonzero(is_add))
+        return cls(
+            ProfileColumns.of([event.profile for event in events
+                               if event.action == "add"]),
+            is_add, _saturated([event.chronon for event in events]), ref)
+
+    def checked(self) -> "PlanColumns":
+        """These columns with ``added`` checked, or :class:`ModelError`:
+        what :class:`ChurnEvent` enforces, as array predicates."""
+        is_add, chronon, ref = (np.asarray(column) for column in self[1:])
+        if (is_add.dtype != bool or is_add.ndim != 1
+                or any(column.shape != is_add.shape
+                       or column.dtype.kind not in "iu"
+                       for column in (chronon, ref))):
+            raise ModelError("a plan's columns are one bool and two "
+                             "integer vectors of one length")
+        if (chronon < 0).any():
+            raise ModelError(
+                f"churn chronon must be >= 0, got {int(chronon.min())}")
+        if not np.array_equal(ref[is_add],
+                              np.arange(len(self.added.names))):
+            raise ModelError("'add' events number added's profiles "
+                             "0, 1, ... in plan order")
+        try:
+            added = self.added.checked()
+        except ValueError as why:
+            raise ModelError(f"added profiles: {why}") from None
+        return PlanColumns(added, is_add,
+                           chronon.astype(np.int64, copy=False),
+                           ref.astype(np.int64, copy=False))
+
+
+def _saturated(values: list[int]) -> np.ndarray:
+    """``values`` as ``int64``; one beyond the type sits at its bound
+    (past every epoch, beyond every id) — so two plans that differ only
+    out there, where no event fires and no id exists, compare equal."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        bound = np.iinfo(np.int64)
+        return np.array([min(max(value, bound.min), bound.max)
+                         for value in values], dtype=np.int64)
+
+
 class ChurnPlan:
     """An ordered sequence of churn events.
 
     Same-chronon events apply in plan order — the order determines the
     arrival sequence numbers the engine's tie-breaks use, exactly as
     registration order does in the live proxy.
+
+    A plan is built from :class:`ChurnEvent` objects or, by
+    :meth:`from_columns`, from :class:`PlanColumns`. A column-born plan
+    answers ``len`` and :meth:`columns` from the arrays and builds its
+    events (and their profiles) on the first read of ``events``; a
+    hand-built one walks its events once for :meth:`columns`. Plans are
+    immutable and compare by value — same events, whichever way they
+    were born. A plan also keeps the last lowering :func:`run_churned`
+    built from it (one entry, never pickled).
     """
 
-    events: tuple[ChurnEvent, ...] = field(default=())
+    __slots__ = ("_events", "_columns", "_lowering")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "events", tuple(self.events))
+    def __init__(self, events: Iterable[ChurnEvent] = ()) -> None:
+        self._events: tuple[ChurnEvent, ...] | None = tuple(events)
+        self._columns: PlanColumns | None = None
+        self._lowering: _Lowering | None = None
+
+    @classmethod
+    def from_columns(cls, columns: PlanColumns) -> "ChurnPlan":
+        """The plan these columns describe (:class:`ModelError` if they
+        do not pass :meth:`PlanColumns.checked`)."""
+        born = cls.__new__(cls)
+        born._events = None
+        born._columns = columns.checked()
+        born._lowering = None
+        return born
+
+    @property
+    def events(self) -> tuple[ChurnEvent, ...]:
+        """The events, in plan order."""
+        if self._events is None:
+            columns = self._columns
+            added = _profiles_from_columns(columns.added)
+            self._events = tuple(
+                ChurnEvent.add(chronon, added[ref]) if is_add
+                else ChurnEvent.remove(chronon, ref)
+                for is_add, chronon, ref
+                in zip(*(column.tolist() for column in columns[1:])))
+        return self._events
+
+    def columns(self) -> PlanColumns:
+        """The plan as arrays: the ones a column-born plan holds, else
+        one walk over the events, kept."""
+        if self._columns is None:
+            self._columns = PlanColumns.of(self._events)
+        return self._columns
 
     def __iter__(self):
         return iter(self.events)
 
     def __len__(self) -> int:
-        return len(self.events)
+        if self._events is None:
+            return self._columns.is_add.size
+        return len(self._events)
 
-    def __bool__(self) -> bool:
-        return bool(self.events)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ChurnPlan):
+            return NotImplemented
+        mine, theirs = self.columns(), other.columns()
+        return (mine.added.names == theirs.added.names
+                and all(np.array_equal(left, right) for left, right
+                        in zip(mine.added[1:] + mine[1:],
+                               theirs.added[1:] + theirs[1:])))
+
+    def __hash__(self) -> int:
+        return hash(tuple(column.tobytes()
+                          for column in self.columns()[1:]))
+
+    def __reduce__(self):
+        if self._events is None:
+            return ChurnPlan.from_columns, (self._columns,)
+        return ChurnPlan, (self._events,)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"ChurnPlan({len(self)} events)"
 
 
 class LoweredPlan(NamedTuple):
@@ -135,6 +279,17 @@ class LoweredPlan(NamedTuple):
     added: int
 
 
+@dataclass(slots=True)
+class _Lowering:
+    """What a plan keeps of the last run it served as columns."""
+
+    profiles: ProfileSet
+    epoch: Epoch
+    lowered: LoweredPlan
+    columnar: ColumnarInstance
+    runs: int = 1
+
+
 def lower_plan(profiles: ProfileSet, plan, epoch: Epoch) -> LoweredPlan:
     """Apply ``plan`` to ``profiles`` on paper: the run's lifetimes.
 
@@ -143,45 +298,79 @@ def lower_plan(profiles: ProfileSet, plan, epoch: Epoch) -> LoweredPlan:
     engine raises at that point of the plan: an empty ``add``, a
     ``remove`` of an id nobody holds yet.
     """
+    if not isinstance(plan, ChurnPlan):
+        plan = ChurnPlan(plan)
+    columns = plan.columns()
     last = epoch.last
-    events = sorted((event for event in plan
-                     if 0 <= event.chronon <= last),
-                    key=attrgetter("chronon"))
     base = profiles.columns()
-    # An id can be cancelled once it owns a t-interval (an empty initial
-    # profile never registered anything).
-    registered = set(np.flatnonzero(np.bincount(base.ei_profile)).tolist())
-    visible = [0] * len(base.names)
-    gone: dict[int, int] = {}
-    added: list[Profile] = []
-    for event in events:
-        if event.action == "add":
-            if len(event.profile) == 0:
-                raise ModelError("cannot register an empty profile")
-            registered.add(len(visible))
-            visible.append(event.chronon + 1)
-            added.append(event.profile)
-        elif event.action == "remove":
-            if event.profile_id not in registered:
-                raise ModelError(
-                    f"unknown profile id {event.profile_id!r}")
-            gone.setdefault(event.profile_id, event.chronon)
-        else:
-            raise ModelError(f"unknown churn action {event.action!r}")
+    initial = len(base.names)
 
-    more = ProfileColumns.of(added)
-    union = ProfileColumns(
-        base.names + more.names,
-        np.concatenate((base.ei_profile,
-                        more.ei_profile + len(base.names))),
-        *(np.concatenate(pair) for pair in zip(base[2:], more[2:])))
+    # The events that fire, in the order they apply.
+    fires = np.flatnonzero((columns.chronon >= 0)
+                           & (columns.chronon <= last))
+    order = fires[np.argsort(columns.chronon[fires], kind="stable")]
+    is_add, clock, ref = (column[order] for column in columns[1:])
+    joined, left = ref[is_add], ref[~is_add]
+
+    # The engine checks each event when it applies it: an add must own a
+    # t-interval; a cancelled id must own one *by then* — an initial
+    # profile that does (an empty one never registered anything), or one
+    # of the adds applied so far, which take the next ids in turn.
+    owns = np.bincount(base.ei_profile, minlength=initial + 1) > 0
+    joined_rows = np.bincount(columns.added.ei_profile,
+                              minlength=len(columns.added.names))
+    held = initial + (np.cumsum(is_add) - is_add)[~is_add]
+    bad = np.empty(order.size, dtype=bool)
+    bad[is_add] = joined_rows[joined] == 0
+    bad[~is_add] = ~(
+        owns[np.where((left >= 0) & (left < initial), left, initial)]
+        | ((left >= initial) & (left < held)))
+    if bad.any():
+        first = np.flatnonzero(bad)[0]
+        if is_add[first]:
+            raise ModelError("cannot register an empty profile")
+        # As its author wrote it (the columns hold an id beyond int64
+        # at the type's bound).
+        named = (int(ref[first]) if plan._events is None
+                 else plan._events[order[first]].profile_id)
+        raise ModelError(f"unknown profile id {named!r}")
+
+    # The union: the applied adds' rows behind the initial set's. Adds
+    # that all fire in plan order are `added` as it stands.
+    more = columns.added
+    if not np.array_equal(joined, np.arange(len(more.names))):
+        more = more.take(joined)
+    union = ProfileColumns.concat((base, more))
+    visible = np.zeros(len(union.names), dtype=np.int64)
+    visible[initial:] = clock[is_add] + 1
+    gone = np.full(len(union.names), last + 1, dtype=np.int64)
+    np.minimum.at(gone, left, clock[~is_add])  # the first cancel counts
     owner = union.ei_profile[union.tinterval_heads()]
-    gone_at = np.full(len(visible), last + 1, dtype=np.int64)
-    gone_at[list(gone)] = list(gone.values())
-    return LoweredPlan(
-        ProfileSet.from_columns(union),
-        np.array(visible, dtype=np.int64)[owner], gone_at[owner],
-        len(events), len(added))
+    return LoweredPlan(ProfileSet.from_columns(union), visible[owner],
+                       gone[owner], order.size, joined.size)
+
+
+def _lowering(profiles: ProfileSet, plan: ChurnPlan, epoch: Epoch) \
+        -> tuple[LoweredPlan, ColumnarInstance]:
+    """``plan``'s lowering over (``profiles``, ``epoch``): the one it
+    kept from the last run if that was over the same (immutable) set
+    and an equal epoch, else a new one — kept only once it is whole."""
+    kept = plan._lowering
+    if (kept is not None and kept.profiles is profiles
+            and kept.epoch == epoch):
+        _log.debug("reused the plan's lowering (served %d runs before)",
+                   kept.runs)
+        kept.runs += 1
+        return kept.lowered, kept.columnar
+    started = time.perf_counter()
+    lowered = lower_plan(profiles, plan, epoch)
+    columnar = ColumnarInstance.build(
+        lowered.profiles, epoch, lowered.visible_from, lowered.gone_from)
+    plan._lowering = _Lowering(profiles, epoch, lowered, columnar)
+    _log.debug("lowered the plan: %d events fired, %d profiles added, "
+               "%d EIs, %.4f s", lowered.fired, lowered.added, columnar.E,
+               time.perf_counter() - started)
+    return lowered, columnar
 
 
 def _run_columns(profiles: ProfileSet, epoch: Epoch, budget: BudgetVector,
@@ -191,9 +380,7 @@ def _run_columns(profiles: ProfileSet, epoch: Epoch, budget: BudgetVector,
     :class:`BatchUnsupported`, before any chronon runs, for what the
     columns cannot serve."""
     started = time.perf_counter()
-    lowered = lower_plan(profiles, plan, epoch)
-    columnar = ColumnarInstance.build(
-        lowered.profiles, epoch, lowered.visible_from, lowered.gone_from)
+    lowered, columnar = _lowering(profiles, plan, epoch)
     fault = None
     if faults is not None or retry is not None or breaker is not None:
         fault = batch.FaultLane(faults, retry, breaker)
@@ -226,15 +413,20 @@ def run_churned(profiles: ProfileSet, epoch: Epoch,
     """One full churned epoch.
 
     ``profiles`` is the initial (chronon-0-registered) set; ``plan``
-    iterates churn events. ``mode="incremental"`` lowers the plan to
-    lifetimes and runs one lane of the block kernel over them — or, for
-    what the columns cannot serve, the event engine splicing each event
-    between chronons; ``mode="rebuild"`` is the event engine rebuilding
-    its derived structures from scratch after every event (the
-    referee). All three give the same result.
+    is a :class:`ChurnPlan` or iterates churn events (it is read once).
+    ``mode="incremental"`` lowers the plan to lifetimes — or takes the
+    lowering the plan kept from its last run, if that was over this set
+    and epoch — and runs one lane of the block kernel over them — or,
+    for what the columns cannot serve, the event engine splicing each
+    event between chronons; ``mode="rebuild"`` is the event engine
+    rebuilding its derived structures from scratch after every event
+    (the referee). All three give the same result.
     """
     if mode not in _MODES:
         raise ModelError(f"mode must be one of {_MODES}, got {mode!r}")
+    if not isinstance(plan, ChurnPlan):
+        # Once: a fallback below reads the plan a second time.
+        plan = ChurnPlan(plan)
     if mode == "incremental":
         try:
             if state_factory is not TIntervalState:

@@ -444,6 +444,14 @@ def _fault_layer():
             CircuitBreaker(failure_threshold=2, cooldown=3))
 
 
+def _cold(workload):
+    """The workload with a plan that holds no lowering yet: the window
+    cap is read when a lowering is built, and a plan keeps the one it
+    last served."""
+    initial, plan, epoch_ = workload
+    return initial, ChurnPlan.from_columns(plan.columns()), epoch_
+
+
 def _lowered(workload, cap):
     initial, plan, epoch_ = workload
     lowered = lower_plan(initial, plan, epoch_)
@@ -481,7 +489,7 @@ class TestWindowCuts:
     @pytest.mark.parametrize("label", POLICIES)
     def test_any_cut_gives_the_event_engines_run(self, workload, cap,
                                                  label):
-        initial, plan, epoch_ = workload
+        initial, plan, epoch_ = _cold(workload)
         policy, preemptive = parse_policy_spec(label)
         expected = FastProxySimulator(
             initial, epoch_, BudgetVector(2), policy,
@@ -490,6 +498,7 @@ class TestWindowCuts:
         with mock.patch.object(columnar_module, "_WINDOW_ENTRIES", cap):
             result = run_churned(initial, epoch_, BudgetVector(2), policy,
                                  plan, preemptive=preemptive)
+        assert plan._lowering.columnar.windows_built > 1
         _same_run(result, expected)
 
     @pytest.mark.parametrize("cap", CAPS)
@@ -497,7 +506,7 @@ class TestWindowCuts:
                                        "S-EDF(NP)"])
     def test_fault_lane_and_bursty_budget_across_cuts(self, workload, cap,
                                                       label):
-        initial, plan, epoch_ = workload
+        initial, plan, epoch_ = _cold(workload)
         budget = BudgetVector(1, overrides={
             T: T % 4 for T in range(3, epoch_.last, 3)})
         sides = []
@@ -519,6 +528,7 @@ class TestWindowCuts:
                     faults=faults, retry=retry,
                     breaker=breaker).run(churn=plan))
         expected, result = runs
+        assert plan._lowering.columnar.windows_built > 1
         assert expected.probes_failed > 0 and expected.retries > 0
         _assert_same_faulty_run(expected, result, *sides)
         assert result.extras == expected.extras

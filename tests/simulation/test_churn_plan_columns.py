@@ -1,0 +1,627 @@
+"""A plan is its columns, and remembers its lowering.
+
+:class:`~repro.simulation.churn.ChurnPlan` answers from
+:class:`~repro.simulation.churn.PlanColumns` — born from them
+(``from_columns``) or walking its events once — and
+:func:`~repro.simulation.churn.lower_plan` is array code over those.
+Nothing here trusts the arrays:
+
+* a column-born plan lowers to what the hand-built plan lowers to and to
+  what ``test_churn_columns``'s event-by-event walk says, order-exact
+  errors included;
+* the churn experiment's column-born workload is compared with a
+  per-object build of the same scenario (the builder the experiment
+  used to have, kept here as the reference);
+* the lowering a plan keeps is checked from outside: constructor calls
+  counted, what invalidates it, what a reused run may not inherit.
+"""
+
+import logging
+import pickle
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from repro.core import (
+    BudgetVector,
+    Epoch,
+    ModelError,
+    Profile,
+    ProfileSet,
+    TInterval,
+)
+from repro.core.profile import ProfileColumns
+from repro.experiments.churn import ChurnConfig, build_churn_workload
+from repro.extensions import QuotaTIntervalState
+from repro.faults import (
+    CircuitBreaker,
+    FaultInjector,
+    FaultSpec,
+    RecordedFaults,
+    RetryConfig,
+)
+from repro.online.registry import parse_policy_spec
+from repro.simulation import (
+    ChurnEvent,
+    ChurnPlan,
+    FastProxySimulator,
+    run_churned,
+)
+from repro.simulation import columnar as columnar_module
+from repro.simulation.churn import lower_plan
+from repro.simulation.columnar import BatchUnsupported, ColumnarInstance
+from repro.traces.models import PoissonUpdateModel
+from repro.workloads.generator import GeneratorConfig, ProfileGenerator
+
+from tests.properties.strategies import HORIZON, epoch
+from tests.properties.test_prop_batch_faults import _assert_same_faulty_run
+from tests.simulation.test_churn_columns import (
+    EPOCH,
+    _INITIAL,
+    _LATE,
+    _profile,
+    _same_run,
+    churned,
+    plans,
+    walk,
+)
+from tests.simulation.test_lowering_windows import POLICIES
+
+
+def column_born(plan: ChurnPlan) -> ChurnPlan:
+    """The same plan with no event object behind it."""
+    return ChurnPlan.from_columns(ChurnPlan(plan.events).columns())
+
+
+def assert_same_lowering(left, right) -> None:
+    assert left.profiles.columns().names == right.profiles.columns().names
+    for got, want in zip(left.profiles.columns()[1:],
+                         right.profiles.columns()[1:]):
+        assert np.array_equal(got, want)
+    assert np.array_equal(left.visible_from, right.visible_from)
+    assert np.array_equal(left.gone_from, right.gone_from)
+    assert (left.fired, left.added) == (right.fired, right.added)
+
+
+def _run(initial, plan, label, epoch_=EPOCH, budget=BudgetVector(1),
+         **kwargs):
+    policy, preemptive = parse_policy_spec(label)
+    return run_churned(initial, epoch_, budget, policy, plan,
+                       preemptive=preemptive, **kwargs)
+
+
+# ----------------------------------------------------------------------
+# Columns against the object walk
+# ----------------------------------------------------------------------
+
+class TestPlanColumns:
+    @given(scenario=plans())
+    @settings(max_examples=120, deadline=None)
+    def test_column_born_lowers_like_hand_built_like_the_walk(self,
+                                                              scenario):
+        initial, plan = scenario
+        born = column_born(plan)
+        assert born._events is None and len(born) == len(plan)
+        lowered = lower_plan(initial, born, epoch())
+        assert_same_lowering(lowered, lower_plan(initial, plan, epoch()))
+        want = walk(initial, plan, HORIZON)
+        assert (lowered.fired, lowered.added) == (want.fired, want.added)
+        assert lowered.visible_from.tolist() == want.visible_from
+        assert lowered.gone_from.tolist() == want.gone_from
+        for got, expected in zip(lowered.profiles.columns(),
+                                 ProfileSet(want.profiles).columns()):
+            assert np.array_equal(got, expected)
+        # Lowering reads arrays only; the events appear on demand and
+        # are the plan again.
+        assert born._events is None
+        assert ChurnPlan(born.events) == plan == born
+        assert hash(born) == hash(plan)
+
+    def test_the_columns_of_a_plan(self):
+        late = _profile([(0, 1, 3)], [(1, 7, 9), (2, 8, 9)])
+        plan = ChurnPlan([ChurnEvent.remove(9, 0), ChurnEvent.add(2, late),
+                          ChurnEvent.add(0, _LATE),
+                          ChurnEvent.remove(4, 7)])
+        columns = plan.columns()
+        assert columns is plan.columns()
+        assert columns.is_add.tolist() == [False, True, True, False]
+        assert columns.chronon.tolist() == [9, 2, 0, 4]
+        assert columns.ref.tolist() == [0, 0, 1, 7]
+        for got, want in zip(columns.added,
+                             ProfileColumns.of([late, _LATE])):
+            assert np.array_equal(got, want)
+        events = column_born(plan).events
+        assert [(e.chronon, e.action, e.profile_id) for e in events] \
+            == [(e.chronon, e.action, e.profile_id) for e in plan]
+        assert [[ei for eta in e.profile for ei in eta.eis]
+                for e in events if e.action == "add"] \
+            == [[ei for eta in p for ei in eta.eis] for p in (late, _LATE)]
+
+    def test_len_bool_iter_answer_without_objects(self):
+        born = column_born(ChurnPlan([ChurnEvent.add(3, _LATE)]))
+        assert len(born) == 1 and born and born._events is None
+        assert not ChurnPlan.from_columns(ChurnPlan().columns())
+        (event,) = born
+        assert event.action == "add" and born._events is not None
+
+    @pytest.mark.parametrize("columns, message", [
+        (lambda c: c._replace(chronon=c.chronon - 9), "chronon must be"),
+        (lambda c: c._replace(ref=c.ref + 1), "in plan order"),
+        (lambda c: c._replace(is_add=c.is_add.astype(np.int64)),
+         "one bool and two integer vectors"),
+        (lambda c: c._replace(ref=c.ref[:-1]), "of one length"),
+        (lambda c: c._replace(added=c.added._replace(
+            ei_start=c.added.ei_start * 0)), "added profiles: every EI"),
+    ])
+    def test_bad_columns_are_refused(self, columns, message):
+        good = ChurnPlan([ChurnEvent.add(3, _LATE),
+                          ChurnEvent.remove(5, 0)]).columns()
+        with pytest.raises(ModelError, match=message):
+            ChurnPlan.from_columns(columns(good))
+
+    def test_plans_compare_by_value(self):
+        twin = _profile([(0, 1, 3), (1, 7, 9)])
+        plan = ChurnPlan([ChurnEvent.add(5, _LATE)])
+        assert plan == ChurnPlan([ChurnEvent.add(5, twin)])
+        assert plan != ChurnPlan([ChurnEvent.add(6, twin)])
+        assert plan != ChurnPlan([ChurnEvent.add(5, _profile([(0, 1, 4),
+                                                              (1, 7, 9)]))])
+        assert plan != ChurnPlan() and plan != [ChurnEvent.add(5, _LATE)]
+        assert len({plan, column_born(plan), ChurnPlan()}) == 2
+        # Beyond int64 the columns sit at the type's bound: plans that
+        # differ only out there (nothing fires, no id exists) are equal.
+        assert ChurnPlan([ChurnEvent.remove(10 ** 30, 1)]) \
+            == ChurnPlan([ChurnEvent.remove(10 ** 31, 1)])
+
+
+def _raises_everywhere(initial, plan, message) -> None:
+    """Columns, column-born columns and the event engine refuse ``plan``
+    with the same words."""
+    for mode in ("incremental", "rebuild"):
+        for candidate in (plan, column_born(plan)):
+            with pytest.raises(ModelError, match=message):
+                _run(initial, candidate, "MRSF(P)", mode=mode)
+
+
+class TestOrderExactEdges:
+    def test_adds_past_the_epoch_are_not_in_the_union(self):
+        # The gather branch: add 1 of 3 never fires, the others swap.
+        first, second = _profile([(3, 9, 12)]), _profile([(0, 4, 6)])
+        plan = ChurnPlan([ChurnEvent.add(8, first),
+                          ChurnEvent.add(13, _LATE),
+                          ChurnEvent.add(2, second),
+                          ChurnEvent.remove(10, 2)])
+        for candidate in (plan, column_born(plan)):
+            lowered = lower_plan(_INITIAL, candidate, EPOCH)
+            assert (lowered.fired, lowered.added) == (3, 2)
+            assert len(lowered.profiles) == 3
+            assert [[ei for eta in p for ei in eta.eis]
+                    for p in lowered.profiles][1:] \
+                == [[ei for eta in p for ei in eta.eis]
+                    for p in (second, first)]
+            assert lowered.visible_from.tolist() == [0, 0, 3, 9]
+            assert lowered.gone_from.tolist() == [13, 13, 13, 10]
+        _same_run(churned(_INITIAL, plan),
+                  _run(_INITIAL, column_born(plan), "MRSF(P)"))
+
+    def test_the_same_profile_object_added_twice(self):
+        plan = ChurnPlan([ChurnEvent.add(2, _LATE), ChurnEvent.add(4, _LATE),
+                          ChurnEvent.remove(6, 1)])
+        result = churned(_INITIAL, plan)
+        assert result.report.total == 2 + 2 * len(_LATE)
+        assert result.extras["added_profiles"] == 2.0
+        _same_run(result, _run(_INITIAL, column_born(plan), "MRSF(P)"))
+
+    def test_add_and_remove_in_one_chronon_in_both_orders(self):
+        add, remove = ChurnEvent.add(4, _LATE), ChurnEvent.remove(4, 1)
+        legal = ChurnPlan([add, remove])
+        _same_run(churned(_INITIAL, legal),
+                  _run(_INITIAL, column_born(legal), "MRSF(P)"))
+        _raises_everywhere(_INITIAL, ChurnPlan([remove, add]),
+                           "unknown profile id 1$")
+
+    @pytest.mark.parametrize("profile_id", [-1, -7, 2, 1 << 40, 10 ** 30])
+    def test_remove_of_an_id_nobody_holds(self, profile_id):
+        plan = ChurnPlan([ChurnEvent.add(2, _LATE),
+                          ChurnEvent.remove(5, profile_id)])
+        if profile_id == 10 ** 30:
+            # Beyond the columns' integer type: still refused, and named
+            # as planned where the events are at hand.
+            with pytest.raises(ModelError,
+                               match=f"unknown profile id {profile_id}$"):
+                _run(_INITIAL, plan, "MRSF(P)")
+            with pytest.raises(ModelError, match="unknown profile id"):
+                _run(_INITIAL, column_born(plan), "MRSF(P)")
+        else:
+            _raises_everywhere(_INITIAL, plan,
+                               f"unknown profile id {profile_id}$")
+
+    def test_a_chronon_beyond_int64_never_fires(self):
+        plan = ChurnPlan([ChurnEvent.remove(10 ** 30, 5),
+                          ChurnEvent.remove(3, 0)])
+        _same_run(churned(_INITIAL, plan),
+                  churned(_INITIAL, ChurnPlan([ChurnEvent.remove(3, 0)])))
+
+    def test_an_id_is_unknown_until_its_add_applies(self):
+        # Id 2 exists from clock 6 on: cancelling it at 5 is an error,
+        # at 6 (planned before the add, applied after it) it is not.
+        adds = [ChurnEvent.add(2, _LATE), ChurnEvent.add(6, _LATE)]
+        _raises_everywhere(
+            _INITIAL, ChurnPlan([ChurnEvent.remove(5, 2)] + adds),
+            "unknown profile id 2$")
+        churned(_INITIAL, ChurnPlan([ChurnEvent.remove(7, 2)] + adds))
+
+    def test_the_first_offender_in_applied_order_raises(self):
+        unknown = ChurnEvent.remove(3, 9)
+        empty = ChurnEvent.add(5, Profile([]))
+        # Planned after the empty add, applied before it.
+        _raises_everywhere(_INITIAL, ChurnPlan([empty, unknown]),
+                           "unknown profile id 9$")
+        _raises_everywhere(
+            _INITIAL, ChurnPlan([ChurnEvent.remove(6, 9), empty]),
+            "cannot register an empty profile")
+        # An offender that never fires offends nobody.
+        churned(_INITIAL, ChurnPlan([ChurnEvent.add(13, Profile([])),
+                                     ChurnEvent.remove(40, 9)]))
+
+    @pytest.mark.parametrize("chronon", [3, 40])
+    def test_unknown_action(self, chronon):
+        """Columns hold adds and removes: a look-alike event that is
+        neither is refused when the plan becomes columns, whether or
+        not it would fire."""
+        class Event:
+            action = "pause"
+
+        Event.chronon = chronon
+        with pytest.raises(ModelError, match="unknown churn action 'pause'"):
+            _run(_INITIAL, [ChurnEvent.remove(2, 0), Event()], "MRSF(P)")
+
+
+# ----------------------------------------------------------------------
+# The churn experiment's workload: column-born vs built object by object
+# ----------------------------------------------------------------------
+
+def object_built(config: ChurnConfig):
+    """``build_churn_workload`` as the experiment built it before its
+    scenario stayed columns: every client's profiles read out of the
+    generator object by object, copied bare, planned event by event."""
+    rng = np.random.default_rng(config.seed)
+    epoch_ = Epoch(config.epoch_length)
+    trace = PoissonUpdateModel(config.intensity, seed=config.seed).generate(
+        range(config.num_resources), epoch_)
+    horizon = int(config.join_spread * config.epoch_length)
+    joins = sorted(int(rng.integers(0, horizon + 1))
+                   for _ in range(config.num_clients))
+    leave_at = (3 * config.epoch_length) // 4
+    leavers = [bool(rng.random() < config.leave_probability)
+               for _ in range(config.num_clients)]
+    clients = []
+    for index in range(config.num_clients):
+        generated = ProfileGenerator(GeneratorConfig(
+            num_profiles=config.profiles_per_client,
+            max_rank=config.max_rank, window=config.window,
+            grouping="overlap", seed=config.seed + 101 * (index + 1)),
+            fast=False).generate(
+                trace, epoch_, resource_ids=list(range(config.num_resources)))
+        clients.append([
+            Profile([TInterval(eta.eis) for eta in profile],
+                    name=f"client-{index}/{profile.name}")
+            for profile in generated if len(profile)])
+    initial = [profile for index, client in enumerate(clients)
+               if joins[index] == 0 for profile in client]
+    ids, next_id = [], 0
+    for late in (False, True):
+        for index, client in enumerate(clients):
+            if (joins[index] > 0) == late:
+                ids.append((index, range(next_id, next_id + len(client))))
+                next_id += len(client)
+    events = [ChurnEvent.add(joins[index], profile)
+              for index, client in enumerate(clients) if joins[index] > 0
+              for profile in client]
+    events += [ChurnEvent.remove(leave_at, profile_id)
+               for index, mine in sorted(ids)
+               if leavers[index] and joins[index] <= leave_at
+               for profile_id in mine]
+    return ProfileSet(initial), ChurnPlan(events), epoch_
+
+
+def _fields(plan) -> list:
+    """Every event of ``plan``, field for field, profiles by value."""
+    return [(e.chronon, e.action, e.profile_id, e.profile and (
+        e.profile.name, [eta.eis for eta in e.profile])) for e in plan]
+
+
+WORKLOAD = dict(epoch_length=60, num_resources=12, intensity=5.0,
+                num_clients=14, profiles_per_client=4, window=8, budget=2,
+                leave_probability=0.5)
+LABELS = ("MRSF(P)", "S-EDF(NP)", "M-EDF(P)")
+
+
+class TestGeneratedWorkload:
+    @pytest.mark.parametrize("seed", [29, 3, 60221])
+    @pytest.mark.parametrize("join_spread", [0.9, 0.3, 0.0])
+    def test_column_born_equals_object_built(self, seed, join_spread):
+        config = ChurnConfig(seed=seed, join_spread=join_spread, **WORKLOAD)
+        initial, plan, epoch_ = build_churn_workload(config)
+        assert initial._profiles is None and plan._events is None
+        want_initial, want_plan, want_epoch = object_built(config)
+        assert epoch_ == want_epoch and plan == want_plan
+        assert len(initial) == len(want_initial)
+        for got, want in zip(initial.columns(), want_initial.columns()):
+            assert np.array_equal(got, want)
+        assert_same_lowering(lower_plan(initial, plan, epoch_),
+                             lower_plan(want_initial, want_plan, epoch_))
+        for label in LABELS:
+            _same_run(
+                _run(initial, plan, label, epoch_, BudgetVector(2)),
+                _run(want_initial, want_plan, label, epoch_,
+                     BudgetVector(2)))
+        # Three runs later the scenario is still nothing but arrays.
+        assert initial._profiles is None and plan._events is None
+        # Its objects, once asked for, are the reference's.
+        assert [profile.name for profile in initial] \
+            == [profile.name for profile in want_initial]
+        assert _fields(plan) == _fields(want_plan)
+
+    def test_the_benchmarks_default_has_an_empty_initial_set(self):
+        # Every client joins after clock 0 on most seeds: the empty
+        # column-born set is the common input, not an edge.
+        config = ChurnConfig(seed=29, join_spread=0.9, **WORKLOAD)
+        initial, plan, epoch_ = build_churn_workload(config)
+        assert len(initial) == 0 and initial.columns().ei_profile.size == 0
+        assert not (plan.columns().chronon[plan.columns().is_add] == 0).any()
+        lowered = lower_plan(initial, plan, epoch_)
+        assert len(lowered.profiles) == lowered.added > 0
+        assert (lowered.visible_from > 0).all()
+
+
+# ----------------------------------------------------------------------
+# Every policy: object-built == column-born == reused == the referees
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def small_workload():
+    config = ChurnConfig(seed=29, join_spread=0.3, epoch_length=40,
+                         num_resources=8, intensity=5.0, num_clients=8,
+                         profiles_per_client=3, window=6, budget=2,
+                         leave_probability=0.5)
+    return build_churn_workload(config) + (object_built(config),)
+
+
+def _fault_layer():
+    return (FaultInjector(FaultSpec(failure_probability=0.3,
+                                    timeout_probability=0.1, seed=7)),
+            RetryConfig(max_retries=2),
+            CircuitBreaker(failure_threshold=2, cooldown=3))
+
+
+class TestEveryPolicy:
+    @pytest.mark.parametrize("label", POLICIES)
+    def test_object_built_column_born_reused_and_referees(
+            self, small_workload, label):
+        initial, plan, epoch_, (want_initial, want_plan, _e) = small_workload
+        assert len(initial) > 0
+        budget = BudgetVector(2)
+        # Object-built on the columns, and against rebuild / the event
+        # engine / the live proxy.
+        reference = churned(want_initial, want_plan, label, budget, epoch_)
+        fresh = ChurnPlan.from_columns(plan.columns())
+        first = _run(initial, fresh, label, epoch_, budget)
+        assert fresh._lowering.runs == 1
+        again = _run(initial, fresh, label, epoch_, budget)
+        assert fresh._lowering.runs == 2
+        _same_run(first, reference)
+        _same_run(again, reference)
+
+    @pytest.mark.parametrize("label", POLICIES)
+    def test_a_fault_lane_on_a_reused_lowering(self, small_workload, label):
+        initial, plan, epoch_, (want_initial, want_plan, _e) = small_workload
+        budget = BudgetVector(2)
+        policy, preemptive = parse_policy_spec(label)
+        faults, retry, breaker = _fault_layer()
+        expected = FastProxySimulator(
+            want_initial, epoch_, budget, policy, preemptive=preemptive,
+            faults=faults, retry=retry, breaker=breaker).run(churn=want_plan)
+        assert expected.probes_failed > 0
+        fresh = ChurnPlan.from_columns(plan.columns())
+        for runs in (1, 2, 3):
+            side = _fault_layer()
+            result = _run(initial, fresh, label, epoch_, budget,
+                          faults=side[0], retry=side[1], breaker=side[2])
+            assert fresh._lowering.runs == runs
+            _assert_same_faulty_run(expected, result, (faults, breaker),
+                                    (side[0], side[2]))
+            assert result.extras == expected.extras
+
+    @pytest.mark.parametrize("cap", [1, 7, 64])
+    def test_a_reused_lowering_of_several_windows(self, small_workload, cap):
+        """Only a single window is kept with a lowering: a reused run
+        over several rebuilds them, cut where the first run cut them."""
+        initial, plan, epoch_, (want_initial, want_plan, _e) = small_workload
+        budget = BudgetVector(2)
+        fresh = ChurnPlan.from_columns(plan.columns())
+        # The cap is read when the lowering is built: by the first run.
+        with mock.patch.object(columnar_module, "_WINDOW_ENTRIES", cap):
+            runs = [_run(initial, fresh, LABELS[0], epoch_, budget)]
+        kept = fresh._lowering.columnar
+        cuts = kept.windows_built
+        assert cuts > 1
+        runs += [_run(initial, fresh, label, epoch_, budget)
+                 for label in LABELS[1:]]
+        assert fresh._lowering.columnar is kept
+        assert kept.windows_built == cuts * len(LABELS)
+        for label, result in zip(LABELS, runs):
+            _same_run(result,
+                      churned(want_initial, want_plan, label, budget, epoch_))
+
+
+# ----------------------------------------------------------------------
+# The lowering a plan keeps
+# ----------------------------------------------------------------------
+
+def _counting(target, name):
+    """Patch ``target.name`` with a pass-through that counts calls."""
+    return mock.patch.object(target, name, autospec=True,
+                             side_effect=getattr(target, name))
+
+
+class TestKeptLowering:
+    PLAN = (ChurnEvent.add(5, _LATE), ChurnEvent.remove(7, 0))
+
+    def test_a_second_policy_builds_nothing(self):
+        plan = ChurnPlan(self.PLAN)
+        with _counting(ColumnarInstance, "__init__") as built:
+            runs = [_run(_INITIAL, plan, label) for label in LABELS]
+        assert built.call_count == 1
+        assert plan._lowering.runs == 3
+        for label, result in zip(LABELS, runs):
+            with _counting(ColumnarInstance, "__init__") as built:
+                _same_run(result, _run(_INITIAL, ChurnPlan(self.PLAN), label))
+            assert built.call_count == 1
+
+    def test_another_set_or_another_epoch_is_a_miss(self):
+        plan = ChurnPlan(self.PLAN)
+        twin = ProfileSet(list(_INITIAL))
+        with _counting(ColumnarInstance, "__init__") as built:
+            first = _run(_INITIAL, plan, "MRSF(P)")
+            kept = plan._lowering
+            # An equal set that is another object, then an equal epoch
+            # that is another object, then a longer epoch.
+            _same_run(first, _run(twin, plan, "MRSF(P)"))
+            assert plan._lowering is not kept and built.call_count == 2
+            kept = plan._lowering
+            _same_run(first, _run(twin, plan, "MRSF(P)", Epoch(12)))
+            assert plan._lowering is kept and built.call_count == 2
+            longer = _run(twin, plan, "MRSF(P)", Epoch(14))
+            assert plan._lowering is not kept and built.call_count == 3
+        assert plan._lowering.epoch == Epoch(14)
+        _same_run(longer,
+                  _run(_INITIAL, ChurnPlan(self.PLAN), "MRSF(P)", Epoch(14)))
+
+    def test_an_unsupported_lowering_keeps_nothing(self, caplog):
+        plan = ChurnPlan(self.PLAN)
+        refusing = mock.patch.object(
+            ColumnarInstance, "__init__", autospec=True,
+            side_effect=BatchUnsupported("no columns today"))
+        with refusing, caplog.at_level(logging.INFO,
+                                       logger="repro.simulation.churn"):
+            fallen = _run(_INITIAL, plan, "MRSF(P)")
+        assert plan._lowering is None
+        assert "no columns today" in caplog.text
+        served = _run(_INITIAL, plan, "MRSF(P)")
+        assert plan._lowering.runs == 1
+        _same_run(fallen, served)
+
+    def test_a_failed_plan_keeps_nothing(self):
+        plan = ChurnPlan([ChurnEvent.remove(3, 4)])
+        with pytest.raises(ModelError):
+            _run(_INITIAL, plan, "MRSF(P)")
+        assert plan._lowering is None
+
+    def test_run_two_sees_a_clean_fault_plane(self):
+        """Draws are shared through the lowering; what a run *did* —
+        the injector's trace, the breaker's state — is the run's own."""
+        plan = ChurnPlan(self.PLAN)
+        sides = [_fault_layer() for _ in range(3)]
+        first, second = (
+            _run(_INITIAL, plan, "S-EDF(P)", faults=faults, retry=retry,
+                 breaker=breaker) for faults, retry, breaker in sides[:2])
+        assert plan._lowering.runs == 2 and first.probes_failed > 0
+        _assert_same_faulty_run(first, second, (sides[0][0], sides[0][2]),
+                                (sides[1][0], sides[1][2]))
+        alone = _run(_INITIAL, ChurnPlan(self.PLAN), "S-EDF(P)",
+                     faults=sides[2][0], retry=sides[2][1],
+                     breaker=sides[2][2])
+        _assert_same_faulty_run(alone, second, (sides[2][0], sides[2][2]),
+                                (sides[1][0], sides[1][2]))
+        # A clean run after two faulty ones, on the same lowering.
+        _same_run(_run(_INITIAL, plan, "S-EDF(P)"),
+                  _run(_INITIAL, ChurnPlan(self.PLAN), "S-EDF(P)"))
+
+    @pytest.mark.parametrize("born", [ChurnPlan, column_born])
+    def test_pickling_carries_no_lowering(self, born):
+        plan = born(ChurnPlan(self.PLAN))
+        _run(_INITIAL, plan, "MRSF(P)")
+        assert plan._lowering is not None
+        copy = pickle.loads(pickle.dumps(plan))
+        assert copy._lowering is None
+        assert copy == plan and hash(copy) == hash(plan)
+        assert (copy._events is None) == (plan._events is None)
+        _same_run(_run(_INITIAL, copy, "MRSF(P)"),
+                  _run(_INITIAL, plan, "MRSF(P)"))
+
+    def test_the_logger_says_lowered_then_reused(self, caplog):
+        plan = ChurnPlan(self.PLAN)
+        with caplog.at_level(logging.DEBUG, logger="repro.simulation.churn"):
+            for label in LABELS:
+                _run(_INITIAL, plan, label)
+        records = [record for record in caplog.records
+                   if record.name == "repro.simulation.churn"]
+        assert [record.levelno for record in records] == [logging.DEBUG] * 3
+        lowered, *reused = (record.getMessage() for record in records)
+        assert lowered.startswith("lowered the plan: 2 events fired, "
+                                  "1 profiles added, 5 EIs, ")
+        assert reused == [
+            "reused the plan's lowering (served 1 runs before)",
+            "reused the plan's lowering (served 2 runs before)"]
+
+
+class TestObjectsAreWalkedOnce:
+    def test_a_hand_built_set_and_plan_are_flattened_once(self):
+        initial = ProfileSet(list(_INITIAL))
+        plan = ChurnPlan(TestKeptLowering.PLAN)
+        with _counting(ProfileColumns, "of") as walks:
+            _run(initial, plan, "MRSF(P)")
+            # The set once, the plan's added profiles once.
+            assert walks.call_count == 2
+            # A miss lowers again — from the columns both now hold.
+            _run(initial, plan, "MRSF(P)", Epoch(14))
+            _run(initial, plan, "RANDOM(P)")
+            ColumnarInstance.build(initial, EPOCH)
+            assert walks.call_count == 2
+
+
+# ----------------------------------------------------------------------
+# A one-shot plan survives the fallback
+# ----------------------------------------------------------------------
+
+def _quota(eta, profile_rank):
+    return QuotaTIntervalState(eta, profile_rank, 1)
+
+
+def _replayed():
+    recorder = FaultInjector(FaultSpec(failure_probability=0.5, seed=11))
+    policy, preemptive = parse_policy_spec("S-EDF(P)")
+    FastProxySimulator(_INITIAL, EPOCH, BudgetVector(1), policy,
+                       preemptive=preemptive, faults=recorder).run(
+                           churn=TestKeptLowering.PLAN)
+    return {"faults": RecordedFaults(recorder.trace)}
+
+
+class TestOneShotPlans:
+    """``run_churned`` reads its plan once, whatever falls back: an
+    iterator handed to the columns and then, exhausted, to the event
+    engine used to run churn-free."""
+
+    @pytest.mark.parametrize("shape", [iter, lambda plan: (e for e in plan),
+                                       list, ChurnPlan],
+                             ids=["iterator", "generator", "list", "plan"])
+    @pytest.mark.parametrize("label, kwargs", [
+        ("RANDOM(P)", dict),
+        ("MRSF(P)", lambda: {"state_factory": _quota}),
+        ("S-EDF(P)", _replayed),
+    ], ids=["random", "state_factory", "replayed_trace"])
+    def test_fallback_sees_the_whole_plan(self, caplog, label, kwargs, shape):
+        policy, preemptive = parse_policy_spec(label)
+        expected = FastProxySimulator(
+            _INITIAL, EPOCH, BudgetVector(1), policy, preemptive=preemptive,
+            **kwargs()).run(churn=TestKeptLowering.PLAN)
+        assert expected.extras["added_profiles"] == 1.0
+        with caplog.at_level(logging.INFO, logger="repro.simulation.churn"):
+            result = _run(_INITIAL, shape(TestKeptLowering.PLAN), label,
+                          **kwargs())
+        assert "on the event engine" in caplog.text
+        _same_run(result, expected)
+        assert result.report.total == 2 + len(_LATE)

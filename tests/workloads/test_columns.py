@@ -9,6 +9,8 @@ set materialises on first read must equal the reference objects. A
 column-born set that is only lowered and run never builds an object.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,32 @@ class TestHandBuiltSets:
         born = ProfileSet.from_columns(columns)
         assert [len(profile) for profile in born] == [0, 1, 0]
         assert_sets_equal(born, profiles)
+
+    def test_the_walk_happens_once(self):
+        profiles = ProfileSet([Profile([TInterval([
+            ExecutionInterval(3, 2, 4)])])])
+        with mock.patch.object(ProfileColumns, "of", autospec=True,
+                               side_effect=ProfileColumns.of) as walks:
+            columns = profiles.columns()
+            assert profiles.columns() is columns
+            ColumnarInstance.build(profiles, Epoch(6))
+        assert walks.call_count == 1
+
+    @given(profiles=profile_sets(max_profiles=4), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_take_and_concat_are_the_object_lists(self, profiles, data):
+        members = list(profiles)
+        picked = data.draw(st.lists(st.integers(0, len(members) - 1),
+                                    max_size=6))
+        columns = profiles.columns()
+        taken = columns.take(np.array(picked, dtype=np.int64))
+        assert_columns_equal(
+            taken, ProfileColumns.of([members[at] for at in picked]))
+        assert_columns_equal(
+            ProfileColumns.concat((columns, taken, columns)),
+            ProfileColumns.of(members + [members[at] for at in picked]
+                              + members))
+        assert_columns_equal(ProfileColumns.concat(()), ProfileColumns.of(()))
 
 
 def _trace(updates: dict[int, list[int]], epoch: Epoch) -> UpdateTrace:
