@@ -1,23 +1,25 @@
-"""Sharded proxy federation vs. the monolith fast engine.
+"""Sharded proxy federation vs. one lane of the block kernel.
 
-Measures one policy run over a large catalog — the monolith fast
-engine against :func:`repro.simulation.shard.federated_run` at several
-shard counts (K ∈ {1, 2, 4, 8, 16}) — and writes the numbers to
+Measures one policy run over a large catalog — the monolith, a one-lane
+:func:`repro.simulation.batch.run_block`, against
+:func:`repro.simulation.shard.federated_run` at several shard counts
+(K ∈ {1, 2, 4, 8, 16}) — and writes the numbers to
 ``BENCH_federation.json``::
 
     PYTHONPATH=src python benchmarks/bench_federation.py \
         --output BENCH_federation.json
 
 The ``catalog`` scale holds 500k profiles (feasible via the vectorized
-instance generator + cache); every federated run shares the catalog's
-columnar lowering, so per-K numbers isolate shard advance + coordinator
-merge. Every round asserts the federated schedule is probe-for-probe
-identical to the monolith's — for *every* K, which is why the reported
+instance generator + cache); the monolith and every federated run share
+the catalog's columnar lowering and run the same chronon loop, so a
+``speedup`` is K against one lane with one variable changed — the select
+step: per-shard proposals + coordinator merge + ledger settlement. Every
+round asserts the federated schedule is probe-for-probe identical to the
+monolith's — for *every* K, which is why the reported
 ``gc_degradation`` column is exactly 0.0 per shard count.
 
-The shards advance in-process — the speedup is algorithmic, from the
-shards' vectorized columnar slices. ``--smoke`` restricts the run to
-the tiny scale with fewer rounds for CI.
+``--smoke`` restricts the run to the tiny scale with fewer rounds for
+CI.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from dataclasses import asdict
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import make_instance
 from repro.online.registry import parse_policy_spec
+from repro.simulation.batch import run_block
 from repro.simulation.columnar import ColumnarInstance
-from repro.simulation.proxy import run_online
 from repro.simulation.shard import federated_run
 
 try:
@@ -72,8 +74,9 @@ def bench_federation(scale: str, rounds: int = 3,
     def run_monolith():
         policy, preemptive = parse_policy_spec(_POLICY)
         started = time.perf_counter()
-        result = run_online(profiles, config.epoch, config.budget_vector,
-                            policy, preemptive=preemptive, engine="fast")
+        (result,) = run_block(
+            profiles, config.epoch,
+            [(policy, preemptive, config.budget_vector)], columnar=col)
         return time.perf_counter() - started, result
 
     def run_federated(shards: int):
@@ -84,8 +87,8 @@ def bench_federation(scale: str, rounds: int = 3,
                             columnar=col)
         return time.perf_counter() - started, fed
 
-    # Warm caches (instance cache is already warm; this warms numpy and
-    # the page cache) outside the timed region.
+    # Warm caches (instance cache is already warm; this warms numpy, the
+    # page cache and a lowering's kept window) outside the timed region.
     _, reference = run_monolith()
     reference_probes = list(reference.schedule.probes())
 
@@ -140,8 +143,9 @@ def bench_federation(scale: str, rounds: int = 3,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark the sharded proxy federation against the "
-                    "monolith fast engine, writing BENCH_federation.json")
+        description="Benchmark the sharded proxy federation against one "
+                    "lane of the block kernel, writing "
+                    "BENCH_federation.json")
     parser.add_argument("--scales", default="tiny,catalog",
                         help="comma-separated scales to measure "
                              f"(available: {','.join(SCALES)})")
@@ -203,8 +207,9 @@ def bench_federation_smoke(benchmark):
 
     fed = benchmark.pedantic(run_federated, rounds=3, iterations=1)
     policy, preemptive = parse_policy_spec(_POLICY)
-    mono = run_online(profiles, config.epoch, config.budget_vector,
-                      policy, preemptive=preemptive, engine="fast")
+    (mono,) = run_block(profiles, config.epoch,
+                        [(policy, preemptive, config.budget_vector)],
+                        columnar=col)
     assert list(fed.result.schedule.probes()) == \
         list(mono.schedule.probes())
 

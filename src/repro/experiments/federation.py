@@ -1,6 +1,8 @@
 """Federation experiment: GC and throughput vs. proxy shard count.
 
-Runs the same instances through the monolith fast engine and through
+Runs the same instances as one lane of the block kernel
+(:func:`~repro.simulation.batch.run_block` — the monolith: the same
+chronon loop with its own select step) and through
 :func:`~repro.simulation.shard.federated_run` at several shard counts,
 reporting per shard count:
 
@@ -8,12 +10,14 @@ reporting per shard count:
   zero by construction, since the coordinator's merge of per-shard
   proposals reproduces the monolith selection exactly (the experiment
   measures it anyway: an accounting regression would surface here);
-* mean wall-clock runtime and the throughput ratio vs. the monolith;
+* mean wall-clock runtime and the throughput ratio vs. the monolith —
+  K against one lane over the same lowering, so the ratio is what the
+  propose/merge protocol costs;
 * per-shard load (owned resources, routed probes) and the budget
   work-stealing totals from the coordinator ledgers.
 
 The federation benchmark (``benchmarks/bench_federation.py``) drives
-the same sweep at catalog scale and gates the K=8 throughput ratio.
+the same comparison at catalog scale.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from repro.experiments.config import ExperimentConfig, baseline
 from repro.experiments.harness import PolicyOutcome, make_instance
 from repro.online.registry import parse_policy_spec
 from repro.runtime.sharding import ShardLoad
+from repro.simulation.batch import run_block
 from repro.simulation.columnar import ColumnarInstance
-from repro.simulation.proxy import run_online
 from repro.simulation.shard import federated_run
 
 __all__ = [
@@ -123,12 +127,14 @@ def federation_sweep(scale: str = "smoke",
                      source: str = "poisson",
                      config: ExperimentConfig | None = None,
                      ) -> FederationSweep:
-    """GC and runtime vs. shard count against the monolith fast engine.
+    """GC and runtime vs. shard count against the one-lane block.
 
-    All shard counts (and the monolith) share each repetition's
-    generated instance and its columnar lowering, so the comparison
-    isolates the federation overhead. ``config`` overrides the baseline
-    config of ``scale`` (benchmarks sweep custom sizes).
+    All shard counts and the monolith share each repetition's generated
+    instance and its columnar lowering, so the comparison isolates the
+    federation overhead (a lowering small enough to keep its one
+    activity window builds it inside the first run on it, the
+    monolith's). ``config`` overrides the baseline config of ``scale``
+    (benchmarks sweep custom sizes).
     """
     if config is None:
         config = baseline(scale)
@@ -145,15 +151,15 @@ def federation_sweep(scale: str = "smoke",
     for repetition in range(config.repetitions):
         _trace, profiles = make_instance(config, repetition,
                                          source=source)
+        col = ColumnarInstance.build(profiles, config.epoch)
+        lower_values.append(col.lower_seconds)
         policy_obj, preemptive = parse_policy_spec(policy)
-        result = run_online(profiles, config.epoch, config.budget_vector,
-                            policy_obj, preemptive=preemptive,
-                            engine="fast")
+        (result,) = run_block(
+            profiles, config.epoch,
+            [(policy_obj, preemptive, config.budget_vector)], columnar=col)
         label = result.label
         mono_gc.append(result.gc)
         mono_runtime.append(result.runtime_seconds)
-        col = ColumnarInstance.build(profiles, config.epoch)
-        lower_values.append(col.lower_seconds)
         for shards in shard_counts:
             policy_obj, preemptive = parse_policy_spec(policy)
             fed = federated_run(

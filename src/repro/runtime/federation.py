@@ -11,8 +11,8 @@ Two layers live here:
   per-shard budget ledgers with deterministic work-stealing, and the
   per-chronon merge of per-shard candidate proposals that keeps
   cross-shard t-intervals scheduled exactly as a monolith would
-  (``docs/ALGORITHMS.md`` §15). The data plane — per-shard slices of
-  the columnar candidate index — lives in
+  (``docs/ALGORITHMS.md`` §15). The run it coordinates — the columnar
+  block kernel with this protocol as its select step — lives in
   :mod:`repro.simulation.shard`.
 """
 
@@ -186,9 +186,14 @@ class ShardCoordinator:
     steal transfers record how budget flowed between shards to realize
     it.
 
-    The heavy per-shard work (candidate-index slices, key computation)
-    lives in :func:`repro.simulation.shard.federated_run`, which drives
-    this object; :meth:`run` is a convenience wrapper around it.
+    Scoring and ranking are the block kernel's
+    (:mod:`repro.simulation.batch`);
+    :func:`repro.simulation.shard.federated_run` runs it with the
+    per-shard take and :meth:`merge_proposals` as its select step and
+    :meth:`settle` once per chronon, and :meth:`run` is a convenience
+    wrapper around it. A coordinator books one run: its ledger and
+    routed-probe counts accumulate, so a second ``federated_run`` on the
+    same object is refused.
     """
 
     def __init__(self, shards: int, *, vnodes: int = 64) -> None:
@@ -203,18 +208,15 @@ class ShardCoordinator:
 
     @staticmethod
     def merge_proposals(proposals: Sequence[tuple[np.ndarray, np.ndarray]],
-                        budget: int,
-                        exclude: np.ndarray | None = None,
-                        ) -> np.ndarray:
+                        budget: int) -> np.ndarray:
         """The global top-``budget`` pools across per-shard proposals.
 
         ``proposals`` holds each shard's ``(keys, pool_ids)`` — its
         owned pools' packed rank keys, best first. Keys are globally
         unique (they end in the resource id), so one ascending merge is
         a total order and the first ``budget`` entries are exactly the
-        monolith's ``nsmallest``. ``exclude`` drops pools already probed
-        this chronon (the non-preemptive second phase). Returns the
-        winning pool ids, best first.
+        monolith's ``nsmallest``. Returns the winning pool ids, best
+        first.
         """
         if budget <= 0 or not proposals:
             return np.zeros(0, dtype=np.int64)
@@ -222,10 +224,6 @@ class ShardCoordinator:
         pools = np.concatenate([pools for _keys, pools in proposals])
         if keys.size == 0:
             return np.zeros(0, dtype=np.int64)
-        if exclude is not None and exclude.size:
-            keep = ~np.isin(pools, exclude)
-            keys = keys[keep]
-            pools = pools[keep]
         order = np.argsort(keys)
         return pools[order[:min(budget, pools.size)]]
 

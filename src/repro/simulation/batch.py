@@ -81,6 +81,7 @@ from repro.online.medf import MEDFPolicy
 from repro.online.mrsf import MRSFPolicy
 from repro.online.sedf import SEDFPolicy
 from repro.simulation.columnar import (
+    ActivityWindow,
     BatchUnsupported,
     ColumnarInstance,
     INF_KEY,
@@ -607,7 +608,102 @@ class _FaultPlane:
 # The chronon-major loop
 # ----------------------------------------------------------------------
 
-def _advance(col: ColumnarInstance, lane_objs: list[_Lane]):
+def _candidate_keys(hi: np.ndarray, kind_rows: dict[str, np.ndarray],
+                    col: ColumnarInstance, win: ActivityWindow,
+                    alo: int, ahi: int, T: int, cand: np.ndarray,
+                    gs_local: np.ndarray, cap_count: np.ndarray,
+                    capsum: np.ndarray | None) -> None:
+    """Score: fill ``hi`` (lanes x the chronon's activity entries
+    ``[alo, ahi)`` of ``win``) with each lane's candidate keys — (score,
+    finish, start) packed int64, the score being the lane's policy kind
+    at chronon ``T`` given the lane's capture aggregates."""
+    fs_bits = col.fs_bits
+    for kind, rows in kind_rows.items():
+        if kind not in _DYNAMIC_KINDS:
+            hi[rows] = win.hi_static[kind][alo:ahi]
+        elif kind == "mrsf":
+            capg = cap_count[rows[:, None], win.ps_act[None, alo:ahi]]
+            hi[rows] = win.hi_static["srank"][alo:ahi] - (capg << fs_bits)
+        elif kind == "anti":
+            capg = cap_count[rows[:, None], win.ps_act[None, alo:ahi]]
+            hi[rows] = win.hi_static["anti"][alo:ahi] + (capg << fs_bits)
+        elif kind == "coverage":
+            # Coverage scores -len(pool) over the *full* candidate
+            # index (both NP pools), offset to n_max - len(pool).
+            n_tot = np.add.reduceat(
+                cand[rows], gs_local, axis=1).astype(np.int64)
+            hi[rows] = (((col.n_max - n_tot[:, win.grp_of[alo:ahi]])
+                         << fs_bits) + win.finstart_act[alo:ahi])
+        elif kind == "medf":
+            rc = rows[:, None]
+            pc = win.ps_act[None, alo:ahi]
+            # Lane-independent part first (A-sized, not lanes x A).
+            base = (win.init_sum_act[alo:ahi] + col.medf_off
+                    - T * win.started_act[alo:ahi])
+            score = (base - capsum[rc, pc]) + T * cap_count[rc, pc]
+            hi[rows] = (score << fs_bits) + win.finstart_act[alo:ahi]
+        else:  # pragma: no cover - _make_lanes already screened kinds
+            raise BatchUnsupported(f"unknown kind {kind!r}")
+
+
+def _pool_keys(col: ColumnarInstance, pool: np.ndarray, hi: np.ndarray,
+               gs_local: np.ndarray, grids: np.ndarray,
+               blocked: np.ndarray | None) -> np.ndarray:
+    """Rank: one key per (row, resource pool) — the pool's best candidate
+    key and its size, packed by :meth:`ColumnarInstance.resource_key`;
+    ``INF_KEY`` where ``pool`` (rows x entries) holds no candidate."""
+    masked = np.where(pool, hi, INF_KEY)
+    best = np.minimum.reduceat(masked, gs_local, axis=1)
+    pool_n = np.add.reduceat(pool, gs_local, axis=1).astype(np.int64)
+    key = col.resource_key(best, pool_n, grids)
+    # Quarantined resources drop out of selection *after* pool sizes
+    # are packed — the fast engine filters its cached pool the same
+    # way, leaving the -len(pool) key component untouched.
+    if blocked is not None:
+        key[blocked] = INF_KEY
+    return key
+
+
+def _take_smallest(key: np.ndarray, need: np.ndarray, kmax: int,
+                   ramp: np.ndarray):
+    """Select: each row's ``need`` smallest valid keys, as ``(rows,
+    pools, positions)`` columns — per row best first, so ``positions``
+    is the row's decision order (the fault plane's rate limit is
+    positional). ``kmax`` bounds every ``need``; ``ramp`` is an index
+    ramp at least as long as either axis of ``key``.
+
+    ``INF_KEY`` (empty pool) sorts last, so the first ``need`` valid
+    slots of the sorted order are exactly the fast engine's nsmallest
+    picks. A full argsort beats the argpartition + small-sort chain
+    until there are well into the hundreds of pools (measured crossover
+    ~200).
+    """
+    G = key.shape[1]
+    take = min(kmax, G)
+    row_col = ramp[:key.shape[0], None]
+    if G <= 192:
+        order = np.argsort(key, axis=1)[:, :take]
+    else:
+        part = np.argpartition(key, take - 1, axis=1)[:, :take]
+        order = part[row_col, np.argsort(key[row_col, part], axis=1)]
+    sel = (key[row_col, order] != INF_KEY) & (ramp[None, :take]
+                                              < need[:, None])
+    rr, cc = np.nonzero(sel)
+    return rr, order[rr, cc], cc
+
+
+def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
+             select=None, settle=None):
+    """Run every lane over ``col``'s windows; -> per lane ``(lane,
+    schedule, capture counts, alive row, fault stats)``.
+
+    Two private seams, for :func:`repro.simulation.shard.federated_run`:
+    ``select(key, need, kmax, grids)`` stands in for
+    :func:`_take_smallest` (``grids``: the pools' resource ids), and
+    ``settle(k_arr, rows, rids)`` is told each chronon's decisions —
+    lane rows and resource ids, all of them, before the fault plane
+    executes any — given the chronon's per-lane budgets.
+    """
     L = len(lane_objs)
     S, E = col.S, col.E
     # Capture state is kept *inverted* (alive = still uncaptured) so the
@@ -640,6 +736,7 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane]):
             dtype=np.int64)
     medf_rows = kind_rows.get("medf")
     need_medf = medf_rows is not None
+    capsum = None
     if need_medf:
         capsum = np.zeros((L, S), dtype=np.int64)
         capsum_flat = capsum.reshape(-1)
@@ -657,16 +754,15 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane]):
         else:
             budgets[i] = [ln.budget.at(int(T)) for T in col.act_chronons]
 
-    fs_bits = col.fs_bits
-    n_max = col.n_max
-    medf_off = col.medf_off
     hi2d = np.empty((L, 0), dtype=np.int64)
-    lane_col = np.arange(L)[:, None]
-    col_idx = np.arange(max(col.g_max, 1), dtype=np.int64)
+    if select is None:
+        ramp = np.arange(max(L, col.g_max, 1), dtype=np.int64)
+
+        def select(key, need, kmax, _grids):
+            return _take_smallest(key, need, kmax, ramp)
     # Scalar per-chronon reads go through plain Python lists — ndarray
     # scalar indexing costs several times more in the hot loop.
     kmax_per_t = budgets.max(axis=0).tolist()
-    resource_key = col.resource_key
 
     # (chronon, lane rows, resource ids) per chronon with probes; grouped
     # into per-lane schedules once after the loop.
@@ -691,10 +787,6 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane]):
         grp_starts = win.grp_starts
         grp_rid = win.grp_rid
         grp_of_flat = win.grp_of
-        finstart_flat = win.finstart_act
-        hi_static = win.hi_static
-        started_flat = win.started_act
-        init_flat = win.init_sum_act
         fin_flat = win.fin_act
         for ti in range(win.n_act):
             T = act_chronons[ti]
@@ -734,7 +826,6 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane]):
             gs_local = grp_starts[glo:ghi] - alo
             grids = grp_rid[glo:ghi]
             grp_of = grp_of_flat[alo:ahi]
-            finstart = finstart_flat[alo:ahi]
 
             cand = alive[:, ae]
             if doom_rows.size:
@@ -742,38 +833,11 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane]):
             if not cand.any():
                 continue
 
-            # Per-lane candidate keys (score, finish, start) packed int64.
             if hi2d.shape[1] < A:
                 hi2d = np.empty((L, A), dtype=np.int64)
             hi = hi2d[:, :A]
-            for kind, rows in kind_rows.items():
-                if kind not in _DYNAMIC_KINDS:
-                    hi[rows] = hi_static[kind][alo:ahi]
-                elif kind == "mrsf":
-                    capg = cap_count[rows[:, None], ps[None, :]]
-                    hi[rows] = (hi_static["srank"][alo:ahi]
-                                - (capg << fs_bits))
-                elif kind == "anti":
-                    capg = cap_count[rows[:, None], ps[None, :]]
-                    hi[rows] = (hi_static["anti"][alo:ahi]
-                                + (capg << fs_bits))
-                elif kind == "coverage":
-                    # Coverage scores -len(pool) over the *full* candidate
-                    # index (both NP pools), offset to n_max - len(pool).
-                    n_tot = np.add.reduceat(
-                        cand[rows], gs_local, axis=1).astype(np.int64)
-                    hi[rows] = (((n_max - n_tot[:, grp_of]) << fs_bits)
-                                + finstart)
-                elif kind == "medf":
-                    rc = rows[:, None]
-                    pc = ps[None, :]
-                    # Lane-independent part first (A-sized, not lanes x A).
-                    base = (init_flat[alo:ahi] + medf_off
-                            - T * started_flat[alo:ahi])
-                    score = (base - capsum[rc, pc]) + T * cap_count[rc, pc]
-                    hi[rows] = (score << fs_bits) + finstart
-                else:  # pragma: no cover - _make_lanes already screened kinds
-                    raise BatchUnsupported(f"unknown kind {kind!r}")
+            _candidate_keys(hi, kind_rows, col, win, alo, ahi, T, cand,
+                            gs_local, cap_count, capsum)
 
             # Phase 1 pools: preemptive lanes see every candidate;
             # non-preemptive lanes only candidates of committed states.
@@ -786,48 +850,18 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane]):
                 pool[np_rows] &= comm_np
             else:
                 pool = cand
-
-            masked = np.where(pool, hi, INF_KEY)
-            best = np.minimum.reduceat(masked, gs_local, axis=1)
-            pool_n = np.add.reduceat(pool, gs_local, axis=1).astype(np.int64)
-            res_key = resource_key(best, pool_n, grids)
-            # Quarantined resources drop out of selection *after* pool sizes
-            # are packed — the fast engine filters its cached pool the same
-            # way, leaving the -len(pool) key component untouched.
             blocked = plane.blocked(grids, T) if plane is not None else None
-            if blocked is not None:
-                res_key[blocked] = INF_KEY
-
-            # Each lane takes its k_l smallest rank keys; INF_KEY (empty
-            # pool) sorts last, so the first k_l valid slots of the sorted
-            # order are exactly the fast engine's nsmallest picks. A full
-            # argsort beats the argpartition + small-sort chain until G is
-            # well into the hundreds (measured crossover ~200).
-            take = min(kmax, G)
-            if G <= 192:
-                order = np.argsort(res_key, axis=1)[:, :take]
-            else:
-                part = np.argpartition(res_key, take - 1, axis=1)[:, :take]
-                order = part[lane_col, np.argsort(res_key[lane_col, part],
-                                                  axis=1)]
-            ranked = res_key[lane_col, order]
-            sel = (ranked != INF_KEY) & (col_idx[:take][None, :]
-                                         < k_arr[:, None])
+            pr_rows, pr_gs, pr_pos = select(
+                _pool_keys(col, pool, hi, gs_local, grids, blocked),
+                k_arr, kmax, grids)
             picks = np.zeros((L, G), dtype=bool)
-            rr, cc = np.nonzero(sel)
-            gids = order[rr, cc]
-            picks[rr, gids] = True
-            pr_rows, pr_gs = rr, gids
-            # Valid picks are a contiguous prefix of each lane's sorted
-            # order, so cc IS the lane's decision position — which the fault
-            # plane needs for the positional rate limit.
-            pr_pos = cc
-            n1 = rr.size
+            picks[pr_rows, pr_gs] = True
+            n1 = pr_rows.size
 
             # Phase 2: non-preemptive lanes spend leftover budget on fresh
             # (uncommitted) states, excluding already-probed resources.
             if np_rows.size:
-                d1 = sel.sum(axis=1)
+                d1 = np.bincount(pr_rows, minlength=L)
                 left = ((k_arr[np_rows] > d1[np_rows])
                         & (k_arr[np_rows] > 0))
                 rows2 = np_rows[left]
@@ -835,38 +869,24 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane]):
                 rows2 = np_rows
             if rows2.size:
                 pool2 = cand[rows2] & ~comm_np[left]
-                masked2 = np.where(pool2, hi[rows2], INF_KEY)
-                best2 = np.minimum.reduceat(masked2, gs_local, axis=1)
-                n2 = np.add.reduceat(pool2, gs_local, axis=1).astype(np.int64)
-                key2 = resource_key(best2, n2, grids)
-                if blocked is not None:
-                    key2[blocked[rows2]] = INF_KEY
+                key2 = _pool_keys(
+                    col, pool2, hi[rows2], gs_local, grids,
+                    blocked[rows2] if blocked is not None else None)
                 key2[picks[rows2]] = INF_KEY
-                need = k_arr[rows2] - d1[rows2]
-                nmax2 = int(need.max())
-                take2 = min(nmax2, G)
-                row2_col = np.arange(rows2.size)[:, None]
-                if G <= 192:
-                    order2 = np.argsort(key2, axis=1)[:, :take2]
-                else:
-                    part2 = np.argpartition(key2, take2 - 1,
-                                            axis=1)[:, :take2]
-                    order2 = part2[row2_col,
-                                   np.argsort(key2[row2_col, part2], axis=1)]
-                ranked2 = key2[row2_col, order2]
-                sel2 = (ranked2 != INF_KEY) & (col_idx[:take2][None, :]
-                                               < need[:, None])
-                rr2, cc2 = np.nonzero(sel2)
-                gids2 = order2[rr2, cc2]
-                picks[rows2[rr2], gids2] = True
-                pr_rows = np.concatenate((pr_rows, rows2[rr2]))
+                rr2, gids2, cc2 = select(key2, k_arr[rows2] - d1[rows2],
+                                         kmax, grids)
+                rr2 = rows2[rr2]
+                picks[rr2, gids2] = True
+                pr_rows = np.concatenate((pr_rows, rr2))
                 pr_gs = np.concatenate((pr_gs, gids2))
                 # Phase-2 decision positions continue after phase 1's.
-                pr_pos = np.concatenate((pr_pos, d1[rows2[rr2]] + cc2))
+                pr_pos = np.concatenate((pr_pos, d1[rr2] + cc2))
 
             # Captures: a probed resource yields *every* candidate on it.
             if pr_rows.size == 0:
                 continue
+            if settle is not None:
+                settle(k_arr, pr_rows, grids[pr_gs])
             if plane is None:
                 probe_log.append((T, pr_rows, grids[pr_gs]))
                 er, ec = np.nonzero(cand & picks[:, grp_of])
@@ -898,7 +918,8 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane]):
                         g = int(pr_gs[jj])
                         lo2 = int(gs_local[g])
                         hi2 = int(gs_local[g + 1]) if g + 1 < G else A
-                        keys = masked2[int(row2_of[i]), lo2:hi2]
+                        keys = np.where(pool2[int(row2_of[i]), lo2:hi2],
+                                        hi[i, lo2:hi2], INF_KEY)
                         # The selected candidate is the segment's key min —
                         # key-equal ties resolved by the fast engine's
                         # (pid, tid, seq, ei_id) candidate order, which the
@@ -923,9 +944,8 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane]):
         # One window in flight: the generator builds the next window
         # when the loop asks for it, so let go of this one first — its
         # columns and the last chronon's views into them.
-        del (win, act_e, ps_act, grp_starts, grp_rid, grp_of_flat,
-             finstart_flat, hi_static, started_flat, init_flat, fin_flat)
-        ae = ps = pc = grids = grp_of = finstart = None
+        del win, act_e, ps_act, grp_starts, grp_rid, grp_of_flat, fin_flat
+        ae = ps = grids = grp_of = None
 
     # Group the probe log into per-lane, per-resource chronon sets — the
     # exact shape Schedule stores. Insertion order is irrelevant:

@@ -2,14 +2,16 @@
 
 :func:`~repro.simulation.shard.federated_run` partitions the resource
 catalog over K proxy shards and lets a coordinator merge the shards'
-per-chronon proposals; it exists purely as a throughput optimization, so
-for ANY shard count the merged schedule must reproduce the monolith fast
-engine probe for probe — each shard proposes its top-C packed rank keys
-and the keys embed the monolith's full tie-break order, so the global
-top-C is the monolith's selection exactly (``docs/ALGORITHMS.md`` §15).
-These properties drive random profile sets over K=1..4 (with only four
-resources, higher K leaves shards empty — a good edge), fault-free and
-faulty both, plus the budget-stealing ledger's conservation identities.
+per-chronon proposals; it models where work and budget go, never what
+is scheduled, so for ANY shard count the merged schedule must reproduce
+the reference simulator probe for probe — each shard proposes its top-C
+packed rank keys and the keys embed the monolith's full tie-break order,
+so the global top-C is the monolith's selection exactly
+(``docs/ALGORITHMS.md`` §15). These properties drive random profile sets
+over K=1..4 (with only four resources, higher K leaves shards empty — a
+good edge), fault-free and faulty both, against the reference and, one
+leg, against the one-lane block whose select step the federation
+replaces, plus the budget-stealing ledger's conservation identities.
 """
 
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 from repro.core import BudgetVector
 from repro.faults import FaultInjector
 from repro.online.registry import parse_policy_spec
-from repro.simulation import federated_run, run_online
+from repro.simulation import federated_run, run_block, run_online
+from repro.simulation.batch import FaultLane
 
 from tests.properties.strategies import epoch, fault_specs, profile_sets
 from tests.properties.test_prop_batch import (
@@ -28,16 +31,17 @@ from tests.properties.test_prop_batch import (
 )
 from tests.properties.test_prop_batch_faults import (
     FAULT_POLICIES,
+    _assert_same_faulty_run,
     _make_breaker,
     breaker_params,
     retry_configs,
 )
 
 
-def _fast(profiles, spec, budget, **kwargs):
+def _reference(profiles, spec, budget, **kwargs):
     policy, preemptive = parse_policy_spec(spec)
     return run_online(profiles, epoch(), budget, policy,
-                      preemptive=preemptive, engine="fast", **kwargs)
+                      preemptive=preemptive, engine="reference", **kwargs)
 
 
 def _federated(profiles, spec, budget, shards, **kwargs):
@@ -79,7 +83,7 @@ class TestFederationEquivalence:
         identical to the monolith proxy for shard counts 1-4."""
         spec = BATCH_SPECS[spec_index]
         federated = _federated(profiles, spec, budget, shards)
-        _assert_same_run(_fast(profiles, spec, budget), federated.result)
+        _assert_same_run(_reference(profiles, spec, budget), federated.result)
         assert federated.shards == shards
         _assert_accounting(federated)
 
@@ -92,7 +96,7 @@ class TestFederationEquivalence:
         split — the coordinator's merge is policy-agnostic."""
         for spec in BATCH_SPECS[::2]:
             federated = _federated(profiles, spec, budget, shards)
-            _assert_same_run(_fast(profiles, spec, budget),
+            _assert_same_run(_reference(profiles, spec, budget),
                              federated.result)
 
     @given(profiles=profile_sets(max_profiles=4),
@@ -104,14 +108,14 @@ class TestFederationEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_faulty_run_identities(self, profiles, spec, policy_index,
                                    budget, shards, retry, breaker):
-        """Under faults the federation must still match the fast engine
+        """Under faults the federation must still match the reference
         probe for probe — failures, retries and quarantine included —
         and the GC/accounting identities must hold."""
         label = FAULT_POLICIES[policy_index]
         budget = BudgetVector(budget)
-        fast = _fast(profiles, label, budget,
-                     faults=FaultInjector(spec), retry=retry,
-                     breaker=_make_breaker(breaker))
+        fast = _reference(profiles, label, budget,
+                          faults=FaultInjector(spec), retry=retry,
+                          breaker=_make_breaker(breaker))
         federated = _federated(profiles, label, budget, shards,
                                faults=FaultInjector(spec), retry=retry,
                                breaker=_make_breaker(breaker))
@@ -121,6 +125,39 @@ class TestFederationEquivalence:
         assert result.retries == fast.retries
         assert result.resources_quarantined == fast.resources_quarantined
         assert result.gc == fast.gc
+        _assert_accounting(federated)
+
+    @given(profiles=profile_sets(max_profiles=4),
+           spec=st.none() | fault_specs(with_per_resource=True),
+           policy_index=st.integers(0, len(FAULT_POLICIES) - 1),
+           budget=st.integers(1, 3),
+           shards=st.integers(1, 4),
+           retry=retry_configs(), breaker=breaker_params())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_one_lane_block(self, profiles, spec, policy_index,
+                                       budget, shards, retry, breaker):
+        """The federation is the block kernel with another select step:
+        the kernel's own select gives the same run — fault counters,
+        recorded fault trace and breaker end state included."""
+        label = FAULT_POLICIES[policy_index]
+        budget = BudgetVector(budget)
+
+        def layers():
+            if spec is None:
+                return None, None, None
+            return FaultInjector(spec), retry, _make_breaker(breaker)
+
+        policy, preemptive = parse_policy_spec(label)
+        block_layers = layers()
+        block, = run_block(profiles, epoch(), [
+            (policy, preemptive, budget, 0, FaultLane(*block_layers))])
+        fed_faults, fed_retry, fed_breaker = layers()
+        federated = _federated(profiles, label, budget, shards,
+                               faults=fed_faults, retry=fed_retry,
+                               breaker=fed_breaker)
+        _assert_same_faulty_run(block, federated.result,
+                                (block_layers[0], block_layers[2]),
+                                (fed_faults, fed_breaker))
         _assert_accounting(federated)
 
     @given(profiles=profile_sets(max_profiles=4),

@@ -176,12 +176,6 @@ class TestShardCoordinator:
         winners = ShardCoordinator.merge_proposals(proposals, 3)
         assert winners.tolist() == [40, 50, 30]
 
-    def test_merge_proposals_respects_exclusions(self):
-        proposals = [(np.array([1, 2, 3]), np.array([7, 8, 9]))]
-        winners = ShardCoordinator.merge_proposals(
-            proposals, 2, exclude=np.array([7]))
-        assert winners.tolist() == [8, 9]
-
     def test_merge_proposals_empty_cases(self):
         assert ShardCoordinator.merge_proposals([], 3).size == 0
         empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))

@@ -1,8 +1,9 @@
 """Tests for the federated (sharded) simulation engine.
 
 The acceptance bar: a federated run is probe-for-probe identical to the
-monolith engines at every shard count — K=1 especially, the ISSUE's
-explicit criterion — with the coordinator ledgers conserving budget.
+reference simulator at every shard count — K=1 especially, the ISSUE's
+explicit criterion — and to the one-lane block whose select step it
+replaces, with the coordinator ledgers conserving budget.
 """
 
 import pytest
@@ -15,8 +16,10 @@ from repro.simulation import (
     BatchUnsupported,
     FederatedResult,
     federated_run,
+    run_block,
     run_online,
 )
+from repro.simulation.batch import FaultLane
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.federation import federation_sweep
 from repro.experiments.harness import make_instance
@@ -32,13 +35,26 @@ def instance():
     return profiles
 
 
-def _run_pair(profiles, spec, shards, kwargs_factory=dict):
+def _one_lane_block(profiles, spec, kwargs):
+    policy, preemptive = parse_policy_spec(spec)
+    fault = FaultLane(**kwargs) if kwargs else None
+    (result,) = run_block(profiles, CONFIG.epoch, [
+        (policy, preemptive, CONFIG.budget_vector, 0, fault)])
+    return result
+
+
+def _run_pair(profiles, spec, shards, kwargs_factory=dict,
+              against="reference"):
     # Fault objects (breakers especially) are stateful: build a fresh
     # set per run so the two engines start from identical clean slates.
-    policy, preemptive = parse_policy_spec(spec)
-    reference = run_online(profiles, CONFIG.epoch, CONFIG.budget_vector,
-                           policy, preemptive=preemptive, engine="fast",
-                           **kwargs_factory())
+    if against == "block":
+        reference = _one_lane_block(profiles, spec, kwargs_factory())
+    else:
+        policy, preemptive = parse_policy_spec(spec)
+        reference = run_online(profiles, CONFIG.epoch,
+                               CONFIG.budget_vector, policy,
+                               preemptive=preemptive, engine=against,
+                               **kwargs_factory())
     policy, preemptive = parse_policy_spec(spec)
     federated = federated_run(profiles, CONFIG.epoch,
                               CONFIG.budget_vector, policy,
@@ -75,7 +91,6 @@ class TestMonolithIdentity:
             _assert_same(reference, federated)
 
     def test_reference_engine_identity(self, instance):
-        """Transitively: federated == fast == reference engine."""
         policy, preemptive = parse_policy_spec("MRSF(P)")
         reference = run_online(instance, CONFIG.epoch,
                                CONFIG.budget_vector, policy,
@@ -112,6 +127,24 @@ class TestFaultIdentity:
         assert result.resources_quarantined == \
             reference.resources_quarantined
 
+    @pytest.mark.parametrize("faulty", [False, True])
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("spec", ["M-EDF(P)", "S-EDF(NP)",
+                                      "COVERAGE(NP)"])
+    def test_one_lane_block_identical(self, instance, spec, shards,
+                                      faulty):
+        """The federation replaces the block kernel's select step and
+        nothing else: same run as the block's own select."""
+        kwargs = self._fault_kwargs if faulty else dict
+        block, federated = _run_pair(instance, spec, shards, kwargs,
+                                     against="block")
+        _assert_same(block, federated)
+        result = federated.result
+        assert (result.probes_failed, result.retries,
+                result.resources_quarantined) == (
+            block.probes_failed, block.retries,
+            block.resources_quarantined)
+
 
 class TestAccounting:
     def test_ledger_conserves_budget(self, instance):
@@ -146,6 +179,26 @@ class TestAccounting:
         assert federated.shards == 3
         assert sum(coordinator.probes_routed) == \
             federated.result.probes_used
+
+    def test_used_coordinator_is_refused(self, instance):
+        """A second run on one coordinator would return loads that sum
+        both runs; it is refused before anything is lowered."""
+        coordinator = ShardCoordinator(4)
+        policy = parse_policy_spec("M-EDF(P)")[0]
+        first = federated_run(instance, CONFIG.epoch,
+                              CONFIG.budget_vector, policy,
+                              coordinator=coordinator)
+        booked = sum(load.nominal_budget for load in first.loads)
+        assert booked > 0
+        with pytest.raises(ValueError,
+                           match=f"ledger already holds {booked} budget "
+                                 "units from an earlier run; pass a "
+                                 "fresh ShardCoordinator"):
+            federated_run(instance, CONFIG.epoch, CONFIG.budget_vector,
+                          policy, coordinator=coordinator)
+        assert tuple(coordinator.loads(
+            resources=[load.resources for load in first.loads])) == \
+            first.loads
 
     def test_coordinator_run_wrapper(self, instance):
         coordinator = ShardCoordinator(2)

@@ -1,0 +1,114 @@
+"""The seam between the block kernel and the federation.
+
+``batch._advance`` turns a chronon's rank keys into picks through one
+select step, :func:`~repro.simulation.batch._take_smallest`;
+:func:`~repro.simulation.shard.federated_run` is the same kernel with
+that step replaced by the propose/merge protocol. Two things pin the
+seam itself rather than a whole run: the k-way selection identity
+(``docs/ALGORITHMS.md`` §15) on raw key rows, and the shape of the hook
+— one kernel entry per federated run, one ledger settlement per chronon
+that decided anything.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.experiments.harness import make_instance
+from repro.faults import CircuitBreaker, FaultInjector, FaultSpec, RetryConfig
+from repro.online.registry import parse_policy_spec
+from repro.runtime import ShardCoordinator
+from repro.simulation import federated_run, shard
+from repro.simulation.batch import _take_smallest
+from repro.simulation.columnar import INF_KEY
+
+from tests.simulation.test_federated_engine import CONFIG
+
+
+@st.composite
+def selections(draw):
+    """A key row with holes, an owner map, a need and its bound."""
+    # Above 192 pools the take is an argpartition, not a full argsort.
+    pools = draw(st.integers(1, 12) | st.sampled_from([193, 230]))
+    # Rank keys end in the resource id, so the valid ones are distinct.
+    values = draw(st.lists(st.integers(0, 1 << 40), min_size=pools,
+                           max_size=pools, unique=True))
+    holes = draw(st.lists(st.booleans(), min_size=pools, max_size=pools))
+    key = np.array([[INF_KEY if hole else value
+                     for value, hole in zip(values, holes)]],
+                   dtype=np.int64)
+    shards = draw(st.integers(1, pools + 3))
+    shard_of = np.array(draw(st.lists(st.integers(0, shards - 1),
+                                      min_size=pools, max_size=pools)),
+                        dtype=np.int64)
+    need = draw(st.integers(0, pools + 2))
+    # The kernel passes the chronon's largest budget: >= need, >= 1.
+    kmax = max(need, 1) + draw(st.integers(0, 2))
+    return key, shard_of, shards, need, kmax
+
+
+class TestKWaySelection:
+    @given(selections())
+    @settings(max_examples=300, deadline=None)
+    def test_propose_and_merge_is_take_smallest(self, selection):
+        """Per-shard top-``need`` + the coordinator's merge is the whole
+        row's top-``need`` — same pools, same order, same positions —
+        with empty pools never picked and shards left without a pool
+        (K > pools) proposing nothing."""
+        key, shard_of, shards, need, kmax = selection
+        ramp = np.arange(key.shape[1], dtype=np.int64)
+        need_arr = np.array([need], dtype=np.int64)
+        whole = _take_smallest(key, need_arr, kmax, ramp)
+        merged = shard._propose_and_merge(key, need_arr, kmax, shard_of,
+                                          shards, ramp)
+        for got, want in zip(merged, whole):
+            assert got.tolist() == want.tolist()
+        valid = int((key != INF_KEY).sum())
+        assert merged[1].size == min(need, valid)
+        assert (key[0, merged[1]] != INF_KEY).all()
+
+
+class TestOneKernelEntry:
+    def test_one_advance_and_one_settle_per_deciding_chronon(
+            self, monkeypatch):
+        """A federated run enters the block kernel once, and the ledger
+        is settled once per chronon that made decisions — both NP phases
+        in one booking, probes that went on to fail included."""
+        _trace, instance = make_instance(CONFIG, 0)
+        entries = []
+        advance = shard._advance
+
+        def counting_advance(*args, **kwargs):
+            entries.append(1)
+            return advance(*args, **kwargs)
+
+        monkeypatch.setattr(shard, "_advance", counting_advance)
+        settled = []
+
+        class CountingCoordinator(ShardCoordinator):
+            def settle(self, budget, demand):
+                settled.append((budget, sum(demand)))
+                return super().settle(budget, demand)
+
+        injector = FaultInjector(FaultSpec(
+            failure_probability=0.3, timeout_probability=0.1, seed=11))
+        policy, preemptive = parse_policy_spec("S-EDF(NP)")
+        coordinator = CountingCoordinator(4)
+        federated = federated_run(
+            instance, CONFIG.epoch, CONFIG.budget_vector, policy,
+            preemptive=preemptive, coordinator=coordinator,
+            faults=injector, retry=RetryConfig(max_retries=2),
+            breaker=CircuitBreaker(failure_threshold=2, cooldown=5))
+
+        assert len(entries) == 1
+        # The recording injector saw every first attempt, failed or not.
+        first_attempts = [record.chronon for record in injector.trace
+                          if record.attempt == 0]
+        assert len(settled) == len(set(first_attempts)) > 0
+        assert sum(decided for _budget, decided in settled) == \
+            len(first_attempts)
+        assert all(0 < decided <= budget for budget, decided in settled)
+        result = federated.result
+        assert result.probes_failed > 0 and result.retries > 0
+        assert sum(coordinator.probes_routed) == \
+            result.probes_used + result.probes_failed - result.retries
