@@ -35,7 +35,7 @@ def provenance_header(script: str) -> dict:
     """The common header block for a benchmark report.
 
     ``script`` is the file name of the benchmark (e.g.
-    ``"bench_engine.py"``); it lands in ``generated_by`` with the
+    ``"bench_batch.py"``); it lands in ``generated_by`` with the
     ``benchmarks/`` prefix.
     """
     return {

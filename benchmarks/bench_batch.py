@@ -1,22 +1,22 @@
-"""Columnar batch engine vs. fast engine on full-figure sweeps.
+"""What sharing a block buys: one shared block vs. a block per run.
 
 Measures the wall time of a figure-shaped budget sweep — every policy of
 the paper's headline line-up x every budget value x every repetition,
-all sharing generated instances — through the harness twice: once with
-the per-combination fast engine, once with the columnar batch engine
-(``engine="batch"``), and writes the numbers to
+all sharing generated instances — through the harness twice on the same
+kernel: once with every (policy, budget) run a one-lane block of its own
+(``engine="solo"``), once with the runs of a repetition as the lanes of
+one block (``engine="batch"``). One variable changes — sharing — so the
+ratio is what the lanes save (one lowering, one activity pass, one
+Python loop), not one engine against another. Writes the numbers to
 ``BENCH_batch.json``::
 
     PYTHONPATH=src python benchmarks/bench_batch.py \
         --output BENCH_batch.json
 
-The ``target`` scale (epoch 200, 50 resources, 60 profiles) matches
-``bench_engine``; there the sweep is one columnar block of policies x
-budgets (20) lanes per repetition — three blocks over three lowerings.
-It takes about 0.2 s, which is the side of the size range where one
-block over all repetitions was cheaper (EXPERIMENTS.md, "Repetitions:
-where the time went"): the tracked ratio reads ~2.3x where the packed
-block read 3.1-3.25x. Both paths produce
+At the ``target`` scale (epoch 200, 50 resources, 60 profiles) the
+sweep is one columnar block of policies x budgets (20) lanes per
+repetition — three blocks over three lowerings — against 60 one-lane
+blocks. Both paths produce
 identical gained-completeness series (asserted on every round). The
 instance cache is warmed before timing so the numbers isolate
 simulation, not generation.
@@ -44,8 +44,8 @@ except ImportError:  # run as a top-level script (python benchmarks/...)
 
 __all__ = ["bench_figure_sweep", "main"]
 
-#: Scales mirror bench_engine's; every repetition is a block of its own
-#: (the acceptance scale is ``target``).
+#: Every repetition is a block of its own (the acceptance scale is
+#: ``target``).
 SCALES: dict[str, ExperimentConfig] = {
     "tiny": ExperimentConfig(
         epoch_length=40, num_resources=10, num_profiles=12, intensity=5.0,
@@ -60,7 +60,7 @@ _BUDGETS = [1, 2, 3, 4, 5]
 
 def bench_figure_sweep(scale: str, rounds: int = 5,
                        policies=DEFAULT_POLICIES) -> dict:
-    """Median fast vs. batch wall time of one full budget sweep."""
+    """Median solo vs. batch wall time of one full budget sweep."""
     config = SCALES[scale]
 
     def run_once(engine: str):
@@ -70,36 +70,36 @@ def bench_figure_sweep(scale: str, rounds: int = 5,
         return time.perf_counter() - started, result
 
     # Warm the instance cache (and numpy) outside the timed region.
-    _, reference = run_once("fast")
-    fast_times = []
+    _, reference = run_once("solo")
+    solo_times = []
     batch_times = []
     for _ in range(rounds):
-        seconds, outcome = run_once("fast")
-        fast_times.append(seconds)
+        seconds, outcome = run_once("solo")
+        solo_times.append(seconds)
         seconds, outcome = run_once("batch")
         batch_times.append(seconds)
         for label in reference.labels():
             if outcome.series(label) != reference.series(label):
                 raise AssertionError(
-                    f"batch sweep diverged from fast on {label}")
-    fast_s = statistics.median(fast_times)
+                    f"batch sweep diverged from solo on {label}")
+    solo_s = statistics.median(solo_times)
     batch_s = statistics.median(batch_times)
     lanes = len(policies) * len(_BUDGETS) * config.repetitions
     return {
         "config": asdict(config),
         "budgets": _BUDGETS,
         "lanes": lanes,
-        "fast_s": fast_s,
+        "solo_s": solo_s,
         "batch_s": batch_s,
-        "speedup": fast_s / batch_s,
+        "speedup": solo_s / batch_s,
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark the columnar batch engine against the fast "
-                    "engine on full-figure sweeps, writing "
-                    "BENCH_batch.json")
+        description="Benchmark one shared columnar block against a "
+                    "one-lane block per run on full-figure sweeps, "
+                    "writing BENCH_batch.json")
     parser.add_argument("--scales", default="tiny,target",
                         help="comma-separated scales to measure "
                              f"(available: {','.join(SCALES)})")
@@ -131,7 +131,7 @@ def main(argv=None) -> int:
         summary = report["scales"][scale]
         print(f"[bench_batch]   speedup {summary['speedup']:.2f}x "
               f"over {summary['lanes']} lanes "
-              f"(fast {summary['fast_s']*1e3:.1f}ms, "
+              f"(solo {summary['solo_s']*1e3:.1f}ms, "
               f"batch {summary['batch_s']*1e3:.1f}ms)",
               file=sys.stderr)
     with open(args.output, "w", encoding="utf-8") as handle:
@@ -143,7 +143,7 @@ def main(argv=None) -> int:
 
 def bench_batch_speedup(benchmark):
     """pytest-benchmark hook: one batch-engine sweep at the tiny scale,
-    and a sanity assertion that it matches the fast engine."""
+    and a sanity assertion that it matches the one-lane blocks."""
     config = SCALES["tiny"]
 
     def run_batch():
@@ -151,10 +151,10 @@ def bench_batch_speedup(benchmark):
                      policies=list(DEFAULT_POLICIES), engine="batch")
 
     batch_result = benchmark.pedantic(run_batch, rounds=3, iterations=1)
-    fast_result = sweep("bench", config, "budget", [1, 2],
-                        policies=list(DEFAULT_POLICIES), engine="fast")
-    for label in fast_result.labels():
-        assert batch_result.series(label) == fast_result.series(label)
+    solo_result = sweep("bench", config, "budget", [1, 2],
+                        policies=list(DEFAULT_POLICIES), engine="solo")
+    for label in solo_result.labels():
+        assert batch_result.series(label) == solo_result.series(label)
 
 
 if __name__ == "__main__":

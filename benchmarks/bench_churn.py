@@ -3,11 +3,15 @@
 Times the same churn-heavy scenario three ways — ``run_churned`` (the
 plan lowered to lifetimes, one lane of the block kernel), the event
 engine splicing every event into its live queues / candidate index
-(``FastProxySimulator.run(churn=plan)``: O(log n + touched) per event,
-what ``run_churned`` falls back to), and that engine with a from-scratch
+(``FastProxySimulator.run(churn=plan)``: O(log n + touched) per event),
+and that engine with a from-scratch
 :meth:`~repro.simulation.engine.FastProxySimulator.rebuild_structures`
-pass after every churn event (the referee) — and asserts the three
-produce probe-for-probe identical results every round. The kernel pays
+pass after every churn event — and asserts the three produce
+probe-for-probe identical results every round. Nothing under
+``src/repro`` reaches the event engine any more: the ``event`` and
+``rebuild`` rows build it here, directly, and leave (with the gated
+``speedup`` and ``columns_vs_event`` keys) when
+``simulation/engine.py`` does. The kernel pays
 some fifty NumPy calls per chronon whatever the instance, so the columns
 lose at ``tiny``, draw at ``target`` and win from there
 (``columns_vs_event``); ``contract`` is the end-to-end benchmark's
@@ -134,24 +138,25 @@ def bench_engine_churn(scale: str, rounds: int = 3) -> dict:
         result = run(policy, preemptive)
         return time.perf_counter() - started, result
 
-    def churned(mode: str, plan=plan):
+    def churned(plan=plan):
         return lambda policy, preemptive: run_churned(
             initial, epoch, budget, policy, plan=plan,
-            preemptive=preemptive, mode=mode)
+            preemptive=preemptive)
 
-    paths = {
-        "event": lambda policy, preemptive: FastProxySimulator(
+    def event_engine(rebuild: bool):
+        # Leaves with simulation/engine.py.
+        return lambda policy, preemptive: FastProxySimulator(
             initial, epoch, budget, policy,
-            preemptive=preemptive).run(churn=plan),
-        "rebuild": churned("rebuild"),
-    }
-    _, reference = timed(churned("incremental"))  # warm-up, outside timing
+            preemptive=preemptive).run(churn=plan, churn_rebuild=rebuild)
+
+    paths = {"event": event_engine(False), "rebuild": event_engine(True)}
+    _, reference = timed(churned())  # warm-up, outside timing
     times: dict[str, list[float]] = {
         name: [] for name in ("columns", "columns_warm", *paths)}
     for _ in range(rounds):
         cold = ChurnPlan.from_columns(plan.columns())
-        for name, run in (("columns", churned("incremental", cold)),
-                          ("columns_warm", churned("incremental", cold)),
+        for name, run in (("columns", churned(cold)),
+                          ("columns_warm", churned(cold)),
                           *paths.items()):
             if name == "columns" and cold._lowering is not None:
                 raise AssertionError(

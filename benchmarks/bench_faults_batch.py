@@ -1,11 +1,14 @@
-"""Batch-engine fault plane vs. fast engine on degradation sweeps.
+"""What sharing a faulty block buys: one block vs. a block per run.
 
 Measures the wall time of the graceful-degradation sweep — every fault
 policy variant x every failure rate x every repetition, with the
 standard retry allowance and circuit breaker — through
-:func:`repro.experiments.faults.fault_sweep` twice: once per-combination
-on the fast engine, once as columnar blocks with the lowered fault
-plane (``engine="batch"``, ALGORITHMS.md §14), and writes the numbers to
+:func:`repro.experiments.faults.fault_sweep` twice on the same kernel
+and the same lowered fault plane (ALGORITHMS.md §14): once with every
+(policy, rate) run a one-lane block of its own (``engine="solo"``), once
+with a repetition's runs as the lanes of one block (``engine="batch"``).
+One variable changes — sharing (one lowering, one activity pass, one
+draw table per spec seed). Writes the numbers to
 ``BENCH_faults.json``::
 
     PYTHONPATH=src python benchmarks/bench_faults_batch.py \
@@ -14,7 +17,7 @@ plane (``engine="batch"``, ALGORITHMS.md §14), and writes the numbers to
 The ``target`` scale (epoch 200, 50 resources, 60 profiles, 3
 repetitions) matches ``bench_batch``; there the whole sweep — 8 policy
 variants x 6 failure rates x 3 repetitions = 144 faulty lanes — runs as
-three columnar blocks of 48 lanes, one per repetition. Both engines
+three columnar blocks of 48 lanes, one per repetition. Both paths
 produce identical
 gained-completeness series (asserted on every round; the fault plane is
 RNG-stream exact, not statistically similar). The instance cache is
@@ -60,7 +63,7 @@ SCALES: dict[str, ExperimentConfig] = {
 
 def bench_fault_sweep(scale: str, rounds: int = 5,
                       rates=DEFAULT_FAILURE_RATES) -> dict:
-    """Median fast vs. batch wall time of one degradation sweep."""
+    """Median solo vs. batch wall time of one degradation sweep."""
     config = SCALES[scale]
 
     def run_once(engine: str):
@@ -69,40 +72,40 @@ def bench_fault_sweep(scale: str, rounds: int = 5,
         return time.perf_counter() - started, result
 
     # Warm the instance cache (and numpy) outside the timed region.
-    _, reference = run_once("fast")
-    fast_times = []
+    _, reference = run_once("solo")
+    solo_times = []
     batch_times = []
     for _ in range(rounds):
-        seconds, outcome = run_once("fast")
-        fast_times.append(seconds)
+        seconds, outcome = run_once("solo")
+        solo_times.append(seconds)
         seconds, outcome = run_once("batch")
         batch_times.append(seconds)
         if outcome.fell_back:
             raise AssertionError(
                 f"{outcome.fell_back} fault lanes fell back to the "
-                "fast engine")
+                "reference")
         for label in reference.labels():
             if outcome.series(label) != reference.series(label):
                 raise AssertionError(
-                    f"batch fault sweep diverged from fast on {label}")
-    fast_s = statistics.median(fast_times)
+                    f"batch fault sweep diverged from solo on {label}")
+    solo_s = statistics.median(solo_times)
     batch_s = statistics.median(batch_times)
     lanes = len(FAULT_POLICY_VARIANTS) * len(rates) * config.repetitions
     return {
         "config": asdict(config),
         "failure_rates": list(rates),
         "lanes": lanes,
-        "fast_s": fast_s,
+        "solo_s": solo_s,
         "batch_s": batch_s,
-        "speedup": fast_s / batch_s,
+        "speedup": solo_s / batch_s,
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark the batch engine's fault plane against "
-                    "the fast engine on graceful-degradation sweeps, "
-                    "writing BENCH_faults.json")
+        description="Benchmark one shared faulty block against a "
+                    "one-lane block per run on graceful-degradation "
+                    "sweeps, writing BENCH_faults.json")
     parser.add_argument("--scales", default="tiny,target",
                         help="comma-separated scales to measure "
                              f"(available: {','.join(SCALES)})")
@@ -134,7 +137,7 @@ def main(argv=None) -> int:
         summary = report["scales"][scale]
         print(f"[bench_faults_batch]   speedup {summary['speedup']:.2f}x "
               f"over {summary['lanes']} faulty lanes "
-              f"(fast {summary['fast_s']*1e3:.1f}ms, "
+              f"(solo {summary['solo_s']*1e3:.1f}ms, "
               f"batch {summary['batch_s']*1e3:.1f}ms)",
               file=sys.stderr)
     with open(args.output, "w", encoding="utf-8") as handle:
@@ -146,8 +149,8 @@ def main(argv=None) -> int:
 
 def bench_faulty_batch_speedup(benchmark):
     """pytest-benchmark hook: one batch-engine degradation sweep at the
-    tiny scale, and a sanity assertion that it matches the fast engine
-    with zero fallbacks."""
+    tiny scale, and a sanity assertion that it matches the one-lane
+    blocks with zero fallbacks."""
     config = SCALES["tiny"]
     rates = (0.0, 0.25, 0.5)
 
@@ -155,10 +158,10 @@ def bench_faulty_batch_speedup(benchmark):
         return fault_sweep(rates=rates, engine="batch", config=config)
 
     batch_result = benchmark.pedantic(run_batch, rounds=3, iterations=1)
-    fast_result = fault_sweep(rates=rates, engine="fast", config=config)
+    solo_result = fault_sweep(rates=rates, engine="solo", config=config)
     assert batch_result.fell_back == 0
-    for label in fast_result.labels():
-        assert batch_result.series(label) == fast_result.series(label)
+    for label in solo_result.labels():
+        assert batch_result.series(label) == solo_result.series(label)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ with the same script against another checkout's ``src`` in as
 ``before``, so one file holds both sides.
 
 The ``target`` scale (epoch 200, 50 resources, 60 profiles) matches the
-tracked engine/offline benches; the PR-5 acceptance bar is a >= 4x
+tracked batch/offline benches; the PR-5 acceptance bar is a >= 4x
 generation speedup there for the default poisson source.
 
 ``--cache-check`` runs the CI smoke assertion instead: a cold and a warm
@@ -202,14 +202,14 @@ def cache_check(scale: str = "tiny") -> int:
     config = SCALES[scale].with_(repetitions=2)
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            cold_cache = configure_instances(cache_dir=tmp, fast=True)
+            cold_cache = configure_instances(cache_dir=tmp)
             cold = run_setting(config)
             cold_stats = cold_cache.stats()
-            warm_cache = configure_instances(cache_dir=tmp, fast=True)
+            warm_cache = configure_instances(cache_dir=tmp)
             warm = run_setting(config)
             warm_stats = warm_cache.stats()
         finally:
-            configure_instances(cache_dir=None, fast=True)
+            configure_instances(cache_dir=None)
     problems = []
     if cold_stats["misses"] == 0 or cold_stats["stores"] == 0:
         problems.append(f"cold pass did not populate the store: "

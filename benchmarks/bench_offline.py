@@ -11,7 +11,7 @@ future changes are compared against a tracked baseline::
         --output BENCH_offline.json
 
 The headline ``target`` scale — epoch 200, 50 resources, 60 profiles —
-is the ``BENCH_engine.json`` target scale restricted to the ``P^[1]``
+is ``bench_batch.py``'s target scale restricted to the ``P^[1]``
 regime the paper evaluates the offline approximation in (``W = 0``,
 ``C = 1``, §5.3/§5.7); ``target-general`` keeps the online bench's
 windowed/overlap shape to exercise the general (augmentation-heavy)
@@ -49,7 +49,7 @@ __all__ = ["bench_local_ratio", "bench_micro", "bench_offline_scaling",
            "main"]
 
 #: Instance scales measured by the offline bench. ``target`` is the
-#: engine-bench scale in the offline (P^[1], C = 1) regime; ``tiny``
+#: batch-bench scale in the offline (P^[1], C = 1) regime; ``tiny``
 #: exists for CI smoke runs.
 SCALES: dict[str, ExperimentConfig] = {
     "tiny": ExperimentConfig(

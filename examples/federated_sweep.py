@@ -36,7 +36,7 @@ CONFIG = ExperimentConfig(
 def sweep_row(profiles, budget):
     policy, preemptive = parse_policy_spec(POLICY)
     monolith = run_online(profiles, CONFIG.epoch, BudgetVector(budget),
-                          policy, preemptive=preemptive, engine="fast")
+                          policy, preemptive=preemptive)
     policy, preemptive = parse_policy_spec(POLICY)
     federated = federated_run(profiles, CONFIG.epoch,
                               BudgetVector(budget), policy,

@@ -53,9 +53,11 @@ _EXPERIMENTS: dict[str, Callable[[str], object]] = {
 }
 
 
-def _served_by(result: RunOutcome | SweepResult) -> str:
-    return (f"# engine={result.engine} fell_back={result.fell_back} "
-            f"blocks={result.blocks}")
+def _print_served_by(result: RunOutcome | SweepResult) -> None:
+    # 'offline' runs solvers only: no engine, no header.
+    if result.engine:
+        print(f"# engine={result.engine} fell_back={result.fell_back} "
+              f"blocks={result.blocks}")
 
 
 def _print_run_outcome(name: str, outcome: RunOutcome, as_csv: bool) -> None:
@@ -68,13 +70,13 @@ def _print_run_outcome(name: str, outcome: RunOutcome, as_csv: bool) -> None:
     ]
     if as_csv:
         print(f"# {name}")
-        print(_served_by(outcome))
+        _print_served_by(outcome)
         print("policy,mean_gc,stdev_gc,mean_runtime_s")
         for label, gc, stdev, runtime in rows:
             timing = runtime if runtime == "" else f"{runtime:.6f}"
             print(f"{label},{gc:.6f},{stdev:.6f},{timing}")
         return
-    print(_served_by(outcome))
+    _print_served_by(outcome)
     print(render_table(
         ["policy", "mean GC", "stdev", "runtime (s)"], rows, title=name))
     print()
@@ -88,10 +90,10 @@ def _print_sweep(result: SweepResult, as_csv: bool,
     for metric in metrics:
         if as_csv:
             print(f"# {result.name} ({metric})")
-            print(_served_by(result))
+            _print_served_by(result)
             print(sweep_csv(result, metric=metric), end="")
         else:
-            print(_served_by(result))
+            _print_served_by(result)
             print(sweep_table(result, metric=metric))
             print()
 
@@ -232,21 +234,17 @@ def build_parser() -> argparse.ArgumentParser:
              "serial path",
     )
     parser.add_argument(
-        "--engine", choices=["fast", "batch", "reference", "rebuild"],
+        "--engine", choices=["batch", "solo", "reference"],
         default=None,
-        help="simulation engine: 'fast' runs one combination at a "
-             "time, 'batch' runs the cells sharing a generated "
-             "instance as one columnar block (identical results), "
-             "'reference' is the executable specification; for "
-             "'churn', 'fast' and 'batch' both name the default path "
-             "(the plan lowered to columns and run on the block "
-             "kernel, the event engine where the columns cannot serve "
-             "a run) and the referees are 'rebuild' (the event engine "
-             "rebuilding its structures from scratch after every "
-             "event) and 'reference' (the live proxy); by "
-             f"default the GC sweeps run on '{DEFAULT_ENGINE}' and the "
-             "runtime-reporting experiments (table1, fig3, fig5, "
-             "offline) time each policy in its own 'fast' run",
+        help="what runs the online policy runs: 'batch' runs those "
+             "sharing a generated instance as lanes of one columnar "
+             "block, 'solo' each as a one-lane block of its own (per-"
+             "policy runtimes; a churned run is always one lane), "
+             "'reference' is the executable specification (for 'churn' "
+             "the live proxy); results are identical, and 'federation' "
+             "and 'offline' have no such run to re-route. Default: "
+             f"'{DEFAULT_ENGINE}' for the GC sweeps, 'solo' for the "
+             "runtime-reporting table1, fig3 and fig5",
     )
     parser.add_argument(
         "--output", metavar="DIR", default=None,
@@ -258,12 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(content-addressed .npz + manifest); repeated runs with "
              "the same settings reload instances instead of "
              "regenerating them",
-    )
-    parser.add_argument(
-        "--no-fast-gen", action="store_true",
-        help="use the reference (unvectorized) instance-generation "
-             "path; instances are identical to the fast path's, only "
-             "slower to build (for ablations and debugging)",
     )
     service = parser.add_argument_group("async service ('serve'/'soak')")
     service.add_argument(
@@ -374,8 +366,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.bench_report import main as bench_report_main
         return bench_report_main([])
     from repro.experiments.instances import configure_instances
-    configure_instances(cache_dir=args.cache_dir,
-                        fast=not args.no_fast_gen)
+    configure_instances(cache_dir=args.cache_dir)
     if args.experiment == "stats":
         _print_stats(args.scale)
         return 0

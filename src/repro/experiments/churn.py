@@ -6,24 +6,19 @@ joining over the epoch (and optionally leaving at the three-quarter
 mark) — and measures how arrival spread affects delivered completeness
 and cross-client fairness.
 
-Three engines drive the same workload (``ChurnConfig.engine``):
+Two engines drive the same workload (``ChurnConfig.engine``), named as
+everywhere else:
 
-* ``"fast"`` (default) — the client plan as a
+* ``"batch"`` (default) — the client plan as a
   :class:`~repro.simulation.churn.ChurnPlan` through
   :func:`~repro.simulation.churn.run_churned`: the plan is lowered to
   per-t-interval lifetimes and run as one lane of the columnar block
-  kernel (the event-indexed
-  :class:`~repro.simulation.engine.FastProxySimulator`, splicing each
-  event into its live structures, serves what the columns cannot —
-  and the ``repro.simulation.churn`` logger says when).
-* ``"rebuild"`` — the same plan on the event engine, every churn event
-  followed by a from-scratch
-  :meth:`~repro.simulation.engine.FastProxySimulator.rebuild_structures`
-  (the referee: identical results; ``benchmarks/bench_churn.py`` times
-  columns, event splicing and rebuild side by side).
-* ``"proxy"`` — the original reference path through the live
-  :class:`~repro.runtime.proxy.MonitoringProxy`, kept as the executable
-  specification of the client-facing semantics.
+  kernel (what the columns cannot encode — RANDOM, say — is refused).
+* ``"reference"`` — the live
+  :class:`~repro.runtime.proxy.MonitoringProxy` stepping through the
+  scenario, registering and cancelling as clients come and go: the
+  executable specification of the client-facing semantics, and the
+  referee of the columns.
 
 All client profiles are generated up front through the vectorized
 fast-gen path (one seeded generator per client, independent of join
@@ -59,7 +54,7 @@ __all__ = ["ChurnConfig", "ClientOutcome", "ChurnResult", "ChurnSweep",
            "churn_sweep", "jain_index"]
 
 #: Engines accepted by :attr:`ChurnConfig.engine`.
-CHURN_ENGINES = ("fast", "rebuild", "proxy")
+CHURN_ENGINES = ("batch", "reference")
 
 
 def jain_index(values: list[float]) -> float:
@@ -101,8 +96,8 @@ class ChurnConfig:
     budget, max_rank, window, seed:
         As in the main experiments.
     engine:
-        ``"fast"`` (the plan as columns, default), ``"rebuild"``
-        (from-scratch referee) or ``"proxy"`` (live reference proxy).
+        ``"batch"`` (the plan as columns, default) or ``"reference"``
+        (the live proxy).
     """
 
     epoch_length: int = 400
@@ -117,7 +112,7 @@ class ChurnConfig:
     max_rank: int = 3
     window: int = 10
     seed: int = 4242
-    engine: str = "fast"
+    engine: str = "batch"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.join_spread <= 1.0:
@@ -162,7 +157,7 @@ class ChurnResult:
     expired: int
     dropped: int
     probes_used: int
-    engine: str = "fast"
+    engine: str = "batch"
     #: t-intervals that arrived with a deadline already missed — lost to
     #: late registration, not to the policy or the budget.
     doomed_at_birth: int = 0
@@ -193,7 +188,7 @@ def _client_block(config: ChurnConfig, trace, epoch: Epoch,
     Each client gets its own seeded generator on the vectorized
     fast-gen path, so the workload is a pure function of the config —
     identical whether the client joins at chronon 0 or mid-epoch, and
-    identical across the three engines.
+    identical across the engines.
     """
     generator = ProfileGenerator(GeneratorConfig(
         num_profiles=config.profiles_per_client,
@@ -240,7 +235,7 @@ def run_churn(config: ChurnConfig) -> ChurnResult:
     """Execute one churn scenario end to end."""
     (epoch, trace, joins, leave_at, leavers, names,
      blocks, counts) = _workload(config)
-    if config.engine == "proxy":
+    if config.engine == "reference":
         return _run_churn_proxy(config, epoch, trace, joins, leave_at,
                                 leavers, names, blocks, counts)
     return _run_churn_engine(config, epoch, trace, joins, leave_at,
@@ -319,8 +314,7 @@ def _run_churn_engine(config: ChurnConfig, epoch: Epoch, trace,
 
     result = run_churned(
         initial, epoch, BudgetVector(config.budget), policy,
-        plan=plan, preemptive=preemptive,
-        mode="rebuild" if config.engine == "rebuild" else "incremental")
+        plan=plan, preemptive=preemptive)
 
     per_profile = result.report.per_profile
     outcomes = tuple(
@@ -340,7 +334,6 @@ def _run_churn_engine(config: ChurnConfig, epoch: Epoch, trace,
         expired=result.expired,
         dropped=int(result.extras.get("dropped", 0.0)),
         probes_used=result.probes_used,
-        engine=config.engine,
         doomed_at_birth=int(result.extras.get("doomed_at_birth", 0.0)),
     )
 
@@ -414,7 +407,7 @@ def _run_churn_proxy(config: ChurnConfig, epoch: Epoch, trace,
         expired=stats.expired,
         dropped=stats.dropped,
         probes_used=stats.probes_used,
-        engine="proxy",
+        engine="reference",
         doomed_at_birth=doomed_at_birth,
     )
 
@@ -471,36 +464,23 @@ def _timed_churn(config: ChurnConfig) -> tuple[ChurnResult, float]:
     return result, time.perf_counter() - started
 
 
-def _map_engine(engine: str | None) -> str:
-    """CLI engine names -> churn engines.
-
-    ``fast`` and ``batch`` both name the default path — the plan
-    lowered to columns and run on the block kernel, the event engine
-    where the columns cannot serve a run; ``rebuild`` and ``reference``
-    (the live proxy) are the referees.
-    """
-    if engine is None:
-        return "fast"
-    return {"fast": "fast", "batch": "fast", "reference": "proxy",
-            "rebuild": "rebuild"}.get(engine, engine)
-
-
 def churn_sweep(scale: str = "default",
                 workers: int | None = None,
-                engine: str | None = None) -> ChurnSweep:
+                engine: str = "batch") -> ChurnSweep:
     """Completeness/fairness vs. arrival spread, plus a churn-out row.
 
     Sweeps ``join_spread`` over :data:`SWEEP_SPREADS` with no leavers,
     then adds one scenario with late arrivals *and* 50% churn-out.
     ``workers=N`` fans scenarios over a process pool (results identical
-    to serial — each scenario is an independent seeded run).
+    to serial — each scenario is an independent seeded run). A churned
+    run is one lane whatever the harness would share, so ``"solo"``
+    is ``"batch"`` here.
     """
-    base = CHURN_SCALES[scale]
-    churn_engine = _map_engine(engine)
-    configs = [replace(base, join_spread=spread, engine=churn_engine)
+    base = replace(CHURN_SCALES[scale],
+                   engine="batch" if engine == "solo" else engine)
+    configs = [replace(base, join_spread=spread)
                for spread in SWEEP_SPREADS]
-    configs.append(replace(base, join_spread=0.6, leave_probability=0.5,
-                           engine=churn_engine))
+    configs.append(replace(base, join_spread=0.6, leave_probability=0.5))
 
     if workers:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -528,4 +508,4 @@ def churn_sweep(scale: str = "default",
     # the shared demand-map cache entries they may have populated.
     clear_demand_cache()
     return ChurnSweep(config=base, policy=base.policy,
-                      engine=churn_engine, rows=rows)
+                      engine=engine, rows=rows)

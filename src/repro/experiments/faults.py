@@ -22,10 +22,10 @@ fault layer lowers into the columnar batch engine (see
 combination of one repetition becomes a lane of that repetition's
 columnar block — the fault seed depends only on the repetition, so all
 rates share the block's generated instance — and produces
-probe-for-probe the fast engine's results. ``engine="fast"``
-runs the combinations one at a time; lanes the batch engine cannot take
-fall back to the fast engine per (cell, policy) and are counted in
-``RunOutcome.fell_back`` / ``SweepResult.fell_back``.
+probe-for-probe the reference simulator's results. ``engine="solo"``
+runs the combinations one at a time, each a one-lane block; lanes the
+batch engine cannot take fall back to the reference per (cell, policy)
+and are counted in ``RunOutcome.fell_back`` / ``SweepResult.fell_back``.
 """
 
 from __future__ import annotations
@@ -100,8 +100,7 @@ def _run_fault_cells(config: ExperimentConfig, rates: Sequence[float],
     block, so the whole sweep is ``repetitions`` blocks.
     """
     return _run_settings(
-        [config] * len(rates), policies, False, source, engine, "fast",
-        workers,
+        [config] * len(rates), policies, False, source, engine, workers,
         fault_cell=lambda at, repetition: _fault_cell(
             config, repetition, rates[at], retry, use_breaker))
 
@@ -120,7 +119,7 @@ def run_fault_setting(config: ExperimentConfig, failure_rate: float,
     is per-run — but the fault *seed* is shared per repetition, so all
     policies face the same unreliable world. ``engine="batch"`` (the
     harness default) runs a repetition's policies as the lanes of one
-    columnar block; results are identical to ``engine="fast"``.
+    columnar block; results are identical to ``engine="reference"``.
     """
     return _run_fault_cells(config, (failure_rate,), policies, retry,
                             use_breaker, source, engine, workers)[0]
@@ -138,9 +137,9 @@ def fault_sweep(scale: str = "default",
 
     ``engine`` picks the simulation engine for every (rate, repetition,
     policy) combination — ``"batch"`` (the harness default) advances
-    them as lanes of one columnar block per repetition, ``"fast"`` runs
-    them one at a time; both produce identical series. ``workers=N``
-    farms cells out to a process pool. ``config`` overrides the baseline config of ``scale``
+    them as lanes of one columnar block per repetition, ``"solo"`` and
+    ``"reference"`` run them one at a time; all produce identical
+    series. ``workers=N`` farms cells out to a process pool. ``config`` overrides the baseline config of ``scale``
     (benchmarks sweep custom sizes).
     """
     if config is None:

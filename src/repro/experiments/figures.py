@@ -62,7 +62,7 @@ def _values(scale: Scale, paper_values: list, default_values: list,
 def table1(scale: Scale = "default", *,
            workers: int | None = None,
            # the table's runtime column needs one timed run per policy
-           engine: str = "fast") -> RunOutcome:
+           engine: str = "solo") -> RunOutcome:
     """Table 1 companion: all main policies at the baseline setting."""
     config = baseline(scale)
     return run_setting(config, policies=list(ALL_POLICY_VARIANTS),
@@ -72,7 +72,7 @@ def table1(scale: Scale = "default", *,
 def figure3(scale: Scale = "default", *,
            workers: int | None = None,
            # the table's runtime column needs one timed run per policy
-           engine: str = "fast") -> RunOutcome:
+           engine: str = "solo") -> RunOutcome:
     """Figure 3: real-world(-like) auction trace, P vs NP comparison.
 
     Paper setting: AuctionWatch(3) profiles, 400 auctions, window W = 20,
@@ -118,7 +118,7 @@ def figure4(scale: Scale = "default", *,
 def figure5(scale: Scale = "default", *,
            workers: int | None = None,
            # the runtime series needs one timed run per policy
-           engine: str = "fast") -> FigurePair:
+           engine: str = "solo") -> FigurePair:
     """Figure 5: runtime scalability.
 
     Panel 1: offline approximation vs online policies on small workloads

@@ -28,7 +28,6 @@ from repro.experiments.instances import (
     InstanceCache,
     _pool_worker_init,
     active_cache,
-    fast_default,
     generation_key,
 )
 from repro.faults.breaker import CircuitBreaker, RetryConfig
@@ -63,9 +62,10 @@ OFFLINE_LABEL = "offline-approx"
 #: The engine every experiment entry point resolves to unless told
 #: otherwise: the columnar block kernel (:func:`run_block`), which
 #: advances all policy runs sharing a generated instance as lanes of one
-#: pass. Entry points that *report per-policy runtimes* name the per-run
-#: ``"fast"`` engine instead — a block has one wall time, not one per
-#: lane.
+#: pass. Entry points that *report per-policy runtimes* name ``"solo"``
+#: instead — the same kernel, every policy run a one-lane block of its
+#: own — because a shared block has one wall time, not one per lane.
+#: ``"reference"`` is the executable specification.
 DEFAULT_ENGINE = "batch"
 
 #: The policy line-up the paper's figures use most often.
@@ -81,7 +81,7 @@ class FaultCell:
     Breaker state is per-run, so the cell carries the breaker's
     *parameters* (``(failure_threshold, cooldown, backoff_factor,
     max_cooldown)``) rather than an instance; every policy run — batch
-    lane or fast fallback — gets a fresh :class:`CircuitBreaker` from
+    lane or reference fallback — gets a fresh :class:`CircuitBreaker` from
     :meth:`make_breaker`. The spec is per-repetition (its seed folds the
     repetition in), so cells carry the concrete :class:`FaultSpec`.
     """
@@ -147,10 +147,11 @@ class RunOutcome:
     """All policy outcomes for one parameter setting.
 
     ``fell_back`` counts the (repetition, policy) runs that the batch
-    engine handed to the fast engine (policies without a columnar kind,
-    or blocks the columnar form cannot encode); it is 0 for other
-    engines. ``engine`` names the engine that served the cells (empty
-    for outcomes assembled by hand). ``block_ids`` identifies the
+    engine handed to the reference simulator (policies without a
+    columnar kind, or blocks the columnar form cannot encode); it is 0
+    for other engines (a ``"solo"`` run the columns refuse is
+    ``run_online``'s to reroute and to log). ``engine`` names the engine
+    that served the cells (empty for outcomes assembled by hand). ``block_ids`` identifies the
     columnar passes that served them — shared with the other settings of
     a sweep whose cells rode the same passes — and ``blocks`` counts
     them.
@@ -213,7 +214,7 @@ class SweepResult:
 
     @property
     def fell_back(self) -> int:
-        """Total fast-engine fallbacks across the sweep's runs."""
+        """Total reference fallbacks across the sweep's runs."""
         return sum(run.fell_back for run in self.runs)
 
     @property
@@ -230,7 +231,6 @@ class SweepResult:
 
 def make_instance(config: ExperimentConfig, repetition: int,
                   source: str = "poisson", *,
-                  fast: bool | None = None,
                   cache: InstanceCache | None = None,
                   ) -> tuple[UpdateTrace, ProfileSet]:
     """One (trace, profiles) problem instance — cached when possible.
@@ -246,29 +246,23 @@ def make_instance(config: ExperimentConfig, repetition: int,
         ``"poisson"`` for the synthetic Poisson(lambda) update model or
         ``"auction"`` for the eBay-like auction trace (the real-world
         substitute used by Figure 3).
-    fast:
-        Generation path override; defaults to the process-wide setting
-        (fast, unless ``--no-fast-gen``/:func:`configure_instances`
-        said otherwise). Both paths generate identical instances.
     cache:
         Cache override; defaults to the process-wide cache (in-memory
         LRU, plus the disk store when ``--cache-dir`` is configured).
         Pass an :class:`InstanceCache` to isolate, e.g., a benchmark.
     """
-    if fast is None:
-        fast = fast_default()
     if cache is None:
         cache = active_cache()
-    return cache.get_or_generate(config, repetition, source, fast=fast)
+    return cache.get_or_generate(config, repetition, source)
 
 
 def _run_cell(config: ExperimentConfig, repetition: int,
               policies: Sequence[str], include_offline: bool,
               source: str, engine: str,
-              offline_engine: str = "fast",
               fault_cfg: FaultCell | None = None
               ) -> dict[str, tuple[float, float]]:
-    """One (setting, repetition) work cell: every policy on one instance.
+    """One (setting, repetition) work cell: every policy in a run of its
+    own — a one-lane block (``"solo"``) or the reference simulator.
 
     The unit of parallelism: module-level (so picklable) and fully
     determined by its arguments — the instance is regenerated in the
@@ -281,17 +275,18 @@ def _run_cell(config: ExperimentConfig, repetition: int,
         policy, preemptive = parse_policy_spec(label)
         kwargs = fault_cfg.run_kwargs() if fault_cfg is not None else {}
         result = run_online(profiles, config.epoch, config.budget_vector,
-                            policy, preemptive=preemptive, engine=engine,
+                            policy, preemptive=preemptive,
+                            engine="batch" if engine == "solo" else engine,
                             **kwargs)
         cell[label] = (result.gc, result.runtime_seconds)
     if include_offline:
-        result = LocalRatioApproximation(engine=offline_engine).solve(
+        result = LocalRatioApproximation().solve(
             profiles, config.epoch, config.budget_vector)
         cell[OFFLINE_LABEL] = (result.gc, result.runtime_seconds)
     return cell
 
 
-#: Cell-dict keys under which the blocked path reports its fast-engine
+#: Cell-dict keys under which the blocked path reports its reference
 #: fallbacks (a count) and the columnar passes that served the cell (a
 #: set of pass ids); :func:`_merge_cells` pops both before reading
 #: policy labels.
@@ -353,7 +348,7 @@ def _run_cells_blocked(cell_args: Sequence[tuple]
     Cells sharing a generated instance (see :func:`_group_by_instance`)
     run over one lowering — every policy of every such cell is a lane.
     Policies without a columnar kind, and instances the columnar form
-    cannot encode, fall back to the fast engine per (cell, policy).
+    cannot encode, fall back to the reference per (cell, policy).
     Results land in the original cell order.
     """
     cells: list[dict[str, tuple[float, float]]] = [None] * len(cell_args)
@@ -374,7 +369,7 @@ def _run_one_block(cell_args: Sequence[tuple], gkey: str,
     fallback: list[tuple[int, str]] = []
     for at in indices:
         config, policies, fault_cfg = \
-            cell_args[at][0], cell_args[at][2], cell_args[at][7]
+            cell_args[at][0], cell_args[at][2], cell_args[at][6]
         cells[at] = {}
         for label in policies:
             policy, preemptive = parse_policy_spec(label)
@@ -408,20 +403,19 @@ def _run_one_block(cell_args: Sequence[tuple], gkey: str,
                     (gkey, lane // _MAX_BLOCK_LANES))
 
     for at, label in fallback:
-        config, fault_cfg = cell_args[at][0], cell_args[at][7]
+        config, fault_cfg = cell_args[at][0], cell_args[at][6]
         kwargs = fault_cfg.run_kwargs() if fault_cfg is not None else {}
         policy, preemptive = parse_policy_spec(label)
         result = run_online(profiles, epoch, config.budget_vector, policy,
-                            preemptive=preemptive, engine="fast",
+                            preemptive=preemptive, engine="reference",
                             **kwargs)
         cells[at][label] = (result.gc, result.runtime_seconds)
         cells[at][_FELL_BACK] = cells[at].get(_FELL_BACK, 0) + 1
 
     for at in indices:
-        config, _repetition, _policies, include_offline, _source, \
-            _engine, offline_engine = cell_args[at][:7]
+        config, include_offline = cell_args[at][0], cell_args[at][3]
         if include_offline:
-            result = LocalRatioApproximation(engine=offline_engine).solve(
+            result = LocalRatioApproximation().solve(
                 profiles, epoch, config.budget_vector)
             cells[at][OFFLINE_LABEL] = (result.gc, result.runtime_seconds)
 
@@ -439,10 +433,9 @@ def _run_cells_parallel(cell_args: Sequence[tuple],
                         ) -> list[dict[str, tuple[float, float]]]:
     """Execute cells on a process pool, preserving serial order.
 
-    Workers are initialized with the parent's cache configuration
-    (cache directory and fast/reference choice), so a shared
-    ``--cache-dir`` lets them reuse stored instances. Cells that share
-    an instance (see :func:`_group_by_instance`) are grouped into the
+    Workers are initialized with the parent's cache directory, so a
+    shared ``--cache-dir`` lets them reuse stored instances. Cells that
+    share an instance (see :func:`_group_by_instance`) are grouped into the
     same chunk — one worker then serves them from one cache entry (and,
     for the batch engine, one columnar block) instead of regenerating or
     re-reading the instance N times; the repetitions of a setting are
@@ -468,7 +461,7 @@ def _run_cells_parallel(cell_args: Sequence[tuple],
     cache_dir = str(cache.cache_dir) if cache.cache_dir is not None else None
     with ProcessPoolExecutor(
             max_workers=workers, initializer=_pool_worker_init,
-            initargs=(cache_dir, fast_default())) as pool:
+            initargs=(cache_dir,)) as pool:
         futures = [
             pool.submit(_run_cells_serial, [cell_args[at] for at in chunk])
             for chunk in chunks
@@ -509,8 +502,7 @@ def _merge_cells(config: ExperimentConfig,
 
 def _run_settings(configs: Sequence[ExperimentConfig],
                   policies: Sequence[str], include_offline: bool,
-                  source: str, engine: str, offline_engine: str,
-                  workers: int | None,
+                  source: str, engine: str, workers: int | None,
                   fault_cell: Callable[[int, int], FaultCell] | None = None
                   ) -> list[RunOutcome]:
     """One :class:`RunOutcome` per config, from one flat cell list.
@@ -525,7 +517,7 @@ def _run_settings(configs: Sequence[ExperimentConfig],
     """
     flat = [
         (config, repetition, tuple(policies), include_offline, source,
-         engine, offline_engine,
+         engine,
          fault_cell(at, repetition) if fault_cell is not None else None)
         for at, config in enumerate(configs)
         for repetition in range(config.repetitions)
@@ -549,17 +541,14 @@ def run_setting(config: ExperimentConfig,
                 include_offline: bool = False,
                 source: str = "poisson",
                 engine: str = DEFAULT_ENGINE,
-                offline_engine: str = "fast",
                 workers: int | None = None) -> RunOutcome:
     """Run every policy on ``repetitions`` shared instances and aggregate.
 
     ``workers=N`` (N > 1) runs the repetitions in a process pool; the
     gained-completeness output is identical to the serial path.
-    ``offline_engine`` picks the Local-Ratio implementation (both produce
-    identical schedules; "reference" exists for ablations).
     """
     return _run_settings([config], policies, include_offline, source,
-                         engine, offline_engine, workers)[0]
+                         engine, workers)[0]
 
 
 def sweep(name: str, base: ExperimentConfig, parameter: str,
@@ -567,7 +556,6 @@ def sweep(name: str, base: ExperimentConfig, parameter: str,
           include_offline: bool = False,
           source: str = "poisson",
           engine: str = DEFAULT_ENGINE,
-          offline_engine: str = "fast",
           workers: int | None = None) -> SweepResult:
     """Sweep one config field over ``values``, rerunning all policies.
 
@@ -576,6 +564,6 @@ def sweep(name: str, base: ExperimentConfig, parameter: str,
     """
     configs = [base.with_(**{parameter: value}) for value in values]
     runs = _run_settings(configs, policies, include_offline, source,
-                         engine, offline_engine, workers)
+                         engine, workers)
     return SweepResult(name=name, parameter=parameter,
                        x_values=tuple(values), runs=tuple(runs))

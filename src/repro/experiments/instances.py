@@ -18,9 +18,9 @@ module makes instance generation a cached, content-addressed lookup:
   picklable :func:`_pool_worker_init` so ``sweep(workers=N)`` workers
   memoize per-process and share the same disk store.
 
-Cached instances are produced by the fast generation path by default;
-the fast path is property-tested to be seed-for-seed identical to the
-reference path, so ``fast`` is deliberately *not* part of the cache key.
+Cached instances are produced by the fast generation path, which is
+property-tested to be seed-for-seed identical to the reference path
+(``generate_instance(fast=False)``).
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "generate_instance",
     "configure_instances",
     "active_cache",
-    "fast_default",
 ]
 
 #: Config fields that do not influence instance generation: the budget
@@ -181,7 +180,6 @@ class InstanceCache:
 
     def get_or_generate(self, config: ExperimentConfig, repetition: int,
                         source: str = "poisson",
-                        fast: bool = True
                         ) -> tuple[UpdateTrace, ProfileSet]:
         """The instance for a cell — from memory, disk, or generation.
 
@@ -204,7 +202,7 @@ class InstanceCache:
                 self._remember(mem_key, instance)
                 return instance
         self.misses += 1
-        instance = generate_instance(config, repetition, source, fast=fast)
+        instance = generate_instance(config, repetition, source)
         if self.cache_dir is not None:
             self._store(key, config, repetition, source, instance)
         self._remember(mem_key, instance)
@@ -331,22 +329,18 @@ _EI_COLUMNS = ProfileColumns._fields[1:]
 # ----------------------------------------------------------------------
 
 _ACTIVE_CACHE = InstanceCache()
-_FAST_DEFAULT = True
 
 
 def configure_instances(cache_dir: str | os.PathLike | None = None,
-                        fast: bool | None = None,
                         max_entries: int | None = None) -> InstanceCache:
-    """(Re)configure the process-wide instance cache and fast default.
+    """(Re)configure the process-wide instance cache.
 
-    Called by the CLI (``--cache-dir`` / ``--no-fast-gen``) and by pool
-    worker initializers; returns the new active cache. Omitted arguments
-    keep their current values (``cache_dir=None`` disables the disk
-    store, matching the flag's absence).
+    Called by the CLI (``--cache-dir``) and by pool worker initializers;
+    returns the new active cache. ``cache_dir=None`` disables the disk
+    store, matching the flag's absence; an omitted ``max_entries`` keeps
+    its current value.
     """
-    global _ACTIVE_CACHE, _FAST_DEFAULT
-    if fast is not None:
-        _FAST_DEFAULT = fast
+    global _ACTIVE_CACHE
     entries = max_entries if max_entries is not None \
         else _ACTIVE_CACHE.max_entries
     _ACTIVE_CACHE = InstanceCache(max_entries=entries, cache_dir=cache_dir)
@@ -358,12 +352,7 @@ def active_cache() -> InstanceCache:
     return _ACTIVE_CACHE
 
 
-def fast_default() -> bool:
-    """Whether generation defaults to the fast path in this process."""
-    return _FAST_DEFAULT
-
-
-def _pool_worker_init(cache_dir: str | None, fast: bool) -> None:
+def _pool_worker_init(cache_dir: str | None) -> None:
     """ProcessPoolExecutor initializer: per-worker memoized cache.
 
     Workers inherit the parent's cache *configuration* (not its
@@ -371,4 +360,4 @@ def _pool_worker_init(cache_dir: str | None, fast: bool) -> None:
     it receives, and a shared ``cache_dir`` lets workers reuse each
     other's stored instances across invocations.
     """
-    configure_instances(cache_dir=cache_dir, fast=fast)
+    configure_instances(cache_dir=cache_dir)

@@ -34,8 +34,8 @@ __all__ = ["OFFLINE_SOLVER_LABELS", "offline_comparison"]
 OFFLINE_SOLVER_LABELS: tuple[str, ...] = ("local-ratio", "greedy")
 
 
-def _offline_cell(config, repetition: int, source: str,
-                  engine: str) -> dict[str, tuple[float, float]]:
+def _offline_cell(config, repetition: int,
+                  source: str) -> dict[str, tuple[float, float]]:
     """One (setting, repetition) cell: both solvers on one instance.
 
     Module-level (so picklable) and fully determined by its arguments —
@@ -43,10 +43,8 @@ def _offline_cell(config, repetition: int, source: str,
     """
     _trace, profiles = make_instance(config, repetition, source=source)
     epoch, budget = config.epoch, config.budget_vector
-    local_ratio = LocalRatioApproximation(engine=engine).solve(
-        profiles, epoch, budget)
-    greedy = GreedyOfflineSolver(fast=engine == "fast").solve(
-        profiles, epoch, budget)
+    local_ratio = LocalRatioApproximation().solve(profiles, epoch, budget)
+    greedy = GreedyOfflineSolver().solve(profiles, epoch, budget)
     return {
         "local-ratio": (local_ratio.gc, local_ratio.runtime_seconds),
         "greedy": (greedy.gc, greedy.runtime_seconds),
@@ -55,7 +53,6 @@ def _offline_cell(config, repetition: int, source: str,
 
 def offline_comparison(scale: str = "default", *,
                        workers: int | None = None,
-                       engine: str = "fast",
                        source: str = "poisson") -> SweepResult:
     """Sweep profile count; compare offline solvers on shared instances.
 
@@ -67,9 +64,6 @@ def offline_comparison(scale: str = "default", *,
     workers:
         Process-pool width; ``None`` or 1 runs serially. Results are
         identical either way.
-    engine:
-        Local-Ratio engine ("fast" or "reference") — schedules are
-        identical, so this only matters for the runtime series.
     source:
         Trace source passed through to instance generation.
     """
@@ -83,7 +77,7 @@ def offline_comparison(scale: str = "default", *,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 (setting, repetition): pool.submit(
-                    _offline_cell, config, repetition, source, engine)
+                    _offline_cell, config, repetition, source)
                 for setting, config in enumerate(configs)
                 for repetition in range(config.repetitions)
             }
@@ -95,7 +89,7 @@ def offline_comparison(scale: str = "default", *,
     else:
         for setting, config in enumerate(configs):
             cells_of[setting] = [
-                _offline_cell(config, repetition, source, engine)
+                _offline_cell(config, repetition, source)
                 for repetition in range(config.repetitions)
             ]
 
@@ -109,8 +103,7 @@ def offline_comparison(scale: str = "default", *,
                                    for cell in cells_of[setting])
             outcomes[label] = PolicyOutcome(label, gc_values,
                                             runtime_values)
-        runs.append(RunOutcome(config=config, outcomes=outcomes,
-                               engine=engine))
+        runs.append(RunOutcome(config=config, outcomes=outcomes))
     return SweepResult(name=f"offline-comparison-{scale}",
                        parameter="num_profiles",
                        x_values=tuple(values), runs=tuple(runs))

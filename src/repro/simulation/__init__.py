@@ -3,7 +3,6 @@
 from repro.simulation.batch import batch_kind, run_block
 from repro.simulation.churn import ChurnEvent, ChurnPlan, run_churned
 from repro.simulation.columnar import BatchUnsupported, ColumnarInstance
-from repro.simulation.engine import FastProxySimulator
 from repro.simulation.proxy import ProxySimulator, run_online
 from repro.simulation.result import SimulationResult
 from repro.simulation.shard import FederatedResult, federated_run
@@ -13,7 +12,6 @@ __all__ = [
     "ChurnEvent",
     "ChurnPlan",
     "ColumnarInstance",
-    "FastProxySimulator",
     "FederatedResult",
     "ProxySimulator",
     "SimulationResult",

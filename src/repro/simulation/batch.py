@@ -40,17 +40,18 @@ are boolean/positional column ops, circuit-breaker state is a
 selection, and the sparse residue vectorization would reorder — retry
 attempts, whose draws and breaker trips happen in probe order — is
 replayed per lane in exact decision order. The result is bit-for-bit
-the fast engine's RNG stream, probe for probe (see
+the reference simulator's RNG stream, probe for probe (see
 ``tests/properties/test_prop_batch_faults.py``).
 
-The engine is **schedule-identical** to
-:class:`~repro.simulation.engine.FastProxySimulator` for every supported
+The engine is **schedule-identical** to the reference
+:class:`~repro.simulation.proxy.ProxySimulator` for every supported
 policy (see ``tests/properties/test_prop_batch.py``): probe-for-probe,
 report-for-report. Unsupported configurations — replayed/duck-typed
 fault sources, subclassed retry/breaker components, policies outside
 the known set, instances whose packed keys overflow — raise
-:class:`~repro.simulation.columnar.BatchUnsupported`; callers fall back
-to the fast engine.
+:class:`~repro.simulation.columnar.BatchUnsupported`: ``run_online`` and
+the harness fall back to the reference and say so, a churned or
+federated run is refused.
 """
 
 from __future__ import annotations
@@ -119,11 +120,12 @@ class FaultLane:
 
     ``faults`` is a :class:`~repro.faults.model.FaultSpec` or a
     :class:`~repro.faults.model.FaultInjector` (a *recording* injector
-    gets its trace filled exactly as the fast engine would fill it).
+    gets its trace filled exactly as the reference would fill it).
     Replayed or duck-typed decision sources, subclassed retry/breaker
     components, breakers carrying prior state, and breaker or recording
     injector objects shared across lanes cannot be lowered and raise
-    :class:`BatchUnsupported` — callers fall back to the fast engine.
+    :class:`BatchUnsupported` — ``run_online`` and the harness fall back
+    to the reference simulator.
     """
 
     faults: object | None = None
@@ -183,7 +185,7 @@ def _lower_fault(fault: object | None, seen: set[int]):
         else:
             # RecordedFaults (and arbitrary duck-typed sources) answer
             # from history, not from the keyed draw design the columns
-            # precompute — only the fast engine can serve them.
+            # precompute — the reference simulator serves them.
             raise BatchUnsupported(
                 f"fault source {type(faults).__name__} cannot be "
                 "lowered to draw columns")
@@ -248,7 +250,7 @@ def run_block(
     one instance; anything else is a :class:`ValueError`), and an
     optional fifth carrying a :class:`FaultLane` (or None) — and gets
     one :class:`SimulationResult`, in lane order, identical to what
-    ``FastProxySimulator(profiles, epoch, budget, policy,
+    ``ProxySimulator(profiles, epoch, budget, policy,
     preemptive).run()`` (with the lane's faults/retry/breaker) would
     produce — schedule, report, fault stats, breaker end state, and for
     recording injectors the :class:`~repro.faults.model.FaultTrace`,
@@ -291,7 +293,7 @@ class _FaultPlane:
     of the lowering's on-demand draw table (one per distinct spec seed
     and channel, row 0 a ``2.0`` sentinel no probability can beat;
     each chronon fills the entries its picks read), outages are a
-    boolean column, and the rate limit is positional — the fast engine's
+    boolean column, and the rate limit is positional — the injector's
     per-chronon request counter equals ``decision position + 1`` because
     :meth:`FaultInjector.decide` counts *every* call, outage-covered or
     throttled included. Breaker state lives in ``(lane, resource)``

@@ -9,7 +9,7 @@ participate from chronon ``T + 1`` on and a cancelled one's up to ``T``.
 A plan is its :class:`PlanColumns` as much as its events: one born from
 columns (:meth:`ChurnPlan.from_columns`, what the churn experiment's
 generator hands over) builds event and profile objects only for a
-reader of ``events`` — the event engine and the referees.
+reader of ``events`` — the live proxy that referees a churned run.
 
 A plan is known before the run starts, so it changes only *which
 chronons each t-interval is there for*: :func:`lower_plan` turns
@@ -19,18 +19,13 @@ vectors, ``visible_from`` and ``gone_from``, and
 (:mod:`repro.simulation.batch`) — the kernel the static experiments
 use, reading a lowering whose EIs are cut to their lifetimes. The plan
 keeps that lowering, so the next policy run over the same (initial set,
-epoch) builds nothing before its first chronon. Where the
-columns cannot serve a run (a policy without a columnar kind such as
-RANDOM, a replayed fault trace, a custom ``state_factory``, keys beyond
-62 bits) it is handed, before any chronon runs, to the event engine —
-:meth:`FastProxySimulator.run(churn=...)
-<repro.simulation.engine.FastProxySimulator.run>`, which splices each
-event into its live queues between chronons — and the logger
-``repro.simulation.churn`` says why. ``mode="rebuild"`` is that engine
-rebuilding its structures from scratch after every event: the referee
-both paths are property-tested against
-(:mod:`tests.properties.test_prop_churn_incremental`) and
-``benchmarks/bench_churn.py`` times.
+epoch) builds nothing before its first chronon. What the columns
+cannot serve (a policy without a columnar kind such as RANDOM, a
+replayed fault trace, keys beyond 62 bits) is refused with
+:class:`BatchUnsupported` before any chronon runs: the live
+:class:`~repro.runtime.proxy.MonitoringProxy`, registering and
+cancelling as the plan says, is the way to run those — and the referee
+the columns are tested against (``tests/simulation/test_churn_columns.py``).
 """
 
 from __future__ import annotations
@@ -53,16 +48,13 @@ from repro.core.profile import (
 from repro.core.timeline import Chronon, Epoch
 from repro.faults.breaker import CircuitBreaker, RetryConfig
 from repro.faults.model import FaultInjector, FaultSpec
-from repro.online.base import Policy, TIntervalState
+from repro.online.base import Policy
 from repro.simulation import batch
 from repro.simulation.columnar import BatchUnsupported, ColumnarInstance
-from repro.simulation.engine import FastProxySimulator
 from repro.simulation.result import SimulationResult
 
 __all__ = ["ChurnEvent", "ChurnPlan", "LoweredPlan", "PlanColumns",
            "lower_plan", "run_churned"]
-
-_MODES = ("incremental", "rebuild")
 
 _log = logging.getLogger(__name__)
 
@@ -373,20 +365,44 @@ def _lowering(profiles: ProfileSet, plan: ChurnPlan, epoch: Epoch) \
     return lowered, columnar
 
 
-def _run_columns(profiles: ProfileSet, epoch: Epoch, budget: BudgetVector,
-                 policy: Policy, plan, preemptive: bool, faults, retry,
-                 breaker) -> SimulationResult:
-    """The churned epoch as one lane of the block kernel; raises
-    :class:`BatchUnsupported`, before any chronon runs, for what the
-    columns cannot serve."""
+def run_churned(profiles: ProfileSet, epoch: Epoch,
+                budget: BudgetVector, policy: Policy,
+                plan=(), preemptive: bool = True,
+                mode: str = "incremental",
+                faults: FaultSpec | FaultInjector | None = None,
+                retry: RetryConfig | None = None,
+                breaker: CircuitBreaker | None = None) -> SimulationResult:
+    """One full churned epoch, as columns.
+
+    ``profiles`` is the initial (chronon-0-registered) set; ``plan``
+    is a :class:`ChurnPlan` or iterates churn events (it is read once).
+    The plan is lowered to lifetimes — or the lowering the plan kept
+    from its last run is taken, if that was over this set and epoch —
+    and run as one lane of the block kernel. A run the columns cannot
+    serve raises :class:`BatchUnsupported` before any chronon runs.
+    ``mode`` has one value, ``"incremental"``; the keyword survives
+    only because ``benchmarks/e2e/workloads.py::churn_run`` passes it,
+    and leaves with that call.
+    """
+    if mode != "incremental":
+        raise ModelError(
+            f"mode must be one of ('incremental',), got {mode!r}")
+    if not isinstance(plan, ChurnPlan):
+        plan = ChurnPlan(plan)
     started = time.perf_counter()
-    lowered, columnar = _lowering(profiles, plan, epoch)
     fault = None
     if faults is not None or retry is not None or breaker is not None:
         fault = batch.FaultLane(faults, retry, breaker)
-    (result,) = batch.run_block(
-        lowered.profiles, epoch, [(policy, preemptive, budget, 0, fault)],
-        columnar=columnar)
+    try:
+        lowered, columnar = _lowering(profiles, plan, epoch)
+        (result,) = batch.run_block(
+            lowered.profiles, epoch,
+            [(policy, preemptive, budget, 0, fault)], columnar=columnar)
+    except BatchUnsupported as why:
+        raise BatchUnsupported(
+            f"{why}; a churned run is columns or nothing — drive the live "
+            "proxy (repro.runtime.proxy.MonitoringProxy) through the "
+            "plan for this one") from None
     extras = {}
     if lowered.fired:
         # Doomed at birth: registered after one of its deadlines.
@@ -400,44 +416,3 @@ def _run_columns(profiles: ProfileSet, epoch: Epoch, budget: BudgetVector,
         }
     return replace(result, extras=extras,
                    runtime_seconds=time.perf_counter() - started)
-
-
-def run_churned(profiles: ProfileSet, epoch: Epoch,
-                budget: BudgetVector, policy: Policy,
-                plan=(), preemptive: bool = True,
-                mode: str = "incremental",
-                state_factory=TIntervalState,
-                faults: FaultSpec | FaultInjector | None = None,
-                retry: RetryConfig | None = None,
-                breaker: CircuitBreaker | None = None) -> SimulationResult:
-    """One full churned epoch.
-
-    ``profiles`` is the initial (chronon-0-registered) set; ``plan``
-    is a :class:`ChurnPlan` or iterates churn events (it is read once).
-    ``mode="incremental"`` lowers the plan to lifetimes — or takes the
-    lowering the plan kept from its last run, if that was over this set
-    and epoch — and runs one lane of the block kernel over them — or,
-    for what the columns cannot serve, the event engine splicing each
-    event between chronons; ``mode="rebuild"`` is the event engine
-    rebuilding its derived structures from scratch after every event
-    (the referee). All three give the same result.
-    """
-    if mode not in _MODES:
-        raise ModelError(f"mode must be one of {_MODES}, got {mode!r}")
-    if not isinstance(plan, ChurnPlan):
-        # Once: a fallback below reads the plan a second time.
-        plan = ChurnPlan(plan)
-    if mode == "incremental":
-        try:
-            if state_factory is not TIntervalState:
-                raise BatchUnsupported("custom state_factory")
-            return _run_columns(profiles, epoch, budget, policy, plan,
-                                preemptive, faults, retry, breaker)
-        except BatchUnsupported as why:
-            _log.info("churned run on the event engine, not the "
-                      "columns: %s", why)
-    sim = FastProxySimulator(
-        profiles, epoch, budget, policy, preemptive=preemptive,
-        state_factory=state_factory, faults=faults, retry=retry,
-        breaker=breaker)
-    return sim.run(churn=plan, churn_rebuild=(mode == "rebuild"))

@@ -4,13 +4,13 @@
 into flat NumPy columns plus CSR-style index structures, so that
 :mod:`repro.simulation.batch` can advance a whole policy lineup with
 array operations instead of per-object dispatch. The layout encodes the
-fast engine's tie-break order *positionally*:
+reference simulator's tie-break order *positionally*:
 
 * **States** (t-intervals) are sorted by (clamped arrival chronon,
   creation order) — exactly the reference's active-list order — so the
-  state's array index IS the fast engine's ``seq``. States registered
-  mid-run follow all of those in registration order, as the engine
-  numbers them.
+  state's array index IS its arrival sequence number. States
+  registered mid-run follow all of those in registration order, as the
+  live proxy numbers them.
 * **EIs** are laid out state-major, within a state in ``ei_id`` order, so
   the global EI index orders identically to the ``(seq, ei_id)``
   tie-break the engines resolve full score ties with.
@@ -44,8 +44,9 @@ inserts the pool size (inverted, since bigger pools rank earlier) between
 are integers (after a per-policy-kind additive offset making them
 non-negative), so the packing is exact. Bit widths are computed from the
 instance's actual bounds; if a key cannot fit into 62 bits the
-constructor raises :class:`BatchUnsupported` and callers fall back to the
-event-indexed fast engine.
+constructor raises :class:`BatchUnsupported`: ``run_online`` and the
+harness fall back to the reference simulator, a churned or federated
+run is refused.
 """
 
 from __future__ import annotations
@@ -96,8 +97,10 @@ class BatchUnsupported(Exception):
     """The instance (or lineup) cannot run on the batch engine.
 
     Raised when packed selection keys would overflow 62 bits (gigantic
-    scores, horizons or resource ids). Callers catch it and fall back to
-    the fast engine, which has no such bound.
+    scores, horizons or resource ids) and, by the block kernel, for
+    policies and fault sources it has no columns for. ``run_online`` and
+    the harness catch it and fall back to the reference simulator, which
+    has no such bounds.
     """
 
 
@@ -117,7 +120,7 @@ class FaultDraws:
     ``random.Random(f"{seed}:{channel}:{rid}:{T}:{attempt}").random()``
     for the group's resource and chronon, or is NaN while no
     probe has asked for it. A draw depends on its key alone — not on
-    probe order, nor on whether the fast engine would have consumed it
+    probe order, nor on whether a per-probe loop would have consumed it
     (a skipped channel consumes nothing) — so filling entries lazily and
     in any order is stream-exact, and the table is a pure cache shared by
     every block and shard run on the lowering. Row 0 is the sentinel
@@ -660,12 +663,12 @@ class ColumnarInstance:
         return self._fault_draws
 
     def commit_tie(self) -> np.ndarray:
-        """Per-EI rank in the fast engine's candidate tie-break order.
+        """Per-EI rank in the reference's candidate tie-break order.
 
         The packed candidate keys resolve equal (score, finish, start)
         positionally — fine for pool aggregation, where only the best
         *key* matters — but a failed probe commits the selected
-        candidate's *identity*, and the fast engine breaks those ties by
+        candidate's *identity*, and the reference breaks those ties by
         ``(profile_id, tinterval_id, seq, ei_id)``. This column ranks
         every EI in that order so the commit hook can pick the same
         candidate among key-equal ones.

@@ -18,6 +18,7 @@ The simulator is deterministic: ties in policy scores break on fixed keys.
 
 from __future__ import annotations
 
+import logging
 import time
 
 from repro.core.budget import BudgetVector
@@ -37,9 +38,13 @@ from repro.online.base import (
     filter_blocked,
     select_probes,
 )
+from repro.simulation import batch
+from repro.simulation.columnar import BatchUnsupported
 from repro.simulation.result import SimulationResult
 
 __all__ = ["ProxySimulator", "run_online"]
+
+_log = logging.getLogger(__name__)
 
 
 class ProxySimulator:
@@ -261,50 +266,34 @@ def run_online(profiles: ProfileSet, epoch: Epoch, budget: BudgetVector,
                faults: FaultSpec | None = None,
                retry: RetryConfig | None = None,
                breaker: CircuitBreaker | None = None,
-               engine: str = "fast") -> SimulationResult:
-    """One-call convenience wrapper around the simulation engines.
+               engine: str = "batch") -> SimulationResult:
+    """One online run: a one-lane columnar block, or the specification.
 
-    ``engine`` selects the implementation: ``"fast"`` (default) uses the
-    event-indexed :class:`~repro.simulation.engine.FastProxySimulator`,
-    ``"reference"`` the straightforward per-chronon :class:`ProxySimulator`,
-    ``"batch"`` the columnar :func:`~repro.simulation.batch.run_block`
-    engine (single-lane block here; the harness groups whole lineups).
-    All produce identical results (verified by the equivalence property
-    suites); the reference engine remains the executable specification.
-
-    The batch engine lowers the fault layer too (``faults``/``retry``/
-    ``breaker`` ride the block as a
-    :class:`~repro.simulation.batch.FaultLane`); only genuinely
-    unsupported configurations — replayed fault sources, subclassed
-    components, policies without a columnar scoring kind — fall back to
-    the fast engine silently.
+    ``engine="batch"`` (default) runs the policy as the only lane of
+    :func:`~repro.simulation.batch.run_block` (the harness groups whole
+    lineups into one block), fault layer included (``faults`` /
+    ``retry`` / ``breaker`` ride along as a
+    :class:`~repro.simulation.batch.FaultLane`). What the columns cannot
+    encode — a policy without a columnar kind such as RANDOM, a replayed
+    fault trace, subclassed components, keys beyond 62 bits — goes to
+    ``engine="reference"``, the per-chronon :class:`ProxySimulator`
+    above, and an INFO record on this module's logger says why. Both
+    give identical results (the equivalence property suites); the
+    reference is the executable specification.
     """
     if engine == "batch":
-        from repro.simulation.batch import (
-            BatchUnsupported,
-            FaultLane,
-            run_block,
-        )
-        fault = FaultLane(faults, retry, breaker) \
+        fault = batch.FaultLane(faults, retry, breaker) \
             if (faults is not None or retry is not None
                 or breaker is not None) else None
         try:
-            return run_block(profiles, epoch,
-                             [(policy, preemptive, budget, 0, fault)])[0]
-        except BatchUnsupported:
-            pass
-        engine = "fast"
-    if engine == "fast":
-        from repro.simulation.engine import FastProxySimulator
-        simulator = FastProxySimulator(
-            profiles, epoch, budget, policy, preemptive=preemptive,
-            faults=faults, retry=retry, breaker=breaker)
-    elif engine == "reference":
-        simulator = ProxySimulator(
-            profiles, epoch, budget, policy, preemptive=preemptive,
-            faults=faults, retry=retry, breaker=breaker)
-    else:
+            return batch.run_block(
+                profiles, epoch, [(policy, preemptive, budget, 0, fault)])[0]
+        except BatchUnsupported as why:
+            _log.info("run on the reference simulator, not the columns: "
+                      "%s", why)
+    elif engine != "reference":
         raise ValueError(
-            f"unknown engine {engine!r} "
-            "(expected 'fast', 'reference' or 'batch')")
-    return simulator.run()
+            f"unknown engine {engine!r} (expected 'batch' or 'reference')")
+    return ProxySimulator(
+        profiles, epoch, budget, policy, preemptive=preemptive,
+        faults=faults, retry=retry, breaker=breaker).run()

@@ -4,11 +4,12 @@ invariance.
 The harness runs the sweep cells sharing a generation key as the lanes
 of one columnar block — one block per generated instance, by default,
 for every GC sweep; this file pins down that the blocked path (serial
-and on a process pool of any size) reproduces exactly the fast engine's
-numbers, that a repetition is a block of its own (and a worker chunk of
-its own), that unsupported policies fall back per (cell, policy), that
-only the runtime-reporting experiments still time each policy in a run
-of its own, and that
+and on a process pool of any size) reproduces exactly the reference
+simulator's numbers, that a repetition is a block of its own (and a
+worker chunk of its own), that unsupported policies fall back to the
+reference per (cell, policy), that only the runtime-reporting
+experiments still time each policy in a run of its own (``"solo"``: a
+one-lane block per policy), and that
 :func:`~repro.experiments.instances.generation_key` captures precisely
 the generative config fields.
 """
@@ -31,8 +32,8 @@ from repro.experiments.harness import (
     run_setting,
     sweep,
 )
-from repro.simulation import run_online
-from repro.simulation.engine import FastProxySimulator
+from repro.simulation import ProxySimulator, run_online
+from repro.simulation import batch as batch_module
 from repro.experiments.instances import (
     InstanceCache,
     generation_key,
@@ -54,13 +55,13 @@ def _gc_map(outcome):
 
 class TestBatchHarness:
     def test_run_setting_batch_matches_fast(self):
-        fast = run_setting(_CONFIG, _POLICIES, engine="fast")
+        fast = run_setting(_CONFIG, _POLICIES, engine="reference")
         batch = run_setting(_CONFIG, _POLICIES, engine="batch")
         assert _gc_map(batch) == _gc_map(fast)
 
     def test_sweep_batch_matches_fast(self):
         fast = sweep("s", _CONFIG, "budget", [1, 2, 3], _POLICIES,
-                     engine="fast")
+                     engine="reference")
         batch = sweep("s", _CONFIG, "budget", [1, 2, 3], _POLICIES,
                       engine="batch")
         assert batch.x_values == fast.x_values
@@ -69,7 +70,7 @@ class TestBatchHarness:
 
     def test_sweep_batch_includes_offline(self):
         fast = sweep("s", _CONFIG, "budget", [1], _POLICIES,
-                     include_offline=True, engine="fast")
+                     include_offline=True, engine="reference")
         batch = sweep("s", _CONFIG, "budget", [1], _POLICIES,
                       include_offline=True, engine="batch")
         for fast_run, batch_run in zip(fast.runs, batch.runs):
@@ -89,9 +90,9 @@ class TestBatchHarness:
 
     def test_sweep_non_budget_axis_blocks_per_value(self):
         """Sweeping a generative field gives each value its own block —
-        still identical to the fast engine."""
+        still identical to the reference."""
         fast = sweep("s", _CONFIG, "window", [3, 4], _POLICIES,
-                     engine="fast")
+                     engine="reference")
         batch = sweep("s", _CONFIG, "window", [3, 4], _POLICIES,
                       engine="batch")
         for fast_run, batch_run in zip(fast.runs, batch.runs):
@@ -99,17 +100,31 @@ class TestBatchHarness:
 
 
 @pytest.fixture
-def fast_runs(monkeypatch):
-    """Counts the per-run engine objects constructed in this process."""
-    built = []
-    original = FastProxySimulator.__init__
+def reference_runs(monkeypatch):
+    """Counts the reference-simulator runs made in this process."""
+    ran = []
+    original = ProxySimulator.run
 
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        original(self, *args, **kwargs)
+    def counting(self):
+        ran.append(self)
+        return original(self)
 
-    monkeypatch.setattr(FastProxySimulator, "__init__", counting)
-    return built
+    monkeypatch.setattr(ProxySimulator, "run", counting)
+    return ran
+
+
+@pytest.fixture
+def solo_blocks(monkeypatch):
+    """Lane counts of the blocks ``run_online`` makes in this process."""
+    lanes_of = []
+    original = batch_module.run_block
+
+    def counting(profiles, epoch, lanes, **kwargs):
+        lanes_of.append(len(lanes))
+        return original(profiles, epoch, lanes, **kwargs)
+
+    monkeypatch.setattr(batch_module, "run_block", counting)
+    return lanes_of
 
 
 class TestDefaultEngine:
@@ -119,27 +134,29 @@ class TestDefaultEngine:
         return sweep("s", _CONFIG, "budget", [1, 2, 3], policies, **kwargs)
 
     def _assert_same_gc(self, result, **kwargs):
-        for engine in ("fast", "reference"):
+        for engine in ("solo", "reference"):
             other = self._sweep(engine=engine, **kwargs)
             for run, other_run in zip(result.runs, other.runs):
                 assert _gc_map(run) == _gc_map(other_run)
 
-    def test_sweep_is_served_by_blocks_alone(self, fast_runs):
+    def test_sweep_is_served_by_blocks_alone(self, reference_runs):
         result = self._sweep()
-        assert fast_runs == []
+        assert reference_runs == []
         assert result.engine == DEFAULT_ENGINE == "batch"
         assert all(run.shared_block for run in result.runs)
         assert result.fell_back == 0
         self._assert_same_gc(result)
+        assert len(reference_runs) == (3 * _CONFIG.repetitions
+                                  * len(DEFAULT_POLICIES))
 
-    def test_run_setting_default_is_blocked_too(self, fast_runs):
+    def test_run_setting_default_is_blocked_too(self, reference_runs):
         outcome = run_setting(_CONFIG)
-        assert fast_runs == []
+        assert reference_runs == []
         assert (outcome.engine, outcome.fell_back) == ("batch", 0)
 
-    def test_offline_rides_along(self, fast_runs):
+    def test_offline_rides_along(self, reference_runs):
         result = self._sweep(include_offline=True)
-        assert fast_runs == []
+        assert reference_runs == []
         assert result.fell_back == 0
         self._assert_same_gc(result, include_offline=True)
 
@@ -148,31 +165,44 @@ class TestDefaultEngine:
         assert (result.engine, result.fell_back) == ("batch", 0)
         self._assert_same_gc(result, workers=2)
 
-    def test_random_falls_back_per_run(self, fast_runs):
+    def test_random_falls_back_per_run(self, reference_runs):
         policies = DEFAULT_POLICIES + ("RANDOM(P)",)
         result = self._sweep(policies)
         random_runs = 3 * _CONFIG.repetitions
-        assert len(fast_runs) == result.fell_back == random_runs
-        fast = self._sweep(policies, engine="fast")
-        assert fast.engine == "fast" and fast.fell_back == 0
+        assert len(reference_runs) == result.fell_back == random_runs
+        fast = self._sweep(policies, engine="reference")
+        assert fast.engine == "reference" and fast.fell_back == 0
         for run, fast_run in zip(result.runs, fast.runs):
             assert _gc_map(run) == _gc_map(fast_run)
 
-    def test_runtime_reports_time_each_policy_alone(self, fast_runs):
+    def test_fell_back_counts_runs_landing_on_the_reference(self):
+        result = sweep("s", _CONFIG, "budget", [2],
+                       ("MRSF(P)", "RANDOM", "S-EDF(NP)"))
+        assert result.fell_back == _CONFIG.repetitions
+        assert result.blocks == _CONFIG.repetitions
+        reference = sweep("s", _CONFIG, "budget", [2],
+                          ("MRSF(P)", "RANDOM", "S-EDF(NP)"),
+                          engine="reference")
+        assert (reference.fell_back, reference.blocks) == (0, 0)
+        assert _gc_map(result.runs[0]) == _gc_map(reference.runs[0])
+
+    def test_runtime_reports_time_each_policy_alone(self, reference_runs,
+                                                    solo_blocks):
         outcome = table1("smoke")
-        assert outcome.engine == "fast" and not outcome.shared_block
-        assert len(fast_runs) == (len(outcome.outcomes)
-                                  * outcome.config.repetitions)
+        assert outcome.engine == "solo" and not outcome.shared_block
+        assert solo_blocks == [1] * (len(outcome.outcomes)
+                                     * outcome.config.repetitions)
         assert len({policy.runtime_values
                     for policy in outcome.outcomes.values()}) > 1
-        del fast_runs[:]
+        del solo_blocks[:]
         pair = figure5("smoke")
         for panel in (pair.left, pair.right):
-            assert panel.engine == "fast"
+            assert panel.engine == "solo"
             runtimes = {panel.runs[0].mean_runtime(label)
                         for label in DEFAULT_POLICIES}
             assert len(runtimes) == len(DEFAULT_POLICIES)
-        assert fast_runs
+        assert solo_blocks and set(solo_blocks) == {1}
+        assert reference_runs == []
 
     def test_block_shares_are_even_not_per_policy(self):
         outcome = run_setting(_CONFIG.with_(repetitions=1))
@@ -216,7 +246,7 @@ class TestOneBlockPerInstance:
         assert result.blocks == _CONFIG.repetitions == 3
         # Every setting rode the same three passes.
         assert [run.blocks for run in result.runs] == [3] * len(budgets)
-        fast = sweep("s", _CONFIG, "budget", budgets, engine="fast")
+        fast = sweep("s", _CONFIG, "budget", budgets, engine="reference")
         assert (fast.blocks, fast.fell_back) == (0, result.fell_back)
         for run, fast_run in zip(result.runs, fast.runs):
             assert _gc_map(run) == _gc_map(fast_run)
@@ -228,11 +258,12 @@ class TestOneBlockPerInstance:
         self._assert_one_block_per_repetition(
             block_calls, config, len(FAULT_POLICY_VARIANTS) * len(rates))
         assert result.blocks == 3
-        fast = fault_sweep(config=config, rates=rates, engine="fast")
+        fast = fault_sweep(config=config, rates=rates, engine="reference")
         assert (fast.blocks, fast.fell_back) == (0, result.fell_back)
         for run, fast_run in zip(result.runs, fast.runs):
             assert _gc_map(run) == _gc_map(fast_run)
-        # Fault statistics lane by lane, against a fast run of its own.
+        # Fault statistics lane by lane, against a reference run of its
+        # own.
         failed = 0
         for profiles, lane_specs, results in block_calls:
             for (policy, preemptive, budget, _inst, fault), lane in \
@@ -241,7 +272,7 @@ class TestOneBlockPerInstance:
                     profiles, config.epoch, budget, policy,
                     preemptive=preemptive, faults=fault.faults,
                     retry=fault.retry, breaker=_default_breaker(),
-                    engine="fast")
+                    engine="reference")
                 assert (lane.gc, lane.probes_failed, lane.retries,
                         lane.resources_quarantined) == (
                     alone.gc, alone.probes_failed, alone.retries,

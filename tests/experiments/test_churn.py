@@ -110,10 +110,10 @@ class TestChurnEngines:
 
     def test_incremental_matches_rebuild_exactly(self):
         fast = run_churn(_config(join_spread=0.7, leave_probability=0.5,
-                                 engine="fast"))
+                                 engine="batch"))
         rebuild = run_churn(_config(join_spread=0.7,
                                     leave_probability=0.5,
-                                    engine="rebuild"))
+                                    engine="reference"))
         assert fast.completed == rebuild.completed
         assert fast.expired == rebuild.expired
         assert fast.dropped == rebuild.dropped
@@ -125,13 +125,13 @@ class TestChurnEngines:
 
     def test_engine_matches_reference_proxy(self):
         # Not contractual (tie-break sequencing could diverge), but on
-        # this scenario the event-indexed engine and the live proxy
+        # this scenario the columns and the live proxy
         # agree outcome for outcome — a strong cross-implementation
         # anchor for the churn plan translation.
         fast = run_churn(_config(join_spread=0.6, leave_probability=0.5,
-                                 engine="fast"))
+                                 engine="batch"))
         proxy = run_churn(_config(join_spread=0.6, leave_probability=0.5,
-                                  engine="proxy"))
+                                  engine="reference"))
         assert fast.completed == proxy.completed
         assert fast.expired == proxy.expired
         assert fast.dropped == proxy.dropped
@@ -148,7 +148,7 @@ class TestChurnEngines:
                 engine=engine)).doomed_at_birth
             for engine in CHURN_ENGINES}
         assert len(set(counts.values())) == 1
-        assert counts["fast"] > 0
+        assert counts["batch"] > 0
         assert run_churn(_config(join_spread=0.0)).doomed_at_birth == 0
 
     def test_workload_builder_is_deterministic(self):

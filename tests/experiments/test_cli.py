@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _EXPERIMENTS, build_parser, main
 
 
 class TestParser:
@@ -52,7 +52,7 @@ class TestMain:
                              "# engine=batch fell_back=0 blocks=2"]
         assert main(["table1", "--scale", "smoke"]) == 0
         assert capsys.readouterr().out.startswith(
-            "# engine=fast fell_back=0 blocks=0\n")
+            "# engine=solo fell_back=0 blocks=0\n")
 
     def test_shared_block_blanks_the_runtime_column(self, capsys):
         assert main(["table1", "--scale", "smoke", "--csv"]) == 0
@@ -97,3 +97,33 @@ class TestMain:
         assert all(int(row["doomed_at_birth"]) <= int(row["expired"])
                    + int(row["dropped"]) for row in rows)
 
+
+
+class TestEngineFlag:
+    """``--engine`` means one thing — what runs the online policy runs —
+    and every experiment takes every value of it."""
+
+    #: No online run to re-route: the federation is the block kernel by
+    #: construction, ``offline`` compares solvers. Both take the flag
+    #: and name no engine.
+    ENGINELESS = ("federation", "offline")
+
+    # 'all' once: it is the sum of the rows before it.
+    @pytest.mark.parametrize("experiment, engine", [
+        (experiment, engine) for experiment in sorted(_EXPERIMENTS)
+        for engine in ("batch", "solo", "reference")] + [("all", "batch")])
+    def test_every_experiment_takes_every_engine(self, experiment, engine,
+                                                 capsys):
+        assert main([experiment, "--scale", "smoke",
+                     "--engine", engine]) == 0
+        named = [line for line in capsys.readouterr().out.splitlines()
+                 if "engine=" in line]
+        assert named or experiment in self.ENGINELESS
+        assert all(f"engine={engine}" in line for line in named), named
+
+    @pytest.mark.parametrize("engine", ["fast", "rebuild", "proxy"])
+    def test_retired_names_are_refused_by_the_parser(self, engine, capsys):
+        with pytest.raises(SystemExit) as refusal:
+            main(["fig8", "--scale", "smoke", "--engine", engine])
+        assert refusal.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

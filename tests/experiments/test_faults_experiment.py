@@ -52,10 +52,10 @@ class TestFaultSweepEngines:
         kwargs = dict(scale="smoke", rates=(0.0, 0.3),
                       policies=("S-EDF(P)", "MRSF(NP)", "COVERAGE(NP)"))
         batch = fault_sweep(**kwargs, engine="batch")
-        fast = fault_sweep(**kwargs, engine="fast")
+        fast = fault_sweep(**kwargs, engine="reference")
         for label in kwargs["policies"]:
             assert batch.series(label) == fast.series(label)
-        # Every lane lowered: nothing fell back to the fast engine.
+        # Every lane lowered: nothing fell back to the reference.
         assert batch.fell_back == 0
         assert fast.fell_back == 0
 
@@ -64,13 +64,13 @@ class TestFaultSweepEngines:
         batch = run_fault_setting(config, 0.25, policies=("M-EDF(P)",),
                                   engine="batch")
         fast = run_fault_setting(config, 0.25, policies=("M-EDF(P)",),
-                                 engine="fast")
+                                 engine="reference")
         assert batch.outcomes["M-EDF(P)"].gc_values == \
             fast.outcomes["M-EDF(P)"].gc_values
 
     def test_fallback_lanes_are_counted(self):
         # RANDOM has no columnar kind: under the batch engine each of
-        # its (repetition, rate) runs takes the fast path and is
+        # its (repetition, rate) runs takes the reference path and is
         # surfaced through fell_back; the series itself is unaffected.
         config = baseline("smoke")
         result = fault_sweep(scale="smoke", rates=(0.2, 0.4),
@@ -81,7 +81,7 @@ class TestFaultSweepEngines:
             assert run.fell_back == config.repetitions
         pure = fault_sweep(scale="smoke", rates=(0.2, 0.4),
                            policies=("S-EDF(P)", "RANDOM(NP)"),
-                           engine="fast")
+                           engine="reference")
         assert result.series("RANDOM(NP)") == pure.series("RANDOM(NP)")
 
 
@@ -110,10 +110,10 @@ class TestFaultsCli:
                      "--engine", "batch"]) == 0
         batch_head, batch_out = capsys.readouterr().out.split("\n", 1)
         assert main(["faults", "--scale", "smoke",
-                     "--engine", "fast"]) == 0
+                     "--engine", "reference"]) == 0
         fast_head, fast_out = capsys.readouterr().out.split("\n", 1)
         assert batch_head == "# engine=batch fell_back=0 blocks=2"
-        assert fast_head == "# engine=fast fell_back=0 blocks=0"
+        assert fast_head == "# engine=reference fell_back=0 blocks=0"
         assert "failure_rate" in batch_out
         assert batch_out == fast_out
 

@@ -233,13 +233,3 @@ class TestProcessWideConfiguration:
             assert cache.memory_hits == 1
         finally:
             configure_instances(cache_dir=None)
-
-    def test_fast_default_round_trip(self):
-        from repro.experiments.instances import fast_default
-        try:
-            configure_instances(fast=False)
-            assert fast_default() is False
-            configure_instances(fast=True)
-            assert fast_default() is True
-        finally:
-            configure_instances(cache_dir=None, fast=True)

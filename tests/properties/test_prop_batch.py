@@ -1,9 +1,9 @@
-"""Equivalence property: the columnar batch engine IS the fast engine.
+"""Equivalence property: the columnar batch engine IS the reference.
 
 :func:`~repro.simulation.batch.run_block` advances every lane of a
 (policy x budget x instance) block in one vectorized pass; it exists
 purely as a throughput optimization, so probe for probe each lane must
-reproduce exactly what the per-combination fast engine produces for the
+reproduce exactly what the reference simulator produces for the
 same (instance, policy, budget) — schedule, completeness accounting and
 counters. These properties drive single-lane blocks, full diverging
 line-ups and multi-instance mega blocks over random profile sets, plus
@@ -42,7 +42,7 @@ def budget_vectors(draw) -> BudgetVector:
 def _fast(profiles, spec, budget):
     policy, preemptive = parse_policy_spec(spec)
     return run_online(profiles, epoch(), budget, policy,
-                      preemptive=preemptive, engine="fast")
+                      preemptive=preemptive, engine="reference")
 
 
 def _assert_same_run(fast, batch):
@@ -109,12 +109,12 @@ class TestBatchEquivalence:
     @settings(max_examples=20, deadline=None)
     def test_run_online_batch_falls_back_for_random(self, profiles,
                                                     budget):
-        """RANDOM has no columnar kind; engine="batch" silently runs the
-        fast engine and still produces the seeded-identical run."""
+        """RANDOM has no columnar kind; engine="batch" runs the
+        reference and still produces the seeded-identical run."""
         policy, preemptive = parse_policy_spec("RANDOM(NP)")
         batch = run_online(profiles, epoch(), BudgetVector(budget),
                            policy, preemptive=preemptive, engine="batch")
         policy, preemptive = parse_policy_spec("RANDOM(NP)")
         fast = run_online(profiles, epoch(), BudgetVector(budget),
-                          policy, preemptive=preemptive, engine="fast")
+                          policy, preemptive=preemptive, engine="reference")
         _assert_same_run(fast, batch)

@@ -1,14 +1,14 @@
-"""Equivalence property: the batch fault plane IS the fast fault layer.
+"""Equivalence property: the batch fault plane IS the fault layer.
 
 The columnar engine lowers :class:`FaultSpec` draws, retries and the
 circuit breaker into lane-major columns (``docs/ALGORITHMS.md`` §14);
 it exists purely as a throughput optimization, so every faulty lane
-must reproduce the fast engine's run *probe for probe* — schedule,
+must reproduce the reference's run *probe for probe* — schedule,
 completeness accounting, fault counters, the quarantine set, breaker
 end state, and (for recording injectors) the full
 :class:`~repro.faults.model.FaultTrace`, retries and breaker-gated
 trials included. Fault sources the plane cannot lower (e.g. replayed
-traces) must fall back to the fast engine, not silently diverge.
+traces) must fall back to the reference, not silently diverge.
 """
 
 from hypothesis import given, settings
@@ -104,7 +104,7 @@ class TestBatchFaultEquivalence:
         fast = run_online(profiles, epoch(), budget, policy,
                           preemptive=preemptive, faults=fast_injector,
                           retry=retry, breaker=fast_breaker,
-                          engine="fast")
+                          engine="reference")
         policy, preemptive = parse_policy_spec(label)
         batch_injector = FaultInjector(spec)
         batch_breaker = _make_breaker(breaker)
@@ -145,7 +145,7 @@ class TestBatchFaultEquivalence:
             fast = run_online(profiles, epoch(), budget, policy,
                               preemptive=preemptive,
                               faults=fast_injector, retry=retry,
-                              breaker=fast_breaker, engine="fast")
+                              breaker=fast_breaker, engine="reference")
             _assert_same_faulty_run(fast, batch,
                                     (fast_injector, fast_breaker),
                                     (batch_injector, batch_breaker))
@@ -164,7 +164,7 @@ class TestBatchFaultEquivalence:
         fast_injector = FaultInjector(spec)
         fast = run_online(profiles, epoch(), budget, policy,
                           preemptive=preemptive, faults=fast_injector,
-                          retry=RetryConfig(1), engine="fast")
+                          retry=RetryConfig(1), engine="reference")
         policy, preemptive = parse_policy_spec(label)
         batch_injector = FaultInjector(spec)
         batch = run_online(profiles, epoch(), budget, policy,
@@ -180,13 +180,13 @@ class TestBatchFaultEquivalence:
     def test_replayed_traces_fall_back(self, profiles, spec, budget):
         """RecordedFaults answers from history, which the draw columns
         cannot encode: run_block refuses it, and run_online falls back
-        to the fast engine with an identical run."""
+        to the reference with an identical run."""
         budget = BudgetVector(budget)
         policy, preemptive = parse_policy_spec("S-EDF(NP)")
         injector = FaultInjector(spec)
         fast = run_online(profiles, epoch(), budget, policy,
                           preemptive=preemptive, faults=injector,
-                          engine="fast")
+                          engine="reference")
         replay = RecordedFaults(injector.trace)
         try:
             run_block(profiles, epoch(),

@@ -1,17 +1,20 @@
 """Churn equivalence: incremental insert/delete IS the full rebuild.
 
+The engine half leaves with ``src/repro/simulation/engine.py``: nothing
+under ``src/repro`` imports that module any more, so this suite builds
+:class:`FastProxySimulator` (spliced and rebuilding) itself.
+
 The fast churn paths exist purely as optimizations — for
 every interleaving of mid-epoch registrations and cancellations they
 must be observationally identical to tearing the derived structures
 down and rebuilding them from scratch:
 
-* ``run_churned(mode="incremental")`` (the plan lowered to lifetimes
-  and run as one lane of the block kernel; RANDOM falls back to the
-  event engine) and ``FastProxySimulator.run(churn=plan)`` (event
-  splicing into the live per-chronon queues + dirty-set index patching:
-  what that fallback runs, so it stays property-tested for as long as
-  it exists) must both produce the
-  same run as ``mode="rebuild"`` (a full
+* ``run_churned`` (the plan lowered to lifetimes and run as one lane
+  of the block kernel; it refuses RANDOM, whose incremental leg is the
+  event engine's) and ``FastProxySimulator.run(churn=plan)`` (event
+  splicing into the live per-chronon queues + dirty-set index patching,
+  property-tested for as long as it exists) must both produce the
+  same run as ``run(churn=plan, churn_rebuild=True)`` (a full
   :meth:`~repro.simulation.engine.FastProxySimulator.rebuild_structures`
   pass after every event) — probe for probe, counter for counter;
 * :class:`~repro.offline.incremental.IncrementalLocalRatio` must keep
@@ -39,9 +42,10 @@ from repro.online.registry import parse_policy_spec
 from repro.simulation import (
     ChurnEvent,
     ChurnPlan,
-    FastProxySimulator,
+    batch_kind,
     run_churned,
 )
+from repro.simulation.engine import FastProxySimulator
 
 from tests.properties.strategies import (
     HORIZON,
@@ -87,22 +91,25 @@ def churn_scenarios(draw, max_initial: int = 3, max_adds: int = 3):
 
 
 def _run_both(initial, plan, spec, budget, faults=None, retry=None):
-    results = []
-    for mode in ("incremental", "rebuild"):
-        policy, preemptive = parse_policy_spec(spec)
-        results.append(run_churned(
+    policy, preemptive = parse_policy_spec(spec)
+    if batch_kind(policy) is None:
+        incremental = _run_spliced(initial, plan, spec, budget, faults,
+                                   retry)
+    else:
+        incremental = run_churned(
             initial, epoch(), BudgetVector(budget), policy, plan=plan,
-            preemptive=preemptive, mode=mode, faults=faults,
-            retry=retry))
-    return results
+            preemptive=preemptive, faults=faults, retry=retry)
+    return incremental, _run_spliced(initial, plan, spec, budget, faults,
+                                     retry, rebuild=True)
 
 
-def _run_spliced(initial, plan, spec, budget, faults=None, retry=None):
+def _run_spliced(initial, plan, spec, budget, faults=None, retry=None,
+                 rebuild=False):
     policy, preemptive = parse_policy_spec(spec)
     return FastProxySimulator(
         initial, epoch(), BudgetVector(budget), policy,
         preemptive=preemptive, faults=faults,
-        retry=retry).run(churn=plan)
+        retry=retry).run(churn=plan, churn_rebuild=rebuild)
 
 
 def _assert_same_run(incremental, rebuild):

@@ -1,5 +1,9 @@
 """Equivalence property: the fast engine IS the reference engine.
 
+Leaves with ``src/repro/simulation/engine.py``: nothing under
+``src/repro`` imports that module any more, so this suite builds
+:class:`FastProxySimulator` itself.
+
 The event-indexed :class:`~repro.simulation.engine.FastProxySimulator`
 exists purely as an optimization — for every input it must produce the
 *same run* as the straightforward per-chronon
@@ -16,7 +20,8 @@ from hypothesis import strategies as st
 from repro.core import BudgetVector
 from repro.faults import CircuitBreaker, RetryConfig
 from repro.online.registry import parse_policy_spec
-from repro.simulation import run_online
+from repro.simulation import ProxySimulator
+from repro.simulation.engine import FastProxySimulator
 
 from tests.properties.strategies import epoch, fault_specs, profile_sets
 
@@ -34,13 +39,13 @@ POLICY_SPECS = [
 def _run_both(profiles, spec, budget, faults=None, retry=None,
               breaker_args=None):
     results = []
-    for engine in ("reference", "fast"):
+    for simulator in (ProxySimulator, FastProxySimulator):
         policy, preemptive = parse_policy_spec(spec)
         breaker = CircuitBreaker(**breaker_args) if breaker_args else None
-        results.append(run_online(
+        results.append(simulator(
             profiles, epoch(), BudgetVector(budget), policy,
             preemptive=preemptive, faults=faults, retry=retry,
-            breaker=breaker, engine=engine))
+            breaker=breaker).run())
     return results
 
 

@@ -11,8 +11,8 @@ kernel over the lowering they give. Nothing here trusts the formulas:
   a candidate from ``max(start, arrival)``, cut at the cancel clock),
   and with ``test_columnar``'s per-object oracle wherever the windows
   are cut;
-* the runs are compared with the event engine splicing the same plan,
-  with its rebuild referee and with the live ``MonitoringProxy``.
+* the runs are compared with the live ``MonitoringProxy`` registering
+  and cancelling as the plan says — the churn referee, faults included.
 """
 
 import logging
@@ -40,17 +40,17 @@ from repro.faults import (
     FaultSpec,
     RecordedFaults,
     RetryConfig,
+    UnreliableServer,
 )
 from repro.online.registry import parse_policy_spec
 from repro.runtime import MonitoringProxy, OriginServer
 from repro.simulation import (
     ChurnEvent,
     ChurnPlan,
-    FastProxySimulator,
     run_churned,
 )
 from repro.simulation import columnar as columnar_module
-from repro.simulation.batch import run_block
+from repro.simulation.batch import BatchUnsupported, run_block
 from repro.simulation.churn import lower_plan
 from repro.simulation.columnar import ActivityWindow, ColumnarInstance
 from repro.simulation.shard import federated_run
@@ -62,7 +62,10 @@ from tests.properties.strategies import (
     profile_sets,
     profiles,
 )
-from tests.properties.test_prop_batch_faults import _assert_same_faulty_run
+from tests.properties.test_prop_batch_faults import (
+    _assert_same_faulty_run,
+    _breaker_state,
+)
 from tests.simulation.test_columnar import _eta, assert_same_lowering
 from tests.simulation.test_lowering_windows import POLICIES, _array_bytes
 
@@ -190,7 +193,7 @@ class TestPlanLowering:
 
 
 # ----------------------------------------------------------------------
-# Edge cases: columns == event engine == rebuild == live proxy
+# Edge cases: columns == live proxy
 # ----------------------------------------------------------------------
 
 def _profile(*etas) -> Profile:
@@ -208,12 +211,18 @@ def _same_run(left, right) -> None:
     assert left.extras == right.extras
 
 
-def _proxy_outcome(initial, plan, label, budget, epoch):
+def _proxy_outcome(initial, plan, label, budget, epoch, faults=None,
+                   retry=None, breaker=None):
     """The plan through the live proxy: events at clock ``T`` land after
-    chronon ``T`` was stepped, before the next."""
+    chronon ``T`` was stepped, before the next. With a fault layer the
+    outcome also carries (probes failed, retries, quarantined)."""
     policy, preemptive = parse_policy_spec(label)
-    proxy = MonitoringProxy(OriginServer(UpdateTrace([], epoch)), epoch,
-                            budget, policy, preemptive=preemptive)
+    server = OriginServer(UpdateTrace([], epoch))
+    if faults is not None:
+        server = UnreliableServer(server, injector=faults)
+    proxy = MonitoringProxy(server, epoch, budget, policy,
+                            preemptive=preemptive, retry=retry,
+                            breaker=breaker)
     client = proxy.register_client()
     for profile in initial:
         proxy.register_profile(client, profile)
@@ -229,29 +238,32 @@ def _proxy_outcome(initial, plan, label, budget, epoch):
             break
         proxy.step()
     stats = proxy.run()
-    return (list(proxy.schedule.probes()), stats.completed, stats.expired,
-            stats.dropped)
+    outcome = (list(proxy.schedule.probes()), stats.completed,
+               stats.expired, stats.dropped)
+    if faults is None:
+        return outcome
+    return outcome + (stats.probes_failed, stats.retries,
+                      stats.resources_quarantined)
+
+
+def _outcome(result, faulty=False):
+    """A columns run in the shape of :func:`_proxy_outcome`."""
+    outcome = (list(result.schedule.probes()), result.report.captured,
+               result.expired, int(result.extras.get("dropped", 0)))
+    if not faulty:
+        return outcome
+    return outcome + (result.probes_failed, result.retries,
+                      result.resources_quarantined)
 
 
 def churned(initial, plan, label="MRSF(P)", budget=BudgetVector(1),
             epoch=EPOCH):
-    """``run_churned`` on the columns, checked against all three others."""
-    runs = []
-    for mode in ("incremental", "rebuild", None):
-        policy, preemptive = parse_policy_spec(label)
-        if mode is None:
-            runs.append(FastProxySimulator(
-                initial, epoch, budget, policy,
-                preemptive=preemptive).run(churn=plan))
-        else:
-            runs.append(run_churned(initial, epoch, budget, policy, plan,
-                                    preemptive=preemptive, mode=mode))
-    columns, rebuild, spliced = runs
-    _same_run(columns, rebuild)
-    _same_run(columns, spliced)
-    assert (list(columns.schedule.probes()), columns.report.captured,
-            columns.expired, int(columns.extras.get("dropped", 0))) \
-        == _proxy_outcome(initial, plan, label, budget, epoch)
+    """``run_churned`` on the columns, checked against the live proxy."""
+    policy, preemptive = parse_policy_spec(label)
+    columns = run_churned(initial, epoch, budget, policy, plan,
+                          preemptive=preemptive)
+    assert _outcome(columns) == _proxy_outcome(initial, plan, label,
+                                               budget, epoch)
     return columns
 
 
@@ -375,30 +387,25 @@ class TestErrorsAndEmptyPlans:
     def test_cancel_of_an_id_registered_later_in_the_plan(self):
         plan = ChurnPlan([ChurnEvent.remove(4, 1),
                           ChurnEvent.add(4, _LATE)])
-        for mode in ("incremental", "rebuild"):
-            policy, _p = parse_policy_spec("MRSF(P)")
-            with pytest.raises(ModelError, match="unknown profile id 1"):
-                run_churned(_INITIAL, EPOCH, BudgetVector(1), policy,
-                            plan, mode=mode)
+        policy, _p = parse_policy_spec("MRSF(P)")
+        with pytest.raises(ModelError, match="unknown profile id 1"):
+            run_churned(_INITIAL, EPOCH, BudgetVector(1), policy, plan)
         # The same two events the other way round are a legal plan.
         churned(_INITIAL, ChurnPlan(plan.events[::-1]))
 
     def test_cancel_of_an_initial_profile_without_tintervals(self):
         initial = ProfileSet([Profile([]), _profile([(0, 1, 2)])])
-        for mode in ("incremental", "rebuild"):
-            policy, _p = parse_policy_spec("MRSF(P)")
-            with pytest.raises(ModelError, match="unknown profile id 0"):
-                run_churned(initial, EPOCH, BudgetVector(1), policy,
-                            [ChurnEvent.remove(2, 0)], mode=mode)
+        policy, _p = parse_policy_spec("MRSF(P)")
+        with pytest.raises(ModelError, match="unknown profile id 0"):
+            run_churned(initial, EPOCH, BudgetVector(1), policy,
+                        [ChurnEvent.remove(2, 0)])
 
     def test_empty_add(self):
         event = ChurnEvent.add(3, Profile([]))
-        for mode in ("incremental", "rebuild"):
-            policy, _p = parse_policy_spec("S-EDF(P)")
-            with pytest.raises(ModelError,
-                               match="cannot register an empty profile"):
-                run_churned(_INITIAL, EPOCH, BudgetVector(1), policy,
-                            [event], mode=mode)
+        policy, _p = parse_policy_spec("S-EDF(P)")
+        with pytest.raises(ModelError,
+                           match="cannot register an empty profile"):
+            run_churned(_INITIAL, EPOCH, BudgetVector(1), policy, [event])
 
     def test_bad_mode(self):
         policy, _p = parse_policy_spec("S-EDF(P)")
@@ -491,15 +498,12 @@ class TestWindowCuts:
                                                  label):
         initial, plan, epoch_ = _cold(workload)
         policy, preemptive = parse_policy_spec(label)
-        expected = FastProxySimulator(
-            initial, epoch_, BudgetVector(2), policy,
-            preemptive=preemptive).run(churn=plan)
-        policy, preemptive = parse_policy_spec(label)
         with mock.patch.object(columnar_module, "_WINDOW_ENTRIES", cap):
             result = run_churned(initial, epoch_, BudgetVector(2), policy,
                                  plan, preemptive=preemptive)
         assert plan._lowering.columnar.windows_built > 1
-        _same_run(result, expected)
+        assert _outcome(result) == _proxy_outcome(
+            initial, plan, label, BudgetVector(2), epoch_)
 
     @pytest.mark.parametrize("cap", CAPS)
     @pytest.mark.parametrize("label", ["MRSF(NP)", "M-EDF(P)",
@@ -509,29 +513,21 @@ class TestWindowCuts:
         initial, plan, epoch_ = _cold(workload)
         budget = BudgetVector(1, overrides={
             T: T % 4 for T in range(3, epoch_.last, 3)})
-        sides = []
-        runs = []
-        for columns in (False, True):
-            policy, preemptive = parse_policy_spec(label)
-            faults, retry, breaker = _fault_layer()
-            sides.append((faults, breaker))
-            if columns:
-                with mock.patch.object(columnar_module, "_WINDOW_ENTRIES",
-                                       cap):
-                    runs.append(run_churned(
-                        initial, epoch_, budget, policy, plan,
-                        preemptive=preemptive, faults=faults, retry=retry,
-                        breaker=breaker))
-            else:
-                runs.append(FastProxySimulator(
-                    initial, epoch_, budget, policy, preemptive=preemptive,
-                    faults=faults, retry=retry,
-                    breaker=breaker).run(churn=plan))
-        expected, result = runs
+        faults, retry, breaker = _fault_layer()
+        expected = _proxy_outcome(initial, plan, label, budget, epoch_,
+                                  faults, retry, breaker)
+        policy, preemptive = parse_policy_spec(label)
+        lane_faults, retry, lane_breaker = _fault_layer()
+        with mock.patch.object(columnar_module, "_WINDOW_ENTRIES", cap):
+            result = run_churned(
+                initial, epoch_, budget, policy, plan,
+                preemptive=preemptive, faults=lane_faults, retry=retry,
+                breaker=lane_breaker)
         assert plan._lowering.columnar.windows_built > 1
-        assert expected.probes_failed > 0 and expected.retries > 0
-        _assert_same_faulty_run(expected, result, *sides)
-        assert result.extras == expected.extras
+        assert result.probes_failed > 0 and result.retries > 0
+        assert _outcome(result, faulty=True) == expected
+        assert list(lane_faults.trace) == list(faults.trace)
+        assert _breaker_state(lane_breaker) == _breaker_state(breaker)
 
 
 class TestLanesAndShards:
@@ -635,57 +631,58 @@ class TestOneWindowInFlight:
 
 
 # ----------------------------------------------------------------------
-# The fallback says so
+# No fallback: what the columns cannot serve is refused, loudly
 # ----------------------------------------------------------------------
 
 class TestFallbackIsLogged:
+    """There is no fallback, so nothing to log: a churned run is the
+    columns or a refusal, before any chronon runs, that names the cause
+    and the live proxy as the way to run it."""
+
     PLAN = ChurnPlan([ChurnEvent.add(5, _LATE), ChurnEvent.remove(7, 0)])
 
-    def _spliced(self, label, **kwargs):
+    def _churned(self, label, plan=PLAN, **kwargs):
         policy, preemptive = parse_policy_spec(label)
-        return FastProxySimulator(_INITIAL, EPOCH, BudgetVector(1), policy,
-                                  preemptive=preemptive,
-                                  **kwargs).run(churn=self.PLAN)
+        return run_churned(_INITIAL, EPOCH, BudgetVector(1), policy,
+                           plan, preemptive=preemptive, **kwargs)
 
-    def _logged(self, caplog, label, **kwargs):
-        policy, preemptive = parse_policy_spec(label)
-        with caplog.at_level(logging.INFO, logger="repro.simulation.churn"):
-            result = run_churned(_INITIAL, EPOCH, BudgetVector(1), policy,
-                                 self.PLAN, preemptive=preemptive, **kwargs)
-        records = [record for record in caplog.records
-                   if record.name == "repro.simulation.churn"]
-        return result, records
+    def _refused(self, label, cause, **kwargs):
+        plan = ChurnPlan(self.PLAN.events)
+        with pytest.raises(BatchUnsupported, match=cause) as refusal:
+            self._churned(label, plan, **kwargs)
+        assert "MonitoringProxy" in str(refusal.value)
+        # Before any chronon: the plan was lowered, no window was built.
+        assert plan._lowering.columnar.windows_built == 0
 
     def test_a_supported_run_logs_nothing(self, caplog):
-        _result, records = self._logged(caplog, "MRSF(P)")
-        assert records == []
+        with caplog.at_level(logging.INFO, logger="repro.simulation"):
+            self._churned("MRSF(P)")
+        assert [record for record in caplog.records
+                if record.levelno >= logging.INFO] == []
 
-    def test_random_policy(self, caplog):
-        result, (record,) = self._logged(caplog, "RANDOM(NP)")
-        assert record.levelno == logging.INFO
-        assert "no columnar scoring kind" in record.getMessage()
-        _same_run(result, self._spliced("RANDOM(NP)"))
+    def test_random_policy(self):
+        self._refused("RANDOM(NP)", "no columnar scoring kind")
+        # The way to run it: the live proxy takes any policy.
+        probes, completed, expired, dropped = _proxy_outcome(
+            _INITIAL, self.PLAN, "RANDOM(NP)", BudgetVector(1), EPOCH)
+        assert completed + expired + dropped == 3 and probes
 
-    def test_custom_state_factory(self, caplog):
+    def test_custom_state_factory(self):
         def factory(eta, profile_rank):
             return QuotaTIntervalState(eta, profile_rank, 1)
 
-        result, (record,) = self._logged(caplog, "MRSF(P)",
-                                         state_factory=factory)
-        assert "custom state_factory" in record.getMessage()
-        _same_run(result, self._spliced("MRSF(P)", state_factory=factory))
-        # One capture completes a quota-1 t-interval: not what the
-        # columns (every EI required) would have answered.
-        plain, _none = self._logged(caplog, "MRSF(P)")
-        assert result.report.captured > plain.report.captured
+        with pytest.raises(TypeError, match="state_factory"):
+            self._churned("MRSF(P)", state_factory=factory)
 
-    def test_replayed_fault_trace(self, caplog):
+    def test_replayed_fault_trace(self):
         recorder = FaultInjector(FaultSpec(failure_probability=0.5,
                                            seed=11))
-        recorded = self._spliced("S-EDF(P)", faults=recorder)
+        recorded = self._churned("S-EDF(P)", faults=recorder)
         assert recorded.probes_failed > 0
-        result, (record,) = self._logged(
-            caplog, "S-EDF(P)", faults=RecordedFaults(recorder.trace))
-        assert "RecordedFaults" in record.getMessage()
-        _same_run(result, recorded)
-        assert result.probes_failed == recorded.probes_failed
+        self._refused("S-EDF(P)", "RecordedFaults",
+                      faults=RecordedFaults(recorder.trace))
+        # The way to run it: the live proxy replays the trace.
+        replayed = _proxy_outcome(
+            _INITIAL, self.PLAN, "S-EDF(P)", BudgetVector(1), EPOCH,
+            faults=recorder.trace.replay())
+        assert replayed == _outcome(recorded, faulty=True)

@@ -46,7 +46,6 @@ from repro.online.registry import parse_policy_spec
 from repro.simulation import (
     ChurnEvent,
     ChurnPlan,
-    FastProxySimulator,
     run_churned,
 )
 from repro.simulation import columnar as columnar_module
@@ -56,12 +55,17 @@ from repro.traces.models import PoissonUpdateModel
 from repro.workloads.generator import GeneratorConfig, ProfileGenerator
 
 from tests.properties.strategies import HORIZON, epoch
-from tests.properties.test_prop_batch_faults import _assert_same_faulty_run
+from tests.properties.test_prop_batch_faults import (
+    _assert_same_faulty_run,
+    _breaker_state,
+)
 from tests.simulation.test_churn_columns import (
     EPOCH,
     _INITIAL,
     _LATE,
+    _outcome,
     _profile,
+    _proxy_outcome,
     _same_run,
     churned,
     plans,
@@ -177,12 +181,11 @@ class TestPlanColumns:
 
 
 def _raises_everywhere(initial, plan, message) -> None:
-    """Columns, column-born columns and the event engine refuse ``plan``
-    with the same words."""
-    for mode in ("incremental", "rebuild"):
-        for candidate in (plan, column_born(plan)):
-            with pytest.raises(ModelError, match=message):
-                _run(initial, candidate, "MRSF(P)", mode=mode)
+    """Columns and column-born columns refuse ``plan`` with the same
+    words."""
+    for candidate in (plan, column_born(plan)):
+        with pytest.raises(ModelError, match=message):
+            _run(initial, candidate, "MRSF(P)")
 
 
 class TestOrderExactEdges:
@@ -404,8 +407,7 @@ class TestEveryPolicy:
         initial, plan, epoch_, (want_initial, want_plan, _e) = small_workload
         assert len(initial) > 0
         budget = BudgetVector(2)
-        # Object-built on the columns, and against rebuild / the event
-        # engine / the live proxy.
+        # Object-built on the columns, and against the live proxy.
         reference = churned(want_initial, want_plan, label, budget, epoch_)
         fresh = ChurnPlan.from_columns(plan.columns())
         first = _run(initial, fresh, label, epoch_, budget)
@@ -419,21 +421,19 @@ class TestEveryPolicy:
     def test_a_fault_lane_on_a_reused_lowering(self, small_workload, label):
         initial, plan, epoch_, (want_initial, want_plan, _e) = small_workload
         budget = BudgetVector(2)
-        policy, preemptive = parse_policy_spec(label)
         faults, retry, breaker = _fault_layer()
-        expected = FastProxySimulator(
-            want_initial, epoch_, budget, policy, preemptive=preemptive,
-            faults=faults, retry=retry, breaker=breaker).run(churn=want_plan)
-        assert expected.probes_failed > 0
+        expected = _proxy_outcome(want_initial, want_plan, label, budget,
+                                  epoch_, faults, retry, breaker)
+        assert expected[4] > 0
         fresh = ChurnPlan.from_columns(plan.columns())
         for runs in (1, 2, 3):
             side = _fault_layer()
             result = _run(initial, fresh, label, epoch_, budget,
                           faults=side[0], retry=side[1], breaker=side[2])
             assert fresh._lowering.runs == runs
-            _assert_same_faulty_run(expected, result, (faults, breaker),
-                                    (side[0], side[2]))
-            assert result.extras == expected.extras
+            assert _outcome(result, faulty=True) == expected
+            assert list(side[0].trace) == list(faults.trace)
+            assert _breaker_state(side[2]) == _breaker_state(breaker)
 
     @pytest.mark.parametrize("cap", [1, 7, 64])
     def test_a_reused_lowering_of_several_windows(self, small_workload, cap):
@@ -500,19 +500,17 @@ class TestKeptLowering:
         _same_run(longer,
                   _run(_INITIAL, ChurnPlan(self.PLAN), "MRSF(P)", Epoch(14)))
 
-    def test_an_unsupported_lowering_keeps_nothing(self, caplog):
+    def test_an_unsupported_lowering_keeps_nothing(self):
         plan = ChurnPlan(self.PLAN)
         refusing = mock.patch.object(
             ColumnarInstance, "__init__", autospec=True,
             side_effect=BatchUnsupported("no columns today"))
-        with refusing, caplog.at_level(logging.INFO,
-                                       logger="repro.simulation.churn"):
-            fallen = _run(_INITIAL, plan, "MRSF(P)")
+        with refusing, pytest.raises(BatchUnsupported,
+                                     match="no columns today"):
+            _run(_INITIAL, plan, "MRSF(P)")
         assert plan._lowering is None
-        assert "no columns today" in caplog.text
-        served = _run(_INITIAL, plan, "MRSF(P)")
+        _run(_INITIAL, plan, "MRSF(P)")
         assert plan._lowering.runs == 1
-        _same_run(fallen, served)
 
     def test_a_failed_plan_keeps_nothing(self):
         plan = ChurnPlan([ChurnEvent.remove(3, 4)])
@@ -578,13 +576,14 @@ class TestObjectsAreWalkedOnce:
             assert walks.call_count == 2
             # A miss lowers again — from the columns both now hold.
             _run(initial, plan, "MRSF(P)", Epoch(14))
-            _run(initial, plan, "RANDOM(P)")
+            with pytest.raises(BatchUnsupported):
+                _run(initial, plan, "RANDOM(P)")
             ColumnarInstance.build(initial, EPOCH)
             assert walks.call_count == 2
 
 
 # ----------------------------------------------------------------------
-# A one-shot plan survives the fallback
+# A one-shot plan is read once: there is no second reader
 # ----------------------------------------------------------------------
 
 def _quota(eta, profile_rank):
@@ -593,17 +592,14 @@ def _quota(eta, profile_rank):
 
 def _replayed():
     recorder = FaultInjector(FaultSpec(failure_probability=0.5, seed=11))
-    policy, preemptive = parse_policy_spec("S-EDF(P)")
-    FastProxySimulator(_INITIAL, EPOCH, BudgetVector(1), policy,
-                       preemptive=preemptive, faults=recorder).run(
-                           churn=TestKeptLowering.PLAN)
+    _run(_INITIAL, TestKeptLowering.PLAN, "S-EDF(P)", faults=recorder)
     return {"faults": RecordedFaults(recorder.trace)}
 
 
 class TestOneShotPlans:
-    """``run_churned`` reads its plan once, whatever falls back: an
-    iterator handed to the columns and then, exhausted, to the event
-    engine used to run churn-free."""
+    """``run_churned`` reads its plan once and nothing falls back: what
+    the columns cannot serve is refused, whatever shape the plan came
+    in."""
 
     @pytest.mark.parametrize("shape", [iter, lambda plan: (e for e in plan),
                                        list, ChurnPlan],
@@ -613,15 +609,13 @@ class TestOneShotPlans:
         ("MRSF(P)", lambda: {"state_factory": _quota}),
         ("S-EDF(P)", _replayed),
     ], ids=["random", "state_factory", "replayed_trace"])
-    def test_fallback_sees_the_whole_plan(self, caplog, label, kwargs, shape):
-        policy, preemptive = parse_policy_spec(label)
-        expected = FastProxySimulator(
-            _INITIAL, EPOCH, BudgetVector(1), policy, preemptive=preemptive,
-            **kwargs()).run(churn=TestKeptLowering.PLAN)
-        assert expected.extras["added_profiles"] == 1.0
-        with caplog.at_level(logging.INFO, logger="repro.simulation.churn"):
-            result = _run(_INITIAL, shape(TestKeptLowering.PLAN), label,
-                          **kwargs())
-        assert "on the event engine" in caplog.text
-        _same_run(result, expected)
-        assert result.report.total == 2 + len(_LATE)
+    def test_fallback_sees_the_whole_plan(self, label, kwargs, shape):
+        refusal = {
+            "RANDOM(P)": (BatchUnsupported, "no columnar scoring kind.*"
+                                            "MonitoringProxy"),
+            "MRSF(P)": (TypeError, "state_factory"),
+            "S-EDF(P)": (BatchUnsupported, "RecordedFaults.*"
+                                           "MonitoringProxy"),
+        }[label]
+        with pytest.raises(refusal[0], match=refusal[1]):
+            _run(_INITIAL, shape(TestKeptLowering.PLAN), label, **kwargs())

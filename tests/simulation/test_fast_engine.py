@@ -1,5 +1,9 @@
 """Unit tests for the event-indexed fast engine.
 
+Leaves with ``src/repro/simulation/engine.py``: nothing under
+``src/repro`` imports that module any more, so these tests build
+:class:`FastProxySimulator` themselves.
+
 The broad probe-for-probe equivalence with the reference engine lives in
 ``tests/properties/test_prop_engine.py``; these tests pin down the
 targeted behaviours — engine dispatch, custom ``state_factory`` support,
@@ -30,11 +34,11 @@ from repro.runtime import MonitoringProxy, OriginServer
 from repro.simulation import (
     ChurnEvent,
     ChurnPlan,
-    FastProxySimulator,
     ProxySimulator,
     run_churned,
     run_online,
 )
+from repro.simulation.engine import FastProxySimulator
 from repro.traces import UpdateTrace
 
 
@@ -54,8 +58,8 @@ class TestEngineDispatch:
 
     def test_reference_engine_selectable(self):
         profiles = _profiles([(0, 2, 5)])
-        fast = run_online(profiles, Epoch(10), BudgetVector(1),
-                          SEDFPolicy(), engine="fast")
+        fast = FastProxySimulator(profiles, Epoch(10), BudgetVector(1),
+                                  SEDFPolicy()).run()
         reference = run_online(profiles, Epoch(10), BudgetVector(1),
                                SEDFPolicy(), engine="reference")
         assert list(fast.schedule.probes()) == \
@@ -151,12 +155,12 @@ class TestFastEngineBehaviour:
             [(1, 2, 6), (0, 5, 9)],
         )
         faults = FaultSpec(failure_probability=0.5, seed=7)
-        runs = []
-        for engine in ("reference", "fast"):
-            runs.append(run_online(
-                profiles, Epoch(12), BudgetVector(2), MRSFPolicy(),
-                faults=faults, retry=RetryConfig(1), engine=engine))
-        reference, fast = runs
+        reference = run_online(
+            profiles, Epoch(12), BudgetVector(2), MRSFPolicy(),
+            faults=faults, retry=RetryConfig(1), engine="reference")
+        fast = FastProxySimulator(
+            profiles, Epoch(12), BudgetVector(2), MRSFPolicy(),
+            faults=faults, retry=RetryConfig(1)).run()
         assert fast.probes_failed == reference.probes_failed
         assert fast.retries == reference.retries
         assert list(fast.schedule.probes()) == \
@@ -323,10 +327,11 @@ class TestLiveRegistration:
                 (8, _profile([(0, 2, 4)], [(3, 9, 12)]))]
         plan = ChurnPlan([ChurnEvent.add(clock, profile)
                           for clock, profile in adds])
-        incremental, rebuild = (
-            run_churned(_INITIAL, Epoch(12), BudgetVector(1),
-                        policy_cls(), plan=plan, mode=mode)
-            for mode in ("incremental", "rebuild"))
+        incremental = run_churned(_INITIAL, Epoch(12), BudgetVector(1),
+                                  policy_cls(), plan=plan)
+        rebuild = FastProxySimulator(
+            _INITIAL, Epoch(12), BudgetVector(1), policy_cls()).run(
+                churn=plan, churn_rebuild=True)
         assert list(incremental.schedule.probes()) == \
             list(rebuild.schedule.probes())
         assert incremental.report == rebuild.report
@@ -361,10 +366,11 @@ class TestLiveRegistration:
 
         plan = ChurnPlan([ChurnEvent.add(5, late)])
         incremental, rebuild = (
-            run_churned(ProfileSet(), Epoch(12), BudgetVector(1),
-                        QuotaMRSFPolicy(), plan=plan, mode=mode,
-                        state_factory=factory)
-            for mode in ("incremental", "rebuild"))
+            FastProxySimulator(
+                ProfileSet(), Epoch(12), BudgetVector(1),
+                QuotaMRSFPolicy(), state_factory=factory).run(
+                    churn=plan, churn_rebuild=rebuild)
+            for rebuild in (False, True))
         assert list(incremental.schedule.probes()) == \
             list(rebuild.schedule.probes()) == [(1, 7)]
         assert incremental.report == rebuild.report

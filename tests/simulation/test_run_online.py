@@ -1,0 +1,105 @@
+"""``run_online``: a one-lane block by default, the specification on
+request — and the same run either way.
+
+The default engine is the columnar kernel; what the columns cannot
+encode goes to the reference :class:`ProxySimulator` and an INFO record
+on ``repro.simulation.proxy`` says why. Every registry policy, both
+preemption modes, one faulty instance: probe for probe, counter for
+counter.
+"""
+
+import logging
+
+import pytest
+
+from repro.experiments import ExperimentConfig, make_instance
+from repro.faults import (
+    CircuitBreaker,
+    FaultInjector,
+    FaultSpec,
+    RecordedFaults,
+    RetryConfig,
+)
+from repro.online.registry import available_policies, parse_policy_spec
+from repro.simulation import batch_kind, run_online
+
+_CONFIG = ExperimentConfig(
+    epoch_length=30, num_resources=8, num_profiles=12, intensity=5.0,
+    window=4, budget=2, repetitions=1, grouping="overlap", seed=2108)
+_SPEC = FaultSpec(failure_probability=0.3, timeout_probability=0.1, seed=5)
+
+SPECS = [f"{name}({mode})" for name in available_policies()
+         for mode in ("P", "NP")]
+
+
+def _run(spec, engine=None, faults=_SPEC):
+    _trace, profiles = make_instance(_CONFIG, 0)
+    policy, preemptive = parse_policy_spec(spec)
+    breaker = CircuitBreaker(failure_threshold=2, cooldown=3)
+    kwargs = {} if engine is None else {"engine": engine}
+    result = run_online(profiles, _CONFIG.epoch, _CONFIG.budget_vector,
+                        policy, preemptive=preemptive, faults=faults,
+                        retry=RetryConfig(1), breaker=breaker, **kwargs)
+    return result, breaker
+
+
+def _proxy_records(caplog):
+    return [record for record in caplog.records
+            if record.name == "repro.simulation.proxy"]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_default_is_the_reference_probe_for_probe(spec, caplog):
+    with caplog.at_level(logging.INFO, logger="repro.simulation"):
+        default, default_breaker = _run(spec)
+    reference, reference_breaker = _run(spec, "reference")
+    assert list(default.schedule.probes()) == \
+        list(reference.schedule.probes())
+    assert default.label == reference.label
+    assert default.report == reference.report
+    assert (default.probes_used, default.expired, default.probes_failed,
+            default.retries, default.resources_quarantined) == (
+        reference.probes_used, reference.expired, reference.probes_failed,
+        reference.retries, reference.resources_quarantined)
+    assert default.probes_failed > 0
+    assert default_breaker.ever_quarantined == \
+        reference_breaker.ever_quarantined
+    # Only a policy without a columnar kind is rerouted, and says so.
+    rerouted = batch_kind(parse_policy_spec(spec)[0]) is None
+    assert rerouted == spec.startswith("RANDOM")
+    assert len(_proxy_records(caplog)) == int(rerouted)
+
+
+def test_random_policy_is_rerouted_once_with_the_reason(caplog):
+    with caplog.at_level(logging.INFO, logger="repro.simulation"):
+        _run("RANDOM(P)")
+    (record,) = _proxy_records(caplog)
+    assert record.levelno == logging.INFO
+    assert "reference simulator" in record.getMessage()
+    assert "no columnar scoring kind" in record.getMessage()
+
+
+def test_a_replayed_trace_is_rerouted_with_the_reason(caplog):
+    recorder = FaultInjector(_SPEC)
+    recorded, _breaker = _run("MRSF(P)", faults=recorder)
+    with caplog.at_level(logging.INFO, logger="repro.simulation"):
+        replayed, _breaker = _run("MRSF(P)",
+                                  faults=RecordedFaults(recorder.trace))
+    (record,) = _proxy_records(caplog)
+    assert "RecordedFaults" in record.getMessage()
+    assert list(replayed.schedule.probes()) == \
+        list(recorded.schedule.probes())
+    assert replayed.probes_failed == recorded.probes_failed > 0
+
+
+def test_the_reference_logs_nothing(caplog):
+    with caplog.at_level(logging.INFO, logger="repro.simulation"):
+        _run("RANDOM(P)", "reference")
+        _run("MRSF(P)", "reference")
+    assert _proxy_records(caplog) == []
+
+
+@pytest.mark.parametrize("engine", ["fast", "solo", "rebuild"])
+def test_two_engine_names_and_no_others(engine):
+    with pytest.raises(ValueError, match="expected 'batch' or 'reference'"):
+        _run("MRSF(P)", engine)
