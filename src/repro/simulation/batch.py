@@ -19,13 +19,13 @@ instance's per-chronon activity CSR (see
   full lexicographic candidate order, including the ``(seq, ei_id)``
   tie-break, is encoded positionally, so an integer min IS the
   tie-broken best;
-* resource ranking packs ``(score, finish, -pool, start, rid)`` into one
-  int64 per (lane, resource) and selects each lane's ``C_j(T)`` smallest
-  with one argsort/argpartition;
+* resource ranking ORs the pool's size and id into that minimum — one
+  layout, ``(score, finish, -pool, start, rid)``, from candidate to pool
+  — and selects each lane's ``C_j(T)`` smallest with one
+  argsort/argpartition;
 * non-preemptive lanes run the two-pool rule exactly: committed-state
   pools first, then fresh states for leftover budget;
-* captures, budget decrements and the M-EDF sum/started aggregates are
-  scatter-adds.
+* captures and the M-EDF sum/started aggregates are scatter-adds.
 
 Faulty lanes ride the same pass (see :class:`FaultLane`): the
 deterministic fault layer is lowered into lane-major columns too.
@@ -103,8 +103,6 @@ _KINDS = {
     CoveragePolicy: "coverage",
     MEDFPolicy: "medf",
 }
-
-_DYNAMIC_KINDS = frozenset({"mrsf", "anti", "coverage", "medf"})
 
 
 def batch_kind(policy: Policy) -> str | None:
@@ -274,12 +272,12 @@ def run_block(
     lane_objs = _make_lanes(lanes)
     L = len(lane_objs)
     built = col.windows_built
-    probes = _advance(col, lane_objs) if L else []
+    if not L:
+        return []
+    state = _advance(col, lane_objs)
     elapsed = time.perf_counter() - started
-    per_lane = elapsed / L if L else 0.0
-    return [_finalize(col, lane, lane_sched, lane_caps, lane_alive,
-                      per_lane, stats, col.windows_built - built)
-            for lane, lane_sched, lane_caps, lane_alive, stats in probes]
+    return _finalize(col, lane_objs, *state, elapsed / L,
+                     col.windows_built - built)
 
 
 # ----------------------------------------------------------------------
@@ -377,6 +375,7 @@ class _FaultPlane:
             out_rows[i] = row
         self.OUT = np.vstack(rows)
         self.out_rows = out_rows
+        self.any_out = bool(out_rows.any())
 
         self.has_brk = np.array([ln.breaker is not None
                                  for ln in lane_objs])
@@ -403,8 +402,7 @@ class _FaultPlane:
     def _below(self, rows: np.ndarray, gg: np.ndarray,
                prob: np.ndarray) -> np.ndarray:
         """Attempt-0 draws of the picks, drawn on first use, < ``prob``."""
-        self.draws.fill(rows, gg)
-        return self.draws.read(rows, gg) < prob
+        return self.draws.gather(rows, gg) < prob
 
     def _trip(self, ls: np.ndarray, rs: np.ndarray, T: int) -> None:
         self.blocking = True
@@ -430,13 +428,15 @@ class _FaultPlane:
         """
         gg = glo + g_pk
         rid = grids[g_pk]
-        out = self.OUT[self.out_rows[lanes_pk], gg]
-        thr = ~out & (pos_pk + 1 > self.maxp[lanes_pk])
+        # A channel no lane consults (every row the sentinel) and an
+        # outage no lane has can hit nothing: neither is read at all.
+        out = drop = tmo = stl = np.zeros(gg.size, dtype=bool)
+        thr = pos_pk + 1 > self.maxp[lanes_pk]
+        if self.any_out:
+            out = self.OUT[self.out_rows[lanes_pk], gg]
+            thr &= ~out
         fail = out | thr
         live = ~fail
-        # A channel no lane consults (every row the sentinel) can hit
-        # nothing: it is not read at all.
-        drop = tmo = stl = np.zeros(gg.size, dtype=bool)
         if self.any_drop:
             drop = live & self._below(self.drop_rows[lanes_pk], gg,
                                       self.rate_mat[lanes_pk, rid])
@@ -509,9 +509,8 @@ class _FaultPlane:
                     extra_l.append(i)
                     extra_g.append(int(g_pk[j]))
 
-        ok_idx = np.nonzero(ok)[0]
-        cap_l = lanes_pk[ok_idx]
-        cap_g = g_pk[ok_idx]
+        cap_l = lanes_pk[ok]
+        cap_g = g_pk[ok]
         if extra_l:
             cap_l = np.concatenate(
                 (cap_l, np.asarray(extra_l, dtype=np.int64)))
@@ -610,32 +609,49 @@ class _FaultPlane:
 # The chronon-major loop
 # ----------------------------------------------------------------------
 
+def _expire(col: ColumnarInstance, lo: int, hi: int, glo: int, ghi: int,
+            alive: np.ndarray, undoomed: np.ndarray,
+            doom_col: np.ndarray) -> None:
+    """Expire: one flush of the expiry CSR — EIs ``[lo, hi)`` of
+    ``col.xe_e``, whose states are segments ``[glo, ghi)`` — clearing
+    ``undoomed`` for every doom-sensitive row (``doom_col``, a column
+    vector) whose state missed one of them."""
+    xe = col.xe_e[lo:hi]
+    misses = alive[doom_col, xe[None, :]]
+    # OR-reduce to one column per state before the fancy &=: duplicate
+    # targets in a buffered assign would be lossy.
+    seg = col.xg_starts[glo:ghi] - lo
+    if seg.size != xe.size:
+        misses = np.logical_or.reduceat(misses, seg, axis=1)
+    undoomed[doom_col, col.xg_state[glo:ghi][None, :]] &= ~misses
+
+
 def _candidate_keys(hi: np.ndarray, kind_rows: dict[str, np.ndarray],
                     col: ColumnarInstance, win: ActivityWindow,
-                    alo: int, ahi: int, T: int, cand: np.ndarray,
-                    gs_local: np.ndarray, cap_count: np.ndarray,
+                    alo: int, ahi: int, T: int, n_cand: np.ndarray,
+                    cap_count: np.ndarray,
                     capsum: np.ndarray | None) -> None:
     """Score: fill ``hi`` (lanes x the chronon's activity entries
     ``[alo, ahi)`` of ``win``) with each lane's candidate keys — (score,
-    finish, start) packed int64, the score being the lane's policy kind
-    at chronon ``T`` given the lane's capture aggregates."""
-    fs_bits = col.fs_bits
+    finish, start) in the one packed layout, pool fields zero, the score
+    being the lane's policy kind at chronon ``T`` given the lane's
+    capture aggregates and ``n_cand``, its candidates per pool (read by
+    Coverage rows only)."""
+    shift = col.score_shift
     for kind, rows in kind_rows.items():
-        if kind not in _DYNAMIC_KINDS:
-            hi[rows] = win.hi_static[kind][alo:ahi]
-        elif kind == "mrsf":
+        if kind == "mrsf":
             capg = cap_count[rows[:, None], win.ps_act[None, alo:ahi]]
-            hi[rows] = win.hi_static["srank"][alo:ahi] - (capg << fs_bits)
+            hi[rows] = win.hi_static["srank"][alo:ahi] - (capg << shift)
         elif kind == "anti":
             capg = cap_count[rows[:, None], win.ps_act[None, alo:ahi]]
-            hi[rows] = win.hi_static["anti"][alo:ahi] + (capg << fs_bits)
+            hi[rows] = win.hi_static["anti"][alo:ahi] + (capg << shift)
         elif kind == "coverage":
             # Coverage scores -len(pool) over the *full* candidate
             # index (both NP pools), offset to n_max - len(pool).
-            n_tot = np.add.reduceat(
-                cand[rows], gs_local, axis=1).astype(np.int64)
-            hi[rows] = (((col.n_max - n_tot[:, win.grp_of[alo:ahi]])
-                         << fs_bits) + win.finstart_act[alo:ahi])
+            score = col.n_max - n_cand[rows]
+            score <<= shift
+            hi[rows] = (score[:, win.grp_of[alo:ahi]]
+                        + win.finstart_act[alo:ahi])
         elif kind == "medf":
             rc = rows[:, None]
             pc = win.ps_act[None, alo:ahi]
@@ -643,24 +659,30 @@ def _candidate_keys(hi: np.ndarray, kind_rows: dict[str, np.ndarray],
             base = (win.init_sum_act[alo:ahi] + col.medf_off
                     - T * win.started_act[alo:ahi])
             score = (base - capsum[rc, pc]) + T * cap_count[rc, pc]
-            hi[rows] = (score << fs_bits) + win.finstart_act[alo:ahi]
-        else:  # pragma: no cover - _make_lanes already screened kinds
-            raise BatchUnsupported(f"unknown kind {kind!r}")
+            hi[rows] = (score << shift) + win.finstart_act[alo:ahi]
+        else:  # a static kind (_make_lanes screened the names)
+            hi[rows] = win.hi_static[kind][alo:ahi]
 
 
-def _pool_keys(col: ColumnarInstance, pool: np.ndarray, hi: np.ndarray,
-               gs_local: np.ndarray, grids: np.ndarray,
+def _pool_keys(col: ColumnarInstance, pool: np.ndarray, pool_n: np.ndarray,
+               hi: np.ndarray, gs_local: np.ndarray, grids: np.ndarray,
                blocked: np.ndarray | None) -> np.ndarray:
     """Rank: one key per (row, resource pool) — the pool's best candidate
-    key and its size, packed by :meth:`ColumnarInstance.resource_key`;
-    ``INF_KEY`` where ``pool`` (rows x entries) holds no candidate."""
-    masked = np.where(pool, hi, INF_KEY)
-    best = np.minimum.reduceat(masked, gs_local, axis=1)
-    pool_n = np.add.reduceat(pool, gs_local, axis=1).astype(np.int64)
-    key = col.resource_key(best, pool_n, grids)
+    key with its size ``pool_n`` and resource id OR-ed in by
+    :meth:`ColumnarInstance.resource_key`; ``INF_KEY`` where ``pool``
+    (rows x entries) holds no candidate."""
+    # hi where pool, INF_KEY elsewhere: 0 / -1, OR the key in, clear the
+    # sign bit — INF_KEY whatever a masked-out key held (OR-ing INF_KEY
+    # into a word with the sign bit set would give -1, which sorts first).
+    masked = pool.astype(np.int64)
+    masked -= 1
+    masked |= hi
+    masked &= INF_KEY
+    key = col.resource_key(np.minimum.reduceat(masked, gs_local, axis=1),
+                           pool_n, grids)
     # Quarantined resources drop out of selection *after* pool sizes
-    # are packed — the fast engine filters its cached pool the same
-    # way, leaving the -len(pool) key component untouched.
+    # are packed — the reference's filter_blocked drops their candidates
+    # the same way, leaving every other pool's size untouched.
     if blocked is not None:
         key[blocked] = INF_KEY
     return key
@@ -675,10 +697,10 @@ def _take_smallest(key: np.ndarray, need: np.ndarray, kmax: int,
     ramp at least as long as either axis of ``key``.
 
     ``INF_KEY`` (empty pool) sorts last, so the first ``need`` valid
-    slots of the sorted order are exactly the fast engine's nsmallest
-    picks. A full argsort beats the argpartition + small-sort chain
-    until there are well into the hundreds of pools (measured crossover
-    ~200).
+    slots of the sorted order are exactly the ``heapq.nsmallest`` picks
+    of the reference's ``select_probes``. A full argsort beats the
+    argpartition + small-sort chain until there are well into the
+    hundreds of pools (measured crossover ~200).
     """
     G = key.shape[1]
     take = min(kmax, G)
@@ -690,14 +712,40 @@ def _take_smallest(key: np.ndarray, need: np.ndarray, kmax: int,
         order = part[row_col, np.argsort(key[row_col, part], axis=1)]
     sel = (key[row_col, order] != INF_KEY) & (ramp[None, :take]
                                               < need[:, None])
-    rr, cc = np.nonzero(sel)
+    rr, cc = np.divmod(np.flatnonzero(sel), take)
     return rr, order[rr, cc], cc
+
+
+def _capture(picks: np.ndarray, cand: np.ndarray, grp_of: np.ndarray,
+             ae: np.ndarray, ps: np.ndarray, fin: np.ndarray,
+             alive: np.ndarray, committed: np.ndarray | None,
+             cap_flat: np.ndarray, capsum_flat: np.ndarray | None) -> None:
+    """Capture: a probed resource yields *every* candidate on it —
+    ``picks`` (rows x pools) says which pools answered; their candidates
+    stop being alive, commit their states and count into the capture
+    aggregates (flat views of the rows x states matrices)."""
+    er, ec = np.divmod(np.flatnonzero(cand & picks[:, grp_of]), ae.size)
+    states = ps[ec]
+    alive[er, ae[ec]] = False
+    if committed is not None:
+        committed[er, states] = True
+    flat = er * (cap_flat.size // alive.shape[0]) + states
+    np.add.at(cap_flat, flat, 1)
+    if capsum_flat is not None:
+        np.add.at(capsum_flat, flat, fin[ec])
 
 
 def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
              select=None, settle=None):
-    """Run every lane over ``col``'s windows; -> per lane ``(lane,
-    schedule, capture counts, alive row, fault stats)``.
+    """Run every lane over ``col``'s windows; -> ``(schedules, capture
+    counts, alive flags, fault stats)``, one entry (row) per lane each.
+
+    An active chronon is a fixed run of phases: expire (:func:`_expire`)
+    → activate (its entries, the candidates among them, each pool's
+    size) → score (:func:`_candidate_keys`) → rank (:func:`_pool_keys`)
+    → select (:func:`_take_smallest`; twice for non-preemptive rows) →
+    execute (``_FaultPlane.execute``, faulty blocks only) → capture
+    (:func:`_capture`).
 
     Two private seams, for :func:`repro.simulation.shard.federated_run`:
     ``select(key, need, kmax, grids)`` stands in for
@@ -707,56 +755,49 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
     executes any — given the chronon's per-lane budgets.
     """
     L = len(lane_objs)
-    S, E = col.S, col.E
     # Capture state is kept *inverted* (alive = still uncaptured) so the
     # hot per-chronon gathers need no element-wise NOT.
-    alive = np.ones((L, E), dtype=bool)
-    cap_count = np.zeros((L, S), dtype=np.int64)
+    alive = np.ones((L, col.E), dtype=bool)
+    cap_count = np.zeros((L, col.S), dtype=np.int64)
     # A state is committed exactly when it has ever yielded a capture
     # (the fault-free path never reaches the explicit commit hook), so
     # commitment is a *view* of cap_count — no separate scatter needed.
     # Doom flags (inverted, like alive) are only ever *cleared* for
     # lanes whose policy outranks the EI level (sees_doom); other rows
     # stay all-True, so one uniform mask works for every lane.
-    undoomed = np.ones((L, S), dtype=bool)
+    undoomed = np.ones((L, col.S), dtype=bool)
 
-    np_rows = np.array([i for i, ln in enumerate(lane_objs)
-                        if not ln.preemptive], dtype=np.int64)
+    np_rows = np.flatnonzero([not ln.preemptive for ln in lane_objs])
     plane = _FaultPlane(col, lane_objs) \
         if any(ln.fault_active for ln in lane_objs) else None
     # Under faults a failed probe commits its selected t-interval without
     # capturing anything, so commitment stops being a view of cap_count
     # and needs its own matrix (only non-preemptive pools read it).
-    committed = np.zeros((L, S), dtype=bool) \
+    committed = np.zeros((L, col.S), dtype=bool) \
         if plane is not None and np_rows.size else None
-    doom_rows = np.array([i for i, ln in enumerate(lane_objs)
-                          if ln.sees_doom], dtype=np.int64)
-    kind_rows: dict[str, np.ndarray] = {}
-    for kind in dict.fromkeys(ln.kind for ln in lane_objs):
-        kind_rows[kind] = np.array(
-            [i for i, ln in enumerate(lane_objs) if ln.kind == kind],
-            dtype=np.int64)
-    medf_rows = kind_rows.get("medf")
-    need_medf = medf_rows is not None
-    capsum = None
-    if need_medf:
-        capsum = np.zeros((L, S), dtype=np.int64)
-        capsum_flat = capsum.reshape(-1)
-        is_medf = np.zeros(L, dtype=bool)
-        is_medf[medf_rows] = True
+    doom_rows = np.flatnonzero([ln.sees_doom for ln in lane_objs])
+    kinds = np.array([ln.kind for ln in lane_objs])
+    kind_rows = {kind: np.flatnonzero(kinds == kind)
+                 for kind in dict.fromkeys(kinds.tolist())}
+    # Non-preemptive Coverage rows: the only ones whose score counts
+    # more candidates than their first pool holds.
+    cov_np_rows = np.intersect1d(
+        kind_rows.get("coverage", np_rows[:0]), np_rows)
+    # M-EDF's captured-deadline sums; kept for every row, read by M-EDF's.
+    capsum = np.zeros((L, col.S), dtype=np.int64) \
+        if "medf" in kind_rows else None
     cap_flat = cap_count.reshape(-1)
+    capsum_flat = capsum.reshape(-1) if capsum is not None else None
 
-    n_act = col.act_chronons.size
     # Per-lane budget for each *active* chronon; inactive chronons have
     # no candidates, so their budget can never be spent.
-    budgets = np.empty((L, n_act), dtype=np.int64)
+    budgets = np.empty((L, col.act_chronons.size), dtype=np.int64)
     for i, ln in enumerate(lane_objs):
         if ln.budget.is_constant():
             budgets[i] = ln.budget.default
         else:
             budgets[i] = [ln.budget.at(int(T)) for T in col.act_chronons]
 
-    hi2d = np.empty((L, 0), dtype=np.int64)
     if select is None:
         ramp = np.arange(max(L, col.g_max, 1), dtype=np.int64)
 
@@ -766,9 +807,9 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
     # scalar indexing costs several times more in the hot loop.
     kmax_per_t = budgets.max(axis=0).tolist()
 
-    # (chronon, lane rows, resource ids) per chronon with probes; grouped
-    # into per-lane schedules once after the loop.
-    probe_log: list[tuple[int, np.ndarray, np.ndarray]] = []
+    # Per lane, per resource, the chronons it was probed at — the exact
+    # shape Schedule stores.
+    lane_scheds: list[dict[int, set[int]]] = [{} for _ in range(L)]
     xe_ti = 0
     n_xe = col.xe_chronons.size if doom_rows.size else 0
     xe_chronons = col.xe_chronons.tolist()
@@ -780,37 +821,23 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
     # window at a time (offsets window-local, see ActivityWindow).
     for win in col.windows():
         at0 = win.first_chronon
-        g0 = win.first_group
         act_chronons = win.act_chronons.tolist()
         act_indptr = win.act_indptr.tolist()
-        act_e = win.act_e
-        ps_act = win.ps_act
         grp_indptr = win.grp_indptr.tolist()
-        grp_starts = win.grp_starts
-        grp_rid = win.grp_rid
-        grp_of_flat = win.grp_of
-        fin_flat = win.fin_act
+        hi2d = np.empty((L, int(np.diff(win.act_indptr).max())),
+                        dtype=np.int64)
         for ti in range(win.n_act):
             T = act_chronons[ti]
 
-            # Expiry events: flush everything due by T. Captured status is
-            # frozen once an EI's window closes, so deferring an expiry from
-            # a quiet chronon to the next active one is exact. (With no
+            # Flush everything due by T. Captured status is frozen once
+            # an EI's window closes, so deferring an expiry from a quiet
+            # chronon to the next active one is exact. (With no
             # doom-sensitive lane n_xe is 0 and the flush never runs.)
             while xe_ti < n_xe and xe_chronons[xe_ti] <= T:
-                lo = xe_indptr[xe_ti]
-                hi = xe_indptr[xe_ti + 1]
-                glo2 = xg_indptr[xe_ti]
-                ghi2 = xg_indptr[xe_ti + 1]
+                _expire(col, xe_indptr[xe_ti], xe_indptr[xe_ti + 1],
+                        xg_indptr[xe_ti], xg_indptr[xe_ti + 1],
+                        alive, undoomed, doom_col)
                 xe_ti += 1
-                xe = col.xe_e[lo:hi]
-                misses = alive[doom_col, xe[None, :]]
-                # OR-reduce to one column per state before the fancy &=:
-                # duplicate targets in a buffered assign would be lossy.
-                seg = col.xg_starts[glo2:ghi2] - lo
-                if seg.size != xe.size:
-                    misses = np.logical_or.reduceat(misses, seg, axis=1)
-                undoomed[doom_col, col.xg_state[glo2:ghi2][None, :]] &= ~misses
 
             kmax = kmax_per_t[at0 + ti]
             if kmax <= 0:
@@ -819,15 +846,12 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
 
             alo = act_indptr[ti]
             ahi = act_indptr[ti + 1]
-            A = ahi - alo
-            ae = act_e[alo:ahi]
-            ps = ps_act[alo:ahi]
+            ae = win.act_e[alo:ahi]
+            ps = win.ps_act[alo:ahi]
             glo = grp_indptr[ti]
             ghi = grp_indptr[ti + 1]
-            G = ghi - glo
-            gs_local = grp_starts[glo:ghi] - alo
-            grids = grp_rid[glo:ghi]
-            grp_of = grp_of_flat[alo:ahi]
+            gs_local = win.grp_starts[glo:ghi] - alo
+            grids = win.grp_rid[glo:ghi]
 
             cand = alive[:, ae]
             if doom_rows.size:
@@ -835,44 +859,48 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
             if not cand.any():
                 continue
 
-            if hi2d.shape[1] < A:
-                hi2d = np.empty((L, A), dtype=np.int64)
-            hi = hi2d[:, :A]
-            _candidate_keys(hi, kind_rows, col, win, alo, ahi, T, cand,
-                            gs_local, cap_count, capsum)
-
-            # Phase 1 pools: preemptive lanes see every candidate;
+            # Pool 1: preemptive lanes see every candidate;
             # non-preemptive lanes only candidates of committed states.
+            pool = cand
             if np_rows.size:
-                if committed is None:
-                    comm_np = cap_count[np_rows[:, None], ps[None, :]] > 0
-                else:
-                    comm_np = committed[np_rows[:, None], ps[None, :]]
+                comm_np = (cap_count[:, ps][np_rows] > 0
+                           if committed is None else
+                           committed[:, ps][np_rows])
                 pool = cand.copy()
-                pool[np_rows] &= comm_np
-            else:
-                pool = cand
+                pool[np_rows] = cand[np_rows] & comm_np
+            pool_n = np.add.reduceat(pool, gs_local, axis=1)
+            # Coverage scores a pool by *all* its candidates: pool 1's
+            # count on a preemptive row, both pools' on the others.
+            n_cand = pool_n
+            if cov_np_rows.size:
+                n_cand = pool_n.copy()
+                n_cand[cov_np_rows] = np.add.reduceat(
+                    cand[cov_np_rows], gs_local, axis=1)
+
+            hi = hi2d[:, :ahi - alo]
+            _candidate_keys(hi, kind_rows, col, win, alo, ahi, T, n_cand,
+                            cap_count, capsum)
             blocked = plane.blocked(grids, T) if plane is not None else None
             pr_rows, pr_gs, pr_pos = select(
-                _pool_keys(col, pool, hi, gs_local, grids, blocked),
+                _pool_keys(col, pool, pool_n, hi, gs_local, grids, blocked),
                 k_arr, kmax, grids)
-            picks = np.zeros((L, G), dtype=bool)
+            picks = np.zeros((L, ghi - glo), dtype=bool)
             picks[pr_rows, pr_gs] = True
             n1 = pr_rows.size
 
-            # Phase 2: non-preemptive lanes spend leftover budget on fresh
+            # Pool 2: non-preemptive lanes spend leftover budget on fresh
             # (uncommitted) states, excluding already-probed resources.
+            rows2 = np_rows
             if np_rows.size:
                 d1 = np.bincount(pr_rows, minlength=L)
                 left = ((k_arr[np_rows] > d1[np_rows])
                         & (k_arr[np_rows] > 0))
                 rows2 = np_rows[left]
-            else:
-                rows2 = np_rows
             if rows2.size:
                 pool2 = cand[rows2] & ~comm_np[left]
                 key2 = _pool_keys(
-                    col, pool2, hi[rows2], gs_local, grids,
+                    col, pool2, np.add.reduceat(pool2, gs_local, axis=1),
+                    hi[rows2], gs_local, grids,
                     blocked[rows2] if blocked is not None else None)
                 key2[picks[rows2]] = INF_KEY
                 rr2, gids2, cc2 = select(key2, k_arr[rows2] - d1[rows2],
@@ -881,170 +909,136 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
                 picks[rr2, gids2] = True
                 pr_rows = np.concatenate((pr_rows, rr2))
                 pr_gs = np.concatenate((pr_gs, gids2))
-                # Phase-2 decision positions continue after phase 1's.
+                # Pool-2 decision positions continue after pool 1's.
                 pr_pos = np.concatenate((pr_pos, d1[rr2] + cc2))
 
-            # Captures: a probed resource yields *every* candidate on it.
             if pr_rows.size == 0:
                 continue
+            rids = grids[pr_gs]
             if settle is not None:
-                settle(k_arr, pr_rows, grids[pr_gs])
-            if plane is None:
-                probe_log.append((T, pr_rows, grids[pr_gs]))
-                er, ec = np.nonzero(cand & picks[:, grp_of])
-                alive[er, ae[ec]] = False
-                flat = er * S + ps[ec]
-                np.add.at(cap_flat, flat, 1)
-                if need_medf:
-                    m = is_medf[er]
-                    np.add.at(capsum_flat, flat[m], fin_flat[alo:ahi][ec[m]])
-                continue
-
-            cap_l, cap_g, fl = plane.execute(T, g0 + glo, grids, pr_rows,
-                                             pr_gs, pr_pos, k_arr)
-            if committed is not None and n1 < pr_rows.size:
-                # A failed probe still commits its *selected* t-interval
-                # (budget was spent on it). Only fresh-pool (phase-2) picks
-                # can flip commitment — phase-1 NP picks come from the
-                # committed pool and preemptive lanes never read the flag.
-                # The selected candidate is pool 2's segment argmin: first
-                # index with the min key, the reduceat winner.
-                fail2 = np.nonzero(fl[n1:])[0]
-                if fail2.size:
-                    tie = col.commit_tie()[ae]
-                    row2_of = np.zeros(L, dtype=np.int64)
-                    row2_of[rows2] = np.arange(rows2.size)
-                    for j in fail2.tolist():
-                        jj = n1 + j
-                        i = int(pr_rows[jj])
-                        g = int(pr_gs[jj])
-                        lo2 = int(gs_local[g])
-                        hi2 = int(gs_local[g + 1]) if g + 1 < G else A
-                        keys = np.where(pool2[int(row2_of[i]), lo2:hi2],
-                                        hi[i, lo2:hi2], INF_KEY)
-                        # The selected candidate is the segment's key min —
-                        # key-equal ties resolved by the fast engine's
-                        # (pid, tid, seq, ei_id) candidate order, which the
-                        # packed key does not encode.
-                        w = np.nonzero(keys == keys.min())[0]
-                        jbest = int(w[np.argmin(tie[lo2:hi2][w])])
-                        committed[i, ps[lo2 + jbest]] = True
-            if cap_l.size:
-                probe_log.append((T, cap_l, grids[cap_g]))
-                picks_ok = np.zeros((L, G), dtype=bool)
-                picks_ok[cap_l, cap_g] = True
-                er, ec = np.nonzero(cand & picks_ok[:, grp_of])
-                alive[er, ae[ec]] = False
-                if committed is not None:
-                    committed[er, ps[ec]] = True
-                flat = er * S + ps[ec]
-                np.add.at(cap_flat, flat, 1)
-                if need_medf:
-                    m = is_medf[er]
-                    np.add.at(capsum_flat, flat[m], fin_flat[alo:ahi][ec[m]])
+                settle(k_arr, pr_rows, rids)
+            if plane is not None:
+                cap_l, cap_g, fl = plane.execute(
+                    T, win.first_group + glo, grids, pr_rows, pr_gs, pr_pos,
+                    k_arr)
+                if committed is not None and n1 < pr_rows.size:
+                    _commit_failed(col, committed, fl, n1, pr_rows, pr_gs,
+                                   rows2, pool2, hi, gs_local, ae, ps)
+                if cap_l.size == 0:
+                    continue
+                pr_rows, rids = cap_l, grids[cap_g]
+                picks = np.zeros((L, ghi - glo), dtype=bool)
+                picks[cap_l, cap_g] = True
+            for lane, rid in zip(pr_rows.tolist(), rids.tolist()):
+                lane_scheds[lane].setdefault(rid, set()).add(T)
+            _capture(picks, cand, win.grp_of[alo:ahi], ae, ps,
+                     win.fin_act[alo:ahi], alive, committed, cap_flat,
+                     capsum_flat)
 
         # One window in flight: the generator builds the next window
         # when the loop asks for it, so let go of this one first — its
         # columns and the last chronon's views into them.
-        del win, act_e, ps_act, grp_starts, grp_rid, grp_of_flat, fin_flat
-        ae = ps = grids = grp_of = None
+        del win
+        ae = ps = grids = None
 
-    # Group the probe log into per-lane, per-resource chronon sets — the
-    # exact shape Schedule stores. Insertion order is irrelevant:
-    # Schedule.probes() sorts by (chronon, resource).
-    lane_scheds: list[dict[int, set[int]]] = [{} for _ in range(L)]
-    if probe_log:
-        rows_all = np.concatenate([r for _, r, _ in probe_log])
-        rids_all = np.concatenate([g for _, _, g in probe_log])
-        ts_all = np.concatenate(
-            [np.full(r.size, t, dtype=np.int64) for t, r, _ in probe_log])
-        order = np.lexsort((rids_all, rows_all))
-        rows_all = rows_all[order]
-        rids_all = rids_all[order]
-        ts_list = ts_all[order].tolist()
-        seg = np.concatenate(
-            ([True], (rows_all[1:] != rows_all[:-1])
-             | (rids_all[1:] != rids_all[:-1])))
-        starts = np.nonzero(seg)[0]
-        ends = np.append(starts[1:], rows_all.size)
-        for lo, hi_s, lane, rid in zip(starts.tolist(), ends.tolist(),
-                                       rows_all[starts].tolist(),
-                                       rids_all[starts].tolist()):
-            lane_scheds[lane][rid] = set(ts_list[lo:hi_s])
-
+    stats = [(0, 0, 0)] * L
     if plane is not None:
         plane.finish()
         stats = plane.lane_stats()
-    else:
-        stats = None
-    return [(lane_objs[i], lane_scheds[i], cap_count[i], alive[i],
-             stats[i] if stats is not None else (0, 0, 0))
-            for i in range(L)]
+    return lane_scheds, cap_count, alive, stats
+
+
+def _commit_failed(col: ColumnarInstance, committed: np.ndarray,
+                   fail: np.ndarray, n1: int, pr_rows: np.ndarray,
+                   pr_gs: np.ndarray, rows2: np.ndarray, pool2: np.ndarray,
+                   hi: np.ndarray, gs_local: np.ndarray, ae: np.ndarray,
+                   ps: np.ndarray) -> None:
+    """A failed probe still commits its *selected* t-interval (budget was
+    spent on it). Only fresh-pool (pool-2) picks — decisions ``n1``
+    onwards — can flip commitment: pool-1 NP picks come from the
+    committed pool and preemptive lanes never read the flag. The
+    selected candidate is pool 2's segment argmin — key-equal ties
+    resolved as the reference's ``select_probes`` resolves them, by
+    ``(profile_id, tinterval_id)`` then candidate-list order ``(seq,
+    ei_id)``, which the packed key does not encode."""
+    fail2 = np.flatnonzero(fail[n1:])
+    if fail2.size == 0:
+        return
+    tie = col.commit_tie()[ae]
+    ends = np.append(gs_local[1:], ae.size)
+    for j in (n1 + fail2).tolist():
+        i, g = pr_rows[j], pr_gs[j]
+        lo = gs_local[g]
+        # The pool's candidates, as entry positions of this chronon
+        # (``rows2`` ascends: row i is pool 2's searchsorted row).
+        seg = lo + np.flatnonzero(
+            pool2[np.searchsorted(rows2, i), lo:ends[g]])
+        keys = hi[i, seg]
+        best = seg[keys == keys.min()]
+        committed[i, ps[best[np.argmin(tie[best])]]] = True
 
 
 # ----------------------------------------------------------------------
 # Final accounting
 # ----------------------------------------------------------------------
 
-def _finalize(col: ColumnarInstance, lane: _Lane,
-              sched: dict[int, set[int]], cap_count: np.ndarray,
-              alive: np.ndarray, runtime: float,
-              stats: tuple[int, int, int],
-              windows: int) -> SimulationResult:
-    """One lane's result, from its final capture state. ``windows`` is
-    how many activity windows the run built (0 when it read a kept
-    one): that much of the lowering was paid inside the run, not by the
-    constructor.
+def _finalize(col: ColumnarInstance, lanes: list[_Lane],
+              scheds: list[dict[int, set[int]]], cap_count: np.ndarray,
+              alive: np.ndarray, stats: list[tuple[int, int, int]],
+              runtime: float, windows: int) -> list[SimulationResult]:
+    """Every lane's result, from the block's final capture state (one
+    row per lane). ``runtime`` is each lane's share of the block's wall
+    time; ``windows`` is how many activity windows the run built (0
+    when it read a kept one): that much of the lowering was paid inside
+    the run, not by the constructor.
 
     A complete t-interval is captured, whatever happened to it later. A
     cancelled incomplete one is *expired* if a missed deadline was
     already observable at its cancel clock ``gone`` — it had arrived and
     some EI it never captured had closed (captures are frozen once a
     window closes, so the final ``alive`` row says which) — and
-    *dropped* otherwise; every other incomplete one expired.
+    *dropped* otherwise; every other incomplete one expired. With nobody
+    leaving nothing is dropped and the question is not asked.
     """
+    L, total = cap_count.shape
     complete = cap_count == col.st_size
-    captured_total = int(np.count_nonzero(complete))
-    total = col.S
-    gone = col.st_gone
-    missed = alive & (col.ei_finish < gone[col.ei_state])
-    dropped = int(np.count_nonzero(
-        ~complete & (gone <= col.epoch.last)
-        & ~((col.st_arrival <= gone)
-            & (np.bincount(col.ei_state[missed], minlength=total) > 0))))
+    captured = np.count_nonzero(complete, axis=1).tolist()
+    leaves = col.st_gone <= col.epoch.last
+    dropped = [0] * L
+    if leaves.any():
+        missed = alive & (col.ei_finish < col.st_gone[col.ei_state])
+        observed = np.logical_or.reduceat(
+            missed, np.cumsum(col.st_size) - col.st_size, axis=1)
+        observed &= col.st_arrival <= col.st_gone
+        dropped = np.count_nonzero(~complete & leaves & ~observed,
+                                   axis=1).tolist()
 
-    profile_totals = col.profile_totals
-    max_pid = max(profile_totals, default=-1)
-    p_hits = np.bincount(col.st_profile[complete],
-                         minlength=max_pid + 1).tolist()
-    per_profile = {pid: (p_hits[pid], tot)
-                   for pid, tot in profile_totals.items()}
+    def hits(key_of: np.ndarray, totals: dict[int, int], done: np.ndarray):
+        """``{key: (complete states with that key, of how many)}``."""
+        keys = list(totals)
+        table = np.bincount(key_of[done],
+                            minlength=max(keys, default=-1) + 1)
+        return dict(zip(keys, zip(table[keys].tolist(), totals.values())))
 
-    rank_totals = col.rank_totals
-    max_size = max(rank_totals, default=0)
-    r_hits = np.bincount(col.st_size[complete],
-                         minlength=max_size + 1).tolist()
-    per_rank = {size: (r_hits[size], tot)
-                for size, tot in rank_totals.items()}
-
-    report = CompletenessReport(
-        captured=captured_total,
-        total=total,
-        per_profile=per_profile,
-        per_rank=per_rank,
-    )
-    schedule = Schedule.from_grouped(sched)
-    probes_failed, retries, quarantined = stats
-    return SimulationResult(
-        label=lane.policy.label(lane.preemptive),
-        schedule=schedule,
-        report=report,
-        probes_used=len(schedule),
-        expired=total - captured_total - dropped,
-        runtime_seconds=runtime,
-        probes_failed=probes_failed,
-        retries=retries,
-        resources_quarantined=quarantined,
-        extras={"lowering_windows": float(windows),
-                "dropped": float(dropped)},
-    )
+    results = []
+    for i, lane in enumerate(lanes):
+        report = CompletenessReport(
+            captured=captured[i], total=total,
+            per_profile=hits(col.st_profile, col.profile_totals, complete[i]),
+            per_rank=hits(col.st_size, col.rank_totals, complete[i]))
+        schedule = Schedule.from_grouped(scheds[i])
+        probes_failed, retries, quarantined = stats[i]
+        results.append(SimulationResult(
+            label=lane.policy.label(lane.preemptive),
+            schedule=schedule,
+            report=report,
+            probes_used=len(schedule),
+            expired=total - captured[i] - dropped[i],
+            runtime_seconds=runtime,
+            probes_failed=probes_failed,
+            retries=retries,
+            resources_quarantined=quarantined,
+            extras={"lowering_windows": float(windows),
+                    "dropped": float(dropped[i])},
+        ))
+    return results

@@ -36,17 +36,18 @@ reference simulator's tie-break order *positionally*:
   their deadline (``xe_*``, drives doom tracking).
 
 Selection keys are packed into single int64 words so that lexicographic
-candidate comparison becomes integer comparison. A candidate's key is
-``(score, finish, start)`` packed high-to-low; the per-resource rank key
-inserts the pool size (inverted, since bigger pools rank earlier) between
-``finish`` and ``start`` and appends the resource id:
-``(score, finish, n_max - n, start, rid)``. All supported policy scores
-are integers (after a per-policy-kind additive offset making them
-non-negative), so the packing is exact. Bit widths are computed from the
-instance's actual bounds; if a key cannot fit into 62 bits the
-constructor raises :class:`BatchUnsupported`: ``run_online`` and the
-harness fall back to the reference simulator, a churned or federated
-run is refused.
+comparison becomes integer comparison, in **one layout**, high to low
+``(score, finish, n_max - n, start, rid)``. A pool's rank key fills all
+five fields (the pool size inverted: bigger pools rank earlier); a
+candidate's key is the same word with the pool-size and resource-id
+fields zero, so a pool's minimum candidate key is its lexicographically
+best ``(score, finish, start)`` and OR-ing the pool's two fields into it
+(:meth:`ColumnarInstance.resource_key`) is the rank key — nothing is
+unpacked. Scores are integers (after a per-kind offset making them
+non-negative) and bit widths come from the instance's actual bounds; a
+key that cannot fit 62 bits raises :class:`BatchUnsupported`:
+``run_online`` and the harness fall back to the reference simulator, a
+churned or federated run is refused.
 """
 
 from __future__ import annotations
@@ -152,21 +153,16 @@ class FaultDraws:
             f"{seed}:{channel}:{self._grp_rid[group]}:"
             f"{self._grp_T[group]}:{attempt}").random()
 
-    def fill(self, rows: np.ndarray, groups: np.ndarray) -> None:
-        """Draw the still-unfilled ``(row, group)`` entries, each once."""
-        miss = np.isnan(self.values[rows, groups])
-        if miss.any():
-            width = self.values.shape[1]
-            todo = np.unique(rows[miss] * width + groups[miss])
-            for row, group in zip((todo // width).tolist(),
-                                  (todo % width).tolist()):
-                self.values[row, group] = self._draw(row, group)
-
-    def read(self, rows: np.ndarray, groups: np.ndarray) -> np.ndarray:
-        """The draws at ``(rows, groups)``; raises on an unfilled entry."""
+    def gather(self, rows: np.ndarray, groups: np.ndarray) -> np.ndarray:
+        """The draws at ``(rows, groups)``, the still-unfilled ones drawn
+        first — each once, however often the columns name it."""
         values = self.values[rows, groups]
-        if np.isnan(values).any():
-            raise LookupError("fault draw read before it was filled")
+        miss = np.isnan(values)
+        if miss.any():
+            rows, groups = rows[miss], groups[miss]
+            for row, group in set(zip(rows.tolist(), groups.tolist())):
+                self.values[row, group] = self._draw(row, group)
+            values[miss] = self.values[rows, groups]
         return values
 
     def draw(self, row: int, group: int) -> float:
@@ -181,26 +177,26 @@ class _StaticKeys(dict):
     """``hi_static``: the static key column of a policy kind, built on
     its first read and kept (an M-EDF run reads none of the five).
 
-    ``self[kind]`` is ``(score << fs_bits) | finstart`` per activity
-    entry, the score being the kind's static one; an unknown kind is a
-    ``KeyError`` as on any dict. Holds the columns it reads rather than
-    the lowering, so the two form no reference cycle.
+    ``self[kind]`` is ``(score << score_shift) | finstart`` per
+    activity entry, the score being the kind's static one; an unknown
+    kind is a ``KeyError`` as on any dict. Holds the columns it reads
+    rather than the lowering, so the two form no reference cycle.
     """
 
-    def __init__(self, fs_bits: int, start_mask: int, finstart: np.ndarray,
-                 fin: np.ndarray, st_rank: np.ndarray, ps_act: np.ndarray,
-                 rank_max: int) -> None:
+    def __init__(self, score_shift: int, start_shift: int, start_mask: int,
+                 finstart: np.ndarray, fin: np.ndarray, st_rank: np.ndarray,
+                 ps_act: np.ndarray, rank_max: int) -> None:
         super().__init__()
-        self._parts = (fs_bits, start_mask, finstart, fin, st_rank, ps_act,
-                       rank_max)
+        self._parts = (score_shift, start_shift, start_mask, finstart, fin,
+                       st_rank, ps_act, rank_max)
 
     def __missing__(self, kind: str) -> np.ndarray:
-        fs_bits, start_mask, finstart, fin, st_rank, ps_act, rank_max = \
-            self._parts
+        (score_shift, start_shift, start_mask, finstart, fin, st_rank,
+         ps_act, rank_max) = self._parts
         if kind == "sedf":
             score = fin
         elif kind == "fcfs":
-            score = finstart & start_mask
+            score = (finstart >> start_shift) & start_mask
         elif kind == "lff":
             score = fin + 1
         elif kind == "srank":
@@ -210,7 +206,7 @@ class _StaticKeys(dict):
             score = rank_max - st_rank[ps_act]
         else:
             raise KeyError(kind)
-        column = self[kind] = (score << fs_bits) | finstart
+        column = self[kind] = (score << score_shift) | finstart
         return column
 
 
@@ -300,10 +296,12 @@ class ActivityWindow:
         # Static key columns, aligned with act_e. The per-kind ones are
         # built when a lane first reads them.
         self.fin_act = fin[at]
-        self.finstart_act = (self.fin_act << col.start_bits) | start[at]
+        self.finstart_act = ((self.fin_act << col.finish_shift)
+                             | (start[at] << col.start_shift))
         self.hi_static = _StaticKeys(
-            col.fs_bits, col.start_mask, self.finstart_act, self.fin_act,
-            col.st_rank, self.ps_act, col.rank_max)
+            col.score_shift, col.start_shift, col.start_mask,
+            self.finstart_act, self.fin_act, col.st_rank, self.ps_act,
+            col.rank_max)
         self.init_sum_act = col.init_sum[state][at]
 
 
@@ -451,12 +449,13 @@ class ColumnarInstance:
         An EI is probeable over its visibility window; one whose
         window is empty — it opens past the epoch, closes before its
         state registers, or its state is cancelled first — never
-        becomes a candidate (its start event never fires in the fast
-        engine). ``occ[T, rid]`` — how many windows on ``rid`` contain
-        ``T`` — is a difference array
-        (+1 where a window opens, -1 the chronon after it closes) summed
-        down the chronons, and is the size of group ``(T, rid)``: the
-        groups, in (chronon, resource) order, are its non-zero cells.
+        becomes a candidate (the reference ``ProxySimulator`` asks each
+        state for its ``probeable_eis`` every chronon and is never
+        handed it). ``occ[T, rid]`` — how many windows on ``rid``
+        contain ``T`` — is a difference array (+1 where a window opens,
+        -1 the chronon after it closes) summed down the chronons, and is
+        the size of group ``(T, rid)``: the groups, in (chronon,
+        resource) order, are its non-zero cells.
         """
         R = self.rid_space
         if (last + 2) * R > _MAX_GRID_CELLS:
@@ -603,14 +602,20 @@ class ColumnarInstance:
         self.score_bits = _bits(score_max)
         self.n_bits = _bits(self.n_max)
         self.rid_bits = _bits(rid_max)
-        self.fs_bits = self.finish_bits + self.start_bits
-        cand_bits = self.score_bits + self.fs_bits
-        res_bits = cand_bits + self.n_bits + self.rid_bits
-        if res_bits > _MAX_KEY_BITS:
+        # One layout, low to high: rid | start | n_max - n | finish | score.
+        self.start_shift = self.rid_bits
+        self.n_shift = self.start_shift + self.start_bits
+        self.finish_shift = self.n_shift + self.n_bits
+        self.score_shift = self.finish_shift + self.finish_bits
+        key_bits = self.score_shift + self.score_bits
+        if key_bits > _MAX_KEY_BITS:
             raise BatchUnsupported(
-                f"packed selection key needs {res_bits} bits (> "
-                f"{_MAX_KEY_BITS}): horizon {K}, scores <= {score_max}, "
-                f"pools <= {self.n_max}, resources <= {rid_max}")
+                f"packed selection key needs {key_bits} bits (> "
+                f"{_MAX_KEY_BITS}): score {self.score_bits} + finish "
+                f"{self.finish_bits} + pool size {self.n_bits} + start "
+                f"{self.start_bits} + resource id {self.rid_bits}, for "
+                f"horizon {K}, scores <= {score_max}, pools <= "
+                f"{self.n_max}, resources <= {rid_max}")
         self.start_mask = (1 << self.start_bits) - 1
         self.rank_max = rank_max
 
@@ -627,20 +632,18 @@ class ColumnarInstance:
 
     def resource_key(self, best: np.ndarray, pool_n: np.ndarray,
                      grp_rid: np.ndarray) -> np.ndarray:
-        """Pack per-group rank keys ``(score, finish, -n, start, rid)``.
+        """Per-pool rank keys ``(score, finish, n_max - n, start, rid)``.
 
-        ``best`` holds each group's minimal candidate key (``INF_KEY``
-        where the pool is empty); the minimum of a lexicographic order is
-        minimal in its prefix, so the best candidate's (score, finish,
-        start) is exactly ``best`` unpacked. Empty pools stay ``INF_KEY``.
+        ``best`` holds each pool's minimal candidate key — the same word
+        with the pool-size and resource-id fields zero, which are OR-ed
+        in — or ``INF_KEY`` where the pool is empty, which stays
+        ``INF_KEY`` (every bit a key can use is already set).
         """
-        empty = best == INF_KEY
-        scorefin = best >> self.start_bits
-        start = best & self.start_mask
-        key = ((((scorefin << self.n_bits) | (self.n_max - pool_n))
-                << self.start_bits) | start) << self.rid_bits
+        key = self.n_max - pool_n
+        key <<= self.n_shift
         key |= grp_rid
-        return np.where(empty, INF_KEY, key)
+        key |= best
+        return key
 
     # ------------------------------------------------------------------
     # Fault-plane columns (lazy, cached per fault-spec parameter)

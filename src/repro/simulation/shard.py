@@ -161,11 +161,9 @@ def federated_run(profiles: ProfileSet, epoch: Epoch,
                      np.bincount(owner[rids], minlength=K).tolist())
 
     built, window_seconds = col.windows_built, col.window_seconds
-    (lane, schedule, cap_count, alive, stats), = _advance(
-        col, lanes, select, settle)
-    result = _finalize(col, lane, schedule, cap_count, alive,
-                       time.perf_counter() - started, stats,
-                       col.windows_built - built)
+    state = _advance(col, lanes, select, settle)
+    (result,) = _finalize(col, lanes, *state, time.perf_counter() - started,
+                          col.windows_built - built)
     owned = np.bincount(owner[np.unique(col.grp_rid)],
                         minlength=K).tolist()
     return FederatedResult(

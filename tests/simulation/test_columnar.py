@@ -31,9 +31,11 @@ from repro.core import (
     ProfileSet,
     TInterval,
 )
+from repro.experiments import ExperimentConfig, make_instance
+from repro.faults import CircuitBreaker, FaultSpec, RetryConfig
 from repro.online.registry import parse_policy_spec
 from repro.simulation import columnar as columnar_module
-from repro.simulation.batch import run_block
+from repro.simulation.batch import FaultLane, run_block
 from repro.simulation.columnar import (
     _MAX_KEY_BITS,
     BatchUnsupported,
@@ -211,21 +213,25 @@ def oracle(profiles, epoch, visible_from=None,
     o.score_bits = _bits(score_max)
     o.n_bits = _bits(o.n_max)
     o.rid_bits = _bits(res_max)
-    o.fs_bits = o.finish_bits + o.start_bits
-    if (o.score_bits + o.fs_bits + o.n_bits + o.rid_bits
-            > _MAX_KEY_BITS):
+    # One layout, low to high: rid | start | n_max - n | finish | score;
+    # a candidate key leaves the rid and pool-size fields zero.
+    o.start_shift = o.rid_bits
+    o.n_shift = o.start_shift + o.start_bits
+    o.finish_shift = o.n_shift + o.n_bits
+    o.score_shift = o.finish_shift + o.finish_bits
+    if o.score_shift + o.score_bits > _MAX_KEY_BITS:
         raise BatchUnsupported("oracle: packed key too wide")
     o.start_mask = (1 << o.start_bits) - 1
     fin = o.ei_finish[o.act_e]
     start = o.ei_start[o.act_e]
-    o.finstart_act = (fin << o.start_bits) | start
+    o.finstart_act = (fin << o.finish_shift) | (start << o.start_shift)
     rank = o.st_rank[o.ps_act]
     o.hi_static = {
-        "sedf": (fin << o.fs_bits) | o.finstart_act,
-        "fcfs": (start << o.fs_bits) | o.finstart_act,
-        "lff": ((fin + 1) << o.fs_bits) | o.finstart_act,
-        "srank": (rank << o.fs_bits) | o.finstart_act,
-        "anti": ((rank_max - rank) << o.fs_bits) | o.finstart_act,
+        "sedf": (fin << o.score_shift) | o.finstart_act,
+        "fcfs": (start << o.score_shift) | o.finstart_act,
+        "lff": ((fin + 1) << o.score_shift) | o.finstart_act,
+        "srank": (rank << o.score_shift) | o.finstart_act,
+        "anti": ((rank_max - rank) << o.score_shift) | o.finstart_act,
     }
     o.rank_max = rank_max
     o.init_sum_act = o.init_sum[o.ps_act]
@@ -457,6 +463,62 @@ def test_a_block_holds_one_instance():
         with pytest.raises(ValueError, match=f"names instance {inst}, but "
                                              "a block holds one instance"):
             run_block(profiles, Epoch(6), [lane, lane + (inst,)])
+
+
+@pytest.mark.parametrize("leavers", ["nobody", "one", "many"])
+def test_block_epilogue_is_the_one_lane_epilogues(leavers):
+    """The schedule epilogue runs once per block: every lane of a
+    three-lane churned block (one of them faulty) reports what it
+    reports as a block of its own — also when a single t-interval
+    leaves, which is all it takes to ask who was dropped."""
+    config = ExperimentConfig(
+        epoch_length=40, num_resources=10, num_profiles=14, intensity=5.0,
+        window=6, budget=2, repetitions=1, grouping="overlap", seed=77)
+    _trace, profiles = make_instance(config, 0)
+    last = config.epoch.last
+    total = profiles.total_tintervals
+    rng = np.random.default_rng(3)
+    visible = np.where(rng.random(total) < 0.3,
+                       rng.integers(1, last // 2, total), 0)
+    gone = np.full(total, last + 1, dtype=np.int64)
+    if leavers == "one":
+        gone[total // 2] = 0
+    elif leavers == "many":
+        some = rng.random(total) < 0.4
+        gone[some] = np.maximum(visible, rng.integers(0, last, total))[some]
+    col = ColumnarInstance.build(profiles, config.epoch, visible, gone)
+    assert (col.st_gone <= last).any() == (leavers != "nobody")
+
+    def lanes():
+        fault = FaultLane(FaultSpec(failure_probability=0.3, seed=9),
+                          RetryConfig(1),
+                          CircuitBreaker(failure_threshold=2, cooldown=3))
+        return [parse_policy_spec(spec) + (BudgetVector(2), 0, layer)
+                for spec, layer in (("MRSF(P)", None), ("S-EDF(NP)", fault),
+                                    ("M-EDF(P)", None))]
+
+    block = run_block(profiles, config.epoch, lanes(), columnar=col)
+    alone = [run_block(profiles, config.epoch, [lane], columnar=col)[0]
+             for lane in lanes()]
+    assert block[1].probes_failed > 0
+    for together, single in zip(block, alone):
+        assert list(together.schedule.probes()) == \
+            list(single.schedule.probes())
+        assert together.report == single.report
+        assert together.report.per_profile == single.report.per_profile
+        assert together.report.per_rank == single.report.per_rank
+        assert (together.expired, together.extras["dropped"]) == \
+            (single.expired, single.extras["dropped"])
+        assert (together.report.captured + together.expired
+                + together.extras["dropped"]) == total
+    dropped = [result.extras["dropped"] for result in block]
+    if leavers == "nobody":
+        assert dropped == [0.0, 0.0, 0.0]
+    elif leavers == "one":
+        # Cancelled at clock 0: nothing of it could have been missed yet.
+        assert dropped == [1.0, 1.0, 1.0]
+    else:
+        assert min(dropped) > 1.0 and len({r.expired for r in block}) > 1
 
 
 def test_medf_federated_run_builds_no_static_key_column():

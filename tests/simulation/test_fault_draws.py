@@ -104,16 +104,24 @@ def test_shard_engine_shares_the_table(lowering, monkeypatch):
     assert federated.result.gc == block.gc
 
 
-def test_reading_an_unfilled_entry_raises(lowering):
+def test_a_gather_draws_what_is_unfilled_once(lowering, monkeypatch):
     _profiles, columnar = lowering
     draws = columnar.fault_draws()
     row = draws.row(11, "drop")
-    rows = np.array([row, row])
-    groups = np.array([0, 1])
-    with pytest.raises(LookupError, match="before it was filled"):
-        draws.read(rows, groups)
-    draws.fill(rows, groups)
-    assert np.array_equal(draws.read(rows, groups),
-                          draws.values[row, :2])
-    # The sentinel row is always readable and never beats a probability.
-    assert (draws.read(np.zeros(2, dtype=np.int64), groups) == 2.0).all()
+    rows = np.array([row, row, row])
+    groups = np.array([0, 1, 0])
+    assert np.isnan(draws.values[row, :2]).all()
+    drawn = []
+    draw = draws._draw
+    monkeypatch.setattr(
+        draws, "_draw",
+        lambda row, group: drawn.append((row, group)) or draw(row, group))
+    values = draws.gather(rows, groups)
+    assert sorted(drawn) == [(row, 0), (row, 1)]
+    assert not np.isnan(values).any()
+    assert np.array_equal(values, draws.values[row, groups])
+    # A second gather reads the table and draws nothing.
+    assert np.array_equal(draws.gather(rows, groups), values)
+    assert len(drawn) == 2
+    # The sentinel row is always there and never beats a probability.
+    assert (draws.gather(np.zeros(3, dtype=np.int64), groups) == 2.0).all()
