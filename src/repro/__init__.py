@@ -30,170 +30,98 @@ Traces:     :class:`UpdateTrace`, :class:`PoissonUpdateModel`,
 import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
 
-from repro.analysis import (
-    InstanceStats,
-    PolicyComparison,
-    compare_policies,
-    compute_stats,
-)
-from repro.dsl import compile_text, parse
-from repro.faults import (
-    CircuitBreaker,
-    FaultInjector,
-    FaultSpec,
-    FaultTrace,
-    Outage,
-    ProbeOutcome,
-    RetryConfig,
-    UnreliableServer,
-)
-from repro.forecast import (
-    AdaptiveEstimator,
-    ForecastUpdateModel,
-    PeriodicityEstimator,
-    PoissonRateEstimator,
-    evaluate_knowledge_gap,
-)
-from repro.runtime import (
-    Client,
-    MonitoringProxy,
-    Notification,
-    OriginServer,
-    Snapshot,
-)
-from repro.core import (
-    BudgetVector,
-    Chronon,
-    CompletenessReport,
-    Epoch,
-    ExecutionInterval,
-    ModelError,
-    Probe,
-    Profile,
-    ProfileSet,
-    ReproError,
-    Resource,
-    ResourceCatalog,
-    Schedule,
-    ScheduleInfeasibleError,
-    SolverCapacityError,
-    SolverError,
-    TInterval,
-    TraceFormatError,
-    WorkloadError,
-    evaluate_schedule,
-    gained_completeness,
-)
-from repro.offline import (
-    EnumerationSolver,
-    LocalRatioApproximation,
-    MILPSolver,
-    expand_to_unit_width,
-)
-from repro.online import (
-    MEDFPolicy,
-    MRSFPolicy,
-    Policy,
-    SEDFPolicy,
-    make_policy,
-    parse_policy_spec,
-)
-from repro.simulation import ProxySimulator, SimulationResult, run_online
-from repro.traces import (
-    AuctionTraceSynthesizer,
-    FeedTraceSynthesizer,
-    FPNUpdateModel,
-    PeriodicUpdateModel,
-    PoissonUpdateModel,
-    StockMarketSynthesizer,
-    UpdateEvent,
-    UpdateTrace,
-)
-from repro.workloads import (
-    AuctionWatchTemplate,
-    BoundedZipf,
-    GeneratorConfig,
-    OverwriteRestriction,
-    ProfileGenerator,
-    SingleResourceTemplate,
-    WindowRestriction,
-)
+from repro._lazy import export_table
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AdaptiveEstimator",
-    "CircuitBreaker",
-    "Client",
-    "FaultInjector",
-    "FaultSpec",
-    "FaultTrace",
-    "Outage",
-    "ProbeOutcome",
-    "RetryConfig",
-    "UnreliableServer",
-    "ForecastUpdateModel",
-    "MonitoringProxy",
-    "Notification",
-    "OriginServer",
-    "PeriodicityEstimator",
-    "PoissonRateEstimator",
-    "Snapshot",
-    "compile_text",
-    "evaluate_knowledge_gap",
-    "parse",
-    "AuctionTraceSynthesizer",
-    "AuctionWatchTemplate",
-    "BoundedZipf",
-    "BudgetVector",
-    "Chronon",
-    "CompletenessReport",
-    "EnumerationSolver",
-    "Epoch",
-    "ExecutionInterval",
-    "FPNUpdateModel",
-    "FeedTraceSynthesizer",
-    "GeneratorConfig",
-    "InstanceStats",
-    "PolicyComparison",
-    "compare_policies",
-    "compute_stats",
-    "LocalRatioApproximation",
-    "MEDFPolicy",
-    "MILPSolver",
-    "MRSFPolicy",
-    "ModelError",
-    "OverwriteRestriction",
-    "PeriodicUpdateModel",
-    "PoissonUpdateModel",
-    "Policy",
-    "Probe",
-    "Profile",
-    "ProfileGenerator",
-    "ProfileSet",
-    "ProxySimulator",
-    "ReproError",
-    "Resource",
-    "ResourceCatalog",
-    "SEDFPolicy",
-    "Schedule",
-    "ScheduleInfeasibleError",
-    "SimulationResult",
-    "SingleResourceTemplate",
-    "SolverCapacityError",
-    "SolverError",
-    "StockMarketSynthesizer",
-    "TInterval",
-    "TraceFormatError",
-    "UpdateEvent",
-    "UpdateTrace",
-    "WindowRestriction",
-    "WorkloadError",
-    "evaluate_schedule",
-    "expand_to_unit_width",
-    "gained_completeness",
-    "make_policy",
-    "parse_policy_spec",
-    "run_online",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = export_table(__name__, {
+    ".analysis": (
+        "InstanceStats",
+        "PolicyComparison",
+        "compare_policies",
+        "compute_stats",
+    ),
+    ".dsl": ("compile_text", "parse"),
+    ".faults": (
+        "CircuitBreaker",
+        "FaultInjector",
+        "FaultSpec",
+        "FaultTrace",
+        "Outage",
+        "ProbeOutcome",
+        "RetryConfig",
+        "UnreliableServer",
+    ),
+    ".forecast": (
+        "AdaptiveEstimator",
+        "ForecastUpdateModel",
+        "PeriodicityEstimator",
+        "PoissonRateEstimator",
+        "evaluate_knowledge_gap",
+    ),
+    ".runtime": (
+        "Client",
+        "MonitoringProxy",
+        "Notification",
+        "OriginServer",
+        "Snapshot",
+    ),
+    ".core": (
+        "BudgetVector",
+        "Chronon",
+        "CompletenessReport",
+        "Epoch",
+        "ExecutionInterval",
+        "ModelError",
+        "Probe",
+        "Profile",
+        "ProfileSet",
+        "ReproError",
+        "Resource",
+        "ResourceCatalog",
+        "Schedule",
+        "ScheduleInfeasibleError",
+        "SolverCapacityError",
+        "SolverError",
+        "TInterval",
+        "TraceFormatError",
+        "WorkloadError",
+        "evaluate_schedule",
+        "gained_completeness",
+    ),
+    ".offline": (
+        "EnumerationSolver",
+        "LocalRatioApproximation",
+        "MILPSolver",
+        "expand_to_unit_width",
+    ),
+    ".online": (
+        "MEDFPolicy",
+        "MRSFPolicy",
+        "Policy",
+        "SEDFPolicy",
+        "make_policy",
+        "parse_policy_spec",
+    ),
+    ".simulation": ("ProxySimulator", "SimulationResult", "run_online"),
+    ".traces": (
+        "AuctionTraceSynthesizer",
+        "FeedTraceSynthesizer",
+        "FPNUpdateModel",
+        "PeriodicUpdateModel",
+        "PoissonUpdateModel",
+        "StockMarketSynthesizer",
+        "UpdateEvent",
+        "UpdateTrace",
+    ),
+    ".workloads": (
+        "AuctionWatchTemplate",
+        "BoundedZipf",
+        "GeneratorConfig",
+        "OverwriteRestriction",
+        "ProfileGenerator",
+        "SingleResourceTemplate",
+        "WindowRestriction",
+    ),
+})
+__all__.append("__version__")

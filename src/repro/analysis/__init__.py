@@ -1,11 +1,8 @@
 """Analysis helpers: instance statistics and policy comparisons."""
 
-from repro.analysis.compare import PolicyComparison, compare_policies
-from repro.analysis.stats import InstanceStats, compute_stats
+from repro._lazy import export_table
 
-__all__ = [
-    "InstanceStats",
-    "PolicyComparison",
-    "compare_policies",
-    "compute_stats",
-]
+__all__, __getattr__, __dir__ = export_table(__name__, {
+    ".compare": ("PolicyComparison", "compare_policies"),
+    ".stats": ("InstanceStats", "compute_stats"),
+})

@@ -11,46 +11,45 @@ tables (optionally CSV). Examples::
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
-from typing import Callable
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-from repro.experiments import (
-    ChurnSweep,
-    FederationSweep,
-    FigurePair,
-    RunOutcome,
-    SweepResult,
-    churn_sweep,
-    fault_sweep,
-    federation_sweep,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    offline_comparison,
-    table1,
-)
-from repro.experiments.harness import DEFAULT_ENGINE
 from repro.experiments.reporting import render_table, sweep_csv, sweep_table
+
+if TYPE_CHECKING:  # annotations only: runners are imported on dispatch
+    from repro.experiments.churn import ChurnSweep
+    from repro.experiments.federation import FederationSweep
+    from repro.experiments.harness import RunOutcome, SweepResult
 
 __all__ = ["main"]
 
-_EXPERIMENTS: dict[str, Callable[[str], object]] = {
-    "table1": table1,
-    "fig3": figure3,
-    "fig4": figure4,
-    "fig5": figure5,
-    "fig6": figure6,
-    "fig7": figure7,
-    "fig8": figure8,
-    "churn": churn_sweep,
-    "faults": fault_sweep,
-    "federation": federation_sweep,
-    "offline": offline_comparison,
+#: Experiment name -> ``"module:function"``, imported when dispatched:
+#: ``serve``, ``stats`` and ``--help`` load no figure.
+_EXPERIMENTS: dict[str, str] = {
+    "table1": "repro.experiments.figures:table1",
+    "fig3": "repro.experiments.figures:figure3",
+    "fig4": "repro.experiments.figures:figure4",
+    "fig5": "repro.experiments.figures:figure5",
+    "fig6": "repro.experiments.figures:figure6",
+    "fig7": "repro.experiments.figures:figure7",
+    "fig8": "repro.experiments.figures:figure8",
+    "churn": "repro.experiments.churn:churn_sweep",
+    "faults": "repro.experiments.faults:fault_sweep",
+    "federation": "repro.experiments.federation:federation_sweep",
+    "offline": "repro.experiments.offline:offline_comparison",
 }
+
+#: The experiments whose runner takes ``workers=`` / ``engine=``
+#: (``tests/experiments/test_cli.py`` holds both to the signatures).
+_TAKES_WORKERS = frozenset(_EXPERIMENTS) - {"federation"}
+_TAKES_ENGINE = _TAKES_WORKERS - {"offline"}
+
+
+def _runner(name: str):
+    """Import and return the function behind an experiment name."""
+    module, _, function = _EXPERIMENTS[name].partition(":")
+    return getattr(import_module(module), function)
 
 
 def _print_served_by(result: RunOutcome | SweepResult) -> None:
@@ -175,17 +174,20 @@ def _print_churn(result: ChurnSweep, as_csv: bool) -> None:
 
 
 def _print_result(name: str, result: object, as_csv: bool) -> None:
-    if isinstance(result, ChurnSweep):
+    # By class name: the result classes live in the experiment modules,
+    # of which only the runner's own is imported.
+    kind = type(result).__name__
+    if kind == "ChurnSweep":
         _print_churn(result, as_csv)
-    elif isinstance(result, FederationSweep):
+    elif kind == "FederationSweep":
         _print_federation(result, as_csv)
-    elif isinstance(result, RunOutcome):
+    elif kind == "RunOutcome":
         _print_run_outcome(name, result, as_csv)
-    elif isinstance(result, SweepResult):
+    elif kind == "SweepResult":
         metrics = ("gc", "runtime") if name in ("fig5", "offline") \
             else ("gc",)
         _print_sweep(result, as_csv, metrics=metrics)
-    elif isinstance(result, FigurePair):
+    elif kind == "FigurePair":
         metrics = ("runtime",) if name == "fig5" else ("gc",)
         _print_sweep(result.left, as_csv, metrics=metrics)
         _print_sweep(result.right, as_csv, metrics=metrics)
@@ -243,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
              "'reference' is the executable specification (for 'churn' "
              "the live proxy); results are identical, and 'federation' "
              "and 'offline' have no such run to re-route. Default: "
-             f"'{DEFAULT_ENGINE}' for the GC sweeps, 'solo' for the "
+             "'batch' for the GC sweeps, 'solo' for the "
              "runtime-reporting table1, fig3 and fig5",
     )
     parser.add_argument(
@@ -373,14 +375,12 @@ def main(argv: list[str] | None = None) -> int:
     names = sorted(_EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
     for name in names:
-        runner = _EXPERIMENTS[name]
         kwargs = {}
-        parameters = inspect.signature(runner).parameters
-        if args.workers and "workers" in parameters:
+        if args.workers and name in _TAKES_WORKERS:
             kwargs["workers"] = args.workers
-        if args.engine and "engine" in parameters:
+        if args.engine and name in _TAKES_ENGINE:
             kwargs["engine"] = args.engine
-        result = runner(args.scale, **kwargs)
+        result = _runner(name)(args.scale, **kwargs)
         _print_result(name, result, args.csv)
         if args.output:
             from repro.experiments.export import export_result

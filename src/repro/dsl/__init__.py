@@ -19,36 +19,13 @@ profiles against a trace, and the result's ``quotas`` with
 :func:`repro.extensions.run_with_quotas` when quota clauses are present.
 """
 
-from repro.dsl.ast import Document, ProfileSpec, ResourceRef, Statement
-from repro.dsl.compiler import (
-    CompiledProfiles,
-    compile_document,
-    compile_text,
-)
-from repro.dsl.errors import DslError, DslSemanticError, DslSyntaxError
-from repro.dsl.parser import parse
-from repro.dsl.printer import (
-    format_document,
-    format_profile,
-    format_statement,
-)
-from repro.dsl.tokens import Token, tokenize
+from repro._lazy import export_table
 
-__all__ = [
-    "CompiledProfiles",
-    "Document",
-    "DslError",
-    "DslSemanticError",
-    "DslSyntaxError",
-    "ProfileSpec",
-    "ResourceRef",
-    "Statement",
-    "Token",
-    "compile_document",
-    "compile_text",
-    "format_document",
-    "format_profile",
-    "format_statement",
-    "parse",
-    "tokenize",
-]
+__all__, __getattr__, __dir__ = export_table(__name__, {
+    ".ast": ("Document", "ProfileSpec", "ResourceRef", "Statement"),
+    ".compiler": ("CompiledProfiles", "compile_document", "compile_text"),
+    ".errors": ("DslError", "DslSemanticError", "DslSyntaxError"),
+    ".parser": ("parse",),
+    ".printer": ("format_document", "format_profile", "format_statement"),
+    ".tokens": ("Token", "tokenize"),
+})

@@ -1,97 +1,53 @@
 """Experiment harness and per-figure reproduction definitions."""
 
-from repro.experiments.churn import (
-    ChurnConfig,
-    ChurnResult,
-    ChurnSweep,
-    ChurnSweepRow,
-    ClientOutcome,
-    churn_sweep,
-    jain_index,
-    run_churn,
-)
-from repro.experiments.config import ExperimentConfig, SCALES, baseline
-from repro.experiments.faults import (
-    DEFAULT_FAILURE_RATES,
-    FAULT_POLICY_VARIANTS,
-    breaker_ablation,
-    fault_sweep,
-    run_fault_setting,
-)
-from repro.experiments.figures import (
-    ALL_POLICY_VARIANTS,
-    FigurePair,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    table1,
-)
-from repro.experiments.federation import (
-    DEFAULT_SHARD_COUNTS,
-    FederationSweep,
-    ShardCountOutcome,
-    federation_sweep,
-)
-from repro.experiments.offline import (
-    OFFLINE_SOLVER_LABELS,
-    offline_comparison,
-)
-from repro.experiments.harness import (
-    OFFLINE_LABEL,
-    FaultCell,
-    PolicyOutcome,
-    RunOutcome,
-    SweepResult,
-    make_instance,
-    run_setting,
-    sweep,
-)
-from repro.experiments.reporting import render_table, sweep_csv, sweep_table
+from repro._lazy import export_table
 
-__all__ = [
-    "ALL_POLICY_VARIANTS",
-    "DEFAULT_FAILURE_RATES",
-    "DEFAULT_SHARD_COUNTS",
-    "FAULT_POLICY_VARIANTS",
-    "FederationSweep",
-    "ShardCountOutcome",
-    "federation_sweep",
-    "breaker_ablation",
-    "fault_sweep",
-    "run_fault_setting",
-    "ChurnConfig",
-    "ChurnResult",
-    "ChurnSweep",
-    "ChurnSweepRow",
-    "ClientOutcome",
-    "churn_sweep",
-    "ExperimentConfig",
-    "jain_index",
-    "run_churn",
-    "FaultCell",
-    "FigurePair",
-    "OFFLINE_LABEL",
-    "OFFLINE_SOLVER_LABELS",
-    "offline_comparison",
-    "PolicyOutcome",
-    "RunOutcome",
-    "SCALES",
-    "SweepResult",
-    "baseline",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "make_instance",
-    "render_table",
-    "run_setting",
-    "sweep",
-    "sweep_csv",
-    "sweep_table",
-    "table1",
-]
+__all__, __getattr__, __dir__ = export_table(__name__, {
+    ".churn": (
+        "ChurnConfig",
+        "ChurnResult",
+        "ChurnSweep",
+        "ChurnSweepRow",
+        "ClientOutcome",
+        "churn_sweep",
+        "jain_index",
+        "run_churn",
+    ),
+    ".config": ("ExperimentConfig", "SCALES", "baseline"),
+    ".faults": (
+        "DEFAULT_FAILURE_RATES",
+        "FAULT_POLICY_VARIANTS",
+        "breaker_ablation",
+        "fault_sweep",
+        "run_fault_setting",
+    ),
+    ".figures": (
+        "ALL_POLICY_VARIANTS",
+        "FigurePair",
+        "figure3",
+        "figure4",
+        "figure5",
+        "figure6",
+        "figure7",
+        "figure8",
+        "table1",
+    ),
+    ".federation": (
+        "DEFAULT_SHARD_COUNTS",
+        "FederationSweep",
+        "ShardCountOutcome",
+        "federation_sweep",
+    ),
+    ".offline": ("OFFLINE_SOLVER_LABELS", "offline_comparison"),
+    ".harness": (
+        "OFFLINE_LABEL",
+        "FaultCell",
+        "PolicyOutcome",
+        "RunOutcome",
+        "SweepResult",
+        "make_instance",
+        "run_setting",
+        "sweep",
+    ),
+    ".reporting": ("render_table", "sweep_csv", "sweep_table"),
+})

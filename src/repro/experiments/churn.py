@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,9 +40,8 @@ from repro.core.budget import BudgetVector
 from repro.core.errors import WorkloadError
 from repro.core.profile import ProfileColumns, ProfileSet
 from repro.core.timeline import Epoch
-from repro.offline.conflict import clear_demand_cache
+from repro.experiments.harness import _process_pool
 from repro.online.registry import parse_policy_spec
-from repro.runtime.proxy import MonitoringProxy
 from repro.runtime.server import OriginServer
 from repro.simulation.churn import ChurnPlan, PlanColumns, run_churned
 from repro.traces.models import PoissonUpdateModel
@@ -344,7 +342,10 @@ def _run_churn_proxy(config: ChurnConfig, epoch: Epoch, trace,
                      blocks: list[ProfileColumns],
                      counts: list[int]) -> ChurnResult:
     """Reference path through the live MonitoringProxy — the one reader
-    of profile objects, built here from the same columns."""
+    of profile objects, built here from the same columns, and the only
+    code here that needs the synchronous proxy runtime."""
+    from repro.runtime.proxy import MonitoringProxy
+
     policy, preemptive = parse_policy_spec(config.policy)
     profiles_by_client = [ProfileSet.from_columns(block).profiles
                           for block in blocks]
@@ -483,7 +484,7 @@ def churn_sweep(scale: str = "default",
     configs.append(replace(base, join_spread=0.6, leave_probability=0.5))
 
     if workers:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             outcomes = list(pool.map(_timed_churn, configs))
     else:
         outcomes = [_timed_churn(config) for config in configs]
@@ -504,6 +505,8 @@ def churn_sweep(scale: str = "default",
         )
         for config, (result, seconds) in zip(configs, outcomes)
     )
+    from repro.offline.conflict import clear_demand_cache
+
     # Epoch teardown: the sweep is done with these t-intervals; release
     # the shared demand-map cache entries they may have populated.
     clear_demand_cache()

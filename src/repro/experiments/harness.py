@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import statistics
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -32,7 +31,6 @@ from repro.experiments.instances import (
 )
 from repro.faults.breaker import CircuitBreaker, RetryConfig
 from repro.faults.model import FaultSpec
-from repro.offline.local_ratio import LocalRatioApproximation
 from repro.online.registry import parse_policy_spec
 from repro.simulation.batch import (
     BatchUnsupported,
@@ -280,10 +278,20 @@ def _run_cell(config: ExperimentConfig, repetition: int,
                             **kwargs)
         cell[label] = (result.gc, result.runtime_seconds)
     if include_offline:
-        result = LocalRatioApproximation().solve(
-            profiles, config.epoch, config.budget_vector)
-        cell[OFFLINE_LABEL] = (result.gc, result.runtime_seconds)
+        cell[OFFLINE_LABEL] = _local_ratio_cell(profiles, config)
     return cell
+
+
+def _local_ratio_cell(profiles: ProfileSet,
+                      config: ExperimentConfig) -> tuple[float, float]:
+    """The ``OFFLINE_LABEL`` entry of a cell: Local-Ratio's
+    ``(gc, runtime_seconds)``. The solver package is imported here, by
+    the only cells that run it."""
+    from repro.offline.local_ratio import LocalRatioApproximation
+
+    result = LocalRatioApproximation().solve(
+        profiles, config.epoch, config.budget_vector)
+    return result.gc, result.runtime_seconds
 
 
 #: Cell-dict keys under which the blocked path reports its reference
@@ -415,9 +423,7 @@ def _run_one_block(cell_args: Sequence[tuple], gkey: str,
     for at in indices:
         config, include_offline = cell_args[at][0], cell_args[at][3]
         if include_offline:
-            result = LocalRatioApproximation().solve(
-                profiles, epoch, config.budget_vector)
-            cells[at][OFFLINE_LABEL] = (result.gc, result.runtime_seconds)
+            cells[at][OFFLINE_LABEL] = _local_ratio_cell(profiles, config)
 
 
 def _run_cells_serial(cell_args: Sequence[tuple]
@@ -426,6 +432,16 @@ def _run_cells_serial(cell_args: Sequence[tuple]
     if cell_args and cell_args[0][5] == "batch":
         return _run_cells_blocked(cell_args)
     return [_run_cell(*args) for args in cell_args]
+
+
+def _process_pool(workers: int, **kwargs):
+    """A process pool of ``workers`` — what every ``workers=`` branch
+    of the experiments builds. ``concurrent.futures.process`` brings in
+    ``multiprocessing``, which no serial run needs, so it is imported
+    here."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers, **kwargs)
 
 
 def _run_cells_parallel(cell_args: Sequence[tuple],
@@ -459,9 +475,8 @@ def _run_cells_parallel(cell_args: Sequence[tuple],
         chunks.append(current)
     cache = active_cache()
     cache_dir = str(cache.cache_dir) if cache.cache_dir is not None else None
-    with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_worker_init,
-            initargs=(cache_dir,)) as pool:
+    with _process_pool(workers, initializer=_pool_worker_init,
+                       initargs=(cache_dir,)) as pool:
         futures = [
             pool.submit(_run_cells_serial, [cell_args[at] for at in chunk])
             for chunk in chunks

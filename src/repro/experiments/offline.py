@@ -16,13 +16,12 @@ a serial run.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 from repro.experiments.config import baseline
 from repro.experiments.harness import (
     PolicyOutcome,
     RunOutcome,
     SweepResult,
+    _process_pool,
     make_instance,
 )
 from repro.offline.greedy import GreedyOfflineSolver
@@ -74,7 +73,7 @@ def offline_comparison(scale: str = "default", *,
     configs = [base.with_(num_profiles=value) for value in values]
     cells_of: dict[int, list[dict[str, tuple[float, float]]]] = {}
     if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _process_pool(workers) as pool:
             futures = {
                 (setting, repetition): pool.submit(
                     _offline_cell, config, repetition, source)

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.experiments.harness import SweepResult
+if TYPE_CHECKING:  # annotations only: rendering text needs no engine
+    from repro.experiments.harness import SweepResult
 
 __all__ = ["render_table", "sweep_table", "sweep_csv"]
 

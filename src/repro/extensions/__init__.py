@@ -1,27 +1,19 @@
 """Extensions implementing the paper's §6 future-work items."""
 
-from repro.extensions.partial import (
-    QuotaMap,
-    QuotaMRSFPolicy,
-    QuotaTIntervalState,
-    quota_completeness,
-    run_with_quotas,
-)
-from repro.extensions.utilities import (
-    UtilityWeightedPolicy,
-    UtilityWeights,
-    run_weighted,
-    weighted_completeness,
-)
+from repro._lazy import export_table
 
-__all__ = [
-    "QuotaMap",
-    "QuotaMRSFPolicy",
-    "QuotaTIntervalState",
-    "UtilityWeightedPolicy",
-    "UtilityWeights",
-    "quota_completeness",
-    "run_weighted",
-    "run_with_quotas",
-    "weighted_completeness",
-]
+__all__, __getattr__, __dir__ = export_table(__name__, {
+    ".partial": (
+        "QuotaMap",
+        "QuotaMRSFPolicy",
+        "QuotaTIntervalState",
+        "quota_completeness",
+        "run_with_quotas",
+    ),
+    ".utilities": (
+        "UtilityWeightedPolicy",
+        "UtilityWeights",
+        "run_weighted",
+        "weighted_completeness",
+    ),
+})

@@ -16,43 +16,26 @@ part of the model:
   simulator and the live proxy, so both account for faults identically.
 """
 
-from repro.core.errors import FaultReplayError
-from repro.faults.breaker import BackoffPolicy, CircuitBreaker, RetryConfig
-from repro.faults.engine import ProbeRound, execute_probes
-from repro.faults.model import (
-    FaultDecision,
-    FaultInjector,
-    FaultRecord,
-    FaultSpec,
-    FaultTrace,
-    Outage,
-    RecordedFaults,
-)
-from repro.faults.server import UnreliableServer
-from repro.runtime.server import (
-    PROBE_FAILED,
-    PROBE_OK,
-    PROBE_THROTTLED,
-    ProbeOutcome,
-)
+from repro._lazy import export_table
 
-__all__ = [
-    "PROBE_FAILED",
-    "PROBE_OK",
-    "PROBE_THROTTLED",
-    "BackoffPolicy",
-    "CircuitBreaker",
-    "FaultDecision",
-    "FaultInjector",
-    "FaultRecord",
-    "FaultReplayError",
-    "FaultSpec",
-    "FaultTrace",
-    "Outage",
-    "ProbeOutcome",
-    "ProbeRound",
-    "RecordedFaults",
-    "RetryConfig",
-    "UnreliableServer",
-    "execute_probes",
-]
+__all__, __getattr__, __dir__ = export_table(__name__, {
+    "repro.core.errors": ("FaultReplayError",),
+    ".breaker": ("BackoffPolicy", "CircuitBreaker", "RetryConfig"),
+    ".engine": ("ProbeRound", "execute_probes"),
+    ".model": (
+        "FaultDecision",
+        "FaultInjector",
+        "FaultRecord",
+        "FaultSpec",
+        "FaultTrace",
+        "Outage",
+        "RecordedFaults",
+    ),
+    ".server": ("UnreliableServer",),
+    "repro.runtime.server": (
+        "PROBE_FAILED",
+        "PROBE_OK",
+        "PROBE_THROTTLED",
+        "ProbeOutcome",
+    ),
+})

@@ -1,27 +1,16 @@
 """Stochastic EI generation: estimators, predicted traces, evaluation."""
 
-from repro.forecast.estimators import (
-    AdaptiveEstimator,
-    FittedResource,
-    PeriodicityEstimator,
-    PoissonRateEstimator,
-    UpdateEstimator,
-    fit_trace,
-)
-from repro.forecast.evaluation import (
-    KnowledgeGapResult,
-    evaluate_knowledge_gap,
-)
-from repro.forecast.prediction import ForecastUpdateModel
+from repro._lazy import export_table
 
-__all__ = [
-    "AdaptiveEstimator",
-    "FittedResource",
-    "ForecastUpdateModel",
-    "KnowledgeGapResult",
-    "PeriodicityEstimator",
-    "PoissonRateEstimator",
-    "UpdateEstimator",
-    "evaluate_knowledge_gap",
-    "fit_trace",
-]
+__all__, __getattr__, __dir__ = export_table(__name__, {
+    ".estimators": (
+        "AdaptiveEstimator",
+        "FittedResource",
+        "PeriodicityEstimator",
+        "PoissonRateEstimator",
+        "UpdateEstimator",
+        "fit_trace",
+    ),
+    ".evaluation": ("KnowledgeGapResult", "evaluate_knowledge_gap"),
+    ".prediction": ("ForecastUpdateModel",),
+})

@@ -1,40 +1,22 @@
 """Offline solvers: exact enumeration, MILP, and the Local-Ratio scheme."""
 
-from repro.offline.conflict import (
-    clear_demand_cache,
-    demand_map,
-    overlap_adjacency,
-    overlap_graph,
-    self_infeasible,
-    unit_conflict_adjacency,
-    unit_conflict_graph,
-)
-from repro.offline.enumeration import EnumerationSolver
-from repro.offline.greedy import GreedyOfflineSolver
-from repro.offline.incremental import IncrementalLocalRatio
-from repro.offline.local_ratio import (
-    LocalRatioApproximation,
-    fractional_guidance,
-)
-from repro.offline.matching import ProbeAssigner
-from repro.offline.milp import MILPSolver
-from repro.offline.transform import UnitWidthExpansion, expand_to_unit_width
+from repro._lazy import export_table
 
-__all__ = [
-    "EnumerationSolver",
-    "GreedyOfflineSolver",
-    "IncrementalLocalRatio",
-    "LocalRatioApproximation",
-    "MILPSolver",
-    "ProbeAssigner",
-    "UnitWidthExpansion",
-    "clear_demand_cache",
-    "demand_map",
-    "expand_to_unit_width",
-    "fractional_guidance",
-    "overlap_adjacency",
-    "overlap_graph",
-    "self_infeasible",
-    "unit_conflict_adjacency",
-    "unit_conflict_graph",
-]
+__all__, __getattr__, __dir__ = export_table(__name__, {
+    ".conflict": (
+        "clear_demand_cache",
+        "demand_map",
+        "overlap_adjacency",
+        "overlap_graph",
+        "self_infeasible",
+        "unit_conflict_adjacency",
+        "unit_conflict_graph",
+    ),
+    ".enumeration": ("EnumerationSolver",),
+    ".greedy": ("GreedyOfflineSolver",),
+    ".incremental": ("IncrementalLocalRatio",),
+    ".local_ratio": ("LocalRatioApproximation", "fractional_guidance"),
+    ".matching": ("ProbeAssigner",),
+    ".milp": ("MILPSolver",),
+    ".transform": ("UnitWidthExpansion", "expand_to_unit_width"),
+})

@@ -1,54 +1,28 @@
 """Online monitoring policies (Section 4.2 of the paper)."""
 
-from repro.online.base import (
-    Candidate,
-    Policy,
-    PolicyLevel,
-    ProbeDecision,
-    TIntervalState,
-    apply_probes,
-    filter_blocked,
-    select_probes,
-)
-from repro.online.baselines import (
-    CoveragePolicy,
-    FCFSPolicy,
-    LeastFlexibleFirstPolicy,
-    MostResidualFirstPolicy,
-    RandomPolicy,
-    StaticRankPolicy,
-)
-from repro.online.medf import MEDFPolicy, m_edf_value
-from repro.online.mrsf import MRSFPolicy, mrsf_value
-from repro.online.registry import (
-    available_policies,
-    make_policy,
-    parse_policy_spec,
-)
-from repro.online.sedf import SEDFPolicy, s_edf_value
+from repro._lazy import export_table
 
-__all__ = [
-    "Candidate",
-    "CoveragePolicy",
-    "FCFSPolicy",
-    "LeastFlexibleFirstPolicy",
-    "MEDFPolicy",
-    "MRSFPolicy",
-    "MostResidualFirstPolicy",
-    "Policy",
-    "PolicyLevel",
-    "ProbeDecision",
-    "RandomPolicy",
-    "StaticRankPolicy",
-    "SEDFPolicy",
-    "TIntervalState",
-    "apply_probes",
-    "available_policies",
-    "make_policy",
-    "m_edf_value",
-    "mrsf_value",
-    "parse_policy_spec",
-    "s_edf_value",
-    "filter_blocked",
-    "select_probes",
-]
+__all__, __getattr__, __dir__ = export_table(__name__, {
+    ".base": (
+        "Candidate",
+        "Policy",
+        "PolicyLevel",
+        "ProbeDecision",
+        "TIntervalState",
+        "apply_probes",
+        "filter_blocked",
+        "select_probes",
+    ),
+    ".baselines": (
+        "CoveragePolicy",
+        "FCFSPolicy",
+        "LeastFlexibleFirstPolicy",
+        "MostResidualFirstPolicy",
+        "RandomPolicy",
+        "StaticRankPolicy",
+    ),
+    ".medf": ("MEDFPolicy", "m_edf_value"),
+    ".mrsf": ("MRSFPolicy", "mrsf_value"),
+    ".registry": ("available_policies", "make_policy", "parse_policy_spec"),
+    ".sedf": ("SEDFPolicy", "s_edf_value"),
+})

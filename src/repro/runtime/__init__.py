@@ -1,29 +1,17 @@
 """The proxy runtime: origin servers, clients, and push notifications."""
 
-from repro.runtime.clients import Client, Notification
-from repro.runtime.federation import ServerFleet, ShardCoordinator
-from repro.runtime.proxy import MonitoringProxy, ProxyStats
-from repro.runtime.server import OriginServer, Snapshot
-from repro.runtime.sharding import (
-    BudgetLedger,
-    ConsistentHashRing,
-    ShardLoad,
-    split_budget,
-    steal_plan,
-)
+from repro._lazy import export_table
 
-__all__ = [
-    "BudgetLedger",
-    "Client",
-    "ConsistentHashRing",
-    "MonitoringProxy",
-    "Notification",
-    "OriginServer",
-    "ProxyStats",
-    "ServerFleet",
-    "ShardCoordinator",
-    "ShardLoad",
-    "Snapshot",
-    "split_budget",
-    "steal_plan",
-]
+__all__, __getattr__, __dir__ = export_table(__name__, {
+    ".clients": ("Client", "Notification"),
+    ".federation": ("ServerFleet", "ShardCoordinator"),
+    ".proxy": ("MonitoringProxy", "ProxyStats"),
+    ".server": ("OriginServer", "Snapshot"),
+    ".sharding": (
+        "BudgetLedger",
+        "ConsistentHashRing",
+        "ShardLoad",
+        "split_budget",
+        "steal_plan",
+    ),
+})

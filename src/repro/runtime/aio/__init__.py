@@ -9,38 +9,21 @@ that proves the whole stack degrades without losing or duplicating a
 single notification.
 """
 
-from repro.runtime.aio.admission import (
-    AdmissionController,
-    AdmissionDecision,
-    AdmissionStats,
-)
-from repro.runtime.aio.engine import (
-    AsyncProbeRound,
-    BudgetLedger,
-    ServerSemaphores,
-    execute_probes_async,
-)
-from repro.runtime.aio.journal import Journal, JournalState, replay_journal
-from repro.runtime.aio.proxy import (
-    AsyncMonitoringProxy,
-    ProxyEvent,
-    notification_payload,
-)
-from repro.runtime.aio.service import ProxyService
+from repro._lazy import export_table
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "AdmissionStats",
-    "AsyncMonitoringProxy",
-    "AsyncProbeRound",
-    "BudgetLedger",
-    "Journal",
-    "JournalState",
-    "ProxyEvent",
-    "ProxyService",
-    "ServerSemaphores",
-    "execute_probes_async",
-    "notification_payload",
-    "replay_journal",
-]
+__all__, __getattr__, __dir__ = export_table(__name__, {
+    ".admission": (
+        "AdmissionController",
+        "AdmissionDecision",
+        "AdmissionStats",
+    ),
+    ".engine": (
+        "AsyncProbeRound",
+        "BudgetLedger",
+        "ServerSemaphores",
+        "execute_probes_async",
+    ),
+    ".journal": ("Journal", "JournalState", "replay_journal"),
+    ".proxy": ("AsyncMonitoringProxy", "ProxyEvent", "notification_payload"),
+    ".service": ("ProxyService",),
+})

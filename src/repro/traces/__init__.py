@@ -1,31 +1,16 @@
 """Update-event traces, update models, and trace synthesizers."""
 
-from repro.traces.auctions import (
-    BRAND_CATALOG,
-    AuctionSpec,
-    AuctionTraceSynthesizer,
-)
-from repro.traces.events import UpdateEvent, UpdateTrace
-from repro.traces.feeds import FeedTraceSynthesizer
-from repro.traces.models import (
-    FPNUpdateModel,
-    PeriodicUpdateModel,
-    PoissonUpdateModel,
-    UpdateModel,
-)
-from repro.traces.stocks import MarketQuote, StockMarketSynthesizer
+from repro._lazy import export_table
 
-__all__ = [
-    "BRAND_CATALOG",
-    "AuctionSpec",
-    "AuctionTraceSynthesizer",
-    "FPNUpdateModel",
-    "FeedTraceSynthesizer",
-    "MarketQuote",
-    "PeriodicUpdateModel",
-    "PoissonUpdateModel",
-    "StockMarketSynthesizer",
-    "UpdateEvent",
-    "UpdateTrace",
-    "UpdateModel",
-]
+__all__, __getattr__, __dir__ = export_table(__name__, {
+    ".auctions": ("BRAND_CATALOG", "AuctionSpec", "AuctionTraceSynthesizer"),
+    ".events": ("UpdateEvent", "UpdateTrace"),
+    ".feeds": ("FeedTraceSynthesizer",),
+    ".models": (
+        "FPNUpdateModel",
+        "PeriodicUpdateModel",
+        "PoissonUpdateModel",
+        "UpdateModel",
+    ),
+    ".stocks": ("MarketQuote", "StockMarketSynthesizer"),
+})

@@ -1,30 +1,20 @@
 """Workload construction: restrictions, Zipf sampling, templates, generator."""
 
-from repro.workloads.generator import GeneratorConfig, ProfileGenerator
-from repro.workloads.restrictions import (
-    DeliveryRestriction,
-    OverwriteRestriction,
-    WindowRestriction,
-    derive_execution_intervals,
-)
-from repro.workloads.templates import (
-    AuctionWatchTemplate,
-    PeriodicWatchTemplate,
-    ProfileTemplate,
-    SingleResourceTemplate,
-)
-from repro.workloads.zipf import BoundedZipf
+from repro._lazy import export_table
 
-__all__ = [
-    "AuctionWatchTemplate",
-    "BoundedZipf",
-    "DeliveryRestriction",
-    "GeneratorConfig",
-    "OverwriteRestriction",
-    "PeriodicWatchTemplate",
-    "ProfileGenerator",
-    "ProfileTemplate",
-    "SingleResourceTemplate",
-    "WindowRestriction",
-    "derive_execution_intervals",
-]
+__all__, __getattr__, __dir__ = export_table(__name__, {
+    ".generator": ("GeneratorConfig", "ProfileGenerator"),
+    ".restrictions": (
+        "DeliveryRestriction",
+        "OverwriteRestriction",
+        "WindowRestriction",
+        "derive_execution_intervals",
+    ),
+    ".templates": (
+        "AuctionWatchTemplate",
+        "PeriodicWatchTemplate",
+        "ProfileTemplate",
+        "SingleResourceTemplate",
+    ),
+    ".zipf": ("BoundedZipf",),
+})

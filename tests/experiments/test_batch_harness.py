@@ -301,7 +301,7 @@ class TestOneBlockPerInstance:
         chunks = []
 
         class InlinePool:
-            def __init__(self, **_kwargs):
+            def __init__(self, _workers, **_kwargs):
                 pass
 
             def __enter__(self):
@@ -316,7 +316,7 @@ class TestOneBlockPerInstance:
                 future.set_result(fn(cell_args))
                 return future
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "_process_pool", InlinePool)
         pooled = sweep("s", _CONFIG, "budget", [1, 2, 3, 4, 5], workers=4)
         assert len(chunks) == _CONFIG.repetitions
         for chunk in chunks:

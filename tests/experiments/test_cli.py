@@ -1,8 +1,17 @@
 """Tests for the repro-experiments CLI."""
 
+import inspect
+
 import pytest
 
-from repro.cli import _EXPERIMENTS, build_parser, main
+from repro.cli import (
+    _EXPERIMENTS,
+    _TAKES_ENGINE,
+    _TAKES_WORKERS,
+    _runner,
+    build_parser,
+    main,
+)
 
 
 class TestParser:
@@ -127,3 +136,25 @@ class TestEngineFlag:
             main(["fig8", "--scale", "smoke", "--engine", engine])
         assert refusal.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+class TestDispatchTable:
+    """The table names its runners and what each takes as literals (so
+    ``serve`` and ``--help`` import no experiment); held here to the
+    functions themselves."""
+
+    def test_flag_sets_match_the_runner_signatures(self):
+        takes = {"workers": set(), "engine": set()}
+        for name in _EXPERIMENTS:
+            parameters = inspect.signature(_runner(name)).parameters
+            assert "scale" == next(iter(parameters)), name
+            for flag, names in takes.items():
+                if flag in parameters:
+                    names.add(name)
+        assert takes["workers"] == _TAKES_WORKERS
+        assert takes["engine"] == _TAKES_ENGINE
+
+    def test_help_names_the_default_engine(self):
+        from repro.experiments.harness import DEFAULT_ENGINE
+        text = " ".join(build_parser().format_help().split())
+        assert f"Default: '{DEFAULT_ENGINE}' for the GC sweeps" in text

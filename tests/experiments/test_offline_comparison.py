@@ -41,5 +41,5 @@ class TestOfflineComparison:
             assert _gc_map(parallel_run) == _gc_map(serial_run)
 
     def test_registered_in_cli(self):
-        from repro.cli import _EXPERIMENTS
-        assert _EXPERIMENTS["offline"] is offline_comparison
+        from repro.cli import _runner
+        assert _runner("offline") is offline_comparison

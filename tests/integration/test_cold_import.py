@@ -13,6 +13,14 @@ drives every entry point that used to reach it — the harness, its
 fallbacks, the churned run, the federation, the whole CLI — and checks
 the module never loaded. That is what makes deleting the file a
 ``git rm``.
+
+And a cold start pays only for the path it takes: every package
+``__init__`` is an export table (``repro/_lazy.py``), so ``import
+repro`` loads no subpackage, the service host loads no experiment,
+simulator or solver, and the sweep modules load no DSL, forecaster or
+process pool. The budgets below are module *sets*, not milliseconds;
+the last one also checks the other direction — nothing a timed call
+needs is left to be imported inside it.
 """
 
 import os
@@ -114,6 +122,125 @@ assert "repro.simulation.engine" not in sys.modules
 print("cold-import-ok")
 """
 
+_LOADED = """
+import sys
+
+
+def loaded(*prefixes):
+    return sorted(name for name in sys.modules
+                  if any(name == prefix or name.startswith(prefix + ".")
+                         for prefix in prefixes))
+"""
+
+_SERVICE_SCRIPT = _LOADED + """
+import repro
+assert loaded("repro") == ["repro", "repro._lazy"], loaded("repro")
+assert "numpy.ma" in sys.modules and "numpy.random" in sys.modules
+
+# the imports of benchmarks/e2e/service_host.py
+from repro import BudgetVector, Epoch, OriginServer, PoissonUpdateModel
+from repro.online import MRSFPolicy
+from repro.runtime.aio import (
+    AdmissionController,
+    AsyncMonitoringProxy,
+    Journal,
+    ProxyService,
+)
+from repro.runtime.aio.journal import replay_journal
+
+unused = loaded("repro.simulation", "repro.experiments", "repro.offline",
+                "repro.dsl", "repro.forecast", "repro.analysis",
+                "repro.extensions", "repro.workloads")
+assert unused == [], unused
+
+import asyncio, os, tempfile
+from repro.core.intervals import ExecutionInterval, TInterval
+from repro.core.profile import Profile
+
+
+async def serve(path):
+    epoch = Epoch(20)
+    trace = PoissonUpdateModel(4.0, seed=1).generate(range(4), epoch)
+    journal = Journal(path)
+    proxy = AsyncMonitoringProxy(OriginServer(trace), epoch,
+                                 BudgetVector(2), MRSFPolicy(),
+                                 journal=journal)
+    service = ProxyService(proxy, AdmissionController(max_tintervals=100))
+    await service.start()
+    try:
+        status, _body = service.register("key", Profile([TInterval([
+            ExecutionInterval(0, 2, 6), ExecutionInterval(1, 3, 8)])]))
+        assert status == 201, status
+        await service.serve_epoch()
+    finally:
+        await service.stop()
+        journal.close()
+    assert service.stats_payload()["stats"]["completed"] == 1
+    assert len(replay_journal(path).completions) == 1
+
+
+before = set(sys.modules)
+with tempfile.TemporaryDirectory() as scratch:
+    asyncio.run(serve(os.path.join(scratch, "journal")))
+late = sorted(name for name in set(sys.modules) - before
+              if name.startswith("repro"))
+assert late == [], late
+print("cold-import-ok")
+"""
+
+_SWEEP_SCRIPT = _LOADED + """
+# the imports of benchmarks/e2e/workloads.py
+import repro.experiments.harness, repro.experiments.faults
+import repro.experiments.churn, repro.simulation.shard
+
+unused = loaded("repro.dsl", "repro.forecast", "repro.analysis",
+                "repro.extensions", "repro.io", "repro.runtime.aio",
+                "multiprocessing", "concurrent.futures.process")
+assert unused == [], unused
+
+from repro.core.budget import BudgetVector
+from repro.experiments.churn import ChurnConfig, build_churn_workload
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.faults import fault_sweep
+from repro.experiments.harness import make_instance, sweep
+from repro.online.registry import parse_policy_spec
+from repro.simulation.churn import run_churned
+from repro.simulation.shard import federated_run
+
+config = ExperimentConfig(epoch_length=20, num_resources=6, num_profiles=8,
+                          intensity=4.0, window=4, repetitions=2, seed=3)
+churn = ChurnConfig(epoch_length=30, num_resources=6, intensity=2.0,
+                    num_clients=4, profiles_per_client=2, join_spread=0.5,
+                    leave_probability=0.5, seed=3)
+policy, preemptive = parse_policy_spec("M-EDF(P)")
+
+# Nothing is deferred into a timed call: the four the benchmark times
+# import nothing of ours, and none of the stdlib modules that were once
+# first imported mid-run.
+before = set(sys.modules)
+serial = sweep("s", config, "budget", [1, 2])
+fault_sweep(config=config, rates=(0.0, 0.3))
+_trace, profiles = make_instance(config, 0)
+federated_run(profiles, config.epoch, config.budget_vector, policy,
+              preemptive=preemptive, shards=4)
+initial, plan, epoch = build_churn_workload(churn)
+run_churned(initial, epoch, BudgetVector(2), policy, plan,
+            preemptive=preemptive)
+late = sorted(
+    name for name in set(sys.modules) - before
+    if name.split(".")[0] in ("repro", "multiprocessing", "statistics",
+                              "tempfile"))
+assert late == [], late
+
+# ... and a pool is still built when one is asked for.
+pooled = sweep("s", config, "budget", [1, 2], workers=2)
+assert loaded("concurrent.futures.process") != []
+for run, serial_run in zip(pooled.runs, serial.runs):
+    for label, outcome in serial_run.outcomes.items():
+        assert run.outcomes[label].gc_values == outcome.gc_values
+print("cold-import-ok")
+"""
+
 
 def _run_cold(script: str) -> None:
     src = Path(__file__).resolve().parents[2] / "src"
@@ -130,3 +257,11 @@ def test_online_paths_never_import_scipy_or_networkx():
 
 def test_nothing_in_src_imports_the_event_engine():
     _run_cold(_ENGINE_SCRIPT)
+
+
+def test_the_service_path_loads_no_experiment_simulator_or_solver():
+    _run_cold(_SERVICE_SCRIPT)
+
+
+def test_sweep_modules_load_no_pool_and_defer_nothing_into_a_timed_call():
+    _run_cold(_SWEEP_SCRIPT)
