@@ -10,11 +10,14 @@ report the same series the paper plots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
+from repro.core.intervals import TInterval
 from repro.core.profile import Profile, ProfileSet
 from repro.core.schedule import Schedule
 
-__all__ = ["CompletenessReport", "gained_completeness", "evaluate_schedule"]
+__all__ = ["CompletenessReport", "gained_completeness", "evaluate_schedule",
+           "tally"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,6 +69,14 @@ def gained_completeness(profiles: ProfileSet, schedule: Schedule) -> float:
 def evaluate_schedule(profiles: ProfileSet,
                       schedule: Schedule) -> CompletenessReport:
     """Full capture accounting of ``schedule`` against ``profiles``."""
+    return tally(profiles, schedule.captures_tinterval)
+
+
+def tally(profiles: Iterable[Profile],
+          captured: Callable[[TInterval], bool]) -> CompletenessReport:
+    """The report of ``profiles`` given which t-intervals count as
+    captured: by a schedule, in a solver's accepted set, completed in a
+    simulated run."""
     captured_total = 0
     total = 0
     per_profile: dict[int, tuple[int, int]] = {}
@@ -74,7 +85,7 @@ def evaluate_schedule(profiles: ProfileSet,
         profile_captured = 0
         for eta in profile:
             total += 1
-            hit = schedule.captures_tinterval(eta)
+            hit = captured(eta)
             if hit:
                 captured_total += 1
                 profile_captured += 1

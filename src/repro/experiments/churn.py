@@ -40,7 +40,7 @@ from repro.core.budget import BudgetVector
 from repro.core.errors import WorkloadError
 from repro.core.profile import ProfileColumns, ProfileSet
 from repro.core.timeline import Epoch
-from repro.experiments.harness import _process_pool
+from repro.experiments.harness import _pool_map
 from repro.online.registry import parse_policy_spec
 from repro.runtime.server import OriginServer
 from repro.simulation.churn import ChurnPlan, PlanColumns, run_churned
@@ -472,10 +472,10 @@ def churn_sweep(scale: str = "default",
 
     Sweeps ``join_spread`` over :data:`SWEEP_SPREADS` with no leavers,
     then adds one scenario with late arrivals *and* 50% churn-out.
-    ``workers=N`` fans scenarios over a process pool (results identical
-    to serial — each scenario is an independent seeded run). A churned
-    run is one lane whatever the harness would share, so ``"solo"``
-    is ``"batch"`` here.
+    ``workers=N`` (N > 1) fans scenarios over a process pool (results
+    identical to serial — each scenario is an independent seeded run).
+    A churned run is one lane whatever the harness would share, so
+    ``"solo"`` is ``"batch"`` here.
     """
     base = replace(CHURN_SCALES[scale],
                    engine="batch" if engine == "solo" else engine)
@@ -483,11 +483,8 @@ def churn_sweep(scale: str = "default",
                for spread in SWEEP_SPREADS]
     configs.append(replace(base, join_spread=0.6, leave_probability=0.5))
 
-    if workers:
-        with _process_pool(workers) as pool:
-            outcomes = list(pool.map(_timed_churn, configs))
-    else:
-        outcomes = [_timed_churn(config) for config in configs]
+    outcomes = _pool_map(_timed_churn, [(config,) for config in configs],
+                         workers)
 
     rows = tuple(
         ChurnSweepRow(
@@ -505,10 +502,5 @@ def churn_sweep(scale: str = "default",
         )
         for config, (result, seconds) in zip(configs, outcomes)
     )
-    from repro.offline.conflict import clear_demand_cache
-
-    # Epoch teardown: the sweep is done with these t-intervals; release
-    # the shared demand-map cache entries they may have populated.
-    clear_demand_cache()
     return ChurnSweep(config=base, policy=base.policy,
                       engine=engine, rows=rows)

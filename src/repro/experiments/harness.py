@@ -444,6 +444,23 @@ def _process_pool(workers: int, **kwargs):
     return ProcessPoolExecutor(max_workers=workers, **kwargs)
 
 
+def _pooled(workers: int | None, jobs: Sequence) -> bool:
+    """The one "pool or serial" rule of every ``workers=`` parameter in
+    the experiments: a pool needs ``workers > 1`` and a second job."""
+    return workers is not None and workers > 1 and len(jobs) > 1
+
+
+def _pool_map(fn: Callable, jobs: Sequence[tuple], workers: int | None,
+              **pool_kwargs) -> list:
+    """``[fn(*job) for job in jobs]``, on a pool of ``workers`` when
+    :func:`_pooled` says so; results in job order either way."""
+    if not _pooled(workers, jobs):
+        return [fn(*job) for job in jobs]
+    with _process_pool(workers, **pool_kwargs) as pool:
+        futures = [pool.submit(fn, *job) for job in jobs]
+        return [future.result() for future in futures]
+
+
 def _run_cells_parallel(cell_args: Sequence[tuple],
                         workers: int
                         ) -> list[dict[str, tuple[float, float]]]:
@@ -475,16 +492,14 @@ def _run_cells_parallel(cell_args: Sequence[tuple],
         chunks.append(current)
     cache = active_cache()
     cache_dir = str(cache.cache_dir) if cache.cache_dir is not None else None
-    with _process_pool(workers, initializer=_pool_worker_init,
-                       initargs=(cache_dir,)) as pool:
-        futures = [
-            pool.submit(_run_cells_serial, [cell_args[at] for at in chunk])
-            for chunk in chunks
-        ]
-        cells: list[dict[str, tuple[float, float]]] = [None] * len(cell_args)
-        for chunk, future in zip(chunks, futures):
-            for at, cell in zip(chunk, future.result()):
-                cells[at] = cell
+    served = _pool_map(
+        _run_cells_serial,
+        [([cell_args[at] for at in chunk],) for chunk in chunks], workers,
+        initializer=_pool_worker_init, initargs=(cache_dir,))
+    cells: list[dict[str, tuple[float, float]]] = [None] * len(cell_args)
+    for chunk, chunk_cells in zip(chunks, served):
+        for at, cell in zip(chunk, chunk_cells):
+            cells[at] = cell
     return cells
 
 
@@ -537,7 +552,7 @@ def _run_settings(configs: Sequence[ExperimentConfig],
         for at, config in enumerate(configs)
         for repetition in range(config.repetitions)
     ]
-    if workers is not None and workers > 1 and len(flat) > 1:
+    if _pooled(workers, flat):
         cells = _run_cells_parallel(flat, workers)
     else:
         cells = _run_cells_serial(flat)

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from repro.experiments.config import baseline
 from repro.experiments.harness import (
-    PolicyOutcome,
-    RunOutcome,
     SweepResult,
-    _process_pool,
+    _merge_cells,
+    _pool_map,
     make_instance,
 )
 from repro.offline.greedy import GreedyOfflineSolver
@@ -71,38 +70,15 @@ def offline_comparison(scale: str = "default", *,
                      max(1, base.num_profiles // 2),
                      base.num_profiles})
     configs = [base.with_(num_profiles=value) for value in values]
-    cells_of: dict[int, list[dict[str, tuple[float, float]]]] = {}
-    if workers is not None and workers > 1:
-        with _process_pool(workers) as pool:
-            futures = {
-                (setting, repetition): pool.submit(
-                    _offline_cell, config, repetition, source)
-                for setting, config in enumerate(configs)
-                for repetition in range(config.repetitions)
-            }
-            for setting, config in enumerate(configs):
-                cells_of[setting] = [
-                    futures[(setting, repetition)].result()
-                    for repetition in range(config.repetitions)
-                ]
-    else:
-        for setting, config in enumerate(configs):
-            cells_of[setting] = [
-                _offline_cell(config, repetition, source)
-                for repetition in range(config.repetitions)
-            ]
-
-    runs = []
-    for setting, config in enumerate(configs):
-        outcomes = {}
-        for label in OFFLINE_SOLVER_LABELS:
-            gc_values = tuple(cell[label][0]
-                              for cell in cells_of[setting])
-            runtime_values = tuple(cell[label][1]
-                                   for cell in cells_of[setting])
-            outcomes[label] = PolicyOutcome(label, gc_values,
-                                            runtime_values)
-        runs.append(RunOutcome(config=config, outcomes=outcomes))
+    cells = iter(_pool_map(
+        _offline_cell,
+        [(config, repetition, source) for config in configs
+         for repetition in range(config.repetitions)], workers))
+    runs = tuple(
+        _merge_cells(config,
+                     [next(cells) for _ in range(config.repetitions)],
+                     OFFLINE_SOLVER_LABELS, False, "")
+        for config in configs)
     return SweepResult(name=f"offline-comparison-{scale}",
                        parameter="num_profiles",
-                       x_values=tuple(values), runs=tuple(runs))
+                       x_values=tuple(values), runs=runs)

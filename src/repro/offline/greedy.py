@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 
 from repro.core.budget import BudgetVector
-from repro.core.completeness import CompletenessReport, evaluate_schedule
+from repro.core.completeness import evaluate_schedule, tally
 from repro.core.profile import ProfileSet
 from repro.core.timeline import Epoch
 from repro.offline.matching import ProbeAssigner
@@ -48,26 +48,8 @@ class GreedyOfflineSolver:
                 accepted_keys.add((eta.profile_id, eta.tinterval_id))
 
         schedule = assigner.schedule()
-        per_profile = {
-            profile.profile_id: (
-                sum(1 for eta in profile
-                    if (eta.profile_id, eta.tinterval_id)
-                    in accepted_keys),
-                len(profile),
-            )
-            for profile in profiles
-        }
-        per_rank: dict[int, tuple[int, int]] = {}
-        for eta in profiles.tintervals():
-            hits, total = per_rank.get(eta.size, (0, 0))
-            hit = (eta.profile_id, eta.tinterval_id) in accepted_keys
-            per_rank[eta.size] = (hits + int(hit), total + 1)
-        report = CompletenessReport(
-            captured=len(accepted_keys),
-            total=profiles.total_tintervals,
-            per_profile=per_profile,
-            per_rank=per_rank,
-        )
+        report = tally(profiles, lambda eta: (
+            eta.profile_id, eta.tinterval_id) in accepted_keys)
         runtime = time.perf_counter() - started
         return SimulationResult(
             label="offline-greedy",

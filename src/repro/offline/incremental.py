@@ -44,7 +44,7 @@ from __future__ import annotations
 import time
 
 from repro.core.budget import BudgetVector
-from repro.core.completeness import CompletenessReport, evaluate_schedule
+from repro.core.completeness import evaluate_schedule, tally
 from repro.core.errors import ModelError
 from repro.core.intervals import TInterval
 from repro.core.profile import Profile, ProfileSet
@@ -237,31 +237,10 @@ class IncrementalLocalRatio:
                 self._accepted[key] = etas[key]
 
         runtime = time.perf_counter() - started
-        accepted_by_profile: dict[int, int] = {}
-        for profile_id, _tinterval_id in accepted:
-            accepted_by_profile[profile_id] = (
-                accepted_by_profile.get(profile_id, 0) + 1)
-        per_profile = {
-            profile_id: (accepted_by_profile.get(profile_id, 0),
-                         len(profile))
-            for profile_id, profile in sorted(self._profiles.items())
-        }
-        per_rank: dict[int, tuple[int, int]] = {}
-        total = 0
-        for _profile_id, profile in sorted(self._profiles.items()):
-            total += len(profile)
-            for eta in profile:
-                hits, rank_total = per_rank.get(eta.size, (0, 0))
-                hit = (eta.profile_id, eta.tinterval_id) in accepted_set
-                per_rank[eta.size] = (hits + int(hit), rank_total + 1)
-        report = CompletenessReport(
-            captured=len(accepted),
-            total=total,
-            per_profile=per_profile,
-            per_rank=per_rank,
-        )
-        live_set = ProfileSet(
-            [profile for _pid, profile in sorted(self._profiles.items())])
+        live = [profile for _pid, profile in sorted(self._profiles.items())]
+        report = tally(live, lambda eta: (
+            eta.profile_id, eta.tinterval_id) in accepted_set)
+        live_set = ProfileSet(live)
         with_free_riders = evaluate_schedule(live_set, schedule)
         return SimulationResult(
             label="offline-approx",

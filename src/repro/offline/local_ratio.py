@@ -58,7 +58,7 @@ import time
 import numpy as np
 
 from repro.core.budget import BudgetVector
-from repro.core.completeness import CompletenessReport, evaluate_schedule
+from repro.core.completeness import evaluate_schedule, tally
 from repro.core.intervals import TInterval
 from repro.core.profile import ProfileSet
 from repro.core.timeline import Epoch
@@ -186,28 +186,8 @@ class LocalRatioApproximation:
         # algorithm does not track captures its probes produce "for free"
         # on non-accepted t-intervals. Free-rider-credited completeness is
         # reported in extras for comparison.
-        accepted_by_profile: dict[int, int] = {}
-        for profile_id, _tinterval_id in accepted:
-            accepted_by_profile[profile_id] = (
-                accepted_by_profile.get(profile_id, 0) + 1)
-        per_profile = {
-            profile.profile_id: (
-                accepted_by_profile.get(profile.profile_id, 0),
-                len(profile),
-            )
-            for profile in profiles
-        }
-        per_rank: dict[int, tuple[int, int]] = {}
-        for eta in profiles.tintervals():
-            hits, total = per_rank.get(eta.size, (0, 0))
-            hit = (eta.profile_id, eta.tinterval_id) in accepted_set
-            per_rank[eta.size] = (hits + int(hit), total + 1)
-        report = CompletenessReport(
-            captured=len(accepted),
-            total=profiles.total_tintervals,
-            per_profile=per_profile,
-            per_rank=per_rank,
-        )
+        report = tally(profiles, lambda eta: (
+            eta.profile_id, eta.tinterval_id) in accepted_set)
         with_free_riders = evaluate_schedule(profiles, schedule)
         return SimulationResult(
             label="offline-approx",

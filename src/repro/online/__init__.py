@@ -9,9 +9,10 @@ __all__, __getattr__, __dir__ = export_table(__name__, {
         "PolicyLevel",
         "ProbeDecision",
         "TIntervalState",
-        "apply_probes",
         "filter_blocked",
+        "plan_chronon",
         "select_probes",
+        "settle_chronon",
     ),
     ".baselines": (
         "CoveragePolicy",

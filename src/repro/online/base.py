@@ -12,8 +12,12 @@ This module provides:
   immutable :class:`~repro.core.intervals.TInterval`;
 * :class:`Candidate` — one probe-able (state, EI) pair;
 * :class:`Policy` — the scoring interface the three heuristics implement;
-* :func:`select_probes` — budgeted, preemption-aware greedy selection,
-  shared by the simulator and by tests.
+* :func:`select_probes` — budgeted, preemption-aware greedy selection;
+* :func:`plan_chronon` / :func:`settle_chronon` — **the object-level
+  chronon**, the two halves around a probe round. The reference
+  simulator and the live proxies are callers of this pair and spell
+  none of it themselves; :func:`retire` alone is their end-of-epoch
+  flush.
 
 Scores are *lower-is-better*; ties break deterministically on
 ``(deadline, start, resource id, profile id, t-interval id)``.
@@ -22,9 +26,10 @@ Scores are *lower-is-better*; ties break deterministically on
 from __future__ import annotations
 
 import heapq
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Container, Iterator, Sequence
 
 from repro.core.intervals import ExecutionInterval, TInterval
 from repro.core.timeline import Chronon
@@ -35,7 +40,10 @@ __all__ = [
     "PolicyLevel",
     "TIntervalState",
     "filter_blocked",
+    "plan_chronon",
+    "retire",
     "select_probes",
+    "settle_chronon",
 ]
 
 # The paper's three-level classification of online policies (§4.2.2).
@@ -44,13 +52,19 @@ EI_LEVEL: PolicyLevel = "ei"
 RANK_LEVEL: PolicyLevel = "rank"
 MULTI_EI_LEVEL: PolicyLevel = "multi-ei"
 
+#: A chronon past every deadline: :func:`retire` at it dooms whatever
+#: is still incomplete and keeps no carcass — the end-of-epoch flush.
+EPOCH_OVER: Chronon = sys.maxsize
+
 
 class TIntervalState:
     """Mutable runtime state of one candidate t-interval.
 
     Tracks which EIs are captured, whether the t-interval was ever selected
-    by the policy (``committed`` — drives non-preemptive behaviour), and
-    caches the owning profile's rank (the MRSF score needs it).
+    by the policy (``committed`` — drives non-preemptive behaviour),
+    whether :func:`retire` already reported its doom (``doom_reported``
+    — counted once however long the carcass stays), and caches the
+    owning profile's rank (the MRSF score needs it).
 
     Capture progress is tracked with counters and a lazily advanced
     earliest-uncaptured-deadline cursor, so ``captured_count``,
@@ -62,13 +76,15 @@ class TIntervalState:
     """
 
     __slots__ = ("eta", "profile_rank", "captured", "committed",
-                 "_captured_count", "_deadline_order", "_deadline_pos")
+                 "doom_reported", "_captured_count", "_deadline_order",
+                 "_deadline_pos")
 
     def __init__(self, eta: TInterval, profile_rank: int) -> None:
         self.eta = eta
         self.profile_rank = profile_rank
         self.captured = [False] * len(eta.eis)
         self.committed = False
+        self.doom_reported = False
         self._captured_count = 0
         # EIs ordered by deadline; the cursor skips captured ones lazily.
         # Built on first expiry query — many t-intervals complete without
@@ -177,8 +193,8 @@ class Policy(ABC):
         The default is a no-op; stateful policies (e.g.
         :class:`~repro.online.baselines.CoveragePolicy`) override it to
         precompute per-chronon aggregates before :meth:`score` is asked
-        about individual candidates. Both proxies call this right before
-        selection, so custom policies need no simulator changes.
+        about individual candidates. :func:`plan_chronon` calls this
+        right before selection, so custom policies need no proxy changes.
         """
 
     def label(self, preemptive: bool) -> str:
@@ -195,8 +211,7 @@ def filter_blocked(candidates: Sequence[Candidate], breaker,
 
     ``breaker`` is duck-typed (anything with ``is_blocked(resource_id,
     chronon)``, see :class:`repro.faults.CircuitBreaker`); ``None``
-    returns the candidates unchanged. Shared by the simulator and the
-    runtime proxy so both starve quarantined resources identically.
+    returns the candidates unchanged.
     """
     if breaker is None:
         return candidates
@@ -306,27 +321,92 @@ def select_probes(policy: Policy, candidates: Sequence[Candidate],
     return decisions
 
 
-def apply_probes(decisions: Sequence[ProbeDecision],
-                 candidates: Sequence[Candidate],
-                 chronon: Chronon) -> list[Candidate]:
-    """Mark every candidate EI captured by the decided probes.
+def retire(active: Sequence[TIntervalState], chronon: Chronon
+           ) -> tuple[list[TIntervalState], list[TIntervalState]]:
+    """``(still_active, doomed)`` of ``active`` at ``chronon``.
 
-    All active EIs on a probed resource are captured — this is where
-    intra-resource overlap pays off. Every t-interval that receives a
-    capture (selected or free-rider) becomes *committed*: the proxy has
-    invested probes in it, which is what the non-preemptive mode protects
-    (this broad commitment reproduces the paper's reported P-vs-NP gaps;
-    see DESIGN.md). Returns the candidates that were captured.
+    A complete state leaves. A doomed one (some uncaptured EI can no
+    longer be captured) is reported exactly once, the moment doom hits,
+    and its carcass stays while any uncaptured EI window is still open:
+    an EI-level policy sees EIs only and cannot tell (§4.2.2). At
+    :data:`EPOCH_OVER` nothing incomplete survives — the flush.
     """
-    probed = {decision.resource_id for decision in decisions}
-    captured: list[Candidate] = []
-    for candidate in candidates:
-        ei = candidate.ei
-        if ei.resource_id in probed and ei.active_at(chronon):
-            if not candidate.state.captured[ei.ei_id]:
-                candidate.state.mark_captured(ei.ei_id)
-                candidate.state.committed = True
-                captured.append(candidate)
+    still_active: list[TIntervalState] = []
+    doomed: list[TIntervalState] = []
+    for state in active:
+        if state.is_complete:
+            continue
+        if not state.doom_reported and state.is_expired(chronon):
+            state.doom_reported = True
+            doomed.append(state)
+        if not (state.doom_reported
+                and all(ei.expired_at(chronon)
+                        for ei in state.uncaptured_eis())):
+            still_active.append(state)
+    return still_active, doomed
+
+
+def plan_chronon(active: Sequence[TIntervalState], policy: Policy,
+                 chronon: Chronon, budget: int, preemptive: bool,
+                 breaker=None) -> tuple[list, list, Sequence, list]:
+    """The first half of a chronon: who is left, and what to probe.
+
+    ``active`` already holds this chronon's arrivals. :func:`retire`
+    it; then, unless the budget is zero or nothing is pending, build
+    ``cands(I)`` — every uncaptured EI active now, minus those of doomed
+    t-intervals when the policy's level lets it see doom (rank and
+    multi-EI levels look at the siblings; an EI-level policy such as
+    S-EDF keeps wasting budget on them), minus quarantined resources —
+    show it to the policy and let it choose. Returns ``(still_active,
+    doomed, candidates, decisions)``, the last two empty when there is
+    nothing to probe.
+    """
+    still_active, doomed = retire(active, chronon)
+    candidates: Sequence[Candidate] = ()
+    decisions: list[ProbeDecision] = []
+    if budget > 0 and still_active:
+        sees_doom = policy.level != EI_LEVEL
+        candidates = filter_blocked(
+            [Candidate(state, ei)
+             for state in still_active
+             if not (sees_doom and state.doom_reported)
+             for ei in state.probeable_eis(chronon)],
+            breaker, chronon)
+        if candidates:
+            policy.observe_candidates(candidates, chronon)
+            decisions = select_probes(policy, candidates, chronon, budget,
+                                      preemptive)
+    return still_active, doomed, candidates, decisions
+
+
+def settle_chronon(decisions: Sequence[ProbeDecision],
+                   answered: Container[int],
+                   candidates: Sequence[Candidate], chronon: Chronon,
+                   schedule) -> Iterator[tuple[Candidate, bool]]:
+    """The second half of a chronon: book the probe round.
+
+    Every selection commits its t-interval whether or not the request
+    came back — the proxy spent budget on it. Only ``answered``
+    resources enter ``schedule``, and every active uncaptured candidate
+    EI on one is captured, selected or free rider (where intra-resource
+    overlap pays off) and its t-interval *committed*: the investment
+    the non-preemptive mode protects (this broad commitment reproduces
+    the paper's reported P-vs-NP gaps; see DESIGN.md).
+
+    A generator, to be consumed in full: ``(candidate, completed)`` per
+    capture in candidate order, ``completed`` true on the one capture
+    that completes its t-interval — where the caller counts or notifies.
+    """
     for decision in decisions:
         decision.selected.state.committed = True
-    return captured
+        if decision.resource_id in answered:
+            schedule.add_probe(decision.resource_id, chronon)
+    for candidate in candidates:
+        ei = candidate.ei
+        state = candidate.state
+        if (ei.resource_id in answered and ei.active_at(chronon)
+                and not state.captured[ei.ei_id]):
+            was_complete = state.is_complete
+            state.mark_captured(ei.ei_id)
+            state.committed = True
+            yield candidate, state.is_complete and not was_complete

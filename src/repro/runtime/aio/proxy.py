@@ -1,10 +1,12 @@
 """The asyncio monitoring proxy: concurrent probing over the shared core.
 
 :class:`AsyncMonitoringProxy` subclasses the synchronous
-:class:`~repro.runtime.proxy.MonitoringProxy` and reuses its
-``_begin_step`` / ``_finish_step`` chronon skeleton verbatim — candidate
-construction, policy selection, capture bookkeeping, and notification
-accounting are *the same code*. Only probe execution differs: the
+:class:`~repro.runtime.proxy.MonitoringProxy`, so its chronon is the
+same :func:`~repro.online.base.plan_chronon` /
+:func:`~repro.online.base.settle_chronon` pair (through the inherited
+``_begin_step`` / ``_finish_step``) — candidate construction, policy
+selection, capture bookkeeping, and notification accounting are *the
+same code*. Only probe execution differs: the
 per-chronon probe set fans out as coroutines through
 :func:`~repro.runtime.aio.engine.execute_probes_async`, with per-probe
 deadlines, per-server concurrency semaphores, full-jitter backoff
@@ -238,7 +240,7 @@ class AsyncMonitoringProxy(MonitoringProxy):
         ``tick_interval`` seconds of real time separate chronons (0 for
         as-fast-as-possible, e.g. benchmarks and tests).
         """
-        target = self.epoch.last if until is None else until
+        target = self._target(until)
         while self._clock < target:
             await self.astep()
             if tick_interval > 0.0:
@@ -248,9 +250,9 @@ class AsyncMonitoringProxy(MonitoringProxy):
         return self.stats()
 
     def _capture(self, state, ei, snapshot) -> None:
-        # Write-ahead: in-flight progress is durable before it is
-        # visible, so recovery resumes partially captured t-intervals
-        # instead of restarting them.
+        # Write-ahead: in-flight progress is durable before a
+        # completion can be published, so recovery resumes partially
+        # captured t-intervals instead of restarting them.
         if self.journal is not None and not self._replaying:
             self.journal.record_capture(
                 state.eta.profile_id, state.eta.tinterval_id,
@@ -310,9 +312,12 @@ class AsyncMonitoringProxy(MonitoringProxy):
         self._replaying = True
         try:
             # Clock first: re-registrations must schedule arrivals
-            # relative to where the epoch actually is.
-            self._clock = min(state.last_tick, self.epoch.last)
-            self.server.advance_to(self._clock)
+            # relative to where the epoch actually is. A finished epoch
+            # replays them one chronon early — enqueued, so a journaled
+            # completion finds its t-interval — and flushes the rest.
+            clock = min(state.last_tick, self.epoch.last)
+            self._clock = min(clock, self.epoch.last - 1)
+            self.server.advance_to(clock)
             clients_by_id: dict[int, Client] = {}
             for client_id, name in state.clients:
                 client = self.register_client(name)
@@ -332,6 +337,7 @@ class AsyncMonitoringProxy(MonitoringProxy):
                     raise ModelError(
                         f"journal replay assigned profile id "
                         f"{assigned}, expected {entry.profile_id}")
+            self._clock = clock
             for profile_id in sorted(state.unregistered):
                 self.unregister_profile(profile_id)
             for key, snapshots in state.captures.items():
@@ -339,6 +345,8 @@ class AsyncMonitoringProxy(MonitoringProxy):
                     self._restore_capture(key, snapshots)
             for completion in state.completions.values():
                 self._restore_completion(completion)
+            if clock >= self.epoch.last:
+                self._flush()
         finally:
             self._replaying = False
 

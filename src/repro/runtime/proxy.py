@@ -8,10 +8,12 @@ policy, and every completed t-interval is pushed to its client as a
 :class:`~repro.runtime.clients.Notification` carrying the captured
 snapshots.
 
-The scheduling core (candidate construction, scoring, preemption, doom
-visibility) is shared with the simulator through
-:mod:`repro.online.base`, so measured completeness and delivered
-notifications can never disagree.
+The chronon itself lives in :mod:`repro.online.base`:
+:meth:`MonitoringProxy.step` is :func:`~repro.online.base.plan_chronon`,
+a probe round, :func:`~repro.online.base.settle_chronon` — the two
+functions the simulator calls, so measured completeness and delivered
+notifications can never disagree. Here are the clock, registration and
+the drop of unregistered t-intervals, snapshots and notifications.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ from repro.core.profile import Profile
 from repro.core.schedule import Schedule
 from repro.core.timeline import Chronon, Epoch
 from repro.online.base import (
-    EI_LEVEL,
-    Candidate,
+    EPOCH_OVER,
     Policy,
     TIntervalState,
-    filter_blocked,
-    select_probes,
+    plan_chronon,
+    retire,
+    settle_chronon,
 )
 from repro.runtime.clients import Client, Notification
 from repro.runtime.server import PROBE_OK, OriginServer, ProbeOutcome, \
@@ -43,14 +45,13 @@ __all__ = ["MonitoringProxy", "ProxyStats"]
 class _RuntimeState(TIntervalState):
     """t-interval state that also collects the captured snapshots."""
 
-    __slots__ = ("snapshots", "registration", "doom_counted")
+    __slots__ = ("snapshots", "registration")
 
     def __init__(self, eta, profile_rank: int,
                  registration: "_Registration") -> None:
         super().__init__(eta, profile_rank)
         self.snapshots: list[Snapshot | None] = [None] * len(eta)
         self.registration = registration
-        self.doom_counted = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,7 +179,8 @@ class MonitoringProxy:
 
         May be called before or during the run; t-intervals whose windows
         are already partially past still participate with whatever can be
-        captured (fully past ones expire immediately).
+        captured (fully past ones expire immediately, and so does every
+        t-interval of a profile registered once the epoch is over).
 
         Raises
         ------
@@ -195,13 +197,16 @@ class MonitoringProxy:
         registration = _Registration(profile_id, client, attached)
         self._registrations[profile_id] = registration
 
+        self._registered_tintervals += len(attached)
+        if self._clock >= self.epoch.last:
+            # No chronon is left to pop an arrival: expired on arrival.
+            self._expired += len(attached)
+            return profile_id
         rank = attached.rank
         for eta in attached:
             state = _RuntimeState(eta, rank, registration)
-            self._registered_tintervals += 1
-            arrival = max(eta.earliest_start, self._clock + 1)
-            if arrival > self.epoch.last:
-                arrival = self.epoch.last
+            arrival = min(max(eta.earliest_start, self._clock + 1),
+                          self.epoch.last)
             self._arrivals.setdefault(arrival, []).append(state)
         return profile_id
 
@@ -255,17 +260,10 @@ class MonitoringProxy:
         """Advance the clock and plan the chronon's probes.
 
         The synchronous :meth:`step` and the asyncio proxy share this
-        phase (and :meth:`_finish_step`) verbatim — only the probe
-        *execution* between them differs — which is what makes the two
-        proxies capture-identical on fault-free schedules by
-        construction. Returns ``(chronon, budget, candidates,
+        phase and :meth:`_finish_step` — only the probe *execution*
+        between them differs. Returns ``(chronon, budget, candidates,
         decisions)``; ``decisions`` is empty when there is nothing to
-        probe.
-
-        Raises
-        ------
-        ModelError
-            When the epoch is exhausted.
+        probe. Raises :class:`ModelError` when the epoch is exhausted.
         """
         if self._clock >= self.epoch.last:
             raise ModelError(f"epoch exhausted at {self._clock}")
@@ -274,50 +272,24 @@ class MonitoringProxy:
         self.server.advance_to(chronon)
 
         self._pending.extend(self._arrivals.pop(chronon, ()))
-
-        policy_sees_doom = self.policy.level != EI_LEVEL
-        still_pending: list[_RuntimeState] = []
-        for state in self._pending:
-            if not state.registration.active:
-                # A doomed carcass was already counted as expired when
-                # its deadline passed; unregistering it later must not
-                # count it a second time as dropped.
-                if not state.doom_counted:
-                    self._dropped += 1
-                continue
-            if state.is_complete:
-                continue  # already notified at capture time
-            if state.is_expired(chronon):
-                if not state.doom_counted:
-                    state.doom_counted = True
-                    self._expired += 1
-                # Carcass handling matches the simulator: EI-level
-                # policies keep seeing the open EIs of a doomed
-                # t-interval (they cannot tell it is doomed).
-                if any(not ei.expired_at(chronon)
-                       for ei in state.uncaptured_eis()):
-                    still_pending.append(state)
-                continue
-            still_pending.append(state)
-        self._pending = still_pending
-
         budget_now = self.budget.at(chronon)
-        if budget_now <= 0 or not self._pending:
-            return chronon, budget_now, [], []
+        self._pending, doomed, candidates, decisions = plan_chronon(
+            self._registered(self._pending), self.policy, chronon,
+            budget_now, self.preemptive, self.breaker)
+        self._expired += len(doomed)
+        return chronon, budget_now, candidates, decisions
 
-        candidates = [
-            Candidate(state, ei)
-            for state in self._pending
-            if (not policy_sees_doom) or not state.is_expired(chronon)
-            for ei in state.probeable_eis(chronon)
-        ]
-        candidates = filter_blocked(candidates, self.breaker, chronon)
-        if not candidates:
-            return chronon, budget_now, [], []
-        self.policy.observe_candidates(candidates, chronon)
-        decisions = select_probes(self.policy, candidates, chronon,
-                                  budget_now, self.preemptive)
-        return chronon, budget_now, list(candidates), decisions
+    def _registered(self, states: list[_RuntimeState]) -> list:
+        """``states`` minus those of unregistered profiles, which count
+        as dropped unless already resolved (a doomed carcass expired, a
+        complete t-interval was notified)."""
+        kept = []
+        for state in states:
+            if state.registration.active:
+                kept.append(state)
+            elif not (state.doom_reported or state.is_complete):
+                self._dropped += 1
+        return kept
 
     def _finish_step(self, chronon: Chronon, candidates, decisions,
                      round_) -> None:
@@ -330,57 +302,42 @@ class MonitoringProxy:
         self._probes_failed += round_.failures
         self._retries += round_.retries
         self._hedges += getattr(round_, "hedges", 0)
-        snapshots = {
-            resource_id: outcome.snapshot
-            for resource_id, outcome in round_.outcomes.items()
-        }
-        for decision in decisions:
-            # The selection is an investment whether or not the request
-            # came back: the t-interval is committed either way.
-            decision.selected.state.committed = True
-            if decision.resource_id in snapshots:
-                self._schedule.add_probe(decision.resource_id, chronon)
-
-        for candidate in candidates:
-            ei = candidate.ei
+        outcomes = round_.outcomes
+        for candidate, completed in settle_chronon(
+                decisions, outcomes, candidates, chronon, self._schedule):
             state = candidate.state
-            if (ei.resource_id in snapshots and ei.active_at(chronon)
-                    and not state.captured[ei.ei_id]):
-                assert isinstance(state, _RuntimeState)
-                self._capture(state, ei, snapshots[ei.resource_id])
-                if state.is_complete and not state.is_expired(chronon):
-                    self._notify(state, chronon)
-
-        self._pending = [state for state in self._pending
-                         if not state.is_complete]
+            self._capture(state, candidate.ei,
+                          outcomes[candidate.ei.resource_id].snapshot)
+            if completed:
+                self._notify(state, chronon)
 
     def run(self, until: Chronon | None = None) -> ProxyStats:
-        """Run to ``until`` (default: end of epoch) and return stats."""
-        target = self.epoch.last if until is None else until
+        """Run to ``until`` (default: end of epoch) and return stats;
+        an ``until`` past the epoch is a :class:`ModelError` up front."""
+        target = self._target(until)
         while self._clock < target:
             self.step()
         if self._clock >= self.epoch.last:
             self._flush()
         return self.stats()
 
+    def _target(self, until: Chronon | None) -> Chronon:
+        """The chronon a run stops at, refused when past the epoch."""
+        last = self.epoch.last
+        if until is not None and until > last:
+            raise ModelError(
+                f"cannot run until={until}: the epoch ends at {last}")
+        return last if until is None else until
+
     def _flush(self) -> None:
         """Resolve everything left at the end of the epoch: unresolved
         t-intervals expired (or were dropped by unregistration)."""
-        for state in self._pending:
-            if state.doom_counted or state.is_complete:
-                continue
-            if not state.registration.active:
-                self._dropped += 1
-            else:
-                self._expired += 1
         for states in self._arrivals.values():
-            for state in states:
-                if state.registration.active:
-                    self._expired += 1
-                else:
-                    self._dropped += 1
+            self._pending.extend(states)
         self._arrivals.clear()
-        self._pending = []
+        self._pending, doomed = retire(self._registered(self._pending),
+                                       EPOCH_OVER)
+        self._expired += len(doomed)
 
     def _prober(self, resource_id: int, attempt: int) -> ProbeOutcome:
         """One pull request against the server, as a probe outcome.
@@ -398,9 +355,8 @@ class MonitoringProxy:
 
     def _capture(self, state: _RuntimeState, ei,
                  snapshot: Snapshot) -> None:
-        """Record one EI capture (the async proxy journals here)."""
-        state.mark_captured(ei.ei_id)
-        state.committed = True
+        """Keep one captured EI's snapshot (the async proxy journals
+        here)."""
         state.snapshots[ei.ei_id] = snapshot
 
     def _notify(self, state: _RuntimeState, chronon: Chronon) -> None:

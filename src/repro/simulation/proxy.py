@@ -9,9 +9,14 @@ At every chronon the proxy:
    complete (an uncaptured EI's deadline passed);
 3. builds the candidate EI bag ``cands(I)`` — uncaptured EIs active now;
 4. asks the policy for up to ``C_j`` resources to probe (preemptive or
-   non-preemptive selection, see :func:`repro.online.base.select_probes`);
+   non-preemptive selection);
 5. executes the probes: *every* active candidate EI on a probed resource
    is captured, which is how intra-resource overlap is exploited.
+
+Steps 2–4 are :func:`repro.online.base.plan_chronon`, step 5's
+bookkeeping :func:`repro.online.base.settle_chronon` — the chronon lives
+there, shared with the live proxy; here are the arrival index, the
+fault injector's clock and the set of completed t-intervals.
 
 The simulator is deterministic: ties in policy scores break on fixed keys.
 """
@@ -22,7 +27,7 @@ import logging
 import time
 
 from repro.core.budget import BudgetVector
-from repro.core.completeness import CompletenessReport
+from repro.core.completeness import tally
 from repro.core.profile import ProfileSet
 from repro.core.schedule import Schedule
 from repro.core.timeline import Epoch
@@ -30,13 +35,12 @@ from repro.faults.breaker import CircuitBreaker, RetryConfig
 from repro.faults.engine import execute_probes
 from repro.faults.model import OK_DECISION, FaultInjector, FaultSpec
 from repro.online.base import (
-    EI_LEVEL,
-    Candidate,
+    EPOCH_OVER,
     Policy,
     TIntervalState,
-    apply_probes,
-    filter_blocked,
-    select_probes,
+    plan_chronon,
+    retire,
+    settle_chronon,
 )
 from repro.simulation import batch
 from repro.simulation.columnar import BatchUnsupported
@@ -106,25 +110,8 @@ class ProxySimulator:
 
         active: list[TIntervalState] = []
         schedule = Schedule()
-        captured_total = 0
+        completed: set[tuple[int, int]] = set()
         expired_total = 0
-        per_profile: dict[int, tuple[int, int]] = {
-            profile.profile_id: (0, len(profile))
-            for profile in self.profiles
-        }
-        per_rank: dict[int, tuple[int, int]] = {}
-        for eta in self.profiles.tintervals():
-            captured, total = per_rank.get(eta.size, (0, 0))
-            per_rank[eta.size] = (captured, total + 1)
-
-        # A doomed t-interval (some uncaptured EI already expired) can
-        # never complete. Whether its remaining EIs still attract probes
-        # is an *information-level* question (§4.2.2): EI-level policies
-        # (e.g. S-EDF) see individual EIs only and keep wasting budget on
-        # them; rank- and multi-EI-level policies see the siblings and
-        # skip them.
-        policy_sees_doom = self.policy.level != EI_LEVEL
-        doomed_counted: set[tuple[int, int]] = set()
         fault_aware = (self.injector is not None
                        or self.breaker is not None
                        or self.retry is not None)
@@ -135,89 +122,37 @@ class ProxySimulator:
             if self.injector is not None:
                 self.injector.begin_chronon(chronon)
             active.extend(arrivals.get(chronon, ()))
-
-            # Retire completed t-intervals and those with no probeable
-            # future; count doomed ones as expired the moment doom hits.
-            still_active: list[TIntervalState] = []
-            for state in active:
-                if state.is_complete:
-                    captured_total += 1
-                    self._count(per_profile, per_rank, state, captured=True)
-                    continue
-                if state.is_expired(chronon):
-                    if state.key not in doomed_counted:
-                        doomed_counted.add(state.key)
-                        expired_total += 1
-                        self._count(per_profile, per_rank, state,
-                                    captured=False)
-                    # Keep the carcass around while any EI window is
-                    # still open — EI-level policies can't tell.
-                    if any(not ei.expired_at(chronon)
-                           for ei in state.uncaptured_eis()):
-                        still_active.append(state)
-                    continue
-                still_active.append(state)
-            active = still_active
-
             budget_now = self.budget.at(chronon)
-            if budget_now <= 0 or not active:
+            active, doomed, candidates, decisions = plan_chronon(
+                active, self.policy, chronon, budget_now, self.preemptive,
+                self.breaker)
+            expired_total += len(doomed)
+            if not decisions:
                 continue
+            if fault_aware:
+                round_ = execute_probes(
+                    decisions, chronon, budget_now, self._prober(chronon),
+                    retry=self.retry, breaker=self.breaker)
+                probes_failed += round_.failures
+                retries += round_.retries
+                answered = round_.outcomes
+            else:
+                # A reliable source answers every request: no round.
+                answered = {decision.resource_id for decision in decisions}
+            completed.update(
+                candidate.state.key for candidate, done in settle_chronon(
+                    decisions, answered, candidates, chronon, schedule)
+                if done)
 
-            candidates = [
-                Candidate(state, ei)
-                for state in active
-                if policy_sees_doom is False
-                or not state.is_expired(chronon)
-                for ei in state.probeable_eis(chronon)
-            ]
-            candidates = filter_blocked(candidates, self.breaker, chronon)
-            if not candidates:
-                continue
-            self.policy.observe_candidates(candidates, chronon)
-            decisions = select_probes(self.policy, candidates, chronon,
-                                      budget_now, self.preemptive)
-            if not fault_aware:
-                for decision in decisions:
-                    schedule.add_probe(decision.resource_id, chronon)
-                apply_probes(decisions, candidates, chronon)
-                continue
-
-            round_ = execute_probes(
-                decisions, chronon, budget_now, self._prober(chronon),
-                retry=self.retry, breaker=self.breaker)
-            probes_failed += round_.failures
-            retries += round_.retries
-            ok_decisions = [decision for decision in decisions
-                            if decision.resource_id in round_.outcomes]
-            for decision in decisions:
-                # Selection commits the t-interval even when the request
-                # fails — the proxy spent budget on it (mirrors the
-                # runtime proxy exactly).
-                decision.selected.state.committed = True
-            for decision in ok_decisions:
-                schedule.add_probe(decision.resource_id, chronon)
-            apply_probes(ok_decisions, candidates, chronon)
-
-        # Epoch over: flush what is left in the active set.
-        for state in active:
-            if state.is_complete:
-                captured_total += 1
-                self._count(per_profile, per_rank, state, captured=True)
-            elif state.key not in doomed_counted:
-                expired_total += 1
-                self._count(per_profile, per_rank, state, captured=False)
+        # Epoch over: whatever is left incomplete expired.
+        expired_total += len(retire(active, EPOCH_OVER)[1])
 
         runtime = time.perf_counter() - started
-        report = CompletenessReport(
-            captured=captured_total,
-            total=self.profiles.total_tintervals,
-            per_profile=per_profile,
-            per_rank=per_rank,
-        )
         return SimulationResult(
             label=self.policy.label(self.preemptive),
             schedule=schedule,
-            report=report,
+            report=tally(self.profiles, lambda eta: (
+                eta.profile_id, eta.tinterval_id) in completed),
             probes_used=len(schedule),
             expired=expired_total,
             runtime_seconds=runtime,
@@ -249,16 +184,6 @@ class ProxySimulator:
                 arrival = min(eta.earliest_start, self.epoch.last)
                 arrivals.setdefault(arrival, []).append(state)
         return arrivals
-
-    @staticmethod
-    def _count(per_profile: dict[int, tuple[int, int]],
-               per_rank: dict[int, tuple[int, int]],
-               state: TIntervalState, captured: bool) -> None:
-        profile_id = state.eta.profile_id
-        hits, total = per_profile.get(profile_id, (0, 0))
-        per_profile[profile_id] = (hits + int(captured), total)
-        rank_hits, rank_total = per_rank.get(state.eta.size, (0, 0))
-        per_rank[state.eta.size] = (rank_hits + int(captured), rank_total)
 
 
 def run_online(profiles: ProfileSet, epoch: Epoch, budget: BudgetVector,

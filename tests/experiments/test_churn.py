@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.experiments import ChurnConfig, jain_index, run_churn
-from repro.experiments.churn import CHURN_ENGINES, build_churn_workload
+from repro.experiments import ChurnConfig, harness, jain_index, run_churn
+from repro.experiments.churn import (
+    CHURN_ENGINES,
+    build_churn_workload,
+    churn_sweep,
+)
 from repro.core import WorkloadError
 
 
@@ -164,3 +168,26 @@ class TestChurnEngines:
         removes = [e for e in first[1] if e.action == "remove"]
         assert all(e.chronon == (3 * config.epoch_length) // 4
                    for e in removes)
+
+
+class TestChurnSweepWorkers:
+    def test_one_worker_builds_no_pool(self, monkeypatch):
+        """``workers=1`` is serial here as in the harness and the
+        offline comparison; two workers do go through the pool."""
+        built = []
+
+        def no_pool(workers, **_kwargs):
+            built.append(workers)
+            raise AssertionError("a pool for one worker")
+
+        monkeypatch.setattr(harness, "_process_pool", no_pool)
+        serial = churn_sweep("smoke")
+        single = churn_sweep("smoke", workers=1)
+        assert built == []
+        for row, serial_row in zip(single.rows, serial.rows):
+            assert (row.completed, row.expired, row.dropped) == \
+                (serial_row.completed, serial_row.expired,
+                 serial_row.dropped)
+        with pytest.raises(AssertionError, match="a pool for one worker"):
+            churn_sweep("smoke", workers=2)
+        assert built == [2]

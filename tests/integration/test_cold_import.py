@@ -242,6 +242,16 @@ print("cold-import-ok")
 """
 
 
+_CHURN_SWEEP_SCRIPT = _LOADED + """
+from repro.experiments.churn import churn_sweep
+
+assert len(churn_sweep("smoke").rows) == 6
+# no churn engine consults the offline demand map: nothing to tear down
+assert loaded("repro.offline") == [], loaded("repro.offline")
+print("cold-import-ok")
+"""
+
+
 def _run_cold(script: str) -> None:
     src = Path(__file__).resolve().parents[2] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -265,3 +275,7 @@ def test_the_service_path_loads_no_experiment_simulator_or_solver():
 
 def test_sweep_modules_load_no_pool_and_defer_nothing_into_a_timed_call():
     _run_cold(_SWEEP_SCRIPT)
+
+
+def test_a_churn_sweep_loads_no_offline_module():
+    _run_cold(_CHURN_SWEEP_SCRIPT)

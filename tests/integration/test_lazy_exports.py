@@ -13,7 +13,9 @@ from importlib import import_module
 
 import pytest
 
-#: Public names per package at the last eager commit (a5939b7).
+#: Public names per package at the last eager commit (a5939b7);
+#: ``repro.online`` has since traded ``apply_probes`` for the chronon
+#: pair ``plan_chronon`` / ``settle_chronon``.
 PUBLIC_NAMES = {
     "repro": 74,
     "repro.analysis": 4,
@@ -25,7 +27,7 @@ PUBLIC_NAMES = {
     "repro.forecast": 9,
     "repro.io": 12,
     "repro.offline": 16,
-    "repro.online": 23,
+    "repro.online": 24,
     "repro.runtime": 13,
     "repro.runtime.aio": 14,
     "repro.simulation": 12,

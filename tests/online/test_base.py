@@ -2,14 +2,19 @@
 
 import pytest
 
-from repro.core import ExecutionInterval, TInterval
+from repro.core import ExecutionInterval, Schedule, TInterval
+from repro.extensions.partial import QuotaTIntervalState
 from repro.online import (
     Candidate,
+    MEDFPolicy,
+    MRSFPolicy,
     SEDFPolicy,
     TIntervalState,
-    apply_probes,
+    plan_chronon,
     select_probes,
+    settle_chronon,
 )
+from repro.online.base import EPOCH_OVER, retire
 
 
 def _state(*specs: tuple[int, int, int], rank: int | None = None
@@ -163,6 +168,13 @@ class TestNonPreemptiveSelection:
         assert [d.resource_id for d in decisions] == [1]
 
 
+def apply_probes(decisions, candidates, chronon):
+    """Settle a round in which every decided probe was answered."""
+    answered = {decision.resource_id for decision in decisions}
+    return [candidate for candidate, _completed in settle_chronon(
+        decisions, answered, candidates, chronon, Schedule())]
+
+
 class TestApplyProbes:
     def test_captures_all_active_eis_on_probed_resource(self):
         a = _state((0, 1, 5))
@@ -190,3 +202,99 @@ class TestApplyProbes:
         apply_probes(decisions, candidates, 2)
         assert a.is_complete
         assert b.captured_count == 0
+
+
+class TestPlanChronon:
+    def _doomed_with_open_ei(self) -> TIntervalState:
+        # EI 0's deadline passes at 3 uncaptured; EI 1 stays open to 9.
+        return _state((0, 1, 2), (1, 1, 9))
+
+    def test_ei_level_policy_keeps_a_doomed_tintervals_open_eis(self):
+        state = self._doomed_with_open_ei()
+        active, doomed, candidates, decisions = plan_chronon(
+            [state], SEDFPolicy(), 3, 1, True)
+        assert active == doomed == [state]
+        assert [(c.state, c.ei.ei_id) for c in candidates] == [(state, 1)]
+        assert [d.resource_id for d in decisions] == [1]
+
+    @pytest.mark.parametrize("policy", [MRSFPolicy(), MEDFPolicy()])
+    def test_rank_and_multi_ei_levels_skip_them(self, policy):
+        state = self._doomed_with_open_ei()
+        active, doomed, candidates, decisions = plan_chronon(
+            [state], policy, 3, 1, True)
+        # The carcass stays (its window is open) but attracts no probe.
+        assert active == doomed == [state]
+        assert list(candidates) == [] and decisions == []
+
+    def test_doom_is_reported_exactly_once(self):
+        state = self._doomed_with_open_ei()
+        reports = []
+        active = [state]
+        for chronon in range(1, 12):
+            active, doomed, _candidates, _decisions = plan_chronon(
+                active, SEDFPolicy(), chronon, 0, True)
+            reports += [(chronon, s) for s in doomed]
+        assert reports == [(3, state)]
+        assert active == []  # the carcass left when EI 1 closed at 10
+        assert retire([state], EPOCH_OVER) == ([], [])
+
+    def test_retire_at_epoch_over_dooms_whatever_is_incomplete(self):
+        done, open_, carcass = (_state((0, 1, 5)), _state((0, 1, 50)),
+                                self._doomed_with_open_ei())
+        done.mark_captured(0)
+        assert retire([carcass], 3) == ([carcass], [carcass])
+        assert retire([done, open_, carcass], EPOCH_OVER) == ([], [open_])
+
+    def test_complete_states_leave_and_zero_budget_plans_nothing(self):
+        done, live = _state((0, 1, 5)), _state((1, 1, 5))
+        done.mark_captured(0)
+        active, doomed, candidates, decisions = plan_chronon(
+            [done, live], SEDFPolicy(), 2, 0, True)
+        assert (active, doomed, list(candidates), decisions) == \
+            ([live], [], [], [])
+
+
+class TestSettleChronon:
+    def test_an_unanswered_selection_still_commits(self):
+        a, b = _state((0, 1, 5)), _state((1, 1, 6))
+        _active, _doomed, candidates, decisions = plan_chronon(
+            [a, b], SEDFPolicy(), 1, 2, True)
+        schedule = Schedule()
+        captures = list(settle_chronon(decisions, {1}, candidates, 1,
+                                       schedule))
+        assert a.committed and not a.is_complete
+        assert [(c.state, done) for c, done in captures] == [(b, True)]
+        assert list(schedule.probes()) == [(1, 1)]
+
+    def test_a_free_rider_capture_commits(self):
+        selected, rider = _state((0, 1, 3)), _state((0, 1, 9), (1, 5, 9))
+        candidates = [Candidate(selected, selected.eta[0]),
+                      Candidate(rider, rider.eta[0])]
+        decisions = select_probes(SEDFPolicy(), candidates, 2, 1, True)
+        assert decisions[0].selected.state is selected
+        captures = list(settle_chronon(decisions, {0}, candidates, 2,
+                                       Schedule()))
+        assert [(c.state, done) for c, done in captures] == \
+            [(selected, True), (rider, False)]
+        assert rider.committed and rider.captured == [True, False]
+
+    def test_a_quota_state_completes_with_eis_left_uncaptured(self):
+        eta = TInterval([ExecutionInterval(0, 1, 5),
+                         ExecutionInterval(1, 1, 5),
+                         ExecutionInterval(2, 1, 5)])
+        state = QuotaTIntervalState(eta, 3, quota=2)
+        active, _doomed, candidates, decisions = plan_chronon(
+            [state], MRSFPolicy(), 1, 3, True)
+        # Three EIs answered, quota two: completed on the second
+        # capture and on no other.
+        captures = list(settle_chronon(decisions, {0, 1, 2}, candidates,
+                                       1, Schedule()))
+        assert [done for _c, done in captures] == [False, True, False]
+        lone = QuotaTIntervalState(eta, 3, quota=1)
+        _active, _doomed, candidates, decisions = plan_chronon(
+            [lone], MRSFPolicy(), 1, 1, True)
+        assert [done for _c, done in settle_chronon(
+            decisions, {decisions[0].resource_id}, candidates, 1,
+            Schedule())] == [True]
+        assert lone.is_complete and lone.captured_count == 1
+        assert retire([lone], 2) == ([], [])

@@ -3,10 +3,13 @@ reentrancy, the event stream, and hedged quarantine exits end-to-end."""
 
 import asyncio
 
+import pytest
+
 from repro.core import (
     BudgetVector,
     Epoch,
     ExecutionInterval,
+    ModelError,
     Profile,
     TInterval,
 )
@@ -107,6 +110,35 @@ class TestCaptureIdentity:
         assert len(async_notes2) == len(sync_notes)
         # With retries enabled the async proxy can only do better.
         assert async_stats.completed >= sync_stats.completed
+
+
+class TestEndOfEpoch:
+    def _proxy(self):
+        return AsyncMonitoringProxy(OriginServer(_trace()), EPOCH,
+                                    BudgetVector(1), MRSFPolicy())
+
+    def test_arun_until_past_the_epoch_is_refused_before_any_step(self):
+        proxy = self._proxy()
+        with pytest.raises(ModelError,
+                           match=r"until=13: the epoch ends at 12"):
+            asyncio.run(proxy.arun(until=13))
+        assert proxy.clock == 0
+        asyncio.run(proxy.arun(until=4))
+        asyncio.run(proxy.arun(until=2))  # behind the clock: a no-op
+        assert proxy.clock == 4
+
+    def test_profile_registered_after_the_flush_expires_on_arrival(self):
+        proxy = self._proxy()
+        client = proxy.register_client("c")
+        proxy.register_profile(client, _profiles()[0])
+        before = asyncio.run(proxy.arun())
+        proxy.register_profile(client, _profiles()[1])
+        for stats in (proxy.stats(), asyncio.run(proxy.arun())):
+            assert stats.pending == 0
+            assert stats.registered == before.registered + 2
+            assert stats.expired == before.expired + 2
+            assert stats.registered == (stats.completed + stats.expired
+                                        + stats.dropped)
 
 
 class TestReentrancy:

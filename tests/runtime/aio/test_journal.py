@@ -189,6 +189,29 @@ class TestRecovery:
         assert third.clock == 8
         assert set(third.completed_log) == set(second.completed_log)
 
+    def test_recovery_replays_a_registration_made_after_the_flush(
+            self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        proxy, client = self._journaled_proxy(path)
+        asyncio.run(proxy.arun())
+        proxy.register_profile(client, _profile("late"))
+        final = proxy.stats()
+        proxy.journal.close()
+        assert final.pending == 0 and final.completed > 0
+        assert final.registered == 6 == (final.completed + final.expired
+                                         + final.dropped)
+
+        recovered = AsyncMonitoringProxy.recover(
+            path, OriginServer(_trace()), EPOCH, BudgetVector(1),
+            MRSFPolicy())
+        assert recovered.clock == EPOCH.last
+        assert set(recovered.completed_log) == set(proxy.completed_log)
+        for stats in (recovered.stats(), asyncio.run(recovered.arun())):
+            assert (stats.registered, stats.completed, stats.expired,
+                    stats.dropped, stats.pending) == (
+                final.registered, final.completed, final.expired,
+                final.dropped, 0)
+
     def test_recovery_is_not_re_journaled(self, tmp_path):
         path = tmp_path / "j.jsonl"
         proxy, _client = self._journaled_proxy(path)

@@ -119,6 +119,19 @@ class TestStepwiseExecution:
         proxy.run(until=5)
         assert proxy.clock == 5
 
+    def test_run_until_past_the_epoch_is_refused_before_any_step(self):
+        proxy = _make_proxy([], horizon=5)
+        with pytest.raises(ModelError,
+                           match=r"until=6: the epoch ends at 5"):
+            proxy.run(until=6)
+        assert proxy.clock == 0
+
+    def test_run_until_behind_the_clock_is_a_no_op(self):
+        proxy = _make_proxy([])
+        proxy.run(until=5)
+        proxy.run(until=3)
+        assert proxy.clock == 5
+
     def test_dynamic_registration_mid_run(self):
         proxy = _make_proxy([UpdateEvent(10, 0, "late")])
         client = proxy.register_client()
@@ -198,6 +211,26 @@ class TestAccounting:
         assert stats.registered == (stats.completed + stats.expired
                                     + stats.dropped)
         assert stats.pending == 0
+
+    @pytest.mark.parametrize("flushed", [True, False])
+    def test_profile_registered_after_the_epoch_expires_on_arrival(
+            self, flushed):
+        proxy = _make_proxy([UpdateEvent(3, 0)], horizon=5)
+        client = proxy.register_client()
+        proxy.register_profile(client, Profile(
+            [TInterval([ExecutionInterval(0, 3, 4)])]))
+        if flushed:
+            proxy.run()
+        else:
+            while proxy.clock < 5:
+                proxy.step()
+        late = proxy.register_profile(client, Profile(
+            [TInterval([ExecutionInterval(0, 4, 5)]),
+             TInterval([ExecutionInterval(0, 7, 9)])]))
+        proxy.unregister_profile(late)  # resolved: not dropped as well
+        for stats in (proxy.stats(), proxy.run(), proxy.run()):
+            assert (stats.registered, stats.completed, stats.expired,
+                    stats.dropped, stats.pending) == (3, 1, 2, 0, 0)
 
     def test_budget_respected(self):
         events = [UpdateEvent(c, r) for c in (2, 3) for r in (0, 1, 2)]

@@ -105,22 +105,26 @@ class TestFaultyRuns:
 
 
 class TestRuntimeSimulatorAgreementUnderFaults:
+    @pytest.mark.parametrize("engine", ["batch", "reference"])
+    @pytest.mark.parametrize("preemptive", [True, False])
     @pytest.mark.parametrize("policy_factory",
                              [SEDFPolicy, MRSFPolicy, MEDFPolicy])
-    def test_same_fault_world_same_captures(self, policy_factory):
+    def test_same_fault_world_same_captures(self, policy_factory,
+                                            preemptive, engine):
         spec = FaultSpec(failure_probability=0.3, seed=31)
         sim = run_online(make_profiles(), EPOCH, BudgetVector(1),
-                         policy_factory(), faults=spec,
-                         retry=RetryConfig(1),
+                         policy_factory(), preemptive=preemptive,
+                         faults=spec, retry=RetryConfig(1),
                          breaker=CircuitBreaker(failure_threshold=2,
-                                                cooldown=3))
+                                                cooldown=3),
+                         engine=engine)
 
         server = UnreliableServer(
             OriginServer(UpdateTrace([], EPOCH)),
             FaultSpec(failure_probability=0.3, seed=31))
         proxy = MonitoringProxy(
             server, EPOCH, BudgetVector(1), policy_factory(),
-            retry=RetryConfig(1),
+            preemptive=preemptive, retry=RetryConfig(1),
             breaker=CircuitBreaker(failure_threshold=2, cooldown=3))
         client = proxy.register_client()
         for profile in make_profiles():
@@ -129,6 +133,8 @@ class TestRuntimeSimulatorAgreementUnderFaults:
             proxy.register_profile(client, bare)
         stats = proxy.run()
 
+        assert sorted(proxy.schedule.probes()) == \
+            sorted(sim.schedule.probes())
         assert stats.completed == sim.report.captured
         assert stats.expired == sim.expired
         assert stats.probes_failed == sim.probes_failed
