@@ -655,10 +655,9 @@ def _candidate_keys(hi: np.ndarray, kind_rows: dict[str, np.ndarray],
         elif kind == "medf":
             rc = rows[:, None]
             pc = win.ps_act[None, alo:ahi]
-            # Lane-independent part first (A-sized, not lanes x A).
-            base = (win.init_sum_act[alo:ahi] + col.medf_off
-                    - T * win.started_act[alo:ahi])
-            score = (base - capsum[rc, pc]) + T * cap_count[rc, pc]
+            # The lane-independent part is a column of the window.
+            score = ((win.medf_base_act[alo:ahi] - capsum[rc, pc])
+                     + T * cap_count[rc, pc])
             hi[rows] = (score << shift) + win.finstart_act[alo:ahi]
         else:  # a static kind (_make_lanes screened the names)
             hi[rows] = win.hi_static[kind][alo:ahi]
@@ -717,13 +716,14 @@ def _take_smallest(key: np.ndarray, need: np.ndarray, kmax: int,
 
 
 def _capture(picks: np.ndarray, cand: np.ndarray, grp_of: np.ndarray,
-             ae: np.ndarray, ps: np.ndarray, fin: np.ndarray,
-             alive: np.ndarray, committed: np.ndarray | None,
-             cap_flat: np.ndarray, capsum_flat: np.ndarray | None) -> None:
+             ae: np.ndarray, ps: np.ndarray, alive: np.ndarray,
+             committed: np.ndarray | None, cap_flat: np.ndarray,
+             capsum_flat: np.ndarray | None, fin: np.ndarray | None) -> None:
     """Capture: a probed resource yields *every* candidate on it —
     ``picks`` (rows x pools) says which pools answered; their candidates
     stop being alive, commit their states and count into the capture
-    aggregates (flat views of the rows x states matrices)."""
+    aggregates (flat views of the rows x states matrices; the captured
+    deadlines ``fin`` only where M-EDF keeps their sums)."""
     er, ec = np.divmod(np.flatnonzero(cand & picks[:, grp_of]), ae.size)
     states = ps[ec]
     alive[er, ae[ec]] = False
@@ -818,8 +818,9 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
     doom_col = doom_rows[:, None]
 
     # All run state above is global; only the activity index arrives a
-    # window at a time (offsets window-local, see ActivityWindow).
-    for win in col.windows():
+    # window at a time (offsets window-local, see ActivityWindow), with
+    # the key columns of this block's kinds.
+    for win in col.windows(kind_rows):
         at0 = win.first_chronon
         act_chronons = win.act_chronons.tolist()
         act_indptr = win.act_indptr.tolist()
@@ -931,9 +932,9 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
                 picks[cap_l, cap_g] = True
             for lane, rid in zip(pr_rows.tolist(), rids.tolist()):
                 lane_scheds[lane].setdefault(rid, set()).add(T)
-            _capture(picks, cand, win.grp_of[alo:ahi], ae, ps,
-                     win.fin_act[alo:ahi], alive, committed, cap_flat,
-                     capsum_flat)
+            _capture(picks, cand, win.grp_of[alo:ahi], ae, ps, alive,
+                     committed, cap_flat, capsum_flat,
+                     None if capsum is None else win.fin_act[alo:ahi])
 
         # One window in flight: the generator builds the next window
         # when the loop asks for it, so let go of this one first — its

@@ -72,13 +72,16 @@ _MAX_KEY_BITS = 62
 
 #: Most activity entries one window holds (a single chronon above it is
 #: a window of its own). A constant, never an argument. A run holds one
-#: window and builds one (57 B per entry held, 96-105 B while built), so
-#: the cap is what a streamed run costs above its O(EIs) columns.
+#: window and builds one, so the cap is what a streamed run costs above
+#: its O(EIs) columns. Per entry, by the block's kinds (traced, live-churn
+#: contract windows): one static kind such as MRSF or S-EDF 33 B held /
+#: 46 B at the build's peak, M-EDF 49 / 61 B, all eight kinds 89 / 101 B.
 #: Measured end to end (benchmarks/e2e, contract scale) at 2**16 ->
-#: 2**15 -> 2**14 with one window in flight: live-churn (186 k entries)
+#: 2**15 -> 2**14 with one window in flight, when every window held
+#: 57 B per entry: live-churn (186 k entries)
 #: peak RSS 50.6-50.7 -> 47.2-47.3 -> 45.3 MB against 47.7 on the event
 #: engine, the bar this value was chosen to clear; catalog (821 k entries,
-#: 14 -> 32 windows) 67.0 -> 67.0 MB and wall 0.288-0.300 -> 0.297-0.323 s,
+#: 14 -> 30 windows) 67.0 -> 67.0 MB and wall 0.288-0.300 -> 0.297-0.323 s,
 #: 0.318-0.382 s at 2**14, which is why not lower; figures (48 k entries:
 #: one kept window -> two rebuilt per block) 49.8 -> 44.7 MB, wall inside
 #: its +-8 % run-to-run spread. On the catalog alone PR 17 measured 16 k /
@@ -110,6 +113,18 @@ def _bits(max_value: int) -> int:
     return max(1, int(max_value).bit_length())
 
 
+def _chronon_order(chronons: np.ndarray, bound: int) -> np.ndarray:
+    """The stable ``argsort`` of chronon keys in ``[0, bound]``.
+
+    Keys that fit 16 bits are sorted as ``uint16``, for which NumPy's
+    stable sort is a radix sort — the same permutation, several times
+    faster than the ``int64`` merge sort.
+    """
+    if bound < 1 << 16:
+        chronons = chronons.astype(np.uint16)
+    return np.argsort(chronons, kind="stable")
+
+
 class FaultDraws:
     """Keyed fault draws of one lowering, computed on demand.
 
@@ -130,8 +145,10 @@ class FaultDraws:
     """
 
     def __init__(self, grp_T: np.ndarray, grp_rid: np.ndarray) -> None:
-        self._grp_T = grp_T
-        self._grp_rid = grp_rid
+        # Each group's resource id and chronon as Python ints, so a draw
+        # formats no NumPy scalar.
+        self._grp_T = grp_T.tolist()
+        self._grp_rid = grp_rid.tolist()
         self.keys: list[tuple[int, str, int] | None] = [None]
         self._rows: dict[tuple[int, str, int], int] = {}
         self.values = np.full((1, grp_T.size), 2.0)
@@ -144,7 +161,7 @@ class FaultDraws:
             row = self._rows[key] = len(self.keys)
             self.keys.append(key)
             self.values = np.vstack(
-                (self.values, np.full((1, self._grp_T.size), np.nan)))
+                (self.values, np.full((1, len(self._grp_T)), np.nan)))
         return row
 
     def _draw(self, row: int, group: int) -> float:
@@ -173,41 +190,19 @@ class FaultDraws:
         return value
 
 
-class _StaticKeys(dict):
-    """``hi_static``: the static key column of a policy kind, built on
-    its first read and kept (an M-EDF run reads none of the five).
-
-    ``self[kind]`` is ``(score << score_shift) | finstart`` per
-    activity entry, the score being the kind's static one; an unknown
-    kind is a ``KeyError`` as on any dict. Holds the columns it reads
-    rather than the lowering, so the two form no reference cycle.
-    """
-
-    def __init__(self, score_shift: int, start_shift: int, start_mask: int,
-                 finstart: np.ndarray, fin: np.ndarray, st_rank: np.ndarray,
-                 ps_act: np.ndarray, rank_max: int) -> None:
-        super().__init__()
-        self._parts = (score_shift, start_shift, start_mask, finstart, fin,
-                       st_rank, ps_act, rank_max)
-
-    def __missing__(self, kind: str) -> np.ndarray:
-        (score_shift, start_shift, start_mask, finstart, fin, st_rank,
-         ps_act, rank_max) = self._parts
-        if kind == "sedf":
-            score = fin
-        elif kind == "fcfs":
-            score = (finstart >> start_shift) & start_mask
-        elif kind == "lff":
-            score = fin + 1
-        elif kind == "srank":
-            score = st_rank[ps_act]
-        elif kind == "anti":
-            # anti-MRSF's offset form: (rank_max - (rank - captured)).
-            score = rank_max - st_rank[ps_act]
-        else:
-            raise KeyError(kind)
-        column = self[kind] = (score << score_shift) | finstart
-        return column
+#: The static scores, ``name -> score(col, fin, start, state)`` from a
+#: window's per-EI columns: the score is a function of the EI alone, so
+#: its key column is one gather of a per-EI word. A lane kind reads the
+#: column of its own name; MRSF reads ``srank``'s and subtracts its
+#: captures.
+_STATIC_SCORE = {
+    "sedf": lambda col, fin, start, state: fin,
+    "fcfs": lambda col, fin, start, state: start,
+    "lff": lambda col, fin, start, state: fin + 1,
+    "srank": lambda col, fin, start, state: col.st_rank[state],
+    # anti-MRSF's offset form: (rank_max - (rank - captured)).
+    "anti": lambda col, fin, start, state: col.rank_max - col.st_rank[state],
+}
 
 
 class ActivityWindow:
@@ -222,11 +217,24 @@ class ActivityWindow:
     fault plane (draws, outage columns) are indexed by. Groups never
     span windows (a group is one chronon's pool); EIs do — an EI whose
     window crosses a cut has entries on both sides.
+
+    Every window holds ``act_e``, ``ps_act`` and ``grp_of``; the key
+    columns are built for ``kinds``, the lane kinds of the block that
+    asked, and for nothing else:
+
+    * ``hi_static[name]`` — ``(score << score_shift) | finstart`` per
+      entry, for every static score a kind reads (``_STATIC_SCORE``);
+    * ``finstart_act`` — the (finish, start) fields, for Coverage and
+      M-EDF, whose scores depend on the run;
+    * ``fin_act`` and ``medf_base_act`` — M-EDF's captured-deadline
+      increment and the lane-independent part of its score,
+      ``init_sum + medf_off - T * started`` at the entry's chronon ``T``.
     """
 
     def __init__(self, col: "ColumnarInstance", eis: np.ndarray,
                  first: np.ndarray, until: np.ndarray,
-                 lo: int, hi: int) -> None:
+                 lo: int, hi: int, kinds: frozenset[str]) -> None:
+        self.kinds = kinds
         self.first_chronon = lo
         self.n_act = hi - lo
         self.act_chronons = col.act_chronons[lo:hi]
@@ -257,52 +265,79 @@ class ActivityWindow:
         state = col.ei_state[eis]
         first = np.maximum(first, t0)
         width = np.minimum(until, t1) - first + 1
-        ent_T = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(width) - width - first, width)
-
-        # started[j]: how many EIs of entry j's state have opened
-        # (start <= chronon) by entry j's chronon — M-EDF's "started"
-        # aggregate before subtracting a lane's captures. Lane-independent
-        # and static per entry: the true starts count even for a state
-        # registered after some of them (it arrives with those windows
-        # open; one that arrives with a window already *closed* is doomed
-        # and M-EDF never scores it). One compare per sibling slot: slot
-        # k holds the start of each state's k-th EI, or a never-reached
-        # chronon where the state is smaller.
-        size = col.st_size[state]
-        head = col._ei_ptr[state]
-        started = np.zeros(total, dtype=np.int64)
-        for slot in range(int(size.max())):
-            has = size > slot
-            opens = np.full(eis.size, t1 + 1, dtype=np.int64)
-            opens[has] = col.ei_start[head[has] + slot]
-            started += np.repeat(opens, width) <= ent_T
 
         # Chronon-major, then resource, then EI index (the tie-break):
-        # ``eis`` is ascending, so the entries are EI-ascending and one
-        # stable sort on the fused (chronon, resource) key orders all
-        # three — a radix sort whenever the window's key fits 16 bits.
-        fused = (ent_T - t0) * col.rid_space + np.repeat(col.ei_res[eis],
-                                                        width)
-        if (t1 - t0 + 1) * col.rid_space <= 1 << 16:
-            fused = fused.astype(np.uint16)
-        order = np.argsort(fused, kind="stable")
-        # Position in ``eis`` of each entry's EI, in activity order.
-        at = np.repeat(np.arange(eis.size, dtype=np.int64), width)[order]
+        # one int64 word per entry, ``(chronon - t0, resource, position
+        # in eis)`` high to low, is distinct per entry, so one sort of
+        # the words orders all three and their low bits are then ``at``,
+        # the position in ``eis`` of each entry's EI. Per EI the words
+        # are an offset plus a ramp of one chronon per entry. The words
+        # fit 63 bits (chronons x resources < 2**27, the grid's bound);
+        # offset and ramp are int64 arithmetic modulo 2**64, so their
+        # sum is exact even where one of them wraps.
+        R = col.rid_space
+        b = int(eis.size).bit_length()
+        step = R << b
+        offset = ((first - t0) * R + col.ei_res[eis]) << b
+        offset += np.arange(eis.size, dtype=np.int64)
+        offset -= (np.cumsum(width) - width) * step
+        at = np.repeat(offset, width)
+        del offset
+        at += np.arange(0, total * step, step, dtype=np.int64)
+        at.sort()
+        at &= (1 << b) - 1
+
+        # Key columns, aligned with the entries: what the kinds read.
+        # M-EDF's base first, so its temporaries die before the rest.
+        if "medf" in kinds:
+            self.medf_base_act = self._medf_base(col, state, at, t1)
         self.act_e = eis[at]
         self.ps_act = state[at]
-        self.started_act = started[order]
+        # The others are each one gather of a per-EI word.
+        finstart = (fin << col.finish_shift) | (start << col.start_shift)
+        names = {"srank" if kind == "mrsf" else kind for kind in kinds}
+        self.hi_static: dict[str, np.ndarray] = {
+            name: ((_STATIC_SCORE[name](col, fin, start, state)
+                    << col.score_shift) | finstart)[at]
+            for name in names & _STATIC_SCORE.keys()}
+        if "coverage" in kinds or "medf" in kinds:
+            self.finstart_act = finstart[at]
+        if "medf" in kinds:
+            self.fin_act = fin[at]
 
-        # Static key columns, aligned with act_e. The per-kind ones are
-        # built when a lane first reads them.
-        self.fin_act = fin[at]
-        self.finstart_act = ((self.fin_act << col.finish_shift)
-                             | (start[at] << col.start_shift))
-        self.hi_static = _StaticKeys(
-            col.score_shift, col.start_shift, col.start_mask,
-            self.finstart_act, self.fin_act, col.st_rank, self.ps_act,
-            col.rank_max)
-        self.init_sum_act = col.init_sum[state][at]
+    def _medf_base(self, col: "ColumnarInstance", state: np.ndarray,
+                   at: np.ndarray, t1: int) -> np.ndarray:
+        """``init_sum + medf_off - T * started`` per entry.
+
+        ``started`` counts the EIs of the entry's state that have opened
+        (start <= T) by the entry's chronon ``T`` — M-EDF's "started"
+        aggregate before a lane's captures are subtracted, so the whole
+        base is lane-independent and static per entry. The true starts
+        count even for a state registered after some of them (it
+        arrives with those windows open; one that arrives with a window
+        already *closed* is doomed and M-EDF never scores it). One
+        compare per sibling slot: slot k holds the start of each state's
+        k-th EI, or a never-reached chronon where the state is smaller.
+        ``state`` and ``at`` are the window's per-EI states and each
+        entry's position among them. The compares run on int32 (half the
+        bytes gathered): chronons fit, as the occupancy grid's bound keeps
+        them below 2**27, and a start past the window compares as
+        ``t1 + 1``.
+        """
+        act_T = np.repeat(self.act_chronons.astype(np.int32),
+                          np.diff(self.act_indptr))
+        size = col.st_size[state]
+        head = col._ei_ptr[state]
+        started = np.zeros(at.size, dtype=np.int64)
+        for slot in range(int(size.max())):
+            has = size > slot
+            opens = np.full(state.size, t1 + 1, dtype=np.int32)
+            opens[has] = np.minimum(col.ei_start[head[has] + slot], t1 + 1)
+            started += opens[at] <= act_T
+        started *= act_T
+        base = (col.init_sum[state] + col.medf_off)[at]
+        base -= started
+        return base
 
 
 class ColumnarInstance:
@@ -373,8 +408,8 @@ class ColumnarInstance:
             gone_from = np.full(S, last + 1, dtype=np.int64)
         arrival = np.minimum(
             np.maximum(np.minimum.reduceat(start, ptr), visible_from), last)
-        order = np.argsort(np.where(visible_from > 0, last + 1, arrival),
-                           kind="stable")
+        order = _chronon_order(
+            np.where(visible_from > 0, last + 1, arrival), last + 1)
         self.st_arrival = arrival[order]
         self.st_visible = visible_from[order]
         self.st_gone = gone_from[order]
@@ -466,7 +501,7 @@ class ColumnarInstance:
         # windows() walks.
         first, until = self.visibility()
         ever = np.flatnonzero(first <= until)
-        self._by_start = ever[np.argsort(first[ever], kind="stable")]
+        self._by_start = ever[_chronon_order(first[ever], last)]
         starts = first[self._by_start]
         res = self.ei_res[self._by_start]
         cells = (last + 2) * R
@@ -503,22 +538,28 @@ class ColumnarInstance:
         self._cuts = list(zip(bounds, bounds[1:], reach.tolist()))
         self._window: ActivityWindow | None = None
 
-    def windows(self):
-        """Yield the activity index, one :class:`ActivityWindow` at a time.
+    def windows(self, kinds=()):
+        """Yield the activity index, one :class:`ActivityWindow` at a time,
+        with the key columns the lane ``kinds`` read.
 
         A window's EIs are those still visible from the previous
         window plus the next run of the start-sorted order — never a
         scan of all EIs per window. An index that fits one window keeps
-        it, so every run on a small lowering reads the same arrays; a
-        larger one builds each window when its chronons are due and
-        keeps no reference. A consumer that drops its own references
-        before asking for the next window (as the chronon loops do)
-        therefore holds one window at a time — never two, never the
-        epoch.
+        it with the kinds it was built for, so every run on a small
+        lowering reads the same arrays; a run that asks for another kind
+        rebuilds it for the union. A larger index builds each window
+        when its chronons are due and keeps no reference. A consumer
+        that drops its own references before asking for the next window
+        (as the chronon loops do) therefore holds one window at a time —
+        never two, never the epoch.
         """
+        kinds = frozenset(kinds)
         if self._window is not None:
-            yield self._window
-            return
+            if kinds <= self._window.kinds:
+                yield self._window
+                return
+            kinds |= self._window.kinds
+            self._window = None
         eis = until = np.zeros(0, dtype=np.int64)
         at = 0
         for lo, hi, upto in self._cuts:
@@ -530,7 +571,7 @@ class ColumnarInstance:
                 self._by_start[at:upto])))
             at = upto
             first, until = self.visibility(eis)
-            window = ActivityWindow(self, eis, first, until, lo, hi)
+            window = ActivityWindow(self, eis, first, until, lo, hi, kinds)
             self.windows_built += 1
             self.window_seconds += time.perf_counter() - began
             if len(self._cuts) == 1:
@@ -549,7 +590,7 @@ class ColumnarInstance:
         # inside the epoch.
         xe = np.nonzero(self.ei_finish < last)[0]
         xe_T = self.ei_finish[xe] + 1
-        order = np.argsort(xe_T, kind="stable")
+        order = _chronon_order(xe_T, last)
         xe = xe[order]
         xe_T = xe_T[order]
         bounds = np.nonzero(np.concatenate(
@@ -616,17 +657,18 @@ class ColumnarInstance:
                 f"{self.start_bits} + resource id {self.rid_bits}, for "
                 f"horizon {K}, scores <= {score_max}, pools <= "
                 f"{self.n_max}, resources <= {rid_max}")
-        self.start_mask = (1 << self.start_bits) - 1
         self.rank_max = rank_max
 
         # Report scaffolding shared by every lane (with profile_totals):
         # totals never depend on the run, only on the instance.
         # rank_totals keeps each size at its first appearance in seq order.
-        sizes, seen, count = np.unique(
-            self.st_size, return_index=True, return_counts=True)
-        first = np.argsort(seen)
+        count = np.bincount(self.st_size)
+        seen = np.full(count.size, self.S, dtype=np.int64)
+        np.minimum.at(seen, self.st_size, np.arange(self.S, dtype=np.int64))
+        sizes = np.flatnonzero(count)
+        sizes = sizes[np.argsort(seen[sizes])]
         self.rank_totals: dict[int, int] = dict(
-            zip(sizes[first].tolist(), count[first].tolist()))
+            zip(sizes.tolist(), count[sizes].tolist()))
 
     # ------------------------------------------------------------------
 

@@ -589,7 +589,7 @@ class TestOneWindowInFlight:
     per-window locals, the last chronon's views, or the generator."""
 
     CONFIG = ChurnConfig(epoch_length=160, num_resources=30, intensity=6.0,
-                         num_clients=90, profiles_per_client=8, window=12,
+                         num_clients=140, profiles_per_client=8, window=12,
                          budget=2, join_spread=0.9, leave_probability=0.5,
                          seed=31)
 
@@ -606,7 +606,7 @@ class TestOneWindowInFlight:
     @pytest.mark.parametrize("runner", ["_block", "_shards"])
     def test_no_window_is_alive_when_the_next_is_built(self, runner):
         workload = build_churn_workload(self.CONFIG)
-        lowered, col = _lowered(workload, 8192)
+        lowered, col = _lowered(workload, 12288)
         held_before: list[int] = []
         window_bytes: list[int] = []
         build = ActivityWindow.__init__
@@ -614,7 +614,8 @@ class TestOneWindowInFlight:
         def spy(self, *args):
             held_before.append(tracemalloc.get_traced_memory()[0])
             build(self, *args)
-            window_bytes.append(_array_bytes(self))
+            window_bytes.append(_array_bytes(self) + sum(
+                column.nbytes for column in self.hi_static.values()))
 
         tracemalloc.start()
         try:

@@ -5,15 +5,16 @@ with NumPy from one flattening walk over the profile objects, and the
 activity index one window at a time. The straightforward construction
 it replaced — Python loops over every t-interval and EI, the whole
 epoch's activity entries at once, a three-key ``lexsort`` for their
-order, a fused ``searchsorted`` for ``started_act``, all five static
-key columns up front — lives on here as :func:`oracle`. Every public
+order, a fused ``searchsorted`` for M-EDF's ``started`` count, every
+key column up front — lives on here as :func:`oracle`. Every public
 attribute of the lowering must equal it in value *and* dtype, and so
 must the *concatenation* of ``windows()`` (offsets applied) wherever
 the cuts fall, and what the occupancy grid says about the index
-without building it. The oracle takes the same optional lifetimes the
-lowering does (``tests/simulation/test_churn_columns.py`` feeds it
-churn plans); without them every t-interval is there from the start
-and nobody leaves.
+without building it. A window holds the key columns of the lane kinds
+it was built for and no others. The oracle takes the same optional
+lifetimes the lowering does (``tests/simulation/test_churn_columns.py``
+feeds it churn plans); without them every t-interval is there from the
+start and nobody leaves.
 """
 
 from types import SimpleNamespace
@@ -35,12 +36,14 @@ from repro.experiments import ExperimentConfig, make_instance
 from repro.faults import CircuitBreaker, FaultSpec, RetryConfig
 from repro.online.registry import parse_policy_spec
 from repro.simulation import columnar as columnar_module
+from repro.simulation import run_online
 from repro.simulation.batch import FaultLane, run_block
 from repro.simulation.columnar import (
     _MAX_KEY_BITS,
     BatchUnsupported,
     ColumnarInstance,
     _bits,
+    _chronon_order,
 )
 from repro.simulation.shard import federated_run
 
@@ -161,18 +164,18 @@ def oracle(profiles, epoch, visible_from=None,
     else:
         o.grp_of = np.zeros(0, dtype=np.int64)
         o.n_max = 1
-    # started_act: per-state prefix count via one fused searchsorted.
+    # started: per-state prefix count via one fused searchsorted.
     if o.E:
         stride = int(max(o.ei_start.max(),
                          act_T.max() if total else 0)) + 2
         fused = np.sort(o.ei_state * stride + o.ei_start)
         state_ei_ptr = np.searchsorted(
             o.ei_state, np.arange(o.S, dtype=np.int64))
-        o.started_act = (
+        started = (
             np.searchsorted(fused, o.ps_act * stride + act_T, side="right")
             - state_ei_ptr[o.ps_act]).astype(np.int64)
     else:
-        o.started_act = np.zeros(0, dtype=np.int64)
+        started = np.zeros(0, dtype=np.int64)
 
     # Expiry events.
     xe = np.nonzero(o.ei_finish < last)[0]
@@ -199,7 +202,7 @@ def oracle(profiles, epoch, visible_from=None,
     o.xg_indptr = np.searchsorted(
         o.xg_starts, o.xe_indptr).astype(np.int64)
 
-    # Packed-key layout and the static key columns, all five eagerly.
+    # Packed-key layout and every key column, eagerly.
     start_max = int(o.ei_start.max()) if o.E else 1
     finish_max = int(o.ei_finish.max()) if o.E else 1
     rank_max = int(o.st_rank.max()) if o.S else 1
@@ -221,7 +224,6 @@ def oracle(profiles, epoch, visible_from=None,
     o.score_shift = o.finish_shift + o.finish_bits
     if o.score_shift + o.score_bits > _MAX_KEY_BITS:
         raise BatchUnsupported("oracle: packed key too wide")
-    o.start_mask = (1 << o.start_bits) - 1
     fin = o.ei_finish[o.act_e]
     start = o.ei_start[o.act_e]
     o.finstart_act = (fin << o.finish_shift) | (start << o.start_shift)
@@ -234,8 +236,8 @@ def oracle(profiles, epoch, visible_from=None,
         "anti": ((rank_max - rank) << o.score_shift) | o.finstart_act,
     }
     o.rank_max = rank_max
-    o.init_sum_act = o.init_sum[o.ps_act]
     o.fin_act = fin
+    o.medf_base_act = o.init_sum[o.ps_act] + o.medf_off - act_T * started
 
     o.profile_totals = {profile.profile_id: len(profile)
                         for profile in profiles}
@@ -245,34 +247,63 @@ def oracle(profiles, epoch, visible_from=None,
     return o
 
 
-#: Per-entry columns: the lowering has them one window at a time.
-_PER_ENTRY = ("act_indptr", "act_e", "ps_act", "started_act", "grp_starts",
-              "grp_of", "finstart_act", "init_sum_act", "fin_act")
+#: Every lane kind of the block kernel.
+_LANE_KINDS = ("sedf", "fcfs", "lff", "srank", "mrsf", "anti", "coverage",
+               "medf")
+
+#: Per-entry columns every window holds, whatever its kinds.
+_LAYOUT = ("act_indptr", "act_e", "ps_act", "grp_starts", "grp_of")
+
+#: Per-entry columns: the lowering has them one window at a time, the
+#: key columns only for the kinds that read them.
+_PER_ENTRY = _LAYOUT + ("finstart_act", "fin_act", "medf_base_act")
+
+#: Per-chronon and per-group columns of a window.
+_PER_GROUP = ("act_chronons", "grp_indptr", "grp_rid", "grp_sizes")
 
 #: Window caps the comparison runs at: a cut at every chronon, cuts
 #: through EIs and t-intervals, and the real one (a single window here).
 _CAPS = (1, 7, columnar_module._WINDOW_ENTRIES)
 
 
-def stitched(col: ColumnarInstance) -> SimpleNamespace:
-    """``col.windows()`` concatenated into whole-epoch columns."""
-    wins = list(col.windows())
+def key_columns(kinds) -> tuple[set[str], set[str]]:
+    """What a window built for ``kinds`` holds beyond its layout: the
+    per-entry key attributes, and the ``hi_static`` names (MRSF reads
+    the static-rank word)."""
+    kinds = set(kinds)
+    attrs = set()
+    if kinds & {"coverage", "medf"}:
+        attrs.add("finstart_act")
+    if "medf" in kinds:
+        attrs |= {"fin_act", "medf_base_act"}
+    static = {"srank" if kind == "mrsf" else kind for kind in kinds}
+    return attrs, static & set(_KINDS)
+
+
+def stitched(col: ColumnarInstance, kinds=_LANE_KINDS) -> SimpleNamespace:
+    """``col.windows(kinds)`` concatenated into whole-epoch columns —
+    the layout and the key columns of ``kinds`` — checking that every
+    window holds exactly the arrays of the kinds it was built for."""
+    wins = list(col.windows(kinds))
+    attrs, static = key_columns(kinds)
     w = SimpleNamespace()
     entries = groups = chronons = 0
-    parts = {name: [] for name in _PER_ENTRY + (
-        "act_chronons", "grp_indptr", "grp_rid", "grp_sizes")}
-    parts.update({kind: [] for kind in _KINDS})
+    parts = {name: [] for name in _LAYOUT + _PER_GROUP + tuple(attrs)}
+    parts.update({kind: [] for kind in static})
     for win in wins:
         assert win.first_chronon == chronons
         assert win.first_group == groups
         assert win.n_act == win.act_chronons.size > 0
-        assert len(win.hi_static) == 0 or len(wins) == 1
-        with pytest.raises(KeyError):
-            win.hi_static["medf"]
+        # A kept window may hold what an earlier run asked for too.
+        assert set(kinds) <= win.kinds
+        held_attrs, held_static = key_columns(win.kinds)
+        held = {name for name, value in vars(win).items()
+                if isinstance(value, np.ndarray)}
+        assert held == set(_LAYOUT + _PER_GROUP) | held_attrs
+        assert set(win.hi_static) == held_static
         for name in parts:
             if name in _KINDS:
                 column = win.hi_static[name]
-                assert win.hi_static[name] is column
             else:
                 column = getattr(win, name)
             if name in ("act_indptr", "grp_indptr"):
@@ -282,7 +313,6 @@ def stitched(col: ColumnarInstance) -> SimpleNamespace:
             elif name == "grp_indptr":
                 column = column + groups
             parts[name].append(column)
-        assert len(win.hi_static) == len(_KINDS)
         entries += win.act_e.size
         groups += win.grp_rid.size
         chronons += win.n_act
@@ -346,14 +376,7 @@ def _assert_equals_oracle(got: ColumnarInstance, want: SimpleNamespace,
     # The windows, wherever they were cut.
     whole = stitched(got)
     assert np.array_equal(whole.grp_sizes, group_sizes)
-    for name in _PER_ENTRY + ("act_chronons", "grp_indptr", "grp_rid"):
-        actual, expected = getattr(whole, name), getattr(want, name)
-        assert actual.dtype == expected.dtype, (name, cap)
-        assert np.array_equal(actual, expected), (name, cap)
-    for kind in _KINDS:
-        assert whole.__dict__[kind].dtype == want.hi_static[kind].dtype
-        assert np.array_equal(whole.__dict__[kind], want.hi_static[kind]), \
-            (kind, cap)
+    _assert_same_columns(whole, want, _LANE_KINDS, cap)
     spans = np.diff(want.act_indptr)
     if cap == 1:
         assert whole.windows == spans.size
@@ -370,6 +393,22 @@ def _assert_equals_oracle(got: ColumnarInstance, want: SimpleNamespace,
                                                  else 2)
     for win in again:
         assert win.act_e.size <= max(cap, int(spans.max()))
+
+
+def _assert_same_columns(whole: SimpleNamespace, want: SimpleNamespace,
+                         kinds, cap: int) -> None:
+    """The stitched windows' layout and ``kinds``' key columns equal the
+    oracle's, value and dtype."""
+    attrs, static = key_columns(kinds)
+    for name in _LAYOUT + ("act_chronons", "grp_indptr", "grp_rid") \
+            + tuple(sorted(attrs)):
+        actual, expected = getattr(whole, name), getattr(want, name)
+        assert actual.dtype == expected.dtype, (name, cap)
+        assert np.array_equal(actual, expected), (name, cap)
+    for kind in static:
+        assert whole.__dict__[kind].dtype == want.hi_static[kind].dtype
+        assert np.array_equal(whole.__dict__[kind], want.hi_static[kind]), \
+            (kind, cap)
 
 
 def _eta(*eis) -> TInterval:
@@ -417,11 +456,16 @@ class TestEdgeCases:
         col = assert_same_lowering(profiles, Epoch(6))
         assert col.rank_totals == {1: 9}
         whole = stitched(col)
-        assert whole.started_act.tolist() == [1] * whole.act_e.size
+        # Every entry's state has exactly its own EI started.
+        act_T = np.repeat(whole.act_chronons, np.diff(whole.act_indptr))
+        assert np.array_equal(whole.medf_base_act,
+                              col.init_sum[whole.ps_act] + col.medf_off
+                              - act_T)
 
     def test_fused_activity_key_beyond_16_bits(self):
-        # (window chronons) * resources > 2**16: the activity sort keeps
-        # its order on the wide key too.
+        # (window chronons) * resources > 2**16, beyond the 16-bit keys a
+        # radix sort would take: the activity sort keeps its order on
+        # the wide key too.
         profiles = ProfileSet([
             Profile([_eta((900, 3, 40), (5, 1, 70)), _eta((5, 2, 2))]),
             Profile([_eta((900, 1, 64))]),
@@ -448,6 +492,98 @@ class TestAgainstOracle:
     @settings(max_examples=60, deadline=None)
     def test_single_instance(self, profiles):
         assert_same_lowering(profiles, epoch())
+
+
+class TestChrononSorts:
+    """The constructor sorts chronon keys as ``uint16`` where they fit —
+    a radix sort — and must give the ``int64`` stable permutation."""
+
+    @pytest.mark.parametrize("bound", [0, 300, (1 << 16) - 1, 1 << 16,
+                                       1 << 20])
+    def test_the_permutation_is_the_int64_one(self, bound):
+        keys = np.random.default_rng(bound).integers(0, bound + 1, 5000)
+        assert np.array_equal(_chronon_order(keys, bound),
+                              np.argsort(keys, kind="stable"))
+
+    def test_an_epoch_above_16_bits_is_not_cast(self):
+        # Chronons past 2**16 would wrap below the early ones if cast:
+        # the late state would arrive first, its EI open first and
+        # expire first.
+        last = (1 << 16) + 40
+        profiles = ProfileSet([
+            Profile([_eta((0, last - 36, last - 31))]),
+            Profile([_eta((1, 10, 12), (0, 11, 13))]),
+        ])
+        col = assert_same_lowering(profiles, Epoch(last))
+        first, until = col.visibility()
+        ever = np.flatnonzero(first <= until)
+        assert np.array_equal(col._by_start,
+                              ever[np.argsort(first[ever], kind="stable")])
+        assert col.st_arrival.tolist() == [10, last - 36]
+        assert col.xe_chronons.tolist() == [13, 14, last - 30]
+
+
+#: A generated instance small enough for one window at the real cap.
+_SMALL = ExperimentConfig(
+    epoch_length=40, num_resources=10, num_profiles=14, intensity=5.0,
+    window=6, budget=2, repetitions=1, grouping="overlap", seed=77)
+
+
+class TestPerKindWindows:
+    """A window builds its layout and the key columns its block's lane
+    kinds read, each equal to the oracle's."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        _trace, profiles = make_instance(_SMALL, 0)
+        return profiles, oracle(profiles, _SMALL.epoch)
+
+    @pytest.mark.parametrize("kinds", [
+        (), ("mrsf",), ("sedf",), ("fcfs", "lff"), ("anti", "srank", "mrsf"),
+        ("coverage",), ("medf",), ("medf", "coverage", "sedf")])
+    @pytest.mark.parametrize("cap", [7, columnar_module._WINDOW_ENTRIES])
+    def test_a_window_holds_what_its_kinds_read(self, small, kinds, cap):
+        profiles, want = small
+        with mock.patch.object(columnar_module, "_WINDOW_ENTRIES", cap):
+            col = ColumnarInstance.build(profiles, _SMALL.epoch)
+        # stitched() holds every window to exactly the kinds' columns:
+        # an MRSF or S-EDF window has no finish, finstart or M-EDF base
+        # column, and one static word.
+        whole = stitched(col, kinds)
+        assert whole.windows == (1 if cap > 7 else col.windows_built) > 0
+        _assert_same_columns(whole, want, kinds, cap)
+
+    def test_a_kept_window_grows_to_the_union_of_kinds(self, small):
+        """A kept single window serves an S-EDF block, an M-EDF block
+        and two federated runs, each identical to the reference; it is
+        rebuilt, for the union, only when a run reads a kind it lacks."""
+        profiles, want = small
+        epoch_, budget = _SMALL.epoch, _SMALL.budget_vector
+        col = ColumnarInstance.build(profiles, epoch_)
+        steps = (("S-EDF(NP)", "block", {"sedf"}, 1),
+                 ("M-EDF(P)", "block", {"sedf", "medf"}, 2),
+                 ("M-EDF(NP)", "federated", {"sedf", "medf"}, 2),
+                 ("MRSF(P)", "federated", {"sedf", "medf", "mrsf"}, 3))
+        for label, how, kinds, built in steps:
+            policy, preemptive = parse_policy_spec(label)
+            if how == "block":
+                (got,) = run_block(profiles, epoch_,
+                                   [(policy, preemptive, budget)],
+                                   columnar=col)
+            else:
+                got = federated_run(profiles, epoch_, budget, policy,
+                                    preemptive=preemptive, shards=2,
+                                    columnar=col).result
+            expected = run_online(profiles, epoch_, budget, policy,
+                                  preemptive=preemptive, engine="reference")
+            assert list(got.schedule.probes()) == \
+                list(expected.schedule.probes()), label
+            assert got.report == expected.report, label
+            (window,) = col.windows()
+            assert (window.kinds, col.windows_built) == (kinds, built)
+        _assert_same_columns(stitched(col, ("sedf", "medf", "mrsf")), want,
+                             ("sedf", "medf", "mrsf"), 0)
+        assert col.windows_built == 3
 
 
 def test_a_block_holds_one_instance():
@@ -533,7 +669,7 @@ def test_medf_federated_run_builds_no_static_key_column():
                         columnar=columnar)
     assert fed.result.probes_used > 0
     (window,) = columnar.windows()
-    assert len(window.hi_static) == 0
+    assert window.kinds == {"medf"} and len(window.hi_static) == 0
     # A prebuilt lowering costs a run its windows, not its constructor —
     # and nothing once the (single, kept) window exists.
     assert fed.lower_seconds == columnar.window_seconds > 0.0

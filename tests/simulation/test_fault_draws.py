@@ -6,6 +6,8 @@ its picks actually read, caches them on the lowering, and must still
 agree bit for bit with :meth:`FaultInjector._draw`.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,29 @@ def test_filled_entries_equal_the_injector_draws(lowering):
         assert seed == spec.seed
         assert draws.values[row, group] == injector._draw(
             channel, int(grp_rid[group]), int(grp_T[group]), attempt)
+
+
+def test_filled_entries_equal_the_seed_string_draws(lowering):
+    """Independently of the injector: a filled cell of an attempt-0 or a
+    retry row is ``random.Random`` seeded with the key's string."""
+    profiles, columnar = lowering
+    spec = FaultSpec(failure_probability=0.3, timeout_probability=0.2,
+                     seed=11)
+    _run(profiles, columnar, spec, RetryConfig(2))
+    draws = columnar.fault_draws()
+    grp_T, grp_rid = columnar.fault_layout()
+    rng = np.random.default_rng(3)
+    attempts = set()
+    for row in range(1, len(draws.keys)):
+        filled = np.flatnonzero(~np.isnan(draws.values[row]))
+        seed, channel, attempt = draws.keys[row]
+        if filled.size:
+            attempts.add(min(attempt, 1))
+        for group in rng.permutation(filled)[:25].tolist():
+            key = (f"{seed}:{channel}:{int(grp_rid[group])}:"
+                   f"{int(grp_T[group])}:{attempt}")
+            assert draws.values[row, group] == random.Random(key).random()
+    assert attempts == {0, 1}
 
 
 def test_only_sent_probes_are_drawn(lowering):
