@@ -20,10 +20,10 @@ everywhere else:
   executable specification of the client-facing semantics, and the
   referee of the columns.
 
-All client profiles are generated up front through the vectorized
-fast-gen path (one seeded generator per client, independent of join
-timing), so the engines consume byte-identical workloads. The scenario
-stays the generators' columns all the way — a column-born initial
+All client profiles are generated up front: each client draws from its
+own seeded stream (independent of join timing) and one ``build_columns``
+serves all the draws, so the engines consume byte-identical workloads.
+The scenario stays those columns all the way — a column-born initial
 :class:`~repro.core.profile.ProfileSet` and a column-born plan; only the
 live proxy, which registers objects, has them built.
 """
@@ -33,6 +33,7 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
@@ -45,7 +46,10 @@ from repro.online.registry import parse_policy_spec
 from repro.runtime.server import OriginServer
 from repro.simulation.churn import ChurnPlan, PlanColumns, run_churned
 from repro.traces.models import PoissonUpdateModel
-from repro.workloads.generator import GeneratorConfig, ProfileGenerator
+from repro.workloads.generator import draw_profiles
+from repro.workloads.restrictions import WindowRestriction
+from repro.workloads.templates import AuctionWatchTemplate
+from repro.workloads.zipf import BoundedZipf
 
 __all__ = ["ChurnConfig", "ClientOutcome", "ChurnResult", "ChurnSweep",
            "ChurnSweepRow", "build_churn_workload", "run_churn",
@@ -120,8 +124,13 @@ class ChurnConfig:
             raise WorkloadError(
                 f"leave_probability must be in [0, 1], got "
                 f"{self.leave_probability}")
-        if self.num_clients < 1:
-            raise WorkloadError("num_clients must be >= 1")
+        for name, floor in (("num_clients", 1), ("num_resources", 1),
+                            ("profiles_per_client", 0), ("max_rank", 1),
+                            ("window", 0), ("epoch_length", 1),
+                            ("budget", 0)):
+            if getattr(self, name) < floor:
+                raise WorkloadError(f"{name} must be >= {floor}, got "
+                                    f"{getattr(self, name)}")
         if self.engine not in CHURN_ENGINES:
             raise WorkloadError(
                 f"engine must be one of {CHURN_ENGINES}, "
@@ -179,34 +188,9 @@ class ChurnResult:
                                 for client in self.clients)
 
 
-def _client_block(config: ChurnConfig, trace, epoch: Epoch,
-                  index: int, client_name: str) -> ProfileColumns:
-    """One client's profiles as columns, timing-independent.
-
-    Each client gets its own seeded generator on the vectorized
-    fast-gen path, so the workload is a pure function of the config —
-    identical whether the client joins at chronon 0 or mid-epoch, and
-    identical across the engines.
-    """
-    generator = ProfileGenerator(GeneratorConfig(
-        num_profiles=config.profiles_per_client,
-        max_rank=config.max_rank,
-        window=config.window,
-        grouping="overlap",
-        seed=config.seed + 101 * (index + 1),
-    ), fast=True)
-    columns = generator.generate(
-        trace, epoch,
-        resource_ids=list(range(config.num_resources))).columns()
-    # The generator can produce empty profiles; nobody registers those.
-    block = columns.take(np.flatnonzero(np.bincount(
-        columns.ei_profile, minlength=len(columns.names))))
-    return block._replace(names=tuple(
-        f"{client_name}/{name}" for name in block.names))
-
-
 def _workload(config: ChurnConfig):
-    """Derive the full churn scenario from the config (pure function)."""
+    """The churn scenario of ``config`` (pure function); client ``i``
+    owns profiles ``offsets[i]:offsets[i+1]`` of the one ``columns``."""
     rng = np.random.default_rng(config.seed)
     epoch = Epoch(config.epoch_length)
     trace = PoissonUpdateModel(config.intensity,
@@ -223,21 +207,36 @@ def _workload(config: ChurnConfig):
                for _ in range(config.num_clients)]
 
     names = [f"client-{index}" for index in range(config.num_clients)]
-    blocks = [_client_block(config, trace, epoch, index, names[index])
-              for index in range(config.num_clients)]
-    counts = [block.tinterval_heads().size for block in blocks]
-    return (epoch, trace, joins, leave_at, leavers, names, blocks, counts)
+    # Each client draws from its own stream, independent of join timing;
+    # the Zipf tables depend on (theta, size) only, so all share them.
+    tables = (BoundedZipf(0.0, config.max_rank, rng=rng),
+              BoundedZipf(0.0, config.num_resources, rng=rng))
+    draws = [draw_profiles(np.random.default_rng(config.seed + 101 * (i + 1)),
+                           config.profiles_per_client, *tables)
+             for i in range(config.num_clients)]
+    labels = [f"{name}/AuctionWatch({rank})#{profile}"
+              for name, (ranks, _) in zip(names, draws)
+              for profile, rank in enumerate(ranks.tolist())]
+    # The universe is 0..n-1 in order: a position is its resource id.
+    columns = AuctionWatchTemplate(
+        WindowRestriction(config.window), grouping="overlap").build_columns(
+            *map(np.concatenate, zip(*draws)), labels, trace, epoch)
+    # A profile without t-intervals owns no row and nobody registers
+    # it: dropping every such profile only renumbers the others.
+    kept = np.bincount(columns.ei_profile, minlength=len(labels)) > 0
+    sizes = kept.reshape(len(names), config.profiles_per_client).sum(axis=1)
+    columns = columns._replace(
+        names=tuple(compress(labels, kept.tolist())),
+        ei_profile=(np.cumsum(kept) - 1)[columns.ei_profile])
+    return (epoch, trace, joins, leave_at, leavers, names, columns,
+            [0] + np.cumsum(sizes).tolist())
 
 
 def run_churn(config: ChurnConfig) -> ChurnResult:
     """Execute one churn scenario end to end."""
-    (epoch, trace, joins, leave_at, leavers, names,
-     blocks, counts) = _workload(config)
     if config.engine == "reference":
-        return _run_churn_proxy(config, epoch, trace, joins, leave_at,
-                                leavers, names, blocks, counts)
-    return _run_churn_engine(config, epoch, trace, joins, leave_at,
-                             leavers, names, blocks, counts)
+        return _run_churn_proxy(config, *_workload(config))
+    return _run_churn_engine(config, *_workload(config))
 
 
 def build_churn_workload(config: ChurnConfig) \
@@ -245,19 +244,28 @@ def build_churn_workload(config: ChurnConfig) \
     """The engine-path workload of ``config``: initial set + plan.
 
     Benchmarks use this to generate the (expensive, engine-independent)
-    instance once and time only the engine runs. Both are column-born:
+    instance once and time only the engine runs. Both are column-born,
+    two slices of one ``build_columns`` over every client's draws:
     nothing builds a profile or an event until something reads one.
     """
     (epoch, _trace, joins, leave_at, leavers, _names,
-     blocks, _counts) = _workload(config)
-    initial, plan, _ids, _marks = _engine_plan(
-        config, epoch, joins, leave_at, leavers, blocks)
+     columns, offsets) = _workload(config)
+    initial, plan, _marks = _engine_plan(
+        epoch, joins, leave_at, leavers, columns, offsets)
     return initial, plan, epoch
 
 
-def _engine_plan(config: ChurnConfig, epoch: Epoch, joins: list[int],
-                 leave_at: int, leavers: list[bool],
-                 blocks: list[ProfileColumns]):
+def _slice(columns: ProfileColumns, lo: int, hi: int) -> ProfileColumns:
+    """Profiles ``lo..hi-1`` of ``columns`` (one run of rows), from 0."""
+    first, last = np.searchsorted(columns.ei_profile, (lo, hi)).tolist()
+    return ProfileColumns(columns.names[lo:hi],
+                          columns.ei_profile[first:last] - lo,
+                          *(column[first:last] for column in columns[2:]))
+
+
+def _engine_plan(epoch: Epoch, joins: list[int], leave_at: int,
+                 leavers: list[bool], columns: ProfileColumns,
+                 offsets: list[int]):
     """Lower the client scenario to (initial set, churn plan).
 
     Profile ids are predicted: the initial set takes 0..n-1 in
@@ -266,54 +274,49 @@ def _engine_plan(config: ChurnConfig, epoch: Epoch, joins: list[int],
     ``joins`` is sorted, so the clients there from the start come first
     and client order is id order throughout.
     """
-    sizes = np.array([len(block.names) for block in blocks])
-    ends = np.cumsum(sizes)
-    ids_by_client = [range(end - size, end)
-                     for size, end in zip(sizes.tolist(), ends.tolist())]
+    sizes = np.diff(offsets)
     early = joins.count(0)
     # Adds in client order are in ascending-chronon (= id assignment)
     # order automatically.
-    added = ProfileColumns.concat(blocks[early:])
+    added = _slice(columns, offsets[early], offsets[-1])
     # Cancellations come after the adds: at the leave chronon the
     # proxy registers joiners first, then processes leavers — same-
     # chronon plan order reproduces that. A leaver that joins *after*
     # leave_at keeps its mark but nothing to unregister (the reference
     # proxy's behaviour, preserved verbatim).
-    left_marks: list[int | None] = [None] * config.num_clients
-    removed: list[int] = []
-    if leave_at >= epoch.first:
-        for index, leaving in enumerate(leavers):
-            if not leaving:
-                continue
-            left_marks[index] = leave_at
-            if joins[index] <= leave_at:
-                removed.extend(ids_by_client[index])
+    left_marks = [leave_at if leaving and leave_at >= epoch.first else None
+                  for leaving in leavers]
+    removed = np.flatnonzero(np.repeat(
+        [mark is not None and join <= leave_at
+         for mark, join in zip(left_marks, joins)], sizes))
     plan = PlanColumns(
         added,
-        np.repeat([True, False], [len(added.names), len(removed)]),
+        np.repeat([True, False], [len(added.names), removed.size]),
         np.concatenate((np.repeat(np.array(joins[early:], dtype=np.int64),
                                   sizes[early:]),
-                        np.full(len(removed), leave_at))),
-        np.concatenate((np.arange(len(added.names)),
-                        np.array(removed, dtype=np.int64))))
-    return (ProfileSet.from_columns(ProfileColumns.concat(blocks[:early])),
-            ChurnPlan.from_columns(plan), ids_by_client, left_marks)
+                        np.full(removed.size, leave_at))),
+        np.concatenate((np.arange(len(added.names)), removed)))
+    return (ProfileSet.from_columns(_slice(columns, 0, offsets[early])),
+            ChurnPlan.from_columns(plan), left_marks)
 
 
 def _run_churn_engine(config: ChurnConfig, epoch: Epoch, trace,
                       joins: list[int], leave_at: int,
                       leavers: list[bool], names: list[str],
-                      blocks: list[ProfileColumns],
-                      counts: list[int]) -> ChurnResult:
+                      columns: ProfileColumns,
+                      offsets: list[int]) -> ChurnResult:
     """``run_churned`` path: the client plan lowered to a ChurnPlan."""
     policy, preemptive = parse_policy_spec(config.policy)
-    initial, plan, ids_by_client, left_marks = _engine_plan(
-        config, epoch, joins, leave_at, leavers, blocks)
+    initial, plan, left_marks = _engine_plan(
+        epoch, joins, leave_at, leavers, columns, offsets)
 
     result = run_churned(
         initial, epoch, BudgetVector(config.budget), policy,
         plan=plan, preemptive=preemptive)
 
+    # A client's t-intervals: the heads between its two offsets.
+    counts = np.diff(np.searchsorted(
+        columns.ei_profile[columns.tinterval_heads()], offsets)).tolist()
     per_profile = result.report.per_profile
     outcomes = tuple(
         ClientOutcome(
@@ -321,8 +324,8 @@ def _run_churn_engine(config: ChurnConfig, epoch: Epoch, trace,
             joined_at=joins[index],
             left_at=left_marks[index],
             registered=counts[index],
-            notified=sum(per_profile[profile_id][0]
-                         for profile_id in ids_by_client[index]),
+            notified=sum(per_profile[profile_id][0] for profile_id
+                         in range(offsets[index], offsets[index + 1])),
         )
         for index in range(config.num_clients)
     )
@@ -339,16 +342,16 @@ def _run_churn_engine(config: ChurnConfig, epoch: Epoch, trace,
 def _run_churn_proxy(config: ChurnConfig, epoch: Epoch, trace,
                      joins: list[int], leave_at: int,
                      leavers: list[bool], names: list[str],
-                     blocks: list[ProfileColumns],
-                     counts: list[int]) -> ChurnResult:
+                     columns: ProfileColumns,
+                     offsets: list[int]) -> ChurnResult:
     """Reference path through the live MonitoringProxy — the one reader
-    of profile objects, built here from the same columns, and the only
-    code here that needs the synchronous proxy runtime."""
+    of profile objects (each client's built from its slice of the
+    columns) and the only code here that needs the synchronous runtime."""
     from repro.runtime.proxy import MonitoringProxy
 
     policy, preemptive = parse_policy_spec(config.policy)
-    profiles_by_client = [ProfileSet.from_columns(block).profiles
-                          for block in blocks]
+    profiles_by_client = [ProfileSet.from_columns(_slice(columns, lo, hi))
+                          for lo, hi in zip(offsets, offsets[1:])]
     proxy = MonitoringProxy(OriginServer(trace), epoch,
                             BudgetVector(config.budget), policy,
                             preemptive=preemptive)
@@ -370,20 +373,18 @@ def _run_churn_proxy(config: ChurnConfig, epoch: Epoch, trace,
                 1 for eta in profile
                 if min(ei.finish for ei in eta) < first_chronon)
 
-    # Join at chronon 0 means "before the run starts".
-    pending = list(range(config.num_clients))
-    for index in list(pending):
+    # Join at chronon 0 means "before the run starts"; every later
+    # chronon is stepped once, so every client registers once.
+    for index in range(config.num_clients):
         if joins[index] == 0:
             register(index)
-            pending.remove(index)
 
     left_marks: list[int | None] = [None] * config.num_clients
     while proxy.clock < epoch.last:
         chronon = proxy.step()
-        for index in list(pending):
+        for index in range(config.num_clients):
             if joins[index] == chronon:
                 register(index)
-                pending.remove(index)
         if chronon == leave_at:
             for index, leaving in enumerate(leavers):
                 if leaving and left_marks[index] is None:
@@ -397,7 +398,7 @@ def _run_churn_proxy(config: ChurnConfig, epoch: Epoch, trace,
             name=clients[index].name,
             joined_at=joins[index],
             left_at=left_marks[index],
-            registered=counts[index],
+            registered=profiles_by_client[index].total_tintervals,
             notified=len(clients[index].mailbox),
         )
         for index in range(config.num_clients)

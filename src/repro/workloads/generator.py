@@ -34,7 +34,7 @@ from repro.workloads.restrictions import (
 from repro.workloads.templates import AuctionWatchTemplate, ProfileTemplate
 from repro.workloads.zipf import BoundedZipf
 
-__all__ = ["GeneratorConfig", "ProfileGenerator"]
+__all__ = ["GeneratorConfig", "ProfileGenerator", "draw_profiles"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,21 +213,30 @@ class ProfileGenerator:
                     chosen, trace, epoch,
                     name=f"AuctionWatch({rank})#{index}"))
             return ProfileSet(profiles)
-        # Same uniform stream as the reference draws above; the rng
-        # itself is only touched through the buffer.
-        uniforms = _UniformBuffer(rng)
-        ranks: list[int] = []
-        positions: list[int] = []
-        for _ in range(self.config.num_profiles):
-            rank = min(rank_dist.sample_from(uniforms.take_one()),
-                       len(resource_ids))
-            ranks.append(rank)
-            positions.extend(resource_dist.sample_distinct_from(
-                rank, uniforms.take))
-        universe = np.asarray(resource_ids, dtype=np.int64)
+        ranks, positions = draw_profiles(rng, self.config.num_profiles,
+                                         rank_dist, resource_dist)
         return ProfileSet.from_columns(self._template.build_columns(
-            np.asarray(ranks, dtype=np.int64),
-            universe[np.asarray(positions, dtype=np.int64) - 1],
+            ranks, np.asarray(resource_ids, dtype=np.int64)[positions],
             [f"AuctionWatch({rank})#{index}"
-             for index, rank in enumerate(ranks)],
+             for index, rank in enumerate(ranks.tolist())],
             trace, epoch))
+
+
+def draw_profiles(rng: np.random.Generator, count: int,
+                  rank_dist: BoundedZipf, resource_dist: BoundedZipf) \
+        -> tuple[np.ndarray, np.ndarray]:
+    """Stages 1-2 of ``count`` profiles from ``rng``'s uniforms, as the
+    reference path draws them: ranks, and each profile's 0-based universe
+    positions in turn. The Zipf tables are only read: many streams share
+    them, and one ``build_columns`` over all their draws is stage 3."""
+    uniforms = _UniformBuffer(rng)
+    ranks: list[int] = []
+    positions: list[int] = []  # 1-based, as the Zipf tables count
+    for _ in range(count):
+        rank = min(rank_dist.sample_from(uniforms.take_one()),
+                   resource_dist.size)
+        ranks.append(rank)
+        positions.extend(resource_dist.sample_distinct_from(
+            rank, uniforms.take))
+    return (np.asarray(ranks, dtype=np.int64),
+            np.asarray(positions, dtype=np.int64) - 1)

@@ -47,6 +47,23 @@ class TestChurnConfig:
         with pytest.raises(WorkloadError):
             _config(num_clients=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_resources", 0), ("profiles_per_client", -1),
+        ("max_rank", 0), ("window", -1), ("epoch_length", 0),
+        ("budget", -1),
+    ])
+    def test_bad_sizes_rejected_up_front(self, field, value):
+        """Refused by the config itself, naming the field — not later by
+        a generator, an epoch or a budget built from it."""
+        with pytest.raises(WorkloadError, match=f"^{field} must be >= "):
+            _config(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("profiles_per_client", 0), ("window", 0), ("budget", 0),
+    ])
+    def test_zero_is_a_size(self, field, value):
+        assert getattr(_config(**{field: value}), field) == 0
+
 
 class TestRunChurn:
     def test_static_join_baseline(self):
@@ -129,18 +146,27 @@ class TestChurnEngines:
 
     def test_engine_matches_reference_proxy(self):
         # Not contractual (tie-break sequencing could diverge), but on
-        # this scenario the columns and the live proxy
+        # these scenarios the columns and the live proxy
         # agree outcome for outcome — a strong cross-implementation
-        # anchor for the churn plan translation.
-        fast = run_churn(_config(join_spread=0.6, leave_probability=0.5,
-                                 engine="batch"))
-        proxy = run_churn(_config(join_spread=0.6, leave_probability=0.5,
-                                  engine="reference"))
-        assert fast.completed == proxy.completed
-        assert fast.expired == proxy.expired
-        assert fast.dropped == proxy.dropped
-        assert [c.notified for c in fast.clients] == \
-            [c.notified for c in proxy.clients]
+        # anchor for the churn plan translation. The proxy registers
+        # each client's slice of the scenario's columns, the engine the
+        # whole: every client's accounting must agree.
+        # The first scenario happens to keep every client; the second
+        # churns six of its nine out, late joiners among them.
+        for overrides, leavers in (
+                (dict(), 0),
+                (dict(num_clients=9, profiles_per_client=3, seed=7), 6)):
+            churn_out = dict(join_spread=0.6, leave_probability=0.5,
+                             **overrides)
+            fast = run_churn(_config(engine="batch", **churn_out))
+            proxy = run_churn(_config(engine="reference", **churn_out))
+            assert fast.completed == proxy.completed
+            assert fast.expired == proxy.expired
+            assert fast.dropped == proxy.dropped
+            assert fast.clients == proxy.clients
+            assert sum(client.left_at is not None
+                       for client in proxy.clients) == leavers
+            assert (proxy.dropped > 0) == (leavers > 0)
 
     def test_doomed_at_birth_agrees_across_engines(self):
         # Late joiners register t-intervals whose deadline already

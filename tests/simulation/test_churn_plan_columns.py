@@ -9,9 +9,10 @@ Nothing here trusts the arrays:
 * a column-born plan lowers to what the hand-built plan lowers to and to
   what ``test_churn_columns``'s event-by-event walk says, order-exact
   errors included;
-* the churn experiment's column-born workload is compared with a
+* the churn experiment's column-born workload — every client's draws
+  through one ``build_columns`` — is compared with a per-client,
   per-object build of the same scenario (the builder the experiment
-  used to have, kept here as the reference);
+  used to have, kept here as the reference), at its edges too;
 * the lowering a plan keeps is checked from outside: constructor calls
   counted, what invalidates it, what a reused run may not inherit.
 """
@@ -53,6 +54,7 @@ from repro.simulation.churn import lower_plan
 from repro.simulation.columnar import BatchUnsupported, ColumnarInstance
 from repro.traces.models import PoissonUpdateModel
 from repro.workloads.generator import GeneratorConfig, ProfileGenerator
+from repro.workloads.templates import AuctionWatchTemplate
 
 from tests.properties.strategies import HORIZON, epoch
 from tests.properties.test_prop_batch_faults import (
@@ -367,6 +369,48 @@ class TestGeneratedWorkload:
         assert [profile.name for profile in initial] \
             == [profile.name for profile in want_initial]
         assert _fields(plan) == _fields(want_plan)
+
+    EDGES = {
+        # Clients whose generators emit profiles without t-intervals.
+        "empty": dict(intensity=0.4, window=1),
+        # More rank than resources: every rank is clamped to 2.
+        "clamped": dict(num_resources=2, max_rank=4),
+        "no_profiles": dict(profiles_per_client=0),
+        "one_profile": dict(profiles_per_client=1),
+        "all_at_zero": dict(join_spread=0.0),
+        "all_leave": dict(leave_probability=1.0),
+    }
+
+    @pytest.mark.parametrize("edge", list(EDGES))
+    def test_the_one_build_at_its_edges(self, edge):
+        """Every client's draws go through one ``build_columns``; the
+        per-client build it replaced is the referee, at the edges the
+        shared build has to get right."""
+        config = ChurnConfig(**{**WORKLOAD, "seed": 3, "join_spread": 0.5,
+                                **self.EDGES[edge]})
+        with _counting(AuctionWatchTemplate, "build_columns") as built:
+            initial, plan, epoch_ = build_churn_workload(config)
+        assert built.call_count == 1
+        want_initial, want_plan, _e = object_built(config)
+        assert plan == want_plan
+        for got, want in zip(initial.columns(), want_initial.columns()):
+            assert np.array_equal(got, want)
+        assert _fields(plan) == _fields(want_plan)
+        profiles = list(initial) + [event.profile for event in plan
+                                    if event.action == "add"]
+        removed = sum(event.action == "remove" for event in plan)
+        offered = config.num_clients * config.profiles_per_client
+        assert {
+            "empty": 0 < len(profiles) < offered,
+            "clamped": {profile.rank for profile in profiles} == {1, 2},
+            "no_profiles": not profiles and not plan,
+            "one_profile": 0 < len(profiles) <= offered,
+            "all_at_zero": len(initial) == len(profiles) > 0 < removed,
+            "all_leave": removed == len(profiles) > 0,
+        }[edge]
+        _same_run(_run(initial, plan, LABELS[0], epoch_, BudgetVector(2)),
+                  _run(want_initial, want_plan, LABELS[0], epoch_,
+                       BudgetVector(2)))
 
     def test_the_benchmarks_default_has_an_empty_initial_set(self):
         # Every client joins after clock 0 on most seeds: the empty

@@ -1,15 +1,22 @@
 """Tests for the three-stage profile generator."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.core import Epoch, WorkloadError
+from repro.core.profile import ProfileColumns
 from repro.traces import PoissonUpdateModel
 from repro.workloads import (
+    AuctionWatchTemplate,
+    BoundedZipf,
     GeneratorConfig,
     OverwriteRestriction,
     ProfileGenerator,
     WindowRestriction,
 )
+from repro.workloads.generator import draw_profiles
 
 
 @pytest.fixture
@@ -128,3 +135,58 @@ class TestGeneration:
         config = GeneratorConfig(num_profiles=10, max_rank=5, seed=11)
         profiles = ProfileGenerator(config).generate(trace, epoch)
         assert profiles.rank <= 2
+
+
+class TestDrawBuildSeam:
+    """``generate`` is ``draw_profiles`` then ``build_columns``: several
+    streams' draws, over shared Zipf tables, through one build are each
+    stream's own ``generate``, one after another."""
+
+    SEEDS = (11, 12, 40)
+
+    @pytest.mark.parametrize("grouping", ["overlap", "indexed"])
+    @pytest.mark.parametrize("window", [None, 0, 6])
+    @pytest.mark.parametrize("skew", [0.0, 1.3])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_one_build_over_several_seeds(self, trace, epoch, grouping,
+                                          window, skew, shuffled):
+        config = GeneratorConfig(num_profiles=7, max_rank=4, alpha=skew,
+                                 beta=skew, window=window, grouping=grouping)
+        universe = sorted(trace.resource_ids)
+        if shuffled:
+            np.random.default_rng(3).shuffle(universe)
+        rank_dist = BoundedZipf(config.beta, config.max_rank)
+        resource_dist = BoundedZipf(config.alpha, len(universe))
+        draws = [draw_profiles(np.random.default_rng(seed),
+                               config.num_profiles, rank_dist, resource_dist)
+                 for seed in self.SEEDS]
+        built = AuctionWatchTemplate(
+            config.restriction(), grouping=grouping).build_columns(
+                np.concatenate([ranks for ranks, _ in draws]),
+                np.asarray(universe)[np.concatenate(
+                    [positions for _, positions in draws])],
+                [f"AuctionWatch({rank})#{index}" for ranks, _ in draws
+                 for index, rank in enumerate(ranks.tolist())],
+                trace, epoch)
+        want = ProfileColumns.concat([
+            ProfileGenerator(replace(config, seed=seed)).generate(
+                trace, epoch, resource_ids=universe).columns()
+            for seed in self.SEEDS])
+        assert built.names == want.names
+        assert built.ei_profile.size > 0
+        for got, expected in zip(built[1:], want[1:]):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+    def test_draws_are_ranks_and_zero_based_positions(self):
+        rank_dist, resource_dist = BoundedZipf(0.0, 5), BoundedZipf(0.0, 3)
+        ranks, positions = draw_profiles(np.random.default_rng(8), 40,
+                                         rank_dist, resource_dist)
+        assert ranks.dtype == positions.dtype == np.int64
+        # Ranks past the universe are clamped to its size.
+        assert set(ranks.tolist()) <= {1, 2, 3} and 3 in ranks
+        assert positions.size == ranks.sum()
+        assert set(positions.tolist()) == {0, 1, 2}
+        empty = draw_profiles(np.random.default_rng(8), 0, rank_dist,
+                              resource_dist)
+        assert [part.size for part in empty] == [0, 0]
