@@ -10,7 +10,7 @@ report the same series the paper plots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from repro.core.intervals import TInterval
 from repro.core.profile import Profile, ProfileSet
@@ -34,13 +34,14 @@ class CompletenessReport:
         ``profile_id -> (captured, total)`` pairs.
     per_rank:
         ``t-interval size -> (captured, total)`` pairs; useful for rank
-        sweeps (Figure 4).
+        sweeps (Figure 4). A block-kernel report holds both breakdowns
+        as read-only mappings, counted on first read.
     """
 
     captured: int
     total: int
-    per_profile: dict[int, tuple[int, int]] = field(default_factory=dict)
-    per_rank: dict[int, tuple[int, int]] = field(default_factory=dict)
+    per_profile: Mapping[int, tuple[int, int]] = field(default_factory=dict)
+    per_rank: Mapping[int, tuple[int, int]] = field(default_factory=dict)
 
     @property
     def gc(self) -> float:

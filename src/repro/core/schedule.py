@@ -38,10 +38,11 @@ class Schedule:
     -----
     Probe chronons are kept per resource as a set (O(1) duplicate checks)
     with a lazily rebuilt sorted view so that capture checks cost
-    ``O(log #probes_on_resource)`` via bisection.
+    ``O(log #probes_on_resource)`` via bisection. A :meth:`from_columns`
+    schedule builds those sets on the first call of any method but len.
     """
 
-    __slots__ = ("_chronons", "_sorted_cache", "_count")
+    __slots__ = ("_chronons", "_sorted_cache", "_count", "_columns")
 
     def __init__(self, probes: Iterable[Probe] = ()) -> None:
         self._chronons: dict[int, set[Chronon]] = {}
@@ -51,18 +52,27 @@ class Schedule:
             self.add_probe(resource_id, chronon)
 
     @classmethod
-    def from_grouped(cls, chronons: dict[int, set[Chronon]]) -> "Schedule":
-        """Adopt pre-grouped per-resource chronon sets without validation.
-
-        Bulk path for engines that already guarantee valid, deduplicated
-        probes (the batch engine emits each (resource, chronon) pair at
-        most once per run by construction). The mapping is adopted, not
-        copied.
+    def from_columns(cls, resource_ids, chronons) -> "Schedule":
+        """Adopt distinct probes as two equal-length integer arrays,
+        without validation (the block kernel emits each (resource,
+        chronon) pair at most once per run by construction).
         """
-        schedule = cls()
-        schedule._chronons = chronons
-        schedule._count = sum(len(c) for c in chronons.values())
+        schedule = cls.__new__(cls)
+        schedule._sorted_cache = {}
+        schedule._count = len(resource_ids)
+        schedule._columns = (resource_ids, chronons)
         return schedule
+
+    def __getattr__(self, name: str):
+        # Only unset slots land here: an ungrouped schedule's _chronons.
+        if name != "_chronons":
+            raise AttributeError(name)
+        grouped: dict[int, set[Chronon]] = {}
+        for resource_id, chronon in zip(*(c.tolist() for c in self._columns)):
+            grouped.setdefault(resource_id, set()).add(chronon)
+        self._chronons = grouped
+        del self._columns
+        return grouped
 
     def add_probe(self, resource_id: int, chronon: Chronon) -> bool:
         """Record a probe; returns False when it was already present."""

@@ -57,6 +57,7 @@ federated run is refused.
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -252,15 +253,16 @@ def run_block(
     preemptive).run()`` (with the lane's faults/retry/breaker) would
     produce — schedule, report, fault stats, breaker end state, and for
     recording injectors the :class:`~repro.faults.model.FaultTrace`,
-    probe for probe. ``runtime_seconds`` is the block wall time split
-    evenly across lanes — an accounting share (per-lane attribution is
-    meaningless inside a shared pass), never to be reported as a
-    per-policy runtime; ``extras["lowering_windows"]`` says how many
-    activity windows that time includes building. Over a lowering with
-    lifetimes (a churned run, see :mod:`repro.simulation.churn`)
-    ``extras["dropped"]`` counts the t-intervals cancelled with no
-    missed deadline yet — neither captured nor ``expired``; it is 0
-    when nobody leaves.
+    probe for probe; its schedule and ``per_profile`` / ``per_rank``
+    are built on first read. ``runtime_seconds`` is the block wall time
+    split evenly across lanes — an accounting share (per-lane
+    attribution is meaningless inside a shared pass), never to be
+    reported as a per-policy runtime; ``extras["lowering_windows"]``
+    says how many activity windows that time includes building. Over a
+    lowering with lifetimes (a churned run, see
+    :mod:`repro.simulation.churn`) ``extras["dropped"]`` counts the
+    t-intervals cancelled with no missed deadline yet — neither
+    captured nor ``expired``; it is 0 when nobody leaves.
 
     Raises :class:`BatchUnsupported` for policies without a columnar
     kind, instances whose packed keys overflow, or fault layers the
@@ -737,7 +739,7 @@ def _capture(picks: np.ndarray, cand: np.ndarray, grp_of: np.ndarray,
 
 def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
              select=None, settle=None):
-    """Run every lane over ``col``'s windows; -> ``(schedules, capture
+    """Run every lane over ``col``'s windows; -> ``(probe columns, capture
     counts, alive flags, fault stats)``, one entry (row) per lane each.
 
     An active chronon is a fixed run of phases: expire (:func:`_expire`)
@@ -807,9 +809,10 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
     # scalar indexing costs several times more in the hot loop.
     kmax_per_t = budgets.max(axis=0).tolist()
 
-    # Per lane, per resource, the chronons it was probed at — the exact
-    # shape Schedule stores.
-    lane_scheds: list[dict[int, set[int]]] = [{} for _ in range(L)]
+    # The probe log, seeded with one empty entry so it always concatenates.
+    log_lanes = [np.empty(0, dtype=np.int64)]
+    log_rids = [np.empty(0, dtype=np.int64)]
+    log_T = [0]
     xe_ti = 0
     n_xe = col.xe_chronons.size if doom_rows.size else 0
     xe_chronons = col.xe_chronons.tolist()
@@ -930,8 +933,9 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
                 pr_rows, rids = cap_l, grids[cap_g]
                 picks = np.zeros((L, ghi - glo), dtype=bool)
                 picks[cap_l, cap_g] = True
-            for lane, rid in zip(pr_rows.tolist(), rids.tolist()):
-                lane_scheds[lane].setdefault(rid, set()).add(T)
+            log_lanes.append(pr_rows)
+            log_rids.append(rids)
+            log_T.append(T)
             _capture(picks, cand, win.grp_of[alo:ahi], ae, ps, alive,
                      committed, cap_flat, capsum_flat,
                      None if capsum is None else win.fin_act[alo:ahi])
@@ -946,7 +950,14 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
     if plane is not None:
         plane.finish()
         stats = plane.lane_stats()
-    return lane_scheds, cap_count, alive, stats
+    # Each lane's own (resource, chronon) columns: copies, pinning no log.
+    lane = np.concatenate(log_lanes)
+    order = np.argsort(lane, kind="stable")
+    log = np.stack((np.concatenate(log_rids),
+                    np.repeat(log_T, [a.size for a in log_lanes])))[:, order]
+    cuts = np.cumsum(np.bincount(lane, minlength=L))[:-1]
+    return ([tuple(own.copy()) for own in np.split(log, cuts, axis=1)],
+            cap_count, alive, stats)
 
 
 def _commit_failed(col: ColumnarInstance, committed: np.ndarray,
@@ -983,8 +994,42 @@ def _commit_failed(col: ColumnarInstance, committed: np.ndarray,
 # Final accounting
 # ----------------------------------------------------------------------
 
+class _Breakdown(Mapping):
+    """One lane's ``{key: (complete states with that key, of how many)}``
+    over its ``done`` states, counted on first read: ``key_of`` is each
+    state's key, ``totals`` each key's state count in report order."""
+
+    __slots__ = ("_key_of", "_done", "_totals", "_table")
+
+    def __init__(self, key_of: np.ndarray, done: np.ndarray,
+                 totals: dict[int, int]) -> None:
+        self._key_of, self._done, self._totals = key_of, done, totals
+        self._table: dict[int, tuple[int, int]] | None = None
+
+    def _read(self) -> dict[int, tuple[int, int]]:
+        if self._table is None:
+            keys = list(self._totals)
+            hits = np.bincount(self._key_of[self._done],
+                               minlength=max(keys, default=-1) + 1)
+            self._table = dict(zip(keys, zip(hits[keys].tolist(),
+                                              self._totals.values())))
+        return self._table
+
+    def __getitem__(self, key):
+        return self._read()[key]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __len__(self) -> int:
+        return len(self._totals)
+
+    def __repr__(self) -> str:
+        return repr(self._read())
+
+
 def _finalize(col: ColumnarInstance, lanes: list[_Lane],
-              scheds: list[dict[int, set[int]]], cap_count: np.ndarray,
+              probes: list[tuple], cap_count: np.ndarray,
               alive: np.ndarray, stats: list[tuple[int, int, int]],
               runtime: float, windows: int) -> list[SimulationResult]:
     """Every lane's result, from the block's final capture state (one
@@ -1003,7 +1048,6 @@ def _finalize(col: ColumnarInstance, lanes: list[_Lane],
     """
     L, total = cap_count.shape
     complete = cap_count == col.st_size
-    captured = np.count_nonzero(complete, axis=1).tolist()
     leaves = col.st_gone <= col.epoch.last
     dropped = [0] * L
     if leaves.any():
@@ -1014,27 +1058,21 @@ def _finalize(col: ColumnarInstance, lanes: list[_Lane],
         dropped = np.count_nonzero(~complete & leaves & ~observed,
                                    axis=1).tolist()
 
-    def hits(key_of: np.ndarray, totals: dict[int, int], done: np.ndarray):
-        """``{key: (complete states with that key, of how many)}``."""
-        keys = list(totals)
-        table = np.bincount(key_of[done],
-                            minlength=max(keys, default=-1) + 1)
-        return dict(zip(keys, zip(table[keys].tolist(), totals.values())))
-
     results = []
     for i, lane in enumerate(lanes):
+        done = np.flatnonzero(complete[i])
         report = CompletenessReport(
-            captured=captured[i], total=total,
-            per_profile=hits(col.st_profile, col.profile_totals, complete[i]),
-            per_rank=hits(col.st_size, col.rank_totals, complete[i]))
-        schedule = Schedule.from_grouped(scheds[i])
+            captured=done.size, total=total,
+            per_profile=_Breakdown(col.st_profile, done, col.profile_totals),
+            per_rank=_Breakdown(col.st_size, done, col.rank_totals))
+        schedule = Schedule.from_columns(*probes[i])
         probes_failed, retries, quarantined = stats[i]
         results.append(SimulationResult(
             label=lane.policy.label(lane.preemptive),
             schedule=schedule,
             report=report,
             probes_used=len(schedule),
-            expired=total - captured[i] - dropped[i],
+            expired=total - done.size - dropped[i],
             runtime_seconds=runtime,
             probes_failed=probes_failed,
             retries=retries,

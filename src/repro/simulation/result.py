@@ -20,7 +20,8 @@ class SimulationResult:
         Human-readable identifier, e.g. ``"MRSF(P)"`` or
         ``"offline-approx"``.
     schedule:
-        The probe schedule that was executed/produced.
+        The probe schedule that was executed/produced. A block-kernel
+        result builds it, and ``report``'s breakdowns, on first read.
     report:
         Capture accounting against the input profile set.
     probes_used:

@@ -1,6 +1,8 @@
 """Tests for gained completeness (the paper's objective function)."""
 
 from repro.core import (
+    BudgetVector,
+    Epoch,
     ExecutionInterval,
     Profile,
     ProfileSet,
@@ -9,6 +11,8 @@ from repro.core import (
     evaluate_schedule,
     gained_completeness,
 )
+from repro.online import MRSFPolicy
+from repro.simulation import run_online
 
 
 def _profiles() -> ProfileSet:
@@ -73,3 +77,51 @@ class TestCompletenessReport:
         schedule = Schedule([(0, 2), (1, 3)])
         report = evaluate_schedule(_profiles(), schedule)
         assert report.gc == gained_completeness(_profiles(), schedule)
+
+
+def _contended() -> ProfileSet:
+    """Three EIs at chronon 2: a budget of 1 misses two t-intervals."""
+    return ProfileSet([
+        Profile([TInterval([ExecutionInterval(0, 2, 2)]),
+                 TInterval([ExecutionInterval(1, 2, 2),
+                            ExecutionInterval(3, 4, 4)])]),
+        Profile([TInterval([ExecutionInterval(2, 2, 2)])]),
+    ])
+
+
+class TestBlockReport:
+    """A block-kernel report counts its breakdowns on first read and is
+    still a report: equal to the dict-built one, from either side."""
+
+    @staticmethod
+    def _run(profiles, engine="batch"):
+        return run_online(profiles, Epoch(6), BudgetVector(1),
+                          MRSFPolicy(), engine=engine)
+
+    def test_equals_the_dict_built_report_either_side(self):
+        for profiles in (_profiles(), _contended()):
+            result = self._run(profiles)
+            tallied = evaluate_schedule(profiles, result.schedule)
+            assert type(tallied.per_profile) is dict
+            assert result.report == tallied
+            assert tallied == result.report
+            assert result.report == self._run(profiles).report
+            assert tallied.per_rank == result.report.per_rank
+            assert list(result.report.per_profile) == \
+                list(tallied.per_profile)
+            assert list(result.report.per_rank.items()) == \
+                list(tallied.per_rank.items())
+
+    def test_profile_gc_before_any_other_read(self):
+        reference = self._run(_contended(), "reference").report
+        assert reference.captured == 1
+        for profile_id in (0, 1, 99):
+            report = self._run(_contended()).report
+            assert report.profile_gc(profile_id) == \
+                reference.profile_gc(profile_id)
+
+    def test_repr_shows_the_counts_before_any_other_read(self):
+        reference = self._run(_contended(), "reference").report
+        report = self._run(_contended()).report
+        assert repr(report) == repr(reference)
+        assert "per_profile={0: (" in repr(report)

@@ -18,7 +18,7 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro.core import ProfileSet
+from repro.core import ProfileSet, Schedule
 from repro.experiments import ExperimentConfig, figure5, harness, table1
 from repro.experiments.faults import (
     FAULT_POLICY_VARIANTS,
@@ -32,6 +32,7 @@ from repro.experiments.harness import (
     run_setting,
     sweep,
 )
+from repro.online.registry import parse_policy_spec
 from repro.simulation import ProxySimulator, run_online
 from repro.simulation import batch as batch_module
 from repro.experiments.instances import (
@@ -327,6 +328,50 @@ class TestOneBlockPerInstance:
         assert pooled.blocks == serial.blocks == 3
         for run, serial_run in zip(pooled.runs, serial.runs):
             assert _gc_map(run) == _gc_map(serial_run)
+
+
+@pytest.fixture
+def epilogue_builds(monkeypatch):
+    """Schedule groupings and breakdown counts made in this process."""
+    made = {"grouped": 0, "counted": 0}
+    group, read = Schedule.__getattr__, batch_module._Breakdown._read
+
+    def grouping(self, name):
+        made["grouped"] += name == "_chronons"
+        return group(self, name)
+
+    def counting(self):
+        made["counted"] += self._table is None
+        return read(self)
+
+    monkeypatch.setattr(Schedule, "__getattr__", grouping)
+    monkeypatch.setattr(batch_module._Breakdown, "_read", counting)
+    return made
+
+
+class TestResultsStayColumns:
+    """A sweep keeps only GC and runtime, so a block's schedules and
+    breakdowns are never built; reading one builds exactly that one."""
+
+    def test_a_sweep_builds_nothing(self, epilogue_builds):
+        sweep("s", _CONFIG, "budget", [1, 2, 3])
+        fault_sweep(config=_CONFIG.with_(budget=2), rates=(0.0, 0.3))
+        assert epilogue_builds == {"grouped": 0, "counted": 0}
+
+    def test_a_read_builds_once(self, epilogue_builds):
+        _trace, profiles = make_instance(_CONFIG, 0)
+        policy, preemptive = parse_policy_spec("MRSF(P)")
+        result = run_online(profiles, _CONFIG.epoch, _CONFIG.budget_vector,
+                            policy, preemptive=preemptive, engine="batch")
+        assert epilogue_builds == {"grouped": 0, "counted": 0}
+        assert result.probes_used == len(list(result.schedule.probes()))
+        assert epilogue_builds == {"grouped": 1, "counted": 0}
+        assert sum(c for c, _t in result.report.per_profile.values()) \
+            == result.report.captured
+        assert epilogue_builds == {"grouped": 1, "counted": 1}
+        list(result.schedule.probes())
+        dict(result.report.per_profile)
+        assert epilogue_builds == {"grouped": 1, "counted": 1}
 
 
 class TestGenerationKey:

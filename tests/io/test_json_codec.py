@@ -116,6 +116,23 @@ class TestResultRoundTrip:
             list(result.schedule.probes())
         assert restored.expired == result.expired
 
+    def test_batch_engine_result_round_trip(self):
+        """A block-kernel result — schedule and breakdowns still
+        columns — encodes like any other and decodes to equal values."""
+        result = run_online(_profiles(), Epoch(12), BudgetVector(1),
+                            MRSFPolicy(), engine="batch")
+        payload = result_to_jsonable(result)
+        assert json.loads(json.dumps(payload)) == payload
+        restored = result_from_jsonable(payload)
+        assert restored.report == result.report
+        assert result.report == restored.report
+        assert list(restored.schedule.probes()) == \
+            list(result.schedule.probes())
+        assert (restored.label, restored.probes_used, restored.expired,
+                restored.extras) == (result.label, result.probes_used,
+                                     result.expired, result.extras)
+        assert result_to_jsonable(restored) == payload
+
     def test_file_round_trip(self, tmp_path):
         profiles = _profiles()
         result = run_online(profiles, Epoch(12), BudgetVector(1),
