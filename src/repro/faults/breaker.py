@@ -21,7 +21,6 @@ proxy.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from repro.core.errors import FaultError
@@ -60,10 +59,9 @@ class BackoffPolicy:
     factor**(k-1))]``, which decorrelates retry storms without giving up
     the exponential envelope.
 
-    Every draw is keyed on ``(seed, key, attempt)`` through a stable
-    string seed — the same trick as
-    :class:`~repro.faults.model.FaultInjector` — so two runs with the
-    same seed produce identical delays regardless of coroutine
+    Every draw is :func:`~repro.faults.model.keyed_draw` of ``(seed,
+    "backoff", key, attempt)`` — the fault channels' draw — so two runs
+    with the same seed produce identical delays regardless of coroutine
     interleaving, and so does a replayed chaos schedule.
 
     Attributes
@@ -128,8 +126,10 @@ class BackoffPolicy:
         window = self.window_for(attempt)
         if window <= 0.0:
             return 0.0
-        draw = random.Random(f"{self.seed}:backoff:{key}:{attempt}")
-        return draw.random() * window
+        # Imported at its one use: a service host that never retries
+        # loads the breaker but not the fault model.
+        from repro.faults.model import keyed_draw
+        return keyed_draw(self.seed, "backoff", key, attempt) * window
 
 
 class _ResourceState:
@@ -181,10 +181,19 @@ class CircuitBreaker:
         self.cooldown = cooldown
         self.backoff_factor = backoff_factor
         self.max_cooldown = max_cooldown
+        # From this many trips on the scaled cooldown is past the cap
+        # with a trip to spare (floor + 2 absorbs the log's rounding).
+        self._capped_from = (
+            math.floor(math.log(max_cooldown / cooldown, backoff_factor)) + 2
+            if backoff_factor > 1.0 else math.inf)
         self._states: dict[int, _ResourceState] = {}
         self.ever_quarantined: set[int] = set()
 
     def _cooldown_for(self, trips: int) -> int:
+        # Past the cap the power is never computed: on a resource that
+        # never answers it would overflow a float near 1 023 trips.
+        if trips >= self._capped_from:
+            return self.max_cooldown
         # ceil, not int(): truncation would stall cooldown growth for
         # fractional backoff_factor near 1 (e.g. 1.5 gives 1, 1, 2, ...
         # truncated but 1, 2, 3, ... ceiled from cooldown=1).

@@ -39,7 +39,15 @@ __all__ = [
     "FaultTrace",
     "Outage",
     "RecordedFaults",
+    "keyed_draw",
 ]
+
+
+def keyed_draw(*fields) -> float:
+    """The uniform draw in ``[0, 1)`` keyed on ``fields``, joined by ``:``
+    into one string seed: string seeds hash deterministically (sha512)
+    across processes, tuple seeds fall back to salted ``hash()``."""
+    return random.Random(":".join(map(str, fields))).random()
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,11 +260,8 @@ class FaultInjector:
 
     def _draw(self, channel: str, resource_id: int, chronon: Chronon,
               attempt: int) -> float:
-        # String seeds hash deterministically (sha512) across processes,
-        # unlike tuple seeds which fall back to salted `hash()`.
-        key = (f"{self.spec.seed}:{channel}:{resource_id}:"
-               f"{chronon}:{attempt}")
-        return random.Random(key).random()
+        return keyed_draw(self.spec.seed, channel, resource_id, chronon,
+                          attempt)
 
     def decide(self, resource_id: int, chronon: Chronon,
                attempt: int = 0) -> FaultDecision:

@@ -36,7 +36,7 @@ from repro.core.profile import Profile
 from repro.core.timeline import Epoch
 from repro.core.intervals import TInterval
 from repro.faults.breaker import BackoffPolicy, CircuitBreaker
-from repro.faults.model import FaultSpec, Outage
+from repro.faults.model import FaultSpec, Outage, keyed_draw
 from repro.faults.server import UnreliableServer
 from repro.online import MRSFPolicy
 from repro.runtime.aio.journal import Journal
@@ -201,9 +201,8 @@ def _latency_fn(config: ChaosConfig):
         return None
 
     def latency(resource_id: int, chronon: int, attempt: int) -> float:
-        draw = random.Random(
-            f"{config.seed}:slow:{resource_id}:{chronon}:{attempt}")
-        if draw.random() < config.slow_fraction:
+        if (keyed_draw(config.seed, "slow", resource_id, chronon, attempt)
+                < config.slow_fraction):
             return config.slow_latency
         return 0.0
 

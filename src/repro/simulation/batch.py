@@ -27,20 +27,19 @@ instance's per-chronon activity CSR (see
   pools first, then fresh states for leftover budget;
 * captures and the M-EDF sum/started aggregates are scatter-adds.
 
-Faulty lanes ride the same pass (see :class:`FaultLane`): the
-deterministic fault layer is lowered into lane-major columns too.
-Because every :class:`~repro.faults.model.FaultInjector` draw is keyed
-on ``(seed, channel, resource, chronon, attempt)`` — independent of
-probe order — a block's draws live in one keyed per-group table on the
-lowering (:class:`~repro.simulation.columnar.FaultDraws`), filled only
-for the probes actually sent and shared by every lane with the same
-spec seed. Outage windows and rate limits
-are boolean/positional column ops, circuit-breaker state is a
-``(lanes, resources)`` matrix applied as an ``INF_KEY`` mask before
-selection, and the sparse residue vectorization would reorder — retry
-attempts, whose draws and breaker trips happen in probe order — is
-replayed per lane in exact decision order. The result is bit-for-bit
-the reference simulator's RNG stream, probe for probe (see
+Faulty lanes ride the same pass (see :class:`FaultLane`): a chronon's
+first attempts are decided as lane-major columns. Because every
+:class:`~repro.faults.model.FaultInjector` draw is keyed on ``(seed,
+channel, resource, chronon, attempt)`` — independent of probe order —
+their draws live in one keyed per-group table on the lowering
+(:class:`~repro.simulation.columnar.FaultDraws`), filled only for the
+probes actually sent and shared by every lane with the same spec seed.
+Outage windows and rate limits are boolean/positional column ops, and
+circuit-breaker state is a ``(lanes, resources)`` matrix applied as an
+``INF_KEY`` mask before selection. What is not a column — a recorded
+trace, and retries, whose draws and breaker trips happen in probe
+order — is the lane's own injector deciding in decision order. The
+result is bit-for-bit the reference simulator's, probe for probe (see
 ``tests/properties/test_prop_batch_faults.py``).
 
 The engine is **schedule-identical** to the reference
@@ -69,9 +68,8 @@ from repro.core.profile import ProfileSet
 from repro.core.schedule import Schedule
 from repro.core.timeline import Epoch
 from repro.faults.breaker import CircuitBreaker, RetryConfig, _ResourceState
-from repro.faults.model import FaultInjector, FaultRecord, FaultSpec
+from repro.faults.model import FaultInjector, FaultSpec
 from repro.online.base import EI_LEVEL, Policy
-from repro.runtime.server import PROBE_FAILED, PROBE_OK, PROBE_THROTTLED
 from repro.online.baselines import (
     CoveragePolicy,
     FCFSPolicy,
@@ -302,12 +300,13 @@ class _FaultPlane:
     chronon, so targets never collide), and only the rare tripping
     entries drop to Python for the bit-exact ``_cooldown_for`` ceil.
 
-    Retries are the sparse residue vectorization would reorder — their
-    draws, budget debits and breaker trips happen in probe order — so
-    they replay per lane over that lane's failed decisions in decision
-    order, exactly :func:`repro.faults.engine.execute_probes`, drawing
-    from the same table (attempt >= 1 rows), so lanes sharing a spec
-    seed never redraw.
+    Nothing else is vectorized. A lane-chronon leaves the columns only
+    when the lane records a trace, or when a pick failed and the lane
+    has retries and budget left; there the lane's own injector (its
+    recording one, else one built here) replays attempt 0 of every pick
+    in decision order — filling the trace and the rate-limit counter,
+    and checked against the columns — then decides the retries, whose
+    breaker updates go through the columns' :meth:`_close` / :meth:`_fail`.
     """
 
     def __init__(self, col: ColumnarInstance,
@@ -318,12 +317,15 @@ class _FaultPlane:
 
         self.rate_mat = np.zeros((L, rid_space))
         self.t_prob = np.zeros(L)
-        self.s_prob = np.zeros(L)
         self.maxp = np.full(L, np.iinfo(np.int64).max, dtype=np.int64)
-        self.max_retries = [ln.max_retries for ln in lane_objs]
-        self.injectors = [ln.injector for ln in lane_objs]
-        self.specs = [ln.spec for ln in lane_objs]
-        self.any_rec = any(inj is not None for inj in self.injectors)
+        self.max_retries = np.array([ln.max_retries for ln in lane_objs])
+        self.records = np.array([ln.injector is not None
+                                 for ln in lane_objs])
+        self.any_rec = bool(self.records.any())
+        # Each lane's decision source off the columns (a lane with no
+        # spec never leaves them).
+        self.injectors = [ln.injector or FaultInjector(ln.spec, record=False)
+                          for ln in lane_objs]
         for i, ln in enumerate(lane_objs):
             spec = ln.spec
             if spec is None:
@@ -333,7 +335,6 @@ class _FaultPlane:
                 if 0 <= rid < rid_space:
                     self.rate_mat[i, rid] = rate
             self.t_prob[i] = spec.timeout_probability
-            self.s_prob[i] = spec.stale_probability
             if spec.max_probes_per_chronon is not None:
                 self.maxp[i] = spec.max_probes_per_chronon
 
@@ -353,14 +354,8 @@ class _FaultPlane:
             "drop", lambda s, i: bool(self.rate_mat[i].any()))
         self.tmo_rows = rows_of(
             "timeout", lambda s, i: s.timeout_probability > 0.0)
-        # Stale flips no outcome, only the trace flag — recording lanes
-        # are the only consumers of the stale column.
-        self.stl_rows = rows_of(
-            "stale", lambda s, i: (s.stale_probability > 0.0
-                                   and self.injectors[i] is not None))
         self.any_drop = bool(self.drop_rows.any())
         self.any_tmo = bool(self.tmo_rows.any())
-        self.any_stl = bool(self.stl_rows.any())
 
         out_rows = np.zeros(L, dtype=np.int64)
         rows = [np.zeros(col.grp_rid.size, dtype=bool)]
@@ -406,11 +401,25 @@ class _FaultPlane:
         """Attempt-0 draws of the picks, drawn on first use, < ``prob``."""
         return self.draws.gather(rows, gg) < prob
 
-    def _trip(self, ls: np.ndarray, rs: np.ndarray, T: int) -> None:
+    def _close(self, ls: np.ndarray, rs: np.ndarray) -> None:
+        """``record_success`` at distinct ``(lane, resource)`` pairs: it
+        pops the whole resource state."""
+        self.consec[ls, rs] = 0
+        self.trips[ls, rs] = 0
+        self.open_until[ls, rs] = -1
+
+    def _fail(self, ls: np.ndarray, rs: np.ndarray, T: int) -> None:
+        """``record_failure`` at distinct ``(lane, resource)`` pairs; only
+        the rare tripping ones drop to Python, for the bit-exact
+        ``_cooldown_for`` ceil."""
+        newc = self.consec[ls, rs] + 1
+        self.consec[ls, rs] = newc
+        trip = newc >= self.thresh[ls]
+        if not trip.any():
+            return
         self.blocking = True
-        for i, r in zip(ls.tolist(), rs.tolist()):
-            brk = self.lanes[i].breaker
-            self.open_until[i, r] = T + brk._cooldown_for(
+        for i, r in zip(ls[trip].tolist(), rs[trip].tolist()):
+            self.open_until[i, r] = T + self.lanes[i].breaker._cooldown_for(
                 int(self.trips[i, r]))
             self.trips[i, r] += 1
             self.ever[i, r] = True
@@ -432,7 +441,7 @@ class _FaultPlane:
         rid = grids[g_pk]
         # A channel no lane consults (every row the sentinel) and an
         # outage no lane has can hit nothing: neither is read at all.
-        out = drop = tmo = stl = np.zeros(gg.size, dtype=bool)
+        out = np.zeros(gg.size, dtype=bool)
         thr = pos_pk + 1 > self.maxp[lanes_pk]
         if self.any_out:
             out = self.OUT[self.out_rows[lanes_pk], gg]
@@ -454,60 +463,24 @@ class _FaultPlane:
             hb = self.has_brk[lanes_pk]
             s_sel = ok & hb
             if s_sel.any():
-                ls, rs = lanes_pk[s_sel], rid[s_sel]
-                # record_success pops the whole resource state.
-                self.consec[ls, rs] = 0
-                self.trips[ls, rs] = 0
-                self.open_until[ls, rs] = -1
+                self._close(lanes_pk[s_sel], rid[s_sel])
             f_sel = fail & hb
             if f_sel.any():
-                lf, rf = lanes_pk[f_sel], rid[f_sel]
-                newc = self.consec[lf, rf] + 1
-                self.consec[lf, rf] = newc
-                trip = newc >= self.thresh[lf]
-                if trip.any():
-                    self._trip(lf[trip], rf[trip], T)
+                self._fail(lanes_pk[f_sel], rid[f_sel], T)
 
-        if self.any_rec:
-            if self.any_stl:
-                stl = ok & self._below(self.stl_rows[lanes_pk], gg,
-                                       self.s_prob[lanes_pk])
-            for i, inj in enumerate(self.injectors):
-                if inj is None:
-                    continue
-                for j in np.nonzero(lanes_pk == i)[0].tolist():
-                    if out[j]:
-                        st, flt, sl = PROBE_FAILED, "outage", False
-                    elif thr[j]:
-                        st, flt, sl = PROBE_THROTTLED, "rate-limit", False
-                    elif drop[j]:
-                        st, flt, sl = PROBE_FAILED, "drop", False
-                    elif tmo[j]:
-                        st, flt, sl = PROBE_FAILED, "timeout", False
-                    elif stl[j]:
-                        st, flt, sl = PROBE_OK, "stale", True
-                    else:
-                        st, flt, sl = PROBE_OK, None, False
-                    inj.trace.append(FaultRecord(
-                        chronon=T, resource_id=int(rid[j]),
-                        attempt=0, status=st, fault=flt, stale=sl))
-
-        self.failures += np.bincount(lanes_pk[fail], minlength=self.L)
         extra_l: list[int] = []
         extra_g: list[int] = []
-        if fail.any():
-            n_dec = np.bincount(lanes_pk, minlength=self.L)
-            for i in np.unique(lanes_pk[fail]).tolist():
-                mr = self.max_retries[i]
-                # A retry spends what the lane's decisions left of its
-                # budget: with none left there is nothing to replay.
-                budget_left = int(k_arr[i]) - int(n_dec[i])
-                if mr == 0 or budget_left <= 0:
-                    continue
-                rec = self._retry_lane(
-                    i, T, lanes_pk, fail, rid, gg, out,
-                    budget_left, int(n_dec[i]), mr)
-                for j in rec:
+        if self.any_rec or fail.any():
+            n_fail = np.bincount(lanes_pk[fail], minlength=self.L)
+            self.failures += n_fail
+            # A retry spends what the lane's decisions left of its
+            # budget: with none left there is nothing to retry.
+            left = k_arr - np.bincount(lanes_pk, minlength=self.L)
+            scalar = self.records | ((n_fail > 0) & (self.max_retries > 0)
+                                     & (left > 0))
+            for i in np.flatnonzero(scalar).tolist():
+                for j in self._decide_lane(i, T, lanes_pk, rid, ok,
+                                           int(left[i])):
                     extra_l.append(i)
                     extra_g.append(int(g_pk[j]))
 
@@ -520,69 +493,42 @@ class _FaultPlane:
                 (cap_g, np.asarray(extra_g, dtype=np.int64)))
         return cap_l, cap_g, fail
 
-    def _retry_lane(self, i: int, T: int, lanes_pk, fail, rid, gg, out,
-                    budget_left: int, counter: int, mr: int) -> list[int]:
-        """Replay lane i's retries in decision order; -> recovered picks."""
-        spec = self.specs[i]
-        brk = self.lanes[i].breaker
+    def _decide_lane(self, i: int, T: int, lanes_pk: np.ndarray,
+                     rid: np.ndarray, ok: np.ndarray,
+                     budget_left: int) -> list[int]:
+        """Lane ``i``'s chronon through its own injector, as
+        :func:`repro.faults.engine.execute_probes` runs it; -> the picks
+        its retries recovered."""
         inj = self.injectors[i]
-        draws = self.draws
-
-        def draw(channel: str, g: int, a: int) -> float:
-            return draws.draw(draws.row(spec.seed, channel, a), g)
-
+        has_brk = bool(self.has_brk[i])
+        mine = np.flatnonzero(lanes_pk == i).tolist()
+        inj.begin_chronon(T)
+        for j in mine:
+            if inj.decide(int(rid[j]), T, 0).ok != ok[j]:
+                raise RuntimeError(
+                    f"fault plane disagrees with lane {i}'s injector on "
+                    f"resource {int(rid[j])} at chronon {T}")
         recovered: list[int] = []
-        for j in np.nonzero((lanes_pk == i) & fail)[0].tolist():
+        for j in mine:
+            if ok[j]:
+                continue
             r = int(rid[j])
-            g = int(gg[j])
-            down = bool(out[j])
-            for a in range(1, mr + 1):
+            at = slice(j, j + 1)
+            for a in range(1, int(self.max_retries[i]) + 1):
                 if budget_left <= 0:
                     break
-                if brk is not None and self.open_until[i, r] >= T:
+                if has_brk and self.open_until[i, r] >= T:
                     break
                 budget_left -= 1
-                counter += 1
                 self.retries[i] += 1
-                st, flt, sl = PROBE_OK, None, False
-                if down:
-                    st, flt = PROBE_FAILED, "outage"
-                elif (spec.max_probes_per_chronon is not None
-                        and counter > spec.max_probes_per_chronon):
-                    st, flt = PROBE_THROTTLED, "rate-limit"
-                else:
-                    rate = spec.failure_rate_for(r)
-                    if rate > 0.0 and draw("drop", g, a) < rate:
-                        st, flt = PROBE_FAILED, "drop"
-                    elif (spec.timeout_probability > 0.0
-                            and draw("timeout", g, a)
-                            < spec.timeout_probability):
-                        st, flt = PROBE_FAILED, "timeout"
-                    elif (spec.stale_probability > 0.0
-                            and draw("stale", g, a)
-                            < spec.stale_probability):
-                        flt, sl = "stale", True
-                if inj is not None:
-                    inj.trace.append(FaultRecord(
-                        chronon=T, resource_id=r, attempt=a,
-                        status=st, fault=flt, stale=sl))
-                if st == PROBE_OK:
-                    if brk is not None:
-                        self.consec[i, r] = 0
-                        self.trips[i, r] = 0
-                        self.open_until[i, r] = -1
+                if inj.decide(r, T, a).ok:
+                    if has_brk:
+                        self._close(lanes_pk[at], rid[at])
                     recovered.append(j)
                     break
                 self.failures[i] += 1
-                if brk is not None:
-                    c = int(self.consec[i, r]) + 1
-                    self.consec[i, r] = c
-                    if c >= brk.failure_threshold:
-                        self.open_until[i, r] = T + brk._cooldown_for(
-                            int(self.trips[i, r]))
-                        self.trips[i, r] += 1
-                        self.ever[i, r] = True
-                        self.blocking = True
+                if has_brk:
+                    self._fail(lanes_pk[at], rid[at], T)
         return recovered
 
     def finish(self) -> None:

@@ -52,13 +52,13 @@ churned or federated run is refused.
 
 from __future__ import annotations
 
-import random
 import time
 
 import numpy as np
 
 from repro.core.profile import ProfileSet
 from repro.core.timeline import Epoch
+from repro.faults.model import keyed_draw
 
 __all__ = ["ActivityWindow", "BatchUnsupported", "ColumnarInstance",
            "FaultDraws", "INF_KEY"]
@@ -126,22 +126,20 @@ def _chronon_order(chronons: np.ndarray, bound: int) -> np.ndarray:
 
 
 class FaultDraws:
-    """Keyed fault draws of one lowering, computed on demand.
+    """Keyed attempt-0 fault draws of one lowering, computed on demand.
 
-    ``values`` has one row per ``(seed, channel, attempt)`` key
-    (``keys[row]``; handed out by :meth:`row`) and one column per
-    per-chronon per-resource group — the granularity the fault model
-    draws at. Entry ``[row, g]`` reproduces
-    :meth:`repro.faults.model.FaultInjector._draw` bit for bit,
-    ``random.Random(f"{seed}:{channel}:{rid}:{T}:{attempt}").random()``
-    for the group's resource and chronon, or is NaN while no
-    probe has asked for it. A draw depends on its key alone — not on
-    probe order, nor on whether a per-probe loop would have consumed it
-    (a skipped channel consumes nothing) — so filling entries lazily and
-    in any order is stream-exact, and the table is a pure cache shared by
-    every block and shard run on the lowering. Row 0 is the sentinel
-    2.0, which no probability in [0, 1] ever exceeds: lanes that never
-    consult a channel read it.
+    ``values`` has one row per ``(seed, channel)`` key (``keys[row]``;
+    handed out by :meth:`row`) and one column per per-chronon
+    per-resource group — the granularity the fault model draws at. Entry
+    ``[row, g]`` is :func:`repro.faults.model.keyed_draw` of ``(seed,
+    channel, rid, T, 0)`` for the group's resource and chronon — the
+    draw :meth:`~repro.faults.model.FaultInjector.decide` makes for a
+    first attempt — or NaN while no probe has asked for it. A draw
+    depends on its key alone, so filling entries lazily and in any order
+    is stream-exact, and the table is a pure cache shared by every block
+    and shard run on the lowering. Row 0 is the sentinel 2.0, which no
+    probability in [0, 1] ever exceeds: lanes that never consult a
+    channel read it.
     """
 
     def __init__(self, grp_T: np.ndarray, grp_rid: np.ndarray) -> None:
@@ -149,13 +147,13 @@ class FaultDraws:
         # formats no NumPy scalar.
         self._grp_T = grp_T.tolist()
         self._grp_rid = grp_rid.tolist()
-        self.keys: list[tuple[int, str, int] | None] = [None]
-        self._rows: dict[tuple[int, str, int], int] = {}
+        self.keys: list[tuple[int, str] | None] = [None]
+        self._rows: dict[tuple[int, str], int] = {}
         self.values = np.full((1, grp_T.size), 2.0)
 
-    def row(self, seed: int, channel: str, attempt: int = 0) -> int:
+    def row(self, seed: int, channel: str) -> int:
         """The row of one draw key (added, all unfilled, when new)."""
-        key = (seed, channel, attempt)
+        key = (seed, channel)
         row = self._rows.get(key)
         if row is None:
             row = self._rows[key] = len(self.keys)
@@ -165,10 +163,9 @@ class FaultDraws:
         return row
 
     def _draw(self, row: int, group: int) -> float:
-        seed, channel, attempt = self.keys[row]
-        return random.Random(
-            f"{seed}:{channel}:{self._grp_rid[group]}:"
-            f"{self._grp_T[group]}:{attempt}").random()
+        seed, channel = self.keys[row]
+        return keyed_draw(seed, channel, self._grp_rid[group],
+                          self._grp_T[group], 0)
 
     def gather(self, rows: np.ndarray, groups: np.ndarray) -> np.ndarray:
         """The draws at ``(rows, groups)``, the still-unfilled ones drawn
@@ -181,13 +178,6 @@ class FaultDraws:
                 self.values[row, group] = self._draw(row, group)
             values[miss] = self.values[rows, groups]
         return values
-
-    def draw(self, row: int, group: int) -> float:
-        """One draw, filled on first use (the sequential retry path)."""
-        value = self.values[row, group]
-        if value != value:
-            value = self.values[row, group] = self._draw(row, group)
-        return value
 
 
 #: The static scores, ``name -> score(col, fin, start, state)`` from a

@@ -182,6 +182,32 @@ class TestCooldownGrowth:
         assert [breaker._cooldown_for(t) for t in range(4)] == \
             [4, 8, 16, 32]
 
+    def test_pinned_windows_up_to_and_past_the_cap(self):
+        # Values below the cap are the plain ceil of the power, bit for
+        # bit (the block kernel's breaker matrices call the same method).
+        fractional = CircuitBreaker(1, cooldown=1, backoff_factor=1.5,
+                                    max_cooldown=64)
+        assert [fractional._cooldown_for(t) for t in range(13)] == \
+            [1, 2, 3, 4, 6, 8, 12, 18, 26, 39, 58, 64, 64]
+        doubling = CircuitBreaker(1, cooldown=3, backoff_factor=2.0,
+                                  max_cooldown=100)
+        assert [doubling._cooldown_for(t) for t in range(13)] == \
+            [3, 6, 12, 24, 48, 96] + [100] * 7
+
+    def test_the_cap_needs_no_power(self):
+        breaker = CircuitBreaker(1, 4, 2.0, 64)
+        assert breaker._cooldown_for(10_000) == breaker.max_cooldown
+
+    def test_a_resource_that_never_answers_keeps_tripping(self):
+        # Regression: 2.0 ** trips overflowed a float past ~1 023 trips,
+        # which this drive reaches near chronon 66 000.
+        breaker = CircuitBreaker(1, 4, 2.0, 64)
+        trips = 0
+        for chronon in range(100_000):
+            if not breaker.is_blocked(0, chronon):
+                trips += breaker.record_failure(0, chronon)
+        assert breaker._states[0].trips == trips > 1_100
+
 
 class TestReset:
     def test_reset_reopens_quarantined_resources(self):

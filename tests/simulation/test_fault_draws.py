@@ -1,9 +1,13 @@
-"""The columnar lowering's on-demand fault-draw table.
+"""The block kernel's fault plane: an attempt-0 draw table, and the lane
+injector for everything else.
 
 Draws are keyed on ``(seed, channel, resource, chronon, attempt)`` —
-independent of probe order — so the fault plane computes only the ones
-its picks actually read, caches them on the lowering, and must still
-agree bit for bit with :meth:`FaultInjector._draw`.
+independent of probe order — so the plane computes only the first-attempt
+draws its picks actually read, caches them on the lowering as ``(seed,
+channel)`` rows, and must still agree bit for bit with
+:meth:`FaultInjector._draw`. A recorded trace and a retry are the lane's
+own :meth:`FaultInjector.decide`: a sweep that needs neither decides
+nothing scalar, and a run that needs them adds no row to the table.
 """
 
 import random
@@ -11,12 +15,23 @@ import random
 import numpy as np
 import pytest
 
+from repro.core import BudgetVector
 from repro.experiments import ExperimentConfig, make_instance
-from repro.faults import FaultInjector, FaultSpec, RetryConfig
+from repro.experiments.faults import fault_sweep
+from repro.faults import (
+    CircuitBreaker,
+    FaultInjector,
+    FaultSpec,
+    RetryConfig,
+)
 from repro.online.registry import parse_policy_spec
+from repro.runtime.server import PROBE_OK, PROBE_THROTTLED
+from repro.simulation import run_online
 from repro.simulation.batch import FaultLane, run_block
 from repro.simulation.columnar import ColumnarInstance
 from repro.simulation.shard import federated_run
+
+from tests.properties.test_prop_batch_faults import _breaker_state
 
 _CONFIG = ExperimentConfig(
     epoch_length=40, num_resources=12, num_profiles=16, intensity=4.0,
@@ -31,17 +46,31 @@ def lowering():
     return profiles, ColumnarInstance.build(profiles, _CONFIG.epoch)
 
 
-def _run(profiles, columnar, spec, retry=None):
+def _run(profiles, columnar, spec, retry=None, budget=None):
     lanes = []
     for label in _POLICIES:
         policy, preemptive = parse_policy_spec(label)
-        lanes.append((policy, preemptive, _CONFIG.budget_vector, 0,
-                      FaultLane(spec, retry)))
+        lanes.append((policy, preemptive, budget or _CONFIG.budget_vector,
+                      0, FaultLane(spec, retry)))
     return run_block(profiles, _CONFIG.epoch, lanes, columnar=columnar)
 
 
 def _filled(draws) -> int:
     return int(np.count_nonzero(~np.isnan(draws.values[1:])))
+
+
+@pytest.fixture
+def decides(monkeypatch):
+    """How many times any FaultInjector decided, counted from here on."""
+    calls = [0]
+    decide = FaultInjector.decide
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return decide(self, *args, **kwargs)
+
+    monkeypatch.setattr(FaultInjector, "decide", counted)
+    return calls
 
 
 def test_filled_entries_equal_the_injector_draws(lowering):
@@ -52,23 +81,21 @@ def test_filled_entries_equal_the_injector_draws(lowering):
     draws = columnar.fault_draws()
     grp_T, grp_rid = columnar.fault_layout()
     injector = FaultInjector(spec)
-    assert {key[1:] for key in draws.keys[1:]} >= {("drop", 0),
-                                                   ("timeout", 0),
-                                                   ("drop", 1)}
+    assert draws.keys[1:] == [(11, "drop"), (11, "timeout")]
     assert _filled(draws) > 0
     for row, group in zip(*np.nonzero(~np.isnan(draws.values))):
         if row == 0:
             assert draws.values[row, group] == 2.0
             continue
-        seed, channel, attempt = draws.keys[row]
+        seed, channel = draws.keys[row]
         assert seed == spec.seed
         assert draws.values[row, group] == injector._draw(
-            channel, int(grp_rid[group]), int(grp_T[group]), attempt)
+            channel, int(grp_rid[group]), int(grp_T[group]), 0)
 
 
 def test_filled_entries_equal_the_seed_string_draws(lowering):
-    """Independently of the injector: a filled cell of an attempt-0 or a
-    retry row is ``random.Random`` seeded with the key's string."""
+    """Independently of the injector: a filled cell is ``random.Random``
+    seeded with the key's string, at attempt 0."""
     profiles, columnar = lowering
     spec = FaultSpec(failure_probability=0.3, timeout_probability=0.2,
                      seed=11)
@@ -76,17 +103,14 @@ def test_filled_entries_equal_the_seed_string_draws(lowering):
     draws = columnar.fault_draws()
     grp_T, grp_rid = columnar.fault_layout()
     rng = np.random.default_rng(3)
-    attempts = set()
     for row in range(1, len(draws.keys)):
         filled = np.flatnonzero(~np.isnan(draws.values[row]))
-        seed, channel, attempt = draws.keys[row]
-        if filled.size:
-            attempts.add(min(attempt, 1))
+        assert filled.size
+        seed, channel = draws.keys[row]
         for group in rng.permutation(filled)[:25].tolist():
             key = (f"{seed}:{channel}:{int(grp_rid[group])}:"
-                   f"{int(grp_T[group])}:{attempt}")
+                   f"{int(grp_T[group])}:0")
             assert draws.values[row, group] == random.Random(key).random()
-    assert attempts == {0, 1}
 
 
 def test_only_sent_probes_are_drawn(lowering):
@@ -95,9 +119,112 @@ def test_only_sent_probes_are_drawn(lowering):
                    FaultSpec(failure_probability=0.3, seed=11))
     picks = sum(r.probes_used + r.probes_failed for r in results)
     draws = columnar.fault_draws()
-    assert [key[1:] for key in draws.keys[1:]] == [("drop", 0)]
+    assert draws.keys[1:] == [(11, "drop")]
     assert 0 < _filled(draws) <= picks
     assert _filled(draws) < columnar.grp_rid.size
+
+
+def test_retries_and_a_recording_lane_add_no_row(lowering):
+    """The stale channel and every retry are the injector's: the table
+    holds the attempt-0 drop and timeout rows of the spec, nothing else."""
+    profiles, columnar = lowering
+    spec = FaultSpec(failure_probability=0.3, timeout_probability=0.2,
+                     stale_probability=0.3, seed=11)
+    recorder = FaultInjector(spec)
+    policy, preemptive = parse_policy_spec("S-EDF(P)")
+    budget = BudgetVector(6)
+    lanes = [(policy, preemptive, budget, 0,
+              FaultLane(recorder, RetryConfig(2))),
+             (policy, preemptive, budget, 0,
+              FaultLane(spec, RetryConfig(2)))]
+    recorded, plain = run_block(profiles, _CONFIG.epoch, lanes,
+                                columnar=columnar)
+    assert recorded.retries == plain.retries > 0
+    assert any(record.stale for record in recorder.trace)
+    assert columnar.fault_draws().keys[1:] == [(11, "drop"),
+                                               (11, "timeout")]
+
+
+def test_a_sweep_decides_nothing_scalar(decides):
+    fault_sweep("smoke")
+    assert decides[0] == 0
+
+
+def test_a_recording_lane_decides_every_pick(lowering, decides):
+    profiles, columnar = lowering
+    recorder = FaultInjector(FaultSpec(failure_probability=0.3, seed=11))
+    policy, preemptive = parse_policy_spec("S-EDF(P)")
+    result, = run_block(profiles, _CONFIG.epoch,
+                        [(policy, preemptive, _CONFIG.budget_vector, 0,
+                          FaultLane(recorder))], columnar=columnar)
+    assert decides[0] == len(recorder.trace) == (result.probes_used
+                                                 + result.probes_failed)
+
+
+def test_a_firing_retry_is_decided_by_the_injector(lowering, decides):
+    profiles, columnar = lowering
+    spec = FaultSpec(failure_probability=0.3, seed=11)
+    results = _run(profiles, columnar, spec, RetryConfig(1),
+                   BudgetVector(6))
+    assert sum(r.retries for r in results) > 0
+    assert decides[0] > sum(r.retries for r in results)
+
+
+def _blocked_retries(trace, params, budget, max_retries):
+    """Failed picks whose next retry the breaker refused, read off a
+    trace: a chronon's records are its breaker updates in order, and a
+    retry loop that stops short with budget left stopped at the
+    breaker."""
+    breaker = CircuitBreaker(*params)
+    blocked = 0
+    by_chronon = {}
+    for record in trace:
+        by_chronon.setdefault(record.chronon, []).append(record)
+    for T, records in by_chronon.items():
+        last = {}
+        for record in records:
+            if record.status == PROBE_OK:
+                breaker.record_success(record.resource_id)
+            else:
+                breaker.record_failure(record.resource_id, T)
+            last[record.resource_id] = record
+        if len(records) >= budget:
+            continue
+        blocked += sum(
+            1 for r, record in last.items()
+            if record.status != PROBE_OK and record.attempt < max_retries
+            and breaker.is_blocked(r, T))
+    return blocked
+
+
+def test_throttled_and_breaker_blocked_retries_match_the_reference():
+    _trace, profiles = make_instance(_CONFIG, 0)
+    spec = FaultSpec(failure_probability=0.5, max_probes_per_chronon=2,
+                     seed=0)
+    params = (2, 2, 2.0, 8)
+    budget = BudgetVector(3)
+    policy, preemptive = parse_policy_spec("S-EDF(P)")
+    ref_inj, ref_brk = FaultInjector(spec), CircuitBreaker(*params)
+    ref = run_online(profiles, _CONFIG.epoch, budget, policy,
+                     preemptive=preemptive, faults=ref_inj,
+                     retry=RetryConfig(2), breaker=ref_brk,
+                     engine="reference")
+    blk_inj, blk_brk = FaultInjector(spec), CircuitBreaker(*params)
+    policy, preemptive = parse_policy_spec("S-EDF(P)")
+    blk, = run_block(profiles, _CONFIG.epoch,
+                     [(policy, preemptive, budget, 0,
+                       FaultLane(blk_inj, RetryConfig(2), blk_brk))])
+    assert any(record.attempt >= 1 and record.status == PROBE_THROTTLED
+               for record in ref_inj.trace)
+    assert _blocked_retries(ref_inj.trace, params, 3, 2) > 0
+    assert list(blk.schedule.probes()) == list(ref.schedule.probes())
+    assert blk.report == ref.report
+    assert (blk.probes_used, blk.probes_failed, blk.retries,
+            blk.resources_quarantined, blk.expired) == (
+        ref.probes_used, ref.probes_failed, ref.retries,
+        ref.resources_quarantined, ref.expired)
+    assert list(blk_inj.trace) == list(ref_inj.trace)
+    assert _breaker_state(blk_brk) == _breaker_state(ref_brk)
 
 
 def test_repeated_block_draws_nothing_new(lowering, monkeypatch):
