@@ -31,13 +31,9 @@ from repro.experiments.instances import (
 )
 from repro.faults.breaker import CircuitBreaker, RetryConfig
 from repro.faults.model import FaultSpec
+from repro.online.base import key_of
 from repro.online.registry import parse_policy_spec
-from repro.simulation.batch import (
-    BatchUnsupported,
-    FaultLane,
-    batch_kind,
-    run_block,
-)
+from repro.simulation.batch import BatchUnsupported, FaultLane, run_block
 from repro.simulation.columnar import ColumnarInstance
 from repro.simulation.proxy import run_online
 from repro.simulation.result import SimulationResult
@@ -146,7 +142,7 @@ class RunOutcome:
 
     ``fell_back`` counts the (repetition, policy) runs that the batch
     engine handed to the reference simulator (policies without a
-    columnar kind, or blocks the columnar form cannot encode); it is 0
+    score row, or blocks the columnar form cannot encode); it is 0
     for other engines (a ``"solo"`` run the columns refuse is
     ``run_online``'s to reroute and to log). ``engine`` names the engine
     that served the cells (empty for outcomes assembled by hand). ``block_ids`` identifies the
@@ -355,7 +351,7 @@ def _run_cells_blocked(cell_args: Sequence[tuple]
 
     Cells sharing a generated instance (see :func:`_group_by_instance`)
     run over one lowering — every policy of every such cell is a lane.
-    Policies without a columnar kind, and instances the columnar form
+    Policies without a score row, and instances the columnar form
     cannot encode, fall back to the reference per (cell, policy).
     Results land in the original cell order.
     """
@@ -381,7 +377,7 @@ def _run_one_block(cell_args: Sequence[tuple], gkey: str,
         cells[at] = {}
         for label in policies:
             policy, preemptive = parse_policy_spec(label)
-            if batch_kind(policy) is None:
+            if key_of(policy) is None:
                 fallback.append((at, label))
                 continue
             # A fresh FaultLane (so a fresh breaker) per lane: breaker

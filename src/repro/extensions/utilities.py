@@ -17,7 +17,7 @@ This module implements that extension:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.core.budget import BudgetVector
 from repro.core.profile import ProfileSet
@@ -102,15 +102,20 @@ class UtilityWeightedPolicy(Policy):
     high-utility t-interval beat a low-utility one with the same base
     score, while preserving the base ordering among equal utilities.
     Non-positive base scores are shifted into the positive range first so
-    the division cannot flip their order.
+    the division cannot flip their order. The base sees what it sees
+    alone (its level, every chronon's candidates): unit weights keep its
+    schedule.
     """
-
-    level = "multi-ei"
 
     def __init__(self, base: Policy, weights: UtilityWeights) -> None:
         self._base = base
         self._weights = weights
         self.name = f"U[{base.name}]"
+        self.level = base.level
+
+    def observe_candidates(self, candidates: Sequence[Candidate],
+                           chronon: Chronon) -> None:
+        self._base.observe_candidates(candidates, chronon)
 
     def score(self, candidate: Candidate, chronon: Chronon) -> float:
         base_score = self._base.score(candidate, chronon)

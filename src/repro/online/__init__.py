@@ -8,8 +8,10 @@ __all__, __getattr__, __dir__ = export_table(__name__, {
         "Policy",
         "PolicyLevel",
         "ProbeDecision",
+        "ScoreKey",
         "TIntervalState",
         "filter_blocked",
+        "key_of",
         "plan_chronon",
         "select_probes",
         "settle_chronon",
@@ -22,8 +24,8 @@ __all__, __getattr__, __dir__ = export_table(__name__, {
         "RandomPolicy",
         "StaticRankPolicy",
     ),
-    ".medf": ("MEDFPolicy", "m_edf_value"),
-    ".mrsf": ("MRSFPolicy", "mrsf_value"),
+    ".medf": ("MEDFPolicy",),
+    ".mrsf": ("MRSFPolicy",),
     ".registry": ("available_policies", "make_policy", "parse_policy_spec"),
-    ".sedf": ("SEDFPolicy", "s_edf_value"),
+    ".sedf": ("SEDFPolicy",),
 })

@@ -11,7 +11,9 @@ This module provides:
 * :class:`TIntervalState` — mutable capture-tracking wrapper around an
   immutable :class:`~repro.core.intervals.TInterval`;
 * :class:`Candidate` — one probe-able (state, EI) pair;
-* :class:`Policy` — the scoring interface the three heuristics implement;
+* :class:`ScoreKey` — a policy's score as one row of integer feature
+  weights, and :func:`key_of`, the row a policy runs by;
+* :class:`Policy` — the scoring interface every policy implements;
 * :func:`select_probes` — budgeted, preemption-aware greedy selection;
 * :func:`plan_chronon` / :func:`settle_chronon` — **the object-level
   chronon**, the two halves around a probe round. The reference
@@ -27,9 +29,10 @@ from __future__ import annotations
 
 import heapq
 import sys
-from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
-from typing import Container, Iterator, Sequence
+from types import MappingProxyType
+from typing import Container, Iterator, Mapping, Sequence
 
 from repro.core.intervals import ExecutionInterval, TInterval
 from repro.core.timeline import Chronon
@@ -38,8 +41,10 @@ __all__ = [
     "Candidate",
     "Policy",
     "PolicyLevel",
+    "ScoreKey",
     "TIntervalState",
     "filter_blocked",
+    "key_of",
     "plan_chronon",
     "retire",
     "select_probes",
@@ -170,32 +175,106 @@ class Candidate:
     ei: ExecutionInterval
 
 
-class Policy(ABC):
+@dataclass(frozen=True, slots=True)
+class ScoreKey:
+    """A policy's score as one row of integer weights on fixed features.
+
+    The score of candidate EI ``I`` of t-interval ``eta`` at chronon
+    ``T`` is the weighted sum of:
+
+    * ``finish`` / ``start`` — ``I``'s deadline ``T_f`` / start ``T_s``;
+    * ``rank`` — the rank of ``eta``'s profile;
+    * ``captured`` — how many EIs of ``eta`` are captured;
+    * ``deadlines`` — M-EDF's sum over ``eta``'s uncaptured EIs of their
+      deadlines, less ``T`` for each one already open;
+    * ``pool`` — how many candidates ``I``'s resource has this chronon;
+    * ``chronon`` — ``T`` itself; ``const`` — one.
+
+    :meth:`Policy.score` evaluates the row for one candidate, the block
+    kernel (:mod:`repro.simulation.batch`) as columns, and the event
+    engine from its aggregates. ``chronon`` and ``const`` move every
+    candidate of a chronon alike, so those two leave them out.
+    """
+
+    finish: int = 0
+    start: int = 0
+    rank: int = 0
+    captured: int = 0
+    deadlines: int = 0
+    pool: int = 0
+    chronon: int = 0
+    const: int = 0
+
+    def score_range(self, ranges: Mapping[str, tuple[int, int]]
+                    ) -> tuple[int, int]:
+        """``(lo, hi)`` the row's score stays in when each feature named
+        in ``ranges`` stays in its ``(lo, hi)``; features ``ranges``
+        does not name are left out of the sum."""
+        lo = hi = 0
+        for feature, (least, most) in ranges.items():
+            weight = getattr(self, feature)
+            lo += min(weight * least, weight * most)
+            hi += max(weight * least, weight * most)
+        return lo, hi
+
+
+class Policy:
     """Scores candidate EIs; the proxy probes the lowest-scored ones.
 
-    Subclasses are stateless — all decision inputs come from the candidate
-    and the chronon — which is what makes the policies cheap (§4.2.1).
+    The score is one :class:`ScoreKey` row, ``key``: a new policy is one
+    row. A policy whose score is not a row (RANDOM, the extensions'
+    quota and utility policies) overrides :meth:`score` instead and
+    runs on the reference path only (:func:`key_of`).
     """
 
     #: Short name used in reports ("S-EDF", "MRSF", "M-EDF", ...).
     name: str = "?"
     #: Information level per the paper's classification.
     level: PolicyLevel = EI_LEVEL
+    #: The score row (None: :meth:`score` is overridden).
+    key: ScoreKey | None = None
+    #: Candidates per resource at the last observed chronon, for rows
+    #: that weigh ``pool``; replaced, never mutated.
+    _pool: Mapping[int, int] = MappingProxyType({})
 
-    @abstractmethod
     def score(self, candidate: Candidate, chronon: Chronon) -> float:
         """Priority of probing this candidate now; lower is better."""
+        key = self.key
+        if key is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} has neither a score row (key) nor "
+                "a score method")
+        ei = candidate.ei
+        state = candidate.state
+        value = (key.finish * ei.finish + key.start * ei.start
+                 + key.rank * state.profile_rank
+                 + key.captured * state.captured_count
+                 + key.chronon * chronon + key.const)
+        if key.deadlines:
+            # A plain loop: a generator over uncaptured_eis() costs 2-3x.
+            captured = state.captured
+            deadlines = 0
+            for sibling in state.eta.eis:
+                if not captured[sibling.ei_id]:
+                    deadlines += sibling.finish
+                    if sibling.start <= chronon:
+                        deadlines -= chronon
+            value += key.deadlines * deadlines
+        if key.pool:
+            value += key.pool * self._pool.get(ei.resource_id, 1)
+        return float(value)
 
     def observe_candidates(self, candidates: Sequence[Candidate],
                            chronon: Chronon) -> None:
         """Hook called once per chronon with the full candidate bag.
 
-        The default is a no-op; stateful policies (e.g.
-        :class:`~repro.online.baselines.CoveragePolicy`) override it to
-        precompute per-chronon aggregates before :meth:`score` is asked
-        about individual candidates. :func:`plan_chronon` calls this
-        right before selection, so custom policies need no proxy changes.
+        Counts the candidates on each resource when the row weighs
+        ``pool``, and does nothing otherwise. :func:`plan_chronon` calls
+        it right before selection, so custom policies need no proxy
+        changes.
         """
+        if self.key is not None and self.key.pool:
+            self._pool = Counter(c.ei.resource_id for c in candidates)
 
     def label(self, preemptive: bool) -> str:
         """Display name with the paper's (P)/(NP) suffix convention."""
@@ -203,6 +282,20 @@ class Policy(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
+
+
+def key_of(policy: Policy) -> ScoreKey | None:
+    """The row the block kernel and the event engine run ``policy`` by.
+
+    None when its class overrides :meth:`Policy.score` or
+    :meth:`Policy.observe_candidates` (or has no row): such a policy
+    scores in ways a row cannot say, and only the reference path runs it.
+    """
+    cls = type(policy)
+    if (cls.score is Policy.score
+            and cls.observe_candidates is Policy.observe_candidates):
+        return policy.key
+    return None
 
 
 def filter_blocked(candidates: Sequence[Candidate], breaker,

@@ -4,8 +4,10 @@ These give the experiment harness cheap lower/upper sanity bounds:
 
 * :class:`RandomPolicy` — uniformly random priorities (seeded);
 * :class:`FCFSPolicy` — first-come-first-served on EI start chronons;
-* :class:`LeastFlexibleFirstPolicy` — prefer EIs with the least slack
-  *width* remaining (a deadline-density heuristic distinct from S-EDF);
+* :class:`LeastFlexibleFirstPolicy` — prefer EIs with the fewest
+  chronons left in their window; every candidate is active, so this is
+  S-EDF's score plus one and ranks exactly as S-EDF does (kept as the
+  ablation lineups' named baseline);
 * :class:`CoveragePolicy` — prefer resources whose probe would capture the
   most candidate EIs right now (greedy set-cover flavor; exploits
   intra-resource overlap explicitly).
@@ -20,7 +22,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.timeline import Chronon
-from repro.online.base import EI_LEVEL, MULTI_EI_LEVEL, Candidate, Policy
+from repro.online.base import (
+    EI_LEVEL,
+    MULTI_EI_LEVEL,
+    RANK_LEVEL,
+    Candidate,
+    Policy,
+    ScoreKey,
+)
 
 __all__ = [
     "RandomPolicy",
@@ -59,24 +68,20 @@ class FCFSPolicy(Policy):
 
     name = "FCFS"
     level = EI_LEVEL
-
-    def score(self, candidate: Candidate, chronon: Chronon) -> float:
-        return float(candidate.ei.start)
+    key = ScoreKey(start=1)
 
 
 class LeastFlexibleFirstPolicy(Policy):
-    """Prefer EIs with the smallest remaining window width.
+    """Prefer EIs with the fewest remaining chances to be captured.
 
-    Unlike S-EDF (absolute deadline), this scores the number of remaining
-    *opportunities* to capture the EI.
+    Scores the number of chronons left in the EI's window,
+    ``T_f - max(T, T_s) + 1``. A candidate is active (``T_s <= T``), so
+    that is ``T_f - T + 1``: S-EDF's score plus one, and the same ranking.
     """
 
     name = "LFF"
     level = EI_LEVEL
-
-    def score(self, candidate: Candidate, chronon: Chronon) -> float:
-        remaining = candidate.ei.finish - max(chronon, candidate.ei.start) + 1
-        return float(remaining)
+    key = ScoreKey(finish=1, chronon=-1, const=1)
 
 
 class StaticRankPolicy(Policy):
@@ -89,10 +94,8 @@ class StaticRankPolicy(Policy):
     """
 
     name = "StaticRank"
-    level = "rank"
-
-    def score(self, candidate: Candidate, chronon: Chronon) -> float:
-        return float(candidate.state.profile_rank)
+    level = RANK_LEVEL
+    key = ScoreKey(rank=1)
 
 
 class MostResidualFirstPolicy(Policy):
@@ -103,37 +106,18 @@ class MostResidualFirstPolicy(Policy):
     """
 
     name = "anti-MRSF"
-    level = "rank"
-
-    def score(self, candidate: Candidate, chronon: Chronon) -> float:
-        state = candidate.state
-        return -float(state.profile_rank - state.captured_count)
+    level = RANK_LEVEL
+    key = ScoreKey(rank=-1, captured=1)
 
 
 class CoveragePolicy(Policy):
     """Prefer resources that capture many candidate EIs in one probe.
 
-    Stateful per chronon: the simulator calls :meth:`observe_candidates`
-    before scoring so the policy can count active EIs per resource.
+    Scores minus the number of candidates on the EI's resource this
+    chronon (the row's ``pool`` feature, counted by
+    :meth:`~repro.online.base.Policy.observe_candidates`).
     """
 
     name = "Coverage"
     level = MULTI_EI_LEVEL
-
-    def __init__(self) -> None:
-        self._counts: dict[int, int] = {}
-        self._counted_chronon: Chronon | None = None
-
-    def observe_candidates(self, candidates: list[Candidate],
-                           chronon: Chronon) -> None:
-        """Recount active EIs per resource for the current chronon."""
-        self._counts = {}
-        self._counted_chronon = chronon
-        for candidate in candidates:
-            resource_id = candidate.ei.resource_id
-            self._counts[resource_id] = self._counts.get(resource_id, 0) + 1
-
-    def score(self, candidate: Candidate, chronon: Chronon) -> float:
-        # More coverage = better = lower score.
-        coverage = self._counts.get(candidate.ei.resource_id, 1)
-        return -float(coverage)
+    key = ScoreKey(pool=-1)

@@ -7,9 +7,10 @@ all sibling information of the parent t-interval:
 
 — the sum of EDF values of the uncaptured siblings (including ``I``
 itself), where a sibling that is not yet active (``T < I'.T_s``) has its
-EDF value taken at ``T = 0`` (i.e. its absolute deadline). A t-interval
-with fewer total remaining chronons has less chance to collide with other
-t-intervals later, so probing it first loses less.
+EDF value taken at ``T = 0`` (i.e. its absolute deadline). That sum is
+the ``deadlines`` feature of :class:`~repro.online.base.ScoreKey`. A
+t-interval with fewer total remaining chronons has less chance to
+collide with other t-intervals later, so probing it first loses less.
 
 Proposition 5: on ``P^[1]`` instances M-EDF is equivalent to MRSF (every
 uncaptured sibling contributes the same unit of remaining width, so both
@@ -18,25 +19,9 @@ scores order candidates identically).
 
 from __future__ import annotations
 
-from repro.core.timeline import Chronon
-from repro.online.base import MULTI_EI_LEVEL, Candidate, Policy, TIntervalState
-from repro.online.sedf import s_edf_value
+from repro.online.base import MULTI_EI_LEVEL, Policy, ScoreKey
 
-__all__ = ["MEDFPolicy", "m_edf_value"]
-
-
-def m_edf_value(state: TIntervalState, chronon: Chronon) -> float:
-    """Sum of EDF values of the uncaptured EIs of a t-interval."""
-    total = 0.0
-    for ei in state.eta:
-        if state.captured[ei.ei_id]:
-            continue
-        if chronon < ei.start:
-            # Sibling not yet active: the paper evaluates its EDF with T=0.
-            total += s_edf_value(ei, 0)
-        else:
-            total += s_edf_value(ei, chronon)
-    return total
+__all__ = ["MEDFPolicy"]
 
 
 class MEDFPolicy(Policy):
@@ -44,6 +29,4 @@ class MEDFPolicy(Policy):
 
     name = "M-EDF"
     level = MULTI_EI_LEVEL
-
-    def score(self, candidate: Candidate, chronon: Chronon) -> float:
-        return m_edf_value(candidate.state, chronon)
+    key = ScoreKey(deadlines=1)

@@ -15,15 +15,9 @@ MRSF is k-competitive.
 
 from __future__ import annotations
 
-from repro.core.timeline import Chronon
-from repro.online.base import RANK_LEVEL, Candidate, Policy
+from repro.online.base import RANK_LEVEL, Policy, ScoreKey
 
-__all__ = ["MRSFPolicy", "mrsf_value"]
-
-
-def mrsf_value(profile_rank: int, captured_count: int) -> float:
-    """The MRSF score of an EI given its parent state (lower = better)."""
-    return float(profile_rank - captured_count)
+__all__ = ["MRSFPolicy"]
 
 
 class MRSFPolicy(Policy):
@@ -31,7 +25,4 @@ class MRSFPolicy(Policy):
 
     name = "MRSF"
     level = RANK_LEVEL
-
-    def score(self, candidate: Candidate, chronon: Chronon) -> float:
-        state = candidate.state
-        return mrsf_value(state.profile_rank, state.captured_count)
+    key = ScoreKey(rank=1, captured=-1)

@@ -6,10 +6,8 @@ The experiment harness and CLI refer to policies by the paper's names
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.core.errors import WorkloadError
-from repro.online.base import Policy
+from repro.online.base import Policy, ScoreKey
 from repro.online.baselines import (
     CoveragePolicy,
     FCFSPolicy,
@@ -22,9 +20,10 @@ from repro.online.medf import MEDFPolicy
 from repro.online.mrsf import MRSFPolicy
 from repro.online.sedf import SEDFPolicy
 
-__all__ = ["make_policy", "parse_policy_spec", "available_policies"]
+__all__ = ["make_policy", "parse_policy_spec", "available_policies",
+           "registered_keys"]
 
-_FACTORIES: dict[str, Callable[[], Policy]] = {
+_FACTORIES: dict[str, type[Policy]] = {
     "S-EDF": SEDFPolicy,
     "MRSF": MRSFPolicy,
     "M-EDF": MEDFPolicy,
@@ -40,6 +39,12 @@ _FACTORIES: dict[str, Callable[[], Policy]] = {
 def available_policies() -> list[str]:
     """Canonical policy names accepted by :func:`make_policy`."""
     return sorted(_FACTORIES)
+
+
+def registered_keys() -> list[ScoreKey]:
+    """The score rows of the registered policies that have one."""
+    return [factory.key for factory in _FACTORIES.values()
+            if factory.key is not None]
 
 
 def make_policy(name: str) -> Policy:
@@ -62,14 +67,14 @@ def make_policy(name: str) -> Policy:
 def parse_policy_spec(spec: str) -> tuple[Policy, bool]:
     """Parse a display spec like ``"MRSF(P)"`` into (policy, preemptive).
 
-    A bare name (no suffix) defaults to preemptive, matching the dominant
-    configuration in the paper's plots.
+    Name and suffix are case-insensitive (``"mrsf(np)"`` works); any
+    other suffix is a :class:`WorkloadError`. A bare name (no suffix)
+    defaults to preemptive, matching the dominant configuration in the
+    paper's plots.
     """
-    spec = spec.strip()
-    preemptive = True
-    if spec.endswith("(NP)"):
-        preemptive = False
-        spec = spec[:-4]
-    elif spec.endswith("(P)"):
-        spec = spec[:-3]
-    return make_policy(spec.strip()), preemptive
+    name, paren, mode = spec.strip().partition("(")
+    mode = mode.upper()
+    if paren and mode not in ("P)", "NP)"):
+        raise WorkloadError(f"unknown mode in policy spec {spec!r}: "
+                            "expected a (P) or (NP) suffix")
+    return make_policy(name.strip()), mode != "NP)"

@@ -12,21 +12,9 @@ compared against (§4.2.2, Proposition 3 territory).
 
 from __future__ import annotations
 
-from repro.core.intervals import ExecutionInterval
-from repro.core.timeline import Chronon
-from repro.online.base import EI_LEVEL, Candidate, Policy
+from repro.online.base import EI_LEVEL, Policy, ScoreKey
 
-__all__ = ["SEDFPolicy", "s_edf_value"]
-
-
-def s_edf_value(ei: ExecutionInterval, chronon: Chronon) -> float:
-    """Remaining chronons until the EI's deadline.
-
-    For an EI that is not yet active the paper evaluates the EDF value
-    "with T = 0", i.e. the absolute deadline; callers pass ``chronon = 0``
-    to get that behaviour (used by M-EDF for inactive siblings).
-    """
-    return float(ei.finish - chronon)
+__all__ = ["SEDFPolicy"]
 
 
 class SEDFPolicy(Policy):
@@ -34,6 +22,4 @@ class SEDFPolicy(Policy):
 
     name = "S-EDF"
     level = EI_LEVEL
-
-    def score(self, candidate: Candidate, chronon: Chronon) -> float:
-        return s_edf_value(candidate.ei, chronon)
+    key = ScoreKey(finish=1, chronon=-1)

@@ -3,7 +3,7 @@
 from repro._lazy import export_table
 
 __all__, __getattr__, __dir__ = export_table(__name__, {
-    ".batch": ("batch_kind", "run_block"),
+    ".batch": ("run_block",),
     ".churn": ("ChurnEvent", "ChurnPlan", "run_churned"),
     ".columnar": ("BatchUnsupported", "ColumnarInstance"),
     ".proxy": ("ProxySimulator", "run_online"),

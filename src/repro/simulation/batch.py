@@ -46,8 +46,9 @@ The engine is **schedule-identical** to the reference
 :class:`~repro.simulation.proxy.ProxySimulator` for every supported
 policy (see ``tests/properties/test_prop_batch.py``): probe-for-probe,
 report-for-report. Unsupported configurations — replayed/duck-typed
-fault sources, subclassed retry/breaker components, policies outside
-the known set, instances whose packed keys overflow — raise
+fault sources, subclassed retry/breaker components, policies whose
+score is not a :class:`~repro.online.base.ScoreKey` row, instances
+whose packed keys overflow — raise
 :class:`~repro.simulation.columnar.BatchUnsupported`: ``run_online`` and
 the harness fall back to the reference and say so, a churned or
 federated run is refused.
@@ -69,17 +70,7 @@ from repro.core.schedule import Schedule
 from repro.core.timeline import Epoch
 from repro.faults.breaker import CircuitBreaker, RetryConfig, _ResourceState
 from repro.faults.model import FaultInjector, FaultSpec
-from repro.online.base import EI_LEVEL, Policy
-from repro.online.baselines import (
-    CoveragePolicy,
-    FCFSPolicy,
-    LeastFlexibleFirstPolicy,
-    MostResidualFirstPolicy,
-    StaticRankPolicy,
-)
-from repro.online.medf import MEDFPolicy
-from repro.online.mrsf import MRSFPolicy
-from repro.online.sedf import SEDFPolicy
+from repro.online.base import EI_LEVEL, Policy, ScoreKey, key_of
 from repro.simulation.columnar import (
     ActivityWindow,
     BatchUnsupported,
@@ -88,27 +79,7 @@ from repro.simulation.columnar import (
 )
 from repro.simulation.result import SimulationResult
 
-__all__ = ["BatchUnsupported", "FaultLane", "batch_kind", "run_block"]
-
-#: Supported policy types -> static-key kind. Exact type match only:
-#: subclasses may override scoring in ways the columnar keys don't model.
-_KINDS = {
-    SEDFPolicy: "sedf",
-    FCFSPolicy: "fcfs",
-    LeastFlexibleFirstPolicy: "lff",
-    StaticRankPolicy: "srank",
-    MRSFPolicy: "mrsf",
-    MostResidualFirstPolicy: "anti",
-    CoveragePolicy: "coverage",
-    MEDFPolicy: "medf",
-}
-
-
-def batch_kind(policy: Policy) -> str | None:
-    """The batch engine's kind tag for ``policy``, or None if unsupported."""
-    if type(policy) in _KINDS:
-        return _KINDS[type(policy)]
-    return None
+__all__ = ["BatchUnsupported", "FaultLane", "run_block"]
 
 
 @dataclass(frozen=True)
@@ -135,7 +106,7 @@ class _Lane:
     policy: Policy
     preemptive: bool
     budget: BudgetVector
-    kind: str
+    key: ScoreKey
     sees_doom: bool
     spec: FaultSpec | None = None
     injector: FaultInjector | None = None
@@ -210,24 +181,28 @@ def _lower_fault(fault: object | None, seen: set[int]):
     return spec, injector, max_retries, breaker
 
 
-def _make_lanes(lanes: Sequence[tuple]) -> list[_Lane]:
+def _make_lanes(col: ColumnarInstance,
+                lanes: Sequence[tuple]) -> list[_Lane]:
     out: list[_Lane] = []
     seen: set[int] = set()
     for policy, preemptive, budget, *rest in lanes:
         inst = rest[0] if rest else 0
         fault = rest[1] if len(rest) > 1 else None
-        kind = batch_kind(policy)
-        if kind is None:
+        key = key_of(policy)
+        if key is None:
             raise BatchUnsupported(
                 f"policy {policy.name!r} ({type(policy).__name__}) has no "
-                "columnar scoring kind")
+                "columnar scoring kind: its score is not a ScoreKey row")
+        # A row wider than the lowering's score field would overflow
+        # into the fields below it.
+        col.score_offset(key)
         if inst != 0:
             raise ValueError(
                 f"lane names instance {inst}, but a block holds one "
                 "instance (index 0); run every other instance as its own "
                 "block")
         fspec, injector, max_retries, breaker = _lower_fault(fault, seen)
-        out.append(_Lane(policy, preemptive, budget, kind,
+        out.append(_Lane(policy, preemptive, budget, key,
                          policy.level != EI_LEVEL, fspec, injector,
                          max_retries, breaker))
     return out
@@ -262,14 +237,15 @@ def run_block(
     t-intervals cancelled with no missed deadline yet — neither
     captured nor ``expired``; it is 0 when nobody leaves.
 
-    Raises :class:`BatchUnsupported` for policies without a columnar
-    kind, instances whose packed keys overflow, or fault layers the
-    plane cannot lower (see :class:`FaultLane`).
+    Raises :class:`BatchUnsupported` for policies without a score row
+    (:func:`~repro.online.base.key_of`) or with one wider than the
+    lowering's score field, instances whose packed keys overflow, or
+    fault layers the plane cannot lower (see :class:`FaultLane`).
     """
     started = time.perf_counter()
     col = columnar if columnar is not None else \
         ColumnarInstance.build(profiles, epoch)
-    lane_objs = _make_lanes(lanes)
+    lane_objs = _make_lanes(col, lanes)
     L = len(lane_objs)
     built = col.windows_built
     if not L:
@@ -574,41 +550,34 @@ def _expire(col: ColumnarInstance, lo: int, hi: int, glo: int, ghi: int,
     undoomed[doom_col, col.xg_state[glo:ghi][None, :]] &= ~misses
 
 
-def _candidate_keys(hi: np.ndarray, kind_rows: dict[str, np.ndarray],
+def _candidate_keys(hi: np.ndarray, key_rows: dict[ScoreKey, np.ndarray],
                     col: ColumnarInstance, win: ActivityWindow,
                     alo: int, ahi: int, T: int, n_cand: np.ndarray,
                     cap_count: np.ndarray,
                     capsum: np.ndarray | None) -> None:
     """Score: fill ``hi`` (lanes x the chronon's activity entries
     ``[alo, ahi)`` of ``win``) with each lane's candidate keys — (score,
-    finish, start) in the one packed layout, pool fields zero, the score
-    being the lane's policy kind at chronon ``T`` given the lane's
-    capture aggregates and ``n_cand``, its candidates per pool (read by
-    Coverage rows only)."""
+    finish, start) in the one packed layout, pool fields zero. The
+    score is the lane's row at chronon ``T``: the window's static column
+    of it, plus the terms that read the run — the lane's capture counts
+    and captured-deadline sums, and ``n_cand``, its candidates per pool
+    — each only where the row weighs it."""
     shift = col.score_shift
-    for kind, rows in kind_rows.items():
-        if kind == "mrsf":
-            capg = cap_count[rows[:, None], win.ps_act[None, alo:ahi]]
-            hi[rows] = win.hi_static["srank"][alo:ahi] - (capg << shift)
-        elif kind == "anti":
-            capg = cap_count[rows[:, None], win.ps_act[None, alo:ahi]]
-            hi[rows] = win.hi_static["anti"][alo:ahi] + (capg << shift)
-        elif kind == "coverage":
-            # Coverage scores -len(pool) over the *full* candidate
-            # index (both NP pools), offset to n_max - len(pool).
-            score = col.n_max - n_cand[rows]
-            score <<= shift
-            hi[rows] = (score[:, win.grp_of[alo:ahi]]
-                        + win.finstart_act[alo:ahi])
-        elif kind == "medf":
+    for key, rows in key_rows.items():
+        word = win.hi_static[key][alo:ahi]
+        if key.captured or key.deadlines:
             rc = rows[:, None]
             pc = win.ps_act[None, alo:ahi]
-            # The lane-independent part is a column of the window.
-            score = ((win.medf_base_act[alo:ahi] - capsum[rc, pc])
-                     + T * cap_count[rc, pc])
-            hi[rows] = (score << shift) + win.finstart_act[alo:ahi]
-        else:  # a static kind (_make_lanes screened the names)
-            hi[rows] = win.hi_static[kind][alo:ahi]
+            # Per capture, a row gains ``captured`` and gives back the
+            # ``-T`` its open sibling had in ``deadlines``.
+            word = word + cap_count[rc, pc] * (
+                (key.captured + key.deadlines * T) << shift)
+            if key.deadlines:
+                word -= capsum[rc, pc] * (key.deadlines << shift)
+        if key.pool:
+            word = word + (n_cand[rows] * (key.pool << shift))[
+                :, win.grp_of[alo:ahi]]
+        hi[rows] = word
 
 
 def _pool_keys(col: ColumnarInstance, pool: np.ndarray, pool_n: np.ndarray,
@@ -724,16 +693,18 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
     committed = np.zeros((L, col.S), dtype=bool) \
         if plane is not None and np_rows.size else None
     doom_rows = np.flatnonzero([ln.sees_doom for ln in lane_objs])
-    kinds = np.array([ln.kind for ln in lane_objs])
-    kind_rows = {kind: np.flatnonzero(kinds == kind)
-                 for kind in dict.fromkeys(kinds.tolist())}
-    # Non-preemptive Coverage rows: the only ones whose score counts
-    # more candidates than their first pool holds.
-    cov_np_rows = np.intersect1d(
-        kind_rows.get("coverage", np_rows[:0]), np_rows)
-    # M-EDF's captured-deadline sums; kept for every row, read by M-EDF's.
+    grouped: dict[ScoreKey, list[int]] = {}
+    for i, ln in enumerate(lane_objs):
+        grouped.setdefault(ln.key, []).append(i)
+    key_rows = {key: np.array(rows) for key, rows in grouped.items()}
+    # Non-preemptive rows weighing ``pool``: the only ones whose score
+    # counts more candidates than their first pool holds.
+    pool_np_rows = np.intersect1d(
+        np.flatnonzero([ln.key.pool != 0 for ln in lane_objs]), np_rows)
+    # Captured-deadline sums; kept for every row, read by the rows that
+    # weigh ``deadlines``.
     capsum = np.zeros((L, col.S), dtype=np.int64) \
-        if "medf" in kind_rows else None
+        if any(key.deadlines for key in key_rows) else None
     cap_flat = cap_count.reshape(-1)
     capsum_flat = capsum.reshape(-1) if capsum is not None else None
 
@@ -768,8 +739,8 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
 
     # All run state above is global; only the activity index arrives a
     # window at a time (offsets window-local, see ActivityWindow), with
-    # the key columns of this block's kinds.
-    for win in col.windows(kind_rows):
+    # the key columns of this block's score rows.
+    for win in col.windows(key_rows):
         at0 = win.first_chronon
         act_chronons = win.act_chronons.tolist()
         act_indptr = win.act_indptr.tolist()
@@ -819,16 +790,16 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
                 pool = cand.copy()
                 pool[np_rows] = cand[np_rows] & comm_np
             pool_n = np.add.reduceat(pool, gs_local, axis=1)
-            # Coverage scores a pool by *all* its candidates: pool 1's
+            # ``pool`` counts *all* a pool's candidates: pool 1's
             # count on a preemptive row, both pools' on the others.
             n_cand = pool_n
-            if cov_np_rows.size:
+            if pool_np_rows.size:
                 n_cand = pool_n.copy()
-                n_cand[cov_np_rows] = np.add.reduceat(
-                    cand[cov_np_rows], gs_local, axis=1)
+                n_cand[pool_np_rows] = np.add.reduceat(
+                    cand[pool_np_rows], gs_local, axis=1)
 
             hi = hi2d[:, :ahi - alo]
-            _candidate_keys(hi, kind_rows, col, win, alo, ahi, T, n_cand,
+            _candidate_keys(hi, key_rows, col, win, alo, ahi, T, n_cand,
                             cap_count, capsum)
             blocked = plane.blocked(grids, T) if plane is not None else None
             pr_rows, pr_gs, pr_pos = select(

@@ -20,7 +20,7 @@ vectors, ``visible_from`` and ``gone_from``, and
 use, reading a lowering whose EIs are cut to their lifetimes. The plan
 keeps that lowering, so the next policy run over the same (initial set,
 epoch) builds nothing before its first chronon. What the columns
-cannot serve (a policy without a columnar kind such as RANDOM, a
+cannot serve (a policy without a score row such as RANDOM, a
 replayed fault trace, keys beyond 62 bits) is refused with
 :class:`BatchUnsupported` before any chronon runs: the live
 :class:`~repro.runtime.proxy.MonitoringProxy`, registering and

@@ -43,11 +43,12 @@ candidate's key is the same word with the pool-size and resource-id
 fields zero, so a pool's minimum candidate key is its lexicographically
 best ``(score, finish, start)`` and OR-ing the pool's two fields into it
 (:meth:`ColumnarInstance.resource_key`) is the rank key — nothing is
-unpacked. Scores are integers (after a per-kind offset making them
-non-negative) and bit widths come from the instance's actual bounds; a
-key that cannot fit 62 bits raises :class:`BatchUnsupported`:
-``run_online`` and the harness fall back to the reference simulator, a
-churned or federated run is refused.
+unpacked. A score is the lane policy's
+:class:`~repro.online.base.ScoreKey` row plus a per-row offset that
+makes it non-negative; bit widths come from the instance's actual
+bounds, and a key that cannot fit 62 bits raises
+:class:`BatchUnsupported`: ``run_online`` and the harness fall back to
+the reference simulator, a churned or federated run is refused.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ import numpy as np
 from repro.core.profile import ProfileSet
 from repro.core.timeline import Epoch
 from repro.faults.model import keyed_draw
+from repro.online.base import ScoreKey
+from repro.online.registry import registered_keys
 
 __all__ = ["ActivityWindow", "BatchUnsupported", "ColumnarInstance",
            "FaultDraws", "INF_KEY"]
@@ -73,9 +76,10 @@ _MAX_KEY_BITS = 62
 #: Most activity entries one window holds (a single chronon above it is
 #: a window of its own). A constant, never an argument. A run holds one
 #: window and builds one, so the cap is what a streamed run costs above
-#: its O(EIs) columns. Per entry, by the block's kinds (traced, live-churn
-#: contract windows): one static kind such as MRSF or S-EDF 33 B held /
-#: 46 B at the build's peak, M-EDF 49 / 61 B, all eight kinds 89 / 101 B.
+#: its O(EIs) columns. Per entry, by the block's score rows (traced,
+#: live-churn contract windows, before M-EDF's row became one key column
+#: — 8 B less): one row such as MRSF or S-EDF 33 B held / 46 B at the
+#: build's peak, M-EDF 49 / 61 B, all eight policies 89 / 101 B.
 #: Measured end to end (benchmarks/e2e, contract scale) at 2**16 ->
 #: 2**15 -> 2**14 with one window in flight, when every window held
 #: 57 B per entry: live-churn (186 k entries)
@@ -180,21 +184,6 @@ class FaultDraws:
         return values
 
 
-#: The static scores, ``name -> score(col, fin, start, state)`` from a
-#: window's per-EI columns: the score is a function of the EI alone, so
-#: its key column is one gather of a per-EI word. A lane kind reads the
-#: column of its own name; MRSF reads ``srank``'s and subtracts its
-#: captures.
-_STATIC_SCORE = {
-    "sedf": lambda col, fin, start, state: fin,
-    "fcfs": lambda col, fin, start, state: start,
-    "lff": lambda col, fin, start, state: fin + 1,
-    "srank": lambda col, fin, start, state: col.st_rank[state],
-    # anti-MRSF's offset form: (rank_max - (rank - captured)).
-    "anti": lambda col, fin, start, state: col.rank_max - col.st_rank[state],
-}
-
-
 class ActivityWindow:
     """The activity index over one run of consecutive active chronons.
 
@@ -209,22 +198,26 @@ class ActivityWindow:
     window crosses a cut has entries on both sides.
 
     Every window holds ``act_e``, ``ps_act`` and ``grp_of``; the key
-    columns are built for ``kinds``, the lane kinds of the block that
-    asked, and for nothing else:
+    columns are built for ``keys``, the score rows
+    (:class:`~repro.online.base.ScoreKey`) of the block that asked, and
+    for nothing else:
 
-    * ``hi_static[name]`` — ``(score << score_shift) | finstart`` per
-      entry, for every static score a kind reads (``_STATIC_SCORE``);
-    * ``finstart_act`` — the (finish, start) fields, for Coverage and
-      M-EDF, whose scores depend on the run;
-    * ``fin_act`` and ``medf_base_act`` — M-EDF's captured-deadline
-      increment and the lane-independent part of its score,
-      ``init_sum + medf_off - T * started`` at the entry's chronon ``T``.
+    * ``hi_static[key]`` — per entry, ``(score << score_shift) |
+      finstart``, the score being the row's part fixed per entry: its
+      per-EI terms, ``deadlines`` of a lane that captured nothing
+      (``init_sum - T * started`` at the entry's chronon ``T``) and the
+      row's offset (:meth:`ColumnarInstance.score_offset`);
+    * ``fin_act`` — each entry's deadline, the captured-deadline
+      increment, where a row weighs ``deadlines``.
+
+    The run adds the terms that read it (``captured``, ``pool``, the
+    captured part of ``deadlines``) per lane.
     """
 
     def __init__(self, col: "ColumnarInstance", eis: np.ndarray,
                  first: np.ndarray, until: np.ndarray,
-                 lo: int, hi: int, kinds: frozenset[str]) -> None:
-        self.kinds = kinds
+                 lo: int, hi: int, keys: frozenset) -> None:
+        self.keys = keys
         self.first_chronon = lo
         self.n_act = hi - lo
         self.act_chronons = col.act_chronons[lo:hi]
@@ -277,32 +270,41 @@ class ActivityWindow:
         at.sort()
         at &= (1 << b) - 1
 
-        # Key columns, aligned with the entries: what the kinds read.
-        # M-EDF's base first, so its temporaries die before the rest.
-        if "medf" in kinds:
-            self.medf_base_act = self._medf_base(col, state, at, t1)
+        # Key columns, aligned with the entries: what the rows read. The
+        # deadline term first, so its temporaries die before the rest.
+        weigh_deadlines = any(key.deadlines for key in keys)
+        if weigh_deadlines:
+            deadlines = self._deadlines(col, state, at, t1)
         self.act_e = eis[at]
         self.ps_act = state[at]
-        # The others are each one gather of a per-EI word.
+        # Per row, one gather of a per-EI word.
         finstart = (fin << col.finish_shift) | (start << col.start_shift)
-        names = {"srank" if kind == "mrsf" else kind for kind in kinds}
-        self.hi_static: dict[str, np.ndarray] = {
-            name: ((_STATIC_SCORE[name](col, fin, start, state)
-                    << col.score_shift) | finstart)[at]
-            for name in names & _STATIC_SCORE.keys()}
-        if "coverage" in kinds or "medf" in kinds:
-            self.finstart_act = finstart[at]
-        if "medf" in kinds:
+        features = (("finish", fin), ("start", start),
+                    ("rank", col.st_rank[state]))
+        self.hi_static = {}
+        for key in keys:
+            score = np.full(eis.size, col.score_offset(key), dtype=np.int64)
+            for feature, column in features:
+                weight = getattr(key, feature)
+                if weight:
+                    score += weight * column
+            word = ((score << col.score_shift) | finstart)[at]
+            if key.deadlines:
+                word += (deadlines * key.deadlines) << col.score_shift
+            self.hi_static[key] = word
+        if weigh_deadlines:
+            del deadlines  # before the last gather: one column less held
             self.fin_act = fin[at]
 
-    def _medf_base(self, col: "ColumnarInstance", state: np.ndarray,
+    def _deadlines(self, col: "ColumnarInstance", state: np.ndarray,
                    at: np.ndarray, t1: int) -> np.ndarray:
-        """``init_sum + medf_off - T * started`` per entry.
+        """``init_sum - T * started`` per entry: the ``deadlines``
+        feature of a lane that has captured nothing.
 
         ``started`` counts the EIs of the entry's state that have opened
         (start <= T) by the entry's chronon ``T`` — M-EDF's "started"
-        aggregate before a lane's captures are subtracted, so the whole
-        base is lane-independent and static per entry. The true starts
+        aggregate before a lane's captures are subtracted, so the term
+        is lane-independent and static per entry. The true starts
         count even for a state registered after some of them (it
         arrives with those windows open; one that arrives with a window
         already *closed* is doomed and M-EDF never scores it). One
@@ -325,7 +327,7 @@ class ActivityWindow:
             opens[has] = np.minimum(col.ei_start[head[has] + slot], t1 + 1)
             started += opens[at] <= act_T
         started *= act_T
-        base = (col.init_sum[state] + col.medf_off)[at]
+        base = col.init_sum[state][at]
         base -= started
         return base
 
@@ -528,27 +530,27 @@ class ColumnarInstance:
         self._cuts = list(zip(bounds, bounds[1:], reach.tolist()))
         self._window: ActivityWindow | None = None
 
-    def windows(self, kinds=()):
+    def windows(self, keys=()):
         """Yield the activity index, one :class:`ActivityWindow` at a time,
-        with the key columns the lane ``kinds`` read.
+        with the key columns the lanes' score rows ``keys`` read.
 
         A window's EIs are those still visible from the previous
         window plus the next run of the start-sorted order — never a
         scan of all EIs per window. An index that fits one window keeps
-        it with the kinds it was built for, so every run on a small
-        lowering reads the same arrays; a run that asks for another kind
+        it with the rows it was built for, so every run on a small
+        lowering reads the same arrays; a run that asks for another row
         rebuilds it for the union. A larger index builds each window
         when its chronons are due and keeps no reference. A consumer
         that drops its own references before asking for the next window
         (as the chronon loops do) therefore holds one window at a time —
         never two, never the epoch.
         """
-        kinds = frozenset(kinds)
+        keys = frozenset(keys)
         if self._window is not None:
-            if kinds <= self._window.kinds:
+            if keys <= self._window.keys:
                 yield self._window
                 return
-            kinds |= self._window.kinds
+            keys |= self._window.keys
             self._window = None
         eis = until = np.zeros(0, dtype=np.int64)
         at = 0
@@ -561,7 +563,7 @@ class ColumnarInstance:
                 self._by_start[at:upto])))
             at = upto
             first, until = self.visibility(eis)
-            window = ActivityWindow(self, eis, first, until, lo, hi, kinds)
+            window = ActivityWindow(self, eis, first, until, lo, hi, keys)
             self.windows_built += 1
             self.window_seconds += time.perf_counter() - began
             if len(self._cuts) == 1:
@@ -620,13 +622,23 @@ class ColumnarInstance:
         rank_max = int(self.st_rank.max()) if self.S else 1
         size_max = int(self.st_size.max()) if self.S else 1
         rid_max = int(self.ei_res.max()) if self.E else 0
-        # Largest offset score any supported policy kind can produce:
-        # S-EDF/FCFS/LFF are bounded by the horizon, the rank family by
-        # the profile rank, Coverage by the largest pool, and M-EDF by
-        # sum(finish) - T * started in [-K * size, K * size].
-        self.medf_off = K * size_max
-        score_max = max(finish_max + 1, start_max, rank_max,
-                        self.n_max, 2 * self.medf_off)
+        #: Each feature's ``(lo, hi)`` over every candidate, which rows'
+        #: offsets and spans are read off (``chronon`` and ``const`` are
+        #: left out). ``deadlines`` adds each uncaptured sibling's
+        #: deadline, less ``T <= K`` once it is open.
+        self.feature_ranges = {
+            "finish": (0, finish_max),
+            "start": (0, start_max),
+            "rank": (0, rank_max),
+            "captured": (0, size_max),
+            "deadlines": (-K * size_max,
+                          int(self.init_sum.max()) if self.S else 1),
+            "pool": (0, self.n_max),
+        }
+        # The score field holds the widest row of any registered policy.
+        score_max = max(hi - lo for lo, hi in (
+            key.score_range(self.feature_ranges)
+            for key in registered_keys()))
 
         self.start_bits = _bits(start_max)
         self.finish_bits = _bits(finish_max)
@@ -647,7 +659,6 @@ class ColumnarInstance:
                 f"{self.start_bits} + resource id {self.rid_bits}, for "
                 f"horizon {K}, scores <= {score_max}, pools <= "
                 f"{self.n_max}, resources <= {rid_max}")
-        self.rank_max = rank_max
 
         # Report scaffolding shared by every lane (with profile_totals):
         # totals never depend on the run, only on the instance.
@@ -661,6 +672,17 @@ class ColumnarInstance:
             zip(sizes.tolist(), count[sizes].tolist()))
 
     # ------------------------------------------------------------------
+
+    def score_offset(self, key: ScoreKey) -> int:
+        """What lifts row ``key``'s lowest score on this instance to 0;
+        :class:`BatchUnsupported` if its scores span more than the score
+        field (the widest registered policy's row) holds."""
+        lo, hi = key.score_range(self.feature_ranges)
+        if (hi - lo) >> self.score_bits:
+            raise BatchUnsupported(
+                f"score row {key} spans {hi - lo} scores on this instance, "
+                f"beyond the {self.score_bits}-bit score field")
+        return -lo
 
     def resource_key(self, best: np.ndarray, pool_n: np.ndarray,
                      grp_rid: np.ndarray) -> np.ndarray:

@@ -17,16 +17,16 @@ maintenance:
   is exactly: arrived, uncaptured, window open now, parent not complete,
   and — for rank/multi-EI-level policies — parent not doomed; all five
   conditions change only at events.
-* **Cached selection** for chronon-shift-invariant policies (S-EDF,
-  MRSF, FCFS, LFF, StaticRank, anti-MRSF, Coverage): each resource
-  caches its best candidate key in *absolute* form (deadline instead of
-  deadline-minus-chronon). Because every candidate's score shifts by the
-  same amount per chronon (or not at all), absolute keys rank resources
-  identically to the reference's relative keys, and a resource is
-  re-scored only when an event dirtied it. M-EDF scores change
-  non-uniformly across candidates, so it is re-scored every chronon —
-  but in O(1) per candidate via per-state aggregates instead of the
-  reference's O(rank) sum.
+* **Cached selection** for every policy with a score row
+  (:func:`~repro.online.base.key_of`): each resource caches its best
+  candidate key, scored by the row without ``chronon`` / ``const``
+  (deadline instead of deadline-minus-chronon). Those two shift every
+  candidate of a chronon alike, so the cached keys rank resources
+  identically to the reference's scores, and a resource is re-scored
+  only when an event dirtied it. A row weighing ``deadlines`` (M-EDF)
+  changes non-uniformly across candidates, so it is re-scored every
+  chronon — but in O(1) per candidate via per-state aggregates instead
+  of the reference's O(rank) sum.
 
 Equivalence of tie-breaking: the reference resolves full score ties by
 candidate list position (``min`` keeps the first). The reference list is
@@ -37,9 +37,10 @@ per-chronon bookkeeping: a t-interval is counted captured iff it is
 complete when the epoch ends, expired otherwise, which is provably what
 the reference's retire/flush counting computes.
 
-Policies not recognised (e.g. :class:`RandomPolicy`, custom subclasses)
-fall back to a generic path that still benefits from the index: the flat
-candidate list is materialised from it in reference order and handed to
+Policies without a row (e.g. RANDOM, subclasses that override
+``score`` or ``observe_candidates``) fall back to a generic path that
+still benefits from the index: the flat candidate list is materialised
+from it in reference order and handed to
 :func:`~repro.online.base.select_probes`.
 
 Custom ``state_factory`` states are supported under the two contracts the
@@ -88,18 +89,9 @@ from repro.online.base import (
     Policy,
     ProbeDecision,
     TIntervalState,
+    key_of,
     select_probes,
 )
-from repro.online.baselines import (
-    CoveragePolicy,
-    FCFSPolicy,
-    LeastFlexibleFirstPolicy,
-    MostResidualFirstPolicy,
-    StaticRankPolicy,
-)
-from repro.online.medf import MEDFPolicy
-from repro.online.mrsf import MRSFPolicy
-from repro.online.sedf import SEDFPolicy
 from repro.simulation.result import SimulationResult
 
 __all__ = ["FastProxySimulator"]
@@ -142,30 +134,6 @@ class _FastState:
         self.tid = state.eta.tinterval_id
 
 
-# Chronon-shift-invariant scorers in absolute form: scorer(fs, ei, T)
-# returns a value whose ordering over candidates equals the ordering of
-# the policy's true scores at any fixed chronon T. For S-EDF and LFF the
-# true score is (absolute value - T): subtracting the same T from every
-# candidate preserves order exactly. MRSF-family scores are
-# chronon-independent but change on captures of the parent state.
-_ABS_SCORERS = {
-    SEDFPolicy: lambda fs, ei, T: float(ei.finish),
-    FCFSPolicy: lambda fs, ei, T: float(ei.start),
-    # Candidates are active (start <= T), so LFF's remaining width is
-    # finish - T + 1 for every one of them.
-    LeastFlexibleFirstPolicy: lambda fs, ei, T: float(ei.finish + 1),
-    StaticRankPolicy: lambda fs, ei, T: float(fs.state.profile_rank),
-    MRSFPolicy: lambda fs, ei, T: float(
-        fs.state.profile_rank - fs.state.captured_count),
-    MostResidualFirstPolicy: lambda fs, ei, T: -float(
-        fs.state.profile_rank - fs.state.captured_count),
-}
-
-#: Policies whose cached resource keys go stale when a parent state's
-#: captured count changes.
-_CAPTURE_SENSITIVE = (MRSFPolicy, MostResidualFirstPolicy)
-
-
 class FastProxySimulator:
     """Drop-in fast replacement for :class:`ProxySimulator`.
 
@@ -193,17 +161,17 @@ class FastProxySimulator:
         self.retry = retry
         self.breaker = breaker
 
-        # Selection mode: cached absolute keys, per-chronon M-EDF
-        # rescoring, or the generic fallback. Exact type match only —
-        # subclasses may override score() arbitrarily.
-        kind = type(policy)
-        self._scorer = _ABS_SCORERS.get(kind)
-        self._coverage = kind is CoveragePolicy
-        self._medf = kind is MEDFPolicy
-        self._fast_mode = (self._scorer is not None or self._coverage
-                           or self._medf)
-        self._capture_dirty = self._fast_mode and isinstance(
-            policy, _CAPTURE_SENSITIVE)
+        # Selection mode: cached keys scored by the policy's row, or the
+        # generic fallback for a policy without one. The row leaves out
+        # ``chronon`` and ``const``, which shift every candidate of a
+        # chronon alike, so a cached key stays valid until an event
+        # dirties its resource — except under ``deadlines``, whose ``-T``
+        # per open sibling drifts non-uniformly: those rows are rescored
+        # every chronon (O(1) per candidate via the state aggregates).
+        self._row = key_of(policy)
+        self._fast_mode = self._row is not None
+        self._rescore = self._fast_mode and self._row.deadlines != 0
+        self._capture_dirty = self._fast_mode and self._row.captured != 0
         # NP mode pools depend on committed flags, so flips dirty caches.
         self._commit_dirty = self._fast_mode and not preemptive
 
@@ -284,70 +252,45 @@ class FastProxySimulator:
         the reference's candidate list — reproducing ``min``'s
         first-wins behaviour exactly. The stored triple's rank key
         mirrors the reference's resource ranking: (best score, best
-        deadline, -pool size, best tie-break). Score and deadline shift
-        uniformly with the chronon across resources, so comparing the
-        absolute forms ranks identically.
+        deadline, -pool size, best tie-break). The score is the policy's
+        row without ``chronon`` / ``const``, which shift every candidate
+        of a chronon alike, so it ranks as the reference's score does.
         """
-        scorer = self._scorer
-        coverage_score = -float(len(entries)) if self._coverage else None
-        medf = self._medf
-        if self.preemptive:
-            best = None
-            best_cand = None
-            for (seq, ei_id), (fs, ei, cand) in entries.items():
-                if medf:
-                    score = float(fs.medf_sum - chronon * fs.medf_started)
-                elif coverage_score is not None:
-                    score = coverage_score
-                else:
-                    score = scorer(fs, ei, chronon)
-                key = (score, ei.finish, ei.start, rid,
-                       fs.pid, fs.tid, seq, ei_id)
-                if best is None or key < best:
-                    best = key
-                    best_cand = cand
-            self._cache[rid] = (
-                (best[0], best[1], -len(entries), best[2], best[3],
-                 best[4], best[5]), rid, best_cand)
-            return
-        best_c = best_f = None
-        cand_c = cand_f = None
-        n_c = n_f = 0
+        row = self._row
+        # ``pool`` counts every candidate on the resource, both NP pools.
+        pool = row.pool * len(entries)
+        split = not self.preemptive
+        # Per pool (0: the only one, or NP's committed; 1: NP's fresh):
+        # best key, its candidate, the pool's size.
+        best: list = [None, None]
+        chosen: list = [None, None]
+        sizes = [0, 0]
         for (seq, ei_id), (fs, ei, cand) in entries.items():
-            if medf:
-                score = float(fs.medf_sum - chronon * fs.medf_started)
-            elif coverage_score is not None:
-                score = coverage_score
-            else:
-                score = scorer(fs, ei, chronon)
+            state = fs.state
+            score = (pool + row.finish * ei.finish + row.start * ei.start
+                     + row.rank * state.profile_rank
+                     + row.captured * state.captured_count
+                     + row.deadlines * (fs.medf_sum
+                                        - chronon * fs.medf_started))
             key = (score, ei.finish, ei.start, rid,
                    fs.pid, fs.tid, seq, ei_id)
-            if fs.state.committed:
-                n_c += 1
-                if best_c is None or key < best_c:
-                    best_c, cand_c = key, cand
+            side = split and not state.committed
+            sizes[side] += 1
+            if best[side] is None or key < best[side]:
+                best[side], chosen[side] = key, cand
+        for side, cache in enumerate((self._cache, self._cache2)):
+            key = best[side]
+            if key is None:
+                cache.pop(rid, None)
             else:
-                n_f += 1
-                if best_f is None or key < best_f:
-                    best_f, cand_f = key, cand
-        if best_c is not None:
-            self._cache[rid] = (
-                (best_c[0], best_c[1], -n_c, best_c[2], best_c[3],
-                 best_c[4], best_c[5]), rid, cand_c)
-        else:
-            self._cache.pop(rid, None)
-        if best_f is not None:
-            self._cache2[rid] = (
-                (best_f[0], best_f[1], -n_f, best_f[2], best_f[3],
-                 best_f[4], best_f[5]), rid, cand_f)
-        else:
-            self._cache2.pop(rid, None)
+                cache[rid] = ((key[0], key[1], -sizes[side], key[2],
+                               key[3], key[4], key[5]), rid, chosen[side])
 
     def _select_fast(self, chronon: Chronon,
                      budget: int) -> list[ProbeDecision]:
         index = self._index
-        if self._medf:
-            # M-EDF scores drift non-uniformly with the chronon: rescore
+        if self._rescore:
+            # ``deadlines`` drifts non-uniformly with the chronon: rescore
             # everything (O(1) per candidate via the state aggregates).
             for rid, entries in index.items():
                 self._recompute(rid, entries, chronon)
@@ -366,39 +309,24 @@ class FastProxySimulator:
                        if breaker.is_blocked(rid, chronon)}
             if len(blocked) == len(index):
                 return []
-        cache = self._cache
 
         # After the refresh above, cache keys track index keys exactly
         # (every index mutation dirties or evicts), so the pools are the
-        # cached triples themselves — no per-chronon key building.
-        if self.preemptive:
+        # cached triples themselves — no per-chronon key building. The
+        # fresh pool (``_cache2``) of a preemptive run is always empty.
+        def unblocked(cache: dict[int, tuple]):
             if not blocked:
-                pool = cache.values()
-            else:
-                pool = [triple for rid, triple in cache.items()
-                        if rid not in blocked]
-            return [ProbeDecision(rid, cand)
-                    for _k, rid, cand in heapq.nsmallest(budget, pool)]
-
-        decisions: list[ProbeDecision] = []
-        chosen: set[int] = set()
-        if not blocked:
-            pool = cache.values()
-        else:
-            pool = [triple for rid, triple in cache.items()
+                return cache.values()
+            return [triple for rid, triple in cache.items()
                     if rid not in blocked]
-        for _k, rid, cand in heapq.nsmallest(budget, pool):
-            decisions.append(ProbeDecision(rid, cand))
-            chosen.add(rid)
+
+        decisions = [ProbeDecision(rid, cand) for _k, rid, cand
+                     in heapq.nsmallest(budget, unblocked(self._cache))]
         if len(decisions) < budget:
+            chosen = {decision.resource_id for decision in decisions}
             needed = budget - len(decisions) + len(chosen)
-            cache2 = self._cache2
-            if not blocked:
-                pool2 = cache2.values()
-            else:
-                pool2 = [triple for rid, triple in cache2.items()
-                         if rid not in blocked]
-            for _k, rid, cand in heapq.nsmallest(needed, pool2):
+            for _k, rid, cand in heapq.nsmallest(
+                    needed, unblocked(self._cache2)):
                 if rid in chosen:
                     continue
                 if len(decisions) >= budget:

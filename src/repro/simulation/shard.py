@@ -130,7 +130,7 @@ def federated_run(profiles: ProfileSet, epoch: Epoch,
     work-stealing ledger.
 
     Raises :class:`~repro.simulation.columnar.BatchUnsupported` for
-    policies without a columnar scoring kind (e.g. RANDOM) and
+    policies without a score row (e.g. RANDOM) and
     instances whose packed keys overflow — such runs need the reference
     simulator — and :class:`ValueError` for a ``coordinator`` whose
     ledger already booked a run (its loads would sum both).
@@ -149,7 +149,7 @@ def federated_run(profiles: ProfileSet, epoch: Epoch,
     fault = None
     if faults is not None or retry is not None or breaker is not None:
         fault = FaultLane(faults, retry, breaker)
-    lanes = _make_lanes([(policy, preemptive, budget, 0, fault)])
+    lanes = _make_lanes(col, [(policy, preemptive, budget, 0, fault)])
     owner = coord.assign(col.rid_space)
     ramp = np.arange(max(col.g_max, 1), dtype=np.int64)
 

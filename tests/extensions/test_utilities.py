@@ -17,7 +17,14 @@ from repro.extensions import (
     run_weighted,
     weighted_completeness,
 )
-from repro.online import Candidate, SEDFPolicy, TIntervalState
+from repro.experiments import ExperimentConfig, make_instance
+from repro.online import (
+    Candidate,
+    SEDFPolicy,
+    TIntervalState,
+    available_policies,
+    make_policy,
+)
 from repro.simulation import run_online
 
 
@@ -129,3 +136,28 @@ class TestRunWeighted:
                                 weights)
         assert weighted.result.schedule.probe_chronons(1) == [3]
         assert weighted.weighted_gc == pytest.approx(5 / 6)
+
+
+#: Contended enough that an EI-level policy that saw doom, or Coverage
+#: blind to the candidate bag, would probe differently.
+_CONFIG = ExperimentConfig(
+    epoch_length=40, num_resources=10, num_profiles=14, intensity=10.0,
+    window=4, budget=1, repetitions=1, grouping="overlap", seed=2)
+
+
+@pytest.mark.parametrize("preemptive", [True, False], ids=["P", "NP"])
+@pytest.mark.parametrize("name", [
+    name for name in available_policies() if make_policy(name).key])
+def test_unit_weights_keep_the_base_schedule(name, preemptive):
+    """The base sees what it sees alone — its level and every chronon's
+    candidate bag (Coverage counts it) — so unit weights change
+    nothing."""
+    _trace, profiles = make_instance(_CONFIG, 0)
+    epoch, budget = _CONFIG.epoch, _CONFIG.budget_vector
+    base = run_online(profiles, epoch, budget, make_policy(name),
+                      preemptive=preemptive)
+    weighted = run_weighted(profiles, epoch, budget, make_policy(name),
+                            UtilityWeights.uniform(), preemptive=preemptive)
+    assert list(weighted.result.schedule.probes()) == \
+        list(base.schedule.probes())
+    assert weighted.weighted_gc == pytest.approx(base.gc)

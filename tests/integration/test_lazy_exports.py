@@ -15,7 +15,9 @@ import pytest
 
 #: Public names per package at the last eager commit (a5939b7);
 #: ``repro.online`` has since traded ``apply_probes`` for the chronon
-#: pair ``plan_chronon`` / ``settle_chronon``.
+#: pair ``plan_chronon`` / ``settle_chronon``, and the three ``*_value``
+#: score helpers for the score row ``ScoreKey`` and ``key_of``;
+#: ``repro.simulation`` dropped ``batch_kind`` (``key_of`` replaced it).
 PUBLIC_NAMES = {
     "repro": 74,
     "repro.analysis": 4,
@@ -27,10 +29,10 @@ PUBLIC_NAMES = {
     "repro.forecast": 9,
     "repro.io": 12,
     "repro.offline": 16,
-    "repro.online": 24,
+    "repro.online": 23,
     "repro.runtime": 13,
     "repro.runtime.aio": 14,
-    "repro.simulation": 12,
+    "repro.simulation": 11,
     "repro.traces": 12,
     "repro.workloads": 11,
 }

@@ -1,12 +1,16 @@
 """Tests for the baseline policies (Random, FCFS, LFF, Coverage)."""
 
+import pytest
+
 from repro.core import BudgetVector, Epoch, ExecutionInterval, TInterval
+from repro.experiments import ExperimentConfig, make_instance
 from repro.online import (
     Candidate,
     CoveragePolicy,
     FCFSPolicy,
     LeastFlexibleFirstPolicy,
     RandomPolicy,
+    SEDFPolicy,
     TIntervalState,
 )
 from repro.simulation import run_online
@@ -57,6 +61,22 @@ class TestLFFPolicy:
         policy = LeastFlexibleFirstPolicy()
         candidate = _candidate(0, 1, 10)
         assert policy.score(candidate, 8) == 3.0  # chronons 8, 9, 10
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("preemptive", [True, False], ids=["P", "NP"])
+    def test_ranks_exactly_as_s_edf(self, seed, preemptive):
+        # Every candidate is active, so LFF's score is S-EDF's plus one.
+        config = ExperimentConfig(
+            epoch_length=40, num_resources=10, num_profiles=14,
+            intensity=5.0, window=6, budget=1, repetitions=1,
+            grouping="overlap", seed=seed)
+        _trace, profiles = make_instance(config, 0)
+        lff, sedf = (run_online(profiles, config.epoch, config.budget_vector,
+                                policy, preemptive=preemptive,
+                                engine="reference")
+                     for policy in (LeastFlexibleFirstPolicy(), SEDFPolicy()))
+        assert list(lff.schedule.probes()) == list(sedf.schedule.probes())
+        assert lff.report == sedf.report
 
 
 class TestStaticRankPolicy:

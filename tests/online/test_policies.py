@@ -1,7 +1,9 @@
 """Tests for the paper's three policies: score formulas and semantics.
 
-Includes a worked example in the spirit of the paper's Figure 2 / Example
-1: one candidate t-interval with four EIs evaluated at a chronon T.
+Every value goes through ``Policy.score``, which evaluates the policy's
+score row. Includes a worked example in the spirit of the paper's
+Figure 2 / Example 1: one candidate t-interval with four EIs evaluated at
+a chronon T.
 """
 
 import pytest
@@ -13,10 +15,16 @@ from repro.online import (
     MRSFPolicy,
     SEDFPolicy,
     TIntervalState,
-    m_edf_value,
-    mrsf_value,
-    s_edf_value,
 )
+
+
+def s_edf_value(ei: ExecutionInterval, chronon: int) -> float:
+    state = TIntervalState(TInterval([ei]), 1)
+    return SEDFPolicy().score(Candidate(state, state.eta[0]), chronon)
+
+
+def m_edf_value(state: TIntervalState, chronon: int) -> float:
+    return MEDFPolicy().score(Candidate(state, state.eta[0]), chronon)
 
 
 class TestSEDFValues:
@@ -41,7 +49,11 @@ class TestSEDFValues:
 
 class TestMRSFValues:
     def test_formula(self):
-        assert mrsf_value(profile_rank=3, captured_count=1) == 2.0
+        eta = TInterval([ExecutionInterval(0, 1, 5),
+                         ExecutionInterval(1, 1, 5)])
+        state = TIntervalState(eta, profile_rank=3)
+        state.mark_captured(1)
+        assert MRSFPolicy().score(Candidate(state, eta[0]), 1) == 2.0
 
     def test_policy_uses_profile_rank_not_size(self):
         # A 2-EI t-interval inside a rank-3 profile scores 3 - captured.
@@ -117,7 +129,8 @@ class TestExample1WorkedExample:
 
     def test_s_edf_per_ei(self, state):
         chronon = 10
-        values = [s_edf_value(ei, chronon) for ei in state.eta]
+        values = [SEDFPolicy().score(Candidate(state, ei), chronon)
+                  for ei in state.eta]
         assert values == [2.0, -1.0, 5.0, 10.0]
 
     def test_mrsf(self, state):

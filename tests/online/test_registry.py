@@ -59,3 +59,19 @@ class TestParsePolicySpec:
         policy, preemptive = parse_policy_spec("  MRSF(NP) ")
         assert isinstance(policy, MRSFPolicy)
         assert not preemptive
+
+    @pytest.mark.parametrize("spec, name, preemptive", [
+        ("mrsf(np)", "MRSF", False), ("S-EDF(np)", "S-EDF", False),
+        ("m-edf(Np)", "M-EDF", False), ("Coverage(p)", "Coverage", True),
+        ("anti-mrsf(nP)", "anti-MRSF", False), ("lff (P)", "LFF", True)])
+    def test_the_suffix_is_case_insensitive_like_the_name(
+            self, spec, name, preemptive):
+        policy, got = parse_policy_spec(spec)
+        assert (policy.name, got) == (name, preemptive)
+
+    @pytest.mark.parametrize("spec", ["MRSF(X)", "S-EDF(pn)", "MRSF(NP",
+                                      "M-EDF()"])
+    def test_other_suffixes_are_refused_with_a_message(self, spec):
+        with pytest.raises(WorkloadError,
+                           match=r"expected a \(P\) or \(NP\) suffix"):
+            parse_policy_spec(spec)

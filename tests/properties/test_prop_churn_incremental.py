@@ -38,13 +38,9 @@ from repro.offline import (
     LocalRatioApproximation,
     unit_conflict_adjacency,
 )
+from repro.online import key_of
 from repro.online.registry import parse_policy_spec
-from repro.simulation import (
-    ChurnEvent,
-    ChurnPlan,
-    batch_kind,
-    run_churned,
-)
+from repro.simulation import ChurnEvent, ChurnPlan, run_churned
 from repro.simulation.engine import FastProxySimulator
 
 from tests.properties.strategies import (
@@ -92,7 +88,7 @@ def churn_scenarios(draw, max_initial: int = 3, max_adds: int = 3):
 
 def _run_both(initial, plan, spec, budget, faults=None, retry=None):
     policy, preemptive = parse_policy_spec(spec)
-    if batch_kind(policy) is None:
+    if key_of(policy) is None:
         incremental = _run_spliced(initial, plan, spec, budget, faults,
                                    retry)
     else:

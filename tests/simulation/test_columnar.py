@@ -10,11 +10,12 @@ key column up front — lives on here as :func:`oracle`. Every public
 attribute of the lowering must equal it in value *and* dtype, and so
 must the *concatenation* of ``windows()`` (offsets applied) wherever
 the cuts fall, and what the occupancy grid says about the index
-without building it. A window holds the key columns of the lane kinds
-it was built for and no others. The oracle takes the same optional
-lifetimes the lowering does (``tests/simulation/test_churn_columns.py``
-feeds it churn plans); without them every t-interval is there from the
-start and nobody leaves.
+without building it. A window holds the key columns of the score rows
+(``ScoreKey``) it was built for and no others. The oracle takes the
+same optional lifetimes the lowering does
+(``tests/simulation/test_churn_columns.py`` feeds it churn plans);
+without them every t-interval is there from the start and nobody
+leaves.
 """
 
 from types import SimpleNamespace
@@ -34,6 +35,7 @@ from repro.core import (
 )
 from repro.experiments import ExperimentConfig, make_instance
 from repro.faults import CircuitBreaker, FaultSpec, RetryConfig
+from repro.online import ScoreKey
 from repro.online.registry import parse_policy_spec
 from repro.simulation import columnar as columnar_module
 from repro.simulation import run_online
@@ -47,9 +49,16 @@ from repro.simulation.columnar import (
 )
 from repro.simulation.shard import federated_run
 
+from tests.online.test_score_key import ROWS
 from tests.properties.strategies import epoch, profile_sets
 
-_KINDS = ("sedf", "fcfs", "lff", "srank", "anti")
+
+def _row_range(key: ScoreKey, ranges) -> tuple[int, int]:
+    """The row's lowest and highest score, by interval arithmetic over
+    the feature ranges (``chronon`` and ``const`` have none)."""
+    ends = [(getattr(key, name) * lo, getattr(key, name) * hi)
+            for name, (lo, hi) in ranges.items()]
+    return sum(map(min, ends)), sum(map(max, ends))
 
 
 def oracle(profiles, epoch, visible_from=None,
@@ -202,15 +211,22 @@ def oracle(profiles, epoch, visible_from=None,
     o.xg_indptr = np.searchsorted(
         o.xg_starts, o.xe_indptr).astype(np.int64)
 
-    # Packed-key layout and every key column, eagerly.
+    # Packed-key layout and every registered row's key column, eagerly.
     start_max = int(o.ei_start.max()) if o.E else 1
     finish_max = int(o.ei_finish.max()) if o.E else 1
     rank_max = int(o.st_rank.max()) if o.S else 1
     size_max = int(o.st_size.max()) if o.S else 1
     res_max = int(o.ei_res.max()) if o.E else 0
-    o.medf_off = last * size_max
-    score_max = max(finish_max + 1, start_max, rank_max, o.n_max,
-                    2 * o.medf_off)
+    o.feature_ranges = {
+        "finish": (0, finish_max),
+        "start": (0, start_max),
+        "rank": (0, rank_max),
+        "captured": (0, size_max),
+        "deadlines": (-last * size_max, int(o.init_sum.max()) if o.S else 1),
+        "pool": (0, o.n_max),
+    }
+    score_max = max(hi - lo for lo, hi in (
+        _row_range(key, o.feature_ranges) for key in ROWS.values()))
     o.start_bits = _bits(start_max)
     o.finish_bits = _bits(finish_max)
     o.score_bits = _bits(score_max)
@@ -226,18 +242,18 @@ def oracle(profiles, epoch, visible_from=None,
         raise BatchUnsupported("oracle: packed key too wide")
     fin = o.ei_finish[o.act_e]
     start = o.ei_start[o.act_e]
-    o.finstart_act = (fin << o.finish_shift) | (start << o.start_shift)
+    finstart = (fin << o.finish_shift) | (start << o.start_shift)
+    # A lane that captured nothing: M-EDF's sum over every sibling, less
+    # T for the started ones.
+    deadlines = o.init_sum[o.ps_act] - act_T * started
     rank = o.st_rank[o.ps_act]
-    o.hi_static = {
-        "sedf": (fin << o.score_shift) | o.finstart_act,
-        "fcfs": (start << o.score_shift) | o.finstart_act,
-        "lff": ((fin + 1) << o.score_shift) | o.finstart_act,
-        "srank": (rank << o.score_shift) | o.finstart_act,
-        "anti": ((rank_max - rank) << o.score_shift) | o.finstart_act,
-    }
-    o.rank_max = rank_max
+    o.hi_static = {}
+    for key in ROWS.values():
+        score = (key.finish * fin + key.start * start + key.rank * rank
+                 + key.deadlines * deadlines
+                 - _row_range(key, o.feature_ranges)[0])
+        o.hi_static[key] = (score << o.score_shift) + finstart
     o.fin_act = fin
-    o.medf_base_act = o.init_sum[o.ps_act] + o.medf_off - act_T * started
 
     o.profile_totals = {profile.profile_id: len(profile)
                         for profile in profiles}
@@ -247,16 +263,12 @@ def oracle(profiles, epoch, visible_from=None,
     return o
 
 
-#: Every lane kind of the block kernel.
-_LANE_KINDS = ("sedf", "fcfs", "lff", "srank", "mrsf", "anti", "coverage",
-               "medf")
-
-#: Per-entry columns every window holds, whatever its kinds.
+#: Per-entry columns every window holds, whatever its rows.
 _LAYOUT = ("act_indptr", "act_e", "ps_act", "grp_starts", "grp_of")
 
 #: Per-entry columns: the lowering has them one window at a time, the
-#: key columns only for the kinds that read them.
-_PER_ENTRY = _LAYOUT + ("finstart_act", "fin_act", "medf_base_act")
+#: captured-deadline increment only for rows that weigh ``deadlines``.
+_PER_ENTRY = _LAYOUT + ("fin_act",)
 
 #: Per-chronon and per-group columns of a window.
 _PER_GROUP = ("act_chronons", "grp_indptr", "grp_rid", "grp_sizes")
@@ -266,46 +278,38 @@ _PER_GROUP = ("act_chronons", "grp_indptr", "grp_rid", "grp_sizes")
 _CAPS = (1, 7, columnar_module._WINDOW_ENTRIES)
 
 
-def key_columns(kinds) -> tuple[set[str], set[str]]:
-    """What a window built for ``kinds`` holds beyond its layout: the
-    per-entry key attributes, and the ``hi_static`` names (MRSF reads
-    the static-rank word)."""
-    kinds = set(kinds)
-    attrs = set()
-    if kinds & {"coverage", "medf"}:
-        attrs.add("finstart_act")
-    if "medf" in kinds:
-        attrs |= {"fin_act", "medf_base_act"}
-    static = {"srank" if kind == "mrsf" else kind for kind in kinds}
-    return attrs, static & set(_KINDS)
+def key_columns(keys) -> tuple[set[str], set[ScoreKey]]:
+    """What a window built for ``keys`` holds beyond its layout: the
+    per-entry attributes, and one ``hi_static`` column per row."""
+    keys = set(keys)
+    attrs = {"fin_act"} if any(key.deadlines for key in keys) else set()
+    return attrs, keys
 
 
-def stitched(col: ColumnarInstance, kinds=_LANE_KINDS) -> SimpleNamespace:
-    """``col.windows(kinds)`` concatenated into whole-epoch columns —
-    the layout and the key columns of ``kinds`` — checking that every
-    window holds exactly the arrays of the kinds it was built for."""
-    wins = list(col.windows(kinds))
-    attrs, static = key_columns(kinds)
+def stitched(col: ColumnarInstance, keys=tuple(ROWS.values())
+             ) -> SimpleNamespace:
+    """``col.windows(keys)`` concatenated into whole-epoch columns — the
+    layout and the key columns of ``keys`` — checking that every window
+    holds exactly the arrays of the rows it was built for."""
+    wins = list(col.windows(keys))
+    attrs, static = key_columns(keys)
     w = SimpleNamespace()
     entries = groups = chronons = 0
     parts = {name: [] for name in _LAYOUT + _PER_GROUP + tuple(attrs)}
-    parts.update({kind: [] for kind in static})
+    rows = {key: [] for key in static}
     for win in wins:
         assert win.first_chronon == chronons
         assert win.first_group == groups
         assert win.n_act == win.act_chronons.size > 0
         # A kept window may hold what an earlier run asked for too.
-        assert set(kinds) <= win.kinds
-        held_attrs, held_static = key_columns(win.kinds)
+        assert set(keys) <= win.keys
+        held_attrs, held_static = key_columns(win.keys)
         held = {name for name, value in vars(win).items()
                 if isinstance(value, np.ndarray)}
         assert held == set(_LAYOUT + _PER_GROUP) | held_attrs
         assert set(win.hi_static) == held_static
         for name in parts:
-            if name in _KINDS:
-                column = win.hi_static[name]
-            else:
-                column = getattr(win, name)
+            column = getattr(win, name)
             if name in ("act_indptr", "grp_indptr"):
                 column = column[:-1]
             if name in ("act_indptr", "grp_starts"):
@@ -313,14 +317,18 @@ def stitched(col: ColumnarInstance, kinds=_LANE_KINDS) -> SimpleNamespace:
             elif name == "grp_indptr":
                 column = column + groups
             parts[name].append(column)
+        for key in rows:
+            rows[key].append(win.hi_static[key])
         entries += win.act_e.size
         groups += win.grp_rid.size
         chronons += win.n_act
     parts["act_indptr"].append(np.array([entries]))
     parts["grp_indptr"].append(np.array([groups]))
+    empty = [np.zeros(0, dtype=np.int64)]
     for name, columns in parts.items():
-        setattr(w, name, np.concatenate(
-            [np.zeros(0, dtype=np.int64)] + columns))
+        setattr(w, name, np.concatenate(empty + columns))
+    w.hi_static = {key: np.concatenate(empty + columns)
+                   for key, columns in rows.items()}
     w.windows = len(wins)
     return w
 
@@ -376,7 +384,7 @@ def _assert_equals_oracle(got: ColumnarInstance, want: SimpleNamespace,
     # The windows, wherever they were cut.
     whole = stitched(got)
     assert np.array_equal(whole.grp_sizes, group_sizes)
-    _assert_same_columns(whole, want, _LANE_KINDS, cap)
+    _assert_same_columns(whole, want, ROWS.values(), cap)
     spans = np.diff(want.act_indptr)
     if cap == 1:
         assert whole.windows == spans.size
@@ -396,19 +404,20 @@ def _assert_equals_oracle(got: ColumnarInstance, want: SimpleNamespace,
 
 
 def _assert_same_columns(whole: SimpleNamespace, want: SimpleNamespace,
-                         kinds, cap: int) -> None:
-    """The stitched windows' layout and ``kinds``' key columns equal the
+                         keys, cap: int) -> None:
+    """The stitched windows' layout and ``keys``' key columns equal the
     oracle's, value and dtype."""
-    attrs, static = key_columns(kinds)
+    attrs, static = key_columns(keys)
     for name in _LAYOUT + ("act_chronons", "grp_indptr", "grp_rid") \
             + tuple(sorted(attrs)):
         actual, expected = getattr(whole, name), getattr(want, name)
         assert actual.dtype == expected.dtype, (name, cap)
         assert np.array_equal(actual, expected), (name, cap)
-    for kind in static:
-        assert whole.__dict__[kind].dtype == want.hi_static[kind].dtype
-        assert np.array_equal(whole.__dict__[kind], want.hi_static[kind]), \
-            (kind, cap)
+    assert set(whole.hi_static) == static
+    for key in static:
+        assert whole.hi_static[key].dtype == want.hi_static[key].dtype
+        assert np.array_equal(whole.hi_static[key], want.hi_static[key]), \
+            (key, cap)
 
 
 def _eta(*eis) -> TInterval:
@@ -455,12 +464,13 @@ class TestEdgeCases:
             for r in range(3)])
         col = assert_same_lowering(profiles, Epoch(6))
         assert col.rank_totals == {1: 9}
-        whole = stitched(col)
+        medf = ROWS["M-EDF"]
+        whole = stitched(col, [medf])
         # Every entry's state has exactly its own EI started.
         act_T = np.repeat(whole.act_chronons, np.diff(whole.act_indptr))
-        assert np.array_equal(whole.medf_base_act,
-                              col.init_sum[whole.ps_act] + col.medf_off
-                              - act_T)
+        assert np.array_equal(whole.hi_static[medf] >> col.score_shift,
+                              col.init_sum[whole.ps_act] - act_T
+                              + col.score_offset(medf))
 
     def test_fused_activity_key_beyond_16_bits(self):
         # (window chronons) * resources > 2**16, beyond the 16-bit keys a
@@ -530,8 +540,9 @@ _SMALL = ExperimentConfig(
 
 
 class TestPerKindWindows:
-    """A window builds its layout and the key columns its block's lane
-    kinds read, each equal to the oracle's."""
+    """A window builds its layout and the key columns its block's score
+    rows read, each equal to the oracle's; ``kinds`` names the policies
+    whose rows a block holds."""
 
     @pytest.fixture(scope="class")
     def small(self):
@@ -539,32 +550,34 @@ class TestPerKindWindows:
         return profiles, oracle(profiles, _SMALL.epoch)
 
     @pytest.mark.parametrize("kinds", [
-        (), ("mrsf",), ("sedf",), ("fcfs", "lff"), ("anti", "srank", "mrsf"),
-        ("coverage",), ("medf",), ("medf", "coverage", "sedf")])
+        (), ("MRSF",), ("S-EDF",), ("FCFS", "LFF"),
+        ("ANTI-MRSF", "STATICRANK", "MRSF"), ("COVERAGE",), ("M-EDF",),
+        ("M-EDF", "COVERAGE", "S-EDF")])
     @pytest.mark.parametrize("cap", [7, columnar_module._WINDOW_ENTRIES])
     def test_a_window_holds_what_its_kinds_read(self, small, kinds, cap):
         profiles, want = small
         with mock.patch.object(columnar_module, "_WINDOW_ENTRIES", cap):
             col = ColumnarInstance.build(profiles, _SMALL.epoch)
-        # stitched() holds every window to exactly the kinds' columns:
-        # an MRSF or S-EDF window has no finish, finstart or M-EDF base
-        # column, and one static word.
-        whole = stitched(col, kinds)
+        # stitched() holds every window to exactly the rows' columns:
+        # one word per row, and a deadline column for M-EDF's alone.
+        keys = [ROWS[name] for name in kinds]
+        whole = stitched(col, keys)
         assert whole.windows == (1 if cap > 7 else col.windows_built) > 0
-        _assert_same_columns(whole, want, kinds, cap)
+        _assert_same_columns(whole, want, keys, cap)
 
     def test_a_kept_window_grows_to_the_union_of_kinds(self, small):
         """A kept single window serves an S-EDF block, an M-EDF block
         and two federated runs, each identical to the reference; it is
-        rebuilt, for the union, only when a run reads a kind it lacks."""
+        rebuilt, for the union, only when a run reads a row it lacks."""
         profiles, want = small
         epoch_, budget = _SMALL.epoch, _SMALL.budget_vector
         col = ColumnarInstance.build(profiles, epoch_)
-        steps = (("S-EDF(NP)", "block", {"sedf"}, 1),
-                 ("M-EDF(P)", "block", {"sedf", "medf"}, 2),
-                 ("M-EDF(NP)", "federated", {"sedf", "medf"}, 2),
-                 ("MRSF(P)", "federated", {"sedf", "medf", "mrsf"}, 3))
-        for label, how, kinds, built in steps:
+        sedf, medf, mrsf = ROWS["S-EDF"], ROWS["M-EDF"], ROWS["MRSF"]
+        steps = (("S-EDF(NP)", "block", {sedf}, 1),
+                 ("M-EDF(P)", "block", {sedf, medf}, 2),
+                 ("M-EDF(NP)", "federated", {sedf, medf}, 2),
+                 ("MRSF(P)", "federated", {sedf, medf, mrsf}, 3))
+        for label, how, keys, built in steps:
             policy, preemptive = parse_policy_spec(label)
             if how == "block":
                 (got,) = run_block(profiles, epoch_,
@@ -580,9 +593,9 @@ class TestPerKindWindows:
                 list(expected.schedule.probes()), label
             assert got.report == expected.report, label
             (window,) = col.windows()
-            assert (window.kinds, col.windows_built) == (kinds, built)
-        _assert_same_columns(stitched(col, ("sedf", "medf", "mrsf")), want,
-                             ("sedf", "medf", "mrsf"), 0)
+            assert (window.keys, col.windows_built) == (keys, built)
+        _assert_same_columns(stitched(col, (sedf, medf, mrsf)), want,
+                             (sedf, medf, mrsf), 0)
         assert col.windows_built == 3
 
 
@@ -669,7 +682,8 @@ def test_medf_federated_run_builds_no_static_key_column():
                         columnar=columnar)
     assert fed.result.probes_used > 0
     (window,) = columnar.windows()
-    assert window.kinds == {"medf"} and len(window.hi_static) == 0
+    # M-EDF's row is its one key column: no static word of another row.
+    assert window.keys == set(window.hi_static) == {ROWS["M-EDF"]}
     # A prebuilt lowering costs a run its windows, not its constructor —
     # and nothing once the (single, kept) window exists.
     assert fed.lower_seconds == columnar.window_seconds > 0.0

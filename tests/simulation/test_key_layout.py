@@ -20,8 +20,9 @@ from repro.core import (
     ProfileSet,
     TInterval,
 )
+from repro.online import key_of
 from repro.online.registry import available_policies, parse_policy_spec
-from repro.simulation import batch_kind, run_online
+from repro.simulation import run_online
 from repro.simulation.batch import _pool_keys, run_block
 from repro.simulation.columnar import (
     _MAX_KEY_BITS,
@@ -149,7 +150,7 @@ def test_full_and_empty_pools_at_the_field_limits():
 
 _SPECS = [f"{name}({mode})" for name in available_policies()
           for mode in ("P", "NP")
-          if batch_kind(parse_policy_spec(f"{name}({mode})")[0]) is not None]
+          if key_of(parse_policy_spec(f"{name}({mode})")[0]) is not None]
 
 
 class TestTheBitBound:

@@ -20,8 +20,9 @@ from repro.faults import (
     RecordedFaults,
     RetryConfig,
 )
+from repro.online import key_of
 from repro.online.registry import available_policies, parse_policy_spec
-from repro.simulation import batch_kind, run_online
+from repro.simulation import run_online
 
 _CONFIG = ExperimentConfig(
     epoch_length=30, num_resources=8, num_profiles=12, intensity=5.0,
@@ -65,7 +66,7 @@ def test_default_is_the_reference_probe_for_probe(spec, caplog):
     assert default_breaker.ever_quarantined == \
         reference_breaker.ever_quarantined
     # Only a policy without a columnar kind is rerouted, and says so.
-    rerouted = batch_kind(parse_policy_spec(spec)[0]) is None
+    rerouted = key_of(parse_policy_spec(spec)[0]) is None
     assert rerouted == spec.startswith("RANDOM")
     assert len(_proxy_records(caplog)) == int(rerouted)
 
