@@ -60,8 +60,6 @@ def _print_served_by(result: RunOutcome | SweepResult) -> None:
 
 
 def _print_run_outcome(name: str, outcome: RunOutcome, as_csv: bool) -> None:
-    # A shared block has one wall time; its even per-lane share is not a
-    # per-policy runtime, so the column stays empty.
     rows = [
         [label, policy_outcome.mean_gc, policy_outcome.stdev_gc,
          "" if outcome.shared_block else policy_outcome.mean_runtime]
@@ -185,10 +183,11 @@ def _print_result(name: str, result: object, as_csv: bool) -> None:
         _print_run_outcome(name, result, as_csv)
     elif kind == "SweepResult":
         metrics = ("gc", "runtime") if name in ("fig5", "offline") \
-            else ("gc",)
+            and not result.shared_block else ("gc",)
         _print_sweep(result, as_csv, metrics=metrics)
     elif kind == "FigurePair":
-        metrics = ("runtime",) if name == "fig5" else ("gc",)
+        timed = name == "fig5" and not result.left.shared_block
+        metrics = ("runtime",) if timed else ("gc",)
         _print_sweep(result.left, as_csv, metrics=metrics)
         _print_sweep(result.right, as_csv, metrics=metrics)
     else:  # pragma: no cover - defensive

@@ -98,11 +98,13 @@ def export_run_outcome(outcome: RunOutcome, directory: str | Path,
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     rows = [
-        [label, policy.mean_gc, policy.stdev_gc, policy.mean_runtime]
+        [label, policy.mean_gc, policy.stdev_gc,
+         "" if outcome.shared_block else policy.mean_runtime]
         for label, policy in outcome.outcomes.items()
     ]
     csv_lines = ["policy,mean_gc,stdev_gc,mean_runtime_s"]
-    csv_lines += [f"{label},{gc:.6f},{stdev:.6f},{runtime:.6f}"
+    csv_lines += [f"{label},{gc:.6f},{stdev:.6f},"
+                  + (runtime if runtime == "" else f"{runtime:.6f}")
                   for label, gc, stdev, runtime in rows]
     csv_path = directory / f"{stem}.csv"
     csv_path.write_text("\n".join(csv_lines) + "\n")
@@ -129,12 +131,13 @@ def export_result(name: str, result: object,
     if isinstance(result, RunOutcome):
         return export_run_outcome(result, directory, name)
     if isinstance(result, SweepResult):
-        metrics = ("gc", "runtime")
+        metrics = ("gc",) if result.shared_block else ("gc", "runtime")
         return export_sweep(result, directory, name, metrics=metrics)
     if isinstance(result, FigurePair):
+        metrics = ("gc",) if result.left.shared_block else ("gc", "runtime")
         written = export_sweep(result.left, directory, f"{name}_panel1",
-                               metrics=("gc", "runtime"))
+                               metrics=metrics)
         written += export_sweep(result.right, directory, f"{name}_panel2",
-                                metrics=("gc", "runtime"))
+                                metrics=metrics)
         return written
     raise TypeError(f"cannot export result of type {type(result)!r}")

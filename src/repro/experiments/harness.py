@@ -222,6 +222,11 @@ class SweepResult:
         """The engine that served the sweep (its runs all share one)."""
         return self.runs[0].engine if self.runs else ""
 
+    @property
+    def shared_block(self) -> bool:
+        """:attr:`RunOutcome.shared_block` of the sweep's runs."""
+        return any(run.shared_block for run in self.runs)
+
 
 def make_instance(config: ExperimentConfig, repetition: int,
                   source: str = "poisson", *,

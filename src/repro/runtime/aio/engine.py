@@ -97,13 +97,6 @@ class BudgetLedger:
         self._spent += units
         return True
 
-    def refund(self, units: int = 1) -> None:
-        """Return reserved-but-unissued units (e.g. a cancelled hedge)."""
-        if units < 0 or units > self._spent:
-            raise FaultError(
-                f"cannot refund {units} units ({self._spent} spent)")
-        self._spent -= units
-
 
 class ServerSemaphores:
     """Per-server concurrency limits for in-flight probe requests.

@@ -166,10 +166,6 @@ class ServerFleet:
         short-circuited load."""
         return dict(self._answered)
 
-    def probe_counts(self) -> dict[str, int]:
-        """Alias for :meth:`probes_routed` (the historical name)."""
-        return self.probes_routed()
-
 
 class ShardCoordinator:
     """Control plane of a K-shard proxy federation.

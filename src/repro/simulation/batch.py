@@ -39,12 +39,12 @@ circuit-breaker state is a ``(lanes, resources)`` matrix applied as an
 ``INF_KEY`` mask before selection. What is not a column — a recorded
 trace, and retries, whose draws and breaker trips happen in probe
 order — is the lane's own injector deciding in decision order. The
-result is bit-for-bit the reference simulator's, probe for probe (see
-``tests/properties/test_prop_batch_faults.py``).
+result is bit-for-bit the reference simulator's, probe for probe (the
+``block`` line of the conformance matrix, ``tests/conformance``).
 
 The engine is **schedule-identical** to the reference
 :class:`~repro.simulation.proxy.ProxySimulator` for every supported
-policy (see ``tests/properties/test_prop_batch.py``): probe-for-probe,
+policy (see ``tests/conformance/engines.py``): probe-for-probe,
 report-for-report. Unsupported configurations — replayed/duck-typed
 fault sources, subclassed retry/breaker components, policies whose
 score is not a :class:`~repro.online.base.ScoreKey` row, instances
@@ -972,6 +972,7 @@ def _finalize(col: ColumnarInstance, lanes: list[_Lane],
         observed = np.logical_or.reduceat(
             missed, np.cumsum(col.st_size) - col.st_size, axis=1)
         observed &= col.st_arrival <= col.st_gone
+        observed |= col.st_visible > col.epoch.last  # expired on arrival
         dropped = np.count_nonzero(~complete & leaves & ~observed,
                                    axis=1).tolist()
 

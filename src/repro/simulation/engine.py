@@ -749,6 +749,8 @@ class FastProxySimulator:
             all_states.append(fs)
             fs_by_key[state.key] = fs
             states.append(fs)
+            if floor > last:  # registered once the epoch is over
+                fs.removed = _REMOVED_EXPIRED
             if soonest < arrival and state.is_expired(arrival):
                 # Doomed at birth: a deadline passed before the state's
                 # arrival (possible only for mid-run adds).

@@ -1,0 +1,440 @@
+"""Per-object oracles of the columnar lowering and of a churn plan.
+
+:func:`oracle` is the construction the array-native
+:class:`~repro.simulation.columnar.ColumnarInstance` replaced — Python
+loops over every t-interval and EI, the whole epoch's activity entries
+at once, a three-key ``lexsort`` for their order, every key column up
+front — and :func:`assert_same_lowering` holds a lowering to it, value
+and dtype, wherever its windows are cut. :func:`walk` applies a churn
+plan event by event, as the engines do between chronons.
+"""
+
+from types import SimpleNamespace
+from unittest import mock
+
+import numpy as np
+
+from repro.online import ScoreKey
+from repro.simulation import columnar as columnar_module
+from repro.simulation.columnar import (
+    _MAX_KEY_BITS,
+    BatchUnsupported,
+    ColumnarInstance,
+    _bits,
+)
+
+from tests.conformance.cases import ROWS
+
+
+def _row_range(key: ScoreKey, ranges) -> tuple[int, int]:
+    """The row's lowest and highest score, by interval arithmetic over
+    the feature ranges (``chronon`` and ``const`` have none)."""
+    ends = [(getattr(key, name) * lo, getattr(key, name) * hi)
+            for name, (lo, hi) in ranges.items()]
+    return sum(map(min, ends)), sum(map(max, ends))
+
+
+def oracle(profiles, epoch, visible_from=None,
+           gone_from=None) -> SimpleNamespace:
+    """The per-object lowering: one Python step per t-interval and EI.
+
+    ``visible_from`` / ``gone_from`` hold one chronon per t-interval in
+    creation order, as for the lowering."""
+    o = SimpleNamespace()
+    last = epoch.last
+    total_etas = sum(len(profile) for profile in profiles)
+    visible = [0] * total_etas if visible_from is None \
+        else [int(chronon) for chronon in visible_from]
+    gone = [last + 1] * total_etas if gone_from is None \
+        else [int(chronon) for chronon in gone_from]
+
+    # States in seq order: the initial set by (clamped arrival, creation
+    # order), then the mid-run registrations in creation order.
+    st_arrival, st_rank, st_profile = [], [], []
+    st_size, st_tid, etas = [], [], []
+    rid_max = 0
+    for profile in profiles:
+        rank = profile.rank
+        for eta in profile:
+            st_arrival.append(min(
+                max(eta.earliest_start, visible[len(etas)]), last))
+            st_rank.append(rank)
+            st_profile.append(eta.profile_id)
+            st_size.append(len(eta))
+            st_tid.append(eta.tinterval_id)
+            etas.append(eta)
+            for ei in eta:
+                rid_max = max(rid_max, ei.resource_id)
+    o.rid_space = rid_max + 1
+    order = sorted(range(len(etas)),
+                   key=lambda i: (visible[i] > 0,
+                                  0 if visible[i] else st_arrival[i]))
+    o.S = len(etas)
+
+    def seq_column(values):
+        return np.array([values[i] for i in order], dtype=np.int64)
+
+    o.st_arrival = seq_column(st_arrival)
+    o.st_visible = seq_column(visible)
+    o.st_gone = seq_column(gone)
+    o.st_rank = seq_column(st_rank)
+    o.st_profile = seq_column(st_profile)
+    o.st_size = seq_column(st_size)
+    o.st_tid = seq_column(st_tid)
+
+    # EIs state-major, within a state in ei_id order. An EI can be a
+    # candidate from the chronon after its t-interval registered (the
+    # fast engine's ``_queue_events``: visible from ``max(start,
+    # arrival)``, nothing at all if it closed before) up to the clock
+    # its t-interval was cancelled at.
+    ei_res, ei_start, ei_finish, ei_state = [], [], [], []
+    first, until = [], []
+    for seq, i in enumerate(order):
+        for ei in etas[i]:
+            ei_res.append(ei.resource_id)
+            ei_start.append(ei.start)
+            ei_finish.append(ei.finish)
+            ei_state.append(seq)
+            first.append(max(ei.start, visible[i]))
+            until.append(min(ei.finish, last, gone[i]))
+    first = np.array(first, dtype=np.int64)
+    until = np.array(until, dtype=np.int64)
+    o.visibility = (first, until)
+    o.E = len(ei_res)
+    o.ei_res = np.array(ei_res, dtype=np.int64)
+    o.ei_start = np.array(ei_start, dtype=np.int64)
+    o.ei_finish = np.array(ei_finish, dtype=np.int64)
+    o.ei_state = np.array(ei_state, dtype=np.int64)
+    o.init_sum = np.zeros(o.S, dtype=np.int64)
+    np.add.at(o.init_sum, o.ei_state, o.ei_finish)
+
+    # Activity CSR: chronon-major, then resource, then EI index.
+    width = np.maximum(until - first + 1, 0)
+    total = int(width.sum())
+    act_e = np.repeat(np.arange(o.E, dtype=np.int64), width)
+    cum = np.concatenate(([0], np.cumsum(width)))
+    offset = np.arange(total, dtype=np.int64) - np.repeat(cum[:-1], width)
+    act_T = np.repeat(first, width) + offset
+    act_res = o.ei_res[act_e]
+    by_key = np.lexsort((act_e, act_res, act_T))
+    o.act_e = act_e[by_key]
+    act_T = act_T[by_key]
+    act_res = act_res[by_key]
+    o.ps_act = o.ei_state[o.act_e]
+
+    new_t = np.empty(total, dtype=bool)
+    new_g = np.empty(total, dtype=bool)
+    if total:
+        new_t[0] = True
+        new_t[1:] = act_T[1:] != act_T[:-1]
+        new_g[0] = True
+        new_g[1:] = new_t[1:] | (act_res[1:] != act_res[:-1])
+    t_starts = np.nonzero(new_t)[0]
+    o.act_chronons = act_T[t_starts]
+    o.act_indptr = np.concatenate((t_starts, [total])).astype(np.int64)
+    o.grp_starts = np.nonzero(new_g)[0].astype(np.int64)
+    o.grp_rid = act_res[o.grp_starts]
+    o.grp_indptr = np.searchsorted(
+        o.grp_starts, o.act_indptr).astype(np.int64)
+    if total:
+        g_global = np.cumsum(new_g) - 1
+        spans = np.diff(o.act_indptr)
+        o.grp_of = (g_global - np.repeat(o.grp_indptr[:-1], spans)
+                    ).astype(np.int64)
+        grp_sizes = np.diff(np.concatenate((o.grp_starts, [total])))
+        o.n_max = int(grp_sizes.max())
+    else:
+        o.grp_of = np.zeros(0, dtype=np.int64)
+        o.n_max = 1
+    # started: per-state prefix count via one fused searchsorted.
+    if o.E:
+        stride = int(max(o.ei_start.max(),
+                         act_T.max() if total else 0)) + 2
+        fused = np.sort(o.ei_state * stride + o.ei_start)
+        state_ei_ptr = np.searchsorted(
+            o.ei_state, np.arange(o.S, dtype=np.int64))
+        started = (
+            np.searchsorted(fused, o.ps_act * stride + act_T, side="right")
+            - state_ei_ptr[o.ps_act]).astype(np.int64)
+    else:
+        started = np.zeros(0, dtype=np.int64)
+
+    # Expiry events.
+    xe = np.nonzero(o.ei_finish < last)[0]
+    xe_T = o.ei_finish[xe] + 1
+    by_T = np.argsort(xe_T, kind="stable")
+    xe = xe[by_T]
+    xe_T = xe_T[by_T]
+    bounds = np.nonzero(np.concatenate(
+        ([True], xe_T[1:] != xe_T[:-1])))[0] if xe.size else \
+        np.zeros(0, dtype=np.int64)
+    o.xe_chronons = xe_T[bounds]
+    o.xe_indptr = np.concatenate((bounds, [xe.size])).astype(np.int64)
+    o.xe_e = xe
+    xe_state = o.ei_state[xe]
+    if xe.size:
+        seg = np.concatenate(
+            ([True], (xe_T[1:] != xe_T[:-1])
+             | (xe_state[1:] != xe_state[:-1])))
+        o.xg_starts = np.nonzero(seg)[0].astype(np.int64)
+        o.xg_state = xe_state[o.xg_starts]
+    else:
+        o.xg_starts = np.zeros(0, dtype=np.int64)
+        o.xg_state = np.zeros(0, dtype=np.int64)
+    o.xg_indptr = np.searchsorted(
+        o.xg_starts, o.xe_indptr).astype(np.int64)
+
+    # Packed-key layout and every registered row's key column, eagerly.
+    start_max = int(o.ei_start.max()) if o.E else 1
+    finish_max = int(o.ei_finish.max()) if o.E else 1
+    rank_max = int(o.st_rank.max()) if o.S else 1
+    size_max = int(o.st_size.max()) if o.S else 1
+    res_max = int(o.ei_res.max()) if o.E else 0
+    o.feature_ranges = {
+        "finish": (0, finish_max),
+        "start": (0, start_max),
+        "rank": (0, rank_max),
+        "captured": (0, size_max),
+        "deadlines": (-last * size_max, int(o.init_sum.max()) if o.S else 1),
+        "pool": (0, o.n_max),
+    }
+    score_max = max(hi - lo for lo, hi in (
+        _row_range(key, o.feature_ranges) for key in ROWS.values()))
+    o.start_bits = _bits(start_max)
+    o.finish_bits = _bits(finish_max)
+    o.score_bits = _bits(score_max)
+    o.n_bits = _bits(o.n_max)
+    o.rid_bits = _bits(res_max)
+    # One layout, low to high: rid | start | n_max - n | finish | score;
+    # a candidate key leaves the rid and pool-size fields zero.
+    o.start_shift = o.rid_bits
+    o.n_shift = o.start_shift + o.start_bits
+    o.finish_shift = o.n_shift + o.n_bits
+    o.score_shift = o.finish_shift + o.finish_bits
+    if o.score_shift + o.score_bits > _MAX_KEY_BITS:
+        raise BatchUnsupported("oracle: packed key too wide")
+    fin = o.ei_finish[o.act_e]
+    start = o.ei_start[o.act_e]
+    finstart = (fin << o.finish_shift) | (start << o.start_shift)
+    # A lane that captured nothing: M-EDF's sum over every sibling, less
+    # T for the started ones.
+    deadlines = o.init_sum[o.ps_act] - act_T * started
+    rank = o.st_rank[o.ps_act]
+    o.hi_static = {}
+    for key in ROWS.values():
+        score = (key.finish * fin + key.start * start + key.rank * rank
+                 + key.deadlines * deadlines
+                 - _row_range(key, o.feature_ranges)[0])
+        o.hi_static[key] = (score << o.score_shift) + finstart
+    o.fin_act = fin
+
+    o.profile_totals = {profile.profile_id: len(profile)
+                        for profile in profiles}
+    o.rank_totals = {}
+    for size in o.st_size.tolist():
+        o.rank_totals[size] = o.rank_totals.get(size, 0) + 1
+    return o
+
+
+#: Per-entry columns every window holds, whatever its rows.
+_LAYOUT = ("act_indptr", "act_e", "ps_act", "grp_starts", "grp_of")
+
+#: Per-entry columns: the lowering has them one window at a time, the
+#: captured-deadline increment only for rows that weigh ``deadlines``.
+_PER_ENTRY = _LAYOUT + ("fin_act",)
+
+#: Per-chronon and per-group columns of a window.
+_PER_GROUP = ("act_chronons", "grp_indptr", "grp_rid", "grp_sizes")
+
+#: Window caps the comparison runs at: a cut at every chronon, cuts
+#: through EIs and t-intervals, and the real one (a single window here).
+_CAPS = (1, 7, columnar_module._WINDOW_ENTRIES)
+
+
+def key_columns(keys) -> tuple[set[str], set[ScoreKey]]:
+    """What a window built for ``keys`` holds beyond its layout: the
+    per-entry attributes, and one ``hi_static`` column per row."""
+    keys = set(keys)
+    attrs = {"fin_act"} if any(key.deadlines for key in keys) else set()
+    return attrs, keys
+
+
+def stitched(col: ColumnarInstance, keys=tuple(ROWS.values())
+             ) -> SimpleNamespace:
+    """``col.windows(keys)`` concatenated into whole-epoch columns — the
+    layout and the key columns of ``keys`` — checking that every window
+    holds exactly the arrays of the rows it was built for."""
+    wins = list(col.windows(keys))
+    attrs, static = key_columns(keys)
+    w = SimpleNamespace()
+    entries = groups = chronons = 0
+    parts = {name: [] for name in _LAYOUT + _PER_GROUP + tuple(attrs)}
+    rows = {key: [] for key in static}
+    for win in wins:
+        assert win.first_chronon == chronons
+        assert win.first_group == groups
+        assert win.n_act == win.act_chronons.size > 0
+        # A kept window may hold what an earlier run asked for too.
+        assert set(keys) <= win.keys
+        held_attrs, held_static = key_columns(win.keys)
+        held = {name for name, value in vars(win).items()
+                if isinstance(value, np.ndarray)}
+        assert held == set(_LAYOUT + _PER_GROUP) | held_attrs
+        assert set(win.hi_static) == held_static
+        for name in parts:
+            column = getattr(win, name)
+            if name in ("act_indptr", "grp_indptr"):
+                column = column[:-1]
+            if name in ("act_indptr", "grp_starts"):
+                column = column + entries
+            elif name == "grp_indptr":
+                column = column + groups
+            parts[name].append(column)
+        for key in rows:
+            rows[key].append(win.hi_static[key])
+        entries += win.act_e.size
+        groups += win.grp_rid.size
+        chronons += win.n_act
+    parts["act_indptr"].append(np.array([entries]))
+    parts["grp_indptr"].append(np.array([groups]))
+    empty = [np.zeros(0, dtype=np.int64)]
+    for name, columns in parts.items():
+        setattr(w, name, np.concatenate(empty + columns))
+    w.hi_static = {key: np.concatenate(empty + columns)
+                   for key, columns in rows.items()}
+    w.windows = len(wins)
+    return w
+
+
+def assert_same_lowering(profiles, epoch, visible_from=None,
+                         gone_from=None) -> ColumnarInstance:
+    want = oracle(profiles, epoch, visible_from, gone_from)
+    for cap in _CAPS:
+        with mock.patch.object(columnar_module, "_WINDOW_ENTRIES", cap):
+            got = ColumnarInstance.build(profiles, epoch, visible_from,
+                                         gone_from)
+        _assert_equals_oracle(got, want, cap)
+    return got
+
+
+def _assert_equals_oracle(got: ColumnarInstance, want: SimpleNamespace,
+                          cap: int) -> None:
+    public = {name for name in vars(got) if not name.startswith("_")}
+    assert public == (set(vars(want)) - set(_PER_ENTRY)
+                      - {"hi_static", "visibility"}) | {
+        "epoch", "lower_seconds", "g_max", "windows_built",
+        "window_seconds"}
+    for actual, expected in zip(got.visibility(), want.visibility):
+        assert actual.dtype == expected.dtype
+        assert np.array_equal(actual, expected)
+    some = np.arange(0, got.E, 2)
+    for actual, expected in zip(got.visibility(some), want.visibility):
+        assert np.array_equal(actual, expected[some])
+    for name, expected in vars(want).items():
+        if name in _PER_ENTRY or name in ("hi_static", "visibility"):
+            continue
+        actual = getattr(got, name)
+        if isinstance(expected, np.ndarray):
+            assert actual.dtype == expected.dtype, name
+            assert np.array_equal(actual, expected), name
+        else:
+            assert type(actual) is type(expected), name
+            assert actual == expected, name
+    # Same sizes in the same first-seen order (reports iterate it).
+    assert list(got.rank_totals.items()) == list(want.rank_totals.items())
+
+    # What the grid knows before any entry exists.
+    total = want.act_e.size
+    per_chronon = np.diff(want.grp_indptr)
+    assert got.g_max == (int(per_chronon.max()) if per_chronon.size else 0)
+    grp_T, grp_rid = got.fault_layout()
+    assert np.array_equal(grp_T, np.repeat(want.act_chronons, per_chronon))
+    assert grp_rid is got.grp_rid
+    group_sizes = np.diff(np.append(want.grp_starts, total))
+    assert np.array_equal(got._grp_size, group_sizes)
+    assert (got.windows_built, got.window_seconds) == (0, 0.0)
+
+    # The windows, wherever they were cut.
+    whole = stitched(got)
+    assert np.array_equal(whole.grp_sizes, group_sizes)
+    assert_same_columns(whole, want, ROWS.values(), cap)
+    spans = np.diff(want.act_indptr)
+    if cap == 1:
+        assert whole.windows == spans.size
+    elif total <= cap:
+        assert whole.windows == min(1, spans.size)
+    assert got.windows_built == whole.windows
+    assert got.lower_seconds > 0.0
+    if whole.windows:
+        assert got.window_seconds > 0.0
+    # One window is kept and handed out again; several are rebuilt.
+    again = list(got.windows())
+    assert len(again) == whole.windows
+    assert got.windows_built == whole.windows * (1 if len(again) == 1
+                                                 else 2)
+    for win in again:
+        assert win.act_e.size <= max(cap, int(spans.max()))
+
+
+def assert_same_columns(whole: SimpleNamespace, want: SimpleNamespace,
+                         keys, cap: int) -> None:
+    """The stitched windows' layout and ``keys``' key columns equal the
+    oracle's, value and dtype."""
+    attrs, static = key_columns(keys)
+    for name in _LAYOUT + ("act_chronons", "grp_indptr", "grp_rid") \
+            + tuple(sorted(attrs)):
+        actual, expected = getattr(whole, name), getattr(want, name)
+        assert actual.dtype == expected.dtype, (name, cap)
+        assert np.array_equal(actual, expected), (name, cap)
+    assert set(whole.hi_static) == static
+    for key in static:
+        assert whole.hi_static[key].dtype == want.hi_static[key].dtype
+        assert np.array_equal(whole.hi_static[key], want.hi_static[key]), \
+            (key, cap)
+
+
+def walk(initial, plan, last: int) -> SimpleNamespace:
+    """Apply ``plan`` event by event, as the engines do between
+    chronons, and say per EI at which chronons it is a candidate."""
+    w = SimpleNamespace(fired=0, doomed_at_birth=0)
+    members = [(profile, 0) for profile in initial]
+    cancelled: dict[int, int] = {}
+    for clock in range(0, last + 1):
+        for event in plan:
+            if event.chronon != clock:
+                continue
+            w.fired += 1
+            if event.action == "add":
+                members.append((event.profile, clock + 1))
+            else:
+                assert event.profile_id < len(members)
+                cancelled.setdefault(event.profile_id, clock)
+    w.profiles = [profile for profile, _floor in members]
+    w.added = len(members) - len(initial)
+
+    w.visible_from, w.gone_from = [], []
+    # (profile id, t-interval id) -> arrival / candidate chronons per EI.
+    w.arrival, w.candidate, seq = {}, {}, []
+    for profile_id, (profile, floor) in enumerate(members):
+        gone = cancelled.get(profile_id, last + 1)
+        for tinterval_id, eta in enumerate(profile):
+            key = (profile_id, tinterval_id)
+            w.visible_from.append(floor)
+            w.gone_from.append(gone)
+            arrival = min(max(eta.earliest_start, floor), last)
+            w.arrival[key] = arrival
+            seq.append((floor > 0, 0 if floor else arrival, len(seq), key))
+            if floor and min(ei.finish for ei in eta) < arrival:
+                w.doomed_at_birth += 1
+            w.candidate[key] = [
+                [] if ei.finish < arrival else
+                [T for T in range(max(ei.start, arrival), ei.finish + 1)
+                 if floor <= T <= min(last, gone)]
+                for ei in eta]
+    w.seq = [key for *_order, key in sorted(seq)]
+    return w
+
+
+def array_bytes(obj) -> int:
+    return sum(value.nbytes for value in vars(obj).values()
+               if isinstance(value, np.ndarray))

@@ -59,6 +59,20 @@ class TestExportRunOutcome:
         assert text.splitlines()[0] == \
             "policy,mean_gc,stdev_gc,mean_runtime_s"
 
+    def test_runtime_column_only_when_timed_alone(self, run_outcome,
+                                                   tmp_path):
+        """A shared block's even split is not a per-policy runtime: the
+        column stays empty, as the CLI prints it."""
+        assert run_outcome.shared_block
+        export_run_outcome(run_outcome, tmp_path, "batch")
+        rows = (tmp_path / "batch.csv").read_text().splitlines()[1:]
+        assert rows and all(row.endswith(",") for row in rows)
+        solo = run_setting(_CONFIG, policies=["S-EDF(P)", "MRSF(P)"],
+                           engine="solo")
+        export_run_outcome(solo, tmp_path, "solo")
+        rows = (tmp_path / "solo.csv").read_text().splitlines()[1:]
+        assert all(float(row.rsplit(",", 1)[1]) > 0 for row in rows)
+
     def test_config_dump(self, run_outcome, tmp_path):
         export_run_outcome(run_outcome, tmp_path, "table1")
         text = (tmp_path / "table1_config.txt").read_text()
@@ -67,7 +81,14 @@ class TestExportRunOutcome:
 
 class TestExportResultDispatch:
     def test_sweep_dispatch(self, sweep_result, tmp_path):
+        # A batch sweep's runtimes are block shares: gc only.
+        assert sweep_result.shared_block
         written = export_result("fig", sweep_result, tmp_path)
+        assert {path.name for path in written} == {"fig_gc.csv",
+                                                   "fig_gc.txt"}
+        solo = sweep("demo", _CONFIG, "budget", [1, 2],
+                     policies=["S-EDF(P)"], engine="solo")
+        written = export_result("fig", solo, tmp_path)
         assert len(written) == 4  # gc + runtime, csv + txt each
 
     def test_outcome_dispatch(self, run_outcome, tmp_path):

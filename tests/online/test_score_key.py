@@ -1,8 +1,8 @@
 """A policy's score is one row: ``ScoreKey`` weights, read by
 ``Policy.score`` and handed to the columns by ``key_of``.
 
-``ROWS`` is the table of every registered policy's row; the lowering's
-oracle (``tests/simulation/test_columnar.py``) builds its key columns
+``ROWS`` (``tests/conformance/cases.py``) is the table of every
+registered policy's row; the lowering's oracle builds its key columns
 from it.
 """
 
@@ -24,17 +24,8 @@ from repro.online import (
 )
 from repro.online.registry import registered_keys
 
-#: Every registered policy's score row.
-ROWS = {
-    "S-EDF": ScoreKey(finish=1, chronon=-1),
-    "FCFS": ScoreKey(start=1),
-    "LFF": ScoreKey(finish=1, chronon=-1, const=1),
-    "STATICRANK": ScoreKey(rank=1),
-    "MRSF": ScoreKey(rank=1, captured=-1),
-    "ANTI-MRSF": ScoreKey(rank=-1, captured=1),
-    "COVERAGE": ScoreKey(pool=-1),
-    "M-EDF": ScoreKey(deadlines=1),
-}
+from tests.conformance.cases import ROWS
+
 
 
 def _state() -> TIntervalState:

@@ -5,13 +5,15 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from repro.core import (
+    BudgetVector,
     Epoch,
     ExecutionInterval,
     Profile,
     ProfileSet,
     TInterval,
 )
-from repro.faults import FaultSpec, Outage
+from repro.faults import FaultSpec, Outage, RetryConfig
+from repro.simulation import ChurnEvent, ChurnPlan
 
 HORIZON = 16
 NUM_RESOURCES = 4
@@ -98,3 +100,70 @@ def fault_specs(draw, num_resources: int = NUM_RESOURCES,
             st.one_of(st.none(), st.integers(1, 3))),
         seed=draw(st.integers(0, 2**16)),
     )
+
+
+@st.composite
+def budget_vectors(draw) -> BudgetVector:
+    """A constant budget of 1-3, sometimes with per-chronon overrides
+    (0 included)."""
+    default = draw(st.integers(1, 3))
+    overrides = draw(st.dictionaries(
+        st.integers(1, 12), st.integers(0, 4), max_size=2))
+    return BudgetVector(default, overrides or None)
+
+
+@st.composite
+def retry_configs(draw) -> RetryConfig | None:
+    if not draw(st.booleans()):
+        return None
+    return RetryConfig(max_retries=draw(st.integers(0, 3)))
+
+
+@st.composite
+def breaker_params(draw) -> tuple | None:
+    """``CircuitBreaker`` arguments (threshold, cooldown, backoff,
+    max_cooldown), or None."""
+    if not draw(st.booleans()):
+        return None
+    return (draw(st.integers(1, 3)), draw(st.integers(1, 4)),
+            draw(st.floats(1.0, 2.5)), draw(st.integers(4, 16)))
+
+
+def eta(*eis) -> TInterval:
+    """A t-interval of ``(resource, start, finish)`` triples."""
+    return TInterval(ExecutionInterval(*ei) for ei in eis)
+
+
+@st.composite
+def plans(draw):
+    """An initial set (possibly empty) and a legal plan in any order:
+    unsorted chronons, events past the epoch, profiles cancelled twice,
+    cancelled in the chronon they joined, or never."""
+    initial = draw(st.one_of(st.just(ProfileSet()),
+                             profile_sets(max_profiles=3)))
+    adds = draw(st.lists(
+        st.tuples(st.integers(0, HORIZON + 2), profiles(max_tintervals=2)),
+        max_size=4))
+    # Ids follow application order: chronon, then plan order.
+    firing = sorted((chronon, index)
+                    for index, (chronon, _p) in enumerate(adds)
+                    if chronon <= HORIZON)
+    born = [(profile_id, 0, None) for profile_id in range(len(initial))]
+    born += [(len(initial) + rank, chronon, index)
+             for rank, (chronon, index) in enumerate(firing)]
+    # Adds keep their drawn order (it numbers same-chronon adds); each
+    # cancel goes anywhere in the plan — but in the chronon its profile
+    # joins, only after that add.
+    events = [ChurnEvent.add(chronon, profile) for chronon, profile in adds]
+    plan = list(events)
+    if born:
+        for (profile_id, since, index), at in draw(st.lists(
+                st.tuples(st.sampled_from(born),
+                          st.integers(0, HORIZON + 2)), max_size=4)):
+            low = 0
+            if index is not None and at <= since:
+                low = next(position for position, event in enumerate(plan)
+                           if event is events[index]) + 1
+            plan.insert(draw(st.integers(low, len(plan))),
+                        ChurnEvent.remove(max(at, since), profile_id))
+    return initial, ChurnPlan(plan)

@@ -59,16 +59,6 @@ class TestBudgetLedger:
         assert not ledger.try_reserve()
         assert ledger.spent == 1
 
-    def test_refund_returns_units(self):
-        ledger = BudgetLedger(2)
-        ledger.reserve(2)
-        ledger.refund()
-        assert ledger.remaining == 1
-
-    def test_refund_more_than_spent_raises(self):
-        with pytest.raises(FaultError, match="refund"):
-            BudgetLedger(2).refund(1)
-
     def test_negative_limit_rejected(self):
         with pytest.raises(FaultError, match=">= 0"):
             BudgetLedger(-1)

@@ -73,7 +73,7 @@ class TestRouting:
         fleet.probe(0)
         fleet.probe(1)
         fleet.probe(2)
-        assert fleet.probe_counts() == {"nyse": 2, "lse": 1}
+        assert fleet.probes_routed() == {"nyse": 2, "lse": 1}
 
     def test_server_access(self, fleet):
         assert fleet.server("nyse").clock == 0
@@ -128,11 +128,6 @@ class TestProbeAccounting:
         fleet.probe(2)
         assert fleet.probes_routed() == {"nyse": 1, "lse": 1}
         assert fleet.probes_answered() == {"nyse": 1, "lse": 1}
-
-    def test_probe_counts_is_routed_alias(self, flaky_fleet):
-        flaky_fleet.advance_to(10)
-        flaky_fleet.try_probe(1)
-        assert flaky_fleet.probe_counts() == flaky_fleet.probes_routed()
 
 
 class TestMergedAdvance:
@@ -209,6 +204,6 @@ class TestProxyIntegration:
         assert stats.completed == 1
         values = client.mailbox[0].values()
         assert values == ["nyse:100", "lse:99"]
-        counts = fleet.probe_counts()
+        counts = fleet.probes_routed()
         assert counts["nyse"] >= 1
         assert counts["lse"] >= 1

@@ -9,25 +9,23 @@ kernel over the lowering they give. Nothing here trusts the formulas:
   plan event by event and the fast engine's ``_queue_events`` rule EI by
   EI (nothing for an EI closed before its t-interval arrived, otherwise
   a candidate from ``max(start, arrival)``, cut at the cancel clock),
-  and with ``test_columnar``'s per-object oracle wherever the windows
-  are cut;
-* the runs are compared with the live ``MonitoringProxy`` registering
-  and cancelling as the plan says — the churn referee, faults included.
+  and with the per-object oracle wherever the windows are cut (both in
+  ``tests/conformance/lowering.py``);
+* the runs are held to the conformance matrix's ``live`` referee — the
+  ``MonitoringProxy`` registering and cancelling as the plan says,
+  faults included.
 """
 
 import logging
 import tracemalloc
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import (
     BudgetVector,
-    Epoch,
     ModelError,
     Profile,
     ProfileSet,
@@ -35,15 +33,12 @@ from repro.core import (
 from repro.experiments.churn import ChurnConfig, build_churn_workload
 from repro.extensions import QuotaTIntervalState
 from repro.faults import (
-    CircuitBreaker,
     FaultInjector,
     FaultSpec,
     RecordedFaults,
     RetryConfig,
-    UnreliableServer,
 )
 from repro.online.registry import parse_policy_spec
-from repro.runtime import MonitoringProxy, OriginServer
 from repro.simulation import (
     ChurnEvent,
     ChurnPlan,
@@ -54,101 +49,24 @@ from repro.simulation.batch import BatchUnsupported, run_block
 from repro.simulation.churn import lower_plan
 from repro.simulation.columnar import ActivityWindow, ColumnarInstance
 from repro.simulation.shard import federated_run
-from repro.traces import UpdateTrace
 
-from tests.properties.strategies import (
-    HORIZON,
-    epoch,
-    profile_sets,
-    profiles,
+from tests.conformance.cases import (
+    HAND_EPOCH,
+    HAND_INITIAL,
+    HAND_LATE,
+    ROW_POLICIES,
+    Case,
+    hand_profile,
 )
-from tests.properties.test_prop_batch_faults import (
-    _assert_same_faulty_run,
-    _breaker_state,
+from tests.conformance.engines import (
+    assert_agree,
+    assert_same_run,
+    churned,
+    observe,
+    referee_run,
 )
-from tests.simulation.test_columnar import _eta, assert_same_lowering
-from tests.simulation.test_lowering_windows import POLICIES, _array_bytes
-
-
-# ----------------------------------------------------------------------
-# The object walk
-# ----------------------------------------------------------------------
-
-def walk(initial, plan, last: int) -> SimpleNamespace:
-    """Apply ``plan`` event by event, as the engines do between
-    chronons, and say per EI at which chronons it is a candidate."""
-    w = SimpleNamespace(fired=0, doomed_at_birth=0)
-    members = [(profile, 0) for profile in initial]
-    cancelled: dict[int, int] = {}
-    for clock in range(0, last + 1):
-        for event in plan:
-            if event.chronon != clock:
-                continue
-            w.fired += 1
-            if event.action == "add":
-                members.append((event.profile, clock + 1))
-            else:
-                assert event.profile_id < len(members)
-                cancelled.setdefault(event.profile_id, clock)
-    w.profiles = [profile for profile, _floor in members]
-    w.added = len(members) - len(initial)
-
-    w.visible_from, w.gone_from = [], []
-    # (profile id, t-interval id) -> arrival / candidate chronons per EI.
-    w.arrival, w.candidate, seq = {}, {}, []
-    for profile_id, (profile, floor) in enumerate(members):
-        gone = cancelled.get(profile_id, last + 1)
-        for tinterval_id, eta in enumerate(profile):
-            key = (profile_id, tinterval_id)
-            w.visible_from.append(floor)
-            w.gone_from.append(gone)
-            arrival = min(max(eta.earliest_start, floor), last)
-            w.arrival[key] = arrival
-            seq.append((floor > 0, 0 if floor else arrival, len(seq), key))
-            if floor and min(ei.finish for ei in eta) < arrival:
-                w.doomed_at_birth += 1
-            w.candidate[key] = [
-                [] if ei.finish < arrival else
-                [T for T in range(max(ei.start, arrival), ei.finish + 1)
-                 if floor <= T <= min(last, gone)]
-                for ei in eta]
-    w.seq = [key for *_order, key in sorted(seq)]
-    return w
-
-
-@st.composite
-def plans(draw):
-    """An initial set (possibly empty) and a legal plan in any order:
-    unsorted chronons, events past the epoch, profiles cancelled twice,
-    cancelled in the chronon they joined, or never."""
-    initial = draw(st.one_of(st.just(ProfileSet()),
-                             profile_sets(max_profiles=3)))
-    adds = draw(st.lists(
-        st.tuples(st.integers(0, HORIZON + 2), profiles(max_tintervals=2)),
-        max_size=4))
-    # Ids follow application order: chronon, then plan order.
-    firing = sorted((chronon, index)
-                    for index, (chronon, _p) in enumerate(adds)
-                    if chronon <= HORIZON)
-    born = [(profile_id, 0, None) for profile_id in range(len(initial))]
-    born += [(len(initial) + rank, chronon, index)
-             for rank, (chronon, index) in enumerate(firing)]
-    # Adds keep their drawn order (it numbers same-chronon adds); each
-    # cancel goes anywhere in the plan — but in the chronon its profile
-    # joins, only after that add.
-    events = [ChurnEvent.add(chronon, profile) for chronon, profile in adds]
-    plan = list(events)
-    if born:
-        for (profile_id, since, index), at in draw(st.lists(
-                st.tuples(st.sampled_from(born),
-                          st.integers(0, HORIZON + 2)), max_size=4)):
-            low = 0
-            if index is not None and at <= since:
-                low = next(position for position, event in enumerate(plan)
-                           if event is events[index]) + 1
-            plan.insert(draw(st.integers(low, len(plan))),
-                        ChurnEvent.remove(max(at, since), profile_id))
-    return initial, ChurnPlan(plan)
+from tests.conformance.lowering import array_bytes, assert_same_lowering, walk
+from tests.properties.strategies import HORIZON, epoch, plans
 
 
 class TestPlanLowering:
@@ -196,81 +114,6 @@ class TestPlanLowering:
 # Edge cases: columns == live proxy
 # ----------------------------------------------------------------------
 
-def _profile(*etas) -> Profile:
-    return Profile([_eta(*eta) for eta in etas])
-
-
-EPOCH = Epoch(12)
-
-
-def _same_run(left, right) -> None:
-    assert list(left.schedule.probes()) == list(right.schedule.probes())
-    assert left.report == right.report
-    assert left.probes_used == right.probes_used
-    assert left.expired == right.expired
-    assert left.extras == right.extras
-
-
-def _proxy_outcome(initial, plan, label, budget, epoch, faults=None,
-                   retry=None, breaker=None):
-    """The plan through the live proxy: events at clock ``T`` land after
-    chronon ``T`` was stepped, before the next. With a fault layer the
-    outcome also carries (probes failed, retries, quarantined)."""
-    policy, preemptive = parse_policy_spec(label)
-    server = OriginServer(UpdateTrace([], epoch))
-    if faults is not None:
-        server = UnreliableServer(server, injector=faults)
-    proxy = MonitoringProxy(server, epoch, budget, policy,
-                            preemptive=preemptive, retry=retry,
-                            breaker=breaker)
-    client = proxy.register_client()
-    for profile in initial:
-        proxy.register_profile(client, profile)
-    while True:
-        for event in plan:
-            if event.chronon != proxy.clock:
-                continue
-            if event.action == "add":
-                proxy.register_profile(client, event.profile)
-            else:
-                proxy.unregister_profile(event.profile_id)
-        if proxy.clock == epoch.last:
-            break
-        proxy.step()
-    stats = proxy.run()
-    outcome = (list(proxy.schedule.probes()), stats.completed,
-               stats.expired, stats.dropped)
-    if faults is None:
-        return outcome
-    return outcome + (stats.probes_failed, stats.retries,
-                      stats.resources_quarantined)
-
-
-def _outcome(result, faulty=False):
-    """A columns run in the shape of :func:`_proxy_outcome`."""
-    outcome = (list(result.schedule.probes()), result.report.captured,
-               result.expired, int(result.extras.get("dropped", 0)))
-    if not faulty:
-        return outcome
-    return outcome + (result.probes_failed, result.retries,
-                      result.resources_quarantined)
-
-
-def churned(initial, plan, label="MRSF(P)", budget=BudgetVector(1),
-            epoch=EPOCH):
-    """``run_churned`` on the columns, checked against the live proxy."""
-    policy, preemptive = parse_policy_spec(label)
-    columns = run_churned(initial, epoch, budget, policy, plan,
-                          preemptive=preemptive)
-    assert _outcome(columns) == _proxy_outcome(initial, plan, label,
-                                               budget, epoch)
-    return columns
-
-
-_INITIAL = ProfileSet([_profile([(2, 2, 8)], [(1, 6, 9), (3, 10, 11)])])
-#: First window closes at 3; the sibling window is still ahead at 5.
-_LATE = _profile([(0, 1, 3), (1, 7, 9)])
-
 EDGE_POLICIES = ("MRSF(P)", "S-EDF(NP)", "M-EDF(P)", "COVERAGE(NP)")
 
 
@@ -278,8 +121,8 @@ EDGE_POLICIES = ("MRSF(P)", "S-EDF(NP)", "M-EDF(P)", "COVERAGE(NP)")
 class TestEdgeCases:
     def test_add_at_clock_zero_is_not_the_initial_set(self, label):
         # Same EIs as the initial member: it still sorts after it.
-        twin = _profile([(2, 2, 8)], [(1, 6, 9), (3, 10, 11)])
-        result = churned(_INITIAL, ChurnPlan([ChurnEvent.add(0, twin)]),
+        twin = hand_profile([(2, 2, 8)], [(1, 6, 9), (3, 10, 11)])
+        result = churned(HAND_INITIAL, ChurnPlan([ChurnEvent.add(0, twin)]),
                          label)
         assert result.extras == {"dropped": 0.0, "added_profiles": 1.0,
                                  "doomed_at_birth": 0.0}
@@ -288,7 +131,7 @@ class TestEdgeCases:
     def test_add_at_the_last_clock_is_never_visible(self, label):
         # Registered after the last chronon ran: counted, never probed —
         # although its windows contain the arrival chronon (12).
-        late = _profile([(0, 11, 12)], [(1, 12, 14)], [(4, 3, 5)])
+        late = hand_profile([(0, 11, 12)], [(1, 12, 14)], [(4, 3, 5)])
         alone = churned(ProfileSet(),
                         ChurnPlan([ChurnEvent.add(12, late)]), label)
         assert alone.probes_used == 0
@@ -296,29 +139,39 @@ class TestEdgeCases:
         assert alone.expired == 3
         assert alone.extras["doomed_at_birth"] == 1.0
 
+    def test_added_and_removed_at_the_last_clock(self, label):
+        # Registered once the epoch is over, it expired on arrival: the
+        # cancel that follows drops nothing.
+        plan = ChurnPlan([ChurnEvent.add(12, hand_profile([(0, 1, 1)],
+                                                          [(1, 6, 12)])),
+                          ChurnEvent.remove(12, 1)])
+        result = churned(HAND_INITIAL, plan, label)
+        assert result.extras["dropped"] == 0.0
+        assert result.report.per_profile[1] == (0, 2)
+
     def test_add_past_the_epoch_never_fires(self, label):
-        plan = ChurnPlan([ChurnEvent.add(13, _LATE),
+        plan = ChurnPlan([ChurnEvent.add(13, HAND_LATE),
                           ChurnEvent.remove(13, 0),
                           ChurnEvent.remove(40, 7)])
-        result = churned(_INITIAL, plan, label)
+        result = churned(HAND_INITIAL, plan, label)
         assert result.extras == {}
         assert result.report.total == 2
 
     def test_unsorted_plan_applies_in_chronon_order(self, label):
-        early = _profile([(0, 4, 6)])
+        early = hand_profile([(0, 4, 6)])
         plan = ChurnPlan([ChurnEvent.remove(9, 1),
-                          ChurnEvent.add(8, _profile([(3, 9, 12)])),
+                          ChurnEvent.add(8, hand_profile([(3, 9, 12)])),
                           ChurnEvent.add(2, early),
                           ChurnEvent.remove(10, 2)])
-        result = churned(_INITIAL, plan, label)
+        result = churned(HAND_INITIAL, plan, label)
         # ``early`` fires first and takes id 1, though it is planned last.
         assert result.report.per_profile[1] == (1, 1)
         assert result.extras["added_profiles"] == 2.0
 
     def test_added_and_removed_in_one_chronon(self, label):
-        plan = ChurnPlan([ChurnEvent.add(4, _profile([(0, 5, 9)])),
+        plan = ChurnPlan([ChurnEvent.add(4, hand_profile([(0, 5, 9)])),
                           ChurnEvent.remove(4, 1)])
-        result = churned(_INITIAL, plan, label)
+        result = churned(HAND_INITIAL, plan, label)
         assert result.extras["dropped"] == 1.0
         assert result.report.per_profile[1] == (0, 1)
         assert not any(rid == 0 for rid, _T in result.schedule.probes())
@@ -326,17 +179,17 @@ class TestEdgeCases:
     def test_cancelled_before_arrival_after_a_miss_or_when_done(self, label):
         plan = ChurnPlan([
             # Complete by chronon 4, cancelled at 6: stays captured.
-            ChurnEvent.add(0, _profile([(5, 3, 4)])),
+            ChurnEvent.add(0, hand_profile([(5, 3, 4)])),
             ChurnEvent.remove(6, 1),
             # Arrives at 7, cancelled at 5: never there, dropped.
-            ChurnEvent.add(2, _profile([(4, 7, 9)])),
+            ChurnEvent.add(2, hand_profile([(4, 7, 9)])),
             ChurnEvent.remove(5, 2),
             # Doomed at birth (arrives at 6, [1, 3] long closed) and
             # cancelled once that miss is observable: expired.
-            ChurnEvent.add(5, _LATE),
+            ChurnEvent.add(5, HAND_LATE),
             ChurnEvent.remove(6, 3),
         ])
-        result = churned(_INITIAL, plan, label, BudgetVector(2))
+        result = churned(HAND_INITIAL, plan, label, BudgetVector(2))
         assert result.report.per_profile[1] == (1, 1)
         assert result.report.per_profile[2] == (0, 1)
         assert result.report.per_profile[3] == (0, 1)
@@ -348,8 +201,8 @@ class TestEdgeCases:
         # Budget 0 until chronon 5: [2, 3] on resource 2 is missed in
         # plain sight, then its profile is cancelled.
         budget = BudgetVector(1, overrides={T: 0 for T in range(1, 5)})
-        initial = ProfileSet([_profile([(2, 2, 3), (1, 6, 9)]),
-                              _profile([(3, 2, 3)])])
+        initial = ProfileSet([hand_profile([(2, 2, 3), (1, 6, 9)]),
+                              hand_profile([(3, 2, 3)])])
         gone = churned(initial, ChurnPlan([ChurnEvent.remove(4, 0)]),
                        label, budget)
         assert gone.extras["dropped"] == 0.0 and gone.expired == 2
@@ -361,21 +214,21 @@ class TestEdgeCases:
     def test_the_first_cancel_counts(self, label):
         plan = ChurnPlan([ChurnEvent.remove(9, 0), ChurnEvent.remove(3, 0),
                           ChurnEvent.remove(3, 0)])
-        result = churned(_INITIAL, plan, label)
-        once = churned(_INITIAL, ChurnPlan([ChurnEvent.remove(3, 0)]),
+        result = churned(HAND_INITIAL, plan, label)
+        once = churned(HAND_INITIAL, ChurnPlan([ChurnEvent.remove(3, 0)]),
                        label)
-        _same_run(result, once)
+        assert_same_run(result, once)
         # Gone after chronon 3: [6, 9] and [10, 11] are never probed.
         assert all(T <= 3 for _rid, T in result.schedule.probes())
 
     def test_every_window_closed_before_registration(self, label):
-        stale = _profile([(0, 1, 2), (1, 2, 4)], [(3, 1, 1)])
-        result = churned(_INITIAL, ChurnPlan([ChurnEvent.add(6, stale)]),
+        stale = hand_profile([(0, 1, 2), (1, 2, 4)], [(3, 1, 1)])
+        result = churned(HAND_INITIAL, ChurnPlan([ChurnEvent.add(6, stale)]),
                          label)
         assert result.extras["doomed_at_birth"] == 2.0
         assert result.report.per_profile[1] == (0, 2)
-        col_plan = lower_plan(_INITIAL, [ChurnEvent.add(6, stale)], EPOCH)
-        col = ColumnarInstance.build(col_plan.profiles, EPOCH,
+        col_plan = lower_plan(HAND_INITIAL, [ChurnEvent.add(6, stale)], HAND_EPOCH)
+        col = ColumnarInstance.build(col_plan.profiles, HAND_EPOCH,
                                      col_plan.visible_from,
                                      col_plan.gone_from)
         first, until = col.visibility()
@@ -386,18 +239,18 @@ class TestEdgeCases:
 class TestErrorsAndEmptyPlans:
     def test_cancel_of_an_id_registered_later_in_the_plan(self):
         plan = ChurnPlan([ChurnEvent.remove(4, 1),
-                          ChurnEvent.add(4, _LATE)])
+                          ChurnEvent.add(4, HAND_LATE)])
         policy, _p = parse_policy_spec("MRSF(P)")
         with pytest.raises(ModelError, match="unknown profile id 1"):
-            run_churned(_INITIAL, EPOCH, BudgetVector(1), policy, plan)
+            run_churned(HAND_INITIAL, HAND_EPOCH, BudgetVector(1), policy, plan)
         # The same two events the other way round are a legal plan.
-        churned(_INITIAL, ChurnPlan(plan.events[::-1]))
+        churned(HAND_INITIAL, ChurnPlan(plan.events[::-1]))
 
     def test_cancel_of_an_initial_profile_without_tintervals(self):
-        initial = ProfileSet([Profile([]), _profile([(0, 1, 2)])])
+        initial = ProfileSet([Profile([]), hand_profile([(0, 1, 2)])])
         policy, _p = parse_policy_spec("MRSF(P)")
         with pytest.raises(ModelError, match="unknown profile id 0"):
-            run_churned(initial, EPOCH, BudgetVector(1), policy,
+            run_churned(initial, HAND_EPOCH, BudgetVector(1), policy,
                         [ChurnEvent.remove(2, 0)])
 
     def test_empty_add(self):
@@ -405,26 +258,24 @@ class TestErrorsAndEmptyPlans:
         policy, _p = parse_policy_spec("S-EDF(P)")
         with pytest.raises(ModelError,
                            match="cannot register an empty profile"):
-            run_churned(_INITIAL, EPOCH, BudgetVector(1), policy, [event])
+            run_churned(HAND_INITIAL, HAND_EPOCH, BudgetVector(1), policy, [event])
 
     def test_bad_mode(self):
         policy, _p = parse_policy_spec("S-EDF(P)")
         with pytest.raises(ModelError, match="mode must be one of"):
-            run_churned(_INITIAL, EPOCH, BudgetVector(1), policy,
+            run_churned(HAND_INITIAL, HAND_EPOCH, BudgetVector(1), policy,
                         mode="columns")
 
     @pytest.mark.parametrize("plan", [(), ChurnPlan(), None])
     def test_empty_plan_is_a_static_run(self, plan):
         policy, preemptive = parse_policy_spec("M-EDF(NP)")
         kwargs = {} if plan is None else {"plan": plan}
-        result = run_churned(_INITIAL, EPOCH, BudgetVector(1), policy,
+        result = run_churned(HAND_INITIAL, HAND_EPOCH, BudgetVector(1), policy,
                              preemptive=preemptive, **kwargs)
         assert result.extras == {}
-        (block,) = run_block(_INITIAL, EPOCH,
+        (block,) = run_block(HAND_INITIAL, HAND_EPOCH,
                              [(policy, preemptive, BudgetVector(1))])
-        assert list(result.schedule.probes()) == \
-            list(block.schedule.probes())
-        assert result.report == block.report
+        assert_same_run(result, block)
 
 
 # ----------------------------------------------------------------------
@@ -444,11 +295,11 @@ def workload():
     return initial, plan, epoch_
 
 
-def _fault_layer():
-    return (FaultInjector(FaultSpec(failure_probability=0.3,
-                                    timeout_probability=0.1, seed=7)),
-            RetryConfig(max_retries=2),
-            CircuitBreaker(failure_threshold=2, cooldown=3))
+def _faulty(initial, plan, epoch_, label, budget) -> Case:
+    """A recording fault layer with retries and a breaker."""
+    return Case(initial, epoch_, label, budget, "recording",
+                FaultSpec(failure_probability=0.3, timeout_probability=0.1,
+                          seed=7), RetryConfig(max_retries=2), (2, 3), plan)
 
 
 def _cold(workload):
@@ -493,7 +344,7 @@ class TestWindowCuts:
             assert (col.st_gone[crossing] <= epoch_.last).any()
 
     @pytest.mark.parametrize("cap", CAPS)
-    @pytest.mark.parametrize("label", POLICIES)
+    @pytest.mark.parametrize("label", ROW_POLICIES)
     def test_any_cut_gives_the_event_engines_run(self, workload, cap,
                                                  label):
         initial, plan, epoch_ = _cold(workload)
@@ -502,8 +353,8 @@ class TestWindowCuts:
             result = run_churned(initial, epoch_, BudgetVector(2), policy,
                                  plan, preemptive=preemptive)
         assert plan._lowering.columnar.windows_built > 1
-        assert _outcome(result) == _proxy_outcome(
-            initial, plan, label, BudgetVector(2), epoch_)
+        assert_agree(observe(result), referee_run(
+            Case(initial, epoch_, label, BudgetVector(2), plan=plan)))
 
     @pytest.mark.parametrize("cap", CAPS)
     @pytest.mark.parametrize("label", ["MRSF(NP)", "M-EDF(P)",
@@ -513,21 +364,18 @@ class TestWindowCuts:
         initial, plan, epoch_ = _cold(workload)
         budget = BudgetVector(1, overrides={
             T: T % 4 for T in range(3, epoch_.last, 3)})
-        faults, retry, breaker = _fault_layer()
-        expected = _proxy_outcome(initial, plan, label, budget, epoch_,
-                                  faults, retry, breaker)
+        case = _faulty(initial, plan, epoch_, label, budget)
+        expected = referee_run(case)
         policy, preemptive = parse_policy_spec(label)
-        lane_faults, retry, lane_breaker = _fault_layer()
+        faults, retry, breaker = case.layer()
         with mock.patch.object(columnar_module, "_WINDOW_ENTRIES", cap):
             result = run_churned(
                 initial, epoch_, budget, policy, plan,
-                preemptive=preemptive, faults=lane_faults, retry=retry,
-                breaker=lane_breaker)
+                preemptive=preemptive, faults=faults, retry=retry,
+                breaker=breaker)
         assert plan._lowering.columnar.windows_built > 1
         assert result.probes_failed > 0 and result.retries > 0
-        assert _outcome(result, faulty=True) == expected
-        assert list(lane_faults.trace) == list(faults.trace)
-        assert _breaker_state(lane_breaker) == _breaker_state(breaker)
+        assert_agree(observe(result, faults, breaker), expected)
 
 
 class TestLanesAndShards:
@@ -543,38 +391,29 @@ class TestLanesAndShards:
             policy, preemptive = parse_policy_spec(label)
             alone = run_churned(initial, epoch_, BudgetVector(2), policy,
                                 plan, preemptive=preemptive)
-            assert list(lane.schedule.probes()) == \
-                list(alone.schedule.probes())
-            assert lane.report == alone.report
-            assert lane.expired == alone.expired
-            assert lane.extras["dropped"] == alone.extras["dropped"]
+            assert_same_run(lane, alone)
 
     @pytest.mark.parametrize("faulty", [False, True])
     @pytest.mark.parametrize("shards", [1, 4])
     def test_federation_books_cancelled_tintervals(self, workload, shards,
                                                    faulty):
         """A churned lowering under ``federated_run``: the merged
-        capture state reaches the final accounting, so K shards equal
-        the one-lane block — dropped and expired included."""
+        capture state reaches the final accounting, so K shards are the
+        live referee's run — dropped and expired included."""
         initial, plan, epoch_ = workload
         lowered, col = _lowered(workload, 64)
         for label in self.LABELS + ("COVERAGE(NP)",):
+            case = _faulty(initial, plan, epoch_, label, BudgetVector(2)) \
+                if faulty else Case(initial, epoch_, label, BudgetVector(2),
+                                    plan=plan)
             policy, preemptive = parse_policy_spec(label)
-            layer = _fault_layer() if faulty else (None, None, None)
+            faults, retry, breaker = case.layer()
             federated = federated_run(
                 lowered.profiles, epoch_, BudgetVector(2), policy,
-                preemptive=preemptive, shards=shards, faults=layer[0],
-                retry=layer[1], breaker=layer[2], columnar=col).result
-            policy, preemptive = parse_policy_spec(label)
-            other = _fault_layer() if faulty else (None, None, None)
-            alone = run_churned(initial, epoch_, BudgetVector(2), policy,
-                                plan, preemptive=preemptive,
-                                faults=other[0], retry=other[1],
-                                breaker=other[2])
-            _assert_same_faulty_run(alone, federated,
-                                    (other[0], other[2]),
-                                    (layer[0], layer[2]))
-            assert federated.extras["dropped"] == alone.extras["dropped"]
+                preemptive=preemptive, shards=shards, faults=faults,
+                retry=retry, breaker=breaker, columnar=col).result
+            assert_agree(observe(federated, faults, breaker),
+                         referee_run(case))
             assert federated.extras["dropped"] > 0
 
 
@@ -614,7 +453,7 @@ class TestOneWindowInFlight:
         def spy(self, *args):
             held_before.append(tracemalloc.get_traced_memory()[0])
             build(self, *args)
-            window_bytes.append(_array_bytes(self) + sum(
+            window_bytes.append(array_bytes(self) + sum(
                 column.nbytes for column in self.hi_static.values()))
 
         tracemalloc.start()
@@ -640,11 +479,11 @@ class TestFallbackIsLogged:
     columns or a refusal, before any chronon runs, that names the cause
     and the live proxy as the way to run it."""
 
-    PLAN = ChurnPlan([ChurnEvent.add(5, _LATE), ChurnEvent.remove(7, 0)])
+    PLAN = ChurnPlan([ChurnEvent.add(5, HAND_LATE), ChurnEvent.remove(7, 0)])
 
     def _churned(self, label, plan=PLAN, **kwargs):
         policy, preemptive = parse_policy_spec(label)
-        return run_churned(_INITIAL, EPOCH, BudgetVector(1), policy,
+        return run_churned(HAND_INITIAL, HAND_EPOCH, BudgetVector(1), policy,
                            plan, preemptive=preemptive, **kwargs)
 
     def _refused(self, label, cause, **kwargs):
@@ -664,9 +503,10 @@ class TestFallbackIsLogged:
     def test_random_policy(self):
         self._refused("RANDOM(NP)", "no columnar scoring kind")
         # The way to run it: the live proxy takes any policy.
-        probes, completed, expired, dropped = _proxy_outcome(
-            _INITIAL, self.PLAN, "RANDOM(NP)", BudgetVector(1), EPOCH)
-        assert completed + expired + dropped == 3 and probes
+        live = referee_run(Case(HAND_INITIAL, HAND_EPOCH, "RANDOM(NP)",
+                                BudgetVector(1), plan=self.PLAN))
+        assert live["captured"] + live["expired"] + live["dropped"] == 3
+        assert live["probes"]
 
     def test_custom_state_factory(self):
         def factory(eta, profile_rank):
@@ -683,7 +523,6 @@ class TestFallbackIsLogged:
         self._refused("S-EDF(P)", "RecordedFaults",
                       faults=RecordedFaults(recorder.trace))
         # The way to run it: the live proxy replays the trace.
-        replayed = _proxy_outcome(
-            _INITIAL, self.PLAN, "S-EDF(P)", BudgetVector(1), EPOCH,
-            faults=recorder.trace.replay())
-        assert replayed == _outcome(recorded, faulty=True)
+        replayed = Case(HAND_INITIAL, HAND_EPOCH, "S-EDF(P)", BudgetVector(1),
+                        "replayed", plan=self.PLAN, trace=recorder.trace)
+        assert_agree(referee_run(replayed), observe(recorded))

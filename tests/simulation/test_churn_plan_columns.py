@@ -7,7 +7,7 @@
 Nothing here trusts the arrays:
 
 * a column-born plan lowers to what the hand-built plan lowers to and to
-  what ``test_churn_columns``'s event-by-event walk says, order-exact
+  what the event-by-event walk (``tests/conformance/lowering.py``) says, order-exact
   errors included;
 * the churn experiment's column-born workload — every client's draws
   through one ``build_columns`` — is compared with a per-client,
@@ -56,24 +56,23 @@ from repro.traces.models import PoissonUpdateModel
 from repro.workloads.generator import GeneratorConfig, ProfileGenerator
 from repro.workloads.templates import AuctionWatchTemplate
 
-from tests.properties.strategies import HORIZON, epoch
-from tests.properties.test_prop_batch_faults import (
-    _assert_same_faulty_run,
-    _breaker_state,
+from tests.conformance.cases import (
+    HAND_EPOCH,
+    HAND_INITIAL,
+    HAND_LATE,
+    ROW_POLICIES,
+    Case,
+    hand_profile,
 )
-from tests.simulation.test_churn_columns import (
-    EPOCH,
-    _INITIAL,
-    _LATE,
-    _outcome,
-    _profile,
-    _proxy_outcome,
-    _same_run,
+from tests.conformance.engines import (
+    assert_agree,
+    assert_same_run,
     churned,
-    plans,
-    walk,
+    observe,
+    referee_run,
 )
-from tests.simulation.test_lowering_windows import POLICIES
+from tests.conformance.lowering import walk
+from tests.properties.strategies import HORIZON, epoch, plans
 
 
 def column_born(plan: ChurnPlan) -> ChurnPlan:
@@ -91,7 +90,7 @@ def assert_same_lowering(left, right) -> None:
     assert (left.fired, left.added) == (right.fired, right.added)
 
 
-def _run(initial, plan, label, epoch_=EPOCH, budget=BudgetVector(1),
+def _run(initial, plan, label, epoch_=HAND_EPOCH, budget=BudgetVector(1),
          **kwargs):
     policy, preemptive = parse_policy_spec(label)
     return run_churned(initial, epoch_, budget, policy, plan,
@@ -126,9 +125,9 @@ class TestPlanColumns:
         assert hash(born) == hash(plan)
 
     def test_the_columns_of_a_plan(self):
-        late = _profile([(0, 1, 3)], [(1, 7, 9), (2, 8, 9)])
+        late = hand_profile([(0, 1, 3)], [(1, 7, 9), (2, 8, 9)])
         plan = ChurnPlan([ChurnEvent.remove(9, 0), ChurnEvent.add(2, late),
-                          ChurnEvent.add(0, _LATE),
+                          ChurnEvent.add(0, HAND_LATE),
                           ChurnEvent.remove(4, 7)])
         columns = plan.columns()
         assert columns is plan.columns()
@@ -136,17 +135,17 @@ class TestPlanColumns:
         assert columns.chronon.tolist() == [9, 2, 0, 4]
         assert columns.ref.tolist() == [0, 0, 1, 7]
         for got, want in zip(columns.added,
-                             ProfileColumns.of([late, _LATE])):
+                             ProfileColumns.of([late, HAND_LATE])):
             assert np.array_equal(got, want)
         events = column_born(plan).events
         assert [(e.chronon, e.action, e.profile_id) for e in events] \
             == [(e.chronon, e.action, e.profile_id) for e in plan]
         assert [[ei for eta in e.profile for ei in eta.eis]
                 for e in events if e.action == "add"] \
-            == [[ei for eta in p for ei in eta.eis] for p in (late, _LATE)]
+            == [[ei for eta in p for ei in eta.eis] for p in (late, HAND_LATE)]
 
     def test_len_bool_iter_answer_without_objects(self):
-        born = column_born(ChurnPlan([ChurnEvent.add(3, _LATE)]))
+        born = column_born(ChurnPlan([ChurnEvent.add(3, HAND_LATE)]))
         assert len(born) == 1 and born and born._events is None
         assert not ChurnPlan.from_columns(ChurnPlan().columns())
         (event,) = born
@@ -162,19 +161,19 @@ class TestPlanColumns:
             ei_start=c.added.ei_start * 0)), "added profiles: every EI"),
     ])
     def test_bad_columns_are_refused(self, columns, message):
-        good = ChurnPlan([ChurnEvent.add(3, _LATE),
+        good = ChurnPlan([ChurnEvent.add(3, HAND_LATE),
                           ChurnEvent.remove(5, 0)]).columns()
         with pytest.raises(ModelError, match=message):
             ChurnPlan.from_columns(columns(good))
 
     def test_plans_compare_by_value(self):
-        twin = _profile([(0, 1, 3), (1, 7, 9)])
-        plan = ChurnPlan([ChurnEvent.add(5, _LATE)])
+        twin = hand_profile([(0, 1, 3), (1, 7, 9)])
+        plan = ChurnPlan([ChurnEvent.add(5, HAND_LATE)])
         assert plan == ChurnPlan([ChurnEvent.add(5, twin)])
         assert plan != ChurnPlan([ChurnEvent.add(6, twin)])
-        assert plan != ChurnPlan([ChurnEvent.add(5, _profile([(0, 1, 4),
+        assert plan != ChurnPlan([ChurnEvent.add(5, hand_profile([(0, 1, 4),
                                                               (1, 7, 9)]))])
-        assert plan != ChurnPlan() and plan != [ChurnEvent.add(5, _LATE)]
+        assert plan != ChurnPlan() and plan != [ChurnEvent.add(5, HAND_LATE)]
         assert len({plan, column_born(plan), ChurnPlan()}) == 2
         # Beyond int64 the columns sit at the type's bound: plans that
         # differ only out there (nothing fires, no id exists) are equal.
@@ -193,13 +192,13 @@ def _raises_everywhere(initial, plan, message) -> None:
 class TestOrderExactEdges:
     def test_adds_past_the_epoch_are_not_in_the_union(self):
         # The gather branch: add 1 of 3 never fires, the others swap.
-        first, second = _profile([(3, 9, 12)]), _profile([(0, 4, 6)])
+        first, second = hand_profile([(3, 9, 12)]), hand_profile([(0, 4, 6)])
         plan = ChurnPlan([ChurnEvent.add(8, first),
-                          ChurnEvent.add(13, _LATE),
+                          ChurnEvent.add(13, HAND_LATE),
                           ChurnEvent.add(2, second),
                           ChurnEvent.remove(10, 2)])
         for candidate in (plan, column_born(plan)):
-            lowered = lower_plan(_INITIAL, candidate, EPOCH)
+            lowered = lower_plan(HAND_INITIAL, candidate, HAND_EPOCH)
             assert (lowered.fired, lowered.added) == (3, 2)
             assert len(lowered.profiles) == 3
             assert [[ei for eta in p for ei in eta.eis]
@@ -208,67 +207,67 @@ class TestOrderExactEdges:
                     for p in (second, first)]
             assert lowered.visible_from.tolist() == [0, 0, 3, 9]
             assert lowered.gone_from.tolist() == [13, 13, 13, 10]
-        _same_run(churned(_INITIAL, plan),
-                  _run(_INITIAL, column_born(plan), "MRSF(P)"))
+        assert_same_run(churned(HAND_INITIAL, plan),
+                  _run(HAND_INITIAL, column_born(plan), "MRSF(P)"))
 
     def test_the_same_profile_object_added_twice(self):
-        plan = ChurnPlan([ChurnEvent.add(2, _LATE), ChurnEvent.add(4, _LATE),
+        plan = ChurnPlan([ChurnEvent.add(2, HAND_LATE), ChurnEvent.add(4, HAND_LATE),
                           ChurnEvent.remove(6, 1)])
-        result = churned(_INITIAL, plan)
-        assert result.report.total == 2 + 2 * len(_LATE)
+        result = churned(HAND_INITIAL, plan)
+        assert result.report.total == 2 + 2 * len(HAND_LATE)
         assert result.extras["added_profiles"] == 2.0
-        _same_run(result, _run(_INITIAL, column_born(plan), "MRSF(P)"))
+        assert_same_run(result, _run(HAND_INITIAL, column_born(plan), "MRSF(P)"))
 
     def test_add_and_remove_in_one_chronon_in_both_orders(self):
-        add, remove = ChurnEvent.add(4, _LATE), ChurnEvent.remove(4, 1)
+        add, remove = ChurnEvent.add(4, HAND_LATE), ChurnEvent.remove(4, 1)
         legal = ChurnPlan([add, remove])
-        _same_run(churned(_INITIAL, legal),
-                  _run(_INITIAL, column_born(legal), "MRSF(P)"))
-        _raises_everywhere(_INITIAL, ChurnPlan([remove, add]),
+        assert_same_run(churned(HAND_INITIAL, legal),
+                  _run(HAND_INITIAL, column_born(legal), "MRSF(P)"))
+        _raises_everywhere(HAND_INITIAL, ChurnPlan([remove, add]),
                            "unknown profile id 1$")
 
     @pytest.mark.parametrize("profile_id", [-1, -7, 2, 1 << 40, 10 ** 30])
     def test_remove_of_an_id_nobody_holds(self, profile_id):
-        plan = ChurnPlan([ChurnEvent.add(2, _LATE),
+        plan = ChurnPlan([ChurnEvent.add(2, HAND_LATE),
                           ChurnEvent.remove(5, profile_id)])
         if profile_id == 10 ** 30:
             # Beyond the columns' integer type: still refused, and named
             # as planned where the events are at hand.
             with pytest.raises(ModelError,
                                match=f"unknown profile id {profile_id}$"):
-                _run(_INITIAL, plan, "MRSF(P)")
+                _run(HAND_INITIAL, plan, "MRSF(P)")
             with pytest.raises(ModelError, match="unknown profile id"):
-                _run(_INITIAL, column_born(plan), "MRSF(P)")
+                _run(HAND_INITIAL, column_born(plan), "MRSF(P)")
         else:
-            _raises_everywhere(_INITIAL, plan,
+            _raises_everywhere(HAND_INITIAL, plan,
                                f"unknown profile id {profile_id}$")
 
     def test_a_chronon_beyond_int64_never_fires(self):
         plan = ChurnPlan([ChurnEvent.remove(10 ** 30, 5),
                           ChurnEvent.remove(3, 0)])
-        _same_run(churned(_INITIAL, plan),
-                  churned(_INITIAL, ChurnPlan([ChurnEvent.remove(3, 0)])))
+        assert_same_run(churned(HAND_INITIAL, plan),
+                  churned(HAND_INITIAL, ChurnPlan([ChurnEvent.remove(3, 0)])))
 
     def test_an_id_is_unknown_until_its_add_applies(self):
         # Id 2 exists from clock 6 on: cancelling it at 5 is an error,
         # at 6 (planned before the add, applied after it) it is not.
-        adds = [ChurnEvent.add(2, _LATE), ChurnEvent.add(6, _LATE)]
+        adds = [ChurnEvent.add(2, HAND_LATE), ChurnEvent.add(6, HAND_LATE)]
         _raises_everywhere(
-            _INITIAL, ChurnPlan([ChurnEvent.remove(5, 2)] + adds),
+            HAND_INITIAL, ChurnPlan([ChurnEvent.remove(5, 2)] + adds),
             "unknown profile id 2$")
-        churned(_INITIAL, ChurnPlan([ChurnEvent.remove(7, 2)] + adds))
+        churned(HAND_INITIAL, ChurnPlan([ChurnEvent.remove(7, 2)] + adds))
 
     def test_the_first_offender_in_applied_order_raises(self):
         unknown = ChurnEvent.remove(3, 9)
         empty = ChurnEvent.add(5, Profile([]))
         # Planned after the empty add, applied before it.
-        _raises_everywhere(_INITIAL, ChurnPlan([empty, unknown]),
+        _raises_everywhere(HAND_INITIAL, ChurnPlan([empty, unknown]),
                            "unknown profile id 9$")
         _raises_everywhere(
-            _INITIAL, ChurnPlan([ChurnEvent.remove(6, 9), empty]),
+            HAND_INITIAL, ChurnPlan([ChurnEvent.remove(6, 9), empty]),
             "cannot register an empty profile")
         # An offender that never fires offends nobody.
-        churned(_INITIAL, ChurnPlan([ChurnEvent.add(13, Profile([])),
+        churned(HAND_INITIAL, ChurnPlan([ChurnEvent.add(13, Profile([])),
                                      ChurnEvent.remove(40, 9)]))
 
     @pytest.mark.parametrize("chronon", [3, 40])
@@ -281,7 +280,7 @@ class TestOrderExactEdges:
 
         Event.chronon = chronon
         with pytest.raises(ModelError, match="unknown churn action 'pause'"):
-            _run(_INITIAL, [ChurnEvent.remove(2, 0), Event()], "MRSF(P)")
+            _run(HAND_INITIAL, [ChurnEvent.remove(2, 0), Event()], "MRSF(P)")
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +358,7 @@ class TestGeneratedWorkload:
         assert_same_lowering(lower_plan(initial, plan, epoch_),
                              lower_plan(want_initial, want_plan, epoch_))
         for label in LABELS:
-            _same_run(
+            assert_same_run(
                 _run(initial, plan, label, epoch_, BudgetVector(2)),
                 _run(want_initial, want_plan, label, epoch_,
                      BudgetVector(2)))
@@ -408,7 +407,7 @@ class TestGeneratedWorkload:
             "all_at_zero": len(initial) == len(profiles) > 0 < removed,
             "all_leave": removed == len(profiles) > 0,
         }[edge]
-        _same_run(_run(initial, plan, LABELS[0], epoch_, BudgetVector(2)),
+        assert_same_run(_run(initial, plan, LABELS[0], epoch_, BudgetVector(2)),
                   _run(want_initial, want_plan, LABELS[0], epoch_,
                        BudgetVector(2)))
 
@@ -437,15 +436,17 @@ def small_workload():
     return build_churn_workload(config) + (object_built(config),)
 
 
+_FAULTS = FaultSpec(failure_probability=0.3, timeout_probability=0.1,
+                    seed=7)
+
+
 def _fault_layer():
-    return (FaultInjector(FaultSpec(failure_probability=0.3,
-                                    timeout_probability=0.1, seed=7)),
-            RetryConfig(max_retries=2),
+    return (FaultInjector(_FAULTS), RetryConfig(max_retries=2),
             CircuitBreaker(failure_threshold=2, cooldown=3))
 
 
 class TestEveryPolicy:
-    @pytest.mark.parametrize("label", POLICIES)
+    @pytest.mark.parametrize("label", ROW_POLICIES)
     def test_object_built_column_born_reused_and_referees(
             self, small_workload, label):
         initial, plan, epoch_, (want_initial, want_plan, _e) = small_workload
@@ -458,26 +459,24 @@ class TestEveryPolicy:
         assert fresh._lowering.runs == 1
         again = _run(initial, fresh, label, epoch_, budget)
         assert fresh._lowering.runs == 2
-        _same_run(first, reference)
-        _same_run(again, reference)
+        assert_same_run(first, reference)
+        assert_same_run(again, reference)
 
-    @pytest.mark.parametrize("label", POLICIES)
+    @pytest.mark.parametrize("label", ROW_POLICIES)
     def test_a_fault_lane_on_a_reused_lowering(self, small_workload, label):
         initial, plan, epoch_, (want_initial, want_plan, _e) = small_workload
         budget = BudgetVector(2)
-        faults, retry, breaker = _fault_layer()
-        expected = _proxy_outcome(want_initial, want_plan, label, budget,
-                                  epoch_, faults, retry, breaker)
-        assert expected[4] > 0
+        case = Case(want_initial, epoch_, label, budget, "recording",
+                    _FAULTS, RetryConfig(max_retries=2), (2, 3), want_plan)
+        expected = referee_run(case)
+        assert expected["probes_failed"] > 0
         fresh = ChurnPlan.from_columns(plan.columns())
         for runs in (1, 2, 3):
-            side = _fault_layer()
+            faults, retry, breaker = case.layer()
             result = _run(initial, fresh, label, epoch_, budget,
-                          faults=side[0], retry=side[1], breaker=side[2])
+                          faults=faults, retry=retry, breaker=breaker)
             assert fresh._lowering.runs == runs
-            assert _outcome(result, faulty=True) == expected
-            assert list(side[0].trace) == list(faults.trace)
-            assert _breaker_state(side[2]) == _breaker_state(breaker)
+            assert_agree(observe(result, faults, breaker), expected)
 
     @pytest.mark.parametrize("cap", [1, 7, 64])
     def test_a_reused_lowering_of_several_windows(self, small_workload, cap):
@@ -497,7 +496,7 @@ class TestEveryPolicy:
         assert fresh._lowering.columnar is kept
         assert kept.windows_built == cuts * len(LABELS)
         for label, result in zip(LABELS, runs):
-            _same_run(result,
+            assert_same_run(result,
                       churned(want_initial, want_plan, label, budget, epoch_))
 
 
@@ -512,37 +511,37 @@ def _counting(target, name):
 
 
 class TestKeptLowering:
-    PLAN = (ChurnEvent.add(5, _LATE), ChurnEvent.remove(7, 0))
+    PLAN = (ChurnEvent.add(5, HAND_LATE), ChurnEvent.remove(7, 0))
 
     def test_a_second_policy_builds_nothing(self):
         plan = ChurnPlan(self.PLAN)
         with _counting(ColumnarInstance, "__init__") as built:
-            runs = [_run(_INITIAL, plan, label) for label in LABELS]
+            runs = [_run(HAND_INITIAL, plan, label) for label in LABELS]
         assert built.call_count == 1
         assert plan._lowering.runs == 3
         for label, result in zip(LABELS, runs):
             with _counting(ColumnarInstance, "__init__") as built:
-                _same_run(result, _run(_INITIAL, ChurnPlan(self.PLAN), label))
+                assert_same_run(result, _run(HAND_INITIAL, ChurnPlan(self.PLAN), label))
             assert built.call_count == 1
 
     def test_another_set_or_another_epoch_is_a_miss(self):
         plan = ChurnPlan(self.PLAN)
-        twin = ProfileSet(list(_INITIAL))
+        twin = ProfileSet(list(HAND_INITIAL))
         with _counting(ColumnarInstance, "__init__") as built:
-            first = _run(_INITIAL, plan, "MRSF(P)")
+            first = _run(HAND_INITIAL, plan, "MRSF(P)")
             kept = plan._lowering
             # An equal set that is another object, then an equal epoch
             # that is another object, then a longer epoch.
-            _same_run(first, _run(twin, plan, "MRSF(P)"))
+            assert_same_run(first, _run(twin, plan, "MRSF(P)"))
             assert plan._lowering is not kept and built.call_count == 2
             kept = plan._lowering
-            _same_run(first, _run(twin, plan, "MRSF(P)", Epoch(12)))
+            assert_same_run(first, _run(twin, plan, "MRSF(P)", Epoch(12)))
             assert plan._lowering is kept and built.call_count == 2
             longer = _run(twin, plan, "MRSF(P)", Epoch(14))
             assert plan._lowering is not kept and built.call_count == 3
         assert plan._lowering.epoch == Epoch(14)
-        _same_run(longer,
-                  _run(_INITIAL, ChurnPlan(self.PLAN), "MRSF(P)", Epoch(14)))
+        assert_same_run(longer,
+                  _run(HAND_INITIAL, ChurnPlan(self.PLAN), "MRSF(P)", Epoch(14)))
 
     def test_an_unsupported_lowering_keeps_nothing(self):
         plan = ChurnPlan(self.PLAN)
@@ -551,15 +550,15 @@ class TestKeptLowering:
             side_effect=BatchUnsupported("no columns today"))
         with refusing, pytest.raises(BatchUnsupported,
                                      match="no columns today"):
-            _run(_INITIAL, plan, "MRSF(P)")
+            _run(HAND_INITIAL, plan, "MRSF(P)")
         assert plan._lowering is None
-        _run(_INITIAL, plan, "MRSF(P)")
+        _run(HAND_INITIAL, plan, "MRSF(P)")
         assert plan._lowering.runs == 1
 
     def test_a_failed_plan_keeps_nothing(self):
         plan = ChurnPlan([ChurnEvent.remove(3, 4)])
         with pytest.raises(ModelError):
-            _run(_INITIAL, plan, "MRSF(P)")
+            _run(HAND_INITIAL, plan, "MRSF(P)")
         assert plan._lowering is None
 
     def test_run_two_sees_a_clean_fault_plane(self):
@@ -568,37 +567,37 @@ class TestKeptLowering:
         plan = ChurnPlan(self.PLAN)
         sides = [_fault_layer() for _ in range(3)]
         first, second = (
-            _run(_INITIAL, plan, "S-EDF(P)", faults=faults, retry=retry,
+            _run(HAND_INITIAL, plan, "S-EDF(P)", faults=faults, retry=retry,
                  breaker=breaker) for faults, retry, breaker in sides[:2])
         assert plan._lowering.runs == 2 and first.probes_failed > 0
-        _assert_same_faulty_run(first, second, (sides[0][0], sides[0][2]),
-                                (sides[1][0], sides[1][2]))
-        alone = _run(_INITIAL, ChurnPlan(self.PLAN), "S-EDF(P)",
+        assert_agree(observe(second, sides[1][0], sides[1][2]),
+                     observe(first, sides[0][0], sides[0][2]))
+        alone = _run(HAND_INITIAL, ChurnPlan(self.PLAN), "S-EDF(P)",
                      faults=sides[2][0], retry=sides[2][1],
                      breaker=sides[2][2])
-        _assert_same_faulty_run(alone, second, (sides[2][0], sides[2][2]),
-                                (sides[1][0], sides[1][2]))
+        assert_agree(observe(second, sides[1][0], sides[1][2]),
+                     observe(alone, sides[2][0], sides[2][2]))
         # A clean run after two faulty ones, on the same lowering.
-        _same_run(_run(_INITIAL, plan, "S-EDF(P)"),
-                  _run(_INITIAL, ChurnPlan(self.PLAN), "S-EDF(P)"))
+        assert_same_run(_run(HAND_INITIAL, plan, "S-EDF(P)"),
+                  _run(HAND_INITIAL, ChurnPlan(self.PLAN), "S-EDF(P)"))
 
     @pytest.mark.parametrize("born", [ChurnPlan, column_born])
     def test_pickling_carries_no_lowering(self, born):
         plan = born(ChurnPlan(self.PLAN))
-        _run(_INITIAL, plan, "MRSF(P)")
+        _run(HAND_INITIAL, plan, "MRSF(P)")
         assert plan._lowering is not None
         copy = pickle.loads(pickle.dumps(plan))
         assert copy._lowering is None
         assert copy == plan and hash(copy) == hash(plan)
         assert (copy._events is None) == (plan._events is None)
-        _same_run(_run(_INITIAL, copy, "MRSF(P)"),
-                  _run(_INITIAL, plan, "MRSF(P)"))
+        assert_same_run(_run(HAND_INITIAL, copy, "MRSF(P)"),
+                  _run(HAND_INITIAL, plan, "MRSF(P)"))
 
     def test_the_logger_says_lowered_then_reused(self, caplog):
         plan = ChurnPlan(self.PLAN)
         with caplog.at_level(logging.DEBUG, logger="repro.simulation.churn"):
             for label in LABELS:
-                _run(_INITIAL, plan, label)
+                _run(HAND_INITIAL, plan, label)
         records = [record for record in caplog.records
                    if record.name == "repro.simulation.churn"]
         assert [record.levelno for record in records] == [logging.DEBUG] * 3
@@ -612,7 +611,7 @@ class TestKeptLowering:
 
 class TestObjectsAreWalkedOnce:
     def test_a_hand_built_set_and_plan_are_flattened_once(self):
-        initial = ProfileSet(list(_INITIAL))
+        initial = ProfileSet(list(HAND_INITIAL))
         plan = ChurnPlan(TestKeptLowering.PLAN)
         with _counting(ProfileColumns, "of") as walks:
             _run(initial, plan, "MRSF(P)")
@@ -622,7 +621,7 @@ class TestObjectsAreWalkedOnce:
             _run(initial, plan, "MRSF(P)", Epoch(14))
             with pytest.raises(BatchUnsupported):
                 _run(initial, plan, "RANDOM(P)")
-            ColumnarInstance.build(initial, EPOCH)
+            ColumnarInstance.build(initial, HAND_EPOCH)
             assert walks.call_count == 2
 
 
@@ -636,7 +635,7 @@ def _quota(eta, profile_rank):
 
 def _replayed():
     recorder = FaultInjector(FaultSpec(failure_probability=0.5, seed=11))
-    _run(_INITIAL, TestKeptLowering.PLAN, "S-EDF(P)", faults=recorder)
+    _run(HAND_INITIAL, TestKeptLowering.PLAN, "S-EDF(P)", faults=recorder)
     return {"faults": RecordedFaults(recorder.trace)}
 
 
@@ -662,4 +661,4 @@ class TestOneShotPlans:
                                            "MonitoringProxy"),
         }[label]
         with pytest.raises(refusal[0], match=refusal[1]):
-            _run(_INITIAL, shape(TestKeptLowering.PLAN), label, **kwargs())
+            _run(HAND_INITIAL, shape(TestKeptLowering.PLAN), label, **kwargs())

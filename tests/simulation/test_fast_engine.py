@@ -4,9 +4,9 @@ Leaves with ``src/repro/simulation/engine.py``: nothing under
 ``src/repro`` imports that module any more, so these tests build
 :class:`FastProxySimulator` themselves.
 
-The broad probe-for-probe equivalence with the reference engine lives in
-``tests/properties/test_prop_engine.py``; these tests pin down the
-targeted behaviours — engine dispatch, custom ``state_factory`` support,
+The broad probe-for-probe equivalence with the reference engine is the
+``event`` line of the conformance matrix (``tests/conformance``); these
+tests pin down the targeted behaviours — engine dispatch, custom ``state_factory`` support,
 per-policy fast paths, and edge cases around the event queues.
 """
 
@@ -40,6 +40,9 @@ from repro.simulation import (
 )
 from repro.simulation.engine import FastProxySimulator
 from repro.traces import UpdateTrace
+
+from tests.conformance.cases import Case
+from tests.conformance.engines import check
 
 
 def _profiles(*etas: list[tuple[int, int, int]]) -> ProfileSet:
@@ -116,16 +119,9 @@ class TestFastEngineBehaviour:
             [(1, 3, 6)],
             [(2, 1, 3), (0, 6, 9), (1, 7, 9)],
         )
-        fast = FastProxySimulator(
-            profiles, Epoch(12), BudgetVector(1), policy_cls(),
-            preemptive=preemptive).run()
-        reference = ProxySimulator(
-            profiles, Epoch(12), BudgetVector(1), policy_cls(),
-            preemptive=preemptive).run()
-        assert list(fast.schedule.probes()) == \
-            list(reference.schedule.probes())
-        assert fast.report == reference.report
-        assert fast.expired == reference.expired
+        mode = "P" if preemptive else "NP"
+        check(Case(profiles, Epoch(12), f"{policy_cls.name}({mode})",
+                   BudgetVector(1)), ["event"])
 
     def test_quota_state_factory_matches_reference(self):
         # Custom completion semantics exercise the generic (non-cached)
@@ -154,17 +150,10 @@ class TestFastEngineBehaviour:
             [(0, 1, 5), (1, 3, 8)],
             [(1, 2, 6), (0, 5, 9)],
         )
-        faults = FaultSpec(failure_probability=0.5, seed=7)
-        reference = run_online(
-            profiles, Epoch(12), BudgetVector(2), MRSFPolicy(),
-            faults=faults, retry=RetryConfig(1), engine="reference")
-        fast = FastProxySimulator(
-            profiles, Epoch(12), BudgetVector(2), MRSFPolicy(),
-            faults=faults, retry=RetryConfig(1)).run()
-        assert fast.probes_failed == reference.probes_failed
-        assert fast.retries == reference.retries
-        assert list(fast.schedule.probes()) == \
-            list(reference.schedule.probes())
+        case = Case(profiles, Epoch(12), "MRSF(P)", BudgetVector(2), "spec",
+                    FaultSpec(failure_probability=0.5, seed=7),
+                    RetryConfig(1))
+        assert check(case, ["event"])["probes_failed"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -212,24 +201,6 @@ def _live_structures(sim: FastProxySimulator):
         return {chronon: keys for chronon, keys in future.items() if keys}
     index = {rid: sorted(entries) for rid, entries in sim._index.items()}
     return index, live(sim._start_events), live(sim._expiry_events)
-
-
-def _proxy_outcome(initial: ProfileSet, adds: list[tuple[int, Profile]],
-                   policy) -> tuple[list, int, int]:
-    """The same registrations through the live MonitoringProxy."""
-    epoch = Epoch(12)
-    proxy = MonitoringProxy(OriginServer(UpdateTrace([], epoch)), epoch,
-                            BudgetVector(1), policy)
-    client = proxy.register_client()
-    for profile in initial:
-        proxy.register_profile(client, profile)
-    while proxy.clock < epoch.last:
-        for clock, profile in adds:
-            if clock == proxy.clock:
-                proxy.register_profile(client, profile)
-        proxy.step()
-    stats = proxy.run()
-    return list(proxy.schedule.probes()), stats.completed, stats.expired
 
 
 # First window [1, 3] closes before a registration at clock 5; the
@@ -327,21 +298,11 @@ class TestLiveRegistration:
                 (8, _profile([(0, 2, 4)], [(3, 9, 12)]))]
         plan = ChurnPlan([ChurnEvent.add(clock, profile)
                           for clock, profile in adds])
+        check(Case(_INITIAL, Epoch(12), f"{policy_cls.name}(P)",
+                   BudgetVector(1), plan=plan), ["churned", "event"])
         incremental = run_churned(_INITIAL, Epoch(12), BudgetVector(1),
                                   policy_cls(), plan=plan)
-        rebuild = FastProxySimulator(
-            _INITIAL, Epoch(12), BudgetVector(1), policy_cls()).run(
-                churn=plan, churn_rebuild=True)
-        assert list(incremental.schedule.probes()) == \
-            list(rebuild.schedule.probes())
-        assert incremental.report == rebuild.report
-        assert incremental.extras == rebuild.extras
         assert incremental.extras["doomed_at_birth"] == 2.0
-        probes, completed, expired = _proxy_outcome(
-            _INITIAL, adds, policy_cls())
-        assert list(incremental.schedule.probes()) == probes
-        assert incremental.report.captured == completed
-        assert incremental.expired == expired
 
     def test_quota_states_decide_doom_for_closed_windows(self):
         # One window of each t-interval closed before registration.

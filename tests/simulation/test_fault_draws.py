@@ -31,7 +31,7 @@ from repro.simulation.batch import FaultLane, run_block
 from repro.simulation.columnar import ColumnarInstance
 from repro.simulation.shard import federated_run
 
-from tests.properties.test_prop_batch_faults import _breaker_state
+from tests.conformance.engines import assert_agree, observe
 
 _CONFIG = ExperimentConfig(
     epoch_length=40, num_resources=12, num_profiles=16, intensity=4.0,
@@ -217,14 +217,8 @@ def test_throttled_and_breaker_blocked_retries_match_the_reference():
     assert any(record.attempt >= 1 and record.status == PROBE_THROTTLED
                for record in ref_inj.trace)
     assert _blocked_retries(ref_inj.trace, params, 3, 2) > 0
-    assert list(blk.schedule.probes()) == list(ref.schedule.probes())
-    assert blk.report == ref.report
-    assert (blk.probes_used, blk.probes_failed, blk.retries,
-            blk.resources_quarantined, blk.expired) == (
-        ref.probes_used, ref.probes_failed, ref.retries,
-        ref.resources_quarantined, ref.expired)
-    assert list(blk_inj.trace) == list(ref_inj.trace)
-    assert _breaker_state(blk_brk) == _breaker_state(ref_brk)
+    assert_agree(observe(blk, blk_inj, blk_brk),
+                 observe(ref, ref_inj, ref_brk))
 
 
 def test_repeated_block_draws_nothing_new(lowering, monkeypatch):

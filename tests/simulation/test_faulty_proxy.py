@@ -17,16 +17,15 @@ from repro.core import (
 )
 from repro.faults import (
     CircuitBreaker,
-    FaultInjector,
     FaultSpec,
     Outage,
     RetryConfig,
-    UnreliableServer,
 )
 from repro.online import MEDFPolicy, MRSFPolicy, SEDFPolicy
-from repro.runtime import MonitoringProxy, OriginServer
 from repro.simulation import run_online
-from repro.traces import UpdateTrace
+
+from tests.conformance.cases import Case
+from tests.conformance.engines import check
 
 EPOCH = Epoch(30)
 
@@ -111,33 +110,11 @@ class TestRuntimeSimulatorAgreementUnderFaults:
                              [SEDFPolicy, MRSFPolicy, MEDFPolicy])
     def test_same_fault_world_same_captures(self, policy_factory,
                                             preemptive, engine):
-        spec = FaultSpec(failure_probability=0.3, seed=31)
-        sim = run_online(make_profiles(), EPOCH, BudgetVector(1),
-                         policy_factory(), preemptive=preemptive,
-                         faults=spec, retry=RetryConfig(1),
-                         breaker=CircuitBreaker(failure_threshold=2,
-                                                cooldown=3),
-                         engine=engine)
-
-        server = UnreliableServer(
-            OriginServer(UpdateTrace([], EPOCH)),
-            FaultSpec(failure_probability=0.3, seed=31))
-        proxy = MonitoringProxy(
-            server, EPOCH, BudgetVector(1), policy_factory(),
-            preemptive=preemptive, retry=RetryConfig(1),
-            breaker=CircuitBreaker(failure_threshold=2, cooldown=3))
-        client = proxy.register_client()
-        for profile in make_profiles():
-            bare = Profile([TInterval(eta.eis) for eta in profile],
-                           name=profile.name)
-            proxy.register_profile(client, bare)
-        stats = proxy.run()
-
-        assert sorted(proxy.schedule.probes()) == \
-            sorted(sim.schedule.probes())
-        assert stats.completed == sim.report.captured
-        assert stats.expired == sim.expired
-        assert stats.probes_failed == sim.probes_failed
-        assert stats.retries == sim.retries
-        assert stats.resources_quarantined == sim.resources_quarantined
-        assert len(client.mailbox) == stats.completed
+        """The ``live`` cell of the conformance matrix, beside the
+        simulator the engine names."""
+        mode = "P" if preemptive else "NP"
+        case = Case(make_profiles(), EPOCH,
+                    f"{policy_factory.name}({mode})", BudgetVector(1),
+                    "spec", FaultSpec(failure_probability=0.3, seed=31),
+                    RetryConfig(1), (2, 3))
+        check(case, ["live", "online" if engine == "batch" else "event"])

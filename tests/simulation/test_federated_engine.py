@@ -8,25 +8,21 @@ replaces, with the coordinator ledgers conserving budget.
 
 import pytest
 
-from repro.core import BudgetVector, Epoch
-from repro.faults import CircuitBreaker, FaultSpec, Outage, RetryConfig
 from repro.online.registry import parse_policy_spec
 from repro.runtime import ShardCoordinator
 from repro.simulation import (
     BatchUnsupported,
     FederatedResult,
     federated_run,
-    run_block,
-    run_online,
 )
-from repro.simulation.batch import FaultLane
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.federation import federation_sweep
 from repro.experiments.harness import make_instance
 
-CONFIG = ExperimentConfig(
-    epoch_length=60, num_resources=12, num_profiles=18, max_rank=3,
-    intensity=8.0, budget=2, window=6, repetitions=1, seed=123)
+from tests.conformance.cases import FEDERATED_123, PINNED
+from tests.conformance.engines import check, check_pinned
+
+CONFIG = FEDERATED_123
 
 
 @pytest.fixture(scope="module")
@@ -35,115 +31,43 @@ def instance():
     return profiles
 
 
-def _one_lane_block(profiles, spec, kwargs):
-    policy, preemptive = parse_policy_spec(spec)
-    fault = FaultLane(**kwargs) if kwargs else None
-    (result,) = run_block(profiles, CONFIG.epoch, [
-        (policy, preemptive, CONFIG.budget_vector, 0, fault)])
-    return result
-
-
-def _run_pair(profiles, spec, shards, kwargs_factory=dict,
-              against="reference"):
-    # Fault objects (breakers especially) are stateful: build a fresh
-    # set per run so the two engines start from identical clean slates.
-    if against == "block":
-        reference = _one_lane_block(profiles, spec, kwargs_factory())
-    else:
-        policy, preemptive = parse_policy_spec(spec)
-        reference = run_online(profiles, CONFIG.epoch,
-                               CONFIG.budget_vector, policy,
-                               preemptive=preemptive, engine=against,
-                               **kwargs_factory())
-    policy, preemptive = parse_policy_spec(spec)
-    federated = federated_run(profiles, CONFIG.epoch,
-                              CONFIG.budget_vector, policy,
-                              preemptive=preemptive, shards=shards,
-                              **kwargs_factory())
-    return reference, federated
-
-
-def _assert_same(reference, federated: FederatedResult):
-    result = federated.result
-    assert list(result.schedule.probes()) == \
-        list(reference.schedule.probes())
-    assert result.label == reference.label
-    assert result.report == reference.report
-    assert result.probes_used == reference.probes_used
-    assert result.expired == reference.expired
-
-
 class TestMonolithIdentity:
+    """The ``federated`` cells of the conformance matrix on this
+    instance: every field of the run, and the ledger identities."""
+
     @pytest.mark.parametrize("spec", ["S-EDF(P)", "S-EDF(NP)",
                                       "M-EDF(P)", "M-EDF(NP)",
                                       "MRSF(P)", "COVERAGE(NP)",
                                       "ANTI-MRSF(P)", "FCFS(NP)",
                                       "LFF(P)", "STATICRANK(NP)"])
-    def test_k1_probe_for_probe_identical(self, instance, spec):
-        reference, federated = _run_pair(instance, spec, shards=1)
-        _assert_same(reference, federated)
+    def test_k1_probe_for_probe_identical(self, spec):
+        check(PINNED[f"123/reliable/K1/{spec}"](), ["federated"])
 
     @pytest.mark.parametrize("shards", [2, 3, 4, 8])
-    def test_multi_shard_identical(self, instance, shards):
-        for spec in ("M-EDF(P)", "S-EDF(NP)"):
-            reference, federated = _run_pair(instance, spec,
-                                             shards=shards)
-            _assert_same(reference, federated)
+    def test_multi_shard_identical(self, shards):
+        check_pinned(f"123/reliable/K{shards}/", ["federated"])
 
-    def test_reference_engine_identity(self, instance):
-        policy, preemptive = parse_policy_spec("MRSF(P)")
-        reference = run_online(instance, CONFIG.epoch,
-                               CONFIG.budget_vector, policy,
-                               preemptive=preemptive,
-                               engine="reference")
-        policy, preemptive = parse_policy_spec("MRSF(P)")
-        federated = federated_run(instance, CONFIG.epoch,
-                                  CONFIG.budget_vector, policy,
-                                  preemptive=preemptive, shards=4)
-        _assert_same(reference, federated)
+    def test_reference_engine_identity(self):
+        check(PINNED["123/reliable/K4/M-EDF(P)"](), ["federated"])
 
 
 class TestFaultIdentity:
-    def _fault_kwargs(self):
-        return dict(
-            faults=FaultSpec(failure_probability=0.25,
-                             timeout_probability=0.1,
-                             stale_probability=0.05, seed=7,
-                             outages=(Outage(3, 10, 15),),
-                             max_probes_per_chronon=3),
-            retry=RetryConfig(max_retries=2),
-            breaker=CircuitBreaker(failure_threshold=2, cooldown=5))
-
     @pytest.mark.parametrize("spec", ["S-EDF(P)", "S-EDF(NP)",
                                       "M-EDF(NP)"])
     @pytest.mark.parametrize("shards", [1, 4])
-    def test_faulty_run_identical(self, instance, spec, shards):
-        reference, federated = _run_pair(instance, spec, shards,
-                                         self._fault_kwargs)
-        _assert_same(reference, federated)
-        result = federated.result
-        assert result.probes_failed == reference.probes_failed
-        assert result.retries == reference.retries
-        assert result.resources_quarantined == \
-            reference.resources_quarantined
+    def test_faulty_run_identical(self, spec, shards):
+        check(PINNED[f"123/faulty/K{shards}/{spec}"](), ["federated"])
 
     @pytest.mark.parametrize("faulty", [False, True])
     @pytest.mark.parametrize("shards", [1, 4])
     @pytest.mark.parametrize("spec", ["M-EDF(P)", "S-EDF(NP)",
                                       "COVERAGE(NP)"])
-    def test_one_lane_block_identical(self, instance, spec, shards,
-                                      faulty):
+    def test_one_lane_block_identical(self, spec, shards, faulty):
         """The federation replaces the block kernel's select step and
         nothing else: same run as the block's own select."""
-        kwargs = self._fault_kwargs if faulty else dict
-        block, federated = _run_pair(instance, spec, shards, kwargs,
-                                     against="block")
-        _assert_same(block, federated)
-        result = federated.result
-        assert (result.probes_failed, result.retries,
-                result.resources_quarantined) == (
-            block.probes_failed, block.retries,
-            block.resources_quarantined)
+        layer = "faulty" if faulty else "reliable"
+        check(PINNED[f"123/{layer}/K{shards}/{spec}"](),
+              ["block", "federated"])
 
 
 class TestAccounting:

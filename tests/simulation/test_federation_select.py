@@ -22,7 +22,7 @@ from repro.simulation import federated_run, shard
 from repro.simulation.batch import _take_smallest
 from repro.simulation.columnar import INF_KEY
 
-from tests.simulation.test_federated_engine import CONFIG
+from tests.conformance.cases import FEDERATED_123 as CONFIG
 
 
 @st.composite

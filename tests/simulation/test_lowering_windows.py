@@ -18,7 +18,6 @@ the window, not the epoch.
 import tracemalloc
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -44,16 +43,11 @@ from repro.simulation.batch import FaultLane, run_block
 from repro.simulation.columnar import ColumnarInstance
 from repro.simulation.shard import federated_run
 
-from tests.properties.test_prop_batch_faults import _assert_same_faulty_run
+from tests.conformance.cases import ROW_POLICIES as POLICIES
+from tests.conformance.engines import assert_agree, observe
+from tests.conformance.lowering import array_bytes
 
 CAPS = (1, 7, 64, 10 ** 9)
-
-#: All eight columnar kinds, preemptive and not.
-POLICIES = tuple(
-    f"{name}({mode})"
-    for name in ("S-EDF", "FCFS", "LFF", "STATICRANK", "MRSF",
-                 "ANTI-MRSF", "COVERAGE", "M-EDF")
-    for mode in ("P", "NP"))
 
 CONFIG = ExperimentConfig(
     epoch_length=40, num_resources=8, num_profiles=12, max_rank=3,
@@ -167,13 +161,15 @@ class TestWindowsCutAnywhere:
                                 CONFIG.budget_vector)
         for label, result, side in zip(POLICIES, results, sides):
             expected, expected_side = reference(fault, label)
-            _assert_same_faulty_run(expected, result, expected_side, side)
+            assert_agree(observe(result, *side),
+                         observe(expected, *expected_side))
         # A second block over the same lowering walks the windows again.
         again, sides = _block(instance, CONFIG.epoch, col, fault,
                               CONFIG.budget_vector)
         for label, result, side in zip(POLICIES, again, sides):
             expected, expected_side = reference(fault, label)
-            _assert_same_faulty_run(expected, result, expected_side, side)
+            assert_agree(observe(result, *side),
+                         observe(expected, *expected_side))
 
     @pytest.mark.parametrize("fault", ["none", "drops", "recording"])
     @pytest.mark.parametrize("shards", [1, 4])
@@ -190,9 +186,8 @@ class TestWindowsCutAnywhere:
                 preemptive=preemptive, shards=shards, faults=faults,
                 retry=retry, breaker=breaker, columnar=col)
             expected, expected_side = reference(fault, label)
-            _assert_same_faulty_run(expected, federated.result,
-                                    expected_side,
-                                    (_injector(faults), breaker))
+            assert_agree(observe(federated.result, faults, breaker),
+                         observe(expected, *expected_side))
             if fault == "none":
                 assert sum(load.probes_routed
                            for load in federated.loads) \
@@ -208,7 +203,8 @@ class TestWindowsCutAnywhere:
         for label, result, side in zip(POLICIES, results, sides):
             expected, expected_side = reference("drops", label, "bursty",
                                                 budget)
-            _assert_same_faulty_run(expected, result, expected_side, side)
+            assert_agree(observe(result, *side),
+                         observe(expected, *expected_side))
         policy, preemptive = parse_policy_spec("M-EDF(NP)")
         federated = federated_run(instance, CONFIG.epoch, budget, policy,
                                   preemptive=preemptive, shards=3,
@@ -243,8 +239,7 @@ class TestWindowsCutAnywhere:
             for label, result in zip(POLICIES, results):
                 expected, _side = reference("none", label, name, budget,
                                             profiles, epoch)
-                _assert_same_faulty_run(expected, result, (None, None),
-                                        (None, None))
+                assert_agree(observe(result), observe(expected))
             policy, preemptive = parse_policy_spec("MRSF(P)")
             federated = federated_run(profiles, epoch, budget, policy,
                                       preemptive=preemptive, shards=2,
@@ -259,11 +254,6 @@ class TestWindowsCutAnywhere:
 # ----------------------------------------------------------------------
 # Memory follows the window
 # ----------------------------------------------------------------------
-
-def _array_bytes(obj) -> int:
-    return sum(value.nbytes for value in vars(obj).values()
-               if isinstance(value, np.ndarray))
-
 
 def _traced_peak(config) -> tuple[int, ColumnarInstance]:
     """Peak traced bytes (NumPy reports its buffers) of lowering and
@@ -310,6 +300,6 @@ class TestMemoryFollowsTheWindow:
         assert col.windows_built > 1 and col._window is None
         # Ten int64 columns' worth per EI, state and group — and nothing
         # per entry: one entry-sized int64 column alone would be more.
-        held = _array_bytes(col)
+        held = array_bytes(col)
         assert held <= 80 * (col.E + col.S + col.grp_rid.size)
         assert held < 8 * int(col._grp_size.sum())

@@ -12,7 +12,7 @@ import logging
 
 import pytest
 
-from repro.experiments import ExperimentConfig, make_instance
+from repro.experiments import make_instance
 from repro.faults import (
     CircuitBreaker,
     FaultInjector,
@@ -20,13 +20,13 @@ from repro.faults import (
     RecordedFaults,
     RetryConfig,
 )
-from repro.online import key_of
 from repro.online.registry import available_policies, parse_policy_spec
 from repro.simulation import run_online
 
-_CONFIG = ExperimentConfig(
-    epoch_length=30, num_resources=8, num_profiles=12, intensity=5.0,
-    window=4, budget=2, repetitions=1, grouping="overlap", seed=2108)
+from tests.conformance.cases import ONLINE_2108, PINNED
+from tests.conformance.engines import check
+
+_CONFIG = ONLINE_2108
 _SPEC = FaultSpec(failure_probability=0.3, timeout_probability=0.1, seed=5)
 
 SPECS = [f"{name}({mode})" for name in available_policies()
@@ -50,25 +50,12 @@ def _proxy_records(caplog):
 
 
 @pytest.mark.parametrize("spec", SPECS)
-def test_default_is_the_reference_probe_for_probe(spec, caplog):
-    with caplog.at_level(logging.INFO, logger="repro.simulation"):
-        default, default_breaker = _run(spec)
-    reference, reference_breaker = _run(spec, "reference")
-    assert list(default.schedule.probes()) == \
-        list(reference.schedule.probes())
-    assert default.label == reference.label
-    assert default.report == reference.report
-    assert (default.probes_used, default.expired, default.probes_failed,
-            default.retries, default.resources_quarantined) == (
-        reference.probes_used, reference.expired, reference.probes_failed,
-        reference.retries, reference.resources_quarantined)
-    assert default.probes_failed > 0
-    assert default_breaker.ever_quarantined == \
-        reference_breaker.ever_quarantined
-    # Only a policy without a columnar kind is rerouted, and says so.
-    rerouted = key_of(parse_policy_spec(spec)[0]) is None
-    assert rerouted == spec.startswith("RANDOM")
-    assert len(_proxy_records(caplog)) == int(rerouted)
+def test_default_is_the_reference_probe_for_probe(spec):
+    """The ``online`` cell of the conformance matrix on the instance
+    above: faults, trace and breaker end state included, and one INFO
+    record exactly when the columns refuse the policy."""
+    assert check(PINNED[f"2108/faulty/{spec}"](),
+                 ["online"])["probes_failed"] > 0
 
 
 def test_random_policy_is_rerouted_once_with_the_reason(caplog):

@@ -12,34 +12,19 @@ import logging
 
 import pytest
 
-from repro.experiments import ExperimentConfig, make_instance
-from repro.faults import CircuitBreaker, FaultSpec, RetryConfig
+from repro.experiments import make_instance
 from repro.online import MRSFPolicy, Policy, ScoreKey
 from repro.simulation import BatchUnsupported, federated_run, run_online
-from repro.simulation.batch import FaultLane, _make_lanes, run_block
+from repro.simulation.batch import _make_lanes, run_block
 from repro.simulation.columnar import ColumnarInstance
-from repro.simulation.engine import FastProxySimulator
 
-#: Contended: one probe per chronon.
-_CONFIG = ExperimentConfig(
-    epoch_length=40, num_resources=10, num_profiles=14, intensity=5.0,
-    window=6, budget=1, repetitions=1, grouping="overlap", seed=77)
-
-
-class LatestDeadlineFirst(Policy):
-    name = "LDF"
-    key = ScoreKey(finish=-1, chronon=1)
-
-
-class QuietMRSF(MRSFPolicy):
-    name = "quiet-MRSF"
-
-
-class LoudMRSF(MRSFPolicy):
-    name = "loud-MRSF"
-
-    def score(self, candidate, chronon):
-        return super().score(candidate, chronon)
+from tests.conformance.cases import (
+    CONTENDED_77 as _CONFIG,
+    PINNED,
+    LoudMRSF,
+    QuietMRSF,
+)
+from tests.conformance.engines import check
 
 
 def _row_policy(**weights) -> Policy:
@@ -53,41 +38,21 @@ def _instance():
     return make_instance(_CONFIG, 0)[1]
 
 
-def _outcome(result):
-    return (list(result.schedule.probes()), result.report,
-            result.probes_used, result.expired, result.probes_failed,
-            result.retries, result.resources_quarantined)
-
-
-def _fault():
-    return dict(faults=FaultSpec(failure_probability=0.3, seed=4),
-                retry=RetryConfig(1),
-                breaker=CircuitBreaker(failure_threshold=2, cooldown=3))
-
-
 @pytest.mark.parametrize("faulty", [False, True], ids=["reliable", "faulty"])
 @pytest.mark.parametrize("preemptive", [True, False], ids=["P", "NP"])
 def test_a_row_policy_is_the_same_on_every_engine(preemptive, faulty):
-    profiles = _instance()
-    epoch, budget = _CONFIG.epoch, _CONFIG.budget_vector
-    layer = _fault if faulty else dict
-    policy = LatestDeadlineFirst()
-    reference = run_online(profiles, epoch, budget, policy, preemptive,
-                           engine="reference", **layer())
-    (block,) = run_block(profiles, epoch, [
-        (policy, preemptive, budget, 0,
-         FaultLane(**layer()) if faulty else None)])
-    engine = FastProxySimulator(profiles, epoch, budget, policy,
-                                preemptive, **layer()).run()
-    assert reference.probes_used > 0
-    assert (reference.probes_failed > 0) == faulty
-    assert _outcome(block) == _outcome(reference)
-    assert _outcome(engine) == _outcome(reference)
+    """The LDF row's cell of the conformance matrix, on every engine."""
+    layer, mode = ("faulty" if faulty else "reliable",
+                   "P" if preemptive else "NP")
+    case = PINNED[f"77/{layer}/LDF({mode})"]()
+    reference = check(case)
+    assert reference["probes_used"] > 0
     # It is not S-EDF under another name.
-    sedf = run_online(profiles, epoch, budget, _row_policy(finish=1),
-                      preemptive, engine="reference", **layer())
-    assert list(sedf.schedule.probes()) != \
-        list(reference.schedule.probes())
+    faults, retry, breaker = case.layer()
+    sedf = run_online(case.profiles, case.epoch, case.budget,
+                      _row_policy(finish=1), preemptive, faults=faults,
+                      retry=retry, breaker=breaker, engine="reference")
+    assert list(sedf.schedule.probes()) != reference["probes"]
 
 
 def _records(caplog):
@@ -104,7 +69,8 @@ def test_a_subclass_that_overrides_nothing_runs_on_the_columns(caplog):
     assert "lowering_windows" in got.extras  # a block result
     want = run_online(profiles, _CONFIG.epoch, _CONFIG.budget_vector,
                       MRSFPolicy(), engine="reference")
-    assert _outcome(got)[:2] == _outcome(want)[:2]
+    assert (list(got.schedule.probes()), got.report) == \
+        (list(want.schedule.probes()), want.report)
 
 
 def test_a_subclass_that_overrides_score_falls_back_and_says_so(caplog):
@@ -119,7 +85,8 @@ def test_a_subclass_that_overrides_score_falls_back_and_says_so(caplog):
     assert "lowering_windows" not in got.extras
     want = run_online(profiles, _CONFIG.epoch, _CONFIG.budget_vector,
                       MRSFPolicy(), engine="reference")
-    assert _outcome(got)[:2] == _outcome(want)[:2]
+    assert (list(got.schedule.probes()), got.report) == \
+        (list(want.schedule.probes()), want.report)
 
 
 def test_a_row_wider_than_the_score_field_is_refused(caplog):
