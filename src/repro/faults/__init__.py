@@ -12,8 +12,9 @@ part of the model:
 * :class:`RetryConfig` / :class:`CircuitBreaker` — in-chronon retries
   from leftover budget, and exponential-backoff quarantine of
   persistently dead resources;
-* :func:`execute_probes` — the probe-execution engine shared by the
-  simulator and the live proxy, so both account for faults identically.
+* :func:`execute_probes` — the synchronous driver of the one retry
+  cascade (:func:`repro.faults.engine.cascade`) every executor shares,
+  so all of them account for faults identically.
 """
 
 from repro._lazy import export_table

@@ -17,12 +17,7 @@ __all__, __getattr__, __dir__ = export_table(__name__, {
         "AdmissionDecision",
         "AdmissionStats",
     ),
-    ".engine": (
-        "AsyncProbeRound",
-        "BudgetLedger",
-        "ServerSemaphores",
-        "execute_probes_async",
-    ),
+    ".engine": ("ServerSemaphores", "execute_probes_async"),
     ".journal": ("Journal", "JournalState", "replay_journal"),
     ".proxy": ("AsyncMonitoringProxy", "ProxyEvent", "notification_payload"),
     ".service": ("ProxyService",),

@@ -14,10 +14,11 @@ checks the service-level invariants:
   once the epoch flushes;
 * **budget** — the executed schedule never exceeds any chronon's
   ``C_j``;
-* **capture identity** — with the fault schedule turned off, the async
-  proxy's snapshots, notifications, and stats equal the synchronous
-  :class:`~repro.runtime.proxy.MonitoringProxy`'s on the same instance
-  and churn script.
+* **capture identity** — without slow servers, the async proxy's
+  snapshots, notifications, and stats equal the synchronous
+  :class:`~repro.runtime.proxy.MonitoringProxy`'s on the same instance,
+  fault schedule, retry allowance, breaker and churn script: both spend
+  their budget through the one retry cascade.
 
 Runnable directly (the CI soak-smoke step)::
 
@@ -35,7 +36,7 @@ from repro.core.budget import BudgetVector
 from repro.core.profile import Profile
 from repro.core.timeline import Epoch
 from repro.core.intervals import TInterval
-from repro.faults.breaker import BackoffPolicy, CircuitBreaker
+from repro.faults.breaker import BackoffPolicy, CircuitBreaker, RetryConfig
 from repro.faults.model import FaultSpec, Outage, keyed_draw
 from repro.faults.server import UnreliableServer
 from repro.online import MRSFPolicy
@@ -55,8 +56,9 @@ class ChaosConfig:
     """One fully seeded chaos scenario.
 
     With ``failure_probability == timeout_probability == 0``, no
-    outages, and ``slow_fraction == 0`` the scenario is fault-free and
-    eligible for the capture-identity check.
+    outages, and ``slow_fraction == 0`` the scenario is fault-free; any
+    scenario with ``slow_fraction == 0`` (no deadline can fire) gets the
+    capture-identity check.
     """
 
     epoch_length: int = 80
@@ -304,7 +306,7 @@ async def run_soak(config: ChaosConfig,
     if not budget_ok:
         violations.append("schedule exceeds the per-chronon budget")
 
-    if config.fault_free:
+    if config.slow_fraction == 0.0:
         violations.extend(_identity_violations(config, stats, delivered))
 
     return SoakReport(stats=stats, delivered=len(delivered),
@@ -315,11 +317,13 @@ async def run_soak(config: ChaosConfig,
 
 def _identity_violations(config: ChaosConfig, async_stats: ProxyStats,
                          async_delivered) -> list[str]:
-    """Compare a fault-free async run against the synchronous proxy."""
+    """Compare an async run without slow servers against the
+    synchronous proxy over the same faults, retries and breaker."""
     epoch, trace, plan = _plan(config)
-    server = OriginServer(trace)
-    proxy = MonitoringProxy(server, epoch, BudgetVector(config.budget),
-                            MRSFPolicy())
+    proxy = MonitoringProxy(_make_server(config, epoch, trace), epoch,
+                            BudgetVector(config.budget), MRSFPolicy(),
+                            retry=RetryConfig(config.max_retries),
+                            breaker=CircuitBreaker(3, 4))
     client = proxy.register_client("soak")
     _drive(proxy, plan, epoch, client, proxy.step)
     proxy._flush()

@@ -10,9 +10,11 @@ same code*. Only probe execution differs: the
 per-chronon probe set fans out as coroutines through
 :func:`~repro.runtime.aio.engine.execute_probes_async`, with per-probe
 deadlines, per-server concurrency semaphores, full-jitter backoff
-retries, and hedged quarantine-exit trials. On a fault-free schedule the
-async proxy is therefore capture-identical to the synchronous one by
-construction (and the test suite verifies it).
+retries, and hedged quarantine-exit trials. That executor drives the
+synchronous proxy's own retry cascade, so until a deadline fires or a
+trial is hedged the async proxy is capture-identical to the synchronous
+one by construction, faults and retries included (and the conformance
+matrix verifies it).
 
 Two service-grade additions ride on top:
 

@@ -295,13 +295,12 @@ class MonitoringProxy:
                      round_) -> None:
         """Account one executed probe round and deliver its captures.
 
-        ``round_`` is any :class:`~repro.faults.engine.ProbeRound`-shaped
-        accounting object (the async executor returns a subclass that
-        also counts hedges).
+        ``round_`` is the :class:`~repro.faults.engine.ProbeRound` of
+        either executor (only the async one hedges).
         """
         self._probes_failed += round_.failures
         self._retries += round_.retries
-        self._hedges += getattr(round_, "hedges", 0)
+        self._hedges += round_.hedges
         outcomes = round_.outcomes
         for candidate, completed in settle_chronon(
                 decisions, outcomes, candidates, chronon, self._schedule):

@@ -69,6 +69,7 @@ from repro.core.profile import ProfileSet
 from repro.core.schedule import Schedule
 from repro.core.timeline import Epoch
 from repro.faults.breaker import CircuitBreaker, RetryConfig, _ResourceState
+from repro.faults.engine import cascade, drive
 from repro.faults.model import FaultInjector, FaultSpec
 from repro.online.base import EI_LEVEL, Policy, ScoreKey, key_of
 from repro.simulation.columnar import (
@@ -278,11 +279,14 @@ class _FaultPlane:
 
     Nothing else is vectorized. A lane-chronon leaves the columns only
     when the lane records a trace, or when a pick failed and the lane
-    has retries and budget left; there the lane's own injector (its
-    recording one, else one built here) replays attempt 0 of every pick
-    in decision order — filling the trace and the rate-limit counter,
-    and checked against the columns — then decides the retries, whose
-    breaker updates go through the columns' :meth:`_close` / :meth:`_fail`.
+    has retries and budget left; there the lane's whole chronon is the
+    :func:`~repro.faults.engine.cascade` of its picks, driven by the
+    lane's own injector (its recording one, else one built here): it
+    replays attempt 0 of every pick in decision order — filling the
+    trace and the rate-limit counter, and checked against the columns —
+    then decides the retries. Its breaker calls, attempt 0's included
+    (the vectorised update skips a handed-over lane), go through the
+    columns' :meth:`_close` / :meth:`_fail` (:class:`_LaneBreaker`).
     """
 
     def __init__(self, col: ColumnarInstance,
@@ -435,8 +439,21 @@ class _FaultPlane:
             fail |= tmo
         ok = ~fail
 
+        # A lane that records, or has a failed pick, retries and budget
+        # its decisions left, is handed over to its own cascade.
+        handed: list[int] = []
+        if self.any_rec or fail.any():
+            n_fail = np.bincount(lanes_pk[fail], minlength=self.L)
+            left = k_arr - np.bincount(lanes_pk, minlength=self.L)
+            scalar = self.records | ((n_fail > 0) & (self.max_retries > 0)
+                                     & (left > 0))
+            self.failures += np.where(scalar, 0, n_fail)
+            handed = np.flatnonzero(scalar).tolist()
+
         if self.any_brk:
             hb = self.has_brk[lanes_pk]
+            if handed:
+                hb = hb & ~scalar[lanes_pk]
             s_sel = ok & hb
             if s_sel.any():
                 self._close(lanes_pk[s_sel], rid[s_sel])
@@ -446,19 +463,11 @@ class _FaultPlane:
 
         extra_l: list[int] = []
         extra_g: list[int] = []
-        if self.any_rec or fail.any():
-            n_fail = np.bincount(lanes_pk[fail], minlength=self.L)
-            self.failures += n_fail
-            # A retry spends what the lane's decisions left of its
-            # budget: with none left there is nothing to retry.
-            left = k_arr - np.bincount(lanes_pk, minlength=self.L)
-            scalar = self.records | ((n_fail > 0) & (self.max_retries > 0)
-                                     & (left > 0))
-            for i in np.flatnonzero(scalar).tolist():
-                for j in self._decide_lane(i, T, lanes_pk, rid, ok,
-                                           int(left[i])):
-                    extra_l.append(i)
-                    extra_g.append(int(g_pk[j]))
+        for i in handed:
+            for j in self._decide_lane(i, T, lanes_pk, rid, ok,
+                                       int(k_arr[i])):
+                extra_l.append(i)
+                extra_g.append(int(g_pk[j]))
 
         cap_l = lanes_pk[ok]
         cap_g = g_pk[ok]
@@ -471,41 +480,29 @@ class _FaultPlane:
 
     def _decide_lane(self, i: int, T: int, lanes_pk: np.ndarray,
                      rid: np.ndarray, ok: np.ndarray,
-                     budget_left: int) -> list[int]:
-        """Lane ``i``'s chronon through its own injector, as
-        :func:`repro.faults.engine.execute_probes` runs it; -> the picks
-        its retries recovered."""
+                     budget: int) -> list[int]:
+        """Lane ``i``'s chronon: the :func:`~repro.faults.engine.cascade`
+        of its picks, driven by its own injector; -> the picks its
+        retries recovered."""
         inj = self.injectors[i]
-        has_brk = bool(self.has_brk[i])
-        mine = np.flatnonzero(lanes_pk == i).tolist()
-        inj.begin_chronon(T)
-        for j in mine:
-            if inj.decide(int(rid[j]), T, 0).ok != ok[j]:
+        pick_of = {int(rid[j]): j
+                   for j in np.flatnonzero(lanes_pk == i).tolist()}
+
+        def prober(r: int, attempt: int):
+            decision = inj.decide(r, T, attempt)
+            if attempt == 0 and decision.ok != ok[pick_of[r]]:
                 raise RuntimeError(
                     f"fault plane disagrees with lane {i}'s injector on "
-                    f"resource {int(rid[j])} at chronon {T}")
-        recovered: list[int] = []
-        for j in mine:
-            if ok[j]:
-                continue
-            r = int(rid[j])
-            at = slice(j, j + 1)
-            for a in range(1, int(self.max_retries[i]) + 1):
-                if budget_left <= 0:
-                    break
-                if has_brk and self.open_until[i, r] >= T:
-                    break
-                budget_left -= 1
-                self.retries[i] += 1
-                if inj.decide(r, T, a).ok:
-                    if has_brk:
-                        self._close(lanes_pk[at], rid[at])
-                    recovered.append(j)
-                    break
-                self.failures[i] += 1
-                if has_brk:
-                    self._fail(lanes_pk[at], rid[at], T)
-        return recovered
+                    f"resource {r} at chronon {T}")
+            return decision
+
+        inj.begin_chronon(T)
+        round_ = drive(cascade(
+            list(pick_of), T, budget, int(self.max_retries[i]),
+            _LaneBreaker(self, i) if self.has_brk[i] else None), prober)
+        self.failures[i] += round_.failures
+        self.retries[i] += round_.retries
+        return [pick_of[r] for r in round_.outcomes if not ok[pick_of[r]]]
 
     def finish(self) -> None:
         """Push the state matrices back into the lane breaker objects."""
@@ -527,6 +524,24 @@ class _FaultPlane:
     def lane_stats(self) -> list[tuple[int, int, int]]:
         return [(int(self.failures[i]), int(self.retries[i]),
                  int(self.ever[i].sum())) for i in range(self.L)]
+
+
+class _LaneBreaker:
+    """Lane ``i``'s row of a plane's breaker matrices, answering the
+    :class:`~repro.faults.breaker.CircuitBreaker` calls a cascade makes."""
+
+    def __init__(self, plane: _FaultPlane, i: int) -> None:
+        self.plane = plane
+        self.lane = np.array([i])
+
+    def is_blocked(self, r: int, T: int) -> bool:
+        return self.plane.open_until[self.lane[0], r] >= T
+
+    def record_success(self, r: int) -> None:
+        self.plane._close(self.lane, np.array([r]))
+
+    def record_failure(self, r: int, T: int) -> None:
+        self.plane._fail(self.lane, np.array([r]), T)
 
 
 # ----------------------------------------------------------------------

@@ -130,11 +130,6 @@ class Case:
     def has_row(self) -> bool:
         return key_of(self.make_policy()[0]) is not None
 
-    @property
-    def fault_free(self) -> bool:
-        return (self.faults, self.retry, self.breaker) == \
-            ("none", None, None)
-
     def layer(self) -> tuple:
         """Fresh ``(faults, retry, breaker)`` for one run."""
         faults = {"spec": self.spec}.get(self.faults)

@@ -26,6 +26,7 @@ import pytest
 
 from repro.core import BudgetVector
 from repro.faults import (
+    BackoffPolicy,
     CircuitBreaker,
     FaultInjector,
     FaultSpec,
@@ -164,8 +165,11 @@ def _live(case: Case, asynchronous: bool = False) -> Iterator[dict]:
         server = UnreliableServer(server, injector=faults)
     policy, preemptive = case.make_policy()
     if asynchronous:
-        proxy = AsyncMonitoringProxy(server, case.epoch, case.budget,
-                                     policy, preemptive)
+        proxy = AsyncMonitoringProxy(
+            server, case.epoch, case.budget, policy, preemptive,
+            backoff=BackoffPolicy.from_retry(retry, base_delay=0.0,
+                                             max_delay=0.0),
+            breaker=breaker)
     else:
         proxy = MonitoringProxy(server, case.epoch, case.budget, policy,
                                 preemptive, retry=retry, breaker=breaker)
@@ -312,8 +316,7 @@ def _static(case: Case) -> bool:
 ENGINES = {
     "reference": Engine(_reference, _static),
     "live": Engine(_live),
-    "live-async": Engine(partial(_live, asynchronous=True),
-                         lambda case: case.fault_free),
+    "live-async": Engine(partial(_live, asynchronous=True)),
     "online": Engine(_online, _static),
     "block": Engine(_block, _static),
     "federated": Engine(_federated, _static),

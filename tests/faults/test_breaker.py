@@ -154,6 +154,12 @@ class TestExecuteProbes:
         assert round_.retries == 1
         assert breaker.is_blocked(0, 1)
 
+    def test_more_decisions_than_budget_rejected(self):
+        prober = _ScriptedProber({})
+        with pytest.raises(FaultError, match="overspend"):
+            execute_probes([_Decision(0), _Decision(1)], 1, 1, prober)
+        assert prober.calls == []
+
     def test_success_feeds_breaker(self):
         prober = _ScriptedProber({})
         breaker = CircuitBreaker(failure_threshold=2, cooldown=4)

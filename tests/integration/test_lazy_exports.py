@@ -17,7 +17,10 @@ import pytest
 #: ``repro.online`` has since traded ``apply_probes`` for the chronon
 #: pair ``plan_chronon`` / ``settle_chronon``, and the three ``*_value``
 #: score helpers for the score row ``ScoreKey`` and ``key_of``;
-#: ``repro.simulation`` dropped ``batch_kind`` (``key_of`` replaced it).
+#: ``repro.simulation`` dropped ``batch_kind`` (``key_of`` replaced it);
+#: ``repro.runtime.aio`` dropped ``BudgetLedger`` and ``AsyncProbeRound``
+#: (the async executor drives the one retry cascade, which owns the
+#: leftover budget and returns a plain ``ProbeRound``).
 PUBLIC_NAMES = {
     "repro": 74,
     "repro.analysis": 4,
@@ -31,7 +34,7 @@ PUBLIC_NAMES = {
     "repro.offline": 16,
     "repro.online": 23,
     "repro.runtime": 13,
-    "repro.runtime.aio": 14,
+    "repro.runtime.aio": 12,
     "repro.simulation": 11,
     "repro.traces": 12,
     "repro.workloads": 11,

@@ -22,6 +22,15 @@ class TestSoakInvariants:
         assert report.ok, report.describe()
         assert report.stats.probes_failed > 0  # the storm actually hit
 
+    def test_fault_storm_is_identical_to_sync(self):
+        # Spare budget lets retries compete for it: the async proxy must
+        # spend it in the synchronous proxy's order.
+        config = ChaosConfig(budget=4, seed=1, failure_probability=0.25,
+                             timeout_probability=0.1, max_retries=2)
+        report = asyncio.run(run_soak(config))
+        assert report.ok, report.describe()
+        assert report.stats.retries > 0
+
     def test_outages_and_slow_servers_lose_nothing(self):
         config = dataclasses.replace(
             SMALL, outage_count=2, outage_length=5, slow_fraction=0.2,

@@ -1,5 +1,6 @@
-"""Tests for the async probe executor: ledger, semaphores, deadlines,
-backoff retries, and hedged quarantine-exit trials."""
+"""Tests for the async probe executor: the referee's request order,
+semaphores, deadlines, backoff retries, and hedged quarantine-exit
+trials."""
 
 import asyncio
 from types import SimpleNamespace
@@ -10,7 +11,6 @@ from repro.core.errors import FaultError
 from repro.faults.breaker import BackoffPolicy, CircuitBreaker
 from repro.runtime.aio.engine import (
     HEDGE_ATTEMPT,
-    BudgetLedger,
     ServerSemaphores,
     execute_probes_async,
 )
@@ -38,30 +38,6 @@ def _failed(resource_id, chronon=1, attempt=0):
 
 def _decisions(*resource_ids):
     return [SimpleNamespace(resource_id=rid) for rid in resource_ids]
-
-
-class TestBudgetLedger:
-    def test_reserve_and_remaining(self):
-        ledger = BudgetLedger(3)
-        ledger.reserve(2)
-        assert ledger.spent == 2
-        assert ledger.remaining == 1
-
-    def test_overspend_raises(self):
-        ledger = BudgetLedger(1)
-        ledger.reserve()
-        with pytest.raises(FaultError, match="overspend"):
-            ledger.reserve()
-
-    def test_try_reserve_refuses_without_spending(self):
-        ledger = BudgetLedger(1)
-        assert ledger.try_reserve()
-        assert not ledger.try_reserve()
-        assert ledger.spent == 1
-
-    def test_negative_limit_rejected(self):
-        with pytest.raises(FaultError, match=">= 0"):
-            BudgetLedger(-1)
 
 
 class TestServerSemaphores:
@@ -108,8 +84,8 @@ class TestExecuteProbesAsync:
         round_ = asyncio.run(execute_probes_async(
             _decisions(0), 1, 1, prober, deadline=0.01))
         assert round_.failed == [0]
-        assert round_.deadline_timeouts == 1
         assert round_.failures == 1
+        assert round_.attempts == 1
 
     def test_retry_succeeds_with_leftover_budget(self):
         calls = []
@@ -141,6 +117,40 @@ class TestExecuteProbesAsync:
         assert calls == [0]
         assert round_.retries == 0
         assert round_.failed == [0]
+
+    def test_retries_follow_the_referee_order(self):
+        # Both first attempts go before any retry, and the one leftover
+        # unit retries the first failed resource in decision order.
+        calls = []
+
+        async def prober(resource_id, attempt):
+            calls.append((resource_id, attempt))
+            return _failed(resource_id, attempt=attempt)
+
+        round_ = asyncio.run(execute_probes_async(
+            _decisions(0, 1), 1, 3, prober,
+            backoff=BackoffPolicy(max_retries=1, base_delay=0.0)))
+        assert calls == [(0, 0), (1, 0), (0, 1)]
+        assert round_.failed == [0, 1]
+        assert round_.retries == 1
+
+    def test_slow_first_answer_keeps_its_retry(self):
+        # Resource 1 fails first in wall time; the leftover unit is
+        # still resource 0's, the first failure in decision order.
+        calls = []
+
+        async def prober(resource_id, attempt):
+            if (resource_id, attempt) == (0, 0):
+                await asyncio.sleep(0.02)
+            calls.append((resource_id, attempt))
+            return _failed(resource_id, attempt=attempt)
+
+        round_ = asyncio.run(execute_probes_async(
+            _decisions(0, 1), 1, 3, prober,
+            backoff=BackoffPolicy(max_retries=1, base_delay=0.0)))
+        assert calls[-1] == (0, 1)
+        assert sorted(calls) == [(0, 0), (0, 1), (1, 0)]
+        assert round_.attempts == 3
 
     def test_mid_chronon_trip_stops_retries(self):
         breaker = CircuitBreaker(failure_threshold=1, cooldown=4)
