@@ -19,7 +19,6 @@ from repro import (
     OriginServer,
     compile_text,
 )
-from repro.core import Profile, TInterval
 from repro.online import MEDFPolicy
 
 SPEC = """
@@ -56,9 +55,7 @@ def main() -> None:
     compiled = compile_text(SPEC, trace, epoch, catalog=catalog)
     newsroom = proxy.register_client("newsroom")
     for profile in compiled.profiles:
-        bare = Profile([TInterval(eta.eis) for eta in profile],
-                       name=profile.name)
-        proxy.register_profile(newsroom, bare)
+        proxy.register_profile(newsroom, profile)
     print(f"newsroom registered: "
           f"{compiled.profiles.total_tintervals} t-intervals from "
           f"{len(compiled.profiles)} profiles")
@@ -73,9 +70,7 @@ def main() -> None:
     late = compile_text(LATE_SPEC, trace, epoch, catalog=catalog)
     customer = proxy.register_client("late-customer")
     for profile in late.profiles:
-        bare = Profile([TInterval(eta.eis) for eta in profile],
-                       name=profile.name)
-        proxy.register_profile(customer, bare)
+        proxy.register_profile(customer, profile)
     print("late-customer joined at chronon 200")
 
     stats = proxy.run()
@@ -93,6 +88,10 @@ def main() -> None:
           f"notifications after joining mid-run")
     assert all(n.client_id == customer.client_id
                for n in customer.mailbox)
+    # The digest watches three feeds and needs two: each round is
+    # delivered on its second capture (one probe per chronon).
+    assert customer.mailbox
+    assert all(len(n.snapshots) == 2 for n in customer.mailbox)
 
 
 if __name__ == "__main__":

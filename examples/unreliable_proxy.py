@@ -29,7 +29,6 @@ from repro import (
     UnreliableServer,
     compile_text,
 )
-from repro.core import Profile, TInterval
 from repro.online import MEDFPolicy
 
 EPOCH = Epoch(400)
@@ -73,9 +72,7 @@ def run(spec_text, feeds, chronons_per_hour, budget, faults=None,
                             MEDFPolicy(), retry=retry, breaker=breaker)
     client = proxy.register_client("newsroom")
     for profile in compiled.profiles:
-        bare = Profile([TInterval(eta.eis) for eta in profile],
-                       name=profile.name)
-        proxy.register_profile(client, bare)
+        proxy.register_profile(client, profile)
     return proxy.run()
 
 

@@ -7,7 +7,8 @@ dense ``n x K`` matrix — realistic budgets make schedules very sparse.
 The module also implements the paper's capture indicators:
 
 * ``I(I, S) = 1``   iff some probe of ``I``'s resource falls inside ``I``;
-* ``I(eta, S) = 1`` iff every EI of the t-interval is captured.
+* ``I(eta, S) = 1`` iff ``need`` EIs of the t-interval are captured —
+  every one of them unless the t-interval needs fewer.
 """
 
 from __future__ import annotations
@@ -135,8 +136,15 @@ class Schedule:
         return index < len(chronons) and chronons[index] <= ei.finish
 
     def captures_tinterval(self, eta: TInterval) -> bool:
-        """``I(eta, S)``: are all EIs of the t-interval captured?"""
-        return all(self.captures_ei(ei) for ei in eta)
+        """``I(eta, S)``: are ``eta.need`` of its EIs captured? Stops at
+        the first miss the need cannot afford."""
+        slack = len(eta.eis) - eta.need
+        for ei in eta.eis:
+            if not self.captures_ei(ei):
+                slack -= 1
+                if slack < 0:
+                    return False
+        return True
 
     # ------------------------------------------------------------------
     # Feasibility

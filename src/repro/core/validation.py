@@ -84,6 +84,10 @@ def validate_instance(profiles: ProfileSet, epoch: Epoch,
       more distinct resources at one chronon than that chronon's budget.
     * ``zero-budget-window`` (error) — every chronon of some EI's window
       has budget 0.
+
+    EI findings are errors only when they leave a t-interval fewer EIs
+    than its ``need``; ``simultaneous-demand`` is checked where every
+    EI is needed.
     * ``empty-profile`` (warning) — a profile with no t-intervals.
     * ``duplicate-tinterval`` (warning) — two identical t-intervals in
       one profile (each still counts toward GC; usually a generator bug).
@@ -110,40 +114,37 @@ def validate_instance(profiles: ProfileSet, epoch: Epoch,
             else:
                 seen[signature] = eta.tinterval_id
 
+            # EIs that can never be captured: fatal beyond size - need.
+            lost: list[tuple[str, str]] = []
             for ei in eta:
                 if ei.start > epoch.last:
-                    diagnostics.append(Diagnostic(
-                        "error", "ei-outside-epoch",
+                    lost.append((
+                        "ei-outside-epoch",
                         f"EI on resource {ei.resource_id} starts at "
-                        f"{ei.start}, past the epoch end {epoch.last}",
-                        profile_id=profile.profile_id,
-                        tinterval_id=eta.tinterval_id))
-                    break
-                first = max(1, ei.start)
-                last = min(epoch.last, ei.finish)
-                if all(budget.at(chronon) == 0
-                       for chronon in range(first, last + 1)):
-                    diagnostics.append(Diagnostic(
-                        "error", "zero-budget-window",
+                        f"{ei.start}, past the epoch end {epoch.last}"))
+                elif all(budget.at(chronon) == 0 for chronon in
+                         range(max(1, ei.start),
+                               min(epoch.last, ei.finish) + 1)):
+                    lost.append((
+                        "zero-budget-window",
                         f"EI on resource {ei.resource_id} window "
-                        f"[{ei.start},{ei.finish}] has no budget",
-                        profile_id=profile.profile_id,
-                        tinterval_id=eta.tinterval_id))
-                    break
-            else:
-                if eta.is_unit_width:
-                    demands: dict[int, set[int]] = {}
-                    for ei in eta:
-                        demands.setdefault(ei.start,
-                                           set()).add(ei.resource_id)
-                    for chronon, resources in demands.items():
-                        if len(resources) > budget.at(chronon):
-                            diagnostics.append(Diagnostic(
-                                "error", "simultaneous-demand",
-                                f"needs {len(resources)} probes at "
-                                f"chronon {chronon}, budget "
-                                f"{budget.at(chronon)}",
-                                profile_id=profile.profile_id,
-                                tinterval_id=eta.tinterval_id))
-                            break
+                        f"[{ei.start},{ei.finish}] has no budget"))
+            if len(lost) > eta.size - eta.need:
+                diagnostics.append(Diagnostic(
+                    "error", *lost[0], profile_id=profile.profile_id,
+                    tinterval_id=eta.tinterval_id))
+            elif eta.is_unit_width and eta.need == eta.size:
+                demands: dict[int, set[int]] = {}
+                for ei in eta:
+                    demands.setdefault(ei.start, set()).add(ei.resource_id)
+                for chronon, resources in demands.items():
+                    if len(resources) > budget.at(chronon):
+                        diagnostics.append(Diagnostic(
+                            "error", "simultaneous-demand",
+                            f"needs {len(resources)} probes at "
+                            f"chronon {chronon}, budget "
+                            f"{budget.at(chronon)}",
+                            profile_id=profile.profile_id,
+                            tinterval_id=eta.tinterval_id))
+                        break
     return ValidationReport(diagnostics=tuple(diagnostics))

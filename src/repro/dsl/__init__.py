@@ -14,9 +14,9 @@ its reference [15]::
         watch 3, 4, 5 indexed within 20 quota 2;
     }
 
-Use :func:`parse` for the AST, :func:`compile_text` to materialize
-profiles against a trace, and the result's ``quotas`` with
-:func:`repro.extensions.run_with_quotas` when quota clauses are present.
+Use :func:`parse` for the AST and :func:`compile_text` to materialize
+profiles against a trace; a ``quota`` clause is the ``need`` of the
+t-intervals its statement compiles to, which every engine honours.
 """
 
 from repro._lazy import export_table

@@ -3,21 +3,21 @@
 The compiler resolves resource references (numeric ids directly, names
 through a :class:`~repro.core.resource.ResourceCatalog`), instantiates the
 matching templates per statement, and materializes concrete profiles
-against an update trace — producing a :class:`ProfileSet` plus the
-:class:`~repro.extensions.partial.QuotaMap` induced by ``quota`` clauses.
+against an update trace — producing a :class:`ProfileSet` whose
+t-intervals carry the ``need`` a ``quota`` clause sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.intervals import TInterval
 from repro.core.profile import Profile, ProfileSet
 from repro.core.resource import ResourceCatalog
 from repro.core.timeline import Epoch
 from repro.dsl.ast import Document, ProfileSpec, ResourceRef, Statement
 from repro.dsl.errors import DslSemanticError
 from repro.dsl.parser import parse
-from repro.extensions.partial import QuotaMap
 from repro.traces.events import UpdateTrace
 from repro.workloads.restrictions import (
     OverwriteRestriction,
@@ -39,15 +39,13 @@ class CompiledProfiles:
     Attributes
     ----------
     profiles:
-        The materialized profile set (profile order follows the document).
-    quotas:
-        Quota map induced by ``quota`` clauses (all-required elsewhere).
+        The materialized profile set (profile order follows the document);
+        a statement's ``quota`` is the ``need`` of its t-intervals.
     names:
         ``profile_id -> document profile name``.
     """
 
     profiles: ProfileSet
-    quotas: QuotaMap
     names: dict[int, str]
 
 
@@ -77,47 +75,33 @@ def compile_document(document: Document, trace: UpdateTrace, epoch: Epoch,
                 f"(line {spec.line})")
         seen_names.add(spec.name)
 
-    built: list[Profile] = []
-    quota_positions: list[dict[int, int]] = []  # per profile: index->quota
-    for spec in document.profiles:
-        profile, quotas_by_index = _compile_profile(spec, trace, epoch,
-                                                    catalog)
-        built.append(profile)
-        quota_positions.append(quotas_by_index)
-
-    profiles = ProfileSet(built)
-    quota_entries: dict[tuple[int, int], int] = {}
-    for profile, positions in zip(profiles, quota_positions):
-        for tinterval_index, quota in positions.items():
-            quota_entries[(profile.profile_id, tinterval_index)] = quota
+    profiles = ProfileSet(_compile_profile(spec, trace, epoch, catalog)
+                          for spec in document.profiles)
     names = {profile.profile_id: spec.name
              for profile, spec in zip(profiles, document.profiles)}
-    return CompiledProfiles(profiles=profiles,
-                            quotas=QuotaMap(quota_entries),
-                            names=names)
+    return CompiledProfiles(profiles=profiles, names=names)
 
 
 def _compile_profile(spec: ProfileSpec, trace: UpdateTrace, epoch: Epoch,
-                     catalog: ResourceCatalog | None
-                     ) -> tuple[Profile, dict[int, int]]:
+                     catalog: ResourceCatalog | None) -> Profile:
     tintervals = []
-    quotas_by_index: dict[int, int] = {}
     for statement in spec.statements:
         resource_ids = _resolve_resources(statement, catalog)
         template = _template_for(statement)
         piece = template.build_profile(resource_ids, trace, epoch,
                                        name=spec.name)
-        start_index = len(tintervals)
-        tintervals.extend(eta for eta in piece)
-        if statement.quota is not None:
-            if statement.quota > len(resource_ids):
-                raise DslSemanticError(
-                    f"quota {statement.quota} exceeds the "
-                    f"{len(resource_ids)} watched resources "
-                    f"(line {statement.line})")
-            for offset in range(len(piece)):
-                quotas_by_index[start_index + offset] = statement.quota
-    return Profile(tintervals, name=spec.name), quotas_by_index
+        quota = statement.quota
+        if quota is None:
+            tintervals.extend(piece)
+            continue
+        if quota > len(resource_ids):
+            raise DslSemanticError(
+                f"quota {quota} exceeds the {len(resource_ids)} watched "
+                f"resources (line {statement.line})")
+        # A t-interval with fewer EIs than watched resources needs them all.
+        tintervals.extend(TInterval(eta.eis, need=min(quota, eta.size))
+                          for eta in piece)
+    return Profile(tintervals, name=spec.name)
 
 
 def _template_for(statement: Statement):

@@ -20,7 +20,7 @@ from pathlib import Path
 from repro.core.budget import BudgetVector
 from repro.core.completeness import CompletenessReport
 from repro.core.errors import ModelError
-from repro.core.intervals import ExecutionInterval, TInterval
+from repro.core.intervals import TInterval
 from repro.core.profile import Profile, ProfileSet
 from repro.core.schedule import Schedule
 from repro.simulation.result import SimulationResult
@@ -69,10 +69,7 @@ def profiles_to_jsonable(profiles: ProfileSet) -> dict:
     data = [
         {
             "name": profile.name,
-            "tintervals": [
-                [[ei.resource_id, ei.start, ei.finish] for ei in eta]
-                for eta in profile
-            ],
+            "tintervals": [eta.record() for eta in profile],
         }
         for profile in profiles
     ]
@@ -83,11 +80,11 @@ def profiles_from_jsonable(obj) -> ProfileSet:
     """Inverse of :func:`profiles_to_jsonable`."""
     data = _open_envelope(obj, "profiles")
     profiles = []
-    for entry in data:
+    for profile_id, entry in enumerate(data):
         tintervals = [
-            TInterval([ExecutionInterval(resource, start, finish)
-                       for resource, start, finish in eis])
-            for eis in entry["tintervals"]
+            TInterval.from_record(
+                record, f"profile {profile_id} t-interval {index}")
+            for index, record in enumerate(entry["tintervals"])
         ]
         profiles.append(Profile(tintervals, name=entry.get("name", "")))
     return ProfileSet(profiles)

@@ -19,8 +19,9 @@ Key observations that keep the search sound and as small as possible:
   resource's active EIs precomputed once so expanding a probe subset is
   a handful of OR operations;
 * the capture gain of a transition is found incrementally: only
-  t-intervals owning a *newly set* EI bit can have just become complete,
-  so the gain check touches those instead of rescanning every t-interval;
+  t-intervals owning a *newly set* EI bit can have just reached their
+  ``need``, so the gain check touches those instead of rescanning every
+  t-interval;
 * chronons with no useful resource are skipped outright.
 
 A node-count guard raises :class:`SolverCapacityError` instead of silently
@@ -80,7 +81,9 @@ class EnumerationSolver:
         # Flatten EIs with global indexes; group t-interval membership.
         eis: list[tuple[int, int, int]] = []  # (resource, start, finish)
         tinterval_members: list[list[int]] = []
+        needs: list[int] = []
         for eta in profiles.tintervals():
+            needs.append(eta.need)
             members = []
             for ei in eta:
                 members.append(len(eis))
@@ -112,10 +115,12 @@ class EnumerationSolver:
                 ei_owners[member].append(t_index)
 
         def gained_by(mask: int, new_mask: int) -> int:
-            """T-intervals completed by ``new_mask`` but not ``mask``.
+            """T-intervals with ``need`` EIs in ``new_mask`` but not in
+            ``mask``.
 
-            Only owners of a newly-set EI bit can have just completed,
-            so walk the fresh bits instead of every t-interval.
+            Only owners of a newly-set EI bit can have just reached
+            their need, so walk the fresh bits instead of every
+            t-interval.
             """
             fresh = new_mask & ~mask
             gained = 0
@@ -127,7 +132,8 @@ class EnumerationSolver:
                     if owner not in seen:
                         seen.add(owner)
                         full = full_masks[owner]
-                        if new_mask & full == full:
+                        if ((new_mask & full).bit_count() >= needs[owner]
+                                > (mask & full).bit_count()):
                             gained += 1
             return gained
 

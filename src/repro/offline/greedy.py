@@ -15,7 +15,7 @@ from repro.core.budget import BudgetVector
 from repro.core.completeness import evaluate_schedule, tally
 from repro.core.profile import ProfileSet
 from repro.core.timeline import Epoch
-from repro.offline.matching import ProbeAssigner
+from repro.offline.matching import ProbeAssigner, require_every_ei
 from repro.simulation.result import SimulationResult
 
 __all__ = ["GreedyOfflineSolver"]
@@ -34,7 +34,11 @@ class GreedyOfflineSolver:
 
     def solve(self, profiles: ProfileSet, epoch: Epoch,
               budget: BudgetVector) -> SimulationResult:
-        """Produce a feasible schedule; completeness = accepted set."""
+        """Produce a feasible schedule; completeness = accepted set.
+
+        Raises :class:`~repro.core.errors.ModelError` for a t-interval
+        that needs fewer than all its EIs."""
+        require_every_ei(profiles.tintervals(), "the greedy solver")
         started = time.perf_counter()
         order = sorted(
             profiles.tintervals(),

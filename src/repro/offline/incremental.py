@@ -56,7 +56,7 @@ from repro.offline.conflict import (
     demand_map,
 )
 from repro.offline.local_ratio import _decompose_fast, fractional_guidance
-from repro.offline.matching import ProbeAssigner
+from repro.offline.matching import ProbeAssigner, require_every_ei
 from repro.simulation.result import SimulationResult
 
 __all__ = ["IncrementalLocalRatio"]
@@ -123,8 +123,9 @@ class IncrementalLocalRatio:
                 "IncrementalLocalRatio requires unit-width (P^[1]) "
                 "profiles")
         profile_id = self._next_profile_id
-        self._next_profile_id += 1
         attached = profile.attached(profile_id)
+        require_every_ei(attached, "IncrementalLocalRatio")
+        self._next_profile_id += 1
         self._profiles[profile_id] = attached
         budget = self.budget
         for eta in attached:

@@ -71,7 +71,7 @@ from repro.offline.conflict import (
     unit_conflict_adjacency,
     unit_conflict_graph,
 )
-from repro.offline.matching import ProbeAssigner
+from repro.offline.matching import ProbeAssigner, require_every_ei
 from repro.simulation.result import SimulationResult
 
 __all__ = ["LocalRatioApproximation", "fractional_guidance"]
@@ -113,7 +113,11 @@ class LocalRatioApproximation:
 
     def solve(self, profiles: ProfileSet, epoch: Epoch,
               budget: BudgetVector) -> SimulationResult:
-        """Produce an approximate schedule and its completeness report."""
+        """Produce an approximate schedule and its completeness report.
+
+        Raises :class:`~repro.core.errors.ModelError` for a t-interval
+        that needs fewer than all its EIs."""
+        require_every_ei(profiles.tintervals(), "Local-Ratio")
         if self._use_lp:
             # The first LP guidance loads scipy (~0.6 s): before the
             # clock starts, so no reported runtime contains an import.

@@ -52,12 +52,26 @@ schedule, so shared captures are credited at evaluation time.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.core.budget import BudgetVector
+from repro.core.errors import ModelError
 from repro.core.intervals import TInterval
 from repro.core.schedule import Schedule
 from repro.core.timeline import Chronon, Epoch
 
-__all__ = ["ProbeAssigner"]
+__all__ = ["ProbeAssigner", "require_every_ei"]
+
+def require_every_ei(tintervals: Iterable[TInterval], solver: str) -> None:
+    """Refuse the first t-interval that needs fewer than all its EIs:
+    ``solver`` probes every EI of what it accepts."""
+    for eta in tintervals:
+        if eta.need < eta.size:
+            raise ModelError(
+                f"{solver} captures every EI of a t-interval, but "
+                f"t-interval ({eta.profile_id}, {eta.tinterval_id}) needs "
+                f"{eta.need} of its {eta.size}")
+
 
 # Merged EI identity: (resource_id, start, finish).
 EIKey = tuple[int, int, int]

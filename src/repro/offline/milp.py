@@ -7,13 +7,15 @@ for moderate instances (hundreds of t-intervals):
   useful when some EI of some t-interval covers it);
 * continuous ``y_e in [0, 1]`` per EI with ``y_e <= sum_{j in e} s_{r(e),j}``;
 * continuous ``z_eta in [0, 1]`` per t-interval with ``z_eta <= y_e`` for
-  every member EI;
+  every member EI — or, for a t-interval that needs ``q`` of its EIs,
+  binary ``z_eta`` with ``q * z_eta <= sum_e y_e``;
 * budget rows ``sum_r s_{r,j} <= C_j``;
 * objective ``max sum z_eta``.
 
-Only the ``s`` variables need integrality: once they are integral, the
-optimal ``y``/``z`` are automatically 0/1 (they are monotone min-style
-variables), so the objective equals the number of captured t-intervals.
+Only the ``s`` variables (and a quota t-interval's ``z``) need
+integrality: once they are integral, the optimal ``y``/``z`` are
+automatically 0/1 (they are monotone min-style variables), so the
+objective equals the number of captured t-intervals.
 """
 
 from __future__ import annotations
@@ -97,8 +99,10 @@ class MILPSolver:
         ei_vars: list[tuple[int, int, int]] = []      # (resource, start, fin)
         ei_index: dict[tuple[int, int, int], int] = {}
         tinterval_eis: list[list[int]] = []
+        needs: list[int] = []
 
         for eta in profiles.tintervals():
+            needs.append(eta.need)
             members: list[int] = []
             for ei in eta:
                 key = (ei.resource_id, max(1, ei.start),
@@ -147,51 +151,51 @@ class MILPSolver:
         cols: list[int] = []
         vals: list[float] = []
         upper: list[float] = []
-        row = 0
+
+        def add_row(terms, bound: float = 0.0) -> None:
+            """One row ``sum(value * var for var, value in terms) <=
+            bound``."""
+            for var, value in terms:
+                rows.append(len(upper))
+                cols.append(var)
+                vals.append(value)
+            upper.append(bound)
 
         # y_e - sum_j s_{r,j} <= 0
         for index, (resource, start, finish) in enumerate(ei_vars):
-            rows.append(row)
-            cols.append(ei_var(index))
-            vals.append(1.0)
-            for chronon in range(start, finish + 1):
-                rows.append(row)
-                cols.append(probe_var(resource, chronon))
-                vals.append(-1.0)
-            upper.append(0.0)
-            row += 1
+            add_row([(ei_var(index), 1.0)]
+                    + [(probe_var(resource, chronon), -1.0)
+                       for chronon in range(start, finish + 1)])
 
-        # z_eta - y_e <= 0 for each member EI; z of an uncapturable
+        # z_eta - y_e <= 0 for each member EI, or q z_eta - sum_e y_e <= 0
+        # where eta needs q < size of them; z of an uncapturable
         # t-interval is pinned to 0.
         pinned_zero: list[int] = []
-        for t_index, members in enumerate(tinterval_eis):
-            if any(member < 0 for member in members):
+        quota: list[int] = []
+        for t_index, (members, need) in enumerate(zip(tinterval_eis,
+                                                      needs)):
+            capturable = [member for member in members if member >= 0]
+            if len(capturable) < need:
                 pinned_zero.append(t_index)
-                continue
-            for member in members:
-                rows.append(row)
-                cols.append(tinterval_var(t_index))
-                vals.append(1.0)
-                rows.append(row)
-                cols.append(ei_var(member))
-                vals.append(-1.0)
-                upper.append(0.0)
-                row += 1
+            elif need < len(members):
+                quota.append(t_index)
+                add_row([(tinterval_var(t_index), float(need))]
+                        + [(ei_var(member), -1.0) for member in capturable])
+            else:
+                for member in members:
+                    add_row([(tinterval_var(t_index), 1.0),
+                             (ei_var(member), -1.0)])
 
         # budget rows: sum_r s_{r,j} <= C_j
         by_chronon: dict[int, list[int]] = {}
         for (resource, chronon), var in probe_index.items():
             by_chronon.setdefault(chronon, []).append(var)
         for chronon, variables in sorted(by_chronon.items()):
-            for var in variables:
-                rows.append(row)
-                cols.append(var)
-                vals.append(1.0)
-            upper.append(float(budget.at(chronon)))
-            row += 1
+            add_row([(var, 1.0) for var in variables],
+                    float(budget.at(chronon)))
 
         matrix = sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(row, total))
+            (vals, (rows, cols)), shape=(len(upper), total))
         constraints = LinearConstraint(
             matrix, lb=-np.inf, ub=np.array(upper))
 
@@ -208,7 +212,11 @@ class MILPSolver:
 
         integrality = np.zeros(total)
         if not self._relaxed:
-            integrality[:num_probes] = 1  # only probes must be integral
+            # Probes must be integral, and a quota t-interval's z: its
+            # row alone would pay partial credit for partial capture.
+            integrality[:num_probes] = 1
+            for t_index in quota:
+                integrality[tinterval_var(t_index)] = 1
 
         options: dict[str, float] = {}
         if self._time_limit is not None:

@@ -115,7 +115,7 @@ def expand_to_unit_width(profiles: ProfileSet,
                 new_tintervals.append(TInterval([
                     ExecutionInterval(resource, chronon, chronon)
                     for resource, chronon in zip(resources, tuple_choice)
-                ]))
+                ], need=eta.need))
                 owners.append((eta.profile_id, eta.tinterval_id))
         expanded_profiles.append(Profile(new_tintervals,
                                          name=f"{profile.name}[1]"))

@@ -69,24 +69,27 @@ class TIntervalState:
     by the policy (``committed`` — drives non-preemptive behaviour),
     whether :func:`retire` already reported its doom (``doom_reported``
     — counted once however long the carcass stays), and caches the
-    owning profile's rank (the MRSF score needs it).
+    owning profile's rank (the MRSF score needs it) and the t-interval's
+    ``need``, the captures that complete it.
 
     Capture progress is tracked with counters and a lazily advanced
     earliest-uncaptured-deadline cursor, so ``captured_count``,
     ``is_complete`` and ``is_expired`` are O(1) (amortized) instead of
     scanning ``eta`` — these run once per state per chronon in the
-    simulator's hot loop. The invariant is that every capture goes through
+    simulator's hot loop (O(size - need) past that deadline when ``need``
+    is below the size). The invariant is that every capture goes through
     :meth:`mark_captured`; writing ``captured[i]`` directly desyncs the
     counters.
     """
 
-    __slots__ = ("eta", "profile_rank", "captured", "committed",
+    __slots__ = ("eta", "profile_rank", "need", "captured", "committed",
                  "doom_reported", "_captured_count", "_deadline_order",
                  "_deadline_pos")
 
     def __init__(self, eta: TInterval, profile_rank: int) -> None:
         self.eta = eta
         self.profile_rank = profile_rank
+        self.need = eta.need
         self.captured = [False] * len(eta.eis)
         self.committed = False
         self.doom_reported = False
@@ -109,13 +112,13 @@ class TIntervalState:
 
     @property
     def residual(self) -> int:
-        """Number of EIs still to capture."""
-        return len(self.captured) - self._captured_count
+        """Number of EIs still to capture before the t-interval counts."""
+        return max(0, self.need - self._captured_count)
 
     @property
     def is_complete(self) -> bool:
-        """True when every EI has been captured (the t-interval counts)."""
-        return self._captured_count == len(self.captured)
+        """True once ``need`` EIs are captured (the t-interval counts)."""
+        return self._captured_count >= self.need
 
     @property
     def earliest_uncaptured_deadline(self) -> Chronon | None:
@@ -138,13 +141,29 @@ class TIntervalState:
         return self.eta[order[pos]].finish
 
     def is_expired(self, chronon: Chronon) -> bool:
-        """True when some uncaptured EI's deadline has passed.
+        """True when more uncaptured EIs are past their deadline than
+        ``size - need`` — one, when every EI is needed.
 
         An expired t-interval can never complete and is dropped from the
         candidate set (it still counts in the GC denominator).
         """
         deadline = self.earliest_uncaptured_deadline
-        return deadline is not None and chronon > deadline
+        if deadline is None or chronon <= deadline:
+            return False
+        slack = len(self.captured) - self.need
+        if not slack:
+            return True
+        # The cursor stands on the first miss: count the misses from it.
+        captured = self.captured
+        eis = self.eta.eis
+        for index in self._deadline_order[self._deadline_pos:]:
+            if eis[index].finish >= chronon:
+                return False
+            if not captured[index]:
+                slack -= 1
+                if slack < 0:
+                    return True
+        return False
 
     def uncaptured_eis(self) -> list[ExecutionInterval]:
         """EIs not yet captured, in declaration order."""
@@ -184,6 +203,7 @@ class ScoreKey:
 
     * ``finish`` / ``start`` — ``I``'s deadline ``T_f`` / start ``T_s``;
     * ``rank`` — the rank of ``eta``'s profile;
+    * ``need`` — how many EIs of ``eta`` must be captured;
     * ``captured`` — how many EIs of ``eta`` are captured;
     * ``deadlines`` — M-EDF's sum over ``eta``'s uncaptured EIs of their
       deadlines, less ``T`` for each one already open;
@@ -199,6 +219,7 @@ class ScoreKey:
     finish: int = 0
     start: int = 0
     rank: int = 0
+    need: int = 0
     captured: int = 0
     deadlines: int = 0
     pool: int = 0
@@ -222,9 +243,9 @@ class Policy:
     """Scores candidate EIs; the proxy probes the lowest-scored ones.
 
     The score is one :class:`ScoreKey` row, ``key``: a new policy is one
-    row. A policy whose score is not a row (RANDOM, the extensions'
-    quota and utility policies) overrides :meth:`score` instead and
-    runs on the reference path only (:func:`key_of`).
+    row. A policy whose score is not a row (RANDOM, the utility
+    extension's policy) overrides :meth:`score` instead and runs on the
+    reference path only (:func:`key_of`).
     """
 
     #: Short name used in reports ("S-EDF", "MRSF", "M-EDF", ...).
@@ -247,7 +268,7 @@ class Policy:
         ei = candidate.ei
         state = candidate.state
         value = (key.finish * ei.finish + key.start * ei.start
-                 + key.rank * state.profile_rank
+                 + key.rank * state.profile_rank + key.need * state.need
                  + key.captured * state.captured_count
                  + key.chronon * chronon + key.const)
         if key.deadlines:
@@ -418,8 +439,8 @@ def retire(active: Sequence[TIntervalState], chronon: Chronon
            ) -> tuple[list[TIntervalState], list[TIntervalState]]:
     """``(still_active, doomed)`` of ``active`` at ``chronon``.
 
-    A complete state leaves. A doomed one (some uncaptured EI can no
-    longer be captured) is reported exactly once, the moment doom hits,
+    A complete state leaves. A doomed one (its need can no longer be
+    met) is reported exactly once, the moment doom hits,
     and its carcass stays while any uncaptured EI window is still open:
     an EI-level policy sees EIs only and cannot tell (§4.2.2). At
     :data:`EPOCH_OVER` nothing incomplete survives — the flush.

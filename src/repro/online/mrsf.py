@@ -11,13 +11,16 @@ of completing, so the budget spent on it is less likely to be wasted.
 
 Proposition 4: without intra-resource overlap and with ``rank(P) = k``,
 MRSF is k-competitive.
+
+Q-MRSF counts to the t-interval's ``need`` instead of the profile's
+rank: ``need(eta) - sum I(I', S)``, the captures still missing.
 """
 
 from __future__ import annotations
 
 from repro.online.base import RANK_LEVEL, Policy, ScoreKey
 
-__all__ = ["MRSFPolicy"]
+__all__ = ["MRSFPolicy", "QuotaMRSFPolicy"]
 
 
 class MRSFPolicy(Policy):
@@ -26,3 +29,11 @@ class MRSFPolicy(Policy):
     name = "MRSF"
     level = RANK_LEVEL
     key = ScoreKey(rank=1, captured=-1)
+
+
+class QuotaMRSFPolicy(Policy):
+    """Prefer EIs of t-intervals fewest captures short of their need."""
+
+    name = "Q-MRSF"
+    level = RANK_LEVEL
+    key = ScoreKey(need=1, captured=-1)

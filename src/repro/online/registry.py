@@ -17,7 +17,7 @@ from repro.online.baselines import (
     StaticRankPolicy,
 )
 from repro.online.medf import MEDFPolicy
-from repro.online.mrsf import MRSFPolicy
+from repro.online.mrsf import MRSFPolicy, QuotaMRSFPolicy
 from repro.online.sedf import SEDFPolicy
 
 __all__ = ["make_policy", "parse_policy_spec", "available_policies",
@@ -26,6 +26,7 @@ __all__ = ["make_policy", "parse_policy_spec", "available_policies",
 _FACTORIES: dict[str, type[Policy]] = {
     "S-EDF": SEDFPolicy,
     "MRSF": MRSFPolicy,
+    "Q-MRSF": QuotaMRSFPolicy,
     "M-EDF": MEDFPolicy,
     "RANDOM": RandomPolicy,
     "FCFS": FCFSPolicy,

@@ -143,7 +143,7 @@ class SoakReport:
 
 def _bare(profile: Profile) -> Profile:
     """Strip stamped identities so a profile can be re-registered."""
-    return Profile([TInterval(eta.eis) for eta in profile],
+    return Profile([TInterval(eta.eis, need=eta.need) for eta in profile],
                    name=profile.name)
 
 

@@ -6,7 +6,9 @@ a completed t-interval twice. The journal records the three durable
 facts as newline-delimited JSON, *before* the in-memory effect they
 describe is applied (write-ahead ordering):
 
-* ``client`` / ``register`` — who registered which profile;
+* ``client`` / ``register`` — who registered which profile (a
+  t-interval is its EI triples, with its ``need`` when that is below
+  its size);
 * ``unregister`` — a profile was cancelled;
 * ``capture`` — one execution interval of a still in-flight t-interval
   captured its snapshot (so recovery does not lose partial progress);
@@ -31,7 +33,7 @@ from pathlib import Path
 from typing import IO
 
 from repro.core.errors import ModelError
-from repro.core.intervals import ExecutionInterval, TInterval
+from repro.core.intervals import TInterval
 from repro.core.profile import Profile
 from repro.core.timeline import Chronon
 from repro.runtime.server import Snapshot
@@ -42,16 +44,15 @@ _FORMAT = "repro/aio-journal"
 _VERSION = 1
 
 
-def _encode_profile(profile: Profile) -> list[list[list[int]]]:
-    return [[[ei.resource_id, ei.start, ei.finish] for ei in eta]
-            for eta in profile]
+def _encode_profile(profile: Profile) -> list:
+    return [eta.record() for eta in profile]
 
 
-def _decode_profile(tintervals, name: str) -> Profile:
+def _decode_profile(tintervals, name: str, profile_id: int) -> Profile:
     return Profile(
-        [TInterval([ExecutionInterval(resource, start, finish)
-                    for resource, start, finish in eis])
-         for eis in tintervals],
+        [TInterval.from_record(
+            record, f"journaled profile {profile_id} t-interval {index}")
+         for index, record in enumerate(tintervals)],
         name=name)
 
 
@@ -211,7 +212,8 @@ def replay_journal(path: str | Path) -> JournalState:
                 profile_id=record["profile_id"],
                 client_id=record["client_id"],
                 profile=_decode_profile(record["tintervals"],
-                                        record.get("name", "")),
+                                        record.get("name", ""),
+                                        record["profile_id"]),
             ))
         elif kind == "unregister":
             state.unregistered.add(record["profile_id"])

@@ -405,14 +405,16 @@ def run_churned(profiles: ProfileSet, epoch: Epoch,
             "plan for this one") from None
     extras = {}
     if lowered.fired:
-        # Doomed at birth: registered after one of its deadlines.
+        # Doomed at birth: registered after more of its deadlines than
+        # ``size - need``.
         late = columnar.ei_finish < columnar.st_arrival[columnar.ei_state]
         late &= columnar.st_visible[columnar.ei_state] > 0
+        misses = np.bincount(columnar.ei_state[late], minlength=columnar.S)
         extras = {
             "dropped": result.extras["dropped"],
             "added_profiles": float(lowered.added),
-            "doomed_at_birth": float(
-                np.unique(columnar.ei_state[late]).size),
+            "doomed_at_birth": float(np.count_nonzero(
+                misses > columnar.st_size - columnar.st_need)),
         }
     return replace(result, extras=extras,
                    runtime_seconds=time.perf_counter() - started)

@@ -43,10 +43,10 @@ still benefits from the index: the flat candidate list is materialised
 from it in reference order and handed to
 :func:`~repro.online.base.select_probes`.
 
-Custom ``state_factory`` states are supported under the two contracts the
-provided states satisfy: ``is_complete`` may flip (to True) only on
-``mark_captured``, and ``is_expired`` may flip (to True) only when an
-uncaptured EI's deadline passes.
+A state's ``is_complete`` flips (to True) only on ``mark_captured`` and
+its ``is_expired`` only when an uncaptured EI's deadline passes — also
+for a t-interval that needs fewer than all its EIs, whose completion
+retires its remaining index entries.
 
 **Live churn.** :meth:`FastProxySimulator.add_profile` and
 :meth:`~FastProxySimulator.remove_profile` register and cancel whole
@@ -145,7 +145,6 @@ class FastProxySimulator:
     def __init__(self, profiles: ProfileSet, epoch: Epoch,
                  budget: BudgetVector, policy: Policy,
                  preemptive: bool = True,
-                 state_factory=TIntervalState,
                  faults: FaultSpec | None = None,
                  retry: RetryConfig | None = None,
                  breaker: CircuitBreaker | None = None) -> None:
@@ -154,7 +153,6 @@ class FastProxySimulator:
         self.budget = budget
         self.policy = policy
         self.preemptive = preemptive
-        self.state_factory = state_factory
         if isinstance(faults, FaultSpec):
             faults = FaultInjector(faults, record=False)
         self.injector = faults
@@ -269,6 +267,7 @@ class FastProxySimulator:
             state = fs.state
             score = (pool + row.finish * ei.finish + row.start * ei.start
                      + row.rank * state.profile_rank
+                     + row.need * state.need
                      + row.captured * state.captured_count
                      + row.deadlines * (fs.medf_sum
                                         - chronon * fs.medf_started))
@@ -372,7 +371,7 @@ class FastProxySimulator:
         entries are captured (even if a capture completes their
         t-interval mid-loop), then completed t-intervals have their
         remaining uncaptured entries retired from the index (relevant
-        for quota-style states that complete early).
+        for a t-interval that needs fewer than all its EIs).
         """
         popped: list[dict] = []
         for rid in probed:
@@ -431,7 +430,7 @@ class FastProxySimulator:
         for profile in self.profiles:
             rank = profile.rank
             for eta in profile:
-                state = self.state_factory(eta, rank)
+                state = TIntervalState(eta, rank)
                 arrival = min(eta.earliest_start, last)
                 buckets.setdefault(arrival, []).append(state)
 
@@ -515,7 +514,7 @@ class FastProxySimulator:
                     continue
                 fs.medf_started += 1
                 if state.is_complete:
-                    continue  # quota-complete: no longer a candidate
+                    continue  # at its need: no longer a candidate
                 if sees_doom and fs.doomed:
                     continue
                 self._add_entry(fs, ei)
@@ -722,13 +721,12 @@ class FastProxySimulator:
         last = self.epoch.last
         floor = self._clock + 1
         rank = attached.rank
-        factory = self.state_factory
         sees_doom = self._sees_doom
         all_states = self._all_states
         fs_by_key = self._fs_by_key
         states = self._states_by_profile[profile_id]
         for eta in attached.tintervals:
-            state = factory(eta, rank)
+            state = TIntervalState(eta, rank)
             eis = eta.eis
             earliest = eis[0].start
             soonest = eis[0].finish

@@ -67,11 +67,6 @@ class ProxySimulator:
     preemptive:
         Run the policy preemptively (``True``, the paper's "(P)" variant)
         or non-preemptively ("(NP)").
-    state_factory:
-        Callable building the runtime state for each t-interval; defaults
-        to :class:`TIntervalState`. Extensions (e.g. quota-based partial
-        capture, see :mod:`repro.extensions.partial`) substitute richer
-        states here.
     faults:
         Fault model applied to probes: a :class:`FaultSpec`, an explicit
         injector (e.g. ``trace.replay()``), or ``None`` for a reliable
@@ -87,7 +82,6 @@ class ProxySimulator:
     def __init__(self, profiles: ProfileSet, epoch: Epoch,
                  budget: BudgetVector, policy: Policy,
                  preemptive: bool = True,
-                 state_factory=TIntervalState,
                  faults: FaultSpec | None = None,
                  retry: RetryConfig | None = None,
                  breaker: CircuitBreaker | None = None) -> None:
@@ -96,7 +90,6 @@ class ProxySimulator:
         self.budget = budget
         self.policy = policy
         self.preemptive = preemptive
-        self.state_factory = state_factory
         if isinstance(faults, FaultSpec):
             faults = FaultInjector(faults, record=False)
         self.injector = faults
@@ -176,7 +169,7 @@ class ProxySimulator:
         for profile in self.profiles:
             rank = profile.rank
             for eta in profile:
-                state = self.state_factory(eta, rank)
+                state = TIntervalState(eta, rank)
                 # A t-interval starting past the epoch can never be
                 # captured, but it must still be *counted*: clamp its
                 # arrival to the last chronon so the end-of-epoch flush

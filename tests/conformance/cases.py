@@ -1,8 +1,9 @@
 """The cases of the conformance matrix: one online run, as data.
 
 A :class:`Case` names every axis an engine takes — an initial profile
-set, a policy label, a budget, a fault layer (kind × retry × breaker), a
-churn plan and a shard count — and builds fresh stateful objects
+set (some t-intervals needing fewer than all their EIs), a policy
+label, a budget, a fault layer (kind × retry × breaker), a churn plan
+and a shard count — and builds fresh stateful objects
 (policy, injector, breaker) for each run. :func:`cases` draws them over
 every axis at once; :data:`PINNED` holds generated instances that
 contend where hypothesis' four-resource draws rarely do, and the
@@ -16,7 +17,7 @@ from functools import cache, partial
 
 from hypothesis import strategies as st
 
-from repro.core import BudgetVector, Epoch, Profile, ProfileSet
+from repro.core import BudgetVector, Epoch, Profile, ProfileSet, TInterval
 from repro.experiments import ExperimentConfig, make_instance
 from repro.experiments.churn import ChurnConfig, build_churn_workload
 from repro.faults import (
@@ -30,7 +31,7 @@ from repro.faults import (
 )
 from repro.online import MRSFPolicy, Policy, ScoreKey, key_of
 from repro.online.registry import available_policies, parse_policy_spec
-from repro.simulation import ChurnPlan, ProxySimulator
+from repro.simulation import ChurnEvent, ChurnPlan, ProxySimulator
 
 from tests.properties.strategies import (
     breaker_params,
@@ -77,12 +78,13 @@ ROWS = {
     "LFF": ScoreKey(finish=1, chronon=-1, const=1),
     "STATICRANK": ScoreKey(rank=1),
     "MRSF": ScoreKey(rank=1, captured=-1),
+    "Q-MRSF": ScoreKey(need=1, captured=-1),
     "ANTI-MRSF": ScoreKey(rank=-1, captured=1),
     "COVERAGE": ScoreKey(pool=-1),
     "M-EDF": ScoreKey(deadlines=1),
 }
 
-#: The eight rows, preemptive and not.
+#: The nine rows, preemptive and not.
 ROW_POLICIES = tuple(f"{name}({mode})" for name in ROWS
                      for mode in ("P", "NP"))
 
@@ -157,9 +159,10 @@ def cases(draw, faults: str) -> Case:
     """A case with fault layer ``faults``; a third are churned (not a
     replayed one: its trace is recorded on a static run)."""
     if faults != "replayed" and draw(st.integers(0, 2)) == 0:
-        profiles, plan = draw(plans())
+        profiles, plan = draw(plans(quotas=True))
     else:
-        profiles, plan = draw(profile_sets(max_profiles=4)), None
+        profiles, plan = draw(profile_sets(max_profiles=4,
+                                           quotas=True)), None
     case = Case(
         profiles, epoch(), draw(st.sampled_from(POLICIES)),
         draw(budget_vectors()), faults,
@@ -218,20 +221,35 @@ _FEDERATED = {
 }
 
 
+def _one_short(profile: Profile) -> Profile:
+    """``profile`` with each t-interval of several EIs needing one
+    fewer than all of them."""
+    return Profile([TInterval(eta.eis, need=max(1, eta.size - 1))
+                    for eta in profile], name=profile.name)
+
+
 @cache
-def _instance(config) -> tuple[ProfileSet, Epoch, ChurnPlan | None]:
+def _instance(config, quota: bool = False
+              ) -> tuple[ProfileSet, Epoch, ChurnPlan | None]:
+    """A pinned instance; with ``quota``, every t-interval of several
+    EIs (the plan's added ones too) needs one fewer."""
+    reshape = _one_short if quota else (lambda profile: profile)
     if isinstance(config, ChurnConfig):
         initial, plan, epoch_ = build_churn_workload(config)
-        return initial, epoch_, plan
+        if quota:
+            plan = ChurnPlan(
+                ChurnEvent.add(event.chronon, reshape(event.profile))
+                if event.action == "add" else event for event in plan)
+        return ProfileSet(map(reshape, initial)), epoch_, plan
     # A live proxy refuses an empty profile: every engine gets the rest.
-    profiles = [profile for profile in make_instance(config, 0)[1]
+    profiles = [reshape(profile) for profile in make_instance(config, 0)[1]
                 if len(profile)]
     return ProfileSet(profiles), config.epoch, None
 
 
 def _pinned(config, label, faults="none", spec=None, retry=None,
-            breaker=None, shards=1, budget=None) -> Case:
-    profiles, epoch_, plan = _instance(config)
+            breaker=None, shards=1, budget=None, quota=False) -> Case:
+    profiles, epoch_, plan = _instance(config, quota)
     budget = budget or BudgetVector(config.budget)
     trace = recorded(profiles, epoch_, budget, label, spec) \
         if faults == "replayed" else None
@@ -266,6 +284,18 @@ def _pinned_cases():
             _pinned, CONTENDED_77, label, "spec",
             FaultSpec(failure_probability=0.3, seed=4), RetryConfig(1),
             (2, 3), 2)
+    # Quotas: every t-interval of several EIs needs one fewer.
+    for label in ("Q-MRSF(P)", "Q-MRSF(NP)", "MRSF(NP)", "M-EDF(P)",
+                  "S-EDF(NP)", "COVERAGE(P)"):
+        yield f"77/quota/reliable/{label}", partial(
+            _pinned, CONTENDED_77, label, shards=2, quota=True)
+    for label in ("Q-MRSF(P)", "M-EDF(NP)"):
+        yield f"2108/quota/faulty/{label}", partial(
+            _pinned, ONLINE_2108, label, "recording", _DROPS,
+            RetryConfig(1), (2, 3), 3, quota=True)
+    for label in ("Q-MRSF(NP)", "S-EDF(P)"):
+        yield f"29/quota/reliable/{label}", partial(
+            _pinned, CHURN_29, label, quota=True)
     for label in ("MRSF(P)", "S-EDF(NP)", "M-EDF(P)", "COVERAGE(NP)"):
         yield f"29/reliable/{label}", partial(_pinned, CHURN_29, label)
         yield f"29/faulty/{label}", partial(

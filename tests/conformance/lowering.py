@@ -51,7 +51,7 @@ def oracle(profiles, epoch, visible_from=None,
     # States in seq order: the initial set by (clamped arrival, creation
     # order), then the mid-run registrations in creation order.
     st_arrival, st_rank, st_profile = [], [], []
-    st_size, st_tid, etas = [], [], []
+    st_size, st_need, st_tid, etas = [], [], [], []
     rid_max = 0
     for profile in profiles:
         rank = profile.rank
@@ -61,6 +61,7 @@ def oracle(profiles, epoch, visible_from=None,
             st_rank.append(rank)
             st_profile.append(eta.profile_id)
             st_size.append(len(eta))
+            st_need.append(eta.need)
             st_tid.append(eta.tinterval_id)
             etas.append(eta)
             for ei in eta:
@@ -80,6 +81,7 @@ def oracle(profiles, epoch, visible_from=None,
     o.st_rank = seq_column(st_rank)
     o.st_profile = seq_column(st_profile)
     o.st_size = seq_column(st_size)
+    o.st_need = seq_column(st_need)
     o.st_tid = seq_column(st_tid)
 
     # EIs state-major, within a state in ei_id order. An EI can be a
@@ -194,6 +196,7 @@ def oracle(profiles, epoch, visible_from=None,
         "finish": (0, finish_max),
         "start": (0, start_max),
         "rank": (0, rank_max),
+        "need": (0, size_max),
         "captured": (0, size_max),
         "deadlines": (-last * size_max, int(o.init_sum.max()) if o.S else 1),
         "pool": (0, o.n_max),
@@ -220,10 +223,11 @@ def oracle(profiles, epoch, visible_from=None,
     # T for the started ones.
     deadlines = o.init_sum[o.ps_act] - act_T * started
     rank = o.st_rank[o.ps_act]
+    need = o.st_need[o.ps_act]
     o.hi_static = {}
     for key in ROWS.values():
         score = (key.finish * fin + key.start * start + key.rank * rank
-                 + key.deadlines * deadlines
+                 + key.need * need + key.deadlines * deadlines
                  - _row_range(key, o.feature_ranges)[0])
         o.hi_static[key] = (score << o.score_shift) + finstart
     o.fin_act = fin
@@ -424,7 +428,8 @@ def walk(initial, plan, last: int) -> SimpleNamespace:
             arrival = min(max(eta.earliest_start, floor), last)
             w.arrival[key] = arrival
             seq.append((floor > 0, 0 if floor else arrival, len(seq), key))
-            if floor and min(ei.finish for ei in eta) < arrival:
+            closed = sum(ei.finish < arrival for ei in eta)
+            if floor and closed > eta.size - eta.need:
                 w.doomed_at_birth += 1
             w.candidate[key] = [
                 [] if ei.finish < arrival else

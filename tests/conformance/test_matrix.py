@@ -1,8 +1,9 @@
 """Every engine runs its referee's run: one table, every case.
 
-Hypothesis draws cases over every axis an engine takes — policy × P/NP,
-a budget with overrides, a fault layer × retry × breaker, a churn plan,
-a shard count — one test per fault kind (``-k faulty`` selects the
+Hypothesis draws cases over every axis an engine takes — t-intervals
+that need fewer than all their EIs, policy × P/NP, a budget with
+overrides, a fault layer × retry × breaker, a churn plan, a shard
+count — one test per fault kind (``-k faulty`` selects the
 faulty cells); the pinned instances contend where four drawn resources
 rarely do.
 """

@@ -64,6 +64,23 @@ class TestErrors:
         report = validate_instance(profiles, Epoch(10), budget)
         assert [d.code for d in report.errors()] == ["zero-budget-window"]
 
+    @pytest.mark.parametrize("need, codes", [
+        (3, ["ei-outside-epoch"]), (2, ["ei-outside-epoch"]), (1, [])])
+    def test_lost_eis_count_against_the_need(self, need, codes):
+        # Two of three EIs open past the epoch: only a need of one is
+        # still reachable.
+        profiles = _set(Profile([TInterval([
+            ExecutionInterval(0, 3, 3), ExecutionInterval(1, 20, 20),
+            ExecutionInterval(2, 21, 22)], need=need)]))
+        report = validate_instance(profiles, Epoch(10), BudgetVector(1))
+        assert [d.code for d in report.errors()] == codes
+
+    def test_simultaneous_demand_is_not_an_error_below_the_size(self):
+        profiles = _set(Profile([
+            TInterval([ExecutionInterval(0, 3, 3),
+                       ExecutionInterval(1, 3, 3)], need=1)]))
+        assert validate_instance(profiles, Epoch(10), BudgetVector(1)).ok
+
     def test_partial_budget_window_is_fine(self):
         profiles = _set(Profile([
             TInterval([ExecutionInterval(0, 2, 4)])]))

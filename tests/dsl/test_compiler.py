@@ -109,13 +109,13 @@ class TestQuotas:
             "profile p { watch 0, 1, 2 within 10 quota 2; }",
             trace, epoch)
         for eta in compiled.profiles[0]:
-            assert compiled.quotas.quota_for(eta) == 2
+            assert eta.need == 2
 
     def test_no_quota_defaults_to_all(self, trace, epoch):
         compiled = compile_text(
             "profile p { watch 0, 1 within 10; }", trace, epoch)
         for eta in compiled.profiles[0]:
-            assert compiled.quotas.quota_for(eta) == eta.size
+            assert eta.need == eta.size
 
     def test_quota_exceeding_arity_rejected(self, trace, epoch):
         with pytest.raises(DslSemanticError, match="exceeds"):
@@ -130,7 +130,7 @@ class TestQuotas:
             }
         """, trace, epoch)
         profile = compiled.profiles[0]
-        quotas = [compiled.quotas.quota_for(eta) for eta in profile]
+        quotas = [eta.need for eta in profile]
         # First statement's t-intervals have quota 1, the rest their size.
         assert 1 in quotas
         assert any(quota == 2 for quota in quotas)

@@ -2,9 +2,15 @@
 
 import pytest
 
-from repro.core import BudgetVector, Epoch, validate_instance
+from repro.core import (
+    BudgetVector,
+    Epoch,
+    Profile,
+    ProfileSet,
+    TInterval,
+    validate_instance,
+)
 from repro.dsl import compile_text, format_document, parse
-from repro.extensions import run_with_quotas
 from repro.io import load_profiles, save_profiles
 from repro.online import make_policy
 from repro.simulation import run_online
@@ -40,11 +46,14 @@ class TestDslToSimulation:
 
     def test_quota_run_uses_dsl_quotas(self, world):
         epoch, _trace, compiled = world
-        plain = run_online(compiled.profiles, epoch, BudgetVector(1),
+        assert {eta.need for eta in compiled.profiles[1]} == {2}
+        all_required = ProfileSet(
+            Profile([TInterval(eta.eis) for eta in profile])
+            for profile in compiled.profiles)
+        plain = run_online(all_required, epoch, BudgetVector(1),
                            make_policy("MRSF"))
-        relaxed = run_with_quotas(compiled.profiles, epoch,
-                                  BudgetVector(1), make_policy("MRSF"),
-                                  compiled.quotas)
+        relaxed = run_online(compiled.profiles, epoch, BudgetVector(1),
+                             make_policy("MRSF"))
         assert relaxed.report.captured >= plain.report.captured
 
     def test_round_trip_through_json(self, world, tmp_path):
@@ -52,6 +61,8 @@ class TestDslToSimulation:
         path = tmp_path / "profiles.json"
         save_profiles(compiled.profiles, path)
         reloaded = load_profiles(path)
+        assert list(reloaded.tintervals()) == \
+            list(compiled.profiles.tintervals())
         first = run_online(compiled.profiles, epoch, BudgetVector(1),
                            make_policy("M-EDF"))
         second = run_online(reloaded, epoch, BudgetVector(1),

@@ -27,7 +27,7 @@ PUBLIC_NAMES = {
     "repro.core": 28,
     "repro.dsl": 16,
     "repro.experiments": 42,
-    "repro.extensions": 9,
+    "repro.extensions": 4,
     "repro.faults": 18,
     "repro.forecast": 9,
     "repro.io": 12,

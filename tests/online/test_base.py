@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import ExecutionInterval, Schedule, TInterval
-from repro.extensions.partial import QuotaTIntervalState
 from repro.online import (
     Candidate,
     MEDFPolicy,
@@ -279,10 +278,9 @@ class TestSettleChronon:
         assert rider.committed and rider.captured == [True, False]
 
     def test_a_quota_state_completes_with_eis_left_uncaptured(self):
-        eta = TInterval([ExecutionInterval(0, 1, 5),
-                         ExecutionInterval(1, 1, 5),
-                         ExecutionInterval(2, 1, 5)])
-        state = QuotaTIntervalState(eta, 3, quota=2)
+        eis = [ExecutionInterval(0, 1, 5), ExecutionInterval(1, 1, 5),
+               ExecutionInterval(2, 1, 5)]
+        state = TIntervalState(TInterval(eis, need=2), 3)
         active, _doomed, candidates, decisions = plan_chronon(
             [state], MRSFPolicy(), 1, 3, True)
         # Three EIs answered, quota two: completed on the second
@@ -290,7 +288,7 @@ class TestSettleChronon:
         captures = list(settle_chronon(decisions, {0, 1, 2}, candidates,
                                        1, Schedule()))
         assert [done for _c, done in captures] == [False, True, False]
-        lone = QuotaTIntervalState(eta, 3, quota=1)
+        lone = TIntervalState(TInterval(eis, need=1), 3)
         _active, _doomed, candidates, decisions = plan_chronon(
             [lone], MRSFPolicy(), 1, 1, True)
         assert [done for _c, done in settle_chronon(

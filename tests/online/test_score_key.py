@@ -10,7 +10,6 @@ import pytest
 
 from repro.core import ExecutionInterval, TInterval
 from repro.extensions import UtilityWeightedPolicy, UtilityWeights
-from repro.extensions.partial import QuotaMRSFPolicy
 from repro.online import (
     Candidate,
     MRSFPolicy,
@@ -51,7 +50,7 @@ def test_the_registry_holds_one_row_per_policy_but_random():
 
 
 @pytest.mark.parametrize("feature, value", [
-    ("finish", 12), ("start", 2), ("rank", 4), ("captured", 1),
+    ("finish", 12), ("start", 2), ("rank", 4), ("need", 4), ("captured", 1),
     # (12 - 10) + (15 - 10) + 20: the M-EDF sum, EI 1 captured.
     ("deadlines", 27), ("chronon", 10), ("const", 1)])
 def test_score_weighs_each_feature(feature, value):
@@ -121,8 +120,8 @@ class TestKeyOf:
         assert key_of(Mine()) is None
 
     @pytest.mark.parametrize("policy", [
-        RandomPolicy(seed=1), QuotaMRSFPolicy(),
+        RandomPolicy(seed=1),
         UtilityWeightedPolicy(MRSFPolicy(), UtilityWeights.uniform())],
-        ids=["random", "quota", "utility"])
+        ids=["random", "utility"])
     def test_a_policy_scoring_by_its_own_method_has_none(self, policy):
         assert key_of(policy) is None

@@ -33,25 +33,30 @@ def execution_intervals(draw, horizon: int = HORIZON,
 
 
 @st.composite
-def tintervals(draw, max_eis: int = 3,
-               unit_width: bool = False) -> TInterval:
+def tintervals(draw, max_eis: int = 3, unit_width: bool = False,
+               quotas: bool = False) -> TInterval:
+    """A t-interval; with ``quotas``, one of several EIs needs fewer
+    than all of them half the time."""
     eis = draw(st.lists(execution_intervals(unit_width=unit_width),
                         min_size=1, max_size=max_eis))
-    return TInterval(eis)
+    need = None
+    if quotas and len(eis) > 1 and draw(st.booleans()):
+        need = draw(st.integers(1, len(eis) - 1))
+    return TInterval(eis, need=need)
 
 
 @st.composite
-def profiles(draw, max_tintervals: int = 3,
-             unit_width: bool = False) -> Profile:
-    etas = draw(st.lists(tintervals(unit_width=unit_width),
+def profiles(draw, max_tintervals: int = 3, unit_width: bool = False,
+             quotas: bool = False) -> Profile:
+    etas = draw(st.lists(tintervals(unit_width=unit_width, quotas=quotas),
                          min_size=1, max_size=max_tintervals))
     return Profile(etas)
 
 
 @st.composite
-def profile_sets(draw, max_profiles: int = 3,
-                 unit_width: bool = False) -> ProfileSet:
-    members = draw(st.lists(profiles(unit_width=unit_width),
+def profile_sets(draw, max_profiles: int = 3, unit_width: bool = False,
+                 quotas: bool = False) -> ProfileSet:
+    members = draw(st.lists(profiles(unit_width=unit_width, quotas=quotas),
                             min_size=1, max_size=max_profiles))
     return ProfileSet(members)
 
@@ -135,14 +140,15 @@ def eta(*eis) -> TInterval:
 
 
 @st.composite
-def plans(draw):
+def plans(draw, quotas: bool = False):
     """An initial set (possibly empty) and a legal plan in any order:
     unsorted chronons, events past the epoch, profiles cancelled twice,
     cancelled in the chronon they joined, or never."""
     initial = draw(st.one_of(st.just(ProfileSet()),
-                             profile_sets(max_profiles=3)))
+                             profile_sets(max_profiles=3, quotas=quotas)))
     adds = draw(st.lists(
-        st.tuples(st.integers(0, HORIZON + 2), profiles(max_tintervals=2)),
+        st.tuples(st.integers(0, HORIZON + 2),
+                  profiles(max_tintervals=2, quotas=quotas)),
         max_size=4))
     # Ids follow application order: chronon, then plan order.
     firing = sorted((chronon, index)

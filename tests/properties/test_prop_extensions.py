@@ -3,15 +3,17 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BudgetVector, Schedule
-from repro.extensions import (
-    QuotaMap,
-    UtilityWeights,
-    quota_completeness,
-    run_with_quotas,
-    weighted_completeness,
+from repro.core import (
+    BudgetVector,
+    Profile,
+    ProfileSet,
+    Schedule,
+    TInterval,
+    gained_completeness,
 )
+from repro.extensions import UtilityWeights, weighted_completeness
 from repro.online import MRSFPolicy
+from repro.simulation import run_online
 
 from tests.properties.strategies import (
     HORIZON,
@@ -19,6 +21,12 @@ from tests.properties.strategies import (
     epoch,
     profile_sets,
 )
+
+def _any_of(profiles: ProfileSet) -> ProfileSet:
+    """``profiles`` with every t-interval satisfied by one of its EIs."""
+    return ProfileSet(Profile([TInterval(eta.eis, need=1) for eta in p])
+                      for p in profiles)
+
 
 probe_lists = st.lists(
     st.tuples(st.integers(0, NUM_RESOURCES - 1),
@@ -34,34 +42,33 @@ class TestQuotaProperties:
             self, profiles, probes):
         """For a FIXED schedule, k-of-n is monotone in the quota."""
         schedule = Schedule(probes)
-        strict = quota_completeness(profiles, schedule,
-                                    QuotaMap.all_required())
-        relaxed = quota_completeness(profiles, schedule,
-                                     QuotaMap.any_of(profiles))
+        strict = gained_completeness(profiles, schedule)
+        relaxed = gained_completeness(_any_of(profiles), schedule)
         assert relaxed >= strict
 
     @given(profiles=profile_sets(), probes=probe_lists)
     @settings(max_examples=50)
     def test_all_required_quota_equals_plain_gc(self, profiles, probes):
-        from repro.core import gained_completeness
+        spelled = ProfileSet(
+            Profile([TInterval(eta.eis, need=eta.size) for eta in p])
+            for p in profiles)
         schedule = Schedule(probes)
-        assert quota_completeness(
-            profiles, schedule, QuotaMap.all_required()
-        ) == gained_completeness(profiles, schedule)
+        assert gained_completeness(spelled, schedule) == \
+            gained_completeness(profiles, schedule)
 
     @given(profiles=profile_sets())
     @settings(max_examples=30, deadline=None)
     def test_quota_run_respects_budget(self, profiles):
         budget = BudgetVector(1)
-        result = run_with_quotas(profiles, epoch(), budget,
-                                 MRSFPolicy(), QuotaMap.any_of(profiles))
+        result = run_online(_any_of(profiles), epoch(), budget,
+                            MRSFPolicy())
         assert result.schedule.respects_budget(budget, epoch())
 
     @given(profiles=profile_sets())
     @settings(max_examples=30, deadline=None)
     def test_quota_run_accounting_adds_up(self, profiles):
-        result = run_with_quotas(profiles, epoch(), BudgetVector(1),
-                                 MRSFPolicy(), QuotaMap.any_of(profiles))
+        result = run_online(_any_of(profiles), epoch(), BudgetVector(1),
+                            MRSFPolicy())
         assert (result.report.captured + result.expired
                 == profiles.total_tintervals)
 

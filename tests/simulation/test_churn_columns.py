@@ -29,9 +29,9 @@ from repro.core import (
     ModelError,
     Profile,
     ProfileSet,
+    TInterval,
 )
 from repro.experiments.churn import ChurnConfig, build_churn_workload
-from repro.extensions import QuotaTIntervalState
 from repro.faults import (
     FaultInjector,
     FaultSpec,
@@ -70,7 +70,7 @@ from tests.properties.strategies import HORIZON, epoch, plans
 
 
 class TestPlanLowering:
-    @given(scenario=plans())
+    @given(scenario=plans(quotas=True))
     @settings(max_examples=120, deadline=None)
     def test_lowering_equals_the_object_walk(self, scenario):
         initial, plan = scenario
@@ -509,11 +509,14 @@ class TestFallbackIsLogged:
         assert live["probes"]
 
     def test_custom_state_factory(self):
-        def factory(eta, profile_rank):
-            return QuotaTIntervalState(eta, profile_rank, 1)
-
-        with pytest.raises(TypeError, match="state_factory"):
-            self._churned("MRSF(P)", state_factory=factory)
+        # A completion rule is data, not a hook: the late t-interval
+        # needing one of its two EIs is not doomed by its closed first
+        # window, and the columns run it as the live proxy does.
+        late = Profile([TInterval(HAND_LATE[0].eis, need=1)])
+        plan = ChurnPlan([ChurnEvent.add(5, late), ChurnEvent.remove(7, 0)])
+        result = churned(HAND_INITIAL, plan)
+        assert result.extras["doomed_at_birth"] == 0.0
+        assert result.report.per_profile[1] == (1, 1)
 
     def test_replayed_fault_trace(self):
         recorder = FaultInjector(FaultSpec(failure_probability=0.5,

@@ -35,7 +35,6 @@ from repro.core import (
 )
 from repro.core.profile import ProfileColumns
 from repro.experiments.churn import ChurnConfig, build_churn_workload
-from repro.extensions import QuotaTIntervalState
 from repro.faults import (
     CircuitBreaker,
     FaultInjector,
@@ -102,7 +101,7 @@ def _run(initial, plan, label, epoch_=HAND_EPOCH, budget=BudgetVector(1),
 # ----------------------------------------------------------------------
 
 class TestPlanColumns:
-    @given(scenario=plans())
+    @given(scenario=plans(quotas=True))
     @settings(max_examples=120, deadline=None)
     def test_column_born_lowers_like_hand_built_like_the_walk(self,
                                                               scenario):
@@ -629,8 +628,11 @@ class TestObjectsAreWalkedOnce:
 # A one-shot plan is read once: there is no second reader
 # ----------------------------------------------------------------------
 
-def _quota(eta, profile_rank):
-    return QuotaTIntervalState(eta, profile_rank, 1)
+#: ``TestKeptLowering.PLAN`` with the late t-interval needing one of its
+#: two EIs: its closed first window no longer dooms it at birth.
+_QUOTA_PLAN = (ChurnEvent.add(5, Profile([TInterval(HAND_LATE[0].eis,
+                                                    need=1)])),
+               ChurnEvent.remove(7, 0))
 
 
 def _replayed():
@@ -641,24 +643,29 @@ def _replayed():
 
 class TestOneShotPlans:
     """``run_churned`` reads its plan once and nothing falls back: what
-    the columns cannot serve is refused, whatever shape the plan came
-    in."""
+    the columns cannot serve is refused, and what they can — a
+    t-interval's ``need`` included — is served, whatever shape the plan
+    came in."""
 
     @pytest.mark.parametrize("shape", [iter, lambda plan: (e for e in plan),
                                        list, ChurnPlan],
                              ids=["iterator", "generator", "list", "plan"])
-    @pytest.mark.parametrize("label, kwargs", [
-        ("RANDOM(P)", dict),
-        ("MRSF(P)", lambda: {"state_factory": _quota}),
-        ("S-EDF(P)", _replayed),
+    @pytest.mark.parametrize("label, events, kwargs", [
+        ("RANDOM(P)", TestKeptLowering.PLAN, dict),
+        ("Q-MRSF(P)", _QUOTA_PLAN, dict),
+        ("S-EDF(P)", TestKeptLowering.PLAN, _replayed),
     ], ids=["random", "state_factory", "replayed_trace"])
-    def test_fallback_sees_the_whole_plan(self, label, kwargs, shape):
-        refusal = {
-            "RANDOM(P)": (BatchUnsupported, "no columnar scoring kind.*"
-                                            "MonitoringProxy"),
-            "MRSF(P)": (TypeError, "state_factory"),
-            "S-EDF(P)": (BatchUnsupported, "RecordedFaults.*"
-                                           "MonitoringProxy"),
-        }[label]
-        with pytest.raises(refusal[0], match=refusal[1]):
-            _run(HAND_INITIAL, shape(TestKeptLowering.PLAN), label, **kwargs())
+    def test_fallback_sees_the_whole_plan(self, label, events, kwargs,
+                                          shape):
+        refusal = {"RANDOM(P)": "no columnar scoring kind",
+                   "S-EDF(P)": "RecordedFaults"}.get(label)
+        if refusal is None:
+            result = _run(HAND_INITIAL, shape(events), label)
+            assert result.extras["doomed_at_birth"] == 0.0
+            assert_agree(observe(result), referee_run(Case(
+                HAND_INITIAL, HAND_EPOCH, label, BudgetVector(1),
+                plan=ChurnPlan(events))))
+            return
+        with pytest.raises(BatchUnsupported,
+                           match=f"{refusal}.*MonitoringProxy"):
+            _run(HAND_INITIAL, shape(events), label, **kwargs())

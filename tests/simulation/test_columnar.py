@@ -129,7 +129,7 @@ class TestEdgeCases:
 
 
 class TestAgainstOracle:
-    @given(profiles=profile_sets(max_profiles=4))
+    @given(profiles=profile_sets(max_profiles=4, quotas=True))
     @settings(max_examples=60, deadline=None)
     def test_single_instance(self, profiles):
         assert_same_lowering(profiles, epoch())

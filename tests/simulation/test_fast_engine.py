@@ -6,8 +6,9 @@ Leaves with ``src/repro/simulation/engine.py``: nothing under
 
 The broad probe-for-probe equivalence with the reference engine is the
 ``event`` line of the conformance matrix (``tests/conformance``); these
-tests pin down the targeted behaviours — engine dispatch, custom ``state_factory`` support,
-per-policy fast paths, and edge cases around the event queues.
+tests pin down the targeted behaviours — engine dispatch, t-intervals
+that need fewer than all their EIs, per-policy fast paths, and edge
+cases around the event queues.
 """
 
 import pytest
@@ -21,7 +22,6 @@ from repro.core import (
     ProfileSet,
     TInterval,
 )
-from repro.extensions import QuotaMap, QuotaMRSFPolicy, QuotaTIntervalState
 from repro.faults import FaultSpec, RetryConfig
 from repro.online import (
     CoveragePolicy,
@@ -29,6 +29,7 @@ from repro.online import (
     MEDFPolicy,
     MRSFPolicy,
     SEDFPolicy,
+    make_policy,
 )
 from repro.runtime import MonitoringProxy, OriginServer
 from repro.simulation import (
@@ -124,26 +125,23 @@ class TestFastEngineBehaviour:
                    BudgetVector(1)), ["event"])
 
     def test_quota_state_factory_matches_reference(self):
-        # Custom completion semantics exercise the generic (non-cached)
-        # selection path and the counter-based completion hooks.
-        profiles = _profiles(
-            [(0, 1, 4), (1, 2, 6), (2, 5, 9)],
-            [(0, 3, 7), (2, 4, 8)],
-        )
-        quotas = QuotaMap({(0, 0): 1, (1, 0): 1})
-
-        def factory(eta, profile_rank):
-            return QuotaTIntervalState(eta, profile_rank,
-                                       quotas.quota_for(eta))
-
+        # A t-interval that needs one of its three EIs exercises the
+        # ``need`` term of the cached keys and the completion hook that
+        # retires its remaining index entries.
+        profiles = ProfileSet([Profile([
+            TInterval([ExecutionInterval(0, 1, 4), ExecutionInterval(1, 2, 6),
+                       ExecutionInterval(2, 5, 9)], need=1),
+            TInterval([ExecutionInterval(0, 3, 7),
+                       ExecutionInterval(2, 4, 8)])])])
         runs = []
         for cls in (ProxySimulator, FastProxySimulator):
             runs.append(cls(profiles, Epoch(12), BudgetVector(1),
-                            QuotaMRSFPolicy(), state_factory=factory).run())
+                            make_policy("Q-MRSF")).run())
         reference, fast = runs
         assert list(fast.schedule.probes()) == \
             list(reference.schedule.probes())
         assert fast.report == reference.report
+        assert reference.report.captured == 2
 
     def test_fault_counters_match_reference(self):
         profiles = _profiles(
@@ -309,15 +307,12 @@ class TestLiveRegistration:
         # With quota 1 the t-interval is still reachable (not doomed,
         # its open windows are queued and one capture completes it);
         # with every EI required it is doomed at birth.
-        late = _profile([(0, 1, 3), (1, 7, 9), (2, 8, 10)],
-                        [(0, 2, 4), (3, 7, 8)])
-        quotas = QuotaMap({(0, 0): 1})
-
-        def factory(eta, profile_rank):
-            return QuotaTIntervalState(eta, profile_rank,
-                                       quotas.quota_for(eta))
-
-        sim = _engine_at(5, QuotaMRSFPolicy(), state_factory=factory)
+        late = Profile([
+            TInterval([ExecutionInterval(0, 1, 3), ExecutionInterval(1, 7, 9),
+                       ExecutionInterval(2, 8, 10)], need=1),
+            TInterval([ExecutionInterval(0, 2, 4),
+                       ExecutionInterval(3, 7, 8)])])
+        sim = _engine_at(5, make_policy("Q-MRSF"))
         profile_id = sim.add_profile(late)
         reachable, doomed = sim._states_by_profile[profile_id]
         assert not reachable.doomed and doomed.doomed
@@ -329,7 +324,7 @@ class TestLiveRegistration:
         incremental, rebuild = (
             FastProxySimulator(
                 ProfileSet(), Epoch(12), BudgetVector(1),
-                QuotaMRSFPolicy(), state_factory=factory).run(
+                make_policy("Q-MRSF")).run(
                     churn=plan, churn_rebuild=rebuild)
             for rebuild in (False, True))
         assert list(incremental.schedule.probes()) == \
