@@ -120,7 +120,7 @@ class AuctionWatchTemplate:
                                                      trace, epoch)
         if not ranks.size:
             none = np.empty(0, dtype=np.int64)
-            return ProfileColumns(tuple(names), none, none, none, none, none)
+            return ProfileColumns(tuple(names), *[none] * 6)
         # Stream j (the EIs of resource_ids[j]) is rows lo[j]:hi[j].
         lo = np.searchsorted(rids, resource_ids, side="left")
         hi = np.searchsorted(rids, resource_ids, side="right")
@@ -171,11 +171,11 @@ class AuctionWatchTemplate:
         kept = np.bincount(owner, minlength=ranks.size)
         tinterval = np.arange(owner.size) - np.repeat(
             np.cumsum(kept) - kept, kept)
-        rows = member[np.arange(width) < ranks[owner][:, None]]
+        size = ranks[owner]
+        rows = member[np.arange(width) < size[:, None]]
         return ProfileColumns(
-            tuple(names), np.repeat(owner, ranks[owner]),
-            np.repeat(tinterval, ranks[owner]),
-            rids[rows], starts[rows], finishes[rows])
+            tuple(names), np.repeat(owner, size), np.repeat(tinterval, size),
+            rids[rows], starts[rows], finishes[rows], np.repeat(size, size))
 
 
 class SingleResourceTemplate:
