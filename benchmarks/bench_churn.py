@@ -19,20 +19,16 @@ lose at ``tiny``, draw at ``target`` and win from there
 served, so ``columns_s`` is timed *cold* — a new plan every round, which
 is what the row has always meant (plan to finished run) — and
 ``columns_warm_s`` is the next policy's run on that same plan, which
-builds nothing before its first chronon. The offline section
-does the same for the conflict-adjacency / Local-Ratio pipeline:
-:class:`~repro.offline.incremental.IncrementalLocalRatio` maintaining
-the adjacency and the live Hall-precheck assigner across events vs.
-a from-scratch :func:`~repro.offline.conflict.unit_conflict_adjacency`
-rebuild per event. Results land in ``BENCH_churn.json``::
+builds nothing before its first chronon. Results land in
+``BENCH_churn.json``::
 
     PYTHONPATH=src python benchmarks/bench_churn.py \
         --output BENCH_churn.json
 
 The ``target`` scale is the acceptance scale: a churn-heavy epoch
 (hundreds of registrations and cancellations over hundreds of live
-profiles) where the gated event-vs-rebuild and offline ``speedup`` keys
-must stay >= 3x. ``--smoke``
+profiles) where the gated event-vs-rebuild ``speedup`` key must stay
+>= 3x. ``--smoke``
 restricts to the tiny scale for CI; the bench-report gate compares
 every regenerated scale against the committed baseline.
 
@@ -51,20 +47,11 @@ import time
 from dataclasses import asdict
 
 from repro.core.budget import BudgetVector
-from repro.core.profile import ProfileSet
 from repro.experiments.churn import (
     ChurnConfig,
     build_churn_workload,
     run_churn,
 )
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import make_instance
-from repro.offline.conflict import (
-    clear_demand_cache,
-    unit_conflict_adjacency,
-)
-from repro.offline.incremental import IncrementalLocalRatio
-from repro.offline.local_ratio import LocalRatioApproximation
 from repro.online.registry import parse_policy_spec
 from repro.simulation.churn import ChurnPlan, run_churned
 from repro.simulation.engine import FastProxySimulator
@@ -74,15 +61,14 @@ try:
 except ImportError:  # run as a top-level script (python benchmarks/...)
     from _provenance import provenance_header
 
-__all__ = ["ENGINE_SCALES", "OFFLINE_SCALES", "bench_engine_churn",
-           "bench_offline_churn", "main"]
+__all__ = ["ENGINE_SCALES", "bench_engine_churn", "main"]
 
 #: Engine scales. ``target`` is churn-heavy — every client joins
 #: mid-epoch and half churn out again, so the per-event O(n) rebuild
 #: referee pays hundreds of full event-queue/index reconstructions
 #: over hundreds of live profiles. ``tiny`` is the CI smoke scale;
 #: ``contract`` is ``benchmarks/e2e``'s ``live-churn`` workload at its
-#: contract scale and default seed (engine section only).
+#: contract scale and default seed.
 ENGINE_SCALES: dict[str, ChurnConfig] = {
     "tiny": ChurnConfig(epoch_length=80, num_resources=16,
                         intensity=8.0, num_clients=6,
@@ -100,19 +86,6 @@ ENGINE_SCALES: dict[str, ChurnConfig] = {
                             budget=2, join_spread=0.9,
                             leave_probability=0.5, seed=20080407),
 }
-
-#: Offline scales (unit-width instances for the P^[1] pipeline).
-OFFLINE_SCALES: dict[str, ExperimentConfig] = {
-    "tiny": ExperimentConfig(epoch_length=60, num_resources=12,
-                             num_profiles=40, intensity=8.0, budget=1,
-                             window=0, grouping="indexed",
-                             repetitions=1, seed=1234),
-    "target": ExperimentConfig(epoch_length=200, num_resources=50,
-                               num_profiles=240, intensity=12.0,
-                               budget=1, window=0, grouping="indexed",
-                               repetitions=1, seed=20080407),
-}
-
 
 def _identical(left, right) -> bool:
     return (list(left.schedule.probes()) == list(right.schedule.probes())
@@ -192,80 +165,11 @@ def bench_engine_churn(scale: str, rounds: int = 3) -> dict:
     }
 
 
-def bench_offline_churn(scale: str, rounds: int = 3) -> dict:
-    """Incremental adjacency + live-assigner diffing vs. per-event
-    from-scratch conflict rebuilds (both ending in one solve)."""
-    config = OFFLINE_SCALES[scale]
-    _trace, profiles = make_instance(config, 0)
-    plist = list(profiles)
-    # Churn script: every profile registers one by one, then every
-    # second one cancels — n + n/2 structure-invalidating events.
-    removals = list(range(0, len(plist), 2))
-
-    def run_incremental() -> tuple[float, object]:
-        clear_demand_cache()
-        started = time.perf_counter()
-        inc = IncrementalLocalRatio(config.epoch, config.budget_vector,
-                                    use_lp=True)
-        for profile in plist:
-            inc.add_profile(profile)
-        for profile_id in removals:
-            inc.remove_profile(profile_id)
-        result = inc.resolve()
-        return time.perf_counter() - started, result
-
-    def run_rebuild() -> tuple[float, object]:
-        clear_demand_cache()
-        started = time.perf_counter()
-        live: dict[int, object] = {}
-        for index, profile in enumerate(plist):
-            live[index] = profile
-            snapshot = ProfileSet([live[key] for key in sorted(live)])
-            unit_conflict_adjacency(snapshot, config.budget_vector)
-        for profile_id in removals:
-            del live[profile_id]
-            snapshot = ProfileSet([live[key] for key in sorted(live)])
-            unit_conflict_adjacency(snapshot, config.budget_vector)
-        solver = LocalRatioApproximation(use_lp=True, engine="fast")
-        result = solver.solve(
-            ProfileSet([live[key] for key in sorted(live)]),
-            config.epoch, config.budget_vector)
-        return time.perf_counter() - started, result
-
-    _, reference = run_incremental()  # warm-up
-    inc_times: list[float] = []
-    reb_times: list[float] = []
-    for _ in range(rounds):
-        seconds, inc = run_incremental()
-        inc_times.append(seconds)
-        seconds, reb = run_rebuild()
-        reb_times.append(seconds)
-        if list(inc.schedule.probes()) != list(reb.schedule.probes()):
-            raise AssertionError(
-                "incremental offline schedule diverged from the "
-                "from-scratch solve")
-        if (inc.report.captured != reb.report.captured
-                or inc.report.per_rank != reb.report.per_rank):
-            raise AssertionError(
-                "incremental offline accounting diverged from the "
-                "from-scratch solve")
-    inc_s = statistics.median(inc_times)
-    reb_s = statistics.median(reb_times)
-    return {
-        "config": asdict(config),
-        "churn_events": len(plist) + len(removals),
-        "accepted": reference.extras["accepted"],
-        "candidates": reference.extras["candidates"],
-        "incremental_s": inc_s,
-        "rebuild_s": reb_s,
-        "speedup": reb_s / inc_s,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark incremental live churn against per-event "
-                    "from-scratch rebuilds, writing BENCH_churn.json")
+        description="Benchmark churned runs as columns, by event "
+                    "splicing and by per-event rebuilds, writing "
+                    "BENCH_churn.json")
     parser.add_argument("--scales", default="tiny,target,contract",
                         help="comma-separated scales to measure "
                              f"(available: {','.join(ENGINE_SCALES)})")
@@ -303,14 +207,6 @@ def main(argv=None) -> int:
               f"{engine['rebuild_s'] * 1e3:.1f}ms "
               f"({engine['speedup']:.2f}x over event), "
               f"{engine['events']} events", file=sys.stderr)
-        if scale not in OFFLINE_SCALES:
-            continue
-        offline = bench_offline_churn(scale, rounds=rounds)
-        report["scales"][scale]["offline"] = offline
-        print(f"[bench_churn]   offline: {offline['speedup']:.2f}x over "
-              f"rebuild ({offline['incremental_s'] * 1e3:.1f}ms vs "
-              f"{offline['rebuild_s'] * 1e3:.1f}ms, "
-              f"{offline['churn_events']} events)", file=sys.stderr)
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")

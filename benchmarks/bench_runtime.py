@@ -63,27 +63,17 @@ _STORM = dict(failure_probability=0.25, timeout_probability=0.1,
 
 async def _measured_run(config: ChaosConfig):
     """One scripted run, timing every chronon tick."""
-    epoch, plan, proxy = build_scenario(config)
+    _epoch, initial, plan, proxy = build_scenario(config)
     client = proxy.register_client("bench")
     tick_seconds: list[float] = []
-    order_to_id: list[int] = []
-    for profile in plan.initial:
-        order_to_id.append(proxy.register_profile(client, profile))
+    chronons = proxy.follow(client, initial, plan)
     started = time.perf_counter()
-    for chronon in range(1, epoch.last + 1):
-        for profile in plan.arrivals.get(chronon, ()):
-            order_to_id.append(proxy.register_profile(client, profile))
-        for order in plan.cancels.get(chronon, ()):
-            if order < len(order_to_id):
-                profile_id = order_to_id[order]
-                if proxy._registrations[profile_id].active:
-                    proxy.unregister_profile(profile_id)
+    for _ in chronons:
         tick_started = time.perf_counter()
         await proxy.astep()
         tick_seconds.append(time.perf_counter() - tick_started)
     wall = time.perf_counter() - started
-    proxy._flush()
-    return proxy.stats(), len(client.mailbox), wall, tick_seconds
+    return await proxy.arun(), len(client.mailbox), wall, tick_seconds
 
 
 def _percentile(values: list[float], fraction: float) -> float:

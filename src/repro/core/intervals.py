@@ -255,8 +255,10 @@ class TInterval:
     @classmethod
     def from_record(cls, record, where: str) -> "TInterval":
         """Inverse of :meth:`record`: a record that holds no list of
-        triples, or a ``need`` that is not an integer in ``1..size``, is a
-        :class:`ModelError` naming ``where``."""
+        triples, a resource, start or finish that is not an ``int``
+        (``bool`` is not), EIs the constructors refuse, or a ``need``
+        that is not an integer in ``1..size``, is a :class:`ModelError`
+        naming ``where``."""
         need = None
         if isinstance(record, dict):
             record, need = record.get("eis"), record.get("need")
@@ -265,14 +267,20 @@ class TInterval:
                 for triple in record):
             raise ModelError(f"{where} is not a list of [resource, start, "
                              f"finish] triples: {record!r}")
-        eis = [ExecutionInterval(resource, start, finish)
-               for resource, start, finish in record]
+        for triple in record:
+            if not all(type(value) is int for value in triple):
+                raise ModelError(f"{where} holds {list(triple)!r}: a "
+                                 "resource, start and finish are integers")
         if need is not None and (type(need) is not int
-                                 or not 1 <= need <= len(eis)):
+                                 or not 1 <= need <= len(record)):
             raise ModelError(
-                f"{where} has {len(eis)} EIs and needs 1..{len(eis)} of "
-                f"them, not {need!r}")
-        return cls(eis, need=need)
+                f"{where} has {len(record)} EIs and needs 1..{len(record)} "
+                f"of them, not {need!r}")
+        try:
+            return cls([ExecutionInterval(*triple) for triple in record],
+                       need=need)
+        except ValueError as why:
+            raise ModelError(f"{where} is refused: {why}") from None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = ", ".join(str(ei) for ei in self.eis)

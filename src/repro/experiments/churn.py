@@ -6,19 +6,19 @@ joining over the epoch (and optionally leaving at the three-quarter
 mark) — and measures how arrival spread affects delivered completeness
 and cross-client fairness.
 
-Two engines drive the same workload (``ChurnConfig.engine``), named as
-everywhere else:
+The client scenario is one :class:`~repro.simulation.churn.ChurnPlan`,
+which two engines play (``ChurnConfig.engine``), named as everywhere
+else:
 
-* ``"batch"`` (default) — the client plan as a
-  :class:`~repro.simulation.churn.ChurnPlan` through
-  :func:`~repro.simulation.churn.run_churned`: the plan is lowered to
-  per-t-interval lifetimes and run as one lane of the columnar block
-  kernel (what the columns cannot encode — RANDOM, say — is refused).
+* ``"batch"`` (default) — :func:`~repro.simulation.churn.run_churned`:
+  the plan is lowered to per-t-interval lifetimes and run as one lane
+  of the columnar block kernel (what the columns cannot encode —
+  RANDOM, say — is refused).
 * ``"reference"`` — the live
-  :class:`~repro.runtime.proxy.MonitoringProxy` stepping through the
-  scenario, registering and cancelling as clients come and go: the
-  executable specification of the client-facing semantics, and the
-  referee of the columns.
+  :class:`~repro.runtime.proxy.MonitoringProxy` following the plan
+  (:meth:`~repro.runtime.proxy.MonitoringProxy.follow`), registering
+  and cancelling as clients come and go: the executable specification
+  of the client-facing semantics, and the referee of the columns.
 
 All client profiles are generated up front: each client draws from its
 own seeded stream (independent of join timing) and one ``build_columns``
@@ -233,10 +233,63 @@ def _workload(config: ChurnConfig):
 
 
 def run_churn(config: ChurnConfig) -> ChurnResult:
-    """Execute one churn scenario end to end."""
+    """Execute one churn scenario end to end: the client plan as a
+    :class:`ChurnPlan`, run as columns or followed by the live proxy."""
+    (epoch, trace, joins, leave_at, leavers, names,
+     columns, offsets) = _workload(config)
+    initial, plan, left_marks = _engine_plan(
+        epoch, joins, leave_at, leavers, columns, offsets)
+    policy, preemptive = parse_policy_spec(config.policy)
+    budget = BudgetVector(config.budget)
     if config.engine == "reference":
-        return _run_churn_proxy(config, *_workload(config))
-    return _run_churn_engine(config, *_workload(config))
+        from repro.runtime.proxy import MonitoringProxy
+
+        proxy = MonitoringProxy(OriginServer(trace), epoch, budget, policy,
+                                preemptive=preemptive)
+        client = proxy.register_client()
+        for _ in proxy.follow(client, initial, plan):
+            proxy.step()
+        stats = proxy.run()
+        captured = np.bincount(
+            [note.profile_id for note in client.mailbox],
+            minlength=offsets[-1]).tolist()
+        totals = (stats.completed, stats.expired, stats.dropped,
+                  stats.probes_used, _doomed_at_birth(plan, epoch))
+    else:
+        result = run_churned(initial, epoch, budget, policy, plan=plan,
+                             preemptive=preemptive)
+        per_profile = result.report.per_profile
+        captured = [per_profile[profile_id][0]
+                    for profile_id in range(offsets[-1])]
+        totals = (result.report.captured, result.expired,
+                  int(result.extras.get("dropped", 0.0)),
+                  result.probes_used,
+                  int(result.extras.get("doomed_at_birth", 0.0)))
+
+    # A client's t-intervals: the heads between its two offsets.
+    counts = np.diff(np.searchsorted(
+        columns.ei_profile[columns.tinterval_heads()], offsets)).tolist()
+    outcomes = tuple(
+        ClientOutcome(name=names[index], joined_at=joins[index],
+                      left_at=left_marks[index], registered=counts[index],
+                      notified=sum(captured[offsets[index]:
+                                            offsets[index + 1]]))
+        for index in range(config.num_clients))
+    completed, expired, dropped, probes_used, doomed = totals
+    return ChurnResult(clients=outcomes, completed=completed,
+                       expired=expired, dropped=dropped,
+                       probes_used=probes_used, engine=config.engine,
+                       doomed_at_birth=doomed)
+
+
+def _doomed_at_birth(plan: ChurnPlan, epoch: Epoch) -> int:
+    """The added t-intervals that arrive with more deadlines past than
+    they may miss (``size - need``): ``run_churned``'s count, for the
+    live proxy, which books them as expired without saying why."""
+    return sum(
+        sum(ei.finish < min(event.chronon + 1, epoch.last) for ei in eta)
+        > eta.size - eta.need
+        for event in plan if event.action == "add" for eta in event.profile)
 
 
 def build_churn_workload(config: ChurnConfig) \
@@ -298,121 +351,6 @@ def _engine_plan(epoch: Epoch, joins: list[int], leave_at: int,
         np.concatenate((np.arange(len(added.names)), removed)))
     return (ProfileSet.from_columns(_slice(columns, 0, offsets[early])),
             ChurnPlan.from_columns(plan), left_marks)
-
-
-def _run_churn_engine(config: ChurnConfig, epoch: Epoch, trace,
-                      joins: list[int], leave_at: int,
-                      leavers: list[bool], names: list[str],
-                      columns: ProfileColumns,
-                      offsets: list[int]) -> ChurnResult:
-    """``run_churned`` path: the client plan lowered to a ChurnPlan."""
-    policy, preemptive = parse_policy_spec(config.policy)
-    initial, plan, left_marks = _engine_plan(
-        epoch, joins, leave_at, leavers, columns, offsets)
-
-    result = run_churned(
-        initial, epoch, BudgetVector(config.budget), policy,
-        plan=plan, preemptive=preemptive)
-
-    # A client's t-intervals: the heads between its two offsets.
-    counts = np.diff(np.searchsorted(
-        columns.ei_profile[columns.tinterval_heads()], offsets)).tolist()
-    per_profile = result.report.per_profile
-    outcomes = tuple(
-        ClientOutcome(
-            name=names[index],
-            joined_at=joins[index],
-            left_at=left_marks[index],
-            registered=counts[index],
-            notified=sum(per_profile[profile_id][0] for profile_id
-                         in range(offsets[index], offsets[index + 1])),
-        )
-        for index in range(config.num_clients)
-    )
-    return ChurnResult(
-        clients=outcomes,
-        completed=result.report.captured,
-        expired=result.expired,
-        dropped=int(result.extras.get("dropped", 0.0)),
-        probes_used=result.probes_used,
-        doomed_at_birth=int(result.extras.get("doomed_at_birth", 0.0)),
-    )
-
-
-def _run_churn_proxy(config: ChurnConfig, epoch: Epoch, trace,
-                     joins: list[int], leave_at: int,
-                     leavers: list[bool], names: list[str],
-                     columns: ProfileColumns,
-                     offsets: list[int]) -> ChurnResult:
-    """Reference path through the live MonitoringProxy — the one reader
-    of profile objects (each client's built from its slice of the
-    columns) and the only code here that needs the synchronous runtime."""
-    from repro.runtime.proxy import MonitoringProxy
-
-    policy, preemptive = parse_policy_spec(config.policy)
-    profiles_by_client = [ProfileSet.from_columns(_slice(columns, lo, hi))
-                          for lo, hi in zip(offsets, offsets[1:])]
-    proxy = MonitoringProxy(OriginServer(trace), epoch,
-                            BudgetVector(config.budget), policy,
-                            preemptive=preemptive)
-
-    clients = [proxy.register_client(name) for name in names]
-    registrations: list[list[int]] = [[] for _ in names]
-    doomed_at_birth = 0
-
-    def register(index: int) -> None:
-        nonlocal doomed_at_birth
-        # The proxy books a t-interval registered after one of its
-        # deadlines as expired on arrival without saying why; count
-        # them here, by the engine's definition.
-        first_chronon = min(proxy.clock + 1, epoch.last)
-        for profile in profiles_by_client[index]:
-            registrations[index].append(
-                proxy.register_profile(clients[index], profile))
-            doomed_at_birth += sum(
-                1 for eta in profile
-                if sum(ei.finish < first_chronon for ei in eta)
-                > eta.size - eta.need)
-
-    # Join at chronon 0 means "before the run starts"; every later
-    # chronon is stepped once, so every client registers once.
-    for index in range(config.num_clients):
-        if joins[index] == 0:
-            register(index)
-
-    left_marks: list[int | None] = [None] * config.num_clients
-    while proxy.clock < epoch.last:
-        chronon = proxy.step()
-        for index in range(config.num_clients):
-            if joins[index] == chronon:
-                register(index)
-        if chronon == leave_at:
-            for index, leaving in enumerate(leavers):
-                if leaving and left_marks[index] is None:
-                    for profile_id in registrations[index]:
-                        proxy.unregister_profile(profile_id)
-                    left_marks[index] = chronon
-    stats = proxy.run()  # flush accounting
-
-    outcomes = tuple(
-        ClientOutcome(
-            name=clients[index].name,
-            joined_at=joins[index],
-            left_at=left_marks[index],
-            registered=profiles_by_client[index].total_tintervals,
-            notified=len(clients[index].mailbox),
-        )
-        for index in range(config.num_clients)
-    )
-    return ChurnResult(
-        clients=outcomes,
-        completed=stats.completed,
-        expired=stats.expired,
-        dropped=stats.dropped,
-        probes_used=stats.probes_used,
-        engine="reference",
-        doomed_at_birth=doomed_at_birth,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,6 @@ from repro._lazy import export_table
 
 __all__, __getattr__, __dir__ = export_table(__name__, {
     ".conflict": (
-        "clear_demand_cache",
         "demand_map",
         "overlap_adjacency",
         "overlap_graph",
@@ -14,7 +13,6 @@ __all__, __getattr__, __dir__ = export_table(__name__, {
     ),
     ".enumeration": ("EnumerationSolver",),
     ".greedy": ("GreedyOfflineSolver",),
-    ".incremental": ("IncrementalLocalRatio",),
     ".local_ratio": ("LocalRatioApproximation", "fractional_guidance"),
     ".matching": ("ProbeAssigner",),
     ".milp": ("MILPSolver",),

@@ -35,7 +35,6 @@ from repro.core.intervals import ExecutionInterval, TInterval
 from repro.core.profile import ProfileSet
 
 __all__ = [
-    "clear_demand_cache",
     "demand_map",
     "unit_conflict_graph",
     "unit_conflict_adjacency",
@@ -67,19 +66,6 @@ def _demand_map_cached(
             demands.setdefault(ei.start, set()).add(ei.resource_id)
     return {chronon: frozenset(resources)
             for chronon, resources in demands.items()}
-
-
-def clear_demand_cache() -> None:
-    """Drop every memoized demand map.
-
-    The cache is already size-bounded, but long-lived churn-heavy
-    processes (the live proxy service, the incremental offline solver)
-    accumulate maps for t-intervals that no longer exist anywhere. Call
-    this on epoch teardown — after a churn sweep, when an
-    :class:`~repro.offline.incremental.IncrementalLocalRatio` closes —
-    to release them eagerly.
-    """
-    _demand_map_cached.cache_clear()
 
 
 def demand_map(eta: TInterval) -> dict[int, frozenset[int]]:

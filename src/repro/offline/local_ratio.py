@@ -227,8 +227,8 @@ def fractional_guidance(
     arrays (one ``(row, col, load)`` per nonzero) and handed to
     scipy as CSR; the row order — and therefore the solver's chosen
     optimal vertex — is identical however the caller built the
-    conflict structure, which keeps both decomposition engines (and the
-    incremental solver's warm restarts) on equal guidance.
+    conflict structure, which keeps both decomposition engines on equal
+    guidance.
     """
     if not keys:
         return {}

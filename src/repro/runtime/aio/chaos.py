@@ -30,7 +30,8 @@ from __future__ import annotations
 import argparse
 import asyncio
 import random
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 from repro.core.budget import BudgetVector
 from repro.core.profile import Profile
@@ -44,6 +45,7 @@ from repro.runtime.aio.journal import Journal
 from repro.runtime.aio.proxy import AsyncMonitoringProxy
 from repro.runtime.proxy import MonitoringProxy, ProxyStats
 from repro.runtime.server import OriginServer
+from repro.simulation.churn import ChurnEvent, ChurnPlan
 from repro.traces.models import PoissonUpdateModel
 from repro.workloads import GeneratorConfig, ProfileGenerator
 
@@ -92,17 +94,6 @@ class ChaosConfig:
 
 
 @dataclass(slots=True)
-class _ChurnPlan:
-    """Scripted mid-run actions, identical for sync and async runs."""
-
-    initial: list[Profile] = field(default_factory=list)
-    # chronon -> profiles to register right before stepping into it
-    arrivals: dict[int, list[Profile]] = field(default_factory=dict)
-    # chronon -> registration order indices to cancel
-    cancels: dict[int, list[int]] = field(default_factory=dict)
-
-
-@dataclass(slots=True)
 class SoakReport:
     """Outcome of one soak run."""
 
@@ -148,7 +139,15 @@ def _bare(profile: Profile) -> Profile:
 
 
 def _plan(config: ChaosConfig):
-    """Build the (epoch, trace, churn plan) of a scenario from its seed."""
+    """Build the ``(epoch, trace, initial profiles, churn plan)`` of a
+    scenario from its seed.
+
+    A profile arriving for chronon ``c`` is added while the clock reads
+    ``c - 1``, and so is a cancel for ``c``, after the adds. Profile ids
+    are registration order (the initial profiles, then the adds by
+    chronon), so a cancel names its target by that order, and only one
+    registered by then is cancelled.
+    """
     epoch = Epoch(config.epoch_length)
     trace = PoissonUpdateModel(
         config.update_intensity, seed=config.seed).generate(
@@ -160,19 +159,21 @@ def _plan(config: ChaosConfig):
     profiles = [_bare(profile) for profile in generated]
 
     rng = random.Random(f"{config.seed}:churn")
-    plan = _ChurnPlan()
+    initial, adds = [], []
     for index, profile in enumerate(profiles):
         if index >= 1 and rng.random() < config.churn_fraction:
             arrival = rng.randrange(2, max(3, epoch.last - 4))
-            plan.arrivals.setdefault(arrival, []).append(profile)
+            adds.append(ChurnEvent.add(arrival - 1, profile))
         else:
-            plan.initial.append(profile)
-    total = len(profiles)
-    for order in range(total):
+            initial.append(profile)
+    joined = sorted(event.chronon for event in adds)
+    removes = []
+    for order in range(len(profiles)):
         if rng.random() < config.cancel_fraction:
-            chronon = rng.randrange(3, epoch.last + 1)
-            plan.cancels.setdefault(chronon, []).append(order)
-    return epoch, trace, plan
+            clock = rng.randrange(3, epoch.last + 1) - 1
+            if order < len(initial) + bisect_right(joined, clock):
+                removes.append(ChurnEvent.remove(clock, order))
+    return epoch, trace, initial, ChurnPlan(adds + removes)
 
 
 def _make_server(config: ChaosConfig, epoch: Epoch, trace):
@@ -211,35 +212,14 @@ def _latency_fn(config: ChaosConfig):
     return latency
 
 
-def _drive(proxy, plan: _ChurnPlan, epoch: Epoch, client, stepper):
-    """Apply the churn script around ``stepper()`` chronon ticks.
-
-    Registration order (initial profiles, then arrivals by chronon) is
-    identical for the sync and async proxies, so profile ids — and the
-    cancel script that references them by order — line up exactly.
-    """
-    order_to_id: list[int] = []
-    for profile in plan.initial:
-        order_to_id.append(proxy.register_profile(client, profile))
-    for chronon in range(1, epoch.last + 1):
-        for profile in plan.arrivals.get(chronon, ()):
-            order_to_id.append(proxy.register_profile(client, profile))
-        for order in plan.cancels.get(chronon, ()):
-            if order < len(order_to_id):
-                profile_id = order_to_id[order]
-                if proxy._registrations[profile_id].active:
-                    proxy.unregister_profile(profile_id)
-        stepper()
-
-
 def build_scenario(config: ChaosConfig, journal_path=None):
-    """Instantiate one scenario: ``(epoch, plan, proxy)``.
+    """Instantiate one scenario: ``(epoch, initial, plan, proxy)``.
 
     Shared by :func:`run_soak` and the runtime benchmark, so both
     measure exactly the proxy configuration the invariants are proven
     on.
     """
-    epoch, trace, plan = _plan(config)
+    epoch, trace, initial, plan = _plan(config)
     server = _make_server(config, epoch, trace)
     journal = Journal(journal_path) if journal_path is not None else None
     proxy = AsyncMonitoringProxy(
@@ -255,32 +235,19 @@ def build_scenario(config: ChaosConfig, journal_path=None):
         latency=_latency_fn(config),
         journal=journal,
     )
-    return epoch, plan, proxy
+    return epoch, initial, plan, proxy
 
 
 async def run_soak(config: ChaosConfig,
                    journal_path=None) -> SoakReport:
     """Run one scripted chaos scenario and check every invariant."""
-    epoch, plan, proxy = build_scenario(config, journal_path)
+    epoch, initial, plan, proxy = build_scenario(config, journal_path)
     journal = proxy.journal
     client = proxy.register_client("soak")
-
-    # Same churn script as the synchronous reference run in
-    # :func:`_identity_violations`, with churn applied between chronons.
-    order_to_id: list[int] = []
-    for profile in plan.initial:
-        order_to_id.append(proxy.register_profile(client, profile))
-    for chronon in range(1, epoch.last + 1):
-        for profile in plan.arrivals.get(chronon, ()):
-            order_to_id.append(proxy.register_profile(client, profile))
-        for order in plan.cancels.get(chronon, ()):
-            if order < len(order_to_id):
-                profile_id = order_to_id[order]
-                if proxy._registrations[profile_id].active:
-                    proxy.unregister_profile(profile_id)
+    # The churn script of the synchronous run in _identity_violations.
+    for _ in proxy.follow(client, initial, plan):
         await proxy.astep()
-    proxy._flush()
-    stats = proxy.stats()
+    stats = await proxy.arun()
     if journal is not None:
         journal.close()
 
@@ -319,15 +286,15 @@ def _identity_violations(config: ChaosConfig, async_stats: ProxyStats,
                          async_delivered) -> list[str]:
     """Compare an async run without slow servers against the
     synchronous proxy over the same faults, retries and breaker."""
-    epoch, trace, plan = _plan(config)
+    epoch, trace, initial, plan = _plan(config)
     proxy = MonitoringProxy(_make_server(config, epoch, trace), epoch,
                             BudgetVector(config.budget), MRSFPolicy(),
                             retry=RetryConfig(config.max_retries),
                             breaker=CircuitBreaker(3, 4))
     client = proxy.register_client("soak")
-    _drive(proxy, plan, epoch, client, proxy.step)
-    proxy._flush()
-    sync_stats = proxy.stats()
+    for _ in proxy.follow(client, initial, plan):
+        proxy.step()
+    sync_stats = proxy.run()
 
     violations: list[str] = []
     if sync_stats != async_stats:

@@ -6,7 +6,9 @@ AsyncMonitoringProxy` as a network service using nothing but
 per the repo's no-new-dependencies rule. Endpoints:
 
 * ``POST /profiles`` — register a profile (JSON body ``{"name",
-  "tintervals": [[[resource, start, finish], ...], ...], "utility"}``);
+  "tintervals": [[[resource, start, finish], ...], ...], "utility"}``,
+  a t-interval that needs only ``q`` of its EIs written ``{"eis": [...],
+  "need": q}`` as in a profile file; ``utility`` a finite number > 0);
   runs admission control first and reports any profiles it shed;
 * ``DELETE /profiles/<id>`` — cancel a registration (owner-only);
 * ``GET /events`` — a Server-Sent-Events stream of every proxy event
@@ -25,10 +27,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import asdict
 
 from repro.core.errors import ModelError
-from repro.core.intervals import ExecutionInterval, TInterval
+from repro.core.intervals import TInterval
 from repro.core.profile import Profile
 from repro.runtime.aio.admission import AdmissionController
 from repro.runtime.aio.proxy import AsyncMonitoringProxy
@@ -54,20 +57,25 @@ def _json_response(status: int, payload: dict,
     return head.encode("ascii") + body
 
 
-def _profile_from_body(body: dict) -> Profile:
+def _profile_from_body(body) -> tuple[Profile, float]:
+    """The profile and utility a POST body registers, or
+    :class:`ModelError`: each t-interval is read as
+    :meth:`TInterval.from_record` reads a file's, and the utility is a
+    finite number > 0."""
+    if not isinstance(body, dict):
+        raise ModelError("body must be a JSON object")
     tintervals = body.get("tintervals")
     if not isinstance(tintervals, list) or not tintervals:
         raise ModelError("body must carry a non-empty 'tintervals' list")
-    parsed = []
-    for eis in tintervals:
-        if not isinstance(eis, list) or not eis:
-            raise ModelError("each t-interval must be a non-empty list "
-                             "of [resource, start, finish] triples")
-        parsed.append(TInterval([
-            ExecutionInterval(int(resource), int(start), int(finish))
-            for resource, start, finish in eis
-        ]))
-    return Profile(parsed, name=str(body.get("name", "")))
+    profile = Profile([TInterval.from_record(record, f"t-interval {index}")
+                       for index, record in enumerate(tintervals)],
+                      name=str(body.get("name", "")))
+    utility = body.get("utility", 1.0)
+    if (type(utility) not in (int, float) or not math.isfinite(utility)
+            or utility <= 0):
+        raise ModelError(
+            f"utility must be a finite number > 0, not {utility!r}")
+    return profile, utility
 
 
 class ProxyService:
@@ -95,7 +103,6 @@ class ProxyService:
         self._ready = False
         self._clients_by_key: dict[str, Client] = {}
         self._owners: dict[int, str] = {}
-        self._utilities: dict[int, float] = {}
         self._epoch_task: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
@@ -157,14 +164,12 @@ class ProxyService:
                 self.admission.release(victim, shed=True)
                 self.proxy.unregister_profile(victim)
                 self._owners.pop(victim, None)
-                self._utilities.pop(victim, None)
                 self.proxy._emit("shed", {"profile_id": victim})
         client = self._client_for(key)
         profile_id = self.proxy.register_profile(client, profile)
         if self.admission is not None:
             self.admission.admit(profile_id, key, load, utility)
         self._owners[profile_id] = key
-        self._utilities[profile_id] = utility
         return 201, {"profile_id": profile_id, "shed": list(shed_ids)}
 
     def cancel(self, key: str, profile_id: int) -> tuple[int, dict]:
@@ -178,7 +183,6 @@ class ProxyService:
         if self.admission is not None:
             self.admission.release(profile_id)
         del self._owners[profile_id]
-        self._utilities.pop(profile_id, None)
         return 204, {}
 
     def stats_payload(self) -> dict:
@@ -235,8 +239,11 @@ class ProxyService:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > _MAX_BODY:
+        try:
+            length = int(headers.get("content-length") or 0)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= _MAX_BODY:
             return method, path, headers, None
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
@@ -251,7 +258,9 @@ class ProxyService:
     def _dispatch(self, method: str, path: str, headers: dict,
                   body: bytes | None) -> bytes:
         if body is None:
-            return _json_response(400, {"error": "body too large"})
+            return _json_response(
+                400, {"error": "Content-Length must be an integer in "
+                               f"0..{_MAX_BODY}"})
         if path == "/healthz":
             if method != "GET":
                 return _json_response(405, {"error": "GET only"})
@@ -282,9 +291,8 @@ class ProxyService:
         if not self._ready:
             return _json_response(503, {"error": "shutting down"})
         try:
-            parsed = json.loads(body.decode("utf-8") or "{}")
-            profile = _profile_from_body(parsed)
-            utility = float(parsed.get("utility", 1.0))
+            profile, utility = _profile_from_body(
+                json.loads(body.decode("utf-8") or "{}"))
         except (ModelError, ValueError, TypeError) as error:
             return _json_response(400, {"error": str(error)})
         try:

@@ -12,13 +12,17 @@ The chronon itself lives in :mod:`repro.online.base`:
 :meth:`MonitoringProxy.step` is :func:`~repro.online.base.plan_chronon`,
 a probe round, :func:`~repro.online.base.settle_chronon` — the two
 functions the simulator calls, so measured completeness and delivered
-notifications can never disagree. Here are the clock, registration and
-the drop of unregistered t-intervals, snapshots and notifications.
+notifications can never disagree. Here are the clock, registration
+(one profile at a time, or a churn plan through
+:meth:`MonitoringProxy.follow`) and the drop of unregistered
+t-intervals, snapshots and notifications.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 from repro.core.budget import BudgetVector
 from repro.core.errors import ModelError
@@ -225,6 +229,52 @@ class MonitoringProxy:
         if registration is None:
             raise ModelError(f"unknown profile id {profile_id}")
         registration.active = False
+
+    def follow(self, client: Client, initial: Iterable[Profile],
+               plan: Iterable) -> Iterator[None]:
+        """Register ``initial``, then apply ``plan`` as the clock moves.
+
+        A generator: it yields once before each chronon, and the caller
+        steps the proxy (:meth:`step`, or ``await astep()``) between
+        yields. It stops once the clock reads ``epoch.last``, so the
+        caller's :meth:`run` / ``arun()`` that follows only flushes.
+
+        ``plan`` is a :class:`~repro.simulation.churn.ChurnPlan` or any
+        iterable of events with ``chronon``, ``action`` (``"add"`` /
+        ``"remove"``), ``profile`` and ``profile_id``. An event lands
+        while the clock reads its chronon: chronon order first, plan
+        order within a chronon. One past ``epoch.last`` never fires, an
+        ``add`` at ``epoch.last`` expires on arrival, and a ``remove``
+        of a profile already cancelled does nothing. These are the
+        semantics :func:`~repro.simulation.churn.lower_plan` mirrors.
+
+        Raises
+        ------
+        ModelError
+            On the first ``next`` when the proxy has already stepped, and
+            as an event applies: what :meth:`register_profile` /
+            :meth:`unregister_profile` raise, or an unknown action.
+        """
+        if self._clock:
+            raise ModelError(
+                f"follow a plan from chronon 0, not {self._clock}")
+        for profile in initial:
+            self.register_profile(client, profile)
+        last = self.epoch.last
+        for event in sorted((event for event in plan if event.chronon <= last),
+                            key=attrgetter("chronon")):
+            while self._clock < event.chronon:
+                yield
+            if event.action == "add":
+                self.register_profile(client, event.profile)
+            elif event.action == "remove":
+                registration = self._registrations.get(event.profile_id)
+                if registration is None or registration.active:
+                    self.unregister_profile(event.profile_id)
+            else:
+                raise ModelError(f"unknown churn action {event.action!r}")
+        while self._clock < last:
+            yield
 
     # ------------------------------------------------------------------
     # Execution

@@ -1,9 +1,9 @@
 """Churn plans, and churned runs as static instances with lifetimes.
 
 A :class:`ChurnPlan` is an ordered list of :class:`ChurnEvent`\\ s —
-mid-epoch profile registrations and cancellations. Event semantics
-follow :class:`~repro.runtime.proxy.MonitoringProxy`: an event at
-``chronon == T`` lands while the proxy clock reads ``T`` (``T = 0``
+mid-epoch profile registrations and cancellations. The event semantics
+live in :meth:`~repro.runtime.proxy.MonitoringProxy.follow`: an event
+at ``chronon == T`` lands while the proxy clock reads ``T`` (``T = 0``
 means before the first chronon), so an added profile's t-intervals
 participate from chronon ``T + 1`` on and a cancelled one's up to ``T``.
 A plan is its :class:`PlanColumns` as much as its events: one born from
@@ -23,9 +23,9 @@ epoch) builds nothing before its first chronon. What the columns
 cannot serve (a policy without a score row such as RANDOM, a
 replayed fault trace, keys beyond 62 bits) is refused with
 :class:`BatchUnsupported` before any chronon runs: the live
-:class:`~repro.runtime.proxy.MonitoringProxy`, registering and
-cancelling as the plan says, is the way to run those — and the referee
-the columns are tested against (``tests/simulation/test_churn_columns.py``).
+:class:`~repro.runtime.proxy.MonitoringProxy` following the plan is the
+way to run those — and the referee the columns are tested against
+(``tests/conformance``).
 """
 
 from __future__ import annotations
@@ -170,9 +170,11 @@ def _saturated(values: list[int]) -> np.ndarray:
 class ChurnPlan:
     """An ordered sequence of churn events.
 
-    Same-chronon events apply in plan order — the order determines the
-    arrival sequence numbers the engine's tie-breaks use, exactly as
-    registration order does in the live proxy.
+    What an event does, and when, is
+    :meth:`~repro.runtime.proxy.MonitoringProxy.follow`'s to say: the
+    live proxies play a plan through it, and :func:`lower_plan` mirrors
+    it. Same-chronon events apply in plan order — the order determines
+    the profile ids and arrival sequence numbers the tie-breaks use.
 
     A plan is built from :class:`ChurnEvent` objects or, by
     :meth:`from_columns`, from :class:`PlanColumns`. A column-born plan
@@ -285,9 +287,10 @@ class _Lowering:
 def lower_plan(profiles: ProfileSet, plan, epoch: Epoch) -> LoweredPlan:
     """Apply ``plan`` to ``profiles`` on paper: the run's lifetimes.
 
-    Events apply in chronon order, plan order within a chronon; one
+    The rules are :meth:`~repro.runtime.proxy.MonitoringProxy.follow`'s:
+    events apply in chronon order, plan order within a chronon; one
     past ``epoch.last`` never fires. Raises the :class:`ModelError` the
-    engine raises at that point of the plan: an empty ``add``, a
+    proxy raises at that point of the plan: an empty ``add``, a
     ``remove`` of an id nobody holds yet.
     """
     if not isinstance(plan, ChurnPlan):

@@ -154,9 +154,8 @@ def _reference(case: Case) -> Iterator[dict]:
 
 
 def _live(case: Case, asynchronous: bool = False) -> Iterator[dict]:
-    """The live proxy over a trace-less origin: the initial set
-    registered, then the plan applied between chronons — an event at
-    clock ``T`` lands after chronon ``T`` ran, before ``T + 1``."""
+    """The live proxy over a trace-less origin, following the case's
+    initial set and plan (``MonitoringProxy.follow``)."""
     faults, retry, breaker = case.layer()
     server = OriginServer(UpdateTrace([], case.epoch))
     if isinstance(faults, FaultSpec):
@@ -174,30 +173,15 @@ def _live(case: Case, asynchronous: bool = False) -> Iterator[dict]:
         proxy = MonitoringProxy(server, case.epoch, case.budget, policy,
                                 preemptive, retry=retry, breaker=breaker)
     client = proxy.register_client()
-    for profile in case.profiles:
-        proxy.register_profile(client, profile)
-
-    def chronons():
-        while True:
-            for event in case.plan or ():
-                if event.chronon != proxy.clock:
-                    continue
-                if event.action == "add":
-                    proxy.register_profile(client, event.profile)
-                else:
-                    proxy.unregister_profile(event.profile_id)
-            if proxy.clock == case.epoch.last:
-                return
-            yield
-
+    chronons = proxy.follow(client, case.profiles, case.plan or ())
     if asynchronous:
         async def drive():
-            for _ in chronons():
+            for _ in chronons:
                 await proxy.astep()
             return await proxy.arun()
         stats = asyncio.run(drive())
     else:
-        for _ in chronons():
+        for _ in chronons:
             proxy.step()
         stats = proxy.run()
     # Everything resolved, each completed t-interval notified once.

@@ -35,7 +35,6 @@ from repro.core.budget import BudgetVector
 from repro.experiments.churn import ChurnConfig, build_churn_workload
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import sweep
-from repro.offline.conflict import clear_demand_cache
 from repro.online.registry import parse_policy_spec
 from repro.simulation.churn import run_churned
 
@@ -55,7 +54,6 @@ initial, plan, epoch = build_churn_workload(ChurnConfig(
 policy, preemptive = parse_policy_spec("MRSF(P)")
 run_churned(initial, epoch, BudgetVector(2), policy, plan,
             preemptive=preemptive)
-clear_demand_cache()
 assert heavy() == [], heavy()
 
 from repro.experiments.harness import make_instance

@@ -20,7 +20,9 @@ import pytest
 #: ``repro.simulation`` dropped ``batch_kind`` (``key_of`` replaced it);
 #: ``repro.runtime.aio`` dropped ``BudgetLedger`` and ``AsyncProbeRound``
 #: (the async executor drives the one retry cascade, which owns the
-#: leftover budget and returns a plain ``ProbeRound``).
+#: leftover budget and returns a plain ``ProbeRound``); ``repro.offline``
+#: dropped its unused churn solver and ``clear_demand_cache``, the
+#: demand-map cache hook only that solver called.
 PUBLIC_NAMES = {
     "repro": 74,
     "repro.analysis": 4,
@@ -31,7 +33,7 @@ PUBLIC_NAMES = {
     "repro.faults": 18,
     "repro.forecast": 9,
     "repro.io": 12,
-    "repro.offline": 16,
+    "repro.offline": 14,
     "repro.online": 23,
     "repro.runtime": 13,
     "repro.runtime.aio": 12,

@@ -95,7 +95,12 @@ class TestProfilesRoundTrip:
         for need in (0, 3, "1")] + [
         (record, r"is not a list of \[resource, start, finish\] triples")
         for record in ({"need": 1}, {"eis": None, "need": 1},
-                       {"eis": [[0, 1]]}, 7)])
+                       {"eis": [[0, 1]]}, 7)] + [
+        (record, r"holds .*: a resource, start and finish are integers")
+        for record in ([[0.5, 1, 4]], [[0, 1, 5.9]], [[0, True, 4]],
+                       {"eis": [[0, "1", 4]], "need": 1})] + [
+        ([[0, 0, 4]], r"is refused: EI start must be >= 1, got 0"),
+        ([], r"is refused: a t-interval must contain at least one EI")])
     def test_a_bad_need_is_refused_by_name(self, record, words):
         payload = profiles_to_jsonable(_profiles())
         payload["data"][0]["tintervals"][0] = record

@@ -19,7 +19,6 @@ from repro.core import (
 from repro.offline import (
     EnumerationSolver,
     GreedyOfflineSolver,
-    IncrementalLocalRatio,
     LocalRatioApproximation,
     MILPSolver,
     expand_to_unit_width,
@@ -37,13 +36,6 @@ def _instance(need=None) -> ProfileSet:
         ExecutionInterval(2, 2, 2)], need=need)])])
 
 
-def _incremental(profiles, epoch, budget):
-    solver = IncrementalLocalRatio(epoch, budget)
-    for profile in profiles:
-        solver.add_profile(profile)
-    return solver.resolve()
-
-
 #: Every offline solver, and whether it honours ``need``.
 SOLVERS = {
     "enumeration": (EnumerationSolver().solve, True),
@@ -52,7 +44,6 @@ SOLVERS = {
     "local-ratio": (LocalRatioApproximation().solve, False),
     "local-ratio-reference": (
         LocalRatioApproximation(engine="reference").solve, False),
-    "incremental-local-ratio": (_incremental, False),
 }
 
 

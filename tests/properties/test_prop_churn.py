@@ -1,10 +1,10 @@
 """Property: proxy accounting survives arbitrary mid-run churn.
 
-Hypothesis drives random interleavings of register / unregister actions
-against a stepping proxy and asserts the :class:`ProxyStats` invariants
-after *every* chronon — not just at the end — so any transient
-double-count or leak in the bookkeeping is caught at the step that
-introduces it.
+Hypothesis draws churn plans — unsorted, past the epoch, profiles
+cancelled twice or in the chronon they joined — that the proxy follows,
+and asserts the :class:`ProxyStats` invariants after *every* chronon —
+not just at the end — so any transient double-count or leak in the
+bookkeeping is caught at the step that introduces it.
 """
 
 from hypothesis import given, settings
@@ -15,69 +15,32 @@ from repro.online import MEDFPolicy, MRSFPolicy, SEDFPolicy
 from repro.runtime import MonitoringProxy, OriginServer
 from repro.traces import UpdateTrace
 
-from tests.properties.strategies import HORIZON, epoch, profiles
+from tests.properties.strategies import epoch, plans
 
 POLICIES = [SEDFPolicy, MRSFPolicy, MEDFPolicy]
 
 
-@st.composite
-def churn_scripts(draw):
-    """A set of profiles with arrival chronons and cancel chronons.
-
-    Arrival 0 registers before the run starts; a cancel chronon of 0
-    means the registration is never cancelled. Cancels may target any
-    registration order index — including ones that arrive later or were
-    already cancelled — exercising the edge cases.
-    """
-    members = draw(st.lists(profiles(), min_size=1, max_size=5))
-    arrivals = [draw(st.integers(0, HORIZON - 1)) for _ in members]
-    cancels = draw(st.lists(
-        st.tuples(st.integers(0, len(members) - 1),
-                  st.integers(1, HORIZON)),
-        max_size=4))
-    return members, arrivals, cancels
-
-
 class TestChurnInvariants:
-    @given(script=churn_scripts(), policy_index=st.integers(0, 2),
+    @given(script=plans(), policy_index=st.integers(0, 2),
            budget=st.integers(1, 2))
     @settings(max_examples=40, deadline=None)
     def test_stats_invariants_hold_after_every_step(
             self, script, policy_index, budget):
-        members, arrivals, cancels = script
+        initial, plan = script
         budget_vector = BudgetVector(budget)
         proxy = MonitoringProxy(
             OriginServer(UpdateTrace([], epoch())), epoch(),
             budget_vector, POLICIES[policy_index]())
         client = proxy.register_client()
-        cancels_at: dict[int, list[int]] = {}
-        for order, chronon in cancels:
-            cancels_at.setdefault(chronon, []).append(order)
 
-        order_to_id: list[int] = []
-        expected_registered = 0
-        for order, profile in enumerate(members):
-            if arrivals[order] == 0:
-                order_to_id.append(proxy.register_profile(client, profile))
-                expected_registered += len(profile)
-            else:
-                order_to_id.append(-1)
-
-        for chronon in range(1, HORIZON + 1):
-            for order, profile in enumerate(members):
-                if arrivals[order] == chronon:
-                    order_to_id[order] = \
-                        proxy.register_profile(client, profile)
-                    expected_registered += len(profile)
-            for order in cancels_at.get(chronon, ()):
-                profile_id = order_to_id[order]
-                if profile_id >= 0 and \
-                        proxy._registrations[profile_id].active:
-                    proxy.unregister_profile(profile_id)
+        for _ in proxy.follow(client, initial, plan):
             proxy.step()
 
             stats = proxy.stats()
-            assert stats.registered == expected_registered
+            # Events at the clock before this chronon have landed.
+            assert stats.registered == initial.total_tintervals + sum(
+                len(event.profile) for event in plan
+                if event.action == "add" and event.chronon < proxy.clock)
             assert stats.completed == len(client.mailbox)
             keys = [(n.profile_id, n.tinterval_id)
                     for n in client.mailbox]
@@ -90,8 +53,7 @@ class TestChurnInvariants:
                                            + stats.hedges)
             assert proxy.schedule.respects_budget(budget_vector, epoch())
 
-        proxy._flush()
-        final = proxy.stats()
+        final = proxy.run()
         assert final.pending == 0
         assert final.registered == (final.completed + final.expired
                                     + final.dropped)

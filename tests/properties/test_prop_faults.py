@@ -18,6 +18,7 @@ from repro.faults import (
 )
 from repro.online import MEDFPolicy, MRSFPolicy, SEDFPolicy
 from repro.runtime import MonitoringProxy, OriginServer
+from repro.simulation import ChurnEvent
 from repro.traces import UpdateTrace
 
 from tests.properties.strategies import epoch, fault_specs, profile_sets
@@ -50,17 +51,13 @@ class TestFlushInvariantUnderFaults:
             breaker=CircuitBreaker(failure_threshold=2, cooldown=3)
             if use_breaker else None)
         client = proxy.register_client()
-        profile_ids = [proxy.register_profile(client, profile)
-                       for profile in _bare_copy(profiles)]
-
-        # Drive the run manually, unregistering a mask-selected subset
-        # of the profiles mid-epoch.
-        while proxy.clock < epoch().last:
-            chronon = proxy.step()
-            if chronon == unregister_at:
-                for index, profile_id in enumerate(profile_ids):
-                    if unregister_mask & (1 << index):
-                        proxy.unregister_profile(profile_id)
+        # Follow the run, unregistering a mask-selected subset of the
+        # profiles (ids 0, 1, ... in registration order) mid-epoch.
+        plan = [ChurnEvent.remove(unregister_at, profile_id)
+                for profile_id in range(len(profiles))
+                if unregister_mask & (1 << profile_id)]
+        for _ in proxy.follow(client, _bare_copy(profiles), plan):
+            proxy.step()
         stats = proxy.run()
 
         assert stats.registered == \

@@ -3,6 +3,8 @@
 import asyncio
 import json
 
+import pytest
+
 from repro.core import BudgetVector, Epoch
 from repro.online import MRSFPolicy
 from repro.runtime import OriginServer
@@ -41,6 +43,27 @@ async def _request(port, method, path, body=None, key=None):
     head, _, rest = raw.partition(b"\r\n\r\n")
     status = int(head.split(b" ", 2)[1])
     return status, json.loads(rest) if rest else {}
+
+
+async def _raw(port, request: bytes):
+    """Send ``request`` as is; the response's status and JSON body, or
+    ``(None, {})`` when the server closed the connection unanswered."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(request)
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    if not raw:
+        return None, {}
+    head, _, rest = raw.partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), json.loads(rest) if rest else {}
+
+
+def _post(body: bytes, length) -> bytes:
+    return (b"POST /profiles HTTP/1.1\r\nAuthorization: Bearer alice\r\n"
+            b"Content-Length: " + str(length).encode() + b"\r\n\r\n"
+            + body)
 
 
 PROFILE_BODY = {
@@ -173,3 +196,61 @@ class TestEndpoints:
             await service.stop()
             return True
         assert asyncio.run(scenario())
+
+
+class TestHostileRequests:
+    """Every malformed request is answered with a 400, never dropped."""
+
+    @pytest.mark.parametrize("request_bytes, words", [
+        (_post(b"[]", 2), "body must be a JSON object"),
+        (_post(b"{}", "two"), "Content-Length must be an integer"),
+        (_post(b"{}", -2), "Content-Length must be an integer"),
+    ], ids=["a-list-body", "a-non-integer-length", "a-negative-length"])
+    def test_a_malformed_request_is_a_400(self, request_bytes, words):
+        async def scenario():
+            service = _service()
+            _, port = await service.start()
+            status, payload = await _raw(port, request_bytes)
+            await service.stop()
+            return status, payload
+        status, payload = asyncio.run(scenario())
+        assert status == 400
+        assert words in payload["error"]
+
+    @pytest.mark.parametrize("utility", [float("nan"), float("inf"), -3,
+                                         0, "5", True])
+    def test_a_bad_utility_is_a_400_and_sheds_nobody(self, utility):
+        async def scenario():
+            service = _service(AdmissionController(max_tintervals=1))
+            _, port = await service.start()
+            one = dict(PROFILE_BODY, tintervals=[[[0, 1, 5]]])
+            status, _ = await _request(port, "POST", "/profiles",
+                                       dict(one, utility=5), key="alice")
+            assert status == 201
+            got = await _request(port, "POST", "/profiles",
+                                 dict(one, utility=utility), key="bob")
+            _, stats = await _request(port, "GET", "/stats")
+            await service.stop()
+            return got, stats
+        (status, payload), stats = asyncio.run(scenario())
+        assert status == 400
+        assert "utility must be a finite number > 0" in payload["error"]
+        assert stats["admission"]["shed"] == 0
+
+    def test_a_tinterval_is_read_as_a_profile_file_reads_it(self):
+        async def scenario():
+            service = _service()
+            _, port = await service.start()
+            quota = await _request(port, "POST", "/profiles", dict(
+                PROFILE_BODY, tintervals=[
+                    {"eis": [[0, 1, 5], [1, 2, 8]], "need": 1}]),
+                key="alice")
+            fractional = await _request(port, "POST", "/profiles", dict(
+                PROFILE_BODY, tintervals=[[[0, 1, 5]], [[0.5, 1, 5]]]),
+                key="alice")
+            await service.stop()
+            return quota, fractional
+        (status, payload), (bad, error) = asyncio.run(scenario())
+        assert status == 201 and payload["shed"] == []
+        assert bad == 400
+        assert error["error"].startswith("t-interval 1 holds [0.5, 1, 5]")

@@ -13,6 +13,7 @@ from repro.core import (
 )
 from repro.online import MRSFPolicy, SEDFPolicy
 from repro.runtime import MonitoringProxy, OriginServer
+from repro.simulation import ChurnEvent
 from repro.traces import UpdateEvent, UpdateTrace
 
 
@@ -194,6 +195,76 @@ class TestRegistrationManagement:
         second = proxy.register_profile(client, Profile(
             [TInterval([ExecutionInterval(1, 1, 2)])]))
         assert first != second
+
+
+def _one(resource, name="", start=6, finish=10):
+    return Profile([TInterval([ExecutionInterval(resource, start, finish)])],
+                   name=name)
+
+
+def _followed(initial, plan, horizon=10, budget=3):
+    """Follow ``plan`` to the end: the proxy, its client and the stats."""
+    proxy = _make_proxy([UpdateEvent(6, r) for r in range(3)],
+                        horizon=horizon, budget=budget)
+    client = proxy.register_client()
+    chronons = 0
+    for _ in proxy.follow(client, initial, plan):
+        proxy.step()
+        chronons += 1
+    assert chronons == horizon  # one yield before each chronon
+    return proxy, client, proxy.run()
+
+
+class TestFollow:
+    """What ``follow`` does with a plan is what ``lower_plan`` mirrors."""
+
+    def test_same_chronon_events_apply_in_plan_order(self):
+        proxy, client, _ = _followed([], [
+            ChurnEvent.add(5, _one(2, "late")),
+            ChurnEvent.add(3, _one(0, "first")),
+            ChurnEvent.add(3, _one(1, "second"))])
+        assert {note.profile_name: note.profile_id
+                for note in client.mailbox} == \
+            {"first": 0, "second": 1, "late": 2}
+
+    def test_a_cancel_lands_after_the_add_before_it_only(self):
+        stats = _followed([_one(0)], [
+            ChurnEvent.add(3, _one(1)), ChurnEvent.remove(3, 1)])[2]
+        assert (stats.completed, stats.dropped) == (1, 1)
+        with pytest.raises(ModelError, match="unknown profile id 1"):
+            _followed([_one(0)], [
+                ChurnEvent.remove(3, 1), ChurnEvent.add(3, _one(1))])
+
+    def test_an_event_past_the_epoch_never_fires(self):
+        stats = _followed([_one(0)], [
+            ChurnEvent.add(11, _one(1)), ChurnEvent.remove(11, 0),
+            ChurnEvent.remove(12, 99)])[2]
+        assert (stats.registered, stats.completed, stats.dropped) == \
+            (1, 1, 0)
+
+    def test_an_add_at_the_last_chronon_expires_on_arrival(self):
+        _, client, stats = _followed([], [ChurnEvent.add(10, Profile([
+            TInterval([ExecutionInterval(0, 6, 10)]),
+            TInterval([ExecutionInterval(1, 10, 12)])]))])
+        assert (stats.registered, stats.expired, stats.pending,
+                stats.probes_used) == (2, 2, 0, 0)
+        assert client.mailbox == ()
+
+    def test_a_repeated_remove_is_a_no_op(self):
+        once = _followed([_one(0), _one(1)], [ChurnEvent.remove(3, 0)])[2]
+        again = _followed([_one(0), _one(1)], [
+            ChurnEvent.remove(3, 0), ChurnEvent.remove(3, 0),
+            ChurnEvent.remove(7, 0)])[2]
+        assert once == again
+        assert (again.dropped, again.completed) == (1, 1)
+
+    def test_follow_after_the_first_step_is_refused(self):
+        proxy = _make_proxy([])
+        client = proxy.register_client()
+        proxy.step()
+        with pytest.raises(ModelError, match="from chronon 0, not 1"):
+            next(proxy.follow(client, [_one(0)], ()))
+        assert proxy.stats().registered == 0
 
 
 class TestAccounting:
