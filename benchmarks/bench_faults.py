@@ -10,7 +10,7 @@ budget that would be burned on the dead resource.
 from __future__ import annotations
 
 from repro.experiments import breaker_ablation, fault_sweep
-from repro.experiments.reporting import sweep_table
+from repro.experiments.reporting import tables
 
 from benchmarks.conftest import print_block
 
@@ -22,9 +22,10 @@ def bench_fault_degradation(benchmark, capsys, bench_scale):
         return fault_sweep(bench_scale, rates=FAULT_RATES)
 
     result = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    gc = tables("faults", result)[0]
     print_block(capsys,
                 "Graceful degradation — GC vs. probe failure rate\n"
-                + sweep_table(result, metric="gc"))
+                + gc.text())
 
     for label in result.labels():
         series = result.series(label, metric="gc")

@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark suite.
 
-Every ``bench_figN.py`` regenerates one table/figure of the paper at the
-``default`` scale (reduced sizes, same regime — see
+Each bench of ``bench_paper.py`` regenerates one table/figure of the paper
+at the ``default`` scale (reduced sizes, same regime — see
 ``repro.experiments.config``), prints the same series the paper plots, and
 asserts the paper's qualitative *shape* (who wins, where trends point).
 Absolute numbers differ from the paper by design: the substrate is our

@@ -1,11 +1,13 @@
 """Command-line entry point: ``repro-experiments``.
 
-Runs any of the paper's tables/figures and prints the series as ASCII
-tables (optionally CSV). Examples::
+Runs any of the paper's tables/figures and prints the tables
+``repro.experiments.reporting.tables`` makes of the result, as ASCII
+or (``--csv``) as CSV; ``--output DIR`` also writes each table to
+``DIR/<stem>.csv`` and ``DIR/<stem>.txt``. Examples::
 
     repro-experiments table1 --scale default
     repro-experiments fig4 --scale paper
-    repro-experiments all --scale smoke --csv
+    repro-experiments all --scale smoke --csv --output results/
 """
 
 from __future__ import annotations
@@ -13,14 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 from importlib import import_module
-from typing import TYPE_CHECKING
 
-from repro.experiments.reporting import render_table, sweep_csv, sweep_table
-
-if TYPE_CHECKING:  # annotations only: runners are imported on dispatch
-    from repro.experiments.churn import ChurnSweep
-    from repro.experiments.federation import FederationSweep
-    from repro.experiments.harness import RunOutcome, SweepResult
+from repro.experiments.reporting import Table, tables, write_tables
 
 __all__ = ["main"]
 
@@ -52,146 +48,16 @@ def _runner(name: str):
     return getattr(import_module(module), function)
 
 
-def _print_served_by(result: RunOutcome | SweepResult) -> None:
-    # 'offline' runs solvers only: no engine, no header.
-    if result.engine:
-        print(f"# engine={result.engine} fell_back={result.fell_back} "
-              f"blocks={result.blocks}")
-
-
-def _print_run_outcome(name: str, outcome: RunOutcome, as_csv: bool) -> None:
-    rows = [
-        [label, policy_outcome.mean_gc, policy_outcome.stdev_gc,
-         "" if outcome.shared_block else policy_outcome.mean_runtime]
-        for label, policy_outcome in outcome.outcomes.items()
-    ]
-    if as_csv:
-        print(f"# {name}")
-        _print_served_by(outcome)
-        print("policy,mean_gc,stdev_gc,mean_runtime_s")
-        for label, gc, stdev, runtime in rows:
-            timing = runtime if runtime == "" else f"{runtime:.6f}"
-            print(f"{label},{gc:.6f},{stdev:.6f},{timing}")
-        return
-    _print_served_by(outcome)
-    print(render_table(
-        ["policy", "mean GC", "stdev", "runtime (s)"], rows, title=name))
-    print()
-    print(render_table(
-        ["parameter", "value"], outcome.config.describe(),
-        title=f"{name} — configuration"))
-
-
-def _print_sweep(result: SweepResult, as_csv: bool,
-                 metrics: tuple[str, ...] = ("gc",)) -> None:
-    for metric in metrics:
-        if as_csv:
-            print(f"# {result.name} ({metric})")
-            _print_served_by(result)
-            print(sweep_csv(result, metric=metric), end="")
-        else:
-            _print_served_by(result)
-            print(sweep_table(result, metric=metric))
-            print()
-
-
-def _print_federation(result: FederationSweep, as_csv: bool) -> None:
-    rows = [
-        ["monolith", result.monolith.mean_gc, 0.0,
-         result.monolith.mean_runtime, 1.0, 0, 0],
-    ]
-    for outcome in result.outcomes:
-        rows.append([
-            f"K={outcome.shards}", outcome.mean_gc,
-            result.degradation(outcome.shards), outcome.mean_runtime,
-            result.speedup(outcome.shards), outcome.stolen_budget,
-            outcome.steal_transfers,
-        ])
-    if as_csv:
-        print(f"# federation ({result.policy})")
-        print("setting,mean_gc,gc_degradation,mean_runtime_s,speedup,"
-              "stolen_budget,steal_transfers")
-        for label, gc, deg, runtime, speedup, stolen, moves in rows:
-            print(f"{label},{gc:.6f},{deg:.6f},{runtime:.6f},"
-                  f"{speedup:.3f},{stolen},{moves}")
-        print(f"lowering,,,{result.mean_lower:.6f},,,")
-        return
-    # The shared columnar build, which no runtime above includes (each
-    # run's own activity windows are inside its runtime).
-    rows.append(["lowering", "", "", result.mean_lower, "", "", ""])
-    print(render_table(
-        ["setting", "mean GC", "GC degradation", "runtime (s)",
-         "speedup", "stolen budget", "transfers"], rows,
-        title=f"federation — {result.policy}"))
-    print()
-    load_rows = [
-        [f"K={outcome.shards} shard {load.shard}", load.resources,
-         load.probes_routed, load.nominal_budget, load.stolen_in,
-         load.stolen_out]
-        for outcome in result.outcomes if outcome.shards > 1
-        for load in outcome.loads
-    ]
-    if load_rows:
-        print(render_table(
-            ["shard", "resources", "probes routed", "nominal budget",
-             "stolen in", "stolen out"], load_rows,
-            title="federation — per-shard load"))
-        print()
-    print(render_table(
-        ["parameter", "value"], result.config.describe(),
-        title="federation — configuration"))
-
-
-def _print_churn(result: ChurnSweep, as_csv: bool) -> None:
-    rows = [
-        [f"spread={row.join_spread:.1f}"
-         + (f" leave={row.leave_probability:.1f}"
-            if row.leave_probability else ""),
-         row.completeness, row.mean_client_completeness, row.fairness,
-         row.completed, row.expired, row.doomed_at_birth, row.dropped,
-         row.probes_used, row.runtime_seconds]
-        for row in result.rows
-    ]
-    if as_csv:
-        print(f"# churn ({result.policy}, engine={result.engine})")
-        print("scenario,completeness,mean_client_completeness,fairness,"
-              "completed,expired,doomed_at_birth,dropped,probes_used,"
-              "runtime_s")
-        for (label, gc, mean_gc, fairness, completed, expired, doomed,
-             dropped, probes, runtime) in rows:
-            print(f"{label},{gc:.6f},{mean_gc:.6f},{fairness:.6f},"
-                  f"{completed},{expired},{doomed},{dropped},{probes},"
-                  f"{runtime:.6f}")
-        return
-    print(render_table(
-        ["scenario", "completeness", "client mean", "fairness",
-         "completed", "expired", "doomed at birth", "dropped", "probes",
-         "runtime (s)"],
-        rows, title=f"churn — {result.policy} "
-                    f"(engine={result.engine})"))
-
-
-def _print_result(name: str, result: object, as_csv: bool) -> None:
-    # By class name: the result classes live in the experiment modules,
-    # of which only the runner's own is imported.
-    kind = type(result).__name__
-    if kind == "ChurnSweep":
-        _print_churn(result, as_csv)
-    elif kind == "FederationSweep":
-        _print_federation(result, as_csv)
-    elif kind == "RunOutcome":
-        _print_run_outcome(name, result, as_csv)
-    elif kind == "SweepResult":
-        metrics = ("gc", "runtime") if name in ("fig5", "offline") \
-            and not result.shared_block else ("gc",)
-        _print_sweep(result, as_csv, metrics=metrics)
-    elif kind == "FigurePair":
-        timed = name == "fig5" and not result.left.shared_block
-        metrics = ("runtime",) if timed else ("gc",)
-        _print_sweep(result.left, as_csv, metrics=metrics)
-        _print_sweep(result.right, as_csv, metrics=metrics)
-    else:  # pragma: no cover - defensive
-        print(result)
+def _worker_count(text: str) -> int:
+    """``--workers``: a pool needs at least one process."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,10 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--csv", action="store_true",
-        help="emit CSV series instead of ASCII tables",
+        help="print each table as CSV instead of ASCII",
     )
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_worker_count, default=None, metavar="N",
         help="run (setting, repetition) cells in a process pool of N "
              "workers (default: serial); results are identical to the "
              "serial path",
@@ -249,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--output", metavar="DIR", default=None,
-        help="also write CSV series and text tables into DIR",
+        help="also write each table to DIR/<stem>.csv and "
+             "DIR/<stem>.txt",
     )
     parser.add_argument(
         "--cache-dir", metavar="DIR", default=None,
@@ -279,16 +146,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_stats(scale: str) -> None:
-    """Print structural statistics of one baseline instance."""
+def _stats(scale: str):
+    """Structural statistics of one baseline instance."""
     from repro.analysis import compute_stats
     from repro.experiments import baseline, make_instance
 
     config = baseline(scale)
     _trace, profiles = make_instance(config, 0)
-    stats = compute_stats(profiles, config.epoch, config.budget_vector)
-    print(render_table(["statistic", "value"], stats.describe(),
-                       title=f"Baseline instance statistics ({scale})"))
+    return compute_stats(profiles, config.epoch, config.budget_vector)
+
+
+def _report(result_tables: list[Table], as_csv: bool,
+            output: str | None) -> None:
+    """Print a result's tables; with ``output``, also write them there."""
+    for table in result_tables:
+        if as_csv:
+            print(f"# {table.title}")
+            if table.note:
+                print(f"# {table.note}")
+            print(table.csv(), end="")
+        else:
+            print(table.text())
+            print()
+    if output:
+        written = write_tables(result_tables, output)
+        print(f"[wrote {len(written)} files under {output}]")
 
 
 def _serve(args) -> int:
@@ -368,24 +250,19 @@ def main(argv: list[str] | None = None) -> int:
         return bench_report_main([])
     from repro.experiments.instances import configure_instances
     configure_instances(cache_dir=args.cache_dir)
-    if args.experiment == "stats":
-        _print_stats(args.scale)
-        return 0
     names = sorted(_EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
     for name in names:
-        kwargs = {}
-        if args.workers and name in _TAKES_WORKERS:
-            kwargs["workers"] = args.workers
-        if args.engine and name in _TAKES_ENGINE:
-            kwargs["engine"] = args.engine
-        result = _runner(name)(args.scale, **kwargs)
-        _print_result(name, result, args.csv)
-        if args.output:
-            from repro.experiments.export import export_result
-            written = export_result(name, result, args.output)
-            print(f"[wrote {len(written)} files under {args.output}]")
-        print()
+        if name == "stats":
+            result = _stats(args.scale)
+        else:
+            kwargs = {}
+            if args.workers and name in _TAKES_WORKERS:
+                kwargs["workers"] = args.workers
+            if args.engine and name in _TAKES_ENGINE:
+                kwargs["engine"] = args.engine
+            result = _runner(name)(args.scale, **kwargs)
+        _report(tables(name, result), args.csv, args.output)
     return 0
 
 

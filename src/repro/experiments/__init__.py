@@ -49,5 +49,5 @@ __all__, __getattr__, __dir__ = export_table(__name__, {
         "run_setting",
         "sweep",
     ),
-    ".reporting": ("render_table", "sweep_csv", "sweep_table"),
+    ".reporting": ("Table", "render_table", "tables", "write_tables"),
 })

@@ -1,19 +1,22 @@
-"""Plain-text reporting: ASCII tables and CSV dumps for experiment output.
+"""Every experiment result as tables: the one place a result becomes rows.
 
-The benchmark harness prints the same rows/series the paper plots; these
-helpers keep that output consistent and diff-friendly.
+:func:`tables` turns a result into :class:`Table` s (file stem, title,
+headers, rows and the ``engine=… fell_back=… blocks=…`` note of the
+engine that served it); :meth:`Table.text` and :meth:`Table.csv` are the
+two renderings. The CLI prints them and ``--output`` writes
+``<stem>.csv`` and ``<stem>.txt`` per table (:func:`write_tables`), so
+what a terminal shows and what a file holds cannot drift apart.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import asdict, dataclass
+from pathlib import Path
+from typing import Sequence
 
-if TYPE_CHECKING:  # annotations only: rendering text needs no engine
-    from repro.experiments.harness import SweepResult
-
-__all__ = ["render_table", "sweep_table", "sweep_csv"]
+__all__ = ["Table", "render_table", "tables", "write_tables"]
 
 
 def render_table(headers: Sequence[str],
@@ -51,30 +54,155 @@ def _fmt(cell: object) -> str:
     return str(cell)
 
 
-def sweep_table(result: SweepResult, metric: str = "gc",
-                labels: Sequence[str] | None = None) -> str:
-    """One row per swept value, one column per policy."""
-    labels = list(labels) if labels is not None else result.labels()
-    headers = [result.parameter] + labels
-    rows = []
-    for index, x_value in enumerate(result.x_values):
-        row: list[object] = [x_value]
-        for label in labels:
-            row.append(result.series(label, metric)[index])
-        rows.append(row)
-    suffix = "runtime (s)" if metric == "runtime" else "gained completeness"
-    return render_table(headers, rows, title=f"{result.name} — {suffix}")
+@dataclass(frozen=True)
+class Table:
+    """One table of a result; ``note`` is empty when no engine served it."""
+
+    stem: str
+    title: str
+    headers: Sequence[str]
+    rows: Sequence[Sequence[object]]
+    note: str = ""
+
+    def text(self) -> str:
+        """The ASCII table, below a ``# note`` line when there is a note."""
+        table = render_table(self.headers, self.rows, title=self.title)
+        return f"# {self.note}\n{table}" if self.note else table
+
+    def csv(self) -> str:
+        """The header row and the data rows as CSV (floats to 6 places)."""
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(self.headers)
+        writer.writerows(
+            [f"{cell:.6f}" if isinstance(cell, float) else cell
+             for cell in row] for row in self.rows)
+        return buffer.getvalue()
 
 
-def sweep_csv(result: SweepResult, metric: str = "gc",
-              labels: Sequence[str] | None = None) -> str:
-    """The same series as CSV text (one header row, then data rows)."""
-    labels = list(labels) if labels is not None else result.labels()
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow([result.parameter] + labels)
-    for index, x_value in enumerate(result.x_values):
-        writer.writerow(
-            [x_value] + [f"{result.series(label, metric)[index]:.6f}"
-                         for label in labels])
-    return buffer.getvalue()
+def write_tables(result_tables: Sequence[Table],
+                 directory: str | Path) -> list[Path]:
+    """Write ``<stem>.csv`` and ``<stem>.txt`` per table; returns the paths."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for table in result_tables:
+        csv_path = directory / f"{table.stem}.csv"
+        csv_path.write_text(table.csv())
+        text_path = directory / f"{table.stem}.txt"
+        text_path.write_text(table.text() + "\n")
+        paths += [csv_path, text_path]
+    return paths
+
+
+def _served_by(result) -> str:
+    # 'offline' runs solvers only: no engine, no note.
+    if not result.engine:
+        return ""
+    return (f"engine={result.engine} fell_back={result.fell_back} "
+            f"blocks={result.blocks}")
+
+
+def _config(stem: str, rows: Sequence[Sequence[object]]) -> Table:
+    return Table(f"{stem}_config", f"{stem} — configuration",
+                 ["parameter", "value"], rows)
+
+
+_METRIC_TITLES = {"gc": "gained completeness", "runtime": "runtime (s)"}
+
+
+def _sweep(stem: str, sweep) -> list[Table]:
+    # A shared block's runtimes are even splits of its wall time, not
+    # per-policy timings: a runtime series only when each run was timed.
+    metrics = ("gc",) if sweep.shared_block else ("gc", "runtime")
+    labels = sweep.labels()
+    return [
+        Table(f"{stem}_{metric}",
+              f"{sweep.name} — {_METRIC_TITLES[metric]}",
+              [sweep.parameter, *labels],
+              [[x_value, *values] for x_value, *values in zip(
+                  sweep.x_values,
+                  *(sweep.series(label, metric) for label in labels))],
+              _served_by(sweep))
+        for metric in metrics]
+
+
+def _pair(stem: str, pair) -> list[Table]:
+    return _sweep(f"{stem}_panel1", pair.left) + \
+        _sweep(f"{stem}_panel2", pair.right)
+
+
+def _run_outcome(stem: str, outcome) -> list[Table]:
+    # The runtime column stays, blank, under a shared block (see _sweep).
+    rows = [[label, policy.mean_gc, policy.stdev_gc,
+             "" if outcome.shared_block else policy.mean_runtime]
+            for label, policy in outcome.outcomes.items()]
+    return [Table(stem, stem,
+                  ["policy", "mean_gc", "stdev_gc", "mean_runtime_s"],
+                  rows, _served_by(outcome)),
+            _config(stem, outcome.config.describe())]
+
+
+def _churn(stem: str, result) -> list[Table]:
+    rows = [[row.join_spread, row.leave_probability, row.completeness,
+             row.mean_client_completeness, row.fairness, row.completed,
+             row.expired, row.doomed_at_birth, row.dropped,
+             row.probes_used, row.runtime_seconds]
+            for row in result.rows]
+    swept = ("join_spread", "leave_probability")
+    return [Table(stem, f"{stem} — {result.policy} (engine={result.engine})",
+                  [*swept, "completeness", "mean_client_completeness",
+                   "fairness", "completed", "expired", "doomed_at_birth",
+                   "dropped", "probes_used", "runtime_s"], rows),
+            _config(stem, [(field, str(value)) for field, value
+                           in asdict(result.config).items()
+                           if field not in swept])]
+
+
+def _federation(stem: str, result) -> list[Table]:
+    rows = [["monolith", result.monolith.mean_gc, 0.0,
+             result.monolith.mean_runtime, 1.0, 0, 0]]
+    rows += [[f"K={outcome.shards}", outcome.mean_gc,
+              result.degradation(outcome.shards), outcome.mean_runtime,
+              result.speedup(outcome.shards), outcome.stolen_budget,
+              outcome.steal_transfers] for outcome in result.outcomes]
+    # The shared columnar build, which no runtime above includes (each
+    # run's own activity windows are inside its runtime).
+    rows.append(["lowering", "", "", result.mean_lower, "", "", ""])
+    loads = [[f"K={outcome.shards} shard {load.shard}", load.resources,
+              load.probes_routed, load.nominal_budget, load.stolen_in,
+              load.stolen_out]
+             for outcome in result.outcomes if outcome.shards > 1
+             for load in outcome.loads]
+    return [Table(stem, f"{stem} — {result.policy}",
+                  ["setting", "mean_gc", "gc_degradation", "mean_runtime_s",
+                   "speedup", "stolen_budget", "steal_transfers"], rows),
+            Table(f"{stem}_loads", f"{stem} — per-shard load",
+                  ["shard", "resources", "probes_routed", "nominal_budget",
+                   "stolen_in", "stolen_out"], loads),
+            _config(stem, result.config.describe())]
+
+
+def _stats(stem: str, stats) -> list[Table]:
+    return [Table(stem, "Baseline instance statistics",
+                  ["statistic", "value"], stats.describe())]
+
+
+#: By class name: the result classes live in the experiment modules, of
+#: which only the runner's own is imported.
+_TABLES = {
+    "SweepResult": _sweep,
+    "FigurePair": _pair,
+    "RunOutcome": _run_outcome,
+    "ChurnSweep": _churn,
+    "FederationSweep": _federation,
+    "InstanceStats": _stats,
+}
+
+
+def tables(name: str, result: object) -> list[Table]:
+    """The tables experiment ``name``'s result renders as, in order."""
+    kind = type(result).__name__
+    if kind not in _TABLES:
+        raise TypeError(f"no tables for a {kind} result")
+    return _TABLES[kind](name, result)

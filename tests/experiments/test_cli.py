@@ -1,9 +1,11 @@
 """Tests for the repro-experiments CLI."""
 
 import inspect
+from itertools import takewhile
 
 import pytest
 
+import repro.cli
 from repro.cli import (
     _EXPERIMENTS,
     _TAKES_ENGINE,
@@ -12,6 +14,7 @@ from repro.cli import (
     build_parser,
     main,
 )
+from repro.experiments.reporting import tables
 
 
 class TestParser:
@@ -33,12 +36,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
 
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_workers_below_one_is_refused(self, workers, capsys):
+        with pytest.raises(SystemExit) as refusal:
+            build_parser().parse_args(["fig8", "--workers", workers])
+        assert refusal.value.code == 2
+        assert "argument --workers" in capsys.readouterr().err
+        assert build_parser().parse_args(
+            ["fig8", "--workers", "2"]).workers == 2
+
 
 class TestMain:
     def test_table1_smoke(self, capsys):
         assert main(["table1", "--scale", "smoke"]) == 0
         output = capsys.readouterr().out
-        assert "mean GC" in output
+        assert "mean_gc" in output
         assert "S-EDF(NP)" in output
         assert "configuration" in output
 
@@ -57,7 +69,7 @@ class TestMain:
     def test_panel_header_names_the_engine(self, capsys):
         assert main(["fig8", "--scale", "smoke", "--csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[:2] == ["# Figure 8 (gc)",
+        assert lines[:2] == ["# Figure 8 — gained completeness",
                              "# engine=batch fell_back=0 blocks=2"]
         assert main(["table1", "--scale", "smoke"]) == 0
         assert capsys.readouterr().out.startswith(
@@ -97,15 +109,76 @@ class TestMain:
         assert main(["churn", "--scale", "smoke", "--csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
         header = lines[1].split(",")
-        assert header[4:8] == ["completed", "expired", "doomed_at_birth",
-                               "dropped"]
-        rows = [dict(zip(header, line.split(",")))
-                for line in lines[2:] if line]
-        assert rows[0]["doomed_at_birth"] == "0"      # everyone at T=0
+        at = header.index("completed")
+        assert header[at:at + 4] == ["completed", "expired",
+                                     "doomed_at_birth", "dropped"]
+        rows = [dict(zip(header, line.split(","))) for line in takewhile(
+            lambda line: not line.startswith("#"), lines[2:])]
+        assert float(rows[0]["join_spread"]) == 0.0   # everyone at T=0
+        assert rows[0]["doomed_at_birth"] == "0"
         assert any(int(row["doomed_at_birth"]) > 0 for row in rows[1:])
         assert all(int(row["doomed_at_birth"]) <= int(row["expired"])
                    + int(row["dropped"]) for row in rows)
 
+
+class TestResultsRenderOnce:
+    """What a terminal shows is what ``--output`` writes, table for
+    table: one ``tables()`` list feeds the text and CSV printouts and
+    the files."""
+
+    @pytest.fixture
+    def stems(self, monkeypatch):
+        made = []
+
+        def recording(name, result):
+            result_tables = tables(name, result)
+            made.extend(table.stem for table in result_tables)
+            return result_tables
+
+        monkeypatch.setattr(repro.cli, "tables", recording)
+        return made
+
+    @staticmethod
+    def _run(argv, directory, capsys):
+        assert main([*argv, "--output", str(directory)]) == 0
+        printed = capsys.readouterr().out.splitlines(keepends=True)
+        assert printed[-1] == f"[wrote {len(list(directory.iterdir()))} " \
+            f"files under {directory}]\n"
+        return printed[:-1]
+
+    @pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS) + ["stats"])
+    def test_stdout_is_the_files(self, experiment, stems, tmp_path,
+                                 capsys):
+        directory = tmp_path / "csv"
+        printed = self._run([experiment, "--scale", "smoke", "--csv"],
+                            directory, capsys)
+        assert sorted(path.name for path in directory.iterdir()) == sorted(
+            f"{stem}.{ext}" for stem in stems for ext in ("csv", "txt"))
+        assert "".join(line for line in printed
+                       if not line.startswith("#")) == "".join(
+            (directory / f"{stem}.csv").read_text() for stem in stems)
+
+        stems.clear()
+        directory = tmp_path / "text"
+        printed = self._run([experiment, "--scale", "smoke"], directory,
+                            capsys)
+        assert "".join(printed) == "".join(
+            (directory / f"{stem}.txt").read_text() + "\n"
+            for stem in stems)
+
+    def test_every_table_reaches_the_files(self, tmp_path, capsys):
+        assert main(["federation", "--scale", "smoke",
+                     "--output", str(tmp_path)]) == 0
+        setting = (tmp_path / "federation.csv").read_text().splitlines()
+        assert setting[-1].startswith("lowering,,,")
+        loads = (tmp_path / "federation_loads.csv").read_text()
+        assert loads.startswith("shard,resources,probes_routed,")
+        assert "K=2 shard 1" in loads
+        assert (tmp_path / "federation_config.txt").exists()
+        assert main(["stats", "--scale", "smoke", "--csv",
+                     "--output", str(tmp_path)]) == 0
+        assert "rank(P)," in (tmp_path / "stats.csv").read_text()
+        capsys.readouterr()
 
 
 class TestEngineFlag:

@@ -22,13 +22,15 @@ import pytest
 #: (the async executor drives the one retry cascade, which owns the
 #: leftover budget and returns a plain ``ProbeRound``); ``repro.offline``
 #: dropped its unused churn solver and ``clear_demand_cache``, the
-#: demand-map cache hook only that solver called.
+#: demand-map cache hook only that solver called; ``repro.experiments``
+#: traded ``sweep_table`` / ``sweep_csv`` for ``Table``, ``tables`` and
+#: ``write_tables`` (every result renders through one table list).
 PUBLIC_NAMES = {
     "repro": 74,
     "repro.analysis": 4,
     "repro.core": 28,
     "repro.dsl": 16,
-    "repro.experiments": 42,
+    "repro.experiments": 43,
     "repro.extensions": 4,
     "repro.faults": 18,
     "repro.forecast": 9,
