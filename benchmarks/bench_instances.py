@@ -6,8 +6,10 @@ identical instances seed-for-seed — see
 ``tests/properties/test_prop_instances.py``), plus what one
 :class:`~repro.experiments.instances.InstanceCache` lookup costs cold
 (generate), warm from the disk store and warm from memory — each with
-the columnar lowering a batch run then needs — and writes the numbers
-to ``BENCH_instances.json``::
+the columnar lowering a batch run then needs, whose held bytes per EI
+(``lower_bytes_per_ei``) and traced build peak (``lower_peak_mb``, MiB)
+are recorded beside its time — and writes the numbers to
+``BENCH_instances.json``::
 
     PYTHONPATH=src python benchmarks/bench_instances.py \
         --output BENCH_instances.json
@@ -24,7 +26,8 @@ generation speedup there for the default poisson source.
 
 ``--cache-check`` runs the CI smoke assertion instead: a cold and a warm
 pass over a temporary cache directory must produce identical results
-with non-zero hit counters.
+with non-zero hit counters, and the lowering of a disk hit must equal
+the cold lowering column for column, dtypes included.
 
 The module doubles as a pytest-benchmark bench
 (``bench_instance_generation``) asserting the fast path actually is
@@ -40,7 +43,10 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import asdict
+
+import numpy as np
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import run_setting
@@ -146,6 +152,33 @@ def _timed(call):
     return time.perf_counter() - started, result
 
 
+def _lowering_footprint(profiles, epoch) -> dict[str, float]:
+    """Bytes per EI a lowering of ``profiles`` holds
+    (:attr:`~repro.simulation.columnar.ColumnarInstance.nbytes`) and
+    the traced peak of building it, in MiB."""
+    tracemalloc.start()
+    try:
+        col = ColumnarInstance.build(profiles, epoch)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return {"lower_bytes_per_ei": col.nbytes / max(col.E, 1),
+            "lower_peak_mb": peak / 2**20}
+
+
+def _column_mismatches(cold: ColumnarInstance,
+                       warm: ColumnarInstance) -> list[str]:
+    """The array attributes two lowerings disagree on, by name, value
+    or dtype."""
+    arrays = [{name: value for name, value in vars(col).items()
+               if isinstance(value, np.ndarray)} for col in (cold, warm)]
+    return sorted(
+        name for name in arrays[0].keys() | arrays[1].keys()
+        if name not in arrays[0] or name not in arrays[1]
+        or arrays[0][name].dtype != arrays[1][name].dtype
+        or not np.array_equal(arrays[0][name], arrays[1][name]))
+
+
 def bench_cache(scale: str, rounds: int = 5) -> dict:
     """What one cache lookup costs: cold, warm from disk, warm from memory.
 
@@ -154,7 +187,8 @@ def bench_cache(scale: str, rounds: int = 5) -> dict:
     for a new process) that reads it back, and the same lookup again
     from that object's memory. A generation without any store gives the
     cold cost a user without ``--cache-dir`` pays. Each instance is
-    then lowered, since that is what a batch run does with it next.
+    then lowered, since that is what a batch run does with it next; the
+    cold instance once more, untimed, for the lowering's footprint.
     Medians over the rounds.
     """
     config = SCALES[scale]
@@ -169,6 +203,9 @@ def bench_cache(scale: str, rounds: int = 5) -> dict:
         note("cold_generate_s", seconds)
         note("cold_lower_s", _timed(
             lambda: ColumnarInstance.build(profiles, config.epoch))[0])
+        for name, value in _lowering_footprint(profiles,
+                                               config.epoch).items():
+            note(name, value)
         with tempfile.TemporaryDirectory() as tmp:
             writer = InstanceCache(cache_dir=tmp)
             note("cold_generate_and_store_s", _timed(
@@ -197,7 +234,10 @@ def cache_check(scale: str = "tiny") -> int:
 
     Returns a process exit code (0 = pass). Asserts that the cold pass
     stores every instance, the warm pass serves them from disk without
-    regenerating anything, and both passes agree on every GC value.
+    regenerating anything, both passes agree on every GC value, and a
+    disk hit lowers to the cold instance's columns — values and dtypes:
+    the store keeps int64 columns, which the lowering narrows the same
+    way on either path.
     """
     config = SCALES[scale].with_(repetitions=2)
     with tempfile.TemporaryDirectory() as tmp:
@@ -210,6 +250,10 @@ def cache_check(scale: str = "tiny") -> int:
             warm_stats = warm_cache.stats()
         finally:
             configure_instances(cache_dir=None)
+        reader = InstanceCache(cache_dir=tmp)
+        lowered = [ColumnarInstance.build(
+            cache.get_or_generate(config, 0)[1], config.epoch)
+            for cache in (InstanceCache(), reader)]
     problems = []
     if cold_stats["misses"] == 0 or cold_stats["stores"] == 0:
         problems.append(f"cold pass did not populate the store: "
@@ -220,6 +264,12 @@ def cache_check(scale: str = "tiny") -> int:
         problems.append("disk errors recorded")
     if _outcome_table(cold) != _outcome_table(warm):
         problems.append("cold and warm results differ")
+    if reader.stats()["disk_hits"] != 1:
+        problems.append(f"the lowering check missed the store: "
+                        f"{reader.stats()}")
+    differ = _column_mismatches(*lowered)
+    if differ:
+        problems.append(f"a disk hit lowers to other columns: {differ}")
     for problem in problems:
         print(f"[bench_instances] CACHE CHECK FAILED: {problem}",
               file=sys.stderr)

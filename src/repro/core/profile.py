@@ -142,6 +142,9 @@ class ProfileColumns(NamedTuple):
     run. ``names`` has one entry per profile; a profile without
     t-intervals owns no row and is visible only there. ``ei_need`` is
     each row's t-interval's ``need`` (its size when it needs every EI).
+    The columns stay ``int64`` as the interchange format (the instance
+    cache stores them so); the columnar lowering narrows what it keeps
+    to ``int32`` under bounds it checks on these columns first.
     """
 
     names: tuple[str, ...]

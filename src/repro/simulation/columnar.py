@@ -57,7 +57,7 @@ import time
 
 import numpy as np
 
-from repro.core.profile import ProfileSet
+from repro.core.profile import ProfileColumns, ProfileSet
 from repro.core.timeline import Epoch
 from repro.faults.model import keyed_draw
 from repro.online.base import ScoreKey
@@ -127,6 +127,26 @@ def _chronon_order(chronons: np.ndarray, bound: int) -> np.ndarray:
     if bound < 1 << 16:
         chronons = chronons.astype(np.uint16)
     return np.argsort(chronons, kind="stable")
+
+
+def _lifetime(name: str, values, S: int, default: int,
+              last: int) -> np.ndarray:
+    """One chronon per t-interval as int64 — ``default`` for each when
+    ``values`` is None — or :class:`ValueError` naming ``name``. Past
+    the epoch is past the epoch: values above ``last + 1`` read as it
+    (registered or cancelled after the last chronon), which bounds them
+    by the occupancy grid like every other chronon."""
+    if values is None:
+        return np.full(S, default, dtype=np.int64)
+    array = np.asarray(values)
+    if array.ndim != 1 or array.dtype.kind not in "iu" or array.size != S:
+        raise ValueError(
+            f"{name} must be an integer vector of one chronon per "
+            f"t-interval ({S}), got {array.dtype} of shape {array.shape}")
+    if array.size and array.min() < 0:
+        raise ValueError(f"{name} must be >= 0, got {array.min()}")
+    # Non-negative, so exact as uint64 whatever its width.
+    return np.minimum(array.astype(np.uint64), last + 1).astype(np.int64)
 
 
 class FaultDraws:
@@ -242,10 +262,13 @@ class ActivityWindow:
         # visibility window ``[first, until]`` that fall inside this
         # window's. Per-EI columns are gathered once, window-sized;
         # everything per entry indexes those, not the lowering's E-sized
-        # arrays.
+        # arrays. The gathers widen the int32 columns: int32 shifted or
+        # scaled by a Python int stays int32 and would wrap, and
+        # ``state`` indexes every chronon.
         t0, t1 = int(self.act_chronons[0]), int(self.act_chronons[-1])
-        start, fin = col.ei_start[eis], col.ei_finish[eis]
-        state = col.ei_state[eis]
+        start = col.ei_start[eis].astype(np.int64)
+        fin = col.ei_finish[eis].astype(np.int64)
+        state = col.ei_state[eis].astype(np.intp)
         first = np.maximum(first, t0)
         width = np.minimum(until, t1) - first + 1
 
@@ -261,7 +284,8 @@ class ActivityWindow:
         R = col.rid_space
         b = int(eis.size).bit_length()
         step = R << b
-        offset = ((first - t0) * R + col.ei_res[eis]) << b
+        offset = ((first - t0) * R + col.ei_res[eis]).astype(np.int64)
+        offset <<= b
         offset += np.arange(eis.size, dtype=np.int64)
         offset -= (np.cumsum(width) - width) * step
         at = np.repeat(offset, width)
@@ -280,9 +304,9 @@ class ActivityWindow:
         # Per row, one gather of a per-EI word.
         finstart = (fin << col.finish_shift) | (start << col.start_shift)
         features = [("finish", fin), ("start", start),
-                    ("rank", col.st_rank[state])]
+                    ("rank", col.st_rank[state].astype(np.int64))]
         if any(key.need for key in keys):
-            features.append(("need", col.st_need[state]))
+            features.append(("need", col.st_need[state].astype(np.int64)))
         self.hi_static = {}
         for key in keys:
             score = np.full(eis.size, col.score_offset(key), dtype=np.int64)
@@ -313,9 +337,9 @@ class ActivityWindow:
         compare per sibling slot: slot k holds the start of each state's
         k-th EI, or a never-reached chronon where the state is smaller.
         ``state`` and ``at`` are the window's per-EI states and each
-        entry's position among them. The compares run on int32 (half the
-        bytes gathered): chronons fit, as the occupancy grid's bound keeps
-        them below 2**27, and a start past the window compares as
+        entry's position among them. The compares run on int32, the
+        starts' own width: chronons fit, as the occupancy grid's bound
+        keeps them below 2**27, and a start past the window compares as
         ``t1 + 1``.
         """
         act_T = np.repeat(self.act_chronons.astype(np.int32),
@@ -372,65 +396,24 @@ class ColumnarInstance:
         # ------------------------------------------------------------------
         # Input is the set's EI-row columns in creation order (a
         # hand-built set walks its objects once to produce them);
-        # everything below is array arithmetic on those.
+        # everything below is array arithmetic on those. The range
+        # checks read these int64 columns, before any column narrows.
         # ------------------------------------------------------------------
         columns = profiles.columns()
-        start, res = columns.ei_start, columns.ei_resource
-        ptr = columns.tinterval_heads()
-        self.S, self.E = S, E = ptr.size, start.size
-        size = np.diff(np.append(ptr, E))
+        self.E = E = columns.ei_start.size
         #: Resource ids live in ``[0, rid_space)``.
-        self.rid_space = int(res.max()) + 1 if E else 1
-        # A profile's rank is its largest t-interval; empty profiles own
-        # no state (and reduceat takes no empty segment).
-        eta_profile = columns.ei_profile[ptr]
-        p_len = np.bincount(eta_profile, minlength=len(columns.names))
-        self.profile_totals = dict(enumerate(p_len.tolist()))
-        full = p_len > 0
-        rank = np.repeat(
-            np.maximum.reduceat(size, (np.cumsum(p_len) - p_len)[full]),
-            p_len[full])
-
-        # ------------------------------------------------------------------
-        # States in seq order: the initial set by (clamped arrival,
-        # creation order), then whoever registered mid-run in
-        # registration (= creation) order, whatever their arrival.
-        # ------------------------------------------------------------------
-        if visible_from is None:
-            visible_from = np.zeros(S, dtype=np.int64)
-        if gone_from is None:
-            gone_from = np.full(S, last + 1, dtype=np.int64)
-        arrival = np.minimum(
-            np.maximum(np.minimum.reduceat(start, ptr), visible_from), last)
-        order = _chronon_order(
-            np.where(visible_from > 0, last + 1, arrival), last + 1)
-        self.st_arrival = arrival[order]
-        self.st_visible = visible_from[order]
-        self.st_gone = gone_from[order]
-        self.st_rank = rank[order]
-        self.st_profile = eta_profile[order]
-        self.st_size = size[order]
-        self.st_need = columns.ei_need[ptr][order]
-        self.st_tid = columns.ei_tinterval[ptr][order]
-
-        # ------------------------------------------------------------------
-        # EIs state-major, within a state in ei_id order: a gather of the
-        # creation-order columns (each state's EIs are one contiguous run).
-        # ------------------------------------------------------------------
-        self._ei_ptr = np.cumsum(self.st_size) - self.st_size
-        self.ei_state = np.repeat(np.arange(S, dtype=np.int64),
-                                  self.st_size)
-        gather = np.arange(E, dtype=np.int64) + np.repeat(
-            ptr[order] - self._ei_ptr, self.st_size)
-        self.ei_res = res[gather]
-        self.ei_start = start[gather]
-        self.ei_finish = columns.ei_finish[gather]
-        # M-EDF's initial deadline sum counts every EI, active or not.
-        self.init_sum = np.add.reduceat(self.ei_finish, self._ei_ptr)
-
+        self.rid_space = R = int(columns.ei_resource.max()) + 1 if E else 1
+        if (last + 2) * R > _MAX_GRID_CELLS:
+            raise BatchUnsupported(
+                f"resource ids up to {R - 1} over {last} chronons are "
+                "too sparse for a dense per-resource index")
+        if max(E, len(columns.names)) >> 31:
+            raise BatchUnsupported(f"{E} EIs of {len(columns.names)} "
+                                   "profiles: positions past int32")
+        self._build_columns(columns, visible_from, gone_from, last)
         self._build_grid(last)
-        self._build_events(last)
         self._build_keys(last)
+        self._build_events(last)
         # Lazily-built fault-plane columns (see fault_draws /
         # outage_column): pure caches keyed on spec parameters, safe to
         # share across every block run on this lowering.
@@ -446,12 +429,80 @@ class ColumnarInstance:
         self.windows_built = 0
         self.window_seconds = 0.0
 
+    def _build_columns(self, columns: ProfileColumns,
+                       visible_from: np.ndarray | None,
+                       gone_from: np.ndarray | None, last: int) -> None:
+        """The state and EI columns, int32 wherever a checked bound
+        holds them (docs/ALGORITHMS.md §13, "Column widths"): chronons
+        and resource ids by the grid's, positions and counts by ``E <
+        2**31``. Starts and finishes stay int64 until the key layout has
+        bounded them (:meth:`_build_keys`); ``init_sum`` stays int64.
+        The state order, the EI gather and the per-t-interval inputs
+        are this method's locals, gone before the grid is built."""
+        start, res = columns.ei_start, columns.ei_resource
+        ptr = columns.tinterval_heads()
+        self.S = S = ptr.size
+        visible_from = _lifetime("visible_from", visible_from, S, 0, last)
+        gone_from = _lifetime("gone_from", gone_from, S, last + 1, last)
+        size = np.diff(np.append(ptr, self.E))
+        # A profile's rank is its largest t-interval; empty profiles own
+        # no state (and reduceat takes no empty segment).
+        eta_profile = columns.ei_profile[ptr]
+        p_len = np.bincount(eta_profile, minlength=len(columns.names))
+        self.profile_totals = dict(enumerate(p_len.tolist()))
+        full = p_len > 0
+        rank = np.repeat(
+            np.maximum.reduceat(size, (np.cumsum(p_len) - p_len)[full]),
+            p_len[full])
+
+        # ------------------------------------------------------------------
+        # States in seq order: the initial set by (clamped arrival,
+        # creation order), then whoever registered mid-run in
+        # registration (= creation) order, whatever their arrival.
+        # ------------------------------------------------------------------
+        arrival = np.minimum(
+            np.maximum(np.minimum.reduceat(start, ptr), visible_from), last)
+        order = _chronon_order(
+            np.where(visible_from > 0, last + 1, arrival), last + 1)
+        narrow = np.int32
+        self.st_arrival = arrival[order].astype(narrow)
+        self.st_visible = visible_from[order].astype(narrow)
+        self.st_gone = gone_from[order].astype(narrow)
+        self.st_rank = rank[order].astype(narrow)
+        self.st_profile = eta_profile[order].astype(narrow)
+        self.st_size = size[order].astype(narrow)
+        self.st_need = columns.ei_need[ptr][order].astype(narrow)
+        self.st_tid = columns.ei_tinterval[ptr][order].astype(narrow)
+
+        # ------------------------------------------------------------------
+        # EIs state-major, within a state in ei_id order: a gather of the
+        # creation-order columns (each state's EIs are one contiguous run).
+        # ------------------------------------------------------------------
+        ei_ptr = np.cumsum(self.st_size) - self.st_size
+        self._ei_ptr = ei_ptr.astype(narrow)
+        self.ei_state = np.repeat(np.arange(S, dtype=narrow), self.st_size)
+        gather = np.arange(self.E, dtype=np.int64) + np.repeat(
+            ptr[order] - ei_ptr, self.st_size)
+        self.ei_res = res[gather].astype(narrow)
+        self.ei_start = start[gather]
+        self.ei_finish = columns.ei_finish[gather]
+        # M-EDF's initial deadline sum counts every EI, active or not.
+        self.init_sum = np.add.reduceat(self.ei_finish, ei_ptr)
+
     @classmethod
     def build(cls, profiles: ProfileSet, epoch: Epoch,
               visible_from: np.ndarray | None = None,
               gone_from: np.ndarray | None = None) -> "ColumnarInstance":
         """Columnar form of one instance (raises :class:`BatchUnsupported`)."""
         return cls(profiles, epoch, visible_from, gone_from)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the NumPy arrays this lowering holds itself — its
+        columns, CSRs and the caches built so far; activity windows are
+        the runs' and are not counted."""
+        return sum(value.nbytes for value in vars(self).values()
+                   if isinstance(value, np.ndarray))
 
     def visibility(self, eis=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """``(first, until)``: the chronons over which each of ``eis``
@@ -488,15 +539,13 @@ class ColumnarInstance:
         resource) order, are its non-zero cells.
         """
         R = self.rid_space
-        if (last + 2) * R > _MAX_GRID_CELLS:
-            raise BatchUnsupported(
-                f"resource ids up to {R - 1} over {last} chronons are "
-                "too sparse for a dense per-resource index")
         # The EIs that are ever visible, by first visible chronon: what
         # windows() walks.
         first, until = self.visibility()
         ever = np.flatnonzero(first <= until)
-        self._by_start = ever[_chronon_order(first[ever], last)]
+        self._by_start = ever[_chronon_order(first[ever], last)].astype(
+            np.int32)
+        del ever
         starts = first[self._by_start]
         res = self.ei_res[self._by_start]
         cells = (last + 2) * R
@@ -591,7 +640,7 @@ class ColumnarInstance:
         bounds = np.nonzero(np.concatenate(
             ([True], xe_T[1:] != xe_T[:-1])))[0] if xe.size else \
             np.zeros(0, dtype=np.int64)
-        self.xe_chronons = xe_T[bounds]
+        self.xe_chronons = xe_T[bounds].astype(np.int64)
         self.xe_indptr = np.concatenate((bounds, [xe.size])).astype(np.int64)
         self.xe_e = xe
 
@@ -599,18 +648,13 @@ class ColumnarInstance:
         # sort of an EI-index-ordered list), so per-state segments are
         # contiguous: precompute their starts so the engine can OR-reduce
         # doom updates to unique states (duplicate targets would make a
-        # buffered fancy |= lossy).
+        # buffered fancy |= lossy). The expiry CSR stays intp: the
+        # chronon loop indexes with it.
         xe_state = self.ei_state[xe]
-        n = xe.size
-        if n:
-            seg = np.concatenate(
-                ([True], (xe_T[1:] != xe_T[:-1])
-                 | (xe_state[1:] != xe_state[:-1])))
-            self.xg_starts = np.nonzero(seg)[0].astype(np.int64)
-        else:
-            self.xg_starts = np.zeros(0, dtype=np.int64)
-        self.xg_state = xe_state[self.xg_starts] if n else \
-            np.zeros(0, dtype=np.int64)
+        seg = np.ones(xe.size, dtype=bool)
+        seg[1:] = (xe_T[1:] != xe_T[:-1]) | (xe_state[1:] != xe_state[:-1])
+        self.xg_starts = np.flatnonzero(seg)
+        self.xg_state = xe_state[self.xg_starts].astype(np.intp)
         self.xg_indptr = np.searchsorted(
             self.xg_starts, self.xe_indptr).astype(np.int64)
 
@@ -663,6 +707,12 @@ class ColumnarInstance:
                 f"{self.start_bits} + resource id {self.rid_bits}, for "
                 f"horizon {K}, scores <= {score_max}, pools <= "
                 f"{self.n_max}, resources <= {rid_max}")
+        # The widest registered row (M-EDF's ``deadlines``, whose span
+        # is at least the largest finish) sets the score field, so
+        # score_bits >= finish_bits and both fit 62 bits: every finish,
+        # and every start below it, is under 2**31.
+        self.ei_start = self.ei_start.astype(np.int32)
+        self.ei_finish = self.ei_finish.astype(np.int32)
 
         # Report scaffolding shared by every lane (with profile_totals):
         # totals never depend on the run, only on the instance.

@@ -34,19 +34,28 @@ def _row_range(key: ScoreKey, ranges) -> tuple[int, int]:
     return sum(map(min, ends)), sum(map(max, ends))
 
 
+#: The lowering's int32 columns (docs/ALGORITHMS.md §13, "Column
+#: widths"); its visibility windows are int32 too, every other array is
+#: int64. The oracle computes in int64 and narrows these last.
+NARROW = ("st_arrival", "st_visible", "st_gone", "st_rank", "st_profile",
+          "st_size", "st_need", "st_tid", "ei_state", "ei_res", "ei_start",
+          "ei_finish")
+
+
 def oracle(profiles, epoch, visible_from=None,
            gone_from=None) -> SimpleNamespace:
     """The per-object lowering: one Python step per t-interval and EI.
 
     ``visible_from`` / ``gone_from`` hold one chronon per t-interval in
-    creation order, as for the lowering."""
+    creation order, as for the lowering; a chronon past the epoch reads
+    as ``last + 1``."""
     o = SimpleNamespace()
     last = epoch.last
     total_etas = sum(len(profile) for profile in profiles)
     visible = [0] * total_etas if visible_from is None \
-        else [int(chronon) for chronon in visible_from]
+        else [min(int(chronon), last + 1) for chronon in visible_from]
     gone = [last + 1] * total_etas if gone_from is None \
-        else [int(chronon) for chronon in gone_from]
+        else [min(int(chronon), last + 1) for chronon in gone_from]
 
     # States in seq order: the initial set by (clamped arrival, creation
     # order), then the mid-run registrations in creation order.
@@ -237,6 +246,9 @@ def oracle(profiles, epoch, visible_from=None,
     o.rank_totals = {}
     for size in o.st_size.tolist():
         o.rank_totals[size] = o.rank_totals.get(size, 0) + 1
+    for name in NARROW:
+        setattr(o, name, getattr(o, name).astype(np.int32))
+    o.visibility = tuple(column.astype(np.int32) for column in o.visibility)
     return o
 
 

@@ -18,6 +18,8 @@ without them every t-interval is there from the start and nobody
 leaves.
 """
 
+import logging
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -162,6 +164,107 @@ class TestChrononSorts:
                               ever[np.argsort(first[ever], kind="stable")])
         assert col.st_arrival.tolist() == [10, last - 36]
         assert col.xe_chronons.tolist() == [13, 14, last - 30]
+
+
+def _engines_agree(profiles, epoch_, caplog, cause):
+    """``run_online`` falls back to the reference simulator, says why,
+    and gives the reference's result."""
+    policy, preemptive = parse_policy_spec("M-EDF(P)")
+    with caplog.at_level(logging.INFO, logger="repro.simulation.proxy"):
+        got = run_online(profiles, epoch_, BudgetVector(1), policy,
+                         preemptive=preemptive)
+    assert cause in caplog.text
+    want = run_online(profiles, epoch_, BudgetVector(1), policy,
+                      preemptive=preemptive, engine="reference")
+    assert list(got.schedule.probes()) == list(want.schedule.probes())
+    assert got.report == want.report
+    assert got.expired == want.expired
+
+
+class TestColumnWidths:
+    """The state and EI columns are int32 under bounds the lowering
+    checks on its int64 input first; past them an instance is refused,
+    never lowered from a wrapped value."""
+
+    #: The widest finish this instance's key layout takes: score 29 +
+    #: finish 28 + pool size 2 + start 2 + resource id 1 = 62 bits.
+    BOUND = (1 << 28) - 1
+
+    @staticmethod
+    def finishing_at(finish: int) -> ProfileSet:
+        return ProfileSet([Profile([eta((0, 1, finish), (1, 2, 5))]),
+                           Profile([eta((1, 3, finish))])])
+
+    def test_a_finish_past_int32_is_refused_by_the_key_layout(self, caplog):
+        profiles = self.finishing_at(1 << 31)
+        with pytest.raises(BatchUnsupported, match="packed selection key"):
+            ColumnarInstance.build(profiles, Epoch(6))
+        _engines_agree(profiles, Epoch(6), caplog, "packed selection key")
+
+    def test_a_resource_id_past_int32_is_refused_by_the_grid(self, caplog):
+        profiles = ProfileSet([Profile([eta((1 << 31, 1, 3), (0, 2, 4))]),
+                               Profile([eta((0, 1, 2))])])
+        with pytest.raises(BatchUnsupported, match="too sparse"):
+            ColumnarInstance.build(profiles, Epoch(6))
+        _engines_agree(profiles, Epoch(6), caplog, "too sparse")
+
+    def test_a_finish_just_inside_the_bound_lowers_exactly(self):
+        with pytest.raises(BatchUnsupported, match="packed selection key"):
+            ColumnarInstance.build(self.finishing_at(self.BOUND + 1),
+                                   Epoch(6))
+        col = assert_same_lowering(self.finishing_at(self.BOUND), Epoch(6))
+        assert col.ei_finish.dtype == np.int32
+        assert col.ei_finish.tolist() == [self.BOUND, 5, self.BOUND]
+        assert col.init_sum.tolist() == [self.BOUND + 5, self.BOUND]
+
+    #: The contract-scale catalog instance of the end-to-end benchmark.
+    CATALOG = ExperimentConfig(
+        epoch_length=100, num_resources=500, num_profiles=5000,
+        intensity=20, budget=16, window=5, seed=20080407)
+
+    def test_the_lowering_memory_budget(self):
+        """Per EI, at most 80 B held and a 120 B build peak (int64
+        columns held 111 B and peaked at 182 B here): a widened column
+        shows as megabytes at this scale, so it fails here first."""
+        _trace, profiles = make_instance(self.CATALOG, 0)
+        profiles.columns()
+        tracemalloc.start()
+        try:
+            col = ColumnarInstance.build(profiles, self.CATALOG.epoch)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert col.E > 100_000
+        assert col.nbytes == sum(value.nbytes for value in vars(col).values()
+                                 if isinstance(value, np.ndarray))
+        assert col.nbytes <= 80 * col.E
+        assert peak <= 120 * col.E
+
+
+class TestLifetimeArguments:
+    PROFILES = ProfileSet([Profile([eta((0, 1, 3)), eta((1, 2, 5))]),
+                           Profile([eta((0, 4, 6))])])
+
+    @pytest.mark.parametrize("name", ["visible_from", "gone_from"])
+    @pytest.mark.parametrize("value, match", [
+        (np.array([0]), "one chronon per t-interval"),
+        (np.zeros((3, 1), dtype=np.int64), "one chronon per t-interval"),
+        (np.array([0.0, 1.0, 2.0]), "integer vector"),
+        (np.array([True, False, True]), "integer vector"),
+        (np.array([0, -4, 2]), ">= 0, got -4"),
+    ])
+    def test_a_bad_lifetime_is_refused_by_name(self, name, value, match):
+        with pytest.raises(ValueError, match=match) as refused:
+            ColumnarInstance.build(self.PROFILES, Epoch(8), **{name: value})
+        assert str(refused.value).startswith(name)
+
+    def test_a_lifetime_past_the_epoch_reads_as_the_epoch_end(self):
+        far = np.array([0, 1 << 40, 3], dtype=np.uint64)
+        col = assert_same_lowering(self.PROFILES, Epoch(8), far, far[::-1])
+        end = ColumnarInstance.build(self.PROFILES, Epoch(8), [0, 9, 3],
+                                     [3, 9, 0])
+        for name in ("st_arrival", "st_visible", "st_gone"):
+            assert np.array_equal(getattr(col, name), getattr(end, name))
 
 
 #: A generated instance small enough for one window at the real cap.
