@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""The full system: DSL-specified profiles on a live proxy runtime.
+"""The full system: template-built profiles on a live proxy runtime.
 
 This example wires every layer together the way the paper's architecture
 diagram describes it: an *origin server* holds volatile feed data, clients
-register profiles written in the specification language, and the
+register profiles built from the paper's templates, and the
 *monitoring proxy* pulls from the server under a probing budget and pushes
 notifications (with the captured payloads) to each client — including a
 client that joins while the proxy is already running.
@@ -12,32 +12,41 @@ Run: ``python examples/proxy_server.py``
 """
 
 from repro import (
+    AuctionWatchTemplate,
     BudgetVector,
     Epoch,
     FeedTraceSynthesizer,
     MonitoringProxy,
     OriginServer,
-    compile_text,
+    OverwriteRestriction,
+    Profile,
+    SingleResourceTemplate,
+    TInterval,
+    WindowRestriction,
 )
 from repro.online import MEDFPolicy
 
-SPEC = """
-# Newsroom monitoring: every item from two wire feeds, before overwrite,
-# plus a market pair that must be observed with overlapping freshness.
-profile wires {
-    subscribe feed/hourly-0, feed/hourly-1 until overwrite;
-}
-profile markets {
-    watch 6, 7 overlap within 12;
-}
-"""
 
-LATE_SPEC = """
-# A customer who shows up at mid-epoch with a 2-of-3 digest.
-profile late-digest {
-    watch 2, 3, 4 indexed within 15 quota 2;
-}
-"""
+def newsroom_profiles(trace, epoch, catalog):
+    """Every item from two wire feeds, before overwrite, plus a market
+    pair that must be observed with overlapping freshness."""
+    wires = [catalog.by_name(f"feed/hourly-{i}").resource_id
+             for i in (0, 1)]
+    return [
+        SingleResourceTemplate(OverwriteRestriction()).build_profile(
+            wires, trace, epoch, name="wires"),
+        AuctionWatchTemplate(WindowRestriction(12), grouping="overlap")
+        .build_profile([6, 7], trace, epoch, name="markets"),
+    ]
+
+
+def digest_profile(trace, epoch):
+    """A 2-of-3 digest: each round over three feeds is delivered once two
+    of its EIs are captured (a round with fewer EIs needs all of them)."""
+    rounds = AuctionWatchTemplate(WindowRestriction(15)).build_profile(
+        [2, 3, 4], trace, epoch)
+    return Profile([TInterval(eta.eis, need=min(2, eta.size))
+                    for eta in rounds], name="late-digest")
 
 
 def main() -> None:
@@ -51,14 +60,14 @@ def main() -> None:
     server = OriginServer(trace)
     proxy = MonitoringProxy(server, epoch, BudgetVector(1), MEDFPolicy())
 
-    # --- client 1: registered up front through the DSL -----------------
-    compiled = compile_text(SPEC, trace, epoch, catalog=catalog)
+    # --- client 1: registered up front ---------------------------------
+    profiles = newsroom_profiles(trace, epoch, catalog)
     newsroom = proxy.register_client("newsroom")
-    for profile in compiled.profiles:
+    for profile in profiles:
         proxy.register_profile(newsroom, profile)
     print(f"newsroom registered: "
-          f"{compiled.profiles.total_tintervals} t-intervals from "
-          f"{len(compiled.profiles)} profiles")
+          f"{sum(len(p) for p in profiles)} t-intervals from "
+          f"{len(profiles)} profiles")
 
     # --- run half the epoch, then a client joins live -------------------
     proxy.run(until=200)
@@ -67,10 +76,8 @@ def main() -> None:
           f"delivered, {mid_stats.expired} expired, "
           f"{mid_stats.pending} pending")
 
-    late = compile_text(LATE_SPEC, trace, epoch, catalog=catalog)
     customer = proxy.register_client("late-customer")
-    for profile in late.profiles:
-        proxy.register_profile(customer, profile)
+    proxy.register_profile(customer, digest_profile(trace, epoch))
     print("late-customer joined at chronon 200")
 
     stats = proxy.run()

@@ -17,6 +17,7 @@ Run: ``python examples/unreliable_proxy.py``
 """
 
 from repro import (
+    AuctionWatchTemplate,
     BudgetVector,
     CircuitBreaker,
     Epoch,
@@ -25,39 +26,49 @@ from repro import (
     MonitoringProxy,
     OriginServer,
     Outage,
+    OverwriteRestriction,
+    Profile,
     RetryConfig,
+    SingleResourceTemplate,
+    TInterval,
     UnreliableServer,
-    compile_text,
+    WindowRestriction,
 )
 from repro.online import MEDFPolicy
 
 EPOCH = Epoch(400)
 
-WIRE_SPEC = """
-# The newsroom profiles of examples/proxy_server.py — but the wire
-# service is having a bad day.
-profile wires {
-    subscribe feed/hourly-0, feed/hourly-1 until overwrite;
-}
-profile markets {
-    watch 6, 7 overlap within 12;
-}
-"""
 
-CONTENDED_SPEC = """
-# Three overwrite subscriptions plus a 2-of-3 digest on a budget of one
-# probe per chronon: every probe wasted on a dead feed is a capture
-# lost elsewhere.
-profile wires {
-    subscribe feed/hourly-0, feed/hourly-1, feed/hourly-2 until overwrite;
-}
-profile digest {
-    watch 3, 4, 5 indexed within 15 quota 2;
-}
-"""
+def subscribe(names, trace, catalog):
+    """One rank-1 t-interval per update of each named feed, deliverable
+    until the next update overwrites it."""
+    resources = [catalog.by_name(name).resource_id for name in names]
+    return SingleResourceTemplate(OverwriteRestriction()).build_profile(
+        resources, trace, EPOCH, name="wires")
 
 
-def run(spec_text, feeds, chronons_per_hour, budget, faults=None,
+def wire_profiles(trace, catalog):
+    """The newsroom profiles of examples/proxy_server.py — but the wire
+    service is having a bad day."""
+    markets = AuctionWatchTemplate(WindowRestriction(12),
+                                   grouping="overlap")
+    return [subscribe(["feed/hourly-0", "feed/hourly-1"], trace, catalog),
+            markets.build_profile([6, 7], trace, EPOCH, name="markets")]
+
+
+def contended_profiles(trace, catalog):
+    """Three overwrite subscriptions plus a 2-of-3 digest on a budget of
+    one probe per chronon: every probe wasted on a dead feed is a capture
+    lost elsewhere."""
+    rounds = AuctionWatchTemplate(WindowRestriction(15)).build_profile(
+        [3, 4, 5], trace, EPOCH)
+    digest = Profile([TInterval(eta.eis, need=min(2, eta.size))
+                      for eta in rounds], name="digest")
+    wires = ["feed/hourly-0", "feed/hourly-1", "feed/hourly-2"]
+    return [subscribe(wires, trace, catalog), digest]
+
+
+def run(profiles, feeds, chronons_per_hour, budget, faults=None,
         retry=None, breaker=None):
     synthesizer = FeedTraceSynthesizer(feeds, EPOCH,
                                        chronons_per_hour=chronons_per_hour,
@@ -66,12 +77,10 @@ def run(spec_text, feeds, chronons_per_hour, budget, faults=None,
     server = OriginServer(trace)
     if faults is not None:
         server = UnreliableServer(server, faults)
-    compiled = compile_text(spec_text, trace, EPOCH,
-                            catalog=synthesizer.catalog())
     proxy = MonitoringProxy(server, EPOCH, BudgetVector(budget),
                             MEDFPolicy(), retry=retry, breaker=breaker)
     client = proxy.register_client("newsroom")
-    for profile in compiled.profiles:
+    for profile in profiles(trace, synthesizer.catalog()):
         proxy.register_profile(client, profile)
     return proxy.run()
 
@@ -89,7 +98,7 @@ def report(label, stats):
 def vignette_drops_vs_retries() -> None:
     print("1. random drops vs. in-chronon retries "
           "(drop rate 0.5, budget 2)")
-    wires = dict(spec_text=WIRE_SPEC, feeds=12, chronons_per_hour=12,
+    wires = dict(profiles=wire_profiles, feeds=12, chronons_per_hour=12,
                  budget=2)
     drops = FaultSpec(failure_probability=0.5, seed=7)
     report("reliable server:", run(**wires))
@@ -102,7 +111,7 @@ def vignette_drops_vs_retries() -> None:
 def vignette_outage_vs_breaker() -> None:
     print("2. dead feed vs. circuit breaker "
           "(feed 0 down all epoch, budget 1)")
-    contended = dict(spec_text=CONTENDED_SPEC, feeds=6,
+    contended = dict(profiles=contended_profiles, feeds=6,
                      chronons_per_hour=6, budget=1)
     outage = FaultSpec(outages=(Outage(0, 0, None),), seed=7)
     breaker = CircuitBreaker(failure_threshold=3, cooldown=8,

@@ -41,7 +41,6 @@ __all__, __getattr__, __dir__ = export_table(__name__, {
         "compare_policies",
         "compute_stats",
     ),
-    ".dsl": ("compile_text", "parse"),
     ".faults": (
         "CircuitBreaker",
         "FaultInjector",
@@ -51,13 +50,6 @@ __all__, __getattr__, __dir__ = export_table(__name__, {
         "ProbeOutcome",
         "RetryConfig",
         "UnreliableServer",
-    ),
-    ".forecast": (
-        "AdaptiveEstimator",
-        "ForecastUpdateModel",
-        "PeriodicityEstimator",
-        "PoissonRateEstimator",
-        "evaluate_knowledge_gap",
     ),
     ".runtime": (
         "Client",

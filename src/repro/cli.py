@@ -13,6 +13,7 @@ or (``--csv``) as CSV; ``--output DIR`` also writes each table to
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from importlib import import_module
 
@@ -58,6 +59,18 @@ def _worker_count(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected an integer >= 1, got {text!r}")
     return count
+
+
+def _tick_seconds(text: str) -> float:
+    """``--tick-interval``: a finite pause; 0 runs unpaced."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = -1.0
+    if not 0.0 <= seconds < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text!r}")
+    return seconds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,8 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="write-ahead journal file for 'serve'; if it already has "
              "records the service recovers from it before serving")
     service.add_argument(
-        "--tick-interval", type=float, default=0.1, metavar="SECONDS",
-        help="real-time seconds per chronon for 'serve' (default: 0.1)")
+        "--tick-interval", type=_tick_seconds, default=0.1,
+        metavar="SECONDS",
+        help="real-time seconds per chronon for 'serve'; 0 runs "
+             "unpaced (default: 0.1)")
     service.add_argument(
         "--seed", type=int, default=0,
         help="scenario seed for 'soak' (default: 0)")

@@ -45,6 +45,20 @@ class TestParser:
         assert build_parser().parse_args(
             ["fig8", "--workers", "2"]).workers == 2
 
+    @pytest.mark.parametrize("seconds, accepted", [
+        ("-1", None), ("nan", None), ("inf", None), ("0", 0.0),
+        ("0.1", 0.1)])
+    def test_tick_interval_is_finite_and_non_negative(self, seconds,
+                                                      accepted, capsys):
+        argv = ["serve", "--tick-interval", seconds]
+        if accepted is not None:
+            assert build_parser().parse_args(argv).tick_interval == accepted
+            return
+        with pytest.raises(SystemExit) as refusal:
+            build_parser().parse_args(argv)
+        assert refusal.value.code == 2
+        assert "argument --tick-interval" in capsys.readouterr().err
+
 
 class TestMain:
     def test_table1_smoke(self, capsys):

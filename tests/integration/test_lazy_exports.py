@@ -24,17 +24,16 @@ import pytest
 #: dropped its unused churn solver and ``clear_demand_cache``, the
 #: demand-map cache hook only that solver called; ``repro.experiments``
 #: traded ``sweep_table`` / ``sweep_csv`` for ``Table``, ``tables`` and
-#: ``write_tables`` (every result renders through one table list).
+#: ``write_tables`` (every result renders through one table list); and
+#: the specification language, the JSON codec and the forecaster are
+#: gone, taking seven names from ``repro`` with them.
 PUBLIC_NAMES = {
-    "repro": 74,
+    "repro": 67,
     "repro.analysis": 4,
     "repro.core": 28,
-    "repro.dsl": 16,
     "repro.experiments": 43,
     "repro.extensions": 4,
     "repro.faults": 18,
-    "repro.forecast": 9,
-    "repro.io": 12,
     "repro.offline": 14,
     "repro.online": 23,
     "repro.runtime": 13,

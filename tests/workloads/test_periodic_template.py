@@ -78,37 +78,3 @@ class TestValidation:
             PeriodicWatchTemplate(5).build_profile([1, 1], None,
                                                    Epoch(10))
 
-
-class TestDslIntegration:
-    def test_every_clause_builds_periodic_profile(self):
-        from repro.dsl import compile_text
-        from repro.traces import UpdateTrace
-
-        epoch = Epoch(40)
-        trace = UpdateTrace([], epoch)
-        compiled = compile_text(
-            "profile clock { watch 0, 1 every 10 within 2; }",
-            trace, epoch)
-        profile = compiled.profiles[0]
-        assert [eta.earliest_start for eta in profile] == [1, 11, 21, 31]
-        assert profile.rank == 2
-
-    def test_every_requires_window(self):
-        from repro.dsl import DslSyntaxError, parse
-        with pytest.raises(DslSyntaxError, match="within"):
-            parse("profile p { watch 0 every 10 until overwrite; }")
-
-    def test_every_on_subscribe_rejected(self):
-        from repro.dsl import DslSyntaxError, parse
-        with pytest.raises(DslSyntaxError, match="watch"):
-            parse("profile p { subscribe 0 every 10 within 2; }")
-
-    def test_zero_period_rejected(self):
-        from repro.dsl import DslSyntaxError, parse
-        with pytest.raises(DslSyntaxError, match="period"):
-            parse("profile p { watch 0 every 0 within 2; }")
-
-    def test_printer_round_trip(self):
-        from repro.dsl import format_document, parse
-        text = "profile p {\n    watch 0, 1 every 10 within 2;\n}\n"
-        assert format_document(parse(text)) == text
