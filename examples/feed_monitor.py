@@ -1,14 +1,12 @@
 #!/usr/bin/env python3
-"""Web-feed monitoring with utilities and partial capture (§6 extensions).
+"""Web-feed monitoring with partial capture (a §6 extension).
 
 A Google-Reader-style aggregator subscribes to a population of feeds with
 the *overwrite* restriction (items must be pulled before the server
 overwrites them — 80% of feeds keep <10KB online per the study the paper
-cites). Two of the paper's future-work extensions are exercised:
-
-* **utilities** — breaking-news feeds are worth 5x a regular feed;
-* **partial capture** — a digest profile is satisfied by seeing any 2 of
-  3 related feeds' updates (each of its t-intervals has ``need=2``).
+cites). One of the paper's future-work extensions is exercised:
+**partial capture** — a digest profile is satisfied by seeing any 2 of
+3 related feeds' updates (each of its t-intervals has ``need=2``).
 
 Run: ``python examples/feed_monitor.py``
 """
@@ -21,11 +19,6 @@ from repro import (
     run_online,
 )
 from repro.core import Profile, ProfileSet, TInterval
-from repro.extensions import (
-    UtilityWeights,
-    run_weighted,
-    weighted_completeness,
-)
 from repro.workloads import (
     AuctionWatchTemplate,
     OverwriteRestriction,
@@ -41,8 +34,7 @@ def main() -> None:
     print(f"feeds: 40, items: {len(trace)} over {epoch.length} chronons\n")
 
     # Simple subscriptions: every item of feeds 0..24, before overwrite —
-    # far more demand than one probe per chronon can serve, so the
-    # utilities below genuinely change what gets captured.
+    # far more demand than one probe per chronon can serve.
     subscriptions = SingleResourceTemplate(OverwriteRestriction())
     simple = subscriptions.build_profile(list(range(25)), trace, epoch,
                                          name="inbox")
@@ -62,22 +54,6 @@ def main() -> None:
     # --- plain run -----------------------------------------------------
     plain = run_online(profiles, epoch, budget, policy)
     print(f"plain:     {plain.summary()}")
-
-    # --- utility-weighted run: feed 0 is breaking news (worth 10x) ------
-    weights = UtilityWeights(
-        tinterval_weights={
-            (eta.profile_id, eta.tinterval_id): 10.0
-            for eta in inbox
-            if any(ei.resource_id == 0 for ei in eta)
-        },
-    )
-    weighted = run_weighted(profiles, epoch, budget, policy, weights)
-    plain_weighted_gc = weighted_completeness(profiles, plain.schedule,
-                                              weights)
-    print(f"weighted:  {weighted.result.summary()}")
-    print(f"           utility-weighted GC: plain policy "
-          f"{plain_weighted_gc:.4f} -> utility-aware policy "
-          f"{weighted.weighted_gc:.4f}")
 
     # --- quota run: the digest needs any 2 of its 3 feeds ---------------
     two_of_three = Profile([TInterval(eta.eis, need=2) for eta in digest],

@@ -33,14 +33,13 @@ _EXPERIMENTS: dict[str, str] = {
     "fig8": "repro.experiments.figures:figure8",
     "churn": "repro.experiments.churn:churn_sweep",
     "faults": "repro.experiments.faults:fault_sweep",
-    "federation": "repro.experiments.federation:federation_sweep",
     "offline": "repro.experiments.offline:offline_comparison",
 }
 
-#: The experiments whose runner takes ``workers=`` / ``engine=``
-#: (``tests/experiments/test_cli.py`` holds both to the signatures).
-_TAKES_WORKERS = frozenset(_EXPERIMENTS) - {"federation"}
-_TAKES_ENGINE = _TAKES_WORKERS - {"offline"}
+#: The experiments whose runner takes ``engine=``; every runner takes
+#: ``workers=`` (``tests/experiments/test_cli.py`` holds both to the
+#: signatures).
+_TAKES_ENGINE = frozenset(_EXPERIMENTS) - {"offline"}
 
 
 def _runner(name: str):
@@ -73,6 +72,18 @@ def _tick_seconds(text: str) -> float:
     return seconds
 
 
+def _port(text: str) -> int:
+    """``--port``: a TCP port; 0 picks a free one."""
+    try:
+        port = int(text)
+    except ValueError:
+        port = -1
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in 0..65535, got {text!r}")
+    return port
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -88,9 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
              "'stats' prints baseline instance statistics; 'faults' "
              "sweeps origin-server failure rates for the "
              "graceful-degradation curves; 'churn' sweeps client "
-             "arrival spread and churn-out over a churn plan; "
-             "'federation' sweeps proxy "
-             "shard counts against the monolith engine; 'offline' "
+             "arrival spread and churn-out over a churn plan; 'offline' "
              "compares the offline solvers in the P^[1] regime; "
              "'serve' starts the "
              "async HTTP/SSE proxy service; 'soak' runs the "
@@ -121,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
              "block, 'solo' each as a one-lane block of its own (per-"
              "policy runtimes; a churned run is always one lane), "
              "'reference' is the executable specification (for 'churn' "
-             "the live proxy); results are identical, and 'federation' "
-             "and 'offline' have no such run to re-route. Default: "
+             "the live proxy); results are identical, and 'offline' "
+             "has no such run to re-route. Default: "
              "'batch' for the GC sweeps, 'solo' for the "
              "runtime-reporting table1, fig3 and fig5",
     )
@@ -143,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--host", default="127.0.0.1",
         help="bind address for 'serve' (default: 127.0.0.1)")
     service.add_argument(
-        "--port", type=int, default=8642,
+        "--port", type=_port, default=8642,
         help="bind port for 'serve'; 0 picks a free port "
              "(default: 8642)")
     service.add_argument(
@@ -272,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
             result = _stats(args.scale)
         else:
             kwargs = {}
-            if args.workers and name in _TAKES_WORKERS:
+            if args.workers:
                 kwargs["workers"] = args.workers
             if args.engine and name in _TAKES_ENGINE:
                 kwargs["engine"] = args.engine

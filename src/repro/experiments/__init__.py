@@ -32,12 +32,6 @@ __all__, __getattr__, __dir__ = export_table(__name__, {
         "figure8",
         "table1",
     ),
-    ".federation": (
-        "DEFAULT_SHARD_COUNTS",
-        "FederationSweep",
-        "ShardCountOutcome",
-        "federation_sweep",
-    ),
     ".offline": ("OFFLINE_SOLVER_LABELS", "offline_comparison"),
     ".harness": (
         "OFFLINE_LABEL",

@@ -159,30 +159,6 @@ def _churn(stem: str, result) -> list[Table]:
                            if field not in swept])]
 
 
-def _federation(stem: str, result) -> list[Table]:
-    rows = [["monolith", result.monolith.mean_gc, 0.0,
-             result.monolith.mean_runtime, 1.0, 0, 0]]
-    rows += [[f"K={outcome.shards}", outcome.mean_gc,
-              result.degradation(outcome.shards), outcome.mean_runtime,
-              result.speedup(outcome.shards), outcome.stolen_budget,
-              outcome.steal_transfers] for outcome in result.outcomes]
-    # The shared columnar build, which no runtime above includes (each
-    # run's own activity windows are inside its runtime).
-    rows.append(["lowering", "", "", result.mean_lower, "", "", ""])
-    loads = [[f"K={outcome.shards} shard {load.shard}", load.resources,
-              load.probes_routed, load.nominal_budget, load.stolen_in,
-              load.stolen_out]
-             for outcome in result.outcomes if outcome.shards > 1
-             for load in outcome.loads]
-    return [Table(stem, f"{stem} — {result.policy}",
-                  ["setting", "mean_gc", "gc_degradation", "mean_runtime_s",
-                   "speedup", "stolen_budget", "steal_transfers"], rows),
-            Table(f"{stem}_loads", f"{stem} — per-shard load",
-                  ["shard", "resources", "probes_routed", "nominal_budget",
-                   "stolen_in", "stolen_out"], loads),
-            _config(stem, result.config.describe())]
-
-
 def _stats(stem: str, stats) -> list[Table]:
     return [Table(stem, "Baseline instance statistics",
                   ["statistic", "value"], stats.describe())]
@@ -195,7 +171,6 @@ _TABLES = {
     "FigurePair": _pair,
     "RunOutcome": _run_outcome,
     "ChurnSweep": _churn,
-    "FederationSweep": _federation,
     "InstanceStats": _stats,
 }
 

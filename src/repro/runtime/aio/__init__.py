@@ -2,7 +2,7 @@
 
 Everything the synchronous runtime does — pull under budget, push
 notifications — plus what a *service* needs: concurrent probing with
-deadlines and per-server concurrency caps, jittered-backoff retries,
+deadlines and a concurrency cap, jittered-backoff retries,
 hedged quarantine exits, an HTTP/SSE API with quotas and admission
 control, a crash-recovery journal, and a deterministic chaos harness
 that proves the whole stack degrades without losing or duplicating a
@@ -17,7 +17,7 @@ __all__, __getattr__, __dir__ = export_table(__name__, {
         "AdmissionDecision",
         "AdmissionStats",
     ),
-    ".engine": ("ServerSemaphores", "execute_probes_async"),
+    ".engine": ("execute_probes_async",),
     ".journal": ("Journal", "JournalState", "replay_journal"),
     ".proxy": ("AsyncMonitoringProxy", "ProxyEvent", "notification_payload"),
     ".service": ("ProxyService",),

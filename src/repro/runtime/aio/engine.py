@@ -9,7 +9,7 @@ concurrency lives *within* a step (step 0 is every first attempt, each
 later step one retry), never across steps.
 
 Around each request the driver adds its own layer: a per-probe
-deadline, a per-server concurrency semaphore, a deterministic
+deadline, a concurrency semaphore, a deterministic
 full-jitter backoff sleep before a retry, and — for a resource exiting
 circuit-breaker quarantine — optionally a *hedge*: a second request
 racing a slow trial, a second answer to the same request slot, paid
@@ -22,13 +22,12 @@ import asyncio
 from contextlib import nullcontext
 from typing import Any, Awaitable, Callable, Sequence
 
-from repro.core.errors import FaultError
 from repro.core.timeline import Chronon
 from repro.faults.breaker import BackoffPolicy, CircuitBreaker
 from repro.faults.engine import ProbeRound, cascade
 from repro.runtime.server import PROBE_FAILED, ProbeOutcome
 
-__all__ = ["ServerSemaphores", "execute_probes_async"]
+__all__ = ["execute_probes_async"]
 
 #: ``(resource_id, attempt)`` -> awaitable probe outcome.
 AsyncProber = Callable[[int, int], Awaitable[Any]]
@@ -39,44 +38,13 @@ AsyncProber = Callable[[int, int], Awaitable[Any]]
 HEDGE_ATTEMPT = 1
 
 
-class ServerSemaphores:
-    """Per-server concurrency limits for in-flight probe requests.
-
-    Parameters
-    ----------
-    limit:
-        Maximum concurrent requests per origin server.
-    owner_of:
-        Optional ``resource_id -> server_name`` router (pass
-        :meth:`~repro.runtime.federation.ServerFleet.owner_of` for a
-        fleet); with ``None`` all resources share one semaphore.
-    """
-
-    def __init__(self, limit: int,
-                 owner_of: Callable[[int], str] | None = None) -> None:
-        if limit < 1:
-            raise FaultError(f"concurrency limit must be >= 1, got {limit}")
-        self.limit = limit
-        self._owner_of = owner_of
-        self._semaphores: dict[str, asyncio.Semaphore] = {}
-
-    def for_resource(self, resource_id: int) -> asyncio.Semaphore:
-        """The semaphore guarding the server owning ``resource_id``."""
-        owner = self._owner_of(resource_id) if self._owner_of else ""
-        semaphore = self._semaphores.get(owner)
-        if semaphore is None:
-            semaphore = self._semaphores[owner] = \
-                asyncio.Semaphore(self.limit)
-        return semaphore
-
-
 async def execute_probes_async(
         decisions: Sequence[Any], chronon: Chronon, budget: int,
         prober: AsyncProber, *,
         backoff: BackoffPolicy | None = None,
         breaker: CircuitBreaker | None = None,
         deadline: float | None = None,
-        semaphores: ServerSemaphores | None = None,
+        semaphore: asyncio.Semaphore | None = None,
         hedge_delay: float | None = None) -> ProbeRound:
     """Execute one chronon's probe decisions concurrently.
 
@@ -88,7 +56,7 @@ async def execute_probes_async(
     * every request is bounded by ``deadline`` seconds
       (:func:`asyncio.wait_for`); an expired request counts as a failed
       probe with fault ``"deadline"``;
-    * requests to one server are capped by ``semaphores``;
+    * requests in flight at once are capped by ``semaphore``;
     * each retry first sleeps a deterministic full-jitter ``backoff``
       delay keyed on ``(resource, chronon, attempt)``;
     * when ``hedge_delay`` is set and the breaker reports a resource
@@ -102,8 +70,7 @@ async def execute_probes_async(
     spare = budget - len(decisions)
 
     async def request(resource_id: int, attempt: int) -> Any:
-        async with (semaphores.for_resource(resource_id)
-                    if semaphores is not None else nullcontext()):
+        async with semaphore if semaphore is not None else nullcontext():
             try:
                 return await asyncio.wait_for(prober(resource_id, attempt),
                                               deadline)

@@ -9,7 +9,7 @@ selection, capture bookkeeping, and notification accounting are *the
 same code*. Only probe execution differs: the
 per-chronon probe set fans out as coroutines through
 :func:`~repro.runtime.aio.engine.execute_probes_async`, with per-probe
-deadlines, per-server concurrency semaphores, full-jitter backoff
+deadlines, a concurrency semaphore, full-jitter backoff
 retries, and hedged quarantine-exit trials. That executor drives the
 synchronous proxy's own retry cascade, so until a deadline fires or a
 trial is hedged the async proxy is capture-identical to the synchronous
@@ -37,15 +37,12 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.budget import BudgetVector
-from repro.core.errors import ModelError
+from repro.core.errors import FaultError, ModelError
 from repro.core.profile import Profile
 from repro.core.timeline import Chronon, Epoch
 from repro.faults.breaker import BackoffPolicy, CircuitBreaker
 from repro.online.base import Policy
-from repro.runtime.aio.engine import (
-    ServerSemaphores,
-    execute_probes_async,
-)
+from repro.runtime.aio.engine import execute_probes_async
 from repro.runtime.aio.journal import Journal, JournalState, replay_journal
 from repro.runtime.clients import Client, Notification
 from repro.runtime.proxy import MonitoringProxy, ProxyStats
@@ -97,12 +94,7 @@ class AsyncMonitoringProxy(MonitoringProxy):
         Per-probe deadline in seconds; an expired request counts as a
         failed probe with fault ``"deadline"``. ``None`` disables.
     max_concurrency:
-        In-flight request cap per origin server.
-    owner_of:
-        ``resource_id -> server_name`` router for per-server semaphores
-        (pass ``fleet.owner_of`` for a
-        :class:`~repro.runtime.federation.ServerFleet`); with ``None``
-        all resources share one semaphore.
+        In-flight request cap (at least 1).
     hedge_delay:
         When set, quarantine-exit trial probes are hedged with a second
         request after this many seconds (spending leftover budget).
@@ -119,7 +111,6 @@ class AsyncMonitoringProxy(MonitoringProxy):
                  breaker: CircuitBreaker | None = None,
                  deadline: float | None = None,
                  max_concurrency: int = 8,
-                 owner_of: Callable[[int], str] | None = None,
                  hedge_delay: float | None = None,
                  latency: LatencyFn | None = None,
                  journal: Journal | None = None) -> None:
@@ -132,8 +123,10 @@ class AsyncMonitoringProxy(MonitoringProxy):
         self.hedge_delay = hedge_delay
         self.latency = latency
         self.journal = journal
-        self._semaphores = ServerSemaphores(max_concurrency,
-                                            owner_of=owner_of)
+        if max_concurrency < 1:
+            raise FaultError(
+                f"concurrency limit must be >= 1, got {max_concurrency}")
+        self._semaphore = asyncio.Semaphore(max_concurrency)
         self._step_lock = asyncio.Lock()
         self._subscribers: list[asyncio.Queue] = []
         self._completed_log: dict[tuple[int, int], Notification] = {}
@@ -226,7 +219,7 @@ class AsyncMonitoringProxy(MonitoringProxy):
                     decisions, chronon, budget_now, self._aprobe,
                     backoff=self.backoff, breaker=self.breaker,
                     deadline=self.deadline,
-                    semaphores=self._semaphores,
+                    semaphore=self._semaphore,
                     hedge_delay=self.hedge_delay)
                 self._finish_step(chronon, candidates, decisions, round_)
             if self.journal is not None and not self._replaying:

@@ -306,12 +306,11 @@ class ProxyService:
         if key is None:
             return _json_response(401, {"error": "bearer key required"})
         suffix = path[len("/profiles/"):]
-        try:
-            profile_id = int(suffix)
-        except ValueError:
+        # [0-9]+ only: int() would also read "+0" as 0 and "1_0" as 10.
+        if not (suffix.isascii() and suffix.isdigit()):
             return _json_response(400,
                                   {"error": f"bad profile id {suffix!r}"})
-        status, payload = self.cancel(key, profile_id)
+        status, payload = self.cancel(key, int(suffix))
         if status == 204:
             return (b"HTTP/1.1 204 No Content\r\n"
                     b"Connection: close\r\n\r\n")

@@ -30,8 +30,7 @@ pool's entries and those aggregates, so the run is a one-lane block of
 Because selection is coordinator-exact, a federated run is
 **probe-for-probe identical to the one-lane block and the reference
 simulator for every shard count** — gained-completeness degradation is
-zero by construction (the federation benchmark reports it per shard
-count to prove it) — and the ledgers record the work-stealing that
+zero by construction — and the ledgers record the work-stealing that
 realized the monolith schedule.
 
 Fault layers (drops, outages, rate limits, retries, breaker) execute
@@ -116,7 +115,6 @@ def _propose_and_merge(key: np.ndarray, need: np.ndarray, kmax: int,
 def federated_run(profiles: ProfileSet, epoch: Epoch,
                   budget: BudgetVector, policy: Policy, *,
                   preemptive: bool = True, shards: int = 4,
-                  coordinator: ShardCoordinator | None = None,
                   faults=None, retry=None, breaker=None,
                   columnar: ColumnarInstance | None = None,
                   ) -> FederatedResult:
@@ -132,18 +130,11 @@ def federated_run(profiles: ProfileSet, epoch: Epoch,
     Raises :class:`~repro.simulation.columnar.BatchUnsupported` for
     policies without a score row (e.g. RANDOM) and
     instances whose packed keys overflow — such runs need the reference
-    simulator — and :class:`ValueError` for a ``coordinator`` whose
-    ledger already booked a run (its loads would sum both).
+    simulator.
     """
     started = time.perf_counter()
-    coord = coordinator if coordinator is not None else \
-        ShardCoordinator(shards)
-    booked = sum(coord.ledger.nominal)
-    if booked:
-        raise ValueError(
-            f"coordinator's ledger already holds {booked} budget units "
-            "from an earlier run; pass a fresh ShardCoordinator")
-    K = coord.shards
+    coord = ShardCoordinator(shards)
+    K = shards
     col = columnar if columnar is not None else \
         ColumnarInstance.build(profiles, epoch)
     fault = None

@@ -9,7 +9,6 @@ import repro.cli
 from repro.cli import (
     _EXPERIMENTS,
     _TAKES_ENGINE,
-    _TAKES_WORKERS,
     _runner,
     build_parser,
     main,
@@ -58,6 +57,19 @@ class TestParser:
             build_parser().parse_args(argv)
         assert refusal.value.code == 2
         assert "argument --tick-interval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("port, accepted", [
+        ("70000", None), ("65536", None), ("-5", None), ("http", None),
+        ("0", 0), ("8642", 8642), ("65535", 65535)])
+    def test_port_is_in_range(self, port, accepted, capsys):
+        argv = ["serve", "--port", port]
+        if accepted is not None:
+            assert build_parser().parse_args(argv).port == accepted
+            return
+        with pytest.raises(SystemExit) as refusal:
+            build_parser().parse_args(argv)
+        assert refusal.value.code == 2
+        assert "argument --port" in capsys.readouterr().err
 
 
 class TestMain:
@@ -181,14 +193,13 @@ class TestResultsRenderOnce:
             for stem in stems)
 
     def test_every_table_reaches_the_files(self, tmp_path, capsys):
-        assert main(["federation", "--scale", "smoke",
+        assert main(["churn", "--scale", "smoke",
                      "--output", str(tmp_path)]) == 0
-        setting = (tmp_path / "federation.csv").read_text().splitlines()
-        assert setting[-1].startswith("lowering,,,")
-        loads = (tmp_path / "federation_loads.csv").read_text()
-        assert loads.startswith("shard,resources,probes_routed,")
-        assert "K=2 shard 1" in loads
-        assert (tmp_path / "federation_config.txt").exists()
+        rows = (tmp_path / "churn.csv").read_text()
+        assert rows.startswith("join_spread,leave_probability,")
+        config = (tmp_path / "churn_config.csv").read_text()
+        assert config.startswith("parameter,value\n")
+        assert (tmp_path / "churn_config.txt").exists()
         assert main(["stats", "--scale", "smoke", "--csv",
                      "--output", str(tmp_path)]) == 0
         assert "rank(P)," in (tmp_path / "stats.csv").read_text()
@@ -199,10 +210,9 @@ class TestEngineFlag:
     """``--engine`` means one thing — what runs the online policy runs —
     and every experiment takes every value of it."""
 
-    #: No online run to re-route: the federation is the block kernel by
-    #: construction, ``offline`` compares solvers. Both take the flag
-    #: and name no engine.
-    ENGINELESS = ("federation", "offline")
+    #: No online run to re-route: ``offline`` compares solvers. It takes
+    #: the flag and names no engine.
+    ENGINELESS = ("offline",)
 
     # 'all' once: it is the sum of the rows before it.
     @pytest.mark.parametrize("experiment, engine", [
@@ -238,7 +248,7 @@ class TestDispatchTable:
             for flag, names in takes.items():
                 if flag in parameters:
                     names.add(name)
-        assert takes["workers"] == _TAKES_WORKERS
+        assert takes["workers"] == set(_EXPERIMENTS)
         assert takes["engine"] == _TAKES_ENGINE
 
     def test_help_names_the_default_engine(self):

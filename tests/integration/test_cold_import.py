@@ -17,10 +17,10 @@ the module never loaded. That is what makes deleting the file a
 And a cold start pays only for the path it takes: every package
 ``__init__`` is an export table (``repro/_lazy.py``), so ``import
 repro`` loads no subpackage, the service host loads no experiment,
-simulator or solver, and the sweep modules load no analysis, extension
-or process pool. The budgets below are module *sets*, not milliseconds;
-the last one also checks the other direction — nothing a timed call
-needs is left to be imported inside it.
+simulator or solver, and the sweep modules load no analysis, async
+runtime or process pool. The budgets below are module *sets*, not
+milliseconds; the last one also checks the other direction — nothing a
+timed call needs is left to be imported inside it.
 """
 
 import os
@@ -147,7 +147,7 @@ from repro.runtime.aio import (
 from repro.runtime.aio.journal import replay_journal
 
 unused = loaded("repro.simulation", "repro.experiments", "repro.offline",
-                "repro.analysis", "repro.extensions", "repro.workloads")
+                "repro.analysis", "repro.workloads")
 assert unused == [], unused
 
 import asyncio, os, tempfile
@@ -190,7 +190,7 @@ _SWEEP_SCRIPT = _LOADED + """
 import repro.experiments.harness, repro.experiments.faults
 import repro.experiments.churn, repro.simulation.shard
 
-unused = loaded("repro.analysis", "repro.extensions", "repro.runtime.aio",
+unused = loaded("repro.analysis", "repro.runtime.aio",
                 "multiprocessing", "concurrent.futures.process")
 assert unused == [], unused
 

@@ -26,18 +26,20 @@ import pytest
 #: traded ``sweep_table`` / ``sweep_csv`` for ``Table``, ``tables`` and
 #: ``write_tables`` (every result renders through one table list); and
 #: the specification language, the JSON codec and the forecaster are
-#: gone, taking seven names from ``repro`` with them.
+#: gone, taking seven names from ``repro`` with them; and so are the
+#: utility-weighting package, the federation sweep (four names of
+#: ``repro.experiments``), the server fleet (one of ``repro.runtime``)
+#: and the per-server semaphore table (one of ``repro.runtime.aio``).
 PUBLIC_NAMES = {
     "repro": 67,
     "repro.analysis": 4,
     "repro.core": 28,
-    "repro.experiments": 43,
-    "repro.extensions": 4,
+    "repro.experiments": 39,
     "repro.faults": 18,
     "repro.offline": 14,
     "repro.online": 23,
-    "repro.runtime": 13,
-    "repro.runtime.aio": 12,
+    "repro.runtime": 12,
+    "repro.runtime.aio": 11,
     "repro.simulation": 11,
     "repro.traces": 12,
     "repro.workloads": 11,

@@ -9,7 +9,6 @@ from it.
 import pytest
 
 from repro.core import ExecutionInterval, TInterval
-from repro.extensions import UtilityWeightedPolicy, UtilityWeights
 from repro.online import (
     Candidate,
     MRSFPolicy,
@@ -119,9 +118,7 @@ class TestKeyOf:
 
         assert key_of(Mine()) is None
 
-    @pytest.mark.parametrize("policy", [
-        RandomPolicy(seed=1),
-        UtilityWeightedPolicy(MRSFPolicy(), UtilityWeights.uniform())],
-        ids=["random", "utility"])
+    @pytest.mark.parametrize("policy", [RandomPolicy(seed=1)],
+                             ids=["random"])
     def test_a_policy_scoring_by_its_own_method_has_none(self, policy):
         assert key_of(policy) is None

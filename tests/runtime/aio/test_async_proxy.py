@@ -13,6 +13,7 @@ from repro.core import (
     Profile,
     TInterval,
 )
+from repro.core.errors import FaultError
 from repro.faults.breaker import BackoffPolicy, CircuitBreaker
 from repro.faults.model import FaultSpec
 from repro.faults.server import UnreliableServer
@@ -110,6 +111,14 @@ class TestCaptureIdentity:
         assert len(async_notes2) == len(sync_notes)
         # With retries enabled the async proxy can only do better.
         assert async_stats.completed >= sync_stats.completed
+
+
+class TestConcurrencyLimit:
+    def test_limit_validated(self):
+        with pytest.raises(FaultError, match=">= 1"):
+            AsyncMonitoringProxy(OriginServer(_trace()), EPOCH,
+                                 BudgetVector(1), MRSFPolicy(),
+                                 max_concurrency=0)
 
 
 class TestEndOfEpoch:

@@ -9,11 +9,7 @@ import pytest
 
 from repro.core.errors import FaultError
 from repro.faults.breaker import BackoffPolicy, CircuitBreaker
-from repro.runtime.aio.engine import (
-    HEDGE_ATTEMPT,
-    ServerSemaphores,
-    execute_probes_async,
-)
+from repro.runtime.aio.engine import HEDGE_ATTEMPT, execute_probes_async
 from repro.runtime.server import (
     PROBE_FAILED,
     PROBE_OK,
@@ -38,22 +34,6 @@ def _failed(resource_id, chronon=1, attempt=0):
 
 def _decisions(*resource_ids):
     return [SimpleNamespace(resource_id=rid) for rid in resource_ids]
-
-
-class TestServerSemaphores:
-    def test_shared_semaphore_without_router(self):
-        semaphores = ServerSemaphores(2)
-        assert semaphores.for_resource(0) is semaphores.for_resource(5)
-
-    def test_per_server_semaphores_with_router(self):
-        semaphores = ServerSemaphores(
-            2, owner_of=lambda rid: "a" if rid < 4 else "b")
-        assert semaphores.for_resource(0) is semaphores.for_resource(1)
-        assert semaphores.for_resource(0) is not semaphores.for_resource(7)
-
-    def test_limit_validated(self):
-        with pytest.raises(FaultError, match=">= 1"):
-            ServerSemaphores(0)
 
 
 class TestExecuteProbesAsync:
@@ -177,7 +157,7 @@ class TestExecuteProbesAsync:
 
         asyncio.run(execute_probes_async(
             _decisions(0, 1, 2, 3), 1, 4, prober,
-            semaphores=ServerSemaphores(2)))
+            semaphore=asyncio.Semaphore(2)))
         assert gauge["peak"] <= 2
 
 

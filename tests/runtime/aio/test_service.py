@@ -217,6 +217,28 @@ class TestHostileRequests:
         assert status == 400
         assert words in payload["error"]
 
+    @pytest.mark.parametrize("suffix", ["+0", "1_0", "-1"])
+    def test_a_profile_id_is_ascii_digits(self, suffix):
+        """``int()`` would read "+0" as profile 0 and "1_0" as 10."""
+        async def scenario():
+            service = _service()
+            _, port = await service.start()
+            for _ in range(11):
+                status, _ = await _request(port, "POST", "/profiles",
+                                           PROFILE_BODY, key="alice")
+                assert status == 201
+            got = await _request(port, "DELETE", f"/profiles/{suffix}",
+                                 key="alice")
+            # Both are still registered: their owner can cancel them.
+            kept = [(await _request(port, "DELETE", f"/profiles/{pid}",
+                                    key="alice"))[0] for pid in (0, 10)]
+            await service.stop()
+            return got, kept
+        (status, payload), kept = asyncio.run(scenario())
+        assert status == 400
+        assert payload["error"] == f"bad profile id {suffix!r}"
+        assert kept == [204, 204]
+
     @pytest.mark.parametrize("utility", [float("nan"), float("inf"), -3,
                                          0, "5", True])
     def test_a_bad_utility_is_a_400_and_sheds_nobody(self, utility):

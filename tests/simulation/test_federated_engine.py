@@ -9,14 +9,7 @@ replaces, with the coordinator ledgers conserving budget.
 import pytest
 
 from repro.online.registry import parse_policy_spec
-from repro.runtime import ShardCoordinator
-from repro.simulation import (
-    BatchUnsupported,
-    FederatedResult,
-    federated_run,
-)
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.federation import federation_sweep
+from repro.simulation import BatchUnsupported, federated_run
 from repro.experiments.harness import make_instance
 
 from tests.conformance.cases import FEDERATED_123, PINNED
@@ -94,65 +87,9 @@ class TestAccounting:
         assert [load.shard for load in federated.loads] == list(range(6))
         assert sum(load.resources for load in federated.loads) > 0
 
-    def test_custom_coordinator_is_driven(self, instance):
-        coordinator = ShardCoordinator(3)
-        federated = federated_run(instance, CONFIG.epoch,
-                                  CONFIG.budget_vector,
-                                  parse_policy_spec("S-EDF(P)")[0],
-                                  coordinator=coordinator)
-        assert federated.shards == 3
-        assert sum(coordinator.probes_routed) == \
-            federated.result.probes_used
-
-    def test_used_coordinator_is_refused(self, instance):
-        """A second run on one coordinator would return loads that sum
-        both runs; it is refused before anything is lowered."""
-        coordinator = ShardCoordinator(4)
-        policy = parse_policy_spec("M-EDF(P)")[0]
-        first = federated_run(instance, CONFIG.epoch,
-                              CONFIG.budget_vector, policy,
-                              coordinator=coordinator)
-        booked = sum(load.nominal_budget for load in first.loads)
-        assert booked > 0
-        with pytest.raises(ValueError,
-                           match=f"ledger already holds {booked} budget "
-                                 "units from an earlier run; pass a "
-                                 "fresh ShardCoordinator"):
-            federated_run(instance, CONFIG.epoch, CONFIG.budget_vector,
-                          policy, coordinator=coordinator)
-        assert tuple(coordinator.loads(
-            resources=[load.resources for load in first.loads])) == \
-            first.loads
-
-    def test_coordinator_run_wrapper(self, instance):
-        coordinator = ShardCoordinator(2)
-        federated = coordinator.run(instance, CONFIG.epoch,
-                                    CONFIG.budget_vector,
-                                    parse_policy_spec("S-EDF(P)")[0])
-        assert isinstance(federated, FederatedResult)
-        assert federated.shards == 2
-
 
 class TestRejections:
     def test_policy_without_columnar_kind_raises(self, instance):
         with pytest.raises(BatchUnsupported, match="columnar"):
             federated_run(instance, CONFIG.epoch, CONFIG.budget_vector,
                           parse_policy_spec("RANDOM(P)")[0], shards=2)
-
-
-class TestFederationSweep:
-    def test_sweep_reports_zero_degradation(self):
-        config = ExperimentConfig(
-            epoch_length=40, num_resources=8, num_profiles=10,
-            intensity=6.0, budget=2, window=5, repetitions=2, seed=42)
-        sweep = federation_sweep(shard_counts=(1, 2, 4),
-                                 policy="M-EDF(P)", config=config)
-        assert sweep.shard_counts == (1, 2, 4)
-        for shards in sweep.shard_counts:
-            assert sweep.degradation(shards) == pytest.approx(0.0)
-            assert sweep.speedup(shards) > 0.0
-        outcome = sweep.outcome(4)
-        assert len(outcome.loads) == 4
-        assert outcome.probes_routed > 0
-        with pytest.raises(KeyError):
-            sweep.outcome(16)

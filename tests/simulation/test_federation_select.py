@@ -71,9 +71,10 @@ class TestKWaySelection:
 class TestOneKernelEntry:
     def test_one_advance_and_one_settle_per_deciding_chronon(
             self, monkeypatch):
-        """A federated run enters the block kernel once, and the ledger
-        is settled once per chronon that made decisions — both NP phases
-        in one booking, probes that went on to fail included."""
+        """A federated run enters the block kernel once, picks through
+        the coordinator's merge, and settles the ledger once per chronon
+        that made decisions — both NP phases in one booking, probes that
+        went on to fail included."""
         _trace, instance = make_instance(CONFIG, 0)
         entries = []
         advance = shard._advance
@@ -84,19 +85,28 @@ class TestOneKernelEntry:
 
         monkeypatch.setattr(shard, "_advance", counting_advance)
         settled = []
+        settle = ShardCoordinator.settle
 
-        class CountingCoordinator(ShardCoordinator):
-            def settle(self, budget, demand):
-                settled.append((budget, sum(demand)))
-                return super().settle(budget, demand)
+        def counting_settle(self, budget, demand):
+            settled.append((budget, sum(demand)))
+            return settle(self, budget, demand)
 
+        monkeypatch.setattr(ShardCoordinator, "settle", counting_settle)
+        merges = []
+        merge = ShardCoordinator.merge_proposals
+
+        def counting_merge(proposals, budget):
+            merges.append(budget)
+            return merge(proposals, budget)
+
+        monkeypatch.setattr(ShardCoordinator, "merge_proposals",
+                            staticmethod(counting_merge))
         injector = FaultInjector(FaultSpec(
             failure_probability=0.3, timeout_probability=0.1, seed=11))
         policy, preemptive = parse_policy_spec("S-EDF(NP)")
-        coordinator = CountingCoordinator(4)
         federated = federated_run(
             instance, CONFIG.epoch, CONFIG.budget_vector, policy,
-            preemptive=preemptive, coordinator=coordinator,
+            preemptive=preemptive, shards=4,
             faults=injector, retry=RetryConfig(max_retries=2),
             breaker=CircuitBreaker(failure_threshold=2, cooldown=5))
 
@@ -105,10 +115,12 @@ class TestOneKernelEntry:
         first_attempts = [record.chronon for record in injector.trace
                           if record.attempt == 0]
         assert len(settled) == len(set(first_attempts)) > 0
+        # Every deciding chronon picked through the coordinator's merge.
+        assert len(merges) >= len(settled)
         assert sum(decided for _budget, decided in settled) == \
             len(first_attempts)
         assert all(0 < decided <= budget for budget, decided in settled)
         result = federated.result
         assert result.probes_failed > 0 and result.retries > 0
-        assert sum(coordinator.probes_routed) == \
+        assert sum(load.probes_routed for load in federated.loads) == \
             result.probes_used + result.probes_failed - result.retries
