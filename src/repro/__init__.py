@@ -45,7 +45,6 @@ __all__, __getattr__, __dir__ = export_table(__name__, {
         "CircuitBreaker",
         "FaultInjector",
         "FaultSpec",
-        "FaultTrace",
         "Outage",
         "ProbeOutcome",
         "RetryConfig",

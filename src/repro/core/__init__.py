@@ -15,9 +15,7 @@ __all__, __getattr__, __dir__ = export_table(__name__, {
     ),
     ".errors": (
         "FaultError",
-        "FaultReplayError",
         "ModelError",
-        "ProbeFailure",
         "ReproError",
         "ScheduleInfeasibleError",
         "SolverCapacityError",

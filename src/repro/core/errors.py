@@ -9,9 +9,7 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "FaultError",
-    "FaultReplayError",
     "ModelError",
-    "ProbeFailure",
     "ScheduleInfeasibleError",
     "SolverError",
     "SolverCapacityError",
@@ -54,46 +52,4 @@ class WorkloadError(ReproError):
 
 
 class FaultError(ReproError):
-    """Invalid fault-injection configuration (specs, outages, traces)."""
-
-
-class FaultReplayError(FaultError):
-    """A strict trace replay was asked to decide a probe it never saw.
-
-    Raised by :class:`repro.faults.RecordedFaults` in strict mode when
-    the replayed run diverges from the recorded one: the requested
-    ``(chronon, resource, attempt)`` triple has no record in the trace.
-    Carries the triple and the trace length so the drift point is
-    diagnosable from the exception alone.
-    """
-
-    def __init__(self, resource_id: int, chronon: int, attempt: int,
-                 trace_length: int) -> None:
-        self.resource_id = resource_id
-        self.chronon = chronon
-        self.attempt = attempt
-        self.trace_length = trace_length
-        super().__init__(
-            f"no recorded fault decision for probe (chronon={chronon}, "
-            f"resource={resource_id}, attempt={attempt}); the replayed "
-            f"run diverged from the {trace_length}-record trace")
-
-
-class ProbeFailure(FaultError):
-    """A pull request got no usable answer (drop, timeout, outage...).
-
-    Raised only by the *strict* probe surface
-    (:meth:`repro.faults.UnreliableServer.probe`); the proxy runtime uses
-    the outcome-returning :meth:`try_probe` path instead and never sees
-    this exception.
-    """
-
-    def __init__(self, resource_id: int, chronon: int,
-                 fault: str | None = None) -> None:
-        self.resource_id = resource_id
-        self.chronon = chronon
-        self.fault = fault
-        detail = f" ({fault})" if fault else ""
-        super().__init__(
-            f"probe of resource {resource_id} failed at chronon "
-            f"{chronon}{detail}")
+    """Invalid fault-injection configuration (specs, outages)."""

@@ -16,12 +16,10 @@ results are merged back in the serial iteration order.
 from __future__ import annotations
 
 import statistics
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.core.profile import ProfileSet
-from repro.core.timeline import Epoch
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.instances import (
     InstanceCache,
@@ -34,7 +32,6 @@ from repro.faults.model import FaultSpec
 from repro.online.base import key_of
 from repro.online.registry import parse_policy_spec
 from repro.simulation.batch import BatchUnsupported, FaultLane, run_block
-from repro.simulation.columnar import ColumnarInstance
 from repro.simulation.proxy import run_online
 from repro.simulation.result import SimulationResult
 from repro.traces.events import UpdateTrace
@@ -306,20 +303,6 @@ _BLOCKS = "__blocks__"
 #: of one block; oversized blocks run as chunks over one lowering.
 _MAX_BLOCK_LANES = 512
 
-#: A columnar lowering is a pure function of the generated instance (its
-#: generation key pins the epoch too), and ``run_block`` never mutates
-#: it — all mutable state is per-run lane arrays — so a later call that
-#: sweeps the same instance (a fault sweep after a budget sweep, a
-#: figure's next panel, a benchmark's next round) reuses the build and
-#: the fault draws made on it. What an entry holds is O(EIs + states):
-#: the activity index stays with it only when it fits one window (every
-#: figure-sized instance), otherwise each run streams it. The bound
-#: covers the repetitions of one setting under the paper's protocol
-#: (10, §5.1): a smaller one cycles through them and never hits.
-_COLUMNAR_CACHE: OrderedDict[str, ColumnarInstance] = OrderedDict()
-_COLUMNAR_CACHE_SIZE = 10
-
-
 def _group_by_instance(cell_args: Sequence[tuple]) -> dict[str, list[int]]:
     """Cell positions grouped by the generated instance they run on.
 
@@ -334,20 +317,6 @@ def _group_by_instance(cell_args: Sequence[tuple]) -> dict[str, list[int]]:
         groups.setdefault(generation_key(config, repetition, source),
                           []).append(at)
     return groups
-
-
-def _lowering(gkey: str, profiles: ProfileSet,
-              epoch: Epoch) -> ColumnarInstance:
-    """The instance's columnar form, from the LRU when it is there."""
-    columnar = _COLUMNAR_CACHE.get(gkey)
-    if columnar is None:
-        columnar = _COLUMNAR_CACHE[gkey] = ColumnarInstance.build(
-            profiles, epoch)
-        while len(_COLUMNAR_CACHE) > _COLUMNAR_CACHE_SIZE:
-            _COLUMNAR_CACHE.popitem(last=False)
-    else:
-        _COLUMNAR_CACHE.move_to_end(gkey)
-    return columnar
 
 
 def _run_cells_blocked(cell_args: Sequence[tuple]
@@ -394,7 +363,7 @@ def _run_one_block(cell_args: Sequence[tuple], gkey: str,
 
     if lane_specs:
         try:
-            columnar = _lowering(gkey, profiles, epoch)
+            columnar = active_cache().lowering(config, repetition, source)
             results: list | None = []
             for lo in range(0, len(lane_specs), _MAX_BLOCK_LANES):
                 results.extend(run_block(

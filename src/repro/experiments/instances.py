@@ -5,15 +5,18 @@ many policies over the *same* generated problem instances, and repeated
 benchmark invocations regenerate those instances from scratch. This
 module makes instance generation a cached, content-addressed lookup:
 
-* :func:`instance_key` — a stable SHA-256 hash over every
-  ``ExperimentConfig`` field plus the repetition index and trace source.
-  Two cells share a key iff they would generate the same instance.
+* :func:`generation_key` — a stable SHA-256 hash over every
+  ``ExperimentConfig`` field that feeds generation plus the repetition
+  index and trace source. Two cells share a key iff they would generate
+  the same instance, whatever their budgets.
 * :class:`InstanceCache` — an in-process LRU keyed on that hash, with an
   optional on-disk store (``<key>.npz`` columns + ``<key>.json``
   manifest) so warm instances survive across processes and benchmark
-  invocations. Hit/miss/error counters are exposed for tests and
-  reporting; any unreadable or inconsistent disk entry is regenerated
-  and rewritten, never silently served.
+  invocations. An entry also keeps the instance's columnar lowering
+  once something asks for it (:meth:`InstanceCache.lowering`).
+  Hit/miss/error counters are exposed for tests and reporting; any
+  unreadable or inconsistent disk entry is regenerated and rewritten,
+  never silently served.
 * module-level configuration (:func:`configure_instances`) and a
   picklable :func:`_pool_worker_init` so ``sweep(workers=N)`` workers
   memoize per-process and share the same disk store.
@@ -37,6 +40,7 @@ import numpy as np
 
 from repro.core.profile import ProfileColumns, ProfileSet
 from repro.experiments.config import ExperimentConfig
+from repro.simulation.columnar import ColumnarInstance
 from repro.traces.auctions import AuctionTraceSynthesizer
 from repro.traces.events import UpdateTrace
 from repro.traces.models import PoissonUpdateModel
@@ -44,7 +48,6 @@ from repro.workloads.generator import GeneratorConfig, ProfileGenerator
 
 __all__ = [
     "InstanceCache",
-    "instance_key",
     "generation_key",
     "generate_instance",
     "configure_instances",
@@ -57,49 +60,38 @@ __all__ = [
 #: index). Cells differing solely in these share generated instances.
 _NON_GENERATIVE_FIELDS = ("budget", "repetitions")
 
-#: Bump when the serialized layout or the generation seeding changes —
-#: stale on-disk entries from older layouts then miss instead of
-#: deserializing garbage.
-FORMAT_VERSION = 2
+#: Bump when the serialized layout, the key or the generation seeding
+#: changes — stale on-disk entries from older layouts then miss instead
+#: of deserializing garbage.
+FORMAT_VERSION = 3
 
 
-def instance_key(config: ExperimentConfig, repetition: int,
-                 source: str) -> str:
-    """Content hash identifying one generated problem instance.
-
-    Covers every ``ExperimentConfig`` field (via ``dataclasses.asdict``,
-    so newly added fields are picked up automatically), the repetition
-    index and the trace source, plus the serialization format version.
-    """
-    payload = {
-        "version": FORMAT_VERSION,
-        "source": source,
-        "repetition": repetition,
-        "config": asdict(config),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def _generative_fields(config: ExperimentConfig) -> dict:
+    """Every ``ExperimentConfig`` field that feeds generation (via
+    ``dataclasses.asdict``, so newly added fields are picked up)."""
+    fields = asdict(config)
+    for name in _NON_GENERATIVE_FIELDS:
+        fields.pop(name, None)
+    return fields
 
 
 def generation_key(config: ExperimentConfig, repetition: int,
                    source: str) -> str:
     """Content hash of the *generated instance* a cell runs on.
 
-    Like :func:`instance_key` but excluding the config fields that do
-    not feed generation (budget, repetitions): two sweep cells that
-    differ only in budget map to the same generation key and therefore
-    the same (trace, profiles) object. This is the batching key — the
-    harness runs the cells sharing it as the lanes of one columnar
-    block, and the in-memory LRU dedupes on it.
+    Covers the config fields that feed generation (not budget or
+    repetitions), the repetition index, the trace source and the
+    serialization format version: two sweep cells that differ only in
+    budget map to the same key and therefore the same (trace, profiles)
+    object. It is the batching key — the harness runs the cells sharing
+    it as the lanes of one columnar block — and the one key of the
+    instance cache, in memory and on disk.
     """
-    fields = asdict(config)
-    for name in _NON_GENERATIVE_FIELDS:
-        fields.pop(name, None)
     payload = {
         "version": FORMAT_VERSION,
         "source": source,
         "repetition": repetition,
-        "config": fields,
+        "config": _generative_fields(config),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -149,8 +141,9 @@ class InstanceCache:
     Parameters
     ----------
     max_entries:
-        In-memory LRU capacity (instances can be large; the default
-        keeps one sweep row's worth).
+        In-memory LRU capacity: the paper's repetition count (§5.1), so
+        one setting's instances — and their lowerings — stay warm from
+        one sweep to the next.
     cache_dir:
         Optional directory for the persistent store. Created on first
         write. Each entry is a ``<key>.npz`` (trace and EI columns) plus
@@ -164,14 +157,14 @@ class InstanceCache:
         unreadable entries that were regenerated instead of served.
     """
 
-    def __init__(self, max_entries: int = 8,
+    def __init__(self, max_entries: int = 10,
                  cache_dir: str | os.PathLike | None = None) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self._entries: OrderedDict[str, tuple[UpdateTrace, ProfileSet]] \
-            = OrderedDict()
+        # key -> [trace, profiles, lowering or None]
+        self._entries: OrderedDict[str, list] = OrderedDict()
         self.memory_hits = 0
         self.disk_hits = 0
         self.misses = 0
@@ -183,30 +176,45 @@ class InstanceCache:
                         ) -> tuple[UpdateTrace, ProfileSet]:
         """The instance for a cell — from memory, disk, or generation.
 
-        The in-memory LRU is keyed on :func:`generation_key`, so cells
-        that differ only in non-generative fields (budget, repetitions)
-        share one entry; the disk store keeps the full
-        :func:`instance_key` so stored entries remain exact.
+        Memory and disk are both keyed on :func:`generation_key`, so
+        cells that differ only in non-generative fields (budget,
+        repetitions) share one entry.
         """
-        mem_key = generation_key(config, repetition, source)
-        cached = self._entries.get(mem_key)
-        if cached is not None:
-            self._entries.move_to_end(mem_key)
+        key = generation_key(config, repetition, source)
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
             self.memory_hits += 1
-            return cached
-        if self.cache_dir is not None:
-            key = instance_key(config, repetition, source)
-            instance = self._load(key, config)
-            if instance is not None:
-                self.disk_hits += 1
-                self._remember(mem_key, instance)
-                return instance
-        self.misses += 1
-        instance = generate_instance(config, repetition, source)
-        if self.cache_dir is not None:
-            self._store(key, config, repetition, source, instance)
-        self._remember(mem_key, instance)
+            return entry[0], entry[1]
+        instance = self._load(key, config) \
+            if self.cache_dir is not None else None
+        if instance is not None:
+            self.disk_hits += 1
+        else:
+            self.misses += 1
+            instance = generate_instance(config, repetition, source)
+            if self.cache_dir is not None:
+                self._store(key, config, repetition, source, instance)
+        self._entries[key] = [*instance, None]
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
         return instance
+
+    def lowering(self, config: ExperimentConfig, repetition: int,
+                 source: str = "poisson") -> ColumnarInstance:
+        """The cell's instance as columns, built on first ask and kept
+        in its entry. A lowering is a pure function of the instance (the
+        key pins the epoch too) and ``run_block`` never mutates it, so a
+        later sweep over the instance reuses the build and the fault
+        draws made on it. Not a lookup of its own: it counts only when
+        the instance itself has to be fetched."""
+        key = generation_key(config, repetition, source)
+        if key not in self._entries:
+            self.get_or_generate(config, repetition, source)
+        entry = self._entries[key]
+        if entry[2] is None:
+            entry[2] = ColumnarInstance.build(entry[1], config.epoch)
+        return entry[2]
 
     def stats(self) -> dict[str, int]:
         """Counter snapshot (for tests and benchmark reports)."""
@@ -221,13 +229,6 @@ class InstanceCache:
     def clear(self) -> None:
         """Drop the in-memory entries (the disk store is untouched)."""
         self._entries.clear()
-
-    def _remember(self, key: str,
-                  instance: tuple[UpdateTrace, ProfileSet]) -> None:
-        self._entries[key] = instance
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
 
     # ------------------------------------------------------------------
     # Disk store
@@ -254,7 +255,7 @@ class InstanceCache:
                 "key": key,
                 "source": source,
                 "repetition": repetition,
-                "config": asdict(config),
+                "config": _generative_fields(config),
                 "profile_names": list(columns.names),
                 "payloads": payloads,
             }

@@ -6,7 +6,8 @@ part of the model:
 
 * :class:`FaultSpec` / :class:`FaultInjector` — declarative fault model
   (drops, timeouts, outages, rate limiting, stale reads) with seeded,
-  order-independent draws and a replayable :class:`FaultTrace`;
+  order-independent draws: the same spec reproduces its run on every
+  engine, and a recording injector logs each decision;
 * :class:`UnreliableServer` — a fault-injecting wrapper over any
   :class:`~repro.runtime.server.OriginServer`;
 * :class:`RetryConfig` / :class:`CircuitBreaker` — in-chronon retries
@@ -20,7 +21,6 @@ part of the model:
 from repro._lazy import export_table
 
 __all__, __getattr__, __dir__ = export_table(__name__, {
-    "repro.core.errors": ("FaultReplayError",),
     ".breaker": ("BackoffPolicy", "CircuitBreaker", "RetryConfig"),
     ".engine": ("ProbeRound", "execute_probes"),
     ".model": (
@@ -28,9 +28,7 @@ __all__, __getattr__, __dir__ = export_table(__name__, {
         "FaultInjector",
         "FaultRecord",
         "FaultSpec",
-        "FaultTrace",
         "Outage",
-        "RecordedFaults",
     ),
     ".server": ("UnreliableServer",),
     "repro.runtime.server": (

@@ -62,7 +62,7 @@ class BackoffPolicy:
     Every draw is :func:`~repro.faults.model.keyed_draw` of ``(seed,
     "backoff", key, attempt)`` — the fault channels' draw — so two runs
     with the same seed produce identical delays regardless of coroutine
-    interleaving, and so does a replayed chaos schedule.
+    interleaving.
 
     Attributes
     ----------

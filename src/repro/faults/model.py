@@ -5,24 +5,25 @@ AuctionWatch setting pulls from best-effort HTTP endpoints that drop
 requests, time out, throttle aggressive pollers, and serve lagging
 replicas. This module describes those behaviours declaratively
 (:class:`FaultSpec`), turns a spec into a deterministic decision source
-(:class:`FaultInjector`), and records every decision into a replayable
-:class:`FaultTrace`.
+(:class:`FaultInjector`), and can record every decision as a
+:class:`FaultRecord`.
 
 Determinism is the design center: every random draw is keyed on
 ``(seed, channel, resource, chronon, attempt)`` through a stable string
 seed, so outcomes do not depend on probe *order* and two runs with the
-same seed (or a recorded trace) reproduce each other exactly. With all
-probabilities at zero and no outages a faulty run is indistinguishable
-from a reliable one.
+same spec reproduce each other exactly. With all probabilities at zero
+and no outages a faulty run is indistinguishable from a reliable one.
+A run's fault source is exactly a spec, an injector or ``None``
+(:func:`fault_source`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
-from repro.core.errors import FaultError, FaultReplayError
+from repro.core.errors import FaultError
 from repro.core.timeline import Chronon
 from repro.runtime.server import (
     PROBE_FAILED,
@@ -36,9 +37,7 @@ __all__ = [
     "FaultInjector",
     "FaultRecord",
     "FaultSpec",
-    "FaultTrace",
     "Outage",
-    "RecordedFaults",
     "keyed_draw",
 ]
 
@@ -179,7 +178,7 @@ OK_DECISION = FaultDecision(PROBE_OK)
 
 @dataclass(frozen=True, slots=True)
 class FaultRecord:
-    """One recorded fault decision — a line of the replayable trace."""
+    """One recorded fault decision — a line of an injector's trace."""
 
     chronon: Chronon
     resource_id: int
@@ -187,48 +186,6 @@ class FaultRecord:
     status: ProbeStatus
     fault: str | None = None
     stale: bool = False
-
-    @property
-    def key(self) -> tuple[Chronon, int, int]:
-        return (self.chronon, self.resource_id, self.attempt)
-
-    def decision(self) -> FaultDecision:
-        return FaultDecision(self.status, self.fault, self.stale)
-
-
-class FaultTrace:
-    """An append-only log of fault decisions, replayable via
-    :class:`RecordedFaults`."""
-
-    def __init__(self, records: Iterable[FaultRecord] = ()) -> None:
-        self._records: list[FaultRecord] = list(records)
-
-    def append(self, record: FaultRecord) -> None:
-        self._records.append(record)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[FaultRecord]:
-        return iter(self._records)
-
-    def __getitem__(self, index: int) -> FaultRecord:
-        return self._records[index]
-
-    def faults_only(self) -> list[FaultRecord]:
-        """The non-ok (or stale) records — the interesting lines."""
-        return [record for record in self._records
-                if record.status != PROBE_OK or record.stale]
-
-    def replay(self, strict: bool = False) -> "RecordedFaults":
-        """A decision source reproducing this trace exactly.
-
-        ``strict=True`` makes divergence loud: a probe the trace never
-        recorded raises
-        :class:`~repro.core.errors.FaultReplayError` instead of
-        defaulting to ok.
-        """
-        return RecordedFaults(self, strict=strict)
 
 
 class FaultInjector:
@@ -243,12 +200,13 @@ class FaultInjector:
     spec:
         The fault model to apply.
     record:
-        When True (default) every decision is appended to :attr:`trace`.
+        When True (default) every decision is appended to :attr:`trace`,
+        a list of :class:`FaultRecord` in decision order.
     """
 
     def __init__(self, spec: FaultSpec, record: bool = True) -> None:
         self.spec = spec
-        self.trace = FaultTrace()
+        self.trace: list[FaultRecord] = []
         self._record = record
         self._chronon: Chronon = 0
         self._requests_this_chronon = 0
@@ -298,33 +256,23 @@ class FaultInjector:
         return decision
 
 
-class RecordedFaults:
-    """Replays a :class:`FaultTrace`: same probes in, same faults out.
+def fault_source(faults: FaultSpec | FaultInjector | None
+                 ) -> FaultSpec | FaultInjector | None:
+    """``faults`` itself if it is a fault source — a :class:`FaultSpec`,
+    a :class:`FaultInjector` or ``None``; a :class:`TypeError` naming
+    its type otherwise. Every run that takes a fault argument checks it
+    here, so no other object reaches an engine."""
+    if faults is None or type(faults) in (FaultSpec, FaultInjector):
+        return faults
+    raise TypeError(
+        "a fault source is a FaultSpec, a FaultInjector or None, not "
+        f"{type(faults).__name__}")
 
-    By default, attempts not present in the trace (e.g. the run
-    diverged) default to ok, which keeps replay usable as a best-effort
-    diagnostic tool. With ``strict=True`` an off-trace probe raises
-    :class:`~repro.core.errors.FaultReplayError` naming the
-    ``(chronon, resource, attempt)`` triple and the trace length, so
-    replay drift is diagnosable instead of silently absorbed.
-    """
 
-    def __init__(self, trace: FaultTrace, strict: bool = False) -> None:
-        self.trace = trace
-        self.strict = strict
-        self._by_key: dict[tuple[Chronon, int, int], FaultDecision] = {
-            record.key: record.decision() for record in trace
-        }
-
-    def begin_chronon(self, chronon: Chronon) -> None:
-        """Present for interface parity with :class:`FaultInjector`."""
-
-    def decide(self, resource_id: int, chronon: Chronon,
-               attempt: int = 0) -> FaultDecision:
-        decision = self._by_key.get((chronon, resource_id, attempt))
-        if decision is None:
-            if self.strict:
-                raise FaultReplayError(resource_id, chronon, attempt,
-                                       len(self.trace))
-            return OK_DECISION
-        return decision
+def injector_of(faults: FaultSpec | FaultInjector | None
+                ) -> FaultInjector | None:
+    """The decision source a run draws from: a spec gets a
+    non-recording injector of its own, an injector is used as given."""
+    if type(fault_source(faults)) is FaultSpec:
+        return FaultInjector(faults, record=False)
+    return faults

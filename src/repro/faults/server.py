@@ -5,14 +5,9 @@ OriginServer` and subjects its probes to a :class:`~repro.faults.model.
 FaultSpec`: dropped requests, timeouts, scripted outages, server-side
 rate limiting, and stale reads from a lagging replica. The wrapped
 server's state machine (clock, pending updates, publishing) is untouched
-— only the *observation* path degrades.
-
-Both probe surfaces are served:
-
-* :meth:`try_probe` returns a :class:`~repro.runtime.server.ProbeOutcome`
-  (the proxy runtime's path);
-* :meth:`probe` is the strict legacy surface and raises
-  :class:`~repro.core.errors.ProbeFailure` when the fault model strikes.
+— only the *observation* path degrades: :meth:`try_probe`, the one
+surface a proxy calls, returns a
+:class:`~repro.runtime.server.ProbeOutcome`.
 
 With a null spec the wrapper is transparent: every probe succeeds with
 exactly the snapshot the inner server would have served.
@@ -20,9 +15,8 @@ exactly the snapshot the inner server would have served.
 
 from __future__ import annotations
 
-from repro.core.errors import ProbeFailure
 from repro.core.timeline import Chronon
-from repro.faults.model import FaultInjector, FaultSpec, FaultTrace
+from repro.faults.model import FaultInjector, FaultSpec, injector_of
 from repro.runtime.server import (
     PROBE_OK,
     OriginServer,
@@ -42,20 +36,20 @@ class UnreliableServer:
     server:
         The reliable server being wrapped.
     spec:
-        Fault model to apply; ignored when ``injector`` is given.
+        Fault model to apply, through a non-recording injector; ignored
+        when ``injector`` is given.
     injector:
-        Explicit decision source — pass ``trace.replay()`` to reproduce a
-        recorded run, or a shared :class:`FaultInjector`.
+        Explicit decision source — a :class:`FaultInjector` (a recording
+        one keeps the decision log) or a spec.
     """
 
     def __init__(self, server: OriginServer,
                  spec: FaultSpec | None = None,
-                 injector=None) -> None:
+                 injector: FaultInjector | None = None) -> None:
         self.inner = server
-        if injector is None:
-            injector = FaultInjector(spec if spec is not None
-                                     else FaultSpec())
-        self.injector = injector
+        self.injector = injector_of(
+            injector if injector is not None
+            else spec if spec is not None else FaultSpec())
         # Applied updates per resource, for lagging-replica reads:
         # (chronon, version, payload) in application order.
         self._history: dict[int, list[tuple[Chronon, int, str]]] = {}
@@ -67,11 +61,6 @@ class UnreliableServer:
     @property
     def clock(self) -> Chronon:
         return self.inner.clock
-
-    @property
-    def fault_trace(self) -> FaultTrace | None:
-        """The recorded fault decisions (None for non-recording sources)."""
-        return getattr(self.injector, "trace", None)
 
     def publish(self, event: UpdateEvent) -> None:
         self.inner.publish(event)
@@ -119,24 +108,11 @@ class UnreliableServer:
                 status=decision.status, snapshot=None,
                 fault=decision.fault, attempt=attempt)
         if decision.stale:
-            spec = getattr(self.injector, "spec", None)
-            lag = spec.stale_lag if spec is not None else 1
-            snapshot = self._stale_snapshot(resource_id, lag)
+            snapshot = self._stale_snapshot(resource_id,
+                                            self.injector.spec.stale_lag)
         else:
             snapshot = self.inner.probe(resource_id)
         return ProbeOutcome(
             resource_id=resource_id, chronon=chronon, status=PROBE_OK,
             snapshot=snapshot, fault=decision.fault,
             stale=decision.stale, attempt=attempt)
-
-    def probe(self, resource_id: int) -> Snapshot:
-        """Strict probe: the snapshot, or :class:`ProbeFailure`.
-
-        Stale reads are returned (they are answers, just old ones);
-        drops, timeouts, outages, and throttling raise.
-        """
-        outcome = self.try_probe(resource_id)
-        if outcome.snapshot is None:
-            raise ProbeFailure(resource_id, self.inner.clock,
-                               fault=outcome.fault)
-        return outcome.snapshot

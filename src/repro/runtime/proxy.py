@@ -38,8 +38,7 @@ from repro.online.base import (
     settle_chronon,
 )
 from repro.runtime.clients import Client, Notification
-from repro.runtime.server import PROBE_OK, OriginServer, ProbeOutcome, \
-    Snapshot
+from repro.runtime.server import OriginServer, ProbeOutcome, Snapshot
 from repro.faults.breaker import CircuitBreaker, RetryConfig
 from repro.faults.engine import execute_probes
 
@@ -117,7 +116,9 @@ class MonitoringProxy:
     Parameters
     ----------
     server:
-        The origin server to probe.
+        The origin server to probe through its ``try_probe`` — an
+        :class:`OriginServer` or a fault-injecting
+        :class:`~repro.faults.UnreliableServer`.
     epoch:
         Monitoring horizon; :meth:`step` advances one chronon at a time.
     budget:
@@ -389,18 +390,8 @@ class MonitoringProxy:
         self._expired += len(doomed)
 
     def _prober(self, resource_id: int, attempt: int) -> ProbeOutcome:
-        """One pull request against the server, as a probe outcome.
-
-        Servers exposing :meth:`try_probe` (the fault-aware surface) are
-        used directly; bare ``probe``-only servers (e.g. custom fleets)
-        are treated as always reliable.
-        """
-        try_probe = getattr(self.server, "try_probe", None)
-        if try_probe is not None:
-            return try_probe(resource_id, attempt=attempt)
-        return ProbeOutcome(
-            resource_id=resource_id, chronon=self._clock, status=PROBE_OK,
-            snapshot=self.server.probe(resource_id), attempt=attempt)
+        """One pull request against the server, as a probe outcome."""
+        return self.server.try_probe(resource_id, attempt=attempt)
 
     def _capture(self, state: _RuntimeState, ei,
                  snapshot: Snapshot) -> None:

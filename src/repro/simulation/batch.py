@@ -36,19 +36,19 @@ their draws live in one keyed per-group table on the lowering
 probes actually sent and shared by every lane with the same spec seed.
 Outage windows and rate limits are boolean/positional column ops, and
 circuit-breaker state is a ``(lanes, resources)`` matrix applied as an
-``INF_KEY`` mask before selection. What is not a column — a recorded
-trace, and retries, whose draws and breaker trips happen in probe
-order — is the lane's own injector deciding in decision order. The
+``INF_KEY`` mask before selection. What is not a column — a recording
+injector's log, and retries, whose draws and breaker trips happen in
+probe order — is the lane's own injector deciding in decision order. The
 result is bit-for-bit the reference simulator's, probe for probe (the
 ``block`` line of the conformance matrix, ``tests/conformance``).
 
 The engine is **schedule-identical** to the reference
 :class:`~repro.simulation.proxy.ProxySimulator` for every supported
 policy (see ``tests/conformance/engines.py``): probe-for-probe,
-report-for-report. Unsupported configurations — replayed/duck-typed
-fault sources, subclassed retry/breaker components, policies whose
-score is not a :class:`~repro.online.base.ScoreKey` row, instances
-whose packed keys overflow — raise
+report-for-report. Unsupported configurations — subclassed
+retry/breaker components, policies whose score is not a
+:class:`~repro.online.base.ScoreKey` row, instances whose packed keys
+overflow — raise
 :class:`~repro.simulation.columnar.BatchUnsupported`: ``run_online`` and
 the harness fall back to the reference and say so, a churned or
 federated run is refused.
@@ -70,7 +70,7 @@ from repro.core.schedule import Schedule
 from repro.core.timeline import Epoch
 from repro.faults.breaker import CircuitBreaker, RetryConfig, _ResourceState
 from repro.faults.engine import cascade, drive
-from repro.faults.model import FaultInjector, FaultSpec
+from repro.faults.model import FaultInjector, FaultSpec, fault_source
 from repro.online.base import EI_LEVEL, Policy, ScoreKey, key_of
 from repro.simulation.columnar import (
     ActivityWindow,
@@ -87,19 +87,22 @@ __all__ = ["BatchUnsupported", "FaultLane", "run_block"]
 class FaultLane:
     """The fault layer of one lane — ``run_online``'s fault arguments.
 
-    ``faults`` is a :class:`~repro.faults.model.FaultSpec` or a
+    ``faults`` is a :class:`~repro.faults.model.FaultSpec`, a
     :class:`~repro.faults.model.FaultInjector` (a *recording* injector
-    gets its trace filled exactly as the reference would fill it).
-    Replayed or duck-typed decision sources, subclassed retry/breaker
-    components, breakers carrying prior state, and breaker or recording
-    injector objects shared across lanes cannot be lowered and raise
-    :class:`BatchUnsupported` — ``run_online`` and the harness fall back
-    to the reference simulator.
+    gets its trace filled exactly as the reference would fill it) or
+    None; anything else is a :class:`TypeError` here. Subclassed
+    retry/breaker components, breakers carrying prior state, and breaker
+    or recording injector objects shared across lanes cannot be lowered
+    and raise :class:`BatchUnsupported` — ``run_online`` and the harness
+    fall back to the reference simulator.
     """
 
-    faults: object | None = None
+    faults: FaultSpec | FaultInjector | None = None
     retry: RetryConfig | None = None
     breaker: CircuitBreaker | None = None
+
+    def __post_init__(self) -> None:
+        fault_source(self.faults)
 
 
 @dataclass(frozen=True)
@@ -133,31 +136,22 @@ def _lower_fault(fault: object | None, seen: set[int]):
     if fault is None:
         return None, None, 0, None
     if not isinstance(fault, FaultLane):
-        raise BatchUnsupported(
+        raise TypeError(
             f"lane fault layer must be a FaultLane, got "
             f"{type(fault).__name__}")
-    spec: FaultSpec | None = None
-    injector: FaultInjector | None = None
+    spec = injector = None
     faults = fault.faults
-    if faults is not None:
-        if type(faults) is FaultInjector:
-            spec = faults.spec
-            if faults._record:
-                if id(faults) in seen:
-                    raise BatchUnsupported(
-                        "a recording FaultInjector shared across lanes "
-                        "interleaves their traces order-dependently")
-                seen.add(id(faults))
-                injector = faults
-        elif type(faults) is FaultSpec:
-            spec = faults
-        else:
-            # RecordedFaults (and arbitrary duck-typed sources) answer
-            # from history, not from the keyed draw design the columns
-            # precompute — the reference simulator serves them.
-            raise BatchUnsupported(
-                f"fault source {type(faults).__name__} cannot be "
-                "lowered to draw columns")
+    if type(faults) is FaultSpec:
+        spec = faults
+    elif faults is not None:
+        spec = faults.spec
+        if faults._record:
+            if id(faults) in seen:
+                raise BatchUnsupported(
+                    "a recording FaultInjector shared across lanes "
+                    "interleaves their traces order-dependently")
+            seen.add(id(faults))
+            injector = faults
     retry = fault.retry
     if retry is not None and type(retry) is not RetryConfig:
         raise BatchUnsupported(
@@ -226,7 +220,7 @@ def run_block(
     ``ProxySimulator(profiles, epoch, budget, policy,
     preemptive).run()`` (with the lane's faults/retry/breaker) would
     produce — schedule, report, fault stats, breaker end state, and for
-    recording injectors the :class:`~repro.faults.model.FaultTrace`,
+    recording injectors the trace of fault records (``injector.trace``),
     probe for probe; its schedule and ``per_profile`` / ``per_rank``
     are built on first read. ``runtime_seconds`` is the block wall time
     split evenly across lanes — an accounting share (per-lane

@@ -20,8 +20,8 @@ vectors, ``visible_from`` and ``gone_from``, and
 use, reading a lowering whose EIs are cut to their lifetimes. The plan
 keeps that lowering, so the next policy run over the same (initial set,
 epoch) builds nothing before its first chronon. What the columns
-cannot serve (a policy without a score row such as RANDOM, a
-replayed fault trace, keys beyond 62 bits) is refused with
+cannot serve (a policy without a score row such as RANDOM, keys
+beyond 62 bits) is refused with
 :class:`BatchUnsupported` before any chronon runs: the live
 :class:`~repro.runtime.proxy.MonitoringProxy` following the plan is the
 way to run those — and the referee the columns are tested against
@@ -382,7 +382,9 @@ def run_churned(profiles: ProfileSet, epoch: Epoch,
     The plan is lowered to lifetimes — or the lowering the plan kept
     from its last run is taken, if that was over this set and epoch —
     and run as one lane of the block kernel. A run the columns cannot
-    serve raises :class:`BatchUnsupported` before any chronon runs.
+    serve raises :class:`BatchUnsupported` before any chronon runs; a
+    fault source other than a spec, an injector or None is a
+    :class:`TypeError`.
     ``mode`` has one value, ``"incremental"``; the keyword survives
     only because ``benchmarks/e2e/workloads.py::churn_run`` passes it,
     and leaves with that call.

@@ -82,7 +82,7 @@ from repro.core.schedule import Schedule
 from repro.core.timeline import Chronon, Epoch
 from repro.faults.breaker import CircuitBreaker, RetryConfig
 from repro.faults.engine import execute_probes
-from repro.faults.model import OK_DECISION, FaultInjector, FaultSpec
+from repro.faults.model import OK_DECISION, FaultSpec, injector_of
 from repro.online.base import (
     EI_LEVEL,
     Candidate,
@@ -153,9 +153,7 @@ class FastProxySimulator:
         self.budget = budget
         self.policy = policy
         self.preemptive = preemptive
-        if isinstance(faults, FaultSpec):
-            faults = FaultInjector(faults, record=False)
-        self.injector = faults
+        self.injector = injector_of(faults)
         self.retry = retry
         self.breaker = breaker
 

@@ -33,7 +33,12 @@ from repro.core.schedule import Schedule
 from repro.core.timeline import Epoch
 from repro.faults.breaker import CircuitBreaker, RetryConfig
 from repro.faults.engine import execute_probes
-from repro.faults.model import OK_DECISION, FaultInjector, FaultSpec
+from repro.faults.model import (
+    OK_DECISION,
+    FaultInjector,
+    FaultSpec,
+    injector_of,
+)
 from repro.online.base import (
     EPOCH_OVER,
     Policy,
@@ -68,9 +73,11 @@ class ProxySimulator:
         Run the policy preemptively (``True``, the paper's "(P)" variant)
         or non-preemptively ("(NP)").
     faults:
-        Fault model applied to probes: a :class:`FaultSpec`, an explicit
-        injector (e.g. ``trace.replay()``), or ``None`` for a reliable
-        source. Failed probes consume budget without capturing.
+        Fault model applied to probes: a :class:`FaultSpec`, a
+        :class:`FaultInjector` (a recording one logs every decision), or
+        ``None`` for a reliable source; anything else is a
+        :class:`TypeError`. Failed probes consume budget without
+        capturing.
     retry:
         In-chronon retry allowance for failed probes, spending leftover
         budget; ``None`` disables retries.
@@ -82,7 +89,7 @@ class ProxySimulator:
     def __init__(self, profiles: ProfileSet, epoch: Epoch,
                  budget: BudgetVector, policy: Policy,
                  preemptive: bool = True,
-                 faults: FaultSpec | None = None,
+                 faults: FaultSpec | FaultInjector | None = None,
                  retry: RetryConfig | None = None,
                  breaker: CircuitBreaker | None = None) -> None:
         self.profiles = profiles
@@ -90,9 +97,7 @@ class ProxySimulator:
         self.budget = budget
         self.policy = policy
         self.preemptive = preemptive
-        if isinstance(faults, FaultSpec):
-            faults = FaultInjector(faults, record=False)
-        self.injector = faults
+        self.injector = injector_of(faults)
         self.retry = retry
         self.breaker = breaker
 
@@ -181,7 +186,7 @@ class ProxySimulator:
 
 def run_online(profiles: ProfileSet, epoch: Epoch, budget: BudgetVector,
                policy: Policy, preemptive: bool = True,
-               faults: FaultSpec | None = None,
+               faults: FaultSpec | FaultInjector | None = None,
                retry: RetryConfig | None = None,
                breaker: CircuitBreaker | None = None,
                engine: str = "batch") -> SimulationResult:
@@ -192,12 +197,14 @@ def run_online(profiles: ProfileSet, epoch: Epoch, budget: BudgetVector,
     lineups into one block), fault layer included (``faults`` /
     ``retry`` / ``breaker`` ride along as a
     :class:`~repro.simulation.batch.FaultLane`). What the columns cannot
-    encode — a policy without a score row such as RANDOM, a replayed
-    fault trace, subclassed components, keys beyond 62 bits — goes to
+    encode — a policy without a score row such as RANDOM, subclassed
+    retry/breaker components, keys beyond 62 bits — goes to
     ``engine="reference"``, the per-chronon :class:`ProxySimulator`
-    above, and an INFO record on this module's logger says why. Both
-    give identical results (the equivalence property suites); the
-    reference is the executable specification.
+    above, and an INFO record on this module's logger says why. A fault
+    source other than a spec, an injector or ``None`` is a
+    :class:`TypeError` on either engine. Both give identical results
+    (the conformance matrix); the reference is the executable
+    specification.
     """
     if engine == "batch":
         fault = batch.FaultLane(faults, retry, breaker) \

@@ -24,14 +24,12 @@ from repro.faults import (
     CircuitBreaker,
     FaultInjector,
     FaultSpec,
-    FaultTrace,
     Outage,
-    RecordedFaults,
     RetryConfig,
 )
 from repro.online import MRSFPolicy, Policy, ScoreKey, key_of
 from repro.online.registry import available_policies, parse_policy_spec
-from repro.simulation import ChurnEvent, ChurnPlan, ProxySimulator
+from repro.simulation import ChurnEvent, ChurnPlan
 
 from tests.properties.strategies import (
     breaker_params,
@@ -103,15 +101,13 @@ def make_policy(label: str) -> tuple[Policy, bool]:
     return parse_policy_spec(label)
 
 
-#: The fault axis: no layer, a spec, a recording injector, or a replay
-#: of a recorded trace.
-FAULT_KINDS = ("none", "spec", "recording", "replayed")
+#: The fault axis: no layer, a spec, or a recording injector.
+FAULT_KINDS = ("none", "spec", "recording")
 
 
 @dataclass(eq=False)
 class Case:
-    """One online run, as data. ``trace`` is what a ``replayed`` case
-    replays."""
+    """One online run, as data."""
 
     profiles: ProfileSet
     epoch: Epoch
@@ -123,7 +119,6 @@ class Case:
     breaker: tuple | None = None
     plan: ChurnPlan | None = None
     shards: int = 1
-    trace: FaultTrace | None = None
 
     def make_policy(self) -> tuple[Policy, bool]:
         return make_policy(self.policy)
@@ -137,43 +132,26 @@ class Case:
         faults = {"spec": self.spec}.get(self.faults)
         if self.faults == "recording":
             faults = FaultInjector(self.spec)
-        elif self.faults == "replayed":
-            faults = RecordedFaults(self.trace)
         breaker = None if self.breaker is None \
             else CircuitBreaker(*self.breaker)
         return faults, self.retry, breaker
 
 
-def recorded(profiles: ProfileSet, epoch_: Epoch, budget: BudgetVector,
-             label: str, spec: FaultSpec) -> FaultTrace:
-    """The trace the reference records for a static run under ``spec``."""
-    injector = FaultInjector(spec)
-    policy, preemptive = make_policy(label)
-    ProxySimulator(profiles, epoch_, budget, policy, preemptive,
-                   faults=injector).run()
-    return injector.trace
-
-
 @st.composite
 def cases(draw, faults: str) -> Case:
-    """A case with fault layer ``faults``; a third are churned (not a
-    replayed one: its trace is recorded on a static run)."""
-    if faults != "replayed" and draw(st.integers(0, 2)) == 0:
+    """A case with fault layer ``faults``; a third are churned."""
+    if draw(st.integers(0, 2)) == 0:
         profiles, plan = draw(plans(quotas=True))
     else:
         profiles, plan = draw(profile_sets(max_profiles=4,
                                            quotas=True)), None
-    case = Case(
+    return Case(
         profiles, epoch(), draw(st.sampled_from(POLICIES)),
         draw(budget_vectors()), faults,
         spec=None if faults == "none"
         else draw(fault_specs(with_per_resource=True)),
         retry=draw(retry_configs()), breaker=draw(breaker_params()),
         plan=plan, shards=draw(st.integers(1, 4)))
-    if faults == "replayed":
-        case.trace = recorded(case.profiles, case.epoch, case.budget,
-                              case.policy, case.spec)
-    return case
 
 
 # ----------------------------------------------------------------------
@@ -251,10 +229,8 @@ def _pinned(config, label, faults="none", spec=None, retry=None,
             breaker=None, shards=1, budget=None, quota=False) -> Case:
     profiles, epoch_, plan = _instance(config, quota)
     budget = budget or BudgetVector(config.budget)
-    trace = recorded(profiles, epoch_, budget, label, spec) \
-        if faults == "replayed" else None
     return Case(profiles, epoch_, label, budget, faults, spec, retry,
-                breaker, plan, shards, trace)
+                breaker, plan, shards)
 
 
 def _pinned_cases():
@@ -262,10 +238,6 @@ def _pinned_cases():
         kind = "recording" if label.endswith("(NP)") else "spec"
         yield f"2108/faulty/{label}", partial(
             _pinned, ONLINE_2108, label, kind, _DROPS, RetryConfig(1),
-            (2, 3), 2)
-    for label in ("MRSF(P)", "S-EDF(NP)"):
-        yield f"2108/faulty/replayed/{label}", partial(
-            _pinned, ONLINE_2108, label, "replayed", _DROPS, RetryConfig(1),
             (2, 3), 2)
     for shards, labels in _FEDERATED.items():
         for label in labels:

@@ -311,8 +311,7 @@ ENGINES = {
 #: The documented refusals: the engines that serve only columns raise
 #: ``BatchUnsupported``, in these words, for what the columns cannot
 #: encode. ``online`` refuses nothing: it falls back to the reference.
-_COLUMNS = ((lambda case: not case.has_row, "no columnar scoring kind"),
-            (lambda case: case.faults == "replayed", "RecordedFaults"))
+_COLUMNS = ((lambda case: not case.has_row, "no columnar scoring kind"),)
 REFUSES = {"block": _COLUMNS, "federated": _COLUMNS, "churned": _COLUMNS}
 
 

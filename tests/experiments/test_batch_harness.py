@@ -35,11 +35,8 @@ from repro.experiments.harness import (
 from repro.online.registry import parse_policy_spec
 from repro.simulation import ProxySimulator, run_online
 from repro.simulation import batch as batch_module
-from repro.experiments.instances import (
-    InstanceCache,
-    generation_key,
-    instance_key,
-)
+from repro.experiments import instances
+from repro.experiments.instances import InstanceCache, generation_key
 
 _CONFIG = ExperimentConfig(
     epoch_length=20, num_resources=6, num_profiles=8, intensity=4.0,
@@ -283,18 +280,41 @@ class TestOneBlockPerInstance:
 
     def test_a_later_sweep_reuses_the_lowering(self, monkeypatch):
         built = []
-        original = harness.ColumnarInstance.build
+        original = instances.ColumnarInstance.build
 
         def counting(profiles, epoch):
             built.append(profiles)
             return original(profiles, epoch)
 
-        monkeypatch.setattr(harness.ColumnarInstance, "build", counting)
-        harness._COLUMNAR_CACHE.clear()
+        monkeypatch.setattr(instances.ColumnarInstance, "build", counting)
+        monkeypatch.setattr(instances, "_ACTIVE_CACHE", InstanceCache())
         sweep("s", _CONFIG, "budget", [1, 2])
         assert len(built) == _CONFIG.repetitions
         fault_sweep(config=_CONFIG.with_(budget=2), rates=(0.1,))
         assert len(built) == _CONFIG.repetitions
+
+    def test_ten_repetitions_stay_warm_from_one_sweep_to_the_next(
+            self, monkeypatch):
+        """The paper's protocol draws ten instances per setting: the
+        second sweep finds every one in memory, with its lowering."""
+        cache = InstanceCache()
+        monkeypatch.setattr(instances, "_ACTIVE_CACHE", cache)
+        lowerings = []
+        original = harness.run_block
+
+        def spy(profiles, epoch, lanes, *, columnar=None):
+            lowerings.append(columnar)
+            return original(profiles, epoch, lanes, columnar=columnar)
+
+        monkeypatch.setattr(harness, "run_block", spy)
+        config = _CONFIG.with_(repetitions=10)
+        sweep("s", config, "budget", [1, 2], ("MRSF(P)",))
+        assert cache.stats()["misses"] == 10
+        first = lowerings[:]
+        sweep("s", config, "budget", [1, 2], ("MRSF(P)",))
+        assert (cache.memory_hits, cache.misses) == (10, 10)
+        assert len(first) == 10 and all(
+            again is before for again, before in zip(lowerings[10:], first))
 
     def test_worker_chunks_split_by_repetition(self, monkeypatch):
         """A one-parameter budget sweep is ``repetitions`` groups, so a
@@ -389,9 +409,13 @@ class TestGenerationKey:
                               "poisson") != base
         assert generation_key(_CONFIG, 1, "poisson") != base
 
-    def test_instance_key_still_covers_budget(self):
-        assert instance_key(_CONFIG.with_(budget=7), 0, "poisson") != \
-            instance_key(_CONFIG, 0, "poisson")
+    def test_a_disk_entry_serves_every_budget(self, tmp_path):
+        InstanceCache(cache_dir=tmp_path).get_or_generate(
+            _CONFIG.with_(budget=1), 0)
+        reader = InstanceCache(cache_dir=tmp_path)
+        reader.get_or_generate(_CONFIG.with_(budget=2), 0)
+        assert (reader.disk_hits, reader.misses, reader.stores) == (1, 0, 0)
+        assert len(list(tmp_path.glob("*.json"))) == 1
 
     def test_memory_cache_shares_across_budgets(self):
         cache = InstanceCache(max_entries=4)

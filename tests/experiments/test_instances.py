@@ -1,10 +1,11 @@
 """Instance cache: key sensitivity, disk round-trips, corruption handling.
 
 The cache key must cover *every* field that influences generation —
-every ``ExperimentConfig`` field, the repetition index and the trace
-source — so no two distinct cells can ever collide. The disk store must
-never serve a corrupted or partial entry: every damage mode is detected,
-counted in ``disk_errors`` and answered by regeneration.
+every generative ``ExperimentConfig`` field, the repetition index and
+the trace source — so no two distinct instances can ever collide. The
+disk store must never serve a corrupted or partial entry: every damage
+mode is detected, counted in ``disk_errors`` and answered by
+regeneration.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ from repro.experiments.instances import (
     InstanceCache,
     configure_instances,
     generate_instance,
-    instance_key,
+    generation_key,
 )
 
 BASE = ExperimentConfig(epoch_length=30, num_resources=6, num_profiles=8,
@@ -52,24 +53,25 @@ def profiles_equal(left, right) -> bool:
 
 class TestInstanceKey:
     def test_stable(self):
-        assert instance_key(BASE, 0, "poisson") \
-            == instance_key(BASE, 0, "poisson")
+        assert generation_key(BASE, 0, "poisson") \
+            == generation_key(BASE, 0, "poisson")
 
     @pytest.mark.parametrize(
-        "field", dataclasses.fields(ExperimentConfig),
+        "field", [field for field in dataclasses.fields(ExperimentConfig)
+                  if field.name not in ("budget", "repetitions")],
         ids=lambda field: field.name)
     def test_every_config_field_perturbs_the_key(self, field):
         changed = BASE.with_(**{field.name: perturb(BASE, field)})
-        assert instance_key(changed, 0, "poisson") \
-            != instance_key(BASE, 0, "poisson")
+        assert generation_key(changed, 0, "poisson") \
+            != generation_key(BASE, 0, "poisson")
 
     def test_repetition_perturbs_the_key(self):
-        assert instance_key(BASE, 0, "poisson") \
-            != instance_key(BASE, 1, "poisson")
+        assert generation_key(BASE, 0, "poisson") \
+            != generation_key(BASE, 1, "poisson")
 
     def test_source_perturbs_the_key(self):
-        assert instance_key(BASE, 0, "poisson") \
-            != instance_key(BASE, 0, "auction")
+        assert generation_key(BASE, 0, "poisson") \
+            != generation_key(BASE, 0, "auction")
 
 
 class TestMemoryCache:
@@ -116,7 +118,7 @@ class TestDiskStore:
             == [event.payload for event in trace]
 
     def _entry_paths(self, tmp_path):
-        key = instance_key(BASE, 0, "poisson")
+        key = generation_key(BASE, 0, "poisson")
         return tmp_path / f"{key}.npz", tmp_path / f"{key}.json"
 
     def _assert_regenerated(self, tmp_path, expect_error=True):

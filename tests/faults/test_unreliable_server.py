@@ -3,8 +3,13 @@
 import pytest
 
 from repro.core import Epoch
-from repro.core.errors import ProbeFailure
-from repro.faults import FaultSpec, Outage, UnreliableServer
+from repro.faults import (
+    PROBE_FAILED,
+    FaultInjector,
+    FaultSpec,
+    Outage,
+    UnreliableServer,
+)
 from repro.runtime import OriginServer
 from repro.traces import UpdateEvent, UpdateTrace
 
@@ -39,7 +44,7 @@ class TestTransparency:
         wrapped.publish(UpdateEvent(6, 5, "pub"))
         wrapped.advance_to(6)
         assert wrapped.version_of(5) == 1
-        assert wrapped.probe(5).value == "pub"
+        assert wrapped.try_probe(5).snapshot.value == "pub"
 
 
 class TestFaultInjection:
@@ -57,23 +62,24 @@ class TestFaultInjection:
         wrapped.advance_to(11)
         assert wrapped.try_probe(0).ok
 
-    def test_strict_probe_raises_probe_failure(self):
+    def test_a_failed_probe_has_no_snapshot(self, reliable):
         spec = FaultSpec(outages=(Outage(0, 0, None),))
         wrapped = UnreliableServer(OriginServer(make_trace()), spec)
         wrapped.advance_to(5)
-        with pytest.raises(ProbeFailure, match="resource 0"):
-            wrapped.probe(0)
+        reliable.advance_to(5)
+        outcome = wrapped.try_probe(0)
+        assert outcome.status == PROBE_FAILED and not outcome.ok
+        assert outcome.snapshot is None
+        # The resource that is up answers what the origin serves.
+        assert wrapped.try_probe(1).snapshot == reliable.probe(1)
 
     def test_probe_failure_carries_context(self):
         spec = FaultSpec(outages=(Outage(0, 0, None),))
         wrapped = UnreliableServer(OriginServer(make_trace()), spec)
         wrapped.advance_to(5)
-        try:
-            wrapped.probe(0)
-        except ProbeFailure as failure:
-            assert failure.resource_id == 0
-            assert failure.chronon == 5
-            assert failure.fault == "outage"
+        outcome = wrapped.try_probe(0, attempt=1)
+        assert (outcome.resource_id, outcome.chronon, outcome.attempt,
+                outcome.fault) == (0, 5, 1, "outage")
 
     def test_rate_limit_resets_each_chronon(self):
         spec = FaultSpec(max_probes_per_chronon=1)
@@ -117,6 +123,9 @@ class TestStaleReads:
 
 
 class TestDeterminismAndReplay:
+    """Same spec, same run: re-running a spec is how a faulty run is
+    replayed."""
+
     def run_outcomes(self, server: UnreliableServer):
         statuses = []
         for chronon in range(1, 15):
@@ -133,14 +142,15 @@ class TestDeterminismAndReplay:
             UnreliableServer(OriginServer(make_trace()), spec))
         assert one == two
 
-    def test_trace_replay_reproduces_run(self):
-        spec = FaultSpec(failure_probability=0.4,
-                         stale_probability=0.2, seed=21)
-        original = UnreliableServer(OriginServer(make_trace()), spec)
-        statuses = self.run_outcomes(original)
-        assert len(original.fault_trace) == len(statuses)
-
-        replayed = UnreliableServer(
-            OriginServer(make_trace()),
-            injector=original.fault_trace.replay())
-        assert self.run_outcomes(replayed) == statuses
+    def test_a_spec_keeps_no_log(self):
+        """A long-lived server over a spec records nothing; pass a
+        recording injector to keep the decisions."""
+        spec = FaultSpec(failure_probability=0.4, seed=21)
+        quiet = UnreliableServer(OriginServer(make_trace()), spec)
+        statuses = self.run_outcomes(quiet)
+        assert quiet.injector.trace == []
+        logged = UnreliableServer(OriginServer(make_trace()),
+                                  injector=FaultInjector(spec))
+        assert self.run_outcomes(logged) == statuses
+        assert [record.status for record in logged.injector.trace] \
+            == statuses

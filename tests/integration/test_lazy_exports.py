@@ -29,13 +29,16 @@ import pytest
 #: gone, taking seven names from ``repro`` with them; and so are the
 #: utility-weighting package, the federation sweep (four names of
 #: ``repro.experiments``), the server fleet (one of ``repro.runtime``)
-#: and the per-server semaphore table (one of ``repro.runtime.aio``).
+#: and the per-server semaphore table (one of ``repro.runtime.aio``);
+#: and fault-trace replay — the trace class (from ``repro`` and
+#: ``repro.faults``), the replaying source and its error — with the
+#: strict probe's error (two names of ``repro.core``).
 PUBLIC_NAMES = {
-    "repro": 67,
+    "repro": 66,
     "repro.analysis": 4,
-    "repro.core": 28,
+    "repro.core": 26,
     "repro.experiments": 39,
-    "repro.faults": 18,
+    "repro.faults": 15,
     "repro.offline": 14,
     "repro.online": 23,
     "repro.runtime": 12,

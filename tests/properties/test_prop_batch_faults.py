@@ -18,7 +18,3 @@ class TestBatchFaultEquivalence:
 
     def test_run_online_engine_batch(self):
         check_pinned("123/faulty/K4/", ["online"])
-
-    def test_replayed_traces_fall_back(self):
-        check_pinned("2108/faulty/replayed/",
-                     ["online", "block", "federated", "churned"])

@@ -32,12 +32,7 @@ from repro.core import (
     TInterval,
 )
 from repro.experiments.churn import ChurnConfig, build_churn_workload
-from repro.faults import (
-    FaultInjector,
-    FaultSpec,
-    RecordedFaults,
-    RetryConfig,
-)
+from repro.faults import FaultSpec, RetryConfig
 from repro.online.registry import parse_policy_spec
 from repro.simulation import (
     ChurnEvent,
@@ -486,10 +481,10 @@ class TestFallbackIsLogged:
         return run_churned(HAND_INITIAL, HAND_EPOCH, BudgetVector(1), policy,
                            plan, preemptive=preemptive, **kwargs)
 
-    def _refused(self, label, cause, **kwargs):
+    def _refused(self, label, cause):
         plan = ChurnPlan(self.PLAN.events)
         with pytest.raises(BatchUnsupported, match=cause) as refusal:
-            self._churned(label, plan, **kwargs)
+            self._churned(label, plan)
         assert "MonitoringProxy" in str(refusal.value)
         # Before any chronon: the plan was lowered, no window was built.
         assert plan._lowering.columnar.windows_built == 0
@@ -517,15 +512,3 @@ class TestFallbackIsLogged:
         result = churned(HAND_INITIAL, plan)
         assert result.extras["doomed_at_birth"] == 0.0
         assert result.report.per_profile[1] == (1, 1)
-
-    def test_replayed_fault_trace(self):
-        recorder = FaultInjector(FaultSpec(failure_probability=0.5,
-                                           seed=11))
-        recorded = self._churned("S-EDF(P)", faults=recorder)
-        assert recorded.probes_failed > 0
-        self._refused("S-EDF(P)", "RecordedFaults",
-                      faults=RecordedFaults(recorder.trace))
-        # The way to run it: the live proxy replays the trace.
-        replayed = Case(HAND_INITIAL, HAND_EPOCH, "S-EDF(P)", BudgetVector(1),
-                        "replayed", plan=self.PLAN, trace=recorder.trace)
-        assert_agree(referee_run(replayed), observe(recorded))

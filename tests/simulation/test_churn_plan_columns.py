@@ -39,7 +39,6 @@ from repro.faults import (
     CircuitBreaker,
     FaultInjector,
     FaultSpec,
-    RecordedFaults,
     RetryConfig,
 )
 from repro.online.registry import parse_policy_spec
@@ -635,12 +634,6 @@ _QUOTA_PLAN = (ChurnEvent.add(5, Profile([TInterval(HAND_LATE[0].eis,
                ChurnEvent.remove(7, 0))
 
 
-def _replayed():
-    recorder = FaultInjector(FaultSpec(failure_probability=0.5, seed=11))
-    _run(HAND_INITIAL, TestKeptLowering.PLAN, "S-EDF(P)", faults=recorder)
-    return {"faults": RecordedFaults(recorder.trace)}
-
-
 class TestOneShotPlans:
     """``run_churned`` reads its plan once and nothing falls back: what
     the columns cannot serve is refused, and what they can — a
@@ -650,16 +643,12 @@ class TestOneShotPlans:
     @pytest.mark.parametrize("shape", [iter, lambda plan: (e for e in plan),
                                        list, ChurnPlan],
                              ids=["iterator", "generator", "list", "plan"])
-    @pytest.mark.parametrize("label, events, kwargs", [
-        ("RANDOM(P)", TestKeptLowering.PLAN, dict),
-        ("Q-MRSF(P)", _QUOTA_PLAN, dict),
-        ("S-EDF(P)", TestKeptLowering.PLAN, _replayed),
-    ], ids=["random", "state_factory", "replayed_trace"])
-    def test_fallback_sees_the_whole_plan(self, label, events, kwargs,
-                                          shape):
-        refusal = {"RANDOM(P)": "no columnar scoring kind",
-                   "S-EDF(P)": "RecordedFaults"}.get(label)
-        if refusal is None:
+    @pytest.mark.parametrize("label, events", [
+        ("RANDOM(P)", TestKeptLowering.PLAN),
+        ("Q-MRSF(P)", _QUOTA_PLAN),
+    ], ids=["random", "state_factory"])
+    def test_fallback_sees_the_whole_plan(self, label, events, shape):
+        if label != "RANDOM(P)":
             result = _run(HAND_INITIAL, shape(events), label)
             assert result.extras["doomed_at_birth"] == 0.0
             assert_agree(observe(result), referee_run(Case(
@@ -667,5 +656,5 @@ class TestOneShotPlans:
                 plan=ChurnPlan(events))))
             return
         with pytest.raises(BatchUnsupported,
-                           match=f"{refusal}.*MonitoringProxy"):
-            _run(HAND_INITIAL, shape(events), label, **kwargs())
+                           match="no columnar scoring kind.*MonitoringProxy"):
+            _run(HAND_INITIAL, shape(events), label)

@@ -6,8 +6,8 @@ constant nobody sets, so these tests move it: 1 cuts at every chronon, 7
 and 64 cut through EIs and t-intervals (and leave chronons above the
 cap as windows of their own), ``10**9`` is the single kept window.
 Every cut must reproduce the reference simulator probe for probe —
-schedule, report, fault counters, breaker end state, recorded
-:class:`~repro.faults.model.FaultTrace` — for block lanes and for the
+schedule, report, fault counters, breaker end state, the recorded
+:class:`~repro.faults.model.FaultRecord` trace — for block lanes and for the
 K-shard federation, whose slices are cut per window too. This is the
 only suite that drives fault lanes across window cuts.
 

@@ -13,13 +13,7 @@ import logging
 import pytest
 
 from repro.experiments import make_instance
-from repro.faults import (
-    CircuitBreaker,
-    FaultInjector,
-    FaultSpec,
-    RecordedFaults,
-    RetryConfig,
-)
+from repro.faults import CircuitBreaker, FaultSpec, RetryConfig
 from repro.online.registry import available_policies, parse_policy_spec
 from repro.simulation import run_online
 
@@ -65,19 +59,6 @@ def test_random_policy_is_rerouted_once_with_the_reason(caplog):
     assert record.levelno == logging.INFO
     assert "reference simulator" in record.getMessage()
     assert "no columnar scoring kind" in record.getMessage()
-
-
-def test_a_replayed_trace_is_rerouted_with_the_reason(caplog):
-    recorder = FaultInjector(_SPEC)
-    recorded, _breaker = _run("MRSF(P)", faults=recorder)
-    with caplog.at_level(logging.INFO, logger="repro.simulation"):
-        replayed, _breaker = _run("MRSF(P)",
-                                  faults=RecordedFaults(recorder.trace))
-    (record,) = _proxy_records(caplog)
-    assert "RecordedFaults" in record.getMessage()
-    assert list(replayed.schedule.probes()) == \
-        list(recorded.schedule.probes())
-    assert replayed.probes_failed == recorded.probes_failed > 0
 
 
 def test_the_reference_logs_nothing(caplog):
