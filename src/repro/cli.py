@@ -86,6 +86,8 @@ def _port(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
+    from repro.experiments.config import ENGINES
+
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Reproduce the tables and figures of Roitman, Gal & "
@@ -123,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
              "serial path",
     )
     parser.add_argument(
-        "--engine", choices=["batch", "solo", "reference"],
+        "--engine", choices=ENGINES,
         default=None,
         help="what runs the online policy runs: 'batch' runs those "
              "sharing a generated instance as lanes of one columnar "
@@ -204,7 +206,7 @@ def _serve(args) -> int:
 
     from repro.core.budget import BudgetVector
     from repro.core.timeline import Epoch
-    from repro.faults.breaker import BackoffPolicy, CircuitBreaker
+    from repro.faults.breaker import CircuitBreaker, RetryConfig
     from repro.online import MRSFPolicy
     from repro.runtime.aio import (
         AdmissionController,
@@ -222,7 +224,7 @@ def _serve(args) -> int:
     trace = PoissonUpdateModel(8.0, seed=args.seed).generate(
         range(resources), epoch)
     server = OriginServer(trace)
-    knobs = dict(backoff=BackoffPolicy(), breaker=CircuitBreaker(),
+    knobs = dict(retry=RetryConfig(), breaker=CircuitBreaker(),
                  deadline=1.0, hedge_delay=0.05)
     path = Path(args.journal) if args.journal else None
     if path is not None and path.exists() and path.stat().st_size > 0:

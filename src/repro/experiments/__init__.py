@@ -35,7 +35,6 @@ __all__, __getattr__, __dir__ = export_table(__name__, {
     ".offline": ("OFFLINE_SOLVER_LABELS", "offline_comparison"),
     ".harness": (
         "OFFLINE_LABEL",
-        "FaultCell",
         "PolicyOutcome",
         "RunOutcome",
         "SweepResult",

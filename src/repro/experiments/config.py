@@ -33,6 +33,12 @@ __all__ = ["ExperimentConfig", "baseline", "SCALES"]
 
 Scale = Literal["paper", "default", "smoke"]
 
+#: What runs an experiment's online policy runs (``engine=`` of the
+#: harness entry points and the CLI's ``--engine``): ``"batch"`` shares
+#: columnar blocks, ``"solo"`` gives every run a one-lane block,
+#: ``"reference"`` is the executable specification.
+ENGINES: tuple[str, ...] = ("batch", "solo", "reference")
+
 
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:

@@ -35,7 +35,6 @@ from typing import Sequence
 from repro.experiments.config import ExperimentConfig, baseline
 from repro.experiments.harness import (
     DEFAULT_ENGINE,
-    FaultCell,
     RunOutcome,
     SweepResult,
     _run_settings,
@@ -44,6 +43,7 @@ from repro.experiments.harness import (
 from repro.faults.breaker import CircuitBreaker, RetryConfig
 from repro.faults.model import FaultSpec, Outage
 from repro.online.registry import parse_policy_spec
+from repro.simulation.batch import FaultLane
 from repro.simulation.proxy import run_online
 
 __all__ = [
@@ -64,26 +64,10 @@ FAULT_POLICY_VARIANTS: tuple[str, ...] = (
 
 DEFAULT_FAILURE_RATES: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 
-#: (failure_threshold, cooldown, backoff_factor, max_cooldown) of the
-#: degradation experiments' breaker; every policy run gets a fresh one.
-_BREAKER_PARAMS: tuple[int, int, float, int] = (3, 4, 2.0, 64)
-
-
-def _default_breaker() -> CircuitBreaker:
-    threshold, cooldown, backoff, max_cooldown = _BREAKER_PARAMS
-    return CircuitBreaker(failure_threshold=threshold, cooldown=cooldown,
-                          backoff_factor=backoff,
-                          max_cooldown=max_cooldown)
-
-
-def _fault_cell(config: ExperimentConfig, repetition: int,
-                failure_rate: float, retry: RetryConfig | None,
-                use_breaker: bool) -> FaultCell:
-    """One repetition's fault layer: shared seed, per-run breaker."""
-    spec = FaultSpec(failure_probability=failure_rate,
-                     seed=config.seed + 7919 * repetition)
-    return FaultCell(spec=spec, retry=retry,
-                     breaker=_BREAKER_PARAMS if use_breaker else None)
+#: The degradation experiments' breaker: a template no run uses — every
+#: run takes a clean copy of it (:meth:`FaultLane.fresh`).
+_BREAKER = CircuitBreaker(failure_threshold=3, cooldown=4,
+                          backoff_factor=2.0, max_cooldown=64)
 
 
 def _run_fault_cells(config: ExperimentConfig, rates: Sequence[float],
@@ -91,18 +75,21 @@ def _run_fault_cells(config: ExperimentConfig, rates: Sequence[float],
                      retry: RetryConfig | None, use_breaker: bool,
                      source: str, engine: str,
                      workers: int | None) -> list[RunOutcome]:
-    """One RunOutcome per rate, all cells through the harness executors.
+    """One RunOutcome per rate, all cells through the harness executor.
 
     The flat cell list spans every (rate, repetition); under the batch
     engine the cells of one repetition share a generated instance — the
     fault seed folds in only the repetition, so every rate faces the
     same generated world — and advance as the lanes of one columnar
-    block, so the whole sweep is ``repetitions`` blocks.
+    block, so the whole sweep is ``repetitions`` blocks. A cell's
+    breaker is the template :data:`_BREAKER`; every run copies it.
     """
+    breaker = _BREAKER if use_breaker else None
     return _run_settings(
         [config] * len(rates), policies, False, source, engine, workers,
-        fault_cell=lambda at, repetition: _fault_cell(
-            config, repetition, rates[at], retry, use_breaker))
+        fault_cell=lambda at, repetition: FaultLane(FaultSpec(
+            failure_probability=rates[at],
+            seed=config.seed + 7919 * repetition), retry, breaker))
 
 
 def run_fault_setting(config: ExperimentConfig, failure_rate: float,
@@ -170,14 +157,15 @@ def breaker_ablation(scale: str = "smoke",
     gc_without: list[float] = []
     for repetition in range(config.repetitions):
         _trace, profiles = make_instance(config, repetition)
-        for accumulator, breaker in ((gc_with, _default_breaker()),
+        for accumulator, breaker in ((gc_with, _BREAKER),
                                      (gc_without, None)):
-            # Fresh policy per run: some baselines keep per-run state.
+            # Fresh policy and breaker per run: both keep per-run state.
             policy_obj, preemptive = parse_policy_spec(policy)
+            layer = FaultLane(spec, None, breaker).fresh()
             result = run_online(profiles, config.epoch,
                                 config.budget_vector, policy_obj,
-                                preemptive=preemptive, faults=spec,
-                                breaker=breaker)
+                                preemptive=preemptive, faults=layer.faults,
+                                breaker=layer.breaker)
             accumulator.append(result.gc)
     return {
         "with_breaker": sum(gc_with) / len(gc_with),

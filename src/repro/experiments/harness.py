@@ -20,15 +20,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.core.profile import ProfileSet
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ENGINES, ExperimentConfig
 from repro.experiments.instances import (
     InstanceCache,
     _pool_worker_init,
     active_cache,
     generation_key,
 )
-from repro.faults.breaker import CircuitBreaker, RetryConfig
-from repro.faults.model import FaultSpec
 from repro.online.base import key_of
 from repro.online.registry import parse_policy_spec
 from repro.simulation.batch import BatchUnsupported, FaultLane, run_block
@@ -38,7 +36,6 @@ from repro.traces.events import UpdateTrace
 
 __all__ = [
     "DEFAULT_ENGINE",
-    "FaultCell",
     "PolicyOutcome",
     "RunOutcome",
     "SweepResult",
@@ -56,58 +53,14 @@ OFFLINE_LABEL = "offline-approx"
 #: pass. Entry points that *report per-policy runtimes* name ``"solo"``
 #: instead — the same kernel, every policy run a one-lane block of its
 #: own — because a shared block has one wall time, not one per lane.
-#: ``"reference"`` is the executable specification.
+#: ``"reference"`` is the executable specification. ``ENGINES`` (in
+#: :mod:`~repro.experiments.config`) names all three.
 DEFAULT_ENGINE = "batch"
 
 #: The policy line-up the paper's figures use most often.
 DEFAULT_POLICIES: tuple[str, ...] = (
     "S-EDF(NP)", "S-EDF(P)", "MRSF(P)", "M-EDF(P)",
 )
-
-
-@dataclass(frozen=True, slots=True)
-class FaultCell:
-    """The fault layer of one work cell, in picklable factory form.
-
-    Breaker state is per-run, so the cell carries the breaker's
-    *parameters* (``(failure_threshold, cooldown, backoff_factor,
-    max_cooldown)``) rather than an instance; every policy run — batch
-    lane or reference fallback — gets a fresh :class:`CircuitBreaker` from
-    :meth:`make_breaker`. The spec is per-repetition (its seed folds the
-    repetition in), so cells carry the concrete :class:`FaultSpec`.
-    """
-
-    spec: FaultSpec | None = None
-    retry: RetryConfig | None = None
-    breaker: tuple[int, int, float, int] | None = None
-
-    @property
-    def is_null(self) -> bool:
-        return (self.spec is None and self.retry is None
-                and self.breaker is None)
-
-    def make_breaker(self) -> CircuitBreaker | None:
-        """A fresh breaker with this cell's parameters (or None)."""
-        if self.breaker is None:
-            return None
-        threshold, cooldown, backoff, max_cooldown = self.breaker
-        return CircuitBreaker(failure_threshold=threshold,
-                              cooldown=cooldown,
-                              backoff_factor=backoff,
-                              max_cooldown=max_cooldown)
-
-    def lane(self) -> FaultLane | None:
-        """This cell's fault layer as one batch lane (fresh breaker)."""
-        if self.is_null:
-            return None
-        return FaultLane(self.spec, self.retry, self.make_breaker())
-
-    def run_kwargs(self) -> dict:
-        """Fault kwargs for one ``run_online`` call (fresh breaker)."""
-        if self.is_null:
-            return {}
-        return dict(faults=self.spec, retry=self.retry,
-                    breaker=self.make_breaker())
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,15 +90,15 @@ class PolicyOutcome:
 class RunOutcome:
     """All policy outcomes for one parameter setting.
 
-    ``fell_back`` counts the (repetition, policy) runs that the batch
-    engine handed to the reference simulator (policies without a
-    score row, or blocks the columnar form cannot encode); it is 0
-    for other engines (a ``"solo"`` run the columns refuse is
-    ``run_online``'s to reroute and to log). ``engine`` names the engine
-    that served the cells (empty for outcomes assembled by hand). ``block_ids`` identifies the
-    columnar passes that served them — shared with the other settings of
-    a sweep whose cells rode the same passes — and ``blocks`` counts
-    them.
+    ``fell_back`` counts the (repetition, policy) runs planned for the
+    columns (``"batch"`` or ``"solo"``) that went to the reference
+    simulator instead (policies without a score row, or blocks the
+    columnar form cannot encode); under ``"reference"`` every run is
+    planned there, so it is 0. ``engine`` names the engine that served
+    the cells (empty for outcomes assembled by hand). ``block_ids``
+    identifies the columnar passes that served them — shared with the
+    other settings of a sweep whose cells rode the same passes — and
+    ``blocks`` counts them: one per policy run under ``"solo"``.
     """
 
     config: ExperimentConfig
@@ -252,34 +205,6 @@ def make_instance(config: ExperimentConfig, repetition: int,
     return cache.get_or_generate(config, repetition, source)
 
 
-def _run_cell(config: ExperimentConfig, repetition: int,
-              policies: Sequence[str], include_offline: bool,
-              source: str, engine: str,
-              fault_cfg: FaultCell | None = None
-              ) -> dict[str, tuple[float, float]]:
-    """One (setting, repetition) work cell: every policy in a run of its
-    own — a one-lane block (``"solo"``) or the reference simulator.
-
-    The unit of parallelism: module-level (so picklable) and fully
-    determined by its arguments — the instance is regenerated in the
-    worker from the config seed and repetition index. Returns
-    ``{label: (gc, runtime_seconds)}`` in policy order.
-    """
-    _trace, profiles = make_instance(config, repetition, source=source)
-    cell: dict[str, tuple[float, float]] = {}
-    for label in policies:
-        policy, preemptive = parse_policy_spec(label)
-        kwargs = fault_cfg.run_kwargs() if fault_cfg is not None else {}
-        result = run_online(profiles, config.epoch, config.budget_vector,
-                            policy, preemptive=preemptive,
-                            engine="batch" if engine == "solo" else engine,
-                            **kwargs)
-        cell[label] = (result.gc, result.runtime_seconds)
-    if include_offline:
-        cell[OFFLINE_LABEL] = _local_ratio_cell(profiles, config)
-    return cell
-
-
 def _local_ratio_cell(profiles: ProfileSet,
                       config: ExperimentConfig) -> tuple[float, float]:
     """The ``OFFLINE_LABEL`` entry of a cell: Local-Ratio's
@@ -292,7 +217,7 @@ def _local_ratio_cell(profiles: ProfileSet,
     return result.gc, result.runtime_seconds
 
 
-#: Cell-dict keys under which the blocked path reports its reference
+#: Cell-dict keys under which the executor reports its reference
 #: fallbacks (a count) and the columnar passes that served the cell (a
 #: set of pass ids); :func:`_merge_cells` pops both before reading
 #: policy labels.
@@ -319,16 +244,11 @@ def _group_by_instance(cell_args: Sequence[tuple]) -> dict[str, list[int]]:
     return groups
 
 
-def _run_cells_blocked(cell_args: Sequence[tuple]
-                       ) -> list[dict[str, tuple[float, float]]]:
-    """Serial batch-engine path: one columnar block per generated instance.
-
-    Cells sharing a generated instance (see :func:`_group_by_instance`)
-    run over one lowering — every policy of every such cell is a lane.
-    Policies without a score row, and instances the columnar form
-    cannot encode, fall back to the reference per (cell, policy).
-    Results land in the original cell order.
-    """
+def _run_cells_serial(cell_args: Sequence[tuple]
+                      ) -> list[dict[str, tuple[float, float]]]:
+    """Run cells in-process, one :func:`_run_one_block` per generated
+    instance (see :func:`_group_by_instance`), for every engine. Results
+    land in the original cell order."""
     cells: list[dict[str, tuple[float, float]]] = [None] * len(cell_args)
     for gkey, indices in _group_by_instance(cell_args).items():
         _run_one_block(cell_args, gkey, indices, cells)
@@ -337,71 +257,71 @@ def _run_cells_blocked(cell_args: Sequence[tuple]
 
 def _run_one_block(cell_args: Sequence[tuple], gkey: str,
                    indices: Sequence[int], cells: list) -> None:
-    """Run the cells of one generated instance, writing into ``cells``."""
-    config, repetition, _policies, _offline, source = \
-        cell_args[indices[0]][:5]
+    """Run the cells of one generated instance, writing into ``cells``.
+
+    The one executor of every engine. Each (cell, policy) is a lane with
+    its own copy of the cell's fault layer (:meth:`FaultLane.fresh`):
+    ``"batch"`` runs blocks of up to :data:`_MAX_BLOCK_LANES` lanes over
+    the cached lowering, ``"solo"`` one-lane blocks that lower the
+    instance themselves (a runtime includes its lowering), and
+    ``"reference"`` the reference simulator. A lane the columns refuse
+    runs on the reference too, counted in ``fell_back``.
+    """
+    config, repetition, _policies, _offline, source, engine = \
+        cell_args[indices[0]][:6]
     epoch = config.epoch
     _trace, profiles = make_instance(config, repetition, source=source)
-    lane_specs: list[tuple] = []
+    lanes: list[tuple] = []
     lane_home: list[tuple[int, str]] = []
-    fallback: list[tuple[int, str]] = []
     for at in indices:
-        config, policies, fault_cfg = \
+        config, policies, fault = \
             cell_args[at][0], cell_args[at][2], cell_args[at][6]
         cells[at] = {}
         for label in policies:
             policy, preemptive = parse_policy_spec(label)
-            if key_of(policy) is None:
-                fallback.append((at, label))
-                continue
-            # A fresh FaultLane (so a fresh breaker) per lane: breaker
-            # state is per-run, and the plane rejects shared breakers.
-            fault = fault_cfg.lane() if fault_cfg is not None else None
-            lane_specs.append((policy, preemptive, config.budget_vector,
-                               0, fault))
+            lanes.append((policy, preemptive, config.budget_vector, 0,
+                          fault.fresh() if fault is not None else None))
             lane_home.append((at, label))
 
-    if lane_specs:
+    results: list = [None] * len(lanes)
+    keyed = [] if engine == "reference" else [
+        i for i, lane in enumerate(lanes) if key_of(lane[0]) is not None]
+    size = 1 if engine == "solo" else _MAX_BLOCK_LANES
+    columnar = None
+    if keyed and engine == "batch":
         try:
             columnar = active_cache().lowering(config, repetition, source)
-            results: list | None = []
-            for lo in range(0, len(lane_specs), _MAX_BLOCK_LANES):
-                results.extend(run_block(
-                    profiles, epoch, lane_specs[lo:lo + _MAX_BLOCK_LANES],
-                    columnar=columnar))
         except BatchUnsupported:
-            results = None
-        if results is None:
-            fallback = list(lane_home) + fallback
-        else:
-            for lane, ((at, label), result) in enumerate(
-                    zip(lane_home, results)):
-                cells[at][label] = (result.gc, result.runtime_seconds)
-                cells[at].setdefault(_BLOCKS, set()).add(
-                    (gkey, lane // _MAX_BLOCK_LANES))
+            keyed = []
+    for lo in range(0, len(keyed), size):
+        chunk = keyed[lo:lo + size]
+        try:
+            served = run_block(profiles, epoch, [lanes[i] for i in chunk],
+                               columnar=columnar)
+        except BatchUnsupported:
+            continue
+        for i, result in zip(chunk, served):
+            results[i] = result
+            at = lane_home[i][0]
+            cells[at].setdefault(_BLOCKS, set()).add((gkey, lo // size))
 
-    for at, label in fallback:
-        config, fault_cfg = cell_args[at][0], cell_args[at][6]
-        kwargs = fault_cfg.run_kwargs() if fault_cfg is not None else {}
-        policy, preemptive = parse_policy_spec(label)
-        result = run_online(profiles, epoch, config.budget_vector, policy,
-                            preemptive=preemptive, engine="reference",
-                            **kwargs)
+    for (at, label), lane, result in zip(lane_home, lanes, results):
+        if result is None:
+            policy, preemptive, budget, _inst, fault = lane
+            kwargs = {} if fault is None else dict(
+                faults=fault.faults, retry=fault.retry,
+                breaker=fault.breaker)
+            result = run_online(profiles, epoch, budget, policy,
+                                preemptive=preemptive, engine="reference",
+                                **kwargs)
+            if engine != "reference":
+                cells[at][_FELL_BACK] = cells[at].get(_FELL_BACK, 0) + 1
         cells[at][label] = (result.gc, result.runtime_seconds)
-        cells[at][_FELL_BACK] = cells[at].get(_FELL_BACK, 0) + 1
 
     for at in indices:
         config, include_offline = cell_args[at][0], cell_args[at][3]
         if include_offline:
             cells[at][OFFLINE_LABEL] = _local_ratio_cell(profiles, config)
-
-
-def _run_cells_serial(cell_args: Sequence[tuple]
-                      ) -> list[dict[str, tuple[float, float]]]:
-    """Run cells in-process: blocked for the batch engine, else one by one."""
-    if cell_args and cell_args[0][5] == "batch":
-        return _run_cells_blocked(cell_args)
-    return [_run_cell(*args) for args in cell_args]
 
 
 def _process_pool(workers: int, **kwargs):
@@ -503,7 +423,7 @@ def _merge_cells(config: ExperimentConfig,
 def _run_settings(configs: Sequence[ExperimentConfig],
                   policies: Sequence[str], include_offline: bool,
                   source: str, engine: str, workers: int | None,
-                  fault_cell: Callable[[int, int], FaultCell] | None = None
+                  fault_cell: Callable[[int, int], FaultLane] | None = None
                   ) -> list[RunOutcome]:
     """One :class:`RunOutcome` per config, from one flat cell list.
 
@@ -512,9 +432,15 @@ def _run_settings(configs: Sequence[ExperimentConfig],
     repetition of every setting of a budget sweep) into one columnar
     block spanning config boundaries, and ``workers=N`` (N > 1) spreads
     the list over one process pool. ``fault_cell(setting_index,
-    repetition)`` supplies a cell's :class:`FaultCell`. Cells merge in
-    serial iteration order.
+    repetition)`` supplies a cell's fault layer, a :class:`FaultLane`
+    whose breaker is a template: every run takes a fresh copy. Cells
+    merge in serial iteration order. An engine not in ``ENGINES`` is a
+    :class:`ValueError` before any instance is generated.
     """
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r} (expected one of "
+            f"{', '.join(map(repr, ENGINES))})")
     flat = [
         (config, repetition, tuple(policies), include_offline, source,
          engine,

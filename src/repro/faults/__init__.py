@@ -21,7 +21,7 @@ part of the model:
 from repro._lazy import export_table
 
 __all__, __getattr__, __dir__ = export_table(__name__, {
-    ".breaker": ("BackoffPolicy", "CircuitBreaker", "RetryConfig"),
+    ".breaker": ("CircuitBreaker", "RetryConfig"),
     ".engine": ("ProbeRound", "execute_probes"),
     ".model": (
         "FaultDecision",

@@ -5,13 +5,18 @@ probe is budget burned. Two mechanisms keep a policy from burning its
 whole budget on a dead source:
 
 * :class:`RetryConfig` — an in-chronon retry allowance for failed probes,
-  spent only from budget left over after the policy's selections;
+  spent only from budget left over after the policy's selections, and
+  the jittered delay the asyncio proxy sleeps before each retry;
 * :class:`CircuitBreaker` — per-resource consecutive-failure tracking
   with exponential backoff: after ``failure_threshold`` consecutive
   failures a resource is *quarantined* (excluded from candidate
   selection) for a cooldown that doubles on every re-trip, so a
   persistently dead resource costs one trial probe per cooldown window
   instead of one per chronon.
+
+Both check every field where they are built: an integer field must be
+an ``int`` (not a ``bool``) at or above its floor, a float field a
+finite number, or a :class:`~repro.core.errors.FaultError` names it.
 
 This module deliberately imports nothing from the runtime — the same
 breaker instance drives both the measurement simulator and the live
@@ -22,42 +27,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 from repro.core.errors import FaultError
 from repro.core.timeline import Chronon
 
-__all__ = ["BackoffPolicy", "CircuitBreaker", "RetryConfig"]
+__all__ = ["CircuitBreaker", "RetryConfig"]
+
+
+def _check(name: str, value, floor=None, integral: bool = True) -> None:
+    """An ``int`` (not a ``bool``) if ``integral``, else a finite real,
+    at or above ``floor`` — or a FaultError naming the field."""
+    if (isinstance(value, bool)
+            or not isinstance(value, Integral if integral else Real)
+            or not (isinstance(value, Integral) or math.isfinite(value))):
+        kind = "an int" if integral else "a finite number"
+        raise FaultError(f"{name} must be {kind}, got {value!r}")
+    if floor is not None and value < floor:
+        raise FaultError(f"{name} must be >= {floor}, got {value}")
 
 
 @dataclass(frozen=True, slots=True)
 class RetryConfig:
-    """In-chronon retry allowance for failed probes.
+    """In-chronon retry allowance with deterministic full-jitter delays.
 
-    Attributes
-    ----------
-    max_retries:
-        Retries allowed per failed resource within one chronon. Each
-        retry consumes one unit of leftover budget.
-    """
-
-    max_retries: int = 1
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise FaultError(
-                f"max_retries must be >= 0, got {self.max_retries}")
-
-
-@dataclass(frozen=True, slots=True)
-class BackoffPolicy:
-    """Retry allowance with deterministic full-jitter exponential delays.
-
-    Generalizes :class:`RetryConfig` for the asyncio proxy: besides *how
-    many* retries a failed probe gets, it decides *how long* to wait
-    before each one. Delays follow AWS-style "full jitter": attempt
-    ``k`` sleeps a uniform draw from ``[0, min(max_delay, base_delay *
-    factor**(k-1))]``, which decorrelates retry storms without giving up
-    the exponential envelope.
+    ``max_retries`` is *how many* retries a failed probe gets; every
+    engine reads it. The four delay fields decide *how long* the asyncio
+    proxy waits before each one (the synchronous engines do not sleep).
+    Delays follow AWS-style "full jitter": attempt ``k`` sleeps a uniform
+    draw from ``[0, min(max_delay, base_delay * factor**(k-1))]``, which
+    decorrelates retry storms without giving up the exponential
+    envelope.
 
     Every draw is :func:`~repro.faults.model.keyed_draw` of ``(seed,
     "backoff", key, attempt)`` — the fault channels' draw — so two runs
@@ -67,9 +67,8 @@ class BackoffPolicy:
     Attributes
     ----------
     max_retries:
-        Retries allowed per failed resource within one chronon (each
-        spends one unit of leftover budget, exactly like
-        :class:`RetryConfig`).
+        Retries allowed per failed resource within one chronon. Each
+        retry consumes one unit of leftover budget.
     base_delay:
         Upper bound of the first retry's jitter window, in seconds.
     factor:
@@ -87,27 +86,11 @@ class BackoffPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise FaultError(
-                f"max_retries must be >= 0, got {self.max_retries}")
-        if self.base_delay < 0.0:
-            raise FaultError(
-                f"base_delay must be >= 0, got {self.base_delay}")
-        if self.factor < 1.0:
-            raise FaultError(f"factor must be >= 1.0, got {self.factor}")
-        if self.max_delay < self.base_delay:
-            raise FaultError("max_delay must be >= base_delay")
-
-    @classmethod
-    def from_retry(cls, retry: RetryConfig | None,
-                   **overrides) -> "BackoffPolicy":
-        """Lift a plain :class:`RetryConfig` (or None) into a policy."""
-        max_retries = retry.max_retries if retry is not None else 0
-        return cls(max_retries=max_retries, **overrides)
-
-    def as_retry(self) -> RetryConfig:
-        """The in-chronon retry allowance this policy grants."""
-        return RetryConfig(max_retries=self.max_retries)
+        _check("max_retries", self.max_retries, 0)
+        _check("base_delay", self.base_delay, 0.0, integral=False)
+        _check("factor", self.factor, 1.0, integral=False)
+        _check("max_delay", self.max_delay, self.base_delay, integral=False)
+        _check("seed", self.seed)
 
     def window_for(self, attempt: int) -> float:
         """The jitter window (seconds) for retry attempt ``attempt >= 1``."""
@@ -167,16 +150,10 @@ class CircuitBreaker:
     def __init__(self, failure_threshold: int = 3, cooldown: int = 4,
                  backoff_factor: float = 2.0,
                  max_cooldown: int = 64) -> None:
-        if failure_threshold < 1:
-            raise FaultError(
-                f"failure_threshold must be >= 1, got {failure_threshold}")
-        if cooldown < 1:
-            raise FaultError(f"cooldown must be >= 1, got {cooldown}")
-        if backoff_factor < 1.0:
-            raise FaultError(
-                f"backoff_factor must be >= 1.0, got {backoff_factor}")
-        if max_cooldown < cooldown:
-            raise FaultError("max_cooldown must be >= cooldown")
+        _check("failure_threshold", failure_threshold, 1)
+        _check("cooldown", cooldown, 1)
+        _check("backoff_factor", backoff_factor, 1.0, integral=False)
+        _check("max_cooldown", max_cooldown, cooldown)
         self.failure_threshold = failure_threshold
         self.cooldown = cooldown
         self.backoff_factor = backoff_factor

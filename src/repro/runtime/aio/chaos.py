@@ -37,7 +37,7 @@ from repro.core.budget import BudgetVector
 from repro.core.profile import Profile
 from repro.core.timeline import Epoch
 from repro.core.intervals import TInterval
-from repro.faults.breaker import BackoffPolicy, CircuitBreaker, RetryConfig
+from repro.faults.breaker import CircuitBreaker, RetryConfig
 from repro.faults.model import FaultSpec, Outage, keyed_draw
 from repro.faults.server import UnreliableServer
 from repro.online import MRSFPolicy
@@ -224,11 +224,11 @@ def build_scenario(config: ChaosConfig, journal_path=None):
     journal = Journal(journal_path) if journal_path is not None else None
     proxy = AsyncMonitoringProxy(
         server, epoch, BudgetVector(config.budget), MRSFPolicy(),
-        backoff=BackoffPolicy(max_retries=config.max_retries,
-                              base_delay=config.backoff_base,
-                              max_delay=max(config.backoff_base * 8,
-                                            config.backoff_base),
-                              seed=config.seed),
+        retry=RetryConfig(max_retries=config.max_retries,
+                          base_delay=config.backoff_base,
+                          max_delay=max(config.backoff_base * 8,
+                                        config.backoff_base),
+                          seed=config.seed),
         breaker=CircuitBreaker(failure_threshold=3, cooldown=4),
         deadline=config.deadline,
         hedge_delay=config.hedge_delay,
@@ -274,7 +274,8 @@ async def run_soak(config: ChaosConfig,
         violations.append("schedule exceeds the per-chronon budget")
 
     if config.slow_fraction == 0.0:
-        violations.extend(_identity_violations(config, stats, delivered))
+        violations.extend(_identity_violations(config, stats, delivered,
+                                               proxy.retry))
 
     return SoakReport(stats=stats, delivered=len(delivered),
                       distinct=distinct, duplicates=duplicates,
@@ -283,13 +284,14 @@ async def run_soak(config: ChaosConfig,
 
 
 def _identity_violations(config: ChaosConfig, async_stats: ProxyStats,
-                         async_delivered) -> list[str]:
+                         async_delivered, retry: RetryConfig) -> list[str]:
     """Compare an async run without slow servers against the
-    synchronous proxy over the same faults, retries and breaker."""
+    synchronous proxy over the same faults, the async proxy's own
+    ``retry`` and a breaker like its."""
     epoch, trace, initial, plan = _plan(config)
     proxy = MonitoringProxy(_make_server(config, epoch, trace), epoch,
                             BudgetVector(config.budget), MRSFPolicy(),
-                            retry=RetryConfig(config.max_retries),
+                            retry=retry,
                             breaker=CircuitBreaker(3, 4))
     client = proxy.register_client("soak")
     for _ in proxy.follow(client, initial, plan):

@@ -23,7 +23,7 @@ from contextlib import nullcontext
 from typing import Any, Awaitable, Callable, Sequence
 
 from repro.core.timeline import Chronon
-from repro.faults.breaker import BackoffPolicy, CircuitBreaker
+from repro.faults.breaker import CircuitBreaker, RetryConfig
 from repro.faults.engine import ProbeRound, cascade
 from repro.runtime.server import PROBE_FAILED, ProbeOutcome
 
@@ -41,7 +41,7 @@ HEDGE_ATTEMPT = 1
 async def execute_probes_async(
         decisions: Sequence[Any], chronon: Chronon, budget: int,
         prober: AsyncProber, *,
-        backoff: BackoffPolicy | None = None,
+        retry: RetryConfig | None = None,
         breaker: CircuitBreaker | None = None,
         deadline: float | None = None,
         semaphore: asyncio.Semaphore | None = None,
@@ -57,8 +57,9 @@ async def execute_probes_async(
       (:func:`asyncio.wait_for`); an expired request counts as a failed
       probe with fault ``"deadline"``;
     * requests in flight at once are capped by ``semaphore``;
-    * each retry first sleeps a deterministic full-jitter ``backoff``
-      delay keyed on ``(resource, chronon, attempt)``;
+    * each retry first sleeps the deterministic full-jitter delay of
+      ``retry`` (:meth:`RetryConfig.delay_for`) keyed on ``(resource,
+      chronon, attempt)``;
     * when ``hedge_delay`` is set and the breaker reports a resource
       *half-open*, its quarantine-exit trial is hedged: if the primary
       request has not answered after ``hedge_delay`` seconds, a second
@@ -83,7 +84,7 @@ async def execute_probes_async(
     async def answers(resource_id: int, attempt: int) -> Sequence[Any]:
         nonlocal spare
         if attempt:
-            delay = backoff.delay_for(f"{resource_id}:{chronon}", attempt)
+            delay = retry.delay_for(f"{resource_id}:{chronon}", attempt)
             if delay > 0.0:
                 await asyncio.sleep(delay)
         elif (hedge_delay is not None and breaker is not None
@@ -99,7 +100,7 @@ async def execute_probes_async(
 
     steps = cascade([decision.resource_id for decision in decisions],
                     chronon, budget,
-                    backoff.max_retries if backoff is not None else 0,
+                    retry.max_retries if retry is not None else 0,
                     breaker)
     got = None
     try:

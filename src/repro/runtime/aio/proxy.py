@@ -40,7 +40,7 @@ from repro.core.budget import BudgetVector
 from repro.core.errors import FaultError, ModelError
 from repro.core.profile import Profile
 from repro.core.timeline import Chronon, Epoch
-from repro.faults.breaker import BackoffPolicy, CircuitBreaker
+from repro.faults.breaker import CircuitBreaker, RetryConfig
 from repro.online.base import Policy
 from repro.runtime.aio.engine import execute_probes_async
 from repro.runtime.aio.journal import Journal, JournalState, replay_journal
@@ -87,9 +87,9 @@ class AsyncMonitoringProxy(MonitoringProxy):
 
     Parameters beyond :class:`~repro.runtime.proxy.MonitoringProxy`'s
     ----------------------------------------------------------------
-    backoff:
-        Retry allowance *and* jittered delay schedule (replaces the
-        sync proxy's plain ``retry``); ``None`` disables retries.
+    retry:
+        As the synchronous proxy's, and the async executor also sleeps
+        its jittered delay before each retry; ``None`` disables retries.
     deadline:
         Per-probe deadline in seconds; an expired request counts as a
         failed probe with fault ``"deadline"``. ``None`` disables.
@@ -107,7 +107,7 @@ class AsyncMonitoringProxy(MonitoringProxy):
     def __init__(self, server: OriginServer, epoch: Epoch,
                  budget: BudgetVector, policy: Policy,
                  preemptive: bool = True,
-                 backoff: BackoffPolicy | None = None,
+                 retry: RetryConfig | None = None,
                  breaker: CircuitBreaker | None = None,
                  deadline: float | None = None,
                  max_concurrency: int = 8,
@@ -116,9 +116,7 @@ class AsyncMonitoringProxy(MonitoringProxy):
                  journal: Journal | None = None) -> None:
         super().__init__(
             server, epoch, budget, policy, preemptive=preemptive,
-            retry=backoff.as_retry() if backoff is not None else None,
-            breaker=breaker)
-        self.backoff = backoff
+            retry=retry, breaker=breaker)
         self.deadline = deadline
         self.hedge_delay = hedge_delay
         self.latency = latency
@@ -217,7 +215,7 @@ class AsyncMonitoringProxy(MonitoringProxy):
             if decisions:
                 round_ = await execute_probes_async(
                     decisions, chronon, budget_now, self._aprobe,
-                    backoff=self.backoff, breaker=self.breaker,
+                    retry=self.retry, breaker=self.breaker,
                     deadline=self.deadline,
                     semaphore=self._semaphore,
                     hedge_delay=self.hedge_delay)

@@ -45,8 +45,8 @@ result is bit-for-bit the reference simulator's, probe for probe (the
 The engine is **schedule-identical** to the reference
 :class:`~repro.simulation.proxy.ProxySimulator` for every supported
 policy (see ``tests/conformance/engines.py``): probe-for-probe,
-report-for-report. Unsupported configurations — subclassed
-retry/breaker components, policies whose score is not a
+report-for-report. Unsupported configurations — a subclassed
+breaker, policies whose score is not a
 :class:`~repro.online.base.ScoreKey` row, instances whose packed keys
 overflow — raise
 :class:`~repro.simulation.columnar.BatchUnsupported`: ``run_online`` and
@@ -90,11 +90,13 @@ class FaultLane:
     ``faults`` is a :class:`~repro.faults.model.FaultSpec`, a
     :class:`~repro.faults.model.FaultInjector` (a *recording* injector
     gets its trace filled exactly as the reference would fill it) or
-    None; anything else is a :class:`TypeError` here. Subclassed
-    retry/breaker components, breakers carrying prior state, and breaker
-    or recording injector objects shared across lanes cannot be lowered
-    and raise :class:`BatchUnsupported` — ``run_online`` and the harness
-    fall back to the reference simulator.
+    None; anything else is a :class:`TypeError` here. A breaker may
+    carry state from earlier runs: the plane starts from it and leaves
+    its end state behind, as the reference would. A subclassed breaker
+    (its methods are its behaviour), and breaker or recording injector
+    objects shared across lanes, cannot be lowered and raise
+    :class:`BatchUnsupported` — ``run_online`` and the harness fall back
+    to the reference simulator.
     """
 
     faults: FaultSpec | FaultInjector | None = None
@@ -103,6 +105,15 @@ class FaultLane:
 
     def __post_init__(self) -> None:
         fault_source(self.faults)
+
+    def fresh(self) -> "FaultLane":
+        """This layer with a clean breaker of the same parameters: breaker
+        state is per run, so each run of a shared template takes one."""
+        brk = self.breaker
+        return self if brk is None else FaultLane(
+            self.faults, self.retry, CircuitBreaker(
+                brk.failure_threshold, brk.cooldown, brk.backoff_factor,
+                brk.max_cooldown))
 
 
 @dataclass(frozen=True)
@@ -121,9 +132,12 @@ class _Lane:
     def fault_active(self) -> bool:
         # A null spec with no recording still behaves exactly like a
         # reliable lane; a recording injector always needs the plane so
-        # its trace gets every (all-ok) decision.
+        # its trace gets every (all-ok) decision, and a warm breaker so
+        # its quarantine holds from the first chronon.
+        brk = self.breaker
         return self.injector is not None or (
-            self.spec is not None and not self.spec.is_null)
+            self.spec is not None and not self.spec.is_null) or (
+            brk is not None and bool(brk._states or brk.ever_quarantined))
 
 
 def _lower_fault(fault: object | None, seen: set[int]):
@@ -152,28 +166,19 @@ def _lower_fault(fault: object | None, seen: set[int]):
                     "interleaves their traces order-dependently")
             seen.add(id(faults))
             injector = faults
-    retry = fault.retry
-    if retry is not None and type(retry) is not RetryConfig:
-        raise BatchUnsupported(
-            f"retry config {type(retry).__name__} is not a plain "
-            "RetryConfig")
     breaker = fault.breaker
     if breaker is not None:
         if type(breaker) is not CircuitBreaker:
             raise BatchUnsupported(
                 f"breaker {type(breaker).__name__} is not a plain "
                 "CircuitBreaker")
-        if breaker._states or breaker.ever_quarantined:
-            raise BatchUnsupported(
-                "breaker carries prior state; the lowered plane starts "
-                "from a clean matrix")
         if id(breaker) in seen:
             raise BatchUnsupported(
                 "a CircuitBreaker shared across lanes couples them "
                 "sequentially")
         seen.add(id(breaker))
-    max_retries = retry.max_retries if retry is not None else 0
-    return spec, injector, max_retries, breaker
+    retries = fault.retry.max_retries if fault.retry is not None else 0
+    return spec, injector, retries, breaker
 
 
 def _make_lanes(col: ColumnarInstance,
@@ -358,8 +363,16 @@ class _FaultPlane:
         self.consec = np.zeros((L, rid_space), dtype=np.int64)
         self.open_until = np.full((L, rid_space), -1, dtype=np.int64)
         self.trips = np.zeros((L, rid_space), dtype=np.int64)
-        self.ever = np.zeros((L, rid_space), dtype=bool)
-        self.blocking = False  # sticky: any breaker ever tripped
+        # A warm breaker seeds its row — the inverse of finish(); state
+        # of a resource outside this instance is never touched.
+        for i, ln in enumerate(lane_objs):
+            for r, st in (ln.breaker._states.items() if ln.breaker else ()):
+                if 0 <= r < rid_space:
+                    self.consec[i, r] = st.consecutive_failures
+                    self.open_until[i, r] = st.open_until
+                    self.trips[i, r] = st.trips
+        # Sticky: any breaker ever tripped.
+        self.blocking = bool((self.open_until >= 0).any())
 
         self.failures = np.zeros(L, dtype=np.int64)
         self.retries = np.zeros(L, dtype=np.int64)
@@ -393,10 +406,11 @@ class _FaultPlane:
             return
         self.blocking = True
         for i, r in zip(ls[trip].tolist(), rs[trip].tolist()):
-            self.open_until[i, r] = T + self.lanes[i].breaker._cooldown_for(
+            brk = self.lanes[i].breaker
+            self.open_until[i, r] = T + brk._cooldown_for(
                 int(self.trips[i, r]))
             self.trips[i, r] += 1
-            self.ever[i, r] = True
+            brk.ever_quarantined.add(r)
 
     def execute(self, T: int, glo: int, grids: np.ndarray,
                 lanes_pk: np.ndarray, g_pk: np.ndarray,
@@ -500,14 +514,16 @@ class _FaultPlane:
 
     def finish(self) -> None:
         """Push the state matrices back into the lane breaker objects."""
+        rid_space = self.consec.shape[1]
         for i, ln in enumerate(self.lanes):
             brk = ln.breaker
             if brk is None:
                 continue
-            brk.ever_quarantined.update(
-                np.nonzero(self.ever[i])[0].tolist())
+            # The quarantine census is the breaker's own, kept by _fail.
             # A resource keeps a _ResourceState exactly while its last
             # event was a failure (success pops it).
+            for r in [r for r in brk._states if 0 <= r < rid_space]:
+                del brk._states[r]
             for r in np.nonzero(self.consec[i] > 0)[0].tolist():
                 state = _ResourceState()
                 state.consecutive_failures = int(self.consec[i, r])
@@ -516,8 +532,11 @@ class _FaultPlane:
                 brk._states[r] = state
 
     def lane_stats(self) -> list[tuple[int, int, int]]:
+        """Per lane ``(failures, retries, quarantined)``; read after
+        :meth:`finish`, as quarantined is the breaker's own census."""
         return [(int(self.failures[i]), int(self.retries[i]),
-                 int(self.ever[i].sum())) for i in range(self.L)]
+                 ln.breaker.quarantined_count if ln.breaker is not None
+                 else 0) for i, ln in enumerate(self.lanes)]
 
 
 class _LaneBreaker:

@@ -197,8 +197,8 @@ def run_online(profiles: ProfileSet, epoch: Epoch, budget: BudgetVector,
     lineups into one block), fault layer included (``faults`` /
     ``retry`` / ``breaker`` ride along as a
     :class:`~repro.simulation.batch.FaultLane`). What the columns cannot
-    encode — a policy without a score row such as RANDOM, subclassed
-    retry/breaker components, keys beyond 62 bits — goes to
+    encode — a policy without a score row such as RANDOM, a subclassed
+    breaker, keys beyond 62 bits — goes to
     ``engine="reference"``, the per-chronon :class:`ProxySimulator`
     above, and an INFO record on this module's logger says why. A fault
     source other than a spec, an injector or ``None`` is a

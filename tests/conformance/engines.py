@@ -26,7 +26,6 @@ import pytest
 
 from repro.core import BudgetVector
 from repro.faults import (
-    BackoffPolicy,
     CircuitBreaker,
     FaultInjector,
     FaultSpec,
@@ -166,9 +165,7 @@ def _live(case: Case, asynchronous: bool = False) -> Iterator[dict]:
     if asynchronous:
         proxy = AsyncMonitoringProxy(
             server, case.epoch, case.budget, policy, preemptive,
-            backoff=BackoffPolicy.from_retry(retry, base_delay=0.0,
-                                             max_delay=0.0),
-            breaker=breaker)
+            retry=retry, breaker=breaker)
     else:
         proxy = MonitoringProxy(server, case.epoch, case.budget, policy,
                                 preemptive, retry=retry, breaker=breaker)

@@ -20,10 +20,11 @@ import pytest
 
 from repro.core import ProfileSet, Schedule
 from repro.experiments import ExperimentConfig, figure5, harness, table1
+from repro.experiments.config import ENGINES
 from repro.experiments.faults import (
     FAULT_POLICY_VARIANTS,
-    _default_breaker,
     fault_sweep,
+    run_fault_setting,
 )
 from repro.experiments.harness import (
     DEFAULT_ENGINE,
@@ -113,15 +114,15 @@ def reference_runs(monkeypatch):
 
 @pytest.fixture
 def solo_blocks(monkeypatch):
-    """Lane counts of the blocks ``run_online`` makes in this process."""
+    """Lane counts of the blocks the harness makes in this process."""
     lanes_of = []
-    original = batch_module.run_block
+    original = harness.run_block
 
     def counting(profiles, epoch, lanes, **kwargs):
         lanes_of.append(len(lanes))
         return original(profiles, epoch, lanes, **kwargs)
 
-    monkeypatch.setattr(batch_module, "run_block", counting)
+    monkeypatch.setattr(harness, "run_block", counting)
     return lanes_of
 
 
@@ -266,10 +267,11 @@ class TestOneBlockPerInstance:
         for profiles, lane_specs, results in block_calls:
             for (policy, preemptive, budget, _inst, fault), lane in \
                     zip(lane_specs, results):
+                fault = fault.fresh()
                 alone = run_online(
                     profiles, config.epoch, budget, policy,
                     preemptive=preemptive, faults=fault.faults,
-                    retry=fault.retry, breaker=_default_breaker(),
+                    retry=fault.retry, breaker=fault.breaker,
                     engine="reference")
                 assert (lane.gc, lane.probes_failed, lane.retries,
                         lane.resources_quarantined) == (
@@ -423,3 +425,79 @@ class TestGenerationKey:
         _trace_b, profiles_b = cache.get_or_generate(
             _CONFIG.with_(budget=7), 0)
         assert profiles_b is profiles_a
+
+
+class TestOneExecutor:
+    """Every engine runs through ``_run_one_block``; ``solo`` and
+    ``reference`` give the GC values and ``fell_back`` counts they gave
+    on their own per-cell path."""
+
+    _GC = {
+        "S-EDF(NP)": (1.0, 1.0, 0.8620689655172413),
+        "MRSF(P)": (0.9629629629629629, 1.0, 0.8620689655172413),
+        "M-EDF(P)": (0.9629629629629629, 1.0, 0.9655172413793104),
+    }
+    _FAULTY_GC = {
+        "S-EDF(P)": (1.0, 0.9130434782608695, 1.0),
+        "MRSF(NP)": (1.0, 0.9130434782608695, 1.0),
+    }
+
+    @pytest.mark.parametrize("engine", ["solo", "reference"])
+    def test_gc_and_fell_back_are_unchanged(self, engine, monkeypatch):
+        groups, columnar = [], []
+        run_one_block = harness._run_one_block
+        run_block = harness.run_block
+
+        def spy(cell_args, gkey, indices, cells):
+            groups.append(len(indices))
+            return run_one_block(cell_args, gkey, indices, cells)
+
+        def blocks(profiles, epoch, lanes, **kwargs):
+            columnar.append((len(lanes), kwargs.get("columnar")))
+            return run_block(profiles, epoch, lanes, **kwargs)
+
+        monkeypatch.setattr(harness, "_run_one_block", spy)
+        monkeypatch.setattr(harness, "run_block", blocks)
+        plain = run_setting(_CONFIG, tuple(self._GC), engine=engine)
+        faulty = run_fault_setting(_CONFIG.with_(budget=2), 0.3,
+                                   policies=tuple(self._FAULTY_GC),
+                                   engine=engine)
+        assert groups == [1] * (2 * _CONFIG.repetitions)
+        assert _gc_map(plain) == self._GC
+        assert _gc_map(faulty) == self._FAULTY_GC
+        assert (plain.fell_back, faulty.fell_back) == (0, 0)
+        if engine == "solo":
+            # One lane per block, each lowering its own instance.
+            assert columnar == [(1, None)] * 5 * _CONFIG.repetitions
+            assert (plain.blocks, faulty.blocks) == (9, 6)
+        else:
+            assert columnar == []
+            assert (plain.blocks, faulty.blocks) == (0, 0)
+
+
+class TestEngineNames:
+    def test_an_unknown_engine_is_refused_before_any_work(
+            self, monkeypatch):
+        cache = InstanceCache()
+        monkeypatch.setattr(instances, "_ACTIVE_CACHE", cache)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(harness, "_process_pool", no_pool)
+        for run in (lambda: run_setting(_CONFIG, engine="bogus"),
+                    lambda: run_setting(_CONFIG, engine="bogus",
+                                        workers=2),
+                    lambda: fault_sweep(config=_CONFIG, rates=(0.1,),
+                                        engine="bogus")):
+            with pytest.raises(ValueError, match="'solo'"):
+                run()
+        assert cache.misses == 0
+
+    def test_the_cli_offers_the_harness_engines(self):
+        from repro.cli import build_parser
+
+        (action,) = [action for action in build_parser()._actions
+                     if "--engine" in action.option_strings]
+        assert tuple(action.choices) == ENGINES == (
+            "batch", "solo", "reference")

@@ -97,9 +97,11 @@ class TestMain:
         lines = capsys.readouterr().out.splitlines()
         assert lines[:2] == ["# Figure 8 — gained completeness",
                              "# engine=batch fell_back=0 blocks=2"]
+        # table1 times each of its 6 policies over 2 repetitions alone:
+        # one one-lane block per run.
         assert main(["table1", "--scale", "smoke"]) == 0
         assert capsys.readouterr().out.startswith(
-            "# engine=solo fell_back=0 blocks=0\n")
+            "# engine=solo fell_back=0 blocks=12\n")
 
     def test_shared_block_blanks_the_runtime_column(self, capsys):
         assert main(["table1", "--scale", "smoke", "--csv"]) == 0

@@ -8,6 +8,35 @@ from repro.faults.model import OK_DECISION, FaultDecision
 from repro.runtime.server import PROBE_FAILED
 
 
+_NAN = float("nan")
+
+
+class TestFieldsCheckedWhereBuilt:
+    """An integer field is an ``int`` (not a ``bool``) at or above its
+    floor and a float field is finite, or the constructor raises a
+    FaultError naming the field — before any run could read it."""
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: CircuitBreaker(failure_threshold=2.5), "failure_threshold"),
+        (lambda: CircuitBreaker(failure_threshold=True),
+         "failure_threshold"),
+        (lambda: CircuitBreaker(cooldown=4.0), "cooldown"),
+        (lambda: CircuitBreaker(max_cooldown=64.5), "max_cooldown"),
+        (lambda: CircuitBreaker(backoff_factor=_NAN), "backoff_factor"),
+        (lambda: CircuitBreaker(backoff_factor=float("inf")),
+         "backoff_factor"),
+        (lambda: RetryConfig(1.5), "max_retries"),
+        (lambda: RetryConfig(True), "max_retries"),
+        (lambda: RetryConfig(base_delay=_NAN), "base_delay"),
+        (lambda: RetryConfig(factor=_NAN), "factor"),
+        (lambda: RetryConfig(max_delay=float("inf")), "max_delay"),
+        (lambda: RetryConfig(seed=1.5), "seed"),
+    ])
+    def test_bad_field_is_refused_by_name(self, build, field):
+        with pytest.raises(FaultError, match=field):
+            build()
+
+
 class TestRetryConfig:
     def test_negative_retries_rejected(self):
         with pytest.raises(FaultError):

@@ -32,13 +32,16 @@ import pytest
 #: and the per-server semaphore table (one of ``repro.runtime.aio``);
 #: and fault-trace replay — the trace class (from ``repro`` and
 #: ``repro.faults``), the replaying source and its error — with the
-#: strict probe's error (two names of ``repro.core``).
+#: strict probe's error (two names of ``repro.core``); and the second
+#: retry type (``repro.faults``: ``RetryConfig`` carries the delays) and
+#: the harness's per-cell fault record (``repro.experiments``: a cell
+#: carries a ``FaultLane``).
 PUBLIC_NAMES = {
     "repro": 66,
     "repro.analysis": 4,
     "repro.core": 26,
-    "repro.experiments": 39,
-    "repro.faults": 15,
+    "repro.experiments": 38,
+    "repro.faults": 14,
     "repro.offline": 14,
     "repro.online": 23,
     "repro.runtime": 12,

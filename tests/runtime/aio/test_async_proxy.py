@@ -14,7 +14,7 @@ from repro.core import (
     TInterval,
 )
 from repro.core.errors import FaultError
-from repro.faults.breaker import BackoffPolicy, CircuitBreaker
+from repro.faults.breaker import CircuitBreaker, RetryConfig
 from repro.faults.model import FaultSpec
 from repro.faults.server import UnreliableServer
 from repro.online import MEDFPolicy, MRSFPolicy, SEDFPolicy
@@ -88,7 +88,7 @@ class TestCaptureIdentity:
         async_stats, async_notes, _ = _run_async(
             MRSFPolicy(), OriginServer(_trace()),
             deadline=5.0, max_concurrency=1,
-            backoff=BackoffPolicy(max_retries=1),
+            retry=RetryConfig(max_retries=1),
             breaker=CircuitBreaker(), hedge_delay=0.01)
         assert async_stats == sync_stats
         assert len(async_notes) == len(sync_notes)
@@ -102,7 +102,7 @@ class TestCaptureIdentity:
             MRSFPolicy(), UnreliableServer(OriginServer(_trace()), spec))
         async_stats, async_notes, _ = _run_async(
             MRSFPolicy(), UnreliableServer(OriginServer(_trace()), spec),
-            backoff=BackoffPolicy(max_retries=1, base_delay=0.0))
+            retry=RetryConfig(max_retries=1, base_delay=0.0))
         # The sync run has no retry config, so compare a retry-free
         # async run instead for exact equality.
         async_stats2, async_notes2, _ = _run_async(

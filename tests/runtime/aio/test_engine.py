@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.errors import FaultError
-from repro.faults.breaker import BackoffPolicy, CircuitBreaker
+from repro.faults.breaker import CircuitBreaker, RetryConfig
 from repro.runtime.aio.engine import HEDGE_ATTEMPT, execute_probes_async
 from repro.runtime.server import (
     PROBE_FAILED,
@@ -78,7 +78,7 @@ class TestExecuteProbesAsync:
 
         round_ = asyncio.run(execute_probes_async(
             _decisions(0), 1, 2, prober,
-            backoff=BackoffPolicy(max_retries=1, base_delay=0.0)))
+            retry=RetryConfig(max_retries=1, base_delay=0.0)))
         assert calls == [0, 1]
         assert round_.retries == 1
         assert round_.failures == 1
@@ -93,7 +93,7 @@ class TestExecuteProbesAsync:
 
         round_ = asyncio.run(execute_probes_async(
             _decisions(0), 1, 1, prober,
-            backoff=BackoffPolicy(max_retries=2, base_delay=0.0)))
+            retry=RetryConfig(max_retries=2, base_delay=0.0)))
         assert calls == [0]
         assert round_.retries == 0
         assert round_.failed == [0]
@@ -109,7 +109,7 @@ class TestExecuteProbesAsync:
 
         round_ = asyncio.run(execute_probes_async(
             _decisions(0, 1), 1, 3, prober,
-            backoff=BackoffPolicy(max_retries=1, base_delay=0.0)))
+            retry=RetryConfig(max_retries=1, base_delay=0.0)))
         assert calls == [(0, 0), (1, 0), (0, 1)]
         assert round_.failed == [0, 1]
         assert round_.retries == 1
@@ -127,7 +127,7 @@ class TestExecuteProbesAsync:
 
         round_ = asyncio.run(execute_probes_async(
             _decisions(0, 1), 1, 3, prober,
-            backoff=BackoffPolicy(max_retries=1, base_delay=0.0)))
+            retry=RetryConfig(max_retries=1, base_delay=0.0)))
         assert calls[-1] == (0, 1)
         assert sorted(calls) == [(0, 0), (0, 1), (1, 0)]
         assert round_.attempts == 3
@@ -140,7 +140,7 @@ class TestExecuteProbesAsync:
 
         round_ = asyncio.run(execute_probes_async(
             _decisions(0), 1, 4, prober, breaker=breaker,
-            backoff=BackoffPolicy(max_retries=3, base_delay=0.0)))
+            retry=RetryConfig(max_retries=3, base_delay=0.0)))
         # The first failure trips the breaker, blocking every retry.
         assert round_.attempts == 1
         assert breaker.is_blocked(0, 2)
@@ -241,7 +241,7 @@ class TestHedgedTrials:
         round_ = asyncio.run(execute_probes_async(
             _decisions(0), 3, 4, prober, breaker=breaker,
             hedge_delay=0.005,
-            backoff=BackoffPolicy(max_retries=3, base_delay=0.0)))
+            retry=RetryConfig(max_retries=3, base_delay=0.0)))
         assert round_.failed == [0]
         assert round_.retries == 0
         assert breaker.is_blocked(0, 4)

@@ -15,10 +15,11 @@ import pytest
 from repro.experiments import make_instance
 from repro.faults import CircuitBreaker, FaultSpec, RetryConfig
 from repro.online.registry import available_policies, parse_policy_spec
-from repro.simulation import run_online
+from repro.simulation import ProxySimulator, run_block, run_online
+from repro.simulation.batch import FaultLane
 
 from tests.conformance.cases import ONLINE_2108, PINNED
-from tests.conformance.engines import check
+from tests.conformance.engines import assert_agree, check, observe
 
 _CONFIG = ONLINE_2108
 _SPEC = FaultSpec(failure_probability=0.3, timeout_probability=0.1, seed=5)
@@ -72,3 +73,53 @@ def test_the_reference_logs_nothing(caplog):
 def test_two_engine_names_and_no_others(engine):
     with pytest.raises(ValueError, match="expected 'batch' or 'reference'"):
         _run("MRSF(P)", engine)
+
+
+def _warm_breaker() -> CircuitBreaker:
+    """A breaker carrying earlier runs' state: resources 0-5 tripped at
+    staggered chronons (quarantined until 3, 7, ..., 23), resource 6 one
+    failure short of a trip, and a tripped resource 10 000 that this
+    instance does not have."""
+    breaker = CircuitBreaker(failure_threshold=2, cooldown=3)
+    for resource_id in range(6):
+        for _ in range(2):
+            breaker.record_failure(resource_id, 4 * resource_id)
+    breaker.record_failure(6, 0)
+    for _ in range(2):
+        breaker.record_failure(10_000, 0)
+    return breaker
+
+
+@pytest.mark.parametrize("spec", ["S-EDF(P)", "MRSF(NP)", "M-EDF(P)"])
+@pytest.mark.parametrize("faults", [None, _SPEC])
+def test_a_warm_breaker_lowers(spec, faults):
+    """The plane starts from a warm breaker's state and leaves the
+    reference's end state behind, probe for probe."""
+    _trace, profiles = make_instance(_CONFIG, 0)
+    seen = []
+    for engine in ("block", "reference"):
+        policy, preemptive = parse_policy_spec(spec)
+        breaker = _warm_breaker()
+        retry = RetryConfig(1)
+        if engine == "block":
+            (result,) = run_block(
+                profiles, _CONFIG.epoch,
+                [(policy, preemptive, _CONFIG.budget_vector, 0,
+                  FaultLane(faults, retry, breaker))])
+        else:
+            result = ProxySimulator(
+                profiles, _CONFIG.epoch, _CONFIG.budget_vector, policy,
+                preemptive=preemptive, faults=faults, retry=retry,
+                breaker=breaker).run()
+        seen.append(observe(result, faults, breaker))
+    block, reference = seen
+    assert_agree(block, reference)
+    assert block["breaker"] == reference["breaker"]
+    assert 10_000 in reference["breaker"][1]
+    # The warm state mattered: a cold breaker probes differently.
+    cold = run_online(profiles, _CONFIG.epoch, _CONFIG.budget_vector,
+                      *parse_policy_spec(spec), faults=faults,
+                      retry=RetryConfig(1),
+                      breaker=CircuitBreaker(failure_threshold=2,
+                                             cooldown=3))
+    assert list(cold.schedule.probes()) != block["probes"]
