@@ -1,11 +1,10 @@
-"""Offline pipeline performance: fast vs. reference Local-Ratio engines.
+"""Offline pipeline performance: the Local-Ratio and greedy solvers.
 
 Measures median wall-times of :class:`LocalRatioApproximation.solve`
-under both engines (sweep-line adjacency + lazy-heap decomposition +
-accelerated matching vs. the pairwise/rescan specification), the matcher
-and enumeration micro-costs, and the serial vs. process-pool offline
-comparison experiment, writing everything to ``BENCH_offline.json`` so
-future changes are compared against a tracked baseline::
+and :class:`GreedyOfflineSolver.solve`, the enumeration micro-cost, and
+the serial vs. process-pool offline comparison experiment, writing
+everything to ``BENCH_offline.json`` so future changes are compared
+against a tracked baseline::
 
     PYTHONPATH=src python benchmarks/bench_offline.py \
         --output BENCH_offline.json
@@ -15,12 +14,10 @@ is ``bench_batch.py``'s target scale restricted to the ``P^[1]``
 regime the paper evaluates the offline approximation in (``W = 0``,
 ``C = 1``, §5.3/§5.7); ``target-general`` keeps the online bench's
 windowed/overlap shape to exercise the general (augmentation-heavy)
-path. Both engines produce identical schedules (asserted on every
-measurement), so the numbers compare pure implementation cost.
+path.
 
 The module doubles as a pytest-benchmark bench
-(``bench_offline_speedup``) asserting the fast engine actually is
-faster.
+(``bench_offline_speedup``) timing Local-Ratio at the target scale.
 """
 
 from __future__ import annotations
@@ -78,41 +75,29 @@ def _median_solve(solver, profiles, config: ExperimentConfig,
 
 
 def bench_local_ratio(scale: str, rounds: int = 5) -> dict:
-    """Median reference vs. fast Local-Ratio wall-times at one scale."""
+    """Median Local-Ratio and greedy wall-times at one scale."""
     config = SCALES[scale]
     _trace, profiles = make_instance(config, 0)
-    fast_s, fast_result = _median_solve(
-        LocalRatioApproximation(engine="fast"), profiles, config, rounds)
-    reference_s, reference_result = _median_solve(
-        LocalRatioApproximation(engine="reference"), profiles, config,
-        rounds)
-    if sorted(fast_result.schedule.probes()) \
-            != sorted(reference_result.schedule.probes()):
-        raise AssertionError(
-            f"engines diverged at scale {scale!r}: benchmark numbers "
-            "would compare different algorithms")
-    greedy_s, _ = _median_solve(GreedyOfflineSolver(fast=True), profiles,
+    fast_s, result = _median_solve(
+        LocalRatioApproximation(), profiles, config, rounds)
+    greedy_s, _ = _median_solve(GreedyOfflineSolver(), profiles,
                                 config, rounds)
     return {
         "config": asdict(config),
-        "candidates": fast_result.extras["candidates"],
-        "accepted": fast_result.extras["accepted"],
-        "gc": fast_result.gc,
-        "reference_s": reference_s,
+        "candidates": result.extras["candidates"],
+        "accepted": result.extras["accepted"],
+        "gc": result.gc,
         "fast_s": fast_s,
-        "speedup": reference_s / fast_s,
         "greedy_fast_s": greedy_s,
     }
 
 
 def bench_micro(rounds: int = 5) -> dict:
-    """Micro-costs: matcher modes and the enumeration solver."""
+    """Micro-costs: the greedy matcher and the enumeration solver."""
     config = SCALES["target-general"]
     _trace, profiles = make_instance(config, 0)
-    fast_s, _ = _median_solve(GreedyOfflineSolver(fast=True), profiles,
+    fast_s, _ = _median_solve(GreedyOfflineSolver(), profiles,
                               config, rounds)
-    naive_s, _ = _median_solve(GreedyOfflineSolver(fast=False), profiles,
-                               config, rounds)
 
     # Enumeration ground truth on a tiny instance (exponential beyond).
     enum_config = ExperimentConfig(
@@ -125,8 +110,6 @@ def bench_micro(rounds: int = 5) -> dict:
         "matcher": {
             "config": asdict(config),
             "greedy_fast_s": fast_s,
-            "greedy_naive_s": naive_s,
-            "speedup": naive_s / fast_s,
         },
         "enumeration": {
             "config": asdict(enum_config),
@@ -197,9 +180,9 @@ def main(argv=None) -> int:
         report["scales"][scale] = bench_local_ratio(scale,
                                                     rounds=args.rounds)
         summary = report["scales"][scale]
-        print(f"[bench_offline]   speedup {summary['speedup']:.2f}x "
-              f"(ref {summary['reference_s']*1e3:.1f}ms, "
-              f"fast {summary['fast_s']*1e3:.1f}ms)",
+        print(f"[bench_offline]   local-ratio "
+              f"{summary['fast_s']*1e3:.1f}ms, greedy "
+              f"{summary['greedy_fast_s']*1e3:.1f}ms",
               file=sys.stderr)
     print("[bench_offline] measuring matcher/enumeration micro-costs ...",
           file=sys.stderr)
@@ -216,20 +199,17 @@ def main(argv=None) -> int:
 
 
 def bench_offline_speedup(benchmark):
-    """pytest-benchmark hook: fast Local-Ratio at the target scale, and a
-    sanity assertion that it beats the reference."""
+    """pytest-benchmark hook: Local-Ratio at the target scale."""
     config = SCALES["target"]
     _trace, profiles = make_instance(config, 0)
-    fast = LocalRatioApproximation(engine="fast")
+    solver = LocalRatioApproximation()
 
-    def run_fast():
-        return fast.solve(profiles, config.epoch, config.budget_vector)
+    def run():
+        return solver.solve(profiles, config.epoch, config.budget_vector)
 
-    benchmark.pedantic(run_fast, rounds=3, iterations=1)
-    fast_s, _ = _median_solve(fast, profiles, config, 3)
-    reference_s, _ = _median_solve(
-        LocalRatioApproximation(engine="reference"), profiles, config, 3)
-    assert fast_s < reference_s
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert result.schedule.respects_budget(config.budget_vector,
+                                           config.epoch)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ nesting depth), prints them as one table, and compares each against the
 committed baseline (the same file at git ``HEAD``). The command exits
 non-zero when any speedup regressed by more than the tolerance — CI runs
 it after regenerating the smoke-scale reports, turning silent perf
-regressions into red builds.
+regressions into red builds. A baseline speedup the current report lacks
+(a scale the run skipped, or a row that was removed) is listed as
+``missing`` and counted in the summary line; it does not fail the gate.
 
 Also runnable directly: ``python -m repro.bench_report [--dir .]
 [--baseline-dir DIR] [--tolerance 0.2]``.
@@ -93,8 +95,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"no BENCH_*.json reports under {directory.resolve()}")
         return 0
 
-    rows: list[tuple[str, str, str, float, str]] = []
+    rows: list[tuple[str, str, str, float | None, str]] = []
     regressions: list[str] = []
+    missing = 0
     for path in reports:
         try:
             current = json.loads(path.read_text(encoding="utf-8"))
@@ -118,23 +121,30 @@ def main(argv: list[str] | None = None) -> int:
                 regressions.append(
                     f"{path.name}:{key} {reference:.2f}x -> {value:.2f}x "
                     f"(floor {floor:.2f}x)")
+        for key in sorted(set(then) - set(now)):
+            rows.append((path.name, key, f"{then[key]:.2f}", None,
+                         "missing"))
+            missing += 1
 
     name_w = max([len(r[0]) for r in rows] + [6])
     key_w = max([len(r[1]) for r in rows] + [4])
     print(f"{'report':<{name_w}}  {'path':<{key_w}}  "
           f"{'baseline':>8}  {'current':>8}  status")
     for name, key, reference, value, status in rows:
+        current = "-" if value is None else f"{value:.2f}"
         print(f"{name:<{name_w}}  {key:<{key_w}}  "
-              f"{reference:>8}  {value:>8.2f}  {status}")
+              f"{reference:>8}  {current:>8}  {status}")
 
+    unchecked = (f"; {missing} baseline speedup(s) missing from the "
+                 "current reports, not compared" if missing else "")
     if regressions:
         print(f"\n{len(regressions)} speedup(s) regressed more than "
-              f"{args.tolerance:.0%}:")
+              f"{args.tolerance:.0%}{unchecked}:")
         for line in regressions:
             print(f"  {line}")
         return 1
     print(f"\nall tracked speedups within {args.tolerance:.0%} "
-          "of their baselines")
+          f"of their baselines{unchecked}")
     return 0
 
 

@@ -6,10 +6,8 @@ __all__, __getattr__, __dir__ = export_table(__name__, {
     ".conflict": (
         "demand_map",
         "overlap_adjacency",
-        "overlap_graph",
         "self_infeasible",
         "unit_conflict_adjacency",
-        "unit_conflict_graph",
     ),
     ".enumeration": ("EnumerationSolver",),
     ".greedy": ("GreedyOfflineSolver",),

@@ -14,16 +14,11 @@ two t-intervals are neighbors when any of their EI windows intersect in
 time — which over-approximates true conflicts; the Local-Ratio unwind then
 enforces real feasibility by matching (see ``local_ratio``).
 
-Two constructions exist for each relation:
-
-* the **reference** builders (:func:`unit_conflict_graph`,
-  :func:`overlap_graph`) return ``networkx`` graphs and spell the conflict
-  definitions out pair by pair — they are the executable specification;
-* the **fast** builders (:func:`unit_conflict_adjacency`,
-  :func:`overlap_adjacency`) produce the *same* edge set as plain
-  ``dict[TKey, set[TKey]]`` adjacency via chronon-indexed sweeps, keeping
-  networkx off the hot path. ``tests/properties`` proves the edge sets
-  coincide.
+Both relations are built by chronon-indexed sweeps into plain
+``dict[TKey, set[TKey]]`` adjacency (:func:`unit_conflict_adjacency`,
+:func:`overlap_adjacency`). Their specification — the same relations
+spelled out pair by pair — is ``tests/offline/oracle.py``, and the
+property suite checks that the edge sets coincide.
 """
 
 from __future__ import annotations
@@ -36,9 +31,7 @@ from repro.core.profile import ProfileSet
 
 __all__ = [
     "demand_map",
-    "unit_conflict_graph",
     "unit_conflict_adjacency",
-    "overlap_graph",
     "overlap_adjacency",
     "self_infeasible",
 ]
@@ -115,110 +108,18 @@ def self_infeasible(eta: TInterval, budget: BudgetVector) -> bool:
     return False
 
 
-# ----------------------------------------------------------------------
-# Reference constructions (networkx, pairwise — the specification)
-# ----------------------------------------------------------------------
-
-
-def unit_conflict_graph(profiles: ProfileSet,
-                        budget: BudgetVector) -> nx.Graph:
-    """Exact conflict graph of a ``P^[1]`` profile set.
-
-    Nodes are ``(profile_id, tinterval_id)`` keys; node attribute ``eta``
-    holds the t-interval. Self-infeasible t-intervals are omitted.
-
-    Raises
-    ------
-    ValueError
-        If the profile set is not unit-width.
-    """
-    if not profiles.is_unit_width:
-        raise ValueError("unit_conflict_graph requires a P^[1] profile set")
-    # Only the two reference builders need networkx; ``import repro``
-    # does not load it.
-    import networkx as nx
-
-    graph = nx.Graph()
-    demands: dict[TKey, dict[int, frozenset[int]]] = {}
-    for eta in profiles.tintervals():
-        if self_infeasible(eta, budget):
-            continue
-        key = (eta.profile_id, eta.tinterval_id)
-        graph.add_node(key, eta=eta)
-        demands[key] = demand_map(eta)
-
-    # Index t-intervals by chronon for pairwise checks.
-    by_chronon: dict[int, list[TKey]] = {}
-    for key, demand in demands.items():
-        for chronon in demand:
-            by_chronon.setdefault(chronon, []).append(key)
-
-    for chronon, keys in by_chronon.items():
-        capacity = budget.at(chronon)
-        for index, left in enumerate(keys):
-            left_resources = demands[left][chronon]
-            for right in keys[index + 1:]:
-                joint = left_resources | demands[right][chronon]
-                if len(joint) > capacity:
-                    graph.add_edge(left, right)
-    return graph
-
-
-def overlap_graph(profiles: ProfileSet) -> nx.Graph:
-    """Conservative time-overlap graph for general profile sets.
-
-    Two t-intervals are adjacent when any pair of their EI windows
-    intersects in time (regardless of resource). This is a superset of the
-    true conflict relation; used only to drive the Local-Ratio weight
-    decomposition for non-unit instances.
-    """
-    import networkx as nx
-
-    graph = nx.Graph()
-    spans: list[tuple[TKey, int, int]] = []
-    for eta in profiles.tintervals():
-        key = (eta.profile_id, eta.tinterval_id)
-        graph.add_node(key, eta=eta)
-        spans.append((key, eta.earliest_start, eta.latest_finish))
-
-    # Sweep over span intersections; per-EI precision is applied pairwise.
-    etas = {key: graph.nodes[key]["eta"] for key, _s, _f in spans}
-    spans.sort(key=lambda item: item[1])
-    for index, (left_key, left_start, left_finish) in enumerate(spans):
-        for right_key, right_start, _right_finish in spans[index + 1:]:
-            if right_start > left_finish:
-                break
-            if _eis_overlap(etas[left_key], etas[right_key]):
-                graph.add_edge(left_key, right_key)
-    return graph
-
-
-def _eis_overlap(left: TInterval, right: TInterval) -> bool:
-    """True if any EI window of ``left`` intersects any of ``right``."""
-    for ei_left in left:
-        for ei_right in right:
-            if ei_left.overlaps(ei_right):
-                return True
-    return False
-
-
-# ----------------------------------------------------------------------
-# Fast constructions (chronon-indexed sweeps, plain-dict adjacency)
-# ----------------------------------------------------------------------
-
-
 def unit_conflict_adjacency(
         profiles: ProfileSet, budget: BudgetVector,
 ) -> tuple[dict[TKey, TInterval], Adjacency]:
-    """Sweep-line equivalent of :func:`unit_conflict_graph`.
+    """Exact conflict graph of a ``P^[1]`` profile set.
 
-    Returns ``(etas, adjacency)`` with exactly the node and edge sets of
-    the reference graph. Per chronon, t-intervals are grouped into
-    *demand classes* (identical resource sets demanded at that chronon):
-    two members of one class never conflict (their union is the class
-    set, which fits the budget once self-infeasible t-intervals are
-    dropped), and the union-size test runs once per class pair instead of
-    once per t-interval pair.
+    Returns ``(etas, adjacency)`` keyed by ``(profile_id, tinterval_id)``;
+    self-infeasible t-intervals are omitted. Per chronon, t-intervals are
+    grouped into *demand classes* (identical resource sets demanded at
+    that chronon): two members of one class never conflict (their union
+    is the class set, which fits the budget once self-infeasible
+    t-intervals are dropped), and the union-size test runs once per class
+    pair instead of once per t-interval pair.
 
     Raises
     ------
@@ -262,18 +163,15 @@ def unit_conflict_adjacency(
 
 
 def overlap_adjacency(
-        profiles: ProfileSet, budget: BudgetVector | None = None,
+        profiles: ProfileSet, budget: BudgetVector,
 ) -> tuple[dict[TKey, TInterval], Adjacency]:
-    """Sweep-line equivalent of :func:`overlap_graph`.
+    """Conservative time-overlap graph of a general profile set.
 
     Emits an edge exactly when two t-intervals have EI windows sharing a
-    chronon — the same relation the reference computes pairwise — by
-    sweeping EI start/finish events and connecting each starting EI's
-    owner to every t-interval currently holding an active EI.
-
-    When ``budget`` is given, self-infeasible t-intervals are excluded up
-    front (matching the node removal the reference solve path performs
-    after building the full graph).
+    chronon (regardless of resource) by sweeping EI start/finish events
+    and connecting each starting EI's owner to every t-interval currently
+    holding an active EI. Self-infeasible t-intervals under ``budget`` are
+    excluded up front.
     """
     etas: dict[TKey, TInterval] = {}
     adjacency: Adjacency = {}
@@ -281,7 +179,7 @@ def overlap_adjacency(
     # the same chronon, so windows touching at one chronon do overlap.
     events: list[tuple[int, int, TKey]] = []
     for eta in profiles.tintervals():
-        if budget is not None and self_infeasible(eta, budget):
+        if self_infeasible(eta, budget):
             continue
         key = (eta.profile_id, eta.tinterval_id)
         etas[key] = eta

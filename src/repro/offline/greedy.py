@@ -22,15 +22,7 @@ __all__ = ["GreedyOfflineSolver"]
 
 
 class GreedyOfflineSolver:
-    """Accept t-intervals greedily in (size, deadline) order.
-
-    ``fast`` selects the matcher's accelerated mode (Hall-style
-    prechecks, unit shortcut); accept/reject outcomes are identical
-    either way — the flag exists so ablations can time both.
-    """
-
-    def __init__(self, fast: bool = True) -> None:
-        self._fast = fast
+    """Accept t-intervals greedily in (size, deadline) order."""
 
     def solve(self, profiles: ProfileSet, epoch: Epoch,
               budget: BudgetVector) -> SimulationResult:
@@ -45,7 +37,7 @@ class GreedyOfflineSolver:
             key=lambda eta: (eta.size, eta.latest_finish,
                              eta.profile_id, eta.tinterval_id),
         )
-        assigner = ProbeAssigner(epoch, budget, fast=self._fast)
+        assigner = ProbeAssigner(epoch, budget)
         accepted_keys: set[tuple[int, int]] = set()
         for eta in order:
             if assigner.try_add(eta):

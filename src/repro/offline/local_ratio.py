@@ -17,9 +17,10 @@ Implementation outline (fractional local ratio, LP solved once):
    window-smeared density ``sum_{EI active at j} 1/width(EI)`` is used
    (guidance only — the formal ratio is stated for ``P^[1]``, matching the
    setting the paper evaluates the approximation in, cf. §5.3). The
-   solved ``x*`` is quantized to integers (scaled by ``2**20``) so both
-   decomposition engines below manipulate exact arithmetic — identical
-   argmin selections regardless of summation order.
+   solved ``x*`` is quantized to integers (scaled by ``2**20``) so the
+   decomposition below manipulates exact arithmetic — identical argmin
+   selections regardless of summation order. Past ``MAX_LP_VARIABLES``
+   t-intervals the LP is skipped and every guidance weight is equal.
 3. **Weight decomposition**: repeatedly pick the remaining t-interval
    minimizing ``(x*-mass of its closed neighborhood, latest finish, key)``
    in the conflict graph, subtract its weight from that neighborhood, and
@@ -29,22 +30,15 @@ Implementation outline (fractional local ratio, LP solved once):
    and the final probe schedule come from incremental bipartite matching
    (:class:`repro.offline.matching.ProbeAssigner`).
 
-Two engines implement steps 1 and 3 (mirroring the online simulator's
-fast/reference split):
-
-* ``engine="reference"`` — networkx conflict graphs built pairwise and a
-  per-round full rescan of the remaining t-intervals for the argmin: the
-  executable specification, obviously correct and obviously slow;
-* ``engine="fast"`` (default) — sweep-line adjacency dictionaries
-  (:func:`repro.offline.conflict.unit_conflict_adjacency` /
-  :func:`~repro.offline.conflict.overlap_adjacency`), incrementally
-  maintained neighborhood masses in a lazy min-heap with stale-entry
-  invalidation (``O(deg log m)`` per round), and the accelerated
-  matcher mode.
-
-Both engines produce the *identical* accepted t-interval set, probe
-schedule, and gained completeness — proven per instance by the
-property suite (``tests/properties/test_prop_offline_fast.py``).
+The specification of steps 1, 3 and 4 — the conflict relations pair by
+pair, the full-rescan decomposition and a from-scratch Kuhn check — is
+``tests/offline/oracle.py``; ``tests/properties/test_prop_offline_fast.py``
+checks this pipeline against it on every instance it draws. Step 1 builds
+sweep-line adjacency dictionaries
+(:func:`repro.offline.conflict.unit_conflict_adjacency` /
+:func:`~repro.offline.conflict.overlap_adjacency`) and step 3 keeps the
+neighborhood masses in a lazy min-heap with stale-entry invalidation
+(``O(deg log m)`` per round).
 
 Gained completeness is evaluated against the produced schedule, so any
 free-rider captures (shared probes) are credited.
@@ -66,10 +60,7 @@ from repro.offline.conflict import (
     Adjacency,
     demand_map,
     overlap_adjacency,
-    overlap_graph,
-    self_infeasible,
     unit_conflict_adjacency,
-    unit_conflict_graph,
 )
 from repro.offline.matching import ProbeAssigner, require_every_ei
 from repro.simulation.result import SimulationResult
@@ -80,36 +71,16 @@ TKey = tuple[int, int]
 
 #: Fixed-point scale for guidance weights: LP solutions in ``[0, 1]`` map
 #: to integers in ``[0, 2**20]``, making neighborhood-mass comparisons
-#: exact (and therefore engine-independent).
+#: exact (and therefore independent of summation order).
 GUIDANCE_SCALE = 1 << 20
+
+#: Largest LP the guidance solves; beyond it every t-interval gets the
+#: same weight (plain, non-fractional local ratio).
+MAX_LP_VARIABLES = 50_000
 
 
 class LocalRatioApproximation:
-    """The paper's offline approximation (Local-Ratio + matching).
-
-    Parameters
-    ----------
-    use_lp:
-        Solve the guidance LP (default). When False — or when the LP
-        exceeds ``max_lp_variables`` — uniform guidance is used instead,
-        degrading gracefully to plain (non-fractional) local ratio.
-    max_lp_variables:
-        Cap on LP variable count before falling back to uniform guidance.
-    engine:
-        ``"fast"`` (default) for the indexed pipeline, ``"reference"``
-        for the pairwise/rescan specification. Results are identical;
-        only the wall time differs.
-    """
-
-    def __init__(self, use_lp: bool = True,
-                 max_lp_variables: int = 50_000,
-                 engine: str = "fast") -> None:
-        if engine not in ("fast", "reference"):
-            raise ValueError(
-                f"unknown engine {engine!r}; choose 'fast' or 'reference'")
-        self._use_lp = use_lp
-        self._max_lp_variables = max_lp_variables
-        self._engine = engine
+    """The paper's offline approximation (Local-Ratio + matching)."""
 
     def solve(self, profiles: ProfileSet, epoch: Epoch,
               budget: BudgetVector) -> SimulationResult:
@@ -118,49 +89,27 @@ class LocalRatioApproximation:
         Raises :class:`~repro.core.errors.ModelError` for a t-interval
         that needs fewer than all its EIs."""
         require_every_ei(profiles.tintervals(), "Local-Ratio")
-        if self._use_lp:
-            # The first LP guidance loads scipy (~0.6 s): before the
-            # clock starts, so no reported runtime contains an import.
-            import scipy.optimize  # noqa: F401
+        # The first LP guidance loads scipy (~0.6 s): before the clock
+        # starts, so no reported runtime contains an import.
+        import scipy.optimize  # noqa: F401
         started = time.perf_counter()
-        fast = self._engine == "fast"
 
         is_unit = profiles.is_unit_width
-        if fast:
-            if is_unit:
-                etas, adjacency = unit_conflict_adjacency(profiles, budget)
-            else:
-                etas, adjacency = overlap_adjacency(profiles, budget)
-            keys: list[TKey] = sorted(adjacency)
+        if is_unit:
+            etas, adjacency = unit_conflict_adjacency(profiles, budget)
         else:
-            if is_unit:
-                graph = unit_conflict_graph(profiles, budget)
-            else:
-                graph = overlap_graph(profiles)
-                for eta in profiles.tintervals():
-                    if self_infeasible(eta, budget):
-                        key = (eta.profile_id, eta.tinterval_id)
-                        if graph.has_node(key):
-                            graph.remove_node(key)
-            keys = sorted(graph.nodes)
-            etas = {key: graph.nodes[key]["eta"] for key in keys}
-            adjacency = {key: set(graph.neighbors(key)) for key in keys}
+            etas, adjacency = overlap_adjacency(profiles, budget)
+        keys: list[TKey] = sorted(adjacency)
 
         # One demand-map lookup per t-interval (the lru cache makes
         # repeats cheap, but hashing EI tuples is not free on hot paths).
         demands = ({key: demand_map(etas[key]) for key in keys}
                    if is_unit else {})
         guidance = fractional_guidance(
-            keys, etas, epoch, budget, is_unit, demands,
-            use_lp=self._use_lp,
-            max_lp_variables=self._max_lp_variables)
+            keys, etas, epoch, budget, is_unit, demands)
+        stack = decompose(keys, etas, adjacency, guidance)
 
-        if fast:
-            stack = _decompose_fast(keys, etas, adjacency, guidance)
-        else:
-            stack = _decompose_reference(keys, etas, adjacency, guidance)
-
-        assigner = ProbeAssigner(epoch, budget, fast=fast)
+        assigner = ProbeAssigner(epoch, budget)
         accepted: list[TKey] = []
         accepted_set: set[TKey] = set()
         for key in reversed(stack):
@@ -204,7 +153,6 @@ class LocalRatioApproximation:
                 "candidates": float(len(keys)),
                 "unit_width_input": 1.0 if is_unit else 0.0,
                 "gc_with_free_riders": with_free_riders.gc,
-                "fast_engine": 1.0 if fast else 0.0,
             },
         )
 
@@ -218,21 +166,18 @@ def fractional_guidance(
         keys: list[TKey], etas: dict[TKey, TInterval],
         epoch: Epoch, budget: BudgetVector, is_unit: bool,
         demands: dict[TKey, dict[int, frozenset[int]]],
-        use_lp: bool = True,
-        max_lp_variables: int = 50_000,
 ) -> dict[TKey, int]:
-    """Quantized LP guidance, shared verbatim by every consumer.
+    """Quantized LP guidance: ``key -> x*_key * GUIDANCE_SCALE``.
 
     The constraint matrix is assembled straight into COO triplet
     arrays (one ``(row, col, load)`` per nonzero) and handed to
-    scipy as CSR; the row order — and therefore the solver's chosen
-    optimal vertex — is identical however the caller built the
-    conflict structure, which keeps both decomposition engines on equal
-    guidance.
+    scipy as CSR; rows follow the first appearance of each chronon in
+    ``keys`` order, so the solver's chosen optimal vertex depends only
+    on the instance.
     """
     if not keys:
         return {}
-    if not use_lp or len(keys) > max_lp_variables:
+    if len(keys) > MAX_LP_VARIABLES:
         return {key: GUIDANCE_SCALE for key in keys}
     # Loaded on first use: no online path needs scipy, so ``import
     # repro`` does not pay for it.
@@ -292,64 +237,31 @@ def fractional_guidance(
 
 
 # ----------------------------------------------------------------------
-# Step 3: local-ratio weight decomposition (two engines, one outcome)
+# Step 3: local-ratio weight decomposition
 # ----------------------------------------------------------------------
-#
-# Selection rule (the contract both engines implement): each round chooses
-# the remaining key minimizing ``(mass, latest_finish, key)``, where
-# ``mass`` is the integer guidance of the key plus its still-remaining
-# neighbors. The chosen key's (integer) weight is subtracted from its
-# closed remaining neighborhood; keys at weight <= 0 leave ``remaining``.
-# All arithmetic is integral, so the argmin is order-independent.
 
 #: Initial (integer) local-ratio weight of every t-interval.
 _INITIAL_WEIGHT = 1 << 20
 
 
-def _decompose_reference(keys: list[TKey], etas: dict[TKey, TInterval],
-                         adjacency: Adjacency,
-                         guidance: dict[TKey, int]) -> list[TKey]:
-    """The specification: recompute every mass, every round."""
-    weights = {key: _INITIAL_WEIGHT for key in keys}
-    remaining = set(keys)
-    stack: list[TKey] = []
+def decompose(keys: list[TKey], etas: dict[TKey, TInterval],
+              adjacency: Adjacency,
+              guidance: dict[TKey, int]) -> list[TKey]:
+    """The local-ratio stack, first-pushed first.
 
-    def neighborhood_mass(key: TKey) -> int:
-        mass = guidance[key]
-        for neighbor in adjacency[key]:
-            if neighbor in remaining:
-                mass += guidance[neighbor]
-        return mass
-
-    while remaining:
-        chosen = min(
-            remaining,
-            key=lambda key: (neighborhood_mass(key),
-                             etas[key].latest_finish, key),
-        )
-        epsilon = weights[chosen]
-        stack.append(chosen)
-        affected = [chosen] + [neighbor for neighbor in adjacency[chosen]
-                               if neighbor in remaining]
-        for key in affected:
-            weights[key] -= epsilon
-            if weights[key] <= 0:
-                remaining.discard(key)
-    return stack
-
-
-def _decompose_fast(keys: list[TKey], etas: dict[TKey, TInterval],
-                    adjacency: Adjacency,
-                    guidance: dict[TKey, int]) -> list[TKey]:
-    """Lazy-heap engine: same selection rule, O(deg log m) per round.
+    Each round chooses the remaining key minimizing ``(mass,
+    latest_finish, key)``, where ``mass`` is the integer guidance of the
+    key plus its still-remaining neighbors. The chosen key's weight is
+    subtracted from its closed remaining neighborhood; keys at weight
+    ``<= 0`` leave ``remaining``.
 
     ``mass[key]`` is maintained incrementally — when a key leaves
     ``remaining``, its guidance is subtracted from every remaining
     neighbor's mass and a fresh heap entry is pushed for each (the dirty
     ones). A popped entry whose stored mass no longer matches the
     current mass is stale and skipped, so the heap top is always the
-    true ``(mass, finish, key)`` argmin — identical to the reference's
-    full rescan because the masses are exact integers.
+    true ``(mass, finish, key)`` argmin: the masses are exact integers,
+    so the result equals a full rescan every round.
     """
     remaining = set(keys)
     weights = {key: _INITIAL_WEIGHT for key in keys}

@@ -17,11 +17,11 @@ restores the matching *exactly* — including any assignments an
 intermediate augmenting path rearranged — via an undo log, so callers can
 probe feasibility freely.
 
-Two accelerations are layered on top in ``fast`` mode (the default); both
-are outcome-invariant, so fast and non-fast assigners accept the same
-t-intervals and produce the same schedules (whether a t-interval can join
-the matching depends only on the accepted set — a transversal-matroid
-property — and the augmentation order is shared):
+Two accelerations are layered on top; both are outcome-invariant (whether
+a t-interval can join the matching depends only on the accepted set — a
+transversal-matroid property), so every accept/reject equals a
+from-scratch Kuhn check of the accepted set plus the newcomer — the
+specification in ``tests/offline/oracle.py``:
 
 * a **Hall-style pigeonhole precheck** per t-interval: over the chronon
   span of its unassigned EIs, the EIs already *confined* to that span
@@ -36,12 +36,10 @@ property — and the augmentation order is shared):
   assignment is direct — no augmentation at all (the ``P^[1]`` regime the
   paper evaluates offline runs in).
 
-Fast mode additionally memoizes candidate slot lists per EI key and
-encodes slots as single integers (``chronon * stride + index``), which
-keeps hashing cheap on the augmentation hot path; non-fast mode rebuilds
-slot lists on every visit, mirroring the naive implementation the fast
-mode is benchmarked against. The encoding preserves the ``(chronon,
-index)`` visit order, so augmentation chains are identical either way.
+Candidate slot lists are memoized per EI key, and slots are encoded as
+single integers (``chronon * stride + index``), which keeps hashing cheap
+on the augmentation hot path; the encoding preserves the ``(chronon,
+index)`` visit order.
 
 Note on conservatism: two *different* (non-identical) EIs of the same
 resource with overlapping windows could share one probe, but the matcher
@@ -113,18 +111,11 @@ class ProbeAssigner:
         The scheduling epoch (slots exist for chronons ``1..K``).
     budget:
         Per-chronon slot capacities.
-    fast:
-        Enable the outcome-invariant accelerations (Hall precheck, unit
-        shortcut, slot-list memoization). ``False`` forces every insertion
-        through plain Kuhn augmentation with freshly-built slot lists —
-        the executable specification the fast mode is verified against.
     """
 
-    def __init__(self, epoch: Epoch, budget: BudgetVector,
-                 fast: bool = True) -> None:
+    def __init__(self, epoch: Epoch, budget: BudgetVector) -> None:
         self._epoch = epoch
         self._budget = budget
-        self._fast = fast
         # Slot encoding stride: one more than the largest per-chronon
         # budget, so (chronon, index) order matches numeric order.
         self._stride = budget.max_over(epoch) + 1
@@ -135,8 +126,7 @@ class ProbeAssigner:
         self._refcount: dict[EIKey, int] = {}
         # Memoized slot lists per EI key (shared lists, never mutated).
         self._slots_cache: dict[EIKey, list[Slot]] = {}
-        # Acceleration state (cheap to maintain unconditionally, so both
-        # modes share one code path for mutations):
+        # Acceleration state:
         self._used_at: dict[Chronon, int] = {}  # chronon -> assigned slots
         self._starts = _Fenwick(epoch.last)     # assigned keys by start'
         self._finishes = _Fenwick(epoch.last)   # assigned keys by finish'
@@ -162,7 +152,7 @@ class ProbeAssigner:
             seen.add(key)
             new_keys.append(key)
 
-        if new_keys and self._fast:
+        if new_keys:
             # The unit shortcut is exact on its own, so the Hall precheck
             # would be pure overhead there; run it only when the insert
             # will go through Kuhn augmentation.
@@ -322,14 +312,6 @@ class ProbeAssigner:
     # ------------------------------------------------------------------
 
     def _slots_for(self, key: EIKey) -> list[Slot]:
-        if not self._fast:
-            # Reference mode mirrors the naive implementation: rebuild
-            # the candidate slot list on every augmentation visit.
-            first, last = self._clip(key)
-            stride = self._stride
-            return [chronon * stride + index
-                    for chronon in range(first, last + 1)
-                    for index in range(self._budget.at(chronon))]
         cached = self._slots_cache.get(key)
         if cached is None:
             first, last = self._clip(key)

@@ -58,6 +58,25 @@ class TestGate:
         assert code == 0
         assert "new" in capsys.readouterr().out
 
+    def test_baseline_key_missing_from_report_is_listed(self, tmp_path,
+                                                        capsys):
+        # A scale the current run skipped must show, not vanish: the
+        # exit code stays 0, but the row and the count are printed.
+        base = tmp_path / "base"
+        base.mkdir()
+        _write(tmp_path / "BENCH_x.json",
+               {"scales": {"tiny": {"speedup": 2.0}}})
+        _write(base / "BENCH_x.json",
+               {"scales": {"tiny": {"speedup": 2.0},
+                           "target": {"speedup": 6.0}}})
+        code = main(["--dir", str(tmp_path), "--baseline-dir", str(base)])
+        assert code == 0
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines()
+                   if "scales.target.speedup" in line)
+        assert row.split()[-3:] == ["6.00", "-", "missing"]
+        assert "1 baseline speedup(s) missing" in out
+
     def test_no_reports_is_ok(self, tmp_path):
         assert main(["--dir", str(tmp_path)]) == 0
 

@@ -1,11 +1,12 @@
-"""The online paths run without scipy and networkx ever being imported.
+"""The online paths run without scipy ever being imported.
 
-Only the offline solvers need them (HiGHS for the MILP and the LP
-guidance, networkx for the reference conflict graphs), and they cost
-most of ``import repro``'s cold start — so they load on a solver's first
-use. A fresh interpreter imports the package and the experiment
-modules, runs a batch sweep and an incremental churned run, checks that
-neither library arrived, and then shows each solver still loads its own.
+Only the offline solvers need it (HiGHS for the MILP and the LP
+guidance), and it costs most of ``import repro``'s cold start — so it
+loads on a solver's first use. A fresh interpreter imports the package
+and the experiment modules, runs a batch sweep and an incremental
+churned run, checks that scipy did not arrive, and then runs every
+offline solver with any import outside the standard library, numpy,
+scipy and ``repro`` refused: the offline side needs no graph library.
 
 Nor does anything under ``src/repro`` import the event engine
 (``repro.simulation.engine``) any more: a second fresh interpreter
@@ -40,8 +41,7 @@ from repro.simulation.churn import run_churned
 
 
 def heavy():
-    return sorted(name for name in ("scipy", "networkx")
-                  if name in sys.modules)
+    return sorted(name for name in ("scipy",) if name in sys.modules)
 
 
 config = ExperimentConfig(epoch_length=20, num_resources=6, num_profiles=8,
@@ -56,22 +56,49 @@ run_churned(initial, epoch, BudgetVector(2), policy, plan,
             preemptive=preemptive)
 assert heavy() == [], heavy()
 
+import importlib.abc
+
+# Private top-level names (``_sysconfigdata_...``) are the interpreter's.
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy", "repro"}
+
+
+class OnlyStdlibNumpyScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        top = name.partition(".")[0]
+        if not top.startswith("_") and top not in ALLOWED:
+            raise ImportError(f"the offline side imported {name!r}")
+        return None
+
+
+sys.meta_path.insert(0, OnlyStdlibNumpyScipy())
+
 from repro.experiments.harness import make_instance
 from repro.offline import (
+    EnumerationSolver,
+    GreedyOfflineSolver,
     LocalRatioApproximation,
     MILPSolver,
-    overlap_graph,
 )
 
-_trace, profiles = make_instance(config, 0)
-budget = config.budget_vector
-approx = LocalRatioApproximation().solve(profiles, config.epoch, budget)
+unit = ExperimentConfig(epoch_length=20, num_resources=6, num_profiles=8,
+                        intensity=4.0, window=0, repetitions=1, seed=3)
+tiny = ExperimentConfig(epoch_length=12, num_resources=4, num_profiles=6,
+                        intensity=3.0, window=2, repetitions=1, seed=3)
+for cfg in (unit, config):
+    _trace, profiles = make_instance(cfg, 0)
+    assert profiles.is_unit_width == (cfg is unit)
+    budget = cfg.budget_vector
+    approx = LocalRatioApproximation().solve(profiles, cfg.epoch, budget)
+    assert heavy() == ["scipy"], heavy()
+    greedy = GreedyOfflineSolver().solve(profiles, cfg.epoch, budget)
+    optimum = MILPSolver().solve(profiles, cfg.epoch, budget)
+    assert 0.0 < approx.gc <= optimum.gc <= 1.0, (approx.gc, optimum.gc)
+    assert 0.0 < greedy.gc <= optimum.gc, (greedy.gc, optimum.gc)
+_trace, profiles = make_instance(tiny, 0)
+exact = EnumerationSolver().solve(profiles, tiny.epoch, tiny.budget_vector)
+assert exact.gc == MILPSolver().solve(
+    profiles, tiny.epoch, tiny.budget_vector).gc
 assert heavy() == ["scipy"], heavy()
-optimum = MILPSolver().solve(profiles, config.epoch, budget)
-assert 0.0 < approx.gc <= optimum.gc <= 1.0, (approx.gc, optimum.gc)
-graph = overlap_graph(profiles)
-assert heavy() == ["networkx", "scipy"], heavy()
-assert graph.number_of_nodes() == sum(len(p) for p in profiles)
 print("cold-import-ok")
 """
 
@@ -255,7 +282,7 @@ def _run_cold(script: str) -> None:
     assert done.stdout.strip() == "cold-import-ok"
 
 
-def test_online_paths_never_import_scipy_or_networkx():
+def test_online_paths_never_import_scipy():
     _run_cold(_SCRIPT)
 
 

@@ -35,14 +35,16 @@ import pytest
 #: strict probe's error (two names of ``repro.core``); and the second
 #: retry type (``repro.faults``: ``RetryConfig`` carries the delays) and
 #: the harness's per-cell fault record (``repro.experiments``: a cell
-#: carries a ``FaultLane``).
+#: carries a ``FaultLane``); and the two pairwise conflict-graph
+#: builders of ``repro.offline`` (their specification is
+#: ``tests/offline/oracle.py``).
 PUBLIC_NAMES = {
     "repro": 66,
     "repro.analysis": 4,
     "repro.core": 26,
     "repro.experiments": 38,
     "repro.faults": 14,
-    "repro.offline": 14,
+    "repro.offline": 12,
     "repro.online": 23,
     "repro.runtime": 12,
     "repro.runtime.aio": 11,

@@ -12,11 +12,11 @@ from repro.core import (
 from repro.offline import (
     demand_map,
     overlap_adjacency,
-    overlap_graph,
     self_infeasible,
     unit_conflict_adjacency,
-    unit_conflict_graph,
 )
+
+from tests.offline import oracle
 
 
 def _unit_profiles(*etas: list[tuple[int, int]]) -> ProfileSet:
@@ -25,6 +25,22 @@ def _unit_profiles(*etas: list[tuple[int, int]]) -> ProfileSet:
         TInterval([ExecutionInterval(r, c, c) for r, c in eta])
         for eta in etas
     ])])
+
+
+def _unit(profiles, budget):
+    """The unit builder's ``(etas, adjacency)``, checked against the
+    pairwise oracle."""
+    built = unit_conflict_adjacency(profiles, budget)
+    assert built == oracle.unit_conflicts(profiles, budget)
+    return built
+
+
+def _overlap(profiles, budget=BudgetVector(3)):
+    """The overlap builder's ``(etas, adjacency)``, checked against the
+    pairwise oracle (the default budget filters none of these cases)."""
+    built = overlap_adjacency(profiles, budget)
+    assert built == oracle.overlaps(profiles, budget)
+    return built
 
 
 class TestDemandMap:
@@ -93,39 +109,41 @@ class TestUnitConflictGraph:
         profiles = ProfileSet([Profile([
             TInterval([ExecutionInterval(0, 1, 3)])])])
         with pytest.raises(ValueError, match="P\\^\\[1\\]"):
-            unit_conflict_graph(profiles, BudgetVector(1))
+            unit_conflict_adjacency(profiles, BudgetVector(1))
+        with pytest.raises(ValueError, match="P\\^\\[1\\]"):
+            oracle.unit_conflicts(profiles, BudgetVector(1))
 
     def test_same_chronon_different_resources_conflict(self):
         profiles = _unit_profiles([(0, 3)], [(1, 3)])
-        graph = unit_conflict_graph(profiles, BudgetVector(1))
-        assert graph.has_edge((0, 0), (0, 1))
+        _etas, adjacency = _unit(profiles, BudgetVector(1))
+        assert (0, 1) in adjacency[(0, 0)]
 
     def test_same_chronon_same_resource_no_conflict(self):
         profiles = _unit_profiles([(0, 3)], [(0, 3)])
-        graph = unit_conflict_graph(profiles, BudgetVector(1))
-        assert not graph.has_edge((0, 0), (0, 1))
+        _etas, adjacency = _unit(profiles, BudgetVector(1))
+        assert (0, 1) not in adjacency[(0, 0)]
 
     def test_different_chronons_no_conflict(self):
         profiles = _unit_profiles([(0, 3)], [(1, 5)])
-        graph = unit_conflict_graph(profiles, BudgetVector(1))
-        assert graph.number_of_edges() == 0
+        _etas, adjacency = _unit(profiles, BudgetVector(1))
+        assert _edge_set(adjacency) == set()
 
     def test_budget_two_relaxes_conflict(self):
         profiles = _unit_profiles([(0, 3)], [(1, 3)])
-        graph = unit_conflict_graph(profiles, BudgetVector(2))
-        assert graph.number_of_edges() == 0
+        _etas, adjacency = _unit(profiles, BudgetVector(2))
+        assert _edge_set(adjacency) == set()
 
     def test_budget_two_three_way_conflict(self):
         profiles = _unit_profiles([(0, 3), (1, 3)], [(2, 3)])
-        graph = unit_conflict_graph(profiles, BudgetVector(2))
+        _etas, adjacency = _unit(profiles, BudgetVector(2))
         # Together they need 3 resources at chronon 3 > budget 2.
-        assert graph.has_edge((0, 0), (0, 1))
+        assert (0, 1) in adjacency[(0, 0)]
 
     def test_self_infeasible_excluded(self):
         profiles = _unit_profiles([(0, 3), (1, 3)], [(2, 5)])
-        graph = unit_conflict_graph(profiles, BudgetVector(1))
-        assert (0, 0) not in graph.nodes
-        assert (0, 1) in graph.nodes
+        etas, adjacency = _unit(profiles, BudgetVector(1))
+        assert (0, 0) not in adjacency
+        assert set(etas) == {(0, 1)}
 
 
 class TestOverlapGraph:
@@ -134,16 +152,16 @@ class TestOverlapGraph:
             TInterval([ExecutionInterval(0, 1, 5)]),
             TInterval([ExecutionInterval(1, 4, 9)]),
         ])])
-        graph = overlap_graph(profiles)
-        assert graph.has_edge((0, 0), (0, 1))
+        _etas, adjacency = _overlap(profiles)
+        assert (0, 1) in adjacency[(0, 0)]
 
     def test_disjoint_windows_no_edge(self):
         profiles = ProfileSet([Profile([
             TInterval([ExecutionInterval(0, 1, 3)]),
             TInterval([ExecutionInterval(1, 5, 9)]),
         ])])
-        graph = overlap_graph(profiles)
-        assert not graph.has_edge((0, 0), (0, 1))
+        _etas, adjacency = _overlap(profiles)
+        assert (0, 1) not in adjacency[(0, 0)]
 
     def test_span_overlap_but_ei_disjoint_no_edge(self):
         # Spans overlap ([1,9] vs [4,5]) but actual EI windows don't.
@@ -152,14 +170,14 @@ class TestOverlapGraph:
                        ExecutionInterval(1, 8, 9)]),
             TInterval([ExecutionInterval(2, 4, 5)]),
         ])])
-        graph = overlap_graph(profiles)
-        assert not graph.has_edge((0, 0), (0, 1))
+        _etas, adjacency = _overlap(profiles)
+        assert (0, 1) not in adjacency[(0, 0)]
 
     def test_nodes_carry_etas(self):
         profiles = ProfileSet([Profile([
             TInterval([ExecutionInterval(0, 1, 2)])])])
-        graph = overlap_graph(profiles)
-        assert graph.nodes[(0, 0)]["eta"].size == 1
+        etas, _adjacency = _overlap(profiles)
+        assert etas[(0, 0)].size == 1
 
 
 def _edge_set(adjacency):
@@ -169,21 +187,16 @@ def _edge_set(adjacency):
 
 
 class TestSweepAdjacencyEquivalence:
-    """The fast builders must emit exactly the reference edge sets."""
+    """The sweep builders emit exactly the pairwise oracle's edge sets."""
 
     def test_unit_adjacency_matches_graph(self):
         profiles = _unit_profiles(
             [(0, 3), (1, 5)], [(1, 3)], [(0, 3)], [(2, 5)], [(0, 7)])
         for budget in (BudgetVector(1), BudgetVector(2),
                        BudgetVector(1, overrides={5: 3})):
-            graph = unit_conflict_graph(profiles, budget)
-            etas, adjacency = unit_conflict_adjacency(profiles, budget)
-            assert set(adjacency) == set(graph.nodes)
-            assert _edge_set(adjacency) == {
-                frozenset(edge) for edge in graph.edges}
-            assert all(etas[key] is graph.nodes[key]["eta"]
-                       or etas[key] == graph.nodes[key]["eta"]
-                       for key in etas)
+            etas, _adjacency = _unit(profiles, budget)
+            assert all(etas[key] is eta for key, eta in
+                       oracle.unit_conflicts(profiles, budget)[0].items())
 
     def test_unit_adjacency_requires_unit_width(self):
         profiles = ProfileSet([Profile([
@@ -201,11 +214,9 @@ class TestSweepAdjacencyEquivalence:
             TInterval([ExecutionInterval(3, 5, 8)]),
             TInterval([ExecutionInterval(1, 9, 9)]),
         ])])
-        graph = overlap_graph(profiles)
-        _etas, adjacency = overlap_adjacency(profiles)
-        assert set(adjacency) == set(graph.nodes)
-        assert _edge_set(adjacency) == {
-            frozenset(edge) for edge in graph.edges}
+        for budget in (BudgetVector(1), BudgetVector(3),
+                       BudgetVector(1, overrides={5: 0})):
+            _overlap(profiles, budget)
 
     def test_overlap_adjacency_touching_windows(self):
         # Windows meeting at exactly one chronon must be adjacent.
@@ -213,7 +224,7 @@ class TestSweepAdjacencyEquivalence:
             TInterval([ExecutionInterval(0, 1, 4)]),
             TInterval([ExecutionInterval(1, 4, 7)]),
         ])])
-        _etas, adjacency = overlap_adjacency(profiles)
+        _etas, adjacency = _overlap(profiles)
         assert (0, 1) in adjacency[(0, 0)]
 
     def test_overlap_adjacency_budget_filters_infeasible(self):
@@ -222,8 +233,8 @@ class TestSweepAdjacencyEquivalence:
                                 ExecutionInterval(2, 3, 4)])
         fine = TInterval([ExecutionInterval(0, 1, 9)])
         profiles = ProfileSet([Profile([infeasible, fine])])
-        _etas, unfiltered = overlap_adjacency(profiles)
+        _etas, unfiltered = _overlap(profiles, BudgetVector(2))
         assert (0, 0) in unfiltered
-        etas, filtered = overlap_adjacency(profiles, BudgetVector(1))
+        etas, filtered = _overlap(profiles, BudgetVector(1))
         assert (0, 0) not in filtered
         assert (0, 1) in filtered

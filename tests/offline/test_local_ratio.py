@@ -11,7 +11,7 @@ from repro.core import (
     ProfileSet,
     TInterval,
 )
-from repro.offline import LocalRatioApproximation, MILPSolver
+from repro.offline import LocalRatioApproximation, MILPSolver, local_ratio
 
 
 def _random_unit_instance(seed: int, num_resources: int = 4,
@@ -115,20 +115,25 @@ class TestDegenerateInputs:
                                                  BudgetVector(1))
         assert result.report.captured == 0
 
-    def test_no_lp_fallback(self):
+    def test_no_lp_fallback(self, monkeypatch):
         profiles, epoch = _random_unit_instance(7)
         budget = BudgetVector(1)
-        with_lp = LocalRatioApproximation(use_lp=True).solve(
-            profiles, epoch, budget)
-        without_lp = LocalRatioApproximation(use_lp=False).solve(
+        with_lp = LocalRatioApproximation().solve(profiles, epoch, budget)
+        monkeypatch.setattr(local_ratio, "MAX_LP_VARIABLES", 0)
+        without_lp = LocalRatioApproximation().solve(
             profiles, epoch, budget)
         assert without_lp.schedule.respects_budget(budget, epoch)
         assert with_lp.schedule.respects_budget(budget, epoch)
 
-    def test_lp_variable_cap_falls_back(self):
+    def test_lp_variable_cap_falls_back(self, monkeypatch):
         profiles, epoch = _random_unit_instance(8)
-        solver = LocalRatioApproximation(max_lp_variables=1)
-        result = solver.solve(profiles, epoch, BudgetVector(1))
+        monkeypatch.setattr(local_ratio, "MAX_LP_VARIABLES", 1)
+        keys = [(0, 0), (0, 1)]
+        assert local_ratio.fractional_guidance(
+            keys, {}, epoch, BudgetVector(1), True, {}) \
+            == dict.fromkeys(keys, local_ratio.GUIDANCE_SCALE)
+        result = LocalRatioApproximation().solve(profiles, epoch,
+                                                 BudgetVector(1))
         assert result.report.captured >= 0
 
     def test_extras_report_counts(self):

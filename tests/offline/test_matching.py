@@ -8,9 +8,23 @@ import pytest
 from repro.core import BudgetVector, Epoch, ExecutionInterval, TInterval
 from repro.offline import ProbeAssigner
 
+from tests.offline import oracle
+
 
 def _eta(*specs: tuple[int, int, int]) -> TInterval:
     return TInterval([ExecutionInterval(r, s, f) for r, s, f in specs])
+
+
+def _replay(etas, epoch, budget):
+    """Insert ``etas`` one by one, asserting each accept/reject is the
+    oracle's verdict on the accepted set plus the newcomer."""
+    assigner = ProbeAssigner(epoch, budget)
+    accepted = []
+    for eta in etas:
+        expected = oracle.schedulable([*accepted, eta], epoch, budget)
+        assert assigner.try_add(eta) == expected
+        if expected:
+            accepted.append(eta)
 
 
 class TestTryAdd:
@@ -95,19 +109,18 @@ class TestRollback:
         # ((1,1,1)) succeeds by pushing A to chronon 2; its second EI
         # ((2,1,2)) then finds everything full and fails. The undo must
         # put A back at chronon 1, not leave it rehomed at 2.
-        for fast in (True, False):
-            assigner = ProbeAssigner(Epoch(2), BudgetVector(1), fast=fast)
-            assert assigner.try_add(_eta((0, 1, 2)))
-            before = sorted(assigner.schedule().probes())
-            assert before == [(0, 1)]
-            assert not assigner.try_add(_eta((1, 1, 1), (2, 1, 2)))
-            assert sorted(assigner.schedule().probes()) == before
+        assigner = ProbeAssigner(Epoch(2), BudgetVector(1))
+        assert assigner.try_add(_eta((0, 1, 2)))
+        before = sorted(assigner.schedule().probes())
+        assert before == [(0, 1)]
+        assert not assigner.try_add(_eta((1, 1, 1), (2, 1, 2)))
+        assert sorted(assigner.schedule().probes()) == before
 
     def test_interleaved_insert_reject_sequences(self):
         # Deterministic pseudo-random interleavings of accepted and
         # rejected inserts; after every reject the schedule must be
-        # byte-identical to the pre-call one, and fast/naive assigners
-        # must agree on every accept/reject decision.
+        # identical to the pre-call one, and every accept/reject must be
+        # the oracle's verdict.
         rng = random.Random(7)
         etas = []
         for _ in range(60):
@@ -118,20 +131,17 @@ class TestRollback:
                 finish = min(12, start + rng.randint(0, 3))
                 eis.append((resource, start, finish))
             etas.append(_eta(*eis))
-        fast = ProbeAssigner(Epoch(12), BudgetVector(1), fast=True)
-        naive = ProbeAssigner(Epoch(12), BudgetVector(1), fast=False)
+        epoch, budget = Epoch(12), BudgetVector(1)
+        assigner = ProbeAssigner(epoch, budget)
+        accepted = []
         for eta in etas:
-            before_fast = sorted(fast.schedule().probes())
-            before_naive = sorted(naive.schedule().probes())
-            accepted_fast = fast.try_add(eta)
-            accepted_naive = naive.try_add(eta)
-            assert accepted_fast == accepted_naive
-            after_fast = sorted(fast.schedule().probes())
-            after_naive = sorted(naive.schedule().probes())
-            assert after_fast == after_naive
-            if not accepted_fast:
-                assert after_fast == before_fast
-                assert after_naive == before_naive
+            before = sorted(assigner.schedule().probes())
+            expected = oracle.schedulable([*accepted, eta], epoch, budget)
+            assert assigner.try_add(eta) == expected
+            if expected:
+                accepted.append(eta)
+            else:
+                assert sorted(assigner.schedule().probes()) == before
 
     def test_refcounted_shared_key_survives_rejected_sibling(self):
         # Regression: eta2 shares EI (0,2,2) with accepted eta1 and adds
@@ -164,7 +174,7 @@ class TestRollback:
 
 
 class TestFastParity:
-    """Fast accelerations must be invisible in accept/reject outcomes."""
+    """The accelerations must be invisible in accept/reject outcomes."""
 
     @pytest.mark.parametrize("budget", [1, 2])
     def test_exhaustive_small_sequences(self, budget):
@@ -173,13 +183,7 @@ class TestFastParity:
             _eta((1, 2, 3), (0, 3, 3)), _eta((2, 2, 2)),
         ]
         for sequence in itertools.permutations(pool, 4):
-            fast = ProbeAssigner(Epoch(3), BudgetVector(budget), fast=True)
-            naive = ProbeAssigner(Epoch(3), BudgetVector(budget),
-                                  fast=False)
-            for eta in sequence:
-                assert fast.try_add(eta) == naive.try_add(eta)
-            assert sorted(fast.schedule().probes()) \
-                == sorted(naive.schedule().probes())
+            _replay(sequence, Epoch(3), BudgetVector(budget))
 
     def test_unit_shortcut_matches_kuhn_outcomes(self):
         rng = random.Random(99)
@@ -190,20 +194,13 @@ class TestFastParity:
                                  for _ in range(rng.randint(1, 3))}])
                 for _ in range(25)
             ]
-            fast = ProbeAssigner(Epoch(8), BudgetVector(1), fast=True)
-            naive = ProbeAssigner(Epoch(8), BudgetVector(1), fast=False)
-            for eta in etas:
-                assert fast.try_add(eta) == naive.try_add(eta)
-            assert sorted(fast.schedule().probes()) \
-                == sorted(naive.schedule().probes())
+            _replay(etas, Epoch(8), BudgetVector(1))
 
     def test_unit_eta_outside_epoch_rejected(self):
         # The unit shortcut must not hallucinate slots beyond the epoch.
-        fast = ProbeAssigner(Epoch(5), BudgetVector(1), fast=True)
-        naive = ProbeAssigner(Epoch(5), BudgetVector(1), fast=False)
         eta = _eta((0, 7, 7))
-        assert not fast.try_add(eta)
-        assert not naive.try_add(eta)
+        assert not ProbeAssigner(Epoch(5), BudgetVector(1)).try_add(eta)
+        assert not oracle.schedulable([eta], Epoch(5), BudgetVector(1))
 
 
 class TestSchedule:

@@ -42,8 +42,6 @@ SOLVERS = {
     "milp": (MILPSolver().solve, True),
     "greedy": (GreedyOfflineSolver().solve, False),
     "local-ratio": (LocalRatioApproximation().solve, False),
-    "local-ratio-reference": (
-        LocalRatioApproximation(engine="reference").solve, False),
 }
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import compute_stats
 from repro.core import BudgetVector, Epoch
-from repro.offline import ProbeAssigner, unit_conflict_graph
+from repro.offline import ProbeAssigner, unit_conflict_adjacency
 
 from tests.properties.strategies import (
     HORIZON,
@@ -65,14 +65,14 @@ class TestConflictGraphSemantics:
         """For P^[1]: two (individually feasible) t-intervals conflict
         exactly when they cannot be scheduled together."""
         budget_vector = BudgetVector(budget)
-        graph = unit_conflict_graph(profiles, budget_vector)
-        nodes = list(graph.nodes)
+        etas, adjacency = unit_conflict_adjacency(profiles, budget_vector)
+        nodes = sorted(etas)
         for index, left in enumerate(nodes):
             for right in nodes[index + 1:]:
                 assigner = ProbeAssigner(epoch(), budget_vector)
-                assert assigner.try_add(graph.nodes[left]["eta"])
-                jointly = assigner.try_add(graph.nodes[right]["eta"])
-                if graph.has_edge(left, right):
+                assert assigner.try_add(etas[left])
+                jointly = assigner.try_add(etas[right])
+                if right in adjacency[left]:
                     assert not jointly, (
                         f"edge {left}-{right} but jointly schedulable")
                 else:
