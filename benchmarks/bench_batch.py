@@ -42,7 +42,7 @@ try:
 except ImportError:  # run as a top-level script (python benchmarks/...)
     from _provenance import provenance_header
 
-__all__ = ["bench_figure_sweep", "main"]
+__all__ = ["measure_figure_sweep", "main"]
 
 #: Every repetition is a block of its own (the acceptance scale is
 #: ``target``).
@@ -58,8 +58,8 @@ SCALES: dict[str, ExperimentConfig] = {
 _BUDGETS = [1, 2, 3, 4, 5]
 
 
-def bench_figure_sweep(scale: str, rounds: int = 5,
-                       policies=DEFAULT_POLICIES) -> dict:
+def measure_figure_sweep(scale: str, rounds: int = 5,
+                         policies=DEFAULT_POLICIES) -> dict:
     """Median solo vs. batch wall time of one full budget sweep."""
     config = SCALES[scale]
 
@@ -127,7 +127,7 @@ def main(argv=None) -> int:
     for scale in scales:
         print(f"[bench_batch] measuring scale {scale!r} ...",
               file=sys.stderr)
-        report["scales"][scale] = bench_figure_sweep(scale, rounds=rounds)
+        report["scales"][scale] = measure_figure_sweep(scale, rounds=rounds)
         summary = report["scales"][scale]
         print(f"[bench_batch]   speedup {summary['speedup']:.2f}x "
               f"over {summary['lanes']} lanes "

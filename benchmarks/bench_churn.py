@@ -61,7 +61,7 @@ try:
 except ImportError:  # run as a top-level script (python benchmarks/...)
     from _provenance import provenance_header
 
-__all__ = ["ENGINE_SCALES", "bench_engine_churn", "main"]
+__all__ = ["ENGINE_SCALES", "measure_engine_churn", "main"]
 
 #: Engine scales. ``target`` is churn-heavy — every client joins
 #: mid-epoch and half churn out again, so the per-event O(n) rebuild
@@ -95,7 +95,7 @@ def _identical(left, right) -> bool:
             and left.extras == right.extras)
 
 
-def bench_engine_churn(scale: str, rounds: int = 3) -> dict:
+def measure_engine_churn(scale: str, rounds: int = 3) -> dict:
     """Median wall time of one churned run: columns, event splicing,
     per-event rebuild — one workload, identical results."""
     config = ENGINE_SCALES[scale]
@@ -196,7 +196,7 @@ def main(argv=None) -> int:
     for scale in scales:
         print(f"[bench_churn] measuring scale {scale!r} ...",
               file=sys.stderr)
-        engine = bench_engine_churn(scale, rounds=rounds)
+        engine = measure_engine_churn(scale, rounds=rounds)
         report["scales"][scale] = {"engine": engine}
         print(f"[bench_churn]   engine: columns "
               f"{engine['columns_s'] * 1e3:.1f}ms cold / "

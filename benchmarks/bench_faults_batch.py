@@ -48,7 +48,7 @@ try:
 except ImportError:  # run as a top-level script (python benchmarks/...)
     from _provenance import provenance_header
 
-__all__ = ["bench_fault_sweep", "main"]
+__all__ = ["measure_fault_sweep", "main"]
 
 #: Scales mirror bench_batch's; the acceptance scale is ``target``.
 SCALES: dict[str, ExperimentConfig] = {
@@ -61,8 +61,8 @@ SCALES: dict[str, ExperimentConfig] = {
 }
 
 
-def bench_fault_sweep(scale: str, rounds: int = 5,
-                      rates=DEFAULT_FAILURE_RATES) -> dict:
+def measure_fault_sweep(scale: str, rounds: int = 5,
+                        rates=DEFAULT_FAILURE_RATES) -> dict:
     """Median solo vs. batch wall time of one degradation sweep."""
     config = SCALES[scale]
 
@@ -133,7 +133,7 @@ def main(argv=None) -> int:
     for scale in scales:
         print(f"[bench_faults_batch] measuring scale {scale!r} ...",
               file=sys.stderr)
-        report["scales"][scale] = bench_fault_sweep(scale, rounds=rounds)
+        report["scales"][scale] = measure_fault_sweep(scale, rounds=rounds)
         summary = report["scales"][scale]
         print(f"[bench_faults_batch]   speedup {summary['speedup']:.2f}x "
               f"over {summary['lanes']} faulty lanes "

@@ -1,8 +1,9 @@
-"""Instance-generation performance: reference vs. fast, cold vs. warm cache.
+"""Instance-generation performance: generation, cold vs. warm cache.
 
-Measures median wall-times of :func:`repro.experiments.instances.\
-generate_instance` on the reference and vectorized paths (which produce
-identical instances seed-for-seed — see
+Measures the best and median wall-times of
+:func:`repro.experiments.instances.generate_instance` per trace source
+(its one path equals the event-at-a-time specification in
+``tests/workloads/oracle.py`` seed for seed — see
 ``tests/properties/test_prop_instances.py``), plus what one
 :class:`~repro.experiments.instances.InstanceCache` lookup costs cold
 (generate), warm from the disk store and warm from memory — each with
@@ -21,17 +22,12 @@ with the same script against another checkout's ``src`` in as
 ``before``, so one file holds both sides.
 
 The ``target`` scale (epoch 200, 50 resources, 60 profiles) matches the
-tracked batch/offline benches; the PR-5 acceptance bar is a >= 4x
-generation speedup there for the default poisson source.
+tracked batch/offline benches.
 
 ``--cache-check`` runs the CI smoke assertion instead: a cold and a warm
 pass over a temporary cache directory must produce identical results
 with non-zero hit counters, and the lowering of a disk hit must equal
 the cold lowering column for column, dtypes included.
-
-The module doubles as a pytest-benchmark bench
-(``bench_instance_generation``) asserting the fast path actually is
-faster.
 """
 
 from __future__ import annotations
@@ -62,10 +58,9 @@ try:
 except ImportError:  # run as a top-level script (python benchmarks/...)
     from _provenance import provenance_header
 
-__all__ = ["bench_generation", "bench_cache", "main"]
+__all__ = ["measure_generation", "measure_cache", "main"]
 
-#: Instance scales measured. ``target`` carries the acceptance bar;
-#: ``tiny`` exists for CI smoke runs.
+#: Instance scales measured; ``tiny`` exists for CI smoke runs.
 SCALES: dict[str, ExperimentConfig] = {
     "tiny": ExperimentConfig(
         epoch_length=40, num_resources=10, num_profiles=12, intensity=5.0,
@@ -83,58 +78,30 @@ SCALES: dict[str, ExperimentConfig] = {
 }
 
 
-def _time_once(config: ExperimentConfig, source: str, fast: bool) -> float:
+def _time_once(config: ExperimentConfig, source: str) -> float:
     """Wall-time of one full instance generation."""
     started = time.perf_counter()
-    generate_instance(config, 0, source, fast=fast)
+    generate_instance(config, 0, source)
     return time.perf_counter() - started
 
 
-def _time_generate(config: ExperimentConfig, source: str, fast: bool,
-                   rounds: int) -> tuple[float, float]:
-    """(best, median) wall-times over ``rounds`` generations.
+def measure_generation(scale: str, rounds: int = 20,
+                       sources=("poisson", "auction")) -> dict:
+    """Generation wall-times at one scale, per source.
 
-    The *best* is the headline number (timeit-style: the minimum is the
-    run least disturbed by scheduler noise, which matters on loaded CI
-    boxes); the median is recorded alongside for transparency.
-    """
-    times = [_time_once(config, source, fast) for _ in range(rounds)]
-    return min(times), statistics.median(times)
-
-
-def bench_generation(scale: str, rounds: int = 20,
-                     sources=("poisson", "auction")) -> dict:
-    """Reference vs. fast generation wall-times at one scale.
-
-    Reference and fast rounds are *interleaved* (one of each per round)
-    so both paths sample the same background-load phases; the speedup is
-    the ratio of the per-path minima. On a shared machine this is
-    markedly more stable than timing each path in its own block.
+    The *best* of the rounds (``generate_s``) is the headline number
+    (timeit-style: the minimum is the run least disturbed by scheduler
+    noise, which matters on loaded CI boxes); the median is recorded
+    alongside for transparency.
     """
     config = SCALES[scale]
     per_source: dict[str, dict] = {}
     for source in sources:
-        # Warm-up realizes lazy caches (CDFs, stream tables) outside
-        # the timed region for both paths alike.
-        _time_once(config, source, True)
-        _time_once(config, source, False)
-        reference_times = []
-        fast_times = []
-        for _ in range(rounds):
-            reference_times.append(_time_once(config, source, False))
-            fast_times.append(_time_once(config, source, True))
-        reference_s = min(reference_times)
-        fast_s = min(fast_times)
-        reference_median_s = statistics.median(reference_times)
-        fast_median_s = statistics.median(fast_times)
-        per_source[source] = {
-            "reference_s": reference_s,
-            "fast_s": fast_s,
-            "speedup": reference_s / fast_s,
-            "reference_median_s": reference_median_s,
-            "fast_median_s": fast_median_s,
-            "median_speedup": reference_median_s / fast_median_s,
-        }
+        # Warm-up imports and realizes lazy caches outside the timings.
+        _time_once(config, source)
+        times = [_time_once(config, source) for _ in range(rounds)]
+        per_source[source] = {"generate_s": min(times),
+                              "generate_median_s": statistics.median(times)}
     return {
         "config": asdict(config),
         "sources": per_source,
@@ -179,7 +146,7 @@ def _column_mismatches(cold: ColumnarInstance,
         or not np.array_equal(arrays[0][name], arrays[1][name]))
 
 
-def bench_cache(scale: str, rounds: int = 5) -> dict:
+def measure_cache(scale: str, rounds: int = 5) -> dict:
     """What one cache lookup costs: cold, warm from disk, warm from memory.
 
     Per round, over a fresh temporary store: a cold lookup that
@@ -287,8 +254,8 @@ def main(argv=None) -> int:
                         help="comma-separated scales to measure "
                              f"(available: {','.join(SCALES)})")
     parser.add_argument("--rounds", type=int, default=20,
-                        help="interleaved reference/fast timing rounds "
-                             "per source (best-of wins)")
+                        help="generation timing rounds per source "
+                             "(best and median recorded)")
     parser.add_argument("--cache-rounds", type=int, default=5,
                         help="timing rounds for the cache bench")
     parser.add_argument("--cache-scales", default="tiny,catalog",
@@ -318,13 +285,12 @@ def main(argv=None) -> int:
     for scale in scales:
         print(f"[bench_instances] measuring scale {scale!r} ...",
               file=sys.stderr)
-        report["scales"][scale] = bench_generation(scale,
-                                                   rounds=args.rounds)
+        report["scales"][scale] = measure_generation(scale,
+                                                     rounds=args.rounds)
         for source, numbers in report["scales"][scale]["sources"].items():
             print(f"[bench_instances]   {source}: "
-                  f"{numbers['speedup']:.2f}x "
-                  f"(ref {numbers['reference_s']*1e3:.1f}ms, "
-                  f"fast {numbers['fast_s']*1e3:.1f}ms)",
+                  f"best {numbers['generate_s']*1e3:.2f}ms, "
+                  f"median {numbers['generate_median_s']*1e3:.2f}ms",
                   file=sys.stderr)
     if not args.skip_cache:
         before = {}
@@ -338,7 +304,7 @@ def main(argv=None) -> int:
         for scale in args.cache_scales.split(","):
             print(f"[bench_instances] measuring cache at {scale!r} ...",
                   file=sys.stderr)
-            after = bench_cache(scale, rounds=args.cache_rounds)
+            after = measure_cache(scale, rounds=args.cache_rounds)
             report["cache"][scale] = {"after": after}
             if scale in before:
                 report["cache"][scale]["before"] = before[scale]
@@ -352,18 +318,6 @@ def main(argv=None) -> int:
         handle.write("\n")
     print(f"[bench_instances] wrote {args.output}", file=sys.stderr)
     return 0
-
-
-def bench_instance_generation(benchmark):
-    """pytest-benchmark hook: fast generation at the target scale, and
-    a sanity assertion that it beats the reference path."""
-    config = SCALES["target"]
-    benchmark.pedantic(
-        lambda: generate_instance(config, 0, "poisson", fast=True),
-        rounds=3, iterations=1)
-    reference_s, _ = _time_generate(config, "poisson", False, 3)
-    fast_s, _ = _time_generate(config, "poisson", True, 3)
-    assert fast_s < reference_s
 
 
 if __name__ == "__main__":

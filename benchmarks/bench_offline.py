@@ -42,7 +42,7 @@ try:
 except ImportError:  # run as a top-level script (python benchmarks/...)
     from _provenance import provenance_header
 
-__all__ = ["bench_local_ratio", "bench_micro", "bench_offline_scaling",
+__all__ = ["measure_local_ratio", "measure_micro", "measure_offline_scaling",
            "main"]
 
 #: Instance scales measured by the offline bench. ``target`` is the
@@ -65,8 +65,10 @@ _SWEEP_WORKERS = (2, 4)
 
 def _median_solve(solver, profiles, config: ExperimentConfig,
                   rounds: int) -> tuple[float, object]:
+    """Median wall-time of ``rounds`` solves, after one untimed solve
+    that pays the first-use costs (the solver's scipy import)."""
+    result = solver.solve(profiles, config.epoch, config.budget_vector)
     times = []
-    result = None
     for _ in range(rounds):
         started = time.perf_counter()
         result = solver.solve(profiles, config.epoch, config.budget_vector)
@@ -74,7 +76,7 @@ def _median_solve(solver, profiles, config: ExperimentConfig,
     return statistics.median(times), result
 
 
-def bench_local_ratio(scale: str, rounds: int = 5) -> dict:
+def measure_local_ratio(scale: str, rounds: int = 5) -> dict:
     """Median Local-Ratio and greedy wall-times at one scale."""
     config = SCALES[scale]
     _trace, profiles = make_instance(config, 0)
@@ -92,7 +94,7 @@ def bench_local_ratio(scale: str, rounds: int = 5) -> dict:
     }
 
 
-def bench_micro(rounds: int = 5) -> dict:
+def measure_micro(rounds: int = 5) -> dict:
     """Micro-costs: the greedy matcher and the enumeration solver."""
     config = SCALES["target-general"]
     _trace, profiles = make_instance(config, 0)
@@ -120,8 +122,8 @@ def bench_micro(rounds: int = 5) -> dict:
     }
 
 
-def bench_offline_scaling(rounds: int = 3,
-                          workers_list=_SWEEP_WORKERS) -> dict:
+def measure_offline_scaling(rounds: int = 3,
+                            workers_list=_SWEEP_WORKERS) -> dict:
     """Serial vs. process-pool offline comparison (same outputs)."""
     cpus = os.cpu_count() or 1
 
@@ -177,8 +179,8 @@ def main(argv=None) -> int:
     for scale in scales:
         print(f"[bench_offline] measuring scale {scale!r} ...",
               file=sys.stderr)
-        report["scales"][scale] = bench_local_ratio(scale,
-                                                    rounds=args.rounds)
+        report["scales"][scale] = measure_local_ratio(scale,
+                                                      rounds=args.rounds)
         summary = report["scales"][scale]
         print(f"[bench_offline]   local-ratio "
               f"{summary['fast_s']*1e3:.1f}ms, greedy "
@@ -186,11 +188,11 @@ def main(argv=None) -> int:
               file=sys.stderr)
     print("[bench_offline] measuring matcher/enumeration micro-costs ...",
           file=sys.stderr)
-    report["micro"] = bench_micro(rounds=args.rounds)
+    report["micro"] = measure_micro(rounds=args.rounds)
     if not args.skip_sweep:
         print("[bench_offline] measuring workers scaling ...",
               file=sys.stderr)
-        report["sweep"] = bench_offline_scaling(rounds=args.sweep_rounds)
+        report["sweep"] = measure_offline_scaling(rounds=args.sweep_rounds)
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=False)
         handle.write("\n")
@@ -207,7 +209,8 @@ def bench_offline_speedup(benchmark):
     def run():
         return solver.solve(profiles, config.epoch, config.budget_vector)
 
-    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    result = benchmark.pedantic(run, rounds=3, iterations=1,
+                                warmup_rounds=1)
     assert result.schedule.respects_budget(config.budget_vector,
                                            config.epoch)
 

@@ -45,7 +45,7 @@ try:
 except ImportError:  # run as a top-level script (python benchmarks/...)
     from _provenance import provenance_header
 
-__all__ = ["bench_scenario", "main"]
+__all__ = ["measure_scenario", "main"]
 
 #: Scenario scales. ``tiny`` exists for CI smoke runs; ``target`` is the
 #: tracked baseline scale.
@@ -82,7 +82,7 @@ def _percentile(values: list[float], fraction: float) -> float:
     return ranked[index]
 
 
-def bench_scenario(config: ChaosConfig, rounds: int = 3) -> dict:
+def measure_scenario(config: ChaosConfig, rounds: int = 3) -> dict:
     """Median-of-rounds measurement of one scenario."""
     runs = [asyncio.run(_measured_run(config)) for _ in range(rounds)]
     stats, delivered, _, _ = runs[0]
@@ -133,7 +133,7 @@ def main(argv=None) -> int:
                              ("fault-storm", storm_config)):
             print(f"[bench_runtime] measuring {scale}/{name} ...",
                   file=sys.stderr)
-            entry[name] = bench_scenario(config, rounds=args.rounds)
+            entry[name] = measure_scenario(config, rounds=args.rounds)
             summary = entry[name]
             print(f"[bench_runtime]   "
                   f"{summary['notifications_per_s']:.0f} notifications/s, "

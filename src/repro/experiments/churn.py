@@ -209,8 +209,8 @@ def _workload(config: ChurnConfig):
     names = [f"client-{index}" for index in range(config.num_clients)]
     # Each client draws from its own stream, independent of join timing;
     # the Zipf tables depend on (theta, size) only, so all share them.
-    tables = (BoundedZipf(0.0, config.max_rank, rng=rng),
-              BoundedZipf(0.0, config.num_resources, rng=rng))
+    tables = (BoundedZipf(0.0, config.max_rank),
+              BoundedZipf(0.0, config.num_resources))
     draws = [draw_profiles(np.random.default_rng(config.seed + 101 * (i + 1)),
                            config.profiles_per_client, *tables)
              for i in range(config.num_clients)]

@@ -21,9 +21,9 @@ module makes instance generation a cached, content-addressed lookup:
   picklable :func:`_pool_worker_init` so ``sweep(workers=N)`` workers
   memoize per-process and share the same disk store.
 
-Cached instances are produced by the fast generation path, which is
-property-tested to be seed-for-seed identical to the reference path
-(``generate_instance(fast=False)``).
+Generation has one path; ``tests/workloads/oracle.py`` holds the
+event-at-a-time specification it is property-tested to equal, seed for
+seed.
 """
 
 from __future__ import annotations
@@ -99,25 +99,22 @@ def generation_key(config: ExperimentConfig, repetition: int,
 
 def generate_instance(config: ExperimentConfig, repetition: int,
                       source: str = "poisson",
-                      fast: bool = True) -> tuple[UpdateTrace, ProfileSet]:
+                      ) -> tuple[UpdateTrace, ProfileSet]:
     """Generate one (trace, profiles) instance — the uncached path.
 
     Seeding folds the repetition index into the config seed, so
     instances differ across repetitions but are fully reproducible.
-    ``fast`` selects the vectorized generation path (default); the
-    reference path produces identical instances and exists for
-    equivalence testing and as the benchmark baseline.
     """
     seed = config.seed + 1013 * repetition
     epoch = config.epoch
     resource_ids = list(range(config.num_resources))
     if source == "poisson":
-        model = PoissonUpdateModel(config.intensity, seed=seed, fast=fast)
+        model = PoissonUpdateModel(config.intensity, seed=seed)
         trace = model.generate(resource_ids, epoch)
     elif source == "auction":
         synthesizer = AuctionTraceSynthesizer(
             config.num_resources, epoch,
-            mean_bids=max(1.0, config.intensity), seed=seed, fast=fast)
+            mean_bids=max(1.0, config.intensity), seed=seed)
         trace = synthesizer.generate()
     else:
         raise ValueError(f"unknown trace source {source!r}")
@@ -129,7 +126,7 @@ def generate_instance(config: ExperimentConfig, repetition: int,
         window=config.window,
         grouping=config.grouping,
         seed=seed + 1,
-    ), fast=fast)
+    ))
     profiles = generator.generate(trace, epoch,
                                   resource_ids=resource_ids)
     return trace, profiles

@@ -130,7 +130,7 @@ class ProbeAssigner:
         self._used_at: dict[Chronon, int] = {}  # chronon -> assigned slots
         self._starts = _Fenwick(epoch.last)     # assigned keys by start'
         self._finishes = _Fenwick(epoch.last)   # assigned keys by finish'
-        self._all_unit = True  # no non-unit EI key assigned so far
+        self._non_unit = 0  # assigned keys wider than one chronon
 
     # ------------------------------------------------------------------
     # Public API
@@ -156,7 +156,7 @@ class ProbeAssigner:
             # The unit shortcut is exact on its own, so the Hall precheck
             # would be pure overhead there; run it only when the insert
             # will go through Kuhn augmentation.
-            if (self._all_unit
+            if (not self._non_unit
                     and all(key[1] == key[2] for key in new_keys)):
                 if not self._match_unit(new_keys):
                     return False
@@ -299,13 +299,14 @@ class ProbeAssigner:
             self._account_key(key, removed=True)
 
     def _account_key(self, key: EIKey, removed: bool) -> None:
-        """Track an assigned key in the precheck trees."""
+        """Track an assigned key in the precheck trees and the count of
+        non-unit keys (the unit shortcut holds while it is zero)."""
         first, last = self._clip(key)
         delta = -1 if removed else 1
         self._starts.add(first, delta)
         self._finishes.add(last, delta)
-        if not removed and first != last:
-            self._all_unit = False
+        if first != last:
+            self._non_unit += delta
 
     # ------------------------------------------------------------------
     # Kuhn's algorithm internals

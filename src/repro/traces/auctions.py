@@ -78,20 +78,13 @@ class AuctionTraceSynthesizer:
         lifetime (default 0.35, i.e. a pronounced but not degenerate burst).
     seed:
         RNG seed for reproducibility.
-    fast:
-        Selects the batched bid-synthesis path. The price-ladder noise is
-        drawn per auction in one ``normal(size=...)`` call instead of one
-        scalar draw per bid; numpy fills arrays from the same stream as
-        scalar calls, so the two paths produce byte-identical traces
-        given the same seed.
     """
 
     def __init__(self, num_auctions: int, epoch: Epoch,
                  mean_bids: float = 20.0,
                  mean_duration_fraction: float = 0.4,
                  sniping_share: float = 0.35,
-                 seed: int | None = None,
-                 fast: bool = True) -> None:
+                 seed: int | None = None) -> None:
         if num_auctions < 0:
             raise ValueError(f"num_auctions must be >= 0, got {num_auctions}")
         if mean_bids < 0:
@@ -111,7 +104,6 @@ class AuctionTraceSynthesizer:
         self._mean_duration_fraction = mean_duration_fraction
         self._sniping_share = sniping_share
         self._rng = np.random.default_rng(seed)
-        self._fast = fast
         self._specs: tuple[AuctionSpec, ...] | None = None
 
     # ------------------------------------------------------------------
@@ -191,21 +183,15 @@ class AuctionTraceSynthesizer:
                 snipe_start, spec.closes + 1, size=snipe_count)
         )
         chronons = sorted(set(offsets))
+        # The ladder's noise is one array fill per auction, which
+        # consumes the stream exactly as one scalar ``normal`` per bid
+        # (``tests/workloads/oracle.py``); the ladder itself stays
+        # sequential because each price compounds on the previous one.
+        noise = self._rng.normal(0.02, 0.02, size=len(chronons))
         price = spec.starting_price
         events = []
-        if self._fast:
-            # One array fill consumes the stream exactly like the scalar
-            # draws below; the ladder itself stays sequential because
-            # each price compounds on the previous one.
-            noise = self._rng.normal(0.02, 0.02, size=len(chronons))
-            for chronon, step in zip(chronons, noise.tolist()):
-                price = float(np.round(price * (1.0 + abs(step)), 2))
-                events.append(UpdateEvent(chronon, spec.resource_id,
-                                          payload=f"bid={price:.2f}"))
-            return events
-        for chronon in chronons:
-            price = float(np.round(
-                price * (1.0 + abs(self._rng.normal(0.02, 0.02))), 2))
+        for chronon, step in zip(chronons, noise.tolist()):
+            price = float(np.round(price * (1.0 + abs(step)), 2))
             events.append(UpdateEvent(chronon, spec.resource_id,
                                       payload=f"bid={price:.2f}"))
         return events

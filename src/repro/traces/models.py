@@ -22,7 +22,7 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from repro.core.timeline import Chronon, Epoch
+from repro.core.timeline import Epoch
 from repro.traces.events import UpdateEvent, UpdateTrace
 
 __all__ = [
@@ -82,18 +82,15 @@ class PoissonUpdateModel:
     per_resource_intensity:
         Optional mapping overriding the intensity of specific resources,
         enabling heterogeneous workloads (popular feeds update more often).
-    fast:
-        Selects the vectorized generation path. Both paths draw the
-        exponential gaps from the same RNG stream in the same order, so
-        they produce byte-identical traces (and leave the generator in
-        the same state) given the same seed; ``fast=False`` keeps the
-        event-at-a-time reference loop for ablations and equivalence
-        tests.
+
+    The gaps are drawn in batches; ``tests/workloads/oracle.py`` holds
+    the event-at-a-time loop this equals draw for draw (same trace, and
+    the generator left at the same stream position).
     """
 
     def __init__(self, intensity: float, seed: int | None = None,
                  per_resource_intensity: dict[int, float] | None = None,
-                 fast: bool = True) -> None:
+                 ) -> None:
         if intensity < 0:
             raise ValueError(f"intensity must be >= 0, got {intensity}")
         self._intensity = intensity
@@ -105,7 +102,6 @@ class PoissonUpdateModel:
                     f"{resource_id}"
                 )
         self._rng = np.random.default_rng(seed)
-        self._fast = fast
 
     def intensity_for(self, resource_id: int) -> float:
         """Effective intensity of one resource."""
@@ -113,49 +109,21 @@ class PoissonUpdateModel:
 
     def generate(self, resource_ids: Sequence[int],
                  epoch: Epoch) -> UpdateTrace:
-        """Draw Poisson update streams for the given resources."""
-        if self._fast:
-            return self._generate_fast(resource_ids, epoch)
-        return self._generate_reference(resource_ids, epoch)
+        """Draw Poisson update streams for the given resources.
 
-    def _generate_reference(self, resource_ids: Sequence[int],
-                            epoch: Epoch) -> UpdateTrace:
-        """Event-at-a-time loop (the behavioral specification)."""
-        events: list[UpdateEvent] = []
-        horizon = float(epoch.length)
-        for resource_id in resource_ids:
-            intensity = self.intensity_for(resource_id)
-            if intensity <= 0:
-                continue
-            mean_gap = horizon / intensity
-            time = 0.0
-            chronons: set[Chronon] = set()
-            # Exponential inter-arrivals; discretize by ceiling so an
-            # arrival in (j-1, j] lands on chronon j.
-            while True:
-                time += self._rng.exponential(mean_gap)
-                if time > horizon:
-                    break
-                chronons.add(max(1, int(np.ceil(time))))
-            events.extend(UpdateEvent(chronon, resource_id)
-                          for chronon in sorted(chronons))
-        return UpdateTrace(events, epoch)
-
-    def _generate_fast(self, resource_ids: Sequence[int],
-                       epoch: Epoch) -> UpdateTrace:
-        """Batched gap sampling, identical to the reference stream.
-
-        The reference loop consumes, per resource, ``k + 1`` scalar
-        ``exponential(mean_gap)`` draws (the final one crosses the
-        horizon). numpy's ``exponential(scale)`` is a
-        ``standard_exponential()`` variate times ``scale`` and array
-        fills consume the same stream as scalar calls, so one shared
-        ``standard_exponential`` buffer — sliced per resource, scaled by
-        that resource's mean gap — reproduces every gap exactly. After
-        all resources are cut, the bit-generator state is rewound once
-        and advanced by the total reference consumption, leaving the RNG
-        exactly where the reference loop would have. Chronon
-        discretization collapses to ``np.unique(np.ceil(...))``.
+        One resource at a time, the process is ``k + 1`` scalar
+        ``exponential(mean_gap)`` draws (the last one crosses the
+        horizon), each arrival ceiled to its chronon (an arrival in
+        ``(j-1, j]`` lands on ``j``; hits in one chronon collapse).
+        numpy's ``exponential(scale)`` is a ``standard_exponential()``
+        variate times ``scale`` and array fills consume the same stream
+        as scalar calls, so one shared ``standard_exponential`` buffer —
+        sliced per resource, scaled by that resource's mean gap — holds
+        every gap exactly. After all resources are cut, the
+        bit-generator state is rewound once and advanced by the draws
+        the process used, so a second call continues where the one
+        resource at a time process would. The chronons of all resources
+        collapse in one ``np.unique(np.ceil(...))``.
         """
         horizon = float(epoch.length)
         bit_generator = self._rng.bit_generator
@@ -208,8 +176,8 @@ class PoissonUpdateModel:
                 arrival_slices.append(arrivals[:crossing])
                 active_resources.append(resource_id)
                 counts.append(crossing)
-        # Rewind the over-drawn buffer; consume exactly what the
-        # reference loop would have, so subsequent draws line up.
+        # Rewind the over-drawn buffer; consume exactly the draws the
+        # process used, so subsequent draws line up.
         bit_generator.state = initial_state
         if position:
             self._rng.standard_exponential(position)

@@ -8,7 +8,6 @@ __all__, __getattr__, __dir__ = export_table(__name__, {
         "DeliveryRestriction",
         "OverwriteRestriction",
         "WindowRestriction",
-        "derive_execution_intervals",
     ),
     ".templates": (
         "AuctionWatchTemplate",

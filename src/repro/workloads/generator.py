@@ -10,20 +10,20 @@ in three stages:
    from ``Zipf(alpha, n)`` (*inter-user* preference: positive ``alpha``
    concentrates on popular resources; the paper cites ``alpha = 1.37`` for
    Web feeds).
-3. **t-interval generation** — a profile template (default AuctionWatch)
-   instantiates t-intervals from the update trace under a delivery
-   restriction (overwrite or window(W)).
+3. **t-interval generation** — the AuctionWatch template instantiates
+   t-intervals from the update trace under a delivery restriction
+   (overwrite or window(W)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.errors import WorkloadError
-from repro.core.profile import Profile, ProfileSet
+from repro.core.profile import ProfileSet
 from repro.core.timeline import Epoch
 from repro.traces.events import UpdateTrace
 from repro.workloads.restrictions import (
@@ -31,7 +31,7 @@ from repro.workloads.restrictions import (
     OverwriteRestriction,
     WindowRestriction,
 )
-from repro.workloads.templates import AuctionWatchTemplate, ProfileTemplate
+from repro.workloads.templates import AuctionWatchTemplate
 from repro.workloads.zipf import BoundedZipf
 
 __all__ = ["GeneratorConfig", "ProfileGenerator", "draw_profiles"]
@@ -92,8 +92,8 @@ class _UniformBuffer:
 
     numpy array fills consume the uniform stream exactly as sequential
     scalar ``rng.random()`` calls do, so reading slices off a refilled
-    buffer is indistinguishable — variate for variate — from the
-    reference generator's one-draw-at-a-time pattern.
+    buffer is indistinguishable — variate for variate — from drawing
+    one uniform at a time.
     """
 
     __slots__ = ("_rng", "_chunk", "_buffer", "_position")
@@ -143,35 +143,18 @@ class _UniformBuffer:
 class ProfileGenerator:
     """Generates a :class:`ProfileSet` from a trace and a config.
 
-    Parameters
-    ----------
-    config:
-        Generator knobs.
-    template:
-        Optional template override; defaults to AuctionWatch with the
-        config's restriction and grouping.
-    fast:
-        Selects the buffered-uniform sampling path and the all-profiles-
-        at-once columnar build, which returns a column-born
-        :class:`ProfileSet` (AuctionWatch over a built-in restriction;
-        any other template takes the reference path). The fast path
-        draws its uniforms from the same stream in the same order as
-        the reference path — rank draws through the Zipf CDF, resource
-        draws through an exact replay of numpy's without-replacement
-        ``choice`` — so the generated profile sets are identical for
-        any seed.
+    Stages 1-2 are :func:`draw_profiles` over one seeded stream, stage 3
+    one :meth:`AuctionWatchTemplate.build_columns` over every profile;
+    the result is a column-born :class:`ProfileSet`.
+    ``tests/workloads/oracle.py`` draws the same uniforms one profile at
+    a time and builds each with :meth:`AuctionWatchTemplate.build_profile`
+    — the specification this path equals for any seed.
     """
 
-    def __init__(self, config: GeneratorConfig,
-                 template: ProfileTemplate | None = None,
-                 fast: bool = True) -> None:
+    def __init__(self, config: GeneratorConfig) -> None:
         self.config = config
-        if template is None:
-            template = AuctionWatchTemplate(
-                config.restriction(), grouping=config.grouping)  # type: ignore[arg-type]
-        self._template = template
-        self._columnar = (fast and isinstance(template, AuctionWatchTemplate)
-                          and template.columnar)
+        self._template = AuctionWatchTemplate(
+            config.restriction(), grouping=config.grouping)  # type: ignore[arg-type]
 
     def generate(self, trace: UpdateTrace, epoch: Epoch,
                  resource_ids: Sequence[int] | None = None) -> ProfileSet:
@@ -198,23 +181,11 @@ class ProfileGenerator:
         resource_ids = list(resource_ids)
         if not resource_ids and self.config.num_profiles > 0:
             raise WorkloadError("cannot generate profiles with no resources")
-        rng = np.random.default_rng(self.config.seed)
-        rank_dist = BoundedZipf(self.config.beta, self.config.max_rank,
-                                rng=rng)
-        resource_dist = BoundedZipf(self.config.alpha, len(resource_ids),
-                                    rng=rng)
-        if not self._columnar:
-            profiles: list[Profile] = []
-            for index in range(self.config.num_profiles):
-                rank = min(rank_dist.sample(), len(resource_ids))
-                chosen = [resource_ids[position - 1] for position
-                          in resource_dist.sample_distinct(rank)]
-                profiles.append(self._template.build_profile(
-                    chosen, trace, epoch,
-                    name=f"AuctionWatch({rank})#{index}"))
-            return ProfileSet(profiles)
-        ranks, positions = draw_profiles(rng, self.config.num_profiles,
-                                         rank_dist, resource_dist)
+        ranks, positions = draw_profiles(
+            np.random.default_rng(self.config.seed),
+            self.config.num_profiles,
+            BoundedZipf(self.config.beta, self.config.max_rank),
+            BoundedZipf(self.config.alpha, len(resource_ids)))
         return ProfileSet.from_columns(self._template.build_columns(
             ranks, np.asarray(resource_ids, dtype=np.int64)[positions],
             [f"AuctionWatch({rank})#{index}"
@@ -225,9 +196,10 @@ class ProfileGenerator:
 def draw_profiles(rng: np.random.Generator, count: int,
                   rank_dist: BoundedZipf, resource_dist: BoundedZipf) \
         -> tuple[np.ndarray, np.ndarray]:
-    """Stages 1-2 of ``count`` profiles from ``rng``'s uniforms, as the
-    reference path draws them: ranks, and each profile's 0-based universe
-    positions in turn. The Zipf tables are only read: many streams share
+    """Stages 1-2 of ``count`` profiles from ``rng``'s uniforms, in the
+    order one profile at a time draws them (its rank, then its distinct
+    resources): ranks, and each profile's 0-based universe positions in
+    turn. The Zipf tables are only read: many streams share
     them, and one ``build_columns`` over all their draws is stage 3."""
     uniforms = _UniformBuffer(rng)
     ranks: list[int] = []

@@ -25,7 +25,6 @@ __all__ = [
     "DeliveryRestriction",
     "OverwriteRestriction",
     "WindowRestriction",
-    "derive_execution_intervals",
 ]
 
 
@@ -93,12 +92,3 @@ class WindowRestriction:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"WindowRestriction(W={self.window})"
 
-
-def derive_execution_intervals(resource_id: int,
-                               update_chronons: Sequence[Chronon],
-                               epoch: Epoch,
-                               restriction: DeliveryRestriction
-                               ) -> list[ExecutionInterval]:
-    """Convenience wrapper applying a restriction to one resource's updates."""
-    return restriction.execution_intervals(resource_id, update_chronons,
-                                           epoch)

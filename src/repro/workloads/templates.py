@@ -33,11 +33,7 @@ from repro.core.intervals import ExecutionInterval, TInterval
 from repro.core.profile import Profile, ProfileColumns
 from repro.core.timeline import Epoch
 from repro.traces.events import UpdateTrace
-from repro.workloads.restrictions import (
-    DeliveryRestriction,
-    OverwriteRestriction,
-    WindowRestriction,
-)
+from repro.workloads.restrictions import DeliveryRestriction, WindowRestriction
 
 __all__ = [
     "AuctionWatchTemplate",
@@ -56,7 +52,7 @@ class AuctionWatchTemplate:
     :meth:`build_profile` instantiates one profile as objects and is the
     reference; :meth:`build_columns` instantiates many at once as
     :class:`~repro.core.profile.ProfileColumns` — the same t-intervals,
-    row for row — for the two built-in restrictions (``columnar``).
+    row for row — for the two built-in restrictions.
 
     Parameters
     ----------
@@ -72,12 +68,6 @@ class AuctionWatchTemplate:
             raise WorkloadError(f"unknown grouping {grouping!r}")
         self._restriction = restriction
         self._grouping = grouping
-
-    @property
-    def columnar(self) -> bool:
-        """True when :meth:`build_columns` knows the restriction."""
-        return isinstance(self._restriction,
-                          (WindowRestriction, OverwriteRestriction))
 
     def build_profile(self, resource_ids: Sequence[int], trace: UpdateTrace,
                       epoch: Epoch, name: str = "",

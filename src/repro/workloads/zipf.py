@@ -25,38 +25,41 @@ __all__ = ["BoundedZipf"]
 class BoundedZipf:
     """Zipf distribution over ``{1, ..., size}`` with exponent ``theta``.
 
+    A table, not a sampler: it holds the distribution and maps uniforms
+    that the caller draws to values (:meth:`sample_from`,
+    :meth:`sample_distinct_from`), so many streams can share one table.
+
     Parameters
     ----------
     theta:
         Skew exponent; ``0`` gives the uniform distribution. Must be >= 0.
     size:
         Support size; must be >= 1.
-    rng:
-        Optional numpy Generator (a fresh default one is created if absent).
     """
 
-    __slots__ = ("theta", "size", "_rng", "_pmf", "_cdf", "_cdf_list",
-                 "_choice_cdf", "_choice_cdf_list")
+    __slots__ = ("theta", "size", "_pmf", "_cdf_list", "_choice_cdf_list")
 
-    def __init__(self, theta: float, size: int,
-                 rng: np.random.Generator | None = None) -> None:
+    def __init__(self, theta: float, size: int) -> None:
         if theta < 0:
             raise ValueError(f"theta must be >= 0, got {theta}")
         if size < 1:
             raise ValueError(f"size must be >= 1, got {size}")
         self.theta = theta
         self.size = size
-        self._rng = rng if rng is not None else np.random.default_rng()
         ranks = np.arange(1, size + 1, dtype=float)
         weights = ranks ** (-theta)
         self._pmf = weights / weights.sum()
-        self._cdf = np.cumsum(self._pmf)
-        # List mirror of the CDF: scalar inversions go through C
+        # List mirrors of the CDF: scalar inversions go through C
         # ``bisect`` (same right-insertion rule as ``searchsorted``,
         # same float comparisons) without numpy's per-call dispatch.
-        self._cdf_list = self._cdf.tolist()
-        self._choice_cdf: np.ndarray | None = None
-        self._choice_cdf_list: list[float] | None = None
+        cdf = np.cumsum(self._pmf)
+        self._cdf_list = cdf.tolist()
+        # The first round of a draw without replacement inverts the CDF
+        # numpy's ``choice`` builds before anything is zeroed — a
+        # constant of the distribution (cumsum, then normalized in
+        # place: the same float operations).
+        cdf /= cdf[-1]
+        self._choice_cdf_list = cdf.tolist()
 
     def pmf(self, value: int) -> float:
         """Probability of drawing ``value`` (1-based)."""
@@ -64,73 +67,23 @@ class BoundedZipf:
             return 0.0
         return float(self._pmf[value - 1])
 
-    def sample(self, size: int | None = None) -> int | np.ndarray:
-        """Draw one value in ``{1..size}``, or ``size`` values at once.
-
-        The batch form consumes the RNG stream exactly as ``size``
-        scalar calls would (numpy fills uniform arrays from the same
-        stream), so batched and one-at-a-time sampling are
-        interchangeable without changing realizations.
-        """
-        if size is None:
-            u = self._rng.random()
-            return bisect_right(self._cdf_list, u) + 1
-        if size < 0:
-            raise ValueError(f"size must be >= 0, got {size}")
-        u = self._rng.random(size)
-        return self._cdf.searchsorted(u, side="right") + 1
-
     def sample_from(self, u: float) -> int:
-        """Map an externally drawn uniform to a value (1-based).
-
-        Lets callers that manage their own uniform buffer (the fast
-        profile-generator path) reuse the precomputed CDF while keeping
-        the exact inverse-CDF transform of :meth:`sample`.
-        """
+        """Map a uniform in ``[0, 1)`` to a value (1-based): the inverse
+        CDF, right insertion, as ``np.searchsorted(cdf, u, "right")``."""
         return bisect_right(self._cdf_list, u) + 1
-
-    def sample_many(self, count: int) -> np.ndarray:
-        """Draw ``count`` i.i.d. values (1-based)."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        u = self._rng.random(count)
-        return np.searchsorted(self._cdf, u, side="right") + 1
-
-    def sample_distinct(self, count: int) -> list[int]:
-        """Draw ``count`` *distinct* values, Zipf-weighted without
-        replacement.
-
-        Used to pick a profile's resource set: a profile never lists the
-        same resource twice for the same role.
-
-        Raises
-        ------
-        ValueError
-            If ``count`` exceeds the support size.
-        """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        if count > self.size:
-            raise ValueError(
-                f"cannot draw {count} distinct values from support of size "
-                f"{self.size}"
-            )
-        chosen = self._rng.choice(self.size, size=count, replace=False,
-                                  p=self._pmf)
-        return [int(value) + 1 for value in chosen]
 
     def sample_distinct_from(self, count: int,
                              take_uniform) -> list[int]:
         """Weighted sampling without replacement from external uniforms.
 
-        Replays ``Generator.choice(replace=False, p=...)`` exactly:
-        numpy's implementation repeatedly draws ``count - n_uniq``
-        uniforms, zeroes already-found entries, renormalizes the CDF and
-        inverts it, keeping first occurrences. Feeding it uniforms from
-        the same stream (``take_uniform(n)`` standing in for
-        ``rng.random(n)``) therefore yields the same values in the same
-        order as :meth:`sample_distinct` — which stays as the reference
-        implementation.
+        Replays ``Generator.choice(size, count, replace=False, p=pmf)``
+        exactly: numpy's implementation repeatedly draws ``count -
+        n_uniq`` uniforms, zeroes already-found entries, renormalizes the
+        CDF and inverts it, keeping first occurrences. Feeding it
+        uniforms from the same stream (``take_uniform(n)`` standing in
+        for ``rng.random(n)``) therefore yields the same values in the
+        same order as that call (plus one) —
+        ``tests/workloads/oracle.py`` makes it.
 
         Raises
         ------
@@ -146,15 +99,6 @@ class BoundedZipf:
             )
         if count == 0:
             return []
-        # First round: nothing is zeroed yet, so the renormalized CDF
-        # numpy builds internally is a constant of the distribution —
-        # precompute it once (cumsum then in-place normalize, the exact
-        # float operations of the reference) instead of per call.
-        if self._choice_cdf is None:
-            cdf = np.cumsum(self._pmf)
-            cdf /= cdf[-1]
-            self._choice_cdf = cdf
-            self._choice_cdf_list = cdf.tolist()
         draws = take_uniform(count)
         choice_cdf = self._choice_cdf_list
         if count == 1:

@@ -37,7 +37,8 @@ import pytest
 #: the harness's per-cell fault record (``repro.experiments``: a cell
 #: carries a ``FaultLane``); and the two pairwise conflict-graph
 #: builders of ``repro.offline`` (their specification is
-#: ``tests/offline/oracle.py``).
+#: ``tests/offline/oracle.py``); and ``repro.workloads``' one-resource
+#: restriction wrapper (a caller holds the restriction and calls it).
 PUBLIC_NAMES = {
     "repro": 66,
     "repro.analysis": 4,
@@ -50,7 +51,7 @@ PUBLIC_NAMES = {
     "repro.runtime.aio": 11,
     "repro.simulation": 11,
     "repro.traces": 12,
-    "repro.workloads": 11,
+    "repro.workloads": 10,
 }
 
 packages = pytest.mark.parametrize("package", sorted(PUBLIC_NAMES))

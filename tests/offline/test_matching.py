@@ -196,6 +196,36 @@ class TestFastParity:
             ]
             _replay(etas, Epoch(8), BudgetVector(1))
 
+    def test_the_unit_shortcut_returns_once_no_wide_key_is_held(
+            self, monkeypatch):
+        # The rejected insert assigns its wide key (0,12,13) before
+        # (0,13,13) fails and the rollback releases it; a removed wide
+        # t-interval releases its key too. Either way the matching is
+        # all unit-width again, so a unit insert is decided by counting
+        # alone: no Hall precheck, no Kuhn augmentation.
+        assigner = ProbeAssigner(Epoch(13), BudgetVector(1))
+        assert assigner.try_add(_eta((0, 12, 12)))
+        assert not assigner.try_add(_eta((0, 1, 1), (0, 12, 13),
+                                         (0, 13, 13)))
+        wide = _eta((1, 3, 5))
+        assert assigner.try_add(wide)
+        assigner.remove(wide)
+        shortcuts = []
+        match_unit = assigner._match_unit
+
+        def counted(new_keys):
+            shortcuts.append(new_keys)
+            return match_unit(new_keys)
+
+        def no_precheck(new_keys):
+            raise AssertionError(f"precheck ran for {new_keys}")
+
+        monkeypatch.setattr(assigner, "_match_unit", counted)
+        monkeypatch.setattr(assigner, "_admissible", no_precheck)
+        assert assigner.try_add(_eta((0, 1, 1)))
+        assert shortcuts == [[(0, 1, 1)]]
+        assert sorted(assigner.schedule().probes()) == [(0, 1), (0, 12)]
+
     def test_unit_eta_outside_epoch_rejected(self):
         # The unit shortcut must not hallucinate slots beyond the epoch.
         eta = _eta((0, 7, 7))

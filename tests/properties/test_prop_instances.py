@@ -1,25 +1,33 @@
-"""Equivalence properties: fast instance generation IS the reference.
+"""Equivalence properties: generated instances ARE the specification.
 
-The vectorized generation path (batched numpy sampling in the update
-models, bulk-derived columnar EI streams in the templates) exists purely
-as an optimization: for every seed, source and configuration it must
-produce the *same* problem instance as the event-at-a-time reference
-path — the byte-identical update trace and structurally equal profiles.
-The content-addressed :class:`~repro.experiments.instances.InstanceCache`
-must likewise be invisible: a cache hit returns the same instance a
-fresh miss would have generated.
+``src`` generates an instance through one batched path (the update
+models' batched sampling, the templates' bulk-derived EI columns). For
+every seed, source and configuration it must produce the instance of the
+event-at-a-time specification in ``tests/workloads/oracle.py`` — the
+identical update trace, structurally equal profiles and identical EI
+columns — and leave its generator where the specification would, so a
+second ``generate`` call draws the same stream. The content-addressed
+:class:`~repro.experiments.instances.InstanceCache` must likewise be
+invisible: a cache hit returns the same instance a fresh miss would have
+generated.
 """
 
 import tempfile
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.timeline import Epoch
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.instances import (
     InstanceCache,
     generate_instance,
 )
+from repro.traces.auctions import AuctionTraceSynthesizer
+from repro.traces.models import PoissonUpdateModel
+
+from tests.workloads import oracle
 
 
 def profiles_equal(left, right) -> bool:
@@ -36,7 +44,7 @@ def profiles_equal(left, right) -> bool:
 
 @st.composite
 def configs(draw) -> ExperimentConfig:
-    window = draw(st.sampled_from([0, 2, 5, 10]))
+    window = draw(st.sampled_from([None, 0, 2, 5, 10]))
     alpha, beta = draw(st.sampled_from(
         [(0.0, 0.0), (1.37, 0.0), (0.0, 0.8), (1.37, 0.8)]))
     return ExperimentConfig(
@@ -59,20 +67,63 @@ class TestFastEqualsReference:
            repetition=st.integers(0, 3))
     @settings(max_examples=80, deadline=None)
     def test_identical_instances(self, config, source, repetition):
-        fast_trace, fast_profiles = generate_instance(
-            config, repetition, source, fast=True)
-        ref_trace, ref_profiles = generate_instance(
-            config, repetition, source, fast=False)
-        assert list(fast_trace) == list(ref_trace)
-        assert profiles_equal(fast_profiles, ref_profiles)
+        trace, profiles = generate_instance(config, repetition, source)
+        ref_trace, ref_profiles = oracle.instance(config, repetition, source)
+        assert list(trace) == list(ref_trace)
+        assert profiles_equal(profiles, ref_profiles)
+        born, walked = profiles.columns(), ref_profiles.columns()
+        assert born.names == walked.names
+        for ours, theirs in zip(born[1:], walked[1:]):
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
 
     @given(config=configs(), source=st.sampled_from(["poisson", "auction"]))
     @settings(max_examples=40, deadline=None)
     def test_regeneration_is_deterministic(self, config, source):
-        first = generate_instance(config, 0, source, fast=True)
-        second = generate_instance(config, 0, source, fast=True)
+        first = generate_instance(config, 0, source)
+        second = generate_instance(config, 0, source)
         assert list(first[0]) == list(second[0])
         assert profiles_equal(first[1], second[1])
+
+
+class TestTheStreamContinues:
+    """A model keeps its generator: a second ``generate`` call draws on
+    from where the first left it, as the specification's would."""
+
+    @given(intensity=st.sampled_from([0.0, 0.5, 3.0, 12.0]),
+           overrides=st.dictionaries(st.integers(0, 9),
+                                     st.sampled_from([0.0, 1.0, 40.0]),
+                                     max_size=4),
+           resources=st.integers(0, 10), length=st.sampled_from([1, 20, 60]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_poisson(self, intensity, overrides, resources, length, seed):
+        model = PoissonUpdateModel(intensity, seed=seed,
+                                   per_resource_intensity=overrides)
+        rng = np.random.default_rng(seed)
+        epoch = Epoch(length)
+        for _call in range(2):
+            trace = model.generate(range(resources), epoch)
+            expected = oracle.poisson_trace(rng, model.intensity_for,
+                                            range(resources), epoch)
+            assert list(trace) == list(expected)
+            assert model._rng.bit_generator.state \
+                == rng.bit_generator.state
+
+    @given(auctions=st.integers(0, 8), length=st.sampled_from([5, 40]),
+           mean_bids=st.sampled_from([1.0, 6.0, 20.0]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_auction(self, auctions, length, mean_bids, seed):
+        synthesizers = [AuctionTraceSynthesizer(
+            auctions, Epoch(length), mean_bids=mean_bids, seed=seed)
+            for _ in range(2)]
+        for _call in range(2):
+            trace = synthesizers[0].generate()
+            expected = oracle.auction_trace(synthesizers[1])
+            assert list(trace) == list(expected)
+            assert synthesizers[0]._rng.bit_generator.state \
+                == synthesizers[1]._rng.bit_generator.state
 
 
 class TestCacheTransparency:

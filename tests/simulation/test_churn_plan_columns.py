@@ -51,7 +51,7 @@ from repro.simulation import columnar as columnar_module
 from repro.simulation.churn import lower_plan
 from repro.simulation.columnar import BatchUnsupported, ColumnarInstance
 from repro.traces.models import PoissonUpdateModel
-from repro.workloads.generator import GeneratorConfig, ProfileGenerator
+from repro.workloads.generator import GeneratorConfig
 from repro.workloads.templates import AuctionWatchTemplate
 
 from tests.conformance.cases import (
@@ -71,6 +71,7 @@ from tests.conformance.engines import (
 )
 from tests.conformance.lowering import walk
 from tests.properties.strategies import HORIZON, epoch, plans
+from tests.workloads import oracle
 
 
 def column_born(plan: ChurnPlan) -> ChurnPlan:
@@ -287,8 +288,9 @@ class TestOrderExactEdges:
 
 def object_built(config: ChurnConfig):
     """``build_churn_workload`` as the experiment built it before its
-    scenario stayed columns: every client's profiles read out of the
-    generator object by object, copied bare, planned event by event."""
+    scenario stayed columns: every client's profiles built object by
+    object (``tests/workloads/oracle.py``), copied bare, planned event by
+    event."""
     rng = np.random.default_rng(config.seed)
     epoch_ = Epoch(config.epoch_length)
     trace = PoissonUpdateModel(config.intensity, seed=config.seed).generate(
@@ -301,12 +303,11 @@ def object_built(config: ChurnConfig):
                for _ in range(config.num_clients)]
     clients = []
     for index in range(config.num_clients):
-        generated = ProfileGenerator(GeneratorConfig(
+        generated = oracle.profiles(GeneratorConfig(
             num_profiles=config.profiles_per_client,
             max_rank=config.max_rank, window=config.window,
             grouping="overlap", seed=config.seed + 101 * (index + 1)),
-            fast=False).generate(
-                trace, epoch_, resource_ids=list(range(config.num_resources)))
+            trace, epoch_, list(range(config.num_resources)))
         clients.append([
             Profile([TInterval(eta.eis) for eta in profile],
                     name=f"client-{index}/{profile.name}")

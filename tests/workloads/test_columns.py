@@ -1,12 +1,13 @@
 """Columns from the generator: the column-born set IS the reference set.
 
-The fast generation path groups every profile's t-intervals at once as
-EI-row columns (``AuctionWatchTemplate.build_columns``) and returns a
+Generation groups every profile's t-intervals at once as EI-row columns
+(``AuctionWatchTemplate.build_columns``) and returns a
 :class:`ProfileSet` that holds only those. For every configuration the
-columns must equal the objects→columns walk of the reference
-(``fast=False``) set — values, dtype and row order — and the objects the
-set materialises on first read must equal the reference objects. A
-column-born set that is only lowered and run never builds an object.
+columns must equal the objects→columns walk of the set the
+specification (``tests/workloads/oracle.py``) builds object by object —
+values, dtype and row order — and the objects the set materialises on
+first read must equal the specification's objects. A column-born set
+that is only lowered and run never builds an object.
 """
 
 from unittest import mock
@@ -31,6 +32,7 @@ from repro.workloads import (
     WindowRestriction,
 )
 from tests.properties.strategies import profile_sets
+from tests.workloads import oracle
 
 
 def assert_columns_equal(left: ProfileColumns, right: ProfileColumns):
@@ -73,8 +75,8 @@ class TestGeneratorColumns:
     @given(config=configs(), source=st.sampled_from(["poisson", "auction"]))
     @settings(max_examples=120, deadline=None)
     def test_columns_and_objects_equal_the_reference(self, config, source):
-        _trace, born = generate_instance(config, 0, source, fast=True)
-        _trace, reference = generate_instance(config, 0, source, fast=False)
+        _trace, born = generate_instance(config, 0, source)
+        _trace, reference = oracle.instance(config, 0, source)
         assert len(born) == len(reference) == config.num_profiles
         assert_columns_equal(born.columns(), reference.columns())
         assert_sets_equal(born, reference)
@@ -235,8 +237,8 @@ class TestFewerResourcesThanRank:
         config = ExperimentConfig(epoch_length=40, num_resources=2,
                                   num_profiles=9, max_rank=5, intensity=6.0,
                                   window=4, repetitions=1, seed=11)
-        _trace, born = generate_instance(config, 0, fast=True)
-        _trace, reference = generate_instance(config, 0, fast=False)
+        _trace, born = generate_instance(config, 0)
+        _trace, reference = oracle.instance(config, 0)
         assert_columns_equal(born.columns(), reference.columns())
         assert born.rank <= 2
 

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core import Epoch
-from repro.workloads import (
-    OverwriteRestriction,
-    WindowRestriction,
-    derive_execution_intervals,
-)
+from repro.workloads import OverwriteRestriction, WindowRestriction
 
 
 class TestOverwriteRestriction:
@@ -69,10 +65,3 @@ class TestWindowRestriction:
             0, [3, 6], Epoch(30))
         assert eis[0].overlaps(eis[1])
 
-
-class TestDeriveHelper:
-    def test_dispatches_to_restriction(self):
-        eis = derive_execution_intervals(
-            2, [4], Epoch(10), WindowRestriction(2))
-        assert [(ei.resource_id, ei.start, ei.finish)
-                for ei in eis] == [(2, 4, 6)]

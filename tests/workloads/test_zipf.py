@@ -1,9 +1,18 @@
-"""Tests for bounded Zipf sampling."""
+"""Tests for the bounded Zipf table.
+
+A :class:`BoundedZipf` maps uniforms the caller draws to values; the
+draws it stands in for — one ``rng.random()`` per value, one
+``rng.choice(replace=False, p=pmf)`` per distinct set — are
+``tests/workloads/oracle.py``'s, and the stream equivalences below hold
+the table to them.
+"""
 
 import numpy as np
 import pytest
 
 from repro.workloads import BoundedZipf
+
+from tests.workloads import oracle
 
 
 class TestValidation:
@@ -43,90 +52,106 @@ class TestPmf:
 
 class TestSampling:
     def test_samples_in_support(self):
-        rng = np.random.default_rng(1)
-        dist = BoundedZipf(1.5, 7, rng=rng)
-        samples = dist.sample_many(1000)
-        assert samples.min() >= 1
-        assert samples.max() <= 7
+        dist = BoundedZipf(1.5, 7)
+        samples = [dist.sample_from(u)
+                   for u in np.random.default_rng(1).random(1000)]
+        assert min(samples) >= 1
+        assert max(samples) <= 7
 
     def test_skew_prefers_small_values(self):
-        rng = np.random.default_rng(2)
-        dist = BoundedZipf(2.0, 50, rng=rng)
-        samples = dist.sample_many(5000)
+        dist = BoundedZipf(2.0, 50)
+        samples = np.array([dist.sample_from(u)
+                            for u in np.random.default_rng(2).random(5000)])
         assert np.mean(samples == 1) > 0.5
 
     def test_uniform_sampling_flat(self):
-        rng = np.random.default_rng(3)
-        dist = BoundedZipf(0.0, 4, rng=rng)
-        samples = dist.sample_many(8000)
+        dist = BoundedZipf(0.0, 4)
+        samples = np.array([dist.sample_from(u)
+                            for u in np.random.default_rng(3).random(8000)])
         for value in range(1, 5):
             assert np.mean(samples == value) == pytest.approx(0.25,
                                                               abs=0.03)
 
     def test_single_sample(self):
-        dist = BoundedZipf(1.0, 5, rng=np.random.default_rng(4))
-        assert 1 <= dist.sample() <= 5
+        assert 1 <= BoundedZipf(1.0, 5).sample_from(0.999999) <= 5
+        assert BoundedZipf(1.0, 5).sample_from(0.0) == 1
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            BoundedZipf(0.0, 3).sample_many(-1)
+            BoundedZipf(0.0, 3).sample_distinct_from(
+                -1, np.random.default_rng(0).random)
 
 
 class TestSampleDistinct:
     def test_distinct_values(self):
-        dist = BoundedZipf(1.0, 10, rng=np.random.default_rng(5))
+        dist = BoundedZipf(1.0, 10)
+        rng = np.random.default_rng(5)
         for _ in range(20):
-            drawn = dist.sample_distinct(5)
+            drawn = dist.sample_distinct_from(5, rng.random)
             assert len(set(drawn)) == 5
 
     def test_full_support_draw(self):
-        dist = BoundedZipf(1.0, 5, rng=np.random.default_rng(6))
-        assert sorted(dist.sample_distinct(5)) == [1, 2, 3, 4, 5]
+        dist = BoundedZipf(1.0, 5)
+        drawn = dist.sample_distinct_from(5, np.random.default_rng(6).random)
+        assert sorted(drawn) == [1, 2, 3, 4, 5]
 
     def test_over_draw_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            BoundedZipf(1.0, 3).sample_distinct(4)
+            BoundedZipf(1.0, 3).sample_distinct_from(
+                4, np.random.default_rng(0).random)
 
     def test_zero_draw(self):
-        assert BoundedZipf(1.0, 3).sample_distinct(0) == []
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert BoundedZipf(1.0, 3).sample_distinct_from(0, rng.random) == []
+        assert rng.bit_generator.state == state
 
 
 class TestStreamEquivalence:
-    """Batched draws consume the RNG stream exactly like scalar calls."""
+    """The table inverts the uniforms the oracle's draws consume."""
+
+    def test_pmf_is_the_oracles(self):
+        for theta, size in ((0.0, 4), (0.8, 40), (1.37, 100)):
+            dist = BoundedZipf(theta, size)
+            assert [dist.pmf(value) for value in range(1, size + 1)] \
+                == oracle.zipf_pmf(theta, size).tolist()
 
     def test_batch_sample_matches_scalar_sequence(self):
+        """A batch of uniforms mapped through the table is the scalar
+        draws one ``rng.random()`` at a time, and leaves the stream at
+        the same position."""
         for theta in (0.0, 0.8, 1.37):
-            scalar = BoundedZipf(theta, 40, rng=np.random.default_rng(7))
-            batch = BoundedZipf(theta, 40, rng=np.random.default_rng(7))
-            one_at_a_time = [scalar.sample() for _ in range(64)]
-            batched = batch.sample(64)
-            assert one_at_a_time == [int(value) for value in batched]
-
-    def test_batch_sample_empty(self):
-        assert BoundedZipf(1.0, 5).sample(0).size == 0
-
-    def test_batch_sample_negative_rejected(self):
-        with pytest.raises(ValueError):
-            BoundedZipf(1.0, 5).sample(-1)
+            dist = BoundedZipf(theta, 40)
+            scalar, batch = (np.random.default_rng(7) for _ in range(2))
+            pmf = oracle.zipf_pmf(theta, 40)
+            one_at_a_time = [oracle.zipf_sample(scalar, pmf)
+                             for _ in range(64)]
+            assert one_at_a_time == [dist.sample_from(u)
+                                     for u in batch.random(64)]
+            assert scalar.bit_generator.state == batch.bit_generator.state
 
     def test_sample_from_matches_sample(self):
         for theta in (0.0, 1.37):
-            direct = BoundedZipf(theta, 25, rng=np.random.default_rng(8))
-            replay = BoundedZipf(theta, 25, rng=np.random.default_rng(8))
+            dist = BoundedZipf(theta, 25)
+            direct = np.random.default_rng(8)
+            pmf = oracle.zipf_pmf(theta, 25)
             uniforms = np.random.default_rng(8).random(50)
-            assert [direct.sample() for _ in range(50)] \
-                == [replay.sample_from(u) for u in uniforms]
+            assert [oracle.zipf_sample(direct, pmf) for _ in range(50)] \
+                == [dist.sample_from(u) for u in uniforms]
 
     def test_sample_distinct_from_replays_choice(self):
-        """External-uniform replay equals Generator.choice exactly."""
+        """External-uniform replay equals Generator.choice exactly, and
+        consumes the same uniforms."""
         for theta in (0.0, 0.8, 1.37):
+            dist = BoundedZipf(theta, 12)
+            pmf = oracle.zipf_pmf(theta, 12)
             for seed in range(10):
                 for count in (1, 3, 7, 12):
-                    reference = BoundedZipf(theta, 12,
-                                            rng=np.random.default_rng(seed))
-                    replay = BoundedZipf(theta, 12,
-                                         rng=np.random.default_rng(seed))
-                    expected = reference.sample_distinct(count)
-                    got = replay.sample_distinct_from(count,
-                                                      replay._rng.random)
-                    assert expected == got
+                    reference = np.random.default_rng(seed)
+                    replay = np.random.default_rng(seed)
+                    expected = reference.choice(12, size=count,
+                                                replace=False, p=pmf)
+                    got = dist.sample_distinct_from(count, replay.random)
+                    assert [int(value) + 1 for value in expected] == got
+                    assert reference.bit_generator.state \
+                        == replay.bit_generator.state
