@@ -25,7 +25,8 @@ instance's per-chronon activity CSR (see
   argsort/argpartition;
 * non-preemptive lanes run the two-pool rule exactly: committed-state
   pools first, then fresh states for leftover budget;
-* captures and the M-EDF sum/started aggregates are scatter-adds.
+* captures and the M-EDF aggregates are scatter-adds: per lane the
+  captured deadlines, per state (every lane alike) the opened EIs.
 
 Faulty lanes ride the same pass (see :class:`FaultLane`): a chronon's
 first attempts are decided as lane-major columns. Because every
@@ -585,18 +586,25 @@ def _expire(col: ColumnarInstance, lo: int, hi: int, glo: int, ghi: int,
 def _candidate_keys(hi: np.ndarray, key_rows: dict[ScoreKey, np.ndarray],
                     col: ColumnarInstance, win: ActivityWindow,
                     alo: int, ahi: int, T: int, n_cand: np.ndarray,
-                    cap_count: np.ndarray,
-                    capsum: np.ndarray | None) -> None:
+                    cap_count: np.ndarray, capsum: np.ndarray | None,
+                    started: np.ndarray | None) -> None:
     """Score: fill ``hi`` (lanes x the chronon's activity entries
     ``[alo, ahi)`` of ``win``) with each lane's candidate keys — (score,
     finish, start) in the one packed layout, pool fields zero. The
     score is the lane's row at chronon ``T``: the window's static column
-    of it, plus the terms that read the run — the lane's capture counts
-    and captured-deadline sums, and ``n_cand``, its candidates per pool
-    — each only where the row weighs it."""
+    of it, less ``T`` per ``started`` sibling (the states' count of
+    opened EIs, the same on every lane), plus the terms that read the
+    run — the lane's capture counts and captured-deadline sums, and
+    ``n_cand``, its candidates per pool — each only where the row
+    weighs it."""
     shift = col.score_shift
     for key, rows in key_rows.items():
         word = win.hi_static[key][alo:ahi]
+        if key.deadlines:
+            # An int64 factor: int32 counts times a Python int would
+            # stay int32 and wrap.
+            word = word - started[win.ps_act[alo:ahi]] * np.int64(
+                (key.deadlines * T) << shift)
         if key.captured or key.deadlines:
             rc = rows[:, None]
             pc = win.ps_act[None, alo:ahi]
@@ -667,15 +675,15 @@ def _take_smallest(key: np.ndarray, need: np.ndarray, kmax: int,
 def _capture(picks: np.ndarray, cand: np.ndarray, grp_of: np.ndarray,
              ae: np.ndarray, ps: np.ndarray, alive: np.ndarray,
              committed: np.ndarray | None, cap_flat: np.ndarray,
-             capsum_flat: np.ndarray | None, fin: np.ndarray | None,
+             capsum_flat: np.ndarray | None, fin: np.ndarray,
              pending_flat: np.ndarray, need: np.ndarray) -> None:
     """Capture: a probed resource yields *every* candidate on it —
     ``picks`` (rows x pools) says which pools answered; their candidates
     stop being alive, commit their states and count into the capture
     aggregates (flat views of the rows x states matrices; the captured
-    deadlines ``fin`` only where M-EDF keeps their sums). A state that
-    reaches its ``need`` stops being ``pending``: its other EIs are no
-    candidates."""
+    deadlines, off the per-EI ``fin``, only where M-EDF keeps their
+    sums). A state that reaches its ``need`` stops being ``pending``:
+    its other EIs are no candidates."""
     er, ec = np.divmod(np.flatnonzero(cand & picks[:, grp_of]), ae.size)
     states = ps[ec]
     alive[er, ae[ec]] = False
@@ -684,7 +692,9 @@ def _capture(picks: np.ndarray, cand: np.ndarray, grp_of: np.ndarray,
     flat = er * (cap_flat.size // alive.shape[0]) + states
     np.add.at(cap_flat, flat, 1)
     if capsum_flat is not None:
-        np.add.at(capsum_flat, flat, fin[ec])
+        # Widened first: int32 values into an int64 ``add.at`` take
+        # NumPy's casting path, several times slower.
+        np.add.at(capsum_flat, flat, fin[ae[ec]].astype(np.int64))
     pending_flat[flat[cap_flat[flat] >= need[states]]] = False
 
 
@@ -738,10 +748,16 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
     # counts more candidates than their first pool holds.
     pool_np_rows = np.intersect1d(
         np.flatnonzero([ln.key.pool != 0 for ln in lane_objs]), np_rows)
-    # Captured-deadline sums; kept for every row, read by the rows that
-    # weigh ``deadlines``.
-    capsum = np.zeros((L, col.S), dtype=np.int64) \
-        if any(key.deadlines for key in key_rows) else None
+    # Captured-deadline sums, kept for every row, and each state's count
+    # of opened EIs, the same for every row (flushed from the opening
+    # CSR up to the chronon scored); read by the rows that weigh
+    # ``deadlines``.
+    capsum = started = None
+    if any(key.deadlines for key in key_rows):
+        capsum = np.zeros((L, col.S), dtype=np.int64)
+        started = np.zeros(col.S, dtype=np.int32)
+    op_indptr = col.op_indptr.tolist() if started is not None else None
+    op_at = 0
     cap_flat = cap_count.reshape(-1)
     pending_flat = pending.reshape(-1)
     capsum_flat = capsum.reshape(-1) if capsum is not None else None
@@ -834,9 +850,17 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
                 n_cand[pool_np_rows] = np.add.reduceat(
                     cand[pool_np_rows], gs_local, axis=1)
 
+            # Openings due by T, as the expiries above: a count nothing
+            # reads until a chronon is scored may lag behind it. An int32
+            # one: a Python int takes ``add.at``'s casting path, 20x
+            # slower.
+            if started is not None and op_at < op_indptr[T + 1]:
+                np.add.at(started, col.op_state[op_at:op_indptr[T + 1]],
+                          np.int32(1))
+                op_at = op_indptr[T + 1]
             hi = hi2d[:, :ahi - alo]
             _candidate_keys(hi, key_rows, col, win, alo, ahi, T, n_cand,
-                            cap_count, capsum)
+                            cap_count, capsum, started)
             blocked = plane.blocked(grids, T) if plane is not None else None
             pr_rows, pr_gs, pr_pos = select(
                 _pool_keys(col, pool, pool_n, hi, gs_local, grids, blocked),
@@ -890,8 +914,7 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
             log_rids.append(rids)
             log_T.append(T)
             _capture(picks, cand, win.grp_of[alo:ahi], ae, ps, alive,
-                     committed, cap_flat, capsum_flat,
-                     None if capsum is None else win.fin_act[alo:ahi],
+                     committed, cap_flat, capsum_flat, col.ei_finish,
                      pending_flat, col.st_need)
 
         # One window in flight: the generator builds the next window

@@ -217,21 +217,16 @@ class ActivityWindow:
     span windows (a group is one chronon's pool); EIs do — an EI whose
     window crosses a cut has entries on both sides.
 
-    Every window holds ``act_e``, ``ps_act`` and ``grp_of``; the key
-    columns are built for ``keys``, the score rows
-    (:class:`~repro.online.base.ScoreKey`) of the block that asked, and
-    for nothing else:
-
-    * ``hi_static[key]`` — per entry, ``(score << score_shift) |
-      finstart``, the score being the row's part fixed per entry: its
-      per-EI terms, ``deadlines`` of a lane that captured nothing
-      (``init_sum - T * started`` at the entry's chronon ``T``) and the
-      row's offset (:meth:`ColumnarInstance.score_offset`);
-    * ``fin_act`` — each entry's deadline, the captured-deadline
-      increment, where a row weighs ``deadlines``.
-
-    The run adds the terms that read it (``captured``, ``pool``, the
-    captured part of ``deadlines``) per lane.
+    Every window holds ``act_e``, ``ps_act`` and ``grp_of``, and one key
+    column per score row (:class:`~repro.online.base.ScoreKey`) of the
+    block that asked, ``keys``, and nothing else: ``hi_static[key]`` —
+    per entry, ``(score << score_shift) | finstart``, the score being
+    the row's per-EI terms (``deadlines`` among them as the state's
+    ``init_sum``) and its offset
+    (:meth:`ColumnarInstance.score_offset`). The run adds the terms that
+    read the chronon or the lane (``captured``, ``pool``, and the
+    ``-T`` per started or captured sibling and the captured deadlines
+    of ``deadlines``).
     """
 
     def __init__(self, col: "ColumnarInstance", eis: np.ndarray,
@@ -294,19 +289,17 @@ class ActivityWindow:
         at.sort()
         at &= (1 << b) - 1
 
-        # Key columns, aligned with the entries: what the rows read. The
-        # deadline term first, so its temporaries die before the rest.
-        weigh_deadlines = any(key.deadlines for key in keys)
-        if weigh_deadlines:
-            deadlines = self._deadlines(col, state, at, t1)
+        # Key columns, aligned with the entries: per row, one gather of
+        # a per-EI word.
         self.act_e = eis[at]
         self.ps_act = state[at]
-        # Per row, one gather of a per-EI word.
         finstart = (fin << col.finish_shift) | (start << col.start_shift)
-        features = [("finish", fin), ("start", start),
-                    ("rank", col.st_rank[state].astype(np.int64))]
-        if any(key.need for key in keys):
-            features.append(("need", col.st_need[state].astype(np.int64)))
+        features = [("finish", fin), ("start", start)]
+        for feature, column in (("rank", col.st_rank), ("need", col.st_need),
+                                ("deadlines", col.init_sum)):
+            if any(getattr(key, feature) for key in keys):
+                features.append(
+                    (feature, column[state].astype(np.int64, copy=False)))
         self.hi_static = {}
         for key in keys:
             score = np.full(eis.size, col.score_offset(key), dtype=np.int64)
@@ -314,48 +307,8 @@ class ActivityWindow:
                 weight = getattr(key, feature)
                 if weight:
                     score += weight * column
-            word = ((score << col.score_shift) | finstart)[at]
-            if key.deadlines:
-                word += (deadlines * key.deadlines) << col.score_shift
-            self.hi_static[key] = word
-        if weigh_deadlines:
-            del deadlines  # before the last gather: one column less held
-            self.fin_act = fin[at]
-
-    def _deadlines(self, col: "ColumnarInstance", state: np.ndarray,
-                   at: np.ndarray, t1: int) -> np.ndarray:
-        """``init_sum - T * started`` per entry: the ``deadlines``
-        feature of a lane that has captured nothing.
-
-        ``started`` counts the EIs of the entry's state that have opened
-        (start <= T) by the entry's chronon ``T`` — M-EDF's "started"
-        aggregate before a lane's captures are subtracted, so the term
-        is lane-independent and static per entry. The true starts
-        count even for a state registered after some of them (it
-        arrives with those windows open; one that arrives with a window
-        already *closed* is doomed and M-EDF never scores it). One
-        compare per sibling slot: slot k holds the start of each state's
-        k-th EI, or a never-reached chronon where the state is smaller.
-        ``state`` and ``at`` are the window's per-EI states and each
-        entry's position among them. The compares run on int32, the
-        starts' own width: chronons fit, as the occupancy grid's bound
-        keeps them below 2**27, and a start past the window compares as
-        ``t1 + 1``.
-        """
-        act_T = np.repeat(self.act_chronons.astype(np.int32),
-                          np.diff(self.act_indptr))
-        size = col.st_size[state]
-        head = col._ei_ptr[state]
-        started = np.zeros(at.size, dtype=np.int64)
-        for slot in range(int(size.max())):
-            has = size > slot
-            opens = np.full(state.size, t1 + 1, dtype=np.int32)
-            opens[has] = np.minimum(col.ei_start[head[has] + slot], t1 + 1)
-            started += opens[at] <= act_T
-        started *= act_T
-        base = col.init_sum[state][at]
-        base -= started
-        return base
+            self.hi_static[key] = ((score << col.score_shift)
+                                   | finstart)[at]
 
 
 class ColumnarInstance:
@@ -414,6 +367,7 @@ class ColumnarInstance:
         self._build_grid(last)
         self._build_keys(last)
         self._build_events(last)
+        self._build_openings(last)
         # Lazily-built fault-plane columns (see fault_draws /
         # outage_column): pure caches keyed on spec parameters, safe to
         # share across every block run on this lowering.
@@ -657,6 +611,22 @@ class ColumnarInstance:
         self.xg_state = xe_state[self.xg_starts].astype(np.intp)
         self.xg_indptr = np.searchsorted(
             self.xg_starts, self.xe_indptr).astype(np.int64)
+
+    def _build_openings(self, last: int) -> None:
+        """Every EI's state in true-start order, ``op_state``, and per
+        chronon ``T`` the offset ``op_indptr[T]`` of the first EI opening
+        at or after it — an EI past the epoch opens at none. A chronon
+        loop that adds ``op_state[op_indptr[T0]:op_indptr[T + 1]]`` into
+        a per-state count at each chronon it reaches keeps M-EDF's
+        ``started`` (siblings with ``start <= T``) as the reference
+        counts it: a state registered after some of its EIs opened, or
+        closed, arrives with them counted. Built after the expiry CSR,
+        whose temporaries are gone by then."""
+        opens = np.minimum(self.ei_start, last + 1)
+        self.op_state = self.ei_state[_chronon_order(opens, last + 1)]
+        self.op_indptr = np.concatenate((
+            [0], np.cumsum(np.bincount(opens, minlength=last + 2)[:-1])
+        )).astype(np.int32)
 
     # ------------------------------------------------------------------
     # Packed-key layout

@@ -111,7 +111,8 @@ class _FastState:
     chronon, then creation order), which the tie-break keys rely on.
     ``medf_sum``/``medf_started`` are the M-EDF aggregates: the sum of
     deadlines over uncaptured EIs and the number of uncaptured EIs whose
-    window has opened — the M-EDF score at chronon T is
+    window has opened (closed before the state arrived included) — the
+    M-EDF score at chronon T is
     ``medf_sum - T * medf_started``, exactly (all quantities are small
     integers, so float arithmetic is exact).
     """
@@ -693,8 +694,10 @@ class FastProxySimulator:
         its EI events are spliced into the per-chronon queues by
         :meth:`_queue_events`. One pass over a t-interval's EIs yields
         its arrival, its M-EDF sum and whether some window closed before
-        arrival; only then can it be doomed at birth (the state contract
-        in the module docstring), so only then is ``is_expired`` asked.
+        arrival; only then does M-EDF's started count begin above 0 (the
+        closed windows) and can it be doomed at birth (the state
+        contract in the module docstring), so only then is
+        ``is_expired`` asked.
         Under a doom-seeing policy a t-interval doomed at birth queues
         nothing at all: it can never become a candidate, so ``advance``
         would discard every one of its events.
@@ -747,13 +750,18 @@ class FastProxySimulator:
             states.append(fs)
             if floor > last:  # registered once the epoch is over
                 fs.removed = _REMOVED_EXPIRED
-            if soonest < arrival and state.is_expired(arrival):
-                # Doomed at birth: a deadline passed before the state's
-                # arrival (possible only for mid-run adds).
-                fs.doomed = True
-                self._doomed_at_birth += 1
-                if sees_doom:
-                    continue
+            if soonest < arrival:
+                # Windows that closed before the state arrived queue no
+                # event, but M-EDF counts them as started: here, once,
+                # not in _queue_events, which rebuild_structures replays.
+                fs.medf_started = sum(ei.finish < arrival for ei in eis)
+                if state.is_expired(arrival):
+                    # Doomed at birth: a deadline passed before the
+                    # state's arrival (possible only for mid-run adds).
+                    fs.doomed = True
+                    self._doomed_at_birth += 1
+                    if sees_doom:
+                        continue
             self._queue_events(fs, eis, arrival)
         return profile_id
 

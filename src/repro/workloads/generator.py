@@ -87,59 +87,6 @@ class GeneratorConfig:
         return WindowRestriction(self.window)
 
 
-class _UniformBuffer:
-    """Chunked ``rng.random`` draws, handed out one slice at a time.
-
-    numpy array fills consume the uniform stream exactly as sequential
-    scalar ``rng.random()`` calls do, so reading slices off a refilled
-    buffer is indistinguishable — variate for variate — from drawing
-    one uniform at a time.
-    """
-
-    __slots__ = ("_rng", "_chunk", "_buffer", "_position")
-
-    def __init__(self, rng: np.random.Generator, chunk: int = 512) -> None:
-        self._rng = rng
-        self._chunk = chunk
-        self._buffer = rng.random(chunk)
-        self._position = 0
-
-    def take(self, count: int) -> np.ndarray:
-        """The next ``count`` uniforms of the stream.
-
-        May return a read-only view into the internal buffer (callers
-        consume the draws immediately and never write to them).
-        """
-        position = self._position
-        if position + count <= self._buffer.size:
-            self._position = position + count
-            return self._buffer[position:position + count]
-        out = np.empty(count)
-        filled = 0
-        while filled < count:
-            available = self._buffer.size - self._position
-            if not available:
-                self._buffer = self._rng.random(
-                    max(self._chunk, count - filled))
-                self._position = 0
-                available = self._buffer.size
-            used = min(available, count - filled)
-            out[filled:filled + used] = \
-                self._buffer[self._position:self._position + used]
-            self._position += used
-            filled += used
-        return out
-
-    def take_one(self) -> float:
-        """The next single uniform of the stream."""
-        if self._position >= self._buffer.size:
-            self._buffer = self._rng.random(self._chunk)
-            self._position = 0
-        value = float(self._buffer[self._position])
-        self._position += 1
-        return value
-
-
 class ProfileGenerator:
     """Generates a :class:`ProfileSet` from a trace and a config.
 
@@ -179,8 +126,11 @@ class ProfileGenerator:
                 key=lambda rid: (-trace.count_for(rid), rid),
             )
         resource_ids = list(resource_ids)
-        if not resource_ids and self.config.num_profiles > 0:
-            raise WorkloadError("cannot generate profiles with no resources")
+        if not resource_ids:
+            if self.config.num_profiles > 0:
+                raise WorkloadError(
+                    "cannot generate profiles with no resources")
+            return ProfileSet()
         ranks, positions = draw_profiles(
             np.random.default_rng(self.config.seed),
             self.config.num_profiles,
@@ -200,15 +150,60 @@ def draw_profiles(rng: np.random.Generator, count: int,
     order one profile at a time draws them (its rank, then its distinct
     resources): ranks, and each profile's 0-based universe positions in
     turn. The Zipf tables are only read: many streams share
-    them, and one ``build_columns`` over all their draws is stage 3."""
-    uniforms = _UniformBuffer(rng)
+    them, and one ``build_columns`` over all their draws is stage 3.
+
+    The stream is read as one block, inverted whole on both tables (a
+    uniform is a rank or a resource depending on where the walk reaches
+    it), that holds what every profile can read without a collision: a
+    rank and at most that many resources each. A profile whose first
+    round collides is :meth:`BoundedZipf.sample_distinct_from`'s exact
+    replay, reading on from the same position; the block grows after it
+    should the rest no longer fit. numpy array fills consume the stream
+    exactly as scalar draws do, so this is ``tests/workloads/oracle.py``'s
+    one-draw-at-a-time walk.
+    """
+    size = resource_dist.size
+    # The most a profile reads without a collision (a rank past the
+    # table's last CDF value reads as its size + 1, then is clamped).
+    most = 1 + min(rank_dist.size + 1, size)
+    block = rng.random(count * most)
+    rank_of: list[int] = []
+    pick_of: list[int] = []
+    at = 0
+
+    def invert() -> None:
+        # The two inversions of the uniforms not yet inverted.
+        fresh = block[len(rank_of):]
+        rank_of.extend(np.minimum(
+            np.searchsorted(rank_dist.cdf, fresh, "right") + 1,
+            size).tolist())
+        pick_of.extend(np.searchsorted(resource_dist.choice_cdf, fresh,
+                                       "right").tolist())
+
+    def take(n: int) -> np.ndarray:
+        nonlocal block, at
+        if at + n > block.size:
+            block = np.concatenate((block, rng.random(at + n - block.size)))
+        at += n
+        return block[at - n:at]
+
+    invert()
     ranks: list[int] = []
-    positions: list[int] = []  # 1-based, as the Zipf tables count
-    for _ in range(count):
-        rank = min(rank_dist.sample_from(uniforms.take_one()),
-                   resource_dist.size)
+    positions: list[int] = []
+    for index in range(count):
+        rank = rank_of[at]
+        picks = pick_of[at + 1:at + 1 + rank]
+        at += 1
         ranks.append(rank)
-        positions.extend(resource_dist.sample_distinct_from(
-            rank, uniforms.take))
+        if len(set(picks)) == rank:
+            at += rank
+            positions.extend(picks)
+            continue
+        positions.extend(value - 1 for value in
+                         resource_dist.sample_distinct_from(rank, take))
+        short = at + (count - index - 1) * most - block.size
+        if short > 0:
+            block = np.concatenate((block, rng.random(short)))
+        invert()
     return (np.asarray(ranks, dtype=np.int64),
-            np.asarray(positions, dtype=np.int64) - 1)
+            np.asarray(positions, dtype=np.int64))

@@ -15,8 +15,6 @@ explicitly: ``P(i) ∝ 1 / i^theta`` over ``i in {1..size}``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 import numpy as np
 
 __all__ = ["BoundedZipf"]
@@ -37,7 +35,7 @@ class BoundedZipf:
         Support size; must be >= 1.
     """
 
-    __slots__ = ("theta", "size", "_pmf", "_cdf_list", "_choice_cdf_list")
+    __slots__ = ("theta", "size", "_pmf", "cdf", "choice_cdf")
 
     def __init__(self, theta: float, size: int) -> None:
         if theta < 0:
@@ -49,17 +47,13 @@ class BoundedZipf:
         ranks = np.arange(1, size + 1, dtype=float)
         weights = ranks ** (-theta)
         self._pmf = weights / weights.sum()
-        # List mirrors of the CDF: scalar inversions go through C
-        # ``bisect`` (same right-insertion rule as ``searchsorted``,
-        # same float comparisons) without numpy's per-call dispatch.
-        cdf = np.cumsum(self._pmf)
-        self._cdf_list = cdf.tolist()
-        # The first round of a draw without replacement inverts the CDF
-        # numpy's ``choice`` builds before anything is zeroed — a
-        # constant of the distribution (cumsum, then normalized in
-        # place: the same float operations).
-        cdf /= cdf[-1]
-        self._choice_cdf_list = cdf.tolist()
+        #: The CDF :meth:`sample_from` inverts (right insertion).
+        self.cdf = np.cumsum(self._pmf)
+        #: The CDF the first round of a draw without replacement
+        #: inverts: the one numpy's ``choice`` builds before anything is
+        #: zeroed, a constant of the distribution (cumsum, then
+        #: normalized: the same float operations).
+        self.choice_cdf = self.cdf / self.cdf[-1]
 
     def pmf(self, value: int) -> float:
         """Probability of drawing ``value`` (1-based)."""
@@ -69,8 +63,8 @@ class BoundedZipf:
 
     def sample_from(self, u: float) -> int:
         """Map a uniform in ``[0, 1)`` to a value (1-based): the inverse
-        CDF, right insertion, as ``np.searchsorted(cdf, u, "right")``."""
-        return bisect_right(self._cdf_list, u) + 1
+        CDF, right insertion."""
+        return int(np.searchsorted(self.cdf, u, side="right")) + 1
 
     def sample_distinct_from(self, count: int,
                              take_uniform) -> list[int]:
@@ -100,11 +94,8 @@ class BoundedZipf:
         if count == 0:
             return []
         draws = take_uniform(count)
-        choice_cdf = self._choice_cdf_list
-        if count == 1:
-            return [bisect_right(choice_cdf, draws[0]) + 1]
-        hits = [bisect_right(choice_cdf, u) for u in draws.tolist()]
-        found_list = list(dict.fromkeys(hits))
+        found_list = list(dict.fromkeys(np.searchsorted(
+            self.choice_cdf, draws, side="right").tolist()))
         if len(found_list) == count:
             return [value + 1 for value in found_list]
         # Collision: fall back to the generic rejection loop, zeroing

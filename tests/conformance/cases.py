@@ -274,6 +274,18 @@ def _pinned_cases():
             _pinned, CHURN_29, label, "recording",
             FaultSpec(failure_probability=0.3, timeout_probability=0.1,
                       seed=7), RetryConfig(2), (2, 3), 4, _BURSTY)
+    yield "late/reliable/M-EDF(P)", _closed_before_registration
+
+
+def _closed_before_registration() -> Case:
+    """A quota t-interval registered at clock 1, after the window of one
+    of its EIs closed at 1: M-EDF counts that EI as started, so at T = 2
+    its open sibling on resource 1 scores ``(1 - 2) + (2 - 2) = -1`` and
+    beats the initial t-interval's last EI on resource 0 (``2 - 2``)."""
+    initial = ProfileSet([Profile([eta((0, 1, 1), (0, 2, 2))])])
+    late = Profile([TInterval(eta((0, 1, 1), (1, 1, 2)).eis, need=1)])
+    return Case(initial, epoch(), "M-EDF(P)", BudgetVector(1),
+                plan=ChurnPlan([ChurnEvent.add(1, late)]))
 
 
 #: The pinned cases by name, built on demand.

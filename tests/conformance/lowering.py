@@ -39,7 +39,7 @@ def _row_range(key: ScoreKey, ranges) -> tuple[int, int]:
 #: int64. The oracle computes in int64 and narrows these last.
 NARROW = ("st_arrival", "st_visible", "st_gone", "st_rank", "st_profile",
           "st_size", "st_need", "st_tid", "ei_state", "ei_res", "ei_start",
-          "ei_finish")
+          "ei_finish", "op_state", "op_indptr")
 
 
 def oracle(profiles, epoch, visible_from=None,
@@ -157,18 +157,28 @@ def oracle(profiles, epoch, visible_from=None,
     else:
         o.grp_of = np.zeros(0, dtype=np.int64)
         o.n_max = 1
-    # started: per-state prefix count via one fused searchsorted.
+    # started: per entry, how many EIs of its state opened by its
+    # chronon — a per-state prefix count via one fused searchsorted. The
+    # lowering holds no such column: a run keeps the count per state.
     if o.E:
         stride = int(max(o.ei_start.max(),
                          act_T.max() if total else 0)) + 2
         fused = np.sort(o.ei_state * stride + o.ei_start)
         state_ei_ptr = np.searchsorted(
             o.ei_state, np.arange(o.S, dtype=np.int64))
-        started = (
+        o.started = (
             np.searchsorted(fused, o.ps_act * stride + act_T, side="right")
             - state_ei_ptr[o.ps_act]).astype(np.int64)
     else:
-        started = np.zeros(0, dtype=np.int64)
+        o.started = np.zeros(0, dtype=np.int64)
+
+    # Openings: every EI's state by start (an EI past the epoch after
+    # all of them), and per chronon how many EIs open before it.
+    by_start = sorted(range(o.E),
+                      key=lambda e: (min(int(o.ei_start[e]), last + 1), e))
+    o.op_state = o.ei_state[np.array(by_start, dtype=np.int64)]
+    o.op_indptr = np.array([int(np.count_nonzero(o.ei_start < T))
+                            for T in range(last + 2)], dtype=np.int64)
 
     # Expiry events.
     xe = np.nonzero(o.ei_finish < last)[0]
@@ -228,9 +238,9 @@ def oracle(profiles, epoch, visible_from=None,
     fin = o.ei_finish[o.act_e]
     start = o.ei_start[o.act_e]
     finstart = (fin << o.finish_shift) | (start << o.start_shift)
-    # A lane that captured nothing: M-EDF's sum over every sibling, less
-    # T for the started ones.
-    deadlines = o.init_sum[o.ps_act] - act_T * started
+    # M-EDF's sum over every sibling; the run takes T off per started
+    # or captured one.
+    deadlines = o.init_sum[o.ps_act]
     rank = o.st_rank[o.ps_act]
     need = o.st_need[o.ps_act]
     o.hi_static = {}
@@ -239,7 +249,6 @@ def oracle(profiles, epoch, visible_from=None,
                  + key.need * need + key.deadlines * deadlines
                  - _row_range(key, o.feature_ranges)[0])
         o.hi_static[key] = (score << o.score_shift) + finstart
-    o.fin_act = fin
 
     o.profile_totals = {profile.profile_id: len(profile)
                         for profile in profiles}
@@ -255,9 +264,9 @@ def oracle(profiles, epoch, visible_from=None,
 #: Per-entry columns every window holds, whatever its rows.
 _LAYOUT = ("act_indptr", "act_e", "ps_act", "grp_starts", "grp_of")
 
-#: Per-entry columns: the lowering has them one window at a time, the
-#: captured-deadline increment only for rows that weigh ``deadlines``.
-_PER_ENTRY = _LAYOUT + ("fin_act",)
+#: Per-entry columns of the oracle: the lowering has the layout one
+#: window at a time, and ``started`` not at all.
+_PER_ENTRY = _LAYOUT + ("started",)
 
 #: Per-chronon and per-group columns of a window.
 _PER_GROUP = ("act_chronons", "grp_indptr", "grp_rid", "grp_sizes")
@@ -267,36 +276,27 @@ _PER_GROUP = ("act_chronons", "grp_indptr", "grp_rid", "grp_sizes")
 _CAPS = (1, 7, columnar_module._WINDOW_ENTRIES)
 
 
-def key_columns(keys) -> tuple[set[str], set[ScoreKey]]:
-    """What a window built for ``keys`` holds beyond its layout: the
-    per-entry attributes, and one ``hi_static`` column per row."""
-    keys = set(keys)
-    attrs = {"fin_act"} if any(key.deadlines for key in keys) else set()
-    return attrs, keys
-
-
 def stitched(col: ColumnarInstance, keys=tuple(ROWS.values())
              ) -> SimpleNamespace:
     """``col.windows(keys)`` concatenated into whole-epoch columns — the
     layout and the key columns of ``keys`` — checking that every window
     holds exactly the arrays of the rows it was built for."""
     wins = list(col.windows(keys))
-    attrs, static = key_columns(keys)
     w = SimpleNamespace()
     entries = groups = chronons = 0
-    parts = {name: [] for name in _LAYOUT + _PER_GROUP + tuple(attrs)}
-    rows = {key: [] for key in static}
+    parts = {name: [] for name in _LAYOUT + _PER_GROUP}
+    rows = {key: [] for key in keys}
     for win in wins:
         assert win.first_chronon == chronons
         assert win.first_group == groups
         assert win.n_act == win.act_chronons.size > 0
         # A kept window may hold what an earlier run asked for too.
         assert set(keys) <= win.keys
-        held_attrs, held_static = key_columns(win.keys)
+        # The same columns whatever the rows, and one key column each.
         held = {name for name, value in vars(win).items()
                 if isinstance(value, np.ndarray)}
-        assert held == set(_LAYOUT + _PER_GROUP) | held_attrs
-        assert set(win.hi_static) == held_static
+        assert held == set(_LAYOUT + _PER_GROUP)
+        assert set(win.hi_static) == win.keys
         for name in parts:
             column = getattr(win, name)
             if name in ("act_indptr", "grp_indptr"):
@@ -396,14 +396,12 @@ def assert_same_columns(whole: SimpleNamespace, want: SimpleNamespace,
                          keys, cap: int) -> None:
     """The stitched windows' layout and ``keys``' key columns equal the
     oracle's, value and dtype."""
-    attrs, static = key_columns(keys)
-    for name in _LAYOUT + ("act_chronons", "grp_indptr", "grp_rid") \
-            + tuple(sorted(attrs)):
+    for name in _LAYOUT + ("act_chronons", "grp_indptr", "grp_rid"):
         actual, expected = getattr(whole, name), getattr(want, name)
         assert actual.dtype == expected.dtype, (name, cap)
         assert np.array_equal(actual, expected), (name, cap)
-    assert set(whole.hi_static) == static
-    for key in static:
+    assert set(whole.hi_static) == set(keys)
+    for key in keys:
         assert whole.hi_static[key].dtype == want.hi_static[key].dtype
         assert np.array_equal(whole.hi_static[key], want.hi_static[key]), \
             (key, cap)

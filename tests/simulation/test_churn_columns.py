@@ -422,7 +422,7 @@ class TestOneWindowInFlight:
     previous one is alive — not through the loop variable, the loop's
     per-window locals, the last chronon's views, or the generator."""
 
-    CONFIG = ChurnConfig(epoch_length=160, num_resources=30, intensity=6.0,
+    CONFIG = ChurnConfig(epoch_length=160, num_resources=120, intensity=6.0,
                          num_clients=140, profiles_per_client=8, window=12,
                          budget=2, join_spread=0.9, leave_probability=0.5,
                          seed=31)

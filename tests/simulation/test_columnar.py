@@ -35,9 +35,11 @@ from repro.core import (
 from repro.experiments import ExperimentConfig, make_instance
 from repro.faults import CircuitBreaker, FaultSpec, RetryConfig
 from repro.online.registry import parse_policy_spec
+from repro.simulation import batch as batch_module
 from repro.simulation import columnar as columnar_module
 from repro.simulation import run_online
 from repro.simulation.batch import FaultLane, run_block
+from repro.simulation.churn import lower_plan
 from repro.simulation.columnar import (
     BatchUnsupported,
     ColumnarInstance,
@@ -45,7 +47,7 @@ from repro.simulation.columnar import (
 )
 from repro.simulation.shard import federated_run
 
-from tests.conformance.cases import ROWS
+from tests.conformance.cases import PINNED, ROWS
 from tests.conformance.lowering import (
     assert_same_columns,
     assert_same_lowering,
@@ -99,11 +101,14 @@ class TestEdgeCases:
         assert col.rank_totals == {1: 9}
         medf = ROWS["M-EDF"]
         whole = stitched(col, [medf])
-        # Every entry's state has exactly its own EI started.
-        act_T = np.repeat(whole.act_chronons, np.diff(whole.act_indptr))
+        # M-EDF's static word is the state's deadline sum; the run takes
+        # ``T`` off per started EI — here exactly the entry's own.
         assert np.array_equal(whole.hi_static[medf] >> col.score_shift,
-                              col.init_sum[whole.ps_act] - act_T
+                              col.init_sum[whole.ps_act]
                               + col.score_offset(medf))
+        assert (oracle(profiles, Epoch(6)).started == 1).all()
+        assert np.array_equal(np.sort(col.op_state), col.ei_state)
+        assert col.op_indptr.tolist() == [0, 0, 3, 3, 3, 9, 9, 9]
 
     def test_fused_activity_key_beyond_16_bits(self):
         # (window chronons) * resources > 2**16, beyond the 16-bit keys a
@@ -293,7 +298,7 @@ class TestPerKindWindows:
         with mock.patch.object(columnar_module, "_WINDOW_ENTRIES", cap):
             col = ColumnarInstance.build(profiles, _SMALL.epoch)
         # stitched() holds every window to exactly the rows' columns:
-        # one word per row, and a deadline column for M-EDF's alone.
+        # one word per row, M-EDF's too, and nothing else.
         keys = [ROWS[name] for name in kinds]
         whole = stitched(col, keys)
         assert whole.windows == (1 if cap > 7 else col.windows_built) > 0
@@ -331,6 +336,44 @@ class TestPerKindWindows:
         assert_same_columns(stitched(col, (sedf, medf, mrsf)), want,
                              (sedf, medf, mrsf), 0)
         assert col.windows_built == 3
+
+
+class TestRunningStarted:
+    """M-EDF's ``started`` is one count per state that the chronon loop
+    adds the opening CSR into: at every chronon it scores, each entry's
+    state count is the oracle's per-entry count — EIs that opened before
+    their state registered, or closed before it, included."""
+
+    @pytest.mark.parametrize("name", [
+        "123/reliable/K1/M-EDF(P)", "29/reliable/M-EDF(P)",
+        "77/quota/reliable/M-EDF(P)", "late/reliable/M-EDF(P)"])
+    def test_the_count_is_the_oracles_at_every_scored_chronon(self, name):
+        case = PINNED[name]()
+        profiles, visible_from, gone_from = case.profiles, None, None
+        if case.plan is not None:
+            profiles, visible_from, gone_from, *_ = lower_plan(
+                case.profiles, case.plan, case.epoch)
+        want = oracle(profiles, case.epoch, visible_from, gone_from)
+        col = ColumnarInstance.build(profiles, case.epoch, visible_from,
+                                     gone_from)
+        seen = {}
+        score = batch_module._candidate_keys
+
+        def spy(hi, key_rows, col_, win, alo, ahi, T, *rest):
+            started = rest[-1]
+            seen[T] = started[win.ps_act[alo:ahi]].copy()
+            score(hi, key_rows, col_, win, alo, ahi, T, *rest)
+
+        policy, preemptive = case.make_policy()
+        with mock.patch.object(batch_module, "_candidate_keys", spy):
+            run_block(profiles, case.epoch,
+                      [(policy, preemptive, BudgetVector(1))], columnar=col)
+        assert len(seen) > 1
+        chronons = want.act_chronons.tolist()
+        for T, started in seen.items():
+            at = chronons.index(T)
+            lo, hi = want.act_indptr[at:at + 2]
+            assert np.array_equal(started, want.started[lo:hi]), T
 
 
 def test_a_block_holds_one_instance():

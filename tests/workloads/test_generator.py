@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import Epoch, WorkloadError
 from repro.core.profile import ProfileColumns
-from repro.traces import PoissonUpdateModel
+from repro.traces import PoissonUpdateModel, UpdateTrace
 from repro.workloads import (
     AuctionWatchTemplate,
     BoundedZipf,
@@ -84,6 +84,15 @@ class TestGeneration:
         config = GeneratorConfig(num_profiles=2, max_rank=1)
         with pytest.raises(WorkloadError, match="no resources"):
             ProfileGenerator(config).generate(empty_trace, epoch)
+
+    def test_no_profiles_over_no_resources(self):
+        # Nothing to draw from and nothing to draw: an empty set, not a
+        # Zipf table over an empty universe.
+        config = GeneratorConfig(num_profiles=0, max_rank=3)
+        profiles = ProfileGenerator(config).generate(
+            UpdateTrace([], Epoch(10)), Epoch(10))
+        assert len(profiles) == 0
+        assert profiles.columns().ei_start.size == 0
 
     def test_beta_skews_toward_simple_profiles(self, trace, epoch):
         flat = GeneratorConfig(num_profiles=200, max_rank=4, beta=0.0,
