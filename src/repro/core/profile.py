@@ -135,16 +135,21 @@ class Profile:
 
 
 class ProfileColumns(NamedTuple):
-    """A profile set as parallel ``int64`` columns, one row per EI.
+    """A profile set as parallel ``int32`` columns, one row per EI.
 
     Rows are in (profile, t-interval, slot) order: a t-interval is one
     contiguous run of rows and an EI's ``ei_id`` is its position in the
     run. ``names`` has one entry per profile; a profile without
     t-intervals owns no row and is visible only there. ``ei_need`` is
     each row's t-interval's ``need`` (its size when it needs every EI).
-    The columns stay ``int64`` as the interchange format (the instance
-    cache stores them so); the columnar lowering narrows what it keeps
-    to ``int32`` under bounds it checks on these columns first.
+    Every producer — the generator, :meth:`of`, :meth:`concat`,
+    :meth:`take`, :meth:`checked` and with it the instance cache's load
+    — yields ``int32`` without building a wider copy first, so a set
+    whose ids or chronons pass ``int32`` has no columns: its producer
+    raises :class:`ValueError` naming the column. The columnar lowering
+    keeps these widths (docs/ALGORITHMS.md §13) and refuses such a set
+    as unsupported; the reference simulator, which reads objects, still
+    runs it.
     """
 
     names: tuple[str, ...]
@@ -166,21 +171,25 @@ class ProfileColumns(NamedTuple):
         members = list(map(attrgetter("eis"), etas))
         eis = list(chain.from_iterable(members))
 
-        def column(attr: str, objects: list) -> np.ndarray:
-            return np.fromiter(map(attrgetter(attr), objects), np.int64,
-                               len(objects))
+        def column(name: str, attr: str, objects: list) -> np.ndarray:
+            try:
+                return np.fromiter(map(attrgetter(attr), objects),
+                                   np.int32, len(objects))
+            except OverflowError:
+                raise _past_int32(name) from None
 
         size = np.fromiter(map(len, members), np.int64, len(etas))
-        need = column("need", etas)
         owner = np.repeat(
-            np.arange(len(profiles), dtype=np.int64),
+            np.arange(len(profiles), dtype=np.int32),
             np.fromiter(map(len, profiles), np.int64, len(profiles)))
         return cls(
             tuple(map(attrgetter("name"), profiles)),
             np.repeat(owner, size),
-            np.repeat(column("tinterval_id", etas), size),
-            column("resource_id", eis), column("start", eis),
-            column("finish", eis), np.repeat(need, size))
+            np.repeat(column("ei_tinterval", "tinterval_id", etas), size),
+            column("ei_resource", "resource_id", eis),
+            column("ei_start", "start", eis),
+            column("ei_finish", "finish", eis),
+            np.repeat(column("ei_need", "need", etas), size))
 
     @classmethod
     def concat(cls, blocks: Sequence["ProfileColumns"]) -> "ProfileColumns":
@@ -188,7 +197,7 @@ class ProfileColumns(NamedTuple):
         block's profiles are numbered on from those before it."""
         sizes = [len(block.names) for block in blocks]
         shift = np.cumsum(sizes) - sizes
-        none = [np.zeros(0, dtype=np.int64)]
+        none = [np.zeros(0, dtype=np.int32)]
         return cls(
             tuple(chain.from_iterable(block.names for block in blocks)),
             np.concatenate(none + [block.ei_profile + by for block, by
@@ -205,7 +214,7 @@ class ProfileColumns(NamedTuple):
                 + np.arange(int(count.sum()), dtype=np.int64))
         return ProfileColumns(
             tuple(self.names[index] for index in profiles.tolist()),
-            np.repeat(np.arange(profiles.size, dtype=np.int64), count),
+            np.repeat(np.arange(profiles.size, dtype=np.int32), count),
             *(column[rows] for column in self[2:]))
 
     def tinterval_heads(self) -> np.ndarray:
@@ -217,23 +226,25 @@ class ProfileColumns(NamedTuple):
         return np.flatnonzero(head)
 
     def checked(self) -> "ProfileColumns":
-        """These columns as ``int64`` vectors, or :class:`ValueError`.
+        """These columns as ``int32`` vectors, or :class:`ValueError`.
 
-        The array form of what the object constructors enforce: EI
-        bounds and resource ids (:class:`ExecutionInterval`), non-empty
-        contiguous t-intervals numbered ``0..n-1`` inside each profile
-        (:class:`Profile`), profile ids that are positions in ``names``
-        (:class:`ProfileSet`), one ``need`` in ``1..size`` per
-        t-interval (:class:`TInterval`). Columns read from outside the process
-        pass through here before anything is served from them.
+        Any integer dtype is taken; a value outside ``int32`` is refused
+        by the name of its column. Then the array form of what the
+        object constructors enforce: EI bounds and resource ids
+        (:class:`ExecutionInterval`), non-empty contiguous t-intervals
+        numbered ``0..n-1`` inside each profile (:class:`Profile`),
+        profile ids that are positions in ``names`` (:class:`ProfileSet`),
+        one ``need`` in ``1..size`` per t-interval (:class:`TInterval`).
+        Columns read from outside the process pass through here before
+        anything is served from them.
         """
         arrays = [np.asarray(column) for column in self[1:]]
         if any(array.ndim != 1 or array.dtype.kind not in "iu"
                or array.size != arrays[0].size for array in arrays):
             raise ValueError("EI columns must be integer vectors of one "
                              "length")
-        profile, tinterval, resource, start, finish, need = (
-            array.astype(np.int64, copy=False) for array in arrays)
+        profile, tinterval, resource, start, finish, need = map(
+            narrowed, self._fields[1:], arrays)
         checked = ProfileColumns(tuple(self.names), profile, tinterval,
                                  resource, start, finish, need)
         names = checked.names
@@ -386,6 +397,26 @@ class ProfileSet:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ProfileSet(m={len(self)}, rank={self.rank}, "
                 f"tintervals={self.total_tintervals})")
+
+
+_INT32 = np.iinfo(np.int32)
+
+
+def narrowed(name: str, values: np.ndarray) -> np.ndarray:
+    """Integer ``values`` as ``int32`` (themselves when they already
+    are), or the :class:`ValueError` naming column ``name`` that a value
+    outside ``int32`` gets."""
+    if values.dtype == np.int32:
+        return values
+    if values.size and (values.min() < _INT32.min
+                        or values.max() > _INT32.max):
+        raise _past_int32(name)
+    return values.astype(np.int32)
+
+
+def _past_int32(name: str) -> ValueError:
+    return ValueError(f"{name} holds a value outside int32: a set whose "
+                      "ids or chronons pass int32 has no columns")
 
 
 def _profiles_from_columns(columns: ProfileColumns) -> tuple[Profile, ...]:

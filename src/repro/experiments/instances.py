@@ -62,8 +62,8 @@ _NON_GENERATIVE_FIELDS = ("budget", "repetitions")
 
 #: Bump when the serialized layout, the key or the generation seeding
 #: changes — stale on-disk entries from older layouts then miss instead
-#: of deserializing garbage.
-FORMAT_VERSION = 3
+#: of deserializing garbage. Version 4 stores the EI columns as int32.
+FORMAT_VERSION = 4
 
 
 def _generative_fields(config: ExperimentConfig) -> dict:

@@ -698,8 +698,7 @@ def _capture(picks: np.ndarray, cand: np.ndarray, grp_of: np.ndarray,
     pending_flat[flat[cap_flat[flat] >= need[states]]] = False
 
 
-def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
-             select=None, settle=None):
+def _advance(col: ColumnarInstance, lane_objs: list[_Lane], settle=None):
     """Run every lane over ``col``'s windows; -> ``(probe columns, capture
     counts, alive flags, fault stats)``, one entry (row) per lane each.
 
@@ -710,9 +709,7 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
     execute (``_FaultPlane.execute``, faulty blocks only) → capture
     (:func:`_capture`).
 
-    Two private seams, for :func:`repro.simulation.shard.federated_run`:
-    ``select(key, need, kmax, grids)`` stands in for
-    :func:`_take_smallest` (``grids``: the pools' resource ids), and
+    One private seam, for :func:`repro.simulation.shard.federated_run`:
     ``settle(k_arr, rows, rids)`` is told each chronon's decisions —
     lane rows and resource ids, all of them, before the fault plane
     executes any — given the chronon's per-lane budgets.
@@ -771,11 +768,7 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
         else:
             budgets[i] = [ln.budget.at(int(T)) for T in col.act_chronons]
 
-    if select is None:
-        ramp = np.arange(max(L, col.g_max, 1), dtype=np.int64)
-
-        def select(key, need, kmax, _grids):
-            return _take_smallest(key, need, kmax, ramp)
+    ramp = np.arange(max(L, col.g_max, 1), dtype=np.int64)
     # Scalar per-chronon reads go through plain Python lists — ndarray
     # scalar indexing costs several times more in the hot loop.
     kmax_per_t = budgets.max(axis=0).tolist()
@@ -862,9 +855,9 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
             _candidate_keys(hi, key_rows, col, win, alo, ahi, T, n_cand,
                             cap_count, capsum, started)
             blocked = plane.blocked(grids, T) if plane is not None else None
-            pr_rows, pr_gs, pr_pos = select(
+            pr_rows, pr_gs, pr_pos = _take_smallest(
                 _pool_keys(col, pool, pool_n, hi, gs_local, grids, blocked),
-                k_arr, kmax, grids)
+                k_arr, kmax, ramp)
             picks = np.zeros((L, ghi - glo), dtype=bool)
             picks[pr_rows, pr_gs] = True
             n1 = pr_rows.size
@@ -884,8 +877,8 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
                     hi[rows2], gs_local, grids,
                     blocked[rows2] if blocked is not None else None)
                 key2[picks[rows2]] = INF_KEY
-                rr2, gids2, cc2 = select(key2, k_arr[rows2] - d1[rows2],
-                                         kmax, grids)
+                rr2, gids2, cc2 = _take_smallest(
+                    key2, k_arr[rows2] - d1[rows2], kmax, ramp)
                 rr2 = rows2[rr2]
                 picks[rr2, gids2] = True
                 pr_rows = np.concatenate((pr_rows, rr2))

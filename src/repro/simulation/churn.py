@@ -291,13 +291,17 @@ def lower_plan(profiles: ProfileSet, plan, epoch: Epoch) -> LoweredPlan:
     events apply in chronon order, plan order within a chronon; one
     past ``epoch.last`` never fires. Raises the :class:`ModelError` the
     proxy raises at that point of the plan: an empty ``add``, a
-    ``remove`` of an id nobody holds yet.
+    ``remove`` of an id nobody holds yet. A profile with no columns (an
+    id or chronon past int32) raises :class:`BatchUnsupported`.
     """
     if not isinstance(plan, ChurnPlan):
         plan = ChurnPlan(plan)
-    columns = plan.columns()
+    try:
+        columns = plan.columns()
+        base = profiles.columns()
+    except ValueError as why:
+        raise BatchUnsupported(str(why)) from None
     last = epoch.last
-    base = profiles.columns()
     initial = len(base.names)
 
     # The events that fire, in the order they apply.

@@ -347,12 +347,15 @@ class ColumnarInstance:
         last = epoch.last
 
         # ------------------------------------------------------------------
-        # Input is the set's EI-row columns in creation order (a
-        # hand-built set walks its objects once to produce them);
-        # everything below is array arithmetic on those. The range
-        # checks read these int64 columns, before any column narrows.
+        # Input is the set's int32 EI-row columns in creation order (a
+        # hand-built set walks its objects once to produce them, and has
+        # none if an id or chronon passes int32); everything below is
+        # array arithmetic on those.
         # ------------------------------------------------------------------
-        columns = profiles.columns()
+        try:
+            columns = profiles.columns()
+        except ValueError as why:
+            raise BatchUnsupported(str(why)) from None
         self.E = E = columns.ei_start.size
         #: Resource ids live in ``[0, rid_space)``.
         self.rid_space = R = int(columns.ei_resource.max()) + 1 if E else 1
@@ -386,13 +389,13 @@ class ColumnarInstance:
     def _build_columns(self, columns: ProfileColumns,
                        visible_from: np.ndarray | None,
                        gone_from: np.ndarray | None, last: int) -> None:
-        """The state and EI columns, int32 wherever a checked bound
-        holds them (docs/ALGORITHMS.md §13, "Column widths"): chronons
-        and resource ids by the grid's, positions and counts by ``E <
-        2**31``. Starts and finishes stay int64 until the key layout has
-        bounded them (:meth:`_build_keys`); ``init_sum`` stays int64.
-        The state order, the EI gather and the per-t-interval inputs
-        are this method's locals, gone before the grid is built."""
+        """The state and EI columns, int32 (docs/ALGORITHMS.md §13,
+        "Column widths"): the EI-row columns arrive int32 and are
+        gathered as they are, positions and counts hold by ``E <
+        2**31``, and ``init_sum`` is summed in int64 and kept int32 under
+        a bound checked here. The state order, the EI gather and the
+        per-t-interval inputs are this method's locals, gone before the
+        grid is built."""
         start, res = columns.ei_start, columns.ei_resource
         ptr = columns.tinterval_heads()
         self.S = S = ptr.size
@@ -423,10 +426,10 @@ class ColumnarInstance:
         self.st_visible = visible_from[order].astype(narrow)
         self.st_gone = gone_from[order].astype(narrow)
         self.st_rank = rank[order].astype(narrow)
-        self.st_profile = eta_profile[order].astype(narrow)
+        self.st_profile = eta_profile[order]
         self.st_size = size[order].astype(narrow)
-        self.st_need = columns.ei_need[ptr][order].astype(narrow)
-        self.st_tid = columns.ei_tinterval[ptr][order].astype(narrow)
+        self.st_need = columns.ei_need[ptr][order]
+        self.st_tid = columns.ei_tinterval[ptr][order]
 
         # ------------------------------------------------------------------
         # EIs state-major, within a state in ei_id order: a gather of the
@@ -437,11 +440,18 @@ class ColumnarInstance:
         self.ei_state = np.repeat(np.arange(S, dtype=narrow), self.st_size)
         gather = np.arange(self.E, dtype=np.int64) + np.repeat(
             ptr[order] - ei_ptr, self.st_size)
-        self.ei_res = res[gather].astype(narrow)
+        self.ei_res = res[gather]
         self.ei_start = start[gather]
         self.ei_finish = columns.ei_finish[gather]
-        # M-EDF's initial deadline sum counts every EI, active or not.
-        self.init_sum = np.add.reduceat(self.ei_finish, ei_ptr)
+        del gather
+        # M-EDF's initial deadline sum counts every EI, active or not:
+        # summed in int64 (an int32 sum could wrap), then narrowed.
+        init_sum = np.add.reduceat(self.ei_finish, ei_ptr, dtype=np.int64)
+        if init_sum.size and int(init_sum.max()) >> 31:
+            raise BatchUnsupported(
+                f"a t-interval's deadlines sum to {int(init_sum.max())}, "
+                "past int32")
+        self.init_sum = init_sum.astype(narrow)
 
     @classmethod
     def build(cls, profiles: ProfileSet, epoch: Epoch,
@@ -508,10 +518,14 @@ class ColumnarInstance:
                            minlength=cells)
         occ = occ.reshape(last + 2, R).cumsum(axis=0)
 
-        grp_T, self.grp_rid = np.nonzero(occ)
-        self._grp_T = grp_T
-        self._grp_size = occ[grp_T, self.grp_rid]
-        self.n_max = int(self._grp_size.max()) if grp_T.size else 1
+        # Group columns int32: chronons and resource ids by the grid's
+        # bound, sizes by E's.
+        grp_T, grp_rid = np.nonzero(occ)
+        self._grp_size = occ[grp_T, grp_rid].astype(np.int32)
+        self._grp_T = grp_T.astype(np.int32)
+        self.grp_rid = grp_rid.astype(np.int32)
+        del grp_T, grp_rid
+        self.n_max = int(self._grp_size.max()) if self._grp_T.size else 1
         entries = occ.sum(axis=1)
         self.act_chronons = np.nonzero(entries)[0]
         groups = np.count_nonzero(occ, axis=1)[self.act_chronons]
@@ -586,11 +600,12 @@ class ColumnarInstance:
     def _build_events(self, last: int) -> None:
         # Expiry events: the chronon after the deadline, for deadlines
         # inside the epoch.
-        xe = np.nonzero(self.ei_finish < last)[0]
+        xe = np.flatnonzero(self.ei_finish < last).astype(np.int32)
         xe_T = self.ei_finish[xe] + 1
         order = _chronon_order(xe_T, last)
         xe = xe[order]
         xe_T = xe_T[order]
+        del order
         bounds = np.nonzero(np.concatenate(
             ([True], xe_T[1:] != xe_T[:-1])))[0] if xe.size else \
             np.zeros(0, dtype=np.int64)
@@ -602,13 +617,13 @@ class ColumnarInstance:
         # sort of an EI-index-ordered list), so per-state segments are
         # contiguous: precompute their starts so the engine can OR-reduce
         # doom updates to unique states (duplicate targets would make a
-        # buffered fancy |= lossy). The expiry CSR stays intp: the
-        # chronon loop indexes with it.
+        # buffered fancy |= lossy). The expiry CSR is int32, positions
+        # and states bounded by E.
         xe_state = self.ei_state[xe]
         seg = np.ones(xe.size, dtype=bool)
         seg[1:] = (xe_T[1:] != xe_T[:-1]) | (xe_state[1:] != xe_state[:-1])
-        self.xg_starts = np.flatnonzero(seg)
-        self.xg_state = xe_state[self.xg_starts].astype(np.intp)
+        self.xg_starts = np.flatnonzero(seg).astype(np.int32)
+        self.xg_state = xe_state[self.xg_starts]
         self.xg_indptr = np.searchsorted(
             self.xg_starts, self.xe_indptr).astype(np.int64)
 
@@ -677,12 +692,6 @@ class ColumnarInstance:
                 f"{self.start_bits} + resource id {self.rid_bits}, for "
                 f"horizon {K}, scores <= {score_max}, pools <= "
                 f"{self.n_max}, resources <= {rid_max}")
-        # The widest registered row (M-EDF's ``deadlines``, whose span
-        # is at least the largest finish) sets the score field, so
-        # score_bits >= finish_bits and both fit 62 bits: every finish,
-        # and every start below it, is under 2**31.
-        self.ei_start = self.ei_start.astype(np.int32)
-        self.ei_finish = self.ei_finish.astype(np.int32)
 
         # Report scaffolding shared by every lane (with profile_totals):
         # totals never depend on the run, only on the instance.

@@ -10,28 +10,28 @@ per-chronon capture broadcast, so a shard scores its local EIs with
 exactly the global state a monolith would use. In one process the
 replicas are one copy and a pool's rank key depends on nothing but that
 pool's entries and those aggregates, so the run is a one-lane block of
-:mod:`repro.simulation.batch` — one chronon loop, one key pass — whose
-*select* step is the federation's propose/merge protocol:
+:mod:`repro.simulation.batch` — one chronon loop, one key pass, one
+select.
 
-1. every shard proposes the ``min(C_j, |owned pools|)`` best rank keys
-   among the pools it owns (packed monolith tie-break order, ending in
-   the resource id — globally unique);
-2. the coordinator merges proposals and takes the global top ``C_j`` —
-   provably the monolith's own selection, since the global
-   ``nsmallest`` of a union is the ``nsmallest`` of per-shard
-   ``nsmallest``s (non-preemptive runs repeat the merge over the
-   fresh-state pools, whose keys already leave out probed resources);
-3. the coordinator books the chronon's budget on the per-shard ledgers:
-   nominal :func:`~repro.runtime.sharding.split_budget` shares,
-   realized demand, and the deterministic
-   :func:`~repro.runtime.sharding.steal_plan` transfers that moved
-   unspendable residual budget to the most oversubscribed shards.
+The federation's select is the kernel's: every shard proposing the
+``min(C_j, |owned pools|)`` best rank keys among the pools it owns and
+the coordinator merging them to the global top ``C_j`` picks exactly
+what the kernel's one take over all pools picks — the global
+``nsmallest`` of a union is the ``nsmallest`` of per-shard
+``nsmallest``s, since the keys end in the resource id and are unique
+(``tests/simulation/test_federation_select.py`` checks the identity).
+The merge holds no state and the ledgers read only the winners, so the
+run selects once and the coordinator books each chronon's winners on
+the per-shard ledgers: nominal
+:func:`~repro.runtime.sharding.split_budget` shares, realized demand,
+and the deterministic :func:`~repro.runtime.sharding.steal_plan`
+transfers that moved unspendable residual budget to the most
+oversubscribed shards.
 
-Because selection is coordinator-exact, a federated run is
-**probe-for-probe identical to the one-lane block and the reference
-simulator for every shard count** — gained-completeness degradation is
-zero by construction — and the ledgers record the work-stealing that
-realized the monolith schedule.
+A federated run is therefore **probe-for-probe identical to the
+one-lane block and the reference simulator for every shard count** —
+gained-completeness degradation is zero by construction — and the
+ledgers record the work-stealing that realized the monolith schedule.
 
 Fault layers (drops, outages, rate limits, retries, breaker) execute
 coordinator-side through the kernel's fault plane. The shards advance
@@ -58,7 +58,6 @@ from repro.simulation.batch import (
     _advance,
     _finalize,
     _make_lanes,
-    _take_smallest,
 )
 from repro.simulation.columnar import ColumnarInstance
 from repro.simulation.result import SimulationResult
@@ -93,25 +92,6 @@ class FederatedResult:
         return self.result.gc
 
 
-def _propose_and_merge(key: np.ndarray, need: np.ndarray, kmax: int,
-                       shard_of: np.ndarray, shards: int,
-                       ramp: np.ndarray):
-    """The one lane's picks by the propose/merge protocol, in the shape
-    of :func:`~repro.simulation.batch._take_smallest`: every shard takes
-    its ``min(need, |owned pools|)`` best of ``key`` (1 x pools) among
-    the pools ``shard_of`` gives it, the coordinator the global top."""
-    proposals = []
-    for shard in range(shards):
-        pools = np.flatnonzero(shard_of == shard)
-        if pools.size:
-            _rows, best, _pos = _take_smallest(key[:, pools], need, kmax,
-                                               ramp)
-            proposed = pools[best]
-            proposals.append((key[0, proposed], proposed))
-    winners = ShardCoordinator.merge_proposals(proposals, int(need[0]))
-    return np.zeros_like(winners), winners, ramp[:winners.size]
-
-
 def federated_run(profiles: ProfileSet, epoch: Epoch,
                   budget: BudgetVector, policy: Policy, *,
                   preemptive: bool = True, shards: int = 4,
@@ -142,17 +122,13 @@ def federated_run(profiles: ProfileSet, epoch: Epoch,
         fault = FaultLane(faults, retry, breaker)
     lanes = _make_lanes(col, [(policy, preemptive, budget, 0, fault)])
     owner = coord.assign(col.rid_space)
-    ramp = np.arange(max(col.g_max, 1), dtype=np.int64)
-
-    def select(key, need, kmax, grids):
-        return _propose_and_merge(key, need, kmax, owner[grids], K, ramp)
 
     def settle(k_arr, _rows, rids):
         coord.settle(int(k_arr[0]),
                      np.bincount(owner[rids], minlength=K).tolist())
 
     built, window_seconds = col.windows_built, col.window_seconds
-    state = _advance(col, lanes, select, settle)
+    state = _advance(col, lanes, settle)
     (result,) = _finalize(col, lanes, *state, time.perf_counter() - started,
                           col.windows_built - built)
     owned = np.bincount(owner[np.unique(col.grp_rid)],

@@ -163,9 +163,9 @@ def draw_profiles(rng: np.random.Generator, count: int,
     one-draw-at-a-time walk.
     """
     size = resource_dist.size
-    # The most a profile reads without a collision (a rank past the
-    # table's last CDF value reads as its size + 1, then is clamped).
-    most = 1 + min(rank_dist.size + 1, size)
+    # The most a profile reads without a collision: a rank, then at
+    # most that many resources (a rank is clamped to the universe).
+    most = 1 + min(rank_dist.size, size)
     block = rng.random(count * most)
     rank_of: list[int] = []
     pick_of: list[int] = []

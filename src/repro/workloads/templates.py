@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.errors import WorkloadError
 from repro.core.intervals import ExecutionInterval, TInterval
-from repro.core.profile import Profile, ProfileColumns
+from repro.core.profile import Profile, ProfileColumns, narrowed
 from repro.core.timeline import Epoch
 from repro.traces.events import UpdateTrace
 from repro.workloads.restrictions import DeliveryRestriction, WindowRestriction
@@ -104,16 +104,22 @@ class AuctionWatchTemplate:
         Profile ``p`` watches the next ``ranks[p]`` (>= 1, distinct)
         entries of the flat ``resource_ids``. Its rows equal what
         :meth:`build_profile` builds for those resources — the grouping
-        runs over all profiles together, one array pass per slot.
+        runs over all profiles together, one array pass per slot. The
+        columns are ``int32``: the trace-sized bounds narrow before the
+        rows are gathered from them (:class:`ValueError` naming the
+        column if a resource id or chronon passes ``int32``).
         """
         rids, starts, finishes, heads = _bulk_bounds(self._restriction,
                                                      trace, epoch)
         if not ranks.size:
-            none = np.empty(0, dtype=np.int64)
+            none = np.empty(0, dtype=np.int32)
             return ProfileColumns(tuple(names), *[none] * 6)
         # Stream j (the EIs of resource_ids[j]) is rows lo[j]:hi[j].
         lo = np.searchsorted(rids, resource_ids, side="left")
         hi = np.searchsorted(rids, resource_ids, side="right")
+        rids, starts, finishes = map(narrowed, ("ei_resource", "ei_start",
+                                                "ei_finish"),
+                                     (rids, starts, finishes))
         first = np.cumsum(ranks) - ranks
         width = int(ranks.max())
         if self._grouping == "overlap":
@@ -129,7 +135,7 @@ class AuctionWatchTemplate:
         # per round every stream reaches (indexed); member[c, t] is the
         # bounds row of candidate c's slot-t EI.
         count = np.minimum.reduceat(hi - lo, first)
-        owner = np.repeat(np.arange(ranks.size), count)
+        owner = np.repeat(np.arange(ranks.size, dtype=np.int32), count)
         at = np.arange(owner.size) - np.repeat(np.cumsum(count) - count,
                                                count)
         member = np.empty((owner.size, width), dtype=np.int64)
@@ -159,9 +165,9 @@ class AuctionWatchTemplate:
             member[has, slot] = found
         member, owner = member[valid], owner[valid]
         kept = np.bincount(owner, minlength=ranks.size)
-        tinterval = np.arange(owner.size) - np.repeat(
-            np.cumsum(kept) - kept, kept)
-        size = ranks[owner]
+        tinterval = np.arange(owner.size, dtype=np.int32) - np.repeat(
+            (np.cumsum(kept) - kept).astype(np.int32), kept)
+        size = ranks.astype(np.int32)[owner]
         rows = member[np.arange(width) < size[:, None]]
         return ProfileColumns(
             tuple(names), np.repeat(owner, size), np.repeat(tinterval, size),

@@ -47,13 +47,17 @@ class BoundedZipf:
         ranks = np.arange(1, size + 1, dtype=float)
         weights = ranks ** (-theta)
         self._pmf = weights / weights.sum()
-        #: The CDF :meth:`sample_from` inverts (right insertion).
-        self.cdf = np.cumsum(self._pmf)
+        cdf = np.cumsum(self._pmf)
         #: The CDF the first round of a draw without replacement
         #: inverts: the one numpy's ``choice`` builds before anything is
         #: zeroed, a constant of the distribution (cumsum, then
         #: normalized: the same float operations).
-        self.choice_cdf = self.cdf / self.cdf[-1]
+        self.choice_cdf = cdf / cdf[-1]
+        #: The CDF :meth:`sample_from` inverts (right insertion). Its
+        #: last entry is pinned to 1.0: the cumulative sum can round just
+        #: under it, and a uniform in that gap would invert past ``size``.
+        cdf[-1] = 1.0
+        self.cdf = cdf
 
     def pmf(self, value: int) -> float:
         """Probability of drawing ``value`` (1-based)."""

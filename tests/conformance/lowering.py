@@ -39,7 +39,8 @@ def _row_range(key: ScoreKey, ranges) -> tuple[int, int]:
 #: int64. The oracle computes in int64 and narrows these last.
 NARROW = ("st_arrival", "st_visible", "st_gone", "st_rank", "st_profile",
           "st_size", "st_need", "st_tid", "ei_state", "ei_res", "ei_start",
-          "ei_finish", "op_state", "op_indptr")
+          "ei_finish", "init_sum", "op_state", "op_indptr", "xe_e",
+          "xg_starts", "xg_state", "grp_rid")
 
 
 def oracle(profiles, epoch, visible_from=None,
@@ -313,10 +314,13 @@ def stitched(col: ColumnarInstance, keys=tuple(ROWS.values())
         chronons += win.n_act
     parts["act_indptr"].append(np.array([entries]))
     parts["grp_indptr"].append(np.array([groups]))
-    empty = [np.zeros(0, dtype=np.int64)]
     for name, columns in parts.items():
-        setattr(w, name, np.concatenate(empty + columns))
-    w.hi_static = {key: np.concatenate(empty + columns)
+        # A window column is as wide as the lowering's of that name.
+        like = getattr(col, name, None)
+        empty = np.zeros(0, dtype=np.int64 if like is None else like.dtype)
+        setattr(w, name, np.concatenate([empty] + columns))
+    w.hi_static = {key: np.concatenate([np.zeros(0, dtype=np.int64)]
+                                       + columns)
                    for key, columns in rows.items()}
     w.windows = len(wins)
     return w

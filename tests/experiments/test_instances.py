@@ -216,6 +216,76 @@ class TestDiskStore:
         np.savez(columns_path, **data)
         self._assert_regenerated(tmp_path)
 
+    def test_the_ei_columns_round_trip_as_int32(self, tmp_path):
+        import numpy as np
+        InstanceCache(cache_dir=tmp_path).get_or_generate(BASE, 0)
+        columns_path, _ = self._entry_paths(tmp_path)
+        with np.load(columns_path) as columns:
+            assert {columns[name].dtype for name in columns.files
+                    if name.startswith("ei_")} == {np.dtype(np.int32)}
+        _trace, profiles = InstanceCache(
+            cache_dir=tmp_path).get_or_generate(BASE, 0)
+        assert {column.dtype for column in profiles.columns()[1:]} == \
+            {np.dtype(np.int32)}
+
+    @staticmethod
+    def _widen(columns_path) -> None:
+        """Rewrite an entry's EI columns as int64, as version 3 had them."""
+        import numpy as np
+        with np.load(columns_path) as columns:
+            data = {name: columns[name] for name in columns.files}
+        np.savez(columns_path, **{
+            name: column.astype(np.int64) if name.startswith("ei_")
+            else column for name, column in data.items()})
+
+    def test_a_version_3_int64_entry_misses_and_is_rewritten(
+            self, tmp_path, monkeypatch):
+        """Written at version 3 it sits under another key: a plain miss,
+        and the entry written in its place is version 4 and int32. The
+        same bytes under this version's key fail its manifest check."""
+        import numpy as np
+        from repro.experiments import instances
+        assert FORMAT_VERSION == 4
+        with monkeypatch.context() as patched:
+            patched.setattr(instances, "FORMAT_VERSION", 3)
+            InstanceCache(cache_dir=tmp_path).get_or_generate(BASE, 0)
+            old_key = generation_key(BASE, 0, "poisson")
+        old_columns = tmp_path / f"{old_key}.npz"
+        self._widen(old_columns)
+        columns_path, manifest_path = self._entry_paths(tmp_path)
+        assert old_key != columns_path.stem
+        self._assert_regenerated(tmp_path, expect_error=False)
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert manifest["version"] == 4
+        with np.load(columns_path) as columns:
+            assert columns["ei_start"].dtype == np.int32
+
+        old_manifest = tmp_path / f"{old_key}.json"
+        columns_path.write_bytes(old_columns.read_bytes())
+        manifest_path.write_text(old_manifest.read_text(encoding="utf-8")
+                                 .replace(old_key, columns_path.stem),
+                                 encoding="utf-8")
+        self._assert_regenerated(tmp_path)
+        with np.load(columns_path) as columns:
+            assert columns["ei_start"].dtype == np.int32
+
+    def test_an_int64_entry_past_int32_regenerated(self, tmp_path):
+        """Columns of any integer width load if their values fit int32;
+        one that does not is a miss, not a wrapped set."""
+        import numpy as np
+        InstanceCache(cache_dir=tmp_path).get_or_generate(BASE, 0)
+        columns_path, _ = self._entry_paths(tmp_path)
+        self._widen(columns_path)
+        widened = InstanceCache(cache_dir=tmp_path)
+        _trace, profiles = widened.get_or_generate(BASE, 0)
+        assert widened.disk_hits == 1
+        assert profiles.columns().ei_start.dtype == np.int32
+        with np.load(columns_path) as columns:
+            data = {name: columns[name] for name in columns.files}
+        data["ei_finish"][0] = 2 ** 31
+        np.savez(columns_path, **data)
+        self._assert_regenerated(tmp_path)
+
     def test_missing_profile_names_regenerated(self, tmp_path):
         InstanceCache(cache_dir=tmp_path).get_or_generate(BASE, 0)
         _, manifest_path = self._entry_paths(tmp_path)

@@ -30,6 +30,7 @@ from repro.core import (
     BudgetVector,
     Epoch,
     Profile,
+    ProfileColumns,
     ProfileSet,
 )
 from repro.experiments import ExperimentConfig, make_instance
@@ -39,7 +40,7 @@ from repro.simulation import batch as batch_module
 from repro.simulation import columnar as columnar_module
 from repro.simulation import run_online
 from repro.simulation.batch import FaultLane, run_block
-from repro.simulation.churn import lower_plan
+from repro.simulation.churn import ChurnEvent, lower_plan, run_churned
 from repro.simulation.columnar import (
     BatchUnsupported,
     ColumnarInstance,
@@ -187,9 +188,10 @@ def _engines_agree(profiles, epoch_, caplog, cause):
 
 
 class TestColumnWidths:
-    """The state and EI columns are int32 under bounds the lowering
-    checks on its int64 input first; past them an instance is refused,
-    never lowered from a wrapped value."""
+    """The EI-row columns arrive int32 and the lowering keeps every
+    column int32 that a bound holds; a set whose ids or chronons pass
+    int32 has no columns and is refused, never lowered from a wrapped
+    value."""
 
     #: The widest finish this instance's key layout takes: score 29 +
     #: finish 28 + pool size 2 + start 2 + resource id 1 = 62 bits.
@@ -200,18 +202,62 @@ class TestColumnWidths:
         return ProfileSet([Profile([eta((0, 1, finish), (1, 2, 5))]),
                            Profile([eta((1, 3, finish))])])
 
+    @staticmethod
+    def watching(rid: int) -> ProfileSet:
+        return ProfileSet([Profile([eta((rid, 1, 3), (0, 2, 4))]),
+                           Profile([eta((0, 1, 2))])])
+
     def test_a_finish_past_int32_is_refused_by_the_key_layout(self, caplog):
+        """Refused before the key layout is read: the set has no
+        columns."""
         profiles = self.finishing_at(1 << 31)
-        with pytest.raises(BatchUnsupported, match="packed selection key"):
+        with pytest.raises(BatchUnsupported, match="ei_finish .* int32"):
             ColumnarInstance.build(profiles, Epoch(6))
-        _engines_agree(profiles, Epoch(6), caplog, "packed selection key")
+        _engines_agree(profiles, Epoch(6), caplog, "ei_finish")
 
     def test_a_resource_id_past_int32_is_refused_by_the_grid(self, caplog):
-        profiles = ProfileSet([Profile([eta((1 << 31, 1, 3), (0, 2, 4))]),
-                               Profile([eta((0, 1, 2))])])
+        """Refused before the grid is read: the set has no columns."""
+        profiles = self.watching(1 << 31)
+        with pytest.raises(BatchUnsupported, match="ei_resource .* int32"):
+            ColumnarInstance.build(profiles, Epoch(6))
+        _engines_agree(profiles, Epoch(6), caplog, "ei_resource")
+
+    def test_a_sparse_resource_id_inside_int32_is_refused_by_the_grid(
+            self, caplog):
+        profiles = self.watching(1 << 30)
         with pytest.raises(BatchUnsupported, match="too sparse"):
             ColumnarInstance.build(profiles, Epoch(6))
         _engines_agree(profiles, Epoch(6), caplog, "too sparse")
+
+    def test_deadlines_summing_past_int32_are_refused(self):
+        """``init_sum`` is summed in int64 and narrowed under a checked
+        bound: 2**16 EIs finishing at 2**15 sum to 2**31."""
+        E, K = 1 << 16, 1 << 15
+        zeros = np.zeros(E, dtype=np.int32)
+        at_end = np.full(E, K, dtype=np.int32)
+        profiles = ProfileSet.from_columns(ProfileColumns(
+            ("p",), zeros, zeros, np.arange(E, dtype=np.int32) % 1024,
+            at_end, at_end, np.full(E, E, dtype=np.int32)))
+        with pytest.raises(BatchUnsupported, match=f"sum to {1 << 31}"):
+            ColumnarInstance.build(profiles, Epoch(K))
+
+    @pytest.mark.parametrize("column, profiles", [
+        ("ei_finish", finishing_at(1 << 31)),
+        ("ei_resource", watching(1 << 31)),
+    ])
+    @pytest.mark.parametrize("added", [False, True])
+    def test_a_churned_run_refuses_a_set_without_columns(
+            self, column, profiles, added):
+        """Whether the set is the initial one or a plan adds it."""
+        plain = self.finishing_at(5)
+        initial, plan = (plain, [ChurnEvent.add(2, profiles[0])]) \
+            if added else (profiles, [ChurnEvent.remove(3, 1)])
+        policy, preemptive = parse_policy_spec("M-EDF(P)")
+        with pytest.raises(BatchUnsupported, match=column):
+            lower_plan(initial, plan, Epoch(6))
+        with pytest.raises(BatchUnsupported, match=column):
+            run_churned(initial, Epoch(6), BudgetVector(1), policy, plan,
+                        preemptive=preemptive)
 
     def test_a_finish_just_inside_the_bound_lowers_exactly(self):
         with pytest.raises(BatchUnsupported, match="packed selection key"):
@@ -228,11 +274,16 @@ class TestColumnWidths:
         intensity=20, budget=16, window=5, seed=20080407)
 
     def test_the_lowering_memory_budget(self):
-        """Per EI, at most 80 B held and a 120 B build peak (int64
-        columns held 111 B and peaked at 182 B here): a widened column
-        shows as megabytes at this scale, so it fails here first."""
+        """Per EI, at most 24 B of EI-row columns (six int32), 62 B held
+        by the lowering and a 90 B build peak (measured: 24, 59.5 and
+        86.8; with int64 EI rows the columns were 48 B and the lowering
+        held 75.6 B and peaked at 96.6 B, with int64 state columns 111 B
+        and 182 B): a widened column shows as megabytes at this scale,
+        so it fails here first."""
         _trace, profiles = make_instance(self.CATALOG, 0)
-        profiles.columns()
+        columns = profiles.columns()
+        assert sum(column.nbytes for column in columns[1:]) <= \
+            24 * columns.ei_start.size
         tracemalloc.start()
         try:
             col = ColumnarInstance.build(profiles, self.CATALOG.epoch)
@@ -242,8 +293,8 @@ class TestColumnWidths:
         assert col.E > 100_000
         assert col.nbytes == sum(value.nbytes for value in vars(col).values()
                                  if isinstance(value, np.ndarray))
-        assert col.nbytes <= 80 * col.E
-        assert peak <= 120 * col.E
+        assert col.nbytes <= 62 * col.E
+        assert peak <= 90 * col.E
 
 
 class TestLifetimeArguments:

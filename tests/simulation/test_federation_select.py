@@ -1,13 +1,14 @@
 """The seam between the block kernel and the federation.
 
 ``batch._advance`` turns a chronon's rank keys into picks through one
-select step, :func:`~repro.simulation.batch._take_smallest`;
-:func:`~repro.simulation.shard.federated_run` is the same kernel with
-that step replaced by the propose/merge protocol. Two things pin the
-seam itself rather than a whole run: the k-way selection identity
-(``docs/ALGORITHMS.md`` §15) on raw key rows, and the shape of the hook
-— one kernel entry per federated run, one ledger settlement per chronon
-that decided anything.
+select step, :func:`~repro.simulation.batch._take_smallest`, and
+:func:`~repro.simulation.shard.federated_run` is the same kernel: its
+select is the kernel's. That rests on the k-way selection identity
+(``docs/ALGORITHMS.md`` §15), pinned here on raw key rows against the
+propose/merge protocol written out as :func:`propose_and_merge` — every
+shard's take, then the coordinator's merge. The shape of the hook is
+pinned too: one kernel entry per federated run, one ledger settlement
+per chronon that decided anything.
 """
 
 import numpy as np
@@ -25,17 +26,40 @@ from repro.simulation.columnar import INF_KEY
 from tests.conformance.cases import FEDERATED_123 as CONFIG
 
 
+def propose_and_merge(key: np.ndarray, need: np.ndarray, kmax: int,
+                      shard_of: np.ndarray, shards: int, ramp: np.ndarray):
+    """The one-row picks of the propose/merge protocol, in the shape of
+    :func:`_take_smallest`: every shard takes its ``min(need, |owned
+    pools|)`` best of ``key`` (1 x pools) among the pools ``shard_of``
+    gives it, and the coordinator merges the proposals — one ascending
+    sort of their keys, unique since they end in the resource id — and
+    keeps the first ``need``."""
+    keys, pools = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for owner in range(shards):
+        owned = np.flatnonzero(shard_of == owner)
+        if owned.size:
+            _rows, best, _pos = _take_smallest(key[:, owned], need, kmax,
+                                               ramp)
+            keys.append(key[0, owned[best]])
+            pools.append(owned[best])
+    keys, pools = np.concatenate(keys), np.concatenate(pools)
+    winners = pools[np.argsort(keys)][:max(int(need[0]), 0)]
+    return np.zeros_like(winners), winners, ramp[:winners.size]
+
+
 @st.composite
 def selections(draw):
     """A key row with holes, an owner map, a need and its bound."""
     # Above 192 pools the take is an argpartition, not a full argsort.
     pools = draw(st.integers(1, 12) | st.sampled_from([193, 230]))
-    # Rank keys end in the resource id, so the valid ones are distinct.
-    values = draw(st.lists(st.integers(0, 1 << 40), min_size=pools,
-                           max_size=pools, unique=True))
+    # Rank keys end in the resource id, so the valid ones are distinct
+    # however often their higher fields tie.
+    values = draw(st.lists(st.integers(0, 1 << 40) | st.integers(0, 3),
+                           min_size=pools, max_size=pools))
+    rids = draw(st.permutations(range(pools)))
     holes = draw(st.lists(st.booleans(), min_size=pools, max_size=pools))
-    key = np.array([[INF_KEY if hole else value
-                     for value, hole in zip(values, holes)]],
+    key = np.array([[INF_KEY if hole else value << 8 | rid
+                     for value, rid, hole in zip(values, rids, holes)]],
                    dtype=np.int64)
     shards = draw(st.integers(1, pools + 3))
     shard_of = np.array(draw(st.lists(st.integers(0, shards - 1),
@@ -59,8 +83,8 @@ class TestKWaySelection:
         ramp = np.arange(key.shape[1], dtype=np.int64)
         need_arr = np.array([need], dtype=np.int64)
         whole = _take_smallest(key, need_arr, kmax, ramp)
-        merged = shard._propose_and_merge(key, need_arr, kmax, shard_of,
-                                          shards, ramp)
+        merged = propose_and_merge(key, need_arr, kmax, shard_of, shards,
+                                   ramp)
         for got, want in zip(merged, whole):
             assert got.tolist() == want.tolist()
         valid = int((key != INF_KEY).sum())
@@ -71,10 +95,9 @@ class TestKWaySelection:
 class TestOneKernelEntry:
     def test_one_advance_and_one_settle_per_deciding_chronon(
             self, monkeypatch):
-        """A federated run enters the block kernel once, picks through
-        the coordinator's merge, and settles the ledger once per chronon
-        that made decisions — both NP phases in one booking, probes that
-        went on to fail included."""
+        """A federated run enters the block kernel once and settles the
+        ledger once per chronon that made decisions — both NP phases in
+        one booking, probes that went on to fail included."""
         _trace, instance = make_instance(CONFIG, 0)
         entries = []
         advance = shard._advance
@@ -92,15 +115,6 @@ class TestOneKernelEntry:
             return settle(self, budget, demand)
 
         monkeypatch.setattr(ShardCoordinator, "settle", counting_settle)
-        merges = []
-        merge = ShardCoordinator.merge_proposals
-
-        def counting_merge(proposals, budget):
-            merges.append(budget)
-            return merge(proposals, budget)
-
-        monkeypatch.setattr(ShardCoordinator, "merge_proposals",
-                            staticmethod(counting_merge))
         injector = FaultInjector(FaultSpec(
             failure_probability=0.3, timeout_probability=0.1, seed=11))
         policy, preemptive = parse_policy_spec("S-EDF(NP)")
@@ -115,8 +129,6 @@ class TestOneKernelEntry:
         first_attempts = [record.chronon for record in injector.trace
                           if record.attempt == 0]
         assert len(settled) == len(set(first_attempts)) > 0
-        # Every deciding chronon picked through the coordinator's merge.
-        assert len(merges) >= len(settled)
         assert sum(decided for _budget, decided in settled) == \
             len(first_attempts)
         assert all(0 < decided <= budget for budget, decided in settled)

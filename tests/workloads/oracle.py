@@ -46,8 +46,11 @@ def zipf_pmf(theta: float, size: int) -> np.ndarray:
 
 
 def zipf_sample(rng: np.random.Generator, pmf: np.ndarray) -> int:
-    """One 1-based Zipf value from one ``rng.random()``."""
-    return bisect_right(np.cumsum(pmf).tolist(), rng.random()) + 1
+    """One 1-based Zipf value from one ``rng.random()``: the inverse
+    CDF, whose last entry is 1.0 however the cumulative sum rounds."""
+    cdf = np.cumsum(pmf)
+    cdf[-1] = 1.0
+    return bisect_right(cdf.tolist(), rng.random()) + 1
 
 
 def poisson_trace(rng: np.random.Generator,

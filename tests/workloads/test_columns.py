@@ -38,7 +38,7 @@ from tests.workloads import oracle
 def assert_columns_equal(left: ProfileColumns, right: ProfileColumns):
     assert left.names == right.names
     for name, ours, theirs in zip(left._fields[1:], left[1:], right[1:]):
-        assert ours.dtype == theirs.dtype == np.int64, name
+        assert ours.dtype == theirs.dtype == np.int32, name
         assert np.array_equal(ours, theirs), name
 
 
@@ -226,10 +226,28 @@ class TestBuildColumnsEdges:
         assert [len(profile) > 0 for profile in born] == [True, False, False]
 
     def test_large_sparse_resource_ids(self, restriction, grouping):
-        big = 2 ** 40
+        big = 2 ** 31 - 8
         self._check(restriction, grouping,
                     {big: [1, 6, 12], big + 7: [2, 7], 3: [1, 30]},
                     [[big + 7, big], [3, big], [big]])
+
+    def test_a_resource_id_past_int32_has_no_columns(self, restriction,
+                                                     grouping):
+        """The trace's bounds narrow before any row is gathered, so the
+        refusal names the column whether or not a profile watches it;
+        the objects walk refuses the watching set the same way."""
+        big = 2 ** 31
+        trace = _trace({big: [1, 6], 3: [1, 30]}, self.EPOCH)
+        template = AuctionWatchTemplate(restriction, grouping=grouping)
+        for watched in ([[3]], [[3, big]]):
+            with pytest.raises(ValueError, match="ei_resource"):
+                template.build_columns(
+                    np.array([len(rids) for rids in watched]),
+                    np.array([rid for rids in watched for rid in rids]),
+                    ["w"], trace, self.EPOCH)
+        profile = template.build_profile([3, big], trace, self.EPOCH)
+        with pytest.raises(ValueError, match="ei_resource"):
+            ProfileSet([profile]).columns()
 
 
 class TestFewerResourcesThanRank:

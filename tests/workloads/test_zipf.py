@@ -7,6 +7,8 @@ draws it stands in for — one ``rng.random()`` per value, one
 the table to them.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,22 @@ class TestSampling:
         with pytest.raises(ValueError):
             BoundedZipf(0.0, 3).sample_distinct_from(
                 -1, np.random.default_rng(0).random)
+
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 1.37, 2.0])
+    @pytest.mark.parametrize("size", [3, 5, 10, 50, 500])
+    def test_the_largest_uniform_below_one_stays_in_support(self, theta,
+                                                             size):
+        """The cumulative sum can round under 1.0 (1.37 over 3 values
+        ends at 0.9999999999999999), and a uniform in that gap used to
+        invert to ``size + 1``; the last CDF entry is 1.0."""
+        dist = BoundedZipf(theta, size)
+        assert dist.cdf[-1] == 1.0
+        below_one = float(np.nextafter(1.0, 0.0))
+        assert dist.sample_from(below_one) == size
+        stream = SimpleNamespace(random=lambda: below_one)
+        assert oracle.zipf_sample(stream, oracle.zipf_pmf(theta, size)) \
+            == size
 
 
 class TestSampleDistinct:
