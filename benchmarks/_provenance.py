@@ -18,17 +18,27 @@ import numpy as np
 __all__ = ["provenance_header"]
 
 
-def _git_rev() -> str:
-    """The current git revision, or ``"unknown"`` outside a checkout."""
+def _git(*args: str) -> str | None:
+    """``git args`` run beside this file: its stdout, or None."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True, text=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _git_rev() -> str:
+    """The current git revision, ``-dirty`` when a tracked file differs
+    from it (a baseline recorded before its own commit is not the
+    parent's), or ``"unknown"`` outside a checkout."""
+    rev = _git("rev-parse", "--short", "HEAD")
+    if not rev:
         return "unknown"
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else "unknown"
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return f"{rev}-dirty" if status else rev
 
 
 def provenance_header(script: str) -> dict:

@@ -94,7 +94,7 @@ __all__, __getattr__, __dir__ = export_table(__name__, {
         "make_policy",
         "parse_policy_spec",
     ),
-    ".simulation": ("ProxySimulator", "SimulationResult", "run_online"),
+    ".simulation": ("SimulationResult", "run_online"),
     ".traces": (
         "AuctionTraceSynthesizer",
         "FeedTraceSynthesizer",

@@ -1,16 +1,19 @@
 """An origin server that misbehaves the way real feeds do.
 
 :class:`UnreliableServer` wraps any :class:`~repro.runtime.server.
-OriginServer` and subjects its probes to a :class:`~repro.faults.model.
-FaultSpec`: dropped requests, timeouts, scripted outages, server-side
-rate limiting, and stale reads from a lagging replica. The wrapped
-server's state machine (clock, pending updates, publishing) is untouched
-— only the *observation* path degrades: :meth:`try_probe`, the one
-surface a proxy calls, returns a
+OriginServer` and subjects its probes to a fault source — a
+:class:`~repro.faults.model.FaultSpec` or a
+:class:`~repro.faults.model.FaultInjector` over one: dropped requests,
+timeouts, scripted outages, server-side rate limiting, and stale reads
+from a lagging replica. The wrapped server's state machine (clock,
+pending updates, publishing) is untouched — only the *observation* path
+degrades: :meth:`try_probe`, the one surface a proxy calls, returns a
 :class:`~repro.runtime.server.ProbeOutcome`.
 
 With a null spec the wrapper is transparent: every probe succeeds with
-exactly the snapshot the inner server would have served.
+exactly the snapshot the inner server would have served. Wrapped around
+a trace-less server, it is the fault layer of
+``run_online(engine="reference")``.
 """
 
 from __future__ import annotations
@@ -35,21 +38,18 @@ class UnreliableServer:
     ----------
     server:
         The reliable server being wrapped.
-    spec:
-        Fault model to apply, through a non-recording injector; ignored
-        when ``injector`` is given.
-    injector:
-        Explicit decision source — a :class:`FaultInjector` (a recording
-        one keeps the decision log) or a spec.
+    faults:
+        The fault source (:func:`~repro.faults.model.fault_source`): a
+        :class:`FaultSpec`, drawn through a non-recording injector of
+        its own; a :class:`FaultInjector`, used as given (a recording
+        one keeps the decision log); or ``None``, a null spec.
     """
 
     def __init__(self, server: OriginServer,
-                 spec: FaultSpec | None = None,
-                 injector: FaultInjector | None = None) -> None:
+                 faults: FaultSpec | FaultInjector | None = None) -> None:
         self.inner = server
         self.injector = injector_of(
-            injector if injector is not None
-            else spec if spec is not None else FaultSpec())
+            FaultSpec() if faults is None else faults)
         # Applied updates per resource, for lagging-replica reads:
         # (chronon, version, payload) in application order.
         self._history: dict[int, list[tuple[Chronon, int, str]]] = {}

@@ -167,8 +167,6 @@ class AsyncMonitoringProxy(MonitoringProxy):
     def register_profile(self, client: Client, profile: Profile) -> int:
         if client.client_id not in self._clients:
             raise ModelError(f"unknown client {client.client_id}")
-        if len(profile) == 0:
-            raise ModelError("cannot register an empty profile")
         if self.journal is not None and not self._replaying:
             # Write-ahead: the registration is durable before it is
             # visible (the id the superclass will assign is the next

@@ -1,19 +1,22 @@
 """The monitoring proxy runtime: pull from servers, push to clients.
 
-Where :mod:`repro.simulation.proxy` is the *measurement* harness (GC of a
-fixed t-interval stream), this module is the *system* the paper describes
-in Section 3: clients register profiles at the proxy (possibly while it is
-running), the proxy probes origin servers under its budget using an online
-policy, and every completed t-interval is pushed to its client as a
+This module is the *system* the paper describes in Section 3: clients
+register profiles at the proxy (possibly while it is running), the proxy
+probes origin servers under its budget using an online policy, and every
+completed t-interval is pushed to its client as a
 :class:`~repro.runtime.clients.Notification` carrying the captured
-snapshots.
+snapshots. It is also the measurement's specification:
+``run_online(engine="reference")``
+(:func:`repro.simulation.proxy.run_online`) is this proxy with one
+client registering a fixed profile set, its report read off the
+notifications.
 
 The chronon itself lives in :mod:`repro.online.base`:
 :meth:`MonitoringProxy.step` is :func:`~repro.online.base.plan_chronon`,
-a probe round, :func:`~repro.online.base.settle_chronon` — the two
-functions the simulator calls, so measured completeness and delivered
-notifications can never disagree. Here are the clock, registration
-(one profile at a time, or a churn plan through
+a probe round, :func:`~repro.online.base.settle_chronon`, and this is
+their one call site (the asyncio proxy inherits both halves and awaits
+its own probe round between them). Here are the clock,
+registration (one profile at a time, or a churn plan through
 :meth:`MonitoringProxy.follow`) and the drop of unregistered
 t-intervals, snapshots and notifications.
 """
@@ -185,17 +188,18 @@ class MonitoringProxy:
         May be called before or during the run; t-intervals whose windows
         are already partially past still participate with whatever can be
         captured (fully past ones expire immediately, and so does every
-        t-interval of a profile registered once the epoch is over).
+        t-interval of a profile registered once the epoch is over). An
+        empty profile takes its id like any other and monitors nothing,
+        so the ids of a :class:`~repro.core.profile.ProfileSet`
+        registered in order are its own.
 
         Raises
         ------
         ModelError
-            For unknown clients or empty profiles.
+            For unknown clients.
         """
         if client.client_id not in self._clients:
             raise ModelError(f"unknown client {client.client_id}")
-        if len(profile) == 0:
-            raise ModelError("cannot register an empty profile")
         profile_id = self._next_profile_id
         self._next_profile_id += 1
         attached = profile.attached(profile_id)

@@ -6,7 +6,7 @@ __all__, __getattr__, __dir__ = export_table(__name__, {
     ".batch": ("run_block",),
     ".churn": ("ChurnEvent", "ChurnPlan", "run_churned"),
     ".columnar": ("BatchUnsupported", "ColumnarInstance"),
-    ".proxy": ("ProxySimulator", "run_online"),
+    ".proxy": ("run_online",),
     ".result": ("SimulationResult",),
     ".shard": ("FederatedResult", "federated_run"),
 })

@@ -43,8 +43,9 @@ probe order — is the lane's own injector deciding in decision order. The
 result is bit-for-bit the reference simulator's, probe for probe (the
 ``block`` line of the conformance matrix, ``tests/conformance``).
 
-The engine is **schedule-identical** to the reference
-:class:`~repro.simulation.proxy.ProxySimulator` for every supported
+The engine is **schedule-identical** to the reference,
+``run_online(engine="reference")`` — the live
+:class:`~repro.runtime.proxy.MonitoringProxy` — for every supported
 policy (see ``tests/conformance/engines.py``): probe-for-probe,
 report-for-report. Unsupported configurations — a subclassed
 breaker, policies whose score is not a
@@ -223,8 +224,8 @@ def run_block(
     one instance; anything else is a :class:`ValueError`), and an
     optional fifth carrying a :class:`FaultLane` (or None) — and gets
     one :class:`SimulationResult`, in lane order, identical to what
-    ``ProxySimulator(profiles, epoch, budget, policy,
-    preemptive).run()`` (with the lane's faults/retry/breaker) would
+    ``run_online(profiles, epoch, budget, policy, preemptive,
+    engine="reference")`` (with the lane's faults/retry/breaker) would
     produce — schedule, report, fault stats, breaker end state, and for
     recording injectors the trace of fault records (``injector.trace``),
     probe for probe; its schedule and ``per_profile`` / ``per_rank``

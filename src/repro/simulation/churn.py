@@ -289,10 +289,11 @@ def lower_plan(profiles: ProfileSet, plan, epoch: Epoch) -> LoweredPlan:
 
     The rules are :meth:`~repro.runtime.proxy.MonitoringProxy.follow`'s:
     events apply in chronon order, plan order within a chronon; one
-    past ``epoch.last`` never fires. Raises the :class:`ModelError` the
-    proxy raises at that point of the plan: an empty ``add``, a
-    ``remove`` of an id nobody holds yet. A profile with no columns (an
-    id or chronon past int32) raises :class:`BatchUnsupported`.
+    past ``epoch.last`` never fires; an ``add`` takes the next id, an
+    empty one too. Raises the :class:`ModelError` the proxy raises at
+    that point of the plan: a ``remove`` of an id nobody holds yet. A
+    profile with no columns (an id or chronon past int32) raises
+    :class:`BatchUnsupported`.
     """
     if not isinstance(plan, ChurnPlan):
         plan = ChurnPlan(plan)
@@ -311,27 +312,16 @@ def lower_plan(profiles: ProfileSet, plan, epoch: Epoch) -> LoweredPlan:
     is_add, clock, ref = (column[order] for column in columns[1:])
     joined, left = ref[is_add], ref[~is_add]
 
-    # The engine checks each event when it applies it: an add must own a
-    # t-interval; a cancelled id must own one *by then* — an initial
-    # profile that does (an empty one never registered anything), or one
-    # of the adds applied so far, which take the next ids in turn.
-    owns = np.bincount(base.ei_profile, minlength=initial + 1) > 0
-    joined_rows = np.bincount(columns.added.ei_profile,
-                              minlength=len(columns.added.names))
-    held = initial + (np.cumsum(is_add) - is_add)[~is_add]
-    bad = np.empty(order.size, dtype=bool)
-    bad[is_add] = joined_rows[joined] == 0
-    bad[~is_add] = ~(
-        owns[np.where((left >= 0) & (left < initial), left, initial)]
-        | ((left >= initial) & (left < held)))
-    if bad.any():
-        first = np.flatnonzero(bad)[0]
-        if is_add[first]:
-            raise ModelError("cannot register an empty profile")
+    # The proxy checks each cancel when it applies it: the id must be
+    # held by then — an initial profile's, or one of the adds applied so
+    # far, which take the next ids in turn (an empty one too).
+    held = initial + np.cumsum(is_add)[~is_add]
+    bad = np.flatnonzero((left < 0) | (left >= held))
+    if bad.size:
         # As its author wrote it (the columns hold an id beyond int64
         # at the type's bound).
-        named = (int(ref[first]) if plan._events is None
-                 else plan._events[order[first]].profile_id)
+        named = (int(left[bad[0]]) if plan._events is None
+                 else plan._events[order[~is_add][bad[0]]].profile_id)
         raise ModelError(f"unknown profile id {named!r}")
 
     # The union: the applied adds' rows behind the initial set's. Adds

@@ -494,7 +494,7 @@ class ColumnarInstance:
         An EI is probeable over its visibility window; one whose
         window is empty — it opens past the epoch, closes before its
         state registers, or its state is cancelled first — never
-        becomes a candidate (the reference ``ProxySimulator`` asks each
+        becomes a candidate (the reference, the live proxy, asks each
         state for its ``probeable_eis`` every chronon and is never
         handed it). ``occ[T, rid]`` — how many windows on ``rid``
         contain ``T`` — is a difference array (+1 where a window opens,

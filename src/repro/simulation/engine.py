@@ -1,8 +1,8 @@
 """Event-indexed fast simulation engine.
 
 :class:`FastProxySimulator` computes exactly the same
-:class:`~repro.simulation.result.SimulationResult` as the reference
-:class:`~repro.simulation.proxy.ProxySimulator` — probe for probe,
+:class:`~repro.simulation.result.SimulationResult` as the reference,
+``run_online(engine="reference")`` (the live proxy) — probe for probe,
 including under fault injection, retries and the circuit breaker — while
 replacing the reference's per-chronon rescans with incremental
 maintenance:
@@ -136,11 +136,11 @@ class _FastState:
 
 
 class FastProxySimulator:
-    """Drop-in fast replacement for :class:`ProxySimulator`.
+    """Drop-in fast replacement for ``run_online(engine="reference")``.
 
-    Accepts the same constructor arguments and produces an identical
-    :class:`SimulationResult` (up to ``runtime_seconds``, which measures
-    this engine's own wall time).
+    Takes that call's arguments (the engine name aside) and produces an
+    identical :class:`SimulationResult` (up to ``runtime_seconds``,
+    which measures this engine's own wall time).
     """
 
     def __init__(self, profiles: ProfileSet, epoch: Epoch,
@@ -706,9 +706,10 @@ class FastProxySimulator:
         Raises
         ------
         ModelError
-            Before :meth:`begin`, or for an empty profile (as
+            Before :meth:`begin`, or for an empty profile — which
             :meth:`MonitoringProxy.register_profile
-            <repro.runtime.proxy.MonitoringProxy.register_profile>`).
+            <repro.runtime.proxy.MonitoringProxy.register_profile>`
+            takes like any other; this leaf engine keeps its refusal.
         """
         if not self._begun:
             raise ModelError("add_profile() requires begin()/run()")

@@ -219,9 +219,8 @@ def _instance(config, quota: bool = False
                 ChurnEvent.add(event.chronon, reshape(event.profile))
                 if event.action == "add" else event for event in plan)
         return ProfileSet(map(reshape, initial)), epoch_, plan
-    # A live proxy refuses an empty profile: every engine gets the rest.
-    profiles = [reshape(profile) for profile in make_instance(config, 0)[1]
-                if len(profile)]
+    # Generated sets hold empty profiles: every engine gets them too.
+    profiles = map(reshape, make_instance(config, 0)[1])
     return ProfileSet(profiles), config.epoch, None
 
 

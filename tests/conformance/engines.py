@@ -6,8 +6,8 @@ best ``C_j`` resources, update capture state. Every way this repository
 runs it is a line of :data:`ENGINES` — an adapter from a
 :class:`~tests.conformance.cases.Case` to the observation of each run it
 makes, plus the cases it takes. :func:`check` runs a case on its referee
-(the reference simulator for a static case, the live proxy for a
-churned one) and on every other engine that takes it: each observation
+(the live proxy, which takes every case) and on every other engine that
+takes it: each observation
 must agree with the referee's and with every one before it on every
 field both carry, or the engine must refuse the case as :data:`REFUSES`
 says.
@@ -46,7 +46,6 @@ from repro.simulation import (
 from repro.simulation.batch import FaultLane
 from repro.simulation.churn import lower_plan
 from repro.simulation.engine import FastProxySimulator
-from repro.traces import UpdateTrace
 
 from tests.conformance.cases import (
     HAND_EPOCH,
@@ -156,11 +155,9 @@ def _live(case: Case, asynchronous: bool = False) -> Iterator[dict]:
     """The live proxy over a trace-less origin, following the case's
     initial set and plan (``MonitoringProxy.follow``)."""
     faults, retry, breaker = case.layer()
-    server = OriginServer(UpdateTrace([], case.epoch))
-    if isinstance(faults, FaultSpec):
+    server = OriginServer()
+    if faults is not None:
         server = UnreliableServer(server, faults)
-    elif faults is not None:
-        server = UnreliableServer(server, injector=faults)
     policy, preemptive = case.make_policy()
     if asynchronous:
         proxy = AsyncMonitoringProxy(
@@ -318,15 +315,14 @@ def refusal(engine: str, case: Case) -> str | None:
                  if applies(case)), None)
 
 
-def _referee(case: Case) -> str:
-    """The reference simulator judges a static case, the live proxy a
-    churned one."""
-    return "reference" if _static(case) else "live"
+#: The one referee: the live proxy judges every case, static or
+#: churned (``run_online(engine="reference")`` is the same proxy).
+REFEREE = "live"
 
 
 def referee_run(case: Case) -> dict:
-    """The observation of the case's referee."""
-    (want,) = ENGINES[_referee(case)].run(case)
+    """The observation of the referee."""
+    (want,) = ENGINES[REFEREE].run(case)
     return want
 
 
@@ -337,7 +333,7 @@ def check(case: Case, engines=tuple(ENGINES)) -> dict:
     seen = dict(want)
     for name in engines:
         engine = ENGINES[name]
-        if name == _referee(case) or not engine.takes(case):
+        if name == REFEREE or not engine.takes(case):
             continue
         words = refusal(name, case)
         if words is not None:

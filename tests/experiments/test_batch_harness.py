@@ -34,7 +34,8 @@ from repro.experiments.harness import (
     sweep,
 )
 from repro.online.registry import parse_policy_spec
-from repro.simulation import ProxySimulator, run_online
+from repro.runtime import MonitoringProxy
+from repro.simulation import run_online
 from repro.simulation import batch as batch_module
 from repro.experiments import instances
 from repro.experiments.instances import InstanceCache, generation_key
@@ -100,15 +101,16 @@ class TestBatchHarness:
 
 @pytest.fixture
 def reference_runs(monkeypatch):
-    """Counts the reference-simulator runs made in this process."""
+    """Counts the reference runs made in this process: each is one live
+    proxy run to the end of its epoch."""
     ran = []
-    original = ProxySimulator.run
+    original = MonitoringProxy.run
 
-    def counting(self):
+    def counting(self, until=None):
         ran.append(self)
-        return original(self)
+        return original(self, until)
 
-    monkeypatch.setattr(ProxySimulator, "run", counting)
+    monkeypatch.setattr(MonitoringProxy, "run", counting)
     return ran
 
 

@@ -2,7 +2,7 @@
 
 Every run that takes a fault argument refuses anything else with a
 ``TypeError`` naming its type — before a chronon runs, on every engine,
-so nothing reaches the reference simulator through a fallback.
+so nothing reaches the reference (the live proxy) through a fallback.
 """
 
 import pytest
@@ -12,7 +12,7 @@ from repro.faults import FaultInjector, FaultSpec, UnreliableServer
 from repro.faults.model import OK_DECISION
 from repro.online import MRSFPolicy
 from repro.runtime import OriginServer
-from repro.simulation import ProxySimulator, run_churned, run_online
+from repro.simulation import run_churned, run_online
 from repro.simulation.batch import FaultLane, run_block
 
 from tests.conformance.cases import HAND_EPOCH, HAND_INITIAL
@@ -40,8 +40,6 @@ BOUNDARIES = {
     "run_online-batch": lambda faults: run_online(*_args(), faults=faults),
     "run_online-reference": lambda faults: run_online(
         *_args(), faults=faults, engine="reference"),
-    "ProxySimulator": lambda faults: ProxySimulator(
-        *_args(), faults=faults).run(),
     "FaultLane": FaultLane,
     # A lane carries its source in a FaultLane, never bare.
     "run_block": lambda faults: run_block(
@@ -49,7 +47,7 @@ BOUNDARIES = {
         [(MRSFPolicy(), True, BudgetVector(1), 0, faults)]),
     "run_churned": lambda faults: run_churned(*_args(), faults=faults),
     "UnreliableServer": lambda faults: UnreliableServer(
-        OriginServer(), injector=faults),
+        OriginServer(), faults),
 }
 
 

@@ -150,7 +150,7 @@ class TestDeterminismAndReplay:
         statuses = self.run_outcomes(quiet)
         assert quiet.injector.trace == []
         logged = UnreliableServer(OriginServer(make_trace()),
-                                  injector=FaultInjector(spec))
+                                  FaultInjector(spec))
         assert self.run_outcomes(logged) == statuses
         assert [record.status for record in logged.injector.trace] \
             == statuses

@@ -38,9 +38,12 @@ import pytest
 #: carries a ``FaultLane``); and the two pairwise conflict-graph
 #: builders of ``repro.offline`` (their specification is
 #: ``tests/offline/oracle.py``); and ``repro.workloads``' one-resource
-#: restriction wrapper (a caller holds the restriction and calls it).
+#: restriction wrapper (a caller holds the restriction and calls it);
+#: and the reference simulator class, from ``repro`` and
+#: ``repro.simulation`` (``run_online(engine="reference")`` is the live
+#: proxy).
 PUBLIC_NAMES = {
-    "repro": 66,
+    "repro": 65,
     "repro.analysis": 4,
     "repro.core": 26,
     "repro.experiments": 38,
@@ -49,7 +52,7 @@ PUBLIC_NAMES = {
     "repro.online": 23,
     "repro.runtime": 12,
     "repro.runtime.aio": 11,
-    "repro.simulation": 11,
+    "repro.simulation": 10,
     "repro.traces": 12,
     "repro.workloads": 10,
 }

@@ -164,11 +164,16 @@ class TestRegistrationManagement:
             proxy.register_profile(stranger, Profile(
                 [TInterval([ExecutionInterval(0, 1, 2)])]))
 
-    def test_empty_profile_rejected(self):
+    def test_empty_profile_takes_the_next_id(self):
         proxy = _make_proxy([])
         client = proxy.register_client()
-        with pytest.raises(ModelError, match="empty"):
-            proxy.register_profile(client, Profile([]))
+        assert proxy.register_profile(client, Profile([])) == 0
+        assert proxy.register_profile(client, Profile(
+            [TInterval([ExecutionInterval(0, 1, 2)])])) == 1
+        # It monitors nothing, and cancelling it is legal.
+        proxy.unregister_profile(0)
+        stats = proxy.run()
+        assert (stats.registered, stats.dropped) == (1, 0)
 
     def test_unregister_stops_notifications(self):
         proxy = _make_proxy([UpdateEvent(10, 0, "v")])

@@ -242,18 +242,25 @@ class TestErrorsAndEmptyPlans:
         churned(HAND_INITIAL, ChurnPlan(plan.events[::-1]))
 
     def test_cancel_of_an_initial_profile_without_tintervals(self):
+        # An empty profile holds its id like any other: cancelling it is
+        # legal and drops nothing.
         initial = ProfileSet([Profile([]), hand_profile([(0, 1, 2)])])
-        policy, _p = parse_policy_spec("MRSF(P)")
-        with pytest.raises(ModelError, match="unknown profile id 0"):
-            run_churned(initial, HAND_EPOCH, BudgetVector(1), policy,
-                        [ChurnEvent.remove(2, 0)])
+        result = churned(initial, ChurnPlan([ChurnEvent.remove(2, 0)]))
+        assert result.report.per_profile == {0: (0, 0), 1: (1, 1)}
+        assert result.extras["dropped"] == 0
 
     def test_empty_add(self):
-        event = ChurnEvent.add(3, Profile([]))
-        policy, _p = parse_policy_spec("S-EDF(P)")
-        with pytest.raises(ModelError,
-                           match="cannot register an empty profile"):
-            run_churned(HAND_INITIAL, HAND_EPOCH, BudgetVector(1), policy, [event])
+        # An empty add takes the next id (1), so the add after it is 2,
+        # and both ids are there to cancel.
+        plan = ChurnPlan([ChurnEvent.add(3, Profile([])),
+                          ChurnEvent.add(3, HAND_LATE),
+                          ChurnEvent.remove(4, 1),
+                          ChurnEvent.remove(8, 2)])
+        result = churned(HAND_INITIAL, plan, "S-EDF(P)")
+        assert sorted(result.report.per_profile) == [0, 1, 2]
+        assert result.report.per_profile[1] == (0, 0)
+        assert result.report.per_profile[2][1] == len(HAND_LATE)
+        assert result.extras["added_profiles"] == 2
 
     def test_bad_mode(self):
         policy, _p = parse_policy_spec("S-EDF(P)")

@@ -257,14 +257,18 @@ class TestOrderExactEdges:
         churned(HAND_INITIAL, ChurnPlan([ChurnEvent.remove(7, 2)] + adds))
 
     def test_the_first_offender_in_applied_order_raises(self):
-        unknown = ChurnEvent.remove(3, 9)
+        # The empty add is no offender: it holds id 1 from clock 5 on.
         empty = ChurnEvent.add(5, Profile([]))
-        # Planned after the empty add, applied before it.
-        _raises_everywhere(HAND_INITIAL, ChurnPlan([empty, unknown]),
-                           "unknown profile id 9$")
+        # Planned last, applied first.
         _raises_everywhere(
-            HAND_INITIAL, ChurnPlan([ChurnEvent.remove(6, 9), empty]),
-            "cannot register an empty profile")
+            HAND_INITIAL, ChurnPlan([empty, ChurnEvent.remove(4, 1),
+                                     ChurnEvent.remove(3, 9)]),
+            "unknown profile id 9$")
+        _raises_everywhere(
+            HAND_INITIAL, ChurnPlan([ChurnEvent.remove(6, 9), empty,
+                                     ChurnEvent.remove(4, 1)]),
+            "unknown profile id 1$")
+        churned(HAND_INITIAL, ChurnPlan([ChurnEvent.remove(6, 1), empty]))
         # An offender that never fires offends nobody.
         churned(HAND_INITIAL, ChurnPlan([ChurnEvent.add(13, Profile([])),
                                      ChurnEvent.remove(40, 9)]))

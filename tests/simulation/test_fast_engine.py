@@ -31,16 +31,13 @@ from repro.online import (
     SEDFPolicy,
     make_policy,
 )
-from repro.runtime import MonitoringProxy, OriginServer
 from repro.simulation import (
     ChurnEvent,
     ChurnPlan,
-    ProxySimulator,
     run_churned,
     run_online,
 )
 from repro.simulation.engine import FastProxySimulator
-from repro.traces import UpdateTrace
 
 from tests.conformance.cases import Case
 from tests.conformance.engines import check
@@ -103,8 +100,8 @@ class TestFastEngineBehaviour:
         profiles = _profiles([(0, 2, 4), (1, 12, 14)])
         fast = FastProxySimulator(profiles, Epoch(10), BudgetVector(1),
                                   SEDFPolicy()).run()
-        reference = ProxySimulator(profiles, Epoch(10), BudgetVector(1),
-                                   SEDFPolicy()).run()
+        reference = run_online(profiles, Epoch(10), BudgetVector(1),
+                               SEDFPolicy(), engine="reference")
         assert fast.report == reference.report
         assert list(fast.schedule.probes()) == \
             list(reference.schedule.probes())
@@ -133,11 +130,10 @@ class TestFastEngineBehaviour:
                        ExecutionInterval(2, 5, 9)], need=1),
             TInterval([ExecutionInterval(0, 3, 7),
                        ExecutionInterval(2, 4, 8)])])])
-        runs = []
-        for cls in (ProxySimulator, FastProxySimulator):
-            runs.append(cls(profiles, Epoch(12), BudgetVector(1),
-                            make_policy("Q-MRSF")).run())
-        reference, fast = runs
+        reference = run_online(profiles, Epoch(12), BudgetVector(1),
+                               make_policy("Q-MRSF"), engine="reference")
+        fast = FastProxySimulator(profiles, Epoch(12), BudgetVector(1),
+                                  make_policy("Q-MRSF")).run()
         assert list(fast.schedule.probes()) == \
             list(reference.schedule.probes())
         assert fast.report == reference.report
@@ -208,17 +204,13 @@ _INITIAL = ProfileSet([_profile([(2, 2, 8)], [(1, 6, 9), (3, 10, 11)])])
 
 
 class TestLiveRegistration:
-    def test_empty_profile_rejected_like_the_proxies(self):
+    def test_empty_profile_still_rejected(self):
+        # The event engine keeps the refusal the proxies dropped (they
+        # give an empty profile the next id).
         sim = _engine_at(2, MRSFPolicy())
         with pytest.raises(ModelError,
                            match="cannot register an empty profile"):
             sim.add_profile(Profile([]))
-        epoch = Epoch(12)
-        proxy = MonitoringProxy(OriginServer(UpdateTrace([], epoch)),
-                                epoch, BudgetVector(1), MRSFPolicy())
-        with pytest.raises(ModelError,
-                           match="cannot register an empty profile"):
-            proxy.register_profile(proxy.register_client(), Profile([]))
         # The rejected profile consumed no id.
         assert sim.add_profile(_profile([(0, 5, 6)])) == 0
 

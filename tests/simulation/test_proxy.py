@@ -1,4 +1,4 @@
-"""Tests for the online proxy simulator."""
+"""Tests for the online run over a fixed profile set."""
 
 import pytest
 
@@ -12,7 +12,7 @@ from repro.core import (
     evaluate_schedule,
 )
 from repro.online import MEDFPolicy, MRSFPolicy, SEDFPolicy
-from repro.simulation import ProxySimulator, run_online
+from repro.simulation import run_online
 
 
 def _profiles(*etas: list[tuple[int, int, int]]) -> ProfileSet:
@@ -196,9 +196,9 @@ class TestRuntimeBookkeeping:
         assert result.runtime_seconds >= 0.0
 
     def test_label_includes_preemption(self, arbitrage_profiles):
-        result = ProxySimulator(arbitrage_profiles, Epoch(20),
-                                BudgetVector(1), SEDFPolicy(),
-                                preemptive=False).run()
+        result = run_online(arbitrage_profiles, Epoch(20),
+                            BudgetVector(1), SEDFPolicy(),
+                            preemptive=False, engine="reference")
         assert result.label == "S-EDF(NP)"
 
     def test_summary_mentions_gc(self, arbitrage_profiles):

@@ -2,7 +2,7 @@
 request — and the same run either way.
 
 The default engine is the columnar kernel; what the columns cannot
-encode goes to the reference :class:`ProxySimulator` and an INFO record
+encode goes to the reference (the live proxy) and an INFO record
 on ``repro.simulation.proxy`` says why. Every registry policy, both
 preemption modes, one faulty instance: probe for probe, counter for
 counter.
@@ -12,13 +12,15 @@ import logging
 
 import pytest
 
+from repro.core import BudgetVector, Epoch, Profile, ProfileSet
 from repro.experiments import make_instance
 from repro.faults import CircuitBreaker, FaultSpec, RetryConfig
+from repro.online import Policy
 from repro.online.registry import available_policies, parse_policy_spec
-from repro.simulation import ProxySimulator, run_block, run_online
+from repro.simulation import run_block, run_online
 from repro.simulation.batch import FaultLane
 
-from tests.conformance.cases import ONLINE_2108, PINNED
+from tests.conformance.cases import ONLINE_2108, PINNED, hand_profile
 from tests.conformance.engines import assert_agree, check, observe
 
 _CONFIG = ONLINE_2108
@@ -107,10 +109,10 @@ def test_a_warm_breaker_lowers(spec, faults):
                 [(policy, preemptive, _CONFIG.budget_vector, 0,
                   FaultLane(faults, retry, breaker))])
         else:
-            result = ProxySimulator(
+            result = run_online(
                 profiles, _CONFIG.epoch, _CONFIG.budget_vector, policy,
                 preemptive=preemptive, faults=faults, retry=retry,
-                breaker=breaker).run()
+                breaker=breaker, engine="reference")
         seen.append(observe(result, faults, breaker))
     block, reference = seen
     assert_agree(block, reference)
@@ -123,3 +125,30 @@ def test_a_warm_breaker_lowers(spec, faults):
                       breaker=CircuitBreaker(failure_threshold=2,
                                              cooldown=3))
     assert list(cold.schedule.probes()) != block["probes"]
+
+
+class IdRecorder(Policy):
+    """Earliest deadline first, recording the profile id of every
+    candidate it scores."""
+
+    name = "id-recorder"
+
+    def __init__(self) -> None:
+        self.seen: set[int] = set()
+
+    def score(self, candidate, chronon):
+        self.seen.add(candidate.state.eta.profile_id)
+        return candidate.ei.finish - chronon
+
+
+def test_the_reference_keeps_the_ids_of_an_empty_profiles_set():
+    """An empty profile is registered like any other, so the profiles
+    after it keep their ids — a policy keying on ``profile_id`` (RANDOM)
+    and the per-profile report see the set as it was given."""
+    profiles = ProfileSet([Profile([]), hand_profile([(0, 1, 3)]),
+                           hand_profile([(1, 2, 4)])])
+    policy = IdRecorder()
+    result = run_online(profiles, Epoch(6), BudgetVector(1), policy,
+                        engine="reference")
+    assert policy.seen == {1, 2}
+    assert result.report.per_profile == {0: (0, 0), 1: (1, 1), 2: (1, 1)}
