@@ -22,12 +22,10 @@ Traces:     :class:`UpdateTrace`, :class:`PoissonUpdateModel`,
             :class:`FeedTraceSynthesizer`, :class:`StockMarketSynthesizer`.
 """
 
-# numpy loads these two submodules on first attribute access (~0.09 s
-# together; ``np.unique`` reaches ``numpy.ma``). Load them with the
-# package — as the scipy import did until the offline solvers began
-# importing scipy on first use — so the first generated instance or
-# lowering does not pay for them inside a timed run.
-import numpy.ma  # noqa: F401
+# numpy loads ``numpy.random`` on first attribute access. Load it with
+# the package — as the scipy import did until the offline solvers began
+# importing scipy on first use — so the first generated instance does
+# not pay for it inside a timed run.
 import numpy.random  # noqa: F401
 
 from repro._lazy import export_table

@@ -221,8 +221,10 @@ def _workload(config: ChurnConfig):
     columns = AuctionWatchTemplate(
         WindowRestriction(config.window), grouping="overlap").build_columns(
             *map(np.concatenate, zip(*draws)), labels, trace, epoch)
-    # A profile without t-intervals owns no row and nobody registers
-    # it: dropping every such profile only renumbers the others.
+    # A profile without t-intervals owns no row. The live proxies and
+    # lower_plan would register one under the next id, with nothing to
+    # monitor; the scenario leaves them out, which only renumbers the
+    # others (and keeps the profile ids every recorded run keys on).
     kept = np.bincount(columns.ei_profile, minlength=len(labels)) > 0
     sizes = kept.reshape(len(names), config.profiles_per_client).sum(axis=1)
     columns = columns._replace(

@@ -252,7 +252,7 @@ def run_block(
     built = col.windows_built
     if not L:
         return []
-    state = _advance(col, lane_objs)
+    state = _advance(col, lane_objs, keep=columnar is not None)
     elapsed = time.perf_counter() - started
     return _finalize(col, lane_objs, *state, elapsed / L,
                      col.windows_built - built)
@@ -586,29 +586,30 @@ def _expire(col: ColumnarInstance, lo: int, hi: int, glo: int, ghi: int,
 
 def _candidate_keys(hi: np.ndarray, key_rows: dict[ScoreKey, np.ndarray],
                     col: ColumnarInstance, win: ActivityWindow,
-                    alo: int, ahi: int, T: int, n_cand: np.ndarray,
-                    cap_count: np.ndarray, capsum: np.ndarray | None,
+                    alo: int, ahi: int, ps: np.ndarray, grp_of: np.ndarray,
+                    T: int, n_cand: np.ndarray, cap_count: np.ndarray,
+                    capsum: np.ndarray | None,
                     started: np.ndarray | None) -> None:
     """Score: fill ``hi`` (lanes x the chronon's activity entries
-    ``[alo, ahi)`` of ``win``) with each lane's candidate keys — (score,
-    finish, start) in the one packed layout, pool fields zero. The
-    score is the lane's row at chronon ``T``: the window's static column
-    of it, less ``T`` per ``started`` sibling (the states' count of
-    opened EIs, the same on every lane), plus the terms that read the
-    run — the lane's capture counts and captured-deadline sums, and
-    ``n_cand``, its candidates per pool — each only where the row
-    weighs it."""
+    ``[alo, ahi)`` of ``win``, whose states are ``ps`` and pools
+    ``grp_of``) with each lane's candidate keys — (score, finish, start)
+    in the one packed layout, pool fields zero. The score is the lane's
+    row at chronon ``T``: the window's key column of it, less ``T`` per
+    ``started`` sibling (the states' count of opened EIs, the same on
+    every lane), plus the terms that read the run — the lane's capture
+    counts and captured-deadline sums, and ``n_cand``, its candidates
+    per pool — each only where the row weighs it."""
     shift = col.score_shift
     for key, rows in key_rows.items():
         word = win.hi_static[key][alo:ahi]
         if key.deadlines:
             # An int64 factor: int32 counts times a Python int would
             # stay int32 and wrap.
-            word = word - started[win.ps_act[alo:ahi]] * np.int64(
+            word = word - started[ps] * np.int64(
                 (key.deadlines * T) << shift)
         if key.captured or key.deadlines:
             rc = rows[:, None]
-            pc = win.ps_act[None, alo:ahi]
+            pc = ps[None, :]
             # Per capture, a row gains ``captured`` and gives back the
             # ``-T`` its open sibling had in ``deadlines``.
             word = word + cap_count[rc, pc] * (
@@ -616,8 +617,7 @@ def _candidate_keys(hi: np.ndarray, key_rows: dict[ScoreKey, np.ndarray],
             if key.deadlines:
                 word -= capsum[rc, pc] * (key.deadlines << shift)
         if key.pool:
-            word = word + (n_cand[rows] * (key.pool << shift))[
-                :, win.grp_of[alo:ahi]]
+            word = word + (n_cand[rows] * (key.pool << shift))[:, grp_of]
         hi[rows] = word
 
 
@@ -699,9 +699,12 @@ def _capture(picks: np.ndarray, cand: np.ndarray, grp_of: np.ndarray,
     pending_flat[flat[cap_flat[flat] >= need[states]]] = False
 
 
-def _advance(col: ColumnarInstance, lane_objs: list[_Lane], settle=None):
+def _advance(col: ColumnarInstance, lane_objs: list[_Lane], settle=None,
+             keep: bool = False):
     """Run every lane over ``col``'s windows; -> ``(probe columns, capture
     counts, alive flags, fault stats)``, one entry (row) per lane each.
+    ``keep``: the caller handed ``col`` in, so it outlives the run and
+    keeps its activity index (:meth:`ColumnarInstance.windows`).
 
     An active chronon is a fixed run of phases: expire (:func:`_expire`)
     → activate (its entries, the candidates among them, each pool's
@@ -744,8 +747,8 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane], settle=None):
     key_rows = {key: np.array(rows) for key, rows in grouped.items()}
     # Non-preemptive rows weighing ``pool``: the only ones whose score
     # counts more candidates than their first pool holds.
-    pool_np_rows = np.intersect1d(
-        np.flatnonzero([ln.key.pool != 0 for ln in lane_objs]), np_rows)
+    pool_np_rows = np.flatnonzero([ln.key.pool != 0 and not ln.preemptive
+                                   for ln in lane_objs])
     # Captured-deadline sums, kept for every row, and each state's count
     # of opened EIs, the same for every row (flushed from the opening
     # CSR up to the chronon scored); read by the rows that weigh
@@ -788,7 +791,7 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane], settle=None):
     # All run state above is global; only the activity index arrives a
     # window at a time (offsets window-local, see ActivityWindow), with
     # the key columns of this block's score rows.
-    for win in col.windows(key_rows):
+    for win in col.windows(key_rows, keep):
         at0 = win.first_chronon
         act_chronons = win.act_chronons.tolist()
         act_indptr = win.act_indptr.tolist()
@@ -815,12 +818,15 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane], settle=None):
 
             alo = act_indptr[ti]
             ahi = act_indptr[ti + 1]
-            ae = win.act_e[alo:ahi]
-            ps = win.ps_act[alo:ahi]
+            # The index is int32; every gather below indexes with these,
+            # widened once (an int32 index costs each gather a cast).
+            ae = win.act_e[alo:ahi].astype(np.intp)
+            ps = win.ps_act[alo:ahi].astype(np.intp)
             glo = grp_indptr[ti]
             ghi = grp_indptr[ti + 1]
             gs_local = win.grp_starts[glo:ghi] - alo
             grids = win.grp_rid[glo:ghi]
+            grp_of = win.grp_of[alo:ahi]
 
             cand = alive[:, ae] & pending[:, ps]
             if not cand.any():
@@ -853,8 +859,8 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane], settle=None):
                           np.int32(1))
                 op_at = op_indptr[T + 1]
             hi = hi2d[:, :ahi - alo]
-            _candidate_keys(hi, key_rows, col, win, alo, ahi, T, n_cand,
-                            cap_count, capsum, started)
+            _candidate_keys(hi, key_rows, col, win, alo, ahi, ps, grp_of,
+                            T, n_cand, cap_count, capsum, started)
             blocked = plane.blocked(grids, T) if plane is not None else None
             pr_rows, pr_gs, pr_pos = _take_smallest(
                 _pool_keys(col, pool, pool_n, hi, gs_local, grids, blocked),
@@ -907,7 +913,7 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane], settle=None):
             log_lanes.append(pr_rows)
             log_rids.append(rids)
             log_T.append(T)
-            _capture(picks, cand, win.grp_of[alo:ahi], ae, ps, alive,
+            _capture(picks, cand, grp_of, ae, ps, alive,
                      committed, cap_flat, capsum_flat, col.ei_finish,
                      pending_flat, col.st_need)
 
@@ -915,7 +921,7 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane], settle=None):
         # when the loop asks for it, so let go of this one first — its
         # columns and the last chronon's views into them.
         del win
-        ae = ps = grids = None
+        ae = ps = grids = grp_of = None
 
     stats = [(0, 0, 0)] * L
     if plane is not None:

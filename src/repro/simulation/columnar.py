@@ -27,11 +27,13 @@ reference simulator's tie-break order *positionally*:
   of one resource form the *groups* — the per-resource candidate pools
   — described by a second CSR (``grp_*``), so per-resource aggregation
   is a ``reduceat``.
-  Deciding chronon ``T`` reads only the entries of ``T``, so the index
-  is never held whole: the lowering keeps its *shape* (read off one
-  occupancy grid) and :meth:`ColumnarInstance.windows` builds the
-  entries one :class:`ActivityWindow` at a time — memory follows the
-  window, not the epoch.
+  Deciding chronon ``T`` reads only the entries of ``T``, so a run
+  never needs the index whole: the lowering keeps its *shape* (read off
+  one occupancy grid) and :meth:`ColumnarInstance.windows` hands the
+  entries out one :class:`ActivityWindow` at a time. The entry order
+  is the same for every policy, so a lowering its caller keeps for
+  several runs keeps that order too (8 B per entry) and builds it once;
+  each run builds only its own key columns, a window at a time.
 * **Expiry events** are one more CSR: EIs bucketed by the chronon after
   their deadline (``xe_*``, drives doom tracking).
 
@@ -76,13 +78,14 @@ _MAX_KEY_BITS = 62
 #: Most activity entries one window holds (a single chronon above it is
 #: a window of its own). A constant, never an argument. A run holds one
 #: window and builds one, so the cap is what a streamed run costs above
-#: its O(EIs) columns. Per entry, by the block's score rows (traced,
-#: live-churn contract windows, before M-EDF's row became one key column
-#: — 8 B less): one row such as MRSF or S-EDF 33 B held / 46 B at the
-#: build's peak, M-EDF 49 / 61 B, all eight policies 89 / 101 B.
-#: Measured end to end (benchmarks/e2e, contract scale) at 2**16 ->
-#: 2**15 -> 2**14 with one window in flight, when every window held
-#: 57 B per entry: live-churn (186 k entries)
+#: its O(EIs) columns, and what a run on a kept index costs above the
+#: index's 8 B per entry: its per-run columns. Per entry, by the block's
+#: score rows (traced, live-churn contract windows of a kept index): one
+#: row 17 B held / 28 B at the build's peak, nine rows 81 / 97 B; a
+#: whole window, index included, held 33 B for one row and 89 B for
+#: eight before the index was kept. Measured end to end (benchmarks/e2e,
+#: contract scale) at 2**16 -> 2**15 -> 2**14 with one window in flight,
+#: when every window held 57 B per entry: live-churn (186 k entries)
 #: peak RSS 50.6-50.7 -> 47.2-47.3 -> 45.3 MB against 47.7 on the event
 #: engine, the bar this value was chosen to clear; catalog (821 k entries,
 #: 14 -> 30 windows) 67.0 -> 67.0 MB and wall 0.288-0.300 -> 0.297-0.323 s,
@@ -93,6 +96,11 @@ _MAX_KEY_BITS = 62
 #: 0.10-0.11 s of window building: smaller windows pay per-window fixed
 #: costs, larger ones fall out of cache and hold more.
 _WINDOW_ENTRIES = 1 << 15
+
+#: Entries a window's key columns are built in at a time (64 KiB of
+#: int64): below the allocator's fresh-mapping threshold, so a chunk's
+#: temporaries reuse the last chunk's memory.
+_KEY_CHUNK = 1 << 13
 
 #: Largest occupancy grid (chronons x resource ids) the lowering will
 #: allocate: 1 GiB of int64 cells. Ids sparser than that have no dense
@@ -205,34 +213,38 @@ class FaultDraws:
 
 
 class ActivityWindow:
-    """The activity index over one run of consecutive active chronons.
+    """One run's view of the activity index over a run of consecutive
+    active chronons.
 
-    Holds the per-entry columns the chronon loops read — the window's
-    entries sorted by (chronon, resource, EI index) — with window-local
-    offsets: ``act_indptr`` / ``grp_starts`` (+ ``grp_sizes``) index this
-    window's entries, ``grp_indptr`` / ``grp_of`` its groups. ``first_chronon``
-    and ``first_group`` place the window in the lowering's numbering of
-    active chronons and groups, which per-run budget columns and the
-    fault plane (draws, outage columns) are indexed by. Groups never
-    span windows (a group is one chronon's pool); EIs do — an EI whose
-    window crosses a cut has entries on both sides.
+    Two parts. The *index* is the entry order no policy changes: the
+    window's entries sorted by (chronon, resource, EI index), as their
+    EIs ``act_e`` and states ``ps_act`` (int32), and the group layout
+    read off the lowering's grid — window-local offsets ``act_indptr`` /
+    ``grp_starts`` (+ ``grp_sizes``) into the entries and ``grp_indptr``
+    into the groups. ``first_chronon`` and ``first_group`` place the
+    window in the lowering's numbering of active chronons and groups,
+    which per-run budget columns and the fault plane (draws, outage
+    columns) are indexed by. Groups never span windows (a group is one
+    chronon's pool); EIs do — an EI whose window crosses a cut has
+    entries on both sides.
 
-    Every window holds ``act_e``, ``ps_act`` and ``grp_of``, and one key
-    column per score row (:class:`~repro.online.base.ScoreKey`) of the
-    block that asked, ``keys``, and nothing else: ``hi_static[key]`` —
-    per entry, ``(score << score_shift) | finstart``, the score being
-    the row's per-EI terms (``deadlines`` among them as the state's
-    ``init_sum``) and its offset
+    The *per-run columns* are built here and leave with the window —
+    from the window's EIs when its index was sorted just now
+    (``sorted_from``), else straight from the entries: ``grp_of``, each
+    entry's group within its chronon, and one key column per score row
+    (:class:`~repro.online.base.ScoreKey`) of the block that asked,
+    ``hi_static[key]`` — per entry, ``(score << score_shift) |
+    finstart``, the score being the row's per-EI terms (``deadlines``
+    among them as the state's ``init_sum``) and its offset
     (:meth:`ColumnarInstance.score_offset`). The run adds the terms that
     read the chronon or the lane (``captured``, ``pool``, and the
     ``-T`` per started or captured sibling and the captured deadlines
     of ``deadlines``).
     """
 
-    def __init__(self, col: "ColumnarInstance", eis: np.ndarray,
-                 first: np.ndarray, until: np.ndarray,
-                 lo: int, hi: int, keys: frozenset) -> None:
-        self.keys = keys
+    def __init__(self, col: "ColumnarInstance", lo: int, hi: int,
+                 act_e: np.ndarray, ps_act: np.ndarray, keys,
+                 sorted_from: tuple | None = None) -> None:
         self.first_chronon = lo
         self.n_act = hi - lo
         self.act_chronons = col.act_chronons[lo:hi]
@@ -244,71 +256,56 @@ class ActivityWindow:
         self.grp_rid = col.grp_rid[g0:g1]
         self.grp_indptr = col.grp_indptr[lo:hi + 1] - g0
         self.grp_starts = np.cumsum(sizes) - sizes
-        total = int(sizes.sum())
         self.act_indptr = np.append(self.grp_starts,
-                                    total)[self.grp_indptr]
+                                    act_e.size)[self.grp_indptr]
+        self.act_e = act_e
+        self.ps_act = ps_act
         # Local (within-chronon) group index of each activity entry.
         self.grp_of = np.repeat(
             np.arange(g1 - g0, dtype=np.int64)
             - np.repeat(self.grp_indptr[:-1], np.diff(self.grp_indptr)),
             sizes)
 
-        # Entries EI-major first: EI e contributes the chronons of its
-        # visibility window ``[first, until]`` that fall inside this
-        # window's. Per-EI columns are gathered once, window-sized;
-        # everything per entry indexes those, not the lowering's E-sized
-        # arrays. The gathers widen the int32 columns: int32 shifted or
-        # scaled by a Python int stays int32 and would wrap, and
-        # ``state`` indexes every chronon.
-        t0, t1 = int(self.act_chronons[0]), int(self.act_chronons[-1])
-        start = col.ei_start[eis].astype(np.int64)
-        fin = col.ei_finish[eis].astype(np.int64)
-        state = col.ei_state[eis].astype(np.intp)
-        first = np.maximum(first, t0)
-        width = np.minimum(until, t1) - first + 1
-
-        # Chronon-major, then resource, then EI index (the tie-break):
-        # one int64 word per entry, ``(chronon - t0, resource, position
-        # in eis)`` high to low, is distinct per entry, so one sort of
-        # the words orders all three and their low bits are then ``at``,
-        # the position in ``eis`` of each entry's EI. Per EI the words
-        # are an offset plus a ramp of one chronon per entry. The words
-        # fit 63 bits (chronons x resources < 2**27, the grid's bound);
-        # offset and ramp are int64 arithmetic modulo 2**64, so their
-        # sum is exact even where one of them wraps.
-        R = col.rid_space
-        b = int(eis.size).bit_length()
-        step = R << b
-        offset = ((first - t0) * R + col.ei_res[eis]).astype(np.int64)
-        offset <<= b
-        offset += np.arange(eis.size, dtype=np.int64)
-        offset -= (np.cumsum(width) - width) * step
-        at = np.repeat(offset, width)
-        del offset
-        at += np.arange(0, total * step, step, dtype=np.int64)
-        at.sort()
-        at &= (1 << b) - 1
-
-        # Key columns, aligned with the entries: per row, one gather of
-        # a per-EI word.
-        self.act_e = eis[at]
-        self.ps_act = state[at]
-        finstart = (fin << col.finish_shift) | (start << col.start_shift)
-        features = [("finish", fin), ("start", start)]
-        for feature, column in (("rank", col.st_rank), ("need", col.st_need),
-                                ("deadlines", col.init_sum)):
-            if any(getattr(key, feature) for key in keys):
-                features.append(
-                    (feature, column[state].astype(np.int64, copy=False)))
         self.hi_static = {}
-        for key in keys:
-            score = np.full(eis.size, col.score_offset(key), dtype=np.int64)
-            for feature, column in features:
-                weight = getattr(key, feature)
-                if weight:
-                    score += weight * column
-            self.hi_static[key] = ((score << col.score_shift)
-                                   | finstart)[at]
+        if not keys:
+            return
+        reads = [(feature, column) for feature, column in (
+            ("rank", col.st_rank), ("need", col.st_need),
+            ("deadlines", col.init_sum))
+            if any(getattr(key, feature) for key in keys)]
+
+        def features(eis: np.ndarray, states: np.ndarray) -> dict:
+            gathered = {"finish": col.ei_finish[eis],
+                        "start": col.ei_start[eis]}
+            gathered.update((feature, column[states])
+                            for feature, column in reads)
+            return gathered
+
+        if sorted_from is not None:
+            # The index was sorted just now from the window's EIs
+            # ``eis``, ``at`` each entry's position among them: pack one
+            # word per EI and gather the words to the entries.
+            eis, at = sorted_from
+            per_ei = features(eis, col.ei_state[eis])
+            for key in keys:
+                word = np.empty(eis.size, dtype=np.int64)
+                col.pack_key(key, per_ei, word)
+                self.hi_static[key] = word[at]
+            return
+        # A kept index: straight from the entries, a chunk at a time.
+        # The chunk's temporaries (its entries widened to intp — an
+        # int32 index would cost each gather a cast of its own — and
+        # their gathers) are small enough for the allocator to hand the
+        # same memory back chunk after chunk, so the key columns are the
+        # only new memory the build touches.
+        self.hi_static = {key: np.empty(act_e.size, dtype=np.int64)
+                          for key in keys}
+        for i in range(0, act_e.size, _KEY_CHUNK):
+            chunk = slice(i, i + _KEY_CHUNK)
+            per_entry = features(act_e[chunk].astype(np.intp),
+                                 ps_act[chunk].astype(np.intp))
+            for key, word in self.hi_static.items():
+                col.pack_key(key, per_entry, word[chunk])
 
 
 class ColumnarInstance:
@@ -324,7 +321,9 @@ class ColumnarInstance:
 
     What it holds is O(EIs + states + groups): the state and EI
     columns, the expiry CSR, the packed-key layout and the *shape* of
-    the activity index, whose entries :meth:`windows` hands out.
+    the activity index, whose entries :meth:`windows` hands out — and,
+    once a run it was handed to has built them, the entries' order
+    itself, 8 B per entry.
 
     ``visible_from`` / ``gone_from`` give each t-interval (one entry
     each, in the set's creation order) a lifetime: it was registered
@@ -430,6 +429,8 @@ class ColumnarInstance:
         self.st_size = size[order].astype(narrow)
         self.st_need = columns.ei_need[ptr][order]
         self.st_tid = columns.ei_tinterval[ptr][order]
+        heads = ptr[order]
+        del arrival, visible_from, gone_from, rank, size, ptr, order
 
         # ------------------------------------------------------------------
         # EIs state-major, within a state in ei_id order: a gather of the
@@ -438,8 +439,17 @@ class ColumnarInstance:
         ei_ptr = np.cumsum(self.st_size) - self.st_size
         self._ei_ptr = ei_ptr.astype(narrow)
         self.ei_state = np.repeat(np.arange(S, dtype=narrow), self.st_size)
-        gather = np.arange(self.E, dtype=np.int64) + np.repeat(
-            ptr[order] - ei_ptr, self.st_size)
+        # The gather: each state's run of rows counts up from its head,
+        # so it is the running sum, in place, of a column of ones with,
+        # at each state's first EI, the jump from the previous state's
+        # last row to this state's head. intp, not int32: an int32 index
+        # would cost each of the three gathers a cast of its own.
+        gather = np.ones(self.E, dtype=np.intp)
+        if S:
+            heads[1:] -= heads[:-1] + self.st_size[:-1] - 1
+            gather[ei_ptr] = heads
+        del heads
+        np.cumsum(gather, out=gather)
         self.ei_res = res[gather]
         self.ei_start = start[gather]
         self.ei_finish = columns.ei_finish[gather]
@@ -463,10 +473,13 @@ class ColumnarInstance:
     @property
     def nbytes(self) -> int:
         """Bytes of the NumPy arrays this lowering holds itself — its
-        columns, CSRs and the caches built so far; activity windows are
-        the runs' and are not counted."""
+        columns, CSRs, the caches built so far and the activity index
+        once a run kept it; the per-run window columns are the runs' and
+        are not counted."""
         return sum(value.nbytes for value in vars(self).values()
-                   if isinstance(value, np.ndarray))
+                   if isinstance(value, np.ndarray)) + sum(
+            act_e.nbytes + ps_act.nbytes
+            for _lo, _hi, act_e, ps_act in self._index or ())
 
     def visibility(self, eis=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """``(first, until)``: the chronons over which each of ``eis``
@@ -548,50 +561,102 @@ class ColumnarInstance:
             starts, self.act_chronons[np.array(bounds[1:], dtype=np.int64)
                                       - 1], side="right")
         self._cuts = list(zip(bounds, bounds[1:], reach.tolist()))
-        self._window: ActivityWindow | None = None
+        #: Each cut's ``(lo, hi, act_e, ps_act)``, once a run kept them.
+        self._index: list[tuple] | None = None
 
-    def windows(self, keys=()):
+    def windows(self, keys=(), keep: bool = False):
         """Yield the activity index, one :class:`ActivityWindow` at a time,
         with the key columns the lanes' score rows ``keys`` read.
 
-        A window's EIs are those still visible from the previous
-        window plus the next run of the start-sorted order — never a
-        scan of all EIs per window. An index that fits one window keeps
-        it with the rows it was built for, so every run on a small
-        lowering reads the same arrays; a run that asks for another row
-        rebuilds it for the union. A larger index builds each window
-        when its chronons are due and keeps no reference. A consumer
-        that drops its own references before asking for the next window
-        (as the chronon loops do) therefore holds one window at a time —
-        never two, never the epoch.
+        ``keep`` says whether the lowering outlives the run —
+        :func:`~repro.simulation.batch.run_block` and
+        :func:`~repro.simulation.shard.federated_run` pass whether their
+        caller handed it in. Such a lowering holds the index (each
+        window's ``act_e`` and ``ps_act``, 8 B per entry) once a run has
+        built all of it, and every later run reads it; a lowering that
+        holds none builds each window's index when its chronons are due
+        and keeps no reference. The per-run columns are built for every
+        run, a window at a time. A consumer that drops its own
+        references before asking for the next window (as the chronon
+        loops do) therefore holds one window of per-run columns at a
+        time — never two, never the epoch — and, streaming, one window
+        of index.
         """
-        keys = frozenset(keys)
-        if self._window is not None:
-            if keys <= self._window.keys:
-                yield self._window
-                return
-            keys |= self._window.keys
-            self._window = None
-        eis = until = np.zeros(0, dtype=np.int64)
-        at = 0
+        keys = tuple(dict.fromkeys(keys))
+        if self._index is not None:
+            for lo, hi, act_e, ps_act in self._index:
+                began = time.perf_counter()
+                window = ActivityWindow(self, lo, hi, act_e, ps_act, keys)
+                self.window_seconds += time.perf_counter() - began
+                yield window
+                # One window in flight: the consumer has let go of this
+                # one by now, so must the generator before it builds the
+                # next.
+                del window
+            return
+        # A window's EIs are those still visible from the previous
+        # window plus the next run of the start-sorted order — never a
+        # scan of all EIs per window.
+        held = [] if keep else None
+        eis = until = np.zeros(0, dtype=np.int32)
+        taken = 0
         for lo, hi, upto in self._cuts:
             began = time.perf_counter()
             # No chronon between two windows is active, so an EI still
             # visible after the previous window reaches into this one.
             eis = np.sort(np.concatenate((
                 eis[until >= self.act_chronons[lo]],
-                self._by_start[at:upto])))
-            at = upto
+                self._by_start[taken:upto])))
+            taken = upto
             first, until = self.visibility(eis)
-            window = ActivityWindow(self, eis, first, until, lo, hi, keys)
+            at = self._entry_order(eis, first, until, lo, hi)
+            act_e, ps_act = eis[at], self.ei_state[eis][at]
             self.windows_built += 1
+            if held is not None:
+                held.append((lo, hi, act_e, ps_act))
+            window = ActivityWindow(self, lo, hi, act_e, ps_act, keys,
+                                    (eis, at))
             self.window_seconds += time.perf_counter() - began
-            if len(self._cuts) == 1:
-                self._window = window
+            del first, at, act_e, ps_act
             yield window
-            # One window in flight: the consumer has let go of this one
-            # by now, so must the generator before it builds the next.
             del window
+        if held is not None:
+            self._index = held
+
+    def _entry_order(self, eis: np.ndarray, first: np.ndarray,
+                     until: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The entries of active chronons ``[lo, hi)``, sorted by
+        (chronon, resource, EI index), as each entry's position in
+        ``eis``.
+
+        EI ``eis[i]`` (ascending) contributes the chronons of its
+        visibility window ``[first[i], until[i]]`` that fall inside the
+        window's. One int64 word per entry, ``(chronon - t0, resource,
+        position in eis)`` high to low, is distinct per entry, so one
+        sort of the words orders all three and their low bits are then
+        the position in ``eis`` of each entry's EI. Per EI the words are
+        an offset plus a ramp of one chronon per entry. The words fit 63
+        bits (chronons x resources < 2**27, the grid's bound); offset
+        and ramp are int64 arithmetic modulo 2**64, so their sum is
+        exact even where one of them wraps."""
+        t0 = int(self.act_chronons[lo])
+        t1 = int(self.act_chronons[hi - 1])
+        first = np.maximum(first, t0)
+        width = np.minimum(until, t1) - first + 1
+        total = int(width.sum())
+        R = self.rid_space
+        b = int(eis.size).bit_length()
+        step = R << b
+        offset = ((first - t0) * R + self.ei_res[eis]).astype(np.int64)
+        offset <<= b
+        offset += np.arange(eis.size, dtype=np.int64)
+        offset -= (np.cumsum(width) - width) * step
+        at = np.repeat(offset, width)
+        del offset
+        at += np.arange(0, total * step, step, dtype=np.int64)
+        at.sort()
+        at &= (1 << b) - 1
+        return at
 
     # ------------------------------------------------------------------
     # Event CSRs (window openings and expiries)
@@ -716,6 +781,30 @@ class ColumnarInstance:
                 f"score row {key} spans {hi - lo} scores on this instance, "
                 f"beyond the {self.score_bits}-bit score field")
         return -lo
+
+    def pack_key(self, key: ScoreKey, features: dict[str, np.ndarray],
+                 word: np.ndarray) -> None:
+        """Fill ``word`` (int64) with row ``key``'s candidate keys of the
+        entries whose per-entry ``features`` (int32; ``finish`` and
+        ``start`` always among them) are given: the row's score over
+        the features it weighs, plus its offset, with the finish and
+        start fields below it — ``((score << finish_bits | finish) <<
+        (n_bits + start_bits) | start) << rid_bits``, the packed word
+        with the pool-size and resource-id fields zero. Summed and
+        shifted in ``word``'s int64: int32 shifted or scaled by a Python
+        int stays int32 and would wrap."""
+        word[:] = self.score_offset(key)
+        for feature, values in features.items():
+            weight = getattr(key, feature)
+            if weight == 1:
+                word += values
+            elif weight:
+                word += np.multiply(values, weight, dtype=np.int64)
+        word <<= self.score_shift - self.finish_shift
+        word |= features["finish"]
+        word <<= self.finish_shift - self.start_shift
+        word |= features["start"]
+        word <<= self.start_shift
 
     def resource_key(self, best: np.ndarray, pool_n: np.ndarray,
                      grp_rid: np.ndarray) -> np.ndarray:

@@ -128,11 +128,11 @@ def federated_run(profiles: ProfileSet, epoch: Epoch,
                      np.bincount(owner[rids], minlength=K).tolist())
 
     built, window_seconds = col.windows_built, col.window_seconds
-    state = _advance(col, lanes, settle)
+    state = _advance(col, lanes, settle, keep=columnar is not None)
     (result,) = _finalize(col, lanes, *state, time.perf_counter() - started,
                           col.windows_built - built)
-    owned = np.bincount(owner[np.unique(col.grp_rid)],
-                        minlength=K).tolist()
+    probed = np.bincount(col.grp_rid, minlength=col.rid_space) > 0
+    owned = np.bincount(owner[probed], minlength=K).tolist()
     return FederatedResult(
         result=result, shards=K, loads=tuple(coord.loads(resources=owned)),
         stolen_budget=coord.ledger.transferred_units,

@@ -236,7 +236,11 @@ class UpdateTrace:
     def resource_ids(self) -> list[int]:
         """Resources that have at least one event, ascending."""
         if self._by_resource is None:
-            return np.unique(self._arrays[0]).tolist()
+            rids = np.sort(self._arrays[0])
+            keep = np.empty(rids.size, dtype=bool)
+            keep[:1] = True
+            np.not_equal(rids[1:], rids[:-1], out=keep[1:])
+            return rids[keep].tolist()
         return sorted(self._by_resource)
 
     def events_for(self, resource_id: int) -> tuple[UpdateEvent, ...]:

@@ -123,7 +123,7 @@ class PoissonUpdateModel:
         bit-generator state is rewound once and advanced by the draws
         the process used, so a second call continues where the one
         resource at a time process would. The chronons of all resources
-        collapse in one ``np.unique(np.ceil(...))``.
+        collapse in one sort of ``np.ceil(...)``.
         """
         horizon = float(epoch.length)
         bit_generator = self._rng.bit_generator
@@ -184,14 +184,19 @@ class PoissonUpdateModel:
         if not arrival_slices:
             return UpdateTrace([], epoch)
         # One global dedup pass: encode (resource, chronon) pairs into a
-        # single integer key so np.unique collapses same-chronon hits for
-        # every resource at once.
+        # single integer key, sort, and keep the first of each run — every
+        # resource's same-chronon hits collapse at once.
         chronons = np.maximum(
             np.ceil(np.concatenate(arrival_slices)), 1.0).astype(np.int64)
         resources = np.repeat(np.asarray(active_resources, dtype=np.int64),
                               np.asarray(counts, dtype=np.int64))
         stride = epoch.length + 1
-        keys = np.unique(resources * stride + chronons)
+        keys = resources * stride + chronons
+        keys.sort()
+        keep = np.empty(keys.size, dtype=bool)
+        keep[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        keys = keys[keep]
         return UpdateTrace.from_columns(keys % stride, keys // stride, epoch)
 
 

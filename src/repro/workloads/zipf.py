@@ -113,10 +113,10 @@ class BoundedZipf:
             weights[found[0:n_uniq]] = 0
             cdf = np.cumsum(weights)
             cdf /= cdf[-1]
-            new = cdf.searchsorted(draws, side="right")
-            _, unique_indices = np.unique(new, return_index=True)
-            unique_indices.sort()
-            new = new.take(unique_indices)
+            # Each value's first draw, in draw order.
+            new = np.array(list(dict.fromkeys(
+                cdf.searchsorted(draws, side="right").tolist())),
+                dtype=np.int64)
             found[n_uniq:n_uniq + new.size] = new
             n_uniq += new.size
         return [int(value) + 1 for value in found]

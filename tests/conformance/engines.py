@@ -118,6 +118,21 @@ def assert_same_run(left, right) -> None:
     assert_agree(observe(left), observe(right))
 
 
+def gc_map(outcome) -> dict:
+    """A sweep point's GC values per policy label."""
+    return {label: po.gc_values for label, po in outcome.outcomes.items()}
+
+
+def assert_same_gc(sweep, result, **kwargs) -> None:
+    """``result`` — ``sweep(**kwargs)`` on the default engine — has the
+    GC values of ``sweep(engine=..., **kwargs)`` on the solo and the
+    reference engines, at every point."""
+    for engine in ("solo", "reference"):
+        other = sweep(engine=engine, **kwargs)
+        for run, other_run in zip(result.runs, other.runs):
+            assert gc_map(run) == gc_map(other_run)
+
+
 def assert_accounting(federated) -> None:
     """The federation's ledger identities, faulty or not: routed
     decisions partition the spend (a retry re-attempts a routed

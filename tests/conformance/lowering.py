@@ -35,12 +35,13 @@ def _row_range(key: ScoreKey, ranges) -> tuple[int, int]:
 
 
 #: The lowering's int32 columns (docs/ALGORITHMS.md §13, "Column
-#: widths"); its visibility windows are int32 too, every other array is
-#: int64. The oracle computes in int64 and narrows these last.
+#: widths") and its index's entry columns; its visibility windows are
+#: int32 too, every other array is int64. The oracle computes in int64
+#: and narrows these last.
 NARROW = ("st_arrival", "st_visible", "st_gone", "st_rank", "st_profile",
           "st_size", "st_need", "st_tid", "ei_state", "ei_res", "ei_start",
           "ei_finish", "init_sum", "op_state", "op_indptr", "xe_e",
-          "xg_starts", "xg_state", "grp_rid")
+          "xg_starts", "xg_state", "grp_rid", "act_e", "ps_act")
 
 
 def oracle(profiles, epoch, visible_from=None,
@@ -277,6 +278,10 @@ _PER_GROUP = ("act_chronons", "grp_indptr", "grp_rid", "grp_sizes")
 _CAPS = (1, 7, columnar_module._WINDOW_ENTRIES)
 
 
+#: The index's entry columns, int32 whatever else a window holds.
+_INDEX = ("act_e", "ps_act")
+
+
 def stitched(col: ColumnarInstance, keys=tuple(ROWS.values())
              ) -> SimpleNamespace:
     """``col.windows(keys)`` concatenated into whole-epoch columns — the
@@ -291,13 +296,11 @@ def stitched(col: ColumnarInstance, keys=tuple(ROWS.values())
         assert win.first_chronon == chronons
         assert win.first_group == groups
         assert win.n_act == win.act_chronons.size > 0
-        # A kept window may hold what an earlier run asked for too.
-        assert set(keys) <= win.keys
         # The same columns whatever the rows, and one key column each.
         held = {name for name, value in vars(win).items()
                 if isinstance(value, np.ndarray)}
         assert held == set(_LAYOUT + _PER_GROUP)
-        assert set(win.hi_static) == win.keys
+        assert set(win.hi_static) == set(keys)
         for name in parts:
             column = getattr(win, name)
             if name in ("act_indptr", "grp_indptr"):
@@ -317,7 +320,8 @@ def stitched(col: ColumnarInstance, keys=tuple(ROWS.values())
     for name, columns in parts.items():
         # A window column is as wide as the lowering's of that name.
         like = getattr(col, name, None)
-        empty = np.zeros(0, dtype=np.int64 if like is None else like.dtype)
+        empty = np.zeros(0, dtype=np.int32 if name in _INDEX else
+                         np.int64 if like is None else like.dtype)
         setattr(w, name, np.concatenate([empty] + columns))
     w.hi_static = {key: np.concatenate([np.zeros(0, dtype=np.int64)]
                                        + columns)
@@ -387,13 +391,18 @@ def _assert_equals_oracle(got: ColumnarInstance, want: SimpleNamespace,
     assert got.lower_seconds > 0.0
     if whole.windows:
         assert got.window_seconds > 0.0
-    # One window is kept and handed out again; several are rebuilt.
-    again = list(got.windows())
+    # Streamed, every pass builds the index again; a pass that keeps it
+    # builds it once more, and every pass after that reads it — the
+    # same columns, for 8 bytes per entry held.
+    held = got.nbytes
+    again = list(got.windows(keep=True))
     assert len(again) == whole.windows
-    assert got.windows_built == whole.windows * (1 if len(again) == 1
-                                                 else 2)
+    assert got.windows_built == 2 * whole.windows
     for win in again:
         assert win.act_e.size <= max(cap, int(spans.max()))
+    assert got.nbytes - held == 8 * total
+    assert_same_columns(stitched(got), want, ROWS.values(), cap)
+    assert got.windows_built == 2 * whole.windows
 
 
 def assert_same_columns(whole: SimpleNamespace, want: SimpleNamespace,

@@ -40,6 +40,8 @@ from repro.simulation import batch as batch_module
 from repro.experiments import instances
 from repro.experiments.instances import InstanceCache, generation_key
 
+from tests.conformance.engines import assert_same_gc, gc_map
+
 _CONFIG = ExperimentConfig(
     epoch_length=20, num_resources=6, num_profiles=8, intensity=4.0,
     window=4, repetitions=3, grouping="overlap", seed=99)
@@ -49,15 +51,11 @@ _CONFIG = ExperimentConfig(
 _POLICIES = ("S-EDF(P)", "MRSF(P)", "RANDOM(NP)")
 
 
-def _gc_map(outcome):
-    return {label: po.gc_values for label, po in outcome.outcomes.items()}
-
-
 class TestBatchHarness:
     def test_run_setting_batch_matches_fast(self):
         fast = run_setting(_CONFIG, _POLICIES, engine="reference")
         batch = run_setting(_CONFIG, _POLICIES, engine="batch")
-        assert _gc_map(batch) == _gc_map(fast)
+        assert gc_map(batch) == gc_map(fast)
 
     def test_sweep_batch_matches_fast(self):
         fast = sweep("s", _CONFIG, "budget", [1, 2, 3], _POLICIES,
@@ -66,7 +64,7 @@ class TestBatchHarness:
                       engine="batch")
         assert batch.x_values == fast.x_values
         for fast_run, batch_run in zip(fast.runs, batch.runs):
-            assert _gc_map(batch_run) == _gc_map(fast_run)
+            assert gc_map(batch_run) == gc_map(fast_run)
 
     def test_sweep_batch_includes_offline(self):
         fast = sweep("s", _CONFIG, "budget", [1], _POLICIES,
@@ -74,7 +72,7 @@ class TestBatchHarness:
         batch = sweep("s", _CONFIG, "budget", [1], _POLICIES,
                       include_offline=True, engine="batch")
         for fast_run, batch_run in zip(fast.runs, batch.runs):
-            assert _gc_map(batch_run) == _gc_map(fast_run)
+            assert gc_map(batch_run) == gc_map(fast_run)
 
     def test_sweep_batch_worker_count_invariant(self):
         """Chunking groups cells by generated instance; any worker count
@@ -86,7 +84,7 @@ class TestBatchHarness:
                            engine="batch", workers=workers)
             assert pooled.x_values == serial.x_values
             for serial_run, pooled_run in zip(serial.runs, pooled.runs):
-                assert _gc_map(pooled_run) == _gc_map(serial_run)
+                assert gc_map(pooled_run) == gc_map(serial_run)
 
     def test_sweep_non_budget_axis_blocks_per_value(self):
         """Sweeping a generative field gives each value its own block —
@@ -96,7 +94,7 @@ class TestBatchHarness:
         batch = sweep("s", _CONFIG, "window", [3, 4], _POLICIES,
                       engine="batch")
         for fast_run, batch_run in zip(fast.runs, batch.runs):
-            assert _gc_map(batch_run) == _gc_map(fast_run)
+            assert gc_map(batch_run) == gc_map(fast_run)
 
 
 @pytest.fixture
@@ -134,19 +132,13 @@ class TestDefaultEngine:
     def _sweep(self, policies=DEFAULT_POLICIES, **kwargs):
         return sweep("s", _CONFIG, "budget", [1, 2, 3], policies, **kwargs)
 
-    def _assert_same_gc(self, result, **kwargs):
-        for engine in ("solo", "reference"):
-            other = self._sweep(engine=engine, **kwargs)
-            for run, other_run in zip(result.runs, other.runs):
-                assert _gc_map(run) == _gc_map(other_run)
-
     def test_sweep_is_served_by_blocks_alone(self, reference_runs):
         result = self._sweep()
         assert reference_runs == []
         assert result.engine == DEFAULT_ENGINE == "batch"
         assert all(run.shared_block for run in result.runs)
         assert result.fell_back == 0
-        self._assert_same_gc(result)
+        assert_same_gc(self._sweep, result)
         assert len(reference_runs) == (3 * _CONFIG.repetitions
                                   * len(DEFAULT_POLICIES))
 
@@ -159,12 +151,12 @@ class TestDefaultEngine:
         result = self._sweep(include_offline=True)
         assert reference_runs == []
         assert result.fell_back == 0
-        self._assert_same_gc(result, include_offline=True)
+        assert_same_gc(self._sweep, result, include_offline=True)
 
     def test_worker_pool(self):
         result = self._sweep(workers=2)
         assert (result.engine, result.fell_back) == ("batch", 0)
-        self._assert_same_gc(result, workers=2)
+        assert_same_gc(self._sweep, result, workers=2)
 
     def test_random_falls_back_per_run(self, reference_runs):
         policies = DEFAULT_POLICIES + ("RANDOM(P)",)
@@ -174,7 +166,7 @@ class TestDefaultEngine:
         fast = self._sweep(policies, engine="reference")
         assert fast.engine == "reference" and fast.fell_back == 0
         for run, fast_run in zip(result.runs, fast.runs):
-            assert _gc_map(run) == _gc_map(fast_run)
+            assert gc_map(run) == gc_map(fast_run)
 
     def test_fell_back_counts_runs_landing_on_the_reference(self):
         result = sweep("s", _CONFIG, "budget", [2],
@@ -185,7 +177,7 @@ class TestDefaultEngine:
                           ("MRSF(P)", "RANDOM", "S-EDF(NP)"),
                           engine="reference")
         assert (reference.fell_back, reference.blocks) == (0, 0)
-        assert _gc_map(result.runs[0]) == _gc_map(reference.runs[0])
+        assert gc_map(result.runs[0]) == gc_map(reference.runs[0])
 
     def test_runtime_reports_time_each_policy_alone(self, reference_runs,
                                                     solo_blocks):
@@ -250,7 +242,7 @@ class TestOneBlockPerInstance:
         fast = sweep("s", _CONFIG, "budget", budgets, engine="reference")
         assert (fast.blocks, fast.fell_back) == (0, result.fell_back)
         for run, fast_run in zip(result.runs, fast.runs):
-            assert _gc_map(run) == _gc_map(fast_run)
+            assert gc_map(run) == gc_map(fast_run)
 
     def test_fault_sweep(self, block_calls):
         config = _CONFIG.with_(budget=2)
@@ -262,7 +254,7 @@ class TestOneBlockPerInstance:
         fast = fault_sweep(config=config, rates=rates, engine="reference")
         assert (fast.blocks, fast.fell_back) == (0, result.fell_back)
         for run, fast_run in zip(result.runs, fast.runs):
-            assert _gc_map(run) == _gc_map(fast_run)
+            assert gc_map(run) == gc_map(fast_run)
         # Fault statistics lane by lane, against a reference run of its
         # own.
         failed = 0
@@ -351,7 +343,7 @@ class TestOneBlockPerInstance:
         serial = sweep("s", _CONFIG, "budget", [1, 2, 3, 4, 5])
         assert pooled.blocks == serial.blocks == 3
         for run, serial_run in zip(pooled.runs, serial.runs):
-            assert _gc_map(run) == _gc_map(serial_run)
+            assert gc_map(run) == gc_map(serial_run)
 
 
 @pytest.fixture
@@ -465,8 +457,8 @@ class TestOneExecutor:
                                    policies=tuple(self._FAULTY_GC),
                                    engine=engine)
         assert groups == [1] * (2 * _CONFIG.repetitions)
-        assert _gc_map(plain) == self._GC
-        assert _gc_map(faulty) == self._FAULTY_GC
+        assert gc_map(plain) == self._GC
+        assert gc_map(faulty) == self._FAULTY_GC
         assert (plain.fell_back, faulty.fell_back) == (0, 0)
         if engine == "solo":
             # One lane per block, each lowering its own instance.

@@ -427,12 +427,16 @@ class TestOneWindowInFlight:
     """While a loop runs a multi-window lowering it holds its run state
     and one window: when the next window's build starts, nothing of the
     previous one is alive — not through the loop variable, the loop's
-    per-window locals, the last chronon's views, or the generator."""
+    per-window locals, the last chronon's views, or the generators. A
+    lowering the run builds itself streams its index too; one its caller
+    hands in keeps the index, 8 bytes per entry, and every later run on
+    it builds only its per-run columns, still one window at a time."""
 
     CONFIG = ChurnConfig(epoch_length=160, num_resources=120, intensity=6.0,
                          num_clients=140, profiles_per_client=8, window=12,
                          budget=2, join_spread=0.9, leave_probability=0.5,
                          seed=31)
+    CAP = 12288
 
     def _block(self, lowered, col, epoch_):
         lanes = [parse_policy_spec(label) + (BudgetVector(2),)
@@ -444,32 +448,78 @@ class TestOneWindowInFlight:
         federated_run(lowered.profiles, epoch_, BudgetVector(2), policy,
                       preemptive=preemptive, shards=4, columnar=col)
 
-    @pytest.mark.parametrize("runner", ["_block", "_shards"])
-    def test_no_window_is_alive_when_the_next_is_built(self, runner):
-        workload = build_churn_workload(self.CONFIG)
-        lowered, col = _lowered(workload, 12288)
+    @staticmethod
+    def _sampled(run, streamed: bool) -> tuple[list[int], list[int]]:
+        """Traced bytes as each window's columns start to build, and each
+        window's bytes once built — the index's counted with them when
+        ``streamed`` (built for the window, not held by the lowering)."""
         held_before: list[int] = []
         window_bytes: list[int] = []
         build = ActivityWindow.__init__
 
-        def spy(self, *args):
-            held_before.append(tracemalloc.get_traced_memory()[0])
-            build(self, *args)
-            window_bytes.append(array_bytes(self) + sum(
-                column.nbytes for column in self.hi_static.values()))
+        def spy(self, col, lo, hi, act_e, ps_act, keys, sorted_from=None):
+            index = act_e.nbytes + ps_act.nbytes
+            # A window built with its index also has the sort's output.
+            fresh = index + sum(part.nbytes for part in sorted_from or ())
+            held_before.append(tracemalloc.get_traced_memory()[0]
+                               - (fresh if streamed else 0))
+            build(self, col, lo, hi, act_e, ps_act, keys, sorted_from)
+            window_bytes.append(
+                array_bytes(self) - (0 if streamed else index)
+                + sum(column.nbytes for column in self.hi_static.values()))
 
-        tracemalloc.start()
-        try:
-            with mock.patch.object(ActivityWindow, "__init__", spy):
-                getattr(self, runner)(lowered, col, workload[2])
-        finally:
-            tracemalloc.stop()
+        with mock.patch.object(ActivityWindow, "__init__", spy):
+            run()
+        return held_before, window_bytes
+
+    @staticmethod
+    def _one_in_flight(held_before, window_bytes) -> None:
         assert len(window_bytes) >= 4
-        assert min(window_bytes[:-1]) > 400_000
+        assert min(window_bytes[:-1]) > 200_000
         # Run state grows a little (probe log, a wider key buffer); a
         # window still held would show as at least its own bytes.
         for before, previous in zip(held_before[1:], window_bytes):
             assert before - held_before[0] < previous / 2
+
+    @pytest.mark.parametrize("runner", ["_block", "_shards"])
+    def test_no_window_is_alive_when_the_next_is_built(self, runner):
+        initial, plan, epoch_ = build_churn_workload(self.CONFIG)
+        lowered = lower_plan(initial, plan, epoch_)
+        tracemalloc.start()
+        try:
+            with mock.patch.object(columnar_module, "_WINDOW_ENTRIES",
+                                   self.CAP):
+                samples = self._sampled(lambda: getattr(self, runner)(
+                    lowered, None, epoch_), streamed=True)
+        finally:
+            tracemalloc.stop()
+        self._one_in_flight(*samples)
+
+    @pytest.mark.parametrize("runner", ["_block", "_shards"])
+    def test_a_kept_index_is_8_bytes_an_entry_and_built_once(self,
+                                                             runner):
+        workload = build_churn_workload(self.CONFIG)
+        lowered, col = _lowered(workload, self.CAP)
+        entries = int(col._grp_size.sum())
+        run = lambda: getattr(self, runner)(lowered, col, workload[2])
+        # A first run on a lowering of its own fills what a process
+        # fills once (imports, registries), which is not the index.
+        getattr(self, runner)(lowered, None, workload[2])
+        columns = col.nbytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run()
+            grown = tracemalloc.get_traced_memory()[0] - before
+            cuts = col.windows_built
+            samples = self._sampled(run, streamed=False)
+        finally:
+            tracemalloc.stop()
+        assert col.windows_built == cuts >= 4
+        assert col.nbytes - columns == 8 * entries
+        # The two int32 columns and their array and tuple objects.
+        assert grown < 8 * entries + 1024 * cuts
+        self._one_in_flight(*samples)
 
 
 # ----------------------------------------------------------------------

@@ -58,6 +58,7 @@ from tests.conformance.cases import (
     HAND_EPOCH,
     HAND_INITIAL,
     HAND_LATE,
+    PINNED,
     ROW_POLICIES,
     Case,
     hand_profile,
@@ -483,8 +484,9 @@ class TestEveryPolicy:
 
     @pytest.mark.parametrize("cap", [1, 7, 64])
     def test_a_reused_lowering_of_several_windows(self, small_workload, cap):
-        """Only a single window is kept with a lowering: a reused run
-        over several rebuilds them, cut where the first run cut them."""
+        """A kept lowering of several windows keeps their index: the
+        reused runs build none, and read it cut where the first run cut
+        it."""
         initial, plan, epoch_, (want_initial, want_plan, _e) = small_workload
         budget = BudgetVector(2)
         fresh = ChurnPlan.from_columns(plan.columns())
@@ -497,10 +499,56 @@ class TestEveryPolicy:
         runs += [_run(initial, fresh, label, epoch_, budget)
                  for label in LABELS[1:]]
         assert fresh._lowering.columnar is kept
-        assert kept.windows_built == cuts * len(LABELS)
+        assert kept.windows_built == cuts
         for label, result in zip(LABELS, runs):
             assert_same_run(result,
                       churned(want_initial, want_plan, label, budget, epoch_))
+
+
+# ----------------------------------------------------------------------
+# The index a kept lowering keeps
+# ----------------------------------------------------------------------
+
+def _kept_and_fresh(case: Case, cap: int) -> None:
+    """One kept lowering of ``case``'s plan serves each of :data:`LABELS`
+    and the case's own policy in turn, under the case's budget and fault
+    layer: it builds each window once, and every run equals the run on a
+    lowering of its own, probe for probe."""
+    columns = case.plan.columns()
+    kept = ChurnPlan.from_columns(columns)
+    cuts = None
+    for label in dict.fromkeys(LABELS + (case.policy,)):
+        seen = []
+        for plan in (kept, ChurnPlan.from_columns(columns)):
+            faults, retry, breaker = case.layer()
+            with mock.patch.object(columnar_module, "_WINDOW_ENTRIES", cap):
+                result = _run(case.profiles, plan, label, case.epoch,
+                              case.budget, faults=faults, retry=retry,
+                              breaker=breaker)
+            seen.append(observe(result, faults, breaker))
+        assert seen[0] == seen[1], label
+        built = kept._lowering.columnar.windows_built
+        cuts = cuts or built
+        assert built == cuts > 0, label
+
+
+class TestKeptIndex:
+    """A plan's kept lowering keeps its activity index; every run on it
+    builds its own key columns."""
+
+    @pytest.mark.parametrize("cap", [7, 64, columnar_module._WINDOW_ENTRIES])
+    def test_one_lowering_serves_three_policies(self, small_workload, cap):
+        initial, plan, epoch_, _want = small_workload
+        _kept_and_fresh(Case(initial, epoch_, LABELS[0], BudgetVector(2),
+                             plan=plan), cap)
+
+    @pytest.mark.parametrize("name", [
+        name for name in PINNED
+        if name.startswith(("29/", "late/"))])
+    def test_every_pinned_churn_case(self, name):
+        case = PINNED[name]()
+        assert case.plan is not None
+        _kept_and_fresh(case, 7)
 
 
 # ----------------------------------------------------------------------

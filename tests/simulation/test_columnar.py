@@ -11,7 +11,8 @@ attribute of the lowering must equal it in value *and* dtype, and so
 must the *concatenation* of ``windows()`` (offsets applied) wherever
 the cuts fall, and what the occupancy grid says about the index
 without building it. A window holds the key columns of the score rows
-(``ScoreKey``) it was built for and no others. The oracle takes the
+(``ScoreKey``) it was built for and no others; a lowering its caller
+hands to the runs builds its index once. The oracle takes the
 same optional lifetimes the lowering does
 (``tests/simulation/test_churn_columns.py`` feeds it churn plans);
 without them every t-interval is there from the start and nobody
@@ -275,11 +276,13 @@ class TestColumnWidths:
 
     def test_the_lowering_memory_budget(self):
         """Per EI, at most 24 B of EI-row columns (six int32), 62 B held
-        by the lowering and a 90 B build peak (measured: 24, 59.5 and
-        86.8; with int64 EI rows the columns were 48 B and the lowering
-        held 75.6 B and peaked at 96.6 B, with int64 state columns 111 B
-        and 182 B): a widened column shows as megabytes at this scale,
-        so it fails here first."""
+        by the lowering and an 80 B build peak (measured: 24, 59.5 and
+        77.4, the grid's; 86.8 while the EI gather was built in int64
+        beside the state order's temporaries; with int64 EI rows the
+        columns were 48 B and the lowering held 75.6 B and peaked at
+        96.6 B, with int64 state columns 111 B and 182 B): a widened
+        column shows as megabytes at this scale, so it fails here
+        first."""
         _trace, profiles = make_instance(self.CATALOG, 0)
         columns = profiles.columns()
         assert sum(column.nbytes for column in columns[1:]) <= \
@@ -294,7 +297,7 @@ class TestColumnWidths:
         assert col.nbytes == sum(value.nbytes for value in vars(col).values()
                                  if isinstance(value, np.ndarray))
         assert col.nbytes <= 62 * col.E
-        assert peak <= 90 * col.E
+        assert peak <= 80 * col.E
 
 
 class TestLifetimeArguments:
@@ -355,38 +358,47 @@ class TestPerKindWindows:
         assert whole.windows == (1 if cap > 7 else col.windows_built) > 0
         assert_same_columns(whole, want, keys, cap)
 
-    def test_a_kept_window_grows_to_the_union_of_kinds(self, small):
-        """A kept single window serves an S-EDF block, an M-EDF block
-        and two federated runs, each identical to the reference; it is
-        rebuilt, for the union, only when a run reads a row it lacks."""
+    def test_a_kept_index_serves_every_kind(self, small):
+        """A lowering handed to an S-EDF block, an M-EDF block and two
+        federated runs builds its index once; each run is the
+        reference's, and its windows hold its own row's key column and
+        no other."""
         profiles, want = small
         epoch_, budget = _SMALL.epoch, _SMALL.budget_vector
         col = ColumnarInstance.build(profiles, epoch_)
         sedf, medf, mrsf = ROWS["S-EDF"], ROWS["M-EDF"], ROWS["MRSF"]
-        steps = (("S-EDF(NP)", "block", {sedf}, 1),
-                 ("M-EDF(P)", "block", {sedf, medf}, 2),
-                 ("M-EDF(NP)", "federated", {sedf, medf}, 2),
-                 ("MRSF(P)", "federated", {sedf, medf, mrsf}, 3))
-        for label, how, keys, built in steps:
+        steps = (("S-EDF(NP)", "block", sedf), ("M-EDF(P)", "block", medf),
+                 ("M-EDF(NP)", "federated", medf),
+                 ("MRSF(P)", "federated", mrsf))
+        build = columnar_module.ActivityWindow.__init__
+        rows = []
+
+        def spy(window, *args):
+            build(window, *args)
+            rows.append(set(window.hi_static))
+
+        for label, how, key in steps:
             policy, preemptive = parse_policy_spec(label)
-            if how == "block":
-                (got,) = run_block(profiles, epoch_,
-                                   [(policy, preemptive, budget)],
-                                   columnar=col)
-            else:
-                got = federated_run(profiles, epoch_, budget, policy,
-                                    preemptive=preemptive, shards=2,
-                                    columnar=col).result
+            rows.clear()
+            with mock.patch.object(columnar_module.ActivityWindow,
+                                   "__init__", spy):
+                if how == "block":
+                    (got,) = run_block(profiles, epoch_,
+                                       [(policy, preemptive, budget)],
+                                       columnar=col)
+                else:
+                    got = federated_run(profiles, epoch_, budget, policy,
+                                        preemptive=preemptive, shards=2,
+                                        columnar=col).result
             expected = run_online(profiles, epoch_, budget, policy,
                                   preemptive=preemptive, engine="reference")
             assert list(got.schedule.probes()) == \
                 list(expected.schedule.probes()), label
             assert got.report == expected.report, label
-            (window,) = col.windows()
-            assert (window.keys, col.windows_built) == (keys, built)
+            assert rows == [{key}] and col.windows_built == 1, label
         assert_same_columns(stitched(col, (sedf, medf, mrsf)), want,
                              (sedf, medf, mrsf), 0)
-        assert col.windows_built == 3
+        assert col.windows_built == 1
 
 
 class TestRunningStarted:
@@ -410,10 +422,11 @@ class TestRunningStarted:
         seen = {}
         score = batch_module._candidate_keys
 
-        def spy(hi, key_rows, col_, win, alo, ahi, T, *rest):
+        def spy(hi, key_rows, col_, win, alo, ahi, ps, grp_of, T, *rest):
             started = rest[-1]
-            seen[T] = started[win.ps_act[alo:ahi]].copy()
-            score(hi, key_rows, col_, win, alo, ahi, T, *rest)
+            assert np.array_equal(ps, win.ps_act[alo:ahi])
+            seen[T] = started[ps].copy()
+            score(hi, key_rows, col_, win, alo, ahi, ps, grp_of, T, *rest)
 
         policy, preemptive = case.make_policy()
         with mock.patch.object(batch_module, "_candidate_keys", spy):
@@ -505,22 +518,33 @@ def test_medf_federated_run_builds_no_static_key_column():
     ])
     policy, preemptive = parse_policy_spec("M-EDF(P)")
     columnar = ColumnarInstance.build(profiles, Epoch(6))
-    fed = federated_run(profiles, Epoch(6), BudgetVector(1), policy,
-                        preemptive=preemptive, shards=2,
-                        columnar=columnar)
+    built = []
+    build = columnar_module.ActivityWindow.__init__
+
+    def spy(window, *args):
+        build(window, *args)
+        built.append(window)
+
+    with mock.patch.object(columnar_module.ActivityWindow, "__init__",
+                           spy):
+        fed = federated_run(profiles, Epoch(6), BudgetVector(1), policy,
+                            preemptive=preemptive, shards=2,
+                            columnar=columnar)
+    (window,) = built
     assert fed.result.probes_used > 0
-    (window,) = columnar.windows()
     # M-EDF's row is its one key column: no static word of another row.
-    assert window.keys == set(window.hi_static) == {ROWS["M-EDF"]}
+    assert set(window.hi_static) == {ROWS["M-EDF"]}
     # A prebuilt lowering costs a run its windows, not its constructor —
-    # and nothing once the (single, kept) window exists.
+    # and, once its index is kept, only the run's own columns.
     assert fed.lower_seconds == columnar.window_seconds > 0.0
     assert fed.result.extras["lowering_windows"] == 1.0
+    first = columnar.window_seconds
     again = federated_run(profiles, Epoch(6), BudgetVector(1), policy,
                           preemptive=preemptive, shards=2,
                           columnar=columnar)
-    assert again.lower_seconds == 0.0
+    assert again.lower_seconds == columnar.window_seconds - first > 0.0
     assert again.result.extras["lowering_windows"] == 0.0
+    assert columnar.windows_built == 1
     built = federated_run(profiles, Epoch(6), BudgetVector(1), policy,
                           preemptive=preemptive, shards=2)
     assert 0.0 < built.lower_seconds <= built.result.runtime_seconds

@@ -4,15 +4,15 @@
 loops a window at a time; the cap (``columnar._WINDOW_ENTRIES``) is a
 constant nobody sets, so these tests move it: 1 cuts at every chronon, 7
 and 64 cut through EIs and t-intervals (and leave chronons above the
-cap as windows of their own), ``10**9`` is the single kept window.
+cap as windows of their own), ``10**9`` is a single window.
 Every cut must reproduce the reference simulator probe for probe —
 schedule, report, fault counters, breaker end state, the recorded
 :class:`~repro.faults.model.FaultRecord` trace — for block lanes and for the
 K-shard federation, whose slices are cut per window too. This is the
 only suite that drives fault lanes across window cuts.
 
-The second half pins what the streaming is for: memory that follows
-the window, not the epoch.
+The second half pins what the streaming is for: the memory of a
+lowering the run builds itself follows the window, not the epoch.
 """
 
 import tracemalloc
@@ -256,20 +256,28 @@ class TestWindowsCutAnywhere:
 # ----------------------------------------------------------------------
 
 def _traced_peak(config) -> tuple[int, ColumnarInstance]:
-    """Peak traced bytes (NumPy reports its buffers) of lowering and
-    running ``config``'s instance on four shards."""
+    """Peak traced bytes (NumPy reports its buffers) of running
+    ``config``'s instance on four shards, over a lowering the run builds
+    itself; and that lowering."""
     _trace, profiles = make_instance(config, 0)
     profiles.columns()
     policy, preemptive = parse_policy_spec("M-EDF(P)")
+    built = []
+    build = ColumnarInstance.build
+
+    def spy(*args):
+        built.append(build(*args))
+        return built[-1]
+
     tracemalloc.start()
     try:
-        col = ColumnarInstance.build(profiles, config.epoch)
-        federated_run(profiles, config.epoch, config.budget_vector,
-                      policy, preemptive=preemptive, shards=4,
-                      columnar=col)
+        with mock.patch.object(ColumnarInstance, "build", spy):
+            federated_run(profiles, config.epoch, config.budget_vector,
+                          policy, preemptive=preemptive, shards=4)
         _now, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    (col,) = built
     return peak, col
 
 
@@ -297,7 +305,7 @@ class TestMemoryFollowsTheWindow:
 
     def test_no_entry_array_outlives_the_run(self):
         _peak, col = _traced_peak(self.WIDE)
-        assert col.windows_built > 1 and col._window is None
+        assert col.windows_built > 1 and col._index is None
         # Ten int64 columns' worth per EI, state and group — and nothing
         # per entry: one entry-sized int64 column alone would be more.
         held = array_bytes(col)
