@@ -8,6 +8,10 @@
    Random/FCFS/Coverage.
 4. **Quota semantics** (§6 extension): all-required vs 2-of-k quotas on
    the same instances, under MRSF and Q-MRSF.
+
+The ``run_setting`` benches time the user's path: their two
+repetitions' instances run on a pool of the usable CPUs, as they do
+from ``repro-experiments``.
 """
 
 from __future__ import annotations

@@ -17,9 +17,10 @@ At the ``target`` scale (epoch 200, 50 resources, 60 profiles) the
 sweep is one columnar block of policies x budgets (20) lanes per
 repetition — three blocks over three lowerings — against 60 one-lane
 blocks. Both paths produce
-identical gained-completeness series (asserted on every round). The
-instance cache is warmed before timing so the numbers isolate
-simulation, not generation.
+identical gained-completeness series (asserted on every round). Both
+run in this process (``workers=1``): the rows measure the one-process
+kernel, and the instance cache is warmed before timing so the numbers
+isolate simulation, not generation.
 
 ``--smoke`` restricts the run to the tiny scale with fewer rounds for
 CI.
@@ -66,7 +67,7 @@ def measure_figure_sweep(scale: str, rounds: int = 5,
     def run_once(engine: str):
         started = time.perf_counter()
         result = sweep("bench", config, "budget", _BUDGETS,
-                       policies=list(policies), engine=engine)
+                       policies=list(policies), engine=engine, workers=1)
         return time.perf_counter() - started, result
 
     # Warm the instance cache (and numpy) outside the timed region.
@@ -148,11 +149,13 @@ def bench_batch_speedup(benchmark):
 
     def run_batch():
         return sweep("bench", config, "budget", [1, 2],
-                     policies=list(DEFAULT_POLICIES), engine="batch")
+                     policies=list(DEFAULT_POLICIES), engine="batch",
+                     workers=1)
 
     batch_result = benchmark.pedantic(run_batch, rounds=3, iterations=1)
     solo_result = sweep("bench", config, "budget", [1, 2],
-                        policies=list(DEFAULT_POLICIES), engine="solo")
+                        policies=list(DEFAULT_POLICIES), engine="solo",
+                        workers=1)
     for label in solo_result.labels():
         assert batch_result.series(label) == solo_result.series(label)
 

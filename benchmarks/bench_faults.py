@@ -5,6 +5,9 @@ gained completeness must degrade *gracefully* — monotonically-ish in the
 failure rate, no crashes, no cliff — and the circuit breaker must pay
 for itself under a permanent single-resource outage by redirecting the
 budget that would be burned on the dead resource.
+
+The degradation bench times the user's path: ``fault_sweep`` pools its
+repetitions' instances over the usable CPUs.
 """
 
 from __future__ import annotations

@@ -20,8 +20,10 @@ variants x 6 failure rates x 3 repetitions = 144 faulty lanes — runs as
 three columnar blocks of 48 lanes, one per repetition. Both paths
 produce identical
 gained-completeness series (asserted on every round; the fault plane is
-RNG-stream exact, not statistically similar). The instance cache is
-warmed before timing so the numbers isolate simulation, not generation.
+RNG-stream exact, not statistically similar). Both run in this process
+(``workers=1``): the rows measure the one-process kernel, and the
+instance cache is warmed before timing so the numbers isolate
+simulation, not generation.
 
 ``--smoke`` restricts the run to the tiny scale with fewer rounds for
 CI.
@@ -68,7 +70,8 @@ def measure_fault_sweep(scale: str, rounds: int = 5,
 
     def run_once(engine: str):
         started = time.perf_counter()
-        result = fault_sweep(rates=rates, engine=engine, config=config)
+        result = fault_sweep(rates=rates, engine=engine, config=config,
+                             workers=1)
         return time.perf_counter() - started, result
 
     # Warm the instance cache (and numpy) outside the timed region.
@@ -155,10 +158,12 @@ def bench_faulty_batch_speedup(benchmark):
     rates = (0.0, 0.25, 0.5)
 
     def run_batch():
-        return fault_sweep(rates=rates, engine="batch", config=config)
+        return fault_sweep(rates=rates, engine="batch", config=config,
+                           workers=1)
 
     batch_result = benchmark.pedantic(run_batch, rounds=3, iterations=1)
-    solo_result = fault_sweep(rates=rates, engine="solo", config=config)
+    solo_result = fault_sweep(rates=rates, engine="solo", config=config,
+                              workers=1)
     assert batch_result.fell_back == 0
     for label in solo_result.labels():
         assert batch_result.series(label) == solo_result.series(label)

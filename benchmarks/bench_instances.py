@@ -26,7 +26,8 @@ tracked batch/offline benches.
 
 ``--cache-check`` runs the CI smoke assertion instead: a cold and a warm
 pass over a temporary cache directory must produce identical results
-with non-zero hit counters, and the lowering of a disk hit must equal
+with non-zero hit counters (both in this process, ``workers=1``, whose
+cache the counters are), and the lowering of a disk hit must equal
 the cold lowering column for column, dtypes included.
 """
 
@@ -210,10 +211,10 @@ def cache_check(scale: str = "tiny") -> int:
     with tempfile.TemporaryDirectory() as tmp:
         try:
             cold_cache = configure_instances(cache_dir=tmp)
-            cold = run_setting(config)
+            cold = run_setting(config, workers=1)
             cold_stats = cold_cache.stats()
             warm_cache = configure_instances(cache_dir=tmp)
-            warm = run_setting(config)
+            warm = run_setting(config, workers=1)
             warm_stats = warm_cache.stats()
         finally:
             configure_instances(cache_dir=None)

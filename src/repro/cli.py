@@ -120,9 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=_worker_count, default=None, metavar="N",
-        help="run (setting, repetition) cells in a process pool of N "
-             "workers (default: serial); results are identical to the "
-             "serial path",
+        help="run the independent jobs (a sweep's generated instances, "
+             "a churn scenario, an offline cell) in a process pool of N "
+             "workers (default: one per CPU this process may run on, "
+             "capped by the jobs, for batch-engine sweeps; serial for "
+             "runs that report runtimes: table1, fig3, fig5, churn, "
+             "offline and any --engine solo|reference); gained "
+             "completeness is identical to the serial path",
     )
     parser.add_argument(
         "--engine", choices=ENGINES,

@@ -41,7 +41,7 @@ from repro.core.budget import BudgetVector
 from repro.core.errors import WorkloadError
 from repro.core.profile import ProfileColumns, ProfileSet
 from repro.core.timeline import Epoch
-from repro.experiments.harness import _pool_map
+from repro.experiments.harness import _pool_map, _pool_size
 from repro.online.registry import parse_policy_spec
 from repro.runtime.server import OriginServer
 from repro.simulation.churn import ChurnPlan, PlanColumns, run_churned
@@ -415,7 +415,8 @@ def churn_sweep(scale: str = "default",
     Sweeps ``join_spread`` over :data:`SWEEP_SPREADS` with no leavers,
     then adds one scenario with late arrivals *and* 50% churn-out.
     ``workers=N`` (N > 1) fans scenarios over a process pool (results
-    identical to serial — each scenario is an independent seeded run).
+    identical to serial — each scenario is an independent seeded run);
+    ``None`` is serial, since each row reports its own runtime.
     A churned run is one lane whatever the harness would share, so
     ``"solo"`` is ``"batch"`` here.
     """
@@ -425,8 +426,9 @@ def churn_sweep(scale: str = "default",
                for spread in SWEEP_SPREADS]
     configs.append(replace(base, join_spread=0.6, leave_probability=0.5))
 
+    size = _pool_size(workers, len(configs), timed=True)
     outcomes = _pool_map(_timed_churn, [(config,) for config in configs],
-                         workers)
+                         size)
 
     rows = tuple(
         ChurnSweepRow(

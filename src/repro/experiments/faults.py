@@ -126,8 +126,11 @@ def fault_sweep(scale: str = "default",
     policy) combination — ``"batch"`` (the harness default) advances
     them as lanes of one columnar block per repetition, ``"solo"`` and
     ``"reference"`` run them one at a time; all produce identical
-    series. ``workers=N`` farms cells out to a process pool. ``config`` overrides the baseline config of ``scale``
-    (benchmarks sweep custom sizes).
+    series. The repetitions' instances are farmed out to a process pool
+    of one worker per usable CPU (``workers=None``; serial for ``solo``
+    and ``reference``, which report runtimes) or of ``workers=N``;
+    ``workers=1`` is serial. ``config`` overrides the baseline config of
+    ``scale`` (benchmarks sweep custom sizes).
     """
     if config is None:
         config = baseline(scale)

@@ -5,16 +5,22 @@ setting generate ``repetitions`` independent problem instances (trace +
 profiles), run every policy — and optionally the offline approximation —
 on the *same* instances, and average gained completeness and runtime.
 
-Both :func:`run_setting` and :func:`sweep` accept ``workers=N`` to farm
-the independent (setting, repetition) cells out to a process pool.
-Instance generation is fully seeded per cell, so the parallel path
-produces exactly the same gained-completeness numbers as the serial one
-(only the measured wall times differ, as they do between any two runs);
-results are merged back in the serial iteration order.
+Both :func:`run_setting` and :func:`sweep` farm the independent jobs —
+the generated instances their (setting, repetition) cells run on — out
+to a process pool. ``workers=None`` (the default) is one worker per CPU
+this process may run on, capped by the jobs, so a one-instance sweep
+and a one-CPU host stay serial and build no pool; runs that report
+their own runtime (the ``solo`` and ``reference`` engines) stay serial
+too unless ``workers=N`` asks for N (see :func:`_pool_size`). Instance
+generation is fully seeded per cell, so the parallel path produces
+exactly the same gained-completeness numbers as the serial one; a
+runtime measured in a pool worker reads higher, with another worker
+beside it. Results are merged back in the serial iteration order.
 """
 
 from __future__ import annotations
 
+import os
 import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -334,58 +340,94 @@ def _process_pool(workers: int, **kwargs):
     return ProcessPoolExecutor(max_workers=workers, **kwargs)
 
 
-def _pooled(workers: int | None, jobs: Sequence) -> bool:
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else every CPU of the machine."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _pool_size(workers: int | None, jobs: int, timed: bool = False) -> int:
     """The one "pool or serial" rule of every ``workers=`` parameter in
-    the experiments: a pool needs ``workers > 1`` and a second job."""
-    return workers is not None and workers > 1 and len(jobs) > 1
+    the experiments: how many processes share ``jobs`` independent
+    jobs, a pool when that is at least 2 and serial otherwise.
+
+    ``workers=N`` is taken as given, capped by ``jobs``. ``None`` is one
+    worker per usable CPU, capped by ``jobs`` — and 1 for ``timed`` jobs,
+    whose results include their own wall time (a worker running beside
+    them reads them 10–46 % slower on two CPUs), and where the platform
+    cannot fork: a spawned worker re-imports the package, which takes
+    longer than a block.
+    """
+    if workers is None:
+        if timed or not hasattr(os, "fork"):
+            return 1
+        workers = _usable_cpus()
+    return min(workers, jobs)
 
 
-def _pool_map(fn: Callable, jobs: Sequence[tuple], workers: int | None,
-              **pool_kwargs) -> list:
-    """``[fn(*job) for job in jobs]``, on a pool of ``workers`` when
-    :func:`_pooled` says so; results in job order either way."""
-    if not _pooled(workers, jobs):
+def _pool_map(fn: Callable, jobs: Sequence[tuple], size: int) -> list:
+    """``[fn(*job) for job in jobs]``, on a pool of ``size`` processes
+    (a :func:`_pool_size`) when that is at least 2; results in job
+    order either way.
+
+    Every worker is initialized with the parent's cache directory, so a
+    shared ``--cache-dir`` lets workers reuse stored instances. Workers
+    are forked where the platform can fork, whatever its default start
+    method. The pool is shut down before this returns.
+    """
+    if size < 2:
         return [fn(*job) for job in jobs]
-    with _process_pool(workers, **pool_kwargs) as pool:
+    cache_dir = active_cache().cache_dir
+    kwargs = dict(initializer=_pool_worker_init,
+                  initargs=(None if cache_dir is None else str(cache_dir),))
+    if hasattr(os, "fork"):
+        import multiprocessing
+
+        kwargs["mp_context"] = multiprocessing.get_context("fork")
+    with _process_pool(size, **kwargs) as pool:
         futures = [pool.submit(fn, *job) for job in jobs]
         return [future.result() for future in futures]
 
 
-def _run_cells_parallel(cell_args: Sequence[tuple],
-                        workers: int
-                        ) -> list[dict[str, tuple[float, float]]]:
-    """Execute cells on a process pool, preserving serial order.
+def _run_cells(cell_args: Sequence[tuple], workers: int | None,
+               timed: bool) -> list[dict[str, tuple[float, float]]]:
+    """Execute cells, on a process pool when :func:`_pool_size` gives
+    one for their generated instances, preserving serial order.
 
-    Workers are initialized with the parent's cache directory, so a
-    shared ``--cache-dir`` lets them reuse stored instances. Cells that
-    share an instance (see :func:`_group_by_instance`) are grouped into the
-    same chunk — one worker then serves them from one cache entry (and,
-    for the batch engine, one columnar block) instead of regenerating or
-    re-reading the instance N times; the repetitions of a setting are
-    different instances, so even a one-parameter budget sweep spreads
-    over up to ``repetitions`` chunks. Chunks are packed to a few per
-    worker to balance load (chunked submission also amortizes
-    pickling); a worker runs its chunk through :func:`_run_cells_serial`,
-    so batch chunks split into per-instance blocks exactly like the
-    serial path, and results are scattered back into submission order —
-    identical to the serial path's ordering for any worker count.
+    The jobs are the instances (see :func:`_group_by_instance`): cells
+    that share one go to the same chunk — one worker then serves them
+    from one cache entry (and, for the batch engine, one columnar block)
+    instead of regenerating or re-reading the instance N times. A
+    one-instance sweep is one job, so it runs in-process; the
+    repetitions of a setting are different instances, so even a
+    one-parameter budget sweep spreads over up to ``repetitions``
+    chunks. Chunks are packed to a few per worker to balance load
+    (chunked submission also amortizes pickling); a worker runs its
+    chunk through :func:`_run_cells_serial`, so batch chunks split into
+    per-instance blocks exactly like the serial path, and results are
+    scattered back into submission order — identical to the serial
+    path's ordering for any worker count.
     """
-    chunk_size = max(1, -(-len(cell_args) // (workers * 4)))
+    groups = _group_by_instance(cell_args).values()
+    size = _pool_size(workers, len(groups), timed)
+    if size < 2:
+        return _run_cells_serial(cell_args)
+    chunk_size = max(1, -(-len(cell_args) // (size * 4)))
     chunks: list[list[int]] = []
     current: list[int] = []
-    for group in _group_by_instance(cell_args).values():
+    for group in groups:
         current.extend(group)
         if len(current) >= chunk_size:
             chunks.append(current)
             current = []
     if current:
         chunks.append(current)
-    cache = active_cache()
-    cache_dir = str(cache.cache_dir) if cache.cache_dir is not None else None
     served = _pool_map(
         _run_cells_serial,
-        [([cell_args[at] for at in chunk],) for chunk in chunks], workers,
-        initializer=_pool_worker_init, initargs=(cache_dir,))
+        [([cell_args[at] for at in chunk],) for chunk in chunks], size)
     cells: list[dict[str, tuple[float, float]]] = [None] * len(cell_args)
     for chunk, chunk_cells in zip(chunks, served):
         for at, cell in zip(chunk, chunk_cells):
@@ -430,12 +472,13 @@ def _run_settings(configs: Sequence[ExperimentConfig],
     All (setting, repetition) cells go to the executor together: the
     batch engine groups cells that share a generated instance (e.g. one
     repetition of every setting of a budget sweep) into one columnar
-    block spanning config boundaries, and ``workers=N`` (N > 1) spreads
-    the list over one process pool. ``fault_cell(setting_index,
-    repetition)`` supplies a cell's fault layer, a :class:`FaultLane`
-    whose breaker is a template: every run takes a fresh copy. Cells
-    merge in serial iteration order. An engine not in ``ENGINES`` is a
-    :class:`ValueError` before any instance is generated.
+    block spanning config boundaries, and ``workers`` spreads the
+    instances over one process pool (:func:`_run_cells`).
+    ``fault_cell(setting_index, repetition)`` supplies a cell's fault
+    layer, a :class:`FaultLane` whose breaker is a template: every run
+    takes a fresh copy. Cells merge in serial iteration order. An
+    engine not in ``ENGINES`` is a :class:`ValueError` before any
+    instance is generated.
     """
     if engine not in ENGINES:
         raise ValueError(
@@ -448,10 +491,9 @@ def _run_settings(configs: Sequence[ExperimentConfig],
         for at, config in enumerate(configs)
         for repetition in range(config.repetitions)
     ]
-    if _pooled(workers, flat):
-        cells = _run_cells_parallel(flat, workers)
-    else:
-        cells = _run_cells_serial(flat)
+    # A batch lane reports no runtime of its own; solo and reference
+    # runs do, so by default they are timed with no worker beside them.
+    cells = _run_cells(flat, workers, timed=engine != "batch")
     runs = []
     cursor = 0
     for config in configs:
@@ -470,8 +512,11 @@ def run_setting(config: ExperimentConfig,
                 workers: int | None = None) -> RunOutcome:
     """Run every policy on ``repetitions`` shared instances and aggregate.
 
-    ``workers=N`` (N > 1) runs the repetitions in a process pool; the
-    gained-completeness output is identical to the serial path.
+    The repetitions run in a process pool of one worker per usable CPU
+    (``workers=None``, at most one per repetition; serial for the
+    runtime-reporting ``solo`` and ``reference`` engines) or of
+    ``workers=N``; ``workers=1`` is serial. The gained-completeness
+    output is identical to the serial path.
     """
     return _run_settings([config], policies, include_offline, source,
                          engine, workers)[0]
@@ -485,7 +530,13 @@ def sweep(name: str, base: ExperimentConfig, parameter: str,
           workers: int | None = None) -> SweepResult:
     """Sweep one config field over ``values``, rerunning all policies.
 
-    The gained-completeness numbers are identical for every engine and
+    The sweep's generated instances (one per repetition unless the
+    field is generative) are its independent jobs: ``workers=None``
+    runs them on one worker per usable CPU, capped by their number, so
+    a one-instance sweep stays in-process, as does a ``solo`` or
+    ``reference`` sweep, which reports runtimes; ``workers=1`` is
+    serial. The gained-completeness numbers are identical for every
+    engine and
     worker count (see :func:`_run_settings`).
     """
     configs = [base.with_(**{parameter: value}) for value in values]

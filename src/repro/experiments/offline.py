@@ -21,6 +21,7 @@ from repro.experiments.harness import (
     SweepResult,
     _merge_cells,
     _pool_map,
+    _pool_size,
     make_instance,
 )
 from repro.offline.greedy import GreedyOfflineSolver
@@ -60,8 +61,9 @@ def offline_comparison(scale: str = "default", *,
         Experiment scale ("paper", "default" or "smoke"); the sweep runs
         at 1/4, 1/2 and 1x the scale's baseline profile count.
     workers:
-        Process-pool width; ``None`` or 1 runs serially. Results are
-        identical either way.
+        Process-pool width; ``None`` or 1 runs serially (a cell reports
+        its solvers' runtimes, which a worker beside it would slow).
+        Results are identical either way.
     source:
         Trace source passed through to instance generation.
     """
@@ -70,10 +72,10 @@ def offline_comparison(scale: str = "default", *,
                      max(1, base.num_profiles // 2),
                      base.num_profiles})
     configs = [base.with_(num_profiles=value) for value in values]
-    cells = iter(_pool_map(
-        _offline_cell,
-        [(config, repetition, source) for config in configs
-         for repetition in range(config.repetitions)], workers))
+    jobs = [(config, repetition, source) for config in configs
+            for repetition in range(config.repetitions)]
+    cells = iter(_pool_map(_offline_cell, jobs,
+                           _pool_size(workers, len(jobs), timed=True)))
     runs = tuple(
         _merge_cells(config,
                      [next(cells) for _ in range(config.repetitions)],

@@ -524,11 +524,19 @@ class ColumnarInstance:
             np.int32)
         del ever
         starts = first[self._by_start]
+        del first
         res = self.ei_res[self._by_start]
         cells = (last + 2) * R
         occ = np.bincount(starts * R + res, minlength=cells)
-        occ -= np.bincount((until[self._by_start] + 1) * R + res,
-                           minlength=cells)
+        # The E-sized keys, not the (K+2) x R grid, set this method's
+        # peak: the closing keys are built in one buffer.
+        closes = until[self._by_start]
+        del until
+        closes += 1
+        closes *= R
+        closes += res
+        occ -= np.bincount(closes, minlength=cells)
+        del closes
         occ = occ.reshape(last + 2, R).cumsum(axis=0)
 
         # Group columns int32: chronons and resource ids by the grid's

@@ -133,25 +133,26 @@ class TestDefaultEngine:
         return sweep("s", _CONFIG, "budget", [1, 2, 3], policies, **kwargs)
 
     def test_sweep_is_served_by_blocks_alone(self, reference_runs):
-        result = self._sweep()
+        result = self._sweep(workers=1)
         assert reference_runs == []
         assert result.engine == DEFAULT_ENGINE == "batch"
         assert all(run.shared_block for run in result.runs)
         assert result.fell_back == 0
-        assert_same_gc(self._sweep, result)
+        assert_same_gc(self._sweep, result, workers=1)
         assert len(reference_runs) == (3 * _CONFIG.repetitions
                                   * len(DEFAULT_POLICIES))
 
     def test_run_setting_default_is_blocked_too(self, reference_runs):
-        outcome = run_setting(_CONFIG)
+        outcome = run_setting(_CONFIG, workers=1)
         assert reference_runs == []
         assert (outcome.engine, outcome.fell_back) == ("batch", 0)
 
     def test_offline_rides_along(self, reference_runs):
-        result = self._sweep(include_offline=True)
+        result = self._sweep(include_offline=True, workers=1)
         assert reference_runs == []
         assert result.fell_back == 0
-        assert_same_gc(self._sweep, result, include_offline=True)
+        assert_same_gc(self._sweep, result, include_offline=True,
+                       workers=1)
 
     def test_worker_pool(self):
         result = self._sweep(workers=2)
@@ -160,7 +161,7 @@ class TestDefaultEngine:
 
     def test_random_falls_back_per_run(self, reference_runs):
         policies = DEFAULT_POLICIES + ("RANDOM(P)",)
-        result = self._sweep(policies)
+        result = self._sweep(policies, workers=1)
         random_runs = 3 * _CONFIG.repetitions
         assert len(reference_runs) == result.fell_back == random_runs
         fast = self._sweep(policies, engine="reference")
@@ -205,6 +206,33 @@ class TestDefaultEngine:
 
 
 @pytest.fixture
+def inline_pool(monkeypatch):
+    """Pools run in this process: the size, keyword arguments and jobs
+    of every pool the harness builds."""
+    record = {"sizes": [], "kwargs": [], "jobs": []}
+
+    class InlinePool:
+        def __init__(self, workers, **kwargs):
+            record["sizes"].append(workers)
+            record["kwargs"].append(kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *_exc):
+            return False
+
+        def submit(self, fn, *args):
+            record["jobs"].append(args)
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(harness, "_process_pool", InlinePool)
+    return record
+
+
+@pytest.fixture
 def block_calls(monkeypatch):
     """Every ``(profiles, lanes, results)`` of the harness's run_block."""
     calls = []
@@ -233,7 +261,7 @@ class TestOneBlockPerInstance:
 
     def test_budget_sweep(self, block_calls):
         budgets = [1, 2, 3, 4, 5]
-        result = sweep("s", _CONFIG, "budget", budgets)
+        result = sweep("s", _CONFIG, "budget", budgets, workers=1)
         self._assert_one_block_per_repetition(
             block_calls, _CONFIG, len(DEFAULT_POLICIES) * len(budgets))
         assert result.blocks == _CONFIG.repetitions == 3
@@ -247,7 +275,7 @@ class TestOneBlockPerInstance:
     def test_fault_sweep(self, block_calls):
         config = _CONFIG.with_(budget=2)
         rates = (0.0, 0.2, 0.4)
-        result = fault_sweep(config=config, rates=rates)
+        result = fault_sweep(config=config, rates=rates, workers=1)
         self._assert_one_block_per_repetition(
             block_calls, config, len(FAULT_POLICY_VARIANTS) * len(rates))
         assert result.blocks == 3
@@ -284,9 +312,9 @@ class TestOneBlockPerInstance:
 
         monkeypatch.setattr(instances.ColumnarInstance, "build", counting)
         monkeypatch.setattr(instances, "_ACTIVE_CACHE", InstanceCache())
-        sweep("s", _CONFIG, "budget", [1, 2])
+        sweep("s", _CONFIG, "budget", [1, 2], workers=1)
         assert len(built) == _CONFIG.repetitions
-        fault_sweep(config=_CONFIG.with_(budget=2), rates=(0.1,))
+        fault_sweep(config=_CONFIG.with_(budget=2), rates=(0.1,), workers=1)
         assert len(built) == _CONFIG.repetitions
 
     def test_ten_repetitions_stay_warm_from_one_sweep_to_the_next(
@@ -304,46 +332,95 @@ class TestOneBlockPerInstance:
 
         monkeypatch.setattr(harness, "run_block", spy)
         config = _CONFIG.with_(repetitions=10)
-        sweep("s", config, "budget", [1, 2], ("MRSF(P)",))
+        sweep("s", config, "budget", [1, 2], ("MRSF(P)",), workers=1)
         assert cache.stats()["misses"] == 10
         first = lowerings[:]
-        sweep("s", config, "budget", [1, 2], ("MRSF(P)",))
+        sweep("s", config, "budget", [1, 2], ("MRSF(P)",), workers=1)
         assert (cache.memory_hits, cache.misses) == (10, 10)
         assert len(first) == 10 and all(
             again is before for again, before in zip(lowerings[10:], first))
 
-    def test_worker_chunks_split_by_repetition(self, monkeypatch):
+    def test_worker_chunks_split_by_repetition(self, inline_pool):
         """A one-parameter budget sweep is ``repetitions`` groups, so a
         pool has more than one chunk to hand out."""
-        chunks = []
-
-        class InlinePool:
-            def __init__(self, _workers, **_kwargs):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *_exc):
-                return False
-
-            def submit(self, fn, cell_args):
-                chunks.append(cell_args)
-                future = Future()
-                future.set_result(fn(cell_args))
-                return future
-
-        monkeypatch.setattr(harness, "_process_pool", InlinePool)
         pooled = sweep("s", _CONFIG, "budget", [1, 2, 3, 4, 5], workers=4)
+        chunks = [cell_args for (cell_args,) in inline_pool["jobs"]]
         assert len(chunks) == _CONFIG.repetitions
         for chunk in chunks:
             assert len({args[1] for args in chunk}) == 1
             assert sorted(args[0].budget for args in chunk) == \
                 [1, 2, 3, 4, 5]
-        serial = sweep("s", _CONFIG, "budget", [1, 2, 3, 4, 5])
+        serial = sweep("s", _CONFIG, "budget", [1, 2, 3, 4, 5], workers=1)
         assert pooled.blocks == serial.blocks == 3
         for run, serial_run in zip(pooled.runs, serial.runs):
             assert gc_map(run) == gc_map(serial_run)
+
+
+def _usable_cpus(monkeypatch, count: int) -> None:
+    """Make this process (and what it forks) see ``count`` usable
+    CPUs."""
+    monkeypatch.setattr(harness.os, "sched_getaffinity",
+                        lambda _pid: set(range(count)), raising=False)
+
+
+class TestAutomaticPool:
+    """``workers=None`` is one worker per usable CPU, capped by the
+    independent jobs — the generated instances of a sweep."""
+
+    def test_one_usable_cpu_builds_no_pool(self, monkeypatch, inline_pool):
+        _usable_cpus(monkeypatch, 1)
+        sweep("s", _CONFIG, "budget", [1, 2])
+        fault_sweep(config=_CONFIG.with_(budget=2), rates=(0.0, 0.3))
+        run_setting(_CONFIG)
+        assert inline_pool["sizes"] == []
+        _usable_cpus(monkeypatch, 2)
+        sweep("s", _CONFIG, "budget", [1, 2])
+        assert inline_pool["sizes"] == [2]
+
+    def test_one_instance_builds_no_pool(self, monkeypatch, inline_pool):
+        _usable_cpus(monkeypatch, 4)
+        sweep("s", _CONFIG.with_(repetitions=1), "budget", [1, 2, 3])
+        assert inline_pool["sizes"] == []
+        run_setting(_CONFIG)
+        assert inline_pool["sizes"] == [_CONFIG.repetitions]
+
+    def test_timed_runs_build_no_pool(self, monkeypatch, inline_pool):
+        """Solo and reference runs report their own runtimes, so by
+        default they run with no worker beside them; asked for, they
+        pool like a batch sweep."""
+        _usable_cpus(monkeypatch, 4)
+        for engine in ("solo", "reference"):
+            run_setting(_CONFIG, engine=engine)
+            sweep("s", _CONFIG, "budget", [1, 2], engine=engine)
+            run_fault_setting(_CONFIG.with_(budget=2), 0.3, engine=engine)
+        assert inline_pool["sizes"] == []
+        run_setting(_CONFIG, engine="solo", workers=2)
+        assert inline_pool["sizes"] == [2]
+
+    def test_a_pool_forks_whatever_asked_for_it(self, monkeypatch,
+                                                inline_pool):
+        _usable_cpus(monkeypatch, 2)
+        sweep("s", _CONFIG, "budget", [1, 2])
+        sweep("s", _CONFIG, "budget", [1, 2], workers=2)
+        assert [kwargs["mp_context"].get_start_method()
+                for kwargs in inline_pool["kwargs"]] == ["fork", "fork"]
+
+    def test_a_pooled_fault_sweep_is_the_serial_one(self, monkeypatch):
+        import multiprocessing
+
+        _usable_cpus(monkeypatch, 2)
+        config = _CONFIG.with_(budget=2)
+        policies = ("MRSF(P)", "S-EDF(NP)", "RANDOM(NP)")
+        pooled = fault_sweep(config=config, rates=(0.0, 0.3),
+                             policies=policies)
+        assert multiprocessing.active_children() == []
+        serial = fault_sweep(config=config, rates=(0.0, 0.3),
+                             policies=policies, workers=1)
+        assert pooled.fell_back == serial.fell_back \
+            == 2 * _CONFIG.repetitions
+        assert pooled.blocks == serial.blocks == _CONFIG.repetitions
+        for label in policies:
+            assert pooled.series(label) == serial.series(label)
 
 
 @pytest.fixture
@@ -370,8 +447,9 @@ class TestResultsStayColumns:
     breakdowns are never built; reading one builds exactly that one."""
 
     def test_a_sweep_builds_nothing(self, epilogue_builds):
-        sweep("s", _CONFIG, "budget", [1, 2, 3])
-        fault_sweep(config=_CONFIG.with_(budget=2), rates=(0.0, 0.3))
+        sweep("s", _CONFIG, "budget", [1, 2, 3], workers=1)
+        fault_sweep(config=_CONFIG.with_(budget=2), rates=(0.0, 0.3),
+                    workers=1)
         assert epilogue_builds == {"grouped": 0, "counted": 0}
 
     def test_a_read_builds_once(self, epilogue_builds):

@@ -199,7 +199,8 @@ class TestChurnEngines:
 class TestChurnSweepWorkers:
     def test_one_worker_builds_no_pool(self, monkeypatch):
         """``workers=1`` is serial here as in the harness and the
-        offline comparison; two workers do go through the pool."""
+        offline comparison, and so is the default, whatever the CPUs;
+        two workers do go through the pool."""
         built = []
 
         def no_pool(workers, **_kwargs):
@@ -207,6 +208,8 @@ class TestChurnSweepWorkers:
             raise AssertionError("a pool for one worker")
 
         monkeypatch.setattr(harness, "_process_pool", no_pool)
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda _pid: {0, 1, 2}, raising=False)
         serial = churn_sweep("smoke")
         single = churn_sweep("smoke", workers=1)
         assert built == []
@@ -217,3 +220,15 @@ class TestChurnSweepWorkers:
         with pytest.raises(AssertionError, match="a pool for one worker"):
             churn_sweep("smoke", workers=2)
         assert built == [2]
+
+    def test_a_pooled_sweep_is_the_serial_one(self):
+        import multiprocessing
+        from dataclasses import replace
+
+        pooled = churn_sweep("smoke", workers=2)
+        assert multiprocessing.active_children() == []
+        serial = churn_sweep("smoke", workers=1)
+        assert len(pooled.rows) == len(serial.rows) == 6
+        for row, serial_row in zip(pooled.rows, serial.rows):
+            assert replace(row, runtime_seconds=0.0) == \
+                replace(serial_row, runtime_seconds=0.0)

@@ -40,6 +40,19 @@ class TestOfflineComparison:
         for serial_run, parallel_run in zip(serial.runs, parallel.runs):
             assert _gc_map(parallel_run) == _gc_map(serial_run)
 
+    def test_the_default_builds_no_pool(self, monkeypatch):
+        """A cell reports its solvers' runtimes, so ``workers=None`` is
+        serial whatever the CPUs."""
+        from repro.experiments import harness
+
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("a pool")
+
+        monkeypatch.setattr(harness, "_process_pool", no_pool)
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda _pid: {0, 1, 2, 3}, raising=False)
+        offline_comparison("smoke")
+
     def test_registered_in_cli(self):
         from repro.cli import _runner
         assert _runner("offline") is offline_comparison

@@ -22,12 +22,13 @@ def _gc_map(outcome):
 
 class TestParallelExecution:
     def test_run_setting_workers_matches_serial(self):
-        serial = run_setting(_CONFIG, _POLICIES)
+        serial = run_setting(_CONFIG, _POLICIES, workers=1)
         parallel = run_setting(_CONFIG, _POLICIES, workers=2)
         assert _gc_map(parallel) == _gc_map(serial)
 
     def test_sweep_workers_matches_serial(self):
-        serial = sweep("s", _CONFIG, "budget", [1, 2], _POLICIES)
+        serial = sweep("s", _CONFIG, "budget", [1, 2], _POLICIES,
+                       workers=1)
         parallel = sweep("s", _CONFIG, "budget", [1, 2], _POLICIES,
                          workers=4)
         assert parallel.x_values == serial.x_values
@@ -36,7 +37,7 @@ class TestParallelExecution:
 
     def test_sweep_workers_includes_offline(self):
         serial = sweep("s", _CONFIG, "budget", [1], _POLICIES,
-                       include_offline=True)
+                       include_offline=True, workers=1)
         parallel = sweep("s", _CONFIG, "budget", [1], _POLICIES,
                          include_offline=True, workers=2)
         for serial_run, parallel_run in zip(serial.runs, parallel.runs):

@@ -19,8 +19,10 @@ And a cold start pays only for the path it takes: every package
 ``__init__`` is an export table (``repro/_lazy.py``), so ``import
 repro`` loads no subpackage, the service host loads no experiment,
 simulator or solver, the sweep modules load no analysis, async
-runtime or process pool, and a batch sweep, a fault sweep, a federated
-and a churned run never load ``numpy.ma``. The budgets below are module *sets*, not
+runtime or process pool, and a one-instance batch sweep and fault
+sweep, a federated and a churned run never load ``numpy.ma`` or a pool
+(a two-instance sweep loads the pool inside the call, and only where
+it has two CPUs to run on). The budgets below are module *sets*, not
 milliseconds; the last one also checks the other direction — nothing a
 timed call needs is left to be imported inside it.
 """
@@ -47,7 +49,7 @@ def heavy():
 
 config = ExperimentConfig(epoch_length=20, num_resources=6, num_profiles=8,
                           intensity=4.0, window=4, repetitions=2, seed=3)
-panel = sweep("s", config, "budget", [1, 2])
+panel = sweep("s", config, "budget", [1, 2], workers=1)
 assert panel.engine == "batch" and panel.blocks == 2, panel
 initial, plan, epoch = build_churn_workload(ChurnConfig(
     epoch_length=30, num_resources=6, intensity=2.0, num_clients=4,
@@ -119,12 +121,14 @@ from repro.simulation import federated_run, run_churned, run_online
 
 config = ExperimentConfig(epoch_length=20, num_resources=6, num_profiles=8,
                           intensity=4.0, window=4, repetitions=2, seed=3)
-panel = sweep("s", config, "budget", [1, 2], ("MRSF(P)", "RANDOM(NP)"))
+# workers=1: a pool worker's imports are not this process's.
+panel = sweep("s", config, "budget", [1, 2], ("MRSF(P)", "RANDOM(NP)"),
+              workers=1)
 assert panel.fell_back == 4, panel.fell_back
 for engine in ("solo", "reference"):
-    sweep("s", config, "budget", [1], engine=engine)
+    sweep("s", config, "budget", [1], engine=engine, workers=1)
 fault_sweep(config=config, rates=(0.0, 0.3),
-            policies=("S-EDF(P)", "RANDOM(P)"))
+            policies=("S-EDF(P)", "RANDOM(P)"), workers=1)
 initial, plan, epoch = build_churn_workload(ChurnConfig(
     epoch_length=30, num_resources=6, intensity=2.0, num_clients=4,
     profiles_per_client=2, join_spread=0.5, leave_probability=0.5, seed=3))
@@ -140,7 +144,8 @@ recorded = run_online(profiles, config.epoch, budget, policy,
                       faults=recorder)
 assert recorded.probes_failed > 0 and recorder.trace
 with contextlib.redirect_stdout(io.StringIO()) as printed:
-    assert repro.cli.main(["all", "--scale", "smoke"]) == 0
+    assert repro.cli.main(["all", "--scale", "smoke",
+                           "--workers", "1"]) == 0
 assert "# engine=solo" in printed.getvalue()
 assert "repro.simulation.engine" not in sys.modules
 print("cold-import-ok")
@@ -231,17 +236,19 @@ from repro.simulation.shard import federated_run
 
 config = ExperimentConfig(epoch_length=20, num_resources=6, num_profiles=8,
                           intensity=4.0, window=4, repetitions=2, seed=3)
+one = config.with_(repetitions=1)
 churn = ChurnConfig(epoch_length=30, num_resources=6, intensity=2.0,
                     num_clients=4, profiles_per_client=2, join_spread=0.5,
                     leave_probability=0.5, seed=3)
 policy, preemptive = parse_policy_spec("M-EDF(P)")
 
-# Nothing is deferred into a timed call: the four the benchmark times
-# import nothing of ours, and none of the stdlib modules that were once
-# first imported mid-run.
+# Nothing is deferred into a timed call: the serial paths the benchmark
+# times (a one-instance sweep, an instance and its federated run, a
+# churned run) import nothing of ours, no pool, and none of the stdlib
+# modules that were once first imported mid-run.
 before = set(sys.modules)
-serial = sweep("s", config, "budget", [1, 2])
-fault_sweep(config=config, rates=(0.0, 0.3))
+sweep("s", one, "budget", [1, 2])
+fault_sweep(config=one, rates=(0.0, 0.3))
 _trace, profiles = make_instance(config, 0)
 federated_run(profiles, config.epoch, config.budget_vector, policy,
               preemptive=preemptive, shards=4)
@@ -251,15 +258,37 @@ run_churned(initial, epoch, BudgetVector(2), policy, plan,
 late = sorted(
     name for name in set(sys.modules) - before
     if name.split(".")[0] in ("repro", "multiprocessing", "statistics",
-                              "tempfile"))
+                              "tempfile")
+    or name == "concurrent.futures.process")
 assert late == [], late
 # Nor numpy.ma, which nothing on these paths needs: no np.unique or
 # set routine (they reach np.ma.is_masked) is called on them.
 assert loaded("numpy.ma") == [], loaded("numpy.ma")
 
-# ... and a pool is still built when one is asked for.
-pooled = sweep("s", config, "budget", [1, 2], workers=2)
-assert loaded("concurrent.futures.process") != []
+
+# What was imported since ``before`` of ours, of the pool, and of the
+# stdlib modules once first imported mid-run (multiprocessing as one).
+def pool_modules(before):
+    return sorted({
+        "multiprocessing" if name.startswith("multiprocessing.") else name
+        for name in set(sys.modules) - before
+        if name.split(".")[0] in ("repro", "multiprocessing", "statistics",
+                                  "tempfile")
+        or name == "concurrent.futures.process"})
+
+
+# A two-instance sweep is two jobs: on one usable CPU it stays serial
+# and imports no pool ...
+import os
+os.sched_getaffinity = lambda _pid: {0}
+serial = sweep("s", config, "budget", [1, 2])
+assert pool_modules(before) == [], pool_modules(before)
+# ... and with two it runs them on a pool, which imports exactly the
+# pool's modules, inside the call.
+os.sched_getaffinity = lambda _pid: {0, 1}
+pooled = sweep("s", config, "budget", [1, 2])
+assert pool_modules(before) == ["concurrent.futures.process",
+                                "multiprocessing"], pool_modules(before)
 for run, serial_run in zip(pooled.runs, serial.runs):
     for label, outcome in serial_run.outcomes.items():
         assert run.outcomes[label].gc_values == outcome.gc_values

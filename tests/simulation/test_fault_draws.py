@@ -146,7 +146,7 @@ def test_retries_and_a_recording_lane_add_no_row(lowering):
 
 
 def test_a_sweep_decides_nothing_scalar(decides):
-    fault_sweep("smoke")
+    fault_sweep("smoke", workers=1)
     assert decides[0] == 0
 
 
