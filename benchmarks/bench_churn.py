@@ -18,9 +18,10 @@ lose at ``tiny``, draw at ``target`` and win from there
 ``live-churn`` workload. A plan keeps the lowering of the last run it
 served, so ``columns_s`` is timed *cold* — a new plan every round, which
 is what the row has always meant (plan to finished run) — and
-``columns_warm_s`` is the next policy's run on that same plan, which
-builds nothing before its first chronon. Results land in
-``BENCH_churn.json``::
+``columns_warm_s`` is the next policy's run on that same plan — another
+score row (:data:`WARM_POLICY`), which builds no lowering before its
+first chronon but does build the windows of its own row. Results land
+in ``BENCH_churn.json``::
 
     PYTHONPATH=src python benchmarks/bench_churn.py \
         --output BENCH_churn.json
@@ -61,7 +62,11 @@ try:
 except ImportError:  # run as a top-level script (python benchmarks/...)
     from _provenance import provenance_header
 
-__all__ = ["ENGINE_SCALES", "measure_engine_churn", "main"]
+__all__ = ["ENGINE_SCALES", "WARM_POLICY", "measure_engine_churn", "main"]
+
+#: The policy ``columns_warm_s`` times on the plan the scale's policy
+#: (MRSF) lowered: a different score row, as a lineup's next policy is.
+WARM_POLICY = "S-EDF(P)"
 
 #: Engine scales. ``target`` is churn-heavy — every client joins
 #: mid-epoch and half churn out again, so the per-event O(n) rebuild
@@ -105,8 +110,8 @@ def measure_engine_churn(scale: str, rounds: int = 3) -> dict:
     # on first read — here, not inside the first timed event run.
     _objects = initial.profiles, plan.events
 
-    def timed(run) -> tuple[float, object]:
-        policy, preemptive = parse_policy_spec(config.policy)
+    def timed(run, label=config.policy) -> tuple[float, object]:
+        policy, preemptive = parse_policy_spec(label)
         started = time.perf_counter()
         result = run(policy, preemptive)
         return time.perf_counter() - started, result
@@ -123,7 +128,9 @@ def measure_engine_churn(scale: str, rounds: int = 3) -> dict:
             preemptive=preemptive).run(churn=plan, churn_rebuild=rebuild)
 
     paths = {"event": event_engine(False), "rebuild": event_engine(True)}
-    _, reference = timed(churned())  # warm-up, outside timing
+    # Warm-ups, outside timing: what every timed run must reproduce.
+    _, reference = timed(churned())
+    _, warm_reference = timed(churned(), WARM_POLICY)
     times: dict[str, list[float]] = {
         name: [] for name in ("columns", "columns_warm", *paths)}
     for _ in range(rounds):
@@ -131,17 +138,20 @@ def measure_engine_churn(scale: str, rounds: int = 3) -> dict:
         for name, run in (("columns", churned(cold)),
                           ("columns_warm", churned(cold)),
                           *paths.items()):
+            warm = name == "columns_warm"
             if name == "columns" and cold._lowering is not None:
                 raise AssertionError(
                     "columns_s must be timed cold, but the plan already "
                     "holds a lowering")
-            if name == "columns_warm" and cold._lowering is None:
+            if warm and cold._lowering is None:
                 raise AssertionError(
                     "columns_warm_s must be timed on a kept lowering, "
                     "but the plan holds none")
-            seconds, result = timed(run)
+            seconds, result = timed(
+                run, WARM_POLICY if warm else config.policy)
             times[name].append(seconds)
-            if not _identical(result, reference):
+            if not _identical(result,
+                              warm_reference if warm else reference):
                 raise AssertionError(
                     f"the {name} run diverged from the columns' "
                     "warm-up run")

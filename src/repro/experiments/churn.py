@@ -12,8 +12,8 @@ else:
 
 * ``"batch"`` (default) — :func:`~repro.simulation.churn.run_churned`:
   the plan is lowered to per-t-interval lifetimes and run as one lane
-  of the columnar block kernel (what the columns cannot encode —
-  RANDOM, say — is refused).
+  of the columnar block kernel (what the columns cannot encode — a
+  policy that overrides ``score``, say — is refused).
 * ``"reference"`` — the live
   :class:`~repro.runtime.proxy.MonitoringProxy` following the plan
   (:meth:`~repro.runtime.proxy.MonitoringProxy.follow`), registering

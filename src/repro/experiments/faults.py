@@ -23,9 +23,9 @@ combination of one repetition becomes a lane of that repetition's
 columnar block — the fault seed depends only on the repetition, so all
 rates share the block's generated instance — and produces
 probe-for-probe the reference simulator's results. ``engine="solo"``
-runs the combinations one at a time, each a one-lane block; lanes the
-batch engine cannot take fall back to the reference per (cell, policy)
-and are counted in ``RunOutcome.fell_back`` / ``SweepResult.fell_back``.
+runs the combinations one at a time, each a one-lane block; blocks the
+batch engine cannot take fall back to the reference, each lane counted
+in ``RunOutcome.fell_back`` / ``SweepResult.fell_back``.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from repro.experiments.instances import (
     active_cache,
     generation_key,
 )
-from repro.online.base import key_of
 from repro.online.registry import parse_policy_spec
 from repro.simulation.batch import BatchUnsupported, FaultLane, run_block
 from repro.simulation.proxy import run_online
@@ -98,8 +97,8 @@ class RunOutcome:
 
     ``fell_back`` counts the (repetition, policy) runs planned for the
     columns (``"batch"`` or ``"solo"``) that went to the reference
-    simulator instead (policies without a score row, or blocks the
-    columnar form cannot encode); under ``"reference"`` every run is
+    simulator instead (blocks the columnar form cannot encode: a policy
+    overriding ``score``); under ``"reference"`` every run is
     planned there, so it is 0. ``engine`` names the engine that served
     the cells (empty for outcomes assembled by hand). ``block_ids``
     identifies the columnar passes that served them — shared with the
@@ -270,8 +269,8 @@ def _run_one_block(cell_args: Sequence[tuple], gkey: str,
     ``"batch"`` runs blocks of up to :data:`_MAX_BLOCK_LANES` lanes over
     the cached lowering, ``"solo"`` one-lane blocks that lower the
     instance themselves (a runtime includes its lowering), and
-    ``"reference"`` the reference simulator. A lane the columns refuse
-    runs on the reference too, counted in ``fell_back``.
+    ``"reference"`` the reference simulator. A block the columns refuse
+    runs on the reference too, every lane counted in ``fell_back``.
     """
     config, repetition, _policies, _offline, source, engine = \
         cell_args[indices[0]][:6]
@@ -290,8 +289,7 @@ def _run_one_block(cell_args: Sequence[tuple], gkey: str,
             lane_home.append((at, label))
 
     results: list = [None] * len(lanes)
-    keyed = [] if engine == "reference" else [
-        i for i, lane in enumerate(lanes) if key_of(lane[0]) is not None]
+    keyed = [] if engine == "reference" else list(range(len(lanes)))
     size = 1 if engine == "solo" else _MAX_BLOCK_LANES
     columnar = None
     if keyed and engine == "batch":
@@ -373,20 +371,21 @@ def _pool_map(fn: Callable, jobs: Sequence[tuple], size: int) -> list:
     (a :func:`_pool_size`) when that is at least 2; results in job
     order either way.
 
-    Every worker is initialized with the parent's cache directory, so a
-    shared ``--cache-dir`` lets workers reuse stored instances. Workers
-    are forked where the platform can fork, whatever its default start
-    method. The pool is shut down before this returns.
+    Workers are forked where the platform can fork, whatever its default
+    start method, and keep the parent's instance cache, lowerings and
+    all; a spawned worker starts its own on the parent's cache directory
+    (``--cache-dir``). The pool is shut down before this returns.
     """
     if size < 2:
         return [fn(*job) for job in jobs]
-    cache_dir = active_cache().cache_dir
-    kwargs = dict(initializer=_pool_worker_init,
-                  initargs=(None if cache_dir is None else str(cache_dir),))
     if hasattr(os, "fork"):
         import multiprocessing
 
-        kwargs["mp_context"] = multiprocessing.get_context("fork")
+        kwargs = dict(mp_context=multiprocessing.get_context("fork"))
+    else:
+        cache_dir = active_cache().cache_dir
+        kwargs = dict(initializer=_pool_worker_init,
+                      initargs=(cache_dir and str(cache_dir),))
     with _process_pool(size, **kwargs) as pool:
         futures = [pool.submit(fn, *job) for job in jobs]
         return [future.result() for future in futures]

@@ -18,8 +18,8 @@ module makes instance generation a cached, content-addressed lookup:
   unreadable or inconsistent disk entry is regenerated and rewritten,
   never silently served.
 * module-level configuration (:func:`configure_instances`) and a
-  picklable :func:`_pool_worker_init` so ``sweep(workers=N)`` workers
-  memoize per-process and share the same disk store.
+  picklable :func:`_pool_worker_init` so spawned ``sweep(workers=N)``
+  workers memoize per-process and share the same disk store.
 
 Generation has one path; ``tests/workloads/oracle.py`` holds the
 event-at-a-time specification it is property-tested to equal, seed for
@@ -351,11 +351,10 @@ def active_cache() -> InstanceCache:
 
 
 def _pool_worker_init(cache_dir: str | None) -> None:
-    """ProcessPoolExecutor initializer: per-worker memoized cache.
-
-    Workers inherit the parent's cache *configuration* (not its
-    contents): each worker process memoizes the instances of the cells
-    it receives, and a shared ``cache_dir`` lets workers reuse each
-    other's stored instances across invocations.
+    """ProcessPoolExecutor initializer of a *spawned* worker (a forked
+    one keeps the parent's cache): the parent's cache *configuration*,
+    not its contents. The worker memoizes the instances of the cells it
+    receives, and a shared ``cache_dir`` lets workers reuse each other's
+    stored instances across invocations.
     """
     configure_instances(cache_dir=cache_dir)

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Container, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from repro.core.intervals import ExecutionInterval, TInterval
 from repro.core.timeline import Chronon
 
@@ -45,6 +47,7 @@ __all__ = [
     "TIntervalState",
     "filter_blocked",
     "key_of",
+    "noise",
     "plan_chronon",
     "retire",
     "select_probes",
@@ -208,6 +211,8 @@ class ScoreKey:
     * ``deadlines`` — M-EDF's sum over ``eta``'s uncaptured EIs of their
       deadlines, less ``T`` for each one already open;
     * ``pool`` — how many candidates ``I``'s resource has this chronon;
+    * ``noise`` — ``I``'s uniform draw in ``[0, 2**16)``, :func:`noise`
+      of its ``(profile_id, tinterval_id, ei_id)``;
     * ``chronon`` — ``T`` itself; ``const`` — one.
 
     :meth:`Policy.score` evaluates the row for one candidate, the block
@@ -223,6 +228,7 @@ class ScoreKey:
     captured: int = 0
     deadlines: int = 0
     pool: int = 0
+    noise: int = 0
     chronon: int = 0
     const: int = 0
 
@@ -243,9 +249,8 @@ class Policy:
     """Scores candidate EIs; the proxy probes the lowest-scored ones.
 
     The score is one :class:`ScoreKey` row, ``key``: a new policy is one
-    row. A policy whose score is not a row (RANDOM, the utility
-    extension's policy) overrides :meth:`score` instead and runs on the
-    reference path only (:func:`key_of`).
+    row. A policy whose score is not a row overrides :meth:`score`
+    instead and runs on the reference path only (:func:`key_of`).
     """
 
     #: Short name used in reports ("S-EDF", "MRSF", "M-EDF", ...).
@@ -283,6 +288,10 @@ class Policy:
             value += key.deadlines * deadlines
         if key.pool:
             value += key.pool * self._pool.get(ei.resource_id, 1)
+        if key.noise:
+            eta = state.eta
+            value += key.noise * int(
+                noise(eta.profile_id, eta.tinterval_id, ei.ei_id))
         return float(value)
 
     def observe_candidates(self, candidates: Sequence[Candidate],
@@ -317,6 +326,21 @@ def key_of(policy: Policy) -> ScoreKey | None:
             and cls.observe_candidates is Policy.observe_candidates):
         return policy.key
     return None
+
+
+def noise(*ids) -> np.ndarray:
+    """The top 16 bits of a splitmix64 fold of ``ids`` (ints or integer
+    columns, broadcast), as int32: a column draws as its elements do."""
+    word = np.zeros(np.broadcast_shapes(*map(np.shape, ids)), np.uint64)
+    for part in ids:
+        word += np.asarray(part).astype(np.uint64)
+        word += np.uint64(0x9E3779B97F4A7C15)
+        word ^= word >> np.uint64(30)
+        word *= np.uint64(0xBF58476D1CE4E5B9)
+        word ^= word >> np.uint64(27)
+        word *= np.uint64(0x94D049BB133111EB)
+        word ^= word >> np.uint64(31)
+    return (word >> np.uint64(48)).astype(np.int32)
 
 
 def filter_blocked(candidates: Sequence[Candidate], breaker,

@@ -2,7 +2,7 @@
 
 These give the experiment harness cheap lower/upper sanity bounds:
 
-* :class:`RandomPolicy` — uniformly random priorities (seeded);
+* :class:`RandomPolicy` — uniformly random priorities (``noise``);
 * :class:`FCFSPolicy` — first-come-first-served on EI start chronons;
 * :class:`LeastFlexibleFirstPolicy` — prefer EIs with the fewest
   chronons left in their window; every candidate is active, so this is
@@ -19,14 +19,10 @@ the ablation benchmarks.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.timeline import Chronon
 from repro.online.base import (
     EI_LEVEL,
     MULTI_EI_LEVEL,
     RANK_LEVEL,
-    Candidate,
     Policy,
     ScoreKey,
 )
@@ -42,25 +38,13 @@ __all__ = [
 
 
 class RandomPolicy(Policy):
-    """Uniformly random priorities; deterministic given the seed.
-
-    The score depends only on the candidate's identity and the chronon, so
-    repeated scoring within one selection round is stable.
-    """
+    """Uniformly random priorities: each EI's own draw,
+    :func:`~repro.online.base.noise` of its identity, the same at every
+    chronon and on every engine."""
 
     name = "Random"
     level = EI_LEVEL
-
-    def __init__(self, seed: int | None = None) -> None:
-        self._seed = 0 if seed is None else int(seed)
-
-    def score(self, candidate: Candidate, chronon: Chronon) -> float:
-        key = (self._seed, chronon, candidate.state.eta.profile_id,
-               candidate.state.eta.tinterval_id, candidate.ei.ei_id,
-               candidate.ei.resource_id, candidate.ei.start,
-               candidate.ei.finish)
-        rng = np.random.default_rng(abs(hash(key)) % (2**32))
-        return float(rng.random())
+    key = ScoreKey(noise=1)
 
 
 class FCFSPolicy(Policy):

@@ -20,8 +20,8 @@ vectors, ``visible_from`` and ``gone_from``, and
 use, reading a lowering whose EIs are cut to their lifetimes. The plan
 keeps that lowering, so the next policy run over the same (initial set,
 epoch) builds nothing before its first chronon. What the columns
-cannot serve (a policy without a score row such as RANDOM, keys
-beyond 62 bits) is refused with
+cannot serve (a policy that overrides ``score``, keys beyond 62
+bits) is refused with
 :class:`BatchUnsupported` before any chronon runs: the live
 :class:`~repro.runtime.proxy.MonitoringProxy` following the plan is the
 way to run those — and the referee the columns are tested against
@@ -389,9 +389,7 @@ def run_churned(profiles: ProfileSet, epoch: Epoch,
     if not isinstance(plan, ChurnPlan):
         plan = ChurnPlan(plan)
     started = time.perf_counter()
-    fault = None
-    if faults is not None or retry is not None or breaker is not None:
-        fault = batch.FaultLane(faults, retry, breaker)
+    fault = batch.FaultLane(faults, retry, breaker)
     try:
         lowered, columnar = _lowering(profiles, plan, epoch)
         (result,) = batch.run_block(

@@ -62,7 +62,7 @@ import numpy as np
 from repro.core.profile import ProfileColumns, ProfileSet
 from repro.core.timeline import Epoch
 from repro.faults.model import keyed_draw
-from repro.online.base import ScoreKey
+from repro.online.base import ScoreKey, noise
 from repro.online.registry import registered_keys
 
 __all__ = ["ActivityWindow", "BatchUnsupported", "ColumnarInstance",
@@ -234,8 +234,8 @@ class ActivityWindow:
     entry's group within its chronon, and one key column per score row
     (:class:`~repro.online.base.ScoreKey`) of the block that asked,
     ``hi_static[key]`` — per entry, ``(score << score_shift) |
-    finstart``, the score being the row's per-EI terms (``deadlines``
-    among them as the state's ``init_sum``) and its offset
+    finstart``, the score being the row's per-EI terms (``deadlines`` as
+    the state's ``init_sum``, ``noise`` as the EI's draw) and its offset
     (:meth:`ColumnarInstance.score_offset`). The run adds the terms that
     read the chronon or the lane (``captured``, ``pool``, and the
     ``-T`` per started or captured sibling and the captured deadlines
@@ -273,12 +273,17 @@ class ActivityWindow:
             ("rank", col.st_rank), ("need", col.st_need),
             ("deadlines", col.init_sum))
             if any(getattr(key, feature) for key in keys)]
+        noisy = any(key.noise for key in keys)
 
         def features(eis: np.ndarray, states: np.ndarray) -> dict:
             gathered = {"finish": col.ei_finish[eis],
                         "start": col.ei_start[eis]}
             gathered.update((feature, column[states])
                             for feature, column in reads)
+            if noisy:
+                gathered["noise"] = noise(col.st_profile[states],
+                                          col.st_tid[states],
+                                          eis - col._ei_ptr[states])
             return gathered
 
         if sorted_from is not None:
@@ -740,6 +745,7 @@ class ColumnarInstance:
             "deadlines": (-K * size_max,
                           int(self.init_sum.max()) if self.S else 1),
             "pool": (0, self.n_max),
+            "noise": (0, 0xFFFF),
         }
         # The score field holds the widest row of any registered policy.
         score_max = max(hi - lo for lo, hi in (

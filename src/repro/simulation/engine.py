@@ -37,8 +37,8 @@ per-chronon bookkeeping: a t-interval is counted captured iff it is
 complete when the epoch ends, expired otherwise, which is provably what
 the reference's retire/flush counting computes.
 
-Policies without a row (e.g. RANDOM, subclasses that override
-``score`` or ``observe_candidates``) fall back to a generic path that
+Policies without a row (subclasses that override ``score`` or
+``observe_candidates``) fall back to a generic path that
 still benefits from the index: the flat candidate list is materialised
 from it in reference order and handed to
 :func:`~repro.online.base.select_probes`.
@@ -90,6 +90,7 @@ from repro.online.base import (
     ProbeDecision,
     TIntervalState,
     key_of,
+    noise,
     select_probes,
 )
 from repro.simulation.result import SimulationResult
@@ -270,6 +271,8 @@ class FastProxySimulator:
                      + row.captured * state.captured_count
                      + row.deadlines * (fs.medf_sum
                                         - chronon * fs.medf_started))
+            if row.noise:
+                score += row.noise * int(noise(fs.pid, fs.tid, ei_id))
             key = (score, ei.finish, ei.start, rid,
                    fs.pid, fs.tid, seq, ei_id)
             side = split and not state.committed

@@ -47,8 +47,8 @@ def run_online(profiles: ProfileSet, epoch: Epoch, budget: BudgetVector,
     lineups into one block), fault layer included (``faults`` /
     ``retry`` / ``breaker`` ride along as a
     :class:`~repro.simulation.batch.FaultLane`). What the columns cannot
-    encode — a policy without a score row such as RANDOM, a subclassed
-    breaker, keys beyond 62 bits — goes to ``engine="reference"``, and
+    encode — a policy that overrides ``score``, a subclassed breaker,
+    keys beyond 62 bits — goes to ``engine="reference"``, and
     an INFO record on this module's logger says why.
 
     ``engine="reference"`` is the live proxy: one client registers every
@@ -64,9 +64,7 @@ def run_online(profiles: ProfileSet, epoch: Epoch, budget: BudgetVector,
     results (the conformance matrix).
     """
     if engine == "batch":
-        fault = batch.FaultLane(faults, retry, breaker) \
-            if (faults is not None or retry is not None
-                or breaker is not None) else None
+        fault = batch.FaultLane(faults, retry, breaker)
         try:
             return batch.run_block(
                 profiles, epoch, [(policy, preemptive, budget, 0, fault)])[0]

@@ -108,7 +108,7 @@ def federated_run(profiles: ProfileSet, epoch: Epoch,
     work-stealing ledger.
 
     Raises :class:`~repro.simulation.columnar.BatchUnsupported` for
-    policies without a score row (e.g. RANDOM) and
+    policies without a score row (those that override ``score``) and
     instances whose packed keys overflow — such runs need the reference
     simulator.
     """
@@ -117,9 +117,7 @@ def federated_run(profiles: ProfileSet, epoch: Epoch,
     K = shards
     col = columnar if columnar is not None else \
         ColumnarInstance.build(profiles, epoch)
-    fault = None
-    if faults is not None or retry is not None or breaker is not None:
-        fault = FaultLane(faults, retry, breaker)
+    fault = FaultLane(faults, retry, breaker)
     lanes = _make_lanes(col, [(policy, preemptive, budget, 0, fault)])
     owner = coord.assign(col.rid_space)
 

@@ -80,9 +80,10 @@ ROWS = {
     "ANTI-MRSF": ScoreKey(rank=-1, captured=1),
     "COVERAGE": ScoreKey(pool=-1),
     "M-EDF": ScoreKey(deadlines=1),
+    "RANDOM": ScoreKey(noise=1),
 }
 
-#: The nine rows, preemptive and not.
+#: The ten rows, preemptive and not.
 ROW_POLICIES = tuple(f"{name}({mode})" for name in ROWS
                      for mode in ("P", "NP"))
 

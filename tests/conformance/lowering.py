@@ -15,6 +15,7 @@ from unittest import mock
 import numpy as np
 
 from repro.online import ScoreKey
+from repro.online.base import noise
 from repro.simulation import columnar as columnar_module
 from repro.simulation.columnar import (
     _MAX_KEY_BITS,
@@ -101,13 +102,15 @@ def oracle(profiles, epoch, visible_from=None,
     # arrival)``, nothing at all if it closed before) up to the clock
     # its t-interval was cancelled at.
     ei_res, ei_start, ei_finish, ei_state = [], [], [], []
-    first, until = [], []
+    ei_noise, first, until = [], [], []
     for seq, i in enumerate(order):
         for ei in etas[i]:
             ei_res.append(ei.resource_id)
             ei_start.append(ei.start)
             ei_finish.append(ei.finish)
             ei_state.append(seq)
+            ei_noise.append(int(noise(etas[i].profile_id,
+                                      etas[i].tinterval_id, ei.ei_id)))
             first.append(max(ei.start, visible[i]))
             until.append(min(ei.finish, last, gone[i]))
     first = np.array(first, dtype=np.int64)
@@ -221,6 +224,7 @@ def oracle(profiles, epoch, visible_from=None,
         "captured": (0, size_max),
         "deadlines": (-last * size_max, int(o.init_sum.max()) if o.S else 1),
         "pool": (0, o.n_max),
+        "noise": (0, 0xFFFF),
     }
     score_max = max(hi - lo for lo, hi in (
         _row_range(key, o.feature_ranges) for key in ROWS.values()))
@@ -245,10 +249,12 @@ def oracle(profiles, epoch, visible_from=None,
     deadlines = o.init_sum[o.ps_act]
     rank = o.st_rank[o.ps_act]
     need = o.st_need[o.ps_act]
+    draw = np.array(ei_noise, dtype=np.int64)[o.act_e]
     o.hi_static = {}
     for key in ROWS.values():
         score = (key.finish * fin + key.start * start + key.rank * rank
                  + key.need * need + key.deadlines * deadlines
+                 + key.noise * draw
                  - _row_range(key, o.feature_ranges)[0])
         o.hi_static[key] = (score << o.score_shift) + finstart
 

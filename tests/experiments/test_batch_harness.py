@@ -6,8 +6,8 @@ of one columnar block — one block per generated instance, by default,
 for every GC sweep; this file pins down that the blocked path (serial
 and on a process pool of any size) reproduces exactly the reference
 simulator's numbers, that a repetition is a block of its own (and a
-worker chunk of its own), that unsupported policies fall back to the
-reference per (cell, policy), that only the runtime-reporting
+worker chunk of its own), that a block the columns refuse falls back to
+the reference whole, every lane counted, that only the runtime-reporting
 experiments still time each policy in a run of its own (``"solo"``: a
 one-lane block per policy), and that
 :func:`~repro.experiments.instances.generation_key` captures precisely
@@ -33,6 +33,7 @@ from repro.experiments.harness import (
     run_setting,
     sweep,
 )
+from repro.online import registry
 from repro.online.registry import parse_policy_spec
 from repro.runtime import MonitoringProxy
 from repro.simulation import run_online
@@ -40,15 +41,22 @@ from repro.simulation import batch as batch_module
 from repro.experiments import instances
 from repro.experiments.instances import InstanceCache, generation_key
 
+from tests.conformance.cases import LoudMRSF
 from tests.conformance.engines import assert_same_gc, gc_map
 
 _CONFIG = ExperimentConfig(
     epoch_length=20, num_resources=6, num_profiles=8, intensity=4.0,
     window=4, repetitions=3, grouping="overlap", seed=99)
 
-#: RANDOM has no columnar kind — including it exercises the per-policy
-#: fall-back inside an otherwise-blocked cell.
+#: RANDOM's row weighs the ``noise`` feature, no other policy's does.
 _POLICIES = ("S-EDF(P)", "MRSF(P)", "RANDOM(NP)")
+
+
+@pytest.fixture
+def loud_registered(monkeypatch):
+    """``LOUD-MRSF``, a policy without a row, under a name the harness
+    resolves (a forked pool worker inherits it)."""
+    monkeypatch.setitem(registry._FACTORIES, "LOUD-MRSF", LoudMRSF)
 
 
 class TestBatchHarness:
@@ -142,6 +150,17 @@ class TestDefaultEngine:
         assert len(reference_runs) == (3 * _CONFIG.repetitions
                                   * len(DEFAULT_POLICIES))
 
+    def test_the_ablation_lineup_is_served_by_blocks_alone(
+            self, reference_runs):
+        """The paper's policies beside the naive baselines, RANDOM
+        among them: every lane rides its instance's block."""
+        outcome = run_setting(_CONFIG, policies=(
+            "MRSF(P)", "M-EDF(P)", "S-EDF(P)", "RANDOM", "FCFS",
+            "COVERAGE", "LFF"), workers=1)
+        assert reference_runs == []
+        assert (outcome.fell_back, outcome.blocks) == (
+            0, _CONFIG.repetitions)
+
     def test_run_setting_default_is_blocked_too(self, reference_runs):
         outcome = run_setting(_CONFIG, workers=1)
         assert reference_runs == []
@@ -159,23 +178,27 @@ class TestDefaultEngine:
         assert (result.engine, result.fell_back) == ("batch", 0)
         assert_same_gc(self._sweep, result, workers=2)
 
-    def test_random_falls_back_per_run(self, reference_runs):
-        policies = DEFAULT_POLICIES + ("RANDOM(P)",)
+    def test_a_rowless_policy_takes_its_block_to_the_reference(
+            self, reference_runs, loud_registered):
+        policies = DEFAULT_POLICIES + ("LOUD-MRSF(P)",)
         result = self._sweep(policies, workers=1)
-        random_runs = 3 * _CONFIG.repetitions
-        assert len(reference_runs) == result.fell_back == random_runs
+        runs = 3 * _CONFIG.repetitions * len(policies)
+        assert len(reference_runs) == result.fell_back == runs
+        assert result.blocks == 0
         fast = self._sweep(policies, engine="reference")
         assert fast.engine == "reference" and fast.fell_back == 0
         for run, fast_run in zip(result.runs, fast.runs):
             assert gc_map(run) == gc_map(fast_run)
 
-    def test_fell_back_counts_runs_landing_on_the_reference(self):
-        result = sweep("s", _CONFIG, "budget", [2],
-                       ("MRSF(P)", "RANDOM", "S-EDF(NP)"))
-        assert result.fell_back == _CONFIG.repetitions
-        assert result.blocks == _CONFIG.repetitions
-        reference = sweep("s", _CONFIG, "budget", [2],
-                          ("MRSF(P)", "RANDOM", "S-EDF(NP)"),
+    def test_fell_back_counts_runs_landing_on_the_reference(
+            self, loud_registered):
+        policies = ("MRSF(P)", "LOUD-MRSF", "S-EDF(NP)")
+        result = sweep("s", _CONFIG, "budget", [2], policies)
+        assert result.fell_back == 3 * _CONFIG.repetitions
+        assert result.blocks == 0
+        served = sweep("s", _CONFIG, "budget", [2], ("MRSF(P)", "RANDOM"))
+        assert (served.fell_back, served.blocks) == (0, _CONFIG.repetitions)
+        reference = sweep("s", _CONFIG, "budget", [2], policies,
                           engine="reference")
         assert (reference.fell_back, reference.blocks) == (0, 0)
         assert gc_map(result.runs[0]) == gc_map(reference.runs[0])
@@ -405,22 +428,51 @@ class TestAutomaticPool:
         assert [kwargs["mp_context"].get_start_method()
                 for kwargs in inline_pool["kwargs"]] == ["fork", "fork"]
 
-    def test_a_pooled_fault_sweep_is_the_serial_one(self, monkeypatch):
+    def test_a_pooled_fault_sweep_is_the_serial_one(self, monkeypatch,
+                                                   loud_registered):
         import multiprocessing
 
         _usable_cpus(monkeypatch, 2)
         config = _CONFIG.with_(budget=2)
-        policies = ("MRSF(P)", "S-EDF(NP)", "RANDOM(NP)")
+        policies = ("MRSF(P)", "S-EDF(NP)", "LOUD-MRSF(NP)")
         pooled = fault_sweep(config=config, rates=(0.0, 0.3),
                              policies=policies)
         assert multiprocessing.active_children() == []
         serial = fault_sweep(config=config, rates=(0.0, 0.3),
                              policies=policies, workers=1)
         assert pooled.fell_back == serial.fell_back \
-            == 2 * _CONFIG.repetitions
-        assert pooled.blocks == serial.blocks == _CONFIG.repetitions
+            == 2 * len(policies) * _CONFIG.repetitions
+        assert pooled.blocks == serial.blocks == 0
         for label in policies:
             assert pooled.series(label) == serial.series(label)
+
+    def test_a_forked_worker_keeps_the_parents_cache(self, monkeypatch):
+        cache = InstanceCache()
+        monkeypatch.setattr(instances, "_ACTIVE_CACHE", cache)
+        make_instance(_CONFIG, 0)
+        parent = cache.stats()
+        (worker,) = harness._pool_map(_worker_cache_stats, [(_CONFIG, 0)], 2)
+        assert worker["memory_hits"] == parent["memory_hits"] + 1
+        assert worker["misses"] == parent["misses"] == 1
+
+
+    def test_a_spawned_worker_gets_the_cache_directory(self, monkeypatch,
+                                                       inline_pool,
+                                                       tmp_path):
+        monkeypatch.setattr(instances, "_ACTIVE_CACHE",
+                            InstanceCache(cache_dir=tmp_path))
+        monkeypatch.delattr(harness.os, "fork")
+        harness._pool_map(_worker_cache_stats, [(_CONFIG, 0)], 2)
+        assert inline_pool["kwargs"] == [dict(
+            initializer=instances._pool_worker_init,
+            initargs=(str(tmp_path),))]
+
+
+def _worker_cache_stats(config, repetition):
+    """A pool job: read one instance, then report the worker's cache
+    counters."""
+    make_instance(config, repetition)
+    return instances.active_cache().stats()
 
 
 @pytest.fixture

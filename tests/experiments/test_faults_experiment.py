@@ -10,6 +10,9 @@ from repro.experiments import (
 )
 from repro.experiments.config import baseline
 from repro.faults import RetryConfig
+from repro.online import registry
+
+from tests.conformance.cases import LoudMRSF
 
 
 class TestFaultSweep:
@@ -68,21 +71,22 @@ class TestFaultSweepEngines:
         assert batch.outcomes["M-EDF(P)"].gc_values == \
             fast.outcomes["M-EDF(P)"].gc_values
 
-    def test_fallback_lanes_are_counted(self):
-        # RANDOM has no columnar kind: under the batch engine each of
-        # its (repetition, rate) runs takes the reference path and is
+    def test_fallback_lanes_are_counted(self, monkeypatch):
+        # LOUD-MRSF has no row: under the batch engine each repetition's
+        # block takes the reference path, every (rate, policy) run of it
         # surfaced through fell_back; the series itself is unaffected.
+        monkeypatch.setitem(registry._FACTORIES, "LOUD-MRSF", LoudMRSF)
         config = baseline("smoke")
+        policies = ("S-EDF(P)", "LOUD-MRSF(NP)")
         result = fault_sweep(scale="smoke", rates=(0.2, 0.4),
-                             policies=("S-EDF(P)", "RANDOM(NP)"),
-                             engine="batch")
-        assert result.fell_back == 2 * config.repetitions
+                             policies=policies, engine="batch")
+        assert result.fell_back == 2 * len(policies) * config.repetitions
         for run in result.runs:
-            assert run.fell_back == config.repetitions
+            assert run.fell_back == len(policies) * config.repetitions
         pure = fault_sweep(scale="smoke", rates=(0.2, 0.4),
-                           policies=("S-EDF(P)", "RANDOM(NP)"),
-                           engine="reference")
-        assert result.series("RANDOM(NP)") == pure.series("RANDOM(NP)")
+                           policies=policies, engine="reference")
+        for label in policies:
+            assert result.series(label) == pure.series(label)
 
 
 class TestBreakerAblation:

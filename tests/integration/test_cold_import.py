@@ -115,20 +115,23 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.faults import fault_sweep
 from repro.experiments.harness import make_instance, sweep
 from repro.faults import FaultInjector, FaultSpec
-from repro.online.baselines import RandomPolicy
+from repro.online import registry
 from repro.online.registry import parse_policy_spec
 from repro.simulation import federated_run, run_churned, run_online
+from tests.conformance.cases import LoudMRSF
+
+registry._FACTORIES["LOUD-MRSF"] = LoudMRSF
 
 config = ExperimentConfig(epoch_length=20, num_resources=6, num_profiles=8,
                           intensity=4.0, window=4, repetitions=2, seed=3)
 # workers=1: a pool worker's imports are not this process's.
-panel = sweep("s", config, "budget", [1, 2], ("MRSF(P)", "RANDOM(NP)"),
+panel = sweep("s", config, "budget", [1, 2], ("MRSF(P)", "LOUD-MRSF(NP)"),
               workers=1)
-assert panel.fell_back == 4, panel.fell_back
+assert panel.fell_back == 8, panel.fell_back
 for engine in ("solo", "reference"):
     sweep("s", config, "budget", [1], engine=engine, workers=1)
 fault_sweep(config=config, rates=(0.0, 0.3),
-            policies=("S-EDF(P)", "RANDOM(P)"), workers=1)
+            policies=("S-EDF(P)", "LOUD-MRSF(P)"), workers=1)
 initial, plan, epoch = build_churn_workload(ChurnConfig(
     epoch_length=30, num_resources=6, intensity=2.0, num_clients=4,
     profiles_per_client=2, join_spread=0.5, leave_probability=0.5, seed=3))
@@ -138,7 +141,7 @@ run_churned(initial, epoch, BudgetVector(2), policy, plan,
 _trace, profiles = make_instance(config, 0)
 budget = config.budget_vector
 federated_run(profiles, config.epoch, budget, policy, shards=2)
-run_online(profiles, config.epoch, budget, RandomPolicy())
+run_online(profiles, config.epoch, budget, LoudMRSF())
 recorder = FaultInjector(FaultSpec(failure_probability=0.4, seed=1))
 recorded = run_online(profiles, config.epoch, budget, policy,
                       faults=recorder)
@@ -307,8 +310,9 @@ print("cold-import-ok")
 
 
 def _run_cold(script: str) -> None:
-    src = Path(__file__).resolve().parents[2] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        (str(root / "src"), str(root))))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -10,9 +10,12 @@ from repro.online import (
     FCFSPolicy,
     LeastFlexibleFirstPolicy,
     RandomPolicy,
+    ScoreKey,
     SEDFPolicy,
     TIntervalState,
+    key_of,
 )
+from repro.online.base import noise
 from repro.simulation import run_online
 
 
@@ -23,22 +26,34 @@ def _candidate(resource: int, start: int, finish: int) -> Candidate:
 
 
 class TestRandomPolicy:
-    def test_deterministic_given_seed(self):
-        candidate = _candidate(0, 1, 5)
-        a = RandomPolicy(seed=1).score(candidate, 2)
-        b = RandomPolicy(seed=1).score(candidate, 2)
-        assert a == b
+    """RANDOM is the row ``ScoreKey(noise=1)``: each EI's fixed draw."""
 
-    def test_scores_in_unit_interval(self):
-        policy = RandomPolicy(seed=2)
-        for resource in range(20):
-            score = policy.score(_candidate(resource, 1, 9), 3)
-            assert 0.0 <= score < 1.0
+    def test_is_the_noise_row(self):
+        assert RandomPolicy().key == ScoreKey(noise=1)
+        assert key_of(RandomPolicy()) == ScoreKey(noise=1)
+        assert "score" not in vars(RandomPolicy)
+
+    def test_deterministic_across_instances_and_chronons(self):
+        candidate = _candidate(0, 1, 5)
+        a = RandomPolicy().score(candidate, 2)
+        assert RandomPolicy().score(candidate, 2) == a
+        assert RandomPolicy().score(candidate, 4) == a
+
+    def test_scores_are_the_draw_of_the_ids(self):
+        policy = RandomPolicy()
+        for tinterval_id in range(20):
+            eta = TInterval([ExecutionInterval(0, 1, 9)], tinterval_id, 3)
+            state = TIntervalState(eta, 1)
+            score = policy.score(Candidate(state, state.eta[0]), 3)
+            assert score == float(noise(3, tinterval_id, 0))
+            assert 0.0 <= score < 2 ** 16
 
     def test_different_candidates_get_different_scores(self):
-        policy = RandomPolicy(seed=3)
-        scores = {policy.score(_candidate(r, 1, 9), 1)
-                  for r in range(10)}
+        policy = RandomPolicy()
+        eta = TInterval([ExecutionInterval(r, 1, 9) for r in range(10)],
+                        0, 0)
+        state = TIntervalState(eta, 10)
+        scores = {policy.score(Candidate(state, ei), 1) for ei in state.eta}
         assert len(scores) > 1
 
 

@@ -6,23 +6,26 @@ registered policy's row; the lowering's oracle builds its key columns
 from it.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ExecutionInterval, TInterval
 from repro.online import (
     Candidate,
     MRSFPolicy,
     Policy,
-    RandomPolicy,
     ScoreKey,
     TIntervalState,
     available_policies,
     key_of,
     make_policy,
 )
+from repro.online.base import noise
 from repro.online.registry import registered_keys
 
-from tests.conformance.cases import ROWS
+from tests.conformance.cases import ROWS, LoudMRSF
 
 
 
@@ -40,9 +43,8 @@ class _Row(Policy):
     name = "row"
 
 
-def test_the_registry_holds_one_row_per_policy_but_random():
+def test_the_registry_holds_one_row_per_policy():
     rows = {name: make_policy(name).key for name in available_policies()}
-    assert rows.pop("RANDOM") is None
     assert rows == ROWS
     assert sorted(registered_keys(), key=repr) == \
         sorted(ROWS.values(), key=repr)
@@ -51,7 +53,8 @@ def test_the_registry_holds_one_row_per_policy_but_random():
 @pytest.mark.parametrize("feature, value", [
     ("finish", 12), ("start", 2), ("rank", 4), ("need", 4), ("captured", 1),
     # (12 - 10) + (15 - 10) + 20: the M-EDF sum, EI 1 captured.
-    ("deadlines", 27), ("chronon", 10), ("const", 1)])
+    ("deadlines", 27), ("noise", int(noise(-1, -1, 0))), ("chronon", 10),
+    ("const", 1)])
 def test_score_weighs_each_feature(feature, value):
     policy = _Row()
     state = _state()
@@ -118,7 +121,43 @@ class TestKeyOf:
 
         assert key_of(Mine()) is None
 
-    @pytest.mark.parametrize("policy", [RandomPolicy(seed=1)],
-                             ids=["random"])
+    @pytest.mark.parametrize("policy", [LoudMRSF()], ids=["loud-mrsf"])
     def test_a_policy_scoring_by_its_own_method_has_none(self, policy):
         assert key_of(policy) is None
+
+
+@pytest.mark.parametrize("name", available_policies())
+def test_every_registered_policy_is_a_row(name):
+    """No built-in policy leaves the columns for the reference."""
+    assert key_of(make_policy(name)) is not None
+
+
+#: Ids as the lowering holds them: int32, non-negative.
+_IDS = st.integers(0, 2 ** 31 - 1)
+
+
+class TestNoise:
+    """RANDOM's feature: one draw per ``(profile_id, tinterval_id,
+    ei_id)``, the same from columns (the lowering) and from ints (the
+    object path and the event engine)."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(ids=st.lists(st.tuples(_IDS, _IDS, _IDS), min_size=1,
+                        max_size=40))
+    def test_a_column_is_its_elements_one_at_a_time(self, ids):
+        columns = [np.array(column, dtype=np.int32) for column in zip(*ids)]
+        drawn = noise(*columns)
+        assert drawn.dtype == np.int32 and drawn.shape == (len(ids),)
+        assert drawn.tolist() == [int(noise(*triple)) for triple in ids]
+        assert ((0 <= drawn) & (drawn < 2 ** 16)).all()
+
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_every_id_moves_the_draw(self, field):
+        # A fold that dropped a field would leave the draw unchanged.
+        rng = np.random.default_rng(field)
+        ids = rng.integers(0, 2 ** 31 - 1, size=(3, 10_000), dtype=np.int64)
+        moved = ids.copy()
+        moved[field] = (moved[field] + rng.integers(1, 1000, size=10_000)
+                        ) % (2 ** 31 - 1)
+        changed = noise(*ids) != noise(*moved)
+        assert changed.mean() >= 0.99

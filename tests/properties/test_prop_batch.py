@@ -22,5 +22,5 @@ class TestBatchEquivalence:
     def test_run_online_engine_batch(self):
         check_pinned("123/reliable/K1/", ["online"])
 
-    def test_run_online_batch_falls_back_for_random(self):
-        check_pinned("2108/faulty/RANDOM", ["online", "block"])
+    def test_run_online_batch_falls_back_for_a_policy_without_a_row(self):
+        check_pinned("2108/faulty/LOUD-MRSF", ["online", "block"])

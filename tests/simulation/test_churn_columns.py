@@ -52,6 +52,7 @@ from tests.conformance.cases import (
     ROW_POLICIES,
     Case,
     hand_profile,
+    make_policy,
 )
 from tests.conformance.engines import (
     assert_agree,
@@ -534,7 +535,7 @@ class TestFallbackIsLogged:
     PLAN = ChurnPlan([ChurnEvent.add(5, HAND_LATE), ChurnEvent.remove(7, 0)])
 
     def _churned(self, label, plan=PLAN, **kwargs):
-        policy, preemptive = parse_policy_spec(label)
+        policy, preemptive = make_policy(label)
         return run_churned(HAND_INITIAL, HAND_EPOCH, BudgetVector(1), policy,
                            plan, preemptive=preemptive, **kwargs)
 
@@ -552,10 +553,16 @@ class TestFallbackIsLogged:
         assert [record for record in caplog.records
                 if record.levelno >= logging.INFO] == []
 
-    def test_random_policy(self):
-        self._refused("RANDOM(NP)", "no columnar scoring kind")
+    def test_random_policy(self, caplog):
+        # RANDOM is a row: the columns serve it, as the live proxy runs it.
+        with caplog.at_level(logging.INFO, logger="repro.simulation"):
+            churned(HAND_INITIAL, self.PLAN, "RANDOM(NP)")
+        assert caplog.records == []
+
+    def test_a_policy_without_a_row(self):
+        self._refused("LOUD-MRSF(NP)", "no columnar scoring kind")
         # The way to run it: the live proxy takes any policy.
-        live = referee_run(Case(HAND_INITIAL, HAND_EPOCH, "RANDOM(NP)",
+        live = referee_run(Case(HAND_INITIAL, HAND_EPOCH, "LOUD-MRSF(NP)",
                                 BudgetVector(1), plan=self.PLAN))
         assert live["captured"] + live["expired"] + live["dropped"] == 3
         assert live["probes"]

@@ -41,7 +41,6 @@ from repro.faults import (
     FaultSpec,
     RetryConfig,
 )
-from repro.online.registry import parse_policy_spec
 from repro.simulation import (
     ChurnEvent,
     ChurnPlan,
@@ -62,6 +61,7 @@ from tests.conformance.cases import (
     ROW_POLICIES,
     Case,
     hand_profile,
+    make_policy,
 )
 from tests.conformance.engines import (
     assert_agree,
@@ -92,7 +92,7 @@ def assert_same_lowering(left, right) -> None:
 
 def _run(initial, plan, label, epoch_=HAND_EPOCH, budget=BudgetVector(1),
          **kwargs):
-    policy, preemptive = parse_policy_spec(label)
+    policy, preemptive = make_policy(label)
     return run_churned(initial, epoch_, budget, policy, plan,
                        preemptive=preemptive, **kwargs)
 
@@ -671,7 +671,7 @@ class TestObjectsAreWalkedOnce:
             # A miss lowers again — from the columns both now hold.
             _run(initial, plan, "MRSF(P)", Epoch(14))
             with pytest.raises(BatchUnsupported):
-                _run(initial, plan, "RANDOM(P)")
+                _run(initial, plan, "LOUD-MRSF(P)")
             ColumnarInstance.build(initial, HAND_EPOCH)
             assert walks.call_count == 2
 
@@ -698,12 +698,14 @@ class TestOneShotPlans:
                              ids=["iterator", "generator", "list", "plan"])
     @pytest.mark.parametrize("label, events", [
         ("RANDOM(P)", TestKeptLowering.PLAN),
+        ("LOUD-MRSF(P)", TestKeptLowering.PLAN),
         ("Q-MRSF(P)", _QUOTA_PLAN),
-    ], ids=["random", "state_factory"])
+    ], ids=["random", "rowless", "state_factory"])
     def test_fallback_sees_the_whole_plan(self, label, events, shape):
-        if label != "RANDOM(P)":
+        if label != "LOUD-MRSF(P)":
             result = _run(HAND_INITIAL, shape(events), label)
-            assert result.extras["doomed_at_birth"] == 0.0
+            if events is _QUOTA_PLAN:
+                assert result.extras["doomed_at_birth"] == 0.0
             assert_agree(observe(result), referee_run(Case(
                 HAND_INITIAL, HAND_EPOCH, label, BudgetVector(1),
                 plan=ChurnPlan(events))))

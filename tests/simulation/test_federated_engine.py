@@ -12,7 +12,7 @@ from repro.online.registry import parse_policy_spec
 from repro.simulation import BatchUnsupported, federated_run
 from repro.experiments.harness import make_instance
 
-from tests.conformance.cases import FEDERATED_123, PINNED
+from tests.conformance.cases import FEDERATED_123, PINNED, LoudMRSF
 from tests.conformance.engines import check, check_pinned
 
 CONFIG = FEDERATED_123
@@ -92,4 +92,4 @@ class TestRejections:
     def test_policy_without_columnar_kind_raises(self, instance):
         with pytest.raises(BatchUnsupported, match="columnar"):
             federated_run(instance, CONFIG.epoch, CONFIG.budget_vector,
-                          parse_policy_spec("RANDOM(P)")[0], shards=2)
+                          LoudMRSF(), shards=2)

@@ -20,7 +20,12 @@ from repro.online.registry import available_policies, parse_policy_spec
 from repro.simulation import run_block, run_online
 from repro.simulation.batch import FaultLane
 
-from tests.conformance.cases import ONLINE_2108, PINNED, hand_profile
+from tests.conformance.cases import (
+    ONLINE_2108,
+    PINNED,
+    hand_profile,
+    make_policy,
+)
 from tests.conformance.engines import assert_agree, check, observe
 
 _CONFIG = ONLINE_2108
@@ -32,7 +37,7 @@ SPECS = [f"{name}({mode})" for name in available_policies()
 
 def _run(spec, engine=None, faults=_SPEC):
     _trace, profiles = make_instance(_CONFIG, 0)
-    policy, preemptive = parse_policy_spec(spec)
+    policy, preemptive = make_policy(spec)
     breaker = CircuitBreaker(failure_threshold=2, cooldown=3)
     kwargs = {} if engine is None else {"engine": engine}
     result = run_online(profiles, _CONFIG.epoch, _CONFIG.budget_vector,
@@ -55,9 +60,9 @@ def test_default_is_the_reference_probe_for_probe(spec):
                  ["online"])["probes_failed"] > 0
 
 
-def test_random_policy_is_rerouted_once_with_the_reason(caplog):
+def test_a_policy_without_a_row_is_rerouted_once_with_the_reason(caplog):
     with caplog.at_level(logging.INFO, logger="repro.simulation"):
-        _run("RANDOM(P)")
+        _run("LOUD-MRSF(P)")
     (record,) = _proxy_records(caplog)
     assert record.levelno == logging.INFO
     assert "reference simulator" in record.getMessage()
@@ -66,7 +71,7 @@ def test_random_policy_is_rerouted_once_with_the_reason(caplog):
 
 def test_the_reference_logs_nothing(caplog):
     with caplog.at_level(logging.INFO, logger="repro.simulation"):
-        _run("RANDOM(P)", "reference")
+        _run("LOUD-MRSF(P)", "reference")
         _run("MRSF(P)", "reference")
     assert _proxy_records(caplog) == []
 
