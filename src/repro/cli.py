@@ -121,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers", type=_worker_count, default=None, metavar="N",
         help="run the independent jobs (a sweep's generated instances, "
-             "a churn scenario, an offline cell) in a process pool of N "
-             "workers (default: one per CPU this process may run on, "
+             "a churn scenario, an offline cell) on N processes, this "
+             "one and N-1 forked children (default: one per CPU this process may run on, "
              "capped by the jobs, for batch-engine sweeps; serial for "
              "runs that report runtimes: table1, fig3, fig5, churn, "
              "offline and any --engine solo|reference); gained "

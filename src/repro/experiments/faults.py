@@ -126,9 +126,9 @@ def fault_sweep(scale: str = "default",
     policy) combination — ``"batch"`` (the harness default) advances
     them as lanes of one columnar block per repetition, ``"solo"`` and
     ``"reference"`` run them one at a time; all produce identical
-    series. The repetitions' instances are farmed out to a process pool
-    of one worker per usable CPU (``workers=None``; serial for ``solo``
-    and ``reference``, which report runtimes) or of ``workers=N``;
+    series. The repetitions' instances are shared among processes,
+    one worker per usable CPU (``workers=None``; serial for ``solo``
+    and ``reference``, which report runtimes) or ``workers=N`` of them;
     ``workers=1`` is serial. ``config`` overrides the baseline config of
     ``scale`` (benchmarks sweep custom sizes).
     """

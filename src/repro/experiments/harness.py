@@ -5,22 +5,24 @@ setting generate ``repetitions`` independent problem instances (trace +
 profiles), run every policy — and optionally the offline approximation —
 on the *same* instances, and average gained completeness and runtime.
 
-Both :func:`run_setting` and :func:`sweep` farm the independent jobs —
-the generated instances their (setting, repetition) cells run on — out
-to a process pool. ``workers=None`` (the default) is one worker per CPU
-this process may run on, capped by the jobs, so a one-instance sweep
-and a one-CPU host stay serial and build no pool; runs that report
+Both :func:`run_setting` and :func:`sweep` share out the independent
+jobs — the generated instances their (setting, repetition) cells run
+on — among forked worker processes, the caller one of them (see
+:func:`_pool_map`). ``workers=None`` (the default) is one worker per
+CPU this process may run on, capped by the jobs, so a one-instance
+sweep and a one-CPU host stay serial and fork nothing; runs that report
 their own runtime (the ``solo`` and ``reference`` engines) stay serial
 too unless ``workers=N`` asks for N (see :func:`_pool_size`). Instance
 generation is fully seeded per cell, so the parallel path produces
 exactly the same gained-completeness numbers as the serial one; a
-runtime measured in a pool worker reads higher, with another worker
-beside it. Results are merged back in the serial iteration order.
+runtime measured beside another worker reads higher. Results are merged
+back in the serial iteration order.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -29,10 +31,10 @@ from repro.core.profile import ProfileSet
 from repro.experiments.config import ENGINES, ExperimentConfig
 from repro.experiments.instances import (
     InstanceCache,
-    _pool_worker_init,
     active_cache,
     generation_key,
 )
+from repro.online.base import key_of
 from repro.online.registry import parse_policy_spec
 from repro.simulation.batch import BatchUnsupported, FaultLane, run_block
 from repro.simulation.proxy import run_online
@@ -238,8 +240,8 @@ def _group_by_instance(cell_args: Sequence[tuple]) -> dict[str, list[int]]:
 
     The key is the cell's :func:`generation_key`: budget, policies and
     fault layer are free to differ — they become lanes — while another
-    repetition is another instance, hence another block. Serial blocks
-    and worker chunks both split along these groups.
+    repetition is another instance, hence another block. Blocks and
+    pool jobs both split along these groups.
     """
     groups: dict[str, list[int]] = {}
     for at, args in enumerate(cell_args):
@@ -249,15 +251,13 @@ def _group_by_instance(cell_args: Sequence[tuple]) -> dict[str, list[int]]:
     return groups
 
 
-def _run_cells_serial(cell_args: Sequence[tuple]
-                      ) -> list[dict[str, tuple[float, float]]]:
-    """Run cells in-process, one :func:`_run_one_block` per generated
-    instance (see :func:`_group_by_instance`), for every engine. Results
-    land in the original cell order."""
-    cells: list[dict[str, tuple[float, float]]] = [None] * len(cell_args)
-    for gkey, indices in _group_by_instance(cell_args).items():
-        _run_one_block(cell_args, gkey, indices, cells)
-    return cells
+def _run_group(cell_args: Sequence[tuple], gkey: str,
+               indices: Sequence[int]) -> list[dict[str, tuple]]:
+    """The cells of one generated instance, in ``indices`` order: one
+    :func:`_run_one_block`, and one :func:`_pool_map` job."""
+    cells: list = [None] * len(cell_args)
+    _run_one_block(cell_args, gkey, indices, cells)
+    return [cells[at] for at in indices]
 
 
 def _run_one_block(cell_args: Sequence[tuple], gkey: str,
@@ -269,8 +269,10 @@ def _run_one_block(cell_args: Sequence[tuple], gkey: str,
     ``"batch"`` runs blocks of up to :data:`_MAX_BLOCK_LANES` lanes over
     the cached lowering, ``"solo"`` one-lane blocks that lower the
     instance themselves (a runtime includes its lowering), and
-    ``"reference"`` the reference simulator. A block the columns refuse
-    runs on the reference too, every lane counted in ``fell_back``.
+    ``"reference"`` the reference simulator. A lane whose policy has no
+    score row (``key_of`` is None) runs on the reference beside the
+    block; a block the columns refuse (an instance whose keys overflow)
+    runs there whole. Either way each such lane counts in ``fell_back``.
     """
     config, repetition, _policies, _offline, source, engine = \
         cell_args[indices[0]][:6]
@@ -289,7 +291,8 @@ def _run_one_block(cell_args: Sequence[tuple], gkey: str,
             lane_home.append((at, label))
 
     results: list = [None] * len(lanes)
-    keyed = [] if engine == "reference" else list(range(len(lanes)))
+    keyed = [] if engine == "reference" else [
+        i for i, lane in enumerate(lanes) if key_of(lane[0]) is not None]
     size = 1 if engine == "solo" else _MAX_BLOCK_LANES
     columnar = None
     if keyed and engine == "batch":
@@ -328,16 +331,6 @@ def _run_one_block(cell_args: Sequence[tuple], gkey: str,
             cells[at][OFFLINE_LABEL] = _local_ratio_cell(profiles, config)
 
 
-def _process_pool(workers: int, **kwargs):
-    """A process pool of ``workers`` — what every ``workers=`` branch
-    of the experiments builds. ``concurrent.futures.process`` brings in
-    ``multiprocessing``, which no serial run needs, so it is imported
-    here."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=workers, **kwargs)
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the
     platform has one, else every CPU of the machine."""
@@ -356,8 +349,7 @@ def _pool_size(workers: int | None, jobs: int, timed: bool = False) -> int:
     worker per usable CPU, capped by ``jobs`` — and 1 for ``timed`` jobs,
     whose results include their own wall time (a worker running beside
     them reads them 10–46 % slower on two CPUs), and where the platform
-    cannot fork: a spawned worker re-imports the package, which takes
-    longer than a block.
+    cannot fork (:func:`_pool_map` needs ``os.fork``).
     """
     if workers is None:
         if timed or not hasattr(os, "fork"):
@@ -367,69 +359,113 @@ def _pool_size(workers: int | None, jobs: int, timed: bool = False) -> int:
 
 
 def _pool_map(fn: Callable, jobs: Sequence[tuple], size: int) -> list:
-    """``[fn(*job) for job in jobs]``, on a pool of ``size`` processes
-    (a :func:`_pool_size`) when that is at least 2; results in job
-    order either way.
+    """``[fn(*job) for job in jobs]`` on ``size`` processes (a
+    :func:`_pool_size`) when that is at least 2; results in job order
+    either way.
 
-    Workers are forked where the platform can fork, whatever its default
-    start method, and keep the parent's instance cache, lowerings and
-    all; a spawned worker starts its own on the parent's cache directory
-    (``--cache-dir``). The pool is shut down before this returns.
+    The caller is one of the workers: it forks ``size - 1`` children,
+    then runs jobs ``0, size, 2 * size, …`` itself while child ``w``
+    runs jobs ``w, w + size, …``. A child keeps the caller's memory —
+    its instance cache, lowerings and all — and sends its results, or
+    the exception it raised, back pickled through a pipe. Every child
+    is reaped before this returns or raises: one the caller no longer
+    waits for (its own share raised, or another child's did) is killed
+    first, and one that exits without a result is a
+    :class:`RuntimeError`. Without ``os.fork`` there is no pool, and a
+    ``size`` of 2 or more is a :class:`RuntimeError`.
     """
     if size < 2:
         return [fn(*job) for job in jobs]
-    if hasattr(os, "fork"):
-        import multiprocessing
+    if not hasattr(os, "fork"):
+        raise RuntimeError(
+            f"workers={size} needs os.fork, which this platform lacks; "
+            "pass workers=1 to run serially")
+    results: list = [None] * len(jobs)
+    children: dict[int, tuple[int, int]] = {}  # worker -> (pid, read fd)
+    try:
+        for worker in range(1, size):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve_share(fn, jobs[worker::size], read, write)
+            os.close(write)
+            children[worker] = (pid, read)
+        results[0::size] = [fn(*job) for job in jobs[0::size]]
+        for worker in list(children):
+            results[worker::size] = _collect_share(*children.pop(worker))
+    finally:
+        if children:
+            import signal
 
-        kwargs = dict(mp_context=multiprocessing.get_context("fork"))
-    else:
-        cache_dir = active_cache().cache_dir
-        kwargs = dict(initializer=_pool_worker_init,
-                      initargs=(cache_dir and str(cache_dir),))
-    with _process_pool(size, **kwargs) as pool:
-        futures = [pool.submit(fn, *job) for job in jobs]
-        return [future.result() for future in futures]
+            for pid, read in children.values():
+                os.close(read)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return results
+
+
+def _serve_share(fn: Callable, share: Sequence[tuple], read: int,
+                 write: int) -> None:
+    """A forked child's whole life: run its ``share`` of the jobs, write
+    the pickled ``(ok, results or exception)`` to ``write``, and leave
+    by ``os._exit`` — never returning into the caller's stack."""
+    status = 1
+    try:
+        os.close(read)
+        try:
+            payload = True, [fn(*job) for job in share]
+        except BaseException as exc:
+            payload = False, exc
+        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _collect_share(pid: int, read: int) -> list:
+    """A child's results from its pipe, once it has been reaped; the
+    exception it raised is raised here."""
+    try:
+        with os.fdopen(read, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _pid, status = os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError(
+            f"pool worker {pid} exited without a result "
+            f"(wait status {status})")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
 
 
 def _run_cells(cell_args: Sequence[tuple], workers: int | None,
                timed: bool) -> list[dict[str, tuple[float, float]]]:
-    """Execute cells, on a process pool when :func:`_pool_size` gives
-    one for their generated instances, preserving serial order.
+    """Execute cells, on the processes :func:`_pool_size` gives for
+    their generated instances, preserving serial order.
 
-    The jobs are the instances (see :func:`_group_by_instance`): cells
-    that share one go to the same chunk — one worker then serves them
-    from one cache entry (and, for the batch engine, one columnar block)
-    instead of regenerating or re-reading the instance N times. A
-    one-instance sweep is one job, so it runs in-process; the
-    repetitions of a setting are different instances, so even a
-    one-parameter budget sweep spreads over up to ``repetitions``
-    chunks. Chunks are packed to a few per worker to balance load
-    (chunked submission also amortizes pickling); a worker runs its
-    chunk through :func:`_run_cells_serial`, so batch chunks split into
-    per-instance blocks exactly like the serial path, and results are
-    scattered back into submission order — identical to the serial
-    path's ordering for any worker count.
+    A job is one instance (see :func:`_group_by_instance`): the cells
+    that share it run as one block (for the batch engine, one columnar
+    pass over one cached lowering). :func:`_pool_map` hands the jobs out
+    in turn, so each worker gets an equal share of the instances and the
+    caller the first — repetition 0, the one its cache most likely
+    holds already. A one-instance sweep is one job, so it runs
+    in-process; the repetitions of a setting are different instances,
+    so even a one-parameter budget sweep spreads over up to
+    ``repetitions`` workers. Results are scattered back into cell order
+    — the serial path's ordering for any worker count.
     """
-    groups = _group_by_instance(cell_args).values()
-    size = _pool_size(workers, len(groups), timed)
-    if size < 2:
-        return _run_cells_serial(cell_args)
-    chunk_size = max(1, -(-len(cell_args) // (size * 4)))
-    chunks: list[list[int]] = []
-    current: list[int] = []
-    for group in groups:
-        current.extend(group)
-        if len(current) >= chunk_size:
-            chunks.append(current)
-            current = []
-    if current:
-        chunks.append(current)
+    groups = _group_by_instance(cell_args)
     served = _pool_map(
-        _run_cells_serial,
-        [([cell_args[at] for at in chunk],) for chunk in chunks], size)
+        _run_group,
+        [(cell_args, gkey, indices) for gkey, indices in groups.items()],
+        _pool_size(workers, len(groups), timed))
     cells: list[dict[str, tuple[float, float]]] = [None] * len(cell_args)
-    for chunk, chunk_cells in zip(chunks, served):
-        for at, cell in zip(chunk, chunk_cells):
+    for indices, group_cells in zip(groups.values(), served):
+        for at, cell in zip(indices, group_cells):
             cells[at] = cell
     return cells
 
@@ -472,7 +508,7 @@ def _run_settings(configs: Sequence[ExperimentConfig],
     batch engine groups cells that share a generated instance (e.g. one
     repetition of every setting of a budget sweep) into one columnar
     block spanning config boundaries, and ``workers`` spreads the
-    instances over one process pool (:func:`_run_cells`).
+    instances over the workers of one pool (:func:`_run_cells`).
     ``fault_cell(setting_index, repetition)`` supplies a cell's fault
     layer, a :class:`FaultLane` whose breaker is a template: every run
     takes a fresh copy. Cells merge in serial iteration order. An
@@ -511,9 +547,9 @@ def run_setting(config: ExperimentConfig,
                 workers: int | None = None) -> RunOutcome:
     """Run every policy on ``repetitions`` shared instances and aggregate.
 
-    The repetitions run in a process pool of one worker per usable CPU
+    The repetitions run on one worker per usable CPU
     (``workers=None``, at most one per repetition; serial for the
-    runtime-reporting ``solo`` and ``reference`` engines) or of
+    runtime-reporting ``solo`` and ``reference`` engines) or on
     ``workers=N``; ``workers=1`` is serial. The gained-completeness
     output is identical to the serial path.
     """

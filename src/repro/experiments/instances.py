@@ -17,9 +17,9 @@ module makes instance generation a cached, content-addressed lookup:
   Hit/miss/error counters are exposed for tests and reporting; any
   unreadable or inconsistent disk entry is regenerated and rewritten,
   never silently served.
-* module-level configuration (:func:`configure_instances`) and a
-  picklable :func:`_pool_worker_init` so spawned ``sweep(workers=N)``
-  workers memoize per-process and share the same disk store.
+* module-level configuration (:func:`configure_instances`): one
+  process-wide cache, which the harness's forked pool workers inherit
+  with everything it holds.
 
 Generation has one path; ``tests/workloads/oracle.py`` holds the
 event-at-a-time specification it is property-tested to equal, seed for
@@ -333,8 +333,7 @@ def configure_instances(cache_dir: str | os.PathLike | None = None,
                         max_entries: int | None = None) -> InstanceCache:
     """(Re)configure the process-wide instance cache.
 
-    Called by the CLI (``--cache-dir``) and by pool worker initializers;
-    returns the new active cache. ``cache_dir=None`` disables the disk
+    Called by the CLI (``--cache-dir``); returns the new active cache. ``cache_dir=None`` disables the disk
     store, matching the flag's absence; an omitted ``max_entries`` keeps
     its current value.
     """
@@ -348,13 +347,3 @@ def configure_instances(cache_dir: str | os.PathLike | None = None,
 def active_cache() -> InstanceCache:
     """The process-wide cache consulted by ``make_instance``."""
     return _ACTIVE_CACHE
-
-
-def _pool_worker_init(cache_dir: str | None) -> None:
-    """ProcessPoolExecutor initializer of a *spawned* worker (a forked
-    one keeps the parent's cache): the parent's cache *configuration*,
-    not its contents. The worker memoizes the instances of the cells it
-    receives, and a shared ``cache_dir`` lets workers reuse each other's
-    stored instances across invocations.
-    """
-    configure_instances(cache_dir=cache_dir)

@@ -8,10 +8,11 @@ next to the greedy baseline that shares its feasibility machinery — an
 ablation isolating the value of the weight decomposition.
 
 Like the online sweeps (``harness.sweep``), the experiment accepts
-``workers=N`` to farm (setting, repetition) cells out to a process pool;
-instances are regenerated in workers from per-cell seeds and merged in
-the serial iteration order, so gained-completeness output is identical to
-a serial run.
+``workers=N`` to share (setting, repetition) cells among N processes
+(``harness._pool_map``); a forked worker reads the instances its parent
+already holds and generates the rest from per-cell seeds, and results
+merge in the serial iteration order, so gained-completeness output is
+identical to a serial run.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ def _offline_cell(config, repetition: int,
                   source: str) -> dict[str, tuple[float, float]]:
     """One (setting, repetition) cell: both solvers on one instance.
 
-    Module-level (so picklable) and fully determined by its arguments —
-    the parallel path regenerates the instance from the seeded config.
+    Fully determined by its arguments: a forked worker reads the
+    instance from the cache it inherited, or generates it from the
+    seeded config.
     """
     _trace, profiles = make_instance(config, repetition, source=source)
     epoch, budget = config.epoch, config.budget_vector

@@ -4,17 +4,19 @@ invariance.
 The harness runs the sweep cells sharing a generation key as the lanes
 of one columnar block — one block per generated instance, by default,
 for every GC sweep; this file pins down that the blocked path (serial
-and on a process pool of any size) reproduces exactly the reference
+and on a forked pool of any size) reproduces exactly the reference
 simulator's numbers, that a repetition is a block of its own (and a
-worker chunk of its own), that a block the columns refuse falls back to
-the reference whole, every lane counted, that only the runtime-reporting
+pool job of its own), that a lane without a score row falls back to
+the reference alone, counted, that the pool returns, raises and reaps
+like a plain loop would, that only the runtime-reporting
 experiments still time each policy in a run of its own (``"solo"``: a
 one-lane block per policy), and that
 :func:`~repro.experiments.instances.generation_key` captures precisely
 the generative config fields.
 """
 
-from concurrent.futures import Future
+import os
+import time
 
 import pytest
 
@@ -178,13 +180,15 @@ class TestDefaultEngine:
         assert (result.engine, result.fell_back) == ("batch", 0)
         assert_same_gc(self._sweep, result, workers=2)
 
-    def test_a_rowless_policy_takes_its_block_to_the_reference(
+    def test_a_rowless_policy_goes_to_the_reference_alone(
             self, reference_runs, loud_registered):
+        """The policy without a row leaves its block; every other lane
+        of the instance stays in it."""
         policies = DEFAULT_POLICIES + ("LOUD-MRSF(P)",)
         result = self._sweep(policies, workers=1)
-        runs = 3 * _CONFIG.repetitions * len(policies)
-        assert len(reference_runs) == result.fell_back == runs
-        assert result.blocks == 0
+        runs = 3 * _CONFIG.repetitions
+        assert len(reference_runs) == result.fell_back == runs == 9
+        assert result.blocks == _CONFIG.repetitions
         fast = self._sweep(policies, engine="reference")
         assert fast.engine == "reference" and fast.fell_back == 0
         for run, fast_run in zip(result.runs, fast.runs):
@@ -194,8 +198,8 @@ class TestDefaultEngine:
             self, loud_registered):
         policies = ("MRSF(P)", "LOUD-MRSF", "S-EDF(NP)")
         result = sweep("s", _CONFIG, "budget", [2], policies)
-        assert result.fell_back == 3 * _CONFIG.repetitions
-        assert result.blocks == 0
+        assert result.fell_back == _CONFIG.repetitions
+        assert result.blocks == _CONFIG.repetitions
         served = sweep("s", _CONFIG, "budget", [2], ("MRSF(P)", "RANDOM"))
         assert (served.fell_back, served.blocks) == (0, _CONFIG.repetitions)
         reference = sweep("s", _CONFIG, "budget", [2], policies,
@@ -230,29 +234,40 @@ class TestDefaultEngine:
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Pools run in this process: the size, keyword arguments and jobs
-    of every pool the harness builds."""
-    record = {"sizes": [], "kwargs": [], "jobs": []}
+    """Pools run in this process: the size and jobs of every pool the
+    harness asks for."""
+    record = {"sizes": [], "jobs": []}
+    pool_map = harness._pool_map
 
-    class InlinePool:
-        def __init__(self, workers, **kwargs):
-            record["sizes"].append(workers)
-            record["kwargs"].append(kwargs)
+    def inline(fn, jobs, size):
+        if size >= 2:
+            record["sizes"].append(size)
+            record["jobs"].extend(jobs)
+        return pool_map(fn, jobs, 1)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *_exc):
-            return False
-
-        def submit(self, fn, *args):
-            record["jobs"].append(args)
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(harness, "_process_pool", InlinePool)
+    monkeypatch.setattr(harness, "_pool_map", inline)
     return record
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The children this process forks."""
+    forked = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(harness.os, "fork", counting)
+    return forked
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -367,7 +382,8 @@ class TestOneBlockPerInstance:
         """A one-parameter budget sweep is ``repetitions`` groups, so a
         pool has more than one chunk to hand out."""
         pooled = sweep("s", _CONFIG, "budget", [1, 2, 3, 4, 5], workers=4)
-        chunks = [cell_args for (cell_args,) in inline_pool["jobs"]]
+        chunks = [[cell_args[at] for at in indices]
+                  for cell_args, _gkey, indices in inline_pool["jobs"]]
         assert len(chunks) == _CONFIG.repetitions
         for chunk in chunks:
             assert len({args[1] for args in chunk}) == 1
@@ -420,59 +436,138 @@ class TestAutomaticPool:
         run_setting(_CONFIG, engine="solo", workers=2)
         assert inline_pool["sizes"] == [2]
 
-    def test_a_pool_forks_whatever_asked_for_it(self, monkeypatch,
-                                                inline_pool):
+    def test_a_pool_forks_whatever_asked_for_it(self, monkeypatch, forks):
+        """A pool of N is the caller and N - 1 forked children."""
         _usable_cpus(monkeypatch, 2)
         sweep("s", _CONFIG, "budget", [1, 2])
         sweep("s", _CONFIG, "budget", [1, 2], workers=2)
-        assert [kwargs["mp_context"].get_start_method()
-                for kwargs in inline_pool["kwargs"]] == ["fork", "fork"]
+        assert len(forks) == 2
+        sweep("s", _CONFIG, "budget", [1, 2], workers=3)
+        assert len(forks) == 4
+        _assert_no_child_left()
 
     def test_a_pooled_fault_sweep_is_the_serial_one(self, monkeypatch,
                                                    loud_registered):
-        import multiprocessing
-
         _usable_cpus(monkeypatch, 2)
         config = _CONFIG.with_(budget=2)
         policies = ("MRSF(P)", "S-EDF(NP)", "LOUD-MRSF(NP)")
         pooled = fault_sweep(config=config, rates=(0.0, 0.3),
                              policies=policies)
-        assert multiprocessing.active_children() == []
+        _assert_no_child_left()
         serial = fault_sweep(config=config, rates=(0.0, 0.3),
                              policies=policies, workers=1)
         assert pooled.fell_back == serial.fell_back \
-            == 2 * len(policies) * _CONFIG.repetitions
-        assert pooled.blocks == serial.blocks == 0
+            == 2 * _CONFIG.repetitions
+        assert pooled.blocks == serial.blocks == _CONFIG.repetitions
         for label in policies:
             assert pooled.series(label) == serial.series(label)
 
     def test_a_forked_worker_keeps_the_parents_cache(self, monkeypatch):
         cache = InstanceCache()
         monkeypatch.setattr(instances, "_ACTIVE_CACHE", cache)
-        make_instance(_CONFIG, 0)
+        make_instance(_CONFIG, 1)
         parent = cache.stats()
-        (worker,) = harness._pool_map(_worker_cache_stats, [(_CONFIG, 0)], 2)
+        (_caller, (pid, worker)) = harness._pool_map(
+            _worker_cache_stats, [(_CONFIG, 0), (_CONFIG, 1)], 2)
+        assert pid != os.getpid()
         assert worker["memory_hits"] == parent["memory_hits"] + 1
         assert worker["misses"] == parent["misses"] == 1
 
-
-    def test_a_spawned_worker_gets_the_cache_directory(self, monkeypatch,
-                                                       inline_pool,
-                                                       tmp_path):
-        monkeypatch.setattr(instances, "_ACTIVE_CACHE",
-                            InstanceCache(cache_dir=tmp_path))
+    def test_without_fork_the_default_is_serial_and_a_pool_is_refused(
+            self, monkeypatch):
+        _usable_cpus(monkeypatch, 2)
         monkeypatch.delattr(harness.os, "fork")
-        harness._pool_map(_worker_cache_stats, [(_CONFIG, 0)], 2)
-        assert inline_pool["kwargs"] == [dict(
-            initializer=instances._pool_worker_init,
-            initargs=(str(tmp_path),))]
+        default = sweep("s", _CONFIG, "budget", [1, 2])
+        with pytest.raises(RuntimeError, match=r"workers=2 needs os\.fork"):
+            sweep("s", _CONFIG, "budget", [1, 2], workers=2)
+        monkeypatch.undo()
+        serial = sweep("s", _CONFIG, "budget", [1, 2], workers=1)
+        for run, serial_run in zip(default.runs, serial.runs):
+            assert gc_map(run) == gc_map(serial_run)
 
 
 def _worker_cache_stats(config, repetition):
-    """A pool job: read one instance, then report the worker's cache
-    counters."""
+    """A pool job: read one instance, then report the worker's pid and
+    cache counters."""
     make_instance(config, repetition)
-    return instances.active_cache().stats()
+    return os.getpid(), instances.active_cache().stats()
+
+
+class _Boom(ValueError):
+    """Raised by a pool job: a type no library code raises."""
+
+
+def _job_and_pid(job):
+    return job, os.getpid()
+
+
+def _raise_in(job, caller, where):
+    """Return ``job``, or raise :class:`_Boom` when run in the caller
+    (``where="caller"``) or in a child (``where="child"``)."""
+    if (os.getpid() == caller) == (where == "caller"):
+        raise _Boom(job)
+    return job
+
+
+def _exit_in_child(job, caller):
+    """Return ``job`` in the caller; a child dies without a result."""
+    if os.getpid() != caller:
+        os._exit(3)
+    return job
+
+
+def _sleep_in_child(job, caller):
+    """Raise :class:`_Boom` in the caller; a child sleeps."""
+    if os.getpid() == caller:
+        raise _Boom(job)
+    time.sleep(30)
+    return job
+
+
+class TestForkPool:
+    """``_pool_map`` is ``[fn(*job) for job in jobs]`` spread over the
+    caller and ``size - 1`` forked children, and leaves no child
+    behind."""
+
+    def test_results_come_back_in_job_order(self):
+        jobs = [(job,) for job in range(7)]
+        pooled = harness._pool_map(_job_and_pid, jobs, 3)
+        serial = harness._pool_map(_job_and_pid, jobs, 1)
+        assert [job for job, _pid in pooled] == \
+            [job for job, _pid in serial] == list(range(7))
+        pids = [pid for _job, pid in pooled]
+        # Each worker takes every third job, the caller the first.
+        assert pids[0::3] == [os.getpid()] * 3
+        assert len(set(pids[1::3])) == len(set(pids[2::3])) == 1
+        assert len(set(pids)) == 3
+        _assert_no_child_left()
+
+    def test_job_zero_runs_in_the_caller(self):
+        ((_job, pid),) = harness._pool_map(_job_and_pid, [(0,)], 2)
+        assert pid == os.getpid()
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("where, raised", [("caller", 0), ("child", 1)])
+    def test_an_exception_keeps_its_type(self, where, raised):
+        jobs = [(job, os.getpid(), where) for job in range(4)]
+        with pytest.raises(_Boom) as caught:
+            harness._pool_map(_raise_in, jobs, 2)
+        assert caught.value.args == (raised,)
+        _assert_no_child_left()
+
+    def test_a_busy_child_is_killed_when_the_caller_raises(self):
+        started = time.perf_counter()
+        with pytest.raises(_Boom):
+            harness._pool_map(_sleep_in_child,
+                              [(job, os.getpid()) for job in range(2)], 2)
+        assert time.perf_counter() - started < 10
+        _assert_no_child_left()
+
+    def test_a_child_that_dies_without_a_result_is_an_error(self):
+        with pytest.raises(RuntimeError, match="without a result"):
+            harness._pool_map(_exit_in_child,
+                              [(job, os.getpid()) for job in range(3)], 3)
+        _assert_no_child_left()
 
 
 @pytest.fixture
@@ -608,7 +703,7 @@ class TestEngineNames:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(harness, "_process_pool", no_pool)
+        monkeypatch.setattr(harness.os, "fork", no_pool)
         for run in (lambda: run_setting(_CONFIG, engine="bogus"),
                     lambda: run_setting(_CONFIG, engine="bogus",
                                         workers=2),

@@ -1,5 +1,7 @@
 """Tests for the client-churn experiment."""
 
+import os
+
 import pytest
 
 from repro.experiments import ChurnConfig, harness, jain_index, run_churn
@@ -200,14 +202,14 @@ class TestChurnSweepWorkers:
     def test_one_worker_builds_no_pool(self, monkeypatch):
         """``workers=1`` is serial here as in the harness and the
         offline comparison, and so is the default, whatever the CPUs;
-        two workers do go through the pool."""
+        two workers do fork a child."""
         built = []
 
-        def no_pool(workers, **_kwargs):
-            built.append(workers)
+        def no_pool():
+            built.append("fork")
             raise AssertionError("a pool for one worker")
 
-        monkeypatch.setattr(harness, "_process_pool", no_pool)
+        monkeypatch.setattr(harness.os, "fork", no_pool)
         monkeypatch.setattr(harness.os, "sched_getaffinity",
                             lambda _pid: {0, 1, 2}, raising=False)
         serial = churn_sweep("smoke")
@@ -219,14 +221,14 @@ class TestChurnSweepWorkers:
                  serial_row.dropped)
         with pytest.raises(AssertionError, match="a pool for one worker"):
             churn_sweep("smoke", workers=2)
-        assert built == [2]
+        assert built == ["fork"]
 
     def test_a_pooled_sweep_is_the_serial_one(self):
-        import multiprocessing
         from dataclasses import replace
 
         pooled = churn_sweep("smoke", workers=2)
-        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
         serial = churn_sweep("smoke", workers=1)
         assert len(pooled.rows) == len(serial.rows) == 6
         for row, serial_row in zip(pooled.rows, serial.rows):

@@ -72,17 +72,17 @@ class TestFaultSweepEngines:
             fast.outcomes["M-EDF(P)"].gc_values
 
     def test_fallback_lanes_are_counted(self, monkeypatch):
-        # LOUD-MRSF has no row: under the batch engine each repetition's
-        # block takes the reference path, every (rate, policy) run of it
-        # surfaced through fell_back; the series itself is unaffected.
+        # LOUD-MRSF has no row: under the batch engine each of its
+        # (rate, repetition) runs takes the reference path beside the
+        # block, surfaced through fell_back; the series is unaffected.
         monkeypatch.setitem(registry._FACTORIES, "LOUD-MRSF", LoudMRSF)
         config = baseline("smoke")
         policies = ("S-EDF(P)", "LOUD-MRSF(NP)")
         result = fault_sweep(scale="smoke", rates=(0.2, 0.4),
                              policies=policies, engine="batch")
-        assert result.fell_back == 2 * len(policies) * config.repetitions
+        assert result.fell_back == 2 * config.repetitions
         for run in result.runs:
-            assert run.fell_back == len(policies) * config.repetitions
+            assert run.fell_back == config.repetitions
         pure = fault_sweep(scale="smoke", rates=(0.2, 0.4),
                            policies=policies, engine="reference")
         for label in policies:

@@ -48,7 +48,7 @@ class TestOfflineComparison:
         def no_pool(*_args, **_kwargs):
             raise AssertionError("a pool")
 
-        monkeypatch.setattr(harness, "_process_pool", no_pool)
+        monkeypatch.setattr(harness.os, "fork", no_pool)
         monkeypatch.setattr(harness.os, "sched_getaffinity",
                             lambda _pid: {0, 1, 2, 3}, raising=False)
         offline_comparison("smoke")
