@@ -22,11 +22,11 @@ back in the serial iteration order.
 from __future__ import annotations
 
 import os
-import pickle
 import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro import _fork
 from repro.core.profile import ProfileSet
 from repro.experiments.config import ENGINES, ExperimentConfig
 from repro.experiments.instances import (
@@ -331,15 +331,6 @@ def _run_one_block(cell_args: Sequence[tuple], gkey: str,
             cells[at][OFFLINE_LABEL] = _local_ratio_cell(profiles, config)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the
-    platform has one, else every CPU of the machine."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _pool_size(workers: int | None, jobs: int, timed: bool = False) -> int:
     """The one "pool or serial" rule of every ``workers=`` parameter in
     the experiments: how many processes share ``jobs`` independent
@@ -354,7 +345,7 @@ def _pool_size(workers: int | None, jobs: int, timed: bool = False) -> int:
     if workers is None:
         if timed or not hasattr(os, "fork"):
             return 1
-        workers = _usable_cpus()
+        workers = _fork.usable_cpus()
     return min(workers, jobs)
 
 
@@ -363,14 +354,14 @@ def _pool_map(fn: Callable, jobs: Sequence[tuple], size: int) -> list:
     :func:`_pool_size`) when that is at least 2; results in job order
     either way.
 
-    The caller is one of the workers: it forks ``size - 1`` children,
-    then runs jobs ``0, size, 2 * size, …`` itself while child ``w``
-    runs jobs ``w, w + size, …``. A child keeps the caller's memory —
-    its instance cache, lowerings and all — and sends its results, or
-    the exception it raised, back pickled through a pipe. Every child
-    is reaped before this returns or raises: one the caller no longer
-    waits for (its own share raised, or another child's did) is killed
-    first, and one that exits without a result is a
+    The caller is one of the workers: it forks ``size - 1`` children
+    (:class:`repro._fork.Child`), then runs jobs ``0, size, 2 * size,
+    …`` itself while child ``w`` runs jobs ``w, w + size, …``. A child
+    keeps the caller's memory — its instance cache, lowerings and all —
+    and sends its results, or the exception it raised, back. Every
+    child is reaped before this returns or raises: one the caller no
+    longer waits for (its own share raised, or another child's did) is
+    killed first, and one that exits without a result is a
     :class:`RuntimeError`. Without ``os.fork`` there is no pool, and a
     ``size`` of 2 or more is a :class:`RuntimeError`.
     """
@@ -381,65 +372,22 @@ def _pool_map(fn: Callable, jobs: Sequence[tuple], size: int) -> list:
             f"workers={size} needs os.fork, which this platform lacks; "
             "pass workers=1 to run serially")
     results: list = [None] * len(jobs)
-    children: dict[int, tuple[int, int]] = {}  # worker -> (pid, read fd)
+    children: list[_fork.Child] = []
     try:
         for worker in range(1, size):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _serve_share(fn, jobs[worker::size], read, write)
-            os.close(write)
-            children[worker] = (pid, read)
-        results[0::size] = [fn(*job) for job in jobs[0::size]]
-        for worker in list(children):
-            results[worker::size] = _collect_share(*children.pop(worker))
+            children.append(_fork.Child(_run_share, fn, jobs[worker::size]))
+        results[0::size] = _run_share(fn, jobs[0::size])
+        for worker, child in enumerate(children, 1):
+            results[worker::size] = child.result()
     finally:
-        if children:
-            import signal
-
-            for pid, read in children.values():
-                os.close(read)
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        for child in children:
+            child.kill()
     return results
 
 
-def _serve_share(fn: Callable, share: Sequence[tuple], read: int,
-                 write: int) -> None:
-    """A forked child's whole life: run its ``share`` of the jobs, write
-    the pickled ``(ok, results or exception)`` to ``write``, and leave
-    by ``os._exit`` — never returning into the caller's stack."""
-    status = 1
-    try:
-        os.close(read)
-        try:
-            payload = True, [fn(*job) for job in share]
-        except BaseException as exc:
-            payload = False, exc
-        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(data)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _collect_share(pid: int, read: int) -> list:
-    """A child's results from its pipe, once it has been reaped; the
-    exception it raised is raised here."""
-    try:
-        with os.fdopen(read, "rb") as pipe:
-            data = pipe.read()
-    finally:
-        _pid, status = os.waitpid(pid, 0)
-    if not data:
-        raise RuntimeError(
-            f"pool worker {pid} exited without a result "
-            f"(wait status {status})")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    return value
+def _run_share(fn: Callable, share: Sequence[tuple]) -> list:
+    """One worker's share of a :func:`_pool_map`."""
+    return [fn(*job) for job in share]
 
 
 def _run_cells(cell_args: Sequence[tuple], workers: int | None,

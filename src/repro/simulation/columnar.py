@@ -33,7 +33,9 @@ reference simulator's tie-break order *positionally*:
   entries out one :class:`ActivityWindow` at a time. The entry order
   is the same for every policy, so a lowering its caller keeps for
   several runs keeps that order too (8 B per entry) and builds it once;
-  each run builds only its own key columns, a window at a time.
+  each run builds only its own key columns, a window at a time. A
+  lowering the run built itself streams, and on two CPUs a forked
+  producer builds each window while the run decides the one before.
 * **Expiry events** are one more CSR: EIs bucketed by the chronon after
   their deadline (``xe_*``, drives doom tracking).
 
@@ -55,10 +57,14 @@ the reference simulator, a churned or federated run is refused.
 
 from __future__ import annotations
 
+import mmap
+import os
+import sys
 import time
 
 import numpy as np
 
+from repro import _fork
 from repro.core.profile import ProfileColumns, ProfileSet
 from repro.core.timeline import Epoch
 from repro.faults.model import keyed_draw
@@ -79,7 +85,9 @@ _MAX_KEY_BITS = 62
 #: a window of its own). A constant, never an argument. A run holds one
 #: window and builds one, so the cap is what a streamed run costs above
 #: its O(EIs) columns, and what a run on a kept index costs above the
-#: index's 8 B per entry: its per-run columns. Per entry, by the block's
+#: index's 8 B per entry: its per-run columns. (A run whose windows a
+#: producer builds holds the producer's two-slot ring instead, each slot
+#: as wide as the widest window.) Per entry, by the block's
 #: score rows (traced, live-churn contract windows of a kept index): one
 #: row 17 B held / 28 B at the build's peak, nine rows 81 / 97 B; a
 #: whole window, index included, held 33 B for one row and 89 B for
@@ -212,6 +220,28 @@ class FaultDraws:
         return values
 
 
+def _ring_width(keys: tuple) -> int:
+    """Bytes per entry of a window producer's ring slot: ``grp_of`` and
+    one key column per score row (int64), ``act_e`` and ``ps_act``
+    (int32)."""
+    return 16 + 8 * len(keys)
+
+
+def _ring_slot(ring: mmap.mmap, slot: int, widest: int, keys: tuple,
+               entries: int) -> tuple:
+    """``(act_e, ps_act, grp_of, hi_static)`` of a window of ``entries``
+    entries in ring slot ``slot``: views of the slot's int64 columns
+    (``grp_of``, then one per key) and int32 ones (``act_e``,
+    ``ps_act``), each ``widest`` entries long."""
+    base = slot * widest * _ring_width(keys)
+    words = np.frombuffer(ring, np.int64, (1 + len(keys)) * widest,
+                          base).reshape(-1, widest)[:, :entries]
+    halves = np.frombuffer(ring, np.int32, 2 * widest,
+                           base + words.shape[0] * widest * 8
+                           ).reshape(2, widest)[:, :entries]
+    return halves[0], halves[1], words[0], dict(zip(keys, words[1:]))
+
+
 class ActivityWindow:
     """One run's view of the activity index over a run of consecutive
     active chronons.
@@ -239,32 +269,20 @@ class ActivityWindow:
     (:meth:`ColumnarInstance.score_offset`). The run adds the terms that
     read the chronon or the lane (``captured``, ``pool``, and the
     ``-T`` per started or captured sibling and the captured deadlines
-    of ``deadlines``).
+    of ``deadlines``). A window that a producer process built
+    (:meth:`built`) arrives with its entry columns, and only its layout
+    is built here.
     """
 
     def __init__(self, col: "ColumnarInstance", lo: int, hi: int,
                  act_e: np.ndarray, ps_act: np.ndarray, keys,
                  sorted_from: tuple | None = None) -> None:
-        self.first_chronon = lo
-        self.n_act = hi - lo
-        self.act_chronons = col.act_chronons[lo:hi]
-        self.first_group = g0 = int(col.grp_indptr[lo])
-        g1 = int(col.grp_indptr[hi])
-        # The layout comes from the lowering's grid: which groups the
-        # window holds and how many entries each has.
-        self.grp_sizes = sizes = col._grp_size[g0:g1]
-        self.grp_rid = col.grp_rid[g0:g1]
-        self.grp_indptr = col.grp_indptr[lo:hi + 1] - g0
-        self.grp_starts = np.cumsum(sizes) - sizes
-        self.act_indptr = np.append(self.grp_starts,
-                                    act_e.size)[self.grp_indptr]
-        self.act_e = act_e
-        self.ps_act = ps_act
+        self._lay_out(col, lo, hi, act_e, ps_act)
         # Local (within-chronon) group index of each activity entry.
         self.grp_of = np.repeat(
-            np.arange(g1 - g0, dtype=np.int64)
+            np.arange(self.grp_sizes.size, dtype=np.int64)
             - np.repeat(self.grp_indptr[:-1], np.diff(self.grp_indptr)),
-            sizes)
+            self.grp_sizes)
 
         self.hi_static = {}
         if not keys:
@@ -311,6 +329,36 @@ class ActivityWindow:
                                  ps_act[chunk].astype(np.intp))
             for key, word in self.hi_static.items():
                 col.pack_key(key, per_entry, word[chunk])
+
+    @classmethod
+    def built(cls, col: "ColumnarInstance", lo: int, hi: int,
+              act_e: np.ndarray, ps_act: np.ndarray, grp_of: np.ndarray,
+              hi_static: dict) -> "ActivityWindow":
+        """The window of cut ``[lo, hi)`` whose entry columns were built
+        elsewhere: its layout is read off the grid here."""
+        window = cls.__new__(cls)
+        window._lay_out(col, lo, hi, act_e, ps_act)
+        window.grp_of = grp_of
+        window.hi_static = hi_static
+        return window
+
+    def _lay_out(self, col: "ColumnarInstance", lo: int, hi: int,
+                 act_e: np.ndarray, ps_act: np.ndarray) -> None:
+        self.first_chronon = lo
+        self.n_act = hi - lo
+        self.act_chronons = col.act_chronons[lo:hi]
+        self.first_group = g0 = int(col.grp_indptr[lo])
+        g1 = int(col.grp_indptr[hi])
+        # The layout comes from the lowering's grid: which groups the
+        # window holds and how many entries each has.
+        self.grp_sizes = sizes = col._grp_size[g0:g1]
+        self.grp_rid = col.grp_rid[g0:g1]
+        self.grp_indptr = col.grp_indptr[lo:hi + 1] - g0
+        self.grp_starts = np.cumsum(sizes) - sizes
+        self.act_indptr = np.append(self.grp_starts,
+                                    act_e.size)[self.grp_indptr]
+        self.act_e = act_e
+        self.ps_act = ps_act
 
 
 class ColumnarInstance:
@@ -384,11 +432,17 @@ class ColumnarInstance:
         #: Wall time this constructor took (the build callers wait for
         #: before the first chronon; window building is booked below).
         self.lower_seconds = time.perf_counter() - began
-        #: Activity windows built so far, over every run on this
-        #: lowering, and the wall time that took — spent inside the
-        #: runs, not the constructor.
+        #: Streamed activity windows the runs on this lowering consumed,
+        #: and the wall time they waited for every window they were
+        #: handed — spent inside the runs, not the constructor. A
+        #: window built ahead by a producer counts once handed over, and
+        #: its wait is what the build did not hide.
         self.windows_built = 0
         self.window_seconds = 0.0
+        #: The last producer's ``ring_bytes``, and its own peak RSS and
+        #: traced bytes (:meth:`windows`), which this process's figures
+        #: do not see.
+        self._producer: dict | None = None
 
     def _build_columns(self, columns: ProfileColumns,
                        visible_from: np.ndarray | None,
@@ -562,7 +616,7 @@ class ColumnarInstance:
         # Window cuts: consecutive active chronons while their entries
         # fit the cap; a chronon above the cap is a window of its own.
         # Each cut is (first, past-last active chronon index, how far
-        # down the start-sorted order its EIs reach).
+        # down the start-sorted order its EIs reach, its entries).
         ends = np.cumsum(entries[self.act_chronons])
         bounds = [0]
         while bounds[-1] < ends.size:
@@ -570,10 +624,11 @@ class ColumnarInstance:
             base = int(ends[lo - 1]) if lo else 0
             bounds.append(max(lo + 1, int(np.searchsorted(
                 ends, base + _WINDOW_ENTRIES, side="right"))))
-        reach = np.searchsorted(
-            starts, self.act_chronons[np.array(bounds[1:], dtype=np.int64)
-                                      - 1], side="right")
-        self._cuts = list(zip(bounds, bounds[1:], reach.tolist()))
+        last_of = np.array(bounds[1:], dtype=np.int64) - 1
+        reach = np.searchsorted(starts, self.act_chronons[last_of],
+                                side="right")
+        self._cuts = list(zip(bounds, bounds[1:], reach.tolist(),
+                              np.diff(ends[last_of], prepend=0).tolist()))
         #: Each cut's ``(lo, hi, act_e, ps_act)``, once a run kept them.
         self._index: list[tuple] | None = None
 
@@ -594,27 +649,48 @@ class ColumnarInstance:
         loops do) therefore holds one window of per-run columns at a
         time — never two, never the epoch — and, streaming, one window
         of index.
+
+        A streamed run of two windows or more is built one window ahead
+        by a forked producer (:meth:`_prefetched`) when this process
+        may run on two CPUs and is not a forked child itself
+        (:func:`repro._fork.spare_cpu`); otherwise, and for a lowering
+        that keeps its index, each window is built here when asked for.
+        Either way the windows are the same, array for array, but a
+        produced window's columns live in a ring slot that the window
+        after next reuses: read a window before asking for the next.
         """
         keys = tuple(dict.fromkeys(keys))
         if self._index is not None:
-            for lo, hi, act_e, ps_act in self._index:
+            built = (ActivityWindow(self, lo, hi, act_e, ps_act, keys)
+                     for lo, hi, act_e, ps_act in self._index)
+        elif keep or len(self._cuts) < 2 or not _fork.spare_cpu():
+            built = self._stream(keys, [] if keep else None)
+        else:
+            built = self._prefetched(keys)
+        try:
+            while True:
                 began = time.perf_counter()
-                window = ActivityWindow(self, lo, hi, act_e, ps_act, keys)
+                window = next(built, None)
+                if window is None:
+                    return
                 self.window_seconds += time.perf_counter() - began
                 yield window
                 # One window in flight: the consumer has let go of this
-                # one by now, so must the generator before it builds the
-                # next.
+                # one by now, so must the generator before it asks for
+                # the next.
                 del window
-            return
+        finally:
+            built.close()
+
+    def _stream(self, keys: tuple, held: list | None = None):
+        """The streamed windows, each built in this process when asked
+        for; with a list ``held``, the index is kept once all are."""
         # A window's EIs are those still visible from the previous
         # window plus the next run of the start-sorted order — never a
         # scan of all EIs per window.
-        held = [] if keep else None
         eis = until = np.zeros(0, dtype=np.int32)
         taken = 0
-        for lo, hi, upto in self._cuts:
-            began = time.perf_counter()
+        for lo, hi, upto, _entries in self._cuts:
             # No chronon between two windows is active, so an EI still
             # visible after the previous window reaches into this one.
             eis = np.sort(np.concatenate((
@@ -629,12 +705,98 @@ class ColumnarInstance:
                 held.append((lo, hi, act_e, ps_act))
             window = ActivityWindow(self, lo, hi, act_e, ps_act, keys,
                                     (eis, at))
-            self.window_seconds += time.perf_counter() - began
             del first, at, act_e, ps_act
             yield window
             del window
         if held is not None:
             self._index = held
+
+    def _prefetched(self, keys: tuple):
+        """:meth:`_stream`'s windows, built one ahead by a forked
+        producer (:meth:`_produce`) while the consumer runs the one
+        before.
+
+        The producer writes each window's entry columns into one slot of
+        a two-slot ring — one anonymous shared mapping, each slot sized
+        by the widest cut (:func:`_ring_slot`) — and says so on the
+        ``ready`` pipe; asking for the next window frees the slot of the
+        last one on the ``free`` pipe. The window handed out wraps the
+        slot's memory (its layout is built here), so its columns hold
+        until the next window is asked for. A producer that fails is
+        re-raised here, with its own exception; one not waited for is
+        killed, and every producer is reaped before this returns.
+        """
+        widest = max(entries for *_cut, entries in self._cuts)
+        ring = mmap.mmap(-1, 2 * widest * _ring_width(keys))
+        ready, free = os.pipe(), os.pipe()
+        try:
+            producer = _fork.Child(self._produce, keys, ring, widest,
+                                   ready, free)
+        except OSError:
+            os.close(ready[0])
+            os.close(free[1])
+            raise
+        finally:
+            os.close(ready[1])
+            os.close(free[0])
+        try:
+            for i, (lo, hi, _upto, entries) in enumerate(self._cuts):
+                if not os.read(ready[0], 1):
+                    producer.result()
+                    raise RuntimeError("the window producer stopped early")
+                self.windows_built += 1
+                yield ActivityWindow.built(
+                    self, lo, hi,
+                    *_ring_slot(ring, i % 2, widest, keys, entries))
+                if i + 2 < len(self._cuts):
+                    # Window i + 2 goes where this one was. A producer
+                    # that is gone says why at the next read.
+                    try:
+                        os.write(free[1], b"\0")
+                    except BrokenPipeError:
+                        pass
+            self._producer = {"ring_bytes": len(ring),
+                              **producer.result()}
+        finally:
+            producer.kill()
+            os.close(ready[0])
+            os.close(free[1])
+
+    def _produce(self, keys: tuple, ring: mmap.mmap, widest: int,
+                 ready: tuple[int, int], free: tuple[int, int]) -> dict:
+        """The producer's whole run, in the forked child: build each
+        window, wait until its slot is free, copy its entry columns in
+        and say it is ready. Returns the child's peak RSS and its peak
+        traced bytes above those it inherited, which its parent cannot
+        see; nothing is imported before the last window is out."""
+        os.close(ready[0])
+        os.close(free[1])
+        # Only a process that imported tracemalloc can be tracing.
+        traced = sys.modules.get("tracemalloc")
+        inherited = 0
+        if traced is not None:
+            traced.reset_peak()
+            inherited = traced.get_traced_memory()[0]
+        for i, window in enumerate(self._stream(keys)):
+            # Slots 0 and 1 start free; slot i % 2 is free again once
+            # the consumer has asked for window i - 1.
+            if i >= 2 and not os.read(free[0], 1):
+                break
+            act_e, ps_act, grp_of, hi_static = _ring_slot(
+                ring, i % 2, widest, keys, window.act_e.size)
+            act_e[:] = window.act_e
+            ps_act[:] = window.ps_act
+            grp_of[:] = window.grp_of
+            for key, column in hi_static.items():
+                column[:] = window.hi_static[key]
+            del window
+            os.write(ready[1], b"\0")
+        import resource
+
+        return {"peak_rss_kb":
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                "peak_traced": traced.get_traced_memory()[1] - inherited
+                if traced is not None else 0}
 
     def _entry_order(self, eis: np.ndarray, first: np.ndarray,
                      until: np.ndarray, lo: int, hi: int) -> np.ndarray:

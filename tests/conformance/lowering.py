@@ -14,6 +14,7 @@ from unittest import mock
 
 import numpy as np
 
+from repro import _fork
 from repro.online import ScoreKey
 from repro.online.base import noise
 from repro.simulation import columnar as columnar_module
@@ -292,13 +293,15 @@ def stitched(col: ColumnarInstance, keys=tuple(ROWS.values())
              ) -> SimpleNamespace:
     """``col.windows(keys)`` concatenated into whole-epoch columns — the
     layout and the key columns of ``keys`` — checking that every window
-    holds exactly the arrays of the rows it was built for."""
-    wins = list(col.windows(keys))
+    holds exactly the arrays of the rows it was built for. A window's
+    columns hold until the next is asked for (a produced window's ring
+    slot is then reused), so each is copied as it comes."""
     w = SimpleNamespace()
-    entries = groups = chronons = 0
+    entries = groups = chronons = windows = 0
     parts = {name: [] for name in _LAYOUT + _PER_GROUP}
     rows = {key: [] for key in keys}
-    for win in wins:
+    for win in col.windows(keys):
+        windows += 1
         assert win.first_chronon == chronons
         assert win.first_group == groups
         assert win.n_act == win.act_chronons.size > 0
@@ -315,9 +318,9 @@ def stitched(col: ColumnarInstance, keys=tuple(ROWS.values())
                 column = column + entries
             elif name == "grp_indptr":
                 column = column + groups
-            parts[name].append(column)
+            parts[name].append(column.copy())
         for key in rows:
-            rows[key].append(win.hi_static[key])
+            rows[key].append(win.hi_static[key].copy())
         entries += win.act_e.size
         groups += win.grp_rid.size
         chronons += win.n_act
@@ -332,7 +335,7 @@ def stitched(col: ColumnarInstance, keys=tuple(ROWS.values())
     w.hi_static = {key: np.concatenate([np.zeros(0, dtype=np.int64)]
                                        + columns)
                    for key, columns in rows.items()}
-    w.windows = len(wins)
+    w.windows = windows
     return w
 
 
@@ -467,6 +470,12 @@ def walk(initial, plan, last: int) -> SimpleNamespace:
                 for ei in eta]
     w.seq = [key for *_order, key in sorted(seq)]
     return w
+
+
+def cpus(count: int):
+    """Patch the CPUs this process may run on to ``count``: 1 streams a
+    lowering's windows in this process, 2 forks their producer."""
+    return mock.patch.object(_fork, "usable_cpus", lambda: count)
 
 
 def array_bytes(obj) -> int:

@@ -17,9 +17,11 @@ the generative config fields.
 
 import os
 import time
+from unittest import mock
 
 import pytest
 
+from repro import _fork
 from repro.core import ProfileSet, Schedule
 from repro.experiments import ExperimentConfig, figure5, harness, table1
 from repro.experiments.config import ENGINES
@@ -40,6 +42,8 @@ from repro.online.registry import parse_policy_spec
 from repro.runtime import MonitoringProxy
 from repro.simulation import run_online
 from repro.simulation import batch as batch_module
+from repro.simulation import columnar as columnar_module
+from repro.simulation.columnar import ColumnarInstance
 from repro.experiments import instances
 from repro.experiments.instances import InstanceCache, generation_key
 
@@ -398,7 +402,7 @@ class TestOneBlockPerInstance:
 def _usable_cpus(monkeypatch, count: int) -> None:
     """Make this process (and what it forks) see ``count`` usable
     CPUs."""
-    monkeypatch.setattr(harness.os, "sched_getaffinity",
+    monkeypatch.setattr(_fork.os, "sched_getaffinity",
                         lambda _pid: set(range(count)), raising=False)
 
 
@@ -497,6 +501,28 @@ class _Boom(ValueError):
     """Raised by a pool job: a type no library code raises."""
 
 
+def _streamed_run(_job) -> bool:
+    """Whether a run over a lowering of its own, cut into many
+    windows, had its windows built by a producer."""
+    config = _CONFIG.with_(num_profiles=60)
+    _trace, profiles = make_instance(config, 0)
+    built = []
+    build = ColumnarInstance.build
+
+    def spy(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    policy, preemptive = parse_policy_spec("M-EDF(P)")
+    with mock.patch.object(columnar_module, "_WINDOW_ENTRIES", 7), \
+            mock.patch.object(ColumnarInstance, "build", spy):
+        run_online(profiles, config.epoch, config.budget_vector, policy,
+                   preemptive=preemptive)
+    (col,) = built
+    assert col.windows_built > 2
+    return col._producer is not None
+
+
 def _job_and_pid(job):
     return job, os.getpid()
 
@@ -526,8 +552,30 @@ def _sleep_in_child(job, caller):
 
 class TestForkPool:
     """``_pool_map`` is ``[fn(*job) for job in jobs]`` spread over the
-    caller and ``size - 1`` forked children, and leaves no child
-    behind."""
+    caller and ``size - 1`` forked children (``repro._fork.Child``), and
+    leaves no child behind."""
+
+    def test_a_child_marks_itself(self):
+        assert _fork.Child(lambda: _fork.forked).result() is True
+        assert _fork.forked is False
+        assert _fork.Child(_fork.spare_cpu).result() is False
+        _assert_no_child_left()
+
+    def test_a_killed_child_is_reaped(self):
+        child = _fork.Child(time.sleep, 30)
+        started = time.perf_counter()
+        child.kill()
+        child.kill()
+        assert time.perf_counter() - started < 10
+        _assert_no_child_left()
+
+    def test_a_pool_child_starts_no_producer(self, monkeypatch):
+        _usable_cpus(monkeypatch, 2)
+        jobs = [(job,) for job in range(2)]
+        produced = harness._pool_map(_streamed_run, jobs, 2)
+        # The caller (job 0) forks a producer; the pool child does not.
+        assert produced == [True, False]
+        _assert_no_child_left()
 
     def test_results_come_back_in_job_order(self):
         jobs = [(job,) for job in range(7)]

@@ -61,7 +61,12 @@ from tests.conformance.engines import (
     observe,
     referee_run,
 )
-from tests.conformance.lowering import array_bytes, assert_same_lowering, walk
+from tests.conformance.lowering import (
+    array_bytes,
+    assert_same_lowering,
+    cpus,
+    walk,
+)
 from tests.properties.strategies import HORIZON, epoch, plans
 
 
@@ -334,14 +339,14 @@ class TestWindowCuts:
         assert result.expired > result.extras["doomed_at_birth"]
         for cap, least in zip(CAPS, (epoch_.last // 2, 8, 3)):
             _plan, col = _lowered(workload, cap)
-            wins = list(col.windows())
-            assert len(wins) >= least
+            # Each window read before the next is asked for.
+            states = [set(win.ps_act.tolist()) for win in col.windows()]
+            assert len(states) >= least
             # Late and cancelled t-intervals have entries on both sides
             # of a cut.
             crossing: set[int] = set()
-            for before, after in zip(wins, wins[1:]):
-                crossing |= (set(before.ps_act.tolist())
-                             & set(after.ps_act.tolist()))
+            for before, after in zip(states, states[1:]):
+                crossing |= before & after
             crossing = np.array(sorted(crossing), dtype=np.int64)
             assert (col.st_visible[crossing] > 0).any()
             assert (col.st_gone[crossing] <= epoch_.last).any()
@@ -431,7 +436,9 @@ class TestOneWindowInFlight:
     per-window locals, the last chronon's views, or the generators. A
     lowering the run builds itself streams its index too; one its caller
     hands in keeps the index, 8 bytes per entry, and every later run on
-    it builds only its per-run columns, still one window at a time."""
+    it builds only its per-run columns, still one window at a time. A
+    streamed window that a producer built costs the loop its ring slot,
+    two slots a run, and no traced byte per window."""
 
     CONFIG = ChurnConfig(epoch_length=160, num_resources=120, intensity=6.0,
                          num_clients=140, profiles_per_client=8, window=12,
@@ -488,13 +495,59 @@ class TestOneWindowInFlight:
         lowered = lower_plan(initial, plan, epoch_)
         tracemalloc.start()
         try:
-            with mock.patch.object(columnar_module, "_WINDOW_ENTRIES",
-                                   self.CAP):
+            # Built in this process, where the spy can see each build.
+            with cpus(1), mock.patch.object(columnar_module,
+                                            "_WINDOW_ENTRIES", self.CAP):
                 samples = self._sampled(lambda: getattr(self, runner)(
                     lowered, None, epoch_), streamed=True)
         finally:
             tracemalloc.stop()
         self._one_in_flight(*samples)
+
+    @pytest.mark.parametrize("runner", ["_block", "_shards"])
+    def test_a_produced_window_is_a_ring_slot(self, runner):
+        initial, plan, epoch_ = build_churn_workload(self.CONFIG)
+        lowered = lower_plan(initial, plan, epoch_)
+        held_before: list[int] = []
+        served: list = []
+        wrap, build = ActivityWindow.built.__func__, ActivityWindow.__init__
+        built_here: list = []
+
+        def spy(cls, col, lo, hi, act_e, ps_act, grp_of, hi_static):
+            held_before.append(tracemalloc.get_traced_memory()[0])
+            served.append((col, act_e.size, len(hi_static)))
+            return wrap(cls, col, lo, hi, act_e, ps_act, grp_of, hi_static)
+
+        def building(window, *args):
+            # A call in the producer is recorded in the producer only.
+            built_here.append(window)
+            build(window, *args)
+
+        tracemalloc.start()
+        try:
+            with cpus(2), \
+                    mock.patch.object(columnar_module, "_WINDOW_ENTRIES",
+                                      self.CAP), \
+                    mock.patch.object(ActivityWindow, "built",
+                                      classmethod(spy)), \
+                    mock.patch.object(ActivityWindow, "__init__", building):
+                getattr(self, runner)(lowered, None, epoch_)
+        finally:
+            tracemalloc.stop()
+        assert built_here == []
+        (col,), widest = {c for c, _n, _k in served}, \
+            max(n for _c, n, _k in served)
+        rows = served[0][2]
+        assert len(served) == col.windows_built >= 4
+        assert widest > 12_000
+        # Two slots of the widest window: 16 B an entry and 8 per row.
+        assert col._producer["ring_bytes"] == 2 * widest * (16 + 8 * rows)
+        assert col._producer["peak_traced"] > 0
+        # Run state grows a little (probe log, a wider key buffer); a
+        # window's columns built or copied here would show as at least
+        # a slot's bytes.
+        for before in held_before[1:]:
+            assert before - held_before[0] < widest * (16 + 8 * rows) / 2
 
     @pytest.mark.parametrize("runner", ["_block", "_shards"])
     def test_a_kept_index_is_8_bytes_an_entry_and_built_once(self,

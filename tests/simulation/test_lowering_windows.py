@@ -15,10 +15,20 @@ The second half pins what the streaming is for: the memory of a
 lowering the run builds itself follows the window, not the epoch.
 """
 
+import logging
+import os
+import subprocess
+import sys
+import textwrap
+import time
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
+
+from repro import _fork
 
 from repro.core import (
     BudgetVector,
@@ -29,6 +39,9 @@ from repro.core import (
     TInterval,
 )
 from repro.experiments import ExperimentConfig, make_instance
+from repro.experiments.churn import ChurnConfig, build_churn_workload
+from repro.experiments.faults import fault_sweep
+from repro.experiments.harness import sweep
 from repro.faults import (
     CircuitBreaker,
     FaultInjector,
@@ -39,13 +52,16 @@ from repro.faults import (
 from repro.online.registry import parse_policy_spec
 from repro.simulation import columnar as columnar_module
 from repro.simulation import run_online
+from repro.simulation import batch as batch_module
 from repro.simulation.batch import FaultLane, run_block
-from repro.simulation.columnar import ColumnarInstance
+from repro.simulation.churn import run_churned
+from repro.simulation.columnar import BatchUnsupported, ColumnarInstance
 from repro.simulation.shard import federated_run
 
 from tests.conformance.cases import ROW_POLICIES as POLICIES
+from tests.conformance.cases import ROWS
 from tests.conformance.engines import assert_agree, observe
-from tests.conformance.lowering import array_bytes
+from tests.conformance.lowering import array_bytes, cpus
 
 CAPS = (1, 7, 64, 10 ** 9)
 
@@ -130,6 +146,15 @@ def _block(profiles, epoch, col, fault, budget):
 
 
 class TestWindowsCutAnywhere:
+    #: The CPUs the class runs on: on one every streamed window is built
+    #: in this process, on two a producer builds it (see the subclass).
+    CPUS = 1
+
+    @pytest.fixture(autouse=True)
+    def _cpus(self):
+        with cpus(self.CPUS):
+            yield
+
     def test_the_caps_cut_where_they_claim(self, instance):
         shapes = {}
         for cap in CAPS:
@@ -163,13 +188,18 @@ class TestWindowsCutAnywhere:
             expected, expected_side = reference(fault, label)
             assert_agree(observe(result, *side),
                          observe(expected, *expected_side))
-        # A second block over the same lowering walks the windows again.
+        # A second block over the same lowering walks the windows again,
+        # and one over a lowering of its own streams them.
         again, sides = _block(instance, CONFIG.epoch, col, fault,
                               CONFIG.budget_vector)
-        for label, result, side in zip(POLICIES, again, sides):
-            expected, expected_side = reference(fault, label)
-            assert_agree(observe(result, *side),
-                         observe(expected, *expected_side))
+        with mock.patch.object(columnar_module, "_WINDOW_ENTRIES", cap):
+            streamed, streamed_sides = _block(
+                instance, CONFIG.epoch, None, fault, CONFIG.budget_vector)
+        for results, sides in ((again, sides), (streamed, streamed_sides)):
+            for label, result, side in zip(POLICIES, results, sides):
+                expected, expected_side = reference(fault, label)
+                assert_agree(observe(result, *side),
+                             observe(expected, *expected_side))
 
     @pytest.mark.parametrize("fault", ["none", "drops", "recording"])
     @pytest.mark.parametrize("shards", [1, 4])
@@ -180,14 +210,19 @@ class TestWindowsCutAnywhere:
         for label in ("M-EDF(P)", "M-EDF(NP)", "S-EDF(NP)", "MRSF(NP)",
                       "COVERAGE(P)", "ANTI-MRSF(NP)"):
             policy, preemptive = parse_policy_spec(label)
-            faults, retry, breaker = FAULTS[fault]()
-            federated = federated_run(
-                instance, CONFIG.epoch, CONFIG.budget_vector, policy,
-                preemptive=preemptive, shards=shards, faults=faults,
-                retry=retry, breaker=breaker, columnar=col)
             expected, expected_side = reference(fault, label)
-            assert_agree(observe(federated.result, faults, breaker),
-                         observe(expected, *expected_side))
+            # Over the lowering handed in, and over one of its own.
+            for given in (col, None):
+                faults, retry, breaker = FAULTS[fault]()
+                with mock.patch.object(columnar_module, "_WINDOW_ENTRIES",
+                                       cap):
+                    federated = federated_run(
+                        instance, CONFIG.epoch, CONFIG.budget_vector,
+                        policy, preemptive=preemptive, shards=shards,
+                        faults=faults, retry=retry, breaker=breaker,
+                        columnar=given)
+                assert_agree(observe(federated.result, faults, breaker),
+                             observe(expected, *expected_side))
             if fault == "none":
                 assert sum(load.probes_routed
                            for load in federated.loads) \
@@ -251,14 +286,247 @@ class TestWindowsCutAnywhere:
                 list(expected.schedule.probes())
 
 
+class TestWindowsCutAnywhereProduced(TestWindowsCutAnywhere):
+    """The same runs with each streamed window built by a producer."""
+
+    CPUS = 2
+
+
+# ----------------------------------------------------------------------
+# The producer: the same windows, no child left, no output twice
+# ----------------------------------------------------------------------
+
+class _Boom(ValueError):
+    """Raised mid-run by a test: a type no library code raises."""
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks this process makes, counted."""
+    made = []
+    fork = os.fork
+
+    def counting():
+        made.append(1)
+        return fork()
+
+    monkeypatch.setattr(_fork.os, "fork", counting)
+    return made
+
+
+def _snapshot(window) -> dict:
+    """Copies of a window's arrays, its key columns included."""
+    columns = {name: value.copy() for name, value in vars(window).items()
+               if isinstance(value, np.ndarray)}
+    columns.update((key, column.copy())
+                   for key, column in window.hi_static.items())
+    return columns
+
+
+def _stream_then(before):
+    """A ``ColumnarInstance._stream`` that calls ``before(i)`` before it
+    hands out window ``i``."""
+    stream = ColumnarInstance._stream
+
+    def streaming(col, keys, held=None):
+        for i, window in enumerate(stream(col, keys, held)):
+            before(i)
+            yield window
+
+    return streaming
+
+
+class TestProducer:
+    KEYS = tuple(ROWS.values())
+
+    @pytest.mark.parametrize("cap", [1, 7, 64])
+    def test_produced_windows_equal_built_ones(self, instance, cap, forks):
+        col = lowered(instance, CONFIG.epoch, cap)
+        with cpus(1):
+            built = [_snapshot(win) for win in col.windows(self.KEYS)]
+        assert forks == []
+        with cpus(2):
+            produced = [_snapshot(win) for win in col.windows(self.KEYS)]
+        assert forks == [1] and len(built) == len(produced) > 1
+        for ours, theirs in zip(produced, built):
+            assert ours.keys() == theirs.keys()
+            for name, column in theirs.items():
+                assert ours[name].dtype == column.dtype, name
+                assert np.array_equal(ours[name], column), name
+        assert col.windows_built == 2 * len(built)
+        assert col._producer["ring_bytes"] == 2 * max(
+            win["act_e"].size for win in built) * (16 + 8 * len(self.KEYS))
+        _assert_no_child_left()
+
+    def test_a_consumer_that_raises_leaves_no_child(self, instance,
+                                                    monkeypatch, forks):
+        capture, calls = batch_module._capture, []
+
+        def capturing(*args):
+            calls.append(1)
+            if len(calls) == 5:
+                raise _Boom
+            return capture(*args)
+
+        monkeypatch.setattr(batch_module, "_capture", capturing)
+        with cpus(2), mock.patch.object(columnar_module,
+                                        "_WINDOW_ENTRIES", 7):
+            with pytest.raises(_Boom):
+                _block(instance, CONFIG.epoch, None, "none",
+                       CONFIG.budget_vector)
+        assert forks == [1]
+        _assert_no_child_left()
+
+    def test_a_generator_closed_early_leaves_no_child(self, instance):
+        col = lowered(instance, CONFIG.epoch, 7)
+        with cpus(2):
+            windows = col.windows(self.KEYS)
+            next(windows)
+            next(windows)
+            windows.close()
+            assert col.windows_built == 2
+            _assert_no_child_left()
+            # Dropped unclosed, the generator is closed all the same.
+            windows = col.windows()
+            next(windows)
+            del windows
+        assert col.windows_built == 3
+        _assert_no_child_left()
+
+    def test_a_producer_exception_keeps_its_type(self, instance,
+                                                 monkeypatch, caplog):
+        def refuse(i):
+            if i == 2:
+                raise BatchUnsupported("refused by the producer")
+
+        monkeypatch.setattr(ColumnarInstance, "_stream",
+                            _stream_then(refuse))
+        policy, preemptive = parse_policy_spec("MRSF(P)")
+        with cpus(2), mock.patch.object(columnar_module,
+                                        "_WINDOW_ENTRIES", 7):
+            with pytest.raises(BatchUnsupported, match="by the producer"):
+                _block(instance, CONFIG.epoch, None, "none",
+                       CONFIG.budget_vector)
+            _assert_no_child_left()
+            # So a batch run still falls back to the reference.
+            with caplog.at_level(logging.INFO, logger="repro.simulation"):
+                result = run_online(instance, CONFIG.epoch,
+                                    CONFIG.budget_vector, policy,
+                                    preemptive=preemptive)
+        assert "refused by the producer" in caplog.text
+        expected = run_online(instance, CONFIG.epoch, CONFIG.budget_vector,
+                              policy, preemptive=preemptive,
+                              engine="reference")
+        assert_agree(observe(result), observe(expected))
+        _assert_no_child_left()
+
+    def test_a_buffered_print_appears_once(self):
+        script = textwrap.dedent("""
+            import sys
+            from unittest import mock
+
+            from repro import _fork
+            from repro.experiments import ExperimentConfig, make_instance
+            from repro.online.registry import parse_policy_spec
+            from repro.simulation import columnar
+            from repro.simulation.shard import federated_run
+
+            config = ExperimentConfig(epoch_length=40, num_resources=8,
+                                      num_profiles=12, intensity=5.0,
+                                      budget=2, window=6, seed=17)
+            _trace, profiles = make_instance(config, 0)
+            policy, preemptive = parse_policy_spec("M-EDF(P)")
+            _fork.usable_cpus = lambda: 2
+            # Written to the pipe at exit, not before the fork.
+            assert not sys.stdout.write_through
+            print("printed before the run")
+            with mock.patch.object(columnar, "_WINDOW_ENTRIES", 7):
+                run = federated_run(profiles, config.epoch,
+                                    config.budget_vector, policy,
+                                    preemptive=preemptive, shards=2)
+            assert run.result.extras["lowering_windows"] > 2
+            """)
+        root = Path(__file__).resolve().parents[2]
+        env = {name: value for name, value in os.environ.items()
+               if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(root / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "printed before the run\n"
+
+    def test_window_seconds_is_the_wait(self, instance, monkeypatch):
+        nap = 0.02
+        col = lowered(instance, CONFIG.epoch, 64)
+        with cpus(2):
+            # A slow producer: the consumer waits for every window.
+            monkeypatch.setattr(ColumnarInstance, "_stream",
+                                _stream_then(lambda _i: time.sleep(nap)))
+            count = sum(1 for _win in col.windows())
+            assert count > 3
+            assert col.window_seconds > 0.8 * nap * count
+            monkeypatch.undo()
+            # A slow consumer: each window is ready when asked for.
+            waited = col.window_seconds
+            for _win in col.windows():
+                time.sleep(nap)
+        assert col.window_seconds - waited < nap * count / 2
+        assert col.windows_built == 2 * count
+
+    def test_windows_built_counts_the_windows_consumed(self, instance):
+        col = lowered(instance, CONFIG.epoch, 7)
+        with cpus(2):
+            windows = col.windows()
+            for _ in range(3):
+                next(windows)
+            # The producer is a window ahead; the count is what came out.
+            assert col.windows_built == 3
+            windows.close()
+        assert col.windows_built == 3
+
+    def test_kept_lowerings_and_sweeps_fork_no_producer(self, instance,
+                                                       forks):
+        """A lowering handed in keeps its index, as the harness's cached
+        lowerings and churn plans do, and a one-instance sweep runs in
+        the caller: none of them forks, on two CPUs and many windows."""
+        one = CONFIG.with_(num_profiles=60)
+        policy, preemptive = parse_policy_spec("MRSF(P)")
+        churn = ChurnConfig(epoch_length=30, num_resources=6, intensity=2.0,
+                            num_clients=4, profiles_per_client=2,
+                            join_spread=0.5, leave_probability=0.5, seed=3)
+        with cpus(2), mock.patch.object(columnar_module,
+                                        "_WINDOW_ENTRIES", 7):
+            sweep("s", one, "budget", [1, 2])
+            fault_sweep(config=one, rates=(0.0, 0.3))
+            initial, plan, epoch = build_churn_workload(churn)
+            for _ in range(2):
+                run_churned(initial, epoch, BudgetVector(2), policy, plan,
+                            preemptive=preemptive)
+            assert plan._lowering.columnar.windows_built > 1
+            assert forks == []
+            # The control: a run over a lowering of its own forks one.
+            run_online(instance, CONFIG.epoch, CONFIG.budget_vector,
+                       policy, preemptive=preemptive)
+        assert forks == [1]
+        _assert_no_child_left()
+
+
 # ----------------------------------------------------------------------
 # Memory follows the window
 # ----------------------------------------------------------------------
 
-def _traced_peak(config) -> tuple[int, ColumnarInstance]:
+def _traced_peak(config, count: int = 2) -> tuple[int, ColumnarInstance]:
     """Peak traced bytes (NumPy reports its buffers) of running
     ``config``'s instance on four shards, over a lowering the run builds
-    itself; and that lowering."""
+    itself, on ``count`` CPUs; and that lowering. With a producer the
+    peak counts its ring (a shared mapping, which tracemalloc does not
+    see) and the producer's own traced peak above what it inherited."""
     _trace, profiles = make_instance(config, 0)
     profiles.columns()
     policy, preemptive = parse_policy_spec("M-EDF(P)")
@@ -271,13 +539,16 @@ def _traced_peak(config) -> tuple[int, ColumnarInstance]:
 
     tracemalloc.start()
     try:
-        with mock.patch.object(ColumnarInstance, "build", spy):
+        with cpus(count), mock.patch.object(ColumnarInstance, "build", spy):
             federated_run(profiles, config.epoch, config.budget_vector,
                           policy, preemptive=preemptive, shards=4)
         _now, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     (col,) = built
+    assert (col._producer is not None) == (count > 1)
+    if col._producer is not None:
+        peak += col._producer["ring_bytes"] + col._producer["peak_traced"]
     return peak, col
 
 
@@ -301,6 +572,14 @@ class TestMemoryFollowsTheWindow:
         wide_entries = int(wide._grp_size.sum())
         assert narrow_entries > columnar_module._WINDOW_ENTRIES
         assert wide_entries > 6 * narrow_entries
+        assert wide_peak < 1.3 * narrow_peak
+
+    def test_in_process_peak_does_not_follow_the_epoch(self):
+        # The same pair on one CPU: every window built in this process.
+        smaller = self.NARROW.with_(num_profiles=1000)
+        narrow_peak, narrow = _traced_peak(smaller, 1)
+        wide_peak, wide = _traced_peak(smaller.with_(window=40), 1)
+        assert int(wide._grp_size.sum()) > 6 * int(narrow._grp_size.sum())
         assert wide_peak < 1.3 * narrow_peak
 
     def test_no_entry_array_outlives_the_run(self):
