@@ -16,6 +16,8 @@ from __future__ import annotations
 import bisect
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from repro.core.budget import BudgetVector
 from repro.core.intervals import ExecutionInterval, TInterval
 from repro.core.timeline import Chronon, Epoch
@@ -54,9 +56,10 @@ class Schedule:
 
     @classmethod
     def from_columns(cls, resource_ids, chronons) -> "Schedule":
-        """Adopt distinct probes as two equal-length integer arrays,
-        without validation (the block kernel emits each (resource,
-        chronon) pair at most once per run by construction).
+        """Adopt distinct probes as two equal-length integer arrays in
+        chronon order, without validation (the block kernel emits each
+        (resource, chronon) pair at most once per run, chronon by
+        chronon, by construction).
         """
         schedule = cls.__new__(cls)
         schedule._sorted_cache = {}
@@ -114,6 +117,16 @@ class Schedule:
         flat.sort()
         for chronon, resource_id in flat:
             yield resource_id, chronon
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The probes as ``(resource_ids, chronons)`` int arrays in
+        chronon order: a :meth:`from_columns` schedule's own arrays,
+        with no per-resource sets built; otherwise :meth:`probes`'."""
+        try:
+            return self._columns
+        except AttributeError:
+            pairs = np.array(list(self.probes()), dtype=np.int64)
+            return tuple(pairs.reshape(-1, 2).T.copy())
 
     def probes_at(self, chronon: Chronon) -> list[int]:
         """Resources probed at a given chronon (sorted by id)."""

@@ -4,7 +4,6 @@ from repro._lazy import export_table
 
 __all__, __getattr__, __dir__ = export_table(__name__, {
     ".clients": ("Client", "Notification"),
-    ".federation": ("ShardCoordinator",),
     ".proxy": ("MonitoringProxy", "ProxyStats"),
     ".server": ("OriginServer", "Snapshot"),
     ".sharding": (

@@ -1,9 +1,9 @@
 """Consistent-hash sharding and budget work-stealing primitives.
 
-The federation layer (see :mod:`repro.runtime.federation` and
-:mod:`repro.simulation.shard`) splits a monolithic proxy into ``K``
-shards, each owning a slice of the per-resource candidate index. This
-module holds the pure control-plane pieces, all deterministic:
+The federation (:mod:`repro.simulation.shard`) splits a monolithic
+proxy into ``K`` shards, each owning a slice of the per-resource
+candidate index. This module holds the pure control-plane pieces, all
+deterministic:
 
 * :class:`ConsistentHashRing` — virtual-node consistent hashing of
   resource ids onto shards. Hashes are keyed ``blake2b`` digests of
@@ -199,15 +199,14 @@ class BudgetLedger:
             self.transferred_units += amount
         return plan
 
-    def loads(self, probes_routed: list[int] | None = None,
-              resources: list[int] | None = None) -> list[ShardLoad]:
-        """The per-shard accounting as :class:`ShardLoad` rows."""
-        routed = probes_routed if probes_routed is not None else self.spent
+    def loads(self, resources: list[int] | None = None) -> list[ShardLoad]:
+        """The per-shard accounting as :class:`ShardLoad` rows: a shard's
+        routed probes are its spend."""
         return [
             ShardLoad(
                 shard=shard,
                 resources=resources[shard] if resources is not None else 0,
-                probes_routed=routed[shard],
+                probes_routed=self.spent[shard],
                 nominal_budget=self.nominal[shard],
                 stolen_in=self.stolen_in[shard],
                 stolen_out=self.stolen_out[shard],

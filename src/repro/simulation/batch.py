@@ -699,7 +699,7 @@ def _capture(picks: np.ndarray, cand: np.ndarray, grp_of: np.ndarray,
     pending_flat[flat[cap_flat[flat] >= need[states]]] = False
 
 
-def _advance(col: ColumnarInstance, lane_objs: list[_Lane], settle=None,
+def _advance(col: ColumnarInstance, lane_objs: list[_Lane],
              keep: bool = False):
     """Run every lane over ``col``'s windows; -> ``(probe columns, capture
     counts, alive flags, fault stats)``, one entry (row) per lane each.
@@ -711,12 +711,7 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane], settle=None,
     size) → score (:func:`_candidate_keys`) → rank (:func:`_pool_keys`)
     → select (:func:`_take_smallest`; twice for non-preemptive rows) →
     execute (``_FaultPlane.execute``, faulty blocks only) → capture
-    (:func:`_capture`).
-
-    One private seam, for :func:`repro.simulation.shard.federated_run`:
-    ``settle(k_arr, rows, rids)`` is told each chronon's decisions —
-    lane rows and resource ids, all of them, before the fault plane
-    executes any — given the chronon's per-lane budgets.
+    (:func:`_capture`). :func:`run_block` is its one caller.
     """
     L = len(lane_objs)
     # Capture state is kept *inverted* (alive = still uncaptured) so the
@@ -896,8 +891,6 @@ def _advance(col: ColumnarInstance, lane_objs: list[_Lane], settle=None,
             if pr_rows.size == 0:
                 continue
             rids = grids[pr_gs]
-            if settle is not None:
-                settle(k_arr, pr_rows, rids)
             if plane is not None:
                 cap_l, cap_g, fl = plane.execute(
                     T, win.first_group + glo, grids, pr_rows, pr_gs, pr_pos,

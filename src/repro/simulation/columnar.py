@@ -637,13 +637,13 @@ class ColumnarInstance:
         with the key columns the lanes' score rows ``keys`` read.
 
         ``keep`` says whether the lowering outlives the run —
-        :func:`~repro.simulation.batch.run_block` and
-        :func:`~repro.simulation.shard.federated_run` pass whether their
-        caller handed it in. Such a lowering holds the index (each
-        window's ``act_e`` and ``ps_act``, 8 B per entry) once a run has
-        built all of it, and every later run reads it; a lowering that
-        holds none builds each window's index when its chronons are due
-        and keeps no reference. The per-run columns are built for every
+        :func:`~repro.simulation.batch.run_block`, the one caller,
+        passes whether its caller handed it in (a federated or churned
+        run hands its ``columnar=`` on). Such a lowering holds the index
+        (each window's ``act_e`` and ``ps_act``, 8 B per entry) once a
+        run has built all of it, and every later run reads it; a
+        lowering that holds none builds each window's index when its
+        chronons are due and keeps no reference. The per-run columns are built for every
         run, a window at a time. A consumer that drops its own
         references before asking for the next window (as the chronon
         loops do) therefore holds one window of per-run columns at a

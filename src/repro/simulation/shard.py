@@ -1,48 +1,26 @@
-"""Sharded proxy federation as the select step of the block kernel.
+"""Sharded proxy federation: a budget ledger booked off the one-lane block.
 
-:func:`federated_run` advances one online run as ``K`` proxy shards plus
-a :class:`~repro.runtime.federation.ShardCoordinator`. The consistent-
-hash ring assigns every resource — and with it the resource's candidate
-pool — to a shard. T-intervals whose EIs span shards (allowed by the
-paper's model) need *replicated state*: capture, doom and M-EDF
-satisfiability aggregates are the same on every shard, kept in sync by a
-per-chronon capture broadcast, so a shard scores its local EIs with
-exactly the global state a monolith would use. In one process the
-replicas are one copy and a pool's rank key depends on nothing but that
-pool's entries and those aggregates, so the run is a one-lane block of
-:mod:`repro.simulation.batch` — one chronon loop, one key pass, one
-select.
-
-The federation's select is the kernel's: every shard proposing the
-``min(C_j, |owned pools|)`` best rank keys among the pools it owns and
-the coordinator merging them to the global top ``C_j`` picks exactly
-what the kernel's one take over all pools picks — the global
-``nsmallest`` of a union is the ``nsmallest`` of per-shard
-``nsmallest``s, since the keys end in the resource id and are unique
-(``tests/simulation/test_federation_select.py`` checks the identity).
-The merge holds no state and the ledgers read only the winners, so the
-run selects once and the coordinator books each chronon's winners on
-the per-shard ledgers: nominal
-:func:`~repro.runtime.sharding.split_budget` shares, realized demand,
-and the deterministic :func:`~repro.runtime.sharding.steal_plan`
-transfers that moved unspendable residual budget to the most
-oversubscribed shards.
-
-A federated run is therefore **probe-for-probe identical to the
-one-lane block and the reference simulator for every shard count** —
-gained-completeness degradation is zero by construction — and the
-ledgers record the work-stealing that realized the monolith schedule.
-
-Fault layers (drops, outages, rate limits, retries, breaker) execute
-coordinator-side through the kernel's fault plane. The shards advance
-in-process: a forked worker pool was measured on the catalog (2 vCPUs,
-K=4) at 2.2x *slower* than the in-process loop — the per-chronon
-broadcast costs more than the proposals it parallelises — and removed.
+:func:`federated_run` models one online run as ``K`` proxy shards: the
+consistent-hash ring assigns every resource — and with it the resource's
+candidate pool — to a shard, and the capture, doom and M-EDF aggregates
+are replicated on every shard, so a shard scores its pools exactly as a
+monolith would. Every shard proposing its ``min(C_j, |owned pools|)``
+best rank keys and a coordinator merging them to the global top ``C_j``
+picks exactly the kernel's one take over all pools — keys end in the
+resource id, so they are unique, and the ``nsmallest`` of a union is the
+``nsmallest`` of per-shard ``nsmallest``s (``docs/ALGORITHMS.md`` §15;
+``tests/simulation/test_federation_select.py``). So the federation's
+schedule is the monolith's: the run is one lane of
+:func:`~repro.simulation.batch.run_block`, probe-for-probe the reference
+simulator's for every shard count, and the federation is its ledger —
+each probing chronon's probes, counted per owner shard, booked on a
+:class:`~repro.runtime.sharding.BudgetLedger` (nominal split, realized
+demand, deterministic work-stealing). The federation books reliable
+runs: a faulty run is ``run_block``'s or ``run_online``'s.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,14 +29,8 @@ from repro.core.budget import BudgetVector
 from repro.core.profile import ProfileSet
 from repro.core.timeline import Epoch
 from repro.online.base import Policy
-from repro.runtime.federation import ShardCoordinator
-from repro.runtime.sharding import ShardLoad
-from repro.simulation.batch import (
-    FaultLane,
-    _advance,
-    _finalize,
-    _make_lanes,
-)
+from repro.runtime.sharding import BudgetLedger, ConsistentHashRing, ShardLoad
+from repro.simulation import batch
 from repro.simulation.columnar import ColumnarInstance
 from repro.simulation.result import SimulationResult
 
@@ -69,15 +41,11 @@ __all__ = ["FederatedResult", "federated_run"]
 class FederatedResult:
     """Outcome of one federated run plus the federation's accounting.
 
-    ``result`` is bit-identical to what a one-lane
-    :func:`~repro.simulation.batch.run_block` (and the reference
-    simulator) produces for the same arguments. ``loads`` carries each
-    shard's owned-resource count, routed probes and budget ledger;
-    ``stolen_budget`` totals the units moved by work-stealing.
-    ``lower_seconds`` is the part of ``result.runtime_seconds`` spent
-    lowering: every activity window the run built, plus the constructor
-    unless the caller passed a prebuilt ``columnar=`` (whose own
-    ``lower_seconds`` says what that cost).
+    ``result`` is the one-lane :func:`~repro.simulation.batch.run_block`
+    result (and so the reference simulator's) for the same arguments.
+    ``loads`` carries each shard's owned resources that the run probed,
+    routed probes and budget ledger; ``stolen_budget`` totals the units
+    moved by work-stealing.
     """
 
     result: SimulationResult
@@ -85,7 +53,6 @@ class FederatedResult:
     loads: tuple[ShardLoad, ...]
     stolen_budget: int
     steal_transfers: int
-    lower_seconds: float
 
     @property
     def gc(self) -> float:
@@ -95,45 +62,40 @@ class FederatedResult:
 def federated_run(profiles: ProfileSet, epoch: Epoch,
                   budget: BudgetVector, policy: Policy, *,
                   preemptive: bool = True, shards: int = 4,
-                  faults=None, retry=None, breaker=None,
                   columnar: ColumnarInstance | None = None,
                   ) -> FederatedResult:
     """Run one online simulation as a K-shard proxy federation.
 
-    Returns a :class:`FederatedResult` whose ``result`` is
-    probe-for-probe identical to a one-lane
-    :func:`~repro.simulation.batch.run_block` and to
-    ``run_online(..., engine="reference")`` for the same arguments — for
-    any shard count — plus the federation's per-shard loads and
-    work-stealing ledger.
+    Returns a :class:`FederatedResult` whose ``result`` is the one-lane
+    :func:`~repro.simulation.batch.run_block` run — probe-for-probe
+    ``run_online(..., engine="reference")``'s, for any shard count —
+    plus the federation's per-shard loads and work-stealing ledger.
 
-    Raises :class:`~repro.simulation.columnar.BatchUnsupported` for
-    policies without a score row (those that override ``score``) and
-    instances whose packed keys overflow — such runs need the reference
-    simulator.
+    Raises :class:`ValueError` for ``shards < 1`` before any chronon
+    runs, and :class:`~repro.simulation.columnar.BatchUnsupported` for
+    what the block refuses: policies without a score row and instances
+    whose packed keys overflow — such runs need the reference simulator.
     """
-    started = time.perf_counter()
-    coord = ShardCoordinator(shards)
-    K = shards
-    col = columnar if columnar is not None else \
-        ColumnarInstance.build(profiles, epoch)
-    fault = FaultLane(faults, retry, breaker)
-    lanes = _make_lanes(col, [(policy, preemptive, budget, 0, fault)])
-    owner = coord.assign(col.rid_space)
-
-    def settle(k_arr, _rows, rids):
-        coord.settle(int(k_arr[0]),
-                     np.bincount(owner[rids], minlength=K).tolist())
-
-    built, window_seconds = col.windows_built, col.window_seconds
-    state = _advance(col, lanes, settle, keep=columnar is not None)
-    (result,) = _finalize(col, lanes, *state, time.perf_counter() - started,
-                          col.windows_built - built)
-    probed = np.bincount(col.grp_rid, minlength=col.rid_space) > 0
-    owned = np.bincount(owner[probed], minlength=K).tolist()
+    ring = ConsistentHashRing(shards)
+    (result,) = batch.run_block(profiles, epoch,
+                                [(policy, preemptive, budget)],
+                                columnar=columnar)
+    rids, chronons = result.schedule.columns()
+    space = int(rids.max()) + 1 if rids.size else 0
+    owner = ring.assign(space)
+    # np.unique would load numpy.ma on a cold path: mark instead.
+    seen = np.zeros(space, dtype=bool)
+    seen[rids] = True
+    # One row of per-shard demand for each chronon that probed.
+    new = np.diff(chronons, prepend=0) != 0
+    demand = np.bincount((np.cumsum(new) - 1) * shards + owner[rids],
+                         minlength=int(new.sum()) * shards)
+    ledger = BudgetLedger(shards)
+    for T, row in zip(chronons[new].tolist(), demand.reshape(-1, shards)):
+        ledger.settle(budget.at(T), row.tolist())
     return FederatedResult(
-        result=result, shards=K, loads=tuple(coord.loads(resources=owned)),
-        stolen_budget=coord.ledger.transferred_units,
-        steal_transfers=coord.ledger.transfers,
-        lower_seconds=col.window_seconds - window_seconds
-        + (0.0 if columnar is not None else col.lower_seconds))
+        result=result, shards=shards,
+        loads=tuple(ledger.loads(
+            resources=np.bincount(owner[seen], minlength=shards).tolist())),
+        stolen_budget=ledger.transferred_units,
+        steal_transfers=ledger.transfers)

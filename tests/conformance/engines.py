@@ -134,13 +134,11 @@ def assert_same_gc(sweep, result, **kwargs) -> None:
 
 
 def assert_accounting(federated) -> None:
-    """The federation's ledger identities, faulty or not: routed
-    decisions partition the spend (a retry re-attempts a routed
-    decision, hence ``used + failed - retries``), steals balance, and no
-    shard outspends its nominal-plus-stolen allowance."""
+    """The federation's ledger identities: routed probes partition the
+    run's probes, steals balance, and no shard outspends its
+    nominal-plus-stolen allowance."""
     loads, result = federated.loads, federated.result
-    assert sum(load.probes_routed for load in loads) == \
-        result.probes_used + result.probes_failed - result.retries
+    assert sum(load.probes_routed for load in loads) == result.probes_used
     assert sum(load.stolen_in for load in loads) == \
         sum(load.stolen_out for load in loads) == federated.stolen_budget
     for load in loads:
@@ -251,10 +249,15 @@ def _block(case: Case) -> Iterator[dict]:
     yield _one(case, partial(_in_a_block, case))
 
 
-def _federated_result(profiles, case: Case, policy, preemptive, **kwargs):
+def _federated_result(profiles, case: Case, policy, preemptive, faults,
+                      retry, breaker, columnar=None):
+    """The federation books reliable runs: ``faults`` is None on every
+    case it takes, and a retry policy or breaker with no fault source
+    never acts, so neither is passed."""
+    assert faults is None
     federated = federated_run(profiles, case.epoch, case.budget, policy,
                               preemptive=preemptive, shards=case.shards,
-                              **kwargs)
+                              columnar=columnar)
     assert [load.shard for load in federated.loads] == \
         list(range(case.shards))
     assert_accounting(federated)
@@ -267,12 +270,13 @@ def _federated(case: Case) -> Iterator[dict]:
 
 def _churned(case: Case) -> Iterator[dict]:
     """``run_churned``, and ``federated_run`` over the plan's lowering
-    (a static case's is the ``federated`` line's own run)."""
+    when the case is fault-free (a static case's is the ``federated``
+    line's own run)."""
     plan = case.plan or ChurnPlan()
     yield _one(case, lambda policy, preemptive, **layer: run_churned(
         case.profiles, case.epoch, case.budget, policy, plan,
         preemptive=preemptive, **layer))
-    if case.plan is None:
+    if case.plan is None or not _reliable(case):
         return
     lowered = lower_plan(case.profiles, plan, case.epoch)
     columnar = ColumnarInstance.build(lowered.profiles, case.epoch,
@@ -305,6 +309,11 @@ def _static(case: Case) -> bool:
     return case.plan is None
 
 
+def _reliable(case: Case) -> bool:
+    """No fault source: the federation books reliable runs only."""
+    return case.faults == "none"
+
+
 #: Every engine, one line each.
 ENGINES = {
     "reference": Engine(_reference, _static),
@@ -312,7 +321,8 @@ ENGINES = {
     "live-async": Engine(partial(_live, asynchronous=True)),
     "online": Engine(_online, _static),
     "block": Engine(_block, _static),
-    "federated": Engine(_federated, _static),
+    "federated": Engine(_federated,
+                        lambda case: _static(case) and _reliable(case)),
     "churned": Engine(_churned),
     "event": Engine(_event),
 }
@@ -320,6 +330,8 @@ ENGINES = {
 #: The documented refusals: the engines that serve only columns raise
 #: ``BatchUnsupported``, in these words, for what the columns cannot
 #: encode. ``online`` refuses nothing: it falls back to the reference.
+#: A faulty case is not refused by ``federated``: it is not one the
+#: line takes (``federated_run`` has no fault layer).
 _COLUMNS = ((lambda case: not case.has_row, "no columnar scoring kind"),)
 REFUSES = {"block": _COLUMNS, "federated": _COLUMNS, "churned": _COLUMNS}
 

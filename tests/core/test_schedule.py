@@ -47,6 +47,16 @@ class TestProbeBookkeeping:
         schedule = self.make([(2, 5), (0, 5), (1, 1)])
         assert list(schedule.probes()) == [(1, 1), (0, 5), (2, 5)]
 
+    def test_columns_are_int_arrays_in_chronon_order(self):
+        probes = [(1, 1), (2, 5), (0, 5), (0, 9)]
+        rids, chronons = self.make(probes).columns()
+        assert rids.dtype == chronons.dtype == np.int64
+        assert chronons.tolist() == [1, 5, 5, 9]
+        assert sorted(zip(rids.tolist(), chronons.tolist())) == \
+            sorted(probes)
+        empty = self.make().columns()
+        assert [column.tolist() for column in empty] == [[], []]
+
     def test_probes_at(self):
         schedule = self.make([(2, 5), (0, 5), (1, 1)])
         assert schedule.probes_at(5) == [0, 2]
@@ -134,6 +144,13 @@ def _from_columns(probes=()):
         np.array([t for _rid, t in probes], dtype=np.int64))
 
 
+def test_object_born_columns_are_its_probes():
+    schedule = Schedule([(2, 5), (0, 5), (1, 1), (0, 9)])
+    rids, chronons = schedule.columns()
+    assert list(zip(rids.tolist(), chronons.tolist())) == \
+        list(schedule.probes())
+
+
 class TestProbeBookkeepingFromColumns(TestProbeBookkeeping):
     make = staticmethod(_from_columns)
 
@@ -198,3 +215,18 @@ class TestColumnBorn:
     def test_unknown_attribute_is_still_an_attribute_error(self):
         with pytest.raises(AttributeError, match="nope"):
             _from_columns(self._PROBES).nope
+
+    def test_columns_are_the_adopted_arrays(self, groupings):
+        rids = np.array([2, 0, 1, 0], dtype=np.int64)
+        chronons = np.array([1, 5, 5, 9], dtype=np.int64)
+        schedule = Schedule.from_columns(rids, chronons)
+        got = schedule.columns()
+        assert got[0] is rids and got[1] is chronons
+        assert groupings == []
+
+    def test_columns_after_grouping_are_in_chronon_order(self, groupings):
+        schedule = _from_columns(self._PROBES)
+        assert schedule.add_probe(3, 2)
+        rids, chronons = schedule.columns()
+        assert list(zip(rids.tolist(), chronons.tolist())) == \
+            list(schedule.probes())

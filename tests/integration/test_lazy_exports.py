@@ -50,7 +50,7 @@ PUBLIC_NAMES = {
     "repro.faults": 14,
     "repro.offline": 12,
     "repro.online": 23,
-    "repro.runtime": 12,
+    "repro.runtime": 11,
     "repro.runtime.aio": 11,
     "repro.simulation": 10,
     "repro.traces": 12,

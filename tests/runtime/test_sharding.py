@@ -130,8 +130,9 @@ class TestBudgetLedger:
     def test_loads_reports_every_shard(self):
         ledger = BudgetLedger(2)
         ledger.settle(2, [0, 2])
-        loads = ledger.loads(probes_routed=[0, 2], resources=[5, 7])
+        loads = ledger.loads(resources=[5, 7])
         assert [load.shard for load in loads] == [0, 1]
+        assert [load.probes_routed for load in loads] == ledger.spent
         assert loads[1].stolen_in == 1
         assert loads[0].stolen_out == 1
         assert loads[1].effective_budget == 2

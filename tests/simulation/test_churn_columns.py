@@ -401,27 +401,21 @@ class TestLanesAndShards:
                                 plan, preemptive=preemptive)
             assert_same_run(lane, alone)
 
-    @pytest.mark.parametrize("faulty", [False, True])
     @pytest.mark.parametrize("shards", [1, 4])
-    def test_federation_books_cancelled_tintervals(self, workload, shards,
-                                                   faulty):
-        """A churned lowering under ``federated_run``: the merged
-        capture state reaches the final accounting, so K shards are the
-        live referee's run — dropped and expired included."""
+    def test_federation_books_cancelled_tintervals(self, workload, shards):
+        """A churned lowering under ``federated_run`` (a reliable run:
+        the federation takes no fault layer): the final capture state
+        reaches the accounting, so K shards are the live referee's run —
+        dropped and expired included."""
         initial, plan, epoch_ = workload
         lowered, col = _lowered(workload, 64)
         for label in self.LABELS + ("COVERAGE(NP)",):
-            case = _faulty(initial, plan, epoch_, label, BudgetVector(2)) \
-                if faulty else Case(initial, epoch_, label, BudgetVector(2),
-                                    plan=plan)
+            case = Case(initial, epoch_, label, BudgetVector(2), plan=plan)
             policy, preemptive = parse_policy_spec(label)
-            faults, retry, breaker = case.layer()
             federated = federated_run(
                 lowered.profiles, epoch_, BudgetVector(2), policy,
-                preemptive=preemptive, shards=shards, faults=faults,
-                retry=retry, breaker=breaker, columnar=col).result
-            assert_agree(observe(federated, faults, breaker),
-                         referee_run(case))
+                preemptive=preemptive, shards=shards, columnar=col).result
+            assert_agree(observe(federated), referee_run(case))
             assert federated.extras["dropped"] > 0
 
 

@@ -534,17 +534,13 @@ def test_medf_federated_run_builds_no_static_key_column():
     assert fed.result.probes_used > 0
     # M-EDF's row is its one key column: no static word of another row.
     assert set(window.hi_static) == {ROWS["M-EDF"]}
-    # A prebuilt lowering costs a run its windows, not its constructor —
-    # and, once its index is kept, only the run's own columns.
-    assert fed.lower_seconds == columnar.window_seconds > 0.0
+    # A prebuilt lowering costs a run its windows — and, once its index
+    # is kept, only the run's own columns: no window is built again.
     assert fed.result.extras["lowering_windows"] == 1.0
     first = columnar.window_seconds
     again = federated_run(profiles, Epoch(6), BudgetVector(1), policy,
                           preemptive=preemptive, shards=2,
                           columnar=columnar)
-    assert again.lower_seconds == columnar.window_seconds - first > 0.0
+    assert columnar.window_seconds > first > 0.0
     assert again.result.extras["lowering_windows"] == 0.0
     assert columnar.windows_built == 1
-    built = federated_run(profiles, Epoch(6), BudgetVector(1), policy,
-                          preemptive=preemptive, shards=2)
-    assert 0.0 < built.lower_seconds <= built.result.runtime_seconds

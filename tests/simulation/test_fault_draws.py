@@ -29,7 +29,6 @@ from repro.runtime.server import PROBE_OK, PROBE_THROTTLED
 from repro.simulation import run_online
 from repro.simulation.batch import FaultLane, run_block
 from repro.simulation.columnar import ColumnarInstance
-from repro.simulation.shard import federated_run
 
 from tests.conformance.engines import assert_agree, observe
 
@@ -235,19 +234,6 @@ def test_repeated_block_draws_nothing_new(lowering, monkeypatch):
     second = _run(profiles, columnar, spec, RetryConfig(1))
     assert [r.gc for r in second] == [r.gc for r in first]
     assert np.array_equal(draws.values, before, equal_nan=True)
-
-
-def test_shard_engine_shares_the_table(lowering, monkeypatch):
-    profiles, columnar = lowering
-    spec = FaultSpec(failure_probability=0.3, seed=11)
-    policy, preemptive = parse_policy_spec("S-EDF(P)")
-    block = _run(profiles, columnar, spec)[0]
-    draws = columnar.fault_draws()
-    monkeypatch.setattr(draws, "_draw", lambda row, group: 1 / 0)
-    federated = federated_run(
-        profiles, _CONFIG.epoch, _CONFIG.budget_vector, policy,
-        preemptive=preemptive, shards=3, faults=spec, columnar=columnar)
-    assert federated.result.gc == block.gc
 
 
 def test_a_gather_draws_what_is_unfilled_once(lowering, monkeypatch):

@@ -1,25 +1,27 @@
-"""The seam between the block kernel and the federation.
+"""Why a federation's ledger is booked off the one-lane block.
 
-``batch._advance`` turns a chronon's rank keys into picks through one
-select step, :func:`~repro.simulation.batch._take_smallest`, and
-:func:`~repro.simulation.shard.federated_run` is the same kernel: its
-select is the kernel's. That rests on the k-way selection identity
+The block kernel turns a chronon's rank keys into picks through one
+select step, :func:`~repro.simulation.batch._take_smallest`, and a
+K-shard federation would pick the same: the k-way selection identity
 (``docs/ALGORITHMS.md`` §15), pinned here on raw key rows against the
 propose/merge protocol written out as :func:`propose_and_merge` — every
-shard's take, then the coordinator's merge. The shape of the hook is
-pinned too: one kernel entry per federated run, one ledger settlement
-per chronon that decided anything.
+shard's take, then the coordinator's merge. So
+:func:`~repro.simulation.shard.federated_run` runs the block once and
+books its schedule; that shape is pinned too: one ``batch.run_block``
+call per federated run, one ledger settlement per chronon that probed.
 """
+
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import BudgetVector
 from repro.experiments.harness import make_instance
-from repro.faults import CircuitBreaker, FaultInjector, FaultSpec, RetryConfig
 from repro.online.registry import parse_policy_spec
-from repro.runtime import ShardCoordinator
-from repro.simulation import federated_run, shard
+from repro.runtime.sharding import BudgetLedger
+from repro.simulation import batch, federated_run
 from repro.simulation.batch import _take_smallest
 from repro.simulation.columnar import INF_KEY
 
@@ -93,46 +95,38 @@ class TestKWaySelection:
 
 
 class TestOneKernelEntry:
-    def test_one_advance_and_one_settle_per_deciding_chronon(
+    def test_one_block_one_settle_per_chronon(
             self, monkeypatch):
-        """A federated run enters the block kernel once and settles the
-        ledger once per chronon that made decisions — both NP phases in
-        one booking, probes that went on to fail included."""
+        """A federated run enters the kernel once, through
+        ``batch.run_block``, and books the ledger once per chronon that
+        probed, at that chronon's budget — both NP phases in one
+        booking."""
         _trace, instance = make_instance(CONFIG, 0)
-        entries = []
-        advance = shard._advance
+        blocks = []
+        run_block = batch.run_block
 
-        def counting_advance(*args, **kwargs):
-            entries.append(1)
-            return advance(*args, **kwargs)
+        def counting_block(*args, **kwargs):
+            blocks.append(run_block(*args, **kwargs))
+            return blocks[-1]
 
-        monkeypatch.setattr(shard, "_advance", counting_advance)
+        monkeypatch.setattr(batch, "run_block", counting_block)
         settled = []
-        settle = ShardCoordinator.settle
+        settle = BudgetLedger.settle
 
         def counting_settle(self, budget, demand):
             settled.append((budget, sum(demand)))
             return settle(self, budget, demand)
 
-        monkeypatch.setattr(ShardCoordinator, "settle", counting_settle)
-        injector = FaultInjector(FaultSpec(
-            failure_probability=0.3, timeout_probability=0.1, seed=11))
+        monkeypatch.setattr(BudgetLedger, "settle", counting_settle)
+        budget = BudgetVector(2, overrides={
+            T: 1 + T % 3 for T in range(1, CONFIG.epoch_length, 4)})
         policy, preemptive = parse_policy_spec("S-EDF(NP)")
-        federated = federated_run(
-            instance, CONFIG.epoch, CONFIG.budget_vector, policy,
-            preemptive=preemptive, shards=4,
-            faults=injector, retry=RetryConfig(max_retries=2),
-            breaker=CircuitBreaker(failure_threshold=2, cooldown=5))
+        federated = federated_run(instance, CONFIG.epoch, budget, policy,
+                                  preemptive=preemptive, shards=4)
 
-        assert len(entries) == 1
-        # The recording injector saw every first attempt, failed or not.
-        first_attempts = [record.chronon for record in injector.trace
-                          if record.attempt == 0]
-        assert len(settled) == len(set(first_attempts)) > 0
-        assert sum(decided for _budget, decided in settled) == \
-            len(first_attempts)
-        assert all(0 < decided <= budget for budget, decided in settled)
-        result = federated.result
-        assert result.probes_failed > 0 and result.retries > 0
-        assert sum(load.probes_routed for load in federated.loads) == \
-            result.probes_used + result.probes_failed - result.retries
+        ((result,),) = blocks
+        assert federated.result is result
+        probed = Counter(T for _rid, T in result.schedule.probes())
+        assert settled == [(budget.at(T), count)
+                           for T, count in sorted(probed.items())]
+        assert settled and all(0 < count <= at for at, count in settled)

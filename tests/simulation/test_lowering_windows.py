@@ -201,7 +201,8 @@ class TestWindowsCutAnywhere:
                 assert_agree(observe(result, *side),
                              observe(expected, *expected_side))
 
-    @pytest.mark.parametrize("fault", ["none", "drops", "recording"])
+    # The federation books reliable runs: the fault-free layer only.
+    @pytest.mark.parametrize("fault", ["none"])
     @pytest.mark.parametrize("shards", [1, 4])
     @pytest.mark.parametrize("cap", CAPS)
     def test_federation_equals_reference(self, instance, reference, cap,
@@ -210,20 +211,16 @@ class TestWindowsCutAnywhere:
         for label in ("M-EDF(P)", "M-EDF(NP)", "S-EDF(NP)", "MRSF(NP)",
                       "COVERAGE(P)", "ANTI-MRSF(NP)"):
             policy, preemptive = parse_policy_spec(label)
-            expected, expected_side = reference(fault, label)
+            expected, _side = reference(fault, label)
             # Over the lowering handed in, and over one of its own.
             for given in (col, None):
-                faults, retry, breaker = FAULTS[fault]()
                 with mock.patch.object(columnar_module, "_WINDOW_ENTRIES",
                                        cap):
                     federated = federated_run(
                         instance, CONFIG.epoch, CONFIG.budget_vector,
                         policy, preemptive=preemptive, shards=shards,
-                        faults=faults, retry=retry, breaker=breaker,
                         columnar=given)
-                assert_agree(observe(federated.result, faults, breaker),
-                             observe(expected, *expected_side))
-            if fault == "none":
+                assert_agree(observe(federated.result), observe(expected))
                 assert sum(load.probes_routed
                            for load in federated.loads) \
                     == expected.probes_used
